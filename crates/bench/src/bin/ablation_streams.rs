@@ -49,5 +49,5 @@ fn main() {
     println!();
     println!("the MXM needs a 16-wide aligned group for LW plus activation and SG4");
     println!("result streams per concurrent plane; starving the pool serializes the");
-    println!("plane-parallel offset passes — why the TSP provisions 32 each way.");
+    println!("four row-split plane chains — why the TSP provisions 32 each way.");
 }

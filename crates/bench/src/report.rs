@@ -79,6 +79,20 @@ impl WorkloadSample {
     pub fn instructions_per_sec(&self) -> f64 {
         self.instructions as f64 / self.wall_seconds
     }
+
+    /// Wall-clock seconds per run (per inference, for a model workload) —
+    /// what `simspeed --gate` holds: unlike Mcycles/s it does not fall when a
+    /// compiler change removes simulated cycles at constant host work.
+    #[must_use]
+    pub fn seconds_per_run(&self) -> f64 {
+        self.wall_seconds / f64::from(self.runs)
+    }
+
+    /// Simulated cycles per run.
+    #[must_use]
+    pub fn cycles_per_run(&self) -> u64 {
+        self.sim_cycles / u64::from(self.runs.max(1))
+    }
 }
 
 /// A prior run's throughput for one workload × variant — the compact form
@@ -96,6 +110,10 @@ pub struct HistorySample {
     pub mcycles_per_sec: f64,
     /// Dispatched instructions per wall-clock second, rounded to whole.
     pub instructions_per_sec: f64,
+    /// Simulated cycles per run, so the trajectory shows compiler wins (fewer
+    /// cycles) apart from simulator wins (more cycles per second); 0 — and
+    /// absent from the document — in entries older than the field.
+    pub cycles_per_run: u64,
 }
 
 /// One prior run: its per-workload summaries, oldest history entry first.
@@ -137,6 +155,7 @@ impl SimspeedReport {
                     variant: s.variant.clone(),
                     mcycles_per_sec: (s.mcycles_per_sec() * 1000.0).round() / 1000.0,
                     instructions_per_sec: s.instructions_per_sec().round(),
+                    cycles_per_run: s.cycles_per_run(),
                 })
                 .collect(),
         }
@@ -211,16 +230,21 @@ impl SimspeedReport {
         for (i, entry) in self.history.iter().enumerate() {
             json.push_str("    {\n      \"workloads\": [\n");
             for (j, h) in entry.workloads.iter().enumerate() {
+                let cycles = match h.cycles_per_run {
+                    0 => String::new(),
+                    n => format!(", \"cycles_per_run\": {n}"),
+                };
                 json.push_str(&format!(
                     concat!(
                         "        {{ \"name\": \"{}\", \"mode\": \"{}\", \"variant\": \"{}\", ",
-                        "\"mcycles_per_sec\": {:.3}, \"instructions_per_sec\": {:.0} }}{}\n"
+                        "\"mcycles_per_sec\": {:.3}, \"instructions_per_sec\": {:.0}{} }}{}\n"
                     ),
                     escape_free(&h.name),
                     escape_free(&h.mode),
                     escape_free(&h.variant),
                     h.mcycles_per_sec,
                     h.instructions_per_sec,
+                    cycles,
                     if j + 1 < entry.workloads.len() {
                         ","
                     } else {
@@ -323,6 +347,7 @@ impl SimspeedReport {
                         variant: str_field("variant")?,
                         mcycles_per_sec: f64_field("mcycles_per_sec")?,
                         instructions_per_sec: f64_field("instructions_per_sec")?,
+                        cycles_per_run: h.get("cycles_per_run").and_then(Json::as_u64).unwrap_or(0),
                     });
                 }
                 history.push(HistoryEntry {
@@ -386,6 +411,7 @@ mod tests {
                     variant: "counters".into(),
                     mcycles_per_sec: 9.876,
                     instructions_per_sec: 542.0,
+                    cycles_per_run: 0,
                 }],
             }],
         }

@@ -11,7 +11,11 @@
 //! the compiler explicitly manages tensor lifetimes (the paper's "thin layer
 //! of memory management"). Temporal safety of reuse comes from port
 //! scheduling: a slice's single instruction queue serializes the old reads
-//! before any new writes into the recycled words.
+//! before any new writes into the recycled words. Recycled words keep their
+//! old contents, though: SRAM starts out zero, and kernels that rely on rows
+//! they never write being zero (a feature map's padding border) must clear
+//! them where [`MemAllocator::is_dirty`] says so
+//! (`Scheduler::zero_stale` does both).
 
 use tsp_arch::{Hemisphere, MEM_SLICES_PER_HEMISPHERE};
 
@@ -33,12 +37,16 @@ const BANK_WORDS: u16 = 4096;
 #[derive(Debug, Clone)]
 struct FreeList {
     intervals: Vec<(u16, u16)>,
+    /// Words at or above this address were never handed back, so (SRAM
+    /// starting out zero) they still read as zero when first allocated.
+    dirty_below: u16,
 }
 
 impl FreeList {
     fn new(start: u16) -> FreeList {
         FreeList {
             intervals: vec![(start, BANK_WORDS)],
+            dirty_below: start,
         }
     }
 
@@ -58,6 +66,7 @@ impl FreeList {
     }
 
     fn give(&mut self, start: u16, len: u16) {
+        self.dirty_below = self.dirty_below.max(start + len);
         let pos = self
             .intervals
             .binary_search_by_key(&start, |&(s, _)| s)
@@ -146,6 +155,18 @@ impl MemAllocator {
             BankPolicy::Low => &mut st.low,
             BankPolicy::High => &mut st.high,
         }
+    }
+
+    /// Whether any of `tensor`'s words may hold a previous tenant's data
+    /// (they lie in a region that has been freed before) rather than the
+    /// zeros SRAM starts out with.
+    #[must_use]
+    pub fn is_dirty(&self, tensor: &TensorHandle) -> bool {
+        tensor.layout.blocks.iter().any(|&(h, s, base)| {
+            let st = &self.slices[h.index()][s as usize];
+            let list = if base < BANK_WORDS { &st.low } else { &st.high };
+            base < list.dirty_below
+        })
     }
 
     /// Allocates `rows` rows (`cols` meaningful lanes) in blocks of at most
@@ -450,6 +471,38 @@ mod tests {
             a.free(t);
         }
         assert_eq!(a.largest_block(BankPolicy::High), 4096);
+    }
+
+    #[test]
+    fn reused_words_are_dirty_fresh_ones_are_not() {
+        let mut a = MemAllocator::new();
+        let first = a
+            .alloc_in(Some(Hemisphere::East), 100, 320, BankPolicy::High, 4096)
+            .unwrap();
+        assert!(!a.is_dirty(&first));
+        a.free(&first);
+        let (_, slice, _) = first.layout.blocks[0];
+        let others: Vec<(Hemisphere, u8)> = (0..MEM_SLICES_PER_HEMISPHERE)
+            .filter(|&s| s != slice)
+            .map(|s| (Hemisphere::East, s))
+            .collect();
+        let alloc_there = |a: &mut MemAllocator, rows| {
+            a.alloc_avoiding(
+                Some(Hemisphere::East),
+                rows,
+                320,
+                BankPolicy::High,
+                4096,
+                &others,
+            )
+            .unwrap()
+        };
+        let reused = alloc_there(&mut a, 50);
+        assert!(a.is_dirty(&reused), "lies in the freed region");
+        let beyond = alloc_there(&mut a, 80);
+        assert!(a.is_dirty(&beyond), "starts inside the freed region");
+        let fresh = alloc_there(&mut a, 10);
+        assert!(!a.is_dirty(&fresh), "past everything ever freed");
     }
 
     #[test]

@@ -15,26 +15,29 @@
 //! per-row reads otherwise. Passes accumulate in the plane's int32
 //! accumulators (`ACC` accumulate mode).
 //!
-//! When there are fewer M-splits than planes, the offset passes are split
-//! *across* planes (the paper's "four simultaneous conv2d" regime); each
-//! plane's int32 partial is spilled to scratch SRAM byte-planes, then a merge
-//! stage streams the partials back through the VXM — saturating int32 adds,
-//! requantize, ReLU — and writes the finished rows into the output feature
-//! map (and its replicas) in one pipelined pass.
+//! **Row split.** The output pixels are dealt to the `4 / mparts` planes an
+//! M-split owns ([`RowSplit`]): each plane runs *all* `k²·kparts` passes over
+//! its own share of the rows — reading its own input replica, the two planes
+//! of a hemisphere tapping one weight stream — keeps the full sum in its own
+//! accumulators and goes straight through requantize/ReLU into **its own
+//! block** of a block-chunked output tensor (the paper's "four simultaneous
+//! conv2d" regime; no partial sum ever leaves the MXM). [`conv_passes`] is
+//! that lowering; [`conv2d`] feeds it shifted rows of a feature map, and the
+//! first-layer im2col path of `tsp-nn` feeds it host-prepared patch rows.
 //!
-//! Output and scratch tensors are allocated **after** their write times are
-//! known, on slices whose ports are free by then (see
-//! [`Scheduler::alloc_for_write`]): stream-dictated writes can then never
+//! Each output block is allocated **after** its chain's write time is known,
+//! on slices whose ports are free by then (see
+//! [`Scheduler::try_alloc_for_write`]): stream-dictated writes can then never
 //! collide with already-scheduled bursts.
 
-use tsp_arch::{Direction, Hemisphere, Slice, StreamGroup, StreamId, Vector};
+use tsp_arch::{Hemisphere, Vector, MEM_SLICES_PER_HEMISPHERE};
 use tsp_isa::Plane;
 
 use crate::alloc::BankPolicy;
 use crate::kernels::matmul::{
-    schedule_requant_write, Int32Stream, OutSpec, Pass, PlaneChainBuilder,
+    schedule_requant_write, stream_weights, DstSegments, OutOfPorts, OutSpec, PlaneChainBuilder,
 };
-use crate::sched::{Scheduler, D_READ};
+use crate::sched::Scheduler;
 use crate::tensor::TensorHandle;
 
 /// A feature map: `h×w` pixels of `c` channels, stored row-major over a
@@ -92,6 +95,22 @@ impl FeatureMap {
         (0..self.h)
             .map(|y| (self.row_index(y, 0), self.w))
             .collect()
+    }
+
+    /// The materialized border as write segments: every stored row that is
+    /// not in [`FeatureMap::interior_segments`].
+    #[must_use]
+    pub fn border_segments(&self) -> Vec<(u32, u32)> {
+        if self.pad == 0 {
+            return Vec::new();
+        }
+        // Top rows run on into the first pixel row's left border; each pixel
+        // row's right border runs on into the next one's left border.
+        let edge = self.pad * self.pw() + self.pad;
+        let mut runs = vec![(0, edge)];
+        runs.extend((1..self.h).map(|y| (self.row_index(y, 0) - 2 * self.pad, 2 * self.pad)));
+        runs.push((self.rows_total() - edge, edge));
+        runs
     }
 
     /// The row sequence an offset pass streams: for every output pixel
@@ -181,65 +200,254 @@ impl Default for Conv2dParams {
     }
 }
 
-/// Spills an int32 stream (SG4 at the VXM) into four byte-plane scratch
-/// tensors allocated on slices free by the spill's write time.
-fn spill_int32(
-    s: &mut Scheduler,
-    src: &Int32Stream,
-    n: u32,
-    avoid: &mut Vec<(Hemisphere, u8)>,
-) -> Result<([TensorHandle; 4], u64), crate::kernels::matmul::OutOfPorts> {
-    let vxm = Slice::Vxm.position();
-    // Spill slices must be downstream of the VXM in the stream's direction.
-    let hem = match src.group.base.direction {
-        Direction::East => Hemisphere::East,
-        Direction::West => Hemisphere::West,
-    };
-    let mut tensors: Vec<TensorHandle> = Vec::with_capacity(4);
-    for _ in 0..4 {
-        let Some(t) = s.try_alloc_for_write(
-            Some(hem),
-            n,
-            320,
-            BankPolicy::High,
-            4096,
-            src.t_at_vxm,
-            avoid,
-        ) else {
-            for t in &tensors {
-                s.alloc.free(t);
+/// Fewest output rows worth a plane of their own: a pass cannot be shorter
+/// than its ≈24-cycle weight install (`LW` 20 + `IW` 4), so thinner chunks
+/// only multiply weight reads.
+const MIN_CHUNK_ROWS: u32 = 24;
+
+/// The share of a conv's output one plane chain computes: the pixels falling
+/// in one block of the block-chunked output tensor.
+#[derive(Debug, Clone, Default)]
+pub struct RowChunk {
+    /// Output-pixel ordinals `oy·ow + ox`, in the order they are streamed.
+    pub pixels: Vec<u32>,
+    /// Where they land, as `(first_row, count)` runs **within the block**.
+    pub segments: DstSegments,
+    /// The block's remaining rows — padding border, which must read as zero.
+    pub border: DstSegments,
+}
+
+/// How an `oh×ow` output with a materialized border is dealt to plane chains:
+/// the padded rows are cut into equal blocks, one [`RowChunk`] per block.
+#[derive(Debug, Clone)]
+pub struct RowSplit {
+    /// Padded rows per output block.
+    pub rows_per_block: u32,
+    /// One non-empty chunk per block, in block order.
+    pub chunks: Vec<RowChunk>,
+}
+
+impl RowSplit {
+    /// Splits for at most `planes` concurrent chains. The chunk count is a
+    /// function of the shape alone: as many as `planes`, but no chunk under
+    /// [`MIN_CHUNK_ROWS`] pixels on average, none without pixels (a block of
+    /// nothing but border), and no block over one SRAM bank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if those limits cannot all hold (a map thousands of pixels wide
+    /// and one or two high).
+    #[must_use]
+    pub fn new(oh: u32, ow: u32, out_pad: u32, planes: usize) -> RowSplit {
+        let pw = ow + 2 * out_pad;
+        let rows_total = (oh + 2 * out_pad) * pw;
+        let inside = |v: u32, len: u32| (out_pad..out_pad + len).contains(&v);
+        let mut want = (oh * ow / MIN_CHUNK_ROWS).clamp(1, planes as u32);
+        loop {
+            let rows_per_block = rows_total.div_ceil(want.max(rows_total.div_ceil(4096)));
+            let blocks = rows_total.div_ceil(rows_per_block);
+            let mut chunks = vec![RowChunk::default(); blocks as usize];
+            for row in 0..rows_total {
+                let chunk = &mut chunks[(row / rows_per_block) as usize];
+                let (y, x, local) = (row / pw, row % pw, row % rows_per_block);
+                let runs = if inside(y, oh) && inside(x, ow) {
+                    chunk.pixels.push((y - out_pad) * ow + x - out_pad);
+                    &mut chunk.segments
+                } else {
+                    &mut chunk.border
+                };
+                match runs.last_mut() {
+                    Some((first, count)) if *first + *count == local => *count += 1,
+                    _ => runs.push((local, 1)),
+                }
             }
-            return Err(crate::kernels::matmul::OutOfPorts {
-                t_write: src.t_at_vxm,
-            });
-        };
-        avoid.extend(t.layout.slices());
-        tensors.push(t);
+            if chunks.iter().all(|c| !c.pixels.is_empty()) {
+                return RowSplit {
+                    rows_per_block,
+                    chunks,
+                };
+            }
+            assert!(
+                want > 1,
+                "no row split of a {oh}×{ow} map fits the SRAM banks"
+            );
+            want -= 1;
+        }
     }
-    let tensors: [TensorHandle; 4] = tensors.try_into().expect("exactly four byte planes");
-    let mut landed = 0u64;
-    for (i, t) in tensors.iter().enumerate() {
-        let stream = StreamId::new(src.group.base.id + i as u8, src.group.base.direction);
-        s.write_rows(t, 0, n, stream, vxm, src.t_at_vxm);
-        // Last row committed: value n−1 at the VXM at t+n−1, plus transit to
-        // the farthest destination slice, plus the write's d_func.
-        let max_hops = t
-            .layout
-            .slices()
-            .map(|(h, sl)| {
-                u64::from(
-                    src.group
-                        .base
-                        .direction
-                        .hops(vxm, Slice::mem(h, sl).position())
-                        .expect("spill is downstream"),
-                )
+}
+
+/// One accumulate-pass of one chunk, as [`conv_passes`] asks for it.
+#[derive(Debug)]
+pub struct ChunkPass<'a> {
+    /// 320-row LW-order weight handle.
+    pub weights: &'a TensorHandle,
+    /// Activation tensor the chunk's chain reads (its own replica).
+    pub acts: &'a TensorHandle,
+    /// Rows of `acts` streamed through the array, one per chunk pixel.
+    pub rows: Vec<u32>,
+}
+
+/// The row-split conv lowering: one plane chain per (M-split, chunk of
+/// `split`) runs `passes` accumulate-passes (described by
+/// `pass(mpart, pass, chunk)`) and requantizes into its own output block; the
+/// chains run four at a time, one per plane. Returns the `oh×ow×c_out` output
+/// map and the completion cycle.
+///
+/// # Panics
+///
+/// Panics if no output ports can be found even on a drained chip.
+pub fn conv_passes<'a>(
+    s: &mut Scheduler,
+    (oh, ow, c_out): (u32, u32, u32),
+    split: &RowSplit,
+    passes: usize,
+    pass: &dyn Fn(usize, usize, usize) -> ChunkPass<'a>,
+    params: &Conv2dParams,
+) -> (FeatureMap, u64) {
+    let replicas = usize::from(params.out_replicas.max(1));
+    let rows_total = (oh + 2 * params.out_pad) * (ow + 2 * params.out_pad);
+    let need = (replicas * split.chunks.len()) as f64 / f64::from(MEM_SLICES_PER_HEMISPHERE);
+    // Escalation ladder: no port floor at first (the writes come a whole
+    // chain after the start), then floors by which enough of the output
+    // hemisphere's ports are free, then absolute floors derived from the
+    // failing write time (tight stream pools need the whole conv pushed past
+    // the congestion, not just past the ports).
+    let mut abs_floor = 0u64;
+    let mut result = None;
+    for try_idx in 0usize..8 {
+        let quantile = [0.0, need.min(1.0), 0.9, 1.0][try_idx.min(3)];
+        let snap = s.snapshot();
+        let floor = params
+            .not_before
+            .max(s.port_quantile(params.out_hemisphere, quantile))
+            .max(abs_floor);
+        match schedule_chains(s, c_out, split, passes, pass, params, floor) {
+            Ok(r) => {
+                result = Some(r);
+                break;
+            }
+            Err(e) => {
+                abs_floor = abs_floor.max(e.t_write + (256u64 << try_idx.min(4)));
+                s.restore(&snap);
+            }
+        }
+    }
+    let (blocks, done) = result.unwrap_or_else(|| {
+        panic!(
+            "conv: no port/space after retries (n={}, free_words={}, largest High block={})",
+            oh * ow,
+            s.alloc.free_words(),
+            s.alloc.largest_block(BankPolicy::High),
+        )
+    });
+    let concat = |blocks: &OutBlocks, r: usize| {
+        let chunks: Vec<TensorHandle> = blocks.iter().map(|b| b[r].clone()).collect();
+        TensorHandle::concat(&chunks, rows_total)
+    };
+    let out = FeatureMap {
+        h: oh,
+        w: ow,
+        c: c_out,
+        pad: params.out_pad,
+        parts: blocks
+            .iter()
+            .map(|part| (0..replicas).map(|r| concat(part, r)).collect())
+            .collect(),
+    };
+    (out, done)
+}
+
+/// One M-split's output blocks, `[chunk][replica]`.
+type OutBlocks = Vec<Vec<TensorHandle>>;
+
+/// One attempt at [`conv_passes`]: returns every M-split's output blocks and
+/// the completion cycle.
+fn schedule_chains<'a>(
+    s: &mut Scheduler,
+    c_out: u32,
+    split: &RowSplit,
+    passes: usize,
+    pass: &dyn Fn(usize, usize, usize) -> ChunkPass<'a>,
+    params: &Conv2dParams,
+    floor: u64,
+) -> Result<(Vec<OutBlocks>, u64), OutOfPorts> {
+    let mparts = c_out.div_ceil(320) as usize;
+    // Per M-split, blocks and replicas stay slice-disjoint: chains write, and
+    // consumers later read, all of them concurrently.
+    let mut specs: Vec<OutSpec> = (0..mparts)
+        .map(|mpart| OutSpec {
+            rows_total: split.rows_per_block,
+            cols: (c_out - mpart as u32 * 320).min(320) as u16,
+            segments: Vec::new(),
+            hemisphere: params.out_hemisphere,
+            policy: BankPolicy::High,
+            replicas: params.out_replicas,
+            max_block: split.rows_per_block,
+            avoid: Vec::new(),
+        })
+        .collect();
+    let mut blocks = vec![vec![Vec::new(); split.chunks.len()]; mparts];
+    let mut done = floor;
+    // Every (M-split, chunk) is a chain; a wave fills the planes.
+    let chains: Vec<(usize, usize)> = (0..mparts)
+        .flat_map(|mpart| (0..split.chunks.len()).map(move |ci| (mpart, ci)))
+        .collect();
+    for wave in chains.chunks(usize::from(Plane::COUNT)) {
+        // Schedule the wave's chains INTERLEAVED, pass by pass, so they run
+        // plane-parallel: MEM ports and streams are reserved in time order.
+        let mut builders: Vec<PlaneChainBuilder> = wave
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, ci))| {
+                let n = split.chunks[ci].pixels.len() as u64;
+                PlaneChainBuilder::new(s, Plane::new(i as u8), n, floor)
             })
-            .max()
-            .unwrap_or(0);
-        landed = landed.max(src.t_at_vxm + u64::from(n) + max_hops + 1);
+            .collect();
+        for p in 0..passes {
+            let jobs: Vec<ChunkPass<'a>> = wave.iter().map(|&(m, ci)| pass(m, p, ci)).collect();
+            let mut i = 0;
+            while i < builders.len() {
+                // The two planes of a hemisphere load the same weights from
+                // one stream (builders are in plane order: 0–1 west, 2–3 east).
+                let pair =
+                    i % 2 == 0 && i + 1 < builders.len() && jobs[i + 1].weights == jobs[i].weights;
+                let j = if pair { i + 2 } else { i + 1 };
+                let hemisphere = builders[i].plane().hemisphere();
+                let lw_floor = builders[i..j].iter().map(|b| b.lw_floor()).max();
+                let feed = stream_weights(s, jobs[i].weights, hemisphere, lw_floor.unwrap_or(0));
+                for (builder, job) in builders[i..j].iter_mut().zip(&jobs[i..j]) {
+                    builder.add_pass(s, feed, job.acts, &job.rows);
+                }
+                i = j;
+            }
+        }
+        for (builder, &(mpart, ci)) in builders.into_iter().zip(wave) {
+            let (chunk, spec) = (&split.chunks[ci], &mut specs[mpart]);
+            spec.segments.clone_from(&chunk.segments);
+            let n = chunk.pixels.len() as u64;
+            let (reps, end) = schedule_requant_write(
+                s,
+                builder.finish(),
+                n,
+                params.requant_shift,
+                params.relu,
+                spec,
+            )?;
+            spec.avoid
+                .extend(reps.iter().flat_map(|t| t.layout.slices()));
+            blocks[mpart][ci] = reps;
+            done = done.max(end);
+        }
     }
-    Ok((tensors, landed))
+    // The padding border is never written by the chains: on recycled SRAM it
+    // still holds a previous tenant's data and must be cleared.
+    let borders: Vec<(&TensorHandle, &[(u32, u32)])> = blocks
+        .iter()
+        .flat_map(|part| part.iter().zip(&split.chunks))
+        .flat_map(|(reps, chunk)| reps.iter().map(|t| (t, chunk.border.as_slice())))
+        .collect();
+    done = done.max(s.zero_stale(&borders));
+    Ok((blocks, done))
 }
 
 /// Schedules a 2-D convolution, returning the output feature map and the
@@ -259,215 +467,33 @@ pub fn conv2d(
     assert_eq!(input.c, weights.c_in, "channel mismatch");
     let oh = (input.h + 2 * params.pad - k) / params.stride + 1;
     let ow = (input.w + 2 * params.pad - k) / params.stride + 1;
-    let n = oh * ow;
     let kparts = input.kparts();
     let mparts = weights.c_out.div_ceil(320) as usize;
-    let rows_total = (oh + 2 * params.out_pad) * (ow + 2 * params.out_pad);
+    let planes = (4 / mparts).max(1);
+    let split = RowSplit::new(oh, ow, params.out_pad, planes);
 
-    // Output geometry; part tensors are added as their write times are known.
-    let mut out = FeatureMap {
-        h: oh,
-        w: ow,
-        c: weights.c_out,
-        pad: params.out_pad,
-        parts: Vec::new(),
-    };
-    let segments = out.interior_segments();
-
-    // Row sequences per offset (shared across kparts and mparts).
+    // Row sequences per offset (shared across kparts, mparts and chunks).
     let offset_rows: Vec<Vec<u32>> = (0..k)
         .flat_map(|dy| (0..k).map(move |dx| (dy, dx)))
         .map(|(dy, dx)| input.offset_rows(oh, ow, params.stride, dy, dx, params.pad))
         .collect();
-
-    // All (offset, kpart) pass descriptors for one mpart.
-    let pass_ids: Vec<(usize, usize)> = (0..(k * k) as usize)
-        .flat_map(|o| (0..kparts).map(move |kp| (o, kp)))
-        .collect();
-
-    let planes_per_mpart = (4 / mparts.max(1)).clamp(1, pass_ids.len().max(1));
-    let mut done = params.not_before;
-    // Replicas across all mparts stay slice-disjoint (consumers stream the
-    // parts concurrently).
-    let mut out_avoid: Vec<(Hemisphere, u8)> = Vec::new();
-
-    for mpart in 0..mparts {
-        let mcols = (weights.c_out - mpart as u32 * 320).min(320) as u16;
-        let chunks: Vec<&[(usize, usize)]> = pass_ids
-            .chunks(pass_ids.len().div_ceil(planes_per_mpart))
-            .collect();
-        let spill = chunks.len() > 1;
-        let mut attempt_result = None;
-        // Escalation ladder: quantile floors first, then absolute floors
-        // derived from the failing write time (tight stream pools need the
-        // whole chain pushed past the congestion, not just past the ports).
-        let mut abs_floor = 0u64;
-        for try_idx in 0u32..8 {
-            let quantile = [0.5, 0.9, 1.0][(try_idx as usize).min(2)];
-            let snap = s.snapshot();
-            let mut sources: Vec<[TensorHandle; 4]> = Vec::new();
-            let mut scratch_avoid: Vec<(Hemisphere, u8)> = Vec::new();
-            let mut direct: Option<Int32Stream> = None;
-            let mut spills_landed = 0u64;
-            let mut spill_failed: Option<crate::kernels::matmul::OutOfPorts> = None;
-
-            // Floor so that by the chains' write times enough of the output
-            // hemisphere's ports are free (escalates on retry).
-            let floor = params
-                .not_before
-                .max(s.port_quantile(params.out_hemisphere, quantile));
-            // Schedule the chunks' chains INTERLEAVED, pass by pass, so they run
-            // plane-parallel instead of serializing on stream reservations.
-            let mut builders: Vec<PlaneChainBuilder> = (0..chunks.len())
-                .map(|ci| {
-                    let plane = Plane::new(((mpart * planes_per_mpart + ci) % 4) as u8);
-                    PlaneChainBuilder::new(s, plane, u64::from(n), floor)
-                })
-                .collect();
-            let max_passes = chunks.iter().map(|c| c.len()).max().unwrap_or(0);
-            for p in 0..max_passes {
-                for (ci, chunk) in chunks.iter().enumerate() {
-                    let Some(&(o, kp)) = chunk.get(p) else {
-                        continue;
-                    };
-                    let wreps = &weights.passes[o][kp][mpart];
-                    let areps = &input.parts[kp];
-                    let pass = Pass {
-                        weights: &wreps[ci % wreps.len()],
-                        acts: &areps[ci % areps.len()],
-                        rows: &offset_rows[o],
-                    };
-                    builders[ci].add_pass(s, &pass);
-                }
-            }
-            for builder in builders {
-                let int32 = builder.finish();
-                if spill {
-                    match spill_int32(s, &int32, n, &mut scratch_avoid) {
-                        Ok((tensors, landed)) => {
-                            sources.push(tensors);
-                            spills_landed = spills_landed.max(landed);
-                        }
-                        Err(e) => {
-                            spill_failed = Some(e);
-                            break;
-                        }
-                    }
-                } else {
-                    direct = Some(int32);
-                }
-            }
-
-            let spec = OutSpec {
-                rows_total,
-                cols: mcols,
-                segments: segments.clone(),
-                hemisphere: params.out_hemisphere,
-                policy: BankPolicy::High,
-                replicas: params.out_replicas,
-                max_block: 4096,
-            };
-            let attempt = if let Some(e) = spill_failed {
-                Err(e)
-            } else if let Some(int32) = direct {
-                schedule_requant_write(
-                    s,
-                    &[int32],
-                    u64::from(n),
-                    params.requant_shift,
-                    params.relu,
-                    &spec,
-                )
-            } else {
-                // Merge stage: stream every partial's four byte-planes back so
-                // partial p arrives at the VXM exactly when its adder stage runs.
-                let rows: Vec<u32> = (0..n).collect();
-                let mut t0 = s.pool.floor().max(params.not_before);
-                let mut groups: Vec<(u8, Direction)> = Vec::new();
-                for part in &sources {
-                    let hem = crate::kernels::elementwise::tensor_hemisphere(&part[0]);
-                    let dir = Direction::inward_from(hem);
-                    let claimed: Vec<u8> = groups
-                        .iter()
-                        .filter(|(_, d)| *d == dir)
-                        .map(|(b, _)| *b)
-                        .collect();
-                    let (base, ready) = s.take_aligned_group_excluding(dir, 4, t0, &claimed);
-                    t0 = t0.max(ready);
-                    groups.push((base, dir));
-                }
-                for (part, (_, dir)) in sources.iter().zip(&groups) {
-                    for t in part.iter() {
-                        t0 = s.earliest_read_arrival(t, &rows, *dir, Slice::Vxm.position(), t0);
-                    }
-                }
-                // The spilled rows must be in SRAM before they are read back,
-                // and the merge's adder/convert stream picks must clear the
-                // chains' own reservation tails (which end ≤ 128 cycles after
-                // the last spill lands) — bound on both, locally.
-                t0 = t0.max(spills_landed + D_READ + 128);
-                let stagger = |p: usize| (p.max(1) as u64 - 1) * crate::sched::D_VXM;
-                for (p, (part, (base, dir))) in sources.iter().zip(&groups).enumerate() {
-                    for (i, t) in part.iter().enumerate() {
-                        s.read_rows(
-                            t,
-                            &rows,
-                            StreamId::new(base + i as u8, *dir),
-                            Slice::Vxm.position(),
-                            t0 + stagger(p),
-                        );
-                    }
-                }
-                let aligned: Vec<Int32Stream> = groups
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &(base, dir))| Int32Stream {
-                        group: StreamGroup::new(StreamId::new(base, dir), 4),
-                        t_at_vxm: t0 + stagger(p),
-                    })
-                    .collect();
-                let r = schedule_requant_write(
-                    s,
-                    &aligned,
-                    u64::from(n),
-                    params.requant_shift,
-                    params.relu,
-                    &spec,
-                );
-                if r.is_ok() {
-                    // The spill scratch is dead once the merge is scheduled.
-                    for part in &sources {
-                        for t in part.iter() {
-                            s.alloc.free(t);
-                        }
-                    }
-                }
-                r
-            };
-            match attempt {
-                Ok(r) => {
-                    out_avoid.extend(r.0.iter().flat_map(|t| t.layout.slices()));
-                    attempt_result = Some(r);
-                    break;
-                }
-                Err(e) => {
-                    abs_floor = abs_floor.max(e.t_write + (256u64 << try_idx.min(4)));
-                    s.restore(&snap);
-                }
-            }
-        } // retry loop
-        let (reps, end) = attempt_result.unwrap_or_else(|| {
-            panic!(
-                "conv2d mpart {mpart}: no port/space after retries                  (n={n}, spill={spill}, free_words={}, largest High block={})",
-                s.alloc.free_words(),
-                s.alloc.largest_block(BankPolicy::High),
-            )
-        });
-        let _ = &out_avoid;
-        done = done.max(end);
-        out.parts.push(reps);
-    }
-    (out, done)
+    // Pass p is (offset, kpart) = (p / kparts, p % kparts); every chain of
+    // the conv (chunk `ci` of M-split `mpart`) reads its own input replica.
+    let pass = |mpart: usize, p: usize, ci: usize| {
+        let (o, kp) = (p / kparts, p % kparts);
+        let (wreps, areps) = (&weights.passes[o][kp][mpart], &input.parts[kp]);
+        ChunkPass {
+            weights: &wreps[ci % wreps.len()],
+            acts: &areps[(mpart * split.chunks.len() + ci) % areps.len()],
+            rows: split.chunks[ci]
+                .pixels
+                .iter()
+                .map(|&px| offset_rows[o][px as usize])
+                .collect(),
+        }
+    };
+    let passes = (k * k) as usize * kparts;
+    conv_passes(s, (oh, ow, weights.c_out), &split, passes, &pass, params)
 }
 
 /// Builds a zero-initialized feature-map *input* allocation the host fills
@@ -578,7 +604,6 @@ pub fn emplace_conv_weights(
 #[cfg(test)]
 // Index loops mirror the paper's math in these reference checks.
 #[allow(clippy::needless_range_loop)]
-#[allow(clippy::too_many_arguments)]
 mod tests {
     use super::*;
     use tsp_arch::ChipConfig;
@@ -640,7 +665,9 @@ mod tests {
         out
     }
 
-    fn run_conv_case(
+    /// One conv shape to check against [`reference_conv`].
+    #[derive(Clone, Copy)]
+    struct Case {
         h: u32,
         w: u32,
         cin: u32,
@@ -649,16 +676,64 @@ mod tests {
         stride: u32,
         pad: u32,
         relu: bool,
-    ) {
-        let mut s = Scheduler::new();
+        out_pad: u32,
+    }
 
-        // Deterministic pseudo-random data.
+    impl Case {
+        fn new(hw: (u32, u32), channels: (u32, u32), k: u32, stride: u32) -> Case {
+            Case {
+                h: hw.0,
+                w: hw.1,
+                cin: channels.0,
+                cout: channels.1,
+                k,
+                stride,
+                pad: k / 2,
+                relu: false,
+                out_pad: 0,
+            }
+        }
+    }
+
+    /// Realistic requantization for full-range int8 data.
+    const SHIFT: i8 = 11;
+
+    /// Writes `x[y][x][c]` into every replica of every channel part.
+    fn fill_input(chip: &mut Chip, input: &FeatureMap, x: &[Vec<Vec<i8>>]) {
+        for (kp, reps) in input.parts.iter().enumerate() {
+            for rep in reps {
+                for (y, line) in x.iter().enumerate() {
+                    for (xp, px) in line.iter().enumerate() {
+                        let mut v = Vector::ZERO;
+                        for (lane, &val) in px.iter().skip(kp * 320).take(320).enumerate() {
+                            v.set_lane(lane, val as u8);
+                        }
+                        chip.memory
+                            .write(rep.row(input.row_index(y as u32, xp as u32)), v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Compiles and runs `case` on a scheduler prepared by `prepare` (which
+    /// may pre-dirty SRAM), then checks every channel of every output replica
+    /// — interior against the reference, border against zero.
+    fn run_conv_case_on(case: Case, prepare: impl FnOnce(&mut Scheduler, &mut Chip)) {
+        let Case {
+            h, w, cin, cout, k, ..
+        } = case;
+        let mut s = Scheduler::new();
+        let mut chip = Chip::new(ChipConfig::asic());
+        prepare(&mut s, &mut chip);
+
+        // Deterministic pseudo-random full-range int8 data.
         let mut seed = 42u64;
         let mut next = move || {
             seed = seed
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((seed >> 33) % 7) as i8 - 3
+            (seed >> 33) as i8
         };
         let x_data: Vec<Vec<Vec<i8>>> = (0..h)
             .map(|_| (0..w).map(|_| (0..cin).map(|_| next()).collect()).collect())
@@ -671,116 +746,213 @@ mod tests {
             })
             .collect();
 
-        let input = alloc_feature_map(&mut s, h, w, cin, pad, Hemisphere::East, 4);
+        let input = alloc_feature_map(&mut s, h, w, cin, case.pad, Hemisphere::East, 4);
         let weights = emplace_conv_weights(&mut s, &w_data, 1);
         let params = Conv2dParams {
-            stride,
-            pad,
-            requant_shift: 4,
-            relu,
+            stride: case.stride,
+            pad: case.pad,
+            requant_shift: SHIFT,
+            relu: case.relu,
+            out_pad: case.out_pad,
             out_hemisphere: Hemisphere::West,
+            out_replicas: 2,
             ..Conv2dParams::default()
         };
         let (out, _) = conv2d(&mut s, &input, &weights, &params);
 
         let constants = s.take_constants();
         let program = s.into_program().expect("valid schedule");
-        let mut chip = Chip::new(ChipConfig::asic());
         for (handle, rows) in &constants {
             for (r, v) in rows.iter().enumerate() {
                 chip.memory.write(handle.row(r as u32), v.clone());
             }
         }
-        // Fill every input replica with the image.
-        for reps in &input.parts {
+        fill_input(&mut chip, &input, &x_data);
+        chip.run(&program, &RunOptions::default())
+            .expect("clean run");
+
+        let expect = reference_conv(&x_data, &w_data, case.stride, case.pad, SHIFT, case.relu);
+        assert_eq!(out.kparts(), cout.div_ceil(320) as usize);
+        for (mp, reps) in out.parts.iter().enumerate() {
+            assert_eq!(reps.len(), 2, "replicas");
             for rep in reps {
-                for y in 0..h {
-                    for xp in 0..w {
-                        let mut v = Vector::ZERO;
-                        for c in 0..cin as usize {
-                            v.set_lane(c, x_data[y as usize][xp as usize][c] as u8);
-                        }
-                        chip.memory.write(rep.row(input.row_index(y, xp)), v);
+                for row in 0..out.rows_total() {
+                    let got = chip.memory.read_unchecked(rep.row(row));
+                    let (py, px) = (row / out.pw(), row % out.pw());
+                    let inside = |v: u32, len: u32| (out.pad..out.pad + len).contains(&v);
+                    for lane in 0..usize::from(rep.cols) {
+                        let want = if inside(py, out.h) && inside(px, out.w) {
+                            expect[(py - out.pad) as usize][(px - out.pad) as usize]
+                                [mp * 320 + lane]
+                        } else {
+                            0
+                        };
+                        assert_eq!(
+                            got.lane(lane) as i8,
+                            want,
+                            "row {row} ch {}",
+                            mp * 320 + lane
+                        );
                     }
                 }
             }
         }
-        chip.run(&program, &RunOptions::default())
-            .expect("clean run");
+    }
 
-        let expect = reference_conv(&x_data, &w_data, stride, pad, 4, relu);
-        for oy in 0..out.h {
-            for ox in 0..out.w {
-                let got = chip
-                    .memory
-                    .read_unchecked(out.parts[0][0].row(out.row_index(oy, ox)));
-                for c in 0..cout as usize {
-                    assert_eq!(
-                        got.lane(c) as i8,
-                        expect[oy as usize][ox as usize][c],
-                        "pixel ({oy},{ox}) ch {c}"
-                    );
-                }
-            }
-        }
+    fn run_conv_case(case: Case) {
+        run_conv_case_on(case, |_, _| {});
     }
 
     #[test]
     fn conv3x3_stride1_pad1_matches_reference() {
-        run_conv_case(6, 6, 8, 5, 3, 1, 1, false);
+        run_conv_case(Case::new((6, 6), (8, 5), 3, 1));
     }
 
     #[test]
     fn conv3x3_stride2_matches_reference() {
-        run_conv_case(7, 7, 4, 6, 3, 2, 1, true);
+        run_conv_case(Case {
+            relu: true,
+            ..Case::new((7, 7), (4, 6), 3, 2)
+        });
     }
 
     #[test]
     fn conv1x1_is_a_matmul() {
-        run_conv_case(5, 5, 10, 12, 1, 1, 0, false);
+        run_conv_case(Case::new((5, 5), (10, 12), 1, 1));
+    }
+
+    /// kparts × mparts ∈ {1,2,7}², on 1×1-pixel and 2×2 tails (n = 1, 4).
+    #[test]
+    fn channel_splits_on_tiny_maps_match_reference() {
+        for (cin, cout) in [
+            (64, 2048),
+            (2048, 64),
+            (400, 2048),
+            (2048, 400),
+            (2048, 2048),
+        ] {
+            run_conv_case(Case::new((2, 2), (cin, cout), 1, 1));
+        }
+        run_conv_case(Case::new((1, 1), (2048, 700), 1, 1));
+        run_conv_case(Case::new((1, 1), (400, 400), 3, 1));
+    }
+
+    /// 7×7 maps (n = 49: two chunks per M-split pair, one when M-splits ≥ 4).
+    #[test]
+    fn channel_splits_on_7x7_match_reference() {
+        run_conv_case(Case::new((7, 7), (64, 2048), 1, 1));
+        run_conv_case(Case::new((13, 13), (400, 400), 1, 2));
+        run_conv_case(Case {
+            relu: true,
+            ..Case::new((7, 7), (400, 400), 3, 1)
+        });
+        run_conv_case(Case::new((14, 14), (64, 700), 3, 2));
+    }
+
+    /// 110 rows over 4 chunks: neither the rows nor the padded rows divide.
+    #[test]
+    fn uneven_row_split_matches_reference() {
+        let split = RowSplit::new(10, 11, 0, 4);
+        let sizes: Vec<usize> = split.chunks.iter().map(|c| c.pixels.len()).collect();
+        assert_eq!(sizes, [28, 28, 28, 26]);
+        run_conv_case(Case::new((10, 11), (8, 5), 3, 1));
+    }
+
+    /// A 1×100 map with a border would put nothing but border in the first of
+    /// four blocks; the split backs off until every chunk has pixels, and
+    /// tiny maps are never split at all.
+    #[test]
+    fn row_split_never_makes_an_empty_or_install_bound_chunk() {
+        let wide = RowSplit::new(1, 100, 1, 4);
+        assert!(wide.chunks.len() < 4);
+        assert!(wide.chunks.iter().all(|c| !c.pixels.is_empty()));
+        assert_eq!(
+            wide.chunks.iter().map(|c| c.pixels.len()).sum::<usize>(),
+            100
+        );
+        for (hw, chunks) in [(1, 1), (2, 1), (6, 1), (7, 2), (12, 4), (56, 4)] {
+            assert_eq!(
+                RowSplit::new(hw, hw, 0, 4).chunks.len(),
+                chunks,
+                "{hw}×{hw}"
+            );
+        }
+        assert_eq!(
+            RowSplit::new(7, 7, 0, 1).chunks.len(),
+            1,
+            "one plane per M-split"
+        );
+    }
+
+    /// 12×12 with a border: 196 padded rows in 4 blocks of 49 cut pixel rows
+    /// (14 padded rows each) mid-row, and the border must stay zero.
+    #[test]
+    fn chunks_straddling_block_boundaries_match_reference() {
+        let split = RowSplit::new(12, 12, 1, 4);
+        assert_eq!(split.rows_per_block, 49);
+        let cut = |c: &RowChunk| c.segments.iter().any(|&(_, count)| count < 12);
+        assert!(split.chunks.iter().all(cut), "every block cuts a pixel row");
+        let covered: u32 = split
+            .chunks
+            .iter()
+            .flat_map(|c| c.segments.iter().chain(&c.border))
+            .map(|&(_, count)| count)
+            .sum();
+        assert_eq!(
+            covered, 196,
+            "segments and border partition the padded rows"
+        );
+        run_conv_case(Case {
+            out_pad: 1,
+            relu: true,
+            ..Case::new((12, 12), (16, 16), 3, 1)
+        });
+    }
+
+    /// Output blocks landing on recycled SRAM get their border cleared.
+    #[test]
+    fn border_is_zero_on_recycled_sram() {
+        let case = Case {
+            out_pad: 1,
+            ..Case::new((12, 12), (16, 16), 3, 1)
+        };
+        run_conv_case_on(case, |s, chip| {
+            // Dirty the bottom of every High bank of the output hemisphere.
+            let stale: Vec<TensorHandle> = (0..MEM_SLICES_PER_HEMISPHERE)
+                .map(|sl| {
+                    let others: Vec<(Hemisphere, u8)> = (0..MEM_SLICES_PER_HEMISPHERE)
+                        .filter(|&o| o != sl)
+                        .map(|o| (Hemisphere::West, o))
+                        .collect();
+                    let hem = Some(Hemisphere::West);
+                    s.alloc
+                        .alloc_avoiding(hem, 64, 320, BankPolicy::High, 64, &others)
+                        .unwrap()
+                })
+                .collect();
+            for t in &stale {
+                for r in 0..t.rows {
+                    chip.memory.write(t.row(r), Vector::splat(0x55));
+                }
+                s.alloc.free(t);
+            }
+        });
     }
 
     #[test]
-    fn conv_with_output_border_keeps_border_zero() {
-        let mut s = Scheduler::new();
-        let x_data = vec![vec![vec![1i8; 3]; 4]; 4];
-        let w_data = vec![vec![vec![vec![1i8]]; 3]; 2];
-        let input = alloc_feature_map(&mut s, 4, 4, 3, 0, Hemisphere::East, 4);
-        let weights = emplace_conv_weights(&mut s, &w_data, 1);
-        let params = Conv2dParams {
-            out_pad: 1,
-            out_hemisphere: Hemisphere::West,
-            ..Conv2dParams::default()
+    fn border_segments_complement_the_interior() {
+        let fm = FeatureMap {
+            h: 3,
+            w: 4,
+            c: 8,
+            pad: 1,
+            parts: Vec::new(),
         };
-        let (out, _) = conv2d(&mut s, &input, &weights, &params);
-        let constants = s.take_constants();
-        let program = s.into_program().unwrap();
-        let mut chip = Chip::new(ChipConfig::asic());
-        for (handle, rows) in &constants {
-            for (r, v) in rows.iter().enumerate() {
-                chip.memory.write(handle.row(r as u32), v.clone());
-            }
-        }
-        for rep in &input.parts[0] {
-            for y in 0..4 {
-                for x in 0..4 {
-                    let mut v = Vector::ZERO;
-                    for c in 0..3 {
-                        v.set_lane(c, x_data[y as usize][x as usize][c] as u8);
-                    }
-                    chip.memory.write(rep.row(input.row_index(y, x)), v);
-                }
-            }
-        }
-        chip.run(&program, &RunOptions::default())
-            .expect("clean run");
-        // Interior: 1×1 conv of all-ones on 3 channels of 1 = 3.
-        let got = chip
-            .memory
-            .read_unchecked(out.parts[0][0].row(out.row_index(0, 0)));
-        assert_eq!(got.lane(0) as i8, 3);
-        // Border row 0 of the padded output is untouched (zero).
-        let border = chip.memory.read_unchecked(out.parts[0][0].row(0));
-        assert!(border.is_zero());
+        assert_eq!(fm.border_segments(), [(0, 7), (11, 2), (17, 2), (23, 7)]);
+        let rows = |segs: Vec<(u32, u32)>| segs.iter().map(|&(_, n)| n).sum::<u32>();
+        assert_eq!(
+            rows(fm.border_segments()) + rows(fm.interior_segments()),
+            fm.rows_total()
+        );
     }
 }

@@ -78,25 +78,25 @@ fn ew_chain(
             Direction::East => claimed_e.clone(),
             Direction::West => claimed_w.clone(),
         };
-        let (streams, ready) = s.take_streams_excluding(dir, 1, t0, &exclude);
+        let (streams, ready) = s.take_streams_excluding(dir, 1, t0, vxm, &exclude);
         t0 = ready;
         claim(dir, streams[0].id, &mut claimed_e, &mut claimed_w);
         groups.push(StreamGroup::new(streams[0], 1));
     }
     // Result stream flows outward into the output hemisphere; a chained
     // post-ReLU needs a second stream in the same direction.
-    let out_dir = Direction::inward_from(out_hemisphere).opposite();
+    let out_dir = Direction::outward_from(out_hemisphere);
     let mut exclude = match out_dir {
         Direction::East => claimed_e.clone(),
         Direction::West => claimed_w.clone(),
     };
-    let (out_streams, ready) = s.take_streams_excluding(out_dir, 1, t0, &exclude);
-    t0 = ready;
+    let (out_streams, ready) = s.take_streams_excluding(out_dir, 1, t0 + D_VXM, vxm, &exclude);
+    t0 = ready - D_VXM;
     let dst_group = StreamGroup::new(out_streams[0], 1);
     exclude.push(dst_group.base.id);
     let relu_group = if post_relu {
-        let (streams, ready) = s.take_streams_excluding(out_dir, 1, t0, &exclude);
-        t0 = ready;
+        let (streams, ready) = s.take_streams_excluding(out_dir, 1, t0 + 2 * D_VXM, vxm, &exclude);
+        t0 = ready - 2 * D_VXM;
         Some(StreamGroup::new(streams[0], 1))
     } else {
         None
@@ -171,6 +171,7 @@ fn ew_chain(
         );
     }
     s.pool.occupy(Resource::VxmAlu(alu.0), t0 + u64::from(n));
+    s.occupy_stream(dst_group.base, vxm, t0 + D_VXM + u64::from(n));
 
     // Optional chained ReLU: consumes the result stream at its birth
     // position (the VXM) on a second ALU — no memory round trip (§II-E).
@@ -200,10 +201,6 @@ fn ew_chain(
                 },
             );
         }
-        s.pool.occupy(
-            Resource::Stream(out_dir, rg.base.id),
-            t0 + 2 * D_VXM + u64::from(n) + 64,
-        );
         rg
     } else {
         dst_group

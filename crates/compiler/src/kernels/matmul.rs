@@ -10,13 +10,15 @@
 //! paper's `Read → Conv2D → Requantize → ReLU → Write` pattern with no
 //! intermediate spills.
 //!
-//! The building blocks are deliberately composable:
-//! [`schedule_plane_chain`] runs a sequence of accumulate-passes on one plane
-//! and hands back the int32 result stream; [`schedule_requant_write`] merges
-//! 1–4 such streams with int32 adds at the VXM (conv's plane-parallel offset
-//! split — the paper's "four simultaneous conv2d" regime), requantizes, and
-//! fans the int8 rows out to any number of replica tensors (replicas are free:
-//! extra `Write`s tap the same stream as it flows past).
+//! The building blocks are deliberately composable: [`stream_weights`] puts
+//! one weight block in flight toward an MXM (both planes of that hemisphere
+//! may load from it); a [`PlaneChainBuilder`] runs a sequence of
+//! accumulate-passes on one plane and hands back the int32 result stream;
+//! [`schedule_requant_write`] requantizes such a stream at the VXM and fans
+//! the int8 rows out to any number of replica tensors (replicas are free:
+//! extra `Write`s tap the same stream as it flows past). Conv runs one chain
+//! per plane over its own share of the output rows (the paper's "four
+//! simultaneous conv2d" regime) — see [`crate::kernels::conv`].
 //!
 //! ## Weight layout ("LW order")
 //!
@@ -27,13 +29,11 @@
 //! in its own slice so all 16 streams run concurrently at one row per cycle.
 
 use tsp_arch::{Direction, Hemisphere, Slice, StreamGroup, StreamId};
-use tsp_isa::{
-    AccumulateMode, BinaryAluOp, DataType, IcuOp, MxmOp, Plane, UnaryAluOp, VxmOp, MXM_ARRAY_DELAY,
-};
+use tsp_isa::{AccumulateMode, DataType, IcuOp, MxmOp, Plane, UnaryAluOp, VxmOp, MXM_ARRAY_DELAY};
 use tsp_sim::IcuId;
 
 use crate::alloc::BankPolicy;
-use crate::kernels::elementwise::{pick_alu, tensor_hemisphere};
+use crate::kernels::elementwise::pick_alu;
 use crate::resource::Resource;
 use crate::sched::{Scheduler, D_VXM};
 use crate::tensor::TensorHandle;
@@ -96,11 +96,49 @@ pub struct Int32Stream {
     pub t_at_vxm: u64,
 }
 
+/// A weight block in flight toward one hemisphere's MXM. Stream reads are
+/// non-destructive, so both planes of that hemisphere may `LW` from it.
+#[derive(Debug, Clone, Copy)]
+pub struct WeightFeed {
+    /// The `SG16` group carrying the 20 install rows.
+    pub group: StreamGroup,
+    /// Cycle install row 0 is present at the MXM; row `r` follows at `+r`.
+    pub t_lw: u64,
+}
+
+/// Streams the 320-row LW-order block `weights` toward `hemisphere`'s MXM on
+/// 16 streams, arriving no earlier than `not_before`.
+pub fn stream_weights(
+    s: &mut Scheduler,
+    weights: &TensorHandle,
+    hemisphere: Hemisphere,
+    not_before: u64,
+) -> WeightFeed {
+    let mxm = Slice::Mxm(hemisphere).position();
+    let to_mxm = Direction::outward_from(hemisphere);
+    let (wbase, ready) = s.take_aligned_group(to_mxm, 16, not_before, mxm);
+    let weight_rows: Vec<Vec<u32>> = (0..16u32)
+        .map(|j| (j * 20..(j + 1) * 20).collect())
+        .collect();
+    let t_lw = weight_rows.iter().fold(ready, |t, rows| {
+        s.earliest_read_arrival(weights, rows, to_mxm, mxm, t)
+    });
+    for (j, rows) in weight_rows.iter().enumerate() {
+        let stream = StreamId::new(wbase + j as u8, to_mxm);
+        s.read_rows(weights, rows, stream, mxm, t_lw);
+    }
+    WeightFeed {
+        group: StreamGroup::new(StreamId::new(wbase, to_mxm), 16),
+        t_lw,
+    }
+}
+
 /// A resumable MXM plane chain: schedules one accumulate-pass at a time so
 /// several planes' chains can be **interleaved** by the caller — without
-/// interleaving, one chain's long activation burst holds stream reservations
-/// that push the next chain's start past the whole burst (the resource pool
-/// tracks a single busy horizon per stream, not gaps).
+/// interleaving, one chain's reads hold MEM-port and stream reservations that
+/// push the next chain's start past them (the resource pool tracks a single
+/// busy horizon per port and stream, not gaps, so work must be reserved in
+/// time order).
 #[derive(Debug)]
 pub struct PlaneChainBuilder {
     plane: Plane,
@@ -129,54 +167,54 @@ impl PlaneChainBuilder {
         }
     }
 
-    /// Schedules the next pass (pass 0 overwrites the accumulators; later
-    /// passes add).
+    /// The plane this chain runs on.
+    #[must_use]
+    pub fn plane(&self) -> Plane {
+        self.plane
+    }
+
+    /// The earliest cycle this chain's next [`WeightFeed`] may arrive (its
+    /// weight buffer is busy until the previous install completes).
+    #[must_use]
+    pub fn lw_floor(&self) -> u64 {
+        self.prev_iw_done
+    }
+
+    /// Schedules the next pass — load and install the weights in `feed`,
+    /// stream `rows` of `acts` through — (pass 0 overwrites the accumulators;
+    /// later passes add).
     ///
     /// # Panics
     ///
-    /// Panics if the pass's row count differs from the chain's `n`.
-    pub fn add_pass(&mut self, s: &mut Scheduler, pass: &Pass<'_>) {
+    /// Panics if the row count differs from the chain's `n`, or if `feed`
+    /// arrives before [`PlaneChainBuilder::lw_floor`].
+    pub fn add_pass(
+        &mut self,
+        s: &mut Scheduler,
+        feed: WeightFeed,
+        acts: &TensorHandle,
+        rows: &[u32],
+    ) {
         let plane = self.plane;
         let n = self.n;
-        assert_eq!(pass.rows.len() as u64, n, "pass row count mismatch");
+        assert_eq!(rows.len() as u64, n, "pass row count mismatch");
+        assert!(feed.t_lw >= self.prev_iw_done, "weights arrive too early");
         let mxm = Slice::Mxm(plane.hemisphere()).position();
-        let to_mxm = match plane.hemisphere() {
-            Hemisphere::East => Direction::East,
-            Hemisphere::West => Direction::West,
-        };
+        let to_mxm = feed.group.base.direction;
         let from_mxm = to_mxm.opposite();
         let plane_res = Resource::MxmPlane(plane.index());
 
-        // ---- weights: 16 streams, 20 rows each ---------------------------
-        let (wbase, ready) = s.take_aligned_group(to_mxm, 16, self.prev_iw_done);
-        let mut t_lw = ready;
-        let weight_rows: Vec<Vec<u32>> = (0..16u32)
-            .map(|j| (j * 20..(j + 1) * 20).collect())
-            .collect();
-        for rows in &weight_rows {
-            t_lw = s.earliest_read_arrival(pass.weights, rows, to_mxm, mxm, t_lw);
-        }
-        for (j, rows) in weight_rows.iter().enumerate() {
-            s.read_rows(
-                pass.weights,
-                rows,
-                StreamId::new(wbase + j as u8, to_mxm),
-                mxm,
-                t_lw,
-            );
-        }
-        let wgroup = StreamGroup::new(StreamId::new(wbase, to_mxm), 16);
         s.place(
             IcuId::Mxm { plane, port: 0 },
-            t_lw,
+            feed.t_lw,
             MxmOp::LoadWeights {
                 plane,
-                streams: wgroup,
+                streams: feed.group,
                 rows: LW_ROWS as u8,
             },
         );
         // IW waits for the buffer to fill and the array to drain pass p−1.
-        let t_iw = (t_lw + LW_ROWS).max(self.prev_abc_end);
+        let t_iw = (feed.t_lw + LW_ROWS).max(self.prev_abc_end);
         s.place(
             IcuId::Mxm { plane, port: 3 },
             t_iw,
@@ -191,23 +229,19 @@ impl PlaneChainBuilder {
         // The ACC emission time is t_abc + MXM_ARRAY_DELAY and cannot move,
         // so t_abc must also wait until an output quad-stream group is free:
         // iterate to the fixed point (monotone, converges in a few steps).
-        let (acts_stream, ready) = s.take_streams(to_mxm, 1, self.prev_iw_done);
-        let mut t_abc = s.earliest_read_arrival(pass.acts, pass.rows, to_mxm, mxm, ready);
-        let (acc_base, acc_group) = loop {
-            let (base, group_ready) =
-                s.take_aligned_group(from_mxm, 4, t_abc + u64::from(MXM_ARRAY_DELAY));
-            if group_ready <= t_abc + u64::from(MXM_ARRAY_DELAY) {
-                break (base, StreamGroup::new(StreamId::new(base, from_mxm), 4));
+        let (acts_stream, ready) = s.take_streams(to_mxm, 1, self.prev_iw_done, mxm);
+        let mut t_abc = s.earliest_read_arrival(acts, rows, to_mxm, mxm, ready);
+        let acc_group = loop {
+            // Row 0 is emitted at the MXM one cycle after the ACC dispatch.
+            let t_emit = t_abc + u64::from(MXM_ARRAY_DELAY) + 1;
+            let (base, group_ready) = s.take_aligned_group(from_mxm, 4, t_emit, mxm);
+            if group_ready <= t_emit {
+                break StreamGroup::new(StreamId::new(base, from_mxm), 4);
             }
-            t_abc = s.earliest_read_arrival(
-                pass.acts,
-                pass.rows,
-                to_mxm,
-                mxm,
-                group_ready - u64::from(MXM_ARRAY_DELAY),
-            );
+            let at = group_ready - u64::from(MXM_ARRAY_DELAY) - 1;
+            t_abc = s.earliest_read_arrival(acts, rows, to_mxm, mxm, at);
         };
-        s.read_rows(pass.acts, pass.rows, acts_stream[0], mxm, t_abc);
+        s.read_rows(acts, rows, acts_stream[0], mxm, t_abc);
         s.place(
             IcuId::Mxm { plane, port: 1 },
             t_abc,
@@ -236,9 +270,8 @@ impl PlaneChainBuilder {
                 mode,
             },
         );
-        for id in acc_base..acc_base + 4 {
-            s.pool
-                .occupy(Resource::Stream(from_mxm, id), t_acc + n + 128);
+        for stream in acc_group.streams() {
+            s.occupy_stream(stream, mxm, t_acc + 1 + n);
         }
         s.pool.occupy(plane_res, t_acc + n);
         self.passes_done += 1;
@@ -280,7 +313,8 @@ pub fn schedule_plane_chain(
     let n = passes[0].rows.len() as u64;
     let mut builder = PlaneChainBuilder::new(s, plane, n, not_before);
     for pass in passes {
-        builder.add_pass(s, pass);
+        let feed = stream_weights(s, pass.weights, plane.hemisphere(), builder.lw_floor());
+        builder.add_pass(s, feed, pass.acts, pass.rows);
     }
     builder.finish()
 }
@@ -300,16 +334,18 @@ pub struct OutSpec {
     pub policy: BankPolicy,
     /// Identical replicas to materialize.
     pub replicas: u8,
-    /// Max rows per block (block-chunked outputs pass their chunk size).
+    /// Max rows per block.
     pub max_block: u32,
+    /// Slices the replicas must not use (siblings streamed concurrently).
+    pub avoid: Vec<(Hemisphere, u8)>,
 }
 
-/// Merges 1–4 int32 row streams at the VXM with saturating int32 adds,
-/// requantizes to int8 (`2^-shift`, round-to-nearest, saturate), optionally
-/// applies ReLU, and writes the rows into freshly allocated replica tensors.
-/// Output tensors are allocated *after* the write time is known, on slices
-/// whose ports are free by then — so stream-dictated writes can never collide
-/// with earlier bursts. Returns the replicas and the completion cycle.
+/// Requantizes an int32 row stream at the VXM to int8 (`2^-shift`,
+/// round-to-nearest, saturate), optionally applies ReLU, and writes the rows
+/// into freshly allocated replica tensors. Output tensors are allocated
+/// *after* the write time is known, on slices whose ports are free by then —
+/// so stream-dictated writes can never collide with earlier bursts. Returns
+/// the replicas and the completion cycle.
 ///
 /// # Errors
 ///
@@ -319,17 +355,17 @@ pub struct OutSpec {
 ///
 /// # Panics
 ///
-/// Panics if `sources` is empty or the segments don't cover N rows.
+/// Panics if the segments don't cover N rows.
 pub fn schedule_requant_write(
     s: &mut Scheduler,
-    sources: &[Int32Stream],
+    source: Int32Stream,
     n: u64,
     requant_shift: i8,
     relu: bool,
     out: &OutSpec,
 ) -> Result<(Vec<TensorHandle>, u64), OutOfPorts> {
     let out_hem = out.hemisphere;
-    let (out_group, t_out) = requant_chain(s, sources, n, requant_shift, relu, out_hem)?;
+    let (out_group, t_out) = requant_chain(s, source, n, requant_shift, relu, out_hem)?;
     let vxm = Slice::Vxm.position();
 
     // Allocate the replicas now that the write time is known, then fan out:
@@ -340,7 +376,7 @@ pub fn schedule_requant_write(
         "segments must cover N rows"
     );
     let mut replicas: Vec<TensorHandle> = Vec::with_capacity(usize::from(out.replicas.max(1)));
-    let mut avoid: Vec<(Hemisphere, u8)> = Vec::new();
+    let mut avoid = out.avoid.clone();
     for _ in 0..out.replicas.max(1) {
         let Some(t) = s.try_alloc_for_write(
             Some(out_hem),
@@ -359,7 +395,15 @@ pub fn schedule_requant_write(
         avoid.extend(t.layout.slices());
         replicas.push(t);
     }
-    let done = write_segments(s, &replicas, &out.segments, out_group, t_out, n, vxm);
+    for tensor in &replicas {
+        let mut offset = 0u64;
+        for &(first, count) in &out.segments {
+            s.write_rows(tensor, first, count, out_group.base, vxm, t_out + offset);
+            offset += u64::from(count);
+        }
+    }
+    let done = t_out + n;
+    s.note_completion(done);
     Ok((replicas, done))
 }
 
@@ -382,62 +426,23 @@ impl std::fmt::Display for OutOfPorts {
 
 impl std::error::Error for OutOfPorts {}
 
-/// The adder-tree + convert + optional-ReLU head shared by the requant entry
-/// points: merges the int32 sources at the VXM and returns the final int8
-/// output stream group and the cycle its first row is readable at the VXM.
+/// The convert + optional-ReLU head: returns the final int8 output stream
+/// group and the cycle its first row is readable at the VXM.
 fn requant_chain(
     s: &mut Scheduler,
-    sources: &[Int32Stream],
+    source: Int32Stream,
     n: u64,
     requant_shift: i8,
     relu: bool,
     out_hem: Hemisphere,
 ) -> Result<(StreamGroup, u64), OutOfPorts> {
-    assert!(!sources.is_empty());
-
-    // Adder tree (sequential chain is fine: ≤3 adds, each D_VXM apart).
-    let mut current = sources[0];
-    for next in &sources[1..] {
-        let t = current.t_at_vxm.max(next.t_at_vxm);
-        assert_eq!(
-            current.t_at_vxm, next.t_at_vxm,
-            "partial stream must arrive when its adder stage runs (stagger by D_VXM per stage)"
-        );
-        let (alu, alu_ready) = pick_alu(s, t);
-        s.pool.occupy(Resource::VxmAlu(alu.0), t + n);
-        // Result continues in the first source's direction.
-        let dir = current.group.base.direction;
-        let (base, group_ready) = s.take_aligned_group(dir, 4, t);
-        if alu_ready > t || group_ready > t {
-            return Err(OutOfPorts { t_write: t });
-        }
-        let out = StreamGroup::new(StreamId::new(base, dir), 4);
-        let op = VxmOp::Binary {
-            op: BinaryAluOp::AddSat,
-            dtype: DataType::Int32,
-            a: current.group,
-            b: next.group,
-            dst: out,
-            alu,
-        };
-        place_repeated(s, IcuId::Vxm { alu }, t, n, op);
-        for id in base..base + 4 {
-            s.pool
-                .occupy(Resource::Stream(dir, id), t + D_VXM + n + 128);
-        }
-        current = Int32Stream {
-            group: out,
-            t_at_vxm: t + D_VXM,
-        };
-    }
-
-    // Requantize.
-    let t_cvt = current.t_at_vxm;
+    let vxm = Slice::Vxm.position();
+    let t_cvt = source.t_at_vxm;
     let (cvt_alu, alu_ready) = pick_alu(s, t_cvt);
     s.pool.occupy(Resource::VxmAlu(cvt_alu.0), t_cvt + n);
-    let out_dir = Direction::inward_from(out_hem).opposite();
-    let (mid_id, mid_ready) = s.take_aligned_group(out_dir, 1, t_cvt);
-    if alu_ready > t_cvt || mid_ready > t_cvt {
+    let out_dir = Direction::outward_from(out_hem);
+    let (mid_id, mid_ready) = s.take_aligned_group(out_dir, 1, t_cvt + D_VXM, vxm);
+    if alu_ready > t_cvt || mid_ready > t_cvt + D_VXM {
         return Err(OutOfPorts { t_write: t_cvt });
     }
     let mid = StreamGroup::new(StreamId::new(mid_id, out_dir), 1);
@@ -449,21 +454,20 @@ fn requant_chain(
         VxmOp::Convert {
             from: DataType::Int32,
             to: DataType::Int8,
-            src: current.group,
+            src: source.group,
             dst: mid,
             shift: requant_shift,
             alu: cvt_alu,
         },
     );
-    s.pool
-        .occupy(Resource::Stream(out_dir, mid_id), t_cvt + D_VXM + n + 128);
+    s.occupy_stream(mid.base, vxm, t_cvt + D_VXM + n);
 
     let (mut out_group, mut t_out) = (mid, t_cvt + D_VXM);
     if relu {
         let (relu_alu, alu_ready) = pick_alu(s, t_out);
         s.pool.occupy(Resource::VxmAlu(relu_alu.0), t_out + n);
-        let (fin_id, fin_ready) = s.take_aligned_group(out_dir, 1, t_out);
-        if alu_ready > t_out || fin_ready > t_out {
+        let (fin_id, fin_ready) = s.take_aligned_group(out_dir, 1, t_out + D_VXM, vxm);
+        if alu_ready > t_out || fin_ready > t_out + D_VXM {
             return Err(OutOfPorts { t_write: t_out });
         }
         let fin = StreamGroup::new(StreamId::new(fin_id, out_dir), 1);
@@ -480,65 +484,11 @@ fn requant_chain(
                 alu: relu_alu,
             },
         );
-        s.pool
-            .occupy(Resource::Stream(out_dir, fin_id), t_out + D_VXM + n + 128);
+        s.occupy_stream(fin.base, vxm, t_out + D_VXM + n);
         out_group = fin;
         t_out += D_VXM;
     }
     Ok((out_group, t_out))
-}
-
-/// Writes the output stream's rows into every replica's segments, starting at
-/// `t_out`. The caller guarantees the destination ports are free over the
-/// write window (true by construction for tensors from
-/// [`Scheduler::alloc_for_write`]; pre-allocated block-chunked destinations
-/// must guarantee it themselves).
-pub fn write_segments(
-    s: &mut Scheduler,
-    replicas: &[TensorHandle],
-    segments: &DstSegments,
-    out_group: StreamGroup,
-    t_out: u64,
-    n: u64,
-    vxm: tsp_arch::Position,
-) -> u64 {
-    for tensor in replicas {
-        let mut offset = 0u64;
-        for &(first, count) in segments {
-            s.write_rows(tensor, first, count, out_group.base, vxm, t_out + offset);
-            offset += u64::from(count);
-        }
-    }
-    let done = t_out + n;
-    s.note_completion(done);
-    done
-}
-
-/// Variant of [`schedule_requant_write`] that writes into **pre-allocated**
-/// destinations (e.g. the block-chunked first-layer output, where each chunk
-/// owns its slices). Returns the completion cycle; the caller is responsible
-/// for destination-port freedom.
-pub fn schedule_requant_write_into(
-    s: &mut Scheduler,
-    sources: &[Int32Stream],
-    n: u64,
-    requant_shift: i8,
-    relu: bool,
-    replicas: &[TensorHandle],
-    segments: &DstSegments,
-) -> u64 {
-    let spec_hem = tensor_hemisphere(&replicas[0]);
-    let (out_group, t_out) = requant_chain(s, sources, n, requant_shift, relu, spec_hem)
-        .expect("requant ports free (pre-allocated destination path)");
-    write_segments(
-        s,
-        replicas,
-        segments,
-        out_group,
-        t_out,
-        n,
-        Slice::Vxm.position(),
-    )
 }
 
 /// Places `op` at `t` and repeats it for `n − 1` further rows.
@@ -636,6 +586,7 @@ pub fn matmul(
             policy: opts.out_policy,
             replicas: opts.out_replicas,
             max_block: 4096,
+            avoid: Vec::new(),
         };
         let mut result = None;
         let mut abs_floor = 0u64;
@@ -649,7 +600,7 @@ pub fn matmul(
             let int32 = schedule_plane_chain(s, plane, &passes, floor);
             match schedule_requant_write(
                 s,
-                &[int32],
+                int32,
                 u64::from(n),
                 opts.requant_shift,
                 opts.relu,

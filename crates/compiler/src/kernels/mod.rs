@@ -9,7 +9,8 @@ pub mod matmul;
 pub mod pool;
 
 pub use conv::{
-    alloc_feature_map, conv2d, emplace_conv_weights, Conv2dParams, ConvWeights, FeatureMap,
+    alloc_feature_map, conv2d, conv_passes, emplace_conv_weights, ChunkPass, Conv2dParams,
+    ConvWeights, FeatureMap, RowSplit,
 };
 pub use elementwise::{binary_ew, binary_ew_replicated, copy, copy_replicated, unary_ew};
 pub use matmul::{matmul, MatmulOpts, WeightSet};

@@ -19,7 +19,7 @@ use tsp_sim::IcuId;
 use crate::alloc::BankPolicy;
 use crate::kernels::conv::FeatureMap;
 use crate::kernels::elementwise::{pick_alu, tensor_hemisphere};
-use crate::kernels::matmul::{place_repeated, schedule_requant_write, Int32Stream};
+use crate::kernels::matmul::{place_repeated, schedule_requant_write, stream_weights, Int32Stream};
 use crate::resource::Resource;
 use crate::sched::{Scheduler, D_VXM};
 use crate::tensor::TensorHandle;
@@ -114,7 +114,6 @@ pub fn max_pool(
 
             // Input streams: each offset from its own replica, staggered by
             // the chain position so each max's operands meet in time.
-            let mut streams: Vec<(StreamGroup, u64 /*stagger*/)> = Vec::new();
             let mut t0 = s.pool.floor().max(params.not_before).max(done);
             // Floor on destination availability (stream-dictated writes).
             if last_round {
@@ -131,32 +130,44 @@ pub fn max_pool(
             if let Some(c) = &carry {
                 plan.push((c, (0..n).collect()));
             }
-            // Common earliest start, honoring staggered arrivals.
+            // Common earliest start, honoring staggered arrivals: every
+            // operand stream and every max-result stream free, every read
+            // port free.
+            let out_dir = Direction::outward_from(params.out_hemisphere);
+            let stagger = |i: usize| (i as u64).saturating_sub(1) * D_VXM;
+            let mut ids: Vec<StreamId> = Vec::new();
+            let mut mids: Vec<StreamId> = Vec::new();
             for (i, (tensor, rows)) in plan.iter().enumerate() {
                 let dir = Direction::inward_from(tensor_hemisphere(tensor));
-                let stagger = (i as u64).saturating_sub(1) * D_VXM;
-                let want = s.earliest_read_arrival(tensor, rows, dir, vxm, t0 + stagger);
-                t0 = t0.max(want.saturating_sub(stagger));
+                let (id, ready) = s.take_streams(dir, 1, t0 + stagger(i), vxm);
+                let want = s.earliest_read_arrival(tensor, rows, dir, vxm, ready);
+                t0 = t0.max(want - stagger(i));
+                // Hold each pick for its (provisional) burst so the next pick,
+                // at a later stagger, cannot land on it; the real schedule
+                // below only extends these.
+                s.occupy_stream(id[0], vxm, t0 + stagger(i) + u64::from(n));
+                ids.push(id[0]);
+                if i > 0 {
+                    let t_res = t0 + stagger(i) + D_VXM;
+                    let (mid, ready) = s.take_streams(out_dir, 1, t_res, vxm);
+                    t0 += ready - t_res;
+                    s.occupy_stream(mid[0], vxm, ready + u64::from(n));
+                    mids.push(mid[0]);
+                }
             }
-            for (i, (tensor, rows)) in plan.iter().enumerate() {
-                let dir = Direction::inward_from(tensor_hemisphere(tensor));
-                let (ids, _) = s.take_streams(dir, 1, t0);
-                let stagger = (i as u64).saturating_sub(1) * D_VXM;
-                s.read_rows(tensor, rows, ids[0], vxm, t0 + stagger);
-                streams.push((StreamGroup::new(ids[0], 1), stagger));
+            for (i, ((tensor, rows), id)) in plan.iter().zip(&ids).enumerate() {
+                s.read_rows(tensor, rows, *id, vxm, t0 + stagger(i));
             }
 
             // Chain of max ops: out_i = max(out_{i-1}, in_i).
-            let out_dir = Direction::inward_from(params.out_hemisphere).opposite();
-            let mut current = streams[0].0;
+            let mut current = StreamGroup::new(ids[0], 1);
             let mut t_cur = t0;
-            for (group, stagger) in &streams[1..] {
-                let t_op = t0 + stagger;
+            for (i, (id, mid)) in ids[1..].iter().zip(&mids).enumerate() {
+                let t_op = t0 + stagger(i + 1);
                 debug_assert_eq!(t_op, t_cur.max(t_op));
                 let (alu, _) = pick_alu(s, t_op);
                 s.pool.occupy(Resource::VxmAlu(alu.0), t_op + u64::from(n));
-                let (mid_id, _) = s.take_aligned_group(out_dir, 1, t_op);
-                let mid = StreamGroup::new(StreamId::new(mid_id, out_dir), 1);
+                let mid = StreamGroup::new(*mid, 1);
                 place_repeated(
                     s,
                     IcuId::Vxm { alu },
@@ -166,15 +177,12 @@ pub fn max_pool(
                         op: BinaryAluOp::Max,
                         dtype: DataType::Int8,
                         a: current,
-                        b: *group,
+                        b: StreamGroup::new(*id, 1),
                         dst: mid,
                         alu,
                     },
                 );
-                s.pool.occupy(
-                    Resource::Stream(out_dir, mid_id),
-                    t_op + D_VXM + u64::from(n) + 128,
-                );
+                s.occupy_stream(mid.base, vxm, t_op + D_VXM + u64::from(n));
                 current = mid;
                 t_cur = t_op + D_VXM;
             }
@@ -191,6 +199,11 @@ pub fn max_pool(
                 if let Some(old) = carry.take() {
                     s.alloc.free(&old);
                 }
+                // On recycled SRAM the never-written border is stale.
+                let border = out.border_segments();
+                let borders: Vec<(&TensorHandle, &[(u32, u32)])> =
+                    (out.parts[kp].iter().map(|t| (t, border.as_slice()))).collect();
+                done = done.max(s.zero_stale(&borders));
             } else {
                 // The carry lands downstream in the output hemisphere; the
                 // next round streams it back inward as an extra tree input.
@@ -269,33 +282,17 @@ pub fn global_avg_pool(
         // Install identity.
         let plane_res = Resource::MxmPlane(plane.index());
         let ready = s.pool.free_at(plane_res).max(not_before);
-        let (wbase, ready) = s.take_aligned_group(to_mxm, 16, ready);
-        let mut t_lw = ready;
-        let weight_rows: Vec<Vec<u32>> = (0..16u32)
-            .map(|j| (j * 20..(j + 1) * 20).collect())
-            .collect();
-        for rows in &weight_rows {
-            t_lw = s.earliest_read_arrival(&identity, rows, to_mxm, mxm, t_lw);
-        }
-        for (j, rows) in weight_rows.iter().enumerate() {
-            s.read_rows(
-                &identity,
-                rows,
-                StreamId::new(wbase + j as u8, to_mxm),
-                mxm,
-                t_lw,
-            );
-        }
+        let feed = stream_weights(s, &identity, plane.hemisphere(), ready);
         s.place(
             IcuId::Mxm { plane, port: 0 },
-            t_lw,
+            feed.t_lw,
             MxmOp::LoadWeights {
                 plane,
-                streams: StreamGroup::new(StreamId::new(wbase, to_mxm), 16),
+                streams: feed.group,
                 rows: 20,
             },
         );
-        let t_iw = t_lw + 20;
+        let t_iw = feed.t_lw + 20;
         s.place(
             IcuId::Mxm { plane, port: 3 },
             t_iw,
@@ -309,7 +306,7 @@ pub fn global_avg_pool(
         let rows: Vec<u32> = (0..input.h)
             .flat_map(|y| (0..input.w).map(move |x| input.row_index(y, x)))
             .collect();
-        let (acts, ready) = s.take_streams(to_mxm, 1, t_iw + 4);
+        let (acts, ready) = s.take_streams(to_mxm, 1, t_iw + 4, mxm);
         let t_abc = s.earliest_read_arrival(part, &rows, to_mxm, mxm, ready);
         s.read_rows(part, &rows, acts[0], mxm, t_abc);
         s.place(
@@ -324,7 +321,7 @@ pub fn global_avg_pool(
 
         // N single-row ACCs, all into ordinal 0: a running channel sum.
         let t_acc = t_abc + u64::from(MXM_ARRAY_DELAY);
-        let (acc_base, _) = s.take_aligned_group(from_mxm, 4, t_acc);
+        let (acc_base, _) = s.take_aligned_group(from_mxm, 4, t_acc + 1, mxm);
         let acc_group = StreamGroup::new(StreamId::new(acc_base, from_mxm), 4);
         for r in 0..n {
             let mode = if r == 0 {
@@ -343,9 +340,8 @@ pub fn global_avg_pool(
                 },
             );
         }
-        for id in acc_base..acc_base + 4 {
-            s.pool
-                .occupy(Resource::Stream(from_mxm, id), t_acc + u64::from(n) + 128);
+        for stream in acc_group.streams() {
+            s.occupy_stream(stream, mxm, t_acc + 1 + u64::from(n));
         }
         s.pool.occupy(plane_res, t_acc + u64::from(n));
 
@@ -364,8 +360,9 @@ pub fn global_avg_pool(
             policy: BankPolicy::High,
             replicas: 1,
             max_block: 4096,
+            avoid: Vec::new(),
         };
-        let (mut reps, end) = schedule_requant_write(s, &[source], 1, requant_shift, false, &spec)
+        let (mut reps, end) = schedule_requant_write(s, source, 1, requant_shift, false, &spec)
             .expect("a single pooled row always finds a port");
         done = done.max(end);
         outs.push(reps.remove(0));
@@ -445,6 +442,50 @@ mod tests {
                     }
                     assert_eq!(got.lane(ch as usize) as i8, expect, "({oy},{ox}) ch{ch}");
                 }
+            }
+        }
+    }
+
+    /// A padded pool output on recycled SRAM gets its border cleared.
+    #[test]
+    fn max_pool_border_is_zero_on_recycled_sram() {
+        let mut s = Scheduler::new();
+        let mut chip = Chip::new(ChipConfig::asic());
+        // A dead tenant's data where one of the output replicas (one per
+        // West slice) will land.
+        let hem = Some(Hemisphere::West);
+        let stale = (s.alloc)
+            .alloc_in(hem, 64, 320, BankPolicy::High, 4096)
+            .unwrap();
+        for r in 0..stale.rows {
+            chip.memory.write(stale.row(r), Vector::splat(0x55));
+        }
+        s.alloc.free(&stale);
+        let input = alloc_feature_map(&mut s, 4, 4, 3, 0, Hemisphere::East, 4);
+        let params = MaxPoolParams {
+            kernel: 2,
+            stride: 2,
+            pad: 0,
+            out_pad: 1,
+            out_hemisphere: Hemisphere::West,
+            out_replicas: 44,
+            not_before: 0,
+        };
+        let (out, _) = max_pool(&mut s, &input, &params);
+        let program = s.into_program().unwrap();
+        for rep in &input.parts[0] {
+            for row in 0..rep.rows {
+                chip.memory.write(rep.row(row), Vector::splat(7));
+            }
+        }
+        chip.run(&program, &RunOptions::default())
+            .expect("clean run");
+        for rep in &out.parts[0] {
+            for row in 0..out.rows_total() {
+                let (y, x) = (row / out.pw(), row % out.pw());
+                let interior = (1..=2).contains(&y) && (1..=2).contains(&x);
+                let want = if interior { 7 } else { 0 };
+                assert_eq!(chip.memory.read_unchecked(rep.row(row)).lane(0), want);
             }
         }
     }

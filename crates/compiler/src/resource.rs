@@ -18,7 +18,11 @@ pub enum Resource {
     MemRead(Hemisphere, u8),
     /// One MEM slice's SRAM write port.
     MemWrite(Hemisphere, u8),
-    /// One logical stream (id + direction), chip-wide.
+    /// One logical stream (id + direction), chip-wide. Its free time is kept
+    /// in **edge time** — the cycle a value leaves the chip — which is
+    /// constant along a value's flight, so two bursts never share a stream
+    /// register iff their edge-time intervals are disjoint, wherever they
+    /// were produced (see [`crate::sched::Scheduler::take_streams`]).
     Stream(Direction, u8),
     /// One of the 16 per-lane VXM ALUs (by mesh index).
     VxmAlu(u8),
@@ -71,17 +75,12 @@ impl ResourcePool {
         self.floor = self.floor.max(cycle);
     }
 
-    /// Picks `count` streams in `direction` free at-or-before `at`, preferring
-    /// the lowest free time; returns the chosen ids and the cycle at which
-    /// all are free.
-    #[must_use]
-    pub fn pick_streams(&self, direction: Direction, count: u8, at: u64) -> (Vec<StreamId>, u64) {
-        self.pick_streams_excluding(direction, count, at, &[])
-    }
-
-    /// [`ResourcePool::pick_streams`] with a hard exclusion set — ids a kernel
-    /// has already claimed for other roles in the same time window (free-time
-    /// preference alone cannot guarantee distinctness).
+    /// Picks the `count` streams in `direction` that free soonest (any stream
+    /// free by `at` is as good as another), preferring the highest ids;
+    /// returns the chosen ids and the cycle at which all are free. `at` and
+    /// the result are edge times. `exclude` lists ids a kernel has already
+    /// claimed for other roles in the same time window (free-time preference
+    /// alone cannot guarantee distinctness).
     #[must_use]
     pub fn pick_streams_excluding(
         &self,
@@ -91,23 +90,20 @@ impl ResourcePool {
         exclude: &[u8],
     ) -> (Vec<StreamId>, u64) {
         // Prefer the HIGHEST free id: single operand/result streams then pool
-        // at the top of the id space, keeping the low aligned bases available
+        // at the top of the id space, keeping the low aligned base available
         // for the MXM's 16-wide weight groups — otherwise one long activation
         // burst inside a group window serializes entire plane chains.
         let mut scored: Vec<(u64, std::cmp::Reverse<u8>)> = (0..STREAMS_PER_DIRECTION)
             .filter(|id| !exclude.contains(id))
             .map(|id| {
-                (
-                    self.free_at(Resource::Stream(direction, id)),
-                    std::cmp::Reverse(id),
-                )
+                let free = self.free_at(Resource::Stream(direction, id));
+                (free.max(at), std::cmp::Reverse(id))
             })
             .collect();
         scored.sort_unstable();
-        let chosen: Vec<(u64, std::cmp::Reverse<u8>)> =
-            scored.into_iter().take(count as usize).collect();
-        let ready = chosen.iter().map(|(t, _)| *t).fold(at, u64::max);
-        let mut ids: Vec<u8> = chosen.into_iter().map(|(_, id)| id.0).collect();
+        scored.truncate(count as usize);
+        let ready = scored.iter().map(|(t, _)| *t).fold(at, u64::max);
+        let mut ids: Vec<u8> = scored.into_iter().map(|(_, id)| id.0).collect();
         ids.sort_unstable();
         (
             ids.into_iter()
@@ -118,42 +114,24 @@ impl ResourcePool {
     }
 
     /// Picks an aligned group of `width` streams (for `SG4`/`SG16` operands):
-    /// the aligned base whose group frees earliest.
+    /// the aligned base whose group frees soonest (edge time, as
+    /// [`ResourcePool::pick_streams_excluding`]). Among equals a 16-wide
+    /// group takes the lowest base and narrower groups the highest, so result
+    /// quads and single streams pack the top of the id space and leave a
+    /// weight group's worth below them.
     #[must_use]
     pub fn pick_aligned_group(&self, direction: Direction, width: u8, at: u64) -> (u8, u64) {
-        self.pick_aligned_group_excluding(direction, width, at, &[])
-    }
-
-    /// [`ResourcePool::pick_aligned_group`] refusing the bases in `exclude`
-    /// (groups a kernel already claimed for the same time window).
-    ///
-    /// # Panics
-    ///
-    /// Panics if every base is excluded.
-    #[must_use]
-    pub fn pick_aligned_group_excluding(
-        &self,
-        direction: Direction,
-        width: u8,
-        at: u64,
-        exclude: &[u8],
-    ) -> (u8, u64) {
-        let mut best: Option<(u64, u8)> = None;
-        let mut base = 0u8;
-        while base + width <= STREAMS_PER_DIRECTION {
-            if !exclude.contains(&base) {
+        (0..STREAMS_PER_DIRECTION / width)
+            .map(|g| g * width)
+            .map(|base| {
                 let free = (base..base + width)
                     .map(|id| self.free_at(Resource::Stream(direction, id)))
-                    .max()
-                    .unwrap_or(0);
-                if best.is_none_or(|(b, _)| free < b) {
-                    best = Some((free, base));
-                }
-            }
-            base += width;
-        }
-        let (free, base) = best.expect("at least one eligible aligned base");
-        (base, free.max(at))
+                    .fold(at, u64::max);
+                (free, base)
+            })
+            .min_by_key(|&(free, base)| (free, if width < 16 { u8::MAX - base } else { base }))
+            .map(|(free, base)| (base, free))
+            .expect("at least one aligned base")
     }
 }
 
@@ -205,7 +183,7 @@ mod tests {
         for id in 0..4 {
             p.occupy(Resource::Stream(Direction::East, id), 1000);
         }
-        let (streams, ready) = p.pick_streams(Direction::East, 2, 5);
+        let (streams, ready) = p.pick_streams_excluding(Direction::East, 2, 5, &[]);
         assert_eq!(ready, 5);
         assert!(streams.iter().all(|s| s.id >= 4), "{streams:?}");
     }
@@ -217,7 +195,7 @@ mod tests {
         p.fence(100);
         assert_eq!(p.free_at(Resource::MxmPlane(0)), 100);
         assert_eq!(p.free_at(Resource::MxmPlane(3)), 100);
-        let (_, ready) = p.pick_streams(Direction::East, 1, 0);
+        let (_, ready) = p.pick_streams_excluding(Direction::East, 1, 0, &[]);
         assert_eq!(ready, 100);
     }
 

@@ -27,6 +27,17 @@ pub const D_VXM: u64 = 4;
 /// Functional delay of a MEM `Gather`.
 pub const D_GATHER: u64 = 7;
 
+/// Hops a `direction`-flowing value at `pos` still travels before it leaves
+/// the chip: adding them to a cycle gives the value's *edge time*, which is
+/// what stream reservations compare (see [`Scheduler::take_streams`]).
+#[must_use]
+pub fn edge_hops(direction: Direction, pos: Position) -> u64 {
+    match direction {
+        Direction::East => u64::from(tsp_arch::NUM_POSITIONS - 1 - pos.0),
+        Direction::West => u64::from(pos.0),
+    }
+}
+
 /// A scheduling contradiction (two instructions claiming the same queue
 /// cycles) — a compiler bug surfaced at program-build time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,6 +71,7 @@ pub struct SchedulerSnapshot {
     queue_lens: std::collections::BTreeMap<IcuId, usize>,
     pool: ResourcePool,
     alloc: MemAllocator,
+    zero_rows: [Option<TensorHandle>; 2],
     constants_len: usize,
     completion: u64,
 }
@@ -73,6 +85,8 @@ pub struct Scheduler {
     pub alloc: MemAllocator,
     placements: BTreeMap<IcuId, Vec<(u64, Instruction)>>,
     constants: Vec<(TensorHandle, Vec<tsp_arch::Vector>)>,
+    /// Per hemisphere, one never-written row (see [`Scheduler::zero_stale`]).
+    zero_rows: [Option<TensorHandle>; 2],
     completion: u64,
 }
 
@@ -213,9 +227,7 @@ impl Scheduler {
             self.occupy_mem(a0.hemisphere, a0.slice, dispatch + run as u64);
             i += run;
         }
-        let end = t0 + rows.len() as u64;
-        self.pool
-            .occupy(Resource::Stream(dir, stream.id), end + 128);
+        self.occupy_stream(stream, consumer, t0 + rows.len() as u64);
     }
 
     /// Commits `count` consecutive stream values into rows
@@ -267,10 +279,69 @@ impl Scheduler {
             }
             self.occupy_mem(h, s, dispatch + u64::from(run));
         }
-        self.pool.occupy(
-            Resource::Stream(dir, stream.id),
-            t0 + u64::from(count) + 128,
-        );
+        self.occupy_stream(stream, producer, t0 + u64::from(count));
+    }
+
+    /// Clears rows that kernels never write but rely on reading as zero (a
+    /// feature map's padding border) wherever they lie on **recycled** SRAM:
+    /// of the jobs — `(first_row, count)` runs of a tensor, all tensors in one
+    /// hemisphere — those whose tensor [`MemAllocator::is_dirty`] get zeros
+    /// streamed outward past the VXM and committed over their runs, as soon
+    /// as every port involved is free. Every tensor taps the same zero stream,
+    /// so the burst is as long as the longest job. Returns the completion
+    /// cycle (0 when nothing needed clearing).
+    ///
+    /// The zeros come from a one-row tensor in the *opposite* hemisphere
+    /// (upstream of every destination) that nothing ever writes: SRAM starts
+    /// out zero, and the Low bank holds only host-emplaced constants, which
+    /// are never freed, so a fresh Low-bank row is zero without costing the
+    /// host an emplace.
+    pub fn zero_stale(&mut self, jobs: &[(&TensorHandle, &[(u32, u32)])]) -> u64 {
+        let jobs: Vec<_> = jobs
+            .iter()
+            .filter(|(tensor, runs)| !runs.is_empty() && self.alloc.is_dirty(tensor))
+            .collect();
+        let Some((first, _)) = jobs.first() else {
+            return 0;
+        };
+        let (hemisphere, _) = first.layout.slices().next().expect("tensor has a block");
+        let direction = Direction::outward_from(hemisphere);
+        let vxm = Slice::Vxm.position();
+        let alloc = &mut self.alloc;
+        let zero = self.zero_rows[hemisphere.index()]
+            .get_or_insert_with(|| {
+                let source = Some(hemisphere.opposite());
+                alloc
+                    .alloc_in(source, 1, 320, crate::alloc::BankPolicy::Low, 1)
+                    .expect("SRAM exhausted for a zero row")
+            })
+            .clone();
+        let len = jobs
+            .iter()
+            .map(|(_, runs)| runs.iter().map(|&(_, count)| count).sum::<u32>())
+            .max()
+            .unwrap_or(0);
+        let rows = vec![0u32; len as usize];
+
+        let (streams, ready) = self.take_streams(direction, 1, 0, vxm);
+        let mut t0 = self.earliest_read_arrival(&zero, &rows, direction, vxm, ready);
+        for (tensor, _) in &jobs {
+            for (h, sl) in tensor.layout.slices() {
+                assert_eq!(h, hemisphere, "zero_stale jobs must share a hemisphere");
+                t0 = t0.max(self.mem_free(h, sl));
+            }
+        }
+        self.read_rows(&zero, &rows, streams[0], vxm, t0);
+        for (tensor, runs) in jobs {
+            let mut offset = 0u64;
+            for &(first_row, count) in *runs {
+                self.write_rows(tensor, first_row, count, streams[0], vxm, t0 + offset);
+                offset += u64::from(count);
+            }
+        }
+        let done = t0 + u64::from(len);
+        self.note_completion(done);
+        done
     }
 
     /// Marks a MEM slice's (single-issue) queue busy until `until`.
@@ -284,37 +355,8 @@ impl Scheduler {
     /// free by `t_write` are eligible (plus any `extra_avoid` exclusions for
     /// group disjointness). This is how kernels place outputs *after* their
     /// chain timing is known, eliminating write-port collisions by
-    /// construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if SRAM (with free-enough ports) is exhausted.
-    #[allow(clippy::too_many_arguments)]
-    pub fn alloc_for_write(
-        &mut self,
-        hemisphere: Option<Hemisphere>,
-        rows: u32,
-        cols: u16,
-        policy: crate::alloc::BankPolicy,
-        max_block: u32,
-        t_write: u64,
-        extra_avoid: &[(Hemisphere, u8)],
-    ) -> TensorHandle {
-        self.try_alloc_for_write(
-            hemisphere,
-            rows,
-            cols,
-            policy,
-            max_block,
-            t_write,
-            extra_avoid,
-        )
-        .expect("SRAM with free write ports exhausted")
-    }
-
-    /// Fallible [`Scheduler::alloc_for_write`]: `None` when no slice with a
-    /// port free by `t_write` has room — callers that control their own write
-    /// time retry with a later one.
+    /// construction. `None` when no such slice has room — callers that
+    /// control their own write time retry with a later one.
     #[allow(clippy::too_many_arguments)]
     pub fn try_alloc_for_write(
         &mut self,
@@ -400,16 +442,27 @@ impl Scheduler {
         t0
     }
 
-    /// Picks `count` streams in `direction` and immediately reserves them (a
+    /// Picks `count` streams in `direction` for a burst whose first value is
+    /// at `pos` at cycle `at` or later, and immediately reserves them (a
     /// nominal one-cycle hold so subsequent picks choose different streams;
-    /// `read_rows`/`write_rows` extend the reservation to the real interval).
+    /// `read_rows`/`write_rows`/[`Scheduler::occupy_stream`] extend the
+    /// reservation to the real interval). Returns the ids and the earliest
+    /// such cycle.
+    ///
+    /// Stream reservations are exact: a value moves one hop per cycle, so it
+    /// is identified by the cycle it leaves the chip (its *edge time*), and a
+    /// stream is free for a burst iff the burst's first value leaves after
+    /// the last reserved one — no matter where either was produced. The
+    /// `(pos, cycle)` pairs here and in [`Scheduler::occupy_stream`] are
+    /// converted to edge time with [`edge_hops`].
     pub fn take_streams(
         &mut self,
         direction: Direction,
         count: u8,
         at: u64,
+        pos: Position,
     ) -> (Vec<StreamId>, u64) {
-        self.take_streams_excluding(direction, count, at, &[])
+        self.take_streams_excluding(direction, count, at, pos, &[])
     }
 
     /// [`Scheduler::take_streams`] excluding ids the kernel already claimed
@@ -419,8 +472,11 @@ impl Scheduler {
         direction: Direction,
         count: u8,
         at: u64,
+        pos: Position,
         exclude: &[u8],
     ) -> (Vec<StreamId>, u64) {
+        let lead = edge_hops(direction, pos);
+        let at = at.max(self.pool.floor()) + lead;
         let (streams, ready) = self
             .pool
             .pick_streams_excluding(direction, count, at, exclude);
@@ -428,30 +484,33 @@ impl Scheduler {
             self.pool
                 .occupy(Resource::Stream(direction, s.id), ready + 1);
         }
-        (streams, ready)
+        (streams, ready - lead)
     }
 
     /// Picks an aligned stream group and immediately reserves it (see
     /// [`Scheduler::take_streams`]).
-    pub fn take_aligned_group(&mut self, direction: Direction, width: u8, at: u64) -> (u8, u64) {
-        self.take_aligned_group_excluding(direction, width, at, &[])
-    }
-
-    /// [`Scheduler::take_aligned_group`] refusing already-claimed bases.
-    pub fn take_aligned_group_excluding(
+    pub fn take_aligned_group(
         &mut self,
         direction: Direction,
         width: u8,
         at: u64,
-        exclude: &[u8],
+        pos: Position,
     ) -> (u8, u64) {
-        let (base, ready) = self
-            .pool
-            .pick_aligned_group_excluding(direction, width, at, exclude);
+        let lead = edge_hops(direction, pos);
+        let at = at.max(self.pool.floor()) + lead;
+        let (base, ready) = self.pool.pick_aligned_group(direction, width, at);
         for id in base..base + width {
             self.pool.occupy(Resource::Stream(direction, id), ready + 1);
         }
-        (base, ready)
+        (base, ready - lead)
+    }
+
+    /// Reserves `stream` for a burst whose last value is at `pos` at cycle
+    /// `until − 1`.
+    pub fn occupy_stream(&mut self, stream: StreamId, pos: Position, until: u64) {
+        let lead = edge_hops(stream.direction, pos);
+        self.pool
+            .occupy(Resource::Stream(stream.direction, stream.id), until + lead);
     }
 
     /// A lightweight checkpoint: per-queue placement lengths plus clones of
@@ -467,6 +526,7 @@ impl Scheduler {
                 .collect(),
             pool: self.pool.clone(),
             alloc: self.alloc.clone(),
+            zero_rows: self.zero_rows.clone(),
             constants_len: self.constants.len(),
             completion: self.completion,
         }
@@ -480,6 +540,7 @@ impl Scheduler {
         }
         self.pool = snap.pool.clone();
         self.alloc = snap.alloc.clone();
+        self.zero_rows.clone_from(&snap.zero_rows);
         self.constants.truncate(snap.constants_len);
         self.completion = snap.completion;
     }

@@ -83,6 +83,38 @@ pub struct TensorHandle {
 }
 
 impl TensorHandle {
+    /// One `rows`-row tensor over the blocks of `chunks`, in order — the
+    /// block-chunked outputs whose blocks are each allocated when their own
+    /// write time is known.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chunks differ in block size or column count, or hold
+    /// fewer than `rows` rows together.
+    #[must_use]
+    pub fn concat(chunks: &[TensorHandle], rows: u32) -> TensorHandle {
+        let (cols, rows_per_block) = (chunks[0].cols, chunks[0].layout.rows_per_block);
+        assert!(chunks
+            .iter()
+            .all(|c| (c.cols, c.layout.rows_per_block) == (cols, rows_per_block)));
+        let blocks: Vec<_> = chunks
+            .iter()
+            .flat_map(|c| c.layout.blocks.iter().copied())
+            .collect();
+        assert!(
+            blocks.len() as u32 * rows_per_block >= rows,
+            "chunks too small"
+        );
+        TensorHandle {
+            rows,
+            cols,
+            layout: Layout {
+                blocks,
+                rows_per_block,
+            },
+        }
+    }
+
     /// The address of row `r`.
     #[must_use]
     pub fn row(&self, r: u32) -> GlobalAddress {

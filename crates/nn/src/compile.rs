@@ -9,13 +9,14 @@
 //!   identical padded geometries.
 //! * **Replication** — a producer writes as many copies of its output as its
 //!   consumers will stream concurrently (extra `Write`s tapping one stream;
-//!   see the kernels' docs). Max pool wants k² copies, plane-parallel convs
-//!   up to 4.
+//!   see the kernels' docs). Max pool wants k² copies, a conv one per plane
+//!   (each of its row-split chains streams its own copy).
 //! * **First-layer im2col** — a conv whose input is the network input and
 //!   whose patch (`k²·c_in`) fits one 320-lane pass is lowered as a dense
-//!   matmul over host-prepared im2col rows, N-split across all four planes
-//!   (the host DMA "emplaces the model and bootstraps execution", paper §II;
-//!   DESIGN.md §2 records this substitution).
+//!   matmul over host-prepared im2col rows: a single-pass caller of the same
+//!   row-split lowering every other conv uses (the host DMA "emplaces the
+//!   model and bootstraps execution", paper §II; DESIGN.md §2 records this
+//!   substitution).
 //! * **Layer overlap** — with [`CompileOptions::overlap`] the resource pool
 //!   lets a layer start as soon as its own resources free up (paper §IV-C);
 //!   otherwise every layer is fenced behind its predecessor (the E13
@@ -27,13 +28,12 @@ use std::sync::Arc;
 use tsp_arch::{Hemisphere, Vector};
 use tsp_compiler::alloc::BankPolicy;
 use tsp_compiler::kernels::conv::alloc_feature_map;
-use tsp_compiler::kernels::matmul::schedule_requant_write_into;
 use tsp_compiler::kernels::{
-    conv2d, global_avg_pool, matmul, max_pool, schedule_plane_chain, Conv2dParams, ConvWeights,
-    FeatureMap, MatmulOpts, MaxPoolParams, Pass, WeightSet,
+    conv2d, conv_passes, global_avg_pool, matmul, max_pool, ChunkPass, Conv2dParams, ConvWeights,
+    FeatureMap, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
 };
 use tsp_compiler::{Scheduler, TensorHandle};
-use tsp_isa::{BinaryAluOp, Plane};
+use tsp_isa::BinaryAluOp;
 use tsp_sim::{Chip, Program};
 
 use crate::graph::{Op, Shape};
@@ -82,8 +82,17 @@ pub struct LayerSpan {
     pub end: u64,
 }
 
-/// Where one node's activation can be inspected after a run (debugging aid:
-/// compare any layer against the host int8 reference).
+/// Where one node's activation was written during a run.
+///
+/// **Not where it can be read afterwards, in general**: [`compile`] frees an
+/// activation's SRAM once its last consumer is scheduled and later layers
+/// reuse it, so after a run every probe but the final node's may read
+/// recycled memory (on ResNet-50, `conv1`'s probe "differs" from the
+/// reference in over a thousand values that were in fact computed
+/// correctly). To inspect an intermediate layer, compile the graph *prefix*
+/// ending at it — the probed node is then the output and is never freed;
+/// `first_divergence` in `crates/nn/tests/end_to_end.rs` does exactly that,
+/// layer by layer, against the host int8 reference.
 #[derive(Debug, Clone)]
 pub enum Probe {
     /// A feature map: geometry plus one tensor per channel part.
@@ -121,6 +130,7 @@ pub struct CompiledModel {
     /// Per-layer schedule spans.
     pub layer_spans: Vec<LayerSpan>,
     /// Per-node activation locations (same order as the graph's nodes).
+    /// Only the last node's is still intact after a run — see [`Probe`].
     pub probes: Vec<Probe>,
     /// Lazily decoded op cache for the program (see [`CompiledModel::decoded`]).
     decoded: std::sync::OnceLock<Arc<tsp_sim::DecodedProgram>>,
@@ -353,10 +363,11 @@ fn replica_plan(q: &QuantGraph) -> Vec<u8> {
     let mut reps = vec![1u8; n];
     for node in &q.graph.nodes {
         let need: u8 = match &node.op {
-            Op::Conv(spec) => {
-                let mparts = spec.c_out.div_ceil(320) as usize;
-                (4 / mparts.max(1)).clamp(1, 4) as u8
-            }
+            // One per plane: a conv's chains — row chunks times M-splits —
+            // keep all four planes streaming at once.
+            // One per plane: a conv's chains (row chunks × M-splits) keep all
+            // four planes streaming at once, each from its own copy.
+            Op::Conv(_) => 4,
             Op::MaxPool { k, .. } => (k * k).min(9) as u8,
             _ => 1,
         };
@@ -438,27 +449,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                     Some(Lowered::Map(fm))
                 }
             }
-            Op::Conv(spec) if Some(i) == first_conv_im2col => {
-                let Shape::Map { h, w, c } = shapes[0] else {
-                    panic!()
-                };
-                let (fm, kind) = compile_im2col_conv(
-                    &mut s,
-                    &q.conv[&i],
-                    spec,
-                    (h, w, c),
-                    pads[i],
-                    hemi(i),
-                    reps[i],
-                );
-                input_kind = Some(kind);
-                Some(Lowered::Map(fm))
-            }
             Op::Conv(spec) => {
-                let Some(Lowered::Map(input)) = &lowered[node.inputs[0]] else {
-                    panic!("conv input not a map at {}", node.name)
-                };
-                let weights = emplace_conv(&mut s, &q.conv[&i]);
                 let params = Conv2dParams {
                     stride: spec.stride,
                     pad: spec.pad,
@@ -469,8 +460,22 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                     out_replicas: reps[i],
                     not_before: 0,
                 };
-                let (fm, _) = conv2d(&mut s, input, &weights, &params);
-                Some(Lowered::Map(fm))
+                if Some(i) == first_conv_im2col {
+                    let Shape::Map { h, w, c } = shapes[0] else {
+                        panic!()
+                    };
+                    let (fm, kind) =
+                        compile_im2col_conv(&mut s, &q.conv[&i], spec, (h, w, c), &params);
+                    input_kind = Some(kind);
+                    Some(Lowered::Map(fm))
+                } else {
+                    let Some(Lowered::Map(input)) = &lowered[node.inputs[0]] else {
+                        panic!("conv input not a map at {}", node.name)
+                    };
+                    let weights = emplace_conv(&mut s, &q.conv[&i]);
+                    let (fm, _) = conv2d(&mut s, input, &weights, &params);
+                    Some(Lowered::Map(fm))
+                }
             }
             Op::MaxPool { k, stride, pad } => {
                 let Some(Lowered::Map(input)) = &lowered[node.inputs[0]] else {
@@ -520,12 +525,6 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                 };
                 assert_eq!(a.pad, b.pad, "residual pads must match at {}", node.name);
                 assert_eq!(pads[i], a.pad, "add output pad mismatch");
-                let op = if *relu {
-                    BinaryAluOp::Max // placeholder replaced below
-                } else {
-                    BinaryAluOp::AddSat
-                };
-                let _ = op;
                 let mut parts = Vec::with_capacity(a.parts.len());
                 for (pa, pb) in a.parts.iter().zip(&b.parts) {
                     // One pipelined pass: add on one ALU, chained ReLU on a
@@ -691,142 +690,60 @@ pub fn compile_cached(q: &QuantGraph, options: &CompileOptions) -> Arc<CompiledM
     Arc::clone(cache.lock().unwrap().entry(key).or_insert(model))
 }
 
-/// Lowers the first conv as a dense matmul over host-im2col'ed patches,
-/// N-split across the four planes (chunked by the output's block layout so
-/// every chunk owns its write slices and its own patch tensor — no port
-/// contention between the four concurrent plane chains).
+/// Lowers the first conv as a dense matmul over host-im2col'ed patches: an
+/// ordinary single-pass caller of the row-split lowering, each chunk reading
+/// its own patch tensor and its own copy of the weights.
 fn compile_im2col_conv(
     s: &mut Scheduler,
     qc: &QConv,
     spec: &crate::graph::ConvSpec,
     (h, w, c): (u32, u32, u32),
-    out_pad: u32,
-    out_hemisphere: Hemisphere,
-    out_replicas: u8,
+    params: &Conv2dParams,
 ) -> (FeatureMap, InputKind) {
     let k = qc.k;
     let oh = (h + 2 * spec.pad - k) / spec.stride + 1;
     let ow = (w + 2 * spec.pad - k) / spec.stride + 1;
     let kdim = k * k * c; // ≤ 320, checked by the caller
-    let mparts = qc.co.div_ceil(320) as usize;
-    assert_eq!(mparts, 1, "im2col path currently supports c_out ≤ 320");
+    assert!(qc.co <= 320, "im2col path supports c_out ≤ 320");
+    let split = RowSplit::new(oh, ow, params.out_pad, 4);
 
-    // The padded output, block-chunked so each of 4 chunks owns its slices.
-    let rows_total = (oh + 2 * out_pad) * (ow + 2 * out_pad);
-    let rpb = rows_total.div_ceil(4).max(1);
-    let mut avoid: Vec<(Hemisphere, u8)> = Vec::new();
-    let out_parts: Vec<TensorHandle> = (0..out_replicas.max(1))
-        .map(|_| {
+    // LW-order weights, K lanes ordered (ky·k + kx)·c_in + ci.
+    let wrows = lw_rows(
+        |m, lane| {
+            let (off, ci) = (lane / c, lane % c);
+            let (ky, kx) = (off / k, off % k);
+            qc.w[(((m * qc.ci + ci) * qc.k + ky) * qc.k + kx) as usize]
+        },
+        qc.co,
+        kdim,
+    );
+    // Per chunk: a weight copy and a patch tensor, all slice-disjoint so the
+    // four chains' reads never queue behind one another.
+    let copies: Vec<TensorHandle> = (split.chunks.iter())
+        .map(|_| s.add_constant(wrows.clone(), kdim as u16, BankPolicy::Low, 20))
+        .collect();
+    let mut avoid: Vec<(Hemisphere, u8)> = copies.iter().flat_map(|t| t.layout.slices()).collect();
+    let patches: Vec<TensorHandle> = (split.chunks.iter())
+        .map(|chunk| {
+            let n = chunk.pixels.len() as u32;
             let t = s
                 .alloc
-                .alloc_avoiding(
-                    Some(out_hemisphere),
-                    rows_total,
-                    qc.co.min(320) as u16,
-                    BankPolicy::High,
-                    rpb,
-                    &avoid,
-                )
-                .expect("SRAM exhausted for im2col conv output");
+                .alloc_avoiding(None, n, kdim as u16, BankPolicy::High, 4096, &avoid)
+                .expect("SRAM exhausted for im2col patches");
             avoid.extend(t.layout.slices());
             t
         })
         .collect();
-    let fm = FeatureMap {
-        h: oh,
-        w: ow,
-        c: qc.co,
-        pad: out_pad,
-        parts: vec![out_parts],
+    let pass = |_mpart: usize, _pass: usize, ci: usize| ChunkPass {
+        weights: &copies[ci],
+        acts: &patches[ci],
+        rows: (0..patches[ci].rows).collect(),
     };
-
-    // LW-order weights: one block, replicated per chunk (each plane installs
-    // its own copy concurrently). K lanes ordered (ky·k + kx)·c_in + ci.
-    let wrows = lw_rows(
-        |m, lane| {
-            let off = lane / c;
-            let ci = lane % c;
-            let (ky, kx) = (off / k, off % k);
-            qc.w[(((m * qc.ci + ci) * qc.k + ky) * qc.k + kx) as usize]
-        },
-        qc.co.min(320),
-        kdim,
-    );
-
-    // Split the interior write segments at chunk (block) boundaries, and
-    // collect each chunk's output-pixel ordinals.
-    let mut chunk_segs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 4];
-    let mut chunk_pixels: Vec<Vec<u32>> = vec![Vec::new(); 4];
-    for oy in 0..oh {
-        let mut seg_start = fm.row_index(oy, 0);
-        let mut seg_px = oy * ow; // first pixel ordinal of the pending run
-        let mut len = 0u32;
-        for ox in 0..ow {
-            let row = fm.row_index(oy, ox);
-            let chunk = (seg_start / rpb) as usize;
-            if row / rpb != seg_start / rpb && len > 0 {
-                chunk_segs[chunk].push((seg_start, len));
-                chunk_pixels[chunk].extend(seg_px..seg_px + len);
-                seg_start = row;
-                seg_px = oy * ow + ox;
-                len = 0;
-            }
-            len += 1;
-        }
-        if len > 0 {
-            let chunk = (seg_start / rpb) as usize;
-            chunk_segs[chunk].push((seg_start, len));
-            chunk_pixels[chunk].extend(seg_px..seg_px + len);
-        }
-    }
-
-    // One plane chain per non-empty chunk.
-    let mut chunks = Vec::new();
-    let mut pixels = Vec::new();
-    for (ci_, (segs, pix)) in chunk_segs.iter().zip(&chunk_pixels).enumerate() {
-        if pix.is_empty() {
-            continue;
-        }
-        let n = pix.len() as u32;
-        let patches = s
-            .alloc
-            .alloc_avoiding(None, n, kdim as u16, BankPolicy::High, 4096, &avoid)
-            .expect("SRAM exhausted for im2col patches");
-        avoid.extend(patches.layout.slices());
-        let weights = s.add_constant(wrows.clone(), kdim as u16, BankPolicy::Low, 20);
-        let rows: Vec<u32> = (0..n).collect();
-        let plane = Plane::new((ci_ % 4) as u8);
-        let floor = fm.parts[0]
-            .iter()
-            .map(|t| s.mem_free_tensor(t))
-            .max()
-            .unwrap_or(0);
-        let int32 = schedule_plane_chain(
-            s,
-            plane,
-            &[Pass {
-                weights: &weights,
-                acts: &patches,
-                rows: &rows,
-            }],
-            floor,
-        );
-        schedule_requant_write_into(
-            s,
-            &[int32],
-            u64::from(n),
-            qc.shift,
-            spec.relu,
-            &fm.parts[0],
-            segs,
-        );
-        chunks.push(patches);
-        pixels.push(pix.clone());
-    }
+    let (fm, _) = conv_passes(s, (oh, ow, qc.co), &split, 1, &pass, params);
 
     let kind = InputKind::Im2col {
-        chunks,
-        pixels,
+        pixels: split.chunks.into_iter().map(|c| c.pixels).collect(),
+        chunks: patches,
         geometry: (k, spec.stride, spec.pad, h, w, c, ow),
     };
     (fm, kind)

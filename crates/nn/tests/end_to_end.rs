@@ -5,11 +5,12 @@
 //! stream scheduler, every kernel, the ISA and the whole simulator at once.
 
 use tsp_arch::ChipConfig;
-use tsp_nn::compile::{compile, CompileOptions};
+use tsp_nn::compile::{compile, CompileOptions, Probe};
 use tsp_nn::data::synthetic;
-use tsp_nn::quant::quantize;
-use tsp_nn::reference::{final_flat_q, run_int8};
-use tsp_nn::resnet::resnet_tiny;
+use tsp_nn::graph::Graph;
+use tsp_nn::quant::{quantize, QuantGraph};
+use tsp_nn::reference::{final_flat_q, run_int8, ValueQ};
+use tsp_nn::resnet::{resnet, resnet_tiny, Widths};
 use tsp_nn::train::{small_cnn, train_head};
 use tsp_sim::chip::RunOptions;
 use tsp_sim::Chip;
@@ -98,4 +99,71 @@ fn compiled_model_is_run_to_run_deterministic() {
         "cycles: {cycles:?}"
     );
     assert!(logits.windows(2).all(|w| w[0] == w[1]));
+}
+
+/// Localizes a simulator-vs-[`run_int8`] disagreement: compiles every graph
+/// *prefix* `nodes[..=i]` — so node `i` is the prefix's output, which
+/// [`compile`] never frees, and its [`Probe`] is safe to read — runs it, and
+/// returns the first node whose activation differs from the reference, with
+/// the number of differing values. `None` when every node agrees.
+fn first_divergence(q: &QuantGraph, image: &[i8]) -> Option<(String, usize)> {
+    let reference = run_int8(q, image);
+    (1..q.graph.nodes.len()).find_map(|i| {
+        let prefix = QuantGraph {
+            graph: Graph {
+                nodes: q.graph.nodes[..=i].to_vec(),
+            },
+            ..q.clone()
+        };
+        let model = compile(&prefix, &CompileOptions::default());
+        let mut chip = Chip::new(ChipConfig::asic());
+        model.load_constants(&mut chip);
+        model.write_input(&mut chip, image);
+        chip.run(&model.program, &RunOptions::default())
+            .expect("prefix must run without scheduling faults");
+        let lane = |t: &tsp_compiler::TensorHandle, row: u32, lane: usize| {
+            chip.memory.read_unchecked(t.row(row)).lane(lane) as i8
+        };
+        let differing = match (&model.probes[i], &reference[i]) {
+            (Probe::Map { w, pad, parts, .. }, ValueQ::Map { c, data, .. }) => data
+                .iter()
+                .enumerate()
+                .filter(|&(j, &want)| {
+                    let (px, ch) = (j as u32 / c, j as u32 % c);
+                    let row = (px / w + pad) * (w + 2 * pad) + px % w + pad;
+                    lane(&parts[(ch / 320) as usize], row, (ch % 320) as usize) != want
+                })
+                .count(),
+            (Probe::Flat(parts), ValueQ::Flat(data)) => data
+                .iter()
+                .enumerate()
+                .filter(|&(j, &want)| lane(&parts[j / 320], 0, j % 320) != want)
+                .count(),
+            (Probe::None, _) => 0,
+            (probe, _) => panic!("probe {probe:?} does not match the reference's shape"),
+        };
+        (differing > 0).then(|| (q.graph.nodes[i].name.clone(), differing))
+    })
+}
+
+/// Standard-width ResNet-50 (64 → 2048 channels: kparts and mparts up to 7)
+/// on a 32×32 input agrees with the int8 reference on every logit; on a
+/// mismatch the failure names the first diverging layer.
+#[test]
+fn standard_width_resnet50_matches_int8_reference() {
+    let (g, params) = resnet(50, 32, 1000, &Widths::standard(), 0xC0FFEE);
+    let data = synthetic(21, 32, 32, 3, 2, 2);
+    let q = quantize(&g, &params, &data.images[..2]);
+    let qi = q.quantize_image(&data.images[0]);
+    let reference = run_int8(&q, &qi);
+    let expect = final_flat_q(&reference);
+    let (got, _) = run_model_on_sim(&q, &CompileOptions::default(), &qi);
+    let differing = got.iter().zip(expect).filter(|(a, b)| a != b).count();
+    assert_eq!(
+        differing,
+        0,
+        "{differing} of {} logits differ; first diverging layer: {:?}",
+        expect.len(),
+        first_divergence(&q, &qi)
+    );
 }

@@ -59,8 +59,9 @@ fn main() {
         policy: BankPolicy::High,
         replicas: 1,
         max_block: 4096,
+        avoid: Vec::new(),
     };
-    let (outs, done) = schedule_requant_write(&mut sched, &[int32], u64::from(n), 2, true, &spec)
+    let (outs, done) = schedule_requant_write(&mut sched, int32, u64::from(n), 2, true, &spec)
         .expect("ports available");
     let program = sched.into_program().expect("consistent schedule");
 

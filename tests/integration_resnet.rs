@@ -34,3 +34,76 @@ fn trained_cnn_is_bit_exact_on_the_simulator() {
     }
     assert_eq!(agree, 2);
 }
+
+/// The cycle gate (ROADMAP: "gate CI on total ResNet-50 cycles never
+/// rising"): ResNet-50 batch-1 at 224×224 compiles to at most 150,000 cycles,
+/// the simulator agrees with the compiler's count, and the row-split conv
+/// lowering keeps all four MXM planes loaded. Timing-only — the schedule is
+/// data independent, so all-zero weights stand in for a calibrated model.
+#[test]
+fn resnet50_cycle_gate() {
+    use tsp::nn::quant::{QConv, QDense, QuantGraph};
+    use tsp::nn::resnet::{resnet, Widths};
+
+    let (graph, params) = resnet(50, 224, 1000, &Widths::standard(), 7);
+    let conv = params.conv.iter().map(|(&i, c)| {
+        let w = vec![0i8; c.w.len()];
+        (
+            i,
+            QConv {
+                w,
+                co: c.co,
+                ci: c.ci,
+                k: c.k,
+                shift: 0,
+            },
+        )
+    });
+    let dense = params.dense.iter().map(|(&i, d)| {
+        let w = vec![0i8; d.w.len()];
+        (
+            i,
+            QDense {
+                w,
+                out: d.out,
+                inp: d.inp,
+                shift: 0,
+            },
+        )
+    });
+    let gap = (0..graph.nodes.len()).map(|i| (i, 0i8));
+    let q = QuantGraph {
+        conv: conv.collect(),
+        dense: dense.collect(),
+        gap_shift: gap.collect(),
+        input_scale: 1.0,
+        scales: vec![1.0; graph.nodes.len()],
+        graph,
+    };
+    let model = compile(&q, &CompileOptions::default());
+    assert!(
+        model.cycles <= 150_000,
+        "ResNet-50 rose to {} cycles",
+        model.cycles
+    );
+
+    let options = RunOptions {
+        functional: false,
+        ..RunOptions::default()
+    };
+    let report = Chip::new(ChipConfig::asic())
+        .run(&model.program, &options)
+        .expect("clean run");
+    assert!(
+        report.cycles.abs_diff(model.cycles) <= 4,
+        "simulated {} vs compiled {}",
+        report.cycles,
+        model.cycles
+    );
+    let waves = report.telemetry.mxm_macc_waves;
+    let total: u64 = waves.iter().sum();
+    assert!(
+        waves.iter().all(|&w| 100 * w >= 15 * total),
+        "an MXM plane carries under 15% of the {total} MACC waves: {waves:?}"
+    );
+}
