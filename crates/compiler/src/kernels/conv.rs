@@ -15,9 +15,22 @@
 //! per-row reads otherwise. Passes accumulate in the plane's int32
 //! accumulators (`ACC` accumulate mode).
 //!
+//! **K-packing.** A pass over `c_in ≤ 160` channels would fill only
+//! `c_in/320` of the array, so one pass covers `G =` [`taps_per_pass`]
+//! horizontally adjacent taps instead of one (`k·⌈k/G⌉` passes, not `k²`):
+//! its weights sit at lane `t·`[`group_lanes`]` + ci` for tap `t`, and its
+//! activation rows are fetched with a MEM `Gather` whose per-superlane
+//! addresses put stored row `r + t` into lane group `t`. A superlane only
+//! ever fetches its own 16 lanes of a word, so the *producer* must have
+//! written every row **lane-replicated** ([`FeatureMap::lane_copies`]: `y[p]`
+//! again in each group) — free, its weights are merely tiled along M
+//! ([`ConvWeights::out_copies`]) — and in blocks of whole padded rows, so the
+//! `G` rows of a tap group always share a slice. A group of one tap (all of
+//! them when `G = 1`) is streamed with a plain `Read`.
+//!
 //! **Row split.** The output pixels are dealt to the `4 / mparts` planes an
-//! M-split owns ([`RowSplit`]): each plane runs *all* `k²·kparts` passes over
-//! its own share of the rows — reading its own input replica, the two planes
+//! M-split owns ([`RowSplit`]): each plane runs *all* the passes (tap groups
+//! × kparts) over its own share of the rows — reading its own input replica, the two planes
 //! of a hemisphere tapping one weight stream — keeps the full sum in its own
 //! accumulators and goes straight through requantize/ReLU into **its own
 //! block** of a block-chunked output tensor (the paper's "four simultaneous
@@ -35,10 +48,25 @@ use tsp_isa::Plane;
 
 use crate::alloc::BankPolicy;
 use crate::kernels::matmul::{
-    schedule_requant_write, stream_weights, DstSegments, OutOfPorts, OutSpec, PlaneChainBuilder,
+    lw_rows, schedule_requant_write, stream_weights, ActFeed, DstSegments, OutOfPorts, OutSpec,
+    PlaneChainBuilder,
 };
-use crate::sched::Scheduler;
+use crate::sched::{GatherMap, Scheduler};
 use crate::tensor::TensorHandle;
+
+/// Lanes one copy of a `c`-channel pixel takes in a lane-replicated row:
+/// whole superlanes, the granularity a `Gather` addresses.
+#[must_use]
+pub fn group_lanes(c: u32) -> u32 {
+    c.div_ceil(16) * 16
+}
+
+/// How many horizontally adjacent taps of a `k×k` conv over `c_in` channels
+/// fit one 320-lane MXM pass (`G`): 3 for 64 channels, 2 for 128, 1 from 161.
+#[must_use]
+pub fn taps_per_pass(k: u32, c_in: u32) -> u32 {
+    (320 / group_lanes(c_in)).clamp(1, k.max(1))
+}
 
 /// A feature map: `h×w` pixels of `c` channels, stored row-major over a
 /// materialized padding border of `pad` pixels. Channels are split into
@@ -54,6 +82,10 @@ pub struct FeatureMap {
     pub c: u32,
     /// Materialized border width in pixels.
     pub pad: u32,
+    /// Copies of the `c` channels every stored row holds side by side, copy
+    /// `t` at lanes `t·group_lanes(c)..`; above 1 the blocks of `parts` hold
+    /// whole padded rows (what a K-packed consumer's `Gather` needs).
+    pub lane_copies: u32,
     /// `parts[kpart][replica]`: tensors of `(h+2pad)·(w+2pad)` rows.
     pub parts: Vec<Vec<TensorHandle>>,
 }
@@ -150,7 +182,7 @@ impl FeatureMap {
     }
 }
 
-/// Convolution weights: one LW-order handle per (offset, kpart, mpart),
+/// Convolution weights: one LW-order handle per (tap group, kpart, mpart),
 /// with optional replicas.
 #[derive(Debug, Clone)]
 pub struct ConvWeights {
@@ -160,8 +192,33 @@ pub struct ConvWeights {
     pub c_in: u32,
     /// Output channels.
     pub c_out: u32,
-    /// `passes[offset][kpart][mpart][replica]`; offsets ordered `dy·k + dx`.
+    /// Horizontally adjacent taps one pass covers (`G`, see
+    /// [`taps_per_pass`]); above 1 the input must hold as many lane copies.
+    pub taps: u32,
+    /// Copies of the output channels the weights produce side by side (the
+    /// output map's [`FeatureMap::lane_copies`]).
+    pub out_copies: u32,
+    /// `passes[group][kpart][mpart][replica]`, groups in
+    /// [`ConvWeights::tap_groups`] order.
     pub passes: Vec<Vec<Vec<Vec<TensorHandle>>>>,
+}
+
+impl ConvWeights {
+    /// The tap groups `(dy, first dx, taps)` one pass each covers, in order.
+    #[must_use]
+    pub fn tap_groups(&self) -> Vec<(u32, u32, u32)> {
+        tap_groups(self.kernel, self.taps)
+    }
+}
+
+fn tap_groups(k: u32, taps: u32) -> Vec<(u32, u32, u32)> {
+    (0..k)
+        .flat_map(|dy| {
+            (0..k)
+                .step_by(taps as usize)
+                .map(move |dx| (dy, dx, taps.min(k - dx)))
+        })
+        .collect()
 }
 
 /// Parameters of a [`conv2d`].
@@ -231,20 +288,29 @@ impl RowSplit {
     /// Splits for at most `planes` concurrent chains. The chunk count is a
     /// function of the shape alone: as many as `planes`, but no chunk under
     /// [`MIN_CHUNK_ROWS`] pixels on average, none without pixels (a block of
-    /// nothing but border), and no block over one SRAM bank.
+    /// nothing but border), and no block over one SRAM bank. With
+    /// `whole_rows` (lane-replicated outputs) a block holds whole padded
+    /// rows, so the blocks may be uneven: 58 padded rows go 15/15/15/13.
     ///
     /// # Panics
     ///
     /// Panics if those limits cannot all hold (a map thousands of pixels wide
     /// and one or two high).
     #[must_use]
-    pub fn new(oh: u32, ow: u32, out_pad: u32, planes: usize) -> RowSplit {
+    pub fn new(oh: u32, ow: u32, out_pad: u32, planes: usize, whole_rows: bool) -> RowSplit {
         let pw = ow + 2 * out_pad;
         let rows_total = (oh + 2 * out_pad) * pw;
         let inside = |v: u32, len: u32| (out_pad..out_pad + len).contains(&v);
+        // Blocks are cut in units of one stored row, or one padded row.
+        let unit = if whole_rows { pw } else { 1 };
+        assert!(
+            unit <= 4096,
+            "a padded row of {pw} pixels exceeds an SRAM bank"
+        );
+        let units = rows_total / unit;
         let mut want = (oh * ow / MIN_CHUNK_ROWS).clamp(1, planes as u32);
         loop {
-            let rows_per_block = rows_total.div_ceil(want.max(rows_total.div_ceil(4096)));
+            let rows_per_block = units.div_ceil(want.max(units.div_ceil(4096 / unit))) * unit;
             let blocks = rows_total.div_ceil(rows_per_block);
             let mut chunks = vec![RowChunk::default(); blocks as usize];
             for row in 0..rows_total {
@@ -281,8 +347,8 @@ impl RowSplit {
 pub struct ChunkPass<'a> {
     /// 320-row LW-order weight handle.
     pub weights: &'a TensorHandle,
-    /// Activation tensor the chunk's chain reads (its own replica).
-    pub acts: &'a TensorHandle,
+    /// Activation tensor the chunk's chain reads (its own replica), and how.
+    pub acts: ActFeed<'a>,
     /// Rows of `acts` streamed through the array, one per chunk pixel.
     pub rows: Vec<u32>,
 }
@@ -291,7 +357,8 @@ pub struct ChunkPass<'a> {
 /// `split`) runs `passes` accumulate-passes (described by
 /// `pass(mpart, pass, chunk)`) and requantizes into its own output block; the
 /// chains run four at a time, one per plane. Returns the `oh×ow×c_out` output
-/// map and the completion cycle.
+/// map (its `lane_copies` 1: a caller whose weights replicate the channels
+/// says so) and the completion cycle.
 ///
 /// # Panics
 ///
@@ -349,6 +416,7 @@ pub fn conv_passes<'a>(
         w: ow,
         c: c_out,
         pad: params.out_pad,
+        lane_copies: 1,
         parts: blocks
             .iter()
             .map(|part| (0..replicas).map(|r| concat(part, r)).collect())
@@ -455,7 +523,8 @@ fn schedule_chains<'a>(
 ///
 /// # Panics
 ///
-/// Panics on inconsistent shapes or insufficient materialized padding.
+/// Panics on inconsistent shapes, insufficient materialized padding, or
+/// weights packing more taps than the input has lane copies.
 pub fn conv2d(
     s: &mut Scheduler,
     input: &FeatureMap,
@@ -463,37 +532,114 @@ pub fn conv2d(
     params: &Conv2dParams,
 ) -> (FeatureMap, u64) {
     let k = weights.kernel;
-    assert_eq!(weights.passes.len(), (k * k) as usize, "offset count");
+    let groups = weights.tap_groups();
+    assert_eq!(weights.passes.len(), groups.len(), "tap group count");
     assert_eq!(input.c, weights.c_in, "channel mismatch");
+    assert!(
+        weights.taps == 1 || weights.taps <= input.lane_copies,
+        "{} taps per pass need as many lane copies, input has {}",
+        weights.taps,
+        input.lane_copies
+    );
     let oh = (input.h + 2 * params.pad - k) / params.stride + 1;
     let ow = (input.w + 2 * params.pad - k) / params.stride + 1;
     let kparts = input.kparts();
     let mparts = weights.c_out.div_ceil(320) as usize;
     let planes = (4 / mparts).max(1);
-    let split = RowSplit::new(oh, ow, params.out_pad, planes);
+    let split = RowSplit::new(oh, ow, params.out_pad, planes, weights.out_copies > 1);
 
-    // Row sequences per offset (shared across kparts, mparts and chunks).
-    let offset_rows: Vec<Vec<u32>> = (0..k)
-        .flat_map(|dy| (0..k).map(move |dx| (dy, dx)))
-        .map(|(dy, dx)| input.offset_rows(oh, ow, params.stride, dy, dx, params.pad))
+    // Row sequences per tap group — the rows of its first tap — shared
+    // across kparts, mparts and chunks.
+    let group_rows: Vec<Vec<u32>> = groups
+        .iter()
+        .map(|&(dy, dx, _)| input.offset_rows(oh, ow, params.stride, dy, dx, params.pad))
         .collect();
-    // Pass p is (offset, kpart) = (p / kparts, p % kparts); every chain of
-    // the conv (chunk `ci` of M-split `mpart`) reads its own input replica.
+    // Every chain of the conv (chunk `ci` of M-split `mpart`) reads its own
+    // input replica.
+    let replicas = input.parts[0].len();
+    let replica_of = |mpart: usize, ci: usize| (mpart * split.chunks.len() + ci) % replicas;
+    let packed_rows: Vec<&Vec<u32>> = (groups.iter().zip(&group_rows))
+        .filter_map(|(&(.., taps), rows)| (taps > 1).then_some(rows))
+        .collect();
+    let maps = gather_maps(s, input, weights, &split, &packed_rows, &replica_of);
+    // Pass p is (tap group, kpart) = (p / kparts, p % kparts).
     let pass = |mpart: usize, p: usize, ci: usize| {
-        let (o, kp) = (p / kparts, p % kparts);
-        let (wreps, areps) = (&weights.passes[o][kp][mpart], &input.parts[kp]);
+        let (g, kp) = (p / kparts, p % kparts);
+        let wreps = &weights.passes[g][kp][mpart];
+        let replica = replica_of(mpart, ci);
+        let acts = &input.parts[kp][replica];
         ChunkPass {
             weights: &wreps[ci % wreps.len()],
-            acts: &areps[(mpart * split.chunks.len() + ci) % areps.len()],
+            acts: match groups[g].2 {
+                1 => ActFeed::Read(acts),
+                _ => ActFeed::Gather(acts, &maps[replica]),
+            },
             rows: split.chunks[ci]
                 .pixels
                 .iter()
-                .map(|&px| offset_rows[o][px as usize])
+                .map(|&px| group_rows[g][px as usize])
                 .collect(),
         }
     };
-    let passes = (k * k) as usize * kparts;
-    conv_passes(s, (oh, ow, weights.c_out), &split, passes, &pass, params)
+    let passes = groups.len() * kparts;
+    let (mut out, done) = conv_passes(s, (oh, ow, weights.c_out), &split, passes, &pass, params);
+    out.lane_copies = weights.out_copies;
+    (out, done)
+}
+
+/// The gather maps of a K-packed conv, `[input replica][block read]`, for
+/// the row sequences `packed_rows` of its multi-tap groups: the map is a
+/// function of the *row* alone (map row `r` addresses rows `r, r+1, …`),
+/// so one map per replica block — restricted to the rows the replica's chains
+/// gather, their chunk plus a padded row either side — serves every `dy`,
+/// every stride and every pass. Empty when no pass packs taps.
+fn gather_maps(
+    s: &mut Scheduler,
+    input: &FeatureMap,
+    weights: &ConvWeights,
+    split: &RowSplit,
+    packed_rows: &[&Vec<u32>],
+    replica_of: &dyn Fn(usize, usize) -> usize,
+) -> Vec<Vec<GatherMap>> {
+    let replicas = input.parts[0].len();
+    let mut maps = vec![Vec::new(); replicas];
+    if packed_rows.is_empty() {
+        return maps;
+    }
+    let rows_per_block = input.parts[0][0].layout.rows_per_block;
+    assert!(
+        rows_per_block.is_multiple_of(input.pw()) || rows_per_block >= input.rows_total(),
+        "a lane-replicated map is cut into whole padded rows"
+    );
+    let mparts = weights.c_out.div_ceil(320) as usize;
+    // Chains stream their maps concurrently, and with the weights of the
+    // next pass: all slice-disjoint.
+    let mut avoid: Vec<(Hemisphere, u8)> = (weights.passes.iter().flatten().flatten().flatten())
+        .flat_map(|t| t.layout.slices())
+        .collect();
+    for (replica, maps) in maps.iter_mut().enumerate() {
+        // Per input block, the span of rows this replica's chains gather.
+        let mut spans: Vec<Option<(u32, u32)>> = Vec::new();
+        let chains = (0..mparts).flat_map(|m| (0..split.chunks.len()).map(move |ci| (m, ci)));
+        for (_, ci) in chains.filter(|&(m, ci)| replica_of(m, ci) == replica) {
+            for rows in packed_rows {
+                for &px in &split.chunks[ci].pixels {
+                    let row = rows[px as usize];
+                    let block = (row / rows_per_block) as usize;
+                    spans.resize(spans.len().max(block + 1), None);
+                    let (lo, hi) = spans[block].unwrap_or((row, row));
+                    spans[block] = Some((lo.min(row), hi.max(row)));
+                }
+            }
+        }
+        for (lo, hi) in spans.into_iter().flatten() {
+            let lanes = (weights.taps, group_lanes(input.c));
+            let map = s.add_gather_map(&input.parts[0][replica], (lo, hi - lo + 1), lanes, &avoid);
+            avoid.extend(map.tensor.layout.slices());
+            maps.push(map);
+        }
+    }
+    maps
 }
 
 /// Builds a zero-initialized feature-map *input* allocation the host fills
@@ -514,6 +660,7 @@ pub fn alloc_feature_map(
         w,
         c,
         pad,
+        lane_copies: 1,
         parts: (0..kparts)
             .map(|kp| {
                 let cols = (c - kp as u32 * 320).min(320) as u16;
@@ -539,8 +686,88 @@ pub fn alloc_feature_map(
     }
 }
 
-/// Serializes a conv weight tensor `w[c_out][c_in][k][k]` (as nested vecs)
-/// into the per-(offset, kpart, mpart) LW-order constant handles.
+/// Serializes conv weights `w(co, ci, dy, dx)` of a `k×k` conv (`c_in → c_out`
+/// channels) into the per-(tap group, kpart, mpart) LW-order constant
+/// handles: a pass covering taps `dx..dx + n` holds tap `t` at input lanes
+/// `t·group_lanes(c_in) + ci`, and `out_copies` copies of the output channels
+/// at array rows `u·group_lanes(c_out) + co` (zero elsewhere). The handles
+/// keep off the slices in `avoid` where they can — the conv's input: a pass
+/// streams its activations from one slice for its whole length, and weights
+/// behind that queue would reach the next pass a pass late.
+///
+/// # Panics
+///
+/// Panics if `taps` tap groups or `out_copies` channel copies do not fit the
+/// 320 lanes.
+pub fn emplace_conv(
+    s: &mut Scheduler,
+    (k, c_in, c_out): (u32, u32, u32),
+    (taps, out_copies): (u32, u32),
+    (replicas, avoid): (u8, &[(Hemisphere, u8)]),
+    w: impl Fn(u32, u32, u32, u32) -> i8,
+) -> ConvWeights {
+    assert!(
+        taps == 1 || taps * group_lanes(c_in) <= 320,
+        "taps overflow the lanes"
+    );
+    assert!(
+        out_copies == 1 || out_copies * group_lanes(c_out) <= 320,
+        "output copies overflow the lanes"
+    );
+    // A lone tap or copy spans the whole 320-lane part.
+    let in_group = if taps > 1 { group_lanes(c_in) } else { 320 };
+    let out_group = if out_copies > 1 {
+        group_lanes(c_out)
+    } else {
+        320
+    };
+    let passes = tap_groups(k, taps)
+        .into_iter()
+        .map(|(dy, dx, n)| {
+            (0..c_in.div_ceil(320))
+                .map(|kp| {
+                    let kc = (c_in - kp * 320).min(320);
+                    let kcols = (n - 1) * in_group + kc;
+                    (0..c_out.div_ceil(320))
+                        .map(|mp| {
+                            let mrows = (out_copies - 1) * out_group + (c_out - mp * 320).min(320);
+                            let fill = |m: u32, row: &mut Vector| {
+                                let co = mp * 320 + m % out_group;
+                                if co >= c_out {
+                                    return; // the lanes between two copies
+                                }
+                                for t in 0..n {
+                                    for ci in 0..kc {
+                                        let lane = (t * in_group + ci) as usize;
+                                        row.set_lane(lane, w(co, kp * 320 + ci, dy, dx + t) as u8);
+                                    }
+                                }
+                            };
+                            let rows = lw_rows(fill, mrows);
+                            (0..replicas.max(1))
+                                .map(|_| {
+                                    let (rows, cols) = (rows.clone(), kcols as u16);
+                                    s.add_constant_in(None, avoid, rows, cols, BankPolicy::Low, 20)
+                                })
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    ConvWeights {
+        kernel: k,
+        c_in,
+        c_out,
+        taps,
+        out_copies,
+        passes,
+    }
+}
+
+/// [`emplace_conv`] of a nested-vec weight tensor `w[c_out][c_in][k][k]`, one
+/// tap per pass and one copy of the output channels.
 ///
 /// # Panics
 ///
@@ -550,55 +777,10 @@ pub fn emplace_conv_weights(
     w: &[Vec<Vec<Vec<i8>>>],
     replicas: u8,
 ) -> ConvWeights {
-    let c_out = w.len() as u32;
-    let c_in = w[0].len() as u32;
-    let k = w[0][0].len() as u32;
-    let kparts = c_in.div_ceil(320) as usize;
-    let mparts = c_out.div_ceil(320) as usize;
-    let mut passes = Vec::with_capacity((k * k) as usize);
-    for dy in 0..k {
-        for dx in 0..k {
-            let mut per_kpart = Vec::with_capacity(kparts);
-            for kp in 0..kparts {
-                let kcols = (c_in - kp as u32 * 320).min(320);
-                let mut per_mpart = Vec::with_capacity(mparts);
-                for mp in 0..mparts {
-                    let mrows = (c_out - mp as u32 * 320).min(320);
-                    // LW order: handle row j*20 + r = array row 16r + j.
-                    let mut rows = Vec::with_capacity(320);
-                    for j in 0..16u32 {
-                        for r in 0..20u32 {
-                            let m = 16 * r + j; // output channel within mpart
-                            let mut v = Vector::ZERO;
-                            if m < mrows {
-                                let co = (mp as u32 * 320 + m) as usize;
-                                for lane in 0..kcols {
-                                    let ci = (kp as u32 * 320 + lane) as usize;
-                                    v.set_lane(
-                                        lane as usize,
-                                        w[co][ci][dy as usize][dx as usize] as u8,
-                                    );
-                                }
-                            }
-                            rows.push(v);
-                        }
-                    }
-                    let reps: Vec<TensorHandle> = (0..replicas.max(1))
-                        .map(|_| s.add_constant(rows.clone(), kcols as u16, BankPolicy::Low, 20))
-                        .collect();
-                    per_mpart.push(reps);
-                }
-                per_kpart.push(per_mpart);
-            }
-            passes.push(per_kpart);
-        }
-    }
-    ConvWeights {
-        kernel: k,
-        c_in,
-        c_out,
-        passes,
-    }
+    let shape = (w[0][0].len() as u32, w[0].len() as u32, w.len() as u32);
+    emplace_conv(s, shape, (1, 1), (replicas, &[]), |co, ci, dy, dx| {
+        w[co as usize][ci as usize][dy as usize][dx as usize]
+    })
 }
 
 #[cfg(test)]
@@ -677,6 +859,12 @@ mod tests {
         pad: u32,
         relu: bool,
         out_pad: u32,
+        /// When set, the input is not host-written but produced on chip by a
+        /// 1×1 conv from this many channels, lane-replicated for the conv
+        /// under test — which then packs [`taps_per_pass`] taps per pass.
+        from: Option<u32>,
+        /// Lane copies the conv under test writes itself.
+        out_copies: u32,
     }
 
     impl Case {
@@ -691,12 +879,24 @@ mod tests {
                 pad: k / 2,
                 relu: false,
                 out_pad: 0,
+                from: None,
+                out_copies: 1,
+            }
+        }
+
+        /// A 3×3 conv fed by an on-chip producer (see [`Case::from`]).
+        fn packed(hw: (u32, u32), channels: (u32, u32), stride: u32) -> Case {
+            Case {
+                from: Some(16),
+                ..Case::new(hw, channels, 3, stride)
             }
         }
     }
 
     /// Realistic requantization for full-range int8 data.
     const SHIFT: i8 = 11;
+    /// The producer's: a 16-term sum, kept full range (and often saturated).
+    const PRODUCER_SHIFT: i8 = 8;
 
     /// Writes `x[y][x][c]` into every replica of every channel part.
     fn fill_input(chip: &mut Chip, input: &FeatureMap, x: &[Vec<Vec<i8>>]) {
@@ -710,6 +910,49 @@ mod tests {
                         }
                         chip.memory
                             .write(rep.row(input.row_index(y as u32, xp as u32)), v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Checks every lane of every replica of `out`: each lane copy of the
+    /// interior against `expect`, the border and the lanes between copies
+    /// against zero.
+    fn check_map(chip: &Chip, out: &FeatureMap, expect: &[Vec<Vec<i8>>], replicas: usize) {
+        assert_eq!(out.kparts(), out.c.div_ceil(320) as usize);
+        let group = group_lanes(out.c) as usize;
+        for (mp, reps) in out.parts.iter().enumerate() {
+            assert_eq!(reps.len(), replicas, "replicas");
+            for rep in reps {
+                assert_eq!(u32::from(rep.cols), (out.c - mp as u32 * 320).min(320));
+                let lanes = match out.lane_copies {
+                    1 => usize::from(rep.cols),
+                    copies => copies as usize * group,
+                };
+                for row in 0..out.rows_total() {
+                    let got = chip.memory.read_unchecked(rep.row(row));
+                    let (py, px) = (row / out.pw(), row % out.pw());
+                    let inside = |v: u32, len: u32| (out.pad..out.pad + len).contains(&v);
+                    for lane in 0..lanes {
+                        let ch = match out.lane_copies {
+                            1 => mp * 320 + lane,
+                            _ => lane % group,
+                        };
+                        let want = if inside(py, out.h) && inside(px, out.w) && ch < out.c as usize
+                        {
+                            expect[(py - out.pad) as usize][(px - out.pad) as usize][ch]
+                        } else {
+                            0
+                        };
+                        assert_eq!(
+                            got.lane(lane) as i8,
+                            want,
+                            "{}×{}×{} row {row} lane {lane}",
+                            out.h,
+                            out.w,
+                            out.c
+                        );
                     }
                 }
             }
@@ -735,30 +978,71 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (seed >> 33) as i8
         };
-        let x_data: Vec<Vec<Vec<i8>>> = (0..h)
-            .map(|_| (0..w).map(|_| (0..cin).map(|_| next()).collect()).collect())
-            .collect();
-        let w_data: Vec<Vec<Vec<Vec<i8>>>> = (0..cout)
+        let mut weights = |cout: u32, cin: u32, k: u32| -> Vec<Vec<Vec<Vec<i8>>>> {
+            (0..cout)
+                .map(|_| {
+                    (0..cin)
+                        .map(|_| (0..k).map(|_| (0..k).map(|_| next()).collect()).collect())
+                        .collect()
+                })
+                .collect()
+        };
+        let w_data = weights(cout, cin, k);
+        let w_from = case.from.map(|c| weights(cin, c, 1));
+        let host_c = case.from.unwrap_or(cin);
+        let host_data: Vec<Vec<Vec<i8>>> = (0..h)
             .map(|_| {
-                (0..cin)
-                    .map(|_| (0..k).map(|_| (0..k).map(|_| next()).collect()).collect())
+                (0..w)
+                    .map(|_| (0..host_c).map(|_| next()).collect())
                     .collect()
             })
             .collect();
+        let emplace = |s: &mut Scheduler, w: &[Vec<Vec<Vec<i8>>>], lanes: (u32, u32)| {
+            let shape = (w[0][0].len() as u32, w[0].len() as u32, w.len() as u32);
+            emplace_conv(s, shape, lanes, (1, &[]), |co, ci, dy, dx| {
+                w[co as usize][ci as usize][dy as usize][dx as usize]
+            })
+        };
 
-        let input = alloc_feature_map(&mut s, h, w, cin, case.pad, Hemisphere::East, 4);
-        let weights = emplace_conv_weights(&mut s, &w_data, 1);
+        let host_pad = if case.from.is_some() { 0 } else { case.pad };
+        let host = alloc_feature_map(&mut s, h, w, host_c, host_pad, Hemisphere::East, 4);
+        // The conv under test reads `input`, holding `x_data`.
+        let (input, x_data) = match &w_from {
+            None => (host.clone(), host_data.clone()),
+            Some(w_from) => {
+                let copies = taps_per_pass(k, cin);
+                let weights = emplace(&mut s, w_from, (1, copies));
+                let params = Conv2dParams {
+                    requant_shift: PRODUCER_SHIFT,
+                    out_pad: case.pad,
+                    out_hemisphere: Hemisphere::West,
+                    out_replicas: 4,
+                    ..Conv2dParams::default()
+                };
+                let (mid, _) = conv2d(&mut s, &host, &weights, &params);
+                assert_eq!(mid.lane_copies, copies);
+                let x = reference_conv(&host_data, w_from, 1, 0, PRODUCER_SHIFT, false);
+                (mid, x)
+            }
+        };
+        let taps = taps_per_pass(k, cin).min(input.lane_copies);
+        let weights = emplace(&mut s, &w_data, (taps, case.out_copies));
+        let out_hemisphere = match case.from {
+            None => Hemisphere::West,
+            Some(_) => Hemisphere::East,
+        };
         let params = Conv2dParams {
             stride: case.stride,
             pad: case.pad,
             requant_shift: SHIFT,
             relu: case.relu,
             out_pad: case.out_pad,
-            out_hemisphere: Hemisphere::West,
+            out_hemisphere,
             out_replicas: 2,
             ..Conv2dParams::default()
         };
         let (out, _) = conv2d(&mut s, &input, &weights, &params);
+        assert_eq!(out.lane_copies, case.out_copies);
 
         let constants = s.take_constants();
         let program = s.into_program().expect("valid schedule");
@@ -767,36 +1051,15 @@ mod tests {
                 chip.memory.write(handle.row(r as u32), v.clone());
             }
         }
-        fill_input(&mut chip, &input, &x_data);
+        fill_input(&mut chip, &host, &host_data);
         chip.run(&program, &RunOptions::default())
             .expect("clean run");
 
-        let expect = reference_conv(&x_data, &w_data, case.stride, case.pad, SHIFT, case.relu);
-        assert_eq!(out.kparts(), cout.div_ceil(320) as usize);
-        for (mp, reps) in out.parts.iter().enumerate() {
-            assert_eq!(reps.len(), 2, "replicas");
-            for rep in reps {
-                for row in 0..out.rows_total() {
-                    let got = chip.memory.read_unchecked(rep.row(row));
-                    let (py, px) = (row / out.pw(), row % out.pw());
-                    let inside = |v: u32, len: u32| (out.pad..out.pad + len).contains(&v);
-                    for lane in 0..usize::from(rep.cols) {
-                        let want = if inside(py, out.h) && inside(px, out.w) {
-                            expect[(py - out.pad) as usize][(px - out.pad) as usize]
-                                [mp * 320 + lane]
-                        } else {
-                            0
-                        };
-                        assert_eq!(
-                            got.lane(lane) as i8,
-                            want,
-                            "row {row} ch {}",
-                            mp * 320 + lane
-                        );
-                    }
-                }
-            }
+        if case.from.is_some() {
+            check_map(&chip, &input, &x_data, 4);
         }
+        let expect = reference_conv(&x_data, &w_data, case.stride, case.pad, SHIFT, case.relu);
+        check_map(&chip, &out, &expect, 2);
     }
 
     fn run_conv_case(case: Case) {
@@ -852,7 +1115,7 @@ mod tests {
     /// 110 rows over 4 chunks: neither the rows nor the padded rows divide.
     #[test]
     fn uneven_row_split_matches_reference() {
-        let split = RowSplit::new(10, 11, 0, 4);
+        let split = RowSplit::new(10, 11, 0, 4, false);
         let sizes: Vec<usize> = split.chunks.iter().map(|c| c.pixels.len()).collect();
         assert_eq!(sizes, [28, 28, 28, 26]);
         run_conv_case(Case::new((10, 11), (8, 5), 3, 1));
@@ -863,7 +1126,7 @@ mod tests {
     /// tiny maps are never split at all.
     #[test]
     fn row_split_never_makes_an_empty_or_install_bound_chunk() {
-        let wide = RowSplit::new(1, 100, 1, 4);
+        let wide = RowSplit::new(1, 100, 1, 4, false);
         assert!(wide.chunks.len() < 4);
         assert!(wide.chunks.iter().all(|c| !c.pixels.is_empty()));
         assert_eq!(
@@ -872,13 +1135,13 @@ mod tests {
         );
         for (hw, chunks) in [(1, 1), (2, 1), (6, 1), (7, 2), (12, 4), (56, 4)] {
             assert_eq!(
-                RowSplit::new(hw, hw, 0, 4).chunks.len(),
+                RowSplit::new(hw, hw, 0, 4, false).chunks.len(),
                 chunks,
                 "{hw}×{hw}"
             );
         }
         assert_eq!(
-            RowSplit::new(7, 7, 0, 1).chunks.len(),
+            RowSplit::new(7, 7, 0, 1, false).chunks.len(),
             1,
             "one plane per M-split"
         );
@@ -888,7 +1151,7 @@ mod tests {
     /// (14 padded rows each) mid-row, and the border must stay zero.
     #[test]
     fn chunks_straddling_block_boundaries_match_reference() {
-        let split = RowSplit::new(12, 12, 1, 4);
+        let split = RowSplit::new(12, 12, 1, 4, false);
         assert_eq!(split.rows_per_block, 49);
         let cut = |c: &RowChunk| c.segments.iter().any(|&(_, count)| count < 12);
         assert!(split.chunks.iter().all(cut), "every block cuts a pixel row");
@@ -916,17 +1179,23 @@ mod tests {
             out_pad: 1,
             ..Case::new((12, 12), (16, 16), 3, 1)
         };
-        run_conv_case_on(case, |s, chip| {
-            // Dirty the bottom of every High bank of the output hemisphere.
+        // The output's hemisphere only: the host-written input's border
+        // relies on the fresh SRAM a network input is always allocated in.
+        run_conv_case_on(case, |s, chip| dirty_sram(s, chip, &[Hemisphere::West]));
+    }
+
+    /// Dirties the bottom of every High bank of `hemispheres`, so every
+    /// later activation tensor there lands on recycled SRAM.
+    fn dirty_sram(s: &mut Scheduler, chip: &mut Chip, hemispheres: &[Hemisphere]) {
+        for &hemisphere in hemispheres {
             let stale: Vec<TensorHandle> = (0..MEM_SLICES_PER_HEMISPHERE)
                 .map(|sl| {
                     let others: Vec<(Hemisphere, u8)> = (0..MEM_SLICES_PER_HEMISPHERE)
                         .filter(|&o| o != sl)
-                        .map(|o| (Hemisphere::West, o))
+                        .map(|o| (hemisphere, o))
                         .collect();
-                    let hem = Some(Hemisphere::West);
                     s.alloc
-                        .alloc_avoiding(hem, 64, 320, BankPolicy::High, 64, &others)
+                        .alloc_avoiding(Some(hemisphere), 64, 320, BankPolicy::High, 64, &others)
                         .unwrap()
                 })
                 .collect();
@@ -936,7 +1205,60 @@ mod tests {
                 }
                 s.alloc.free(t);
             }
+        }
+    }
+
+    /// G = 3 (c_in 16, 64), 2 (100 — not a superlane multiple — 128, 160) and
+    /// 1 (176: the producer does not replicate, every pass is a `Read`), at
+    /// both strides, chains crossing the producer's whole-row blocks.
+    #[test]
+    fn packed_convs_match_reference() {
+        for cin in [16, 64, 100, 128, 160, 176] {
+            for stride in [1, 2] {
+                run_conv_case(Case {
+                    relu: stride == 2,
+                    ..Case::packed((14, 14), (cin, 64), stride)
+                });
+            }
+        }
+        assert_eq!(
+            [16, 64, 100, 128, 160, 176].map(|c| taps_per_pass(3, c)),
+            [3, 3, 2, 2, 2, 1]
+        );
+    }
+
+    /// Two M-splits (c_out 400) share the planes two chunks each, every chain
+    /// with its own replica and map; 7×7 has 9 padded rows in uneven blocks.
+    #[test]
+    fn packed_conv_with_m_splits_and_uneven_blocks_matches_reference() {
+        run_conv_case(Case::packed((7, 7), (64, 400), 1));
+        run_conv_case(Case::packed((7, 7), (128, 400), 2));
+        run_conv_case(Case::packed((14, 14), (100, 400), 1));
+    }
+
+    /// The ResNet stage-2 shape: 58 padded rows cut 15/15/15/13, the packed
+    /// conv itself writing lane copies for a packed successor.
+    #[test]
+    fn packed_56x56_matches_reference() {
+        let split = RowSplit::new(56, 56, 1, 4, true);
+        assert_eq!(split.rows_per_block, 15 * 58);
+        let sizes: Vec<usize> = split.chunks.iter().map(|c| c.pixels.len()).collect();
+        assert_eq!(sizes, [14 * 56, 15 * 56, 15 * 56, 12 * 56]);
+        run_conv_case(Case {
+            out_pad: 1,
+            out_copies: 3,
+            relu: true,
+            ..Case::packed((56, 56), (64, 64), 1)
         });
+    }
+
+    /// Producer and consumer both on recycled SRAM: the lane-replicated
+    /// border must read as zero in every lane group.
+    #[test]
+    fn packed_conv_on_recycled_sram_matches_reference() {
+        let both = |s: &mut Scheduler, chip: &mut Chip| dirty_sram(s, chip, &Hemisphere::ALL);
+        run_conv_case_on(Case::packed((14, 14), (64, 64), 1), both);
+        run_conv_case_on(Case::packed((7, 7), (128, 64), 2), both);
     }
 
     #[test]
@@ -946,6 +1268,7 @@ mod tests {
             w: 4,
             c: 8,
             pad: 1,
+            lane_copies: 1,
             parts: Vec::new(),
         };
         assert_eq!(fm.border_segments(), [(0, 7), (11, 2), (17, 2), (23, 7)]);

@@ -28,14 +28,14 @@
 //! serializer (`tsp-nn`) performs this shuffle; each 20-row block then lands
 //! in its own slice so all 16 streams run concurrently at one row per cycle.
 
-use tsp_arch::{Direction, Hemisphere, Slice, StreamGroup, StreamId};
+use tsp_arch::{Direction, Hemisphere, Position, Slice, StreamGroup, StreamId, Vector};
 use tsp_isa::{AccumulateMode, DataType, IcuOp, MxmOp, Plane, UnaryAluOp, VxmOp, MXM_ARRAY_DELAY};
 use tsp_sim::IcuId;
 
 use crate::alloc::BankPolicy;
 use crate::kernels::elementwise::pick_alu;
 use crate::resource::Resource;
-use crate::sched::{Scheduler, D_VXM};
+use crate::sched::{GatherMap, Scheduler, D_VXM};
 use crate::tensor::TensorHandle;
 
 /// Delay from `IW` dispatch until the array is usable.
@@ -94,6 +94,66 @@ pub struct Int32Stream {
     pub group: StreamGroup,
     /// Cycle row 0 is readable at the VXM; row `i` follows at `+i`.
     pub t_at_vxm: u64,
+}
+
+/// LW-order serialization of one weight block: `fill(m, row)` writes the
+/// weights of array row (output lane) `m < mrows` into `row`, lane = input
+/// lane; the rest of the 320×320 block is zero.
+pub fn lw_rows(fill: impl Fn(u32, &mut Vector), mrows: u32) -> Vec<Vector> {
+    let mut rows = Vec::with_capacity(320);
+    for j in 0..16u32 {
+        for r in 0..20u32 {
+            let m = 16 * r + j;
+            let mut v = Vector::ZERO;
+            if m < mrows {
+                fill(m, &mut v);
+            }
+            rows.push(v);
+        }
+    }
+    rows
+}
+
+/// How a pass's activation rows leave MEM: streamed as stored, or each
+/// fetched through a gather map that packs several stored rows into one.
+#[derive(Debug, Clone, Copy)]
+pub enum ActFeed<'a> {
+    /// `Read` rows of the tensor.
+    Read(&'a TensorHandle),
+    /// `Gather` rows of the (lane-replicated) tensor through these maps.
+    Gather(&'a TensorHandle, &'a [GatherMap]),
+}
+
+impl ActFeed<'_> {
+    fn earliest_arrival(
+        self,
+        s: &Scheduler,
+        rows: &[u32],
+        direction: Direction,
+        consumer: Position,
+        not_before: u64,
+    ) -> u64 {
+        match self {
+            ActFeed::Read(t) => s.earliest_read_arrival(t, rows, direction, consumer, not_before),
+            ActFeed::Gather(t, maps) => {
+                s.earliest_gather_arrival(t, maps, rows, direction, consumer, not_before)
+            }
+        }
+    }
+
+    fn stream_rows(
+        self,
+        s: &mut Scheduler,
+        rows: &[u32],
+        stream: StreamId,
+        consumer: Position,
+        t0: u64,
+    ) {
+        match self {
+            ActFeed::Read(t) => s.read_rows(t, rows, stream, consumer, t0),
+            ActFeed::Gather(t, maps) => s.gather_rows(t, maps, rows, stream, consumer, t0),
+        }
+    }
 }
 
 /// A weight block in flight toward one hemisphere's MXM. Stream reads are
@@ -192,7 +252,7 @@ impl PlaneChainBuilder {
         &mut self,
         s: &mut Scheduler,
         feed: WeightFeed,
-        acts: &TensorHandle,
+        acts: ActFeed<'_>,
         rows: &[u32],
     ) {
         let plane = self.plane;
@@ -230,7 +290,7 @@ impl PlaneChainBuilder {
         // so t_abc must also wait until an output quad-stream group is free:
         // iterate to the fixed point (monotone, converges in a few steps).
         let (acts_stream, ready) = s.take_streams(to_mxm, 1, self.prev_iw_done, mxm);
-        let mut t_abc = s.earliest_read_arrival(acts, rows, to_mxm, mxm, ready);
+        let mut t_abc = acts.earliest_arrival(s, rows, to_mxm, mxm, ready);
         let acc_group = loop {
             // Row 0 is emitted at the MXM one cycle after the ACC dispatch.
             let t_emit = t_abc + u64::from(MXM_ARRAY_DELAY) + 1;
@@ -239,9 +299,15 @@ impl PlaneChainBuilder {
                 break StreamGroup::new(StreamId::new(base, from_mxm), 4);
             }
             let at = group_ready - u64::from(MXM_ARRAY_DELAY) - 1;
-            t_abc = s.earliest_read_arrival(acts, rows, to_mxm, mxm, at);
+            t_abc = acts.earliest_arrival(s, rows, to_mxm, mxm, at);
         };
-        s.read_rows(acts, rows, acts_stream[0], mxm, t_abc);
+        // Reserve the result group for real before the activation feed picks
+        // any stream of its own (a gather's map streams may flow `from_mxm`).
+        let t_acc = t_abc + u64::from(MXM_ARRAY_DELAY);
+        for stream in acc_group.streams() {
+            s.occupy_stream(stream, mxm, t_acc + 1 + n);
+        }
+        acts.stream_rows(s, rows, acts_stream[0], mxm, t_abc);
         s.place(
             IcuId::Mxm { plane, port: 1 },
             t_abc,
@@ -254,7 +320,6 @@ impl PlaneChainBuilder {
         self.prev_abc_end = t_abc + n;
 
         // ---- accumulate ----------------------------------------------------
-        let t_acc = t_abc + u64::from(MXM_ARRAY_DELAY);
         let mode = if self.passes_done == 0 {
             AccumulateMode::Overwrite
         } else {
@@ -270,9 +335,6 @@ impl PlaneChainBuilder {
                 mode,
             },
         );
-        for stream in acc_group.streams() {
-            s.occupy_stream(stream, mxm, t_acc + 1 + n);
-        }
         s.pool.occupy(plane_res, t_acc + n);
         self.passes_done += 1;
 
@@ -314,7 +376,7 @@ pub fn schedule_plane_chain(
     let mut builder = PlaneChainBuilder::new(s, plane, n, not_before);
     for pass in passes {
         let feed = stream_weights(s, pass.weights, plane.hemisphere(), builder.lw_floor());
-        builder.add_pass(s, feed, pass.acts, pass.rows);
+        builder.add_pass(s, feed, ActFeed::Read(pass.acts), pass.rows);
     }
     builder.finish()
 }

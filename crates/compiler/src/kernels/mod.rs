@@ -9,10 +9,10 @@ pub mod matmul;
 pub mod pool;
 
 pub use conv::{
-    alloc_feature_map, conv2d, conv_passes, emplace_conv_weights, ChunkPass, Conv2dParams,
-    ConvWeights, FeatureMap, RowSplit,
+    alloc_feature_map, conv2d, conv_passes, emplace_conv, emplace_conv_weights, taps_per_pass,
+    ChunkPass, Conv2dParams, ConvWeights, FeatureMap, RowSplit,
 };
 pub use elementwise::{binary_ew, binary_ew_replicated, copy, copy_replicated, unary_ew};
-pub use matmul::{matmul, MatmulOpts, WeightSet};
+pub use matmul::{lw_rows, matmul, ActFeed, MatmulOpts, WeightSet};
 pub use matmul::{schedule_plane_chain, schedule_requant_write, Int32Stream, Pass};
 pub use pool::{global_avg_pool, max_pool, MaxPoolParams};

@@ -64,6 +64,7 @@ pub fn max_pool(
         w: ow,
         c: input.c,
         pad: params.out_pad,
+        lane_copies: 1,
         parts: (0..input.kparts())
             .map(|kp| {
                 let cols = input.parts[kp][0].cols;

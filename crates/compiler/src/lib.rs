@@ -16,8 +16,9 @@
 //!   padding each queue needs;
 //! * [`kernels`] — the lowering templates: streamed copy, element-wise chains,
 //!   dense matmul on the MXM (with K/M/N splitting and requantize+ReLU
-//!   chaining through the VXM), conv2d (offset-accumulation and gather-packed
-//!   im2col), max/avg pooling, residual adds;
+//!   chaining through the VXM), conv2d (offset accumulation, row-split over
+//!   the planes, K-packed through MEM `Gather` where the channels leave room),
+//!   max/avg pooling, residual adds;
 //! * [`viz`] — schedule rendering (regenerates the paper's Fig. 11).
 //!
 //! Everything is scheduled against the same [`tsp_arch::TimeModel`] the

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use tsp_arch::{Direction, Hemisphere, Position, Slice, StreamId};
+use tsp_arch::{Direction, Hemisphere, Position, Slice, StreamId, Vector, SUPERLANES};
 use tsp_isa::{IcuOp, Instruction, MemAddr, MemOp};
 use tsp_sim::{IcuId, Program};
 
@@ -64,6 +64,42 @@ impl std::fmt::Display for ScheduleError {
 }
 
 impl std::error::Error for ScheduleError {}
+
+/// The address maps a MEM `Gather` of one tensor reads (see
+/// [`Scheduler::add_gather_map`]): one single-slice piece per block of the
+/// tensor, covering the rows a consumer gathers from it.
+#[derive(Debug, Clone)]
+pub struct GatherMap {
+    /// Map rows: row `i` carries, per superlane, the word address that
+    /// superlane fetches when data row `first_row + i` is gathered.
+    pub tensor: TensorHandle,
+    /// The data row map row 0 belongs to.
+    pub first_row: u32,
+}
+
+/// One `Gather` burst of [`Scheduler::gather_rows`]: consecutive entries of
+/// the row list that lie in one block (slice) of the data tensor.
+struct GatherRun<'a> {
+    /// Index of the run's first entry in the row list.
+    start: usize,
+    /// Rows of the map tensor to stream, one per gathered row.
+    map_rows: Vec<u32>,
+    map: &'a GatherMap,
+    /// The data slice.
+    slice: (Hemisphere, u8),
+}
+
+impl GatherRun<'_> {
+    fn position(&self) -> Position {
+        Slice::mem(self.slice.0, self.slice.1).position()
+    }
+
+    /// Maps live in the hemisphere opposite their data, so a map stream
+    /// flowing outward through the data's hemisphere always reaches it.
+    fn map_direction(&self) -> Direction {
+        Direction::outward_from(self.slice.0)
+    }
+}
 
 /// State captured by [`Scheduler::snapshot`].
 #[derive(Debug, Clone)]
@@ -118,17 +154,95 @@ impl Scheduler {
     /// Panics if SRAM is exhausted.
     pub fn add_constant(
         &mut self,
-        rows: Vec<tsp_arch::Vector>,
+        rows: Vec<Vector>,
         cols: u16,
         policy: crate::alloc::BankPolicy,
         max_block: u32,
     ) -> TensorHandle {
-        let handle = self
-            .alloc
-            .alloc(rows.len() as u32, cols, policy, max_block)
+        self.add_constant_in(None, &[], rows, cols, policy, max_block)
+    }
+
+    /// [`Scheduler::add_constant`] constrained to a hemisphere and keeping off
+    /// the slices in `avoid` — other tensors streamed at the same time, whose
+    /// queues the constant's reads would wait behind — unless only they have
+    /// room.
+    ///
+    /// # Panics
+    ///
+    /// Panics if SRAM is exhausted.
+    pub fn add_constant_in(
+        &mut self,
+        hemisphere: Option<Hemisphere>,
+        avoid: &[(Hemisphere, u8)],
+        rows: Vec<Vector>,
+        cols: u16,
+        policy: crate::alloc::BankPolicy,
+        max_block: u32,
+    ) -> TensorHandle {
+        let n = rows.len() as u32;
+        let alloc = &mut self.alloc;
+        let handle = alloc
+            .alloc_avoiding(hemisphere, n, cols, policy, max_block, avoid)
+            .or_else(|_| alloc.alloc_avoiding(hemisphere, n, cols, policy, max_block, &[]))
             .expect("SRAM exhausted for constant");
         self.constants.push((handle.clone(), rows));
         handle
+    }
+
+    /// Registers the gather map for rows `[first_row, first_row + count)` of
+    /// `tensor`, which must lie in one block: map row `i` makes lane group
+    /// `t < taps` (`group_lanes` lanes wide, whole superlanes) fetch data row
+    /// `first_row + i + t`, so one `Gather` yields `taps` consecutive rows
+    /// side by side — provided the tensor stores each row **lane-replicated**
+    /// (`x` again in every group), since a superlane only ever fetches its
+    /// own 16 lanes of a word. Groups past `taps`, and rows that would run
+    /// off the block, fetch the row itself. The map goes to the Low bank of
+    /// the hemisphere opposite the data (always upstream of it, the way
+    /// [`Scheduler::zero_stale`] sources its zeros), off the slices in
+    /// `avoid`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows straddle blocks or `group_lanes` is not a positive
+    /// multiple of 16.
+    pub fn add_gather_map(
+        &mut self,
+        tensor: &TensorHandle,
+        (first_row, count): (u32, u32),
+        (taps, group_lanes): (u32, u32),
+        avoid: &[(Hemisphere, u8)],
+    ) -> GatherMap {
+        assert!(
+            group_lanes > 0 && group_lanes.is_multiple_of(16),
+            "lane groups are whole superlanes"
+        );
+        let rpb = tensor.layout.rows_per_block;
+        let block_end = ((first_row / rpb + 1) * rpb).min(tensor.rows);
+        assert!(first_row + count <= block_end, "a gather reads one slice");
+        let rows = (first_row..first_row + count)
+            .map(|r| {
+                let mut map = Vector::ZERO;
+                for sl in 0..SUPERLANES as u32 {
+                    let t = sl * 16 / group_lanes;
+                    let src = if t < taps && r + t < block_end {
+                        r + t
+                    } else {
+                        r
+                    };
+                    let [lo, hi] = tensor.row(src).word.word().to_le_bytes();
+                    map.set_lane(2 * sl as usize, lo);
+                    map.set_lane(2 * sl as usize + 1, hi);
+                }
+                map
+            })
+            .collect();
+        let (hemisphere, _) = tensor.layout.slices().next().expect("tensor has a block");
+        let source = Some(hemisphere.opposite());
+        let policy = crate::alloc::BankPolicy::Low;
+        GatherMap {
+            tensor: self.add_constant_in(source, avoid, rows, 2 * SUPERLANES as u16, policy, count),
+            first_row,
+        }
     }
 
     /// The constants registered so far (host DMA writes these into chip
@@ -280,6 +394,155 @@ impl Scheduler {
             self.occupy_mem(h, s, dispatch + u64::from(run));
         }
         self.occupy_stream(stream, producer, t0 + u64::from(count));
+    }
+
+    /// Splits `rows` of `tensor` into [`GatherRun`]s over `maps`.
+    fn gather_runs<'a>(
+        tensor: &TensorHandle,
+        maps: &'a [GatherMap],
+        rows: &[u32],
+    ) -> Vec<GatherRun<'a>> {
+        let rpb = tensor.layout.rows_per_block;
+        let map_row = |map: &GatherMap, r: u32| {
+            r.checked_sub(map.first_row)
+                .filter(|&i| i < map.tensor.rows)
+                .unwrap_or_else(|| panic!("row {r} is outside its block's gather map"))
+        };
+        let mut runs: Vec<GatherRun<'a>> = Vec::new();
+        for (i, &r) in rows.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if rows[i - 1] / rpb == r / rpb => {
+                    run.map_rows.push(map_row(run.map, r));
+                }
+                _ => {
+                    let map = maps
+                        .iter()
+                        .find(|m| m.first_row / rpb == r / rpb)
+                        .expect("a gather map for every block read");
+                    let a = tensor.row(r);
+                    runs.push(GatherRun {
+                        start: i,
+                        map_rows: vec![map_row(map, r)],
+                        map,
+                        slice: (a.hemisphere, a.slice),
+                    });
+                }
+            }
+        }
+        runs
+    }
+
+    /// Like [`Scheduler::read_rows`], but every row is fetched with a MEM
+    /// `Gather` through `maps` (see [`Scheduler::add_gather_map`]): one
+    /// `Gather` + `Repeat` burst per block of `tensor` the rows visit, its
+    /// map rows `Read` from the map tensor onto a stream of their own so they
+    /// meet the burst at the data slice. Occupies the data slices' and the
+    /// map slices' queues — exactly what the simulator charges: a gather
+    /// takes its slice's single-issue queue for a cycle like a read — and
+    /// both streams.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Scheduler::read_rows`] does, or if no map stream is
+    /// free in time — `t0` must come from
+    /// [`Scheduler::earliest_gather_arrival`].
+    pub fn gather_rows(
+        &mut self,
+        tensor: &TensorHandle,
+        maps: &[GatherMap],
+        rows: &[u32],
+        stream: StreamId,
+        consumer: Position,
+        t0: u64,
+    ) {
+        // First, so that no map burst picks the gathered rows' own stream.
+        self.occupy_stream(stream, consumer, t0 + rows.len() as u64);
+        for run in Scheduler::gather_runs(tensor, maps, rows) {
+            let (pos, map_dir) = (run.position(), run.map_direction());
+            let delta = stream.direction.hops(pos, consumer).unwrap_or_else(|| {
+                panic!(
+                    "slice {pos} not upstream of {consumer} going {}",
+                    stream.direction
+                )
+            });
+            let dispatch = (t0 + run.start as u64)
+                .checked_sub(D_GATHER + u64::from(delta))
+                .expect("t0 too early: gather dispatch before cycle 0");
+            let (map_stream, ready) = self.take_streams(map_dir, 1, dispatch, pos);
+            assert!(ready <= dispatch, "no map stream free by cycle {dispatch}");
+            self.read_rows(&run.map.tensor, &run.map_rows, map_stream[0], pos, dispatch);
+            let icu = IcuId::Mem {
+                hemisphere: run.slice.0,
+                index: run.slice.1,
+            };
+            let op = MemOp::Gather {
+                stream,
+                map: map_stream[0],
+            };
+            self.place(icu, dispatch, op);
+            let n = run.map_rows.len();
+            if n > 1 {
+                self.place(
+                    icu,
+                    dispatch + 1,
+                    IcuOp::Repeat {
+                        n: (n - 1) as u16,
+                        d: 1,
+                    },
+                );
+            }
+            self.occupy_mem(run.slice.0, run.slice.1, dispatch + n as u64);
+        }
+    }
+
+    /// [`Scheduler::earliest_read_arrival`] for [`Scheduler::gather_rows`]:
+    /// the earliest `t0 ≥ not_before` at which every data slice, every map
+    /// slice and a map stream per burst are free in time. The streams are
+    /// asked for all at once, at the earliest map word's edge time, together
+    /// with the five that may be claimed from the same direction before the
+    /// maps are placed (the gathered rows' own stream, an MXM result group) —
+    /// a few cycles conservative, and only when streams are scarce.
+    #[must_use]
+    pub fn earliest_gather_arrival(
+        &self,
+        tensor: &TensorHandle,
+        maps: &[GatherMap],
+        rows: &[u32],
+        direction: Direction,
+        consumer: Position,
+        not_before: u64,
+    ) -> u64 {
+        let runs = Scheduler::gather_runs(tensor, maps, rows);
+        let mut t0 = not_before;
+        // Per run: its first map word leaves the chip at `t0 + start − lead +
+        // hops` (edge time, what stream reservations compare).
+        let mut edges = Vec::with_capacity(runs.len());
+        for run in &runs {
+            let (pos, map_dir) = (run.position(), run.map_direction());
+            let delta = direction.hops(pos, consumer).unwrap_or_else(|| {
+                panic!("slice {pos} not upstream of {consumer} going {direction}")
+            });
+            let lead = D_GATHER + u64::from(delta);
+            let free = self.mem_free(run.slice.0, run.slice.1);
+            let first_map =
+                self.earliest_read_arrival(&run.map.tensor, &run.map_rows, map_dir, pos, free);
+            t0 = t0.max((first_map + lead).saturating_sub(run.start as u64));
+            edges.push((run.start as u64 + edge_hops(map_dir, pos), lead));
+        }
+        let Some(run) = runs.first() else {
+            return t0;
+        };
+        let first_edge = edges
+            .iter()
+            .map(|&(ahead, lead)| t0 + ahead - lead)
+            .min()
+            .expect("at least one run");
+        let count = runs.len() as u8 + 5;
+        let at = first_edge.max(self.pool.floor());
+        let (_, ready) = self
+            .pool
+            .pick_streams_excluding(run.map_direction(), count, at, &[]);
+        t0 + (ready - first_edge)
     }
 
     /// Clears rows that kernels never write but rely on reading as zero (a

@@ -158,8 +158,9 @@ impl std::error::Error for AccessError {}
 #[derive(Debug, Clone)]
 pub struct MemSlice {
     banks: [Vec<Option<Arc<StoredVector>>>; 2],
-    /// Port-use tracking for the current cycle: (cycle, read_bank, write_bank).
-    last_access: Option<(u64, Option<u8>, Option<u8>)>,
+    /// Port-use tracking for the current cycle: (cycle, banks read, banks
+    /// written), each a bit mask (0 = port unused).
+    last_access: Option<(u64, u8, u8)>,
 }
 
 impl MemSlice {
@@ -264,36 +265,53 @@ impl MemSlice {
         *slot = Some(Arc::new(StoredVector::with_check(word.data, check)));
     }
 
-    /// A timed access: registers port/bank usage for `cycle` and returns the
-    /// word (for reads).
+    /// A timed direct access to the word at `addr`: registers port/bank usage
+    /// for `cycle`.
     ///
     /// # Errors
     ///
     /// Returns [`AccessError`] if this access conflicts with another access
     /// to the same slice in the same cycle (same bank, or same port).
     pub fn access(&mut self, cycle: u64, addr: MemAddr, is_write: bool) -> Result<(), AccessError> {
-        let bank = addr.bank();
-        let (read_bank, write_bank) = match self.last_access {
+        self.access_banks(cycle, 1 << addr.bank(), is_write)
+    }
+
+    /// A timed access touching every bank set in `banks` (bit `b` = bank
+    /// `b`): what a stream-indirect `Gather`/`Scatter` charges, whose
+    /// per-superlane addresses may straddle both banks. It takes one port
+    /// like a direct access and conflicts with a same-cycle access on the
+    /// other port to any of its banks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccessError`] as [`MemSlice::access`] does.
+    pub fn access_banks(
+        &mut self,
+        cycle: u64,
+        banks: u8,
+        is_write: bool,
+    ) -> Result<(), AccessError> {
+        let (read, write) = match self.last_access {
             Some((c, r, w)) if c == cycle => (r, w),
-            _ => (None, None),
+            _ => (0, 0),
         };
-        if is_write {
-            if write_bank.is_some() {
-                return Err(AccessError::PortConflict { cycle });
-            }
-            if read_bank == Some(bank) {
-                return Err(AccessError::BankConflict { bank, cycle });
-            }
-            self.last_access = Some((cycle, read_bank, Some(bank)));
+        let (mine, other) = if is_write {
+            (write, read)
         } else {
-            if read_bank.is_some() {
-                return Err(AccessError::PortConflict { cycle });
-            }
-            if write_bank == Some(bank) {
-                return Err(AccessError::BankConflict { bank, cycle });
-            }
-            self.last_access = Some((cycle, Some(bank), write_bank));
+            (read, write)
+        };
+        if mine != 0 {
+            return Err(AccessError::PortConflict { cycle });
         }
+        if other & banks != 0 {
+            let bank = (other & banks).trailing_zeros() as u8;
+            return Err(AccessError::BankConflict { bank, cycle });
+        }
+        self.last_access = Some(if is_write {
+            (cycle, read, banks)
+        } else {
+            (cycle, banks, write)
+        });
         Ok(())
     }
 }
@@ -540,6 +558,30 @@ mod tests {
         let mut s = MemSlice::new();
         s.access(10, addr(5), false).unwrap();
         s.access(10, addr(5).opposite_bank(), true).unwrap();
+    }
+
+    /// A gather charges the banks its map addresses: the other port may use
+    /// the other bank in the same cycle, not the same one; a map straddling
+    /// both banks leaves the write port nothing.
+    #[test]
+    fn indirect_access_charges_the_banks_it_touches() {
+        let high = 1u8 << addr(4096).bank();
+        let mut s = MemSlice::new();
+        s.access_banks(7, high, false).unwrap();
+        s.access(7, addr(5), true).unwrap();
+        let mut s = MemSlice::new();
+        s.access_banks(7, high, false).unwrap();
+        assert!(matches!(
+            s.access(7, addr(4100), true),
+            Err(AccessError::BankConflict { bank: 1, cycle: 7 })
+        ));
+        let mut s = MemSlice::new();
+        s.access_banks(7, 0b11, false).unwrap();
+        assert!(s.access(7, addr(5), true).is_err());
+        assert!(matches!(
+            s.access_banks(7, high, false),
+            Err(AccessError::PortConflict { cycle: 7 })
+        ));
     }
 
     #[test]

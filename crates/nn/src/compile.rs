@@ -11,6 +11,11 @@
 //!   consumers will stream concurrently (extra `Write`s tapping one stream;
 //!   see the kernels' docs). Max pool wants k² copies, a conv one per plane
 //!   (each of its row-split chains streams its own copy).
+//! * **Lane replication** — a conv whose every consumer is a conv that packs
+//!   `G > 1` taps into one MXM pass writes each output row as `G` copies side
+//!   by side (its weights tiled `G×` along M — the same 320×320 pass), which
+//!   is what lets the consumers fetch `G` adjacent rows with one `Gather`
+//!   (`tsp_compiler::kernels::conv`, "K-packing").
 //! * **First-layer im2col** — a conv whose input is the network input and
 //!   whose patch (`k²·c_in`) fits one 320-lane pass is lowered as a dense
 //!   matmul over host-prepared im2col rows: a single-pass caller of the same
@@ -27,10 +32,10 @@ use std::sync::Arc;
 
 use tsp_arch::{Hemisphere, Vector};
 use tsp_compiler::alloc::BankPolicy;
-use tsp_compiler::kernels::conv::alloc_feature_map;
+use tsp_compiler::kernels::conv::{alloc_feature_map, group_lanes};
 use tsp_compiler::kernels::{
-    conv2d, conv_passes, global_avg_pool, matmul, max_pool, ChunkPass, Conv2dParams, ConvWeights,
-    FeatureMap, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
+    conv2d, conv_passes, emplace_conv, global_avg_pool, lw_rows, matmul, max_pool, taps_per_pass,
+    ActFeed, ChunkPass, Conv2dParams, FeatureMap, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
 };
 use tsp_compiler::{Scheduler, TensorHandle};
 use tsp_isa::BinaryAluOp;
@@ -266,24 +271,6 @@ fn hemi(i: usize) -> Hemisphere {
     }
 }
 
-/// LW-order serialization of a `[m ≤ 320] × [k ≤ 320]` int8 block.
-fn lw_rows(get: impl Fn(u32, u32) -> i8, mrows: u32, kcols: u32) -> Vec<Vector> {
-    let mut rows = Vec::with_capacity(320);
-    for j in 0..16u32 {
-        for r in 0..20u32 {
-            let m = 16 * r + j;
-            let mut v = Vector::ZERO;
-            if m < mrows {
-                for lane in 0..kcols {
-                    v.set_lane(lane as usize, get(m, lane) as u8);
-                }
-            }
-            rows.push(v);
-        }
-    }
-    rows
-}
-
 /// Emplaces dense weights (`w[out][in]`) as a [`WeightSet`].
 fn emplace_dense(s: &mut Scheduler, q: &QDense, replicas: u8) -> WeightSet {
     let kparts = q.inp.div_ceil(320) as usize;
@@ -297,9 +284,13 @@ fn emplace_dense(s: &mut Scheduler, q: &QDense, replicas: u8) -> WeightSet {
             let m0 = mp as u32 * 320;
             let mrows = (q.out - m0).min(320);
             let rows = lw_rows(
-                |m, lane| q.w[((m0 + m) * q.inp + k0 + lane) as usize],
+                |m, row| {
+                    for lane in 0..kcols {
+                        let w = q.w[((m0 + m) * q.inp + k0 + lane) as usize];
+                        row.set_lane(lane as usize, w as u8);
+                    }
+                },
                 mrows,
-                kcols,
             );
             let reps: Vec<TensorHandle> = (0..replicas.max(1))
                 .map(|_| s.add_constant(rows.clone(), kcols as u16, BankPolicy::Low, 20))
@@ -315,56 +306,12 @@ fn emplace_dense(s: &mut Scheduler, q: &QDense, replicas: u8) -> WeightSet {
     }
 }
 
-/// Emplaces conv weights as per-(offset, kpart, mpart) handles.
-fn emplace_conv(s: &mut Scheduler, q: &QConv) -> ConvWeights {
-    let kparts = q.ci.div_ceil(320) as usize;
-    let mparts = q.co.div_ceil(320) as usize;
-    let mut passes = Vec::with_capacity((q.k * q.k) as usize);
-    for dy in 0..q.k {
-        for dx in 0..q.k {
-            let mut per_kpart = Vec::with_capacity(kparts);
-            for kp in 0..kparts {
-                let k0 = kp as u32 * 320;
-                let kcols = (q.ci - k0).min(320);
-                let mut per_mpart = Vec::with_capacity(mparts);
-                for mp in 0..mparts {
-                    let m0 = mp as u32 * 320;
-                    let mrows = (q.co - m0).min(320);
-                    let rows = lw_rows(
-                        |m, lane| {
-                            q.w[((((m0 + m) * q.ci + k0 + lane) * q.k + dy) * q.k + dx) as usize]
-                        },
-                        mrows,
-                        kcols,
-                    );
-                    per_mpart.push(vec![s.add_constant(
-                        rows,
-                        kcols as u16,
-                        BankPolicy::Low,
-                        20,
-                    )]);
-                }
-                per_kpart.push(per_mpart);
-            }
-            passes.push(per_kpart);
-        }
-    }
-    ConvWeights {
-        kernel: q.k,
-        c_in: q.ci,
-        c_out: q.co,
-        passes,
-    }
-}
-
 /// Replicas each node's output needs, from its consumers.
 fn replica_plan(q: &QuantGraph) -> Vec<u8> {
     let n = q.graph.nodes.len();
     let mut reps = vec![1u8; n];
     for node in &q.graph.nodes {
         let need: u8 = match &node.op {
-            // One per plane: a conv's chains — row chunks times M-splits —
-            // keep all four planes streaming at once.
             // One per plane: a conv's chains (row chunks × M-splits) keep all
             // four planes streaming at once, each from its own copy.
             Op::Conv(_) => 4,
@@ -397,6 +344,32 @@ fn pad_plan(q: &QuantGraph) -> Vec<u32> {
     pads
 }
 
+/// The lane copies each node's output holds (see [`FeatureMap::lane_copies`]):
+/// a conv all of whose consumers are convs packing `G > 1` taps per pass
+/// writes the largest such `G`; everything else — pools, adds, the host-written
+/// input, a conv with any other reader — writes one.
+fn lane_plan(q: &QuantGraph, shapes: &[Shape]) -> Vec<u32> {
+    let nodes = &q.graph.nodes;
+    let mut copies = vec![0u32; nodes.len()];
+    let mut packed_only = vec![true; nodes.len()];
+    for node in nodes {
+        for &inp in &node.inputs {
+            let taps = match (&node.op, shapes[inp]) {
+                (Op::Conv(spec), Shape::Map { c, .. }) => taps_per_pass(spec.k, c),
+                _ => 1,
+            };
+            copies[inp] = copies[inp].max(taps);
+            packed_only[inp] &= taps > 1;
+        }
+    }
+    (0..nodes.len())
+        .map(|i| match nodes[i].op {
+            Op::Conv(_) if packed_only[i] => copies[i].max(1),
+            _ => 1,
+        })
+        .collect()
+}
+
 /// Compiles a quantized graph to a TSP program.
 ///
 /// # Panics
@@ -408,6 +381,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
     let shapes = q.graph.shapes();
     let pads = pad_plan(q);
     let reps = replica_plan(q);
+    let lanes = lane_plan(q, &shapes);
     let mut lowered: Vec<Option<Lowered>> = Vec::with_capacity(q.graph.nodes.len());
     // Remaining-consumer counts, for freeing dead activations.
     let mut remaining: Vec<usize> = vec![0; q.graph.nodes.len()];
@@ -464,15 +438,41 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                     let Shape::Map { h, w, c } = shapes[0] else {
                         panic!()
                     };
-                    let (fm, kind) =
-                        compile_im2col_conv(&mut s, &q.conv[&i], spec, (h, w, c), &params);
+                    let (fm, kind) = compile_im2col_conv(
+                        &mut s,
+                        &q.conv[&i],
+                        spec,
+                        (h, w, c),
+                        lanes[i],
+                        &params,
+                    );
                     input_kind = Some(kind);
                     Some(Lowered::Map(fm))
                 } else {
                     let Some(Lowered::Map(input)) = &lowered[node.inputs[0]] else {
                         panic!("conv input not a map at {}", node.name)
                     };
-                    let weights = emplace_conv(&mut s, &q.conv[&i]);
+                    let qc = &q.conv[&i];
+                    let taps = taps_per_pass(qc.k, qc.ci).min(input.lane_copies);
+                    // A K-packed conv has three passes where it had nine, so a
+                    // weight block queued behind an activation burst costs it
+                    // a third of the layer: its weights keep off its input's
+                    // slices. (Every conv would gain — EXPERIMENTS.md, "The
+                    // throughput gap" — but that moves every compiled program
+                    // and is its own change.)
+                    let input_slices = (input.parts.iter().flatten())
+                        .flat_map(|t| t.layout.slices())
+                        .collect();
+                    let keep_off: Vec<_> = if taps > 1 { input_slices } else { Vec::new() };
+                    let weights = emplace_conv(
+                        &mut s,
+                        (qc.k, qc.ci, qc.co),
+                        (taps, lanes[i]),
+                        (1, &keep_off),
+                        |co, ci, dy, dx| {
+                            qc.w[(((co * qc.ci + ci) * qc.k + dy) * qc.k + dx) as usize]
+                        },
+                    );
                     let (fm, _) = conv2d(&mut s, input, &weights, &params);
                     Some(Lowered::Map(fm))
                 }
@@ -556,6 +556,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                         Shape::Flat { .. } => unreachable!(),
                     },
                     pad: a.pad,
+                    lane_copies: 1,
                     parts,
                 }))
             }
@@ -698,6 +699,7 @@ fn compile_im2col_conv(
     qc: &QConv,
     spec: &crate::graph::ConvSpec,
     (h, w, c): (u32, u32, u32),
+    lane_copies: u32,
     params: &Conv2dParams,
 ) -> (FeatureMap, InputKind) {
     let k = qc.k;
@@ -705,17 +707,25 @@ fn compile_im2col_conv(
     let ow = (w + 2 * spec.pad - k) / spec.stride + 1;
     let kdim = k * k * c; // ≤ 320, checked by the caller
     assert!(qc.co <= 320, "im2col path supports c_out ≤ 320");
-    let split = RowSplit::new(oh, ow, params.out_pad, 4);
+    let split = RowSplit::new(oh, ow, params.out_pad, 4, lane_copies > 1);
 
-    // LW-order weights, K lanes ordered (ky·k + kx)·c_in + ci.
+    // LW-order weights, K lanes ordered (ky·k + kx)·c_in + ci, the output
+    // channels repeated `lane_copies` times along M.
+    let out_group = group_lanes(qc.co);
     let wrows = lw_rows(
-        |m, lane| {
-            let (off, ci) = (lane / c, lane % c);
-            let (ky, kx) = (off / k, off % k);
-            qc.w[(((m * qc.ci + ci) * qc.k + ky) * qc.k + kx) as usize]
+        |m, row| {
+            let co = m % out_group;
+            if co >= qc.co {
+                return; // the lanes between two copies
+            }
+            for lane in 0..kdim {
+                let (off, ci) = (lane / c, lane % c);
+                let (ky, kx) = (off / k, off % k);
+                let w = qc.w[(((co * qc.ci + ci) * qc.k + ky) * qc.k + kx) as usize];
+                row.set_lane(lane as usize, w as u8);
+            }
         },
-        qc.co,
-        kdim,
+        (lane_copies - 1) * out_group + qc.co,
     );
     // Per chunk: a weight copy and a patch tensor, all slice-disjoint so the
     // four chains' reads never queue behind one another.
@@ -736,10 +746,11 @@ fn compile_im2col_conv(
         .collect();
     let pass = |_mpart: usize, _pass: usize, ci: usize| ChunkPass {
         weights: &copies[ci],
-        acts: &patches[ci],
+        acts: ActFeed::Read(&patches[ci]),
         rows: (0..patches[ci].rows).collect(),
     };
-    let (fm, _) = conv_passes(s, (oh, ow, qc.co), &split, 1, &pass, params);
+    let (mut fm, _) = conv_passes(s, (oh, ow, qc.co), &split, 1, &pass, params);
+    fm.lane_copies = lane_copies;
 
     let kind = InputKind::Im2col {
         pixels: split.chunks.into_iter().map(|c| c.pixels).collect(),

@@ -1177,9 +1177,24 @@ impl Chip {
         data: Vector,
         ctx: &mut RunCtx,
     ) {
+        self.produce_checked(stream, pos, t_eff, data, None, ctx);
+    }
+
+    /// [`Chip::produce`] of a vector assembled from stored words: `check` of
+    /// `Some` carries their stored check bits, which may disagree with the
+    /// data (a latent error travelling on to the consumer's check).
+    fn produce_checked(
+        &mut self,
+        stream: StreamId,
+        pos: Position,
+        t_eff: Cycle,
+        data: Vector,
+        check: Option<[u16; SUPERLANES]>,
+        ctx: &mut RunCtx,
+    ) {
         ctx.bandwidth.record(Traffic::Stream, 320);
         ctx.last_effect = ctx.last_effect.max(t_eff);
-        self.streams.write_owned(stream, pos, t_eff, data, None);
+        self.streams.write_owned(stream, pos, t_eff, data, check);
         ctx.stream_level(self.streams.live_count());
     }
 
@@ -1262,35 +1277,62 @@ impl Chip {
                 ctx.last_effect = ctx.last_effect.max(t + d_func);
             }
             MemOp::Gather { stream, map } => {
+                // The map is consumed on every path (the stream contract is
+                // checked, and its addresses pick the banks the port charges).
                 let map_vec = self.read_consume(icu, *map, pos, t, ctx.functional)?;
-                let slice = self.memory.slice_mut(hemisphere, index);
-                // Modeled as a full-slice read for port accounting.
-                slice
-                    .access(t, tsp_isa::MemAddr::new(0), false)
+                let addrs = map_addresses(&map_vec);
+                self.memory
+                    .slice_mut(hemisphere, index)
+                    .access_banks(t, bank_mask(&addrs), false)
                     .map_err(|error| SimError::Memory { error, icu })?;
-                let mut out = Vector::ZERO;
-                for s in 0..SUPERLANES {
-                    let a =
-                        u16::from_le_bytes([map_vec.lane(2 * s), map_vec.lane(2 * s + 1)]) & 0x1FFF;
-                    if let Some(word) = slice.peek_ref(tsp_isa::MemAddr::new(a)) {
-                        out.superlane_mut(s).copy_from_slice(word.data.superlane(s));
-                    }
-                }
                 ctx.bandwidth.record(Traffic::SramRead, 320);
                 ctx.note(t, icu, ActivityKind::MemGather, self.active_lanes());
-                self.produce(*stream, pos, t + d_func, out, ctx);
+                if !ctx.functional {
+                    if ctx.counters {
+                        ctx.telemetry.mem_reads_pristine += 1;
+                    }
+                    self.produce_zero(*stream, pos, t + d_func, ctx);
+                    return Ok(());
+                }
+                // Like `Read`, forward every superlane's *stored* check bits:
+                // a latent error under a gathered word reaches the consumer's
+                // check instead of being re-encoded as clean data.
+                let slice = self.memory.slice(hemisphere, index);
+                let mut out = Vector::ZERO;
+                let mut suspect: Vec<(usize, u16)> = Vec::new();
+                for (s, &addr) in addrs.iter().enumerate() {
+                    if let Some(word) = slice.peek_ref(addr) {
+                        out.superlane_mut(s).copy_from_slice(word.data.superlane(s));
+                        if !word.is_pristine() {
+                            suspect.push((s, word.check()[s]));
+                        }
+                    }
+                }
+                let check = (!suspect.is_empty()).then(|| {
+                    let mut check = tsp_mem::slice::StoredVector::protect(out.clone()).check();
+                    for &(s, stored) in &suspect {
+                        check[s] = stored;
+                    }
+                    check
+                });
+                if ctx.counters {
+                    if check.is_none() {
+                        ctx.telemetry.mem_reads_pristine += 1;
+                    } else {
+                        ctx.telemetry.mem_reads_verified += 1;
+                    }
+                }
+                self.produce_checked(*stream, pos, t + d_func, out, check, ctx);
             }
             MemOp::Scatter { stream, map } => {
                 let data = self.read_consume(icu, *stream, pos, t, ctx.functional)?;
                 let map_vec = self.read_consume(icu, *map, pos, t, ctx.functional)?;
+                let addrs = map_addresses(&map_vec);
                 let slice = self.memory.slice_mut(hemisphere, index);
                 slice
-                    .access(t, tsp_isa::MemAddr::new(0), true)
+                    .access_banks(t, bank_mask(&addrs), true)
                     .map_err(|error| SimError::Memory { error, icu })?;
-                for s in 0..SUPERLANES {
-                    let a =
-                        u16::from_le_bytes([map_vec.lane(2 * s), map_vec.lane(2 * s + 1)]) & 0x1FFF;
-                    let addr = tsp_isa::MemAddr::new(a);
+                for (s, &addr) in addrs.iter().enumerate() {
                     let stored = slice.peek(addr);
                     let prior_check = if stored.is_pristine() {
                         None
@@ -1823,6 +1865,20 @@ fn repeat_iteration(
         }),
         other => other.clone(),
     })
+}
+
+/// The per-superlane word addresses a `Gather`/`Scatter` map vector carries
+/// (one little-endian `u16` per superlane, masked to the 13-bit space).
+fn map_addresses(map: &Vector) -> [tsp_isa::MemAddr; SUPERLANES] {
+    std::array::from_fn(|s| {
+        let a = u16::from_le_bytes([map.lane(2 * s), map.lane(2 * s + 1)]) & 0x1FFF;
+        tsp_isa::MemAddr::new(a)
+    })
+}
+
+/// The SRAM banks a set of word addresses touches, as a bit mask.
+fn bank_mask(addrs: &[tsp_isa::MemAddr]) -> u8 {
+    addrs.iter().fold(0, |mask, a| mask | 1 << a.bank())
 }
 
 /// Checks an instruction landed on a queue whose slice can execute it.

@@ -215,16 +215,20 @@ fn repeat_streams_consecutive_addresses() {
     }
 }
 
-/// Gather assembles per-superlane words via a stream-carried address map.
-#[test]
-fn gather_indirect_read() {
+/// A gather fixture: MEM_W3 words 100..108 hold distinct fills, MEM_W5 word
+/// 0 a map making superlane `s` fetch word `100 + s % 8`; the program
+/// gathers once and commits the result (through a VXM mask) to MEM_E0 word 0.
+fn gather_fixture() -> (Chip, Program) {
+    gather_fixture_with(true)
+}
+
+/// [`gather_fixture`], optionally without the `Read` that streams the map.
+fn gather_fixture_with(map_read: bool) -> (Chip, Program) {
     let mut chip = Chip::new(ChipConfig::asic());
-    // Data words 0..8 hold distinct fill values in MEM_W3.
     for w in 0..8u16 {
         chip.memory
             .write(ga(Hemisphere::West, 3, 100 + w), Vector::splat(w as u8 + 1));
     }
-    // Address map: superlane s reads word 100 + (s % 8); stored in MEM_W5.
     let mut map = Vector::ZERO;
     for s in 0..20usize {
         let a = (100 + (s % 8) as u16).to_le_bytes();
@@ -235,10 +239,12 @@ fn gather_indirect_read() {
 
     let mut p = Program::new();
     // MEM_W5 (pos 40) sends the map east; MEM_W3 (pos 42) gathers with it.
-    p.builder(mem_icu(Hemisphere::West, 5)).push(MemOp::Read {
-        addr: MemAddr::new(0),
-        stream: StreamId::east(7),
-    });
+    if map_read {
+        p.builder(mem_icu(Hemisphere::West, 5)).push(MemOp::Read {
+            addr: MemAddr::new(0),
+            stream: StreamId::east(7),
+        });
+    }
     // Map value at pos 40 at cycle 5 → at pos 42 (MEM_W3) at cycle 7.
     p.builder(mem_icu(Hemisphere::West, 3)).push_at(
         7,
@@ -266,7 +272,11 @@ fn gather_indirect_read() {
             stream: StreamId::east(9),
         },
     );
-    chip.run(&p, &RunOptions::default()).expect("run");
+    (chip, p)
+}
+
+/// Superlane `s` of the fixture's result holds fill `s % 8 + 1`.
+fn assert_gathered(chip: &Chip) {
     let got = chip.memory.read_unchecked(ga(Hemisphere::East, 0, 0));
     for s in 0..20usize {
         let expect = (s % 8) as u8 + 1;
@@ -276,6 +286,79 @@ fn gather_indirect_read() {
             got.superlane(s)
         );
     }
+}
+
+/// Gather assembles per-superlane words via a stream-carried address map.
+#[test]
+fn gather_indirect_read() {
+    let (mut chip, p) = gather_fixture();
+    let report = chip.run(&p, &RunOptions::default()).expect("run");
+    assert_gathered(&chip);
+    // The map read and the gather both forwarded pristine words.
+    assert_eq!(report.telemetry.mem_reads_pristine, 2);
+    assert_eq!(report.telemetry.mem_reads_verified, 0);
+}
+
+/// Gather forwards each superlane's *stored* check bits: a latent single-bit
+/// error under a gathered superlane is corrected by the consumer, one in a
+/// superlane the gather does not fetch never reaches it, and a double-bit
+/// error is detected — none is re-encoded as clean data.
+#[test]
+fn gather_forwards_latent_sram_errors_to_the_consumer() {
+    // Word 103 is fetched by superlanes 3, 11 and 19.
+    let slice = |chip: &mut Chip, lane: usize, bit: u8| {
+        chip.memory
+            .slice_mut(Hemisphere::West, 3)
+            .inject_fault(MemAddr::new(103), lane, bit);
+    };
+    let (mut chip, p) = gather_fixture();
+    slice(&mut chip, 3 * 16 + 2, 6);
+    let report = chip.run(&p, &RunOptions::default()).expect("corrected");
+    assert_gathered(&chip);
+    assert_eq!(report.ecc_corrected, 1);
+    assert_eq!(report.telemetry.mem_reads_verified, 1);
+
+    let (mut chip, p) = gather_fixture();
+    slice(&mut chip, 4 * 16 + 2, 6);
+    let report = chip.run(&p, &RunOptions::default()).expect("clean");
+    assert_gathered(&chip);
+    assert_eq!(report.ecc_corrected, 0, "superlane 4 fetches word 104");
+    assert_eq!(
+        report.telemetry.mem_reads_verified, 1,
+        "word 103 is suspect"
+    );
+
+    let (mut chip, p) = gather_fixture();
+    slice(&mut chip, 11 * 16, 0);
+    slice(&mut chip, 11 * 16 + 5, 3);
+    let error = chip.run(&p, &RunOptions::default()).unwrap_err();
+    assert!(matches!(error, SimError::Ecc { .. }), "{error}");
+}
+
+/// A timing-only gather does no functional work — it produces the shared
+/// zero word — yet still consumes its map (the stream contract is checked)
+/// and moves every timing observable exactly as a functional run does.
+#[test]
+fn timing_only_gather_produces_zero_and_keeps_time() {
+    let (mut chip, p) = gather_fixture();
+    let functional = chip.run(&p, &RunOptions::default()).expect("run");
+    let (mut chip, p) = gather_fixture();
+    let options = RunOptions {
+        functional: false,
+        ..RunOptions::default()
+    };
+    let timing = chip.run(&p, &options).expect("run");
+    assert!(chip
+        .memory
+        .read_unchecked(ga(Hemisphere::East, 0, 0))
+        .is_zero());
+    assert_eq!(timing.cycles, functional.cycles);
+    assert_eq!(timing.telemetry, functional.telemetry);
+
+    // Without its map the gather faults on either path.
+    let (mut chip, p) = gather_fixture_with(false);
+    let error = chip.run(&p, &options).unwrap_err();
+    assert!(matches!(error, SimError::EmptyStreamRead { .. }), "{error}");
 }
 
 /// SXM shift: a vector detours through the switch and comes back shifted.

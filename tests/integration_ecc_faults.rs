@@ -123,3 +123,123 @@ fn planned_faults_replay_through_run_options() {
     ));
     assert_eq!(copied, Vector::splat(0x5A));
 }
+
+/// A net whose second conv is K-packed: a 3×3 stem (64 channels, written as
+/// three lane copies) feeding a 3×3 conv that fetches its activations with
+/// MEM `Gather`. Layers are fenced, so a fault planned at the stem's last
+/// cycle strikes a finished activation word before any gather reads it.
+/// Returns the model, a quantized image, and the plan flipping `flips`
+/// `(lane, bit)`s of the stem's pixel (1, 1) in the replica chunk 0 gathers.
+fn packed_conv_with_struck_activation(
+    flips: &[(u16, u8)],
+) -> (tsp::nn::CompiledModel, Vec<i8>, FaultPlan) {
+    use tsp::nn::compile::Probe;
+    use tsp::nn::graph::{ConvW, DenseW};
+    use tsp::nn::{quantize, ConvSpec, Graph, Op, Params};
+
+    let mut g = Graph::with_input(12, 12, 3);
+    let mut params = Params::default();
+    let ramp = |n: u32| {
+        (0..n)
+            .map(|i| ((i * 37 % 101) as f32 - 50.0) / 400.0)
+            .collect()
+    };
+    for (name, ci, co) in [("stem", 3, 64), ("packed", 64, 32)] {
+        let spec = ConvSpec {
+            c_out: co,
+            k: 3,
+            stride: 1,
+            pad: 1,
+            relu: true,
+        };
+        let id = g.push(Op::Conv(spec), vec![g.nodes.len() - 1], name);
+        let w = ramp(co * ci * 9);
+        params.conv.insert(id, ConvW { w, co, ci, k: 3 });
+    }
+    let gap = g.push(Op::GlobalAvgPool, vec![2], "gap");
+    let fc = g.push(
+        Op::Dense {
+            out: 5,
+            relu: false,
+        },
+        vec![gap],
+        "fc",
+    );
+    let w = ramp(5 * 32);
+    params.dense.insert(fc, DenseW { w, out: 5, inp: 32 });
+
+    let data = tsp::nn::data::synthetic(5, 12, 12, 3, 2, 2);
+    let q = quantize(&g, &params, &data.images[..2]);
+    let model = compile(&q, &CompileOptions { overlap: false });
+    let Probe::Map { w, pad, parts, .. } = &model.probes[1] else {
+        panic!("the stem writes a feature map")
+    };
+    let struck = parts[0].row((1 + pad) * (w + 2 * pad) + 1 + pad);
+    let events = flips.iter().map(|&(lane, bit)| FaultEvent {
+        cycle: model.layer_spans[1].end,
+        kind: FaultKind::SramData {
+            hemisphere: struck.hemisphere,
+            slice: struck.slice,
+            word: struck.word.word(),
+            lane,
+            bit,
+        },
+    });
+    let plan = FaultPlan::from_events(0, events.collect());
+    (model, q.quantize_image(&data.images[0]), plan)
+}
+
+/// `Gather` forwards the stored check bits of every superlane it assembles,
+/// so a single-bit upset under a gathered word is corrected by the consumer
+/// (the MXM) — not laundered into freshly encoded, silently wrong data.
+#[test]
+fn single_bit_fault_under_a_gathered_word_is_corrected() {
+    use tsp::nn::{run_resilient, ResilientOptions};
+    // Lane 70: superlane 4, i.e. the second lane copy of channel 6.
+    let (model, image, plan) = packed_conv_with_struck_activation(&[(70, 5)]);
+    let config = ChipConfig::asic();
+    let clean = run_resilient(&model, &config, &image, &ResilientOptions::default()).unwrap();
+    let struck = run_resilient(
+        &model,
+        &config,
+        &image,
+        &ResilientOptions {
+            attempt_faults: vec![plan],
+            ..ResilientOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!((struck.attempts, struck.faults_applied), (1, 1));
+    assert!(struck.corrected >= 1, "the gathered word's upset is logged");
+    assert_eq!(clean.telemetry.mem_reads_verified, 0);
+    assert!(
+        struck.telemetry.mem_reads_verified >= 1,
+        "a gather verified"
+    );
+    assert_eq!(struck.logits(), clean.logits(), "logits unchanged");
+}
+
+/// Two flips in one superlane of a gathered word are detected at the
+/// consumer; the host retries from weights and completes.
+#[test]
+fn double_bit_fault_under_a_gathered_word_is_detected_and_retried() {
+    use tsp::nn::resilient::TransientKind;
+    use tsp::nn::{run_resilient, ResilientOptions};
+    let (model, image, plan) = packed_conv_with_struck_activation(&[(70, 5), (71, 0)]);
+    let config = ChipConfig::asic();
+    let clean = run_resilient(&model, &config, &image, &ResilientOptions::default()).unwrap();
+    let struck = run_resilient(
+        &model,
+        &config,
+        &image,
+        &ResilientOptions {
+            attempt_faults: vec![plan],
+            ..ResilientOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!((struck.attempts, struck.detected), (2, 1));
+    assert_eq!(struck.retry_causes[0].kind, TransientKind::Ecc);
+    assert!(struck.retry_causes[0].cycle > model.layer_spans[1].end);
+    assert_eq!(struck.logits(), clean.logits(), "the retry completes clean");
+}
