@@ -33,10 +33,8 @@ fn main() {
 
     let energy = EnergyModel::default();
     let clock = 900e6;
-    let spans: Vec<(u64, u64)> = model
-        .layer_spans
-        .iter()
-        .map(|s| (s.start, s.end.max(s.start + 1)))
+    let spans: Vec<(u64, u64)> = (model.layer_spans.iter())
+        .map(|s| (s.start, s.end))
         .collect();
     let watts = energy.span_watts(report.trace.events(), &spans, clock);
 
@@ -53,7 +51,10 @@ fn main() {
     println!("{:<14} {:>10} {:>8}  power", "layer", "cycles", "watts");
     let wmax = watts.iter().cloned().fold(0.0f64, f64::max);
     for (span, w) in model.layer_spans.iter().zip(&watts) {
-        if span.end <= span.start {
+        // No cycles of its own (the input; an add fused into its conv): no
+        // power to average.
+        if span.end == span.start {
+            println!("{:<14} {:>10} {:>8}", span.name, 0, "-");
             continue;
         }
         let bar = "#".repeat((w / wmax * 40.0) as usize);

@@ -177,15 +177,20 @@ fn main() {
         );
         for s in &report.layers {
             let t = &s.telemetry;
-            let lc = s.cycles().max(1);
+            // Rates of a zero-width layer (the input; an add fused into its
+            // conv) are undefined, not zero.
+            let per_cycle = |n: u64, scale: f64, decimals: usize| match s.cycles() {
+                0 => "-".to_string(),
+                lc => format!("{:.decimals$}", scale * n as f64 / lc as f64),
+            };
             println!(
-                "{:<22} {:>9} {:>6.1} {:>8} {:>9.3} {:>6.1} {:>10} {:>10}",
+                "{:<22} {:>9} {:>6.1} {:>8} {:>9} {:>6} {:>10} {:>10}",
                 s.name,
                 s.cycles(),
                 100.0 * s.cycles() as f64 / cycles.max(1) as f64,
                 t.macc_waves(),
-                t.macc_waves() as f64 / lc as f64,
-                100.0 * t.macc_waves() as f64 / (4 * lc) as f64,
+                per_cycle(t.macc_waves(), 1.0, 3),
+                per_cycle(t.macc_waves(), 25.0, 1),
                 t.vxm_issue_total(),
                 t.sram_accesses(),
             );

@@ -38,6 +38,13 @@
 //! that lowering; [`conv2d`] feeds it shifted rows of a feature map, and the
 //! first-layer im2col path of `tsp-nn` feeds it host-prepared patch rows.
 //!
+//! **Residual tail.** Given a shortcut map of the output's geometry
+//! ([`conv2d_add`]), each chain adds its own chunk's rows of it between
+//! requantize and ReLU — a ResNet block's `add + relu` without the conv's
+//! result ever visiting SRAM on its own. The chain reads those rows in step
+//! with its results, so the shortcut shares no slice with anything else the
+//! conv streams.
+//!
 //! Each output block is allocated **after** its chain's write time is known,
 //! on slices whose ports are free by then (see
 //! [`Scheduler::try_alloc_for_write`]): stream-dictated writes can then never
@@ -49,7 +56,7 @@ use tsp_isa::Plane;
 use crate::alloc::BankPolicy;
 use crate::kernels::matmul::{
     lw_rows, schedule_requant_write, stream_weights, ActFeed, DstSegments, OutOfPorts, OutSpec,
-    PlaneChainBuilder,
+    PlaneChainBuilder, Shortcut,
 };
 use crate::sched::{GatherMap, Scheduler};
 use crate::tensor::TensorHandle;
@@ -119,6 +126,17 @@ impl FeatureMap {
     #[must_use]
     pub fn kparts(&self) -> usize {
         self.parts.len()
+    }
+
+    /// Every MEM slice holding any part or replica of the map.
+    pub fn slices(&self) -> impl Iterator<Item = (Hemisphere, u8)> + '_ {
+        (self.parts.iter().flatten()).flat_map(|t| t.layout.slices())
+    }
+
+    /// The slices a conv adding this map as its shortcut streams from: the
+    /// first replica of every part (see [`conv_passes`]).
+    pub fn shortcut_slices(&self) -> impl Iterator<Item = (Hemisphere, u8)> + '_ {
+        (self.parts.iter()).flat_map(|reps| reps[0].layout.slices())
     }
 
     /// The interior as write segments: one `(first_row, w)` run per pixel row.
@@ -360,17 +378,34 @@ pub struct ChunkPass<'a> {
 /// map (its `lane_copies` 1: a caller whose weights replicate the channels
 /// says so) and the completion cycle.
 ///
+/// With a `shortcut` — a map of the output's own geometry — every chain adds
+/// the shortcut's rows of its chunk (saturating) between requantize and ReLU:
+/// a residual `add` as the tail of the conv producing its operand. A chain
+/// fetches them in step with its results, so no slice of the shortcut may
+/// hold anything else the conv streams (input replicas, weights, maps) or be
+/// shared by two chunks' rows — true of a map another `conv_passes` of the
+/// same output shape wrote, which is cut into the same blocks.
+///
 /// # Panics
 ///
-/// Panics if no output ports can be found even on a drained chip.
+/// Panics if the shortcut's geometry differs from the output's, or if no
+/// output ports can be found even on a drained chip.
 pub fn conv_passes<'a>(
     s: &mut Scheduler,
     (oh, ow, c_out): (u32, u32, u32),
     split: &RowSplit,
     passes: usize,
     pass: &dyn Fn(usize, usize, usize) -> ChunkPass<'a>,
+    shortcut: Option<&FeatureMap>,
     params: &Conv2dParams,
 ) -> (FeatureMap, u64) {
+    if let Some(sc) = shortcut {
+        assert_eq!(
+            (sc.h, sc.w, sc.c, sc.pad),
+            (oh, ow, c_out, params.out_pad),
+            "shortcut geometry"
+        );
+    }
     let replicas = usize::from(params.out_replicas.max(1));
     let rows_total = (oh + 2 * params.out_pad) * (ow + 2 * params.out_pad);
     let need = (replicas * split.chunks.len()) as f64 / f64::from(MEM_SLICES_PER_HEMISPHERE);
@@ -388,7 +423,11 @@ pub fn conv_passes<'a>(
             .not_before
             .max(s.port_quantile(params.out_hemisphere, quantile))
             .max(abs_floor);
-        match schedule_chains(s, c_out, split, passes, pass, params, floor) {
+        let attempt = Conv2dParams {
+            not_before: floor,
+            ..params.clone()
+        };
+        match schedule_chains(s, c_out, split, passes, pass, shortcut, &attempt) {
             Ok(r) => {
                 result = Some(r);
                 break;
@@ -428,20 +467,26 @@ pub fn conv_passes<'a>(
 /// One M-split's output blocks, `[chunk][replica]`.
 type OutBlocks = Vec<Vec<TensorHandle>>;
 
-/// One attempt at [`conv_passes`]: returns every M-split's output blocks and
-/// the completion cycle.
+/// One attempt at [`conv_passes`], nothing of it before `params.not_before`:
+/// returns every M-split's output blocks and the completion cycle.
 fn schedule_chains<'a>(
     s: &mut Scheduler,
     c_out: u32,
     split: &RowSplit,
     passes: usize,
     pass: &dyn Fn(usize, usize, usize) -> ChunkPass<'a>,
+    shortcut: Option<&FeatureMap>,
     params: &Conv2dParams,
-    floor: u64,
 ) -> Result<(Vec<OutBlocks>, u64), OutOfPorts> {
+    let floor = params.not_before;
     let mparts = c_out.div_ceil(320) as usize;
     // Per M-split, blocks and replicas stay slice-disjoint: chains write, and
-    // consumers later read, all of them concurrently.
+    // consumers later read, all of them concurrently — as do the first
+    // replicas of all M-splits, which a later conv may read chain by chain as
+    // its shortcut — and all keep off this conv's shortcut, which the chains
+    // read while they write.
+    let shortcut_slices: Vec<(Hemisphere, u8)> =
+        (shortcut.iter().flat_map(|m| m.shortcut_slices())).collect();
     let mut specs: Vec<OutSpec> = (0..mparts)
         .map(|mpart| OutSpec {
             rows_total: split.rows_per_block,
@@ -451,7 +496,7 @@ fn schedule_chains<'a>(
             policy: BankPolicy::High,
             replicas: params.out_replicas,
             max_block: split.rows_per_block,
-            avoid: Vec::new(),
+            avoid: shortcut_slices.clone(),
         })
         .collect();
     let mut blocks = vec![vec![Vec::new(); split.chunks.len()]; mparts];
@@ -493,16 +538,30 @@ fn schedule_chains<'a>(
             let (chunk, spec) = (&split.chunks[ci], &mut specs[mpart]);
             spec.segments.clone_from(&chunk.segments);
             let n = chunk.pixels.len() as u64;
+            // The chunk's rows of the shortcut, if any: the rows it writes.
+            let base = ci as u32 * split.rows_per_block;
+            let rows: Vec<u32> = (shortcut.iter())
+                .flat_map(|_| &chunk.segments)
+                .flat_map(|&(first, count)| base + first..base + first + count)
+                .collect();
+            let shortcut = shortcut.map(|map| Shortcut {
+                tensor: &map.parts[mpart][0],
+                rows: &rows,
+            });
             let (reps, end) = schedule_requant_write(
                 s,
                 builder.finish(),
                 n,
                 params.requant_shift,
                 params.relu,
+                shortcut,
                 spec,
             )?;
             spec.avoid
-                .extend(reps.iter().flat_map(|t| t.layout.slices()));
+                .extend(reps[1..].iter().flat_map(|t| t.layout.slices()));
+            for spec in &mut specs {
+                spec.avoid.extend(reps[0].layout.slices());
+            }
             blocks[mpart][ci] = reps;
             done = done.max(end);
         }
@@ -531,6 +590,24 @@ pub fn conv2d(
     weights: &ConvWeights,
     params: &Conv2dParams,
 ) -> (FeatureMap, u64) {
+    conv2d_add(s, input, weights, None, params)
+}
+
+/// [`conv2d`] with an optional residual operand: `relu(conv(input) +
+/// shortcut)` (`params.relu` applies after the add) in the conv's own chains
+/// — see [`conv_passes`] for what the shortcut's allocation must guarantee.
+///
+/// # Panics
+///
+/// Panics where [`conv2d`] does, or if the shortcut's geometry or lane copies
+/// differ from the output's.
+pub fn conv2d_add(
+    s: &mut Scheduler,
+    input: &FeatureMap,
+    weights: &ConvWeights,
+    shortcut: Option<&FeatureMap>,
+    params: &Conv2dParams,
+) -> (FeatureMap, u64) {
     let k = weights.kernel;
     let groups = weights.tap_groups();
     assert_eq!(weights.passes.len(), groups.len(), "tap group count");
@@ -540,6 +617,10 @@ pub fn conv2d(
         "{} taps per pass need as many lane copies, input has {}",
         weights.taps,
         input.lane_copies
+    );
+    assert!(
+        shortcut.is_none_or(|sc| sc.lane_copies == weights.out_copies),
+        "shortcut and output lane copies differ"
     );
     let oh = (input.h + 2 * params.pad - k) / params.stride + 1;
     let ow = (input.w + 2 * params.pad - k) / params.stride + 1;
@@ -561,7 +642,15 @@ pub fn conv2d(
     let packed_rows: Vec<&Vec<u32>> = (groups.iter().zip(&group_rows))
         .filter_map(|(&(.., taps), rows)| (taps > 1).then_some(rows))
         .collect();
-    let maps = gather_maps(s, input, weights, &split, &packed_rows, &replica_of);
+    let maps = gather_maps(
+        s,
+        input,
+        weights,
+        shortcut,
+        &split,
+        &packed_rows,
+        &replica_of,
+    );
     // Pass p is (tap group, kpart) = (p / kparts, p % kparts).
     let pass = |mpart: usize, p: usize, ci: usize| {
         let (g, kp) = (p / kparts, p % kparts);
@@ -582,7 +671,8 @@ pub fn conv2d(
         }
     };
     let passes = groups.len() * kparts;
-    let (mut out, done) = conv_passes(s, (oh, ow, weights.c_out), &split, passes, &pass, params);
+    let shape = (oh, ow, weights.c_out);
+    let (mut out, done) = conv_passes(s, shape, &split, passes, &pass, shortcut, params);
     out.lane_copies = weights.out_copies;
     (out, done)
 }
@@ -597,6 +687,7 @@ fn gather_maps(
     s: &mut Scheduler,
     input: &FeatureMap,
     weights: &ConvWeights,
+    shortcut: Option<&FeatureMap>,
     split: &RowSplit,
     packed_rows: &[&Vec<u32>],
     replica_of: &dyn Fn(usize, usize) -> usize,
@@ -613,9 +704,10 @@ fn gather_maps(
     );
     let mparts = weights.c_out.div_ceil(320) as usize;
     // Chains stream their maps concurrently, and with the weights of the
-    // next pass: all slice-disjoint.
+    // next pass and the shortcut: all slice-disjoint.
     let mut avoid: Vec<(Hemisphere, u8)> = (weights.passes.iter().flatten().flatten().flatten())
         .flat_map(|t| t.layout.slices())
+        .chain(shortcut.iter().flat_map(|m| m.shortcut_slices()))
         .collect();
     for (replica, maps) in maps.iter_mut().enumerate() {
         // Per input block, the span of rows this replica's chains gather.
@@ -865,6 +957,10 @@ mod tests {
         from: Option<u32>,
         /// Lane copies the conv under test writes itself.
         out_copies: u32,
+        /// When set, the conv under test also adds a shortcut — produced on
+        /// chip by a 1×1 conv, in the hemisphere opposite its input — before
+        /// its ReLU, and writes to this hemisphere.
+        residual: Option<Hemisphere>,
     }
 
     impl Case {
@@ -881,6 +977,7 @@ mod tests {
                 out_pad: 0,
                 from: None,
                 out_copies: 1,
+                residual: None,
             }
         }
 
@@ -989,6 +1086,7 @@ mod tests {
         };
         let w_data = weights(cout, cin, k);
         let w_from = case.from.map(|c| weights(cin, c, 1));
+        let w_shortcut = case.residual.map(|_| weights(cout, 16, 1));
         let host_c = case.from.unwrap_or(cin);
         let host_data: Vec<Vec<Vec<i8>>> = (0..h)
             .map(|_| {
@@ -997,9 +1095,15 @@ mod tests {
                     .collect()
             })
             .collect();
-        let emplace = |s: &mut Scheduler, w: &[Vec<Vec<Vec<i8>>>], lanes: (u32, u32)| {
+        let oh = (h + 2 * case.pad - k) / case.stride + 1;
+        let ow = (w + 2 * case.pad - k) / case.stride + 1;
+        let shortcut_data: Vec<Vec<Vec<i8>>> = (0..case.residual.map_or(0, |_| oh))
+            .map(|_| (0..ow).map(|_| (0..16).map(|_| next()).collect()).collect())
+            .collect();
+        type Weights = [Vec<Vec<Vec<i8>>>];
+        let emplace = |s: &mut Scheduler, w: &Weights, lanes: (u32, u32), avoid: &[_]| {
             let shape = (w[0][0].len() as u32, w[0].len() as u32, w.len() as u32);
-            emplace_conv(s, shape, lanes, (1, &[]), |co, ci, dy, dx| {
+            emplace_conv(s, shape, lanes, (1, avoid), |co, ci, dy, dx| {
                 w[co as usize][ci as usize][dy as usize][dx as usize]
             })
         };
@@ -1011,7 +1115,7 @@ mod tests {
             None => (host.clone(), host_data.clone()),
             Some(w_from) => {
                 let copies = taps_per_pass(k, cin);
-                let weights = emplace(&mut s, w_from, (1, copies));
+                let weights = emplace(&mut s, w_from, (1, copies), &[]);
                 let params = Conv2dParams {
                     requant_shift: PRODUCER_SHIFT,
                     out_pad: case.pad,
@@ -1025,12 +1129,29 @@ mod tests {
                 (mid, x)
             }
         };
+        // The shortcut: an `oh×ow×cout` map a 1×1 conv writes opposite the
+        // input, cut into the blocks the conv under test will write.
+        let input_hemisphere = input.slices().next().expect("input has a block").0;
+        let shortcut = w_shortcut.as_ref().map(|w_sc| {
+            let host = alloc_feature_map(&mut s, oh, ow, 16, 0, input_hemisphere, 4);
+            let weights = emplace(&mut s, w_sc, (1, case.out_copies), &[]);
+            let params = Conv2dParams {
+                requant_shift: PRODUCER_SHIFT,
+                out_pad: case.out_pad,
+                out_hemisphere: input_hemisphere.opposite(),
+                ..Conv2dParams::default()
+            };
+            let (map, _) = conv2d(&mut s, &host, &weights, &params);
+            let values = reference_conv(&shortcut_data, w_sc, 1, 0, PRODUCER_SHIFT, false);
+            (map, values, host)
+        });
         let taps = taps_per_pass(k, cin).min(input.lane_copies);
-        let weights = emplace(&mut s, &w_data, (taps, case.out_copies));
-        let out_hemisphere = match case.from {
-            None => Hemisphere::West,
-            Some(_) => Hemisphere::East,
-        };
+        // Weights keep off everything the conv streams while they are due.
+        let keep_off: Vec<_> = (input.slices())
+            .chain(shortcut.iter().flat_map(|(map, ..)| map.shortcut_slices()))
+            .collect();
+        let weights = emplace(&mut s, &w_data, (taps, case.out_copies), &keep_off);
+        let out_hemisphere = case.residual.unwrap_or(input_hemisphere.opposite());
         let params = Conv2dParams {
             stride: case.stride,
             pad: case.pad,
@@ -1041,7 +1162,8 @@ mod tests {
             out_replicas: 2,
             ..Conv2dParams::default()
         };
-        let (out, _) = conv2d(&mut s, &input, &weights, &params);
+        let operand = shortcut.as_ref().map(|(map, ..)| map);
+        let (out, _) = conv2d_add(&mut s, &input, &weights, operand, &params);
         assert_eq!(out.lane_copies, case.out_copies);
 
         let constants = s.take_constants();
@@ -1052,13 +1174,32 @@ mod tests {
             }
         }
         fill_input(&mut chip, &host, &host_data);
+        if let Some((.., host)) = &shortcut {
+            fill_input(&mut chip, host, &shortcut_data);
+        }
         chip.run(&program, &RunOptions::default())
             .expect("clean run");
 
         if case.from.is_some() {
             check_map(&chip, &input, &x_data, 4);
         }
-        let expect = reference_conv(&x_data, &w_data, case.stride, case.pad, SHIFT, case.relu);
+        let expect = match &shortcut {
+            None => reference_conv(&x_data, &w_data, case.stride, case.pad, SHIFT, case.relu),
+            // Requantize-saturate, add-saturate, then ReLU: int8 at each step.
+            Some((map, values, _)) => {
+                check_map(&chip, map, values, 1);
+                let mut sum = reference_conv(&x_data, &w_data, case.stride, case.pad, SHIFT, false);
+                for (v, &sc) in
+                    (sum.iter_mut().flatten().flatten()).zip(values.iter().flatten().flatten())
+                {
+                    *v = v.saturating_add(sc);
+                    if case.relu {
+                        *v = (*v).max(0);
+                    }
+                }
+                sum
+            }
+        };
         check_map(&chip, &out, &expect, 2);
     }
 
@@ -1259,6 +1400,79 @@ mod tests {
         let both = |s: &mut Scheduler, chip: &mut Chip| dirty_sram(s, chip, &Hemisphere::ALL);
         run_conv_case_on(Case::packed((14, 14), (64, 64), 1), both);
         run_conv_case_on(Case::packed((7, 7), (128, 64), 2), both);
+    }
+
+    /// conv + shortcut + ReLU in one chain, written to the shortcut's own
+    /// hemisphere and to the other: uneven blocks (28/28/28/26 rows) and, with
+    /// a border, blocks cutting pixel rows whose border must stay zero.
+    #[test]
+    fn residual_tail_matches_reference_in_either_hemisphere() {
+        for out in Hemisphere::ALL {
+            run_conv_case(Case {
+                residual: Some(out),
+                relu: true,
+                ..Case::new((10, 11), (8, 5), 3, 1)
+            });
+            run_conv_case(Case {
+                residual: Some(out),
+                relu: true,
+                out_pad: 1,
+                ..Case::new((12, 12), (16, 16), 3, 1)
+            });
+        }
+    }
+
+    /// Without ReLU the chain ends at the saturating add.
+    #[test]
+    fn residual_tail_without_relu_matches_reference() {
+        run_conv_case(Case {
+            residual: Some(Hemisphere::West),
+            ..Case::new((12, 12), (16, 16), 1, 1)
+        });
+    }
+
+    /// c_out = 2048: seven M-splits, so two waves of chains (4 + 3), each
+    /// chain adding its own part of the shortcut; 400 → 400 has two M-splits
+    /// of two chunks each.
+    #[test]
+    fn residual_tail_across_m_splits_matches_reference() {
+        run_conv_case(Case {
+            residual: Some(Hemisphere::West),
+            relu: true,
+            ..Case::new((7, 7), (64, 2048), 1, 1)
+        });
+        run_conv_case(Case {
+            residual: Some(Hemisphere::East),
+            relu: true,
+            ..Case::new((7, 7), (400, 400), 3, 1)
+        });
+    }
+
+    /// A K-packed host: its gather maps keep off the shortcut too.
+    #[test]
+    fn residual_tail_of_a_packed_conv_matches_reference() {
+        for out in Hemisphere::ALL {
+            run_conv_case(Case {
+                residual: Some(out),
+                relu: true,
+                ..Case::packed((14, 14), (64, 64), 1)
+            });
+        }
+    }
+
+    /// Shortcut and output on recycled SRAM (not the host-written input, see
+    /// [`border_is_zero_on_recycled_sram`]): the fused output's border reads
+    /// as zero.
+    #[test]
+    fn residual_tail_on_recycled_sram_matches_reference() {
+        let west = |s: &mut Scheduler, chip: &mut Chip| dirty_sram(s, chip, &[Hemisphere::West]);
+        let case = Case {
+            residual: Some(Hemisphere::West),
+            relu: true,
+            out_pad: 1,
+            ..Case::new((12, 12), (16, 16), 3, 1)
+        };
+        run_conv_case_on(case, west);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! one weight block in flight toward an MXM (both planes of that hemisphere
 //! may load from it); a [`PlaneChainBuilder`] runs a sequence of
 //! accumulate-passes on one plane and hands back the int32 result stream;
-//! [`schedule_requant_write`] requantizes such a stream at the VXM and fans
-//! the int8 rows out to any number of replica tensors (replicas are free:
-//! extra `Write`s tap the same stream as it flows past). Conv runs one chain
+//! [`schedule_requant_write`] requantizes such a stream at the VXM — adding a
+//! residual [`Shortcut`] on the way if given one — and fans the int8 rows out
+//! to any number of replica tensors (replicas are free: extra `Write`s tap
+//! the same stream as it flows past). Conv runs one chain
 //! per plane over its own share of the output rows (the paper's "four
 //! simultaneous conv2d" regime) — see [`crate::kernels::conv`].
 //!
@@ -29,11 +30,14 @@
 //! in its own slice so all 16 streams run concurrently at one row per cycle.
 
 use tsp_arch::{Direction, Hemisphere, Position, Slice, StreamGroup, StreamId, Vector};
-use tsp_isa::{AccumulateMode, DataType, IcuOp, MxmOp, Plane, UnaryAluOp, VxmOp, MXM_ARRAY_DELAY};
+use tsp_isa::{
+    AccumulateMode, AluIndex, BinaryAluOp, DataType, IcuOp, MxmOp, Plane, UnaryAluOp, VxmOp,
+    MXM_ARRAY_DELAY,
+};
 use tsp_sim::IcuId;
 
 use crate::alloc::BankPolicy;
-use crate::kernels::elementwise::pick_alu;
+use crate::kernels::elementwise::{pick_alu, tensor_hemisphere};
 use crate::resource::Resource;
 use crate::sched::{GatherMap, Scheduler, D_VXM};
 use crate::tensor::TensorHandle;
@@ -402,32 +406,44 @@ pub struct OutSpec {
     pub avoid: Vec<(Hemisphere, u8)>,
 }
 
+/// A residual operand of the requant epilogue: row `rows[i]` of `tensor` is
+/// added (saturating) to requantized row `i`, before the ReLU.
+#[derive(Debug, Clone, Copy)]
+pub struct Shortcut<'a> {
+    /// The int8 tensor to add, all of it in one hemisphere.
+    pub tensor: &'a TensorHandle,
+    /// One row index per produced row, in stream order.
+    pub rows: &'a [u32],
+}
+
 /// Requantizes an int32 row stream at the VXM to int8 (`2^-shift`,
-/// round-to-nearest, saturate), optionally applies ReLU, and writes the rows
-/// into freshly allocated replica tensors. Output tensors are allocated
-/// *after* the write time is known, on slices whose ports are free by then —
-/// so stream-dictated writes can never collide with earlier bursts. Returns
-/// the replicas and the completion cycle.
+/// round-to-nearest, saturate), optionally adds a [`Shortcut`] (saturating)
+/// and applies ReLU, and writes the rows into freshly allocated replica
+/// tensors. Output tensors are allocated *after* the write time is known, on
+/// slices whose ports are free by then — so stream-dictated writes can never
+/// collide with earlier bursts. Returns the replicas and the completion cycle.
 ///
 /// # Errors
 ///
 /// Returns [`OutOfPorts`] when no slices with write ports free by the chain's
-/// write time have room — the caller should roll back (via
+/// write time have room, or the shortcut's slices cannot deliver its rows in
+/// step with the chain — the caller should roll back (via
 /// [`Scheduler::snapshot`]) and retry the chain with a later floor.
 ///
 /// # Panics
 ///
-/// Panics if the segments don't cover N rows.
+/// Panics if the segments, or the shortcut's rows, don't cover N rows.
 pub fn schedule_requant_write(
     s: &mut Scheduler,
     source: Int32Stream,
     n: u64,
     requant_shift: i8,
     relu: bool,
+    shortcut: Option<Shortcut<'_>>,
     out: &OutSpec,
 ) -> Result<(Vec<TensorHandle>, u64), OutOfPorts> {
     let out_hem = out.hemisphere;
-    let (out_group, t_out) = requant_chain(s, source, n, requant_shift, relu, out_hem)?;
+    let (out_group, t_out) = requant_chain(s, source, n, requant_shift, relu, shortcut, out_hem)?;
     let vxm = Slice::Vxm.position();
 
     // Allocate the replicas now that the write time is known, then fan out:
@@ -488,69 +504,81 @@ impl std::fmt::Display for OutOfPorts {
 
 impl std::error::Error for OutOfPorts {}
 
-/// The convert + optional-ReLU head: returns the final int8 output stream
-/// group and the cycle its first row is readable at the VXM.
+/// The epilogue's VXM chain — convert, optional shortcut add, optional ReLU,
+/// each stage consuming its predecessor's stream where it is born (no memory
+/// round trip, §II-E): returns the final int8 output stream group and the
+/// cycle its first row is readable at the VXM.
 fn requant_chain(
     s: &mut Scheduler,
     source: Int32Stream,
     n: u64,
     requant_shift: i8,
     relu: bool,
+    shortcut: Option<Shortcut<'_>>,
     out_hem: Hemisphere,
 ) -> Result<(StreamGroup, u64), OutOfPorts> {
     let vxm = Slice::Vxm.position();
-    let t_cvt = source.t_at_vxm;
-    let (cvt_alu, alu_ready) = pick_alu(s, t_cvt);
-    s.pool.occupy(Resource::VxmAlu(cvt_alu.0), t_cvt + n);
     let out_dir = Direction::outward_from(out_hem);
-    let (mid_id, mid_ready) = s.take_aligned_group(out_dir, 1, t_cvt + D_VXM, vxm);
-    if alu_ready > t_cvt || mid_ready > t_cvt + D_VXM {
-        return Err(OutOfPorts { t_write: t_cvt });
-    }
-    let mid = StreamGroup::new(StreamId::new(mid_id, out_dir), 1);
-    place_repeated(
-        s,
-        IcuId::Vxm { alu: cvt_alu },
-        t_cvt,
-        n,
-        VxmOp::Convert {
-            from: DataType::Int32,
-            to: DataType::Int8,
-            src: source.group,
-            dst: mid,
-            shift: requant_shift,
-            alu: cvt_alu,
-        },
-    );
-    s.occupy_stream(mid.base, vxm, t_cvt + D_VXM + n);
-
-    let (mut out_group, mut t_out) = (mid, t_cvt + D_VXM);
-    if relu {
-        let (relu_alu, alu_ready) = pick_alu(s, t_out);
-        s.pool.occupy(Resource::VxmAlu(relu_alu.0), t_out + n);
-        let (fin_id, fin_ready) = s.take_aligned_group(out_dir, 1, t_out + D_VXM, vxm);
-        if alu_ready > t_out || fin_ready > t_out + D_VXM {
-            return Err(OutOfPorts { t_write: t_out });
+    // One stage: `op(dst, alu)` issued for the `n` rows from cycle `t`, its
+    // results on a fresh outward stream `D_VXM` later.
+    let stage = |s: &mut Scheduler, t: u64, op: &dyn Fn(StreamGroup, AluIndex) -> VxmOp| {
+        let (alu, alu_ready) = pick_alu(s, t);
+        s.pool.occupy(Resource::VxmAlu(alu.0), t + n);
+        let (id, ready) = s.take_aligned_group(out_dir, 1, t + D_VXM, vxm);
+        if alu_ready > t || ready > t + D_VXM {
+            return Err(OutOfPorts { t_write: t });
         }
-        let fin = StreamGroup::new(StreamId::new(fin_id, out_dir), 1);
-        place_repeated(
-            s,
-            IcuId::Vxm { alu: relu_alu },
-            t_out,
-            n,
-            VxmOp::Unary {
-                op: UnaryAluOp::Relu,
-                dtype: DataType::Int8,
-                src: mid,
-                dst: fin,
-                alu: relu_alu,
-            },
-        );
-        s.occupy_stream(fin.base, vxm, t_out + D_VXM + n);
-        out_group = fin;
-        t_out += D_VXM;
+        let dst = StreamGroup::new(StreamId::new(id, out_dir), 1);
+        place_repeated(s, IcuId::Vxm { alu }, t, n, op(dst, alu));
+        s.occupy_stream(dst.base, vxm, t + D_VXM + n);
+        Ok(dst)
+    };
+
+    let mut t = source.t_at_vxm;
+    let mut out = stage(s, t, &|dst, alu| VxmOp::Convert {
+        from: DataType::Int32,
+        to: DataType::Int8,
+        src: source.group,
+        dst,
+        shift: requant_shift,
+        alu,
+    })?;
+    t += D_VXM;
+    if let Some(Shortcut { tensor, rows }) = shortcut {
+        assert_eq!(rows.len() as u64, n, "shortcut must cover N rows");
+        // The shortcut's rows meet the converted rows at the VXM: its slices
+        // must be free exactly then, which is the caller's allocation to get
+        // right (nothing else the chain streams may share them).
+        let inward = Direction::inward_from(tensor_hemisphere(tensor));
+        let (streams, ready) = s.take_streams(inward, 1, t, vxm);
+        let arrival = s.earliest_read_arrival(tensor, rows, inward, vxm, t);
+        if ready > t || arrival > t {
+            return Err(OutOfPorts { t_write: arrival });
+        }
+        s.read_rows(tensor, rows, streams[0], vxm, t);
+        let (a, b) = (out, StreamGroup::new(streams[0], 1));
+        out = stage(s, t, &|dst, alu| VxmOp::Binary {
+            op: BinaryAluOp::AddSat,
+            dtype: DataType::Int8,
+            a,
+            b,
+            dst,
+            alu,
+        })?;
+        t += D_VXM;
     }
-    Ok((out_group, t_out))
+    if relu {
+        let src = out;
+        out = stage(s, t, &|dst, alu| VxmOp::Unary {
+            op: UnaryAluOp::Relu,
+            dtype: DataType::Int8,
+            src,
+            dst,
+            alu,
+        })?;
+        t += D_VXM;
+    }
+    Ok((out, t))
 }
 
 /// Places `op` at `t` and repeats it for `n − 1` further rows.
@@ -666,6 +694,7 @@ pub fn matmul(
                 u64::from(n),
                 opts.requant_shift,
                 opts.relu,
+                None,
                 &spec,
             ) {
                 Ok(r) => {

@@ -363,8 +363,9 @@ pub fn global_avg_pool(
             max_block: 4096,
             avoid: Vec::new(),
         };
-        let (mut reps, end) = schedule_requant_write(s, source, 1, requant_shift, false, &spec)
-            .expect("a single pooled row always finds a port");
+        let (mut reps, end) =
+            schedule_requant_write(s, source, 1, requant_shift, false, None, &spec)
+                .expect("a single pooled row always finds a port");
         done = done.max(end);
         outs.push(reps.remove(0));
     }

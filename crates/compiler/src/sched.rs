@@ -124,6 +124,7 @@ pub struct Scheduler {
     /// Per hemisphere, one never-written row (see [`Scheduler::zero_stale`]).
     zero_rows: [Option<TensorHandle>; 2],
     completion: u64,
+    rollbacks: u64,
 }
 
 impl Scheduler {
@@ -795,8 +796,17 @@ impl Scheduler {
         }
     }
 
+    /// How often [`Scheduler::restore`] has run: each is a kernel whose
+    /// operands or output found no free port or stream at the cycle its
+    /// chain dictated, retrying later — cycles lost to placement.
+    #[must_use]
+    pub fn rollbacks(&self) -> u64 {
+        self.rollbacks
+    }
+
     /// Rolls back to a snapshot taken earlier in this compile.
     pub fn restore(&mut self, snap: &SchedulerSnapshot) {
+        self.rollbacks += 1;
         for (icu, v) in &mut self.placements {
             let keep = snap.queue_lens.get(icu).copied().unwrap_or(0);
             v.truncate(keep);

@@ -16,6 +16,15 @@
 //!   by side (its weights tiled `G×` along M — the same 320×320 pass), which
 //!   is what lets the consumers fetch `G` adjacent rows with one `Gather`
 //!   (`tsp_compiler::kernels::conv`, "K-packing").
+//! * **Residual fusion** — an `Add` one of whose operands is a conv without
+//!   ReLU that nothing else reads is lowered as the tail of that conv: each
+//!   of its chains adds its own rows of the other operand (the shortcut)
+//!   between requantize and ReLU, so the conv's result never visits SRAM on
+//!   its own (`fuse_plan`; paper §II-E chaining).
+//! * **Operand placement** — MEM queues are single-issue, so everything one
+//!   conv streams at once sits on slices of its own: weights keep off the
+//!   input's and the shortcut's slices, and the shortcut sits in the
+//!   hemisphere opposite the input's.
 //! * **First-layer im2col** — a conv whose input is the network input and
 //!   whose patch (`k²·c_in`) fits one 320-lane pass is lowered as a dense
 //!   matmul over host-prepared im2col rows: a single-pass caller of the same
@@ -34,8 +43,9 @@ use tsp_arch::{Hemisphere, Vector};
 use tsp_compiler::alloc::BankPolicy;
 use tsp_compiler::kernels::conv::{alloc_feature_map, group_lanes};
 use tsp_compiler::kernels::{
-    conv2d, conv_passes, emplace_conv, global_avg_pool, lw_rows, matmul, max_pool, taps_per_pass,
-    ActFeed, ChunkPass, Conv2dParams, FeatureMap, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
+    conv2d_add, conv_passes, emplace_conv, global_avg_pool, lw_rows, matmul, max_pool,
+    taps_per_pass, ActFeed, ChunkPass, Conv2dParams, FeatureMap, MatmulOpts, MaxPoolParams,
+    RowSplit, WeightSet,
 };
 use tsp_compiler::{Scheduler, TensorHandle};
 use tsp_isa::BinaryAluOp;
@@ -112,10 +122,13 @@ pub enum Probe {
         pad: u32,
         /// First replica of each channel part.
         parts: Vec<TensorHandle>,
+        /// Every MEM slice any part or replica occupies.
+        slices: Vec<(Hemisphere, u8)>,
     },
     /// A flat vector: one tensor per feature part.
     Flat(Vec<TensorHandle>),
-    /// Not materialized (e.g. the im2col input).
+    /// Not materialized (the im2col input; a conv whose result goes straight
+    /// into the residual add it hosts).
     None,
 }
 
@@ -134,6 +147,9 @@ pub struct CompiledModel {
     pub cycles: u64,
     /// Per-layer schedule spans.
     pub layer_spans: Vec<LayerSpan>,
+    /// Kernels that found a port or stream taken at the cycle their chain
+    /// dictated and were rescheduled later (`Scheduler::rollbacks`).
+    pub rollbacks: u64,
     /// Per-node activation locations (same order as the graph's nodes).
     /// Only the last node's is still intact after a run — see [`Probe`].
     pub probes: Vec<Probe>,
@@ -370,6 +386,57 @@ fn lane_plan(q: &QuantGraph, shapes: &[Shape]) -> Vec<u32> {
         .collect()
 }
 
+/// Which residual adds are lowered inside a conv, and the hemisphere every
+/// node's output goes to. `partner[add] = Some(conv)` and `partner[conv] =
+/// Some(add)` when `conv` — an operand of `add` with no ReLU and no other
+/// reader — computes the add in its own chains, reading the other operand
+/// (the shortcut) block by block. That needs the shortcut to be cut into the
+/// conv's own output blocks, i.e. to be conv-written itself (a conv or a fused
+/// add of the same shape), to be scheduled before the conv, and to share no
+/// slice with the conv's input: the input goes to the opposite hemisphere,
+/// and an add for which that cannot be arranged stays a kernel of its own.
+/// `readers` counts every node's consumers; `im2col` is the first-layer conv,
+/// which hosts no add.
+fn fuse_plan(
+    q: &QuantGraph,
+    readers: &[usize],
+    im2col: Option<usize>,
+) -> (Vec<Option<usize>>, Vec<Hemisphere>) {
+    let nodes = &q.graph.nodes;
+    let mut partner: Vec<Option<usize>> = vec![None; nodes.len()];
+    let mut hemis: Vec<Hemisphere> = (0..nodes.len()).map(hemi).collect();
+    // Hemispheres something already depends on; the host writes the network
+    // input where `compile` says.
+    let mut pinned = vec![false; nodes.len()];
+    (hemis[0], pinned[0]) = (Hemisphere::East, true);
+    for (add, node) in nodes.iter().enumerate() {
+        let (Op::Add { .. }, &[a, b]) = (&node.op, node.inputs.as_slice()) else {
+            continue;
+        };
+        let (shortcut, conv) = (a.min(b), a.max(b));
+        let hosts = matches!(nodes[conv].op, Op::Conv(spec) if !spec.relu)
+            && readers[conv] == 1
+            && Some(conv) != im2col;
+        let conv_written = match nodes[shortcut].op {
+            Op::Conv(_) => true,
+            Op::Add { .. } => partner[shortcut].is_some(),
+            _ => false,
+        };
+        let input = nodes[conv].inputs[0];
+        let apart = hemis[shortcut].opposite();
+        if !hosts || !conv_written || input == shortcut || (pinned[input] && hemis[input] != apart)
+        {
+            continue;
+        }
+        hemis[input] = apart;
+        pinned[input] = true;
+        pinned[shortcut] = true;
+        partner[add] = Some(conv);
+        partner[conv] = Some(add);
+    }
+    (partner, hemis)
+}
+
 /// Compiles a quantized graph to a TSP program.
 ///
 /// # Panics
@@ -379,9 +446,9 @@ fn lane_plan(q: &QuantGraph, shapes: &[Shape]) -> Vec<u32> {
 pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
     let mut s = Scheduler::new();
     let shapes = q.graph.shapes();
-    let pads = pad_plan(q);
-    let reps = replica_plan(q);
-    let lanes = lane_plan(q, &shapes);
+    let mut pads = pad_plan(q);
+    let mut reps = replica_plan(q);
+    let mut lanes = lane_plan(q, &shapes);
     let mut lowered: Vec<Option<Lowered>> = Vec::with_capacity(q.graph.nodes.len());
     // Remaining-consumer counts, for freeing dead activations.
     let mut remaining: Vec<usize> = vec![0; q.graph.nodes.len()];
@@ -409,6 +476,14 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
         }
         None
     });
+    let (partner, mut hemis) = fuse_plan(q, &remaining, first_conv_im2col);
+    // A conv hosting an add writes the add's output, where the add would.
+    for (conv, node) in q.graph.nodes.iter().enumerate() {
+        if let (Op::Conv(_), Some(add)) = (&node.op, partner[conv]) {
+            (pads[conv], reps[conv], lanes[conv]) = (pads[add], reps[add], lanes[add]);
+            hemis[conv] = hemis[add];
+        }
+    }
 
     for (i, node) in q.graph.nodes.iter().enumerate() {
         let start = s.completion();
@@ -424,13 +499,23 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                 }
             }
             Op::Conv(spec) => {
+                // A hosted add's ReLU is the chain's; its other operand the
+                // shortcut (the host itself has no ReLU).
+                let add = partner[i].map(|add| &q.graph.nodes[add]);
+                let shortcut = add.map(|add| {
+                    let other = add.inputs.iter().find(|&&inp| inp != i);
+                    match &lowered[*other.expect("an add has two operands")] {
+                        Some(Lowered::Map(map)) => map,
+                        _ => panic!("add input not a map at {}", add.name),
+                    }
+                });
                 let params = Conv2dParams {
                     stride: spec.stride,
                     pad: spec.pad,
                     requant_shift: q.conv[&i].shift,
-                    relu: spec.relu,
+                    relu: add.map_or(spec.relu, |add| add.op == Op::Add { relu: true }),
                     out_pad: pads[i],
-                    out_hemisphere: hemi(i),
+                    out_hemisphere: hemis[i],
                     out_replicas: reps[i],
                     not_before: 0,
                 };
@@ -454,16 +539,12 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                     };
                     let qc = &q.conv[&i];
                     let taps = taps_per_pass(qc.k, qc.ci).min(input.lane_copies);
-                    // A K-packed conv has three passes where it had nine, so a
-                    // weight block queued behind an activation burst costs it
-                    // a third of the layer: its weights keep off its input's
-                    // slices. (Every conv would gain — EXPERIMENTS.md, "The
-                    // throughput gap" — but that moves every compiled program
-                    // and is its own change.)
-                    let input_slices = (input.parts.iter().flatten())
-                        .flat_map(|t| t.layout.slices())
+                    // Nothing the conv streams while a weight block is due
+                    // may share the block's slices: a 20-row weight read
+                    // queued behind a pass-long burst arrives a pass late.
+                    let keep_off: Vec<_> = (input.slices())
+                        .chain(shortcut.iter().flat_map(|map| map.shortcut_slices()))
                         .collect();
-                    let keep_off: Vec<_> = if taps > 1 { input_slices } else { Vec::new() };
                     let weights = emplace_conv(
                         &mut s,
                         (qc.k, qc.ci, qc.co),
@@ -473,7 +554,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                             qc.w[(((co * qc.ci + ci) * qc.k + dy) * qc.k + dx) as usize]
                         },
                     );
-                    let (fm, _) = conv2d(&mut s, input, &weights, &params);
+                    let (fm, _) = conv2d_add(&mut s, input, &weights, shortcut, &params);
                     Some(Lowered::Map(fm))
                 }
             }
@@ -486,7 +567,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                     stride: *stride,
                     pad: *pad,
                     out_pad: pads[i],
-                    out_hemisphere: hemi(i),
+                    out_hemisphere: hemis[i],
                     out_replicas: reps[i],
                     not_before: 0,
                 };
@@ -497,7 +578,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                 let Some(Lowered::Map(input)) = &lowered[node.inputs[0]] else {
                     panic!("gap input not a map")
                 };
-                let (parts, _) = global_avg_pool(&mut s, input, q.gap_shift[&i], hemi(i), 0);
+                let (parts, _) = global_avg_pool(&mut s, input, q.gap_shift[&i], hemis[i], 0);
                 Some(Lowered::Flat(parts))
             }
             Op::Dense { relu, .. } => {
@@ -510,12 +591,16 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                 let opts = MatmulOpts {
                     requant_shift: q.dense[&i].shift,
                     relu: *relu,
-                    out_hemisphere: hemi(i),
+                    out_hemisphere: hemis[i],
                     ..MatmulOpts::default()
                 };
                 let (outs, _) = matmul(&mut s, &x_parts, &w, &opts);
                 let flat: Vec<TensorHandle> = outs.into_iter().map(|mut v| v.remove(0)).collect();
                 Some(Lowered::Flat(flat))
+            }
+            // Computed by its host conv, whose entry it takes over.
+            Op::Add { .. } if partner[i].is_some() => {
+                partner[i].and_then(|conv| lowered[conv].take())
             }
             Op::Add { relu } => {
                 let (Some(Lowered::Map(a)), Some(Lowered::Map(b))) =
@@ -534,7 +619,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                         BinaryAluOp::AddSat,
                         &pa[0],
                         &pb[0],
-                        hemi(i),
+                        hemis[i],
                         BankPolicy::High,
                         0,
                         reps[i],
@@ -608,12 +693,14 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                 c: fm.c,
                 pad: fm.pad,
                 parts: fm.parts.iter().map(|r| r[0].clone()).collect(),
+                slices: fm.slices().collect(),
             },
             Some(Lowered::Flat(parts)) => Probe::Flat(parts.clone()),
             None => Probe::None,
         })
         .collect();
     let cycles = s.completion() + u64::from(tsp_arch::timing::SLICE_TILES);
+    let rollbacks = s.rollbacks();
     let constants = s.take_constants();
     if let Some(e) = s.check() {
         eprintln!("SCHEDULE ERROR: {e}");
@@ -633,6 +720,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
         output,
         cycles,
         layer_spans: spans,
+        rollbacks,
         probes,
         decoded: std::sync::OnceLock::new(),
     }
@@ -749,7 +837,7 @@ fn compile_im2col_conv(
         acts: ActFeed::Read(&patches[ci]),
         rows: (0..patches[ci].rows).collect(),
     };
-    let (mut fm, _) = conv_passes(s, (oh, ow, qc.co), &split, 1, &pass, params);
+    let (mut fm, _) = conv_passes(s, (oh, ow, qc.co), &split, 1, &pass, None, params);
     fm.lane_copies = lane_copies;
 
     let kind = InputKind::Im2col {

@@ -146,6 +146,18 @@ fn first_divergence(q: &QuantGraph, image: &[i8]) -> Option<(String, usize)> {
     })
 }
 
+/// Every prefix of the tiny ResNet agrees with the reference at its last
+/// node: the prefix ending at `b1c` has no add, so the conv compiles on its
+/// own and its probe is readable; the next one ends at the add `b1c` hosts.
+#[test]
+fn every_prefix_of_tiny_resnet_matches_int8_reference() {
+    let (g, params) = resnet_tiny(10, 3);
+    let data = synthetic(21, 32, 32, 3, 2, 2);
+    let q = quantize(&g, &params, &data.images[..2]);
+    let qi = q.quantize_image(&data.images[0]);
+    assert_eq!(first_divergence(&q, &qi), None);
+}
+
 /// Standard-width ResNet-50 (64 → 2048 channels: kparts and mparts up to 7)
 /// on a 32×32 input agrees with the int8 reference on every logit; on a
 /// mismatch the failure names the first diverging layer.

@@ -1,23 +1,52 @@
 //! Model-level layer attribution: the compiler's layer spans become run
 //! marks, the simulator slices its counters at those boundaries, and the
 //! per-layer slices name every compiled layer in order and sum bit-exactly
-//! to the whole-run telemetry — on a real compiled CNN, not a toy program.
+//! to the whole-run telemetry — on real compiled CNNs, not a toy program.
 
 use tsp_arch::ChipConfig;
 use tsp_nn::compile::{compile, CompileOptions};
 use tsp_nn::data::synthetic;
+use tsp_nn::graph::{Graph, Params};
 use tsp_nn::quant::quantize;
+use tsp_nn::resnet::resnet_tiny;
 use tsp_nn::train::small_cnn;
 use tsp_sim::chip::RunOptions;
-use tsp_sim::{Chip, Telemetry};
+use tsp_sim::{Chip, LayerSlice, Telemetry};
 
 #[test]
 fn compiled_model_layers_slice_the_run_exactly() {
     let data = synthetic(11, 12, 12, 2, 4, 6);
     let (g, params) = small_cnn(12, 16, 4, 5);
-    let q = quantize(&g, &params, &data.images[..2]);
+    layers_slice_the_run_exactly(&g, &params, &data.images);
+}
+
+/// `resnet_tiny`'s residual add runs inside its `b1c` conv: its slice is
+/// empty — no cycles, no events — and the partition still holds around it.
+#[test]
+fn a_fused_add_is_a_zero_width_slice() {
+    let data = synthetic(21, 32, 32, 3, 2, 2);
+    let (g, params) = resnet_tiny(10, 3);
+    let layers = layers_slice_the_run_exactly(&g, &params, &data.images);
+    let at = g.nodes.iter().position(|n| n.name == "b1add").unwrap();
+    assert_eq!(layers[at].name.as_ref(), "b1add");
+    assert_eq!(layers[at].cycles(), 0);
+    assert_eq!(layers[at].start, layers[at - 1].end);
+    let own = &layers[at].telemetry;
+    let events = own.macc_waves() + own.vxm_issue_total() + own.sram_accesses();
+    assert_eq!(events, 0, "a zero-width slice dispatches nothing");
+    assert!(layers[at - 1].telemetry.vxm_issue_total() > 0, "b1c adds");
+}
+
+/// Compiles the graph, runs it with and without layer marks, and checks the
+/// slices against the whole run; returns them.
+fn layers_slice_the_run_exactly(
+    g: &Graph,
+    params: &Params,
+    images: &[Vec<f32>],
+) -> Vec<LayerSlice> {
+    let q = quantize(g, params, &images[..2]);
     let model = compile(&q, &CompileOptions::default());
-    let qi = q.quantize_image(&data.images[0]);
+    let qi = q.quantize_image(&images[0]);
 
     let run = |options: &RunOptions| {
         let mut chip = Chip::new(ChipConfig::asic());
@@ -66,4 +95,13 @@ fn compiled_model_layers_slice_the_run_exactly() {
         waves.iter().filter(|&&w| w > 0).count() >= 1,
         "some layer carries MXM waves: {waves:?}"
     );
+
+    // The interpreted dispatch path slices identically.
+    let (interpreted, _) = run(&RunOptions {
+        layers: model.layer_marks(),
+        decoded: false,
+        ..RunOptions::default()
+    });
+    assert_eq!(interpreted.layers, report.layers, "decoded ≡ interpreted");
+    report.layers
 }

@@ -61,8 +61,9 @@ fn main() {
         max_block: 4096,
         avoid: Vec::new(),
     };
-    let (outs, done) = schedule_requant_write(&mut sched, int32, u64::from(n), 2, true, &spec)
-        .expect("ports available");
+    let (outs, done) =
+        schedule_requant_write(&mut sched, int32, u64::from(n), 2, true, None, &spec)
+            .expect("ports available");
     let program = sched.into_program().expect("consistent schedule");
 
     // Execute with a host-emplaced constant and input.
