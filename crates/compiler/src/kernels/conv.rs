@@ -58,7 +58,7 @@ use crate::kernels::matmul::{
     lw_rows, schedule_requant_write, stream_weights, ActFeed, DstSegments, OutOfPorts, OutSpec,
     PlaneChainBuilder, Shortcut,
 };
-use crate::sched::{GatherMap, Scheduler};
+use crate::sched::{LaneMap, Scheduler};
 use crate::tensor::TensorHandle;
 
 /// Lanes one copy of a `c`-channel pixel takes in a lane-replicated row:
@@ -93,6 +93,12 @@ pub struct FeatureMap {
     /// `t` at lanes `t·group_lanes(c)..`; above 1 the blocks of `parts` hold
     /// whole padded rows (what a K-packed consumer's `Gather` needs).
     pub lane_copies: u32,
+    /// Lane groups the pixels of a row are dealt over: above 1, pixel `x`
+    /// holds its `c` channels at lanes `(x mod lane_skew)·group_lanes(c)..`
+    /// and zeros everywhere else (a lane-packed max pool's `Scatter` writes
+    /// this, see [`crate::kernels::pool`]). Only a conv reads such a map,
+    /// with its weights tiled along K ([`ConvWeights::in_skew`]).
+    pub lane_skew: u32,
     /// `parts[kpart][replica]`: tensors of `(h+2pad)·(w+2pad)` rows.
     pub parts: Vec<Vec<TensorHandle>>,
 }
@@ -213,6 +219,10 @@ pub struct ConvWeights {
     /// Horizontally adjacent taps one pass covers (`G`, see
     /// [`taps_per_pass`]); above 1 the input must hold as many lane copies.
     pub taps: u32,
+    /// Lane groups every tap's columns are repeated at (the input map's
+    /// [`FeatureMap::lane_skew`]): a pixel's channels are in one of them and
+    /// the others are zero, so the dot product is that of the plain layout.
+    pub in_skew: u32,
     /// Copies of the output channels the weights produce side by side (the
     /// output map's [`FeatureMap::lane_copies`]).
     pub out_copies: u32,
@@ -456,6 +466,7 @@ pub fn conv_passes<'a>(
         c: c_out,
         pad: params.out_pad,
         lane_copies: 1,
+        lane_skew: 1,
         parts: blocks
             .iter()
             .map(|part| (0..replicas).map(|r| concat(part, r)).collect())
@@ -618,9 +629,13 @@ pub fn conv2d_add(
         weights.taps,
         input.lane_copies
     );
+    assert_eq!(
+        weights.in_skew, input.lane_skew,
+        "weights tiled for another lane skew"
+    );
     assert!(
-        shortcut.is_none_or(|sc| sc.lane_copies == weights.out_copies),
-        "shortcut and output lane copies differ"
+        shortcut.is_none_or(|sc| (sc.lane_copies, sc.lane_skew) == (weights.out_copies, 1)),
+        "shortcut and output lane layouts differ"
     );
     let oh = (input.h + 2 * params.pad - k) / params.stride + 1;
     let ow = (input.w + 2 * params.pad - k) / params.stride + 1;
@@ -679,7 +694,7 @@ pub fn conv2d_add(
 
 /// The gather maps of a K-packed conv, `[input replica][block read]`, for
 /// the row sequences `packed_rows` of its multi-tap groups: the map is a
-/// function of the *row* alone (map row `r` addresses rows `r, r+1, …`),
+/// function of the *row* alone (the map row of `r` addresses rows `r, r+1, …`),
 /// so one map per replica block — restricted to the rows the replica's chains
 /// gather, their chunk plus a padded row either side — serves every `dy`,
 /// every stride and every pass. Empty when no pass packs taps.
@@ -691,7 +706,7 @@ fn gather_maps(
     split: &RowSplit,
     packed_rows: &[&Vec<u32>],
     replica_of: &dyn Fn(usize, usize) -> usize,
-) -> Vec<Vec<GatherMap>> {
+) -> Vec<Vec<LaneMap>> {
     let replicas = input.parts[0].len();
     let mut maps = vec![Vec::new(); replicas];
     if packed_rows.is_empty() {
@@ -724,11 +739,18 @@ fn gather_maps(
                 }
             }
         }
+        let tensor = &input.parts[0][replica];
         for (lo, hi) in spans.into_iter().flatten() {
-            let lanes = (weights.taps, group_lanes(input.c));
-            let map = s.add_gather_map(&input.parts[0][replica], (lo, hi - lo + 1), lanes, &avoid);
-            avoid.extend(map.tensor.layout.slices());
-            maps.push(map);
+            // Lane group `t` fetches row `r + t`; groups past the taps, and
+            // rows that would run off the block, the row itself.
+            let block_end = ((lo / rows_per_block + 1) * rows_per_block).min(tensor.rows);
+            let row_of = |i: u32, t: u32| match lo + i {
+                r if t < weights.taps && r + t < block_end => r + t,
+                r => r,
+            };
+            let keys: Vec<u32> = (lo..=hi).collect();
+            let lanes = group_lanes(input.c);
+            maps.extend(s.add_lane_maps(tensor, lanes, &keys, row_of, &mut avoid));
         }
     }
     maps
@@ -753,6 +775,7 @@ pub fn alloc_feature_map(
         c,
         pad,
         lane_copies: 1,
+        lane_skew: 1,
         parts: (0..kparts)
             .map(|kp| {
                 let cols = (c - kp as u32 * 320).min(320) as u16;
@@ -781,25 +804,28 @@ pub fn alloc_feature_map(
 /// Serializes conv weights `w(co, ci, dy, dx)` of a `k×k` conv (`c_in → c_out`
 /// channels) into the per-(tap group, kpart, mpart) LW-order constant
 /// handles: a pass covering taps `dx..dx + n` holds tap `t` at input lanes
-/// `t·group_lanes(c_in) + ci`, and `out_copies` copies of the output channels
-/// at array rows `u·group_lanes(c_out) + co` (zero elsewhere). The handles
+/// `t·group_lanes(c_in) + ci` — or, for a lane-skewed input, its one tap again
+/// at each of the `in_skew` lane groups — and `out_copies` copies of the
+/// output channels at array rows `u·group_lanes(c_out) + co` (zero
+/// elsewhere). The handles
 /// keep off the slices in `avoid` where they can — the conv's input: a pass
 /// streams its activations from one slice for its whole length, and weights
 /// behind that queue would reach the next pass a pass late.
 ///
 /// # Panics
 ///
-/// Panics if `taps` tap groups or `out_copies` channel copies do not fit the
-/// 320 lanes.
+/// Panics if `taps` tap groups, `in_skew` lane groups or `out_copies` channel
+/// copies do not fit the 320 lanes, or if both `taps` and `in_skew` exceed 1.
 pub fn emplace_conv(
     s: &mut Scheduler,
     (k, c_in, c_out): (u32, u32, u32),
-    (taps, out_copies): (u32, u32),
+    (taps, in_skew, out_copies): (u32, u32, u32),
     (replicas, avoid): (u8, &[(Hemisphere, u8)]),
     w: impl Fn(u32, u32, u32, u32) -> i8,
 ) -> ConvWeights {
+    assert!(taps == 1 || in_skew == 1, "a skewed input packs no taps");
     assert!(
-        taps == 1 || taps * group_lanes(c_in) <= 320,
+        taps.max(in_skew) == 1 || taps.max(in_skew) * group_lanes(c_in) <= 320,
         "taps overflow the lanes"
     );
     assert!(
@@ -807,7 +833,10 @@ pub fn emplace_conv(
         "output copies overflow the lanes"
     );
     // A lone tap or copy spans the whole 320-lane part.
-    let in_group = if taps > 1 { group_lanes(c_in) } else { 320 };
+    let in_group = match taps.max(in_skew) {
+        1 => 320,
+        _ => group_lanes(c_in),
+    };
     let out_group = if out_copies > 1 {
         group_lanes(c_out)
     } else {
@@ -819,7 +848,10 @@ pub fn emplace_conv(
             (0..c_in.div_ceil(320))
                 .map(|kp| {
                     let kc = (c_in - kp * 320).min(320);
-                    let kcols = (n - 1) * in_group + kc;
+                    // Lane group `j` holds tap `dx + j`, or — skewed — the
+                    // pass's one tap again.
+                    let lane_groups = n.max(in_skew);
+                    let kcols = (lane_groups - 1) * in_group + kc;
                     (0..c_out.div_ceil(320))
                         .map(|mp| {
                             let mrows = (out_copies - 1) * out_group + (c_out - mp * 320).min(320);
@@ -828,10 +860,11 @@ pub fn emplace_conv(
                                 if co >= c_out {
                                     return; // the lanes between two copies
                                 }
-                                for t in 0..n {
+                                for j in 0..lane_groups {
                                     for ci in 0..kc {
-                                        let lane = (t * in_group + ci) as usize;
-                                        row.set_lane(lane, w(co, kp * 320 + ci, dy, dx + t) as u8);
+                                        let lane = (j * in_group + ci) as usize;
+                                        let tap = if in_skew > 1 { dx } else { dx + j };
+                                        row.set_lane(lane, w(co, kp * 320 + ci, dy, tap) as u8);
                                     }
                                 }
                             };
@@ -853,6 +886,7 @@ pub fn emplace_conv(
         c_in,
         c_out,
         taps,
+        in_skew,
         out_copies,
         passes,
     }
@@ -870,7 +904,7 @@ pub fn emplace_conv_weights(
     replicas: u8,
 ) -> ConvWeights {
     let shape = (w[0][0].len() as u32, w[0].len() as u32, w.len() as u32);
-    emplace_conv(s, shape, (1, 1), (replicas, &[]), |co, ci, dy, dx| {
+    emplace_conv(s, shape, (1, 1, 1), (replicas, &[]), |co, ci, dy, dx| {
         w[co as usize][ci as usize][dy as usize][dx as usize]
     })
 }
@@ -880,6 +914,7 @@ pub fn emplace_conv_weights(
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
+    use crate::kernels::testing::dirty_sram;
     use tsp_arch::ChipConfig;
     use tsp_sim::chip::RunOptions;
     use tsp_sim::Chip;
@@ -957,6 +992,9 @@ mod tests {
         from: Option<u32>,
         /// Lane copies the conv under test writes itself.
         out_copies: u32,
+        /// Lane groups the (host-written) input's pixels are dealt over, as a
+        /// lane-packed max pool leaves them.
+        in_skew: u32,
         /// When set, the conv under test also adds a shortcut — produced on
         /// chip by a 1×1 conv, in the hemisphere opposite its input — before
         /// its ReLU, and writes to this hemisphere.
@@ -977,6 +1015,7 @@ mod tests {
                 out_pad: 0,
                 from: None,
                 out_copies: 1,
+                in_skew: 1,
                 residual: None,
             }
         }
@@ -995,15 +1034,18 @@ mod tests {
     /// The producer's: a 16-term sum, kept full range (and often saturated).
     const PRODUCER_SHIFT: i8 = 8;
 
-    /// Writes `x[y][x][c]` into every replica of every channel part.
+    /// Writes `x[y][x][c]` into every replica of every channel part, pixel
+    /// `x` at lane group `x mod lane_skew`.
     fn fill_input(chip: &mut Chip, input: &FeatureMap, x: &[Vec<Vec<i8>>]) {
+        let group = group_lanes(input.c) as usize;
         for (kp, reps) in input.parts.iter().enumerate() {
             for rep in reps {
                 for (y, line) in x.iter().enumerate() {
                     for (xp, px) in line.iter().enumerate() {
                         let mut v = Vector::ZERO;
+                        let first = xp % input.lane_skew as usize * group;
                         for (lane, &val) in px.iter().skip(kp * 320).take(320).enumerate() {
-                            v.set_lane(lane, val as u8);
+                            v.set_lane(first + lane, val as u8);
                         }
                         chip.memory
                             .write(rep.row(input.row_index(y as u32, xp as u32)), v);
@@ -1101,7 +1143,7 @@ mod tests {
             .map(|_| (0..ow).map(|_| (0..16).map(|_| next()).collect()).collect())
             .collect();
         type Weights = [Vec<Vec<Vec<i8>>>];
-        let emplace = |s: &mut Scheduler, w: &Weights, lanes: (u32, u32), avoid: &[_]| {
+        let emplace = |s: &mut Scheduler, w: &Weights, lanes: (u32, u32, u32), avoid: &[_]| {
             let shape = (w[0][0].len() as u32, w[0].len() as u32, w.len() as u32);
             emplace_conv(s, shape, lanes, (1, avoid), |co, ci, dy, dx| {
                 w[co as usize][ci as usize][dy as usize][dx as usize]
@@ -1109,13 +1151,14 @@ mod tests {
         };
 
         let host_pad = if case.from.is_some() { 0 } else { case.pad };
-        let host = alloc_feature_map(&mut s, h, w, host_c, host_pad, Hemisphere::East, 4);
+        let mut host = alloc_feature_map(&mut s, h, w, host_c, host_pad, Hemisphere::East, 4);
+        host.lane_skew = case.in_skew;
         // The conv under test reads `input`, holding `x_data`.
         let (input, x_data) = match &w_from {
             None => (host.clone(), host_data.clone()),
             Some(w_from) => {
                 let copies = taps_per_pass(k, cin);
-                let weights = emplace(&mut s, w_from, (1, copies), &[]);
+                let weights = emplace(&mut s, w_from, (1, case.in_skew, copies), &[]);
                 let params = Conv2dParams {
                     requant_shift: PRODUCER_SHIFT,
                     out_pad: case.pad,
@@ -1134,7 +1177,7 @@ mod tests {
         let input_hemisphere = input.slices().next().expect("input has a block").0;
         let shortcut = w_shortcut.as_ref().map(|w_sc| {
             let host = alloc_feature_map(&mut s, oh, ow, 16, 0, input_hemisphere, 4);
-            let weights = emplace(&mut s, w_sc, (1, case.out_copies), &[]);
+            let weights = emplace(&mut s, w_sc, (1, 1, case.out_copies), &[]);
             let params = Conv2dParams {
                 requant_shift: PRODUCER_SHIFT,
                 out_pad: case.out_pad,
@@ -1150,7 +1193,8 @@ mod tests {
         let keep_off: Vec<_> = (input.slices())
             .chain(shortcut.iter().flat_map(|(map, ..)| map.shortcut_slices()))
             .collect();
-        let weights = emplace(&mut s, &w_data, (taps, case.out_copies), &keep_off);
+        let lanes = (taps, input.lane_skew, case.out_copies);
+        let weights = emplace(&mut s, &w_data, lanes, &keep_off);
         let out_hemisphere = case.residual.unwrap_or(input_hemisphere.opposite());
         let params = Conv2dParams {
             stride: case.stride,
@@ -1322,31 +1366,7 @@ mod tests {
         };
         // The output's hemisphere only: the host-written input's border
         // relies on the fresh SRAM a network input is always allocated in.
-        run_conv_case_on(case, |s, chip| dirty_sram(s, chip, &[Hemisphere::West]));
-    }
-
-    /// Dirties the bottom of every High bank of `hemispheres`, so every
-    /// later activation tensor there lands on recycled SRAM.
-    fn dirty_sram(s: &mut Scheduler, chip: &mut Chip, hemispheres: &[Hemisphere]) {
-        for &hemisphere in hemispheres {
-            let stale: Vec<TensorHandle> = (0..MEM_SLICES_PER_HEMISPHERE)
-                .map(|sl| {
-                    let others: Vec<(Hemisphere, u8)> = (0..MEM_SLICES_PER_HEMISPHERE)
-                        .filter(|&o| o != sl)
-                        .map(|o| (hemisphere, o))
-                        .collect();
-                    s.alloc
-                        .alloc_avoiding(Some(hemisphere), 64, 320, BankPolicy::High, 64, &others)
-                        .unwrap()
-                })
-                .collect();
-            for t in &stale {
-                for r in 0..t.rows {
-                    chip.memory.write(t.row(r), Vector::splat(0x55));
-                }
-                s.alloc.free(t);
-            }
-        }
+        run_conv_case_on(case, |s, chip| dirty_sram(s, chip, &[Hemisphere::West], 64));
     }
 
     /// G = 3 (c_in 16, 64), 2 (100 — not a superlane multiple — 128, 160) and
@@ -1393,11 +1413,32 @@ mod tests {
         });
     }
 
+    /// A lane-skewed input (pixel `x` at lane group `x mod G`, as a
+    /// lane-packed max pool writes it) is absorbed by weights repeated at
+    /// every group: 1×1 and 3×3 with a border, strided, `G` = 5, 2 and 20,
+    /// and a skewed input feeding a lane-replicating producer.
+    #[test]
+    fn skewed_inputs_match_reference() {
+        for (cin, skew) in [(64, 5), (100, 2), (12, 20)] {
+            for (k, stride) in [(1, 1), (3, 1), (3, 2)] {
+                run_conv_case(Case {
+                    in_skew: skew,
+                    relu: true,
+                    ..Case::new((9, 21), (cin, 24), k, stride)
+                });
+            }
+        }
+        run_conv_case(Case {
+            in_skew: 5,
+            ..Case::packed((14, 14), (64, 64), 1)
+        });
+    }
+
     /// Producer and consumer both on recycled SRAM: the lane-replicated
     /// border must read as zero in every lane group.
     #[test]
     fn packed_conv_on_recycled_sram_matches_reference() {
-        let both = |s: &mut Scheduler, chip: &mut Chip| dirty_sram(s, chip, &Hemisphere::ALL);
+        let both = |s: &mut Scheduler, chip: &mut Chip| dirty_sram(s, chip, &Hemisphere::ALL, 64);
         run_conv_case_on(Case::packed((14, 14), (64, 64), 1), both);
         run_conv_case_on(Case::packed((7, 7), (128, 64), 2), both);
     }
@@ -1465,7 +1506,8 @@ mod tests {
     /// as zero.
     #[test]
     fn residual_tail_on_recycled_sram_matches_reference() {
-        let west = |s: &mut Scheduler, chip: &mut Chip| dirty_sram(s, chip, &[Hemisphere::West]);
+        let west =
+            |s: &mut Scheduler, chip: &mut Chip| dirty_sram(s, chip, &[Hemisphere::West], 64);
         let case = Case {
             residual: Some(Hemisphere::West),
             relu: true,
@@ -1483,6 +1525,7 @@ mod tests {
             c: 8,
             pad: 1,
             lane_copies: 1,
+            lane_skew: 1,
             parts: Vec::new(),
         };
         assert_eq!(fm.border_segments(), [(0, 7), (11, 2), (17, 2), (23, 7)]);

@@ -39,11 +39,11 @@ use tsp_sim::IcuId;
 use crate::alloc::BankPolicy;
 use crate::kernels::elementwise::{pick_alu, tensor_hemisphere};
 use crate::resource::Resource;
-use crate::sched::{GatherMap, Scheduler, D_VXM};
+use crate::sched::{LaneMap, Scheduler, D_VXM};
 use crate::tensor::TensorHandle;
 
 /// Delay from `IW` dispatch until the array is usable.
-const D_IW: u64 = 4;
+pub(crate) const D_IW: u64 = 4;
 /// Cycles of an `LW` burst filling a full plane.
 const LW_ROWS: u64 = 20;
 
@@ -125,11 +125,11 @@ pub enum ActFeed<'a> {
     /// `Read` rows of the tensor.
     Read(&'a TensorHandle),
     /// `Gather` rows of the (lane-replicated) tensor through these maps.
-    Gather(&'a TensorHandle, &'a [GatherMap]),
+    Gather(&'a TensorHandle, &'a [LaneMap]),
 }
 
 impl ActFeed<'_> {
-    fn earliest_arrival(
+    pub(crate) fn earliest_arrival(
         self,
         s: &Scheduler,
         rows: &[u32],
@@ -145,7 +145,7 @@ impl ActFeed<'_> {
         }
     }
 
-    fn stream_rows(
+    pub(crate) fn stream_rows(
         self,
         s: &mut Scheduler,
         rows: &[u32],
@@ -217,15 +217,15 @@ impl PlaneChainBuilder {
     /// Starts a chain of passes of `n` rows each on `plane`.
     #[must_use]
     pub fn new(s: &Scheduler, plane: Plane, n: u64, not_before: u64) -> PlaneChainBuilder {
-        let start = s
-            .pool
-            .free_at(Resource::MxmPlane(plane.index()))
-            .max(not_before);
+        // The plane is handed over the way a chain hands it from pass to
+        // pass: the weight buffer once the previous tenant's last `IW` is
+        // through, the array once its last `ABC` has ended.
+        let free = |r: Resource| s.pool.free_at(r).max(not_before);
         PlaneChainBuilder {
             plane,
             passes_done: 0,
-            prev_iw_done: start,
-            prev_abc_end: start,
+            prev_iw_done: free(Resource::MxmWeights(plane.index())),
+            prev_abc_end: free(Resource::MxmArray(plane.index())),
             n,
             result: None,
         }
@@ -266,7 +266,6 @@ impl PlaneChainBuilder {
         let mxm = Slice::Mxm(plane.hemisphere()).position();
         let to_mxm = feed.group.base.direction;
         let from_mxm = to_mxm.opposite();
-        let plane_res = Resource::MxmPlane(plane.index());
 
         s.place(
             IcuId::Mxm { plane, port: 0 },
@@ -288,6 +287,8 @@ impl PlaneChainBuilder {
             },
         );
         self.prev_iw_done = t_iw + D_IW;
+        s.pool
+            .occupy(Resource::MxmWeights(plane.index()), self.prev_iw_done);
 
         // ---- activations --------------------------------------------------
         // The ACC emission time is t_abc + MXM_ARRAY_DELAY and cannot move,
@@ -322,6 +323,8 @@ impl PlaneChainBuilder {
             },
         );
         self.prev_abc_end = t_abc + n;
+        s.pool
+            .occupy(Resource::MxmArray(plane.index()), self.prev_abc_end);
 
         // ---- accumulate ----------------------------------------------------
         let mode = if self.passes_done == 0 {
@@ -339,7 +342,6 @@ impl PlaneChainBuilder {
                 mode,
             },
         );
-        s.pool.occupy(plane_res, t_acc + n);
         self.passes_done += 1;
 
         let vxm = Slice::Vxm.position();

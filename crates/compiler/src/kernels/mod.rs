@@ -15,4 +15,51 @@ pub use conv::{
 pub use elementwise::{binary_ew, binary_ew_replicated, copy, copy_replicated, unary_ew};
 pub use matmul::{lw_rows, matmul, ActFeed, MatmulOpts, WeightSet};
 pub use matmul::{schedule_plane_chain, schedule_requant_write, Int32Stream, Pass};
-pub use pool::{global_avg_pool, max_pool, MaxPoolParams};
+pub use pool::{global_avg_pool, max_pool, pixels_per_row, MaxPoolParams};
+
+/// Helpers shared by the kernels' unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use tsp_arch::{Hemisphere, Vector, MEM_SLICES_PER_HEMISPHERE};
+    use tsp_sim::Chip;
+
+    use crate::alloc::BankPolicy;
+    use crate::{Scheduler, TensorHandle};
+
+    /// Dirties the bottom `rows` words of every High bank of `hemispheres`
+    /// with `0x55`, so every later activation tensor up to that size there
+    /// lands on recycled SRAM.
+    pub(crate) fn dirty_sram(
+        s: &mut Scheduler,
+        chip: &mut Chip,
+        hemispheres: &[Hemisphere],
+        rows: u32,
+    ) {
+        for &hemisphere in hemispheres {
+            let stale: Vec<TensorHandle> = (0..MEM_SLICES_PER_HEMISPHERE)
+                .map(|sl| {
+                    let others: Vec<(Hemisphere, u8)> = (0..MEM_SLICES_PER_HEMISPHERE)
+                        .filter(|&o| o != sl)
+                        .map(|o| (hemisphere, o))
+                        .collect();
+                    (s.alloc)
+                        .alloc_avoiding(
+                            Some(hemisphere),
+                            rows,
+                            320,
+                            BankPolicy::High,
+                            rows,
+                            &others,
+                        )
+                        .expect("an empty slice has room")
+                })
+                .collect();
+            for t in &stale {
+                for r in 0..t.rows {
+                    chip.memory.write(t.row(r), Vector::splat(0x55));
+                }
+                s.alloc.free(t);
+            }
+        }
+    }
+}

@@ -6,6 +6,22 @@
 //! state. If fewer replicas than offsets are available, the offsets are
 //! processed in rounds with the running partial as a carry input.
 //!
+//! **Lane packing.** A `c`-channel pixel fills `c` of the 320 lanes every one
+//! of those `max` issues works on, so when the input is lane-replicated
+//! ([`FeatureMap::lane_copies`]` = G`, written so by the conv producing it) a
+//! VXM row carries `G` horizontally adjacent *output* pixels instead of one:
+//! each tap stream is a MEM `Gather` putting the tap's input pixel of output
+//! `x_g` into lane group `g`, the `max` tree — lane-agnostic — is unchanged
+//! but `G×` shorter, and the result is committed with a MEM `Scatter` that
+//! sends lane group `g` to the stored row of pixel `x_g`. Pixel `x` therefore
+//! sits at lane group `x mod G` of its own row, the other groups zero: a
+//! **lane-skewed** map ([`FeatureMap::lane_skew`]), which a conv reads for
+//! nothing by repeating its weights at every lane group. A row's last vector,
+//! when `G` does not divide the width, covers the last `G` pixels again —
+//! each in the lane group its `x mod G` names — so no lane ever holds
+//! anything but a pooled pixel. Which path a pool takes follows from its
+//! input alone; a host-written or unreplicated map is pooled a pixel per row.
+//!
 //! **Global average pool** rides the MXM: identity weights are installed and
 //! the N pixel rows streamed through while `ACC` *accumulates into a single
 //! ordinal*, so the final readout is the channel-wise sum of all rows; the
@@ -17,11 +33,13 @@ use tsp_isa::{AccumulateMode, BinaryAluOp, DataType, MxmOp, Plane, VxmOp, MXM_AR
 use tsp_sim::IcuId;
 
 use crate::alloc::BankPolicy;
-use crate::kernels::conv::FeatureMap;
+use crate::kernels::conv::{group_lanes, FeatureMap};
 use crate::kernels::elementwise::{pick_alu, tensor_hemisphere};
-use crate::kernels::matmul::{place_repeated, schedule_requant_write, stream_weights, Int32Stream};
+use crate::kernels::matmul::{
+    place_repeated, schedule_requant_write, stream_weights, ActFeed, Int32Stream, D_IW,
+};
 use crate::resource::Resource;
-use crate::sched::{Scheduler, D_VXM};
+use crate::sched::{LaneMap, Scheduler, D_VXM};
 use crate::tensor::TensorHandle;
 
 /// Parameters of a [`max_pool`].
@@ -43,28 +61,116 @@ pub struct MaxPoolParams {
     pub not_before: u64,
 }
 
+/// Output pixels a [`max_pool`] of a `c`-channel map can put in one VXM row
+/// of an `ow`-pixel-wide output (`G`): as many lane groups as the 320 lanes
+/// hold, and no more than the row has pixels.
+#[must_use]
+pub fn pixels_per_row(c: u32, ow: u32) -> u32 {
+    (320 / group_lanes(c)).clamp(1, ow.max(1))
+}
+
+/// How the `ow` output pixels of a row are dealt to vectors of `groups` lane
+/// groups: vector `v`'s lane group `g` holds pixel `pixel(v, g)`, always one
+/// with `x mod groups = g`. The last vector of a row whose width `groups` does
+/// not divide starts `groups` pixels before the end, so it recomputes pixels
+/// the vector before it already holds — into the same lane groups — rather
+/// than carry lanes that are not a pixel.
+#[derive(Debug, Clone, Copy)]
+struct LanePacking {
+    ow: u32,
+    groups: u32,
+}
+
+impl LanePacking {
+    /// Vectors per output row.
+    fn vectors(self) -> u32 {
+        self.ow.div_ceil(self.groups)
+    }
+
+    /// The pixel in lane group `g` of a row's vector `v`; lanes past the
+    /// last group address the pixel of group 0 (they hold zeros).
+    fn pixel(self, v: u32, g: u32) -> u32 {
+        let g = if g < self.groups { g } else { 0 };
+        let first = (v * self.groups).min(self.ow - self.groups);
+        first + (g + self.groups - first % self.groups) % self.groups
+    }
+}
+
+/// How a pooled vector stream reaches an output replica.
+enum Store {
+    /// One pixel per vector: plain `Write`s over the interior segments.
+    Write(Vec<(u32, u32)>),
+    /// Lane-packed: a `Scatter` through the replica's maps, a key per vector.
+    Scatter(Vec<LaneMap>, Vec<u32>),
+}
+
+impl Store {
+    /// The earliest cycle ≥ `t` the first vector may be at the VXM.
+    fn earliest(&self, s: &Scheduler, rep: &TensorHandle, dir: Direction, t: u64) -> u64 {
+        let vxm = Slice::Vxm.position();
+        match self {
+            Store::Write(_) => t,
+            Store::Scatter(maps, keys) => s.earliest_scatter_start(rep, maps, keys, dir, vxm, t),
+        }
+    }
+
+    /// Commits the vectors on `stream`, the first at the VXM at `t`.
+    fn commit(&self, s: &mut Scheduler, rep: &TensorHandle, stream: StreamId, t: u64) {
+        let vxm = Slice::Vxm.position();
+        match self {
+            Store::Write(segments) => {
+                let mut offset = 0u64;
+                for &(first, count) in segments {
+                    s.write_rows(rep, first, count, stream, vxm, t + offset);
+                    offset += u64::from(count);
+                }
+            }
+            Store::Scatter(maps, keys) => s.scatter_rows(rep, maps, keys, stream, vxm, t),
+        }
+    }
+}
+
 /// Schedules a k×k max pool over a feature map. Returns the output map and
-/// completion cycle.
+/// completion cycle. A lane-replicated input is pooled
+/// [`FeatureMap::lane_copies`] pixels per VXM row into a lane-skewed output
+/// (see the module docs), anything else one pixel per row.
 ///
 /// # Panics
 ///
-/// Panics if the input's materialized border is smaller than `pad`.
+/// Panics if the input's materialized border is smaller than `pad`, or if
+/// the input is itself lane-skewed.
 pub fn max_pool(
     s: &mut Scheduler,
     input: &FeatureMap,
     params: &MaxPoolParams,
 ) -> (FeatureMap, u64) {
+    assert_eq!(input.lane_skew, 1, "only a conv reads a lane-skewed map");
     let k = params.kernel;
     let oh = (input.h + 2 * params.pad - k) / params.stride + 1;
     let ow = (input.w + 2 * params.pad - k) / params.stride + 1;
-    let n = oh * ow;
-    let mut avoid: Vec<(tsp_arch::Hemisphere, u8)> = Vec::new();
+    // More lane copies than the row has pixels would leave copies of a pixel
+    // where the skewed output must be zero.
+    let groups = match input.lane_copies {
+        copies if copies <= ow => copies,
+        _ => 1,
+    };
+    let packing = LanePacking { ow, groups };
+    let vectors = packing.vectors();
+    let n = oh * vectors;
+    let out_pw = ow + 2 * params.out_pad;
+    // A vector's pixels share a slice: packed, blocks hold whole padded rows.
+    let max_block = match groups {
+        1 => 4096,
+        _ => (4096 / out_pw).max(1) * out_pw,
+    };
+    let mut avoid: Vec<(Hemisphere, u8)> = Vec::new();
     let out = FeatureMap {
         h: oh,
         w: ow,
         c: input.c,
         pad: params.out_pad,
         lane_copies: 1,
+        lane_skew: groups,
         parts: (0..input.kparts())
             .map(|kp| {
                 let cols = input.parts[kp][0].cols;
@@ -74,10 +180,10 @@ pub fn max_pool(
                             .alloc
                             .alloc_avoiding(
                                 Some(params.out_hemisphere),
-                                (oh + 2 * params.out_pad) * (ow + 2 * params.out_pad),
+                                (oh + 2 * params.out_pad) * out_pw,
                                 cols,
                                 BankPolicy::High,
-                                4096,
+                                max_block,
                                 &avoid,
                             )
                             .expect("SRAM exhausted for pool output");
@@ -88,9 +194,15 @@ pub fn max_pool(
             })
             .collect(),
     };
-    let segments = out.interior_segments();
     let vxm = Slice::Vxm.position();
     let mut done = params.not_before;
+    let gl = group_lanes(input.c);
+    // Everything the chain streams at once keeps to slices of its own: the
+    // maps of the taps (opposite the input) off the output replicas, the maps
+    // of the replicas (opposite the output) off the input.
+    avoid.extend(input.slices());
+    // Row `i` of a tap or of the output, as `(row, column)` of the vectors.
+    let at = |i: u32| (i / vectors, i % vectors);
 
     let offsets: Vec<(u32, u32)> = (0..k)
         .flat_map(|dy| (0..k).map(move |dx| (dy, dx)))
@@ -98,11 +210,39 @@ pub fn max_pool(
 
     for kp in 0..input.kparts() {
         let replicas = &input.parts[kp];
+        // How each output replica is written, and what must read as zero
+        // without ever being written: the border — or, scattered, all of it
+        // (a `Scatter` leaves the superlanes it does not address as they
+        // were), cleared before the first vector lands.
+        let stores: Vec<Store> = (out.parts[kp].iter())
+            .map(|rep| match groups {
+                1 => Store::Write(out.interior_segments()),
+                _ => {
+                    let row_of = |i: u32, g: u32| {
+                        let (oy, v) = at(i);
+                        out.row_index(oy, packing.pixel(v, g))
+                    };
+                    let keys: Vec<u32> = (0..n).map(|i| row_of(i, 0)).collect();
+                    Store::Scatter(s.add_lane_maps(rep, gl, &keys, row_of, &mut avoid), keys)
+                }
+            })
+            .collect();
+        let stale = match groups {
+            1 => out.border_segments(),
+            _ => vec![(0, out.rows_total())],
+        };
+        let clear = |s: &mut Scheduler| {
+            let jobs: Vec<(&TensorHandle, &[(u32, u32)])> =
+                (out.parts[kp].iter().map(|t| (t, stale.as_slice()))).collect();
+            s.zero_stale(&jobs)
+        };
+        if groups > 1 {
+            done = done.max(clear(s));
+        }
         // One stream per replica per round.
         let lanes_per_round = replicas.len().max(1);
         let mut carry: Option<TensorHandle> = None;
         let mut off_at = 0usize;
-        let mut round = 0usize;
         while off_at < offsets.len() {
             let batch: Vec<(u32, u32)> = offsets
                 .iter()
@@ -122,15 +262,34 @@ pub fn max_pool(
                     t0 = t0.max(s.mem_free_tensor(rep));
                 }
             }
-            let mut plan: Vec<(&TensorHandle, Vec<u32>)> = Vec::new();
+            // Per tap: its replica, the rows (packed: map keys) it streams
+            // and, packed, the map that gathers the tap's pixel of every
+            // lane group's output pixel.
+            let mut plan: Vec<(&TensorHandle, Vec<u32>, Vec<LaneMap>)> = Vec::new();
             for (i, &(dy, dx)) in batch.iter().enumerate() {
                 let tensor = &replicas[i % replicas.len()];
                 let rows = input.offset_rows(oh, ow, params.stride, dy, dx, params.pad);
-                plan.push((tensor, rows));
+                if groups == 1 {
+                    plan.push((tensor, rows, Vec::new()));
+                    continue;
+                }
+                let row_of = |i: u32, g: u32| {
+                    let (oy, v) = at(i);
+                    rows[(oy * ow + packing.pixel(v, g)) as usize]
+                };
+                let keys: Vec<u32> = (0..n).map(|i| row_of(i, 0)).collect();
+                let maps = s.add_lane_maps(tensor, gl, &keys, row_of, &mut avoid);
+                plan.push((tensor, keys, maps));
             }
             if let Some(c) = &carry {
-                plan.push((c, (0..n).collect()));
+                plan.push((c, (0..n).collect(), Vec::new()));
             }
+            let feeds: Vec<ActFeed<'_>> = (plan.iter())
+                .map(|(tensor, _, maps)| match maps.as_slice() {
+                    [] => ActFeed::Read(tensor),
+                    maps => ActFeed::Gather(tensor, maps),
+                })
+                .collect();
             // Common earliest start, honoring staggered arrivals: every
             // operand stream and every max-result stream free, every read
             // port free.
@@ -138,26 +297,51 @@ pub fn max_pool(
             let stagger = |i: usize| (i as u64).saturating_sub(1) * D_VXM;
             let mut ids: Vec<StreamId> = Vec::new();
             let mut mids: Vec<StreamId> = Vec::new();
-            for (i, (tensor, rows)) in plan.iter().enumerate() {
+            // A pick stays free however far later picks push `t0`, but its
+            // hold (below) may lapse before them: later picks exclude it.
+            let mut picked: Vec<StreamId> = Vec::new();
+            let mut pick = |s: &mut Scheduler, dir: Direction, at: u64| {
+                let same = picked.iter().filter(|p| p.direction == dir);
+                let exclude: Vec<u8> = same.map(|p| p.id).collect();
+                let (id, ready) = s.take_streams_excluding(dir, 1, at, vxm, &exclude);
+                picked.push(id[0]);
+                (id[0], ready)
+            };
+            for (i, ((tensor, rows, _), feed)) in plan.iter().zip(&feeds).enumerate() {
                 let dir = Direction::inward_from(tensor_hemisphere(tensor));
-                let (id, ready) = s.take_streams(dir, 1, t0 + stagger(i), vxm);
-                let want = s.earliest_read_arrival(tensor, rows, dir, vxm, ready);
+                let (id, ready) = pick(s, dir, t0 + stagger(i));
+                let want = feed.earliest_arrival(s, rows, dir, vxm, ready);
                 t0 = t0.max(want - stagger(i));
                 // Hold each pick for its (provisional) burst so the next pick,
                 // at a later stagger, cannot land on it; the real schedule
                 // below only extends these.
-                s.occupy_stream(id[0], vxm, t0 + stagger(i) + u64::from(n));
-                ids.push(id[0]);
+                s.occupy_stream(id, vxm, t0 + stagger(i) + u64::from(n));
+                ids.push(id);
                 if i > 0 {
                     let t_res = t0 + stagger(i) + D_VXM;
-                    let (mid, ready) = s.take_streams(out_dir, 1, t_res, vxm);
+                    let (mid, ready) = pick(s, out_dir, t_res);
                     t0 += ready - t_res;
-                    s.occupy_stream(mid[0], vxm, ready + u64::from(n));
-                    mids.push(mid[0]);
+                    s.occupy_stream(mid, vxm, ready + u64::from(n));
+                    mids.push(mid);
                 }
             }
-            for (i, ((tensor, rows), id)) in plan.iter().zip(&ids).enumerate() {
-                s.read_rows(tensor, rows, *id, vxm, t0 + stagger(i));
+            // The last max's results leave the VXM this long after `t0`.
+            let t_out = stagger(plan.len() - 1) + if plan.len() > 1 { D_VXM } else { 0 };
+            if last_round {
+                for (rep, store) in out.parts[kp].iter().zip(&stores) {
+                    t0 = store.earliest(s, rep, out_dir, t0 + t_out) - t_out;
+                }
+            }
+            // `t0` is final: hold every pick for its real burst before any
+            // map stream is chosen.
+            for (i, id) in ids.iter().enumerate() {
+                s.occupy_stream(*id, vxm, t0 + stagger(i) + u64::from(n));
+            }
+            for (i, mid) in mids.iter().enumerate() {
+                s.occupy_stream(*mid, vxm, t0 + stagger(i + 1) + D_VXM + u64::from(n));
+            }
+            for (i, (((_, rows, _), feed), id)) in plan.iter().zip(&feeds).zip(&ids).enumerate() {
+                feed.stream_rows(s, rows, *id, vxm, t0 + stagger(i));
             }
 
             // Chain of max ops: out_i = max(out_{i-1}, in_i).
@@ -183,28 +367,23 @@ pub fn max_pool(
                         alu,
                     },
                 );
-                s.occupy_stream(mid.base, vxm, t_op + D_VXM + u64::from(n));
                 current = mid;
                 t_cur = t_op + D_VXM;
             }
+            debug_assert_eq!(t_cur, t0 + t_out);
 
             if last_round {
-                for rep in &out.parts[kp] {
-                    let mut offset = 0u64;
-                    for &(first, count) in &segments {
-                        s.write_rows(rep, first, count, current.base, vxm, t_cur + offset);
-                        offset += u64::from(count);
-                    }
+                for (rep, store) in out.parts[kp].iter().zip(&stores) {
+                    store.commit(s, rep, current.base, t_cur);
                 }
                 done = done.max(t_cur + u64::from(n));
                 if let Some(old) = carry.take() {
                     s.alloc.free(&old);
                 }
                 // On recycled SRAM the never-written border is stale.
-                let border = out.border_segments();
-                let borders: Vec<(&TensorHandle, &[(u32, u32)])> =
-                    (out.parts[kp].iter().map(|t| (t, border.as_slice()))).collect();
-                done = done.max(s.zero_stale(&borders));
+                if groups == 1 {
+                    done = done.max(clear(s));
+                }
             } else {
                 // The carry lands downstream in the output hemisphere; the
                 // next round streams it back inward as an extra tree input.
@@ -231,8 +410,6 @@ pub fn max_pool(
                     s.alloc.free(&old);
                 }
             }
-            round += 1;
-            let _ = round;
         }
     }
     s.note_completion(done);
@@ -243,6 +420,10 @@ pub fn max_pool(
 /// per channel part holding a single row — the channel-wise **sum** over all
 /// `h·w` pixels, requantized to int8 by `2^-shift` (fold the `1/N` into the
 /// next layer's scale). Completion cycle is returned alongside.
+///
+/// # Panics
+///
+/// Panics if the input is lane-skewed.
 pub fn global_avg_pool(
     s: &mut Scheduler,
     input: &FeatureMap,
@@ -250,6 +431,7 @@ pub fn global_avg_pool(
     out_hemisphere: Hemisphere,
     not_before: u64,
 ) -> (Vec<TensorHandle>, u64) {
+    assert_eq!(input.lane_skew, 1, "only a conv reads a lane-skewed map");
     let n = input.h * input.w;
     let vxm = Slice::Vxm.position();
     let mut outs = Vec::with_capacity(input.kparts());
@@ -281,8 +463,11 @@ pub fn global_avg_pool(
         let identity = s.add_constant(id_rows, cols, BankPolicy::Low, 20);
 
         // Install identity.
-        let plane_res = Resource::MxmPlane(plane.index());
-        let ready = s.pool.free_at(plane_res).max(not_before);
+        let (buffer, array) = (
+            Resource::MxmWeights(plane.index()),
+            Resource::MxmArray(plane.index()),
+        );
+        let ready = s.pool.free_at(buffer).max(not_before);
         let feed = stream_weights(s, &identity, plane.hemisphere(), ready);
         s.place(
             IcuId::Mxm { plane, port: 0 },
@@ -293,7 +478,7 @@ pub fn global_avg_pool(
                 rows: 20,
             },
         );
-        let t_iw = feed.t_lw + 20;
+        let t_iw = (feed.t_lw + 20).max(s.pool.free_at(array));
         s.place(
             IcuId::Mxm { plane, port: 3 },
             t_iw,
@@ -302,12 +487,13 @@ pub fn global_avg_pool(
                 dtype: DataType::Int8,
             },
         );
+        s.pool.occupy(buffer, t_iw + D_IW);
 
         // Stream the interior rows through.
         let rows: Vec<u32> = (0..input.h)
             .flat_map(|y| (0..input.w).map(move |x| input.row_index(y, x)))
             .collect();
-        let (acts, ready) = s.take_streams(to_mxm, 1, t_iw + 4, mxm);
+        let (acts, ready) = s.take_streams(to_mxm, 1, t_iw + D_IW, mxm);
         let t_abc = s.earliest_read_arrival(part, &rows, to_mxm, mxm, ready);
         s.read_rows(part, &rows, acts[0], mxm, t_abc);
         s.place(
@@ -344,7 +530,7 @@ pub fn global_avg_pool(
         for stream in acc_group.streams() {
             s.occupy_stream(stream, mxm, t_acc + 1 + u64::from(n));
         }
-        s.pool.occupy(plane_res, t_acc + u64::from(n));
+        s.pool.occupy(array, t_abc + u64::from(n));
 
         // Only the final emission (row n−1) carries the full sum.
         let transit = u64::from(from_mxm.hops(mxm, vxm).expect("VXM inward"));
@@ -377,6 +563,7 @@ pub fn global_avg_pool(
 mod tests {
     use super::*;
     use crate::kernels::conv::alloc_feature_map;
+    use crate::kernels::testing::dirty_sram;
     use tsp_arch::ChipConfig;
     use tsp_sim::chip::RunOptions;
     use tsp_sim::Chip;
@@ -486,9 +673,228 @@ mod tests {
             for row in 0..out.rows_total() {
                 let (y, x) = (row / out.pw(), row % out.pw());
                 let interior = (1..=2).contains(&y) && (1..=2).contains(&x);
-                let want = if interior { 7 } else { 0 };
-                assert_eq!(chip.memory.read_unchecked(rep.row(row)).lane(0), want);
+                let got = chip.memory.read_unchecked(rep.row(row));
+                // The host wrote 7 to every lane of the input.
+                let want = Vector::splat(if interior { 7 } else { 0 });
+                assert_eq!(got, want, "row {row}");
             }
+        }
+    }
+
+    /// One pool shape to check against the scalar reference: the input is
+    /// produced on chip by an identity 1×1 conv writing the lane copies the
+    /// pool packs by ([`pixels_per_row`]; one from 161 channels, which pools
+    /// a pixel per row).
+    #[derive(Clone, Copy)]
+    struct Case {
+        hw: (u32, u32),
+        c: u32,
+        kernel: u32,
+        stride: u32,
+        pad: u32,
+        out_pad: u32,
+        /// Replicas of the input: fewer than k² pools in rounds.
+        in_replicas: u8,
+        out_replicas: u8,
+    }
+
+    impl Case {
+        fn new(hw: (u32, u32), c: u32, (kernel, stride, pad): (u32, u32, u32)) -> Case {
+            Case {
+                hw,
+                c,
+                kernel,
+                stride,
+                pad,
+                out_pad: 0,
+                in_replicas: (kernel * kernel) as u8,
+                out_replicas: 1,
+            }
+        }
+    }
+
+    /// Compiles and runs `case` on a scheduler prepared by `prepare`, then
+    /// checks **every lane** of every stored row of every output replica:
+    /// pixel `x` holds the window maximum at lane group `x mod G`, and every
+    /// other lane — the other groups, the lanes past the channels, the border
+    /// — reads zero.
+    fn run_pool_case_on(case: Case, prepare: impl FnOnce(&mut Scheduler, &mut Chip)) {
+        use crate::kernels::conv::{conv2d, emplace_conv, Conv2dParams};
+        let Case {
+            hw: (h, w),
+            c,
+            kernel: k,
+            stride,
+            pad,
+            ..
+        } = case;
+        let mut s = Scheduler::new();
+        let mut chip = Chip::new(ChipConfig::asic());
+        prepare(&mut s, &mut chip);
+        let oh = (h + 2 * pad - k) / stride + 1;
+        let ow = (w + 2 * pad - k) / stride + 1;
+        let groups = pixels_per_row(c, ow);
+
+        let host = alloc_feature_map(&mut s, h, w, c, 0, Hemisphere::West, 4);
+        let identity = emplace_conv(
+            &mut s,
+            (1, c, c),
+            (1, 1, groups),
+            (1, &[]),
+            |co, ci, _, _| i8::from(co == ci),
+        );
+        let producer = Conv2dParams {
+            out_pad: pad,
+            out_hemisphere: Hemisphere::East,
+            out_replicas: case.in_replicas,
+            ..Conv2dParams::default()
+        };
+        let (input, _) = conv2d(&mut s, &host, &identity, &producer);
+        assert_eq!(input.lane_copies, groups);
+        let params = MaxPoolParams {
+            kernel: k,
+            stride,
+            pad,
+            out_pad: case.out_pad,
+            out_hemisphere: Hemisphere::West,
+            out_replicas: case.out_replicas,
+            not_before: 0,
+        };
+        let (out, _) = max_pool(&mut s, &input, &params);
+        assert_eq!((out.h, out.w, out.lane_skew), (oh, ow, groups));
+        load_constants(&mut chip, &mut s);
+        let program = s.into_program().expect("valid schedule");
+
+        // Full-range values, negative ones included (the border is a zero).
+        let val = |y: u32, x: u32, ch: u32| ((y * 131 + x * 31 + ch * 7) % 251) as u8 as i8;
+        for rep in &host.parts[0] {
+            for y in 0..h {
+                for x in 0..w {
+                    let mut v = Vector::ZERO;
+                    for ch in 0..c {
+                        v.set_lane(ch as usize, val(y, x, ch) as u8);
+                    }
+                    chip.memory.write(rep.row(host.row_index(y, x)), v);
+                }
+            }
+        }
+        chip.run(&program, &RunOptions::default())
+            .expect("clean run");
+
+        let expect = |oy: u32, ox: u32, ch: u32| {
+            let taps = (0..k).flat_map(|dy| (0..k).map(move |dx| (dy, dx)));
+            taps.map(|(dy, dx)| {
+                let (iy, ix) = (oy * stride + dy, ox * stride + dx);
+                let inside = |v: u32, len: u32| (pad..pad + len).contains(&v);
+                if inside(iy, h) && inside(ix, w) {
+                    val(iy - pad, ix - pad, ch)
+                } else {
+                    0
+                }
+            })
+            .max()
+            .expect("a window has taps")
+        };
+        let gl = group_lanes(c);
+        assert_eq!(out.parts[0].len(), usize::from(case.out_replicas));
+        for rep in &out.parts[0] {
+            for row in 0..out.rows_total() {
+                let got = chip.memory.read_unchecked(rep.row(row));
+                let (py, px) = (row / out.pw(), row % out.pw());
+                let inside = |v: u32, len: u32| (out.pad..out.pad + len).contains(&v);
+                let pixel = inside(py, oh) && inside(px, ow);
+                for lane in 0..320u32 {
+                    let (oy, ox) = (py.wrapping_sub(out.pad), px.wrapping_sub(out.pad));
+                    let own = pixel && lane / gl == ox % groups && lane % gl < c;
+                    let want = if own { expect(oy, ox, lane % gl) } else { 0 };
+                    assert_eq!(
+                        got.lane(lane as usize) as i8,
+                        want,
+                        "{h}×{w}×{c} k{k}/{stride} pad {pad}: row {row} lane {lane}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn run_pool_case(case: Case) {
+        run_pool_case_on(case, |_, _| {});
+    }
+
+    /// Kernel 2 and 3, stride 1 and 2, pad 0 and 1, over channel counts that
+    /// pack 13 pixels a row (5 and 12 channels: as many as the row has), 5
+    /// (64), 2 (100 — not a superlane multiple) and 1 (161: unpacked); a
+    /// 13-pixel input row makes widths 5, 6, 7, 11, 12 and 13, most of which
+    /// `G` does not divide.
+    #[test]
+    fn packed_pools_match_reference() {
+        for c in [5, 12, 64, 100, 161] {
+            for window in [
+                (2, 2, 0),
+                (3, 2, 1),
+                (3, 1, 1),
+                (2, 1, 0),
+                (3, 2, 0),
+                (2, 2, 1),
+            ] {
+                run_pool_case(Case::new((9, 13), c, window));
+            }
+        }
+        assert_eq!(
+            [5, 12, 64, 100, 161].map(|c| pixels_per_row(c, 13)),
+            [13, 13, 5, 2, 1]
+        );
+    }
+
+    /// The last vector of a row starts `G` pixels before its end and holds
+    /// every pixel at lane group `x mod G`.
+    #[test]
+    fn the_last_vector_of_a_row_covers_its_last_pixels_again() {
+        let packing = LanePacking { ow: 7, groups: 5 };
+        assert_eq!(packing.vectors(), 2);
+        let row: Vec<Vec<u32>> = (0..2)
+            .map(|v| (0..5).map(|g| packing.pixel(v, g)).collect())
+            .collect();
+        assert_eq!(row, [[0, 1, 2, 3, 4], [5, 6, 2, 3, 4]]);
+        let even = LanePacking { ow: 10, groups: 5 };
+        assert_eq!(even.pixel(1, 3), 8);
+    }
+
+    /// A materialized output border and four output replicas — what a conv
+    /// consumer asks for — each replica scattered through its own map.
+    #[test]
+    fn packed_pool_with_border_and_replicas_matches_reference() {
+        for c in [12, 64] {
+            run_pool_case(Case {
+                out_pad: 1,
+                out_replicas: 4,
+                ..Case::new((11, 11), c, (3, 2, 1))
+            });
+        }
+    }
+
+    /// Fewer input replicas than taps: the packed partial maxima are carried
+    /// from round to round as they are, a vector a row.
+    #[test]
+    fn packed_pool_in_rounds_matches_reference() {
+        run_pool_case(Case {
+            in_replicas: 4,
+            ..Case::new((9, 13), 64, (3, 2, 1))
+        });
+    }
+
+    /// Producer and pool both on recycled SRAM pre-filled with `0x55`: a
+    /// `Scatter` leaves the superlanes it does not address as they were, so
+    /// every lane outside a row's own group must have been cleared first.
+    #[test]
+    fn packed_pool_on_recycled_sram_matches_reference() {
+        for (c, out_pad) in [(64, 1), (100, 0), (12, 1)] {
+            let case = Case {
+                out_pad,
+                out_replicas: 4,
+                ..Case::new((9, 13), c, (3, 2, 1))
+            };
+            run_pool_case_on(case, |s, chip| dirty_sram(s, chip, &Hemisphere::ALL, 256));
         }
     }
 

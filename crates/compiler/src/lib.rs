@@ -18,7 +18,8 @@
 //!   dense matmul on the MXM (with K/M/N splitting and requantize+ReLU
 //!   chaining through the VXM), conv2d (offset accumulation, row-split over
 //!   the planes, K-packed through MEM `Gather` where the channels leave room),
-//!   max/avg pooling, residual adds;
+//!   max pooling (lane-packed through `Gather` and `Scatter` where they do),
+//!   global average pooling, residual adds;
 //! * [`viz`] — schedule rendering (regenerates the paper's Fig. 11).
 //!
 //! Everything is scheduled against the same [`tsp_arch::TimeModel`] the

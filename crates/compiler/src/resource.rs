@@ -26,8 +26,14 @@ pub enum Resource {
     Stream(Direction, u8),
     /// One of the 16 per-lane VXM ALUs (by mesh index).
     VxmAlu(u8),
-    /// One MXM plane.
-    MxmPlane(u8),
+    /// One MXM plane's weight buffer: busy from an `LW` until the `IW` that
+    /// empties it into the array has completed.
+    MxmWeights(u8),
+    /// One MXM plane's array input: busy until the last activation row of
+    /// the pass using the installed weights has entered (`ABC` end). The
+    /// accumulators need no entry of their own: a pass's `ACC` trails its
+    /// `ABC` by the array delay, so read-outs keep the order of the `ABC`s.
+    MxmArray(u8),
     /// One SXM sub-unit.
     SxmUnit(Hemisphere, u8),
     /// One C2C queue.
@@ -150,7 +156,7 @@ mod tests {
     #[test]
     fn untouched_resources_are_free_at_zero() {
         let p = ResourcePool::new();
-        assert_eq!(p.free_at(Resource::MxmPlane(2)), 0);
+        assert_eq!(p.free_at(Resource::MxmArray(2)), 0);
     }
 
     #[test]
@@ -191,10 +197,10 @@ mod tests {
     #[test]
     fn fence_floors_everything() {
         let mut p = ResourcePool::new();
-        p.occupy(Resource::MxmPlane(0), 10);
+        p.occupy(Resource::MxmArray(0), 10);
         p.fence(100);
-        assert_eq!(p.free_at(Resource::MxmPlane(0)), 100);
-        assert_eq!(p.free_at(Resource::MxmPlane(3)), 100);
+        assert_eq!(p.free_at(Resource::MxmArray(0)), 100);
+        assert_eq!(p.free_at(Resource::MxmWeights(3)), 100);
         let (_, ready) = p.pick_streams_excluding(Direction::East, 1, 0, &[]);
         assert_eq!(ready, 100);
     }

@@ -65,31 +65,34 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// The address maps a MEM `Gather` of one tensor reads (see
-/// [`Scheduler::add_gather_map`]): one single-slice piece per block of the
-/// tensor, covering the rows a consumer gathers from it.
+/// Per-superlane word addresses into one tensor, as a MEM `Gather` reads them
+/// or a MEM `Scatter` writes through them (see [`Scheduler::add_lane_maps`]):
+/// one map row per gathered or scattered vector, and nothing for the rows in
+/// between.
 #[derive(Debug, Clone)]
-pub struct GatherMap {
+pub struct LaneMap {
     /// Map rows: row `i` carries, per superlane, the word address that
-    /// superlane fetches when data row `first_row + i` is gathered.
+    /// superlane fetches from (or stores to) for the vector `keys[i]` names.
     pub tensor: TensorHandle,
-    /// The data row map row 0 belongs to.
-    pub first_row: u32,
+    /// The data row lane group 0 of each map row addresses, ascending: what
+    /// [`Scheduler::gather_rows`] and [`Scheduler::scatter_rows`] are given
+    /// to name a vector, and the block of the data tensor it lies in.
+    pub keys: Vec<u32>,
 }
 
-/// One `Gather` burst of [`Scheduler::gather_rows`]: consecutive entries of
-/// the row list that lie in one block (slice) of the data tensor.
-struct GatherRun<'a> {
-    /// Index of the run's first entry in the row list.
+/// One `Gather` or `Scatter` burst: consecutive entries of a key list that
+/// lie in one map, and so in one block (slice) of the data tensor.
+struct LaneRun<'a> {
+    /// Index of the run's first entry in the key list.
     start: usize,
-    /// Rows of the map tensor to stream, one per gathered row.
+    /// Rows of the map tensor to stream, one per vector.
     map_rows: Vec<u32>,
-    map: &'a GatherMap,
+    map: &'a LaneMap,
     /// The data slice.
     slice: (Hemisphere, u8),
 }
 
-impl GatherRun<'_> {
+impl LaneRun<'_> {
     fn position(&self) -> Position {
         Slice::mem(self.slice.0, self.slice.1).position()
     }
@@ -98,6 +101,13 @@ impl GatherRun<'_> {
     /// flowing outward through the data's hemisphere always reaches it.
     fn map_direction(&self) -> Direction {
         Direction::outward_from(self.slice.0)
+    }
+
+    fn icu(&self) -> IcuId {
+        IcuId::Mem {
+            hemisphere: self.slice.0,
+            index: self.slice.1,
+        }
     }
 }
 
@@ -166,7 +176,7 @@ impl Scheduler {
     /// [`Scheduler::add_constant`] constrained to a hemisphere and keeping off
     /// the slices in `avoid` — other tensors streamed at the same time, whose
     /// queues the constant's reads would wait behind — unless only they have
-    /// room.
+    /// room; a constant its bank has no room for at all goes to the other.
     ///
     /// # Panics
     ///
@@ -185,65 +195,84 @@ impl Scheduler {
         let handle = alloc
             .alloc_avoiding(hemisphere, n, cols, policy, max_block, avoid)
             .or_else(|_| alloc.alloc_avoiding(hemisphere, n, cols, policy, max_block, &[]))
+            // A model whose constants outgrow their bank (ResNet-152 fills
+            // 94 % of the Low one) borrows from the activations': a constant
+            // is never freed, so it is as safe there, only no longer apart.
+            .or_else(|_| {
+                let high = crate::alloc::BankPolicy::High;
+                alloc.alloc_avoiding(hemisphere, n, cols, high, max_block, &[])
+            })
             .expect("SRAM exhausted for constant");
         self.constants.push((handle.clone(), rows));
         handle
     }
 
-    /// Registers the gather map for rows `[first_row, first_row + count)` of
-    /// `tensor`, which must lie in one block: map row `i` makes lane group
-    /// `t < taps` (`group_lanes` lanes wide, whole superlanes) fetch data row
-    /// `first_row + i + t`, so one `Gather` yields `taps` consecutive rows
-    /// side by side — provided the tensor stores each row **lane-replicated**
-    /// (`x` again in every group), since a superlane only ever fetches its
-    /// own 16 lanes of a word. Groups past `taps`, and rows that would run
-    /// off the block, fetch the row itself. The map goes to the Low bank of
-    /// the hemisphere opposite the data (always upstream of it, the way
+    /// Registers [`LaneMap`]s over `tensor` with one row per entry of `keys`,
+    /// one map — on a slice of its own — per block of the tensor the keys
+    /// visit: the map row of `keys[i]` makes lane group `g` (`group_lanes`
+    /// lanes wide, whole superlanes) address data row `row_of(i, g)`, group 0
+    /// the row `keys[i]` itself. A `Gather` through it yields the groups'
+    /// rows side by side — provided the tensor stores each row
+    /// **lane-replicated** (`x` again in every group), since a superlane only
+    /// ever fetches its own 16 lanes of a word — and a `Scatter` stores lane
+    /// group `g` of a vector into row `row_of(i, g)`, leaving the word's
+    /// other superlanes as they were. The maps go to the Low bank of the
+    /// hemisphere opposite the data (always upstream of it, the way
     /// [`Scheduler::zero_stale`] sources its zeros), off the slices in
-    /// `avoid`.
+    /// `avoid`, which their own slices join: bursts on two blocks of the data
+    /// overlap in time wherever the second block is the farther from the
+    /// consumer, so each needs its map on a queue of its own.
     ///
     /// # Panics
     ///
-    /// Panics if the rows straddle blocks or `group_lanes` is not a positive
-    /// multiple of 16.
-    pub fn add_gather_map(
+    /// Panics if the keys do not ascend, a map row addresses two blocks of
+    /// the tensor (a `Gather` or `Scatter` runs on one slice), or
+    /// `group_lanes` is not a positive multiple of 16.
+    pub fn add_lane_maps(
         &mut self,
         tensor: &TensorHandle,
-        (first_row, count): (u32, u32),
-        (taps, group_lanes): (u32, u32),
-        avoid: &[(Hemisphere, u8)],
-    ) -> GatherMap {
+        group_lanes: u32,
+        keys: &[u32],
+        row_of: impl Fn(u32, u32) -> u32,
+        avoid: &mut Vec<(Hemisphere, u8)>,
+    ) -> Vec<LaneMap> {
         assert!(
             group_lanes > 0 && group_lanes.is_multiple_of(16),
             "lane groups are whole superlanes"
         );
+        assert!(keys.is_sorted(), "map keys ascend");
         let rpb = tensor.layout.rows_per_block;
-        let block_end = ((first_row / rpb + 1) * rpb).min(tensor.rows);
-        assert!(first_row + count <= block_end, "a gather reads one slice");
-        let rows = (first_row..first_row + count)
-            .map(|r| {
-                let mut map = Vector::ZERO;
-                for sl in 0..SUPERLANES as u32 {
-                    let t = sl * 16 / group_lanes;
-                    let src = if t < taps && r + t < block_end {
-                        r + t
-                    } else {
-                        r
-                    };
-                    let [lo, hi] = tensor.row(src).word.word().to_le_bytes();
-                    map.set_lane(2 * sl as usize, lo);
-                    map.set_lane(2 * sl as usize + 1, hi);
-                }
-                map
-            })
-            .collect();
         let (hemisphere, _) = tensor.layout.slices().next().expect("tensor has a block");
         let source = Some(hemisphere.opposite());
-        let policy = crate::alloc::BankPolicy::Low;
-        GatherMap {
-            tensor: self.add_constant_in(source, avoid, rows, 2 * SUPERLANES as u16, policy, count),
-            first_row,
+        let mut maps = Vec::new();
+        let mut first = 0;
+        for piece in keys.chunk_by(|a, b| a / rpb == b / rpb) {
+            let rows = (first..first + piece.len() as u32)
+                .zip(piece)
+                .map(|(i, &key)| {
+                    assert_eq!(row_of(i, 0), key, "lane group 0 addresses the key");
+                    let mut map = Vector::ZERO;
+                    for sl in 0..SUPERLANES as u32 {
+                        let row = row_of(i, sl * 16 / group_lanes);
+                        assert_eq!(row / rpb, key / rpb, "a map row addresses one slice");
+                        let [lo, hi] = tensor.row(row).word.word().to_le_bytes();
+                        map.set_lane(2 * sl as usize, lo);
+                        map.set_lane(2 * sl as usize + 1, hi);
+                    }
+                    map
+                })
+                .collect();
+            let policy = crate::alloc::BankPolicy::Low;
+            let cols = 2 * SUPERLANES as u16;
+            let map = self.add_constant_in(source, avoid, rows, cols, policy, 4096);
+            avoid.extend(map.layout.slices());
+            maps.push(LaneMap {
+                tensor: map,
+                keys: piece.to_vec(),
+            });
+            first += piece.len() as u32;
         }
+        maps
     }
 
     /// The constants registered so far (host DMA writes these into chip
@@ -397,33 +426,23 @@ impl Scheduler {
         self.occupy_stream(stream, producer, t0 + u64::from(count));
     }
 
-    /// Splits `rows` of `tensor` into [`GatherRun`]s over `maps`.
-    fn gather_runs<'a>(
-        tensor: &TensorHandle,
-        maps: &'a [GatherMap],
-        rows: &[u32],
-    ) -> Vec<GatherRun<'a>> {
-        let rpb = tensor.layout.rows_per_block;
-        let map_row = |map: &GatherMap, r: u32| {
-            r.checked_sub(map.first_row)
-                .filter(|&i| i < map.tensor.rows)
-                .unwrap_or_else(|| panic!("row {r} is outside its block's gather map"))
-        };
-        let mut runs: Vec<GatherRun<'a>> = Vec::new();
-        for (i, &r) in rows.iter().enumerate() {
+    /// Splits the vectors `keys` names in `tensor` into [`LaneRun`]s over
+    /// `maps`.
+    fn lane_runs<'a>(tensor: &TensorHandle, maps: &'a [LaneMap], keys: &[u32]) -> Vec<LaneRun<'a>> {
+        let mut runs: Vec<LaneRun<'a>> = Vec::new();
+        for (i, &key) in keys.iter().enumerate() {
+            let (map, map_row) = maps
+                .iter()
+                .find_map(|m| Some((m, m.keys.binary_search(&key).ok()? as u32)))
+                .unwrap_or_else(|| panic!("row {key} is in no lane map"));
             match runs.last_mut() {
-                Some(run) if rows[i - 1] / rpb == r / rpb => {
-                    run.map_rows.push(map_row(run.map, r));
-                }
+                // One map, one block of the data.
+                Some(run) if std::ptr::eq(run.map, map) => run.map_rows.push(map_row),
                 _ => {
-                    let map = maps
-                        .iter()
-                        .find(|m| m.first_row / rpb == r / rpb)
-                        .expect("a gather map for every block read");
-                    let a = tensor.row(r);
-                    runs.push(GatherRun {
+                    let a = tensor.row(key);
+                    runs.push(LaneRun {
                         start: i,
-                        map_rows: vec![map_row(map, r)],
+                        map_rows: vec![map_row],
                         map,
                         slice: (a.hemisphere, a.slice),
                     });
@@ -433,14 +452,100 @@ impl Scheduler {
         runs
     }
 
+    /// Places one burst of `op` (a `Gather` or a `Scatter`) for `run` from
+    /// `dispatch`, its map rows `Read` onto a stream of their own so they
+    /// meet the burst at the data slice.
+    fn place_lane_run(&mut self, run: &LaneRun<'_>, dispatch: u64, op: impl Fn(StreamId) -> MemOp) {
+        let (pos, map_dir) = (run.position(), run.map_direction());
+        let (map_stream, ready) = self.take_streams(map_dir, 1, dispatch, pos);
+        assert!(ready <= dispatch, "no map stream free by cycle {dispatch}");
+        self.read_rows(&run.map.tensor, &run.map_rows, map_stream[0], pos, dispatch);
+        self.place(run.icu(), dispatch, op(map_stream[0]));
+        let n = run.map_rows.len();
+        if n > 1 {
+            self.place(
+                run.icu(),
+                dispatch + 1,
+                IcuOp::Repeat {
+                    n: (n - 1) as u16,
+                    d: 1,
+                },
+            );
+        }
+        self.occupy_mem(run.slice.0, run.slice.1, dispatch + n as u64);
+    }
+
+    /// The earliest `t0 ≥ not_before` for bursts over `runs` whose first
+    /// instruction is dispatched at `t0 + run.start + shift(run)`: every data
+    /// slice, every map slice and a map stream per burst free in time. The
+    /// streams are asked for all at once, at the earliest map word's edge
+    /// time, together with the five that may be claimed from the same
+    /// direction before the maps are placed (the vectors' own stream, an MXM
+    /// result group) — a few cycles conservative, and only when streams are
+    /// scarce.
+    fn earliest_lane_runs(
+        &self,
+        runs: &[LaneRun<'_>],
+        shift: impl Fn(&LaneRun<'_>) -> i64,
+        not_before: u64,
+    ) -> u64 {
+        let mut t0 = not_before;
+        // Per run: its first map word leaves the chip at `t0 + ahead` (edge
+        // time, what stream reservations compare).
+        let mut ahead = Vec::with_capacity(runs.len());
+        for run in runs {
+            let (pos, map_dir) = (run.position(), run.map_direction());
+            let offset = run.start as i64 + shift(run);
+            let free = self.mem_free(run.slice.0, run.slice.1);
+            let first_map =
+                self.earliest_read_arrival(&run.map.tensor, &run.map_rows, map_dir, pos, free);
+            t0 = t0.max((first_map as i64 - offset).max(0) as u64);
+            ahead.push(offset + edge_hops(map_dir, pos) as i64);
+        }
+        let Some(run) = runs.first() else {
+            return t0;
+        };
+        let first_edge = ahead
+            .iter()
+            .map(|&a| (t0 as i64 + a) as u64)
+            .min()
+            .expect("at least one run");
+        let count = runs.len() as u8 + 5;
+        let at = first_edge.max(self.pool.floor());
+        let (_, ready) = self
+            .pool
+            .pick_streams_excluding(run.map_direction(), count, at, &[]);
+        t0 + (ready - first_edge)
+    }
+
+    /// Cycles between a `Gather`'s dispatch on `run`'s slice and its row's
+    /// arrival at `consumer`, travelling in `direction`.
+    fn gather_lead(run: &LaneRun<'_>, direction: Direction, consumer: Position) -> u64 {
+        let pos = run.position();
+        let delta = direction
+            .hops(pos, consumer)
+            .unwrap_or_else(|| panic!("slice {pos} not upstream of {consumer} going {direction}"));
+        D_GATHER + u64::from(delta)
+    }
+
+    /// Cycles a value on `direction` takes from `producer` to `run`'s slice,
+    /// where the `Scatter` consuming it is dispatched.
+    fn scatter_lag(run: &LaneRun<'_>, direction: Direction, producer: Position) -> u64 {
+        let pos = run.position();
+        let delta = direction.hops(producer, pos).unwrap_or_else(|| {
+            panic!("slice {pos} not downstream of {producer} going {direction}")
+        });
+        u64::from(delta)
+    }
+
     /// Like [`Scheduler::read_rows`], but every row is fetched with a MEM
-    /// `Gather` through `maps` (see [`Scheduler::add_gather_map`]): one
-    /// `Gather` + `Repeat` burst per block of `tensor` the rows visit, its
-    /// map rows `Read` from the map tensor onto a stream of their own so they
-    /// meet the burst at the data slice. Occupies the data slices' and the
-    /// map slices' queues — exactly what the simulator charges: a gather
-    /// takes its slice's single-issue queue for a cycle like a read — and
-    /// both streams.
+    /// `Gather` through `maps` (see [`Scheduler::add_lane_maps`]; `rows` are
+    /// map keys): one `Gather` + `Repeat` burst per block of `tensor` the
+    /// rows visit, its map rows `Read` from the map tensor onto a stream of
+    /// their own so they meet the burst at the data slice. Occupies the data
+    /// slices' and the map slices' queues — exactly what the simulator
+    /// charges: a gather takes its slice's single-issue queue for a cycle
+    /// like a read — and both streams.
     ///
     /// # Panics
     ///
@@ -450,7 +555,7 @@ impl Scheduler {
     pub fn gather_rows(
         &mut self,
         tensor: &TensorHandle,
-        maps: &[GatherMap],
+        maps: &[LaneMap],
         rows: &[u32],
         stream: StreamId,
         consumer: Position,
@@ -458,92 +563,79 @@ impl Scheduler {
     ) {
         // First, so that no map burst picks the gathered rows' own stream.
         self.occupy_stream(stream, consumer, t0 + rows.len() as u64);
-        for run in Scheduler::gather_runs(tensor, maps, rows) {
-            let (pos, map_dir) = (run.position(), run.map_direction());
-            let delta = stream.direction.hops(pos, consumer).unwrap_or_else(|| {
-                panic!(
-                    "slice {pos} not upstream of {consumer} going {}",
-                    stream.direction
-                )
-            });
+        for run in Scheduler::lane_runs(tensor, maps, rows) {
+            let lead = Scheduler::gather_lead(&run, stream.direction, consumer);
             let dispatch = (t0 + run.start as u64)
-                .checked_sub(D_GATHER + u64::from(delta))
+                .checked_sub(lead)
                 .expect("t0 too early: gather dispatch before cycle 0");
-            let (map_stream, ready) = self.take_streams(map_dir, 1, dispatch, pos);
-            assert!(ready <= dispatch, "no map stream free by cycle {dispatch}");
-            self.read_rows(&run.map.tensor, &run.map_rows, map_stream[0], pos, dispatch);
-            let icu = IcuId::Mem {
-                hemisphere: run.slice.0,
-                index: run.slice.1,
-            };
-            let op = MemOp::Gather {
-                stream,
-                map: map_stream[0],
-            };
-            self.place(icu, dispatch, op);
-            let n = run.map_rows.len();
-            if n > 1 {
-                self.place(
-                    icu,
-                    dispatch + 1,
-                    IcuOp::Repeat {
-                        n: (n - 1) as u16,
-                        d: 1,
-                    },
-                );
-            }
-            self.occupy_mem(run.slice.0, run.slice.1, dispatch + n as u64);
+            self.place_lane_run(&run, dispatch, |map| MemOp::Gather { stream, map });
         }
     }
 
     /// [`Scheduler::earliest_read_arrival`] for [`Scheduler::gather_rows`]:
     /// the earliest `t0 ≥ not_before` at which every data slice, every map
-    /// slice and a map stream per burst are free in time. The streams are
-    /// asked for all at once, at the earliest map word's edge time, together
-    /// with the five that may be claimed from the same direction before the
-    /// maps are placed (the gathered rows' own stream, an MXM result group) —
-    /// a few cycles conservative, and only when streams are scarce.
+    /// slice and a map stream per burst are free in time.
     #[must_use]
     pub fn earliest_gather_arrival(
         &self,
         tensor: &TensorHandle,
-        maps: &[GatherMap],
+        maps: &[LaneMap],
         rows: &[u32],
         direction: Direction,
         consumer: Position,
         not_before: u64,
     ) -> u64 {
-        let runs = Scheduler::gather_runs(tensor, maps, rows);
-        let mut t0 = not_before;
-        // Per run: its first map word leaves the chip at `t0 + start − lead +
-        // hops` (edge time, what stream reservations compare).
-        let mut edges = Vec::with_capacity(runs.len());
-        for run in &runs {
-            let (pos, map_dir) = (run.position(), run.map_direction());
-            let delta = direction.hops(pos, consumer).unwrap_or_else(|| {
-                panic!("slice {pos} not upstream of {consumer} going {direction}")
-            });
-            let lead = D_GATHER + u64::from(delta);
-            let free = self.mem_free(run.slice.0, run.slice.1);
-            let first_map =
-                self.earliest_read_arrival(&run.map.tensor, &run.map_rows, map_dir, pos, free);
-            t0 = t0.max((first_map + lead).saturating_sub(run.start as u64));
-            edges.push((run.start as u64 + edge_hops(map_dir, pos), lead));
+        let runs = Scheduler::lane_runs(tensor, maps, rows);
+        let shift = |run: &LaneRun<'_>| -(Scheduler::gather_lead(run, direction, consumer) as i64);
+        self.earliest_lane_runs(&runs, shift, not_before)
+    }
+
+    /// Like [`Scheduler::write_rows`], but stream value `i` — present at
+    /// `producer` at cycle `t0 + i` — is committed with a MEM `Scatter`
+    /// through the map row `rows[i]` names: lane group `g` of it lands in the
+    /// row of `tensor` that map row gives group `g`, and every superlane of
+    /// that word the value does not cover stays as it was. One `Scatter` +
+    /// `Repeat` burst per block of `tensor`, reserving what a gather burst
+    /// does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a destination slice is not downstream of `producer`, or if
+    /// no map stream is free in time — `t0` must come from
+    /// [`Scheduler::earliest_scatter_start`].
+    pub fn scatter_rows(
+        &mut self,
+        tensor: &TensorHandle,
+        maps: &[LaneMap],
+        rows: &[u32],
+        stream: StreamId,
+        producer: Position,
+        t0: u64,
+    ) {
+        self.occupy_stream(stream, producer, t0 + rows.len() as u64);
+        for run in Scheduler::lane_runs(tensor, maps, rows) {
+            let lag = Scheduler::scatter_lag(&run, stream.direction, producer);
+            let dispatch = t0 + run.start as u64 + lag;
+            self.place_lane_run(&run, dispatch, |map| MemOp::Scatter { stream, map });
         }
-        let Some(run) = runs.first() else {
-            return t0;
-        };
-        let first_edge = edges
-            .iter()
-            .map(|&(ahead, lead)| t0 + ahead - lead)
-            .min()
-            .expect("at least one run");
-        let count = runs.len() as u8 + 5;
-        let at = first_edge.max(self.pool.floor());
-        let (_, ready) = self
-            .pool
-            .pick_streams_excluding(run.map_direction(), count, at, &[]);
-        t0 + (ready - first_edge)
+    }
+
+    /// The earliest `t0 ≥ not_before` for [`Scheduler::scatter_rows`]: every
+    /// destination slice, every map slice and a map stream per burst free in
+    /// time.
+    #[must_use]
+    pub fn earliest_scatter_start(
+        &self,
+        tensor: &TensorHandle,
+        maps: &[LaneMap],
+        rows: &[u32],
+        direction: Direction,
+        producer: Position,
+        not_before: u64,
+    ) -> u64 {
+        let runs = Scheduler::lane_runs(tensor, maps, rows);
+        let shift = |run: &LaneRun<'_>| Scheduler::scatter_lag(run, direction, producer) as i64;
+        self.earliest_lane_runs(&runs, shift, not_before)
     }
 
     /// Clears rows that kernels never write but rely on reading as zero (a

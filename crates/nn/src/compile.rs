@@ -12,10 +12,17 @@
 //!   see the kernels' docs). Max pool wants k² copies, a conv one per plane
 //!   (each of its row-split chains streams its own copy).
 //! * **Lane replication** — a conv whose every consumer is a conv that packs
-//!   `G > 1` taps into one MXM pass writes each output row as `G` copies side
-//!   by side (its weights tiled `G×` along M — the same 320×320 pass), which
-//!   is what lets the consumers fetch `G` adjacent rows with one `Gather`
+//!   `G > 1` taps into one MXM pass (or a max pool that packs `G` pixels into
+//!   one VXM row, below) writes each output row as `G` copies side by side
+//!   (its weights tiled `G×` along M — the same 320×320 pass), which is what
+//!   lets the consumers fetch `G` adjacent rows with one `Gather`
 //!   (`tsp_compiler::kernels::conv`, "K-packing").
+//! * **Lane-packed max pool** — a pool whose input is conv-written, whose
+//!   every consumer is a conv and which is big enough to pay for its maps
+//!   (`pool_pack`) gets that input in `G` lane copies and pools `G` output
+//!   pixels per VXM row; its output is *lane-skewed* (pixel `x` at lane group
+//!   `x mod G`), which the consumers absorb by tiling their weights `G×`
+//!   along K (`tsp_compiler::kernels::pool`, "Lane packing").
 //! * **Residual fusion** — an `Add` one of whose operands is a conv without
 //!   ReLU that nothing else reads is lowered as the tail of that conv: each
 //!   of its chains adds its own rows of the other operand (the shortcut)
@@ -44,8 +51,8 @@ use tsp_compiler::alloc::BankPolicy;
 use tsp_compiler::kernels::conv::{alloc_feature_map, group_lanes};
 use tsp_compiler::kernels::{
     conv2d_add, conv_passes, emplace_conv, global_avg_pool, lw_rows, matmul, max_pool,
-    taps_per_pass, ActFeed, ChunkPass, Conv2dParams, FeatureMap, MatmulOpts, MaxPoolParams,
-    RowSplit, WeightSet,
+    pixels_per_row, taps_per_pass, ActFeed, ChunkPass, Conv2dParams, FeatureMap, MatmulOpts,
+    MaxPoolParams, RowSplit, WeightSet,
 };
 use tsp_compiler::{Scheduler, TensorHandle};
 use tsp_isa::BinaryAluOp;
@@ -120,6 +127,10 @@ pub enum Probe {
         c: u32,
         /// Materialized border.
         pad: u32,
+        /// Lane groups the pixels are dealt over: pixel `x` holds its
+        /// channels at lane group `x mod lane_skew` (1: every pixel at lane
+        /// 0; see `FeatureMap::lane_skew`).
+        lane_skew: u32,
         /// First replica of each channel part.
         parts: Vec<TensorHandle>,
         /// Every MEM slice any part or replica occupies.
@@ -360,22 +371,55 @@ fn pad_plan(q: &QuantGraph) -> Vec<u32> {
     pads
 }
 
+/// Fewest VXM cycles a lane-packed pool must save. Packing is not free: its
+/// `k² + replicas` map streams hold a score of slice queues to the end of the
+/// pool — a neighbouring conv waiting to prefetch weights from one of them
+/// starts that much later — a `Gather` and a `Scatter` are slower than a
+/// `Read` and a `Write`, and the maps' rows are paid at every emplace. On
+/// `small_cnn`'s 36-pixel pool (30 cycles to save) that came to `p1` −20,
+/// `c2` +17 and 48 more constant rows.
+const MIN_PACKED_SAVING: u32 = 64;
+
+/// The output pixels a max pool puts in one VXM row (`G`, see
+/// `tsp_compiler::kernels::pool`): above 1 only when every consumer of the
+/// pool is a conv — the one kind of reader a lane-skewed map has — the
+/// channels leave room for a second pixel, and the shorter chain saves at
+/// least [`MIN_PACKED_SAVING`] cycles.
+fn pool_pack(q: &QuantGraph, shapes: &[Shape], pool: usize) -> u32 {
+    let nodes = &q.graph.nodes;
+    let mut consumers = nodes.iter().filter(|n| n.inputs.contains(&pool));
+    let convs_only =
+        consumers.clone().count() > 0 && consumers.all(|n| matches!(n.op, Op::Conv(_)));
+    let Shape::Map { h, w, c } = shapes[pool] else {
+        return 1;
+    };
+    let groups = pixels_per_row(c, w);
+    let (rows, vectors) = (h * w, h * w.div_ceil(groups));
+    if convs_only && rows - vectors >= MIN_PACKED_SAVING {
+        groups
+    } else {
+        1
+    }
+}
+
 /// The lane copies each node's output holds (see [`FeatureMap::lane_copies`]):
-/// a conv all of whose consumers are convs packing `G > 1` taps per pass
-/// writes the largest such `G`; everything else — pools, adds, the host-written
+/// a conv all of whose consumers want them — convs packing `G > 1` taps per
+/// pass, max pools packing `G > 1` pixels per row ([`pool_pack`]) — writes
+/// the largest such `G`; everything else — pools, adds, the host-written
 /// input, a conv with any other reader — writes one.
 fn lane_plan(q: &QuantGraph, shapes: &[Shape]) -> Vec<u32> {
     let nodes = &q.graph.nodes;
     let mut copies = vec![0u32; nodes.len()];
     let mut packed_only = vec![true; nodes.len()];
-    for node in nodes {
+    for (i, node) in nodes.iter().enumerate() {
         for &inp in &node.inputs {
-            let taps = match (&node.op, shapes[inp]) {
+            let want = match (&node.op, shapes[inp]) {
                 (Op::Conv(spec), Shape::Map { c, .. }) => taps_per_pass(spec.k, c),
+                (Op::MaxPool { .. }, _) => pool_pack(q, shapes, i),
                 _ => 1,
             };
-            copies[inp] = copies[inp].max(taps);
-            packed_only[inp] &= taps > 1;
+            copies[inp] = copies[inp].max(want);
+            packed_only[inp] &= want > 1;
         }
     }
     (0..nodes.len())
@@ -539,6 +583,9 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                     };
                     let qc = &q.conv[&i];
                     let taps = taps_per_pass(qc.k, qc.ci).min(input.lane_copies);
+                    // A lane-packed pool's output is absorbed here: the same
+                    // columns at every lane group a pixel may sit in.
+                    let layout = (taps, input.lane_skew, lanes[i]);
                     // Nothing the conv streams while a weight block is due
                     // may share the block's slices: a 20-row weight read
                     // queued behind a pass-long burst arrives a pass late.
@@ -548,7 +595,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                     let weights = emplace_conv(
                         &mut s,
                         (qc.k, qc.ci, qc.co),
-                        (taps, lanes[i]),
+                        layout,
                         (1, &keep_off),
                         |co, ci, dy, dx| {
                             qc.w[(((co * qc.ci + ci) * qc.k + dy) * qc.k + dx) as usize]
@@ -609,6 +656,11 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                     panic!("add inputs not maps")
                 };
                 assert_eq!(a.pad, b.pad, "residual pads must match at {}", node.name);
+                assert_eq!(
+                    (a.lane_skew, b.lane_skew),
+                    (1, 1),
+                    "an add reads lanes as stored"
+                );
                 assert_eq!(pads[i], a.pad, "add output pad mismatch");
                 let mut parts = Vec::with_capacity(a.parts.len());
                 for (pa, pb) in a.parts.iter().zip(&b.parts) {
@@ -642,6 +694,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                     },
                     pad: a.pad,
                     lane_copies: 1,
+                    lane_skew: 1,
                     parts,
                 }))
             }
@@ -692,6 +745,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                 w: fm.w,
                 c: fm.c,
                 pad: fm.pad,
+                lane_skew: fm.lane_skew,
                 parts: fm.parts.iter().map(|r| r[0].clone()).collect(),
                 slices: fm.slices().collect(),
             },

@@ -125,13 +125,29 @@ fn first_divergence(q: &QuantGraph, image: &[i8]) -> Option<(String, usize)> {
             chip.memory.read_unchecked(t.row(row)).lane(lane) as i8
         };
         let differing = match (&model.probes[i], &reference[i]) {
-            (Probe::Map { w, pad, parts, .. }, ValueQ::Map { c, data, .. }) => data
+            (
+                Probe::Map {
+                    w,
+                    pad,
+                    lane_skew,
+                    parts,
+                    ..
+                },
+                ValueQ::Map { c, data, .. },
+            ) => data
                 .iter()
                 .enumerate()
                 .filter(|&(j, &want)| {
                     let (px, ch) = (j as u32 / c, j as u32 % c);
                     let row = (px / w + pad) * (w + 2 * pad) + px % w + pad;
-                    lane(&parts[(ch / 320) as usize], row, (ch % 320) as usize) != want
+                    // A lane-packed pool leaves pixel `x` at lane group
+                    // `x mod lane_skew` (whole superlanes per group).
+                    let first = px % w % lane_skew * c.div_ceil(16) * 16;
+                    lane(
+                        &parts[(ch / 320) as usize],
+                        row,
+                        (first + ch % 320) as usize,
+                    ) != want
                 })
                 .count(),
             (Probe::Flat(parts), ValueQ::Flat(data)) => data

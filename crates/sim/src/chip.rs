@@ -1332,6 +1332,11 @@ impl Chip {
                 slice
                     .access_banks(t, bank_mask(&addrs), true)
                     .map_err(|error| SimError::Memory { error, icu })?;
+                // Timing-only runs carry no data (a `Gather` there produces
+                // the shared zero word without looking at memory): the port
+                // is charged above, the twenty read-modify-writes are not
+                // worth doing.
+                let addrs = if ctx.functional { &addrs[..] } else { &[] };
                 for (s, &addr) in addrs.iter().enumerate() {
                     let stored = slice.peek(addr);
                     let prior_check = if stored.is_pristine() {

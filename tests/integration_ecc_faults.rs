@@ -243,3 +243,122 @@ fn double_bit_fault_under_a_gathered_word_is_detected_and_retried() {
     assert!(struck.retry_causes[0].cycle > model.layer_spans[1].end);
     assert_eq!(struck.logits(), clean.logits(), "the retry completes clean");
 }
+
+/// `Scatter` re-encodes only the superlanes it overwrites. A lane-packed max
+/// pool (24×24×64 → 12×12, five pixels a VXM row) scatters pixel (1, 1) into
+/// lane group 1 of its word; a bit of that word flipped *before* the pool
+/// runs, in lane group 3, is a latent error under a superlane the scatter
+/// leaves alone — it must survive the merge with its stored check bits and be
+/// corrected where the word is consumed (the 1×1 conv's MXM feed), once.
+#[test]
+fn single_bit_fault_under_an_untouched_superlane_of_a_scattered_word_is_corrected() {
+    use tsp::nn::compile::Probe;
+    use tsp::nn::graph::{ConvW, DenseW};
+    use tsp::nn::{quantize, run_resilient, ConvSpec, Graph, Op, Params, ResilientOptions};
+
+    let mut g = Graph::with_input(24, 24, 3);
+    let mut params = Params::default();
+    let ramp = |n: u32| {
+        (0..n)
+            .map(|i| ((i * 37 % 101) as f32 - 50.0) / 400.0)
+            .collect()
+    };
+    let conv = |c_out, k| ConvSpec {
+        c_out,
+        k,
+        stride: 1,
+        pad: k / 2,
+        relu: true,
+    };
+    let stem = g.push(Op::Conv(conv(64, 3)), vec![0], "stem");
+    let w = ramp(64 * 3 * 9);
+    params.conv.insert(
+        stem,
+        ConvW {
+            w,
+            co: 64,
+            ci: 3,
+            k: 3,
+        },
+    );
+    let pool = g.push(
+        Op::MaxPool {
+            k: 3,
+            stride: 2,
+            pad: 1,
+        },
+        vec![stem],
+        "pool",
+    );
+    let point = g.push(Op::Conv(conv(32, 1)), vec![pool], "point");
+    let w = ramp(32 * 64);
+    params.conv.insert(
+        point,
+        ConvW {
+            w,
+            co: 32,
+            ci: 64,
+            k: 1,
+        },
+    );
+    let gap = g.push(Op::GlobalAvgPool, vec![point], "gap");
+    let fc = g.push(
+        Op::Dense {
+            out: 5,
+            relu: false,
+        },
+        vec![gap],
+        "fc",
+    );
+    let w = ramp(5 * 32);
+    params.dense.insert(fc, DenseW { w, out: 5, inp: 32 });
+
+    let data = tsp::nn::data::synthetic(5, 24, 24, 3, 2, 2);
+    let q = quantize(&g, &params, &data.images[..2]);
+    // Fenced: nothing of the pool has run when its span starts.
+    let model = compile(&q, &CompileOptions { overlap: false });
+    let Probe::Map {
+        w,
+        pad,
+        lane_skew,
+        parts,
+        ..
+    } = &model.probes[pool]
+    else {
+        panic!("the pool writes a feature map")
+    };
+    assert_eq!(*lane_skew, 5, "the pool packs five pixels a row");
+    // Pixel (1, 1) of the replica the conv's first chain streams; lane 200
+    // is in lane group 3, the pixel itself in group 1.
+    let struck = parts[0].row((1 + pad) * (w + 2 * pad) + 1 + pad);
+    let plan = FaultPlan::from_events(
+        0,
+        vec![FaultEvent {
+            cycle: model.layer_spans[pool].start,
+            kind: FaultKind::SramData {
+                hemisphere: struck.hemisphere,
+                slice: struck.slice,
+                word: struck.word.word(),
+                lane: 200,
+                bit: 4,
+            },
+        }],
+    );
+
+    let image = q.quantize_image(&data.images[0]);
+    let config = ChipConfig::asic();
+    let clean = run_resilient(&model, &config, &image, &ResilientOptions::default()).unwrap();
+    let struck = run_resilient(
+        &model,
+        &config,
+        &image,
+        &ResilientOptions {
+            attempt_faults: vec![plan],
+            ..ResilientOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!((struck.attempts, struck.faults_applied), (1, 1));
+    assert_eq!(struck.corrected, 1, "corrected once, where it is consumed");
+    assert_eq!(struck.logits(), clean.logits(), "logits unchanged");
+}
