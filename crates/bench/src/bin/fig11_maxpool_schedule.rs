@@ -75,8 +75,8 @@ fn main() {
     );
     println!(
         "# lane-packed: {} pixels per VXM row, {} vectors for {} pixels; pool cycles {}..{} (sim ends {})",
-        out.lane_skew,
-        out.h * out.w.div_ceil(out.lane_skew),
+        out.layout.lane_skew,
+        out.h * out.w.div_ceil(out.layout.lane_skew),
         out.h * out.w,
         start,
         done,
@@ -104,7 +104,7 @@ fn main() {
     println!();
     println!(
         "steady state: {} pooled output pixels per cycle — the paper's full-bandwidth claim,",
-        out.lane_skew
+        out.layout.lane_skew
     );
     println!("on all 320 lanes.");
 }

@@ -22,7 +22,7 @@
 //! activation rows are fetched with a MEM `Gather` whose per-superlane
 //! addresses put stored row `r + t` into lane group `t`. A superlane only
 //! ever fetches its own 16 lanes of a word, so the *producer* must have
-//! written every row **lane-replicated** ([`FeatureMap::lane_copies`]: `y[p]`
+//! written every row **lane-replicated** ([`MapLayout::lane_copies`]: `y[p]`
 //! again in each group) — free, its weights are merely tiled along M
 //! ([`ConvWeights::out_copies`]) — and in blocks of whole padded rows, so the
 //! `G` rows of a tap group always share a slice. A group of one tap (all of
@@ -75,10 +75,55 @@ pub fn taps_per_pass(k: u32, c_in: u32) -> u32 {
     (320 / group_lanes(c_in)).clamp(1, k.max(1))
 }
 
+/// What a feature map looks like in SRAM beyond its `h×w×c`: everything a
+/// producer is told and a consumer must know. One per graph edge — `tsp-nn`'s
+/// planner decides it, the kernels are handed it and check it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MapLayout {
+    /// Materialized border width in pixels (rows that read as zero).
+    pub pad: u32,
+    /// Copies of every channel part, for concurrent streaming.
+    pub replicas: u8,
+    /// Hemisphere all of it sits in.
+    pub hemisphere: Hemisphere,
+    /// Copies of the `c` channels every stored row holds side by side, copy
+    /// `t` at lanes `t·group_lanes(c)..` (what a K-packed conv's or a
+    /// lane-packed pool's `Gather` needs). Only a conv writes more than one,
+    /// its weights tiled along M ([`ConvWeights::out_copies`]).
+    pub lane_copies: u32,
+    /// Lane groups the pixels of a row are dealt over: above 1, pixel `x`
+    /// holds its `c` channels at lanes `(x mod lane_skew)·group_lanes(c)..`
+    /// and zeros everywhere else (a lane-packed max pool's `Scatter` writes
+    /// this, see [`crate::kernels::pool`]). Only a conv reads such a map,
+    /// with its weights tiled along K ([`ConvWeights::in_skew`]).
+    pub lane_skew: u32,
+}
+
+impl MapLayout {
+    /// One pixel per row at lane 0: what the host, an add or a plain pool
+    /// writes, and any kernel reads.
+    #[must_use]
+    pub fn plain(pad: u32, hemisphere: Hemisphere, replicas: u8) -> MapLayout {
+        MapLayout {
+            pad,
+            replicas: replicas.max(1),
+            hemisphere,
+            lane_copies: 1,
+            lane_skew: 1,
+        }
+    }
+
+    /// Whether the map's blocks hold whole padded rows, so that the rows a
+    /// `Gather` or `Scatter` touches at once always share a slice.
+    #[must_use]
+    pub fn whole_rows(&self) -> bool {
+        self.lane_copies > 1 || self.lane_skew > 1
+    }
+}
+
 /// A feature map: `h×w` pixels of `c` channels, stored row-major over a
-/// materialized padding border of `pad` pixels. Channels are split into
-/// ≤320-wide parts; each part may have several replicas for concurrent
-/// streaming.
+/// materialized padding border. Channels are split into ≤320-wide parts, each
+/// replicated as its layout says.
 #[derive(Debug, Clone)]
 pub struct FeatureMap {
     /// Height in (unpadded) pixels.
@@ -87,33 +132,84 @@ pub struct FeatureMap {
     pub w: u32,
     /// Channels.
     pub c: u32,
-    /// Materialized border width in pixels.
-    pub pad: u32,
-    /// Copies of the `c` channels every stored row holds side by side, copy
-    /// `t` at lanes `t·group_lanes(c)..`; above 1 the blocks of `parts` hold
-    /// whole padded rows (what a K-packed consumer's `Gather` needs).
-    pub lane_copies: u32,
-    /// Lane groups the pixels of a row are dealt over: above 1, pixel `x`
-    /// holds its `c` channels at lanes `(x mod lane_skew)·group_lanes(c)..`
-    /// and zeros everywhere else (a lane-packed max pool's `Scatter` writes
-    /// this, see [`crate::kernels::pool`]). Only a conv reads such a map,
-    /// with its weights tiled along K ([`ConvWeights::in_skew`]).
-    pub lane_skew: u32,
+    /// Border, replicas, hemisphere and lane layout.
+    pub layout: MapLayout,
     /// `parts[kpart][replica]`: tensors of `(h+2pad)·(w+2pad)` rows.
     pub parts: Vec<Vec<TensorHandle>>,
 }
 
 impl FeatureMap {
+    /// The `h×w×c` map stored in `parts` as `layout` says.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a part has another number of replicas than the layout.
+    #[must_use]
+    pub fn new(
+        (h, w, c): (u32, u32, u32),
+        layout: MapLayout,
+        parts: Vec<Vec<TensorHandle>>,
+    ) -> FeatureMap {
+        let replicas = usize::from(layout.replicas);
+        assert!(parts.iter().all(|p| p.len() == replicas), "replica count");
+        FeatureMap {
+            h,
+            w,
+            c,
+            layout,
+            parts,
+        }
+    }
+
+    /// Allocates an `h×w×c` map in `layout`, parts and replicas all on slices
+    /// of their own (they are written, and later read, concurrently), in
+    /// blocks of whole padded rows where the layout needs them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if SRAM is exhausted.
+    pub fn alloc(s: &mut Scheduler, (h, w, c): (u32, u32, u32), layout: MapLayout) -> FeatureMap {
+        let (ph, pw) = (h + 2 * layout.pad, w + 2 * layout.pad);
+        let max_block = if layout.whole_rows() {
+            (4096 / pw).max(1) * pw
+        } else {
+            4096
+        };
+        let mut avoid: Vec<(Hemisphere, u8)> = Vec::new();
+        let mut tensor = |cols: u16| {
+            let hemisphere = Some(layout.hemisphere);
+            let t = (s.alloc)
+                .alloc_avoiding(
+                    hemisphere,
+                    ph * pw,
+                    cols,
+                    BankPolicy::High,
+                    max_block,
+                    &avoid,
+                )
+                .expect("SRAM exhausted for a feature map");
+            avoid.extend(t.layout.slices());
+            t
+        };
+        let parts = (0..c.div_ceil(320))
+            .map(|kp| {
+                let cols = (c - kp * 320).min(320) as u16;
+                (0..layout.replicas).map(|_| tensor(cols)).collect()
+            })
+            .collect();
+        FeatureMap::new((h, w, c), layout, parts)
+    }
+
     /// Padded width.
     #[must_use]
     pub fn pw(&self) -> u32 {
-        self.w + 2 * self.pad
+        self.w + 2 * self.layout.pad
     }
 
     /// Padded height.
     #[must_use]
     pub fn ph(&self) -> u32 {
-        self.h + 2 * self.pad
+        self.h + 2 * self.layout.pad
     }
 
     /// Total stored rows per part (padded pixels).
@@ -125,7 +221,7 @@ impl FeatureMap {
     /// Row index of (unpadded) pixel `(y, x)`.
     #[must_use]
     pub fn row_index(&self, y: u32, x: u32) -> u32 {
-        (y + self.pad) * self.pw() + (x + self.pad)
+        (y + self.layout.pad) * self.pw() + (x + self.layout.pad)
     }
 
     /// Number of channel parts.
@@ -157,14 +253,15 @@ impl FeatureMap {
     /// not in [`FeatureMap::interior_segments`].
     #[must_use]
     pub fn border_segments(&self) -> Vec<(u32, u32)> {
-        if self.pad == 0 {
+        let pad = self.layout.pad;
+        if pad == 0 {
             return Vec::new();
         }
         // Top rows run on into the first pixel row's left border; each pixel
         // row's right border runs on into the next one's left border.
-        let edge = self.pad * self.pw() + self.pad;
+        let edge = pad * self.pw() + pad;
         let mut runs = vec![(0, edge)];
-        runs.extend((1..self.h).map(|y| (self.row_index(y, 0) - 2 * self.pad, 2 * self.pad)));
+        runs.extend((1..self.h).map(|y| (self.row_index(y, 0) - 2 * pad, 2 * pad)));
         runs.push((self.rows_total() - edge, edge));
         runs
     }
@@ -187,12 +284,12 @@ impl FeatureMap {
         dx: u32,
         logical_pad: u32,
     ) -> Vec<u32> {
+        let pad = self.layout.pad;
         assert!(
-            logical_pad <= self.pad,
-            "conv needs pad {logical_pad} but only {} materialized",
-            self.pad
+            logical_pad <= pad,
+            "conv needs pad {logical_pad} but only {pad} materialized"
         );
-        let shift = self.pad - logical_pad;
+        let shift = pad - logical_pad;
         let mut rows = Vec::with_capacity((oh * ow) as usize);
         for oy in 0..oh {
             for ox in 0..ow {
@@ -220,11 +317,11 @@ pub struct ConvWeights {
     /// [`taps_per_pass`]); above 1 the input must hold as many lane copies.
     pub taps: u32,
     /// Lane groups every tap's columns are repeated at (the input map's
-    /// [`FeatureMap::lane_skew`]): a pixel's channels are in one of them and
+    /// [`MapLayout::lane_skew`]): a pixel's channels are in one of them and
     /// the others are zero, so the dot product is that of the plain layout.
     pub in_skew: u32,
     /// Copies of the output channels the weights produce side by side (the
-    /// output map's [`FeatureMap::lane_copies`]).
+    /// output map's [`MapLayout::lane_copies`]).
     pub out_copies: u32,
     /// `passes[group][kpart][mpart][replica]`, groups in
     /// [`ConvWeights::tap_groups`] order.
@@ -302,7 +399,7 @@ pub struct RowChunk {
     pub border: DstSegments,
 }
 
-/// How an `oh×ow` output with a materialized border is dealt to plane chains:
+/// How an `oh×ow` output in a given [`MapLayout`] is dealt to plane chains:
 /// the padded rows are cut into equal blocks, one [`RowChunk`] per block.
 #[derive(Debug, Clone)]
 pub struct RowSplit {
@@ -316,21 +413,22 @@ impl RowSplit {
     /// Splits for at most `planes` concurrent chains. The chunk count is a
     /// function of the shape alone: as many as `planes`, but no chunk under
     /// [`MIN_CHUNK_ROWS`] pixels on average, none without pixels (a block of
-    /// nothing but border), and no block over one SRAM bank. With
-    /// `whole_rows` (lane-replicated outputs) a block holds whole padded
-    /// rows, so the blocks may be uneven: 58 padded rows go 15/15/15/13.
+    /// nothing but border), and no block over one SRAM bank. Where `out`
+    /// wants [`MapLayout::whole_rows`] a block holds whole padded rows, so
+    /// the blocks may be uneven: 58 padded rows go 15/15/15/13.
     ///
     /// # Panics
     ///
     /// Panics if those limits cannot all hold (a map thousands of pixels wide
     /// and one or two high).
     #[must_use]
-    pub fn new(oh: u32, ow: u32, out_pad: u32, planes: usize, whole_rows: bool) -> RowSplit {
+    pub fn new(oh: u32, ow: u32, planes: usize, out: &MapLayout) -> RowSplit {
+        let out_pad = out.pad;
         let pw = ow + 2 * out_pad;
         let rows_total = (oh + 2 * out_pad) * pw;
         let inside = |v: u32, len: u32| (out_pad..out_pad + len).contains(&v);
         // Blocks are cut in units of one stored row, or one padded row.
-        let unit = if whole_rows { pw } else { 1 };
+        let unit = if out.whole_rows() { pw } else { 1 };
         assert!(
             unit <= 4096,
             "a padded row of {pw} pixels exceeds an SRAM bank"
@@ -384,9 +482,10 @@ pub struct ChunkPass<'a> {
 /// The row-split conv lowering: one plane chain per (M-split, chunk of
 /// `split`) runs `passes` accumulate-passes (described by
 /// `pass(mpart, pass, chunk)`) and requantizes into its own output block; the
-/// chains run four at a time, one per plane. Returns the `oh×ow×c_out` output
-/// map (its `lane_copies` 1: a caller whose weights replicate the channels
-/// says so) and the completion cycle.
+/// chains run four at a time, one per plane. Returns the `parts` of the
+/// `oh×ow×c_out` output map — which lanes of a row hold what is the weights'
+/// business, so the caller who tiled them builds the [`FeatureMap`] — and the
+/// completion cycle.
 ///
 /// With a `shortcut` — a map of the output's own geometry — every chain adds
 /// the shortcut's rows of its chunk (saturating) between requantize and ReLU:
@@ -408,10 +507,10 @@ pub fn conv_passes<'a>(
     pass: &dyn Fn(usize, usize, usize) -> ChunkPass<'a>,
     shortcut: Option<&FeatureMap>,
     params: &Conv2dParams,
-) -> (FeatureMap, u64) {
+) -> (Vec<Vec<TensorHandle>>, u64) {
     if let Some(sc) = shortcut {
         assert_eq!(
-            (sc.h, sc.w, sc.c, sc.pad),
+            (sc.h, sc.w, sc.c, sc.layout.pad),
             (oh, ow, c_out, params.out_pad),
             "shortcut geometry"
         );
@@ -460,19 +559,10 @@ pub fn conv_passes<'a>(
         let chunks: Vec<TensorHandle> = blocks.iter().map(|b| b[r].clone()).collect();
         TensorHandle::concat(&chunks, rows_total)
     };
-    let out = FeatureMap {
-        h: oh,
-        w: ow,
-        c: c_out,
-        pad: params.out_pad,
-        lane_copies: 1,
-        lane_skew: 1,
-        parts: blocks
-            .iter()
-            .map(|part| (0..replicas).map(|r| concat(part, r)).collect())
-            .collect(),
-    };
-    (out, done)
+    let parts = (blocks.iter())
+        .map(|part| (0..replicas).map(|r| concat(part, r)).collect())
+        .collect();
+    (parts, done)
 }
 
 /// One M-split's output blocks, `[chunk][replica]`.
@@ -624,17 +714,24 @@ pub fn conv2d_add(
     assert_eq!(weights.passes.len(), groups.len(), "tap group count");
     assert_eq!(input.c, weights.c_in, "channel mismatch");
     assert!(
-        weights.taps == 1 || weights.taps <= input.lane_copies,
+        weights.taps == 1 || weights.taps <= input.layout.lane_copies,
         "{} taps per pass need as many lane copies, input has {}",
         weights.taps,
-        input.lane_copies
+        input.layout.lane_copies
     );
     assert_eq!(
-        weights.in_skew, input.lane_skew,
+        weights.in_skew, input.layout.lane_skew,
         "weights tiled for another lane skew"
     );
+    // The weights' tiling along M is the output's lane layout.
+    let out = MapLayout {
+        lane_copies: weights.out_copies,
+        ..MapLayout::plain(params.out_pad, params.out_hemisphere, params.out_replicas)
+    };
     assert!(
-        shortcut.is_none_or(|sc| (sc.lane_copies, sc.lane_skew) == (weights.out_copies, 1)),
+        shortcut.is_none_or(|sc| {
+            (sc.layout.lane_copies, sc.layout.lane_skew) == (out.lane_copies, out.lane_skew)
+        }),
         "shortcut and output lane layouts differ"
     );
     let oh = (input.h + 2 * params.pad - k) / params.stride + 1;
@@ -642,7 +739,7 @@ pub fn conv2d_add(
     let kparts = input.kparts();
     let mparts = weights.c_out.div_ceil(320) as usize;
     let planes = (4 / mparts).max(1);
-    let split = RowSplit::new(oh, ow, params.out_pad, planes, weights.out_copies > 1);
+    let split = RowSplit::new(oh, ow, planes, &out);
 
     // Row sequences per tap group — the rows of its first tap — shared
     // across kparts, mparts and chunks.
@@ -687,9 +784,8 @@ pub fn conv2d_add(
     };
     let passes = groups.len() * kparts;
     let shape = (oh, ow, weights.c_out);
-    let (mut out, done) = conv_passes(s, shape, &split, passes, &pass, shortcut, params);
-    out.lane_copies = weights.out_copies;
-    (out, done)
+    let (parts, done) = conv_passes(s, shape, &split, passes, &pass, shortcut, params);
+    (FeatureMap::new(shape, out, parts), done)
 }
 
 /// The gather maps of a K-packed conv, `[input replica][block read]`, for
@@ -767,38 +863,7 @@ pub fn alloc_feature_map(
     hemisphere: Hemisphere,
     replicas: u8,
 ) -> FeatureMap {
-    let kparts = c.div_ceil(320) as usize;
-    let mut avoid: Vec<(Hemisphere, u8)> = Vec::new();
-    FeatureMap {
-        h,
-        w,
-        c,
-        pad,
-        lane_copies: 1,
-        lane_skew: 1,
-        parts: (0..kparts)
-            .map(|kp| {
-                let cols = (c - kp as u32 * 320).min(320) as u16;
-                (0..replicas.max(1))
-                    .map(|_| {
-                        let t = s
-                            .alloc
-                            .alloc_avoiding(
-                                Some(hemisphere),
-                                (h + 2 * pad) * (w + 2 * pad),
-                                cols,
-                                BankPolicy::High,
-                                4096,
-                                &avoid,
-                            )
-                            .expect("SRAM exhausted for input feature map");
-                        avoid.extend(t.layout.slices());
-                        t
-                    })
-                    .collect()
-            })
-            .collect(),
-    }
+    FeatureMap::alloc(s, (h, w, c), MapLayout::plain(pad, hemisphere, replicas))
 }
 
 /// Serializes conv weights `w(co, ci, dy, dx)` of a `k×k` conv (`c_in → c_out`
@@ -1029,6 +1094,11 @@ mod tests {
         }
     }
 
+    /// A plain one-replica layout with a border of `pad`.
+    fn plain(pad: u32) -> MapLayout {
+        MapLayout::plain(pad, Hemisphere::West, 1)
+    }
+
     /// Realistic requantization for full-range int8 data.
     const SHIFT: i8 = 11;
     /// The producer's: a 16-term sum, kept full range (and often saturated).
@@ -1043,7 +1113,7 @@ mod tests {
                 for (y, line) in x.iter().enumerate() {
                     for (xp, px) in line.iter().enumerate() {
                         let mut v = Vector::ZERO;
-                        let first = xp % input.lane_skew as usize * group;
+                        let first = xp % input.layout.lane_skew as usize * group;
                         for (lane, &val) in px.iter().skip(kp * 320).take(320).enumerate() {
                             v.set_lane(first + lane, val as u8);
                         }
@@ -1065,22 +1135,24 @@ mod tests {
             assert_eq!(reps.len(), replicas, "replicas");
             for rep in reps {
                 assert_eq!(u32::from(rep.cols), (out.c - mp as u32 * 320).min(320));
-                let lanes = match out.lane_copies {
+                let lanes = match out.layout.lane_copies {
                     1 => usize::from(rep.cols),
                     copies => copies as usize * group,
                 };
                 for row in 0..out.rows_total() {
                     let got = chip.memory.read_unchecked(rep.row(row));
                     let (py, px) = (row / out.pw(), row % out.pw());
-                    let inside = |v: u32, len: u32| (out.pad..out.pad + len).contains(&v);
+                    let inside =
+                        |v: u32, len: u32| (out.layout.pad..out.layout.pad + len).contains(&v);
                     for lane in 0..lanes {
-                        let ch = match out.lane_copies {
+                        let ch = match out.layout.lane_copies {
                             1 => mp * 320 + lane,
                             _ => lane % group,
                         };
                         let want = if inside(py, out.h) && inside(px, out.w) && ch < out.c as usize
                         {
-                            expect[(py - out.pad) as usize][(px - out.pad) as usize][ch]
+                            expect[(py - out.layout.pad) as usize][(px - out.layout.pad) as usize]
+                                [ch]
                         } else {
                             0
                         };
@@ -1151,8 +1223,11 @@ mod tests {
         };
 
         let host_pad = if case.from.is_some() { 0 } else { case.pad };
-        let mut host = alloc_feature_map(&mut s, h, w, host_c, host_pad, Hemisphere::East, 4);
-        host.lane_skew = case.in_skew;
+        let host_layout = MapLayout {
+            lane_skew: case.in_skew,
+            ..MapLayout::plain(host_pad, Hemisphere::East, 4)
+        };
+        let host = FeatureMap::alloc(&mut s, (h, w, host_c), host_layout);
         // The conv under test reads `input`, holding `x_data`.
         let (input, x_data) = match &w_from {
             None => (host.clone(), host_data.clone()),
@@ -1167,7 +1242,7 @@ mod tests {
                     ..Conv2dParams::default()
                 };
                 let (mid, _) = conv2d(&mut s, &host, &weights, &params);
-                assert_eq!(mid.lane_copies, copies);
+                assert_eq!(mid.layout.lane_copies, copies);
                 let x = reference_conv(&host_data, w_from, 1, 0, PRODUCER_SHIFT, false);
                 (mid, x)
             }
@@ -1188,12 +1263,12 @@ mod tests {
             let values = reference_conv(&shortcut_data, w_sc, 1, 0, PRODUCER_SHIFT, false);
             (map, values, host)
         });
-        let taps = taps_per_pass(k, cin).min(input.lane_copies);
+        let taps = taps_per_pass(k, cin).min(input.layout.lane_copies);
         // Weights keep off everything the conv streams while they are due.
         let keep_off: Vec<_> = (input.slices())
             .chain(shortcut.iter().flat_map(|(map, ..)| map.shortcut_slices()))
             .collect();
-        let lanes = (taps, input.lane_skew, case.out_copies);
+        let lanes = (taps, input.layout.lane_skew, case.out_copies);
         let weights = emplace(&mut s, &w_data, lanes, &keep_off);
         let out_hemisphere = case.residual.unwrap_or(input_hemisphere.opposite());
         let params = Conv2dParams {
@@ -1208,7 +1283,7 @@ mod tests {
         };
         let operand = shortcut.as_ref().map(|(map, ..)| map);
         let (out, _) = conv2d_add(&mut s, &input, &weights, operand, &params);
-        assert_eq!(out.lane_copies, case.out_copies);
+        assert_eq!(out.layout.lane_copies, case.out_copies);
 
         let constants = s.take_constants();
         let program = s.into_program().expect("valid schedule");
@@ -1300,7 +1375,7 @@ mod tests {
     /// 110 rows over 4 chunks: neither the rows nor the padded rows divide.
     #[test]
     fn uneven_row_split_matches_reference() {
-        let split = RowSplit::new(10, 11, 0, 4, false);
+        let split = RowSplit::new(10, 11, 4, &plain(0));
         let sizes: Vec<usize> = split.chunks.iter().map(|c| c.pixels.len()).collect();
         assert_eq!(sizes, [28, 28, 28, 26]);
         run_conv_case(Case::new((10, 11), (8, 5), 3, 1));
@@ -1311,7 +1386,7 @@ mod tests {
     /// tiny maps are never split at all.
     #[test]
     fn row_split_never_makes_an_empty_or_install_bound_chunk() {
-        let wide = RowSplit::new(1, 100, 1, 4, false);
+        let wide = RowSplit::new(1, 100, 4, &plain(1));
         assert!(wide.chunks.len() < 4);
         assert!(wide.chunks.iter().all(|c| !c.pixels.is_empty()));
         assert_eq!(
@@ -1320,13 +1395,13 @@ mod tests {
         );
         for (hw, chunks) in [(1, 1), (2, 1), (6, 1), (7, 2), (12, 4), (56, 4)] {
             assert_eq!(
-                RowSplit::new(hw, hw, 0, 4, false).chunks.len(),
+                RowSplit::new(hw, hw, 4, &plain(0)).chunks.len(),
                 chunks,
                 "{hw}×{hw}"
             );
         }
         assert_eq!(
-            RowSplit::new(7, 7, 0, 1, false).chunks.len(),
+            RowSplit::new(7, 7, 1, &plain(0)).chunks.len(),
             1,
             "one plane per M-split"
         );
@@ -1336,7 +1411,7 @@ mod tests {
     /// (14 padded rows each) mid-row, and the border must stay zero.
     #[test]
     fn chunks_straddling_block_boundaries_match_reference() {
-        let split = RowSplit::new(12, 12, 1, 4, false);
+        let split = RowSplit::new(12, 12, 4, &plain(1));
         assert_eq!(split.rows_per_block, 49);
         let cut = |c: &RowChunk| c.segments.iter().any(|&(_, count)| count < 12);
         assert!(split.chunks.iter().all(cut), "every block cuts a pixel row");
@@ -1401,7 +1476,11 @@ mod tests {
     /// conv itself writing lane copies for a packed successor.
     #[test]
     fn packed_56x56_matches_reference() {
-        let split = RowSplit::new(56, 56, 1, 4, true);
+        let replicated = MapLayout {
+            lane_copies: 3,
+            ..plain(1)
+        };
+        let split = RowSplit::new(56, 56, 4, &replicated);
         assert_eq!(split.rows_per_block, 15 * 58);
         let sizes: Vec<usize> = split.chunks.iter().map(|c| c.pixels.len()).collect();
         assert_eq!(sizes, [14 * 56, 15 * 56, 15 * 56, 12 * 56]);
@@ -1519,15 +1598,7 @@ mod tests {
 
     #[test]
     fn border_segments_complement_the_interior() {
-        let fm = FeatureMap {
-            h: 3,
-            w: 4,
-            c: 8,
-            pad: 1,
-            lane_copies: 1,
-            lane_skew: 1,
-            parts: Vec::new(),
-        };
+        let fm = FeatureMap::new((3, 4, 8), plain(1), Vec::new());
         assert_eq!(fm.border_segments(), [(0, 7), (11, 2), (17, 2), (23, 7)]);
         let rows = |segs: Vec<(u32, u32)>| segs.iter().map(|&(_, n)| n).sum::<u32>();
         assert_eq!(

@@ -10,12 +10,12 @@ pub mod pool;
 
 pub use conv::{
     alloc_feature_map, conv2d, conv2d_add, conv_passes, emplace_conv, emplace_conv_weights,
-    taps_per_pass, ChunkPass, Conv2dParams, ConvWeights, FeatureMap, RowSplit,
+    taps_per_pass, ChunkPass, Conv2dParams, ConvWeights, FeatureMap, MapLayout, RowSplit,
 };
 pub use elementwise::{binary_ew, binary_ew_replicated, copy, copy_replicated, unary_ew};
 pub use matmul::{lw_rows, matmul, ActFeed, MatmulOpts, WeightSet};
 pub use matmul::{schedule_plane_chain, schedule_requant_write, Int32Stream, Pass};
-pub use pool::{global_avg_pool, max_pool, pixels_per_row, MaxPoolParams};
+pub use pool::{global_avg_pool, max_pool, packed_pixels, pixels_per_row, MaxPoolParams};
 
 /// Helpers shared by the kernels' unit tests.
 #[cfg(test)]

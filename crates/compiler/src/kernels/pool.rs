@@ -8,14 +8,14 @@
 //!
 //! **Lane packing.** A `c`-channel pixel fills `c` of the 320 lanes every one
 //! of those `max` issues works on, so when the input is lane-replicated
-//! ([`FeatureMap::lane_copies`]` = G`, written so by the conv producing it) a
+//! ([`MapLayout::lane_copies`]` = G`, written so by the conv producing it) a
 //! VXM row carries `G` horizontally adjacent *output* pixels instead of one:
 //! each tap stream is a MEM `Gather` putting the tap's input pixel of output
 //! `x_g` into lane group `g`, the `max` tree — lane-agnostic — is unchanged
 //! but `G×` shorter, and the result is committed with a MEM `Scatter` that
 //! sends lane group `g` to the stored row of pixel `x_g`. Pixel `x` therefore
 //! sits at lane group `x mod G` of its own row, the other groups zero: a
-//! **lane-skewed** map ([`FeatureMap::lane_skew`]), which a conv reads for
+//! **lane-skewed** map ([`MapLayout::lane_skew`]), which a conv reads for
 //! nothing by repeating its weights at every lane group. A row's last vector,
 //! when `G` does not divide the width, covers the last `G` pixels again —
 //! each in the lane group its `x mod G` names — so no lane ever holds
@@ -33,7 +33,7 @@ use tsp_isa::{AccumulateMode, BinaryAluOp, DataType, MxmOp, Plane, VxmOp, MXM_AR
 use tsp_sim::IcuId;
 
 use crate::alloc::BankPolicy;
-use crate::kernels::conv::{group_lanes, FeatureMap};
+use crate::kernels::conv::{group_lanes, FeatureMap, MapLayout};
 use crate::kernels::elementwise::{pick_alu, tensor_hemisphere};
 use crate::kernels::matmul::{
     place_repeated, schedule_requant_write, stream_weights, ActFeed, Int32Stream, D_IW,
@@ -62,11 +62,25 @@ pub struct MaxPoolParams {
 }
 
 /// Output pixels a [`max_pool`] of a `c`-channel map can put in one VXM row
-/// of an `ow`-pixel-wide output (`G`): as many lane groups as the 320 lanes
-/// hold, and no more than the row has pixels.
+/// of an `ow`-pixel-wide output: as many lane groups as the 320 lanes hold,
+/// and no more than the row has pixels. The lane copies worth asking of the
+/// pool's producer.
 #[must_use]
 pub fn pixels_per_row(c: u32, ow: u32) -> u32 {
     (320 / group_lanes(c)).clamp(1, ow.max(1))
+}
+
+/// Output pixels a [`max_pool`] does put in one VXM row of an `ow`-pixel-wide
+/// output (`G`) given an input in `lane_copies` copies: a pixel per copy —
+/// or one, when the row has fewer pixels than that, since the spare copies
+/// would end up where the skewed output must be zero.
+#[must_use]
+pub fn packed_pixels(lane_copies: u32, ow: u32) -> u32 {
+    if lane_copies <= ow {
+        lane_copies
+    } else {
+        1
+    }
 }
 
 /// How the `ow` output pixels of a row are dealt to vectors of `groups` lane
@@ -131,9 +145,9 @@ impl Store {
 }
 
 /// Schedules a k×k max pool over a feature map. Returns the output map and
-/// completion cycle. A lane-replicated input is pooled
-/// [`FeatureMap::lane_copies`] pixels per VXM row into a lane-skewed output
-/// (see the module docs), anything else one pixel per row.
+/// completion cycle. A lane-replicated input is pooled [`packed_pixels`] per
+/// VXM row into a lane-skewed output (see the module docs), anything else
+/// one pixel per row.
 ///
 /// # Panics
 ///
@@ -144,63 +158,31 @@ pub fn max_pool(
     input: &FeatureMap,
     params: &MaxPoolParams,
 ) -> (FeatureMap, u64) {
-    assert_eq!(input.lane_skew, 1, "only a conv reads a lane-skewed map");
+    assert_eq!(
+        input.layout.lane_skew, 1,
+        "only a conv reads a lane-skewed map"
+    );
     let k = params.kernel;
     let oh = (input.h + 2 * params.pad - k) / params.stride + 1;
     let ow = (input.w + 2 * params.pad - k) / params.stride + 1;
-    // More lane copies than the row has pixels would leave copies of a pixel
-    // where the skewed output must be zero.
-    let groups = match input.lane_copies {
-        copies if copies <= ow => copies,
-        _ => 1,
-    };
+    let groups = packed_pixels(input.layout.lane_copies, ow);
     let packing = LanePacking { ow, groups };
     let vectors = packing.vectors();
     let n = oh * vectors;
-    let out_pw = ow + 2 * params.out_pad;
-    // A vector's pixels share a slice: packed, blocks hold whole padded rows.
-    let max_block = match groups {
-        1 => 4096,
-        _ => (4096 / out_pw).max(1) * out_pw,
-    };
-    let mut avoid: Vec<(Hemisphere, u8)> = Vec::new();
-    let out = FeatureMap {
-        h: oh,
-        w: ow,
-        c: input.c,
-        pad: params.out_pad,
-        lane_copies: 1,
+    // Packed, the output is skewed (whole padded rows a block: a vector's
+    // pixels share a slice).
+    let layout = MapLayout {
         lane_skew: groups,
-        parts: (0..input.kparts())
-            .map(|kp| {
-                let cols = input.parts[kp][0].cols;
-                (0..params.out_replicas.max(1))
-                    .map(|_| {
-                        let t = s
-                            .alloc
-                            .alloc_avoiding(
-                                Some(params.out_hemisphere),
-                                (oh + 2 * params.out_pad) * out_pw,
-                                cols,
-                                BankPolicy::High,
-                                max_block,
-                                &avoid,
-                            )
-                            .expect("SRAM exhausted for pool output");
-                        avoid.extend(t.layout.slices());
-                        t
-                    })
-                    .collect()
-            })
-            .collect(),
+        ..MapLayout::plain(params.out_pad, params.out_hemisphere, params.out_replicas)
     };
+    let out = FeatureMap::alloc(s, (oh, ow, input.c), layout);
     let vxm = Slice::Vxm.position();
     let mut done = params.not_before;
     let gl = group_lanes(input.c);
     // Everything the chain streams at once keeps to slices of its own: the
     // maps of the taps (opposite the input) off the output replicas, the maps
     // of the replicas (opposite the output) off the input.
-    avoid.extend(input.slices());
+    let mut avoid: Vec<(Hemisphere, u8)> = out.slices().chain(input.slices()).collect();
     // Row `i` of a tap or of the output, as `(row, column)` of the vectors.
     let at = |i: u32| (i / vectors, i % vectors);
 
@@ -431,7 +413,10 @@ pub fn global_avg_pool(
     out_hemisphere: Hemisphere,
     not_before: u64,
 ) -> (Vec<TensorHandle>, u64) {
-    assert_eq!(input.lane_skew, 1, "only a conv reads a lane-skewed map");
+    assert_eq!(
+        input.layout.lane_skew, 1,
+        "only a conv reads a lane-skewed map"
+    );
     let n = input.h * input.w;
     let vxm = Slice::Vxm.position();
     let mut outs = Vec::with_capacity(input.kparts());
@@ -750,7 +735,7 @@ mod tests {
             ..Conv2dParams::default()
         };
         let (input, _) = conv2d(&mut s, &host, &identity, &producer);
-        assert_eq!(input.lane_copies, groups);
+        assert_eq!(input.layout.lane_copies, groups);
         let params = MaxPoolParams {
             kernel: k,
             stride,
@@ -761,7 +746,7 @@ mod tests {
             not_before: 0,
         };
         let (out, _) = max_pool(&mut s, &input, &params);
-        assert_eq!((out.h, out.w, out.lane_skew), (oh, ow, groups));
+        assert_eq!((out.h, out.w, out.layout.lane_skew), (oh, ow, groups));
         load_constants(&mut chip, &mut s);
         let program = s.into_program().expect("valid schedule");
 
@@ -801,10 +786,13 @@ mod tests {
             for row in 0..out.rows_total() {
                 let got = chip.memory.read_unchecked(rep.row(row));
                 let (py, px) = (row / out.pw(), row % out.pw());
-                let inside = |v: u32, len: u32| (out.pad..out.pad + len).contains(&v);
+                let inside = |v: u32, len: u32| (out.layout.pad..out.layout.pad + len).contains(&v);
                 let pixel = inside(py, oh) && inside(px, ow);
                 for lane in 0..320u32 {
-                    let (oy, ox) = (py.wrapping_sub(out.pad), px.wrapping_sub(out.pad));
+                    let (oy, ox) = (
+                        py.wrapping_sub(out.layout.pad),
+                        px.wrapping_sub(out.layout.pad),
+                    );
                     let own = pixel && lane / gl == ox % groups && lane % gl < c;
                     let want = if own { expect(oy, ox, lane % gl) } else { 0 };
                     assert_eq!(

@@ -1,64 +1,62 @@
 //! Lowering a quantized graph onto the TSP.
 //!
-//! Walks the layer DAG in topological order, invoking `tsp-compiler` kernels
-//! and tracking where every activation lives. Policies implemented here:
+//! [`plan`] decides, from the graph's shapes alone, what the tensor on every
+//! edge looks like in SRAM — one [`MapLayout`] per node — and which nodes are
+//! computed inside another's kernel; [`compile`] walks the DAG in topological
+//! order, hands each `tsp-compiler` kernel its node's layout, checks the map
+//! that comes back against it, and tracks where every activation lives.
 //!
-//! * **Padding materialization** — each feature map is allocated with the
-//!   border its downstream consumers need (computed by a reverse pass), so
-//!   conv offset passes never index out of bounds and residual adds see
-//!   identical padded geometries.
-//! * **Replication** — a producer writes as many copies of its output as its
-//!   consumers will stream concurrently (extra `Write`s tapping one stream;
-//!   see the kernels' docs). Max pool wants k² copies, a conv one per plane
-//!   (each of its row-split chains streams its own copy).
-//! * **Lane replication** — a conv whose every consumer is a conv that packs
-//!   `G > 1` taps into one MXM pass (or a max pool that packs `G` pixels into
-//!   one VXM row, below) writes each output row as `G` copies side by side
-//!   (its weights tiled `G×` along M — the same 320×320 pass), which is what
-//!   lets the consumers fetch `G` adjacent rows with one `Gather`
-//!   (`tsp_compiler::kernels::conv`, "K-packing").
-//! * **Lane-packed max pool** — a pool whose input is conv-written, whose
-//!   every consumer is a conv and which is big enough to pay for its maps
-//!   (`pool_pack`) gets that input in `G` lane copies and pools `G` output
-//!   pixels per VXM row; its output is *lane-skewed* (pixel `x` at lane group
-//!   `x mod G`), which the consumers absorb by tiling their weights `G×`
-//!   along K (`tsp_compiler::kernels::pool`, "Lane packing").
-//! * **Residual fusion** — an `Add` one of whose operands is a conv without
-//!   ReLU that nothing else reads is lowered as the tail of that conv: each
-//!   of its chains adds its own rows of the other operand (the shortcut)
-//!   between requantize and ReLU, so the conv's result never visits SRAM on
-//!   its own (`fuse_plan`; paper §II-E chaining).
-//! * **Operand placement** — MEM queues are single-issue, so everything one
-//!   conv streams at once sits on slices of its own: weights keep off the
-//!   input's and the shortcut's slices, and the shortcut sits in the
-//!   hemisphere opposite the input's.
-//! * **First-layer im2col** — a conv whose input is the network input and
-//!   whose patch (`k²·c_in`) fits one 320-lane pass is lowered as a dense
-//!   matmul over host-prepared im2col rows: a single-pass caller of the same
-//!   row-split lowering every other conv uses (the host DMA "emplaces the
-//!   model and bootstraps execution", paper §II; DESIGN.md §2 records this
-//!   substitution).
-//! * **Layer overlap** — with [`CompileOptions::overlap`] the resource pool
-//!   lets a layer start as soon as its own resources free up (paper §IV-C);
-//!   otherwise every layer is fenced behind its predecessor (the E13
-//!   baseline).
+//! What a reader **needs** flows up the graph (one reverse sweep):
+//!
+//! * **Border** — a conv or pool needs its logical padding materialized
+//!   around its input (border rows stay zero, so offset passes never index
+//!   out of bounds); an add needs both operands cut like its own output.
+//! * **Replicas** — a producer writes as many copies as its readers stream
+//!   concurrently (extra `Write`s tapping one stream): a conv one per MXM
+//!   plane (each row-split chain streams its own), a max pool one per tap.
+//! * **Lane copies** — a conv that packs `G` taps into one MXM pass, or a
+//!   pool that packs `G` pixels into one VXM row, fetches `G` stored rows
+//!   with one `Gather`, which needs every row written `G` times side by side
+//!   — free for a conv (its weights tiled `G×` along M), and only if *every*
+//!   reader packs. A pool packs when only convs read it and the shorter chain
+//!   pays for the gather/scatter maps.
+//!
+//! What a producer **wrote** flows down (one forward sweep):
+//!
+//! * **Lane skew** — a pool given `G` lane copies leaves pixel `x` at lane
+//!   group `x mod G`; the convs reading it tile their weights `G×` along K.
+//! * **Residual fusion and sides** — an `Add` whose later operand is a conv
+//!   without ReLU that nothing else reads runs as that conv's requant tail
+//!   (paper §II-E chaining), each chain adding its own rows of the other
+//!   operand. MEM queues are single-issue, so everything one conv streams at
+//!   once sits on slices of its own: the conv's input goes to the hemisphere
+//!   opposite the shortcut's, weights keep off both.
+//! * **First-layer im2col** — a conv alone on the network input whose patch
+//!   (`k²·c_in`) and output each fit one 320-lane part takes host-prepared
+//!   im2col rows: a 1×1 conv through the same row-split lowering (the host
+//!   DMA "emplaces the model and bootstraps execution", paper §II; DESIGN.md
+//!   §2 records this substitution).
+//!
+//! A node nothing reads is neither planned for nor lowered. With
+//! [`CompileOptions::overlap`] the resource pool lets a layer start as soon
+//! as its own resources free up (paper §IV-C); otherwise every layer is
+//! fenced behind its predecessor (the E13 baseline).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use tsp_arch::{Hemisphere, Vector};
 use tsp_compiler::alloc::BankPolicy;
-use tsp_compiler::kernels::conv::{alloc_feature_map, group_lanes};
 use tsp_compiler::kernels::{
     conv2d_add, conv_passes, emplace_conv, global_avg_pool, lw_rows, matmul, max_pool,
-    pixels_per_row, taps_per_pass, ActFeed, ChunkPass, Conv2dParams, FeatureMap, MatmulOpts,
-    MaxPoolParams, RowSplit, WeightSet,
+    packed_pixels, pixels_per_row, taps_per_pass, ActFeed, ChunkPass, Conv2dParams, FeatureMap,
+    MapLayout, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
 };
 use tsp_compiler::{Scheduler, TensorHandle};
 use tsp_isa::BinaryAluOp;
 use tsp_sim::{Chip, Program};
 
-use crate::graph::{Op, Shape};
+use crate::graph::{Graph, Node, Op, Shape};
 use crate::quant::{QConv, QDense, QuantGraph};
 
 /// Compilation options.
@@ -117,29 +115,12 @@ pub struct LayerSpan {
 /// layer by layer, against the host int8 reference.
 #[derive(Debug, Clone)]
 pub enum Probe {
-    /// A feature map: geometry plus one tensor per channel part.
-    Map {
-        /// Height.
-        h: u32,
-        /// Width.
-        w: u32,
-        /// Channels.
-        c: u32,
-        /// Materialized border.
-        pad: u32,
-        /// Lane groups the pixels are dealt over: pixel `x` holds its
-        /// channels at lane group `x mod lane_skew` (1: every pixel at lane
-        /// 0; see `FeatureMap::lane_skew`).
-        lane_skew: u32,
-        /// First replica of each channel part.
-        parts: Vec<TensorHandle>,
-        /// Every MEM slice any part or replica occupies.
-        slices: Vec<(Hemisphere, u8)>,
-    },
+    /// A feature map, as its kernel built it: geometry, layout, tensors.
+    Map(FeatureMap),
     /// A flat vector: one tensor per feature part.
     Flat(Vec<TensorHandle>),
-    /// Not materialized (the im2col input; a conv whose result goes straight
-    /// into the residual add it hosts).
+    /// Not materialized: the im2col input, a conv whose result goes straight
+    /// into the residual add it hosts, a node nothing reads.
     None,
 }
 
@@ -284,12 +265,6 @@ impl CompiledModel {
     }
 }
 
-/// One lowered node's storage.
-enum Lowered {
-    Map(FeatureMap),
-    Flat(Vec<TensorHandle>),
-}
-
 fn hemi(i: usize) -> Hemisphere {
     if i.is_multiple_of(2) {
         Hemisphere::West
@@ -333,44 +308,6 @@ fn emplace_dense(s: &mut Scheduler, q: &QDense, replicas: u8) -> WeightSet {
     }
 }
 
-/// Replicas each node's output needs, from its consumers.
-fn replica_plan(q: &QuantGraph) -> Vec<u8> {
-    let n = q.graph.nodes.len();
-    let mut reps = vec![1u8; n];
-    for node in &q.graph.nodes {
-        let need: u8 = match &node.op {
-            // One per plane: a conv's chains (row chunks × M-splits) keep all
-            // four planes streaming at once, each from its own copy.
-            Op::Conv(_) => 4,
-            Op::MaxPool { k, .. } => (k * k).min(9) as u8,
-            _ => 1,
-        };
-        for &inp in &node.inputs {
-            reps[inp] = reps[inp].max(need);
-        }
-    }
-    reps
-}
-
-/// The materialized border each node's output needs, from its consumers.
-fn pad_plan(q: &QuantGraph) -> Vec<u32> {
-    let n = q.graph.nodes.len();
-    let mut pads = vec![0u32; n];
-    for i in (0..n).rev() {
-        let node = &q.graph.nodes[i];
-        let need = match &node.op {
-            Op::Conv(spec) => spec.pad,
-            Op::MaxPool { pad, .. } => *pad,
-            Op::Add { .. } => pads[i],
-            _ => 0,
-        };
-        for &inp in &node.inputs {
-            pads[inp] = pads[inp].max(need);
-        }
-    }
-    pads
-}
-
 /// Fewest VXM cycles a lane-packed pool must save. Packing is not free: its
 /// `k² + replicas` map streams hold a score of slice queues to the end of the
 /// pool — a neighbouring conv waiting to prefetch weights from one of them
@@ -380,105 +317,188 @@ fn pad_plan(q: &QuantGraph) -> Vec<u32> {
 /// `c2` +17 and 48 more constant rows.
 const MIN_PACKED_SAVING: u32 = 64;
 
-/// The output pixels a max pool puts in one VXM row (`G`, see
-/// `tsp_compiler::kernels::pool`): above 1 only when every consumer of the
-/// pool is a conv — the one kind of reader a lane-skewed map has — the
-/// channels leave room for a second pixel, and the shorter chain saves at
-/// least [`MIN_PACKED_SAVING`] cycles.
-fn pool_pack(q: &QuantGraph, shapes: &[Shape], pool: usize) -> u32 {
-    let nodes = &q.graph.nodes;
-    let mut consumers = nodes.iter().filter(|n| n.inputs.contains(&pool));
-    let convs_only =
-        consumers.clone().count() > 0 && consumers.all(|n| matches!(n.op, Op::Conv(_)));
-    let Shape::Map { h, w, c } = shapes[pool] else {
-        return 1;
-    };
-    let groups = pixels_per_row(c, w);
-    let (rows, vectors) = (h * w, h * w.div_ceil(groups));
-    if convs_only && rows - vectors >= MIN_PACKED_SAVING {
-        groups
-    } else {
-        1
-    }
+/// What [`plan`] decided for one node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodePlan {
+    /// What the node's output looks like in SRAM — of a flat node's, only the
+    /// hemisphere means anything. `replicas == 0`: nothing reads the node and
+    /// it is not the output, so it is not lowered at all.
+    pub layout: MapLayout,
+    /// The node whose kernel produces this one's value instead of a kernel of
+    /// its own: for an `Add`, the conv computing it in its requant tail (that
+    /// conv's `layout` is then the add's); for the network input, the first
+    /// conv when it takes host-prepared im2col patches instead of a map.
+    pub host: Option<usize>,
 }
 
-/// The lane copies each node's output holds (see [`FeatureMap::lane_copies`]):
-/// a conv all of whose consumers want them — convs packing `G > 1` taps per
-/// pass, max pools packing `G > 1` pixels per row ([`pool_pack`]) — writes
-/// the largest such `G`; everything else — pools, adds, the host-written
-/// input, a conv with any other reader — writes one.
-fn lane_plan(q: &QuantGraph, shapes: &[Shape]) -> Vec<u32> {
-    let nodes = &q.graph.nodes;
-    let mut copies = vec![0u32; nodes.len()];
-    let mut packed_only = vec![true; nodes.len()];
-    for (i, node) in nodes.iter().enumerate() {
-        for &inp in &node.inputs {
-            let want = match (&node.op, shapes[inp]) {
-                (Op::Conv(spec), Shape::Map { c, .. }) => taps_per_pass(spec.k, c),
-                (Op::MaxPool { .. }, _) => pool_pack(q, shapes, i),
-                _ => 1,
+/// What node `i` — its own output layout `out` final — needs of the map on
+/// each of its input edges: `(border, replicas, lane copies)`, the copies
+/// above 1 only where it would pack that many taps or pixels. `conv_readers`:
+/// whether `i` itself is read by convs and nothing else.
+fn need(
+    graph: &Graph,
+    shapes: &[Shape],
+    i: usize,
+    out: &MapLayout,
+    conv_readers: bool,
+) -> (u32, u8, u32) {
+    let node = &graph.nodes[i];
+    match (&node.op, shapes[i]) {
+        // A replica per plane: a conv's chains (row chunks × M-splits) keep
+        // all four planes streaming at once, each from its own copy.
+        (Op::Conv(spec), _) => {
+            let Shape::Map { c, .. } = shapes[node.inputs[0]] else {
+                panic!("conv on a flat input at {}", node.name)
             };
-            copies[inp] = copies[inp].max(want);
-            packed_only[inp] &= want > 1;
+            (spec.pad, 4, taps_per_pass(spec.k, c))
         }
+        // A replica per tap. The pool packs `G` pixels a VXM row when only
+        // convs — the one kind of reader a lane-skewed map has — read it and
+        // the shorter chain saves at least `MIN_PACKED_SAVING` cycles.
+        (Op::MaxPool { k, pad, .. }, Shape::Map { h, w, c }) => {
+            let groups = pixels_per_row(c, w);
+            let saving = h * w - h * w.div_ceil(groups);
+            let packs = conv_readers && saving >= MIN_PACKED_SAVING;
+            (*pad, (k * k).min(9) as u8, if packs { groups } else { 1 })
+        }
+        // An add's operands are cut exactly like its output.
+        (Op::Add { .. }, _) => (out.pad, 1, 1),
+        _ => (0, 1, 1),
     }
-    (0..nodes.len())
-        .map(|i| match nodes[i].op {
-            Op::Conv(_) if packed_only[i] => copies[i].max(1),
-            _ => 1,
-        })
-        .collect()
 }
 
-/// Which residual adds are lowered inside a conv, and the hemisphere every
-/// node's output goes to. `partner[add] = Some(conv)` and `partner[conv] =
-/// Some(add)` when `conv` — an operand of `add` with no ReLU and no other
-/// reader — computes the add in its own chains, reading the other operand
-/// (the shortcut) block by block. That needs the shortcut to be cut into the
-/// conv's own output blocks, i.e. to be conv-written itself (a conv or a fused
-/// add of the same shape), to be scheduled before the conv, and to share no
-/// slice with the conv's input: the input goes to the opposite hemisphere,
-/// and an add for which that cannot be arranged stays a kernel of its own.
-/// `readers` counts every node's consumers; `im2col` is the first-layer conv,
-/// which hosts no add.
-fn fuse_plan(
-    q: &QuantGraph,
-    readers: &[usize],
-    im2col: Option<usize>,
-) -> (Vec<Option<usize>>, Vec<Hemisphere>) {
-    let nodes = &q.graph.nodes;
-    let mut partner: Vec<Option<usize>> = vec![None; nodes.len()];
-    let mut hemis: Vec<Hemisphere> = (0..nodes.len()).map(hemi).collect();
-    // Hemispheres something already depends on; the host writes the network
-    // input where `compile` says.
-    let mut pinned = vec![false; nodes.len()];
-    (hemis[0], pinned[0]) = (Hemisphere::East, true);
-    for (add, node) in nodes.iter().enumerate() {
-        let (Op::Add { .. }, &[a, b]) = (&node.op, node.inputs.as_slice()) else {
-            continue;
-        };
-        let (shortcut, conv) = (a.min(b), a.max(b));
-        let hosts = matches!(nodes[conv].op, Op::Conv(spec) if !spec.relu)
-            && readers[conv] == 1
-            && Some(conv) != im2col;
-        let conv_written = match nodes[shortcut].op {
-            Op::Conv(_) => true,
-            Op::Add { .. } => partner[shortcut].is_some(),
-            _ => false,
-        };
-        let input = nodes[conv].inputs[0];
-        let apart = hemis[shortcut].opposite();
-        if !hosts || !conv_written || input == shortcut || (pinned[input] && hemis[input] != apart)
-        {
+/// Decides every edge's layout and which nodes are lowered inside another,
+/// from the graph's shapes alone (the module docs say what is decided).
+///
+/// **Needs flow up**, in one reverse sweep: a node's layout is final before
+/// its inputs are visited, so each folds what it [`need`]s into them — the
+/// widest border, the most replicas, and lane copies only if *every* reader
+/// packs (then the most any asks for; only a conv can write them). A node
+/// nothing reads, unless it is the output, asks for nothing.
+///
+/// **Placement flows down**, in one forward sweep: a pool given lane copies
+/// writes a skewed map; an `Add` is computed by its later operand when that
+/// is a conv without ReLU and with no other reader, the other operand (the
+/// shortcut) is cut into the conv's own output blocks — conv-written itself,
+/// a conv or a fused add of the same shape — and is not the conv's own input,
+/// and that input can go to the hemisphere opposite the shortcut's; an add
+/// for which that cannot be arranged stays a kernel of its own.
+#[must_use]
+pub fn plan(graph: &Graph, shapes: &[Shape]) -> Vec<NodePlan> {
+    let nodes = &graph.nodes;
+    let last = nodes.len() - 1;
+    let mut plans: Vec<NodePlan> = (0..nodes.len())
+        .map(|_| NodePlan {
+            layout: MapLayout {
+                replicas: 0,
+                ..MapLayout::plain(0, Hemisphere::East, 0)
+            },
+            host: None,
+        })
+        .collect();
+    plans[last].layout.replicas = 1;
+    // Per node: its readers, and whether they are all convs.
+    let mut readers = vec![0usize; nodes.len()];
+    let mut conv_readers = vec![true; nodes.len()];
+    for (i, node) in nodes.iter().enumerate().rev() {
+        if plans[i].layout.replicas == 0 {
             continue;
         }
-        hemis[input] = apart;
-        pinned[input] = true;
-        pinned[shortcut] = true;
-        partner[add] = Some(conv);
-        partner[conv] = Some(add);
+        let is_conv = matches!(node.op, Op::Conv(_));
+        if !is_conv {
+            plans[i].layout.lane_copies = 1;
+        }
+        let out = plans[i].layout;
+        let (pad, replicas, copies) =
+            need(graph, shapes, i, &out, readers[i] > 0 && conv_readers[i]);
+        for &inp in &node.inputs {
+            let l = &mut plans[inp].layout;
+            l.pad = l.pad.max(pad);
+            l.replicas = l.replicas.max(replicas);
+            let so_far = if readers[inp] == 0 {
+                copies
+            } else {
+                l.lane_copies
+            };
+            l.lane_copies = if so_far.min(copies) > 1 {
+                so_far.max(copies)
+            } else {
+                1
+            };
+            readers[inp] += 1;
+            conv_readers[inp] &= is_conv;
+        }
     }
-    (partner, hemis)
+
+    // The first conv, alone on the network input with a patch that fits one
+    // pass and one M-split, takes it as host-prepared im2col rows.
+    let stem =
+        (1..nodes.len()).find(|&j| plans[j].layout.replicas > 0 && nodes[j].inputs.contains(&0));
+    if let (1, Some(stem), Shape::Map { c, .. }) = (readers[0], stem, shapes[0]) {
+        if matches!(nodes[stem].op, Op::Conv(spec) if spec.k * spec.k * c <= 320 && spec.c_out <= 320)
+        {
+            plans[0].host = Some(stem);
+        }
+    }
+
+    // Hemispheres something already depends on: the host writes the network
+    // input east, everything lowered after it alternates sides.
+    let mut pinned = vec![false; nodes.len()];
+    pinned[0] = true;
+    let mut lowered = 0;
+    for (i, node) in nodes.iter().enumerate() {
+        if plans[i].layout.replicas == 0 {
+            continue;
+        }
+        if i > 0 {
+            plans[i].layout.hemisphere = hemi(lowered);
+        }
+        lowered += 1;
+        match (&node.op, node.inputs.as_slice(), shapes[i]) {
+            (Op::MaxPool { .. }, &[input], Shape::Map { w, .. }) => {
+                plans[i].layout.lane_skew = packed_pixels(plans[input].layout.lane_copies, w);
+            }
+            (Op::Add { .. }, &[a, b], _) => {
+                let (shortcut, conv) = (a.min(b), a.max(b));
+                let hosts = matches!(nodes[conv].op, Op::Conv(spec) if !spec.relu)
+                    && readers[conv] == 1
+                    && plans[0].host != Some(conv);
+                let conv_written = match nodes[shortcut].op {
+                    Op::Conv(_) => true,
+                    Op::Add { .. } => plans[shortcut].host.is_some(),
+                    _ => false,
+                };
+                let input = nodes[conv].inputs[0];
+                let apart = plans[shortcut].layout.hemisphere.opposite();
+                if hosts
+                    && conv_written
+                    && input != shortcut
+                    && !(pinned[input] && plans[input].layout.hemisphere != apart)
+                {
+                    plans[input].layout.hemisphere = apart;
+                    (pinned[input], pinned[shortcut]) = (true, true);
+                    plans[i].host = Some(conv);
+                }
+            }
+            _ => {}
+        }
+    }
+    // A host conv writes its add's output, where and as the add would (only
+    // now: a later host may still have moved an earlier add's hemisphere).
+    for add in 1..nodes.len() {
+        if let (Op::Add { .. }, Some(conv)) = (&nodes[add].op, plans[add].host) {
+            plans[conv].layout = plans[add].layout;
+        }
+    }
+    plans
+}
+
+/// The map node `i` was lowered to, which `reader` streams.
+fn map_of<'a>(lowered: &'a [Probe], i: usize, reader: &Node) -> &'a FeatureMap {
+    match &lowered[i] {
+        Probe::Map(map) => map,
+        _ => panic!("input {i} of {} is not a map", reader.name),
+    }
 }
 
 /// Compiles a quantized graph to a TSP program.
@@ -489,103 +509,72 @@ fn fuse_plan(
 #[must_use]
 pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
     let mut s = Scheduler::new();
+    let nodes = &q.graph.nodes;
     let shapes = q.graph.shapes();
-    let mut pads = pad_plan(q);
-    let mut reps = replica_plan(q);
-    let mut lanes = lane_plan(q, &shapes);
-    let mut lowered: Vec<Option<Lowered>> = Vec::with_capacity(q.graph.nodes.len());
+    let plans = plan(&q.graph, &shapes);
+    let live = |i: usize| plans[i].layout.replicas > 0;
+    let mut lowered: Vec<Probe> = Vec::with_capacity(nodes.len());
     // Remaining-consumer counts, for freeing dead activations.
-    let mut remaining: Vec<usize> = vec![0; q.graph.nodes.len()];
-    for node in &q.graph.nodes {
-        for &inp in &node.inputs {
-            remaining[inp] += 1;
-        }
+    let mut remaining: Vec<usize> = vec![0; nodes.len()];
+    let lowered_nodes = nodes.iter().enumerate().filter(|&(i, _)| live(i));
+    for &inp in lowered_nodes.flat_map(|(_, node)| &node.inputs) {
+        remaining[inp] += 1;
     }
-    let last = q.graph.nodes.len() - 1;
+    let last = nodes.len() - 1;
     let mut input_kind: Option<InputKind> = None;
     let mut output: Vec<TensorHandle> = Vec::new();
     let mut spans = Vec::new();
+    let dims = |i: usize| match shapes[i] {
+        Shape::Map { h, w, c } => (h, w, c),
+        Shape::Flat { .. } => panic!("{} is flat", nodes[i].name),
+    };
 
-    // Does the first conv qualify for host-side im2col?
-    let first_conv_im2col = q.graph.nodes.iter().enumerate().find_map(|(i, n)| {
-        if let Op::Conv(spec) = &n.op {
-            if n.inputs == [0] {
-                let Shape::Map { c, .. } = shapes[0] else {
-                    return None;
-                };
-                if spec.k * spec.k * c <= 320 {
-                    return Some(i);
-                }
-            }
-        }
-        None
-    });
-    let (partner, mut hemis) = fuse_plan(q, &remaining, first_conv_im2col);
-    // A conv hosting an add writes the add's output, where the add would.
-    for (conv, node) in q.graph.nodes.iter().enumerate() {
-        if let (Op::Conv(_), Some(add)) = (&node.op, partner[conv]) {
-            (pads[conv], reps[conv], lanes[conv]) = (pads[add], reps[add], lanes[add]);
-            hemis[conv] = hemis[add];
-        }
-    }
-
-    for (i, node) in q.graph.nodes.iter().enumerate() {
+    for (i, node) in nodes.iter().enumerate() {
         let start = s.completion();
-        let low: Option<Lowered> = match &node.op {
-            Op::Input { h, w, c } => {
-                if first_conv_im2col.is_some() {
-                    None // materialized by the im2col conv below
-                } else {
-                    let fm =
-                        alloc_feature_map(&mut s, *h, *w, *c, pads[i], Hemisphere::East, reps[i]);
-                    input_kind = Some(InputKind::Map(fm.clone()));
-                    Some(Lowered::Map(fm))
-                }
+        let out = plans[i].layout;
+        let low: Probe = match (&node.op, plans[i].host) {
+            _ if !live(i) => Probe::None,
+            // Materialized as patches by its im2col conv below.
+            (Op::Input { .. }, Some(_)) => Probe::None,
+            (Op::Input { .. }, None) => {
+                let fm = FeatureMap::alloc(&mut s, dims(i), out);
+                input_kind = Some(InputKind::Map(fm.clone()));
+                Probe::Map(fm)
             }
-            Op::Conv(spec) => {
+            (Op::Conv(spec), _) => {
                 // A hosted add's ReLU is the chain's; its other operand the
                 // shortcut (the host itself has no ReLU).
-                let add = partner[i].map(|add| &q.graph.nodes[add]);
+                let add = (i + 1..nodes.len()).find(|&a| plans[a].host == Some(i));
+                let add = add.map(|add| &nodes[add]);
                 let shortcut = add.map(|add| {
                     let other = add.inputs.iter().find(|&&inp| inp != i);
-                    match &lowered[*other.expect("an add has two operands")] {
-                        Some(Lowered::Map(map)) => map,
-                        _ => panic!("add input not a map at {}", add.name),
-                    }
+                    map_of(&lowered, *other.expect("an add has two operands"), add)
                 });
+                let qc = &q.conv[&i];
                 let params = Conv2dParams {
                     stride: spec.stride,
                     pad: spec.pad,
-                    requant_shift: q.conv[&i].shift,
+                    requant_shift: qc.shift,
                     relu: add.map_or(spec.relu, |add| add.op == Op::Add { relu: true }),
-                    out_pad: pads[i],
-                    out_hemisphere: hemis[i],
-                    out_replicas: reps[i],
+                    out_pad: out.pad,
+                    out_hemisphere: out.hemisphere,
+                    out_replicas: out.replicas,
                     not_before: 0,
                 };
-                if Some(i) == first_conv_im2col {
-                    let Shape::Map { h, w, c } = shapes[0] else {
-                        panic!()
-                    };
-                    let (fm, kind) = compile_im2col_conv(
-                        &mut s,
-                        &q.conv[&i],
-                        spec,
-                        (h, w, c),
-                        lanes[i],
-                        &params,
-                    );
+                if plans[0].host == Some(i) {
+                    let (fm, kind) = compile_im2col_conv(&mut s, qc, dims(0), &out, &params);
                     input_kind = Some(kind);
-                    Some(Lowered::Map(fm))
+                    Probe::Map(fm)
                 } else {
-                    let Some(Lowered::Map(input)) = &lowered[node.inputs[0]] else {
-                        panic!("conv input not a map at {}", node.name)
-                    };
-                    let qc = &q.conv[&i];
-                    let taps = taps_per_pass(qc.k, qc.ci).min(input.lane_copies);
-                    // A lane-packed pool's output is absorbed here: the same
-                    // columns at every lane group a pixel may sit in.
-                    let layout = (taps, input.lane_skew, lanes[i]);
+                    let input = map_of(&lowered, node.inputs[0], node);
+                    // As many of the input's lane copies as the kernel is
+                    // wide go into one pass; a lane-packed pool's skew is
+                    // absorbed by the same columns at every lane group.
+                    let lanes = (
+                        input.layout.lane_copies.min(qc.k),
+                        input.layout.lane_skew,
+                        out.lane_copies,
+                    );
                     // Nothing the conv streams while a weight block is due
                     // may share the block's slices: a 20-row weight read
                     // queued behind a pass-long burst arrives a pass late.
@@ -595,41 +584,33 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                     let weights = emplace_conv(
                         &mut s,
                         (qc.k, qc.ci, qc.co),
-                        layout,
+                        lanes,
                         (1, &keep_off),
                         |co, ci, dy, dx| {
                             qc.w[(((co * qc.ci + ci) * qc.k + dy) * qc.k + dx) as usize]
                         },
                     );
-                    let (fm, _) = conv2d_add(&mut s, input, &weights, shortcut, &params);
-                    Some(Lowered::Map(fm))
+                    Probe::Map(conv2d_add(&mut s, input, &weights, shortcut, &params).0)
                 }
             }
-            Op::MaxPool { k, stride, pad } => {
-                let Some(Lowered::Map(input)) = &lowered[node.inputs[0]] else {
-                    panic!("pool input not a map")
-                };
+            (Op::MaxPool { k, stride, pad }, _) => {
                 let params = MaxPoolParams {
                     kernel: *k,
                     stride: *stride,
                     pad: *pad,
-                    out_pad: pads[i],
-                    out_hemisphere: hemis[i],
-                    out_replicas: reps[i],
+                    out_pad: out.pad,
+                    out_hemisphere: out.hemisphere,
+                    out_replicas: out.replicas,
                     not_before: 0,
                 };
-                let (fm, _) = max_pool(&mut s, input, &params);
-                Some(Lowered::Map(fm))
+                Probe::Map(max_pool(&mut s, map_of(&lowered, node.inputs[0], node), &params).0)
             }
-            Op::GlobalAvgPool => {
-                let Some(Lowered::Map(input)) = &lowered[node.inputs[0]] else {
-                    panic!("gap input not a map")
-                };
-                let (parts, _) = global_avg_pool(&mut s, input, q.gap_shift[&i], hemis[i], 0);
-                Some(Lowered::Flat(parts))
+            (Op::GlobalAvgPool, _) => {
+                let input = map_of(&lowered, node.inputs[0], node);
+                Probe::Flat(global_avg_pool(&mut s, input, q.gap_shift[&i], out.hemisphere, 0).0)
             }
-            Op::Dense { relu, .. } => {
-                let Some(Lowered::Flat(parts)) = &lowered[node.inputs[0]] else {
+            (Op::Dense { relu, .. }, _) => {
+                let Probe::Flat(parts) = &lowered[node.inputs[0]] else {
                     panic!("dense input not flat")
                 };
                 let w = emplace_dense(&mut s, &q.dense[&i], 1);
@@ -638,69 +619,55 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                 let opts = MatmulOpts {
                     requant_shift: q.dense[&i].shift,
                     relu: *relu,
-                    out_hemisphere: hemis[i],
+                    out_hemisphere: out.hemisphere,
                     ..MatmulOpts::default()
                 };
                 let (outs, _) = matmul(&mut s, &x_parts, &w, &opts);
-                let flat: Vec<TensorHandle> = outs.into_iter().map(|mut v| v.remove(0)).collect();
-                Some(Lowered::Flat(flat))
+                Probe::Flat(outs.into_iter().map(|mut v| v.remove(0)).collect())
             }
             // Computed by its host conv, whose entry it takes over.
-            Op::Add { .. } if partner[i].is_some() => {
-                partner[i].and_then(|conv| lowered[conv].take())
-            }
-            Op::Add { relu } => {
-                let (Some(Lowered::Map(a)), Some(Lowered::Map(b))) =
-                    (&lowered[node.inputs[0]], &lowered[node.inputs[1]])
-                else {
-                    panic!("add inputs not maps")
-                };
-                assert_eq!(a.pad, b.pad, "residual pads must match at {}", node.name);
+            (Op::Add { .. }, Some(conv)) => std::mem::replace(&mut lowered[conv], Probe::None),
+            (Op::Add { relu }, None) => {
+                let a = map_of(&lowered, node.inputs[0], node);
+                let b = map_of(&lowered, node.inputs[1], node);
                 assert_eq!(
-                    (a.lane_skew, b.lane_skew),
+                    (a.layout.pad, b.layout.pad),
+                    (out.pad, out.pad),
+                    "residual pads must match at {}",
+                    node.name
+                );
+                assert_eq!(
+                    (a.layout.lane_skew, b.layout.lane_skew),
                     (1, 1),
                     "an add reads lanes as stored"
                 );
-                assert_eq!(pads[i], a.pad, "add output pad mismatch");
-                let mut parts = Vec::with_capacity(a.parts.len());
-                for (pa, pb) in a.parts.iter().zip(&b.parts) {
-                    // One pipelined pass: add on one ALU, chained ReLU on a
-                    // second, replicas tapping the final stream (§II-E).
-                    let (sum, _) = tsp_compiler::kernels::elementwise::binary_ew_fused(
-                        &mut s,
-                        BinaryAluOp::AddSat,
-                        &pa[0],
-                        &pb[0],
-                        hemis[i],
-                        BankPolicy::High,
-                        0,
-                        reps[i],
-                        *relu,
-                    );
-                    parts.push(sum);
-                }
-                Some(Lowered::Map(FeatureMap {
-                    h: match shapes[i] {
-                        Shape::Map { h, .. } => h,
-                        Shape::Flat { .. } => unreachable!(),
-                    },
-                    w: match shapes[i] {
-                        Shape::Map { w, .. } => w,
-                        Shape::Flat { .. } => unreachable!(),
-                    },
-                    c: match shapes[i] {
-                        Shape::Map { c, .. } => c,
-                        Shape::Flat { .. } => unreachable!(),
-                    },
-                    pad: a.pad,
-                    lane_copies: 1,
-                    lane_skew: 1,
-                    parts,
-                }))
+                let parts = (a.parts.iter().zip(&b.parts))
+                    .map(|(pa, pb)| {
+                        // One pipelined pass: add on one ALU, chained ReLU on
+                        // a second, replicas tapping the final stream (§II-E).
+                        tsp_compiler::kernels::elementwise::binary_ew_fused(
+                            &mut s,
+                            BinaryAluOp::AddSat,
+                            &pa[0],
+                            &pb[0],
+                            out.hemisphere,
+                            BankPolicy::High,
+                            0,
+                            out.replicas,
+                            *relu,
+                        )
+                        .0
+                    })
+                    .collect();
+                Probe::Map(FeatureMap::new(dims(i), out, parts))
             }
         };
-        if let Some(Lowered::Flat(parts)) = &low {
-            output = parts.clone();
+        match &low {
+            Probe::Map(map) => {
+                assert_eq!(map.layout, out, "{} is not laid out as planned", node.name)
+            }
+            Probe::Flat(parts) => output = parts.clone(),
+            Probe::None => {}
         }
         spans.push(LayerSpan {
             name: node.name.clone(),
@@ -710,24 +677,17 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
         lowered.push(low);
         // Free inputs whose last consumer this node was (never the output,
         // and never the network input — the host owns it).
-        for &inp in &q.graph.nodes[i].inputs.clone() {
+        let read: &[usize] = if live(i) { &node.inputs } else { &[] };
+        for &inp in read {
             remaining[inp] -= 1;
             if remaining[inp] == 0 && inp != 0 && inp != last {
-                if let Some(l) = &lowered[inp] {
-                    match l {
-                        Lowered::Map(fm) => {
-                            for reps_ in &fm.parts {
-                                for t in reps_ {
-                                    s.alloc.free(t);
-                                }
-                            }
-                        }
-                        Lowered::Flat(parts) => {
-                            for t in parts {
-                                s.alloc.free(t);
-                            }
-                        }
-                    }
+                let tensors: Vec<&TensorHandle> = match &lowered[inp] {
+                    Probe::Map(fm) => fm.parts.iter().flatten().collect(),
+                    Probe::Flat(parts) => parts.iter().collect(),
+                    Probe::None => Vec::new(),
+                };
+                for t in tensors {
+                    s.alloc.free(t);
                 }
             }
         }
@@ -737,22 +697,6 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
         }
     }
 
-    let probes: Vec<Probe> = lowered
-        .iter()
-        .map(|l| match l {
-            Some(Lowered::Map(fm)) => Probe::Map {
-                h: fm.h,
-                w: fm.w,
-                c: fm.c,
-                pad: fm.pad,
-                lane_skew: fm.lane_skew,
-                parts: fm.parts.iter().map(|r| r[0].clone()).collect(),
-                slices: fm.slices().collect(),
-            },
-            Some(Lowered::Flat(parts)) => Probe::Flat(parts.clone()),
-            None => Probe::None,
-        })
-        .collect();
     let cycles = s.completion() + u64::from(tsp_arch::timing::SLICE_TILES);
     let rollbacks = s.rollbacks();
     let constants = s.take_constants();
@@ -775,7 +719,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
         cycles,
         layer_spans: spans,
         rollbacks,
-        probes,
+        probes: lowered,
         decoded: std::sync::OnceLock::new(),
     }
 }
@@ -833,47 +777,38 @@ pub fn compile_cached(q: &QuantGraph, options: &CompileOptions) -> Arc<CompiledM
     Arc::clone(cache.lock().unwrap().entry(key).or_insert(model))
 }
 
-/// Lowers the first conv as a dense matmul over host-im2col'ed patches: an
-/// ordinary single-pass caller of the row-split lowering, each chunk reading
+/// Lowers the first conv as a dense matmul over host-im2col'ed patches: a 1×1
+/// conv over the patch's `k²·c_in` lanes (ordered `(ky·k + kx)·c_in + ci`)
+/// through the row-split lowering every other conv uses, each chunk reading
 /// its own patch tensor and its own copy of the weights.
 fn compile_im2col_conv(
     s: &mut Scheduler,
     qc: &QConv,
-    spec: &crate::graph::ConvSpec,
     (h, w, c): (u32, u32, u32),
-    lane_copies: u32,
+    out: &MapLayout,
     params: &Conv2dParams,
 ) -> (FeatureMap, InputKind) {
     let k = qc.k;
-    let oh = (h + 2 * spec.pad - k) / spec.stride + 1;
-    let ow = (w + 2 * spec.pad - k) / spec.stride + 1;
-    let kdim = k * k * c; // ≤ 320, checked by the caller
-    assert!(qc.co <= 320, "im2col path supports c_out ≤ 320");
-    let split = RowSplit::new(oh, ow, params.out_pad, 4, lane_copies > 1);
+    let oh = (h + 2 * params.pad - k) / params.stride + 1;
+    let ow = (w + 2 * params.pad - k) / params.stride + 1;
+    let kdim = k * k * c; // ≤ 320, as is c_out: the planner's condition
+    let split = RowSplit::new(oh, ow, 4, out);
 
-    // LW-order weights, K lanes ordered (ky·k + kx)·c_in + ci, the output
-    // channels repeated `lane_copies` times along M.
-    let out_group = group_lanes(qc.co);
-    let wrows = lw_rows(
-        |m, row| {
-            let co = m % out_group;
-            if co >= qc.co {
-                return; // the lanes between two copies
-            }
-            for lane in 0..kdim {
-                let (off, ci) = (lane / c, lane % c);
-                let (ky, kx) = (off / k, off % k);
-                let w = qc.w[(((co * qc.ci + ci) * qc.k + ky) * qc.k + kx) as usize];
-                row.set_lane(lane as usize, w as u8);
-            }
-        },
-        (lane_copies - 1) * out_group + qc.co,
-    );
     // Per chunk: a weight copy and a patch tensor, all slice-disjoint so the
     // four chains' reads never queue behind one another.
-    let copies: Vec<TensorHandle> = (split.chunks.iter())
-        .map(|_| s.add_constant(wrows.clone(), kdim as u16, BankPolicy::Low, 20))
-        .collect();
+    let weights = emplace_conv(
+        s,
+        (1, kdim, qc.co),
+        (1, 1, out.lane_copies),
+        (split.chunks.len() as u8, &[]),
+        |co, lane, _, _| {
+            let (off, ci) = (lane / c, lane % c);
+            qc.w[(((co * qc.ci + ci) * k + off / k) * k + off % k) as usize]
+        },
+    );
+    let [copies] = weights.passes[0][0].as_slice() else {
+        panic!("im2col path supports c_out ≤ 320")
+    };
     let mut avoid: Vec<(Hemisphere, u8)> = copies.iter().flat_map(|t| t.layout.slices()).collect();
     let patches: Vec<TensorHandle> = (split.chunks.iter())
         .map(|chunk| {
@@ -891,13 +826,13 @@ fn compile_im2col_conv(
         acts: ActFeed::Read(&patches[ci]),
         rows: (0..patches[ci].rows).collect(),
     };
-    let (mut fm, _) = conv_passes(s, (oh, ow, qc.co), &split, 1, &pass, None, params);
-    fm.lane_copies = lane_copies;
+    let shape = (oh, ow, qc.co);
+    let (parts, _) = conv_passes(s, shape, &split, 1, &pass, None, params);
 
     let kind = InputKind::Im2col {
         pixels: split.chunks.into_iter().map(|c| c.pixels).collect(),
         chunks: patches,
-        geometry: (k, spec.stride, spec.pad, h, w, c, ow),
+        geometry: (k, params.stride, params.pad, h, w, c, ow),
     };
-    (fm, kind)
+    (FeatureMap::new(shape, *out, parts), kind)
 }

@@ -1,10 +1,16 @@
 //! Helpers shared by the `tsp-nn` integration tests.
 #![allow(dead_code)] // every test binary uses its own subset
 
+use tsp_arch::ChipConfig;
+use tsp_compiler::kernels::FeatureMap;
 use tsp_isa::encode::encode_sequence;
-use tsp_nn::compile::{CompiledModel, InputKind};
-use tsp_nn::graph::{Graph, Op, Shape};
-use tsp_nn::quant::{QConv, QDense, QuantGraph};
+use tsp_nn::compile::{compile, CompileOptions, CompiledModel, InputKind, Probe};
+use tsp_nn::data::synthetic;
+use tsp_nn::graph::{ConvSpec, ConvW, DenseW, Graph, Op, Params, Shape};
+use tsp_nn::quant::{quantize, QConv, QDense, QuantGraph};
+use tsp_nn::reference::{final_flat_q, run_int8};
+use tsp_sim::chip::RunOptions;
+use tsp_sim::Chip;
 
 /// Quantized parameters for `graph` without a `quantize` run: every weight is
 /// a function of its node and its position in the tensor (so a weight put in
@@ -90,4 +96,131 @@ pub fn fingerprint(model: &CompiledModel) -> u64 {
     }
     eat(format!("{:?}", model.output).as_bytes());
     hash
+}
+
+/// A 3×3-style conv to `c_out` channels: kernel `k`, stride 1, pad `k/2`,
+/// fused ReLU. Callers override fields for anything else.
+pub fn conv(c_out: u32, k: u32) -> ConvSpec {
+    ConvSpec {
+        c_out,
+        k,
+        stride: 1,
+        pad: k / 2,
+        relu: true,
+    }
+}
+
+/// [`conv`] without the ReLU: a conv that may host a residual add.
+pub fn linear(c_out: u32, k: u32) -> ConvSpec {
+    ConvSpec {
+        relu: false,
+        ..conv(c_out, k)
+    }
+}
+
+/// The ResNet stem pool as [`Net::pool`] takes it: 3×3, stride 2, pad 1.
+pub const STEM_POOL: (u32, u32, u32) = (3, 2, 1);
+
+/// An `hw×hw×3` net under construction, with deterministic fp32 weights in
+/// `[-1, 1)` scaled by fan-in.
+pub struct Net {
+    pub g: Graph,
+    pub params: Params,
+    hw: u32,
+    seed: u64,
+}
+
+impl Net {
+    pub fn new(hw: u32) -> Net {
+        Net {
+            g: Graph::with_input(hw, hw, 3),
+            params: Params::default(),
+            hw,
+            seed: 7,
+        }
+    }
+
+    fn weights(&mut self, n: u32, fan_in: u32) -> Vec<f32> {
+        let scale = (2.0 / fan_in as f32).sqrt();
+        let mut next = || {
+            self.seed = (self.seed)
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.seed >> 40) as f32 / (1u64 << 23) as f32) - 1.0
+        };
+        (0..n).map(|_| next() * scale).collect()
+    }
+
+    pub fn channels(&self, node: usize) -> u32 {
+        match self.g.shapes()[node] {
+            Shape::Map { c, .. } => c,
+            Shape::Flat { n } => n,
+        }
+    }
+
+    /// A conv reading node `from`.
+    pub fn conv(&mut self, name: &str, from: usize, spec: ConvSpec) -> usize {
+        let (co, ci, k) = (spec.c_out, self.channels(from), spec.k);
+        let id = self.g.push(Op::Conv(spec), vec![from], name);
+        let w = self.weights(co * ci * k * k, ci * k * k);
+        self.params.conv.insert(id, ConvW { w, co, ci, k });
+        id
+    }
+
+    /// A `k×k` max pool reading node `from`.
+    pub fn pool(&mut self, name: &str, from: usize, (k, stride, pad): (u32, u32, u32)) -> usize {
+        self.g
+            .push(Op::MaxPool { k, stride, pad }, vec![from], name)
+    }
+
+    /// `relu(a + b)`.
+    pub fn add(&mut self, name: &str, a: usize, b: usize) -> usize {
+        self.g.push(Op::Add { relu: true }, vec![a, b], name)
+    }
+
+    /// Closes the net over the map `tail` with GAP and a 5-way dense head.
+    pub fn close(mut self, tail: usize) -> Net {
+        let inp = self.channels(tail);
+        let gap = self.g.push(Op::GlobalAvgPool, vec![tail], "gap");
+        let head = Op::Dense {
+            out: 5,
+            relu: false,
+        };
+        let fc = self.g.push(head, vec![gap], "fc");
+        let w = self.weights(5 * inp, inp);
+        self.params.dense.insert(fc, DenseW { w, out: 5, inp });
+        self
+    }
+
+    /// [`Net::close`]s the net, quantizes it on two synthetic images,
+    /// compiles it, runs it on the simulator and checks every logit against
+    /// the host int8 reference.
+    pub fn check(self, tail: usize) -> CompiledModel {
+        let net = self.close(tail);
+        let data = synthetic(5, net.hw, net.hw, 3, 2, 2);
+        let q = quantize(&net.g, &net.params, &data.images[..2]);
+        let qi = q.quantize_image(&data.images[0]);
+        let (model, chip) = run(&q, &qi);
+        assert_eq!(model.read_logits(&chip), final_flat_q(&run_int8(&q, &qi)));
+        model
+    }
+}
+
+/// Compiles `q` and runs `image` through it on a fresh chip.
+pub fn run(q: &QuantGraph, image: &[i8]) -> (CompiledModel, Chip) {
+    let model = compile(q, &CompileOptions::default());
+    let mut chip = Chip::new(ChipConfig::asic());
+    model.load_constants(&mut chip);
+    model.write_input(&mut chip, image);
+    chip.run(&model.program, &RunOptions::default())
+        .expect("clean run");
+    (model, chip)
+}
+
+/// The map node `i` of `model` was lowered to.
+pub fn map(model: &CompiledModel, i: usize) -> &FeatureMap {
+    match &model.probes[i] {
+        Probe::Map(map) => map,
+        probe => panic!("node {i} is no map: {probe:?}"),
+    }
 }

@@ -125,27 +125,18 @@ fn first_divergence(q: &QuantGraph, image: &[i8]) -> Option<(String, usize)> {
             chip.memory.read_unchecked(t.row(row)).lane(lane) as i8
         };
         let differing = match (&model.probes[i], &reference[i]) {
-            (
-                Probe::Map {
-                    w,
-                    pad,
-                    lane_skew,
-                    parts,
-                    ..
-                },
-                ValueQ::Map { c, data, .. },
-            ) => data
+            (Probe::Map(map), ValueQ::Map { c, data, .. }) => data
                 .iter()
                 .enumerate()
                 .filter(|&(j, &want)| {
                     let (px, ch) = (j as u32 / c, j as u32 % c);
-                    let row = (px / w + pad) * (w + 2 * pad) + px % w + pad;
+                    let (y, x) = (px / map.w, px % map.w);
                     // A lane-packed pool leaves pixel `x` at lane group
                     // `x mod lane_skew` (whole superlanes per group).
-                    let first = px % w % lane_skew * c.div_ceil(16) * 16;
+                    let first = x % map.layout.lane_skew * c.div_ceil(16) * 16;
                     lane(
-                        &parts[(ch / 320) as usize],
-                        row,
+                        &map.parts[(ch / 320) as usize][0],
+                        map.row_index(y, x),
                         (first + ch % 320) as usize,
                     ) != want
                 })

@@ -3,117 +3,20 @@
 //! a saving worth the maps — every other pool keeps the pixel-per-row path,
 //! and either way the logits are the host int8 reference's, bit for bit.
 
-use tsp_arch::ChipConfig;
-use tsp_nn::compile::{compile, CompileOptions, CompiledModel, Probe};
+mod common;
+
+use common::{conv, map, run, Net, STEM_POOL};
+use tsp_nn::compile::CompiledModel;
 use tsp_nn::data::synthetic;
-use tsp_nn::graph::{ConvSpec, ConvW, DenseW, Graph, Op, Params, Shape};
+use tsp_nn::graph::Graph;
 use tsp_nn::quant::{quantize, QuantGraph};
 use tsp_nn::reference::{final_flat_q, run_int8, ValueQ};
 use tsp_nn::resnet::{resnet, Widths};
 use tsp_nn::train::small_cnn;
-use tsp_sim::chip::RunOptions;
-use tsp_sim::Chip;
-
-/// A `hw×hw×3` net under construction, with deterministic weights.
-struct Net {
-    g: Graph,
-    params: Params,
-    hw: u32,
-    seed: u64,
-}
-
-impl Net {
-    fn new(hw: u32) -> Net {
-        Net {
-            g: Graph::with_input(hw, hw, 3),
-            params: Params::default(),
-            hw,
-            seed: 7,
-        }
-    }
-
-    fn weights(&mut self, n: usize, scale: f32) -> Vec<f32> {
-        let mut next = || {
-            self.seed = (self.seed)
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((self.seed >> 40) as f32 / (1u64 << 23) as f32) - 1.0
-        };
-        (0..n).map(|_| next() * scale).collect()
-    }
-
-    fn channels(&self, node: usize) -> u32 {
-        match self.g.shapes()[node] {
-            Shape::Map { c, .. } => c,
-            Shape::Flat { .. } => panic!("a flat node has no channels"),
-        }
-    }
-
-    /// A `k×k` conv with ReLU (pad `k/2`) to `co` channels reading `from`.
-    fn conv(&mut self, name: &str, from: usize, co: u32, k: u32) -> usize {
-        let ci = self.channels(from);
-        let spec = ConvSpec {
-            c_out: co,
-            k,
-            stride: 1,
-            pad: k / 2,
-            relu: true,
-        };
-        let id = self.g.push(Op::Conv(spec), vec![from], name);
-        let scale = (2.0 / (ci * k * k) as f32).sqrt();
-        let w = self.weights((co * ci * k * k) as usize, scale);
-        self.params.conv.insert(id, ConvW { w, co, ci, k });
-        id
-    }
-
-    /// The ResNet stem pool: 3×3, stride 2, pad 1.
-    fn pool(&mut self, from: usize) -> usize {
-        let op = Op::MaxPool {
-            k: 3,
-            stride: 2,
-            pad: 1,
-        };
-        self.g.push(op, vec![from], "pool")
-    }
-
-    /// Closes the net over `last` with GAP and a 5-way dense head, compiles
-    /// it and checks every logit against the int8 reference.
-    fn check(mut self, last: usize) -> CompiledModel {
-        let c = self.channels(last);
-        let gap = self.g.push(Op::GlobalAvgPool, vec![last], "gap");
-        let head = Op::Dense {
-            out: 5,
-            relu: false,
-        };
-        let fc = self.g.push(head, vec![gap], "fc");
-        let w = self.weights((5 * c) as usize, 0.1);
-        self.params.dense.insert(fc, DenseW { w, out: 5, inp: c });
-
-        let data = synthetic(5, self.hw, self.hw, 3, 2, 2);
-        let q = quantize(&self.g, &self.params, &data.images[..2]);
-        let qi = q.quantize_image(&data.images[0]);
-        let (model, chip) = run(&q, &qi);
-        assert_eq!(model.read_logits(&chip), final_flat_q(&run_int8(&q, &qi)));
-        model
-    }
-}
-
-fn run(q: &QuantGraph, image: &[i8]) -> (CompiledModel, Chip) {
-    let model = compile(q, &CompileOptions::default());
-    let mut chip = Chip::new(ChipConfig::asic());
-    model.load_constants(&mut chip);
-    model.write_input(&mut chip, image);
-    chip.run(&model.program, &RunOptions::default())
-        .expect("clean run");
-    (model, chip)
-}
 
 /// The lane groups node `i`'s pixels are dealt over.
 fn skew(model: &CompiledModel, i: usize) -> u32 {
-    match &model.probes[i] {
-        Probe::Map { lane_skew, .. } => *lane_skew,
-        probe => panic!("node {i} is no map: {probe:?}"),
-    }
+    map(model, i).layout.lane_skew
 }
 
 /// Map rows (one per vector) among a model's constants: 40 lanes of
@@ -130,9 +33,9 @@ fn map_rows(model: &CompiledModel) -> usize {
 #[test]
 fn a_pool_between_convs_packs_and_matches_reference() {
     let mut net = Net::new(24);
-    let stem = net.conv("stem", 0, 64, 3);
-    let pool = net.pool(stem);
-    let last = net.conv("c2", pool, 32, 3);
+    let stem = net.conv("stem", 0, conv(64, 3));
+    let pool = net.pool("pool", stem, STEM_POOL);
+    let last = net.conv("c2", pool, conv(32, 3));
     let model = net.check(last);
     assert_eq!((skew(&model, stem), skew(&model, pool)), (1, 5));
     // 9 taps and 4 output replicas, 12 × 3 vectors each.
@@ -148,11 +51,11 @@ fn a_pool_between_convs_packs_and_matches_reference() {
 fn the_channel_count_sets_the_pixels_per_row() {
     for (c, groups) in [(12, 16), (100, 2)] {
         let mut net = Net::new(32);
-        let stem = net.conv("stem", 0, c, 3);
-        let pool = net.pool(stem);
-        let a = net.conv("a", pool, 24, 1);
-        let b = net.conv("b", pool, 24, 1);
-        let join = net.g.push(Op::Add { relu: true }, vec![a, b], "join");
+        let stem = net.conv("stem", 0, conv(c, 3));
+        let pool = net.pool("pool", stem, STEM_POOL);
+        let a = net.conv("a", pool, conv(24, 1));
+        let b = net.conv("b", pool, conv(24, 1));
+        let join = net.add("join", a, b);
         let model = net.check(join);
         assert_eq!(skew(&model, pool), groups, "{c} channels");
     }
@@ -163,10 +66,10 @@ fn the_channel_count_sets_the_pixels_per_row() {
 #[test]
 fn a_pool_feeding_an_add_does_not_pack() {
     let mut net = Net::new(24);
-    let stem = net.conv("stem", 0, 64, 3);
-    let pool = net.pool(stem);
-    let a = net.conv("a", pool, 64, 1);
-    let join = net.g.push(Op::Add { relu: true }, vec![pool, a], "join");
+    let stem = net.conv("stem", 0, conv(64, 3));
+    let pool = net.pool("pool", stem, STEM_POOL);
+    let a = net.conv("a", pool, conv(64, 1));
+    let join = net.add("join", pool, a);
     let model = net.check(join);
     assert_eq!(skew(&model, pool), 1);
     assert_eq!(map_rows(&model), 0);
@@ -176,8 +79,8 @@ fn a_pool_feeding_an_add_does_not_pack() {
 #[test]
 fn a_pool_on_the_network_input_does_not_pack() {
     let mut net = Net::new(24);
-    let pool = net.pool(0);
-    let last = net.conv("c", pool, 32, 1);
+    let pool = net.pool("pool", 0, STEM_POOL);
+    let last = net.conv("c", pool, conv(32, 1));
     let model = net.check(last);
     assert_eq!(skew(&model, pool), 1);
     assert_eq!(map_rows(&model), 0);
@@ -188,9 +91,9 @@ fn a_pool_on_the_network_input_does_not_pack() {
 #[test]
 fn a_pool_without_a_conv_consumer_does_not_pack() {
     let mut net = Net::new(32);
-    let stem = net.conv("stem", 0, 64, 3);
-    let first = net.pool(stem);
-    let second = net.pool(first);
+    let stem = net.conv("stem", 0, conv(64, 3));
+    let first = net.pool("first", stem, STEM_POOL);
+    let second = net.pool("second", first, STEM_POOL);
     let model = net.check(second);
     assert_eq!((skew(&model, first), skew(&model, second)), (1, 1));
 }
@@ -237,15 +140,13 @@ fn resnet50_stem_and_first_block_match_reference() {
         .expect("the stem has a pool");
     assert_eq!(skew(&model, pool), 5);
 
-    let (Probe::Map { w, pad, parts, .. }, ValueQ::Map { c, data, .. }) =
-        (&model.probes[last], &reference[last])
-    else {
+    let (block, ValueQ::Map { c, data, .. }) = (map(&model, last), &reference[last]) else {
         panic!("the block's output is a map")
     };
     let differing = data.iter().enumerate().filter(|&(j, &want)| {
         let (px, ch) = (j as u32 / c, j as u32 % c);
-        let row = (px / w + pad) * (w + 2 * pad) + px % w + pad;
-        let part = &parts[(ch / 320) as usize];
+        let row = block.row_index(px / block.w, px % block.w);
+        let part = &block.parts[(ch / 320) as usize][0];
         chip.memory
             .read_unchecked(part.row(row))
             .lane((ch % 320) as usize) as i8

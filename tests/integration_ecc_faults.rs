@@ -171,10 +171,10 @@ fn packed_conv_with_struck_activation(
     let data = tsp::nn::data::synthetic(5, 12, 12, 3, 2, 2);
     let q = quantize(&g, &params, &data.images[..2]);
     let model = compile(&q, &CompileOptions { overlap: false });
-    let Probe::Map { w, pad, parts, .. } = &model.probes[1] else {
+    let Probe::Map(stem) = &model.probes[1] else {
         panic!("the stem writes a feature map")
     };
-    let struck = parts[0].row((1 + pad) * (w + 2 * pad) + 1 + pad);
+    let struck = stem.parts[0][0].row(stem.row_index(1, 1));
     let events = flips.iter().map(|&(lane, bit)| FaultEvent {
         cycle: model.layer_spans[1].end,
         kind: FaultKind::SramData {
@@ -317,20 +317,16 @@ fn single_bit_fault_under_an_untouched_superlane_of_a_scattered_word_is_correcte
     let q = quantize(&g, &params, &data.images[..2]);
     // Fenced: nothing of the pool has run when its span starts.
     let model = compile(&q, &CompileOptions { overlap: false });
-    let Probe::Map {
-        w,
-        pad,
-        lane_skew,
-        parts,
-        ..
-    } = &model.probes[pool]
-    else {
+    let Probe::Map(pooled) = &model.probes[pool] else {
         panic!("the pool writes a feature map")
     };
-    assert_eq!(*lane_skew, 5, "the pool packs five pixels a row");
+    assert_eq!(
+        pooled.layout.lane_skew, 5,
+        "the pool packs five pixels a row"
+    );
     // Pixel (1, 1) of the replica the conv's first chain streams; lane 200
     // is in lane group 3, the pixel itself in group 1.
-    let struck = parts[0].row((1 + pad) * (w + 2 * pad) + 1 + pad);
+    let struck = pooled.parts[0][0].row(pooled.row_index(1, 1));
     let plan = FaultPlan::from_events(
         0,
         vec![FaultEvent {
