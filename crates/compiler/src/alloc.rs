@@ -32,6 +32,10 @@ pub enum BankPolicy {
 
 const BANK_WORDS: u16 = 4096;
 
+/// Slices per hemisphere, counted from the VXM, that Low-bank (static) data
+/// fills first; the outer ones keep their ports for activation streaming.
+pub const LOW_INNER_SLICES: u8 = 32;
+
 /// Free intervals `(start, len)` within one bank of one slice, kept sorted
 /// and coalesced.
 #[derive(Debug, Clone)]
@@ -268,7 +272,7 @@ impl MemAllocator {
                 // their ports free for activation/spill streaming — otherwise
                 // weight-read bursts touch every port on the chip and
                 // stream-dictated writes can find no landing window.
-                if restrict_low && policy == BankPolicy::Low && s >= 32 {
+                if restrict_low && policy == BankPolicy::Low && s >= LOW_INNER_SLICES {
                     continue;
                 }
                 if avoid.contains(&(h, s)) || blocks.iter().any(|&(bh, bs, _)| (bh, bs) == (h, s)) {

@@ -16,17 +16,29 @@
 //! accumulators (`ACC` accumulate mode).
 //!
 //! **K-packing.** A pass over `c_in ≤ 160` channels would fill only
-//! `c_in/320` of the array, so one pass covers `G =` [`taps_per_pass`]
-//! horizontally adjacent taps instead of one (`k·⌈k/G⌉` passes, not `k²`):
-//! its weights sit at lane `t·`[`group_lanes`]` + ci` for tap `t`, and its
-//! activation rows are fetched with a MEM `Gather` whose per-superlane
-//! addresses put stored row `r + t` into lane group `t`. A superlane only
-//! ever fetches its own 16 lanes of a word, so the *producer* must have
-//! written every row **lane-replicated** ([`MapLayout::lane_copies`]: `y[p]`
-//! again in each group) — free, its weights are merely tiled along M
-//! ([`ConvWeights::out_copies`]) — and in blocks of whole padded rows, so the
-//! `G` rows of a tap group always share a slice. A group of one tap (all of
-//! them when `G = 1`) is streamed with a plain `Read`.
+//! `c_in/320` of the array, so one pass covers `G =` [`taps_per_pass`] taps
+//! instead of one — any `G` that are consecutive in row-major `(dy, dx)`
+//! order, across kernel rows ([`ConvWeights::tap_groups`] is the one table of
+//! which tap sits where: `⌈k²/G⌉` passes, two for a 3×3 over 64 channels):
+//! the weights of a group's `j`-th tap sit at lanes `j·`[`group_lanes`]` + ci`,
+//! and its activation rows are fetched with a MEM `Gather` whose
+//! per-superlane addresses put the tap's stored row into lane group `j`. A
+//! superlane only ever fetches its own 16 lanes of a word, so the *producer*
+//! must have written every row **lane-replicated**
+//! ([`MapLayout::lane_copies`]: `y[p]` again in each group) — free, its
+//! weights are merely tiled along M ([`ConvWeights::out_copies`]) — and in
+//! blocks of whole padded rows. A group of one tap (all of them when `G = 1`)
+//! is streamed with a plain `Read`.
+//!
+//! **The double feed.** A `Gather` runs on one slice, and a group spanning two
+//! kernel rows wants stored rows a padded row apart: where those fall in two
+//! blocks of the input (58 padded rows are cut 15/15/15/13, so 6 of 56 output
+//! rows) the pixel is fed through the group's weights once per block, the lane
+//! groups whose tap lies in the other block addressing the first row of the
+//! block at hand — a border pixel, which reads zero in every lane. A chain
+//! streams such pixels first ([`RowSplit::order_by`]) and re-runs the group as
+//! a short accumulate feed over that prefix alone
+//! ([`PlaneChainBuilder::feed`]): no second weight block, no data movement.
 //!
 //! **Row split.** The output pixels are dealt to the `4 / mparts` planes an
 //! M-split owns ([`RowSplit`]): each plane runs *all* the passes (tap groups
@@ -68,11 +80,19 @@ pub fn group_lanes(c: u32) -> u32 {
     c.div_ceil(16) * 16
 }
 
-/// How many horizontally adjacent taps of a `k×k` conv over `c_in` channels
-/// fit one 320-lane MXM pass (`G`): 3 for 64 channels, 2 for 128, 1 from 161.
+/// How many taps of a `k×k` conv over `c_in` channels fit one 320-lane MXM
+/// pass (`G`): 5 for 64 channels, 2 for 128, 1 from 161, all `k²` up to 32 —
+/// the lane copies worth asking of the conv's producer.
 #[must_use]
 pub fn taps_per_pass(k: u32, c_in: u32) -> u32 {
-    (320 / group_lanes(c_in)).clamp(1, k.max(1))
+    (320 / group_lanes(c_in)).clamp(1, (k * k).max(1))
+}
+
+/// How many taps a pass of that conv does cover given an input in
+/// `lane_copies` copies: a tap per copy, up to [`taps_per_pass`].
+#[must_use]
+pub fn packed_taps(k: u32, c_in: u32, lane_copies: u32) -> u32 {
+    taps_per_pass(k, c_in).min(lane_copies)
 }
 
 /// What a feature map looks like in SRAM beyond its `h×w×c`: everything a
@@ -313,8 +333,8 @@ pub struct ConvWeights {
     pub c_in: u32,
     /// Output channels.
     pub c_out: u32,
-    /// Horizontally adjacent taps one pass covers (`G`, see
-    /// [`taps_per_pass`]); above 1 the input must hold as many lane copies.
+    /// Taps one pass covers (`G`, see [`packed_taps`]); above 1 the input
+    /// must hold as many lane copies.
     pub taps: u32,
     /// Lane groups every tap's columns are repeated at (the input map's
     /// [`MapLayout::lane_skew`]): a pixel's channels are in one of them and
@@ -329,21 +349,20 @@ pub struct ConvWeights {
 }
 
 impl ConvWeights {
-    /// The tap groups `(dy, first dx, taps)` one pass each covers, in order.
+    /// The taps `(dy, dx)` one pass each covers, in pass order: the `j`-th of
+    /// a pass has its weights — and wants its activations — at lane group `j`.
     #[must_use]
-    pub fn tap_groups(&self) -> Vec<(u32, u32, u32)> {
+    pub fn tap_groups(&self) -> Vec<Vec<(u32, u32)>> {
         tap_groups(self.kernel, self.taps)
     }
 }
 
-fn tap_groups(k: u32, taps: u32) -> Vec<(u32, u32, u32)> {
-    (0..k)
-        .flat_map(|dy| {
-            (0..k)
-                .step_by(taps as usize)
-                .map(move |dx| (dy, dx, taps.min(k - dx)))
-        })
-        .collect()
+/// The `k²` taps in row-major order, `taps` to a group.
+fn tap_groups(k: u32, taps: u32) -> Vec<Vec<(u32, u32)>> {
+    let all: Vec<(u32, u32)> = (0..k)
+        .flat_map(|dy| (0..k).map(move |dx| (dy, dx)))
+        .collect();
+    all.chunks(taps as usize).map(<[_]>::to_vec).collect()
 }
 
 /// Parameters of a [`conv2d`].
@@ -442,15 +461,11 @@ impl RowSplit {
             for row in 0..rows_total {
                 let chunk = &mut chunks[(row / rows_per_block) as usize];
                 let (y, x, local) = (row / pw, row % pw, row % rows_per_block);
-                let runs = if inside(y, oh) && inside(x, ow) {
+                if inside(y, oh) && inside(x, ow) {
                     chunk.pixels.push((y - out_pad) * ow + x - out_pad);
-                    &mut chunk.segments
+                    push_row(&mut chunk.segments, local);
                 } else {
-                    &mut chunk.border
-                };
-                match runs.last_mut() {
-                    Some((first, count)) if *first + *count == local => *count += 1,
-                    _ => runs.push((local, 1)),
+                    push_row(&mut chunk.border, local);
                 }
             }
             if chunks.iter().all(|c| !c.pixels.is_empty()) {
@@ -466,6 +481,30 @@ impl RowSplit {
             want -= 1;
         }
     }
+
+    /// Re-orders every chunk's stream: pixels of a lower `rank` first, equals
+    /// in the order they had. The segments follow — stream row `i` still
+    /// lands where pixel `pixels[i]` belongs.
+    pub fn order_by(&mut self, rank: impl Fn(u32) -> usize) {
+        for chunk in &mut self.chunks {
+            let rows = (chunk.segments.iter()).flat_map(|&(first, count)| first..first + count);
+            let mut stream: Vec<(u32, u32)> = chunk.pixels.iter().copied().zip(rows).collect();
+            stream.sort_by_cached_key(|&(px, _)| rank(px));
+            chunk.segments.clear();
+            for (pixel, &(px, row)) in chunk.pixels.iter_mut().zip(&stream) {
+                *pixel = px;
+                push_row(&mut chunk.segments, row);
+            }
+        }
+    }
+}
+
+/// Appends `row` to `runs`, extending the last run if it continues it.
+fn push_row(runs: &mut DstSegments, row: u32) {
+    match runs.last_mut() {
+        Some((first, count)) if *first + *count == row => *count += 1,
+        _ => runs.push((row, 1)),
+    }
 }
 
 /// One accumulate-pass of one chunk, as [`conv_passes`] asks for it.
@@ -475,8 +514,12 @@ pub struct ChunkPass<'a> {
     pub weights: &'a TensorHandle,
     /// Activation tensor the chunk's chain reads (its own replica), and how.
     pub acts: ActFeed<'a>,
-    /// Rows of `acts` streamed through the array, one per chunk pixel.
-    pub rows: Vec<u32>,
+    /// Row lists of `acts` streamed through the installed weights in turn,
+    /// list `f`'s row `i` adding to the chunk's pixel `i`: every pass has one
+    /// list of a row per chunk pixel, and may have shorter ones — a second
+    /// helping for the pixels the chunk streams first. The chain's first list
+    /// and its last are full ones (see [`PlaneChainBuilder::feed`]).
+    pub feeds: Vec<Vec<u32>>,
 }
 
 /// The row-split conv lowering: one plane chain per (M-split, chunk of
@@ -629,8 +672,17 @@ fn schedule_chains<'a>(
                 let hemisphere = builders[i].plane().hemisphere();
                 let lw_floor = builders[i..j].iter().map(|b| b.lw_floor()).max();
                 let feed = stream_weights(s, jobs[i].weights, hemisphere, lw_floor.unwrap_or(0));
-                for (builder, job) in builders[i..j].iter_mut().zip(&jobs[i..j]) {
-                    builder.add_pass(s, feed, job.acts, &job.rows);
+                for builder in &mut builders[i..j] {
+                    builder.install(s, feed);
+                }
+                // Feed by feed, so the planes' bursts are reserved in time order.
+                let feeds = jobs[i..j].iter().map(|job| job.feeds.len()).max();
+                for f in 0..feeds.unwrap_or(0) {
+                    for (builder, job) in builders[i..j].iter_mut().zip(&jobs[i..j]) {
+                        if let Some(rows) = job.feeds.get(f) {
+                            builder.feed(s, job.acts, rows);
+                        }
+                    }
                 }
                 i = j;
             }
@@ -739,31 +791,59 @@ pub fn conv2d_add(
     let kparts = input.kparts();
     let mparts = weights.c_out.div_ceil(320) as usize;
     let planes = (4 / mparts).max(1);
-    let split = RowSplit::new(oh, ow, planes, &out);
+    let mut split = RowSplit::new(oh, ow, planes, &out);
 
-    // Row sequences per tap group — the rows of its first tap — shared
-    // across kparts, mparts and chunks.
-    let group_rows: Vec<Vec<u32>> = groups
-        .iter()
-        .map(|&(dy, dx, _)| input.offset_rows(oh, ow, params.stride, dy, dx, params.pad))
+    // `tap_rows[g][j][px]`: the stored row the `j`-th tap of group `g` reads
+    // for output pixel `px` — shared across kparts, mparts and chunks.
+    let tap_rows: Vec<Vec<Vec<u32>>> = (groups.iter())
+        .map(|taps| {
+            (taps.iter())
+                .map(|&(dy, dx)| input.offset_rows(oh, ow, params.stride, dy, dx, params.pad))
+                .collect()
+        })
         .collect();
+    let rows_per_block = input.parts[0][0].layout.rows_per_block;
+    // A second feed covers a prefix of the chain: pixels that take one come
+    // first, by the first group they take it through.
+    split.order_by(|px| {
+        let block = |rows: &Vec<u32>| rows[px as usize] / rows_per_block;
+        let split_in =
+            (tap_rows.iter()).position(|taps| block(&taps[0]) != block(&taps[taps.len() - 1]));
+        split_in.unwrap_or(groups.len())
+    });
+
     // Every chain of the conv (chunk `ci` of M-split `mpart`) reads its own
     // input replica.
+    let chunks = split.chunks.len();
     let replicas = input.parts[0].len();
-    let replica_of = |mpart: usize, ci: usize| (mpart * split.chunks.len() + ci) % replicas;
-    let packed_rows: Vec<&Vec<u32>> = (groups.iter().zip(&group_rows))
-        .filter_map(|(&(.., taps), rows)| (taps > 1).then_some(rows))
-        .collect();
-    let maps = gather_maps(
-        s,
-        input,
-        weights,
-        shortcut,
-        &split,
-        &packed_rows,
-        &replica_of,
-    );
+    let replica_of = |mpart: usize, ci: usize| (mpart * chunks + ci) % replicas;
     // Pass p is (tap group, kpart) = (p / kparts, p % kparts).
+    let passes = groups.len() * kparts;
+    let mut vectors = vec![GatherVectors::default(); replicas];
+    // `feeds[mpart · chunks + ci][g]`: what the chain streams through group
+    // `g` — of a group of one tap, the tap's rows as they are stored.
+    let feeds: Vec<Vec<Feeds>> = (0..mparts * chunks)
+        .map(|chain| {
+            let (mpart, ci) = (chain / chunks, chain % chunks);
+            let (pixels, vectors) = (
+                &split.chunks[ci].pixels,
+                &mut vectors[replica_of(mpart, ci)],
+            );
+            (tap_rows.iter().enumerate())
+                .map(|(g, taps)| match taps.as_slice() {
+                    [rows] => vec![pixels.iter().map(|&px| rows[px as usize]).collect()],
+                    // No group of a conv with K-splits packs: pass `g`.
+                    _ => vectors.feeds(pixels, taps, rows_per_block, (g == 0, g + 1 == passes)),
+                })
+                .collect()
+        })
+        .collect();
+    assert!(
+        input.layout.pad >= 1 || feeds.iter().flatten().all(|f| f.len() == 1),
+        "a tap group split over two blocks reads a block's first row as zero: \
+         the input needs a border"
+    );
+    let maps = gather_maps(s, input, weights, shortcut, &vectors);
     let pass = |mpart: usize, p: usize, ci: usize| {
         let (g, kp) = (p / kparts, p % kparts);
         let wreps = &weights.passes[g][kp][mpart];
@@ -771,85 +851,142 @@ pub fn conv2d_add(
         let acts = &input.parts[kp][replica];
         ChunkPass {
             weights: &wreps[ci % wreps.len()],
-            acts: match groups[g].2 {
+            acts: match groups[g].len() {
                 1 => ActFeed::Read(acts),
-                _ => ActFeed::Gather(acts, &maps[replica]),
+                _ => ActFeed::Gather(&maps[replica]),
             },
-            rows: split.chunks[ci]
-                .pixels
-                .iter()
-                .map(|&px| group_rows[g][px as usize])
-                .collect(),
+            feeds: feeds[mpart * chunks + ci][g].clone(),
         }
     };
-    let passes = groups.len() * kparts;
     let shape = (oh, ow, weights.c_out);
     let (parts, done) = conv_passes(s, shape, &split, passes, &pass, shortcut, params);
     (FeatureMap::new(shape, out, parts), done)
 }
 
-/// The gather maps of a K-packed conv, `[input replica][block read]`, for
-/// the row sequences `packed_rows` of its multi-tap groups: the map is a
-/// function of the *row* alone (the map row of `r` addresses rows `r, r+1, …`),
-/// so one map per replica block — restricted to the rows the replica's chains
-/// gather, their chunk plus a padded row either side — serves every `dy`,
-/// every stride and every pass. Empty when no pass packs taps.
+/// What one chain streams through one installed weight block: a full row list
+/// and any shorter ones (see [`ChunkPass::feeds`]).
+type Feeds = Vec<Vec<u32>>;
+
+/// The vectors the chains reading one input replica gather: per vector, the
+/// stored row each lane group fetches. A vector is named by its position
+/// here — the order the chains first stream it in, so that a feed's map rows
+/// run on — and one that two passes or two chains both want is listed once.
+#[derive(Debug, Clone, Default)]
+struct GatherVectors {
+    rows: Vec<Vec<u32>>,
+    names: std::collections::HashMap<Vec<u32>, u32>,
+}
+
+impl GatherVectors {
+    fn name(&mut self, rows: Vec<u32>) -> u32 {
+        let next = self.rows.len() as u32;
+        *self.names.entry(rows).or_insert_with_key(|rows| {
+            self.rows.push(rows.clone());
+            next
+        })
+    }
+
+    /// The feeds of a chain streaming `pixels` through one group of taps
+    /// (`taps[j][px]` is tap `j`'s stored row), as vector names, in the order
+    /// to run them. A `Gather` runs on one slice, so a pixel goes through the
+    /// group once per block of the input its taps lie in: feed `f` gives
+    /// every pixel the taps in its `f`-th block, ascending; the lane groups
+    /// of its other taps fetch that block's first row — a border pixel, which
+    /// reads zero: the one place a tap is dropped from a feed. Feed 0 covers
+    /// every pixel; a later one stops at the last pixel with an `f`-th block
+    /// and hands a pixel without one nothing but that zero row, in the block
+    /// its neighbour reads.
+    ///
+    /// `ends` says whether the group is the chain's first pass and whether
+    /// its last. The chain's first feed overwrites every accumulator and its
+    /// last emits the result, so both are full ones: the last pass runs feed
+    /// 0 after the others, and a pass that is both runs its last feed over
+    /// every pixel.
+    fn feeds(
+        &mut self,
+        pixels: &[u32],
+        taps: &[Vec<u32>],
+        rows_per_block: u32,
+        (first_pass, last_pass): (bool, bool),
+    ) -> Feeds {
+        let blocks: Vec<Vec<u32>> = (pixels.iter())
+            .map(|&px| {
+                let mut blocks: Vec<u32> = (taps.iter())
+                    .map(|rows| rows[px as usize] / rows_per_block)
+                    .collect();
+                blocks.dedup();
+                blocks
+            })
+            .collect();
+        let count = blocks.iter().map(Vec::len).max().unwrap_or(0);
+        let mut feeds: Feeds = (0..count)
+            .map(|f| {
+                let runs_on = f == 0 || (first_pass && last_pass && f + 1 == count);
+                let takers = blocks
+                    .iter()
+                    .rposition(|b| b.len() > f)
+                    .map_or(0, |i| i + 1);
+                let len = if runs_on { pixels.len() } else { takers };
+                let first = blocks.iter().find_map(|b| b.get(f));
+                let mut block = *first.expect("some pixel takes every feed");
+                (pixels[..len].iter().zip(&blocks))
+                    .map(|(&px, blocks)| {
+                        let here = blocks.get(f).copied();
+                        block = here.unwrap_or(block);
+                        let rows = (taps.iter())
+                            .map(|rows| match rows[px as usize] {
+                                row if here == Some(row / rows_per_block) => row,
+                                _ => block * rows_per_block,
+                            })
+                            .collect();
+                        self.name(rows)
+                    })
+                    .collect()
+            })
+            .collect();
+        if last_pass && !first_pass {
+            feeds.rotate_left(1);
+        }
+        feeds
+    }
+}
+
+/// The gather maps of a K-packed conv, `[input replica][block read]`, over
+/// the `vectors` each replica's chains name. Empty when no pass packs taps.
 fn gather_maps(
     s: &mut Scheduler,
     input: &FeatureMap,
     weights: &ConvWeights,
     shortcut: Option<&FeatureMap>,
-    split: &RowSplit,
-    packed_rows: &[&Vec<u32>],
-    replica_of: &dyn Fn(usize, usize) -> usize,
+    vectors: &[GatherVectors],
 ) -> Vec<Vec<LaneMap>> {
-    let replicas = input.parts[0].len();
-    let mut maps = vec![Vec::new(); replicas];
-    if packed_rows.is_empty() {
-        return maps;
-    }
-    let rows_per_block = input.parts[0][0].layout.rows_per_block;
-    assert!(
-        rows_per_block.is_multiple_of(input.pw()) || rows_per_block >= input.rows_total(),
-        "a lane-replicated map is cut into whole padded rows"
-    );
-    let mparts = weights.c_out.div_ceil(320) as usize;
     // Chains stream their maps concurrently, and with the weights of the
     // next pass and the shortcut: all slice-disjoint.
     let mut avoid: Vec<(Hemisphere, u8)> = (weights.passes.iter().flatten().flatten().flatten())
         .flat_map(|t| t.layout.slices())
         .chain(shortcut.iter().flat_map(|m| m.shortcut_slices()))
         .collect();
-    for (replica, maps) in maps.iter_mut().enumerate() {
-        // Per input block, the span of rows this replica's chains gather.
-        let mut spans: Vec<Option<(u32, u32)>> = Vec::new();
-        let chains = (0..mparts).flat_map(|m| (0..split.chunks.len()).map(move |ci| (m, ci)));
-        for (_, ci) in chains.filter(|&(m, ci)| replica_of(m, ci) == replica) {
-            for rows in packed_rows {
-                for &px in &split.chunks[ci].pixels {
-                    let row = rows[px as usize];
-                    let block = (row / rows_per_block) as usize;
-                    spans.resize(spans.len().max(block + 1), None);
-                    let (lo, hi) = spans[block].unwrap_or((row, row));
-                    spans[block] = Some((lo.min(row), hi.max(row)));
-                }
+    let lanes = group_lanes(input.c);
+    (vectors.iter().zip(&input.parts[0]))
+        .map(|(vectors, tensor)| {
+            if vectors.rows.is_empty() {
+                return Vec::new();
             }
-        }
-        let tensor = &input.parts[0][replica];
-        for (lo, hi) in spans.into_iter().flatten() {
-            // Lane group `t` fetches row `r + t`; groups past the taps, and
-            // rows that would run off the block, the row itself.
-            let block_end = ((lo / rows_per_block + 1) * rows_per_block).min(tensor.rows);
-            let row_of = |i: u32, t: u32| match lo + i {
-                r if t < weights.taps && r + t < block_end => r + t,
-                r => r,
+            let rows_per_block = tensor.layout.rows_per_block;
+            assert!(
+                rows_per_block.is_multiple_of(input.pw()) || rows_per_block >= input.rows_total(),
+                "a lane-replicated map is cut into whole padded rows"
+            );
+            let names: Vec<u32> = (0..vectors.rows.len() as u32).collect();
+            // Lane groups past the taps fetch what a dropped tap's does.
+            let row_of = |i: u32, g: u32| {
+                let rows = &vectors.rows[i as usize];
+                let zero = rows[0] / rows_per_block * rows_per_block;
+                rows.get(g as usize).copied().unwrap_or(zero)
             };
-            let keys: Vec<u32> = (lo..=hi).collect();
-            let lanes = group_lanes(input.c);
-            maps.extend(s.add_lane_maps(tensor, lanes, &keys, row_of, &mut avoid));
-        }
-    }
-    maps
+            s.add_lane_maps(tensor, lanes, &names, row_of, &mut avoid)
+        })
+        .collect()
 }
 
 /// Builds a zero-initialized feature-map *input* allocation the host fills
@@ -868,18 +1005,18 @@ pub fn alloc_feature_map(
 
 /// Serializes conv weights `w(co, ci, dy, dx)` of a `k×k` conv (`c_in → c_out`
 /// channels) into the per-(tap group, kpart, mpart) LW-order constant
-/// handles: a pass covering taps `dx..dx + n` holds tap `t` at input lanes
-/// `t·group_lanes(c_in) + ci` — or, for a lane-skewed input, its one tap again
-/// at each of the `in_skew` lane groups — and `out_copies` copies of the
-/// output channels at array rows `u·group_lanes(c_out) + co` (zero
-/// elsewhere). The handles
-/// keep off the slices in `avoid` where they can — the conv's input: a pass
-/// streams its activations from one slice for its whole length, and weights
-/// behind that queue would reach the next pass a pass late.
+/// handles: a pass holds the `j`-th tap of its group
+/// ([`ConvWeights::tap_groups`]) at input lanes `j·group_lanes(c_in) + ci` —
+/// or, for a lane-skewed input, its one tap again at each of the `in_skew`
+/// lane groups — and `out_copies` copies of the output channels at array rows
+/// `u·group_lanes(c_out) + co` (zero elsewhere). The handles keep off the
+/// slices in `avoid` where they can — the conv's input: a pass streams its
+/// activations from one slice for its whole length, and weights behind that
+/// queue would reach the next pass a pass late.
 ///
 /// # Panics
 ///
-/// Panics if `taps` tap groups, `in_skew` lane groups or `out_copies` channel
+/// Panics if `taps` taps, `in_skew` lane groups or `out_copies` channel
 /// copies do not fit the 320 lanes, or if both `taps` and `in_skew` exceed 1.
 pub fn emplace_conv(
     s: &mut Scheduler,
@@ -909,13 +1046,13 @@ pub fn emplace_conv(
     };
     let passes = tap_groups(k, taps)
         .into_iter()
-        .map(|(dy, dx, n)| {
+        .map(|group| {
             (0..c_in.div_ceil(320))
                 .map(|kp| {
                     let kc = (c_in - kp * 320).min(320);
-                    // Lane group `j` holds tap `dx + j`, or — skewed — the
-                    // pass's one tap again.
-                    let lane_groups = n.max(in_skew);
+                    // Lane group `j` holds the group's `j`-th tap, or —
+                    // skewed — the pass's one tap again.
+                    let lane_groups = (group.len() as u32).max(in_skew);
                     let kcols = (lane_groups - 1) * in_group + kc;
                     (0..c_out.div_ceil(320))
                         .map(|mp| {
@@ -926,10 +1063,10 @@ pub fn emplace_conv(
                                     return; // the lanes between two copies
                                 }
                                 for j in 0..lane_groups {
+                                    let (dy, dx) = group[if in_skew > 1 { 0 } else { j as usize }];
                                     for ci in 0..kc {
                                         let lane = (j * in_group + ci) as usize;
-                                        let tap = if in_skew > 1 { dx } else { dx + j };
-                                        row.set_lane(lane, w(co, kp * 320 + ci, dy, tap) as u8);
+                                        row.set_lane(lane, w(co, kp * 320 + ci, dy, dx) as u8);
                                     }
                                 }
                             };
@@ -1263,7 +1400,7 @@ mod tests {
             let values = reference_conv(&shortcut_data, w_sc, 1, 0, PRODUCER_SHIFT, false);
             (map, values, host)
         });
-        let taps = taps_per_pass(k, cin).min(input.layout.lane_copies);
+        let taps = packed_taps(k, cin, input.layout.lane_copies);
         // Weights keep off everything the conv streams while they are due.
         let keep_off: Vec<_> = (input.slices())
             .chain(shortcut.iter().flat_map(|(map, ..)| map.shortcut_slices()))
@@ -1444,52 +1581,145 @@ mod tests {
         run_conv_case_on(case, |s, chip| dirty_sram(s, chip, &[Hemisphere::West], 64));
     }
 
-    /// G = 3 (c_in 16, 64), 2 (100 — not a superlane multiple — 128, 160) and
-    /// 1 (176: the producer does not replicate, every pass is a `Read`), at
-    /// both strides, chains crossing the producer's whole-row blocks.
+    /// Runs a [`Case::packed`] with producer, shortcut and consumer all on
+    /// recycled SRAM — whole blocks of it: the first row of every block of a
+    /// lane-replicated map must read as zero in every lane group.
+    fn run_packed_case(case: Case) {
+        let block = ((case.h + 2).div_ceil(4) + 1) * (case.w + 2);
+        run_conv_case_on(case, |s, chip| {
+            dirty_sram(s, chip, &Hemisphere::ALL, block.min(4096));
+        });
+    }
+
+    /// G = 9 (c_in 16), 5 (64), 2 (100 — not a superlane multiple — 128, 160)
+    /// and 1 (176: the producer does not replicate, every pass is a `Read`),
+    /// at both strides, chains crossing the producer's whole-row blocks (16
+    /// padded rows cut 4/4/4/4: every chain has rows whose groups reach into
+    /// the next block).
     #[test]
     fn packed_convs_match_reference() {
         for cin in [16, 64, 100, 128, 160, 176] {
             for stride in [1, 2] {
-                run_conv_case(Case {
+                run_packed_case(Case {
                     relu: stride == 2,
                     ..Case::packed((14, 14), (cin, 64), stride)
                 });
             }
         }
         assert_eq!(
-            [16, 64, 100, 128, 160, 176].map(|c| taps_per_pass(3, c)),
-            [3, 3, 2, 2, 2, 1]
+            [16, 32, 64, 100, 128, 160, 176].map(|c| taps_per_pass(3, c)),
+            [9, 9, 5, 2, 2, 2, 1]
         );
+        assert_eq!(
+            tap_groups(3, 5),
+            [
+                vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)],
+                vec![(1, 2), (2, 0), (2, 1), (2, 2)]
+            ]
+        );
+        assert_eq!(tap_groups(3, 2).len(), 5);
+        assert_eq!(tap_groups(3, 9).len(), 1);
+        assert_eq!(tap_groups(3, 1).len(), 9);
+    }
+
+    /// All nine taps in one pass (c_in 16 and 32): the group spans three
+    /// kernel rows, so a pixel's second feed may hold its last row or its
+    /// last two, and — the chain's only pass being its last — that feed runs
+    /// every pixel. On a 9×21 map (11 padded rows cut 3/3/3/2) and a 4×4 one
+    /// (one chunk, one block: nothing to feed twice).
+    #[test]
+    fn nine_taps_in_one_pass_match_reference() {
+        for cin in [16, 32] {
+            for stride in [1, 2] {
+                run_packed_case(Case {
+                    relu: true,
+                    out_pad: 1,
+                    ..Case::packed((9, 21), (cin, 24), stride)
+                });
+            }
+            run_packed_case(Case::packed((4, 4), (cin, 24), 1));
+        }
     }
 
     /// Two M-splits (c_out 400) share the planes two chunks each, every chain
     /// with its own replica and map; 7×7 has 9 padded rows in uneven blocks.
     #[test]
     fn packed_conv_with_m_splits_and_uneven_blocks_matches_reference() {
-        run_conv_case(Case::packed((7, 7), (64, 400), 1));
-        run_conv_case(Case::packed((7, 7), (128, 400), 2));
-        run_conv_case(Case::packed((14, 14), (100, 400), 1));
+        run_packed_case(Case::packed((7, 7), (64, 400), 1));
+        run_packed_case(Case::packed((7, 7), (128, 400), 2));
+        run_packed_case(Case::packed((14, 14), (100, 400), 1));
     }
 
-    /// The ResNet stage-2 shape: 58 padded rows cut 15/15/15/13, the packed
-    /// conv itself writing lane copies for a packed successor.
+    /// The ResNet stage-2 shape: 58 padded rows cut 15/15/15/13, so the
+    /// chains of output rows 14–28 and 29–43 each hold a row whose first group
+    /// (taps 00–11) and a row whose second (12–22) straddles two blocks; the
+    /// packed conv itself writes lane copies for a packed successor.
     #[test]
     fn packed_56x56_matches_reference() {
         let replicated = MapLayout {
-            lane_copies: 3,
+            lane_copies: 5,
             ..plain(1)
         };
         let split = RowSplit::new(56, 56, 4, &replicated);
         assert_eq!(split.rows_per_block, 15 * 58);
         let sizes: Vec<usize> = split.chunks.iter().map(|c| c.pixels.len()).collect();
         assert_eq!(sizes, [14 * 56, 15 * 56, 15 * 56, 12 * 56]);
-        run_conv_case(Case {
+        run_packed_case(Case {
             out_pad: 1,
-            out_copies: 3,
+            out_copies: 5,
             relu: true,
             ..Case::packed((56, 56), (64, 64), 1)
         });
+    }
+
+    /// The ResNet stage-3 shapes, two taps a pass (`{02, 10}` spans two kernel
+    /// rows): stride 2 from 56×56 (blocks of 15 padded rows) and stride 1 at
+    /// 28×28 (30 padded rows cut 8/8/8/6).
+    #[test]
+    fn packed_128_channels_match_reference() {
+        run_packed_case(Case {
+            out_pad: 1,
+            relu: true,
+            ..Case::packed((56, 56), (128, 128), 2)
+        });
+        run_packed_case(Case {
+            out_pad: 1,
+            out_copies: 2,
+            ..Case::packed((28, 28), (128, 128), 1)
+        });
+    }
+
+    /// What a chain streams through a group of two taps a padded row apart
+    /// (rows `r` and `r + 10`, blocks of 20 rows): nothing twice when no pixel
+    /// straddles — the second feed is absent, not empty — else a second feed
+    /// through the last straddler, the dropped tap on the block's first row.
+    #[test]
+    fn second_feeds_cover_the_straddlers_only() {
+        let taps = |bases: &[u32]| -> Vec<Vec<u32>> {
+            vec![bases.to_vec(), bases.iter().map(|r| r + 10).collect()]
+        };
+        let pixels = [0, 1, 2, 3];
+        let mut vectors = GatherVectors::default();
+        assert_eq!(
+            vectors.feeds(&pixels, &taps(&[1, 2, 3, 4]), 20, (true, false)),
+            [[0, 1, 2, 3]]
+        );
+        // Pixels 1 and 2 straddle, and stream first.
+        let mut vectors = GatherVectors::default();
+        let feeds = vectors.feeds(&pixels, &taps(&[12, 13, 3, 4]), 20, (true, false));
+        assert_eq!(feeds, [vec![0, 1, 2, 3], vec![4, 5]]);
+        assert_eq!(vectors.rows[0], [12, 0], "first feed: tap 1 dropped");
+        assert_eq!(vectors.rows[4], [20, 22], "second feed: tap 0 dropped");
+        // The chain's last pass emits the result with its full feed.
+        let mut vectors = GatherVectors::default();
+        let feeds = vectors.feeds(&pixels, &taps(&[12, 13, 3, 4]), 20, (false, true));
+        assert_eq!(feeds, [vec![4, 5], vec![0, 1, 2, 3]]);
+        // As the chain's only pass the second feed emits it: it runs every
+        // pixel, the others on the zero row alone.
+        let mut vectors = GatherVectors::default();
+        let feeds = vectors.feeds(&pixels, &taps(&[12, 13, 3, 4]), 20, (true, true));
+        assert_eq!(feeds, [vec![0, 1, 2, 3], vec![4, 5, 6, 6]]);
+        assert_eq!(vectors.rows[6], [20, 20]);
     }
 
     /// A lane-skewed input (pixel `x` at lane group `x mod G`, as a
@@ -1517,9 +1747,8 @@ mod tests {
     /// border must read as zero in every lane group.
     #[test]
     fn packed_conv_on_recycled_sram_matches_reference() {
-        let both = |s: &mut Scheduler, chip: &mut Chip| dirty_sram(s, chip, &Hemisphere::ALL, 64);
-        run_conv_case_on(Case::packed((14, 14), (64, 64), 1), both);
-        run_conv_case_on(Case::packed((7, 7), (128, 64), 2), both);
+        run_packed_case(Case::packed((14, 14), (64, 64), 1));
+        run_packed_case(Case::packed((7, 7), (128, 64), 2));
     }
 
     /// conv + shortcut + ReLU in one chain, written to the shortcut's own
@@ -1568,16 +1797,23 @@ mod tests {
         });
     }
 
-    /// A K-packed host: its gather maps keep off the shortcut too.
+    /// A K-packed host: its gather maps keep off the shortcut too, and the
+    /// shortcut's rows follow the chain's — straddlers first.
     #[test]
     fn residual_tail_of_a_packed_conv_matches_reference() {
         for out in Hemisphere::ALL {
-            run_conv_case(Case {
+            run_packed_case(Case {
                 residual: Some(out),
                 relu: true,
                 ..Case::packed((14, 14), (64, 64), 1)
             });
         }
+        run_packed_case(Case {
+            residual: Some(Hemisphere::West),
+            relu: true,
+            out_pad: 1,
+            ..Case::packed((28, 28), (128, 64), 1)
+        });
     }
 
     /// Shortcut and output on recycled SRAM (not the host-written input, see

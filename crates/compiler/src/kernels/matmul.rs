@@ -124,8 +124,9 @@ pub fn lw_rows(fill: impl Fn(u32, &mut Vector), mrows: u32) -> Vec<Vector> {
 pub enum ActFeed<'a> {
     /// `Read` rows of the tensor.
     Read(&'a TensorHandle),
-    /// `Gather` rows of the (lane-replicated) tensor through these maps.
-    Gather(&'a TensorHandle, &'a [LaneMap]),
+    /// `Gather` the vectors these maps name out of their (lane-replicated)
+    /// tensor.
+    Gather(&'a [LaneMap]),
 }
 
 impl ActFeed<'_> {
@@ -139,8 +140,8 @@ impl ActFeed<'_> {
     ) -> u64 {
         match self {
             ActFeed::Read(t) => s.earliest_read_arrival(t, rows, direction, consumer, not_before),
-            ActFeed::Gather(t, maps) => {
-                s.earliest_gather_arrival(t, maps, rows, direction, consumer, not_before)
+            ActFeed::Gather(maps) => {
+                s.earliest_gather_arrival(maps, rows, direction, consumer, not_before)
             }
         }
     }
@@ -155,7 +156,7 @@ impl ActFeed<'_> {
     ) {
         match self {
             ActFeed::Read(t) => s.read_rows(t, rows, stream, consumer, t0),
-            ActFeed::Gather(t, maps) => s.gather_rows(t, maps, rows, stream, consumer, t0),
+            ActFeed::Gather(maps) => s.gather_rows(maps, rows, stream, consumer, t0),
         }
     }
 }
@@ -203,18 +204,25 @@ pub fn stream_weights(
 /// push the next chain's start past them (the resource pool tracks a single
 /// busy horizon per port and stream, not gaps, so work must be reserved in
 /// time order).
+///
+/// A pass is an [`install`](PlaneChainBuilder::install) and one or more
+/// [`feed`](PlaneChainBuilder::feed)s through the installed weights. `ACC`
+/// addresses accumulator ordinals from 0, so a feed of `m < n` rows adds to
+/// the chain's **first** `m` rows only: the way a row whose operands one
+/// stream cannot deliver at once gets a second helping.
 #[derive(Debug)]
 pub struct PlaneChainBuilder {
     plane: Plane,
-    passes_done: usize,
+    feeds_done: usize,
     prev_iw_done: u64,
     prev_abc_end: u64,
     n: u64,
-    result: Option<Int32Stream>,
+    /// The last feed's emission and its row count.
+    result: Option<(Int32Stream, u64)>,
 }
 
 impl PlaneChainBuilder {
-    /// Starts a chain of passes of `n` rows each on `plane`.
+    /// Starts a chain over `n` rows on `plane`.
     #[must_use]
     pub fn new(s: &Scheduler, plane: Plane, n: u64, not_before: u64) -> PlaneChainBuilder {
         // The plane is handed over the way a chain hands it from pass to
@@ -223,7 +231,7 @@ impl PlaneChainBuilder {
         let free = |r: Resource| s.pool.free_at(r).max(not_before);
         PlaneChainBuilder {
             plane,
-            passes_done: 0,
+            feeds_done: 0,
             prev_iw_done: free(Resource::MxmWeights(plane.index())),
             prev_abc_end: free(Resource::MxmArray(plane.index())),
             n,
@@ -244,14 +252,9 @@ impl PlaneChainBuilder {
         self.prev_iw_done
     }
 
-    /// Schedules the next pass — load and install the weights in `feed`,
-    /// stream `rows` of `acts` through — (pass 0 overwrites the accumulators;
-    /// later passes add).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row count differs from the chain's `n`, or if `feed`
-    /// arrives before [`PlaneChainBuilder::lw_floor`].
+    /// Schedules the next pass: [`install`](PlaneChainBuilder::install) the
+    /// weights in `feed`, then [`feed`](PlaneChainBuilder::feed) `rows`
+    /// through them.
     pub fn add_pass(
         &mut self,
         s: &mut Scheduler,
@@ -259,14 +262,19 @@ impl PlaneChainBuilder {
         acts: ActFeed<'_>,
         rows: &[u32],
     ) {
-        let plane = self.plane;
-        let n = self.n;
-        assert_eq!(rows.len() as u64, n, "pass row count mismatch");
-        assert!(feed.t_lw >= self.prev_iw_done, "weights arrive too early");
-        let mxm = Slice::Mxm(plane.hemisphere()).position();
-        let to_mxm = feed.group.base.direction;
-        let from_mxm = to_mxm.opposite();
+        self.install(s, feed);
+        self.feed(s, acts, rows);
+    }
 
+    /// Loads the weights in `feed` and installs them once the array has
+    /// drained the previous feed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `feed` arrives before [`PlaneChainBuilder::lw_floor`].
+    pub fn install(&mut self, s: &mut Scheduler, feed: WeightFeed) {
+        let plane = self.plane;
+        assert!(feed.t_lw >= self.prev_iw_done, "weights arrive too early");
         s.place(
             IcuId::Mxm { plane, port: 0 },
             feed.t_lw,
@@ -289,12 +297,34 @@ impl PlaneChainBuilder {
         self.prev_iw_done = t_iw + D_IW;
         s.pool
             .occupy(Resource::MxmWeights(plane.index()), self.prev_iw_done);
+    }
+
+    /// Streams `rows` of `acts` through the installed weights into the
+    /// chain's first `rows.len()` accumulators (the chain's first feed
+    /// overwrites them; later feeds add).
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more rows than the chain's `n`, or fewer in the
+    /// chain's first feed: that one overwrites every accumulator.
+    pub fn feed(&mut self, s: &mut Scheduler, acts: ActFeed<'_>, rows: &[u32]) {
+        let plane = self.plane;
+        let m = rows.len() as u64;
+        assert!(m <= self.n, "a feed of {m} rows in a chain of {}", self.n);
+        assert!(
+            m == self.n || self.feeds_done > 0,
+            "the first feed overwrites every row"
+        );
+        let mxm = Slice::Mxm(plane.hemisphere()).position();
+        let to_mxm = Direction::outward_from(plane.hemisphere());
+        let from_mxm = to_mxm.opposite();
 
         // ---- activations --------------------------------------------------
         // The ACC emission time is t_abc + MXM_ARRAY_DELAY and cannot move,
         // so t_abc must also wait until an output quad-stream group is free:
         // iterate to the fixed point (monotone, converges in a few steps).
-        let (acts_stream, ready) = s.take_streams(to_mxm, 1, self.prev_iw_done, mxm);
+        let start = self.prev_iw_done.max(self.prev_abc_end);
+        let (acts_stream, ready) = s.take_streams(to_mxm, 1, start, mxm);
         let mut t_abc = acts.earliest_arrival(s, rows, to_mxm, mxm, ready);
         let acc_group = loop {
             // Row 0 is emitted at the MXM one cycle after the ACC dispatch.
@@ -310,7 +340,7 @@ impl PlaneChainBuilder {
         // any stream of its own (a gather's map streams may flow `from_mxm`).
         let t_acc = t_abc + u64::from(MXM_ARRAY_DELAY);
         for stream in acc_group.streams() {
-            s.occupy_stream(stream, mxm, t_acc + 1 + n);
+            s.occupy_stream(stream, mxm, t_acc + 1 + m);
         }
         acts.stream_rows(s, rows, acts_stream[0], mxm, t_abc);
         s.place(
@@ -319,15 +349,15 @@ impl PlaneChainBuilder {
             MxmOp::ActivationBuffer {
                 plane,
                 stream: acts_stream[0],
-                rows: n as u16,
+                rows: m as u16,
             },
         );
-        self.prev_abc_end = t_abc + n;
+        self.prev_abc_end = t_abc + m;
         s.pool
             .occupy(Resource::MxmArray(plane.index()), self.prev_abc_end);
 
         // ---- accumulate ----------------------------------------------------
-        let mode = if self.passes_done == 0 {
+        let mode = if self.feeds_done == 0 {
             AccumulateMode::Overwrite
         } else {
             AccumulateMode::Accumulate
@@ -338,29 +368,33 @@ impl PlaneChainBuilder {
             MxmOp::Accumulate {
                 plane,
                 dst: acc_group,
-                rows: n as u16,
+                rows: m as u16,
                 mode,
             },
         );
-        self.passes_done += 1;
+        self.feeds_done += 1;
 
         let vxm = Slice::Vxm.position();
         let transit = u64::from(from_mxm.hops(mxm, vxm).expect("VXM inward of MXM"));
-        self.result = Some(Int32Stream {
+        let emission = Int32Stream {
             group: acc_group,
             // Row r is emitted at t_acc + r + 1, arriving `transit` later.
             t_at_vxm: t_acc + 1 + transit,
-        });
+        };
+        self.result = Some((emission, m));
     }
 
-    /// Finishes the chain, returning the final int32 stream at the VXM.
+    /// Finishes the chain, returning the final int32 stream at the VXM: the
+    /// last feed's emission.
     ///
     /// # Panics
     ///
-    /// Panics if no pass was scheduled.
+    /// Panics if nothing was fed, or if the last feed did not cover every row.
     #[must_use]
     pub fn finish(self) -> Int32Stream {
-        self.result.expect("at least one pass")
+        let (emission, rows) = self.result.expect("at least one pass");
+        assert_eq!(rows, self.n, "the last feed emits every row");
+        emission
     }
 }
 

@@ -10,7 +10,8 @@ pub mod pool;
 
 pub use conv::{
     alloc_feature_map, conv2d, conv2d_add, conv_passes, emplace_conv, emplace_conv_weights,
-    taps_per_pass, ChunkPass, Conv2dParams, ConvWeights, FeatureMap, MapLayout, RowSplit,
+    packed_taps, taps_per_pass, ChunkPass, Conv2dParams, ConvWeights, FeatureMap, MapLayout,
+    RowSplit,
 };
 pub use elementwise::{binary_ew, binary_ew_replicated, copy, copy_replicated, unary_ew};
 pub use matmul::{lw_rows, matmul, ActFeed, MatmulOpts, WeightSet};

@@ -120,11 +120,11 @@ enum Store {
 
 impl Store {
     /// The earliest cycle ≥ `t` the first vector may be at the VXM.
-    fn earliest(&self, s: &Scheduler, rep: &TensorHandle, dir: Direction, t: u64) -> u64 {
+    fn earliest(&self, s: &Scheduler, dir: Direction, t: u64) -> u64 {
         let vxm = Slice::Vxm.position();
         match self {
             Store::Write(_) => t,
-            Store::Scatter(maps, keys) => s.earliest_scatter_start(rep, maps, keys, dir, vxm, t),
+            Store::Scatter(maps, keys) => s.earliest_scatter_start(maps, keys, dir, vxm, t),
         }
     }
 
@@ -139,7 +139,7 @@ impl Store {
                     offset += u64::from(count);
                 }
             }
-            Store::Scatter(maps, keys) => s.scatter_rows(rep, maps, keys, stream, vxm, t),
+            Store::Scatter(maps, keys) => s.scatter_rows(maps, keys, stream, vxm, t),
         }
     }
 }
@@ -180,8 +180,8 @@ pub fn max_pool(
     let mut done = params.not_before;
     let gl = group_lanes(input.c);
     // Everything the chain streams at once keeps to slices of its own: the
-    // maps of the taps (opposite the input) off the output replicas, the maps
-    // of the replicas (opposite the output) off the input.
+    // maps of a round's taps (opposite the input) off the output replicas,
+    // the maps of the replicas (opposite the output) off the input.
     let mut avoid: Vec<(Hemisphere, u8)> = out.slices().chain(input.slices()).collect();
     // Row `i` of a tap or of the output, as `(row, column)` of the vectors.
     let at = |i: u32| (i / vectors, i % vectors);
@@ -248,6 +248,9 @@ pub fn max_pool(
             // and, packed, the map that gathers the tap's pixel of every
             // lane group's output pixel.
             let mut plan: Vec<(&TensorHandle, Vec<u32>, Vec<LaneMap>)> = Vec::new();
+            // An earlier round's maps are no longer streamed; its carry is.
+            let mut avoid = avoid.clone();
+            avoid.extend(carry.iter().flat_map(|c| c.layout.slices()));
             for (i, &(dy, dx)) in batch.iter().enumerate() {
                 let tensor = &replicas[i % replicas.len()];
                 let rows = input.offset_rows(oh, ow, params.stride, dy, dx, params.pad);
@@ -269,7 +272,7 @@ pub fn max_pool(
             let feeds: Vec<ActFeed<'_>> = (plan.iter())
                 .map(|(tensor, _, maps)| match maps.as_slice() {
                     [] => ActFeed::Read(tensor),
-                    maps => ActFeed::Gather(tensor, maps),
+                    maps => ActFeed::Gather(maps),
                 })
                 .collect();
             // Common earliest start, honoring staggered arrivals: every
@@ -310,8 +313,8 @@ pub fn max_pool(
             // The last max's results leave the VXM this long after `t0`.
             let t_out = stagger(plan.len() - 1) + if plan.len() > 1 { D_VXM } else { 0 };
             if last_round {
-                for (rep, store) in out.parts[kp].iter().zip(&stores) {
-                    t0 = store.earliest(s, rep, out_dir, t0 + t_out) - t_out;
+                for store in &stores {
+                    t0 = store.earliest(s, out_dir, t0 + t_out) - t_out;
                 }
             }
             // `t0` is final: hold every pick for its real burst before any
@@ -369,17 +372,12 @@ pub fn max_pool(
             } else {
                 // The carry lands downstream in the output hemisphere; the
                 // next round streams it back inward as an extra tree input.
-                // (Fresh allocation: its slices carry no pending work beyond
-                // what t0 already accounted for via the global floor.)
-                let c = s
-                    .alloc
-                    .alloc_in(
-                        Some(params.out_hemisphere),
-                        n,
-                        input.parts[kp][0].cols,
-                        BankPolicy::High,
-                        4096,
-                    )
+                // (Fresh allocation off everything the round streams: its
+                // slices carry no pending work beyond what t0 already
+                // accounted for via the global floor.)
+                let (hemisphere, cols) = (Some(params.out_hemisphere), input.parts[kp][0].cols);
+                let c = (s.alloc)
+                    .alloc_avoiding(hemisphere, n, cols, BankPolicy::High, 4096, &avoid)
                     .expect("SRAM exhausted for pool carry");
                 let cf = s.mem_free_tensor(&c);
                 assert!(

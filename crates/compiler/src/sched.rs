@@ -15,7 +15,7 @@ use tsp_arch::{Direction, Hemisphere, Position, Slice, StreamId, Vector, SUPERLA
 use tsp_isa::{IcuOp, Instruction, MemAddr, MemOp};
 use tsp_sim::{IcuId, Program};
 
-use crate::alloc::MemAllocator;
+use crate::alloc::{MemAllocator, LOW_INNER_SLICES};
 use crate::resource::{Resource, ResourcePool};
 use crate::tensor::TensorHandle;
 
@@ -74,10 +74,14 @@ pub struct LaneMap {
     /// Map rows: row `i` carries, per superlane, the word address that
     /// superlane fetches from (or stores to) for the vector `keys[i]` names.
     pub tensor: TensorHandle,
-    /// The data row lane group 0 of each map row addresses, ascending: what
-    /// [`Scheduler::gather_rows`] and [`Scheduler::scatter_rows`] are given
-    /// to name a vector, and the block of the data tensor it lies in.
+    /// The name of each map row's vector, ascending: what
+    /// [`Scheduler::gather_rows`] and [`Scheduler::scatter_rows`] are given.
+    /// A name is the caller's own — a data row, an ordinal — and says nothing
+    /// of where the vector's lane groups point.
     pub keys: Vec<u32>,
+    /// The slice holding the one block of the data tensor every map row
+    /// addresses.
+    pub slice: (Hemisphere, u8),
 }
 
 /// One `Gather` or `Scatter` burst: consecutive entries of a key list that
@@ -208,25 +212,26 @@ impl Scheduler {
     }
 
     /// Registers [`LaneMap`]s over `tensor` with one row per entry of `keys`,
-    /// one map — on a slice of its own — per block of the tensor the keys
-    /// visit: the map row of `keys[i]` makes lane group `g` (`group_lanes`
-    /// lanes wide, whole superlanes) address data row `row_of(i, g)`, group 0
-    /// the row `keys[i]` itself. A `Gather` through it yields the groups'
-    /// rows side by side — provided the tensor stores each row
+    /// one map — on a slice of its own — per block of the tensor the vectors
+    /// address: the map row of vector `i`, named `keys[i]`, makes lane group
+    /// `g` (`group_lanes` lanes wide, whole superlanes) address data row
+    /// `row_of(i, g)`, all in one block. A `Gather` through it yields the
+    /// groups' rows side by side — provided the tensor stores each row
     /// **lane-replicated** (`x` again in every group), since a superlane only
     /// ever fetches its own 16 lanes of a word — and a `Scatter` stores lane
     /// group `g` of a vector into row `row_of(i, g)`, leaving the word's
     /// other superlanes as they were. The maps go to the Low bank of the
     /// hemisphere opposite the data (always upstream of it, the way
-    /// [`Scheduler::zero_stale`] sources its zeros), off the slices in
-    /// `avoid`, which their own slices join: bursts on two blocks of the data
-    /// overlap in time wherever the second block is the farther from the
-    /// consumer, so each needs its map on a queue of its own.
+    /// [`Scheduler::zero_stale`] sources its zeros) — its outer slices while
+    /// they last — off the slices in `avoid`, which their own slices join:
+    /// bursts on two blocks of the data overlap in time wherever the second
+    /// block is the farther from the consumer, so each needs its map on a
+    /// queue of its own.
     ///
     /// # Panics
     ///
-    /// Panics if the keys do not ascend, a map row addresses two blocks of
-    /// the tensor (a `Gather` or `Scatter` runs on one slice), or
+    /// Panics if the keys do not strictly ascend, a map row addresses two
+    /// blocks of the tensor (a `Gather` or `Scatter` runs on one slice), or
     /// `group_lanes` is not a positive multiple of 16.
     pub fn add_lane_maps(
         &mut self,
@@ -240,37 +245,53 @@ impl Scheduler {
             group_lanes > 0 && group_lanes.is_multiple_of(16),
             "lane groups are whole superlanes"
         );
-        assert!(keys.is_sorted(), "map keys ascend");
+        assert!(keys.is_sorted_by(|a, b| a < b), "map keys ascend");
         let rpb = tensor.layout.rows_per_block;
         let (hemisphere, _) = tensor.layout.slices().next().expect("tensor has a block");
         let source = Some(hemisphere.opposite());
+        // Vector `i` lies in the block lane group 0 addresses.
+        let block_of = |i: u32| row_of(i, 0) / rpb;
+        let mut blocks: Vec<u32> = (0..keys.len() as u32).map(block_of).collect();
+        blocks.sort_unstable();
+        blocks.dedup();
         let mut maps = Vec::new();
-        let mut first = 0;
-        for piece in keys.chunk_by(|a, b| a / rpb == b / rpb) {
-            let rows = (first..first + piece.len() as u32)
-                .zip(piece)
-                .map(|(i, &key)| {
-                    assert_eq!(row_of(i, 0), key, "lane group 0 addresses the key");
+        for block in blocks {
+            let members = (0..keys.len() as u32).filter(|&i| block_of(i) == block);
+            let (piece, rows): (Vec<u32>, Vec<Vector>) = members
+                .map(|i| {
                     let mut map = Vector::ZERO;
                     for sl in 0..SUPERLANES as u32 {
                         let row = row_of(i, sl * 16 / group_lanes);
-                        assert_eq!(row / rpb, key / rpb, "a map row addresses one slice");
+                        assert_eq!(row / rpb, block, "a map row addresses one slice");
                         let [lo, hi] = tensor.row(row).word.word().to_le_bytes();
                         map.set_lane(2 * sl as usize, lo);
                         map.set_lane(2 * sl as usize + 1, hi);
                     }
-                    map
+                    (keys[i as usize], map)
                 })
-                .collect();
+                .unzip();
             let policy = crate::alloc::BankPolicy::Low;
             let cols = 2 * SUPERLANES as u16;
-            let map = self.add_constant_in(source, avoid, rows, cols, policy, 4096);
+            // A map streams from one slice where a weight block wants
+            // sixteen at once: maps take the outer slices first and leave the
+            // inner ones, which static data prefers, to the weights.
+            let inner = (0..LOW_INNER_SLICES).map(|sl| (hemisphere.opposite(), sl));
+            let crowded: Vec<(Hemisphere, u8)> = avoid.iter().copied().chain(inner).collect();
+            let n = rows.len() as u32;
+            let map = match (self.alloc).alloc_avoiding(source, n, cols, policy, 4096, &crowded) {
+                Ok(map) => {
+                    self.constants.push((map.clone(), rows));
+                    map
+                }
+                Err(_) => self.add_constant_in(source, avoid, rows, cols, policy, 4096),
+            };
             avoid.extend(map.layout.slices());
+            let first = tensor.row(block * rpb);
             maps.push(LaneMap {
                 tensor: map,
-                keys: piece.to_vec(),
+                keys: piece,
+                slice: (first.hemisphere, first.slice),
             });
-            first += piece.len() as u32;
         }
         maps
     }
@@ -426,27 +447,23 @@ impl Scheduler {
         self.occupy_stream(stream, producer, t0 + u64::from(count));
     }
 
-    /// Splits the vectors `keys` names in `tensor` into [`LaneRun`]s over
-    /// `maps`.
-    fn lane_runs<'a>(tensor: &TensorHandle, maps: &'a [LaneMap], keys: &[u32]) -> Vec<LaneRun<'a>> {
+    /// Splits the vectors `keys` names into [`LaneRun`]s over `maps`.
+    fn lane_runs<'a>(maps: &'a [LaneMap], keys: &[u32]) -> Vec<LaneRun<'a>> {
         let mut runs: Vec<LaneRun<'a>> = Vec::new();
         for (i, &key) in keys.iter().enumerate() {
             let (map, map_row) = maps
                 .iter()
                 .find_map(|m| Some((m, m.keys.binary_search(&key).ok()? as u32)))
-                .unwrap_or_else(|| panic!("row {key} is in no lane map"));
+                .unwrap_or_else(|| panic!("vector {key} is in no lane map"));
             match runs.last_mut() {
                 // One map, one block of the data.
                 Some(run) if std::ptr::eq(run.map, map) => run.map_rows.push(map_row),
-                _ => {
-                    let a = tensor.row(key);
-                    runs.push(LaneRun {
-                        start: i,
-                        map_rows: vec![map_row],
-                        map,
-                        slice: (a.hemisphere, a.slice),
-                    });
-                }
+                _ => runs.push(LaneRun {
+                    start: i,
+                    map_rows: vec![map_row],
+                    map,
+                    slice: map.slice,
+                }),
             }
         }
         runs
@@ -540,12 +557,12 @@ impl Scheduler {
 
     /// Like [`Scheduler::read_rows`], but every row is fetched with a MEM
     /// `Gather` through `maps` (see [`Scheduler::add_lane_maps`]; `rows` are
-    /// map keys): one `Gather` + `Repeat` burst per block of `tensor` the
-    /// rows visit, its map rows `Read` from the map tensor onto a stream of
-    /// their own so they meet the burst at the data slice. Occupies the data
-    /// slices' and the map slices' queues — exactly what the simulator
-    /// charges: a gather takes its slice's single-issue queue for a cycle
-    /// like a read — and both streams.
+    /// map keys): one `Gather` + `Repeat` burst per run of rows in one block
+    /// of the data tensor, its map rows `Read` from the map tensor onto a
+    /// stream of their own so they meet the burst at the data slice. Occupies
+    /// the data slices' and the map slices' queues — exactly what the
+    /// simulator charges: a gather takes its slice's single-issue queue for a
+    /// cycle like a read — and both streams.
     ///
     /// # Panics
     ///
@@ -554,7 +571,6 @@ impl Scheduler {
     /// [`Scheduler::earliest_gather_arrival`].
     pub fn gather_rows(
         &mut self,
-        tensor: &TensorHandle,
         maps: &[LaneMap],
         rows: &[u32],
         stream: StreamId,
@@ -563,7 +579,7 @@ impl Scheduler {
     ) {
         // First, so that no map burst picks the gathered rows' own stream.
         self.occupy_stream(stream, consumer, t0 + rows.len() as u64);
-        for run in Scheduler::lane_runs(tensor, maps, rows) {
+        for run in Scheduler::lane_runs(maps, rows) {
             let lead = Scheduler::gather_lead(&run, stream.direction, consumer);
             let dispatch = (t0 + run.start as u64)
                 .checked_sub(lead)
@@ -578,14 +594,13 @@ impl Scheduler {
     #[must_use]
     pub fn earliest_gather_arrival(
         &self,
-        tensor: &TensorHandle,
         maps: &[LaneMap],
         rows: &[u32],
         direction: Direction,
         consumer: Position,
         not_before: u64,
     ) -> u64 {
-        let runs = Scheduler::lane_runs(tensor, maps, rows);
+        let runs = Scheduler::lane_runs(maps, rows);
         let shift = |run: &LaneRun<'_>| -(Scheduler::gather_lead(run, direction, consumer) as i64);
         self.earliest_lane_runs(&runs, shift, not_before)
     }
@@ -593,10 +608,10 @@ impl Scheduler {
     /// Like [`Scheduler::write_rows`], but stream value `i` — present at
     /// `producer` at cycle `t0 + i` — is committed with a MEM `Scatter`
     /// through the map row `rows[i]` names: lane group `g` of it lands in the
-    /// row of `tensor` that map row gives group `g`, and every superlane of
-    /// that word the value does not cover stays as it was. One `Scatter` +
-    /// `Repeat` burst per block of `tensor`, reserving what a gather burst
-    /// does.
+    /// data row that map row gives group `g`, and every superlane of that
+    /// word the value does not cover stays as it was. One `Scatter` +
+    /// `Repeat` burst per run of rows in one block of the data tensor,
+    /// reserving what a gather burst does.
     ///
     /// # Panics
     ///
@@ -605,7 +620,6 @@ impl Scheduler {
     /// [`Scheduler::earliest_scatter_start`].
     pub fn scatter_rows(
         &mut self,
-        tensor: &TensorHandle,
         maps: &[LaneMap],
         rows: &[u32],
         stream: StreamId,
@@ -613,7 +627,7 @@ impl Scheduler {
         t0: u64,
     ) {
         self.occupy_stream(stream, producer, t0 + rows.len() as u64);
-        for run in Scheduler::lane_runs(tensor, maps, rows) {
+        for run in Scheduler::lane_runs(maps, rows) {
             let lag = Scheduler::scatter_lag(&run, stream.direction, producer);
             let dispatch = t0 + run.start as u64 + lag;
             self.place_lane_run(&run, dispatch, |map| MemOp::Scatter { stream, map });
@@ -626,14 +640,13 @@ impl Scheduler {
     #[must_use]
     pub fn earliest_scatter_start(
         &self,
-        tensor: &TensorHandle,
         maps: &[LaneMap],
         rows: &[u32],
         direction: Direction,
         producer: Position,
         not_before: u64,
     ) -> u64 {
-        let runs = Scheduler::lane_runs(tensor, maps, rows);
+        let runs = Scheduler::lane_runs(maps, rows);
         let shift = |run: &LaneRun<'_>| Scheduler::scatter_lag(run, direction, producer) as i64;
         self.earliest_lane_runs(&runs, shift, not_before)
     }

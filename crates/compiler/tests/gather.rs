@@ -72,8 +72,8 @@ fn stream_into_west(
         s.read_rows(tensor, rows, stream[0], vxm, t0);
         s.write_rows(&dst, 0, n, stream[0], vxm, t0);
     } else {
-        let t0 = s.earliest_gather_arrival(tensor, maps, rows, Direction::West, vxm, ready);
-        s.gather_rows(tensor, maps, rows, stream[0], vxm, t0);
+        let t0 = s.earliest_gather_arrival(maps, rows, Direction::West, vxm, ready);
+        s.gather_rows(maps, rows, stream[0], vxm, t0);
         s.write_rows(&dst, 0, n, stream[0], vxm, t0);
     }
     dst
@@ -182,9 +182,9 @@ proptest! {
         let all: Vec<u32> = (0..n).collect();
         let (stream, ready) = s.take_streams(Direction::East, 1, 0, vxm);
         let t0 = s.earliest_read_arrival(&src, &all, Direction::East, vxm, ready);
-        let t0 = s.earliest_scatter_start(&dst, &maps, &keys, Direction::East, vxm, t0);
+        let t0 = s.earliest_scatter_start(&maps, &keys, Direction::East, vxm, t0);
         s.read_rows(&src, &all, stream[0], vxm, t0);
-        s.scatter_rows(&dst, &maps, &keys, stream[0], vxm, t0);
+        s.scatter_rows(&maps, &keys, stream[0], vxm, t0);
 
         let constants = s.take_constants();
         let program = s.into_program().expect("valid schedule");
@@ -298,9 +298,9 @@ fn stepped_gather_and_scatter_bursts_hold_their_slice_queue_exactly() {
                 .expect("an empty chip has room");
             let all: Vec<u32> = (0..6).collect();
             let t0 = s.earliest_read_arrival(&src, &all, Direction::East, vxm, ready);
-            let t0 = s.earliest_scatter_start(&tensor, &maps, &keys, Direction::East, vxm, t0);
+            let t0 = s.earliest_scatter_start(&maps, &keys, Direction::East, vxm, t0);
             s.read_rows(&src, &all, stream[0], vxm, t0);
-            s.scatter_rows(&tensor, &maps, &keys, stream[0], vxm, t0);
+            s.scatter_rows(&maps, &keys, stream[0], vxm, t0);
         } else {
             let _ = stream_into_west(&mut s, &tensor, &maps, &keys);
         }

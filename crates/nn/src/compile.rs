@@ -14,17 +14,22 @@
 //! * **Replicas** — a producer writes as many copies as its readers stream
 //!   concurrently (extra `Write`s tapping one stream): a conv one per MXM
 //!   plane (each row-split chain streams its own), a max pool one per tap.
-//! * **Lane copies** — a conv that packs `G` taps into one MXM pass, or a
+//! * **Lane copies** — a conv that packs `G` taps into one MXM pass (any `G`
+//!   consecutive in row-major order: five of a 3×3 over 64 channels), or a
 //!   pool that packs `G` pixels into one VXM row, fetches `G` stored rows
 //!   with one `Gather`, which needs every row written `G` times side by side
 //!   — free for a conv (its weights tiled `G×` along M), and only if *every*
 //!   reader packs. A pool packs when only convs read it and the shorter chain
-//!   pays for the gather/scatter maps.
+//!   pays for the gather/scatter maps. A lane-replicated map always has a
+//!   border: a gather that would cross into the next block reads the block's
+//!   first row for zero.
 //!
 //! What a producer **wrote** flows down (one forward sweep):
 //!
 //! * **Lane skew** — a pool given `G` lane copies leaves pixel `x` at lane
 //!   group `x mod G`; the convs reading it tile their weights `G×` along K.
+//!   Such a pool writes opposite its input: its tap maps flow out through one
+//!   hemisphere, its maxima and scatter maps through the other.
 //! * **Residual fusion and sides** — an `Add` whose later operand is a conv
 //!   without ReLU that nothing else reads runs as that conv's requant tail
 //!   (paper §II-E chaining), each chain adding its own rows of the other
@@ -49,8 +54,8 @@ use tsp_arch::{Hemisphere, Vector};
 use tsp_compiler::alloc::BankPolicy;
 use tsp_compiler::kernels::{
     conv2d_add, conv_passes, emplace_conv, global_avg_pool, lw_rows, matmul, max_pool,
-    packed_pixels, pixels_per_row, taps_per_pass, ActFeed, ChunkPass, Conv2dParams, FeatureMap,
-    MapLayout, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
+    packed_pixels, packed_taps, pixels_per_row, taps_per_pass, ActFeed, ChunkPass, Conv2dParams,
+    FeatureMap, MapLayout, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
 };
 use tsp_compiler::{Scheduler, TensorHandle};
 use tsp_isa::BinaryAluOp;
@@ -373,11 +378,13 @@ fn need(
 /// **Needs flow up**, in one reverse sweep: a node's layout is final before
 /// its inputs are visited, so each folds what it [`need`]s into them — the
 /// widest border, the most replicas, and lane copies only if *every* reader
-/// packs (then the most any asks for; only a conv can write them). A node
-/// nothing reads, unless it is the output, asks for nothing.
+/// packs (then the most any asks for; only a conv can write them, and always
+/// with a border). A node nothing reads, unless it is the output, asks for
+/// nothing.
 ///
 /// **Placement flows down**, in one forward sweep: a pool given lane copies
-/// writes a skewed map; an `Add` is computed by its later operand when that
+/// writes a skewed map, in the hemisphere opposite its input's (pinned there);
+/// an `Add` is computed by its later operand when that
 /// is a conv without ReLU and with no other reader, the other operand (the
 /// shortcut) is cut into the conv's own output blocks — conv-written itself,
 /// a conv or a fused add of the same shape — and is not the conv's own input,
@@ -407,6 +414,11 @@ pub fn plan(graph: &Graph, shapes: &[Shape]) -> Vec<NodePlan> {
         let is_conv = matches!(node.op, Op::Conv(_));
         if !is_conv {
             plans[i].layout.lane_copies = 1;
+        }
+        // A gather across two padded rows takes the first row of a block for
+        // zero: a lane-replicated map always has a border.
+        if plans[i].layout.lane_copies > 1 {
+            plans[i].layout.pad = plans[i].layout.pad.max(1);
         }
         let out = plans[i].layout;
         let (pad, replicas, copies) =
@@ -456,7 +468,16 @@ pub fn plan(graph: &Graph, shapes: &[Shape]) -> Vec<NodePlan> {
         lowered += 1;
         match (&node.op, node.inputs.as_slice(), shapes[i]) {
             (Op::MaxPool { .. }, &[input], Shape::Map { w, .. }) => {
-                plans[i].layout.lane_skew = packed_pixels(plans[input].layout.lane_copies, w);
+                let skew = packed_pixels(plans[input].layout.lane_copies, w);
+                plans[i].layout.lane_skew = skew;
+                // A packed pool's tap maps flow outward through its input's
+                // hemisphere and its partial maxima, results and scatter
+                // maps outward through its output's: on one side they are
+                // more than the 32 streams of a direction.
+                if skew > 1 {
+                    plans[i].layout.hemisphere = plans[input].layout.hemisphere.opposite();
+                    pinned[i] = true;
+                }
             }
             (Op::Add { .. }, &[a, b], _) => {
                 let (shortcut, conv) = (a.min(b), a.max(b));
@@ -567,11 +588,11 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                     Probe::Map(fm)
                 } else {
                     let input = map_of(&lowered, node.inputs[0], node);
-                    // As many of the input's lane copies as the kernel is
-                    // wide go into one pass; a lane-packed pool's skew is
-                    // absorbed by the same columns at every lane group.
+                    // A tap per lane copy of the input goes into one pass; a
+                    // lane-packed pool's skew is absorbed by the same columns
+                    // at every lane group.
                     let lanes = (
-                        input.layout.lane_copies.min(qc.k),
+                        packed_taps(qc.k, qc.ci, input.layout.lane_copies),
                         input.layout.lane_skew,
                         out.lane_copies,
                     );
@@ -824,7 +845,7 @@ fn compile_im2col_conv(
     let pass = |_mpart: usize, _pass: usize, ci: usize| ChunkPass {
         weights: &copies[ci],
         acts: ActFeed::Read(&patches[ci]),
-        rows: (0..patches[ci].rows).collect(),
+        feeds: vec![(0..patches[ci].rows).collect()],
     };
     let shape = (oh, ow, qc.co);
     let (parts, _) = conv_passes(s, shape, &split, 1, &pass, None, params);

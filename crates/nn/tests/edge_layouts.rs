@@ -9,7 +9,7 @@ mod common;
 
 use common::{conv, linear, Net, STEM_POOL};
 use tsp_compiler::kernels::conv::group_lanes;
-use tsp_compiler::kernels::{packed_pixels, MapLayout};
+use tsp_compiler::kernels::{packed_pixels, packed_taps, taps_per_pass, MapLayout};
 use tsp_isa::encode::encode_sequence;
 use tsp_nn::compile::{compile, plan, CompileOptions};
 use tsp_nn::graph::{ConvSpec, Graph, Op, Shape};
@@ -99,20 +99,35 @@ fn odd_graphs() -> Vec<(&'static str, Net, usize)> {
         let tail = net.conv("c", pool, strided);
         (net, tail)
     });
-    // Pool first: with the conv lowered first its result streams are still
-    // held when the pool's nine taps each want map streams, and the pool
-    // panics "no map stream free" (as at the parent commit; ROADMAP item 3).
-    case(
-        "one conv read by a packed pool (5 pixels) and a K-packed conv (3 taps)",
-        {
+    // One conv read by a packed pool (5 pixels) and a K-packed conv (5
+    // taps), in both operand orders. With the conv lowered first the pool
+    // came to write the hemisphere it reads, where its nine tap maps (two or
+    // three bursts of each in flight where blocks hand over), eight partial
+    // maxima, result and four scatter maps want more than the 32 streams of
+    // one direction: it panicked "no map stream free" until the planner put
+    // a packed pool opposite its input.
+    for (name, pool_first) in [
+        ("a packed pool, then a K-packed conv, on one producer", true),
+        (
+            "a K-packed conv, then a packed pool, on one producer",
+            false,
+        ),
+    ] {
+        case(name, {
             let (mut net, stem) = stemmed(24, 64);
+            let mut wide = 0;
+            if !pool_first {
+                wide = net.conv("wide", stem, conv(64, 3));
+            }
             let pool = net.pool("pool", stem, (3, 1, 1));
             let narrow = net.conv("narrow", pool, conv(64, 1));
-            let wide = net.conv("wide", stem, conv(64, 3));
+            if pool_first {
+                wide = net.conv("wide", stem, conv(64, 3));
+            }
             let tail = net.add("add", wide, narrow);
             (net, tail)
-        },
-    );
+        });
+    }
     // Panicked "im2col path supports c_out ≤ 320" while only the patch's
     // width decided who takes the im2col path.
     case(
@@ -192,6 +207,8 @@ fn every_producer_writes_what_its_consumers_read() {
                 "{}: copies overflow the lanes",
                 at(i)
             );
+            // A gather may take a block's first row for zero.
+            assert!(out.lane_copies == 1 || out.pad >= 1, "{}: border", at(i));
             let pooled = matches!(node.op, Op::MaxPool { .. });
             assert!(out.lane_skew == 1 || pooled, "{}: skew", at(i));
 
@@ -207,11 +224,18 @@ fn every_producer_writes_what_its_consumers_read() {
                 assert!(hosted || edge.pad >= pad, "{}: border", at(i));
                 assert!(hosted || edge.replicas >= replicas, "{}: replicas", at(i));
                 match (&node.op, shapes[i]) {
-                    // A conv packs as many taps as it finds copies, up to
-                    // its width; it alone reads a skewed map, a tap a pass.
+                    // A conv packs a tap per copy it finds, up to what fits
+                    // a pass — all it asked for, or none; it alone reads a
+                    // skewed map, a tap a pass.
                     (Op::Conv(spec), _) => {
-                        let taps = edge.lane_copies.min(spec.k);
-                        let lanes = taps.max(edge.lane_skew) * group_lanes(channels(&shapes, inp));
+                        let c_in = channels(&shapes, inp);
+                        let taps = packed_taps(spec.k, c_in, edge.lane_copies);
+                        assert!(
+                            taps == 1 || taps == taps_per_pass(spec.k, c_in),
+                            "{}: some taps",
+                            at(i)
+                        );
+                        let lanes = taps.max(edge.lane_skew) * group_lanes(c_in);
                         assert!(
                             taps.max(edge.lane_skew) == 1 || lanes <= 320,
                             "{}: taps",
@@ -223,9 +247,16 @@ fn every_producer_writes_what_its_consumers_read() {
                             at(i)
                         );
                     }
-                    // A pool packs by the copies it is given.
+                    // A pool packs by the copies it is given, and then
+                    // writes opposite its input (its tap maps flow out one
+                    // way, its maxima and scatter maps the other).
                     (Op::MaxPool { .. }, Shape::Map { w, .. }) => {
                         assert_eq!(edge.lane_skew, 1, "{}: skewed input", at(i));
+                        assert!(
+                            out.lane_skew == 1 || out.hemisphere == edge.hemisphere.opposite(),
+                            "{}: sides",
+                            at(i)
+                        );
                         assert_eq!(
                             out.lane_skew,
                             packed_pixels(edge.lane_copies, w),
@@ -296,6 +327,53 @@ fn every_producer_writes_what_its_consumers_read() {
             }
         }
     }
+}
+
+/// A conv's producer writes `min(k², ⌊320 / group_lanes⌋)` lane copies — the
+/// taps of one pass, across kernel rows — only if every reader packs: a 1×1
+/// conv or a pool that does not pack (a GAP reads it) caps it at one copy, a
+/// packing pool raises it to the pixels it puts in a row.
+#[test]
+fn a_producer_writes_the_copies_its_readers_agree_on() {
+    // What `stem` (to `c` channels, 24×24) is planned to write when read by a
+    // 3×3 conv and by whatever `also` adds to the net.
+    let copies = |c: u32, also: &dyn Fn(&mut Net, usize) -> Option<usize>| {
+        let (mut net, stem) = stemmed(24, c);
+        let wide = net.conv("wide", stem, conv(64, 3));
+        let tail = match also(&mut net, stem) {
+            Some(other) => net.add("add", wide, other),
+            None => wide,
+        };
+        let graph = net.close(tail).g;
+        plan(&graph, &graph.shapes())[stem].layout.lane_copies
+    };
+    let alone = |_: &mut Net, _| None;
+    assert_eq!(
+        [16, 32, 64, 100, 128, 160, 176].map(|c| copies(c, &alone)),
+        [9, 9, 5, 2, 2, 2, 1]
+    );
+    let point = |net: &mut Net, stem| Some(net.conv("point", stem, conv(64, 1)));
+    assert_eq!(copies(64, &point), 1, "a 1×1 reader packs nothing");
+    let pooled = |net: &mut Net, stem| {
+        let pool = net.pool("pool", stem, (3, 1, 1));
+        Some(net.conv("narrow", pool, conv(64, 1)))
+    };
+    assert_eq!(
+        copies(64, &pooled),
+        5,
+        "five pixels a row, five taps a pass"
+    );
+    assert_eq!(
+        copies(16, &pooled),
+        20,
+        "twenty pixels a row, nine taps a pass"
+    );
+    let unpacked = |net: &mut Net, stem| Some(net.pool("pool", stem, (3, 1, 1)));
+    assert_eq!(
+        copies(64, &unpacked),
+        1,
+        "a pool feeding an add packs nothing"
+    );
 }
 
 /// A node nothing reads is planned for by nobody and lowered by nothing: the

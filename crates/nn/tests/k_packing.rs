@@ -21,7 +21,7 @@ fn stemmed() -> Net {
 }
 
 /// Weight blocks (320 LW rows each) among a model's constants beyond the
-/// stem's (one copy per chunk): a packed 3×3 conv over 64 channels has 3
+/// stem's (one copy per chunk): a packed 3×3 conv over 64 channels has 2
 /// where an unpacked one has 9; GAP and the head have one per 320 channels.
 fn weight_blocks(model: &CompiledModel) -> usize {
     const STEM: usize = 4;
@@ -29,9 +29,9 @@ fn weight_blocks(model: &CompiledModel) -> usize {
     blocks.count() - STEM
 }
 
-/// conv → conv → conv: the stem (im2col) and the first 3×3 both write three
-/// lane copies, both 3×3 convs run 3 passes, and a strided packed conv with
-/// two M-splits closes the chain.
+/// conv → conv → conv: the stem (im2col) and the first 3×3 both write five
+/// lane copies, both 3×3 convs run 2 passes of five and four taps, and a
+/// strided packed conv with two M-splits closes the chain.
 #[test]
 fn packed_chain_matches_reference() {
     let mut net = stemmed();
@@ -42,11 +42,14 @@ fn packed_chain_matches_reference() {
     };
     let b = net.conv("b", a, strided);
     let model = net.check(b);
-    // a: 3 tap groups; b: 3 × 2 M-splits; GAP and fc: 2 K-splits each.
-    assert_eq!(weight_blocks(&model), 3 + 6 + 2 + 2);
+    // a: 2 tap groups; b: 2 × 2 M-splits; GAP and fc: 2 K-splits each.
+    assert_eq!(weight_blocks(&model), 2 + 4 + 2 + 2);
     let stem = map(&model, 1);
     assert_eq!((stem.c, stem.parts[0][0].cols), (64, 64));
-    assert_eq!(stem.layout.lane_copies, 3, "one copy per tap of `a`");
+    assert_eq!(
+        stem.layout.lane_copies, 5,
+        "one copy per tap of a pass of `a`"
+    );
 }
 
 /// The stem feeds a packable 3×3 conv *and* a 1×1 conv: it must not
@@ -62,14 +65,15 @@ fn a_producer_with_an_unpacked_reader_does_not_replicate() {
     assert_eq!(weight_blocks(&model), 9 + 1 + 1 + 1);
 }
 
-/// 128 channels pack two taps (6 passes), 176 none (9).
+/// 128 channels pack two taps (5 passes: a pair may span two kernel rows),
+/// 176 none (9), 16 all nine.
 #[test]
 fn tap_groups_follow_the_channel_count() {
-    for (channels, passes) in [(128, 6), (176, 9)] {
+    for (channels, passes) in [(128, 5), (176, 9), (16, 1)] {
         let mut net = stemmed();
         let wide = net.conv("wide", 1, conv(channels, 3));
         let b = net.conv("b", wide, conv(32, 3));
-        assert_eq!(weight_blocks(&net.check(b)), 3 + passes + 1 + 1);
+        assert_eq!(weight_blocks(&net.check(b)), 2 + passes + 1 + 1);
     }
 }
 

@@ -1,9 +1,10 @@
 //! Pins the compiled program of every model the benches and `tsp-serve` run:
 //! a refactor of the lowering must leave each fingerprint (queues, constants,
 //! I/O handles — see `common::fingerprint`) and cycle count as they are; a
-//! change that is *meant* to move programs updates the goldens here the way
-//! it regenerates `results/*.txt`. The weights are synthetic: schedules do
-//! not depend on them, the constants' bytes do.
+//! change that is *meant* to move programs regenerates [`GOLDENS`] the way it
+//! regenerates `results/*.txt` — `print_goldens` prints the table to paste.
+//! The weights are synthetic: schedules do not depend on them, the
+//! constants' bytes do.
 
 mod common;
 
@@ -12,66 +13,89 @@ use tsp_nn::graph::Graph;
 use tsp_nn::resnet::{resnet, resnet_tiny, Widths};
 use tsp_nn::train::small_cnn;
 
-fn check(name: &str, graph: &Graph, cycles: u64, golden: u64) {
-    let model = compile(&common::synthetic_quant(graph), &CompileOptions::default());
-    assert_eq!(model.rollbacks, 0, "{name}: a kernel was rescheduled");
+/// `(model, cycles, fingerprint)`.
+const GOLDENS: [(&str, u64, u64); 5] = [
+    ("resnet50", 45_570, 4_937_654_530_778_504_815),
+    ("resnet101", 70_011, 9_417_472_122_078_044_816),
+    ("resnet152", 107_133, 15_430_422_305_730_741_034),
+    ("resnet_tiny", 2_050, 5_731_607_719_182_165_314),
+    ("small_cnn", 1_200, 8_247_276_815_083_673_461),
+];
+
+fn graph(model: &str) -> Graph {
+    let standard = |depth| resnet(depth, 224, 1000, &Widths::standard(), 7).0;
+    match model {
+        "resnet50" => standard(50),
+        "resnet101" => standard(101),
+        "resnet152" => standard(152),
+        "resnet_tiny" => resnet_tiny(10, 7).0,
+        "small_cnn" => small_cnn(12, 16, 4, 5).0,
+        _ => panic!("no model {model}"),
+    }
+}
+
+/// `model`'s compiled cycle count and program fingerprint.
+fn measure(model: &str) -> (u64, u64) {
+    let quant = common::synthetic_quant(&graph(model));
+    let compiled = compile(&quant, &CompileOptions::default());
+    assert_eq!(compiled.rollbacks, 0, "{model}: a kernel was rescheduled");
+    (compiled.cycles, common::fingerprint(&compiled))
+}
+
+fn check(model: &str) {
+    let golden = GOLDENS.iter().find(|g| g.0 == model).expect("a golden");
     assert_eq!(
-        (model.cycles, common::fingerprint(&model)),
-        (cycles, golden),
-        "{name}'s program moved"
+        measure(model),
+        (golden.1, golden.2),
+        "{model}'s program moved"
     );
 }
 
-fn standard_resnet(depth: u32) -> Graph {
-    resnet(depth, 224, 1000, &Widths::standard(), 7).0
+/// Blesses the goldens: prints [`GOLDENS`]' rows as they are now, with
+/// `cargo test --release -p tsp-nn --test program_fingerprint -- --ignored
+/// --nocapture`.
+#[test]
+#[ignore = "prints the goldens instead of checking them"]
+fn print_goldens() {
+    // 1234567 → 1_234_567.
+    let grouped = |n: u64| {
+        let digits = n.to_string();
+        let groups: Vec<&str> = (digits.as_bytes().rchunks(3).rev())
+            .map(|group| std::str::from_utf8(group).expect("ASCII digits"))
+            .collect();
+        groups.join("_")
+    };
+    for (model, ..) in GOLDENS {
+        let (cycles, fingerprint) = measure(model);
+        println!(
+            "    (\"{model}\", {}, {}),",
+            grouped(cycles),
+            grouped(fingerprint)
+        );
+    }
 }
 
 #[test]
 fn resnet50_program_is_pinned() {
-    check(
-        "resnet50",
-        &standard_resnet(50),
-        47_818,
-        5_628_478_271_483_619_722,
-    );
+    check("resnet50");
 }
 
 #[test]
 fn resnet101_program_is_pinned() {
-    check(
-        "resnet101",
-        &standard_resnet(101),
-        74_136,
-        3_517_801_597_647_514_567,
-    );
+    check("resnet101");
 }
 
 #[test]
 fn resnet152_program_is_pinned() {
-    check(
-        "resnet152",
-        &standard_resnet(152),
-        112_971,
-        358_544_181_919_883_068,
-    );
+    check("resnet152");
 }
 
 #[test]
 fn resnet_tiny_program_is_pinned() {
-    check(
-        "resnet_tiny",
-        &resnet_tiny(10, 7).0,
-        2_029,
-        6_486_750_214_488_196_863,
-    );
+    check("resnet_tiny");
 }
 
 #[test]
 fn small_cnn_program_is_pinned() {
-    check(
-        "small_cnn",
-        &small_cnn(12, 16, 4, 5).0,
-        1_200,
-        8_247_276_815_083_673_461,
-    );
+    check("small_cnn");
 }
