@@ -208,11 +208,6 @@ impl Slice {
     pub fn all() -> impl Iterator<Item = Slice> {
         Position::all().map(Slice::at)
     }
-
-    /// Iterate over all MEM slices of one hemisphere, in index order (0..44).
-    pub fn mem_slices(hemisphere: Hemisphere) -> impl Iterator<Item = Slice> {
-        (0..MEM_SLICES_PER_HEMISPHERE).map(move |index| Slice::Mem { hemisphere, index })
-    }
 }
 
 impl fmt::Display for Slice {

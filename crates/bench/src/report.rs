@@ -15,21 +15,14 @@
 //! same scenario with the pre-decoded op cache bypassed, so each report
 //! records the decoded-vs-interpreted dispatch speedup alongside the
 //! telemetry variants (which all execute through the decoded path, the
-//! default since pre-decoding landed). The document shape is unchanged; the
-//! parser still accepts v3 and v2 artifacts, so committed trajectories
-//! survive the bump.
+//! default since pre-decoding landed). The document shape is unchanged. The
+//! parser reads v4 only: no older artifact exists in the tree.
 
 use tsp_telemetry::json::Json;
 use tsp_telemetry::Telemetry;
 
 /// Schema tag of `BENCH_SIM.json`.
 pub const SIMSPEED_SCHEMA: &str = "tsp-simspeed-v4";
-
-/// Legacy schema tags still accepted by [`SimspeedReport::from_json`].
-pub const SIMSPEED_SCHEMA_V3: &str = "tsp-simspeed-v3";
-
-/// The oldest accepted legacy schema tag (no `history` array).
-pub const SIMSPEED_SCHEMA_V2: &str = "tsp-simspeed-v2";
 
 /// How many prior runs [`SimspeedReport::push_history`] retains: enough to
 /// see a trend across a stack of PRs without growing the artifact forever.
@@ -128,7 +121,7 @@ pub struct HistoryEntry {
 pub struct SimspeedReport {
     /// One entry per workload × variant, in measurement order.
     pub workloads: Vec<WorkloadSample>,
-    /// Prior runs' summaries, oldest first (empty for a v2 document).
+    /// Prior runs' summaries, oldest first.
     pub history: Vec<HistoryEntry>,
 }
 
@@ -261,9 +254,8 @@ impl SimspeedReport {
         json
     }
 
-    /// Parses a `tsp-simspeed-v4` document, or a legacy `tsp-simspeed-v3`
-    /// / `tsp-simspeed-v2` one (v2 predates the `history` array — it parses
-    /// with an empty history), inverse of [`SimspeedReport::to_json`].
+    /// Parses a `tsp-simspeed-v4` document, inverse of
+    /// [`SimspeedReport::to_json`].
     ///
     /// # Errors
     ///
@@ -275,11 +267,9 @@ impl SimspeedReport {
             .get("schema")
             .and_then(Json::as_str)
             .ok_or("missing schema tag")?;
-        if schema != SIMSPEED_SCHEMA && schema != SIMSPEED_SCHEMA_V3 && schema != SIMSPEED_SCHEMA_V2
-        {
+        if schema != SIMSPEED_SCHEMA {
             return Err(format!(
-                "schema is '{schema}', expected '{SIMSPEED_SCHEMA}' \
-                 (or legacy '{SIMSPEED_SCHEMA_V3}' / '{SIMSPEED_SCHEMA_V2}')"
+                "schema is '{schema}', expected '{SIMSPEED_SCHEMA}'"
             ));
         }
         let items = doc
@@ -321,41 +311,41 @@ impl SimspeedReport {
                     .ok_or(format!("workload {i}: missing telemetry"))?,
             });
         }
-        let mut history = Vec::new();
-        if let Some(entries) = doc.get("history").and_then(Json::as_array) {
-            for (i, e) in entries.iter().enumerate() {
-                let items = e
-                    .get("workloads")
-                    .and_then(Json::as_array)
-                    .ok_or(format!("history {i}: missing workloads array"))?;
-                let mut summaries = Vec::with_capacity(items.len());
-                for (j, h) in items.iter().enumerate() {
-                    let str_field = |k: &str| -> Result<String, String> {
-                        h.get(k)
-                            .and_then(Json::as_str)
-                            .map(str::to_string)
-                            .ok_or(format!("history {i} workload {j}: missing {k}"))
-                    };
-                    let f64_field = |k: &str| -> Result<f64, String> {
-                        h.get(k)
-                            .and_then(Json::as_f64)
-                            .ok_or(format!("history {i} workload {j}: missing {k}"))
-                    };
-                    summaries.push(HistorySample {
-                        name: str_field("name")?,
-                        mode: str_field("mode")?,
-                        variant: str_field("variant")?,
-                        mcycles_per_sec: f64_field("mcycles_per_sec")?,
-                        instructions_per_sec: f64_field("instructions_per_sec")?,
-                        cycles_per_run: h.get("cycles_per_run").and_then(Json::as_u64).unwrap_or(0),
-                    });
-                }
-                history.push(HistoryEntry {
-                    workloads: summaries,
+        let entries = doc
+            .get("history")
+            .and_then(Json::as_array)
+            .ok_or("missing history array")?;
+        let mut history = Vec::with_capacity(entries.len());
+        for (i, e) in entries.iter().enumerate() {
+            let items = e
+                .get("workloads")
+                .and_then(Json::as_array)
+                .ok_or(format!("history {i}: missing workloads array"))?;
+            let mut summaries = Vec::with_capacity(items.len());
+            for (j, h) in items.iter().enumerate() {
+                let str_field = |k: &str| -> Result<String, String> {
+                    h.get(k)
+                        .and_then(Json::as_str)
+                        .map(str::to_string)
+                        .ok_or(format!("history {i} workload {j}: missing {k}"))
+                };
+                let f64_field = |k: &str| -> Result<f64, String> {
+                    h.get(k)
+                        .and_then(Json::as_f64)
+                        .ok_or(format!("history {i} workload {j}: missing {k}"))
+                };
+                summaries.push(HistorySample {
+                    name: str_field("name")?,
+                    mode: str_field("mode")?,
+                    variant: str_field("variant")?,
+                    mcycles_per_sec: f64_field("mcycles_per_sec")?,
+                    instructions_per_sec: f64_field("instructions_per_sec")?,
+                    cycles_per_run: h.get("cycles_per_run").and_then(Json::as_u64).unwrap_or(0),
                 });
             }
-        } else if schema != SIMSPEED_SCHEMA_V2 {
-            return Err("missing history array".into());
+            history.push(HistoryEntry {
+                workloads: summaries,
+            });
         }
         Ok(SimspeedReport { workloads, history })
     }
@@ -443,27 +433,6 @@ mod tests {
             report.push_history(report.summarize());
         }
         assert_eq!(report.history.len(), HISTORY_DEPTH);
-    }
-
-    #[test]
-    fn legacy_v2_parses_with_empty_history() {
-        let mut v2 = sample_report();
-        v2.history.clear();
-        // A v2 document is the same object minus the history array and with
-        // the old schema tag.
-        let text = v2
-            .to_json()
-            .replace("-v4", "-v2")
-            .replace(",\n  \"history\": [\n  ]", "");
-        let back = SimspeedReport::from_json(&text).expect("v2 parses");
-        assert_eq!(back, v2);
-    }
-
-    #[test]
-    fn legacy_v3_parses() {
-        let text = sample_report().to_json().replace("-v4", "-v3");
-        let back = SimspeedReport::from_json(&text).expect("v3 parses");
-        assert_eq!(back, sample_report());
     }
 
     #[test]

@@ -432,14 +432,6 @@ impl Fabric {
             links,
         })
     }
-
-    /// Aggregate off-chip bandwidth of the fabric's wires in bits/second,
-    /// assuming each is a ×4 link at 30 Gb/s (paper: 16 such links per chip
-    /// give 3.84 Tb/s including both directions).
-    #[must_use]
-    pub fn wire_bandwidth_bps(&self) -> f64 {
-        self.wires.len() as f64 * tsp_arch::config::C2C_LINK_GBPS
-    }
 }
 
 /// Per-chip pending deliveries: `(ingress link, arrival cycle, word)`.

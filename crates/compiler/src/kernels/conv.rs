@@ -62,15 +62,15 @@
 //! [`Scheduler::try_alloc_for_write`]): stream-dictated writes can then never
 //! collide with already-scheduled bursts.
 
-use tsp_arch::{Hemisphere, Vector, MEM_SLICES_PER_HEMISPHERE};
+use tsp_arch::{Hemisphere, Vector};
 use tsp_isa::Plane;
 
 use crate::alloc::BankPolicy;
 use crate::kernels::matmul::{
-    lw_rows, schedule_requant_write, stream_weights, ActFeed, DstSegments, OutOfPorts, OutSpec,
+    lw_rows, schedule_requant_write, stream_weights, ActFeed, DstSegments, OutSpec,
     PlaneChainBuilder, Shortcut,
 };
-use crate::sched::{LaneMap, Scheduler};
+use crate::sched::{LaneMap, OutOfPorts, Scheduler};
 use crate::tensor::TensorHandle;
 
 /// Lanes one copy of a `c`-channel pixel takes in a lane-replicated row:
@@ -560,44 +560,23 @@ pub fn conv_passes<'a>(
     }
     let replicas = usize::from(params.out_replicas.max(1));
     let rows_total = (oh + 2 * params.out_pad) * (ow + 2 * params.out_pad);
-    let need = (replicas * split.chunks.len()) as f64 / f64::from(MEM_SLICES_PER_HEMISPHERE);
-    // Escalation ladder: no port floor at first (the writes come a whole
-    // chain after the start), then floors by which enough of the output
-    // hemisphere's ports are free, then absolute floors derived from the
-    // failing write time (tight stream pools need the whole conv pushed past
-    // the congestion, not just past the ports).
-    let mut abs_floor = 0u64;
-    let mut result = None;
-    for try_idx in 0usize..8 {
-        let quantile = [0.0, need.min(1.0), 0.9, 1.0][try_idx.min(3)];
-        let snap = s.snapshot();
-        let floor = params
-            .not_before
-            .max(s.port_quantile(params.out_hemisphere, quantile))
-            .max(abs_floor);
-        let attempt = Conv2dParams {
-            not_before: floor,
-            ..params.clone()
-        };
-        match schedule_chains(s, c_out, split, passes, pass, shortcut, &attempt) {
-            Ok(r) => {
-                result = Some(r);
-                break;
-            }
-            Err(e) => {
-                abs_floor = abs_floor.max(e.t_write + (256u64 << try_idx.min(4)));
-                s.restore(&snap);
-            }
-        }
-    }
-    let (blocks, done) = result.unwrap_or_else(|| {
-        panic!(
-            "conv: no port/space after retries (n={}, free_words={}, largest High block={})",
-            oh * ow,
-            s.alloc.free_words(),
-            s.alloc.largest_block(BankPolicy::High),
-        )
-    });
+    // No port floor at first: the writes come a whole chain after the start.
+    let (blocks, done) = s
+        .retry_later(params.out_hemisphere, params.not_before, 0.0, |s, floor| {
+            let attempt = Conv2dParams {
+                not_before: floor,
+                ..params.clone()
+            };
+            schedule_chains(s, c_out, split, passes, pass, shortcut, &attempt)
+        })
+        .unwrap_or_else(|| {
+            panic!(
+                "conv: no port/space after retries (n={}, free_words={}, largest High block={})",
+                oh * ow,
+                s.alloc.free_words(),
+                s.alloc.largest_block(BankPolicy::High),
+            )
+        });
     let concat = |blocks: &OutBlocks, r: usize| {
         let chunks: Vec<TensorHandle> = blocks.iter().map(|b| b[r].clone()).collect();
         TensorHandle::concat(&chunks, rows_total)
@@ -1310,7 +1289,8 @@ mod tests {
     /// Compiles and runs `case` on a scheduler prepared by `prepare` (which
     /// may pre-dirty SRAM), then checks every channel of every output replica
     /// — interior against the reference, border against zero.
-    fn run_conv_case_on(case: Case, prepare: impl FnOnce(&mut Scheduler, &mut Chip)) {
+    /// Returns how often the scheduler rolled a kernel back.
+    fn run_conv_case_on(case: Case, prepare: impl FnOnce(&mut Scheduler, &mut Chip)) -> u64 {
         let Case {
             h, w, cin, cout, k, ..
         } = case;
@@ -1422,6 +1402,7 @@ mod tests {
         let (out, _) = conv2d_add(&mut s, &input, &weights, operand, &params);
         assert_eq!(out.layout.lane_copies, case.out_copies);
 
+        let rollbacks = s.rollbacks();
         let constants = s.take_constants();
         let program = s.into_program().expect("valid schedule");
         for (handle, rows) in &constants {
@@ -1457,10 +1438,11 @@ mod tests {
             }
         };
         check_map(&chip, &out, &expect, 2);
+        rollbacks
     }
 
-    fn run_conv_case(case: Case) {
-        run_conv_case_on(case, |_, _| {});
+    fn run_conv_case(case: Case) -> u64 {
+        run_conv_case_on(case, |_, _| {})
     }
 
     #[test]
@@ -1771,13 +1753,16 @@ mod tests {
         }
     }
 
-    /// Without ReLU the chain ends at the saturating add.
+    /// Without ReLU the chain ends at the saturating add. This is also the
+    /// one case in the workspace whose first attempt finds no write port:
+    /// it keeps `Scheduler::retry_later`'s rollback covered.
     #[test]
     fn residual_tail_without_relu_matches_reference() {
-        run_conv_case(Case {
+        let rollbacks = run_conv_case(Case {
             residual: Some(Hemisphere::West),
             ..Case::new((12, 12), (16, 16), 1, 1)
         });
+        assert_eq!(rollbacks, 1);
     }
 
     /// c_out = 2048: seven M-splits, so two waves of chains (4 + 3), each

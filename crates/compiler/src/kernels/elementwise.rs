@@ -225,29 +225,15 @@ pub fn copy(
     out_policy: BankPolicy,
     not_before: u64,
 ) -> (TensorHandle, u64) {
-    let (mut v, t) = copy_replicated(s, src, out_hemisphere, out_policy, not_before, 1);
-    (v.remove(0), t)
-}
-
-/// [`copy`] with several identical output replicas (free: each taps the same
-/// stream).
-pub fn copy_replicated(
-    s: &mut Scheduler,
-    src: &TensorHandle,
-    out_hemisphere: Hemisphere,
-    out_policy: BankPolicy,
-    not_before: u64,
-    replicas: u8,
-) -> (Vec<TensorHandle>, u64) {
     let cols = src.cols;
-    ew_chain(
+    let (mut v, t) = ew_chain(
         s,
         &[src],
         cols,
         out_hemisphere,
         out_policy,
         not_before,
-        replicas,
+        1,
         false,
         |srcs, dst, alu| VxmOp::Unary {
             op: UnaryAluOp::Mask,
@@ -256,7 +242,8 @@ pub fn copy_replicated(
             dst,
             alu,
         },
-    )
+    );
+    (v.remove(0), t)
 }
 
 /// Point-wise unary op over a tensor (`ReLU`, `negate`, …), int8.
@@ -299,23 +286,7 @@ pub fn binary_ew(
     out_policy: BankPolicy,
     not_before: u64,
 ) -> (TensorHandle, u64) {
-    let (mut v, t) = binary_ew_replicated(s, op, a, b, out_hemisphere, out_policy, not_before, 1);
-    (v.remove(0), t)
-}
-
-/// [`binary_ew`] with several identical output replicas.
-#[allow(clippy::too_many_arguments)]
-pub fn binary_ew_replicated(
-    s: &mut Scheduler,
-    op: BinaryAluOp,
-    a: &TensorHandle,
-    b: &TensorHandle,
-    out_hemisphere: Hemisphere,
-    out_policy: BankPolicy,
-    not_before: u64,
-    replicas: u8,
-) -> (Vec<TensorHandle>, u64) {
-    binary_ew_fused(
+    let (mut v, t) = binary_ew_fused(
         s,
         op,
         a,
@@ -323,14 +294,16 @@ pub fn binary_ew_replicated(
         out_hemisphere,
         out_policy,
         not_before,
-        replicas,
+        1,
         false,
-    )
+    );
+    (v.remove(0), t)
 }
 
-/// [`binary_ew_replicated`] with an optional **chained ReLU** on a second
-/// ALU — the residual `add + relu` of a ResNet block as one pipelined pass
-/// (paper §II-E chaining; no intermediate memory round trip).
+/// [`binary_ew`] into `replicas` identical outputs, with an optional
+/// **chained ReLU** on a second ALU — the residual `add + relu` of a ResNet
+/// block as one pipelined pass (paper §II-E chaining; no intermediate memory
+/// round trip).
 #[allow(clippy::too_many_arguments)]
 pub fn binary_ew_fused(
     s: &mut Scheduler,

@@ -39,7 +39,7 @@ use tsp_sim::IcuId;
 use crate::alloc::BankPolicy;
 use crate::kernels::elementwise::{pick_alu, tensor_hemisphere};
 use crate::resource::Resource;
-use crate::sched::{LaneMap, Scheduler, D_VXM};
+use crate::sched::{LaneMap, OutOfPorts, Scheduler, D_VXM};
 use crate::tensor::TensorHandle;
 
 /// Delay from `IW` dispatch until the array is usable.
@@ -521,25 +521,6 @@ pub fn schedule_requant_write(
     Ok((replicas, done))
 }
 
-/// No slice had both room and a write port free by `t_write`.
-#[derive(Debug, Clone, Copy)]
-pub struct OutOfPorts {
-    /// The write time that could not be satisfied.
-    pub t_write: u64,
-}
-
-impl std::fmt::Display for OutOfPorts {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "no slice with a write port free by cycle {}",
-            self.t_write
-        )
-    }
-}
-
-impl std::error::Error for OutOfPorts {}
-
 /// The epilogue's VXM chain — convert, optional shortcut add, optional ReLU,
 /// each stage consuming its predecessor's stream where it is born (no memory
 /// round trip, §II-E): returns the final int8 output stream group and the
@@ -714,36 +695,20 @@ pub fn matmul(
             max_block: 4096,
             avoid: Vec::new(),
         };
-        let mut result = None;
-        let mut abs_floor = 0u64;
-        for try_idx in 0u32..8 {
-            let quantile = [0.5, 0.9, 1.0][(try_idx as usize).min(2)];
-            let snap = s.snapshot();
-            let floor = opts
-                .not_before
-                .max(s.port_quantile(opts.out_hemisphere, quantile))
-                .max(abs_floor);
-            let int32 = schedule_plane_chain(s, plane, &passes, floor);
-            match schedule_requant_write(
-                s,
-                int32,
-                u64::from(n),
-                opts.requant_shift,
-                opts.relu,
-                None,
-                &spec,
-            ) {
-                Ok(r) => {
-                    result = Some(r);
-                    break;
-                }
-                Err(e) => {
-                    abs_floor = abs_floor.max(e.t_write + (256u64 << try_idx.min(4)));
-                    s.restore(&snap);
-                }
-            }
-        }
-        let (reps, end) = result.expect("even a fully-drained chip must have ports");
+        let (reps, end) = s
+            .retry_later(opts.out_hemisphere, opts.not_before, 0.5, |s, floor| {
+                let int32 = schedule_plane_chain(s, plane, &passes, floor);
+                schedule_requant_write(
+                    s,
+                    int32,
+                    u64::from(n),
+                    opts.requant_shift,
+                    opts.relu,
+                    None,
+                    &spec,
+                )
+            })
+            .expect("even a fully-drained chip must have ports");
         done = done.max(end);
         outputs.push(reps);
     }

@@ -13,7 +13,7 @@ pub use conv::{
     packed_taps, taps_per_pass, ChunkPass, Conv2dParams, ConvWeights, FeatureMap, MapLayout,
     RowSplit,
 };
-pub use elementwise::{binary_ew, binary_ew_replicated, copy, copy_replicated, unary_ew};
+pub use elementwise::{binary_ew, copy, unary_ew};
 pub use matmul::{lw_rows, matmul, ActFeed, MatmulOpts, WeightSet};
 pub use matmul::{schedule_plane_chain, schedule_requant_write, Int32Stream, Pass};
 pub use pool::{global_avg_pool, max_pool, packed_pixels, pixels_per_row, MaxPoolParams};

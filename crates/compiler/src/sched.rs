@@ -115,6 +115,25 @@ impl LaneRun<'_> {
     }
 }
 
+/// No slice had both room and a write port free by `t_write`.
+#[derive(Debug, Clone, Copy)]
+pub struct OutOfPorts {
+    /// The write time that could not be satisfied.
+    pub t_write: u64,
+}
+
+impl std::fmt::Display for OutOfPorts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "no slice with a write port free by cycle {}",
+            self.t_write
+        )
+    }
+}
+
+impl std::error::Error for OutOfPorts {}
+
 /// State captured by [`Scheduler::snapshot`].
 #[derive(Debug, Clone)]
 pub struct SchedulerSnapshot {
@@ -899,6 +918,40 @@ impl Scheduler {
             constants_len: self.constants.len(),
             completion: self.completion,
         }
+    }
+
+    /// Runs `attempt` — a kernel whose stream-dictated writes may find no
+    /// free port in `hemisphere` — with nothing of it before a floor, rolling
+    /// it back and retrying later when it fails: the floor is `not_before`
+    /// or the cycle by which a quantile of the hemisphere's ports are free
+    /// (`first_quantile` on the first try, then 0.9, then all of them), and
+    /// after a failure at least 256 cycles past the failing write time,
+    /// doubling per try (a tight stream pool needs the whole kernel pushed
+    /// past the congestion, not just past the ports). `None` after eight
+    /// tries.
+    pub fn retry_later<T>(
+        &mut self,
+        hemisphere: Hemisphere,
+        not_before: u64,
+        first_quantile: f64,
+        mut attempt: impl FnMut(&mut Scheduler, u64) -> Result<T, OutOfPorts>,
+    ) -> Option<T> {
+        let mut abs_floor = 0u64;
+        for try_idx in 0usize..8 {
+            let quantile = [first_quantile, 0.9, 1.0][try_idx.min(2)];
+            let snap = self.snapshot();
+            let floor = not_before
+                .max(self.port_quantile(hemisphere, quantile))
+                .max(abs_floor);
+            match attempt(self, floor) {
+                Ok(result) => return Some(result),
+                Err(e) => {
+                    abs_floor = abs_floor.max(e.t_write + (256u64 << try_idx.min(4)));
+                    self.restore(&snap);
+                }
+            }
+        }
+        None
     }
 
     /// How often [`Scheduler::restore`] has run: each is a kernel whose

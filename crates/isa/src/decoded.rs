@@ -13,13 +13,14 @@
 //! * `d_func` and routing/shape validation **pre-resolved** — statically
 //!   detectable errors become [`DecodedOp::Invalid`] ops that raise the
 //!   exact interpreted error when (and only when) they are dispatched;
-//! * a small, shallow enum the simulator dispatches on with a single match —
+//! * a small, shallow enum the simulator dispatches on — every
+//!   functional-unit op is one [`DecodedOp::Span`] over a [`SpanOp`] — with
 //!   no per-dispatch instruction cloning or string formatting.
 //!
-//! Decoding is semantics-preserving by construction: the simulator's decoded
-//! executor is pinned bit-identical to the interpreted oracle (cycles,
-//! results, telemetry, trace bytes, errors) by the `decoded_oracle` test
-//! suite in `tsp-sim`.
+//! What is lowered here is exactly what the simulator's interpreted cursor
+//! re-derives from the text on every dispatch; the `decoded_oracle` suite in
+//! `tsp-sim` pins the two bit-identical (cycles, results, telemetry, trace
+//! bytes, errors).
 
 use crate::dtype::DataType;
 use crate::icu::IcuOp;
@@ -71,6 +72,34 @@ pub struct InvalidOp {
     pub detail: String,
 }
 
+/// The operation a [`DecodedOp::Span`] issues on every iteration.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SpanOp {
+    /// A MEM op. Iteration `sub` of a `Read`/`Write` accesses word
+    /// `addr + off + sub`: `off` is 0 for the instruction itself and 1 for
+    /// a span folded from a `Repeat`, whose first iteration already advances
+    /// one word past the base instruction's access.
+    Mem {
+        /// The base operation.
+        op: MemOp,
+        /// Address offset of iteration 0.
+        off: u16,
+    },
+    /// A VXM op (`Repeat` re-issues it unchanged).
+    Vxm(VxmOp),
+    /// An SXM op (shape-validated at decode time).
+    Sxm(SxmOp),
+    /// A C2C op.
+    C2c(C2cOp),
+    /// `IW`: install the staged weight buffer.
+    MxmInstall {
+        /// Plane whose buffer is installed.
+        plane: Plane,
+        /// Element type of the installed weights.
+        dtype: DataType,
+    },
+}
+
 /// One decoded dispatch-queue entry. Exactly one per source [`Instruction`]
 /// (spans fold a `Repeat` or burst's iterations into their one op), so
 /// decoded and interpreted queue depths coincide.
@@ -98,52 +127,15 @@ pub enum DecodedOp {
     },
     /// A `Repeat 0,d`: counts as one dispatched instruction, does nothing.
     RepeatEmpty,
-    /// A MEM op span: `n` iterations, `stride` cycles apart. Iteration `sub`
-    /// of a `Read`/`Write` accesses word `addr + off + sub` (`off = 1` for
-    /// spans folded from a `Repeat`, whose first iteration already advances
-    /// one word past the base instruction's access).
-    Mem {
-        /// The base operation.
-        op: MemOp,
+    /// A functional-unit op span: `unit` issues `n` times, `stride` cycles
+    /// apart. A single instruction is the span of one iteration; a `Repeat`
+    /// folds into the span of its predecessor.
+    Span {
+        /// What each iteration issues.
+        unit: SpanOp,
         /// Iterations in the span.
         n: u16,
         /// Cycles between iterations (`d.max(1)` pre-applied).
-        stride: u16,
-        /// Pre-resolved functional delay.
-        d_func: u32,
-        /// Address offset of iteration 0 (0 = base instruction, 1 = folded
-        /// repeat of a `Read`/`Write`).
-        off: u16,
-    },
-    /// A VXM op span (`Repeat` re-issues the op unchanged).
-    Vxm {
-        /// The operation.
-        op: VxmOp,
-        /// Iterations in the span.
-        n: u16,
-        /// Cycles between iterations.
-        stride: u16,
-        /// Pre-resolved functional delay.
-        d_func: u32,
-    },
-    /// An SXM op span (shape-validated at decode time).
-    Sxm {
-        /// The operation.
-        op: SxmOp,
-        /// Iterations in the span.
-        n: u16,
-        /// Cycles between iterations.
-        stride: u16,
-        /// Pre-resolved functional delay.
-        d_func: u32,
-    },
-    /// A C2C op span.
-    C2c {
-        /// The operation.
-        op: C2cOp,
-        /// Iterations in the span.
-        n: u16,
-        /// Cycles between iterations.
         stride: u16,
         /// Pre-resolved functional delay.
         d_func: u32,
@@ -156,19 +148,6 @@ pub enum DecodedOp {
         /// Rows in the burst (`rows.max(1)` pre-applied: a zero-row burst
         /// still executes row 0).
         rows: u16,
-    },
-    /// An `IW` span: install the staged weight buffer `n` times.
-    MxmInstall {
-        /// Plane whose buffer is installed.
-        plane: Plane,
-        /// Element type of the installed weights.
-        dtype: DataType,
-        /// Pre-resolved functional delay.
-        d_func: u32,
-        /// Iterations in the span.
-        n: u16,
-        /// Cycles between iterations.
-        stride: u16,
     },
     /// A statically detected error; dispatching it raises the interpreted
     /// error at the dispatch cycle.
@@ -228,46 +207,27 @@ fn decode_issue(
     if !routes(class, instr) || class == QueueClass::Host {
         return wrong_slice(instr);
     }
-    let d_func = instr.time_model().d_func;
-    match instr {
-        Instruction::Mem(op) => DecodedOp::Mem {
-            op: *op,
-            n,
-            stride,
-            d_func,
-            off,
-        },
-        Instruction::Vxm(op) => DecodedOp::Vxm {
-            op: *op,
-            n,
-            stride,
-            d_func,
-        },
+    let unit = match instr {
+        Instruction::Mem(op) => SpanOp::Mem { op: *op, off },
+        Instruction::Vxm(op) => SpanOp::Vxm(*op),
         Instruction::Sxm(op) => match op.validate() {
-            Ok(()) => DecodedOp::Sxm {
-                op: op.clone(),
-                n,
-                stride,
-                d_func,
-            },
-            Err(reason) => invalid(reason),
+            Ok(()) => SpanOp::Sxm(op.clone()),
+            Err(reason) => return invalid(reason),
         },
-        Instruction::C2c(op) => DecodedOp::C2c {
-            op: *op,
-            n,
-            stride,
-            d_func,
-        },
-        Instruction::Mxm(MxmOp::InstallWeights { plane, dtype }) => DecodedOp::MxmInstall {
+        Instruction::C2c(op) => SpanOp::C2c(*op),
+        Instruction::Mxm(MxmOp::InstallWeights { plane, dtype }) => SpanOp::MxmInstall {
             plane: *plane,
             dtype: *dtype,
-            d_func,
-            n,
-            stride,
         },
         // LW/ABC/ACC are burst instructions, not issueable: reaching the
         // issue path (only possible via `Repeat`) is a routing error.
-        Instruction::Mxm(_) | Instruction::Icu(_) => wrong_slice(instr),
+        Instruction::Mxm(_) | Instruction::Icu(_) => return wrong_slice(instr),
+    };
+    DecodedOp::Span {
+        unit,
+        n,
+        stride,
+        d_func: instr.time_model().d_func,
     }
 }
 
@@ -386,15 +346,17 @@ mod tests {
         assert_eq!(q.ops.len(), 3);
         assert_eq!(
             q.ops[1],
-            DecodedOp::Mem {
-                op: MemOp::Read {
-                    addr: MemAddr::new(0),
-                    stream: StreamId::east(1),
+            DecodedOp::Span {
+                unit: SpanOp::Mem {
+                    op: MemOp::Read {
+                        addr: MemAddr::new(0),
+                        stream: StreamId::east(1),
+                    },
+                    off: 1,
                 },
                 n: 7,
                 stride: 2,
                 d_func: read(0).time_model().d_func,
-                off: 1,
             }
         );
         // NOP(0) still advances one cycle.

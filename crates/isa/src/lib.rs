@@ -45,7 +45,7 @@ pub mod vxm;
 
 pub use c2c::{C2cOp, LinkId};
 pub use decoded::{
-    decode_queue, decode_step, DecodedOp, DecodedQueue, InvalidKind, InvalidOp, QueueClass,
+    decode_queue, decode_step, DecodedOp, DecodedQueue, InvalidKind, InvalidOp, QueueClass, SpanOp,
 };
 pub use dtype::DataType;
 pub use icu::IcuOp;

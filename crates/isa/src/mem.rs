@@ -137,12 +137,6 @@ impl MemOp {
             _ => None,
         }
     }
-
-    /// Whether this operation writes SRAM (vs reading it).
-    #[must_use]
-    pub fn is_store(self) -> bool {
-        matches!(self, MemOp::Write { .. } | MemOp::Scatter { .. })
-    }
 }
 
 impl fmt::Display for MemOp {

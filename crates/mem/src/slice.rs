@@ -12,7 +12,7 @@
 use core::fmt;
 use std::sync::Arc;
 
-use tsp_arch::{Hemisphere, Slice, Vector, MEM_SLICES_PER_HEMISPHERE, SUPERLANES};
+use tsp_arch::{Hemisphere, Vector, MEM_SLICES_PER_HEMISPHERE, SUPERLANES};
 use tsp_isa::MemAddr;
 
 use crate::ecc::{self, ErrorLog, ErrorSite};
@@ -351,12 +351,6 @@ impl GlobalAddress {
             slice,
             word,
         }
-    }
-
-    /// The functional slice holding this address.
-    #[must_use]
-    pub fn slice_id(self) -> Slice {
-        Slice::mem(self.hemisphere, self.slice)
     }
 
     /// Flat slice index `0..88` (west slices first).

@@ -1,0 +1,134 @@
+//! MXM instruction bodies: one row of an `LW`/`ABC`/`ACC` burst.
+
+use tsp_arch::{vector, Cycle, StreamId};
+use tsp_isa::{AccumulateMode, DataType, MxmOp};
+use tsp_mem::bandwidth::Traffic;
+
+use super::{vectors, Chip, RunCtx};
+use crate::error::SimError;
+use crate::icu_id::IcuId;
+use crate::mxm_unit::MxmResult;
+use crate::trace::ActivityKind;
+
+impl Chip {
+    /// One row of a multi-row MXM burst, executing at cycle `t`.
+    pub(super) fn mxm_row(
+        &mut self,
+        icu: IcuId,
+        op: &MxmOp,
+        row: u16,
+        t: Cycle,
+        ctx: &mut RunCtx,
+    ) -> Result<(), SimError> {
+        let pos = icu.position().expect("MXM queues have positions");
+        match op {
+            MxmOp::LoadWeights { plane, streams, .. } => {
+                let rows = self.operands(icu, streams.streams(), pos, t, ctx)?;
+                if ctx.functional {
+                    self.planes[plane.index() as usize]
+                        .load_weight_rows(row as u8, &vectors(&rows));
+                }
+                ctx.note(t, icu, ActivityKind::MxmLoadWeights, self.active_lanes());
+                ctx.last_effect = ctx.last_effect.max(t + 1);
+            }
+            MxmOp::ActivationBuffer { plane, stream, .. } => {
+                let idx = plane.index() as usize;
+                let act = self.operand(icu, *stream, pos, t, ctx)?;
+                // fp16 activations arrive as a pair of byte-plane streams
+                // and run through a tandem pair of planes.
+                let hi = if self.planes[idx].dtype() == DataType::Fp16 {
+                    let hi_stream = StreamId::new(stream.id + 1, stream.direction);
+                    let hi = self.operand(icu, hi_stream, pos, t, ctx)?;
+                    if !idx.is_multiple_of(2) || idx + 1 >= self.planes.len() {
+                        return Err(SimError::InvalidInstruction {
+                            reason: "fp16 ABC must target an even plane (tandem pair)".into(),
+                            icu,
+                            cycle: t,
+                        });
+                    }
+                    Some(hi)
+                } else {
+                    None
+                };
+                if !ctx.functional {
+                    // Queue a zero result with a real pass's availability.
+                    self.planes[idx].feed_zero(t);
+                } else if let Some(hi) = hi {
+                    let (a, b) = self.planes.split_at_mut(idx + 1);
+                    a[idx].feed_activation_fp16(t, &b[0], &act.data, &hi.data);
+                } else {
+                    self.planes[idx].feed_activation_i8(t, &act.data);
+                }
+                ctx.note(t, icu, ActivityKind::MxmMacc, self.active_lanes());
+            }
+            MxmOp::Accumulate {
+                plane, dst, mode, ..
+            } => {
+                let add = matches!(mode, AccumulateMode::Accumulate);
+                if dst.width != 4 {
+                    return Err(SimError::InvalidInstruction {
+                        reason: format!("ACC destination must be a quad-stream group, got {dst}"),
+                        icu,
+                        cycle: t,
+                    });
+                }
+                ctx.note(t, icu, ActivityKind::MxmAcc, self.active_lanes());
+                if !ctx.functional {
+                    // Pop (and validate) the pending result, emit zero words.
+                    self.planes[plane.index() as usize]
+                        .accumulate(t, row as usize, add)
+                        .ok_or(SimError::AccumulatorEmpty {
+                            plane: plane.index(),
+                            cycle: t,
+                        })?;
+                    self.emit_zero(dst.streams(), pos, t + 1, ctx);
+                    return Ok(());
+                }
+                let fp32_planes = {
+                    let Chip {
+                        planes, streams, ..
+                    } = &mut *self;
+                    let result = planes[plane.index() as usize]
+                        .accumulate(t, row as usize, add)
+                        .ok_or(SimError::AccumulatorEmpty {
+                            plane: plane.index(),
+                            cycle: t,
+                        })?;
+                    match result {
+                        // The hot path: each of the four byte planes is
+                        // extracted straight into a pooled stream word —
+                        // no intermediate `split_i32` materialization.
+                        MxmResult::Int32(vals) => {
+                            for i in 0..4u32 {
+                                let s = StreamId::new(dst.base.id + i as u8, dst.base.direction);
+                                ctx.bandwidth.record(Traffic::Stream, 320);
+                                ctx.last_effect = ctx.last_effect.max(t + 1);
+                                streams.write_with(s, pos, t + 1, |data| {
+                                    let bytes = data.as_bytes_mut();
+                                    for (b, &v) in bytes.iter_mut().zip(vals.iter()) {
+                                        *b = (v >> (8 * i)) as u8;
+                                    }
+                                    bytes[vals.len()..].fill(0);
+                                });
+                                ctx.stream_level(streams.live_count());
+                            }
+                            None
+                        }
+                        MxmResult::Fp32(vals) => {
+                            let bits: Vec<i32> = vals.iter().map(|f| f.to_bits() as i32).collect();
+                            Some(vector::split_i32(&bits))
+                        }
+                    }
+                };
+                if let Some(planes_out) = fp32_planes {
+                    for (i, vec) in planes_out.into_iter().enumerate() {
+                        let s = StreamId::new(dst.base.id + i as u8, dst.base.direction);
+                        self.produce(s, pos, t + 1, vec, None, ctx);
+                    }
+                }
+            }
+            MxmOp::InstallWeights { .. } => unreachable!("IW is not a burst"),
+        }
+        Ok(())
+    }
+}

@@ -178,12 +178,6 @@ impl Trace {
         }
     }
 
-    /// Whether recording is on.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The event-storage cap this trace was created with.
     #[must_use]
     pub fn capacity(&self) -> usize {

@@ -565,3 +565,368 @@ fn ifetch_extends_queue() {
         640
     );
 }
+
+/// Hand-schedules operands for [`every_unit_program`]: each `feed` stores a
+/// vector in a MEM slice and times the `Read` that lands it on a stream at
+/// the consumer's position at the consumer's dispatch cycle.
+struct Feeder {
+    chip: Chip,
+    program: Program,
+    /// Next free word per (hemisphere, slice).
+    words: [[u16; 44]; 2],
+}
+
+impl Feeder {
+    /// The stream `id` flowing from `from` toward `to`.
+    fn toward(id: u8, from: u8, to: u8) -> StreamId {
+        if from < to {
+            StreamId::east(id)
+        } else {
+            StreamId::west(id)
+        }
+    }
+
+    fn feed(&mut self, h: Hemisphere, slice: u8, id: u8, consumer: u8, at: u64) -> StreamId {
+        let fill = Vector::from_fn(|i| (i as u8).wrapping_mul(3).wrapping_add(slice ^ id));
+        self.feed_vector(h, slice, id, consumer, at, fill)
+    }
+
+    fn feed_vector(
+        &mut self,
+        h: Hemisphere,
+        slice: u8,
+        id: u8,
+        consumer: u8,
+        at: u64,
+        vector: Vector,
+    ) -> StreamId {
+        let word = &mut self.words[h.index()][slice as usize];
+        let addr = *word;
+        *word += 1;
+        self.chip.memory.write(ga(h, slice, addr), vector);
+        let pos = Slice::mem(h, slice).position().0;
+        let stream = Feeder::toward(id, pos, consumer);
+        self.program.builder(mem_icu(h, slice)).push_at(
+            at - 5 - u64::from(pos.abs_diff(consumer)),
+            MemOp::Read {
+                addr: MemAddr::new(addr),
+                stream,
+            },
+        );
+        stream
+    }
+
+    /// Commits stream `id`, produced at position `producer` at cycle `at`,
+    /// to word 4000 of a MEM slice.
+    fn sink(&mut self, h: Hemisphere, slice: u8, id: u8, producer: u8, at: u64) {
+        let pos = Slice::mem(h, slice).position().0;
+        self.program.builder(mem_icu(h, slice)).push_at(
+            at + u64::from(pos.abs_diff(producer)),
+            MemOp::Write {
+                addr: MemAddr::new(4000),
+                stream: Feeder::toward(id, producer, pos),
+            },
+        );
+    }
+}
+
+/// One program through every functional-unit body: all seven `SxmOp`s
+/// (rotate 3 and 4), the three `VxmOp` kinds (a transcendental and a
+/// four-wide convert among them), `Read`/`Write`/`Gather`/`Scatter`, a
+/// folded `Repeat`, `LW`/`IW`/`ABC`/`ACC` in int8 and as an fp16 tandem
+/// pair, and `Send`/`Receive`/`Deskew` — each section in its own time window.
+fn every_unit_program() -> (Chip, Program) {
+    use tsp_arch::StreamRange;
+    use tsp_isa::{AccumulateMode, C2cOp, LinkId, MxmOp, PermuteMap, Plane};
+    const E: Hemisphere = Hemisphere::East;
+    const W: Hemisphere = Hemisphere::West;
+    let mut f = Feeder {
+        chip: Chip::new(ChipConfig::asic()),
+        program: Program::new(),
+        words: [[0; 44]; 2],
+    };
+
+    // SXM East (position 91): one op per sub-unit, operands from MEM_E.
+    let sxm = Slice::Sxm(E).position().0;
+    let sxm_at = |f: &mut Feeder, unit: u8, at: u64, op: SxmOp| {
+        f.program
+            .builder(IcuId::Sxm {
+                hemisphere: E,
+                unit,
+            })
+            .push_at(at, op);
+    };
+    let src = f.feed(E, 0, 0, sxm, 100);
+    let dst = StreamId::west(0);
+    sxm_at(&mut f, 0, 100, SxmOp::ShiftUp { n: 3, src, dst });
+    f.sink(E, 20, 0, sxm, 103);
+    let src = f.feed(E, 1, 1, sxm, 100);
+    let dst = StreamId::west(1);
+    sxm_at(&mut f, 1, 100, SxmOp::ShiftDown { n: 5, src, dst });
+    let north = f.feed(E, 2, 2, sxm, 100);
+    let south = f.feed(E, 3, 3, sxm, 100);
+    let select = SxmOp::Select {
+        north,
+        south,
+        boundary: 100,
+        dst: StreamId::west(2),
+    };
+    sxm_at(&mut f, 2, 100, select);
+    let src = f.feed(E, 4, 4, sxm, 100);
+    let permute = SxmOp::Permute {
+        map: PermuteMap::rotation(7),
+        src,
+        dst: StreamId::west(3),
+    };
+    sxm_at(&mut f, 3, 100, permute);
+    let src = f.feed(E, 5, 5, sxm, 100);
+    let distribute = SxmOp::Distribute {
+        map: std::array::from_fn(|i| (i % 3 != 0).then_some(15 - i as u8)),
+        src,
+        dst: StreamId::west(4),
+    };
+    sxm_at(&mut f, 4, 100, distribute);
+    for (unit, n, base, out) in [(5u8, 3u8, 6u8, 5u8), (6, 4, 9, 14)] {
+        for i in 0..n {
+            f.feed(E, base + i, base + i, sxm, 100);
+        }
+        let rotate = SxmOp::Rotate {
+            n,
+            src: StreamRange::new(StreamId::east(base), n),
+            dst: StreamRange::new(StreamId::west(out), n * n),
+        };
+        sxm_at(&mut f, unit, 100, rotate);
+    }
+    for i in 0..16 {
+        f.feed(E, i, i, sxm, 150);
+    }
+    let transpose = SxmOp::Transpose {
+        src: StreamRange::new(StreamId::east(0), 16),
+        dst: StreamRange::new(StreamId::west(0), 16),
+    };
+    sxm_at(&mut f, 7, 150, transpose);
+    f.sink(E, 21, 15, sxm, 155);
+
+    // VXM (position 46): unary, transcendental unary, binary, convert.
+    let vxm = Slice::Vxm.position().0;
+    let group = |f: &mut Feeder, base: u8, width: u8| {
+        for i in 0..width {
+            f.feed(E, base + i, base + i, vxm, 200);
+        }
+        StreamGroup::new(StreamId::west(base), width)
+    };
+    let ops = [
+        VxmOp::Unary {
+            op: tsp_isa::UnaryAluOp::Relu,
+            dtype: DataType::Int8,
+            src: group(&mut f, 0, 1),
+            dst: sg1(StreamId::east(8)),
+            alu: AluIndex::new(0),
+        },
+        VxmOp::Unary {
+            op: tsp_isa::UnaryAluOp::Tanh,
+            dtype: DataType::Fp16,
+            src: group(&mut f, 2, 2),
+            dst: StreamGroup::new(StreamId::east(10), 2),
+            alu: AluIndex::new(1),
+        },
+        VxmOp::Binary {
+            op: BinaryAluOp::AddSat,
+            dtype: DataType::Int8,
+            a: group(&mut f, 4, 1),
+            b: group(&mut f, 5, 1),
+            dst: sg1(StreamId::east(12)),
+            alu: AluIndex::new(2),
+        },
+        VxmOp::Convert {
+            from: DataType::Int32,
+            to: DataType::Int8,
+            src: group(&mut f, 8, 4),
+            dst: sg1(StreamId::east(13)),
+            shift: 2,
+            alu: AluIndex::new(3),
+        },
+    ];
+    for (alu, op) in ops.into_iter().enumerate() {
+        f.program.builder(vxm_icu(alu as u8)).push_at(200, op);
+    }
+    f.sink(E, 30, 12, vxm, 204);
+
+    // MEM: a gather and a scatter through stream-carried maps whose
+    // superlane `s` addresses word `100 + s % 8`.
+    let map = Vector::from_fn(|lane| (100 + (lane / 2 % 8) as u16).to_le_bytes()[lane % 2]);
+    for w in 0..8u16 {
+        let fill = Vector::splat(w as u8 + 1);
+        f.chip.memory.write(ga(W, 3, 100 + w), fill);
+    }
+    let gather_pos = Slice::mem(W, 3).position().0;
+    let gather = MemOp::Gather {
+        stream: StreamId::east(8),
+        map: f.feed_vector(W, 5, 7, gather_pos, 300, map.clone()),
+    };
+    f.program.builder(mem_icu(W, 3)).push_at(300, gather);
+    f.sink(W, 0, 8, gather_pos, 307);
+    let scatter_pos = Slice::mem(W, 10).position().0;
+    let scatter = MemOp::Scatter {
+        stream: f.feed(W, 20, 9, scatter_pos, 300),
+        map: f.feed_vector(W, 21, 10, scatter_pos, 300, map),
+    };
+    f.program.builder(mem_icu(W, 10)).push_at(300, scatter);
+
+    // MXM plane 2 (East, position 92), int8: two LW rows, IW, two ABC rows
+    // (the second read a folded `Repeat`), ACC overwrite then accumulate.
+    let mxm_e = Slice::Mxm(E).position().0;
+    let port = |plane: u8, port: u8| IcuId::Mxm {
+        plane: Plane::new(plane),
+        port,
+    };
+    for i in 0..16 {
+        f.feed(E, i, i, mxm_e, 400);
+        f.feed(E, i, i, mxm_e, 401);
+    }
+    let plane = Plane::new(2);
+    let lw = MxmOp::LoadWeights {
+        plane,
+        streams: StreamGroup::new(StreamId::east(0), 16),
+        rows: 2,
+    };
+    f.program.builder(port(2, 0)).push_at(400, lw);
+    let iw = MxmOp::InstallWeights {
+        plane,
+        dtype: DataType::Int8,
+    };
+    f.program.builder(port(2, 1)).push_at(405, iw);
+    let stream = f.feed(E, 16, 16, mxm_e, 410);
+    f.words[E.index()][16] += 1;
+    let repeated = f.words[E.index()][16] - 1;
+    f.chip.memory.write(ga(E, 16, repeated), Vector::splat(2));
+    f.program
+        .builder(mem_icu(E, 16))
+        .push(IcuOp::Repeat { n: 1, d: 1 });
+    let abc = MxmOp::ActivationBuffer {
+        plane,
+        stream,
+        rows: 2,
+    };
+    f.program.builder(port(2, 2)).push_at(410, abc);
+    for (at, mode) in [
+        (442, AccumulateMode::Overwrite),
+        (443, AccumulateMode::Accumulate),
+    ] {
+        let acc = MxmOp::Accumulate {
+            plane,
+            dst: StreamGroup::new(StreamId::west(0), 4),
+            rows: 1,
+            mode,
+        };
+        f.program.builder(port(2, 3)).push_at(at, acc);
+    }
+    f.sink(E, 40, 0, mxm_e, 444);
+
+    // MXM planes 0/1 (West, position 0), fp16 tandem: byte planes loaded and
+    // installed separately, one ABC reading a stream pair, one ACC (fp32).
+    let mxm_w = Slice::Mxm(W).position().0;
+    for p in 0..2u8 {
+        for i in 0..16 {
+            f.feed(W, 16 * p + i, 16 * p + i, mxm_w, 500);
+        }
+        let plane = Plane::new(p);
+        let lw = MxmOp::LoadWeights {
+            plane,
+            streams: StreamGroup::new(StreamId::west(16 * p), 16),
+            rows: 1,
+        };
+        f.program.builder(port(p, 0)).push_at(500, lw);
+        let iw = MxmOp::InstallWeights {
+            plane,
+            dtype: DataType::Fp16,
+        };
+        f.program.builder(port(p, 1)).push_at(505, iw);
+    }
+    let stream = f.feed(W, 0, 0, mxm_w, 510);
+    f.feed(W, 1, 1, mxm_w, 510);
+    let abc = MxmOp::ActivationBuffer {
+        plane: Plane::new(0),
+        stream,
+        rows: 1,
+    };
+    f.program.builder(port(0, 2)).push_at(510, abc);
+    let acc = MxmOp::Accumulate {
+        plane: Plane::new(0),
+        dst: StreamGroup::new(StreamId::east(0), 4),
+        rows: 1,
+        mode: AccumulateMode::Overwrite,
+    };
+    f.program.builder(port(0, 3)).push_at(542, acc);
+
+    // C2C port 1 (at MXM East): send a vector out, take one in, deskew.
+    let send = C2cOp::Send {
+        link: LinkId::new(3),
+        stream: f.feed(E, 0, 0, mxm_e, 600),
+    };
+    f.chip.inject_ingress(
+        LinkId::new(5),
+        590,
+        std::sync::Arc::new(tsp_sim::StreamWord::protect(Vector::splat(0x5A))),
+    );
+    let receive = C2cOp::Receive {
+        link: LinkId::new(5),
+        stream: StreamId::west(1),
+    };
+    let mut c2c = f.program.builder(IcuId::C2c { port: 1 });
+    c2c.push_at(600, send);
+    c2c.push(receive);
+    c2c.push(C2cOp::Deskew {
+        link: LinkId::new(5),
+    });
+    f.sink(E, 41, 1, mxm_e, 603);
+
+    (f.chip, f.program)
+}
+
+/// Timing never depends on data: a `functional: false` run of a program
+/// through every functional-unit body reports the same cycles, counts,
+/// telemetry, bandwidth and trace as the functional run, on both dispatch
+/// paths — and the functional run really computed (results land in memory).
+#[test]
+fn timing_only_matches_functional_op_by_op() {
+    let run = |functional: bool, decoded: bool| {
+        let (mut chip, program) = every_unit_program();
+        let options = RunOptions {
+            functional,
+            decoded,
+            trace: true,
+            ..RunOptions::default()
+        };
+        let report = chip.run(&program, &options).expect("valid schedule");
+        (chip, report)
+    };
+    for decoded in [true, false] {
+        let (chip, functional) = run(true, decoded);
+        let (_, timing) = run(false, decoded);
+        assert_eq!(timing.cycles, functional.cycles, "cycles");
+        assert_eq!(timing.instructions, functional.instructions);
+        assert_eq!(timing.nops, functional.nops);
+        assert_eq!(timing.telemetry, functional.telemetry, "telemetry");
+        assert_eq!(timing.bandwidth, functional.bandwidth, "bandwidth");
+        assert_eq!(timing.trace.events(), functional.trace.events(), "trace");
+        assert_eq!(
+            timing.trace.total_recorded(),
+            functional.trace.total_recorded()
+        );
+        let departures = |r: &tsp_sim::RunReport| -> Vec<(u8, u64)> {
+            r.egress.iter().map(|(link, at, _)| (*link, *at)).collect()
+        };
+        assert_eq!(departures(&timing), departures(&functional), "egress");
+        assert_eq!(functional.egress.len(), 1);
+
+        // Every section ran: the kinds the trace saw, and sinks holding data.
+        for slice in [20, 21, 30, 40, 41] {
+            let got = chip
+                .memory
+                .read_unchecked(ga(Hemisphere::East, slice, 4000));
+            assert!(!got.is_zero(), "sink MEM_E{slice} holds a result");
+        }
+        assert_eq!(functional.telemetry.mxm_macc_waves, [1, 0, 2, 0]);
+    }
+}

@@ -341,17 +341,19 @@ fn build_random_program(picks: &[(Pick, u8, u64)]) -> Program {
 }
 
 proptest! {
-    /// Random small programs — valid or not — produce bit-identical outcomes
-    /// on the decoded and interpreted paths.
+    /// Random small programs — valid or not, functional or timing-only —
+    /// produce bit-identical outcomes on the decoded and interpreted paths.
     #[test]
     fn random_programs_equivalent(
         picks in proptest::collection::vec((arb_pick(), 0u8..4, 0u64..48), 1..12),
         tag in any::<u8>(),
+        functional in any::<bool>(),
     ) {
         let p = build_random_program(&picks);
         let options = RunOptions {
             trace: true,
             cycle_limit: 10_000,
+            functional,
             ..RunOptions::default()
         };
         let _ = run_both(&p, &options, |chip| {

@@ -33,11 +33,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A message naming the byte offset of the first violation.
+    /// A message naming the byte offset of the first violation — malformed
+    /// text, or arrays/objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             b: text.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -163,9 +166,18 @@ impl fmt::Display for Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so hostile input must hit this bound, not the
+/// end of the stack; every emitter in the workspace stays under ten.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`.
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -186,8 +198,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.i
+                    ));
+                }
+                self.depth += 1;
+                let v = if self.b[self.i] == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -235,10 +261,7 @@ impl Parser<'_> {
             }
             digits(self)?;
         }
-        let token = core::str::from_utf8(&self.b[start..self.i])
-            .expect("ASCII number token")
-            .to_string();
-        Ok(Json::Num(token))
+        Ok(Json::Num(self.text[start..self.i].to_string()))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -282,12 +305,14 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences intact).
-                    let rest = core::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.i))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the run up to the next quote or backslash as one
+                    // slice: both are ASCII, so they never fall inside a
+                    // multi-byte sequence and the cut is on a char boundary.
+                    let start = self.i;
+                    while !matches!(self.b.get(self.i), None | Some(b'"' | b'\\')) {
+                        self.i += 1;
+                    }
+                    out.push_str(&self.text[start..self.i]);
                 }
             }
         }

@@ -18,7 +18,6 @@ use crate::json::{escape, Json};
 #[derive(Debug, Default)]
 pub struct TraceBuilder {
     events: Vec<String>,
-    spans: usize,
 }
 
 impl TraceBuilder {
@@ -86,13 +85,6 @@ impl TraceBuilder {
             dur.max(1),
             escape(name)
         ));
-        self.spans += 1;
-    }
-
-    /// Number of span events emitted so far.
-    #[must_use]
-    pub fn span_count(&self) -> usize {
-        self.spans
     }
 
     /// Serializes the document. One event per line, so traces diff cleanly.

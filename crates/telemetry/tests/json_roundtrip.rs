@@ -124,3 +124,81 @@ fn empty_histogram_round_trips() {
     assert!(back.is_empty());
     assert_eq!(back, h);
 }
+
+/// Parsing is linear in the document: a multi-megabyte document of short
+/// strings (the shape of a Perfetto trace) parses in one pass. When every
+/// character re-validated the rest of the input this took minutes.
+#[test]
+fn large_document_of_short_strings_parses() {
+    let mut text = String::from("[");
+    let mut n = 0usize;
+    while text.len() < 2 << 20 {
+        if n > 0 {
+            text.push(',');
+        }
+        text.push_str(&format!(
+            "{{\"name\":\"layer{n}\",\"ph\":\"X\",\"ts\":{n}}}"
+        ));
+        n += 1;
+    }
+    text.push(']');
+    let doc = Json::parse(&text).expect("well-formed");
+    let events = doc.as_array().unwrap();
+    assert_eq!(events.len(), n);
+    let last = format!("layer{}", n - 1);
+    assert_eq!(events[n - 1].get("name").unwrap().as_str(), Some(&last[..]));
+}
+
+/// Nesting is bounded by a structured error, not by the stack: documents at
+/// the bound parse, one level deeper is refused, and 200,000 open brackets
+/// come back as `Err` instead of killing the process.
+#[test]
+fn over_deep_nesting_is_an_error() {
+    use tsp_telemetry::json::MAX_DEPTH;
+    let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let objects = |depth: usize| format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+    assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+    assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+    for text in [
+        arrays(MAX_DEPTH + 1),
+        objects(MAX_DEPTH + 1),
+        "[".repeat(200_000),
+        "{\"k\":".repeat(200_000),
+    ] {
+        let error = Json::parse(&text).unwrap_err();
+        assert!(error.contains("nesting deeper"), "{error}");
+    }
+    // Siblings do not count as depth.
+    let wide = format!("[{}]", vec!["[[]]"; 1000].join(","));
+    assert!(Json::parse(&wide).is_ok());
+}
+
+/// Multi-byte UTF-8 and every escape survive parse → serialize → parse.
+#[test]
+fn unicode_and_every_escape_round_trip() {
+    let text = r#"["\"\\\/\b\f\n\r\t\u0041\u00e9\u20ac","héllo — ≥ 日本語 🦀","a\\b\"c","","é\"","\u0001"]"#;
+    let doc = Json::parse(text).expect("well-formed");
+    let items: Vec<&str> = doc
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|v| v.as_str().unwrap())
+        .collect();
+    assert_eq!(
+        items,
+        [
+            "\"\\/\u{8}\u{c}\n\r\tAé€",
+            "héllo — ≥ 日本語 🦀",
+            "a\\b\"c",
+            "",
+            "é\"",
+            "\u{1}"
+        ]
+    );
+    let again = Json::parse(&doc.to_string()).expect("serializer emits parseable JSON");
+    assert_eq!(again, doc);
+    // A `\u` escape cut short, or cut inside a multi-byte character, is an
+    // error, not a panic.
+    assert!(Json::parse("\"\\u00").is_err());
+    assert!(Json::parse("\"\\u0é0\"").is_err());
+}
