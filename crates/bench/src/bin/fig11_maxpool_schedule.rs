@@ -45,7 +45,7 @@ fn main() {
         &mut sched,
         (1, C, C),
         (1, 1, groups),
-        (1, &[]),
+        (1, 1, &[]),
         |co, ci, _, _| i8::from(co == ci),
     );
     let producer = Conv2dParams {

@@ -3,6 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p tsp-bench --bin tsp-prof -- [workload] [--out trace.json] [--top N]
+//! cargo run --release -p tsp-bench --bin tsp-prof -- resnet50 --stalls
 //! ```
 //!
 //! `workload` is `vector-add` (default), `roofline` or `resnet50` — the
@@ -14,6 +15,10 @@
 //! * a text profile on stdout: the top-`N` busiest units, a utilization
 //!   table against the paper's roofline capacities, and an idle-gap
 //!   analysis of the busiest tracks.
+//!
+//! `resnet50 --stalls` simulates nothing: it prints the MXM feed census of
+//! the compiled program ([`tsp_bench::stalls`] — per layer and plane: feed
+//! rows, in-chain stall, hand-over, when the border was cleared) and exits.
 //!
 //! The emitted trace is structurally validated ([`perfetto::validate`])
 //! before the tool exits 0 — CI uses this as its trace smoke gate.
@@ -30,6 +35,7 @@ const OPS_PER_WAVE: f64 = 2.0 * 320.0 * 320.0;
 
 fn usage() -> ! {
     eprintln!("usage: tsp-prof [vector-add|roofline|resnet50] [--out trace.json] [--top N]");
+    eprintln!("       tsp-prof resnet50 --stalls");
     std::process::exit(2);
 }
 
@@ -37,6 +43,7 @@ fn main() {
     let mut workload = String::from("vector-add");
     let mut out_path = String::from("trace.json");
     let mut top = 8usize;
+    let mut stalls = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -47,9 +54,17 @@ fn main() {
                     .and_then(|n| n.parse().ok())
                     .unwrap_or_else(|| usage());
             }
+            "--stalls" => stalls = true,
             "vector-add" | "roofline" | "resnet50" => workload = a,
             _ => usage(),
         }
+    }
+    if stalls {
+        if workload != "resnet50" {
+            usage();
+        }
+        print!("{}", tsp_bench::stalls::render(&resnet50_model().0));
+        return;
     }
 
     let options = RunOptions {

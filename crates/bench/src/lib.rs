@@ -15,6 +15,7 @@
 pub mod campaign;
 pub mod report;
 pub mod serve_report;
+pub mod stalls;
 pub mod workloads;
 
 // The harness's one concurrency primitive now lives in `tsp-host` (shared

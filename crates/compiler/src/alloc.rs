@@ -58,6 +58,13 @@ impl FreeList {
         self.intervals.iter().map(|&(_, l)| l).max().unwrap_or(0)
     }
 
+    /// How many runs of `len` words [`FreeList::take`] can still hand out.
+    fn holds(&self, len: u16) -> usize {
+        (self.intervals.iter())
+            .map(|&(_, l)| usize::from(l / len))
+            .sum()
+    }
+
     fn take(&mut self, len: u16) -> Option<u16> {
         let idx = self.intervals.iter().position(|&(_, l)| l >= len)?;
         let (start, avail) = self.intervals[idx];
@@ -301,6 +308,66 @@ impl MemAllocator {
                 rows_per_block,
             },
         })
+    }
+
+    /// Allocates one Low-bank tensor of `rows` rows per entry of `cols`, all
+    /// of them block for block on the same inner slices
+    /// ([`LOW_INNER_SLICES`]) of `hemisphere`, off `avoid` — the first from
+    /// the cursor with room for a block of every tensor — or, when too few
+    /// slices have, nothing. A set streamed toward one MXM is worth keeping
+    /// in that MXM's hemisphere only together; stacked, its reads book one
+    /// block's worth of queues, in the order they are wanted, and leave the
+    /// hemisphere's other ports to whoever writes there meanwhile; and the
+    /// outer slices are not taken even for that: they are where a model whose
+    /// constants fill the bank (ResNet-152: 97 %) still finds write ports.
+    pub(crate) fn alloc_low_stacked(
+        &mut self,
+        hemisphere: Hemisphere,
+        rows: u32,
+        cols: &[u16],
+        max_block: u32,
+        avoid: &[(Hemisphere, u8)],
+    ) -> Option<Vec<TensorHandle>> {
+        let rows_per_block = rows.min(max_block).max(1);
+        let nblocks = rows.div_ceil(rows_per_block) as usize;
+        let words = rows_per_block as u16;
+        // The first slices from the cursor whose free runs hold a block of
+        // every tensor, as `(probe, slice)`.
+        let chosen: Vec<(usize, u8)> = (0..MEM_SLICES_PER_HEMISPHERE as usize)
+            .map(|probe| {
+                (
+                    probe,
+                    MemAllocator::nth_slice_in(hemisphere, self.cursor + probe).1,
+                )
+            })
+            .filter(|&(_, s)| s < LOW_INNER_SLICES && !avoid.contains(&(hemisphere, s)))
+            .filter(|&(_, s)| {
+                self.slices[hemisphere.index()][s as usize].low.holds(words) >= cols.len()
+            })
+            .take(nblocks)
+            .collect();
+        if chosen.len() < nblocks {
+            return None;
+        }
+        self.cursor += chosen[nblocks - 1].0 + 1;
+        let mut tensors: Vec<TensorHandle> = (cols.iter())
+            .map(|&cols| TensorHandle {
+                rows,
+                cols,
+                layout: Layout {
+                    blocks: Vec::with_capacity(nblocks),
+                    rows_per_block,
+                },
+            })
+            .collect();
+        for (_, s) in chosen {
+            let list = self.list(hemisphere, s, BankPolicy::Low);
+            for tensor in &mut tensors {
+                let base = list.take(words).expect("the slice holds the stack");
+                tensor.layout.blocks.push((hemisphere, s, base));
+            }
+        }
+        Some(tensors)
     }
 
     /// Allocates a tensor that must fit entirely in one slice (gather

@@ -67,8 +67,8 @@ use tsp_isa::Plane;
 
 use crate::alloc::BankPolicy;
 use crate::kernels::matmul::{
-    lw_rows, schedule_requant_write, stream_weights, ActFeed, DstSegments, OutSpec,
-    PlaneChainBuilder, Shortcut,
+    emplace_weight_blocks, lw_rows, plane_of_chain, schedule_requant_write, stream_weights,
+    ActFeed, DstSegments, OutSpec, PlaneChainBuilder, Shortcut,
 };
 use crate::sched::{LaneMap, OutOfPorts, Scheduler};
 use crate::tensor::TensorHandle;
@@ -482,6 +482,14 @@ impl RowSplit {
         }
     }
 
+    /// The split of a conv's `oh×ow×c_out` output: every M-split owns
+    /// `4 / mparts` planes, at least one.
+    #[must_use]
+    pub fn of_conv((oh, ow, c_out): (u32, u32, u32), out: &MapLayout) -> RowSplit {
+        let mparts = c_out.div_ceil(320) as usize;
+        RowSplit::new(oh, ow, (4 / mparts).max(1), out)
+    }
+
     /// Re-orders every chunk's stream: pixels of a lower `rank` first, equals
     /// in the order they had. The segments follow — stream row `i` still
     /// lands where pixel `pixels[i]` belongs.
@@ -505,6 +513,16 @@ fn push_row(runs: &mut DstSegments, row: u32) {
         Some((first, count)) if *first + *count == row => *count += 1,
         _ => runs.push((row, 1)),
     }
+}
+
+/// The plane the chain of M-split `mpart` over row chunk `ci` (of `chunks`)
+/// runs on: a conv's chains are dealt to the planes M-split by M-split, chunk
+/// by chunk. Two or more M-splits leave each at most two chunks, so all the
+/// chains of one run in one hemisphere — where [`emplace_conv`] puts its
+/// weights.
+#[must_use]
+pub fn chain_plane(chunks: usize, mpart: usize, ci: usize) -> Plane {
+    plane_of_chain(mpart * chunks + ci)
 }
 
 /// One accumulate-pass of one chunk, as [`conv_passes`] asks for it.
@@ -615,6 +633,7 @@ fn schedule_chains<'a>(
             rows_total: split.rows_per_block,
             cols: (c_out - mpart as u32 * 320).min(320) as u16,
             segments: Vec::new(),
+            border: Vec::new(),
             hemisphere: params.out_hemisphere,
             policy: BankPolicy::High,
             replicas: params.out_replicas,
@@ -625,18 +644,18 @@ fn schedule_chains<'a>(
     let mut blocks = vec![vec![Vec::new(); split.chunks.len()]; mparts];
     let mut done = floor;
     // Every (M-split, chunk) is a chain; a wave fills the planes.
+    let chunks = split.chunks.len();
     let chains: Vec<(usize, usize)> = (0..mparts)
-        .flat_map(|mpart| (0..split.chunks.len()).map(move |ci| (mpart, ci)))
+        .flat_map(|mpart| (0..chunks).map(move |ci| (mpart, ci)))
         .collect();
     for wave in chains.chunks(usize::from(Plane::COUNT)) {
         // Schedule the wave's chains INTERLEAVED, pass by pass, so they run
         // plane-parallel: MEM ports and streams are reserved in time order.
         let mut builders: Vec<PlaneChainBuilder> = wave
             .iter()
-            .enumerate()
-            .map(|(i, &(_, ci))| {
+            .map(|&(mpart, ci)| {
                 let n = split.chunks[ci].pixels.len() as u64;
-                PlaneChainBuilder::new(s, Plane::new(i as u8), n, floor)
+                PlaneChainBuilder::new(s, chain_plane(chunks, mpart, ci), n, floor)
             })
             .collect();
         for p in 0..passes {
@@ -669,6 +688,9 @@ fn schedule_chains<'a>(
         for (builder, &(mpart, ci)) in builders.into_iter().zip(wave) {
             let (chunk, spec) = (&split.chunks[ci], &mut specs[mpart]);
             spec.segments.clone_from(&chunk.segments);
+            // The padding border is never written by the chain: on recycled
+            // SRAM it still holds a previous tenant's data.
+            spec.border.clone_from(&chunk.border);
             let n = chunk.pixels.len() as u64;
             // The chunk's rows of the shortcut, if any: the rows it writes.
             let base = ci as u32 * split.rows_per_block;
@@ -698,14 +720,6 @@ fn schedule_chains<'a>(
             done = done.max(end);
         }
     }
-    // The padding border is never written by the chains: on recycled SRAM it
-    // still holds a previous tenant's data and must be cleared.
-    let borders: Vec<(&TensorHandle, &[(u32, u32)])> = blocks
-        .iter()
-        .flat_map(|part| part.iter().zip(&split.chunks))
-        .flat_map(|(reps, chunk)| reps.iter().map(|t| (t, chunk.border.as_slice())))
-        .collect();
-    done = done.max(s.zero_stale(&borders));
     Ok((blocks, done))
 }
 
@@ -769,8 +783,7 @@ pub fn conv2d_add(
     let ow = (input.w + 2 * params.pad - k) / params.stride + 1;
     let kparts = input.kparts();
     let mparts = weights.c_out.div_ceil(320) as usize;
-    let planes = (4 / mparts).max(1);
-    let mut split = RowSplit::new(oh, ow, planes, &out);
+    let mut split = RowSplit::of_conv((oh, ow, weights.c_out), &out);
 
     // `tap_rows[g][j][px]`: the stored row the `j`-th tap of group `g` reads
     // for output pixel `px` — shared across kparts, mparts and chunks.
@@ -988,10 +1001,17 @@ pub fn alloc_feature_map(
 /// ([`ConvWeights::tap_groups`]) at input lanes `j·group_lanes(c_in) + ci` —
 /// or, for a lane-skewed input, its one tap again at each of the `in_skew`
 /// lane groups — and `out_copies` copies of the output channels at array rows
-/// `u·group_lanes(c_out) + co` (zero elsewhere). The handles keep off the
-/// slices in `avoid` where they can — the conv's input: a pass streams its
-/// activations from one slice for its whole length, and weights behind that
-/// queue would reach the next pass a pass late.
+/// `u·group_lanes(c_out) + co` (zero elsewhere).
+///
+/// Where the handles go is `(replicas, chunks, avoid)`: `replicas` copies of
+/// every block; off the slices in `avoid` where they can — the conv's input:
+/// a pass streams its activations from one slice for its whole length, and
+/// weights behind that queue would reach the next pass a pass late; and, of a
+/// conv with two or more M-splits, every M-split's blocks together in the
+/// hemisphere of the planes its chains run on ([`chain_plane`], the output
+/// cut into `chunks` row chunks — [`RowSplit::of_conv`]) while the set fits
+/// there ([`emplace_weight_blocks`]). A wrong `chunks` costs cycles, never
+/// correctness.
 ///
 /// # Panics
 ///
@@ -1001,7 +1021,7 @@ pub fn emplace_conv(
     s: &mut Scheduler,
     (k, c_in, c_out): (u32, u32, u32),
     (taps, in_skew, out_copies): (u32, u32, u32),
-    (replicas, avoid): (u8, &[(Hemisphere, u8)]),
+    (replicas, chunks, avoid): (u8, usize, &[(Hemisphere, u8)]),
     w: impl Fn(u32, u32, u32, u32) -> i8,
 ) -> ConvWeights {
     assert!(taps == 1 || in_skew == 1, "a skewed input packs no taps");
@@ -1023,42 +1043,48 @@ pub fn emplace_conv(
     } else {
         320
     };
-    let passes = tap_groups(k, taps)
-        .into_iter()
-        .map(|group| {
-            (0..c_in.div_ceil(320))
-                .map(|kp| {
-                    let kc = (c_in - kp * 320).min(320);
-                    // Lane group `j` holds the group's `j`-th tap, or —
-                    // skewed — the pass's one tap again.
-                    let lane_groups = (group.len() as u32).max(in_skew);
-                    let kcols = (lane_groups - 1) * in_group + kc;
-                    (0..c_out.div_ceil(320))
-                        .map(|mp| {
-                            let mrows = (out_copies - 1) * out_group + (c_out - mp * 320).min(320);
-                            let fill = |m: u32, row: &mut Vector| {
-                                let co = mp * 320 + m % out_group;
-                                if co >= c_out {
-                                    return; // the lanes between two copies
-                                }
-                                for j in 0..lane_groups {
-                                    let (dy, dx) = group[if in_skew > 1 { 0 } else { j as usize }];
-                                    for ci in 0..kc {
-                                        let lane = (j * in_group + ci) as usize;
-                                        row.set_lane(lane, w(co, kp * 320 + ci, dy, dx) as u8);
-                                    }
-                                }
-                            };
-                            let rows = lw_rows(fill, mrows);
-                            (0..replicas.max(1))
-                                .map(|_| {
-                                    let (rows, cols) = (rows.clone(), kcols as u16);
-                                    s.add_constant_in(None, avoid, rows, cols, BankPolicy::Low, 20)
-                                })
-                                .collect()
-                        })
-                        .collect()
-                })
+    let groups = tap_groups(k, taps);
+    let (kparts, mparts) = (c_in.div_ceil(320), c_out.div_ceil(320));
+    let replicas = usize::from(replicas.max(1));
+    // In `passes[group][kpart][mpart][replica]` order.
+    let mut blocks = Vec::new();
+    for group in &groups {
+        for kp in 0..kparts {
+            let kc = (c_in - kp * 320).min(320);
+            // Lane group `j` holds the group's `j`-th tap, or — skewed — the
+            // pass's one tap again.
+            let lane_groups = (group.len() as u32).max(in_skew);
+            let kcols = (lane_groups - 1) * in_group + kc;
+            for mp in 0..mparts {
+                let mrows = (out_copies - 1) * out_group + (c_out - mp * 320).min(320);
+                let fill = |m: u32, row: &mut Vector| {
+                    let co = mp * 320 + m % out_group;
+                    if co >= c_out {
+                        return; // the lanes between two copies
+                    }
+                    for j in 0..lane_groups {
+                        let (dy, dx) = group[if in_skew > 1 { 0 } else { j as usize }];
+                        for ci in 0..kc {
+                            let lane = (j * in_group + ci) as usize;
+                            row.set_lane(lane, w(co, kp * 320 + ci, dy, dx) as u8);
+                        }
+                    }
+                };
+                let block = (mp as usize, lw_rows(fill, mrows), kcols as u16);
+                blocks.extend(std::iter::repeat_n(block, replicas));
+            }
+        }
+    }
+    let chains = (
+        |mpart: usize| chain_plane(chunks, mpart, 0),
+        mparts as usize * chunks,
+    );
+    let mut handles = emplace_weight_blocks(s, blocks, chains, avoid).into_iter();
+    let mut copies = || -> Vec<TensorHandle> { handles.by_ref().take(replicas).collect() };
+    let passes = (groups.iter())
+        .map(|_| {
+            (0..kparts)
+                .map(|_| (0..mparts).map(|_| copies()).collect())
                 .collect()
         })
         .collect();
@@ -1085,7 +1111,7 @@ pub fn emplace_conv_weights(
     replicas: u8,
 ) -> ConvWeights {
     let shape = (w[0][0].len() as u32, w[0].len() as u32, w.len() as u32);
-    emplace_conv(s, shape, (1, 1, 1), (replicas, &[]), |co, ci, dy, dx| {
+    emplace_conv(s, shape, (1, 1, 1), (replicas, 1, &[]), |co, ci, dy, dx| {
         w[co as usize][ci as usize][dy as usize][dx as usize]
     })
 }
@@ -1286,11 +1312,71 @@ mod tests {
         }
     }
 
+    /// What [`run_conv_case_on`] compiled.
+    struct Ran {
+        /// How often the scheduler rolled a kernel back.
+        rollbacks: u64,
+        program: tsp_sim::Program,
+        /// The output of the conv under test.
+        out: FeatureMap,
+        /// Its weights, and every slice of its input.
+        weights: ConvWeights,
+        input_slices: Vec<(Hemisphere, u8)>,
+    }
+
+    impl Ran {
+        /// [`border_and_data_writes`] of the output.
+        fn border_and_data_writes(&self) -> Vec<(u64, u64)> {
+            let tensors: Vec<&TensorHandle> = self.out.parts.iter().flatten().collect();
+            border_and_data_writes(&self.program, &tensors, &self.out.border_segments())
+        }
+    }
+
+    /// Per block of `tensors`, on its slice's queue: the last dispatch of a
+    /// `Write` into the block's `border` rows (0: none) and the first of one
+    /// into its other rows.
+    fn border_and_data_writes(
+        program: &tsp_sim::Program,
+        tensors: &[&TensorHandle],
+        border: &[(u32, u32)],
+    ) -> Vec<(u64, u64)> {
+        use tsp_isa::{IcuOp, Instruction, MemOp};
+        let border: Vec<u32> = (border.iter())
+            .flat_map(|&(first, count)| first..first + count)
+            .collect();
+        let mut found = Vec::new();
+        for tensor in tensors {
+            let per_block = tensor.layout.rows_per_block;
+            for (b, &(hemisphere, index, base)) in tensor.layout.blocks.iter().enumerate() {
+                let is_border =
+                    |word: u16| border.contains(&(b as u32 * per_block + u32::from(word - base)));
+                let block = base..base + per_block as u16;
+                let (mut last_border, mut first_data) = (0, u64::MAX);
+                let mut burst: Option<u16> = None;
+                let icu = tsp_sim::IcuId::Mem { hemisphere, index };
+                for (at, instruction) in program.dispatches(icu) {
+                    burst = match (instruction, burst) {
+                        (Instruction::Mem(MemOp::Write { addr, .. }), _) => Some(addr.word()),
+                        (Instruction::Icu(IcuOp::Repeat { .. }), word) => word,
+                        _ => None,
+                    };
+                    // A burst is all border or all data: its first word says.
+                    match burst.filter(|word| block.contains(word)) {
+                        Some(word) if is_border(word) => last_border = last_border.max(at),
+                        Some(_) => first_data = first_data.min(at),
+                        None => {}
+                    }
+                }
+                found.push((last_border, first_data));
+            }
+        }
+        found
+    }
+
     /// Compiles and runs `case` on a scheduler prepared by `prepare` (which
     /// may pre-dirty SRAM), then checks every channel of every output replica
     /// — interior against the reference, border against zero.
-    /// Returns how often the scheduler rolled a kernel back.
-    fn run_conv_case_on(case: Case, prepare: impl FnOnce(&mut Scheduler, &mut Chip)) -> u64 {
+    fn run_conv_case_on(case: Case, prepare: impl FnOnce(&mut Scheduler, &mut Chip)) -> Ran {
         let Case {
             h, w, cin, cout, k, ..
         } = case;
@@ -1332,9 +1418,17 @@ mod tests {
             .map(|_| (0..ow).map(|_| (0..16).map(|_| next()).collect()).collect())
             .collect();
         type Weights = [Vec<Vec<Vec<i8>>>];
-        let emplace = |s: &mut Scheduler, w: &Weights, lanes: (u32, u32, u32), avoid: &[_]| {
+        // Weights of a conv writing an `hw` map with a border of `out_pad`.
+        type Lanes = (u32, u32, u32);
+        let emplace = |s: &mut Scheduler, w: &Weights, lanes: Lanes, hw, out_pad, avoid: &[_]| {
             let shape = (w[0][0].len() as u32, w[0].len() as u32, w.len() as u32);
-            emplace_conv(s, shape, lanes, (1, avoid), |co, ci, dy, dx| {
+            let (oh, ow): (u32, u32) = hw;
+            let out = MapLayout {
+                lane_copies: lanes.2,
+                ..plain(out_pad)
+            };
+            let chunks = RowSplit::of_conv((oh, ow, shape.2), &out).chunks.len();
+            emplace_conv(s, shape, lanes, (1, chunks, avoid), |co, ci, dy, dx| {
                 w[co as usize][ci as usize][dy as usize][dx as usize]
             })
         };
@@ -1350,7 +1444,8 @@ mod tests {
             None => (host.clone(), host_data.clone()),
             Some(w_from) => {
                 let copies = taps_per_pass(k, cin);
-                let weights = emplace(&mut s, w_from, (1, case.in_skew, copies), &[]);
+                let lanes = (1, case.in_skew, copies);
+                let weights = emplace(&mut s, w_from, lanes, (h, w), case.pad, &[]);
                 let params = Conv2dParams {
                     requant_shift: PRODUCER_SHIFT,
                     out_pad: case.pad,
@@ -1369,7 +1464,8 @@ mod tests {
         let input_hemisphere = input.slices().next().expect("input has a block").0;
         let shortcut = w_shortcut.as_ref().map(|w_sc| {
             let host = alloc_feature_map(&mut s, oh, ow, 16, 0, input_hemisphere, 4);
-            let weights = emplace(&mut s, w_sc, (1, 1, case.out_copies), &[]);
+            let lanes = (1, 1, case.out_copies);
+            let weights = emplace(&mut s, w_sc, lanes, (oh, ow), case.out_pad, &[]);
             let params = Conv2dParams {
                 requant_shift: PRODUCER_SHIFT,
                 out_pad: case.out_pad,
@@ -1386,7 +1482,7 @@ mod tests {
             .chain(shortcut.iter().flat_map(|(map, ..)| map.shortcut_slices()))
             .collect();
         let lanes = (taps, input.layout.lane_skew, case.out_copies);
-        let weights = emplace(&mut s, &w_data, lanes, &keep_off);
+        let weights = emplace(&mut s, &w_data, lanes, (oh, ow), case.out_pad, &keep_off);
         let out_hemisphere = case.residual.unwrap_or(input_hemisphere.opposite());
         let params = Conv2dParams {
             stride: case.stride,
@@ -1438,11 +1534,18 @@ mod tests {
             }
         };
         check_map(&chip, &out, &expect, 2);
-        rollbacks
+        Ran {
+            rollbacks,
+            program,
+            out,
+            weights,
+            input_slices: input.slices().collect(),
+        }
     }
 
+    /// [`run_conv_case_on`] a fresh chip; returns the scheduler's rollbacks.
     fn run_conv_case(case: Case) -> u64 {
-        run_conv_case_on(case, |_, _| {})
+        run_conv_case_on(case, |_, _| {}).rollbacks
     }
 
     #[test]
@@ -1551,7 +1654,9 @@ mod tests {
         });
     }
 
-    /// Output blocks landing on recycled SRAM get their border cleared.
+    /// Output blocks landing on recycled SRAM get their border cleared — with
+    /// their ports idle, in the window before the chain's first row lands:
+    /// on every slice the last border `Write` precedes the first data `Write`.
     #[test]
     fn border_is_zero_on_recycled_sram() {
         let case = Case {
@@ -1560,7 +1665,94 @@ mod tests {
         };
         // The output's hemisphere only: the host-written input's border
         // relies on the fresh SRAM a network input is always allocated in.
-        run_conv_case_on(case, |s, chip| dirty_sram(s, chip, &[Hemisphere::West], 64));
+        let ran = run_conv_case_on(case, |s, chip| dirty_sram(s, chip, &[Hemisphere::West], 64));
+        let writes = ran.border_and_data_writes();
+        assert_eq!(writes.len(), 4 * 2, "four blocks in two replicas");
+        for (last_border, first_data) in writes {
+            assert!(last_border > 0, "a dirty block's border is cleared");
+            assert!(
+                last_border < first_data,
+                "border cleared at {last_border}, data from {first_data}"
+            );
+        }
+        // On fresh SRAM nothing is cleared at all.
+        let ran = run_conv_case_on(case, |_, _| {});
+        assert!(ran.border_and_data_writes().iter().all(|w| w.0 == 0));
+    }
+
+    /// The clear has a deadline: with every port of the output's hemisphere
+    /// held until the cycle the chain's first row is due, no burst of zeros
+    /// can end by then — the block takes its data first and is cleared after
+    /// (held one cycle less, one zero short, the same). Rows 2–9 of a 12-row
+    /// block are data.
+    #[test]
+    fn border_clear_past_its_deadline_runs_after_the_data() {
+        use crate::kernels::matmul::{schedule_plane_chain, Pass};
+        use crate::sched::D_VXM;
+        for held in [None, Some(0), Some(1)] {
+            let mut s = Scheduler::new();
+            let mut chip = Chip::new(ChipConfig::asic());
+            dirty_sram(&mut s, &mut chip, &[Hemisphere::West], 64);
+            let x = (s.alloc)
+                .alloc_in(Some(Hemisphere::East), 8, 16, BankPolicy::High, 4096)
+                .unwrap();
+            let identity = |m: u32, row: &mut Vector| row.set_lane(m as usize, 1);
+            let w = s.add_constant(lw_rows(identity, 16), 16, BankPolicy::Low, 20);
+            let rows: Vec<u32> = (0..8).collect();
+            let pass = Pass {
+                weights: &w,
+                acts: &x,
+                rows: &rows,
+            };
+            let source = schedule_plane_chain(&mut s, Plane::new(0), &[pass], 0);
+            // Requantize only: the rows leave the VXM one stage later.
+            let t_out = source.t_at_vxm + D_VXM;
+            for sl in (0..tsp_arch::MEM_SLICES_PER_HEMISPHERE).filter(|_| held.is_some()) {
+                s.occupy_mem(Hemisphere::West, sl, t_out - held.unwrap_or(0));
+            }
+            let spec = OutSpec {
+                rows_total: 12,
+                cols: 16,
+                segments: vec![(2, 8)],
+                border: vec![(0, 2), (10, 2)],
+                hemisphere: Hemisphere::West,
+                policy: BankPolicy::High,
+                replicas: 2,
+                max_block: 12,
+                avoid: Vec::new(),
+            };
+            let (reps, _) = schedule_requant_write(&mut s, source, 8, 0, false, None, &spec)
+                .expect("ports free by the write");
+            let constants = s.take_constants();
+            let program = s.into_program().expect("valid schedule");
+            for (handle, rows) in &constants {
+                for (r, v) in rows.iter().enumerate() {
+                    chip.memory.write(handle.row(r as u32), v.clone());
+                }
+            }
+            for r in 0..8 {
+                chip.memory.write(x.row(r), Vector::splat(r as u8 + 1));
+            }
+            chip.run(&program, &RunOptions::default())
+                .expect("clean run");
+            for rep in &reps {
+                for row in 0..12u32 {
+                    let want = if (2..10).contains(&row) { row - 1 } else { 0 };
+                    let got = chip.memory.read_unchecked(rep.row(row));
+                    assert_eq!(got.lane(0), want as u8, "held {held:?}: row {row}");
+                    assert_eq!(got.lane(15), want as u8, "held {held:?}: row {row}");
+                }
+            }
+            let reps: Vec<&TensorHandle> = reps.iter().collect();
+            for (last_border, first_data) in border_and_data_writes(&program, &reps, &spec.border) {
+                assert!(last_border > 0, "held {held:?}: cleared");
+                assert_eq!(
+                    last_border < first_data,
+                    held.is_none(),
+                    "held {held:?}: border cleared at {last_border}, data from {first_data}"
+                );
+            }
+        }
     }
 
     /// Runs a [`Case::packed`] with producer, shortcut and consumer all on
@@ -1755,7 +1947,8 @@ mod tests {
 
     /// Without ReLU the chain ends at the saturating add. This is also the
     /// one case in the workspace whose first attempt finds no write port:
-    /// it keeps `Scheduler::retry_later`'s rollback covered.
+    /// it keeps `Scheduler::retry_later`'s rollback covered — of a border
+    /// clear as well.
     #[test]
     fn residual_tail_without_relu_matches_reference() {
         let rollbacks = run_conv_case(Case {
@@ -1763,6 +1956,77 @@ mod tests {
             ..Case::new((12, 12), (16, 16), 1, 1)
         });
         assert_eq!(rollbacks, 1);
+        // The same onto recycled SRAM, with a border: what the first attempt
+        // cleared is rolled back with it — the zero row it allocated too —
+        // and the second clears the blocks it lands on, ahead of their data.
+        let dirty = |s: &mut Scheduler, chip: &mut Chip| dirty_sram(s, chip, &Hemisphere::ALL, 64);
+        let case = Case {
+            residual: Some(Hemisphere::West),
+            out_pad: 1,
+            ..Case::new((12, 12), (16, 16), 1, 1)
+        };
+        let ran = run_conv_case_on(case, dirty);
+        assert_eq!(ran.rollbacks, 1);
+        for (last_border, first_data) in ran.border_and_data_writes() {
+            assert!(0 < last_border && last_border < first_data);
+        }
+    }
+
+    /// 512 → 512, 3×3 on 7×7 (the ResNet stage-5 `_b`): two M-splits of two
+    /// chunks each, M-split `m`'s chains on planes `2m` and `2m + 1`. All 18
+    /// blocks of an M-split (nine taps × two K-splits) sit stacked on sixteen
+    /// inner slices of those planes' hemisphere, off the input's — and where
+    /// the inner Low banks are full the cursor takes them elsewhere, to the
+    /// same result.
+    #[test]
+    fn m_split_weights_sit_by_the_planes_that_install_them() {
+        use crate::alloc::LOW_INNER_SLICES;
+        let case = Case::new((7, 7), (512, 512), 3, 1);
+        let homes = |ran: &Ran| -> Vec<Vec<(Hemisphere, u8)>> {
+            (0..2)
+                .map(|m| {
+                    let blocks = ran
+                        .weights
+                        .passes
+                        .iter()
+                        .flatten()
+                        .map(|mparts| &mparts[m][0]);
+                    let mut slices: Vec<_> = blocks.flat_map(|t| t.layout.slices()).collect();
+                    slices.sort_unstable();
+                    slices.dedup();
+                    slices
+                })
+                .collect()
+        };
+        let ran = run_conv_case_on(case, |_, _| {});
+        assert_eq!(ran.out.parts[0][0].layout.blocks.len(), 2, "two chunks");
+        for (m, slices) in homes(&ran).iter().enumerate() {
+            let home = chain_plane(2, m, 0).hemisphere();
+            assert_eq!(home, chain_plane(2, m, 1).hemisphere());
+            assert_eq!(slices.len(), 16, "M-split {m}: one stack");
+            for &(h, sl) in slices {
+                assert_eq!(h, home, "M-split {m} feeds the {home:?} MXM");
+                assert!(sl < LOW_INNER_SLICES && !ran.input_slices.contains(&(h, sl)));
+            }
+        }
+        // Every inner Low bank taken: nothing goes home.
+        let ran = run_conv_case_on(case, |s, _| {
+            for h in Hemisphere::ALL {
+                for _ in 0..LOW_INNER_SLICES {
+                    let bank = s.alloc.alloc_in(Some(h), 4096, 320, BankPolicy::Low, 4096);
+                    assert!(bank
+                        .unwrap()
+                        .layout
+                        .slices()
+                        .all(|(_, sl)| sl < LOW_INNER_SLICES));
+                }
+            }
+        });
+        let spilled = homes(&ran);
+        assert!(spilled
+            .iter()
+            .flatten()
+            .all(|&(_, sl)| sl >= LOW_INNER_SLICES));
     }
 
     /// c_out = 2048: seven M-splits, so two waves of chains (4 + 3), each

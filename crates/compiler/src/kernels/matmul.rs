@@ -198,6 +198,75 @@ pub fn stream_weights(
     }
 }
 
+/// The plane a kernel's `chain`-th plane chain runs on: chains fill the four
+/// planes in order, wave after wave — a [`matmul`]'s one per M-split, a
+/// conv's per M-split and row chunk ([`crate::kernels::conv::chain_plane`]).
+/// Whoever emplaces the weights reads the same function: an M-split's blocks
+/// belong in the hemisphere of the plane that installs them.
+#[must_use]
+pub fn plane_of_chain(chain: usize) -> Plane {
+    Plane::new((chain % usize::from(Plane::COUNT)) as u8)
+}
+
+/// One 320-row LW-order weight block on its way into SRAM: the M-split whose
+/// chains install it, its rows, its meaningful lanes.
+pub type WeightBlock = (usize, Vec<Vector>, u16);
+
+/// Emplaces a kernel's weight blocks, returning their handles in the order
+/// given; all keep off the slices in `avoid` where they can (what the kernel
+/// streams while a block is due: a 20-row weight read queued behind a
+/// pass-long burst arrives a pass late).
+///
+/// Of a kernel with two or more M-splits, each M-split's blocks go together
+/// to the hemisphere of the plane its chains run on (`plane`, which reads
+/// [`plane_of_chain`]), stacked on sixteen of its inner Low-bank slices
+/// ([`crate::alloc::MemAllocator::alloc_low_stacked`]): every read of the set
+/// then leads its arrival by as much, where a block across the chip is read
+/// some 70 cycles ahead of one next to the MXM, and a slice's queue, booked
+/// as one busy horizon, makes whichever of two such reads is reserved second
+/// wait for the first. A kernel whose `chains` all run at once gives every
+/// M-split a stack of its own; one that runs them in waves — a wave's output
+/// lands while the next wave's weights are read — keeps to one stack a
+/// hemisphere and leaves the other inner slices' ports to its output. A stack
+/// that finds no room whole, and every block of a kernel with one M-split
+/// (its chains run in both hemispheres), goes where the allocator's cursor
+/// puts it, in the order given.
+pub fn emplace_weight_blocks(
+    s: &mut Scheduler,
+    blocks: Vec<WeightBlock>,
+    (plane, chains): (impl Fn(usize) -> Plane, usize),
+    avoid: &[(Hemisphere, u8)],
+) -> Vec<TensorHandle> {
+    let mparts = blocks.iter().map(|b| b.0 + 1).max().unwrap_or(0);
+    let waves = chains.div_ceil(usize::from(Plane::COUNT));
+    // A stack's name: its hemisphere and, in a single wave, its M-split.
+    let stack_of = |mpart: usize| {
+        let own = if waves == 1 { mpart } else { 0 };
+        (plane(mpart).hemisphere(), own)
+    };
+    // One M-split: no stack at all.
+    let stacks: std::collections::BTreeSet<_> =
+        (0..mparts).filter(|_| mparts > 1).map(stack_of).collect();
+    let mut near: Vec<Option<TensorHandle>> = vec![None; blocks.len()];
+    for stack in stacks {
+        let own = |i: &usize| stack_of(blocks[*i].0) == stack;
+        let cols: Vec<u16> = (0..blocks.len()).filter(own).map(|i| blocks[i].2).collect();
+        let set = s.alloc.alloc_low_stacked(stack.0, 320, &cols, 20, avoid);
+        for (i, handle) in (0..blocks.len()).filter(own).zip(set.into_iter().flatten()) {
+            near[i] = Some(handle);
+        }
+    }
+    (blocks.into_iter().zip(near))
+        .map(|((_, rows, cols), near)| match near {
+            Some(handle) => {
+                s.add_constant_at(handle.clone(), rows);
+                handle
+            }
+            None => s.add_constant_in(None, avoid, rows, cols, BankPolicy::Low, 20),
+        })
+        .collect()
+}
+
 /// A resumable MXM plane chain: schedules one accumulate-pass at a time so
 /// several planes' chains can be **interleaved** by the caller — without
 /// interleaving, one chain's reads hold MEM-port and stream reservations that
@@ -430,6 +499,9 @@ pub struct OutSpec {
     pub cols: u16,
     /// `(first_row, count)` segments covering the N produced rows.
     pub segments: DstSegments,
+    /// Rows nothing writes that must read as zero (a padding border), cleared
+    /// where the output lands on recycled SRAM.
+    pub border: DstSegments,
     /// Output hemisphere (single-stream write requires one side).
     pub hemisphere: Hemisphere,
     /// Bank policy.
@@ -457,7 +529,10 @@ pub struct Shortcut<'a> {
 /// and applies ReLU, and writes the rows into freshly allocated replica
 /// tensors. Output tensors are allocated *after* the write time is known, on
 /// slices whose ports are free by then — so stream-dictated writes can never
-/// collide with earlier bursts. Returns the replicas and the completion cycle.
+/// collide with earlier bursts — and their [`OutSpec::border`] is cleared in
+/// the window those free ports leave before the first row lands, or, when the
+/// window is too short, once the rows are in. Returns the replicas and the
+/// completion cycle.
 ///
 /// # Errors
 ///
@@ -509,6 +584,9 @@ pub fn schedule_requant_write(
         avoid.extend(t.layout.slices());
         replicas.push(t);
     }
+    let borders: Vec<(&TensorHandle, &[(u32, u32)])> =
+        (replicas.iter().map(|t| (t, out.border.as_slice()))).collect();
+    let cleared = s.zero_stale(&borders, Some(t_out));
     for tensor in &replicas {
         let mut offset = 0u64;
         for &(first, count) in &out.segments {
@@ -516,7 +594,8 @@ pub fn schedule_requant_write(
             offset += u64::from(count);
         }
     }
-    let done = t_out + n;
+    let cleared = cleared.or_else(|| s.zero_stale(&borders, None));
+    let done = (t_out + n).max(cleared.expect("no deadline to miss"));
     s.note_completion(done);
     Ok((replicas, done))
 }
@@ -672,7 +751,7 @@ pub fn matmul(
     let mut done = opts.not_before;
 
     for mpart in 0..mparts {
-        let plane = Plane::new((mpart % 4) as u8);
+        let plane = plane_of_chain(mpart);
         let mcols = (w.m - mpart as u32 * 320).min(320) as u16;
         let passes: Vec<Pass<'_>> = (0..w.kparts())
             .map(|kpart| {
@@ -689,6 +768,7 @@ pub fn matmul(
             rows_total: n,
             cols: mcols,
             segments: vec![(0, n)],
+            border: Vec::new(),
             hemisphere: opts.out_hemisphere,
             policy: opts.out_policy,
             replicas: opts.out_replicas,

@@ -9,12 +9,14 @@ pub mod matmul;
 pub mod pool;
 
 pub use conv::{
-    alloc_feature_map, conv2d, conv2d_add, conv_passes, emplace_conv, emplace_conv_weights,
-    packed_taps, taps_per_pass, ChunkPass, Conv2dParams, ConvWeights, FeatureMap, MapLayout,
-    RowSplit,
+    alloc_feature_map, chain_plane, conv2d, conv2d_add, conv_passes, emplace_conv,
+    emplace_conv_weights, packed_taps, taps_per_pass, ChunkPass, Conv2dParams, ConvWeights,
+    FeatureMap, MapLayout, RowSplit,
 };
 pub use elementwise::{binary_ew, copy, unary_ew};
-pub use matmul::{lw_rows, matmul, ActFeed, MatmulOpts, WeightSet};
+pub use matmul::{
+    emplace_weight_blocks, lw_rows, matmul, plane_of_chain, ActFeed, MatmulOpts, WeightSet,
+};
 pub use matmul::{schedule_plane_chain, schedule_requant_write, Int32Stream, Pass};
 pub use pool::{global_avg_pool, max_pool, packed_pixels, pixels_per_row, MaxPoolParams};
 

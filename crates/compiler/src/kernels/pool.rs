@@ -29,14 +29,15 @@
 //! (standard practice — see DESIGN.md §2).
 
 use tsp_arch::{Direction, Hemisphere, Slice, StreamGroup, StreamId, Vector};
-use tsp_isa::{AccumulateMode, BinaryAluOp, DataType, MxmOp, Plane, VxmOp, MXM_ARRAY_DELAY};
+use tsp_isa::{AccumulateMode, BinaryAluOp, DataType, MxmOp, VxmOp, MXM_ARRAY_DELAY};
 use tsp_sim::IcuId;
 
 use crate::alloc::BankPolicy;
 use crate::kernels::conv::{group_lanes, FeatureMap, MapLayout};
 use crate::kernels::elementwise::{pick_alu, tensor_hemisphere};
 use crate::kernels::matmul::{
-    place_repeated, schedule_requant_write, stream_weights, ActFeed, Int32Stream, D_IW,
+    emplace_weight_blocks, lw_rows, place_repeated, plane_of_chain, schedule_requant_write,
+    stream_weights, ActFeed, Int32Stream, D_IW,
 };
 use crate::resource::Resource;
 use crate::sched::{LaneMap, Scheduler, D_VXM};
@@ -216,7 +217,7 @@ pub fn max_pool(
         let clear = |s: &mut Scheduler| {
             let jobs: Vec<(&TensorHandle, &[(u32, u32)])> =
                 (out.parts[kp].iter().map(|t| (t, stale.as_slice()))).collect();
-            s.zero_stale(&jobs)
+            s.zero_stale(&jobs, None).expect("no deadline to miss")
         };
         if groups > 1 {
             done = done.max(clear(s));
@@ -420,10 +421,22 @@ pub fn global_avg_pool(
     let mut outs = Vec::with_capacity(input.kparts());
     let mut done = not_before;
 
-    for kp in 0..input.kparts() {
+    // Identity weights for every part, in LW order, each near the plane its
+    // chain runs on.
+    let blocks = (input.parts.iter().enumerate())
+        .map(|(kp, reps)| {
+            let cols = reps[0].cols;
+            let fill = |m: u32, row: &mut Vector| row.set_lane(m as usize, 1);
+            (kp, lw_rows(fill, u32::from(cols)), cols)
+        })
+        .collect();
+    let chains = (plane_of_chain, input.kparts());
+    let identities = emplace_weight_blocks(s, blocks, chains, &[]);
+
+    for (kp, identity) in identities.iter().enumerate() {
         let part = &input.parts[kp][0];
         let cols = part.cols;
-        let plane = Plane::new((kp % 4) as u8);
+        let plane = plane_of_chain(kp);
         let mxm = Slice::Mxm(plane.hemisphere()).position();
         let to_mxm = match plane.hemisphere() {
             Hemisphere::East => Direction::East,
@@ -431,27 +444,13 @@ pub fn global_avg_pool(
         };
         let from_mxm = to_mxm.opposite();
 
-        // Identity weights for this part, in LW order.
-        let mut id_rows = Vec::with_capacity(320);
-        for j in 0..16u32 {
-            for r in 0..20u32 {
-                let m = (16 * r + j) as usize;
-                let mut v = Vector::ZERO;
-                if m < usize::from(cols) {
-                    v.set_lane(m, 1);
-                }
-                id_rows.push(v);
-            }
-        }
-        let identity = s.add_constant(id_rows, cols, BankPolicy::Low, 20);
-
         // Install identity.
         let (buffer, array) = (
             Resource::MxmWeights(plane.index()),
             Resource::MxmArray(plane.index()),
         );
         let ready = s.pool.free_at(buffer).max(not_before);
-        let feed = stream_weights(s, &identity, plane.hemisphere(), ready);
+        let feed = stream_weights(s, identity, plane.hemisphere(), ready);
         s.place(
             IcuId::Mxm { plane, port: 0 },
             feed.t_lw,
@@ -526,6 +525,7 @@ pub fn global_avg_pool(
             rows_total: 1,
             cols,
             segments: vec![(0, 1)],
+            border: Vec::new(),
             hemisphere: out_hemisphere,
             policy: BankPolicy::High,
             replicas: 1,
@@ -723,7 +723,7 @@ mod tests {
             &mut s,
             (1, c, c),
             (1, 1, groups),
-            (1, &[]),
+            (1, 1, &[]),
             |co, ci, _, _| i8::from(co == ci),
         );
         let producer = Conv2dParams {

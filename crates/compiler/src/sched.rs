@@ -198,8 +198,13 @@ impl Scheduler {
 
     /// [`Scheduler::add_constant`] constrained to a hemisphere and keeping off
     /// the slices in `avoid` — other tensors streamed at the same time, whose
-    /// queues the constant's reads would wait behind — unless only they have
-    /// room; a constant its bank has no room for at all goes to the other.
+    /// queues the constant's reads would wait behind. A model whose constants
+    /// outgrow their bank (ResNet-152 fills 97 % of the Low one) borrows from
+    /// the activations': a constant is never freed, so it is as safe there,
+    /// only no longer apart — and better there than on a slice to avoid: a
+    /// weight block on the slices of its conv's shortcut keeps the shortcut's
+    /// rows from meeting the chain on time, however late the chain is retried.
+    /// Only when neither bank has room off them are those slices taken.
     ///
     /// # Panics
     ///
@@ -214,20 +219,23 @@ impl Scheduler {
         max_block: u32,
     ) -> TensorHandle {
         let n = rows.len() as u32;
-        let alloc = &mut self.alloc;
-        let handle = alloc
-            .alloc_avoiding(hemisphere, n, cols, policy, max_block, avoid)
-            .or_else(|_| alloc.alloc_avoiding(hemisphere, n, cols, policy, max_block, &[]))
-            // A model whose constants outgrow their bank (ResNet-152 fills
-            // 94 % of the Low one) borrows from the activations': a constant
-            // is never freed, so it is as safe there, only no longer apart.
-            .or_else(|_| {
-                let high = crate::alloc::BankPolicy::High;
-                alloc.alloc_avoiding(hemisphere, n, cols, high, max_block, &[])
+        let high = crate::alloc::BankPolicy::High;
+        let handle = [(policy, avoid), (high, avoid), (policy, &[]), (high, &[])]
+            .into_iter()
+            .find_map(|(bank, avoid)| {
+                (self.alloc)
+                    .alloc_avoiding(hemisphere, n, cols, bank, max_block, avoid)
+                    .ok()
             })
             .expect("SRAM exhausted for constant");
-        self.constants.push((handle.clone(), rows));
+        self.add_constant_at(handle.clone(), rows);
         handle
+    }
+
+    /// Registers the contents of a tensor the caller allocated itself (see
+    /// [`Scheduler::add_constant`]).
+    pub(crate) fn add_constant_at(&mut self, handle: TensorHandle, rows: Vec<Vector>) {
+        self.constants.push((handle, rows));
     }
 
     /// Registers [`LaneMap`]s over `tensor` with one row per entry of `keys`,
@@ -679,18 +687,30 @@ impl Scheduler {
     /// so the burst is as long as the longest job. Returns the completion
     /// cycle (0 when nothing needed clearing).
     ///
+    /// With `end_by`, the last zero must have passed the VXM by that cycle —
+    /// the cycle the tensors' own data starts past it, which the runs' slices
+    /// then take straight after the zeros (the cleared rows and the data rows
+    /// are different words; a slice's queue is what orders them): a burst
+    /// that cannot end in time is not placed at all, `None` is returned, and
+    /// the caller clears once the data is in. Without a deadline the answer
+    /// is never `None`.
+    ///
     /// The zeros come from a one-row tensor in the *opposite* hemisphere
     /// (upstream of every destination) that nothing ever writes: SRAM starts
     /// out zero, and the Low bank holds only host-emplaced constants, which
     /// are never freed, so a fresh Low-bank row is zero without costing the
     /// host an emplace.
-    pub fn zero_stale(&mut self, jobs: &[(&TensorHandle, &[(u32, u32)])]) -> u64 {
+    pub fn zero_stale(
+        &mut self,
+        jobs: &[(&TensorHandle, &[(u32, u32)])],
+        end_by: Option<u64>,
+    ) -> Option<u64> {
         let jobs: Vec<_> = jobs
             .iter()
             .filter(|(tensor, runs)| !runs.is_empty() && self.alloc.is_dirty(tensor))
             .collect();
         let Some((first, _)) = jobs.first() else {
-            return 0;
+            return Some(0);
         };
         let (hemisphere, _) = first.layout.slices().next().expect("tensor has a block");
         let direction = Direction::outward_from(hemisphere);
@@ -711,13 +731,18 @@ impl Scheduler {
             .unwrap_or(0);
         let rows = vec![0u32; len as usize];
 
-        let (streams, ready) = self.take_streams(direction, 1, 0, vxm);
+        // Nothing is reserved before the burst is known to make its deadline.
+        let (streams, ready) = self.pick_streams(direction, 1, 0, vxm, &[]);
         let mut t0 = self.earliest_read_arrival(&zero, &rows, direction, vxm, ready);
         for (tensor, _) in &jobs {
             for (h, sl) in tensor.layout.slices() {
                 assert_eq!(h, hemisphere, "zero_stale jobs must share a hemisphere");
                 t0 = t0.max(self.mem_free(h, sl));
             }
+        }
+        let done = t0 + u64::from(len);
+        if end_by.is_some_and(|deadline| done > deadline) {
+            return None;
         }
         self.read_rows(&zero, &rows, streams[0], vxm, t0);
         for (tensor, runs) in jobs {
@@ -727,9 +752,8 @@ impl Scheduler {
                 offset += u64::from(count);
             }
         }
-        let done = t0 + u64::from(len);
         self.note_completion(done);
-        done
+        Some(done)
     }
 
     /// Marks a MEM slice's (single-issue) queue busy until `until`.
@@ -863,15 +887,30 @@ impl Scheduler {
         pos: Position,
         exclude: &[u8],
     ) -> (Vec<StreamId>, u64) {
+        let (streams, ready) = self.pick_streams(direction, count, at, pos, exclude);
+        let lead = edge_hops(direction, pos);
+        for s in &streams {
+            self.pool
+                .occupy(Resource::Stream(direction, s.id), ready + lead + 1);
+        }
+        (streams, ready)
+    }
+
+    /// What [`Scheduler::take_streams_excluding`] would take, reserving
+    /// nothing.
+    fn pick_streams(
+        &self,
+        direction: Direction,
+        count: u8,
+        at: u64,
+        pos: Position,
+        exclude: &[u8],
+    ) -> (Vec<StreamId>, u64) {
         let lead = edge_hops(direction, pos);
         let at = at.max(self.pool.floor()) + lead;
         let (streams, ready) = self
             .pool
             .pick_streams_excluding(direction, count, at, exclude);
-        for s in &streams {
-            self.pool
-                .occupy(Resource::Stream(direction, s.id), ready + 1);
-        }
         (streams, ready - lead)
     }
 

@@ -10,17 +10,14 @@ use tsp_sim::Program;
 #[must_use]
 pub fn render_listing(program: &Program, from: u64, to: u64) -> String {
     let mut lines: Vec<(u64, String, String)> = Vec::new();
-    for (icu, instrs) in program.queues() {
-        let mut t = 0u64;
-        for i in instrs {
-            let dur = i.queue_cycles();
+    for (icu, _) in program.queues() {
+        for (t, i) in program.dispatches(icu) {
             if t >= from
                 && t < to
                 && !matches!(i, tsp_isa::Instruction::Icu(tsp_isa::IcuOp::Nop { .. }))
             {
                 lines.push((t, icu.to_string(), i.to_string()));
             }
-            t += dur;
         }
     }
     lines.sort();
@@ -38,16 +35,14 @@ pub fn render_gantt(program: &Program, from: u64, to: u64, bin: u64) -> String {
     assert!(bin > 0, "zero bin");
     let cols = ((to - from).div_ceil(bin)) as usize;
     let mut out = String::new();
-    for (icu, instrs) in program.queues() {
+    for (icu, _) in program.queues() {
         let mut row = vec!['.'; cols];
-        let mut t = 0u64;
         let mut any = false;
-        for i in instrs {
-            let dur = i.queue_cycles();
+        for (t, i) in program.dispatches(icu) {
             let busy = !matches!(i, tsp_isa::Instruction::Icu(tsp_isa::IcuOp::Nop { .. }));
             if busy {
                 let start = t.max(from);
-                let end = (t + dur).min(to);
+                let end = (t + i.queue_cycles()).min(to);
                 if start < end {
                     any = true;
                     for b in (start - from) / bin..=(end - 1 - from) / bin {
@@ -55,7 +50,6 @@ pub fn render_gantt(program: &Program, from: u64, to: u64, bin: u64) -> String {
                     }
                 }
             }
-            t += dur;
         }
         if any {
             out.push_str(&format!(

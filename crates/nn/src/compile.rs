@@ -53,9 +53,9 @@ use std::sync::Arc;
 use tsp_arch::{Hemisphere, Vector};
 use tsp_compiler::alloc::BankPolicy;
 use tsp_compiler::kernels::{
-    conv2d_add, conv_passes, emplace_conv, global_avg_pool, lw_rows, matmul, max_pool,
-    packed_pixels, packed_taps, pixels_per_row, taps_per_pass, ActFeed, ChunkPass, Conv2dParams,
-    FeatureMap, MapLayout, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
+    conv2d_add, conv_passes, emplace_conv, emplace_weight_blocks, global_avg_pool, lw_rows, matmul,
+    max_pool, packed_pixels, packed_taps, pixels_per_row, plane_of_chain, taps_per_pass, ActFeed,
+    ChunkPass, Conv2dParams, FeatureMap, MapLayout, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
 };
 use tsp_compiler::{Scheduler, TensorHandle};
 use tsp_isa::BinaryAluOp;
@@ -278,34 +278,39 @@ fn hemi(i: usize) -> Hemisphere {
     }
 }
 
-/// Emplaces dense weights (`w[out][in]`) as a [`WeightSet`].
-fn emplace_dense(s: &mut Scheduler, q: &QDense, replicas: u8) -> WeightSet {
-    let kparts = q.inp.div_ceil(320) as usize;
-    let mparts = q.out.div_ceil(320) as usize;
-    let mut parts = Vec::with_capacity(kparts);
+/// Emplaces dense weights (`w[out][in]`) as a [`WeightSet`], off the slices
+/// in `avoid` (the matmul's input), every M-split's blocks near the plane its
+/// chain runs on ([`emplace_weight_blocks`]).
+fn emplace_dense(s: &mut Scheduler, q: &QDense, avoid: &[(Hemisphere, u8)]) -> WeightSet {
+    let (kparts, mparts) = (q.inp.div_ceil(320), q.out.div_ceil(320));
+    // In `parts[kpart][mpart]` order.
+    let mut blocks = Vec::new();
     for kp in 0..kparts {
-        let k0 = kp as u32 * 320;
+        let k0 = kp * 320;
         let kcols = (q.inp - k0).min(320);
-        let mut per_m = Vec::with_capacity(mparts);
         for mp in 0..mparts {
-            let m0 = mp as u32 * 320;
-            let mrows = (q.out - m0).min(320);
-            let rows = lw_rows(
-                |m, row| {
-                    for lane in 0..kcols {
-                        let w = q.w[((m0 + m) * q.inp + k0 + lane) as usize];
-                        row.set_lane(lane as usize, w as u8);
-                    }
-                },
-                mrows,
-            );
-            let reps: Vec<TensorHandle> = (0..replicas.max(1))
-                .map(|_| s.add_constant(rows.clone(), kcols as u16, BankPolicy::Low, 20))
-                .collect();
-            per_m.push(reps);
+            let m0 = mp * 320;
+            let fill = |m: u32, row: &mut Vector| {
+                for lane in 0..kcols {
+                    let w = q.w[((m0 + m) * q.inp + k0 + lane) as usize];
+                    row.set_lane(lane as usize, w as u8);
+                }
+            };
+            let rows = lw_rows(fill, (q.out - m0).min(320));
+            blocks.push((mp as usize, rows, kcols as u16));
         }
-        parts.push(per_m);
     }
+    let chains = (plane_of_chain, mparts as usize);
+    let mut handles = emplace_weight_blocks(s, blocks, chains, avoid).into_iter();
+    let parts = (0..kparts)
+        .map(|_| {
+            handles
+                .by_ref()
+                .take(mparts as usize)
+                .map(|t| vec![t])
+                .collect()
+        })
+        .collect();
     WeightSet {
         k: q.inp,
         m: q.out,
@@ -602,11 +607,14 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                     let keep_off: Vec<_> = (input.slices())
                         .chain(shortcut.iter().flat_map(|map| map.shortcut_slices()))
                         .collect();
+                    // Which plane an M-split's chains run on — where its
+                    // weights belong — follows from how the output is cut.
+                    let chunks = RowSplit::of_conv(dims(i), &out).chunks.len();
                     let weights = emplace_conv(
                         &mut s,
                         (qc.k, qc.ci, qc.co),
                         lanes,
-                        (1, &keep_off),
+                        (1, chunks, &keep_off),
                         |co, ci, dy, dx| {
                             qc.w[(((co * qc.ci + ci) * qc.k + dy) * qc.k + dx) as usize]
                         },
@@ -634,7 +642,8 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                 let Probe::Flat(parts) = &lowered[node.inputs[0]] else {
                     panic!("dense input not flat")
                 };
-                let w = emplace_dense(&mut s, &q.dense[&i], 1);
+                let keep_off: Vec<_> = parts.iter().flat_map(|t| t.layout.slices()).collect();
+                let w = emplace_dense(&mut s, &q.dense[&i], &keep_off);
                 let x_parts: Vec<Vec<TensorHandle>> =
                     parts.iter().map(|t| vec![t.clone()]).collect();
                 let opts = MatmulOpts {
@@ -821,7 +830,7 @@ fn compile_im2col_conv(
         s,
         (1, kdim, qc.co),
         (1, 1, out.lane_copies),
-        (split.chunks.len() as u8, &[]),
+        (split.chunks.len() as u8, split.chunks.len(), &[]),
         |co, lane, _, _| {
             let (off, ci) = (lane / c, lane % c);
             qc.w[(((co * qc.ci + ci) * k + off / k) * k + off % k) as usize]

@@ -179,24 +179,31 @@ impl Net {
     }
 
     /// Closes the net over the map `tail` with GAP and a 5-way dense head.
-    pub fn close(mut self, tail: usize) -> Net {
+    pub fn close(self, tail: usize) -> Net {
+        self.close_with(tail, 5)
+    }
+
+    /// Closes the net over the map `tail` with GAP and an `out`-way dense head.
+    pub fn close_with(mut self, tail: usize, out: u32) -> Net {
         let inp = self.channels(tail);
         let gap = self.g.push(Op::GlobalAvgPool, vec![tail], "gap");
-        let head = Op::Dense {
-            out: 5,
-            relu: false,
-        };
+        let head = Op::Dense { out, relu: false };
         let fc = self.g.push(head, vec![gap], "fc");
-        let w = self.weights(5 * inp, inp);
-        self.params.dense.insert(fc, DenseW { w, out: 5, inp });
+        let w = self.weights(out * inp, inp);
+        self.params.dense.insert(fc, DenseW { w, out, inp });
         self
     }
 
-    /// [`Net::close`]s the net, quantizes it on two synthetic images,
-    /// compiles it, runs it on the simulator and checks every logit against
-    /// the host int8 reference.
+    /// [`Net::close`]s the net and [`Net::check_closed`]s it.
     pub fn check(self, tail: usize) -> CompiledModel {
-        let net = self.close(tail);
+        self.close(tail).check_closed()
+    }
+
+    /// Quantizes the closed net on two synthetic images, compiles it, runs it
+    /// on the simulator and checks every logit against the host int8
+    /// reference.
+    pub fn check_closed(self) -> CompiledModel {
+        let net = self;
         let data = synthetic(5, net.hw, net.hw, 3, 2, 2);
         let q = quantize(&net.g, &net.params, &data.images[..2]);
         let qi = q.quantize_image(&data.images[0]);

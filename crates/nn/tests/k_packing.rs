@@ -6,7 +6,8 @@
 mod common;
 
 use common::{conv, map, run, Net};
-use tsp_nn::compile::CompiledModel;
+use tsp_compiler::kernels::{chain_plane, plane_of_chain, RowSplit};
+use tsp_nn::compile::{CompiledModel, Probe};
 use tsp_nn::data::synthetic;
 use tsp_nn::graph::ConvSpec;
 use tsp_nn::quant::quantize;
@@ -105,5 +106,60 @@ fn small_cnn_weights_keep_off_their_convs_input() {
             .filter(|s| input.contains(s))
             .collect();
         assert!(shared.is_empty(), "a weight block sits on {shared:?}");
+    }
+}
+
+/// Weights sit by the planes that install them (ResNet's stage 5 and head): of
+/// a 512 → 512 3×3 conv on 7×7 — two M-splits of two chunks, 18 blocks each —
+/// and of a 2048 → 1000 dense — four M-splits, seven blocks each — every
+/// block of M-split `m` lies in the hemisphere of the plane `m`'s chains run
+/// on, off the slices of what the kernel streams, and every logit matches the
+/// int8 reference. (What happens when that hemisphere is full is the
+/// compiler's own test, `m_split_weights_sit_by_the_planes_that_install_them`.)
+#[test]
+fn m_split_weights_lie_in_their_planes_hemisphere() {
+    let blocks = |model: &CompiledModel| -> Vec<tsp_compiler::TensorHandle> {
+        let blocks = model.constants.iter().filter(|(t, _)| t.rows == 320);
+        blocks.map(|(t, _)| t.clone()).collect()
+    };
+
+    let mut net = Net::new(7);
+    let a = net.conv("a", 0, conv(512, 1));
+    let b = net.conv("b", a, conv(512, 3));
+    let model = net.check(b);
+    let input: Vec<_> = map(&model, a).slices().collect();
+    let out = map(&model, b);
+    let chunks = RowSplit::of_conv((out.h, out.w, out.c), &out.layout)
+        .chunks
+        .len();
+    assert_eq!(chunks, 2);
+    // a: 2 M-splits; b: 9 taps × 2 K-splits × 2 M-splits, M-split innermost;
+    // GAP and fc: 2 K-splits each.
+    let blocks_b = &blocks(&model)[2..];
+    assert_eq!(blocks_b.len(), 36 + 2 + 2);
+    for (i, block) in blocks_b[..36].iter().enumerate() {
+        let home = chain_plane(chunks, i % 2, 0).hemisphere();
+        for slice in block.layout.slices() {
+            assert_eq!(slice.0, home, "block {i} of `b`");
+            assert!(!input.contains(&slice), "block {i} of `b` on its input");
+        }
+    }
+
+    let mut net = Net::new(7);
+    let wide = net.conv("wide", 0, conv(2048, 1));
+    let model = net.close_with(wide, 1000).check_closed();
+    let Probe::Flat(pooled) = &model.probes[wide + 1] else {
+        panic!("GAP writes a flat value")
+    };
+    let input: Vec<_> = pooled.iter().flat_map(|t| t.layout.slices()).collect();
+    // wide: 7 M-splits; GAP: 7 parts; fc: 7 K-splits × 4 M-splits.
+    let blocks_fc = &blocks(&model)[7 + 7..];
+    assert_eq!(blocks_fc.len(), 28);
+    for (i, block) in blocks_fc.iter().enumerate() {
+        let home = plane_of_chain(i % 4).hemisphere();
+        for slice in block.layout.slices() {
+            assert_eq!(slice.0, home, "block {i} of `fc`");
+            assert!(!input.contains(&slice), "block {i} of `fc` on its input");
+        }
     }
 }

@@ -15,9 +15,9 @@ use tsp_nn::train::small_cnn;
 
 /// `(model, cycles, fingerprint)`.
 const GOLDENS: [(&str, u64, u64); 5] = [
-    ("resnet50", 45_570, 4_937_654_530_778_504_815),
-    ("resnet101", 70_011, 9_417_472_122_078_044_816),
-    ("resnet152", 107_133, 15_430_422_305_730_741_034),
+    ("resnet50", 42_381, 17_268_365_821_621_559_681),
+    ("resnet101", 65_506, 230_309_256_242_790_818),
+    ("resnet152", 101_640, 9_564_671_397_223_458_902),
     ("resnet_tiny", 2_050, 5_731_607_719_182_165_314),
     ("small_cnn", 1_200, 8_247_276_815_083_673_461),
 ];

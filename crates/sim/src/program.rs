@@ -38,6 +38,17 @@ impl Program {
         QueueBuilder { queue, time }
     }
 
+    /// `(dispatch cycle, instruction)` of every entry of `icu`'s queue, in
+    /// program order: an entry is dispatched when everything before it has
+    /// taken its queue cycles.
+    pub fn dispatches(&self, icu: IcuId) -> impl Iterator<Item = (u64, &Instruction)> {
+        self.queue(icu).iter().scan(0u64, |clock, instruction| {
+            let at = *clock;
+            *clock += instruction.queue_cycles();
+            Some((at, instruction))
+        })
+    }
+
     /// Iterates over the non-empty queues in deterministic order.
     pub fn queues(&self) -> impl Iterator<Item = (IcuId, &[Instruction])> {
         self.queues.iter().map(|(k, v)| (*k, v.as_slice()))

@@ -55,6 +55,7 @@ fn main() {
         rows_total: n,
         cols: m.min(320) as u16,
         segments: vec![(0, n)],
+        border: Vec::new(),
         hemisphere: Hemisphere::West,
         policy: BankPolicy::High,
         replicas: 1,
