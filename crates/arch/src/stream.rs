@@ -234,7 +234,7 @@ impl StreamRange {
     #[must_use]
     pub fn new(base: StreamId, len: u8) -> StreamRange {
         assert!(
-            base.id + len <= STREAMS_PER_DIRECTION,
+            u16::from(base.id) + u16::from(len) <= u16::from(STREAMS_PER_DIRECTION),
             "stream range {base}+{len} exceeds stream 31"
         );
         StreamRange { base, len }
@@ -360,6 +360,13 @@ mod range_tests {
     #[should_panic(expected = "exceeds stream 31")]
     fn range_past_31_panics() {
         let _ = StreamRange::new(StreamId::east(28), 9);
+    }
+
+    /// 31 + 255 is 30 in a byte: the bound is taken in a wider type.
+    #[test]
+    #[should_panic(expected = "exceeds stream 31")]
+    fn range_wrapping_a_byte_panics() {
+        let _ = StreamRange::new(StreamId::east(31), 255);
     }
 
     #[test]

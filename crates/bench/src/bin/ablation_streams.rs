@@ -4,16 +4,20 @@
 
 use tsp::compiler::kernels::conv::alloc_feature_map;
 use tsp::compiler::kernels::{conv2d, emplace_conv_weights, Conv2dParams};
-use tsp::compiler::Resource;
 use tsp::prelude::*;
 use tsp_bench::fan_out;
 
 fn measure(streams_available: u8) -> u64 {
     let mut sched = Scheduler::new();
-    // Park the disabled stream ids forever.
-    for dir in [Direction::East, Direction::West] {
+    // Park the disabled stream ids forever, at the MXM their values leave
+    // the chip by.
+    for (dir, last) in [
+        (Direction::East, Hemisphere::East),
+        (Direction::West, Hemisphere::West),
+    ] {
+        let edge = Slice::Mxm(last).position();
         for id in streams_available..32 {
-            sched.pool.occupy(Resource::Stream(dir, id), u64::MAX / 2);
+            sched.occupy_stream(StreamId::new(id, dir), edge, u64::MAX / 2);
         }
     }
     let input = alloc_feature_map(&mut sched, 14, 14, 64, 1, Hemisphere::East, 4);

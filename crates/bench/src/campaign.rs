@@ -33,7 +33,7 @@ use tsp_nn::resilient::{run_resilient, ResilientOptions};
 use tsp_nn::train::small_cnn;
 use tsp_sim::faults::{FaultPlan, LinkFaultPlan, LinkPlanSpec, PlanSpec};
 use tsp_sim::{Chip, IcuId, Program, SimError};
-use tsp_telemetry::json::Json;
+use tsp_telemetry::json::{Fields, Json};
 
 use crate::fan_out;
 use tsp_c2c::{Fabric, Wire};
@@ -572,21 +572,8 @@ impl CampaignReport {
     /// site/class name, or a schema-tag mismatch.
     pub fn from_json(text: &str) -> Result<CampaignReport, String> {
         let doc = Json::parse(text)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing schema tag")?;
-        if schema != SCHEMA {
-            return Err(format!("schema is '{schema}', expected '{SCHEMA}'"));
-        }
-        let seed = doc
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or("missing seed")?;
-        let items = doc
-            .get("trials")
-            .and_then(Json::as_array)
-            .ok_or("missing trials array")?;
+        let doc = Fields::root(&doc);
+        doc.expect_schema(SCHEMA)?;
         let classes = [
             TrialClass::Masked,
             TrialClass::Corrected,
@@ -594,49 +581,29 @@ impl CampaignReport {
             TrialClass::DetectedUnrecovered,
             TrialClass::Sdc,
         ];
-        let mut trials = Vec::with_capacity(items.len());
-        for (i, t) in items.iter().enumerate() {
-            let u64_field = |k: &str| -> Result<u64, String> {
-                t.get(k)
-                    .and_then(Json::as_u64)
-                    .ok_or(format!("trial {i}: missing {k}"))
-            };
-            let u32_field = |k: &str| -> Result<u32, String> {
-                u32::try_from(u64_field(k)?).map_err(|_| format!("trial {i}: {k} out of range"))
-            };
-            let site_name = t
-                .get("site")
-                .and_then(Json::as_str)
-                .ok_or(format!("trial {i}: missing site"))?;
-            let site = *SITES
-                .iter()
-                .find(|s| **s == site_name)
-                .ok_or(format!("trial {i}: unknown site '{site_name}'"))?;
-            let class_name = t
-                .get("class")
-                .and_then(Json::as_str)
-                .ok_or(format!("trial {i}: missing class"))?;
-            let class = *classes
-                .iter()
-                .find(|c| c.name() == class_name)
-                .ok_or(format!("trial {i}: unknown class '{class_name}'"))?;
-            trials.push(Trial {
-                site,
-                rate: u32_field("rate")?,
-                index: u32_field("index")?,
-                seed: u64_field("seed")?,
-                class,
-                attempts: u32_field("attempts")?,
-                corrected: u64_field("corrected")?,
-                detected: u64_field("detected")?,
-                faults_applied: u64_field("applied")?,
-                faults_vacant: u64_field("vacant")?,
-                wasted_cycles: u64_field("wasted_cycles")?,
-                egress_words: u64_field("egress_words")?,
-                mem_pristine: u64_field("mem_pristine")?,
-                mem_verified: u64_field("mem_verified")?,
-            });
-        }
+        let trial = |t: Fields<'_>| {
+            let (site, class) = (t.str("site")?, t.str("class")?);
+            Ok(Trial {
+                site: (SITES.iter().find(|s| **s == site))
+                    .ok_or_else(|| t.error(format_args!("unknown site '{site}'")))?,
+                rate: t.u32("rate")?,
+                index: t.u32("index")?,
+                seed: t.u64("seed")?,
+                class: *(classes.iter().find(|c| c.name() == class))
+                    .ok_or_else(|| t.error(format_args!("unknown class '{class}'")))?,
+                attempts: t.u32("attempts")?,
+                corrected: t.u64("corrected")?,
+                detected: t.u64("detected")?,
+                faults_applied: t.u64("applied")?,
+                faults_vacant: t.u64("vacant")?,
+                wasted_cycles: t.u64("wasted_cycles")?,
+                egress_words: t.u64("egress_words")?,
+                mem_pristine: t.u64("mem_pristine")?,
+                mem_verified: t.u64("mem_verified")?,
+            })
+        };
+        let seed = doc.u64("seed")?;
+        let trials = doc.array("trials", "trial", trial)?;
         Ok(CampaignReport { seed, trials })
     }
 }

@@ -18,7 +18,7 @@
 //! default since pre-decoding landed). The document shape is unchanged. The
 //! parser reads v4 only: no older artifact exists in the tree.
 
-use tsp_telemetry::json::Json;
+use tsp_telemetry::json::{escape_free, Fields, Json};
 use tsp_telemetry::Telemetry;
 
 /// Schema tag of `BENCH_SIM.json`.
@@ -123,13 +123,6 @@ pub struct SimspeedReport {
     pub workloads: Vec<WorkloadSample>,
     /// Prior runs' summaries, oldest first.
     pub history: Vec<HistoryEntry>,
-}
-
-fn escape_free(s: &str) -> &str {
-    debug_assert!(s
-        .chars()
-        .all(|c| c.is_ascii_graphic() && c != '"' && c != '\\'));
-    s
 }
 
 impl SimspeedReport {
@@ -263,91 +256,42 @@ impl SimspeedReport {
     /// mismatch.
     pub fn from_json(text: &str) -> Result<SimspeedReport, String> {
         let doc = Json::parse(text)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing schema tag")?;
-        if schema != SIMSPEED_SCHEMA {
-            return Err(format!(
-                "schema is '{schema}', expected '{SIMSPEED_SCHEMA}'"
-            ));
-        }
-        let items = doc
-            .get("workloads")
-            .and_then(Json::as_array)
-            .ok_or("missing workloads array")?;
-        let mut workloads = Vec::with_capacity(items.len());
-        for (i, w) in items.iter().enumerate() {
-            let str_field = |k: &str| -> Result<String, String> {
-                w.get(k)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or(format!("workload {i}: missing {k}"))
-            };
-            let u64_field = |k: &str| -> Result<u64, String> {
-                w.get(k)
-                    .and_then(Json::as_u64)
-                    .ok_or(format!("workload {i}: missing {k}"))
-            };
-            workloads.push(WorkloadSample {
-                name: str_field("name")?,
-                mode: str_field("mode")?,
-                variant: str_field("variant")?,
-                runs: u32::try_from(u64_field("runs")?)
-                    .map_err(|_| format!("workload {i}: runs out of range"))?,
-                sim_cycles: u64_field("sim_cycles")?,
-                instructions: u64_field("instructions")?,
-                ecc_corrected: u64_field("ecc_corrected")?,
-                faults_applied: u64_field("faults_applied")?,
-                faults_vacant: u64_field("faults_vacant")?,
-                egress_words: u64_field("egress_words")?,
-                wall_seconds: w
-                    .get("wall_seconds")
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("workload {i}: missing wall_seconds"))?,
-                telemetry: w
-                    .get("telemetry")
-                    .and_then(Telemetry::from_json)
-                    .ok_or(format!("workload {i}: missing telemetry"))?,
-            });
-        }
-        let entries = doc
-            .get("history")
-            .and_then(Json::as_array)
-            .ok_or("missing history array")?;
-        let mut history = Vec::with_capacity(entries.len());
-        for (i, e) in entries.iter().enumerate() {
-            let items = e
-                .get("workloads")
-                .and_then(Json::as_array)
-                .ok_or(format!("history {i}: missing workloads array"))?;
-            let mut summaries = Vec::with_capacity(items.len());
-            for (j, h) in items.iter().enumerate() {
-                let str_field = |k: &str| -> Result<String, String> {
-                    h.get(k)
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .ok_or(format!("history {i} workload {j}: missing {k}"))
-                };
-                let f64_field = |k: &str| -> Result<f64, String> {
-                    h.get(k)
-                        .and_then(Json::as_f64)
-                        .ok_or(format!("history {i} workload {j}: missing {k}"))
-                };
-                summaries.push(HistorySample {
-                    name: str_field("name")?,
-                    mode: str_field("mode")?,
-                    variant: str_field("variant")?,
-                    mcycles_per_sec: f64_field("mcycles_per_sec")?,
-                    instructions_per_sec: f64_field("instructions_per_sec")?,
-                    cycles_per_run: h.get("cycles_per_run").and_then(Json::as_u64).unwrap_or(0),
-                });
-            }
-            history.push(HistoryEntry {
-                workloads: summaries,
-            });
-        }
-        Ok(SimspeedReport { workloads, history })
+        let doc = Fields::root(&doc);
+        doc.expect_schema(SIMSPEED_SCHEMA)?;
+        let workload = |w: Fields<'_>| {
+            Ok(WorkloadSample {
+                name: w.str("name")?.to_string(),
+                mode: w.str("mode")?.to_string(),
+                variant: w.str("variant")?.to_string(),
+                runs: w.u32("runs")?,
+                sim_cycles: w.u64("sim_cycles")?,
+                instructions: w.u64("instructions")?,
+                ecc_corrected: w.u64("ecc_corrected")?,
+                faults_applied: w.u64("faults_applied")?,
+                faults_vacant: w.u64("faults_vacant")?,
+                egress_words: w.u64("egress_words")?,
+                wall_seconds: w.f64("wall_seconds")?,
+                telemetry: Telemetry::from_fields(&w.at("telemetry")?)?,
+            })
+        };
+        let summary = |h: Fields<'_>| {
+            Ok(HistorySample {
+                name: h.str("name")?.to_string(),
+                mode: h.str("mode")?.to_string(),
+                variant: h.str("variant")?.to_string(),
+                mcycles_per_sec: h.f64("mcycles_per_sec")?,
+                instructions_per_sec: h.f64("instructions_per_sec")?,
+                cycles_per_run: h.u64("cycles_per_run").unwrap_or(0),
+            })
+        };
+        let entry = |e: Fields<'_>| {
+            let workloads = e.array("workloads", "workload", summary)?;
+            Ok(HistoryEntry { workloads })
+        };
+        Ok(SimspeedReport {
+            workloads: doc.array("workloads", "workload", workload)?,
+            history: doc.array("history", "history", entry)?,
+        })
     }
 }
 

@@ -22,7 +22,7 @@
 //! re-derived from the persisted buckets.
 
 use tsp_telemetry::hist::Histogram;
-use tsp_telemetry::json::Json;
+use tsp_telemetry::json::{escape_free, Fields, Json};
 
 /// Schema tag of `BENCH_SERVE.json`.
 pub const SERVE_SCHEMA: &str = "tsp-serve-v2";
@@ -112,13 +112,6 @@ impl ServePoint {
 pub struct ServeBenchReport {
     /// One entry per sweep point, in sweep order.
     pub points: Vec<ServePoint>,
-}
-
-fn escape_free(s: &str) -> &str {
-    debug_assert!(s
-        .chars()
-        .all(|c| c.is_ascii_graphic() && c != '"' && c != '\\'));
-    s
 }
 
 impl ServeBenchReport {
@@ -218,84 +211,45 @@ impl ServeBenchReport {
     /// mismatch.
     pub fn from_json(text: &str) -> Result<ServeBenchReport, String> {
         let doc = Json::parse(text)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing schema tag")?;
-        if schema != SERVE_SCHEMA {
-            return Err(format!("schema is '{schema}', expected '{SERVE_SCHEMA}'"));
-        }
-        let items = doc
-            .get("points")
-            .and_then(Json::as_array)
-            .ok_or("missing points array")?;
-        let mut points = Vec::with_capacity(items.len());
-        for (i, p) in items.iter().enumerate() {
-            let u64_field = |k: &str| -> Result<u64, String> {
-                p.get(k)
-                    .and_then(Json::as_u64)
-                    .ok_or(format!("point {i}: missing {k}"))
-            };
-            let chips_json = p
-                .get("chips")
-                .and_then(Json::as_array)
-                .ok_or(format!("point {i}: missing chips array"))?;
-            let mut chips = Vec::with_capacity(chips_json.len());
-            for (j, c) in chips_json.iter().enumerate() {
-                let cu64 = |k: &str| -> Result<u64, String> {
-                    c.get(k)
-                        .and_then(Json::as_u64)
-                        .ok_or(format!("point {i} chip {j}: missing {k}"))
-                };
-                let quarantined = c
-                    .get("quarantined")
-                    .and_then(Json::as_bool)
-                    .ok_or(format!("point {i} chip {j}: missing quarantined"))?;
-                chips.push(ServeChipRow {
-                    chip: cu64("chip")?,
-                    batches: cu64("batches")?,
-                    requests: cu64("requests")?,
-                    busy_cycles: cu64("busy_cycles")?,
-                    utilization: c
-                        .get("utilization")
-                        .and_then(Json::as_f64)
-                        .ok_or(format!("point {i} chip {j}: missing utilization"))?,
-                    mxm_waves: cu64("mxm_waves")?,
-                    quarantined_at: quarantined.then(|| cu64("quarantined_at")).transpose()?,
-                });
-            }
-            points.push(ServePoint {
-                label: p
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or(format!("point {i}: missing label"))?,
-                mean_interarrival: p
-                    .get("mean_interarrival")
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("point {i}: missing mean_interarrival"))?,
-                strike_per_mille: u64_field("strike_per_mille")?,
-                persistent_per_mille: u64_field("persistent_per_mille")?,
-                requests: u64_field("requests")?,
-                completed: u64_field("completed")?,
-                good: u64_field("good")?,
-                shed_queue_full: u64_field("shed_queue_full")?,
-                shed_expired: u64_field("shed_expired")?,
-                failed: u64_field("failed")?,
-                deadline_missed: u64_field("deadline_missed")?,
-                sdc: u64_field("sdc")?,
-                accounting_violations: u64_field("accounting_violations")?,
-                horizon: u64_field("horizon")?,
-                p50: u64_field("p50")?,
-                p99: u64_field("p99")?,
-                p999: u64_field("p999")?,
-                latency: p
-                    .get("latency")
-                    .and_then(Histogram::from_json)
-                    .ok_or(format!("point {i}: missing latency histogram"))?,
-                chips,
-            });
-        }
+        let doc = Fields::root(&doc);
+        doc.expect_schema(SERVE_SCHEMA)?;
+        let chip = |c: Fields<'_>| {
+            Ok(ServeChipRow {
+                chip: c.u64("chip")?,
+                batches: c.u64("batches")?,
+                requests: c.u64("requests")?,
+                busy_cycles: c.u64("busy_cycles")?,
+                utilization: c.f64("utilization")?,
+                mxm_waves: c.u64("mxm_waves")?,
+                quarantined_at: (c.bool("quarantined")?)
+                    .then(|| c.u64("quarantined_at"))
+                    .transpose()?,
+            })
+        };
+        let point = |p: Fields<'_>| {
+            Ok(ServePoint {
+                label: p.str("label")?.to_string(),
+                mean_interarrival: p.f64("mean_interarrival")?,
+                strike_per_mille: p.u64("strike_per_mille")?,
+                persistent_per_mille: p.u64("persistent_per_mille")?,
+                requests: p.u64("requests")?,
+                completed: p.u64("completed")?,
+                good: p.u64("good")?,
+                shed_queue_full: p.u64("shed_queue_full")?,
+                shed_expired: p.u64("shed_expired")?,
+                failed: p.u64("failed")?,
+                deadline_missed: p.u64("deadline_missed")?,
+                sdc: p.u64("sdc")?,
+                accounting_violations: p.u64("accounting_violations")?,
+                horizon: p.u64("horizon")?,
+                p50: p.u64("p50")?,
+                p99: p.u64("p99")?,
+                p999: p.u64("p999")?,
+                latency: Histogram::from_fields(&p.at("latency")?)?,
+                chips: p.array("chips", "chip", chip)?,
+            })
+        };
+        let points = doc.array("points", "point", point)?;
         Ok(ServeBenchReport { points })
     }
 }

@@ -1688,7 +1688,7 @@ mod tests {
     #[test]
     fn border_clear_past_its_deadline_runs_after_the_data() {
         use crate::kernels::matmul::{schedule_plane_chain, Pass};
-        use crate::sched::D_VXM;
+        use tsp_isa::D_VXM;
         for held in [None, Some(0), Some(1)] {
             let mut s = Scheduler::new();
             let mut chip = Chip::new(ChipConfig::asic());

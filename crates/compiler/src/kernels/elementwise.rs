@@ -6,12 +6,11 @@
 //! intermediate spills (paper §II-E).
 
 use tsp_arch::{Direction, Hemisphere, Slice, StreamGroup};
-use tsp_isa::{AluIndex, BinaryAluOp, DataType, IcuOp, UnaryAluOp, VxmOp};
+use tsp_isa::{AluIndex, BinaryAluOp, DataType, UnaryAluOp, VxmOp, D_VXM};
 use tsp_sim::IcuId;
 
 use crate::alloc::BankPolicy;
-use crate::resource::Resource;
-use crate::sched::{Scheduler, D_VXM};
+use crate::sched::Scheduler;
 use crate::tensor::TensorHandle;
 
 /// The hemisphere a tensor lives in.
@@ -28,16 +27,6 @@ pub fn tensor_hemisphere(t: &TensorHandle) -> Hemisphere {
         assert_eq!(h, h2, "tensor spans both hemispheres");
     }
     h
-}
-
-/// Picks the least-busy VXM ALU at-or-after `at`.
-#[must_use]
-pub fn pick_alu(s: &Scheduler, at: u64) -> (AluIndex, u64) {
-    let (alu, free) = (0..AluIndex::COUNT)
-        .map(|a| (a, s.pool.free_at(Resource::VxmAlu(a))))
-        .min_by_key(|&(a, f)| (f, a))
-        .expect("16 ALUs exist");
-    (AluIndex::new(alu), free.max(at))
 }
 
 /// Schedules a point-wise VXM chain over every row of the `inputs` (all the
@@ -103,7 +92,7 @@ fn ew_chain(
     };
     let write_delay = if post_relu { 2 * D_VXM } else { D_VXM };
 
-    let (alu, ready) = pick_alu(s, t0);
+    let (alu, ready) = s.pick_alu(t0);
     t0 = ready;
     for input in inputs {
         let dir = Direction::inward_from(tensor_hemisphere(input));
@@ -158,49 +147,22 @@ fn ew_chain(
     }
     // The repeated ALU op.
     let op = make_op(&groups, dst_group, alu);
-    let icu = IcuId::Vxm { alu };
-    s.place(icu, t0, op);
-    if n > 1 {
-        s.place(
-            icu,
-            t0 + 1,
-            IcuOp::Repeat {
-                n: (n - 1) as u16,
-                d: 1,
-            },
-        );
-    }
-    s.pool.occupy(Resource::VxmAlu(alu.0), t0 + u64::from(n));
+    s.place_burst(IcuId::Vxm { alu }, t0, u64::from(n), op);
     s.occupy_stream(dst_group.base, vxm, t0 + D_VXM + u64::from(n));
 
     // Optional chained ReLU: consumes the result stream at its birth
     // position (the VXM) on a second ALU — no memory round trip (§II-E).
     let final_group = if let Some(rg) = relu_group {
-        let (relu_alu, _) = pick_alu(s, t0 + D_VXM);
-        s.pool
-            .occupy(Resource::VxmAlu(relu_alu.0), t0 + D_VXM + u64::from(n));
+        let (relu_alu, _) = s.pick_alu(t0 + D_VXM);
+        let relu = VxmOp::Unary {
+            op: UnaryAluOp::Relu,
+            dtype: DataType::Int8,
+            src: dst_group,
+            dst: rg,
+            alu: relu_alu,
+        };
         let icu = IcuId::Vxm { alu: relu_alu };
-        s.place(
-            icu,
-            t0 + D_VXM,
-            VxmOp::Unary {
-                op: UnaryAluOp::Relu,
-                dtype: DataType::Int8,
-                src: dst_group,
-                dst: rg,
-                alu: relu_alu,
-            },
-        );
-        if n > 1 {
-            s.place(
-                icu,
-                t0 + D_VXM + 1,
-                IcuOp::Repeat {
-                    n: (n - 1) as u16,
-                    d: 1,
-                },
-            );
-        }
+        s.place_burst(icu, t0 + D_VXM, u64::from(n), relu);
         rg
     } else {
         dst_group

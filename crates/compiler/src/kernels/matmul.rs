@@ -31,21 +31,15 @@
 
 use tsp_arch::{Direction, Hemisphere, Position, Slice, StreamGroup, StreamId, Vector};
 use tsp_isa::{
-    AccumulateMode, AluIndex, BinaryAluOp, DataType, IcuOp, MxmOp, Plane, UnaryAluOp, VxmOp,
-    MXM_ARRAY_DELAY,
+    AccumulateMode, AluIndex, BinaryAluOp, DataType, MxmOp, Plane, UnaryAluOp, VxmOp, D_IW, D_VXM,
+    LW_ROWS, MXM_ARRAY_DELAY,
 };
 use tsp_sim::IcuId;
 
 use crate::alloc::BankPolicy;
-use crate::kernels::elementwise::{pick_alu, tensor_hemisphere};
-use crate::resource::Resource;
-use crate::sched::{LaneMap, OutOfPorts, Scheduler, D_VXM};
+use crate::kernels::elementwise::tensor_hemisphere;
+use crate::sched::{LaneMap, OutOfPorts, Scheduler};
 use crate::tensor::TensorHandle;
-
-/// Delay from `IW` dispatch until the array is usable.
-pub(crate) const D_IW: u64 = 4;
-/// Cycles of an `LW` burst filling a full plane.
-const LW_ROWS: u64 = 20;
 
 /// The weights of one matmul, pre-split and serialized for the MXM.
 #[derive(Debug, Clone)]
@@ -297,12 +291,12 @@ impl PlaneChainBuilder {
         // The plane is handed over the way a chain hands it from pass to
         // pass: the weight buffer once the previous tenant's last `IW` is
         // through, the array once its last `ABC` has ended.
-        let free = |r: Resource| s.pool.free_at(r).max(not_before);
+        let (buffer, array) = s.plane_free(plane);
         PlaneChainBuilder {
             plane,
             feeds_done: 0,
-            prev_iw_done: free(Resource::MxmWeights(plane.index())),
-            prev_abc_end: free(Resource::MxmArray(plane.index())),
+            prev_iw_done: buffer.max(not_before),
+            prev_abc_end: array.max(not_before),
             n,
             result: None,
         }
@@ -364,8 +358,7 @@ impl PlaneChainBuilder {
             },
         );
         self.prev_iw_done = t_iw + D_IW;
-        s.pool
-            .occupy(Resource::MxmWeights(plane.index()), self.prev_iw_done);
+        s.hold_weight_buffer(plane, self.prev_iw_done);
     }
 
     /// Streams `rows` of `acts` through the installed weights into the
@@ -422,8 +415,7 @@ impl PlaneChainBuilder {
             },
         );
         self.prev_abc_end = t_abc + m;
-        s.pool
-            .occupy(Resource::MxmArray(plane.index()), self.prev_abc_end);
+        s.hold_array(plane, self.prev_abc_end);
 
         // ---- accumulate ----------------------------------------------------
         let mode = if self.feeds_done == 0 {
@@ -618,14 +610,13 @@ fn requant_chain(
     // One stage: `op(dst, alu)` issued for the `n` rows from cycle `t`, its
     // results on a fresh outward stream `D_VXM` later.
     let stage = |s: &mut Scheduler, t: u64, op: &dyn Fn(StreamGroup, AluIndex) -> VxmOp| {
-        let (alu, alu_ready) = pick_alu(s, t);
-        s.pool.occupy(Resource::VxmAlu(alu.0), t + n);
+        let (alu, alu_ready) = s.pick_alu(t);
         let (id, ready) = s.take_aligned_group(out_dir, 1, t + D_VXM, vxm);
         if alu_ready > t || ready > t + D_VXM {
             return Err(OutOfPorts { t_write: t });
         }
         let dst = StreamGroup::new(StreamId::new(id, out_dir), 1);
-        place_repeated(s, IcuId::Vxm { alu }, t, n, op(dst, alu));
+        s.place_burst(IcuId::Vxm { alu }, t, n, op(dst, alu));
         s.occupy_stream(dst.base, vxm, t + D_VXM + n);
         Ok(dst)
     };
@@ -675,27 +666,6 @@ fn requant_chain(
         t += D_VXM;
     }
     Ok((out, t))
-}
-
-/// Places `op` at `t` and repeats it for `n − 1` further rows.
-pub fn place_repeated(
-    s: &mut Scheduler,
-    icu: IcuId,
-    t: u64,
-    n: u64,
-    op: impl Into<tsp_isa::Instruction>,
-) {
-    s.place(icu, t, op);
-    if n > 1 {
-        s.place(
-            icu,
-            t + 1,
-            IcuOp::Repeat {
-                n: (n - 1) as u16,
-                d: 1,
-            },
-        );
-    }
 }
 
 /// Options for [`matmul`].

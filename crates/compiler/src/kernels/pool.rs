@@ -29,18 +29,17 @@
 //! (standard practice — see DESIGN.md §2).
 
 use tsp_arch::{Direction, Hemisphere, Slice, StreamGroup, StreamId, Vector};
-use tsp_isa::{AccumulateMode, BinaryAluOp, DataType, MxmOp, VxmOp, MXM_ARRAY_DELAY};
+use tsp_isa::{AccumulateMode, BinaryAluOp, DataType, MxmOp, VxmOp, D_VXM, MXM_ARRAY_DELAY};
 use tsp_sim::IcuId;
 
 use crate::alloc::BankPolicy;
 use crate::kernels::conv::{group_lanes, FeatureMap, MapLayout};
-use crate::kernels::elementwise::{pick_alu, tensor_hemisphere};
+use crate::kernels::elementwise::tensor_hemisphere;
 use crate::kernels::matmul::{
-    emplace_weight_blocks, lw_rows, place_repeated, plane_of_chain, schedule_requant_write,
-    stream_weights, ActFeed, Int32Stream, D_IW,
+    emplace_weight_blocks, lw_rows, plane_of_chain, schedule_requant_write, stream_weights,
+    ActFeed, Int32Stream, PlaneChainBuilder,
 };
-use crate::resource::Resource;
-use crate::sched::{LaneMap, Scheduler, D_VXM};
+use crate::sched::{LaneMap, Scheduler};
 use crate::tensor::TensorHandle;
 
 /// Parameters of a [`max_pool`].
@@ -238,7 +237,7 @@ pub fn max_pool(
 
             // Input streams: each offset from its own replica, staggered by
             // the chain position so each max's operands meet in time.
-            let mut t0 = s.pool.floor().max(params.not_before).max(done);
+            let mut t0 = s.floor().max(params.not_before).max(done);
             // Floor on destination availability (stream-dictated writes).
             if last_round {
                 for rep in &out.parts[kp] {
@@ -336,23 +335,17 @@ pub fn max_pool(
             for (i, (id, mid)) in ids[1..].iter().zip(&mids).enumerate() {
                 let t_op = t0 + stagger(i + 1);
                 debug_assert_eq!(t_op, t_cur.max(t_op));
-                let (alu, _) = pick_alu(s, t_op);
-                s.pool.occupy(Resource::VxmAlu(alu.0), t_op + u64::from(n));
+                let (alu, _) = s.pick_alu(t_op);
                 let mid = StreamGroup::new(*mid, 1);
-                place_repeated(
-                    s,
-                    IcuId::Vxm { alu },
-                    t_op,
-                    u64::from(n),
-                    VxmOp::Binary {
-                        op: BinaryAluOp::Max,
-                        dtype: DataType::Int8,
-                        a: current,
-                        b: StreamGroup::new(*id, 1),
-                        dst: mid,
-                        alu,
-                    },
-                );
+                let max = VxmOp::Binary {
+                    op: BinaryAluOp::Max,
+                    dtype: DataType::Int8,
+                    a: current,
+                    b: StreamGroup::new(*id, 1),
+                    dst: mid,
+                    alu,
+                };
+                s.place_burst(IcuId::Vxm { alu }, t_op, u64::from(n), max);
                 current = mid;
                 t_cur = t_op + D_VXM;
             }
@@ -438,44 +431,21 @@ pub fn global_avg_pool(
         let cols = part.cols;
         let plane = plane_of_chain(kp);
         let mxm = Slice::Mxm(plane.hemisphere()).position();
-        let to_mxm = match plane.hemisphere() {
-            Hemisphere::East => Direction::East,
-            Hemisphere::West => Direction::West,
-        };
+        let to_mxm = Direction::outward_from(plane.hemisphere());
         let from_mxm = to_mxm.opposite();
 
-        // Install identity.
-        let (buffer, array) = (
-            Resource::MxmWeights(plane.index()),
-            Resource::MxmArray(plane.index()),
-        );
-        let ready = s.pool.free_at(buffer).max(not_before);
-        let feed = stream_weights(s, identity, plane.hemisphere(), ready);
-        s.place(
-            IcuId::Mxm { plane, port: 0 },
-            feed.t_lw,
-            MxmOp::LoadWeights {
-                plane,
-                streams: feed.group,
-                rows: 20,
-            },
-        );
-        let t_iw = (feed.t_lw + 20).max(s.pool.free_at(array));
-        s.place(
-            IcuId::Mxm { plane, port: 3 },
-            t_iw,
-            MxmOp::InstallWeights {
-                plane,
-                dtype: DataType::Int8,
-            },
-        );
-        s.pool.occupy(buffer, t_iw + D_IW);
+        // Install identity the way every chain does; the feed below is GAP's
+        // own (one `ABC`, but an `ACC` per row).
+        let mut chain = PlaneChainBuilder::new(s, plane, u64::from(n), not_before);
+        let feed = stream_weights(s, identity, plane.hemisphere(), chain.lw_floor());
+        chain.install(s, feed);
+        let installed = chain.lw_floor();
 
         // Stream the interior rows through.
         let rows: Vec<u32> = (0..input.h)
             .flat_map(|y| (0..input.w).map(move |x| input.row_index(y, x)))
             .collect();
-        let (acts, ready) = s.take_streams(to_mxm, 1, t_iw + D_IW, mxm);
+        let (acts, ready) = s.take_streams(to_mxm, 1, installed, mxm);
         let t_abc = s.earliest_read_arrival(part, &rows, to_mxm, mxm, ready);
         s.read_rows(part, &rows, acts[0], mxm, t_abc);
         s.place(
@@ -512,7 +482,7 @@ pub fn global_avg_pool(
         for stream in acc_group.streams() {
             s.occupy_stream(stream, mxm, t_acc + 1 + u64::from(n));
         }
-        s.pool.occupy(array, t_abc + u64::from(n));
+        s.hold_array(plane, t_abc + u64::from(n));
 
         // Only the final emission (row n−1) carries the full sum.
         let transit = u64::from(from_mxm.hops(mxm, vxm).expect("VXM inward"));

@@ -9,11 +9,12 @@
 //!   partitioned global address space (block-contiguous layouts, on-demand
 //!   replication for multi-stream consumers);
 //! * [`alloc`] — the slice/bank-aware memory allocator (paper §IV-A);
-//! * [`resource`] — interval bookkeeping for every contended unit: stream
-//!   registers, MEM read/write ports, VXM ALUs, MXM planes, SXM units;
-//! * [`sched`] — the schedule builder that turns `(queue, cycle, instruction)`
-//!   placements into a [`tsp_sim::Program`] by inserting the exact `NOP`
-//!   padding each queue needs;
+//! * [`resource`] — the books: when each instruction queue, stream register
+//!   and MXM plane is next free;
+//! * [`sched`] — the schedule builder, which keeps the only set of those books
+//!   (placing an instruction books its queue) and turns `(queue, cycle,
+//!   instruction)` placements into a [`tsp_sim::Program`] by inserting the
+//!   exact `NOP` padding each queue needs;
 //! * [`kernels`] — the lowering templates: streamed copy, element-wise chains,
 //!   dense matmul on the MXM (with K/M/N splitting and requantize+ReLU
 //!   chaining through the VXM), conv2d (offset accumulation, row-split over

@@ -1,31 +1,34 @@
-//! Interval bookkeeping for every contended hardware unit.
+//! The books: when every contended hardware unit is next free.
 //!
 //! The compiler, not the hardware, resolves contention (paper §II). Each
-//! schedulable unit is a [`Resource`]; the [`ResourcePool`] tracks when each
-//! becomes free. Kernels acquire resources for an interval; later kernels
-//! naturally overlap with earlier ones wherever their resource sets are
-//! disjoint — which is exactly the paper's §IV-C memory-overlap optimization
-//! when enabled, or strict layer-serialization when the pool is fenced.
+//! schedulable unit is a [`Resource`]; the [`ResourcePool`] records when each
+//! becomes free — one busy horizon per unit, a representation nothing outside
+//! this file depends on. [`crate::sched::Scheduler`] keeps the only pool and
+//! is the only one to read or write it: placing an instruction books its
+//! queue, and kernels ask the scheduler's methods about the rest. Later
+//! kernels overlap with earlier ones wherever their resource sets are
+//! disjoint — the paper's §IV-C memory-overlap optimization — or run strictly
+//! layer by layer when the pool is fenced.
 
 use std::collections::BTreeMap;
 
-use tsp_arch::{Direction, Hemisphere, StreamId, STREAMS_PER_DIRECTION};
+use tsp_arch::{Direction, StreamId, STREAMS_PER_DIRECTION};
+use tsp_sim::IcuId;
 
 /// A contended hardware unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Resource {
-    /// One MEM slice's SRAM read port.
-    MemRead(Hemisphere, u8),
-    /// One MEM slice's SRAM write port.
-    MemWrite(Hemisphere, u8),
+    /// One instruction queue — a MEM slice's, a VXM ALU's, an MXM port's:
+    /// busy while an instruction placed on it is being issued
+    /// (`Instruction::queue_cycles`). Only
+    /// [`crate::sched::Scheduler::place`] books it.
+    Queue(IcuId),
     /// One logical stream (id + direction), chip-wide. Its free time is kept
     /// in **edge time** — the cycle a value leaves the chip — which is
     /// constant along a value's flight, so two bursts never share a stream
     /// register iff their edge-time intervals are disjoint, wherever they
     /// were produced (see [`crate::sched::Scheduler::take_streams`]).
     Stream(Direction, u8),
-    /// One of the 16 per-lane VXM ALUs (by mesh index).
-    VxmAlu(u8),
     /// One MXM plane's weight buffer: busy from an `LW` until the `IW` that
     /// empties it into the array has completed.
     MxmWeights(u8),
@@ -34,10 +37,6 @@ pub enum Resource {
     /// accumulators need no entry of their own: a pass's `ACC` trails its
     /// `ABC` by the array delay, so read-outs keep the order of the `ABC`s.
     MxmArray(u8),
-    /// One SXM sub-unit.
-    SxmUnit(Hemisphere, u8),
-    /// One C2C queue.
-    C2cPort(u8),
 }
 
 /// Tracks when each resource is next free.
@@ -61,14 +60,6 @@ impl ResourcePool {
         self.free_at.get(&r).copied().unwrap_or(0).max(self.floor)
     }
 
-    /// The first cycle ≥ `not_before` at which *all* of `rs` are free.
-    #[must_use]
-    pub fn free_all(&self, rs: impl IntoIterator<Item = Resource>, not_before: u64) -> u64 {
-        rs.into_iter()
-            .map(|r| self.free_at(r))
-            .fold(not_before, u64::max)
-    }
-
     /// Marks `r` busy until `until` (exclusive).
     pub fn occupy(&mut self, r: Resource, until: u64) {
         let slot = self.free_at.entry(r).or_insert(0);
@@ -79,6 +70,12 @@ impl ResourcePool {
     /// (strict layer-sequential mode; the E13 ablation baseline).
     pub fn fence(&mut self, cycle: u64) {
         self.floor = self.floor.max(cycle);
+    }
+
+    /// The highest fence applied so far.
+    #[must_use]
+    pub fn floor(&self) -> u64 {
+        self.floor
     }
 
     /// Picks the `count` streams in `direction` that free soonest (any stream
@@ -141,14 +138,6 @@ impl ResourcePool {
     }
 }
 
-impl ResourcePool {
-    /// The highest fence applied so far.
-    #[must_use]
-    pub fn floor(&self) -> u64 {
-        self.floor
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,25 +151,10 @@ mod tests {
     #[test]
     fn occupy_and_query() {
         let mut p = ResourcePool::new();
-        p.occupy(Resource::VxmAlu(3), 100);
-        p.occupy(Resource::VxmAlu(3), 50); // never moves backwards
-        assert_eq!(p.free_at(Resource::VxmAlu(3)), 100);
-        assert_eq!(p.free_at(Resource::VxmAlu(4)), 0);
-    }
-
-    #[test]
-    fn free_all_takes_max() {
-        let mut p = ResourcePool::new();
-        p.occupy(Resource::MemRead(Hemisphere::East, 0), 30);
-        p.occupy(Resource::Stream(Direction::East, 1), 70);
-        let t = p.free_all(
-            [
-                Resource::MemRead(Hemisphere::East, 0),
-                Resource::Stream(Direction::East, 1),
-            ],
-            10,
-        );
-        assert_eq!(t, 70);
+        p.occupy(Resource::MxmWeights(3), 100);
+        p.occupy(Resource::MxmWeights(3), 50); // never moves backwards
+        assert_eq!(p.free_at(Resource::MxmWeights(3)), 100);
+        assert_eq!(p.free_at(Resource::MxmWeights(2)), 0);
     }
 
     #[test]

@@ -12,20 +12,28 @@
 use std::collections::BTreeMap;
 
 use tsp_arch::{Direction, Hemisphere, Position, Slice, StreamId, Vector, SUPERLANES};
-use tsp_isa::{IcuOp, Instruction, MemAddr, MemOp};
+use tsp_isa::{AluIndex, IcuOp, Instruction, MemAddr, MemOp, Plane, D_GATHER, D_READ};
+use tsp_mem::GlobalAddress;
 use tsp_sim::{IcuId, Program};
 
 use crate::alloc::{MemAllocator, LOW_INNER_SLICES};
 use crate::resource::{Resource, ResourcePool};
 use crate::tensor::TensorHandle;
 
-/// Functional delay of a MEM `Read` (kept in one place; must agree with
-/// `tsp_isa::MemOp::time_model`).
-pub const D_READ: u64 = 5;
-/// Functional delay of a VXM point-wise op.
-pub const D_VXM: u64 = 4;
-/// Functional delay of a MEM `Gather`.
-pub const D_GATHER: u64 = 7;
+/// The instruction queue of one MEM slice.
+fn mem_queue(hemisphere: Hemisphere, index: u8) -> IcuId {
+    IcuId::Mem { hemisphere, index }
+}
+
+/// Cycles a `direction`-flowing value takes from `from` to `to`, a hop each.
+///
+/// # Panics
+///
+/// Panics if `to` is not downstream of `from`: a kernel routed wrongly.
+fn flight(direction: Direction, from: Position, to: Position) -> u64 {
+    let hops = direction.hops(from, to);
+    u64::from(hops.unwrap_or_else(|| panic!("{to} not downstream of {from} going {direction}")))
+}
 
 /// Hops a `direction`-flowing value at `pos` still travels before it leaves
 /// the chip: adding them to a cycle gives the value's *edge time*, which is
@@ -92,26 +100,21 @@ struct LaneRun<'a> {
     /// Rows of the map tensor to stream, one per vector.
     map_rows: Vec<u32>,
     map: &'a LaneMap,
-    /// The data slice.
-    slice: (Hemisphere, u8),
 }
 
 impl LaneRun<'_> {
     fn position(&self) -> Position {
-        Slice::mem(self.slice.0, self.slice.1).position()
+        Slice::mem(self.map.slice.0, self.map.slice.1).position()
     }
 
     /// Maps live in the hemisphere opposite their data, so a map stream
     /// flowing outward through the data's hemisphere always reaches it.
     fn map_direction(&self) -> Direction {
-        Direction::outward_from(self.slice.0)
+        Direction::outward_from(self.map.slice.0)
     }
 
     fn icu(&self) -> IcuId {
-        IcuId::Mem {
-            hemisphere: self.slice.0,
-            index: self.slice.1,
-        }
+        mem_queue(self.map.slice.0, self.map.slice.1)
     }
 }
 
@@ -148,8 +151,11 @@ pub struct SchedulerSnapshot {
 /// Builds a program by placing instructions at absolute cycles.
 #[derive(Debug, Default)]
 pub struct Scheduler {
-    /// Resource bookkeeping shared by all kernels.
-    pub pool: ResourcePool,
+    /// When each queue, stream and MXM plane is next free: the only set of
+    /// books, kept here — [`Scheduler::place`] books a queue, the `take_*` /
+    /// `occupy_*` / `hold_*` methods the rest — and asked about only through
+    /// this type's methods.
+    pool: ResourcePool,
     /// The memory allocator.
     pub alloc: MemAllocator,
     placements: BTreeMap<IcuId, Vec<(u64, Instruction)>>,
@@ -335,16 +341,65 @@ impl Scheduler {
         std::mem::take(&mut self.constants)
     }
 
-    /// Places one instruction at an absolute dispatch cycle.
+    /// Places one instruction at an absolute dispatch cycle, booking its
+    /// queue for the cycles it takes to issue.
     pub fn place(&mut self, icu: IcuId, cycle: u64, instruction: impl Into<Instruction>) {
         let instruction = instruction.into();
-        let effect =
-            cycle + instruction.queue_cycles() + u64::from(instruction.time_model().d_func);
-        self.note_completion(effect);
+        let issued = cycle + instruction.queue_cycles();
+        self.note_completion(issued + u64::from(instruction.time_model().d_func));
+        self.pool.occupy(Resource::Queue(icu), issued);
         self.placements
             .entry(icu)
             .or_default()
             .push((cycle, instruction));
+    }
+
+    /// Places `op` at cycle `t` and a `Repeat` behind it for `n − 1` further
+    /// cycles: one issue a cycle, the queue busy until `t + n`.
+    pub fn place_burst(&mut self, icu: IcuId, t: u64, n: u64, op: impl Into<Instruction>) {
+        self.place(icu, t, op);
+        if n > 1 {
+            let repeat = IcuOp::Repeat {
+                n: (n - 1) as u16,
+                d: 1,
+            };
+            self.place(icu, t + 1, repeat);
+        }
+    }
+
+    /// Splits `rows` of `tensor` into `Read` bursts, each `(index of its
+    /// first row in the list, that row's address, length)`: a run of rows at
+    /// consecutive addresses of one slice, which a `Repeat` auto-increments
+    /// through. What [`Scheduler::earliest_read_arrival`] prices is what
+    /// [`Scheduler::read_rows`] places.
+    fn read_runs<'a>(
+        tensor: &'a TensorHandle,
+        rows: &'a [u32],
+    ) -> impl Iterator<Item = (usize, GlobalAddress, usize)> + 'a {
+        let mut i = 0usize;
+        std::iter::from_fn(move || {
+            let (start, first) = (i, tensor.row(*rows.get(i)?));
+            let mut last = first;
+            i += 1;
+            while let Some(&r) = rows.get(i) {
+                let next = tensor.row(r);
+                let consecutive = (next.hemisphere, next.slice, next.word.word())
+                    == (last.hemisphere, last.slice, last.word.word() + 1);
+                if !consecutive {
+                    break;
+                }
+                last = next;
+                i += 1;
+            }
+            Some((start, first, i - start))
+        })
+    }
+
+    /// Cycles between a `Read`'s dispatch on `addr`'s slice and its row's
+    /// arrival at `consumer`, travelling in `direction`.
+    fn read_lead(addr: GlobalAddress, direction: Direction, consumer: Position) -> u64 {
+        let pos = Slice::mem(addr.hemisphere, addr.slice).position();
+        D_READ + flight(direction, pos, consumer)
     }
 
     /// Streams rows of `tensor` (given by index list `rows`) onto `stream`
@@ -352,8 +407,8 @@ impl Scheduler {
     ///
     /// Contiguous row runs become `Read` + `Repeat` bursts (addresses
     /// auto-increment); arbitrary patterns fall back to per-row `Read`s, still
-    /// one row per cycle. Occupies the source slices' MEM queues and the
-    /// stream.
+    /// one row per cycle. Placing them books the source slices' queues; the
+    /// stream is reserved here.
     ///
     /// # Panics
     ///
@@ -368,56 +423,20 @@ impl Scheduler {
         consumer: Position,
         t0: u64,
     ) {
-        let dir = stream.direction;
-        let mut i = 0usize;
-        while i < rows.len() {
-            // Extend a run of rows with consecutive addresses in one slice.
-            let mut run = 1usize;
-            let a0 = tensor.row(rows[i]);
-            while i + run < rows.len() {
-                let prev = tensor.row(rows[i + run - 1]);
-                let next = tensor.row(rows[i + run]);
-                let consecutive = next.hemisphere == prev.hemisphere
-                    && next.slice == prev.slice
-                    && next.word.word() == prev.word.word() + 1;
-                if consecutive {
-                    run += 1;
-                } else {
-                    break;
-                }
-            }
-            let pos = Slice::mem(a0.hemisphere, a0.slice).position();
-            let delta = dir
-                .hops(pos, consumer)
-                .unwrap_or_else(|| panic!("slice {pos} not upstream of {consumer} going {dir}"));
-            let arrive_first = t0 + i as u64;
-            let dispatch = arrive_first
-                .checked_sub(D_READ + u64::from(delta))
+        for (start, addr, len) in Scheduler::read_runs(tensor, rows) {
+            let dispatch = (t0 + start as u64)
+                .checked_sub(Scheduler::read_lead(addr, stream.direction, consumer))
                 .expect("t0 too early: read dispatch before cycle 0");
-            let icu = IcuId::Mem {
-                hemisphere: a0.hemisphere,
-                index: a0.slice,
+            let read = MemOp::Read {
+                addr: addr.word,
+                stream,
             };
-            self.place(
-                icu,
+            self.place_burst(
+                mem_queue(addr.hemisphere, addr.slice),
                 dispatch,
-                MemOp::Read {
-                    addr: a0.word,
-                    stream,
-                },
+                len as u64,
+                read,
             );
-            if run > 1 {
-                self.place(
-                    icu,
-                    dispatch + 1,
-                    IcuOp::Repeat {
-                        n: (run - 1) as u16,
-                        d: 1,
-                    },
-                );
-            }
-            self.occupy_mem(a0.hemisphere, a0.slice, dispatch + run as u64);
-            i += run;
         }
         self.occupy_stream(stream, consumer, t0 + rows.len() as u64);
     }
@@ -442,34 +461,13 @@ impl Scheduler {
     ) {
         let dir = stream.direction;
         for (h, s, base, row0, run) in tensor.layout.runs(first_row, count) {
-            let pos = Slice::mem(h, s).position();
-            let delta = dir
-                .hops(producer, pos)
-                .unwrap_or_else(|| panic!("slice {pos} not downstream of {producer} going {dir}"));
-            let dispatch = t0 + u64::from(row0 - first_row) + u64::from(delta);
-            let icu = IcuId::Mem {
-                hemisphere: h,
-                index: s,
+            let lag = flight(dir, producer, Slice::mem(h, s).position());
+            let dispatch = t0 + u64::from(row0 - first_row) + lag;
+            let write = MemOp::Write {
+                addr: MemAddr::new(base),
+                stream,
             };
-            self.place(
-                icu,
-                dispatch,
-                MemOp::Write {
-                    addr: MemAddr::new(base),
-                    stream,
-                },
-            );
-            if run > 1 {
-                self.place(
-                    icu,
-                    dispatch + 1,
-                    IcuOp::Repeat {
-                        n: (run - 1) as u16,
-                        d: 1,
-                    },
-                );
-            }
-            self.occupy_mem(h, s, dispatch + u64::from(run));
+            self.place_burst(mem_queue(h, s), dispatch, u64::from(run), write);
         }
         self.occupy_stream(stream, producer, t0 + u64::from(count));
     }
@@ -489,7 +487,6 @@ impl Scheduler {
                     start: i,
                     map_rows: vec![map_row],
                     map,
-                    slice: map.slice,
                 }),
             }
         }
@@ -504,19 +501,8 @@ impl Scheduler {
         let (map_stream, ready) = self.take_streams(map_dir, 1, dispatch, pos);
         assert!(ready <= dispatch, "no map stream free by cycle {dispatch}");
         self.read_rows(&run.map.tensor, &run.map_rows, map_stream[0], pos, dispatch);
-        self.place(run.icu(), dispatch, op(map_stream[0]));
-        let n = run.map_rows.len();
-        if n > 1 {
-            self.place(
-                run.icu(),
-                dispatch + 1,
-                IcuOp::Repeat {
-                    n: (n - 1) as u16,
-                    d: 1,
-                },
-            );
-        }
-        self.occupy_mem(run.slice.0, run.slice.1, dispatch + n as u64);
+        let n = run.map_rows.len() as u64;
+        self.place_burst(run.icu(), dispatch, n, op(map_stream[0]));
     }
 
     /// The earliest `t0 ≥ not_before` for bursts over `runs` whose first
@@ -540,7 +526,7 @@ impl Scheduler {
         for run in runs {
             let (pos, map_dir) = (run.position(), run.map_direction());
             let offset = run.start as i64 + shift(run);
-            let free = self.mem_free(run.slice.0, run.slice.1);
+            let free = self.mem_free(run.map.slice.0, run.map.slice.1);
             let first_map =
                 self.earliest_read_arrival(&run.map.tensor, &run.map_rows, map_dir, pos, free);
             t0 = t0.max((first_map as i64 - offset).max(0) as u64);
@@ -560,26 +546,6 @@ impl Scheduler {
             .pool
             .pick_streams_excluding(run.map_direction(), count, at, &[]);
         t0 + (ready - first_edge)
-    }
-
-    /// Cycles between a `Gather`'s dispatch on `run`'s slice and its row's
-    /// arrival at `consumer`, travelling in `direction`.
-    fn gather_lead(run: &LaneRun<'_>, direction: Direction, consumer: Position) -> u64 {
-        let pos = run.position();
-        let delta = direction
-            .hops(pos, consumer)
-            .unwrap_or_else(|| panic!("slice {pos} not upstream of {consumer} going {direction}"));
-        D_GATHER + u64::from(delta)
-    }
-
-    /// Cycles a value on `direction` takes from `producer` to `run`'s slice,
-    /// where the `Scatter` consuming it is dispatched.
-    fn scatter_lag(run: &LaneRun<'_>, direction: Direction, producer: Position) -> u64 {
-        let pos = run.position();
-        let delta = direction.hops(producer, pos).unwrap_or_else(|| {
-            panic!("slice {pos} not downstream of {producer} going {direction}")
-        });
-        u64::from(delta)
     }
 
     /// Like [`Scheduler::read_rows`], but every row is fetched with a MEM
@@ -607,7 +573,7 @@ impl Scheduler {
         // First, so that no map burst picks the gathered rows' own stream.
         self.occupy_stream(stream, consumer, t0 + rows.len() as u64);
         for run in Scheduler::lane_runs(maps, rows) {
-            let lead = Scheduler::gather_lead(&run, stream.direction, consumer);
+            let lead = D_GATHER + flight(stream.direction, run.position(), consumer);
             let dispatch = (t0 + run.start as u64)
                 .checked_sub(lead)
                 .expect("t0 too early: gather dispatch before cycle 0");
@@ -628,7 +594,8 @@ impl Scheduler {
         not_before: u64,
     ) -> u64 {
         let runs = Scheduler::lane_runs(maps, rows);
-        let shift = |run: &LaneRun<'_>| -(Scheduler::gather_lead(run, direction, consumer) as i64);
+        let lead = |run: &LaneRun<'_>| D_GATHER + flight(direction, run.position(), consumer);
+        let shift = |run: &LaneRun<'_>| -(lead(run) as i64);
         self.earliest_lane_runs(&runs, shift, not_before)
     }
 
@@ -655,7 +622,7 @@ impl Scheduler {
     ) {
         self.occupy_stream(stream, producer, t0 + rows.len() as u64);
         for run in Scheduler::lane_runs(maps, rows) {
-            let lag = Scheduler::scatter_lag(&run, stream.direction, producer);
+            let lag = flight(stream.direction, producer, run.position());
             let dispatch = t0 + run.start as u64 + lag;
             self.place_lane_run(&run, dispatch, |map| MemOp::Scatter { stream, map });
         }
@@ -674,7 +641,7 @@ impl Scheduler {
         not_before: u64,
     ) -> u64 {
         let runs = Scheduler::lane_runs(maps, rows);
-        let shift = |run: &LaneRun<'_>| Scheduler::scatter_lag(run, direction, producer) as i64;
+        let shift = |run: &LaneRun<'_>| flight(direction, producer, run.position()) as i64;
         self.earliest_lane_runs(&runs, shift, not_before)
     }
 
@@ -756,10 +723,11 @@ impl Scheduler {
         Some(done)
     }
 
-    /// Marks a MEM slice's (single-issue) queue busy until `until`.
+    /// Holds a MEM slice's (single-issue) queue busy until `until` with
+    /// nothing placed on it: how a test stands in for another kernel's
+    /// traffic. Placing an instruction books its queue by itself.
     pub fn occupy_mem(&mut self, h: Hemisphere, s: u8, until: u64) {
-        self.pool.occupy(Resource::MemRead(h, s), until);
-        self.pool.occupy(Resource::MemWrite(h, s), until);
+        self.pool.occupy(Resource::Queue(mem_queue(h, s)), until);
     }
 
     /// Allocates a tensor whose rows will be **written starting at cycle
@@ -821,9 +789,54 @@ impl Scheduler {
     /// The first cycle a MEM slice's queue is free.
     #[must_use]
     pub fn mem_free(&self, h: Hemisphere, s: u8) -> u64 {
-        self.pool
-            .free_at(Resource::MemRead(h, s))
-            .max(self.pool.free_at(Resource::MemWrite(h, s)))
+        self.pool.free_at(Resource::Queue(mem_queue(h, s)))
+    }
+
+    /// Picks the VXM ALU whose queue frees first: the ALU, and the first
+    /// cycle at or after `at` it can issue.
+    #[must_use]
+    pub fn pick_alu(&self, at: u64) -> (AluIndex, u64) {
+        let (free, alu) = (0..AluIndex::COUNT)
+            .map(AluIndex::new)
+            .map(|alu| (self.pool.free_at(Resource::Queue(IcuId::Vxm { alu })), alu))
+            .min_by_key(|&(free, alu)| (free, alu.0))
+            .expect("16 ALUs exist");
+        (alu, free.max(at))
+    }
+
+    /// The first cycle `plane`'s weight buffer takes another `LW` (its last
+    /// `IW` is through) and the first cycle its array takes another `IW` or
+    /// `ABC` (its last activation row has entered), in that order.
+    #[must_use]
+    pub fn plane_free(&self, plane: Plane) -> (u64, u64) {
+        (
+            self.pool.free_at(Resource::MxmWeights(plane.index())),
+            self.pool.free_at(Resource::MxmArray(plane.index())),
+        )
+    }
+
+    /// Holds `plane`'s weight buffer until `until`: the cycle the `IW`
+    /// emptying it into the array completes.
+    pub fn hold_weight_buffer(&mut self, plane: Plane, until: u64) {
+        self.pool.occupy(Resource::MxmWeights(plane.index()), until);
+    }
+
+    /// Holds `plane`'s array input until `until`: the end of the `ABC`
+    /// streaming through the installed weights.
+    pub fn hold_array(&mut self, plane: Plane, until: u64) {
+        self.pool.occupy(Resource::MxmArray(plane.index()), until);
+    }
+
+    /// Fences every resource to `cycle`: nothing more is scheduled before it
+    /// (strict layer-sequential mode; the E13 ablation baseline).
+    pub fn fence(&mut self, cycle: u64) {
+        self.pool.fence(cycle);
+    }
+
+    /// The highest [`Scheduler::fence`] so far.
+    #[must_use]
+    pub fn floor(&self) -> u64 {
+        self.pool.floor()
     }
 
     /// The earliest cycle `t0` such that streaming `rows` of `tensor` toward
@@ -838,20 +851,14 @@ impl Scheduler {
         consumer: Position,
         not_before: u64,
     ) -> u64 {
-        let mut t0 = not_before;
-        for (idx, &r) in rows.iter().enumerate() {
-            let a = tensor.row(r);
-            let pos = Slice::mem(a.hemisphere, a.slice).position();
-            let delta = direction.hops(pos, consumer).unwrap_or_else(|| {
-                panic!("slice {pos} not upstream of {consumer} going {direction}")
-            });
-            let lead = D_READ + u64::from(delta);
-            let free = self.mem_free(a.hemisphere, a.slice);
-            // dispatch = t0 + idx - lead must be ≥ free (and ≥ 0).
-            let need = (free + lead).saturating_sub(idx as u64);
-            t0 = t0.max(need).max(lead.saturating_sub(idx as u64));
-        }
-        t0
+        // Within a run a later row is due a cycle later from the same queue:
+        // the run's first row binds. Its dispatch, `t0 + start − lead`, must
+        // not precede the queue's free cycle (nor cycle 0).
+        Scheduler::read_runs(tensor, rows).fold(not_before, |t0, (start, addr, _)| {
+            let lead = Scheduler::read_lead(addr, direction, consumer);
+            let free = self.mem_free(addr.hemisphere, addr.slice);
+            t0.max((free + lead).saturating_sub(start as u64))
+        })
     }
 
     /// Picks `count` streams in `direction` for a burst whose first value is
@@ -1025,29 +1032,42 @@ impl Scheduler {
             .unwrap_or_default()
     }
 
+    /// The first of one queue's placements, in dispatch order, to start
+    /// while its predecessor is still issuing.
+    fn first_overlap(icu: IcuId, sorted: &[(u64, Instruction)]) -> Option<ScheduleError> {
+        sorted.windows(2).find_map(|pair| {
+            let ((before, previous), (cycle, instruction)) = (&pair[0], &pair[1]);
+            (*cycle < before + previous.queue_cycles()).then(|| ScheduleError {
+                icu,
+                cycle: *cycle,
+                instruction: instruction.to_string(),
+                previous: format!("{previous} @{before}"),
+            })
+        })
+    }
+
     /// Checks queue consistency without consuming the scheduler; returns the
     /// first conflict if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the books disagree with the placements: a queue recorded
+    /// free before the last instruction placed on it has issued.
     #[must_use]
     pub fn check(&self) -> Option<ScheduleError> {
-        for (icu, items) in &self.placements {
+        self.placements.iter().find_map(|(&icu, items)| {
             let mut sorted = items.clone();
             sorted.sort_by_key(|(cycle, _)| *cycle);
-            let mut t = 0u64;
-            let mut prev: Option<(u64, String)> = None;
-            for (cycle, instruction) in sorted {
-                if cycle < t {
-                    return Some(ScheduleError {
-                        icu: *icu,
-                        cycle,
-                        instruction: instruction.to_string(),
-                        previous: prev.map(|(c, i)| format!("{i} @{c}")).unwrap_or_default(),
-                    });
-                }
-                prev = Some((cycle, instruction.to_string()));
-                t = cycle + instruction.queue_cycles();
+            if let Some((cycle, last)) = sorted.last() {
+                let booked = self.pool.free_at(Resource::Queue(icu));
+                let issued = cycle + last.queue_cycles();
+                assert!(
+                    booked >= issued,
+                    "{icu} booked to {booked}, busy to {issued}"
+                );
             }
-        }
-        None
+            Scheduler::first_overlap(icu, &sorted)
+        })
     }
 
     /// Converts the accumulated placements into a runnable program.
@@ -1059,18 +1079,11 @@ impl Scheduler {
         let mut program = Program::new();
         for (icu, mut items) in self.placements {
             items.sort_by_key(|(cycle, _)| *cycle);
+            if let Some(error) = Scheduler::first_overlap(icu, &items) {
+                return Err(error);
+            }
             let mut builder = program.builder(icu);
-            let mut prev: Option<(u64, String)> = None;
             for (cycle, instruction) in items {
-                if cycle < builder.time() {
-                    return Err(ScheduleError {
-                        icu,
-                        cycle,
-                        instruction: instruction.to_string(),
-                        previous: prev.map(|(c, i)| format!("{i} @{c}")).unwrap_or_default(),
-                    });
-                }
-                prev = Some((cycle, instruction.to_string()));
                 builder.push_at(cycle, instruction);
             }
         }
@@ -1082,120 +1095,41 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::alloc::BankPolicy;
+    use proptest::prelude::*;
     use tsp_arch::StreamGroup;
     use tsp_arch::Vector;
-    use tsp_isa::{AluIndex, DataType, UnaryAluOp, VxmOp};
-    use tsp_mem::GlobalAddress;
+    use tsp_isa::{DataType, UnaryAluOp, VxmOp, D_VXM};
     use tsp_sim::chip::RunOptions;
     use tsp_sim::Chip;
 
-    /// Schedule a read of 8 contiguous rows into the VXM, mask them, and
-    /// write them back; run on the simulator and verify values and absence of
-    /// scheduling faults.
-    #[test]
-    fn read_transform_write_roundtrip() {
+    /// Reads the 8 rows of a `block`-chunked tensor in `hemisphere` into the
+    /// VXM, masks them and writes them back East; runs that on the simulator
+    /// and verifies the values and the absence of scheduling faults.
+    fn mask_roundtrip(hemisphere: Hemisphere, block: u32) {
         let mut s = Scheduler::new();
-        let src = s
-            .alloc
-            .alloc_in(Some(Hemisphere::East), 8, 320, BankPolicy::Low, 4096)
-            .unwrap();
-        let dst = s
-            .alloc
-            .alloc_in(Some(Hemisphere::East), 8, 320, BankPolicy::High, 4096)
-            .unwrap();
+        let mut alloc = |h, bank, block| s.alloc.alloc_in(Some(h), 8, 320, bank, block).unwrap();
+        let src = alloc(hemisphere, BankPolicy::Low, block);
+        assert_eq!(src.layout.blocks.len() as u32, 8u32.div_ceil(block));
+        let dst = alloc(Hemisphere::East, BankPolicy::High, 4096);
 
         let vxm = Slice::Vxm.position();
         let rows: Vec<u32> = (0..8).collect();
-        let t0 = s.earliest_read_arrival(&src, &rows, Direction::West, vxm, 0);
-        s.read_rows(&src, &rows, StreamId::west(0), vxm, t0);
+        let operand = StreamId::new(0, Direction::inward_from(hemisphere));
+        let t0 = s.earliest_read_arrival(&src, &rows, operand.direction, vxm, 0);
+        s.read_rows(&src, &rows, operand, vxm, t0);
         // One Mask per row on ALU 0 via Repeat.
+        let alu = AluIndex::new(0);
         let op = VxmOp::Unary {
             op: UnaryAluOp::Mask,
             dtype: DataType::Int8,
-            src: StreamGroup::new(StreamId::west(0), 1),
+            src: StreamGroup::new(operand, 1),
             dst: StreamGroup::new(StreamId::east(1), 1),
-            alu: AluIndex::new(0),
+            alu,
         };
-        s.place(
-            IcuId::Vxm {
-                alu: AluIndex::new(0),
-            },
-            t0,
-            op,
-        );
-        s.place(
-            IcuId::Vxm {
-                alu: AluIndex::new(0),
-            },
-            t0 + 1,
-            IcuOp::Repeat { n: 7, d: 1 },
-        );
+        s.place_burst(IcuId::Vxm { alu }, t0, 8, op);
         // Results appear on S1.E at the VXM at t0 + D_VXM + i.
         s.write_rows(&dst, 0, 8, StreamId::east(1), vxm, t0 + D_VXM);
-
         let program = s.into_program().expect("valid schedule");
-
-        let mut chip = Chip::new(tsp_arch::ChipConfig::asic());
-        for r in 0..8u32 {
-            chip.memory.write(
-                GlobalAddress::new(
-                    src.layout.blocks[0].0,
-                    src.layout.blocks[0].1,
-                    MemAddr::new(src.layout.blocks[0].2 + r as u16),
-                ),
-                Vector::splat(r as u8 + 1),
-            );
-        }
-        chip.run(&program, &RunOptions::default())
-            .expect("runs clean");
-        for r in 0..8u32 {
-            let got = chip.memory.read_unchecked(dst.row(r));
-            assert_eq!(got, Vector::splat(r as u8 + 1), "row {r}");
-        }
-    }
-
-    /// Rows scattered across two blocks still arrive back-to-back.
-    #[test]
-    fn cross_block_read_is_seamless() {
-        let mut s = Scheduler::new();
-        // Force tiny blocks: 4 rows per block over 2 blocks.
-        let src = s
-            .alloc
-            .alloc_in(Some(Hemisphere::West), 8, 320, BankPolicy::Low, 4)
-            .unwrap();
-        assert_eq!(src.layout.blocks.len(), 2);
-        let dst = s
-            .alloc
-            .alloc_in(Some(Hemisphere::East), 8, 320, BankPolicy::High, 4096)
-            .unwrap();
-
-        let vxm = Slice::Vxm.position();
-        let rows: Vec<u32> = (0..8).collect();
-        let t0 = s.earliest_read_arrival(&src, &rows, Direction::East, vxm, 0);
-        s.read_rows(&src, &rows, StreamId::east(0), vxm, t0);
-        let op = VxmOp::Unary {
-            op: UnaryAluOp::Mask,
-            dtype: DataType::Int8,
-            src: StreamGroup::new(StreamId::east(0), 1),
-            dst: StreamGroup::new(StreamId::east(1), 1),
-            alu: AluIndex::new(1),
-        };
-        s.place(
-            IcuId::Vxm {
-                alu: AluIndex::new(1),
-            },
-            t0,
-            op,
-        );
-        s.place(
-            IcuId::Vxm {
-                alu: AluIndex::new(1),
-            },
-            t0 + 1,
-            IcuOp::Repeat { n: 7, d: 1 },
-        );
-        s.write_rows(&dst, 0, 8, StreamId::east(1), vxm, t0 + D_VXM);
-        let program = s.into_program().unwrap();
 
         let mut chip = Chip::new(tsp_arch::ChipConfig::asic());
         for r in 0..8u32 {
@@ -1204,39 +1138,33 @@ mod tests {
         chip.run(&program, &RunOptions::default())
             .expect("runs clean");
         for r in 0..8u32 {
-            assert_eq!(
-                chip.memory.read_unchecked(dst.row(r)),
-                Vector::splat(0x30 + r as u8),
-                "row {r}"
-            );
+            let got = chip.memory.read_unchecked(dst.row(r));
+            assert_eq!(got, Vector::splat(0x30 + r as u8), "row {r}");
         }
+    }
+
+    #[test]
+    fn read_transform_write_roundtrip() {
+        mask_roundtrip(Hemisphere::East, 4096);
+    }
+
+    /// Rows scattered across two blocks still arrive back-to-back.
+    #[test]
+    fn cross_block_read_is_seamless() {
+        mask_roundtrip(Hemisphere::West, 4);
     }
 
     /// Over-committing a queue is reported, not silently mis-padded.
     #[test]
     fn queue_overlap_is_an_error() {
         let mut s = Scheduler::new();
-        let icu = IcuId::Mem {
-            hemisphere: Hemisphere::East,
-            index: 0,
+        let icu = mem_queue(Hemisphere::East, 0);
+        let read = |word, id| MemOp::Read {
+            addr: MemAddr::new(word),
+            stream: StreamId::east(id),
         };
-        s.place(
-            icu,
-            10,
-            MemOp::Read {
-                addr: MemAddr::new(0),
-                stream: StreamId::east(0),
-            },
-        );
-        s.place(icu, 11, IcuOp::Repeat { n: 10, d: 1 }); // occupies 11..21
-        s.place(
-            icu,
-            15,
-            MemOp::Read {
-                addr: MemAddr::new(1),
-                stream: StreamId::east(1),
-            },
-        );
+        s.place_burst(icu, 10, 11, read(0, 0)); // occupies 10..21
+        s.place(icu, 15, read(1, 1));
         assert!(s.into_program().is_err());
     }
 
@@ -1257,5 +1185,91 @@ mod tests {
         let pos = Slice::mem(a.hemisphere, a.slice).position();
         let lead = D_READ + u64::from(Direction::West.hops(pos, Slice::Vxm.position()).unwrap());
         assert!(t0 - lead >= 1000, "t0={t0} lead={lead}");
+    }
+
+    /// Every `mnemonic` placed on a MEM queue since `before` — each queue's
+    /// free cycle — was taken, as `(dispatch, the queue's free cycle before)`:
+    /// none may dispatch on a busy queue.
+    fn dispatches(s: &Scheduler, before: &BTreeMap<IcuId, u64>, mnemonic: &str) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        for (&icu, &free) in before {
+            for (cycle, text) in s.dump_queue(icu) {
+                if text.starts_with(mnemonic) {
+                    assert!(cycle >= free, "{text} @{cycle} on {icu}, held until {free}");
+                    out.push((cycle, free));
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// An `earliest_*` prices exactly what its `*_rows` places, over
+        /// block-chunked tensors in both hemispheres, arbitrary row lists and
+        /// queues pre-held: the bursts (a gather's or scatter's map reads
+        /// included) fit the queues as held, and not a cycle could be saved —
+        /// some burst is dispatched the cycle its queue frees (cycle 0 of an
+        /// idle one: the burst's own lead), or `t0` is `not_before`.
+        #[test]
+        fn bursts_fit_the_queues_and_are_tight(
+            east in any::<bool>(),
+            kind in 0usize..3,
+            shape in (1u32..40, 1u32..16),
+            rows in proptest::collection::vec(0u32..1000, 1..48),
+            holds in proptest::collection::vec((0usize..8, 0u64..400), 0..8),
+            not_before in 0u64..300,
+        ) {
+            let mut s = Scheduler::new();
+            let hemisphere = if east { Hemisphere::East } else { Hemisphere::West };
+            let tensor = (s.alloc)
+                .alloc_in(Some(hemisphere), shape.0, 320, BankPolicy::High, shape.1)
+                .expect("an empty chip has room");
+            let mnemonic = ["Read", "Gather", "Scatter"][kind];
+            // A lane burst takes a map stream: few enough for all to be free.
+            let rows = &rows[..if kind == 0 { rows.len() } else { rows.len().min(12) }];
+            let rows: Vec<u32> = rows.iter().map(|r| r % tensor.rows).collect();
+            let keys: Vec<u32> = (0..tensor.rows).collect();
+            let mut slices: Vec<_> = tensor.layout.slices().collect();
+            let maps = match kind {
+                0 => Vec::new(),
+                _ => s.add_lane_maps(&tensor, 16, &keys, |i, _| i, &mut slices),
+            };
+            // `slices`: the tensor's, then its maps'.
+            for &(which, until) in &holds {
+                let (h, sl) = slices[which % slices.len()];
+                s.occupy_mem(h, sl, until);
+            }
+            let before: BTreeMap<IcuId, u64> = (slices.iter())
+                .map(|&(h, sl)| (mem_queue(h, sl), s.mem_free(h, sl)))
+                .collect();
+            let vxm = Slice::Vxm.position();
+            let inward = StreamId::new(0, Direction::inward_from(hemisphere));
+            let outward = StreamId::new(0, Direction::outward_from(hemisphere));
+            let t0 = match kind {
+                0 => {
+                    let t0 = s.earliest_read_arrival(&tensor, &rows, inward.direction, vxm, not_before);
+                    s.read_rows(&tensor, &rows, inward, vxm, t0);
+                    t0
+                }
+                1 => {
+                    let t0 = s.earliest_gather_arrival(&maps, &rows, inward.direction, vxm, not_before);
+                    s.gather_rows(&maps, &rows, inward, vxm, t0);
+                    t0
+                }
+                _ => {
+                    let t0 = s.earliest_scatter_start(&maps, &rows, outward.direction, vxm, not_before);
+                    s.scatter_rows(&maps, &rows, outward, vxm, t0);
+                    t0
+                }
+            };
+            prop_assert!(t0 >= not_before);
+            prop_assert!(s.check().is_none(), "{:?}", s.check());
+            let mut placed = dispatches(&s, &before, "Read");
+            if kind != 0 {
+                placed.extend(dispatches(&s, &before, mnemonic));
+            }
+            let tight = placed.iter().any(|&(cycle, free)| cycle == free);
+            prop_assert!(t0 == not_before || tight, "t0={t0} placed={placed:?}");
+        }
     }
 }

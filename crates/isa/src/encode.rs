@@ -11,13 +11,13 @@
 
 use core::fmt;
 
-use tsp_arch::{Direction, StreamGroup, StreamId, StreamRange};
+use tsp_arch::{Direction, StreamGroup, StreamId, StreamRange, LANES, STREAMS_PER_DIRECTION};
 
-use crate::c2c::LinkId;
+use crate::c2c::{LinkId, NUM_LINKS};
 use crate::dtype::DataType;
 use crate::mem::MemAddr;
 use crate::mxm::{AccumulateMode, Plane};
-use crate::sxm::PermuteMap;
+use crate::sxm::{DistributeMap, PermuteMap};
 use crate::vxm::{AluIndex, BinaryAluOp, UnaryAluOp};
 use crate::{C2cOp, IcuOp, Instruction, MemOp, MxmOp, SxmOp, VxmOp};
 
@@ -31,13 +31,16 @@ pub const FETCH_PAD: u8 = 0xFF;
 /// # Errors
 ///
 /// Returns the first [`DecodeError`] encountered.
-pub fn decode_fetch_block(mut bytes: &[u8]) -> Result<Vec<crate::Instruction>, DecodeError> {
+pub fn decode_fetch_block(bytes: &[u8]) -> Result<Vec<Instruction>, DecodeError> {
+    decode_until(bytes, Some(FETCH_PAD))
+}
+
+/// Decodes instructions off the head of `bytes` until they run out or the
+/// next byte is `stop`.
+fn decode_until(mut bytes: &[u8], stop: Option<u8>) -> Result<Vec<Instruction>, DecodeError> {
     let mut out = Vec::new();
-    while let Some(&first) = bytes.first() {
-        if first == FETCH_PAD {
-            break;
-        }
-        let (insn, used) = crate::Instruction::decode(bytes)?;
+    while bytes.first().is_some_and(|&first| Some(first) != stop) {
+        let (insn, used) = Instruction::decode(bytes)?;
         out.push(insn);
         bytes = &bytes[used..];
     }
@@ -96,180 +99,321 @@ const OP_DESKEW: u8 = 0x50;
 const OP_SEND: u8 = 0x51;
 const OP_RECEIVE: u8 = 0x52;
 
-fn put_stream(buf: &mut Vec<u8>, s: StreamId) {
-    let dir = match s.direction {
-        Direction::East => 0u8,
-        Direction::West => 0x80,
-    };
-    buf.push(s.id | dir);
+/// One operand field's wire format: how it is written, and how it is read
+/// back — with the range check decoding owes it, so an instruction's arm in
+/// [`Instruction::encode`] and in [`Instruction::decode`] is its opcode and
+/// its fields in wire order, nothing more.
+trait Field: Sized {
+    fn put(&self, text: &mut Vec<u8>);
+    /// Takes the field off the head of `text`.
+    fn get(text: &mut &[u8]) -> Result<Self, DecodeError>;
 }
 
-fn get_stream(bytes: &[u8], at: &mut usize) -> Result<StreamId, DecodeError> {
-    let b = *bytes.get(*at).ok_or(DecodeError::Truncated)?;
-    *at += 1;
-    let dir = if b & 0x80 != 0 {
-        Direction::West
-    } else {
-        Direction::East
-    };
-    let id = b & 0x7f;
-    if id >= 32 {
-        return Err(DecodeError::BadOperand("stream id"));
+/// Reads the next field, of whatever type the place it lands in has.
+fn get<F: Field>(text: &mut &[u8]) -> Result<F, DecodeError> {
+    F::get(text)
+}
+
+/// Instruction text under construction: an opcode, then fields.
+struct Text(Vec<u8>);
+
+impl Text {
+    fn op(opcode: u8) -> Text {
+        let mut text = Vec::with_capacity(8);
+        text.push(opcode);
+        Text(text)
     }
-    Ok(StreamId::new(id, dir))
-}
 
-fn put_group(buf: &mut Vec<u8>, g: StreamGroup) {
-    put_stream(buf, g.base);
-    buf.push(g.width);
-}
-
-fn get_group(bytes: &[u8], at: &mut usize) -> Result<StreamGroup, DecodeError> {
-    let base = get_stream(bytes, at)?;
-    let w = *bytes.get(*at).ok_or(DecodeError::Truncated)?;
-    *at += 1;
-    if !matches!(w, 1 | 2 | 4 | 8 | 16) || base.id % w != 0 || base.id + w > 32 {
-        return Err(DecodeError::BadOperand("stream group"));
+    fn put(mut self, field: &impl Field) -> Text {
+        field.put(&mut self.0);
+        self
     }
-    Ok(StreamGroup::new(base, w))
 }
 
-fn put_range(buf: &mut Vec<u8>, r: StreamRange) {
-    put_stream(buf, r.base);
-    buf.push(r.len);
-}
-
-fn get_range(bytes: &[u8], at: &mut usize) -> Result<StreamRange, DecodeError> {
-    let base = get_stream(bytes, at)?;
-    let len = *bytes.get(*at).ok_or(DecodeError::Truncated)?;
-    *at += 1;
-    if base.id + len > 32 {
-        return Err(DecodeError::BadOperand("stream range"));
+impl Field for u8 {
+    fn put(&self, text: &mut Vec<u8>) {
+        text.push(*self);
     }
-    Ok(StreamRange::new(base, len))
-}
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u16(bytes: &[u8], at: &mut usize) -> Result<u16, DecodeError> {
-    let b = bytes.get(*at..*at + 2).ok_or(DecodeError::Truncated)?;
-    *at += 2;
-    Ok(u16::from_le_bytes([b[0], b[1]]))
-}
-
-fn get_u8(bytes: &[u8], at: &mut usize) -> Result<u8, DecodeError> {
-    let b = *bytes.get(*at).ok_or(DecodeError::Truncated)?;
-    *at += 1;
-    Ok(b)
-}
-
-fn put_addr(buf: &mut Vec<u8>, a: MemAddr) {
-    put_u16(buf, a.word());
-}
-
-fn get_addr(bytes: &[u8], at: &mut usize) -> Result<MemAddr, DecodeError> {
-    let w = get_u16(bytes, at)?;
-    if w >= 8192 {
-        return Err(DecodeError::BadOperand("word address"));
+    fn get(text: &mut &[u8]) -> Result<u8, DecodeError> {
+        let (&byte, rest) = text.split_first().ok_or(DecodeError::Truncated)?;
+        *text = rest;
+        Ok(byte)
     }
-    Ok(MemAddr::new(w))
 }
 
-fn get_dtype(bytes: &[u8], at: &mut usize) -> Result<DataType, DecodeError> {
-    let t = get_u8(bytes, at)?;
-    DataType::from_tag(t).ok_or(DecodeError::BadOperand("data type"))
+impl Field for i8 {
+    fn put(&self, text: &mut Vec<u8>) {
+        text.push(*self as u8);
+    }
+    fn get(text: &mut &[u8]) -> Result<i8, DecodeError> {
+        Ok(u8::get(text)? as i8)
+    }
 }
 
-fn unary_tag(op: UnaryAluOp) -> u8 {
-    UnaryAluOp::ALL.iter().position(|&o| o == op).unwrap() as u8
+impl Field for u16 {
+    fn put(&self, text: &mut Vec<u8>) {
+        text.extend_from_slice(&self.to_le_bytes());
+    }
+    fn get(text: &mut &[u8]) -> Result<u16, DecodeError> {
+        let (bytes, rest) = text.split_first_chunk().ok_or(DecodeError::Truncated)?;
+        *text = rest;
+        Ok(u16::from_le_bytes(*bytes))
+    }
 }
 
-fn binary_tag(op: BinaryAluOp) -> u8 {
-    BinaryAluOp::ALL.iter().position(|&o| o == op).unwrap() as u8
+/// A one-byte field that is an index below `count`: `what` names it in the
+/// error.
+fn get_index(text: &mut &[u8], count: u8, what: &'static str) -> Result<u8, DecodeError> {
+    let index = u8::get(text)?;
+    if index >= count {
+        return Err(DecodeError::BadOperand(what));
+    }
+    Ok(index)
+}
+
+/// A one-byte field that is `value`'s position in `all`.
+fn put_tag<T: PartialEq>(text: &mut Vec<u8>, all: &[T], value: &T) {
+    let tag = all.iter().position(|v| v == value).expect("listed in ALL");
+    text.push(tag as u8);
+}
+
+fn get_tag<T: Copy>(text: &mut &[u8], all: &[T], what: &'static str) -> Result<T, DecodeError> {
+    let tag = u8::get(text)?;
+    all.get(usize::from(tag))
+        .copied()
+        .ok_or(DecodeError::BadOperand(what))
+}
+
+impl Field for StreamId {
+    fn put(&self, text: &mut Vec<u8>) {
+        let west = match self.direction {
+            Direction::East => 0u8,
+            Direction::West => 0x80,
+        };
+        text.push(self.id | west);
+    }
+    fn get(text: &mut &[u8]) -> Result<StreamId, DecodeError> {
+        let byte = u8::get(text)?;
+        let direction = if byte & 0x80 != 0 {
+            Direction::West
+        } else {
+            Direction::East
+        };
+        let id = byte & 0x7f;
+        if id >= STREAMS_PER_DIRECTION {
+            return Err(DecodeError::BadOperand("stream id"));
+        }
+        Ok(StreamId::new(id, direction))
+    }
+}
+
+impl Field for StreamGroup {
+    fn put(&self, text: &mut Vec<u8>) {
+        self.base.put(text);
+        text.push(self.width);
+    }
+    fn get(text: &mut &[u8]) -> Result<StreamGroup, DecodeError> {
+        let (base, width) = (StreamId::get(text)?, u8::get(text)?);
+        let fits = matches!(width, 1 | 2 | 4 | 8 | 16)
+            && base.id % width == 0
+            && base.id + width <= STREAMS_PER_DIRECTION;
+        if !fits {
+            return Err(DecodeError::BadOperand("stream group"));
+        }
+        Ok(StreamGroup::new(base, width))
+    }
+}
+
+impl Field for StreamRange {
+    fn put(&self, text: &mut Vec<u8>) {
+        self.base.put(text);
+        text.push(self.len);
+    }
+    fn get(text: &mut &[u8]) -> Result<StreamRange, DecodeError> {
+        let (base, len) = (StreamId::get(text)?, u8::get(text)?);
+        // In `u16`: base 31 with length 255 wraps to 30 in a byte.
+        if u16::from(base.id) + u16::from(len) > u16::from(STREAMS_PER_DIRECTION) {
+            return Err(DecodeError::BadOperand("stream range"));
+        }
+        Ok(StreamRange::new(base, len))
+    }
+}
+
+impl Field for MemAddr {
+    fn put(&self, text: &mut Vec<u8>) {
+        self.word().put(text);
+    }
+    fn get(text: &mut &[u8]) -> Result<MemAddr, DecodeError> {
+        let word = u16::get(text)?;
+        if word >= 8192 {
+            return Err(DecodeError::BadOperand("word address"));
+        }
+        Ok(MemAddr::new(word))
+    }
+}
+
+impl Field for DataType {
+    fn put(&self, text: &mut Vec<u8>) {
+        text.push(self.tag());
+    }
+    fn get(text: &mut &[u8]) -> Result<DataType, DecodeError> {
+        DataType::from_tag(u8::get(text)?).ok_or(DecodeError::BadOperand("data type"))
+    }
+}
+
+impl Field for AluIndex {
+    fn put(&self, text: &mut Vec<u8>) {
+        text.push(self.0);
+    }
+    fn get(text: &mut &[u8]) -> Result<AluIndex, DecodeError> {
+        get_index(text, AluIndex::COUNT, "alu index").map(AluIndex::new)
+    }
+}
+
+impl Field for Plane {
+    fn put(&self, text: &mut Vec<u8>) {
+        text.push(self.index());
+    }
+    fn get(text: &mut &[u8]) -> Result<Plane, DecodeError> {
+        get_index(text, Plane::COUNT, "plane").map(Plane::new)
+    }
+}
+
+impl Field for LinkId {
+    fn put(&self, text: &mut Vec<u8>) {
+        text.push(self.index());
+    }
+    fn get(text: &mut &[u8]) -> Result<LinkId, DecodeError> {
+        get_index(text, NUM_LINKS, "link").map(LinkId::new)
+    }
+}
+
+impl Field for AccumulateMode {
+    fn put(&self, text: &mut Vec<u8>) {
+        put_tag(text, &AccumulateMode::ALL, self);
+    }
+    fn get(text: &mut &[u8]) -> Result<AccumulateMode, DecodeError> {
+        get_tag(text, &AccumulateMode::ALL, "accumulate mode")
+    }
+}
+
+impl Field for UnaryAluOp {
+    fn put(&self, text: &mut Vec<u8>) {
+        put_tag(text, &UnaryAluOp::ALL, self);
+    }
+    fn get(text: &mut &[u8]) -> Result<UnaryAluOp, DecodeError> {
+        get_tag(text, &UnaryAluOp::ALL, "unary op")
+    }
+}
+
+impl Field for BinaryAluOp {
+    fn put(&self, text: &mut Vec<u8>) {
+        put_tag(text, &BinaryAluOp::ALL, self);
+    }
+    fn get(text: &mut &[u8]) -> Result<BinaryAluOp, DecodeError> {
+        get_tag(text, &BinaryAluOp::ALL, "binary op")
+    }
+}
+
+/// `Config`'s operand: how many superlanes stay powered, 1 to 20.
+struct Superlanes(u8);
+
+impl Field for Superlanes {
+    fn put(&self, text: &mut Vec<u8>) {
+        text.push(self.0);
+    }
+    fn get(text: &mut &[u8]) -> Result<Superlanes, DecodeError> {
+        match u8::get(text)? {
+            count @ 1..=20 => Ok(Superlanes(count)),
+            _ => Err(DecodeError::BadOperand("superlane count")),
+        }
+    }
+}
+
+impl Field for PermuteMap {
+    fn put(&self, text: &mut Vec<u8>) {
+        self.as_array().iter().for_each(|source| source.put(text));
+    }
+    fn get(text: &mut &[u8]) -> Result<PermuteMap, DecodeError> {
+        let mut map = [0u16; LANES];
+        for source in &mut map {
+            *source = u16::get(text)?;
+        }
+        let mut seen = [false; LANES];
+        for &source in &map {
+            let source = usize::from(source);
+            if source >= LANES || std::mem::replace(&mut seen[source], true) {
+                return Err(DecodeError::BadOperand("permute map"));
+            }
+        }
+        Ok(PermuteMap::new(map))
+    }
+}
+
+/// Unmapped output lanes travel as `0xFF`.
+impl Field for DistributeMap {
+    fn put(&self, text: &mut Vec<u8>) {
+        text.extend(self.iter().map(|lane| lane.unwrap_or(0xFF)));
+    }
+    fn get(text: &mut &[u8]) -> Result<DistributeMap, DecodeError> {
+        let mut map = [None; 16];
+        for lane in &mut map {
+            *lane = match u8::get(text)? {
+                0xFF => None,
+                source @ 0..16 => Some(source),
+                _ => return Err(DecodeError::BadOperand("distribute map")),
+            };
+        }
+        Ok(map)
+    }
 }
 
 impl Instruction {
     /// Serializes the instruction to its binary form.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(8);
-        match self {
-            Instruction::Icu(op) => match *op {
-                IcuOp::Nop { count } => {
-                    b.push(OP_NOP);
-                    put_u16(&mut b, count);
-                }
-                IcuOp::Ifetch { stream } => {
-                    b.push(OP_IFETCH);
-                    put_stream(&mut b, stream);
-                }
-                IcuOp::Sync => b.push(OP_SYNC),
-                IcuOp::Notify => b.push(OP_NOTIFY),
-                IcuOp::Config { superlanes } => {
-                    b.push(OP_CONFIG);
-                    b.push(superlanes);
-                }
-                IcuOp::Repeat { n, d } => {
-                    b.push(OP_REPEAT);
-                    put_u16(&mut b, n);
-                    put_u16(&mut b, d);
-                }
+        let Text(text) = match self {
+            Instruction::Icu(op) => match op {
+                IcuOp::Nop { count } => Text::op(OP_NOP).put(count),
+                IcuOp::Ifetch { stream } => Text::op(OP_IFETCH).put(stream),
+                IcuOp::Sync => Text::op(OP_SYNC),
+                IcuOp::Notify => Text::op(OP_NOTIFY),
+                IcuOp::Config { superlanes } => Text::op(OP_CONFIG).put(&Superlanes(*superlanes)),
+                IcuOp::Repeat { n, d } => Text::op(OP_REPEAT).put(n).put(d),
             },
-            Instruction::Mem(op) => match *op {
-                MemOp::Read { addr, stream } => {
-                    b.push(OP_READ);
-                    put_addr(&mut b, addr);
-                    put_stream(&mut b, stream);
-                }
-                MemOp::Write { addr, stream } => {
-                    b.push(OP_WRITE);
-                    put_addr(&mut b, addr);
-                    put_stream(&mut b, stream);
-                }
-                MemOp::Gather { stream, map } => {
-                    b.push(OP_GATHER);
-                    put_stream(&mut b, stream);
-                    put_stream(&mut b, map);
-                }
-                MemOp::Scatter { stream, map } => {
-                    b.push(OP_SCATTER);
-                    put_stream(&mut b, stream);
-                    put_stream(&mut b, map);
-                }
+            Instruction::Mem(op) => match op {
+                MemOp::Read { addr, stream } => Text::op(OP_READ).put(addr).put(stream),
+                MemOp::Write { addr, stream } => Text::op(OP_WRITE).put(addr).put(stream),
+                MemOp::Gather { stream, map } => Text::op(OP_GATHER).put(stream).put(map),
+                MemOp::Scatter { stream, map } => Text::op(OP_SCATTER).put(stream).put(map),
             },
-            Instruction::Vxm(op) => match *op {
+            Instruction::Vxm(op) => match op {
                 VxmOp::Unary {
                     op,
                     dtype,
                     src,
                     dst,
                     alu,
-                } => {
-                    b.push(OP_VXM_UNARY);
-                    b.push(unary_tag(op));
-                    b.push(dtype.tag());
-                    put_group(&mut b, src);
-                    put_group(&mut b, dst);
-                    b.push(alu.0);
-                }
+                } => Text::op(OP_VXM_UNARY)
+                    .put(op)
+                    .put(dtype)
+                    .put(src)
+                    .put(dst)
+                    .put(alu),
                 VxmOp::Binary {
                     op,
                     dtype,
                     a,
-                    b: rhs,
+                    b,
                     dst,
                     alu,
-                } => {
-                    b.push(OP_VXM_BINARY);
-                    b.push(binary_tag(op));
-                    b.push(dtype.tag());
-                    put_group(&mut b, a);
-                    put_group(&mut b, rhs);
-                    put_group(&mut b, dst);
-                    b.push(alu.0);
-                }
+                } => Text::op(OP_VXM_BINARY)
+                    .put(op)
+                    .put(dtype)
+                    .put(a)
+                    .put(b)
+                    .put(dst)
+                    .put(alu),
                 VxmOp::Convert {
                     from,
                     to,
@@ -277,129 +421,62 @@ impl Instruction {
                     dst,
                     shift,
                     alu,
-                } => {
-                    b.push(OP_VXM_CONVERT);
-                    b.push(from.tag());
-                    b.push(to.tag());
-                    put_group(&mut b, src);
-                    put_group(&mut b, dst);
-                    b.push(shift as u8);
-                    b.push(alu.0);
-                }
+                } => Text::op(OP_VXM_CONVERT)
+                    .put(from)
+                    .put(to)
+                    .put(src)
+                    .put(dst)
+                    .put(shift)
+                    .put(alu),
             },
-            Instruction::Mxm(op) => match *op {
+            Instruction::Mxm(op) => match op {
                 MxmOp::LoadWeights {
                     plane,
                     streams,
                     rows,
-                } => {
-                    b.push(OP_LW);
-                    b.push(plane.index());
-                    put_group(&mut b, streams);
-                    b.push(rows);
-                }
-                MxmOp::InstallWeights { plane, dtype } => {
-                    b.push(OP_IW);
-                    b.push(plane.index());
-                    b.push(dtype.tag());
-                }
+                } => Text::op(OP_LW).put(plane).put(streams).put(rows),
+                MxmOp::InstallWeights { plane, dtype } => Text::op(OP_IW).put(plane).put(dtype),
                 MxmOp::ActivationBuffer {
                     plane,
                     stream,
                     rows,
-                } => {
-                    b.push(OP_ABC);
-                    b.push(plane.index());
-                    put_stream(&mut b, stream);
-                    put_u16(&mut b, rows);
-                }
+                } => Text::op(OP_ABC).put(plane).put(stream).put(rows),
                 MxmOp::Accumulate {
                     plane,
                     dst,
                     rows,
                     mode,
-                } => {
-                    b.push(OP_ACC);
-                    b.push(plane.index());
-                    put_group(&mut b, dst);
-                    put_u16(&mut b, rows);
-                    b.push(match mode {
-                        AccumulateMode::Overwrite => 0,
-                        AccumulateMode::Accumulate => 1,
-                    });
-                }
+                } => Text::op(OP_ACC).put(plane).put(dst).put(rows).put(mode),
             },
             Instruction::Sxm(op) => match op {
-                SxmOp::ShiftUp { n, src, dst } => {
-                    b.push(OP_SHIFT_UP);
-                    put_u16(&mut b, *n);
-                    put_stream(&mut b, *src);
-                    put_stream(&mut b, *dst);
-                }
+                SxmOp::ShiftUp { n, src, dst } => Text::op(OP_SHIFT_UP).put(n).put(src).put(dst),
                 SxmOp::ShiftDown { n, src, dst } => {
-                    b.push(OP_SHIFT_DOWN);
-                    put_u16(&mut b, *n);
-                    put_stream(&mut b, *src);
-                    put_stream(&mut b, *dst);
+                    Text::op(OP_SHIFT_DOWN).put(n).put(src).put(dst)
                 }
                 SxmOp::Select {
                     north,
                     south,
                     boundary,
                     dst,
-                } => {
-                    b.push(OP_SELECT);
-                    put_stream(&mut b, *north);
-                    put_stream(&mut b, *south);
-                    put_u16(&mut b, *boundary);
-                    put_stream(&mut b, *dst);
-                }
-                SxmOp::Permute { map, src, dst } => {
-                    b.push(OP_PERMUTE);
-                    put_stream(&mut b, *src);
-                    put_stream(&mut b, *dst);
-                    for &m in map.as_array() {
-                        put_u16(&mut b, m);
-                    }
-                }
+                } => Text::op(OP_SELECT)
+                    .put(north)
+                    .put(south)
+                    .put(boundary)
+                    .put(dst),
+                SxmOp::Permute { map, src, dst } => Text::op(OP_PERMUTE).put(src).put(dst).put(map),
                 SxmOp::Distribute { map, src, dst } => {
-                    b.push(OP_DISTRIBUTE);
-                    put_stream(&mut b, *src);
-                    put_stream(&mut b, *dst);
-                    for &m in map {
-                        b.push(m.unwrap_or(0xFF));
-                    }
+                    Text::op(OP_DISTRIBUTE).put(src).put(dst).put(map)
                 }
-                SxmOp::Rotate { n, src, dst } => {
-                    b.push(OP_ROTATE);
-                    b.push(*n);
-                    put_range(&mut b, *src);
-                    put_range(&mut b, *dst);
-                }
-                SxmOp::Transpose { src, dst } => {
-                    b.push(OP_TRANSPOSE);
-                    put_range(&mut b, *src);
-                    put_range(&mut b, *dst);
-                }
+                SxmOp::Rotate { n, src, dst } => Text::op(OP_ROTATE).put(n).put(src).put(dst),
+                SxmOp::Transpose { src, dst } => Text::op(OP_TRANSPOSE).put(src).put(dst),
             },
-            Instruction::C2c(op) => match *op {
-                C2cOp::Deskew { link } => {
-                    b.push(OP_DESKEW);
-                    b.push(link.index());
-                }
-                C2cOp::Send { link, stream } => {
-                    b.push(OP_SEND);
-                    b.push(link.index());
-                    put_stream(&mut b, stream);
-                }
-                C2cOp::Receive { link, stream } => {
-                    b.push(OP_RECEIVE);
-                    b.push(link.index());
-                    put_stream(&mut b, stream);
-                }
+            Instruction::C2c(op) => match op {
+                C2cOp::Deskew { link } => Text::op(OP_DESKEW).put(link),
+                C2cOp::Send { link, stream } => Text::op(OP_SEND).put(link).put(stream),
+                C2cOp::Receive { link, stream } => Text::op(OP_RECEIVE).put(link).put(stream),
             },
-        }
-        b
+        };
+        text
     }
 
     /// Decodes one instruction from the head of `bytes`, returning it and the
@@ -410,203 +487,129 @@ impl Instruction {
     /// Returns [`DecodeError`] on truncated text, unknown opcodes or
     /// out-of-range operands.
     pub fn decode(bytes: &[u8]) -> Result<(Instruction, usize), DecodeError> {
-        let mut at = 0usize;
-        let opcode = get_u8(bytes, &mut at)?;
-        let insn = match opcode {
-            OP_NOP => Instruction::Icu(IcuOp::Nop {
-                count: get_u16(bytes, &mut at)?,
-            }),
-            OP_IFETCH => Instruction::Icu(IcuOp::Ifetch {
-                stream: get_stream(bytes, &mut at)?,
-            }),
+        let mut text = bytes;
+        let t = &mut text;
+        // Fields are read in the order written here: wire order.
+        let insn = match u8::get(t)? {
+            OP_NOP => Instruction::Icu(IcuOp::Nop { count: get(t)? }),
+            OP_IFETCH => Instruction::Icu(IcuOp::Ifetch { stream: get(t)? }),
             OP_SYNC => Instruction::Icu(IcuOp::Sync),
             OP_NOTIFY => Instruction::Icu(IcuOp::Notify),
             OP_CONFIG => {
-                let superlanes = get_u8(bytes, &mut at)?;
-                if superlanes == 0 || superlanes > 20 {
-                    return Err(DecodeError::BadOperand("superlane count"));
-                }
+                let Superlanes(superlanes) = get(t)?;
                 Instruction::Icu(IcuOp::Config { superlanes })
             }
             OP_REPEAT => Instruction::Icu(IcuOp::Repeat {
-                n: get_u16(bytes, &mut at)?,
-                d: get_u16(bytes, &mut at)?,
+                n: get(t)?,
+                d: get(t)?,
             }),
             OP_READ => Instruction::Mem(MemOp::Read {
-                addr: get_addr(bytes, &mut at)?,
-                stream: get_stream(bytes, &mut at)?,
+                addr: get(t)?,
+                stream: get(t)?,
             }),
             OP_WRITE => Instruction::Mem(MemOp::Write {
-                addr: get_addr(bytes, &mut at)?,
-                stream: get_stream(bytes, &mut at)?,
+                addr: get(t)?,
+                stream: get(t)?,
             }),
             OP_GATHER => Instruction::Mem(MemOp::Gather {
-                stream: get_stream(bytes, &mut at)?,
-                map: get_stream(bytes, &mut at)?,
+                stream: get(t)?,
+                map: get(t)?,
             }),
             OP_SCATTER => Instruction::Mem(MemOp::Scatter {
-                stream: get_stream(bytes, &mut at)?,
-                map: get_stream(bytes, &mut at)?,
+                stream: get(t)?,
+                map: get(t)?,
             }),
-            OP_VXM_UNARY => {
-                let tag = get_u8(bytes, &mut at)?;
-                let op = *UnaryAluOp::ALL
-                    .get(tag as usize)
-                    .ok_or(DecodeError::BadOperand("unary op"))?;
-                Instruction::Vxm(VxmOp::Unary {
-                    op,
-                    dtype: get_dtype(bytes, &mut at)?,
-                    src: get_group(bytes, &mut at)?,
-                    dst: get_group(bytes, &mut at)?,
-                    alu: decode_alu(bytes, &mut at)?,
-                })
-            }
-            OP_VXM_BINARY => {
-                let tag = get_u8(bytes, &mut at)?;
-                let op = *BinaryAluOp::ALL
-                    .get(tag as usize)
-                    .ok_or(DecodeError::BadOperand("binary op"))?;
-                Instruction::Vxm(VxmOp::Binary {
-                    op,
-                    dtype: get_dtype(bytes, &mut at)?,
-                    a: get_group(bytes, &mut at)?,
-                    b: get_group(bytes, &mut at)?,
-                    dst: get_group(bytes, &mut at)?,
-                    alu: decode_alu(bytes, &mut at)?,
-                })
-            }
+            OP_VXM_UNARY => Instruction::Vxm(VxmOp::Unary {
+                op: get(t)?,
+                dtype: get(t)?,
+                src: get(t)?,
+                dst: get(t)?,
+                alu: get(t)?,
+            }),
+            OP_VXM_BINARY => Instruction::Vxm(VxmOp::Binary {
+                op: get(t)?,
+                dtype: get(t)?,
+                a: get(t)?,
+                b: get(t)?,
+                dst: get(t)?,
+                alu: get(t)?,
+            }),
             OP_VXM_CONVERT => Instruction::Vxm(VxmOp::Convert {
-                from: get_dtype(bytes, &mut at)?,
-                to: get_dtype(bytes, &mut at)?,
-                src: get_group(bytes, &mut at)?,
-                dst: get_group(bytes, &mut at)?,
-                shift: get_u8(bytes, &mut at)? as i8,
-                alu: decode_alu(bytes, &mut at)?,
+                from: get(t)?,
+                to: get(t)?,
+                src: get(t)?,
+                dst: get(t)?,
+                shift: get(t)?,
+                alu: get(t)?,
             }),
             OP_LW => Instruction::Mxm(MxmOp::LoadWeights {
-                plane: decode_plane(bytes, &mut at)?,
-                streams: get_group(bytes, &mut at)?,
-                rows: get_u8(bytes, &mut at)?,
+                plane: get(t)?,
+                streams: get(t)?,
+                rows: get(t)?,
             }),
             OP_IW => Instruction::Mxm(MxmOp::InstallWeights {
-                plane: decode_plane(bytes, &mut at)?,
-                dtype: get_dtype(bytes, &mut at)?,
+                plane: get(t)?,
+                dtype: get(t)?,
             }),
             OP_ABC => Instruction::Mxm(MxmOp::ActivationBuffer {
-                plane: decode_plane(bytes, &mut at)?,
-                stream: get_stream(bytes, &mut at)?,
-                rows: get_u16(bytes, &mut at)?,
+                plane: get(t)?,
+                stream: get(t)?,
+                rows: get(t)?,
             }),
             OP_ACC => Instruction::Mxm(MxmOp::Accumulate {
-                plane: decode_plane(bytes, &mut at)?,
-                dst: get_group(bytes, &mut at)?,
-                rows: get_u16(bytes, &mut at)?,
-                mode: match get_u8(bytes, &mut at)? {
-                    0 => AccumulateMode::Overwrite,
-                    1 => AccumulateMode::Accumulate,
-                    _ => return Err(DecodeError::BadOperand("accumulate mode")),
-                },
+                plane: get(t)?,
+                dst: get(t)?,
+                rows: get(t)?,
+                mode: get(t)?,
             }),
             OP_SHIFT_UP => Instruction::Sxm(SxmOp::ShiftUp {
-                n: get_u16(bytes, &mut at)?,
-                src: get_stream(bytes, &mut at)?,
-                dst: get_stream(bytes, &mut at)?,
+                n: get(t)?,
+                src: get(t)?,
+                dst: get(t)?,
             }),
             OP_SHIFT_DOWN => Instruction::Sxm(SxmOp::ShiftDown {
-                n: get_u16(bytes, &mut at)?,
-                src: get_stream(bytes, &mut at)?,
-                dst: get_stream(bytes, &mut at)?,
+                n: get(t)?,
+                src: get(t)?,
+                dst: get(t)?,
             }),
             OP_SELECT => Instruction::Sxm(SxmOp::Select {
-                north: get_stream(bytes, &mut at)?,
-                south: get_stream(bytes, &mut at)?,
-                boundary: get_u16(bytes, &mut at)?,
-                dst: get_stream(bytes, &mut at)?,
+                north: get(t)?,
+                south: get(t)?,
+                boundary: get(t)?,
+                dst: get(t)?,
             }),
-            OP_PERMUTE => {
-                let src = get_stream(bytes, &mut at)?;
-                let dst = get_stream(bytes, &mut at)?;
-                let mut map = [0u16; tsp_arch::LANES];
-                for m in &mut map {
-                    *m = get_u16(bytes, &mut at)?;
-                }
-                let mut seen = [false; tsp_arch::LANES];
-                for &m in &map {
-                    if m as usize >= tsp_arch::LANES || seen[m as usize] {
-                        return Err(DecodeError::BadOperand("permute map"));
-                    }
-                    seen[m as usize] = true;
-                }
-                Instruction::Sxm(SxmOp::Permute {
-                    map: PermuteMap::new(map),
-                    src,
-                    dst,
-                })
-            }
-            OP_DISTRIBUTE => {
-                let src = get_stream(bytes, &mut at)?;
-                let dst = get_stream(bytes, &mut at)?;
-                let mut map = [None; 16];
-                for m in &mut map {
-                    let b = get_u8(bytes, &mut at)?;
-                    *m = if b == 0xFF {
-                        None
-                    } else if b < 16 {
-                        Some(b)
-                    } else {
-                        return Err(DecodeError::BadOperand("distribute map"));
-                    };
-                }
-                Instruction::Sxm(SxmOp::Distribute { map, src, dst })
-            }
+            OP_PERMUTE => Instruction::Sxm(SxmOp::Permute {
+                src: get(t)?,
+                dst: get(t)?,
+                map: get(t)?,
+            }),
+            OP_DISTRIBUTE => Instruction::Sxm(SxmOp::Distribute {
+                src: get(t)?,
+                dst: get(t)?,
+                map: get(t)?,
+            }),
             OP_ROTATE => Instruction::Sxm(SxmOp::Rotate {
-                n: get_u8(bytes, &mut at)?,
-                src: get_range(bytes, &mut at)?,
-                dst: get_range(bytes, &mut at)?,
+                n: get(t)?,
+                src: get(t)?,
+                dst: get(t)?,
             }),
             OP_TRANSPOSE => Instruction::Sxm(SxmOp::Transpose {
-                src: get_range(bytes, &mut at)?,
-                dst: get_range(bytes, &mut at)?,
+                src: get(t)?,
+                dst: get(t)?,
             }),
-            OP_DESKEW => Instruction::C2c(C2cOp::Deskew {
-                link: decode_link(bytes, &mut at)?,
-            }),
+            OP_DESKEW => Instruction::C2c(C2cOp::Deskew { link: get(t)? }),
             OP_SEND => Instruction::C2c(C2cOp::Send {
-                link: decode_link(bytes, &mut at)?,
-                stream: get_stream(bytes, &mut at)?,
+                link: get(t)?,
+                stream: get(t)?,
             }),
             OP_RECEIVE => Instruction::C2c(C2cOp::Receive {
-                link: decode_link(bytes, &mut at)?,
-                stream: get_stream(bytes, &mut at)?,
+                link: get(t)?,
+                stream: get(t)?,
             }),
             other => return Err(DecodeError::BadOpcode(other)),
         };
-        Ok((insn, at))
+        Ok((insn, bytes.len() - text.len()))
     }
-}
-
-fn decode_alu(bytes: &[u8], at: &mut usize) -> Result<AluIndex, DecodeError> {
-    let a = get_u8(bytes, at)?;
-    if a >= AluIndex::COUNT {
-        return Err(DecodeError::BadOperand("alu index"));
-    }
-    Ok(AluIndex::new(a))
-}
-
-fn decode_plane(bytes: &[u8], at: &mut usize) -> Result<Plane, DecodeError> {
-    let p = get_u8(bytes, at)?;
-    if p >= Plane::COUNT {
-        return Err(DecodeError::BadOperand("plane"));
-    }
-    Ok(Plane::new(p))
-}
-
-fn decode_link(bytes: &[u8], at: &mut usize) -> Result<LinkId, DecodeError> {
-    let l = get_u8(bytes, at)?;
-    if l >= crate::c2c::NUM_LINKS {
-        return Err(DecodeError::BadOperand("link"));
-    }
-    Ok(LinkId::new(l))
 }
 
 /// Encodes a whole program-order sequence into a flat byte image (the form
@@ -626,21 +629,16 @@ pub fn encode_sequence(instructions: &[Instruction]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns the first [`DecodeError`] encountered.
-pub fn decode_sequence(mut bytes: &[u8]) -> Result<Vec<Instruction>, DecodeError> {
-    let mut out = Vec::new();
-    while !bytes.is_empty() {
-        let (insn, used) = Instruction::decode(bytes)?;
-        out.push(insn);
-        bytes = &bytes[used..];
-    }
-    Ok(out)
+pub fn decode_sequence(bytes: &[u8]) -> Result<Vec<Instruction>, DecodeError> {
+    decode_until(bytes, None)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn samples() -> Vec<Instruction> {
+    /// One instruction of every format but `ShiftDown` (`ShiftUp`'s twin).
+    pub(crate) fn samples() -> Vec<Instruction> {
         use tsp_arch::Direction;
         vec![
             IcuOp::Nop { count: 1234 }.into(),
@@ -780,6 +778,21 @@ mod tests {
         ]
     }
 
+    /// The wire format, pinned: FNV-1a over the encoded samples (the ResNets
+    /// `program_fingerprint` hashes never emit an SXM or C2C instruction).
+    #[test]
+    fn sample_bytes_are_golden() {
+        let image = encode_sequence(&samples());
+        let hash = image.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(
+            (image.len(), hash),
+            (767, 0xc875_10a0_7a03_14b8),
+            "{hash:#018x}"
+        );
+    }
+
     #[test]
     fn every_instruction_roundtrips() {
         for insn in samples() {
@@ -830,5 +843,39 @@ mod tests {
             Instruction::decode(&bytes),
             Err(DecodeError::BadOperand(_))
         ));
+    }
+
+    /// `Transpose` from base 31 over 255 streams: 286 in all, 30 in a byte.
+    #[test]
+    fn stream_range_past_stream_31_is_rejected() {
+        let bytes = [OP_TRANSPOSE, 31, 255, 0x80, 16];
+        let bad = Err(DecodeError::BadOperand("stream range"));
+        assert_eq!(Instruction::decode(&bytes), bad);
+    }
+
+    /// Hostile text never panics a decoder, in either profile: 200,000 seeded
+    /// 24-byte buffers behind a valid opcode, and every truncation of every
+    /// sample, come back `Ok` or `Err`.
+    #[test]
+    fn no_text_panics_a_decoder() {
+        fn decode_all(text: &[u8]) {
+            let _ = Instruction::decode(text);
+            let _ = decode_fetch_block(text);
+            let _ = decode_sequence(text);
+        }
+        let opcodes: Vec<u8> = samples().iter().map(|i| i.encode()[0]).collect();
+        let mut rng = proptest::test_runner::TestRng::new(0x7e57_0dec_0de5);
+        for _ in 0..200_000 {
+            let mut text = [0u8; 24];
+            for chunk in text.chunks_mut(8) {
+                chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
+            }
+            text[0] = opcodes[text[0] as usize % opcodes.len()];
+            decode_all(&text);
+        }
+        for insn in samples() {
+            let bytes = insn.encode();
+            (0..bytes.len()).for_each(|cut| decode_all(&bytes[..cut]));
+        }
     }
 }

@@ -11,8 +11,8 @@
 //!   serialize to bytes;
 //! * an **assembly text** rendering (`Display`) matching the paper's notation
 //!   (`Read a,s` / `Add S1,S2,S3` / `NOP(N)` …);
-//! * a generator for the paper's **Table I** from the definitions themselves
-//!   ([`table::isa_summary`]), so documentation cannot drift from the ISA.
+//! * the paper's **Table I** as data ([`table::isa_summary`]), tied to the
+//!   definitions by a test over every sample instruction's mnemonic.
 //!
 //! The top-level type is [`Instruction`]; per-area operation enums are
 //! [`IcuOp`], [`MemOp`], [`VxmOp`], [`MxmOp`], [`SxmOp`] and [`C2cOp`].
@@ -33,6 +33,7 @@
 
 pub mod c2c;
 pub mod decoded;
+pub mod delays;
 pub mod dtype;
 pub mod encode;
 pub mod icu;
@@ -47,6 +48,7 @@ pub use c2c::{C2cOp, LinkId};
 pub use decoded::{
     decode_queue, decode_step, DecodedOp, DecodedQueue, InvalidKind, InvalidOp, QueueClass, SpanOp,
 };
+pub use delays::{D_GATHER, D_IW, D_READ, D_VXM, LW_ROWS};
 pub use dtype::DataType;
 pub use icu::IcuOp;
 pub use instruction::{FunctionalArea, Instruction};

@@ -5,6 +5,8 @@ use core::fmt;
 
 use tsp_arch::{StreamId, TimeModel};
 
+use crate::delays::{after, D_GATHER, D_READ};
+
 /// Bit of the word address that selects the SRAM bank.
 ///
 /// Each MEM slice contains pseudo-dual-port SRAM organized as two banks; a
@@ -112,9 +114,9 @@ impl MemOp {
     #[must_use]
     pub fn time_model(self) -> TimeModel {
         match self {
-            MemOp::Read { .. } => TimeModel::new(5, 0),
+            MemOp::Read { .. } => after(D_READ),
             MemOp::Write { .. } => TimeModel::new(1, 0),
-            MemOp::Gather { .. } | MemOp::Scatter { .. } => TimeModel::new(7, 0),
+            MemOp::Gather { .. } | MemOp::Scatter { .. } => after(D_GATHER),
         }
     }
 

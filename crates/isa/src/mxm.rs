@@ -23,6 +23,7 @@ use core::fmt;
 
 use tsp_arch::{Hemisphere, StreamGroup, StreamId, TimeModel};
 
+use crate::delays::{after, D_IW};
 use crate::dtype::DataType;
 
 /// Cycles between an activation vector entering the array (`ABC`) and its
@@ -88,6 +89,11 @@ pub enum AccumulateMode {
     Accumulate,
 }
 
+impl AccumulateMode {
+    /// Both modes, in wire-tag order.
+    pub const ALL: [AccumulateMode; 2] = [AccumulateMode::Overwrite, AccumulateMode::Accumulate];
+}
+
 /// MXM instructions (paper Table I, "MXM" rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MxmOp {
@@ -98,7 +104,8 @@ pub enum MxmOp {
         plane: Plane,
         /// 16-wide stream group carrying weight rows.
         streams: StreamGroup,
-        /// Number of cycles (each delivering 16 rows); 20 fills the plane.
+        /// Number of cycles (each delivering 16 rows);
+        /// [`crate::LW_ROWS`] fill the plane.
         rows: u8,
     },
     /// `IW` — install the staged weight buffer into the 320×320 array.
@@ -140,7 +147,7 @@ impl MxmOp {
     pub fn time_model(self) -> TimeModel {
         match self {
             MxmOp::LoadWeights { .. } => TimeModel::new(2, 0),
-            MxmOp::InstallWeights { .. } => TimeModel::new(4, 0),
+            MxmOp::InstallWeights { .. } => after(D_IW),
             MxmOp::ActivationBuffer { .. } => TimeModel::new(1, 0),
             // Results the array has finished (see [`MXM_ARRAY_DELAY`]) are
             // staged in the accumulator; readout onto streams costs 1 cycle.

@@ -11,6 +11,7 @@ use core::fmt;
 
 use tsp_arch::{StreamGroup, TimeModel};
 
+use crate::delays::{after, D_VXM};
 use crate::dtype::DataType;
 
 /// Identifies one of the 16 vector ALUs in each lane's 4×4 mesh.
@@ -204,8 +205,7 @@ impl VxmOp {
                 op: UnaryAluOp::Tanh | UnaryAluOp::Exp | UnaryAluOp::Rsqrt,
                 ..
             } => TimeModel::new(8, 0),
-            VxmOp::Unary { .. } | VxmOp::Binary { .. } => TimeModel::new(4, 0),
-            VxmOp::Convert { .. } => TimeModel::new(4, 0),
+            VxmOp::Unary { .. } | VxmOp::Binary { .. } | VxmOp::Convert { .. } => after(D_VXM),
         }
     }
 

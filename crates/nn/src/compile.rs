@@ -723,7 +723,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
         }
         if !options.overlap {
             let c = s.completion();
-            s.pool.fence(c);
+            s.fence(c);
         }
     }
 

@@ -26,7 +26,7 @@
 //! statistic, and within one sub-bucket (≤ 3.125% relative, exact below
 //! [`SUB_BUCKETS`]) of it.
 
-use crate::json::Json;
+use crate::json::{Fields, Json};
 
 /// log2 of the sub-bucket count per octave.
 pub const SUB_BITS: u32 = 5;
@@ -220,24 +220,30 @@ impl Histogram {
     /// [`Histogram::to_json`]); `None` on any missing or malformed field.
     #[must_use]
     pub fn from_json(v: &Json) -> Option<Histogram> {
+        Histogram::from_fields(&Fields::root(v)).ok()
+    }
+
+    /// [`Histogram::from_json`] for an object already being read, with an
+    /// error that names the field it fell short at.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first missing or malformed field.
+    pub fn from_fields(f: &Fields<'_>) -> Result<Histogram, String> {
         let mut h = Histogram::new();
-        h.count = v.get("count")?.as_u64()?;
-        h.sum = v.get("sum")?.as_u64()?;
-        h.max = v.get("max")?.as_u64()?;
-        let min = v.get("min")?.as_u64()?;
+        h.count = f.u64("count")?;
+        h.sum = f.u64("sum")?;
+        h.max = f.u64("max")?;
+        let min = f.u64("min")?;
         h.min = if h.count == 0 { u64::MAX } else { min };
-        for pair in v.get("buckets")?.as_array()? {
-            let pair = pair.as_array()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            let i = usize::try_from(pair[0].as_u64()?).ok()?;
-            if i >= NUM_BUCKETS {
-                return None;
-            }
-            h.counts[i] = pair[1].as_u64()?;
+        let buckets = f.array("buckets", "bucket", |b| match *b.u64s()?.as_slice() {
+            [i, count] if i < NUM_BUCKETS as u64 => Ok((i as usize, count)),
+            _ => Err(b.error("not an [index, count] pair")),
+        })?;
+        for (i, count) in buckets {
+            h.counts[i] = count;
         }
-        Some(h)
+        Ok(h)
     }
 }
 

@@ -133,6 +133,119 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// `s` as it stands, for embedding in a JSON document: a report's names
+/// (workload, mode, sweep-point label) are chosen to need no [`escape`], which
+/// debug builds check.
+#[must_use]
+pub fn escape_free(s: &str) -> &str {
+    debug_assert!(s
+        .chars()
+        .all(|c| c.is_ascii_graphic() && c != '"' && c != '\\'));
+    s
+}
+
+/// A [`Json`] value being read back into a typed report, together with the
+/// path it was reached by — "workload 3", "point 2 chip 1" — so that every
+/// accessor's error — the field is missing, or not of the type asked for —
+/// names where the document fell short, and which key.
+#[derive(Debug, Clone)]
+pub struct Fields<'a> {
+    json: &'a Json,
+    path: String,
+}
+
+impl<'a> Fields<'a> {
+    /// The whole document.
+    #[must_use]
+    pub fn root(json: &'a Json) -> Fields<'a> {
+        let path = String::new();
+        Fields { json, path }
+    }
+
+    /// `what`, prefixed with this value's path.
+    #[must_use]
+    pub fn error(&self, what: impl fmt::Display) -> String {
+        match self.path.as_str() {
+            "" => what.to_string(),
+            path => format!("{path}: {what}"),
+        }
+    }
+
+    fn child(&self, json: &'a Json, name: fmt::Arguments<'_>) -> Fields<'a> {
+        let path = match self.path.as_str() {
+            "" => name.to_string(),
+            path => format!("{path} {name}"),
+        };
+        Fields { json, path }
+    }
+
+    /// Field `key`, read by `read`.
+    fn field<T>(&self, key: &str, read: impl Fn(&'a Json) -> Option<T>) -> Result<T, String> {
+        let value = self.json.get(key).and_then(read);
+        value.ok_or_else(|| self.error(format_args!("missing {key}")))
+    }
+
+    /// Field `key`, whatever it holds, to read further into.
+    pub fn at(&self, key: &str) -> Result<Fields<'a>, String> {
+        let json = self.field(key, Some)?;
+        Ok(self.child(json, format_args!("{key}")))
+    }
+
+    /// The elements of array field `key`, each read by `read` — element `i`
+    /// on the path as "`item` `i`".
+    pub fn array<T>(
+        &self,
+        key: &str,
+        item: &str,
+        read: impl Fn(Fields<'a>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let items = self.field(key, Json::as_array)?;
+        let child = |(i, json)| read(self.child(json, format_args!("{item} {i}")));
+        items.iter().enumerate().map(child).collect()
+    }
+
+    /// This value as an array of integers.
+    pub fn u64s(&self) -> Result<Vec<u64>, String> {
+        let items = self.json.as_array();
+        let numbers = items.and_then(|items| items.iter().map(Json::as_u64).collect());
+        numbers.ok_or_else(|| self.error("not an array of integers"))
+    }
+
+    /// Integer field `key`.
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        self.field(key, Json::as_u64)
+    }
+
+    /// Integer field `key`, which must fit 32 bits.
+    pub fn u32(&self, key: &str) -> Result<u32, String> {
+        let out_of_range = |_| self.error(format_args!("{key} out of range"));
+        u32::try_from(self.u64(key)?).map_err(out_of_range)
+    }
+
+    /// Number field `key`.
+    pub fn f64(&self, key: &str) -> Result<f64, String> {
+        self.field(key, Json::as_f64)
+    }
+
+    /// String field `key`.
+    pub fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.field(key, Json::as_str)
+    }
+
+    /// Boolean field `key`.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.field(key, Json::as_bool)
+    }
+
+    /// Checks the document's `schema` tag.
+    pub fn expect_schema(&self, expected: &str) -> Result<(), String> {
+        match self.str("schema").map_err(|_| "missing schema tag")? {
+            schema if schema == expected => Ok(()),
+            schema => Err(format!("schema is '{schema}', expected '{expected}'")),
+        }
+    }
+}
+
 impl fmt::Display for Json {
     /// Compact single-line serialization (inverse of [`Json::parse`] up to
     /// whitespace).

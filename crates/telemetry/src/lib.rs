@@ -41,7 +41,7 @@ pub mod span;
 
 use std::sync::Arc;
 
-use json::Json;
+use json::{Fields, Json};
 
 /// A compiler-emitted layer boundary: work dispatched at cycles `< end` (and
 /// at or after the previous mark's `end`) belongs to the named layer. Marks
@@ -311,40 +311,38 @@ impl Telemetry {
     /// [`Telemetry::to_json`]); `None` on any missing or malformed field.
     #[must_use]
     pub fn from_json(v: &Json) -> Option<Telemetry> {
-        fn arr<const N: usize>(v: &Json, key: &str) -> Option<[u64; N]> {
-            let items = v.get(key)?.as_array()?;
-            if items.len() != N {
-                return None;
-            }
-            let mut out = [0u64; N];
-            for (slot, item) in out.iter_mut().zip(items) {
-                *slot = item.as_u64()?;
-            }
-            Some(out)
+        Telemetry::from_fields(&Fields::root(v)).ok()
+    }
+
+    /// [`Telemetry::from_json`] for an object already being read, with an
+    /// error that names the field it fell short at.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first missing or malformed field.
+    pub fn from_fields(f: &Fields<'_>) -> Result<Telemetry, String> {
+        fn arr<const N: usize>(f: &Fields<'_>, key: &str) -> Result<[u64; N], String> {
+            let at = f.at(key)?;
+            let counts = <[u64; N]>::try_from(at.u64s()?);
+            counts.map_err(|v| at.error(format_args!("{} entries, expected {N}", v.len())))
         }
-        Some(Telemetry {
-            mxm_plane_busy: arr(v, "mxm_plane_busy")?,
-            mxm_macc_waves: arr(v, "mxm_macc_waves")?,
-            vxm_alu_issue: arr(v, "vxm_alu_issue")?,
-            sram_reads: arr(v, "sram_reads")?,
+        Ok(Telemetry {
+            mxm_plane_busy: arr(f, "mxm_plane_busy")?,
+            mxm_macc_waves: arr(f, "mxm_macc_waves")?,
+            vxm_alu_issue: arr(f, "vxm_alu_issue")?,
+            sram_reads: arr(f, "sram_reads")?,
             // Added by the pre-decode PR; absent in older reports, so they
             // default to zero instead of failing the parse.
-            mem_reads_pristine: v
-                .get("mem_reads_pristine")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            mem_reads_verified: v
-                .get("mem_reads_verified")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            sram_writes: arr(v, "sram_writes")?,
-            sxm_ops: arr(v, "sxm_ops")?,
-            c2c_sends: v.get("c2c_sends")?.as_u64()?,
-            c2c_receives: v.get("c2c_receives")?.as_u64()?,
-            ifetches: v.get("ifetches")?.as_u64()?,
-            stream_high_water: v.get("stream_high_water")?.as_u64()?,
-            icu_queue_high_water: v.get("icu_queue_high_water")?.as_u64()?,
-            dropped_events: v.get("dropped_events")?.as_u64()?,
+            mem_reads_pristine: f.u64("mem_reads_pristine").unwrap_or(0),
+            mem_reads_verified: f.u64("mem_reads_verified").unwrap_or(0),
+            sram_writes: arr(f, "sram_writes")?,
+            sxm_ops: arr(f, "sxm_ops")?,
+            c2c_sends: f.u64("c2c_sends")?,
+            c2c_receives: f.u64("c2c_receives")?,
+            ifetches: f.u64("ifetches")?,
+            stream_high_water: f.u64("stream_high_water")?,
+            icu_queue_high_water: f.u64("icu_queue_high_water")?,
+            dropped_events: f.u64("dropped_events")?,
         })
     }
 }
