@@ -269,7 +269,7 @@ fn main() {
         }
     }
 
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
+    if let Err(e) = std::fs::write(&out_path, report.to_json().pretty(0) + "\n") {
         eprintln!("error: cannot write {out_path}: {e}");
         std::process::exit(1);
     }

@@ -33,16 +33,16 @@ use tsp_nn::resilient::{run_resilient, ResilientOptions};
 use tsp_nn::train::small_cnn;
 use tsp_sim::faults::{FaultPlan, LinkFaultPlan, LinkPlanSpec, PlanSpec};
 use tsp_sim::{Chip, IcuId, Program, SimError};
-use tsp_telemetry::json::{Fields, Json};
+use tsp_telemetry::json::Json;
 
 use crate::fan_out;
 use tsp_c2c::{Fabric, Wire};
 
-/// Schema tag of `BENCH_FAULTS.json`. v2 over v1: every trial carries its
-/// `egress_words` (C2C link traffic of the completing attempt) alongside the
-/// reliability counters, and the document round-trips through
-/// [`CampaignReport::from_json`] so CI artifacts can be compared
-/// programmatically.
+/// Schema tag of `BENCH_FAULTS.json` ([`CampaignReport::to_json`]): a
+/// per-(site, rate) `summary` with one count per [`TrialClass`], then every
+/// trial with its seed, class, reliability counters, `egress_words` (C2C
+/// link traffic of the completing attempt) and its MEM reads on and off the
+/// pristine fast path.
 pub const SCHEMA: &str = "tsp-faults-v3";
 
 /// The fault sites a campaign sweeps.
@@ -64,6 +64,15 @@ pub enum TrialClass {
 }
 
 impl TrialClass {
+    /// Every class, in [`PointSummary::classes`] order.
+    pub const ALL: [TrialClass; 5] = [
+        TrialClass::Masked,
+        TrialClass::Corrected,
+        TrialClass::DetectedRecovered,
+        TrialClass::DetectedUnrecovered,
+        TrialClass::Sdc,
+    ];
+
     /// Stable identifier used in reports.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -121,6 +130,25 @@ impl Trial {
         let total = self.mem_pristine + self.mem_verified;
         (total > 0).then(|| self.mem_pristine as f64 / total as f64)
     }
+
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("site", self.site.into()),
+            ("rate", self.rate.into()),
+            ("index", self.index.into()),
+            ("seed", self.seed.into()),
+            ("class", self.class.name().into()),
+            ("attempts", self.attempts.into()),
+            ("corrected", self.corrected.into()),
+            ("detected", self.detected.into()),
+            ("applied", self.faults_applied.into()),
+            ("vacant", self.faults_vacant.into()),
+            ("wasted_cycles", self.wasted_cycles.into()),
+            ("egress_words", self.egress_words.into()),
+            ("mem_pristine", self.mem_pristine.into()),
+            ("mem_verified", self.mem_verified.into()),
+        ])
+    }
 }
 
 /// Aggregate of one (site, rate) sweep point.
@@ -132,9 +160,20 @@ pub struct PointSummary {
     pub rate: u32,
     /// Trials run.
     pub trials: u32,
-    /// Count per class, indexed like `[Masked, Corrected, DetectedRecovered,
-    /// DetectedUnrecovered, Sdc]`.
+    /// Count per class, indexed like [`TrialClass::ALL`].
     pub classes: [u32; 5],
+}
+
+impl PointSummary {
+    fn to_json(&self) -> Json {
+        let point = [
+            ("site", self.site.into()),
+            ("rate", self.rate.into()),
+            ("trials", self.trials.into()),
+        ];
+        let classes = (TrialClass::ALL.iter().zip(self.classes)).map(|(c, n)| (c.name(), n.into()));
+        Json::obj(point.into_iter().chain(classes))
+    }
 }
 
 /// A finished campaign.
@@ -496,114 +535,23 @@ impl CampaignReport {
             .count() as u64
     }
 
-    /// Serializes the report (schema [`SCHEMA`]). Deterministic: contains
-    /// no wall-clock or host-dependent values.
+    /// The report under [`SCHEMA`]: the per-point summaries, then every
+    /// trial. Deterministic: contains no wall-clock or host-dependent values.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut json = format!(
-            concat!(
-                "{{\n  \"schema\": \"{schema}\",\n  \"seed\": {seed},\n",
-                "  \"fast_path_retention\": {retention},\n  \"summary\": [\n"
+    pub fn to_json(&self) -> Json {
+        let retention = self.fast_path_retention();
+        Json::obj([
+            ("schema", SCHEMA.into()),
+            ("seed", self.seed.into()),
+            (
+                "fast_path_retention",
+                retention.map_or(Json::Null, |r| Json::fixed(r, 6)),
             ),
-            schema = SCHEMA,
-            seed = self.seed,
-            retention = match self.fast_path_retention() {
-                Some(r) => format!("{r:.6}"),
-                None => "null".to_string(),
-            }
-        );
-        let summaries = self.summaries();
-        for (i, p) in summaries.iter().enumerate() {
-            json.push_str(&format!(
-                concat!(
-                    "    {{ \"site\": \"{}\", \"rate\": {}, \"trials\": {}, ",
-                    "\"masked\": {}, \"corrected\": {}, \"detected_recovered\": {}, ",
-                    "\"detected_unrecovered\": {}, \"sdc\": {} }}{}\n"
-                ),
-                p.site,
-                p.rate,
-                p.trials,
-                p.classes[0],
-                p.classes[1],
-                p.classes[2],
-                p.classes[3],
-                p.classes[4],
-                if i + 1 < summaries.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ],\n  \"trials\": [\n");
-        for (i, t) in self.trials.iter().enumerate() {
-            json.push_str(&format!(
-                concat!(
-                    "    {{ \"site\": \"{}\", \"rate\": {}, \"index\": {}, \"seed\": {}, ",
-                    "\"class\": \"{}\", \"attempts\": {}, \"corrected\": {}, ",
-                    "\"detected\": {}, \"applied\": {}, \"vacant\": {}, ",
-                    "\"wasted_cycles\": {}, \"egress_words\": {}, ",
-                    "\"mem_pristine\": {}, \"mem_verified\": {} }}{}\n"
-                ),
-                t.site,
-                t.rate,
-                t.index,
-                t.seed,
-                t.class.name(),
-                t.attempts,
-                t.corrected,
-                t.detected,
-                t.faults_applied,
-                t.faults_vacant,
-                t.wasted_cycles,
-                t.egress_words,
-                t.mem_pristine,
-                t.mem_verified,
-                if i + 1 < self.trials.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        json
-    }
-
-    /// Parses a `tsp-faults-v3` document (inverse of
-    /// [`CampaignReport::to_json`] — the summary section is derived, so only
-    /// the trials are read back).
-    ///
-    /// # Errors
-    ///
-    /// A message naming the first missing/malformed field, an unknown
-    /// site/class name, or a schema-tag mismatch.
-    pub fn from_json(text: &str) -> Result<CampaignReport, String> {
-        let doc = Json::parse(text)?;
-        let doc = Fields::root(&doc);
-        doc.expect_schema(SCHEMA)?;
-        let classes = [
-            TrialClass::Masked,
-            TrialClass::Corrected,
-            TrialClass::DetectedRecovered,
-            TrialClass::DetectedUnrecovered,
-            TrialClass::Sdc,
-        ];
-        let trial = |t: Fields<'_>| {
-            let (site, class) = (t.str("site")?, t.str("class")?);
-            Ok(Trial {
-                site: (SITES.iter().find(|s| **s == site))
-                    .ok_or_else(|| t.error(format_args!("unknown site '{site}'")))?,
-                rate: t.u32("rate")?,
-                index: t.u32("index")?,
-                seed: t.u64("seed")?,
-                class: *(classes.iter().find(|c| c.name() == class))
-                    .ok_or_else(|| t.error(format_args!("unknown class '{class}'")))?,
-                attempts: t.u32("attempts")?,
-                corrected: t.u64("corrected")?,
-                detected: t.u64("detected")?,
-                faults_applied: t.u64("applied")?,
-                faults_vacant: t.u64("vacant")?,
-                wasted_cycles: t.u64("wasted_cycles")?,
-                egress_words: t.u64("egress_words")?,
-                mem_pristine: t.u64("mem_pristine")?,
-                mem_verified: t.u64("mem_verified")?,
-            })
-        };
-        let seed = doc.u64("seed")?;
-        let trials = doc.array("trials", "trial", trial)?;
-        Ok(CampaignReport { seed, trials })
+            (
+                "summary",
+                self.summaries().iter().map(PointSummary::to_json).collect(),
+            ),
+            ("trials", self.trials.iter().map(Trial::to_json).collect()),
+        ])
     }
 }

@@ -1,6 +1,5 @@
-//! The `BENCH_SERVE.json` report schema (`tsp-serve-v2`), with a parser so
-//! the schema round-trips — serving sweeps from different commits can be
-//! compared programmatically, like the simspeed and fault artifacts.
+//! The `BENCH_SERVE.json` report schema (`tsp-serve-v2`), written as a
+//! [`Json`] value.
 //!
 //! One [`ServePoint`] per sweep point (offered load × chaos configuration):
 //! goodput, shed and deadline-miss rates, the full end-to-end latency
@@ -11,8 +10,7 @@
 //! # Percentile semantics (v2)
 //!
 //! `p50`/`p99`/`p999` are [`Histogram::quantile`] values: the rank is the
-//! same `⌈q·n⌉`-th smallest the old sorted-vec picked (the [`percentile`]
-//! helper below remains as the exact-rank reference), but the reported value
+//! `⌈q·n⌉`-th smallest of the recorded latencies, but the reported value
 //! is the **upper bound of the log bucket** holding that rank, clamped to
 //! the observed maximum. Below 32 cycles buckets are exact; above, the
 //! value is within 3.125% of (and never below) the true order statistic.
@@ -22,7 +20,7 @@
 //! re-derived from the persisted buckets.
 
 use tsp_telemetry::hist::Histogram;
-use tsp_telemetry::json::{escape_free, Fields, Json};
+use tsp_telemetry::json::Json;
 
 /// Schema tag of `BENCH_SERVE.json`.
 pub const SERVE_SCHEMA: &str = "tsp-serve-v2";
@@ -127,146 +125,59 @@ impl ServeBenchReport {
         self.points.iter().map(|p| p.accounting_violations).sum()
     }
 
-    /// Serializes the report under [`SERVE_SCHEMA`]. Every string is a
-    /// known-clean identifier (asserted in debug builds).
+    /// The report under [`SERVE_SCHEMA`], one object per sweep point.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut json = format!("{{\n  \"schema\": \"{SERVE_SCHEMA}\",\n  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            json.push_str(&format!(
-                concat!(
-                    "    {{\n",
-                    "      \"label\": \"{}\",\n",
-                    "      \"mean_interarrival\": {:.3},\n",
-                    "      \"strike_per_mille\": {},\n",
-                    "      \"persistent_per_mille\": {},\n",
-                    "      \"requests\": {},\n",
-                    "      \"completed\": {},\n",
-                    "      \"good\": {},\n",
-                    "      \"shed_queue_full\": {},\n",
-                    "      \"shed_expired\": {},\n",
-                    "      \"failed\": {},\n",
-                    "      \"deadline_missed\": {},\n",
-                    "      \"sdc\": {},\n",
-                    "      \"accounting_violations\": {},\n",
-                    "      \"horizon\": {},\n",
-                    "      \"p50\": {},\n",
-                    "      \"p99\": {},\n",
-                    "      \"p999\": {},\n",
-                    "      \"latency\": {},\n",
-                    "      \"chips\": [\n"
-                ),
-                escape_free(&p.label),
-                p.mean_interarrival,
-                p.strike_per_mille,
-                p.persistent_per_mille,
-                p.requests,
-                p.completed,
-                p.good,
-                p.shed_queue_full,
-                p.shed_expired,
-                p.failed,
-                p.deadline_missed,
-                p.sdc,
-                p.accounting_violations,
-                p.horizon,
-                p.p50,
-                p.p99,
-                p.p999,
-                p.latency.to_json(6),
-            ));
-            for (j, c) in p.chips.iter().enumerate() {
-                json.push_str(&format!(
-                    concat!(
-                        "        {{ \"chip\": {}, \"batches\": {}, \"requests\": {}, ",
-                        "\"busy_cycles\": {}, \"utilization\": {:.6}, \"mxm_waves\": {}, ",
-                        "\"quarantined\": {}, \"quarantined_at\": {} }}{}\n"
-                    ),
-                    c.chip,
-                    c.batches,
-                    c.requests,
-                    c.busy_cycles,
-                    c.utilization,
-                    c.mxm_waves,
-                    c.quarantined_at.is_some(),
-                    c.quarantined_at.unwrap_or(0),
-                    if j + 1 < p.chips.len() { "," } else { "" }
-                ));
-            }
-            json.push_str(&format!(
-                "      ]\n    }}{}\n",
-                if i + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        json
-    }
-
-    /// Parses a `tsp-serve-v1` document, inverse of
-    /// [`ServeBenchReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// A message naming the first missing/malformed field, or a schema-tag
-    /// mismatch.
-    pub fn from_json(text: &str) -> Result<ServeBenchReport, String> {
-        let doc = Json::parse(text)?;
-        let doc = Fields::root(&doc);
-        doc.expect_schema(SERVE_SCHEMA)?;
-        let chip = |c: Fields<'_>| {
-            Ok(ServeChipRow {
-                chip: c.u64("chip")?,
-                batches: c.u64("batches")?,
-                requests: c.u64("requests")?,
-                busy_cycles: c.u64("busy_cycles")?,
-                utilization: c.f64("utilization")?,
-                mxm_waves: c.u64("mxm_waves")?,
-                quarantined_at: (c.bool("quarantined")?)
-                    .then(|| c.u64("quarantined_at"))
-                    .transpose()?,
-            })
-        };
-        let point = |p: Fields<'_>| {
-            Ok(ServePoint {
-                label: p.str("label")?.to_string(),
-                mean_interarrival: p.f64("mean_interarrival")?,
-                strike_per_mille: p.u64("strike_per_mille")?,
-                persistent_per_mille: p.u64("persistent_per_mille")?,
-                requests: p.u64("requests")?,
-                completed: p.u64("completed")?,
-                good: p.u64("good")?,
-                shed_queue_full: p.u64("shed_queue_full")?,
-                shed_expired: p.u64("shed_expired")?,
-                failed: p.u64("failed")?,
-                deadline_missed: p.u64("deadline_missed")?,
-                sdc: p.u64("sdc")?,
-                accounting_violations: p.u64("accounting_violations")?,
-                horizon: p.u64("horizon")?,
-                p50: p.u64("p50")?,
-                p99: p.u64("p99")?,
-                p999: p.u64("p999")?,
-                latency: Histogram::from_fields(&p.at("latency")?)?,
-                chips: p.array("chips", "chip", chip)?,
-            })
-        };
-        let points = doc.array("points", "point", point)?;
-        Ok(ServeBenchReport { points })
+    pub fn to_json(&self) -> Json {
+        let points = self.points.iter().map(ServePoint::to_json);
+        Json::obj([
+            ("schema", SERVE_SCHEMA.into()),
+            ("points", points.collect()),
+        ])
     }
 }
 
-/// Exact-rank percentile over sorted latencies: index `ceil(q·n) − 1`.
-///
-/// Kept as the **reference semantics** for [`Histogram::quantile`] (same
-/// rank selection; the histogram reports that rank's bucket upper bound) and
-/// for tests that cross-check the two. `serve_bench` itself records into a
-/// [`Histogram`] — O(1) per request, mergeable, whole distribution persisted.
-#[must_use]
-pub fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
+impl ServePoint {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("label", self.label.as_str().into()),
+            ("mean_interarrival", Json::fixed(self.mean_interarrival, 3)),
+            ("strike_per_mille", self.strike_per_mille.into()),
+            ("persistent_per_mille", self.persistent_per_mille.into()),
+            ("requests", self.requests.into()),
+            ("completed", self.completed.into()),
+            ("good", self.good.into()),
+            ("shed_queue_full", self.shed_queue_full.into()),
+            ("shed_expired", self.shed_expired.into()),
+            ("failed", self.failed.into()),
+            ("deadline_missed", self.deadline_missed.into()),
+            ("sdc", self.sdc.into()),
+            ("accounting_violations", self.accounting_violations.into()),
+            ("horizon", self.horizon.into()),
+            ("p50", self.p50.into()),
+            ("p99", self.p99.into()),
+            ("p999", self.p999.into()),
+            ("latency", self.latency.to_json()),
+            (
+                "chips",
+                self.chips.iter().map(ServeChipRow::to_json).collect(),
+            ),
+        ])
     }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+impl ServeChipRow {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("chip", self.chip.into()),
+            ("batches", self.batches.into()),
+            ("requests", self.requests.into()),
+            ("busy_cycles", self.busy_cycles.into()),
+            ("utilization", Json::fixed(self.utilization, 6)),
+            ("mxm_waves", self.mxm_waves.into()),
+            ("quarantined", self.quarantined_at.is_some().into()),
+            ("quarantined_at", self.quarantined_at.unwrap_or(0).into()),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -323,35 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_exactly() {
-        let report = sample();
-        let text = report.to_json();
-        let back = ServeBenchReport::from_json(&text).expect("parses");
-        assert_eq!(back, report);
-        assert_eq!(back.to_json(), text, "serialization is a fixed point");
-    }
-
-    #[test]
-    fn wrong_schema_is_rejected() {
-        let text = sample().to_json().replace("-v2", "-v0");
-        assert!(ServeBenchReport::from_json(&text)
-            .unwrap_err()
-            .contains(SERVE_SCHEMA));
-    }
-
-    #[test]
-    fn latency_histogram_survives_the_round_trip() {
-        let report = sample();
-        let text = report.to_json();
-        let back = ServeBenchReport::from_json(&text).expect("parses");
-        let (a, b) = (&report.points[0].latency, &back.points[0].latency);
-        assert_eq!(a, b);
-        for q in [0.5, 0.99, 0.999] {
-            assert_eq!(a.quantile(q), b.quantile(q));
-        }
-    }
-
-    #[test]
     fn gate_counters_aggregate() {
         let mut report = sample();
         assert_eq!(report.sdc_count(), 0);
@@ -360,15 +242,5 @@ mod tests {
         report.points[0].accounting_violations = 2;
         assert_eq!(report.sdc_count(), 1);
         assert_eq!(report.violation_count(), 2);
-    }
-
-    #[test]
-    fn percentiles_pick_the_right_ranks() {
-        let sorted: Vec<u64> = (1..=1000).collect();
-        assert_eq!(percentile(&sorted, 0.50), 500);
-        assert_eq!(percentile(&sorted, 0.99), 990);
-        assert_eq!(percentile(&sorted, 0.999), 999);
-        assert_eq!(percentile(&[], 0.5), 0);
-        assert_eq!(percentile(&[7], 0.999), 7);
     }
 }

@@ -1,7 +1,6 @@
 //! The harness's shared reference workloads, spanning the simulator's
-//! regimes. `simspeed` benchmarks host throughput on them and `tsp-prof`
-//! profiles where their simulated cycles go — both must run the *same*
-//! programs for the numbers to be comparable.
+//! regimes: `tsp-prof` profiles where their simulated cycles go, and the
+//! `decoded_equiv` / `telemetry_determinism` tests run them.
 
 use tsp_compiler::alloc::BankPolicy;
 use tsp_compiler::kernels::binary_ew;
@@ -71,33 +70,14 @@ pub fn roofline_program() -> Program {
     sched.into_program().unwrap()
 }
 
-/// A ResNet of the given depth (50/101/152), batch-1 at 224×224, compiled
-/// (through the compile cache) with one quantized input image.
+/// ResNet-50 batch-1 at 224×224 — the end-to-end functional worst case —
+/// compiled (through the compile cache) with one quantized input image.
 #[must_use]
-pub fn resnet_model(depth: u32) -> (Arc<CompiledModel>, Vec<i8>) {
+pub fn resnet50_model() -> (Arc<CompiledModel>, Vec<i8>) {
     let data = synthetic(3, 224, 224, 3, 2, 1);
-    let (g, params) = resnet(depth, 224, 1000, &Widths::standard(), 7);
+    let (g, params) = resnet(50, 224, 1000, &Widths::standard(), 7);
     let q = quantize(&g, &params, &data.images[..1]);
     let model = compile_cached(&q, &CompileOptions::default());
     let image = q.quantize_image(&data.images[0]);
     (model, image)
-}
-
-/// ResNet-50 batch-1 at 224×224 — the end-to-end functional worst case.
-#[must_use]
-pub fn resnet50_model() -> (Arc<CompiledModel>, Vec<i8>) {
-    resnet_model(50)
-}
-
-/// ResNet-101: the deep-network scaling point of the simspeed workload set.
-#[must_use]
-pub fn resnet101_model() -> (Arc<CompiledModel>, Vec<i8>) {
-    resnet_model(101)
-}
-
-/// ResNet-152: the deepest standard ResNet, the simulator's largest
-/// single-chip functional workload.
-#[must_use]
-pub fn resnet152_model() -> (Arc<CompiledModel>, Vec<i8>) {
-    resnet_model(152)
 }

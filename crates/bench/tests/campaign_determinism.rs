@@ -22,6 +22,10 @@ fn campaign_is_bit_identical_serial_vs_parallel_and_never_sdcs() {
             "site {site} must be swept"
         );
     }
+    assert!(
+        serial.trials.iter().any(|t| t.egress_words > 0),
+        "link trials must record egress traffic"
+    );
     assert_eq!(serial.sdc_count(), 0, "silent corruption: {serial:?}");
     assert!(
         serial

@@ -61,19 +61,3 @@ fn serial_and_fan_out_telemetry_are_bit_identical() {
         "1000 X + 1000 Y reads"
     );
 }
-
-/// The campaign's v2 report (reliability counters + egress) survives a JSON
-/// round trip exactly — the satellite contract for `BENCH_FAULTS.json`.
-#[test]
-fn campaign_v2_report_round_trips() {
-    use tsp_bench::campaign::{run_campaign, CampaignConfig, CampaignReport};
-    let report = run_campaign(&CampaignConfig::smoke());
-    let text = report.to_json();
-    let back = CampaignReport::from_json(&text).expect("parses");
-    assert_eq!(back, report);
-    assert_eq!(back.to_json(), text, "serialization is a fixed point");
-    assert!(
-        report.trials.iter().any(|t| t.egress_words > 0),
-        "link trials must record egress traffic"
-    );
-}

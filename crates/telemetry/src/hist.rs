@@ -26,7 +26,7 @@
 //! statistic, and within one sub-bucket (≤ 3.125% relative, exact below
 //! [`SUB_BUCKETS`]) of it.
 
-use crate::json::{Fields, Json};
+use crate::json::Json;
 
 /// log2 of the sub-bucket count per octave.
 pub const SUB_BITS: u32 = 5;
@@ -185,65 +185,21 @@ impl Histogram {
         self.max
     }
 
-    /// Serializes as a JSON object with sparse buckets, indented by `indent`
-    /// spaces per line. Deterministic: same histogram, same bytes.
+    /// The histogram as a JSON object: `count`, `sum`, `min`, `max` and the
+    /// non-empty buckets as `[index, count]` pairs. Deterministic: same
+    /// histogram, same value.
     #[must_use]
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let buckets: Vec<String> = self
-            .counts
-            .iter()
-            .enumerate()
+    pub fn to_json(&self) -> Json {
+        let buckets = (self.counts.iter().enumerate())
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| format!("[{i}, {c}]"))
-            .collect();
-        format!(
-            concat!(
-                "{{\n",
-                "{p}  \"count\": {},\n",
-                "{p}  \"sum\": {},\n",
-                "{p}  \"min\": {},\n",
-                "{p}  \"max\": {},\n",
-                "{p}  \"buckets\": [{}]\n",
-                "{p}}}"
-            ),
-            self.count,
-            self.sum,
-            self.min(),
-            self.max,
-            buckets.join(", "),
-            p = pad
-        )
-    }
-
-    /// Reconstructs a histogram from a parsed JSON object (inverse of
-    /// [`Histogram::to_json`]); `None` on any missing or malformed field.
-    #[must_use]
-    pub fn from_json(v: &Json) -> Option<Histogram> {
-        Histogram::from_fields(&Fields::root(v)).ok()
-    }
-
-    /// [`Histogram::from_json`] for an object already being read, with an
-    /// error that names the field it fell short at.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the first missing or malformed field.
-    pub fn from_fields(f: &Fields<'_>) -> Result<Histogram, String> {
-        let mut h = Histogram::new();
-        h.count = f.u64("count")?;
-        h.sum = f.u64("sum")?;
-        h.max = f.u64("max")?;
-        let min = f.u64("min")?;
-        h.min = if h.count == 0 { u64::MAX } else { min };
-        let buckets = f.array("buckets", "bucket", |b| match *b.u64s()?.as_slice() {
-            [i, count] if i < NUM_BUCKETS as u64 => Ok((i as usize, count)),
-            _ => Err(b.error("not an [index, count] pair")),
-        })?;
-        for (i, count) in buckets {
-            h.counts[i] = count;
-        }
-        Ok(h)
+            .map(|(i, &c)| Json::from_iter([i as u64, c]));
+        Json::obj([
+            ("count", self.count.into()),
+            ("sum", self.sum.into()),
+            ("min", self.min().into()),
+            ("max", self.max.into()),
+            ("buckets", buckets.collect()),
+        ])
     }
 }
 
@@ -349,11 +305,20 @@ mod tests {
         for v in [0u64, 1, 31, 32, 1000, 123_456_789, u64::MAX] {
             h.record(v);
         }
-        let parsed = Json::parse(&h.to_json(0)).expect("well-formed");
-        assert_eq!(Histogram::from_json(&parsed), Some(h));
-        // Empty round-trips too.
-        let empty = Histogram::new();
-        let parsed = Json::parse(&empty.to_json(2)).expect("well-formed");
-        assert_eq!(Histogram::from_json(&parsed), Some(empty));
+        let doc = h.to_json();
+        assert_eq!(Json::parse(&doc.pretty(0)), Ok(doc.clone()));
+        assert_eq!(doc.get("max").and_then(Json::as_u64), Some(u64::MAX));
+        let buckets = doc.get("buckets").and_then(Json::as_array).expect("array");
+        assert_eq!(buckets.len(), 7, "one pair per non-empty bucket");
+        assert_eq!(
+            buckets[6].to_string(),
+            format!("[{},1]", bucket_index(u64::MAX))
+        );
+        // Empty prints its exact min of 0, not the sentinel.
+        let empty = Histogram::new().to_json();
+        assert_eq!(
+            empty.to_string(),
+            r#"{"count":0,"sum":0,"min":0,"max":0,"buckets":[]}"#
+        );
     }
 }

@@ -1,13 +1,16 @@
-//! A minimal JSON value parser.
+//! A minimal JSON value, its parser and its printer.
 //!
-//! The workspace's report files (`BENCH_SIM.json`, `BENCH_FAULTS.json`, the
-//! Perfetto `trace.json`) are hand-serialized — the offline build environment
-//! has no serde — so round-trip tests and trace validation need a reader.
-//! This is a strict recursive-descent parser over the JSON grammar with one
-//! deliberate representational choice: numbers keep their **raw token**
-//! ([`Json::Num`] holds the source text) so 64-bit integers (e.g. campaign
-//! trial seeds) survive a parse → serialize round trip bit-exactly instead of
-//! being squeezed through an `f64`.
+//! The offline build environment has no serde, so the workspace's reports
+//! (`BENCH_SERVE.json`, `BENCH_FAULTS.json`, [`crate::Telemetry::to_json`])
+//! are built as a [`Json`] value and printed by the one printer here —
+//! compact through [`Display`](fmt::Display), laid out for a reader through
+//! [`Json::pretty`]. The parser reads documents back: trace validation
+//! ([`crate::perfetto::validate`]) and tests. Numbers keep their **raw
+//! token** ([`Json::Num`] holds the text) so 64-bit integers (e.g. campaign
+//! trial seeds) and fixed-decimal values print exactly as built and survive
+//! parse → print bit-exactly instead of being squeezed through an `f64`.
+//! (The Perfetto exporter writes its trace bytes itself; they are a pinned
+//! contract.)
 
 use core::fmt;
 
@@ -133,149 +136,165 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// `s` as it stands, for embedding in a JSON document: a report's names
-/// (workload, mode, sweep-point label) are chosen to need no [`escape`], which
-/// debug builds check.
-#[must_use]
-pub fn escape_free(s: &str) -> &str {
-    debug_assert!(s
-        .chars()
-        .all(|c| c.is_ascii_graphic() && c != '"' && c != '\\'));
-    s
-}
-
-/// A [`Json`] value being read back into a typed report, together with the
-/// path it was reached by — "workload 3", "point 2 chip 1" — so that every
-/// accessor's error — the field is missing, or not of the type asked for —
-/// names where the document fell short, and which key.
-#[derive(Debug, Clone)]
-pub struct Fields<'a> {
-    json: &'a Json,
-    path: String,
-}
-
-impl<'a> Fields<'a> {
-    /// The whole document.
+impl Json {
+    /// An object with `fields`, in the order given.
     #[must_use]
-    pub fn root(json: &'a Json) -> Fields<'a> {
-        let path = String::new();
-        Fields { json, path }
+    pub fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
     }
 
-    /// `what`, prefixed with this value's path.
+    /// `v` with exactly `decimals` digits after the point; `null` if `v` is
+    /// not finite (JSON has no NaN or infinity).
     #[must_use]
-    pub fn error(&self, what: impl fmt::Display) -> String {
-        match self.path.as_str() {
-            "" => what.to_string(),
-            path => format!("{path}: {what}"),
+    pub fn fixed(v: f64, decimals: usize) -> Json {
+        if v.is_finite() {
+            Json::Num(format!("{v:.decimals$}"))
+        } else {
+            Json::Null
         }
     }
 
-    fn child(&self, json: &'a Json, name: fmt::Arguments<'_>) -> Fields<'a> {
-        let path = match self.path.as_str() {
-            "" => name.to_string(),
-            path => format!("{path} {name}"),
+    /// The document laid out for a reader, its closing bracket at column
+    /// `indent`: an array holding no object, or an object holding no array
+    /// or object, stays on one line (`[1, 2]`, `{ "k": 1 }`); any other
+    /// container puts each member on its own line, two columns deeper.
+    /// Parses back to `self`, like the compact [`Display`](fmt::Display)
+    /// form.
+    #[must_use]
+    pub fn pretty(&self, indent: usize) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Layout::Block(indent));
+        out
+    }
+
+    /// Whether [`Json::pretty`] keeps the value on one line.
+    fn is_flat(&self) -> bool {
+        match self {
+            Json::Arr(items) => items
+                .iter()
+                .all(|v| !matches!(v, Json::Obj(_)) && v.is_flat()),
+            Json::Obj(fields) => fields
+                .iter()
+                .all(|(_, v)| !matches!(v, Json::Arr(_) | Json::Obj(_))),
+            _ => true,
+        }
+    }
+
+    /// The one printer behind [`Display`](fmt::Display) and
+    /// [`Json::pretty`].
+    fn write(&self, out: &mut String, layout: Layout) {
+        let (open, close, members): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Null => return out.push_str("null"),
+            Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(s) => return out.push_str(s),
+            Json::Str(s) => return write_str(out, s),
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(fields) => (
+                '{',
+                '}',
+                fields.iter().map(|(k, v)| (Some(&**k), v)).collect(),
+            ),
         };
-        Fields { json, path }
-    }
-
-    /// Field `key`, read by `read`.
-    fn field<T>(&self, key: &str, read: impl Fn(&'a Json) -> Option<T>) -> Result<T, String> {
-        let value = self.json.get(key).and_then(read);
-        value.ok_or_else(|| self.error(format_args!("missing {key}")))
-    }
-
-    /// Field `key`, whatever it holds, to read further into.
-    pub fn at(&self, key: &str) -> Result<Fields<'a>, String> {
-        let json = self.field(key, Some)?;
-        Ok(self.child(json, format_args!("{key}")))
-    }
-
-    /// The elements of array field `key`, each read by `read` — element `i`
-    /// on the path as "`item` `i`".
-    pub fn array<T>(
-        &self,
-        key: &str,
-        item: &str,
-        read: impl Fn(Fields<'a>) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
-        let items = self.field(key, Json::as_array)?;
-        let child = |(i, json)| read(self.child(json, format_args!("{item} {i}")));
-        items.iter().enumerate().map(child).collect()
-    }
-
-    /// This value as an array of integers.
-    pub fn u64s(&self) -> Result<Vec<u64>, String> {
-        let items = self.json.as_array();
-        let numbers = items.and_then(|items| items.iter().map(Json::as_u64).collect());
-        numbers.ok_or_else(|| self.error("not an array of integers"))
-    }
-
-    /// Integer field `key`.
-    pub fn u64(&self, key: &str) -> Result<u64, String> {
-        self.field(key, Json::as_u64)
-    }
-
-    /// Integer field `key`, which must fit 32 bits.
-    pub fn u32(&self, key: &str) -> Result<u32, String> {
-        let out_of_range = |_| self.error(format_args!("{key} out of range"));
-        u32::try_from(self.u64(key)?).map_err(out_of_range)
-    }
-
-    /// Number field `key`.
-    pub fn f64(&self, key: &str) -> Result<f64, String> {
-        self.field(key, Json::as_f64)
-    }
-
-    /// String field `key`.
-    pub fn str(&self, key: &str) -> Result<&'a str, String> {
-        self.field(key, Json::as_str)
-    }
-
-    /// Boolean field `key`.
-    pub fn bool(&self, key: &str) -> Result<bool, String> {
-        self.field(key, Json::as_bool)
-    }
-
-    /// Checks the document's `schema` tag.
-    pub fn expect_schema(&self, expected: &str) -> Result<(), String> {
-        match self.str("schema").map_err(|_| "missing schema tag")? {
-            schema if schema == expected => Ok(()),
-            schema => Err(format!("schema is '{schema}', expected '{expected}'")),
+        let layout = match layout {
+            Layout::Block(_) if self.is_flat() => Layout::Line,
+            layout => layout,
+        };
+        // A one-line object pads its braces, a one-line array does not.
+        let padded = open == '{' && !members.is_empty();
+        let newline = |out: &mut String, column: usize| {
+            out.push('\n');
+            out.extend(std::iter::repeat_n(' ', column));
+        };
+        out.push(open);
+        for (i, (key, value)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match layout {
+                Layout::Compact => {}
+                Layout::Line if i > 0 || padded => out.push(' '),
+                Layout::Line => {}
+                Layout::Block(indent) => newline(out, indent + 2),
+            }
+            if let Some(key) = key {
+                write_str(out, key);
+                out.push_str(if matches!(layout, Layout::Compact) {
+                    ":"
+                } else {
+                    ": "
+                });
+            }
+            let inner = match layout {
+                Layout::Block(indent) => Layout::Block(indent + 2),
+                layout => layout,
+            };
+            value.write(out, inner);
         }
+        match layout {
+            Layout::Compact => {}
+            Layout::Line if padded => out.push(' '),
+            Layout::Line => {}
+            Layout::Block(indent) => newline(out, indent),
+        }
+        out.push(close);
     }
+}
+
+/// How [`Json::write`] lays a container out.
+#[derive(Clone, Copy)]
+enum Layout {
+    /// No whitespace: `{"k":[1,2]}`.
+    Compact,
+    /// One spaced line: `{ "k": [1, 2] }`.
+    Line,
+    /// One member per line, the closing bracket at this column.
+    Block(usize),
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    out.push_str(&escape(s));
+    out.push('"');
 }
 
 impl fmt::Display for Json {
     /// Compact single-line serialization (inverse of [`Json::parse`] up to
     /// whitespace).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(s) => write!(f, "{s}"),
-            Json::Str(s) => write!(f, "\"{}\"", escape(s)),
-            Json::Arr(items) => {
-                write!(f, "[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
-            Json::Obj(fields) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "\"{}\":{v}", escape(k))?;
-                }
-                write!(f, "}}")
-            }
-        }
+        let mut out = String::new();
+        self.write(&mut out, Layout::Compact);
+        f.write_str(&out)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Num(v.to_string())
+    }
+}
+
+impl From<u32> for Json {
+    fn from(v: u32) -> Json {
+        Json::from(u64::from(v))
+    }
+}
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_owned())
+    }
+}
+
+impl<T: Into<Json>> FromIterator<T> for Json {
+    /// An array of the items.
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 }
 

@@ -12,9 +12,10 @@
 //!   `ui.perfetto.dev`.
 //! * [`profile`] — text-profile rendering: top-N busiest units, utilization
 //!   tables, idle-gap analysis.
-//! * [`json`] — a minimal JSON value parser (the build environment has no
-//!   crates.io access, hence no serde) used to round-trip the `BENCH_*.json`
-//!   report schemas and to validate emitted traces.
+//! * [`json`] — a minimal JSON value with one printer and a parser (the
+//!   build environment has no crates.io access, hence no serde): every
+//!   report is built as a [`json::Json`] and printed by it, and emitted
+//!   traces are validated by parsing them back.
 //! * [`span`] — virtual-cycle-clock span trees (request/layer tracing, no
 //!   wall time anywhere) that render onto Perfetto tracks.
 //! * [`hist`] — an HDR-style log-bucketed [`hist::Histogram`] for latency
@@ -41,7 +42,7 @@ pub mod span;
 
 use std::sync::Arc;
 
-use json::{Fields, Json};
+use json::Json;
 
 /// A compiler-emitted layer boundary: work dispatched at cycles `< end` (and
 /// at or after the previous mark's `end`) belongs to the named layer. Marks
@@ -261,89 +262,29 @@ impl Telemetry {
         self.sxm_ops.iter().sum()
     }
 
-    /// Serializes the counters as a JSON object, indented by `indent` spaces
-    /// per line (deterministic field order, no host-dependent values).
+    /// The counters as a JSON document (deterministic field order, no
+    /// host-dependent values), laid out by [`Json::pretty`] with its closing
+    /// brace at column `indent`.
     #[must_use]
     pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let arr = |xs: &[u64]| -> String {
-            let inner: Vec<String> = xs.iter().map(u64::to_string).collect();
-            format!("[{}]", inner.join(", "))
-        };
-        format!(
-            concat!(
-                "{{\n",
-                "{p}  \"mxm_plane_busy\": {},\n",
-                "{p}  \"mxm_macc_waves\": {},\n",
-                "{p}  \"vxm_alu_issue\": {},\n",
-                "{p}  \"sram_reads\": {},\n",
-                "{p}  \"mem_reads_pristine\": {},\n",
-                "{p}  \"mem_reads_verified\": {},\n",
-                "{p}  \"sram_writes\": {},\n",
-                "{p}  \"sxm_ops\": {},\n",
-                "{p}  \"c2c_sends\": {},\n",
-                "{p}  \"c2c_receives\": {},\n",
-                "{p}  \"ifetches\": {},\n",
-                "{p}  \"stream_high_water\": {},\n",
-                "{p}  \"icu_queue_high_water\": {},\n",
-                "{p}  \"dropped_events\": {}\n",
-                "{p}}}"
-            ),
-            arr(&self.mxm_plane_busy),
-            arr(&self.mxm_macc_waves),
-            arr(&self.vxm_alu_issue),
-            arr(&self.sram_reads),
-            self.mem_reads_pristine,
-            self.mem_reads_verified,
-            arr(&self.sram_writes),
-            arr(&self.sxm_ops),
-            self.c2c_sends,
-            self.c2c_receives,
-            self.ifetches,
-            self.stream_high_water,
-            self.icu_queue_high_water,
-            self.dropped_events,
-            p = pad
-        )
-    }
-
-    /// Reconstructs counters from a parsed JSON object (inverse of
-    /// [`Telemetry::to_json`]); `None` on any missing or malformed field.
-    #[must_use]
-    pub fn from_json(v: &Json) -> Option<Telemetry> {
-        Telemetry::from_fields(&Fields::root(v)).ok()
-    }
-
-    /// [`Telemetry::from_json`] for an object already being read, with an
-    /// error that names the field it fell short at.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the first missing or malformed field.
-    pub fn from_fields(f: &Fields<'_>) -> Result<Telemetry, String> {
-        fn arr<const N: usize>(f: &Fields<'_>, key: &str) -> Result<[u64; N], String> {
-            let at = f.at(key)?;
-            let counts = <[u64; N]>::try_from(at.u64s()?);
-            counts.map_err(|v| at.error(format_args!("{} entries, expected {N}", v.len())))
-        }
-        Ok(Telemetry {
-            mxm_plane_busy: arr(f, "mxm_plane_busy")?,
-            mxm_macc_waves: arr(f, "mxm_macc_waves")?,
-            vxm_alu_issue: arr(f, "vxm_alu_issue")?,
-            sram_reads: arr(f, "sram_reads")?,
-            // Added by the pre-decode PR; absent in older reports, so they
-            // default to zero instead of failing the parse.
-            mem_reads_pristine: f.u64("mem_reads_pristine").unwrap_or(0),
-            mem_reads_verified: f.u64("mem_reads_verified").unwrap_or(0),
-            sram_writes: arr(f, "sram_writes")?,
-            sxm_ops: arr(f, "sxm_ops")?,
-            c2c_sends: f.u64("c2c_sends")?,
-            c2c_receives: f.u64("c2c_receives")?,
-            ifetches: f.u64("ifetches")?,
-            stream_high_water: f.u64("stream_high_water")?,
-            icu_queue_high_water: f.u64("icu_queue_high_water")?,
-            dropped_events: f.u64("dropped_events")?,
-        })
+        let counts = |xs: &[u64]| xs.iter().copied().collect::<Json>();
+        Json::obj([
+            ("mxm_plane_busy", counts(&self.mxm_plane_busy)),
+            ("mxm_macc_waves", counts(&self.mxm_macc_waves)),
+            ("vxm_alu_issue", counts(&self.vxm_alu_issue)),
+            ("sram_reads", counts(&self.sram_reads)),
+            ("mem_reads_pristine", self.mem_reads_pristine.into()),
+            ("mem_reads_verified", self.mem_reads_verified.into()),
+            ("sram_writes", counts(&self.sram_writes)),
+            ("sxm_ops", counts(&self.sxm_ops)),
+            ("c2c_sends", self.c2c_sends.into()),
+            ("c2c_receives", self.c2c_receives.into()),
+            ("ifetches", self.ifetches.into()),
+            ("stream_high_water", self.stream_high_water.into()),
+            ("icu_queue_high_water", self.icu_queue_high_water.into()),
+            ("dropped_events", self.dropped_events.into()),
+        ])
+        .pretty(indent)
     }
 }
 
@@ -373,8 +314,25 @@ mod tests {
     #[test]
     fn json_round_trip_is_exact() {
         let t = sample();
-        let parsed = Json::parse(&t.to_json(0)).expect("well-formed");
-        assert_eq!(Telemetry::from_json(&parsed), Some(t));
+        let text = t.to_json(4);
+        let doc = Json::parse(&text).expect("well-formed");
+        assert_eq!(
+            doc.get("sram_reads").map(ToString::to_string).as_deref(),
+            Some("[100,200]")
+        );
+        assert_eq!(
+            doc.get("stream_high_water").and_then(Json::as_u64),
+            Some(77)
+        );
+        assert_eq!(
+            doc.pretty(4),
+            text,
+            "printing the parsed document is a fixed point"
+        );
+        assert!(
+            text.ends_with("\n    }"),
+            "closing brace at the indent: {text}"
+        );
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Property tests: telemetry counter sets and latency histograms survive
-//! the dependency-free JSON round trip **bit-exactly** — including the
-//! merged-fabric shape (counters folded across chips) and the all-zero
-//! empty case. `Json::Num` keeps raw number text, so full-range `u64`
-//! counters must never be squeezed through an `f64`.
+//! Properties of the one JSON printer (`tsp_telemetry::json`): every
+//! telemetry counter set and latency histogram it prints parses back to the
+//! same `Json` value, each counter as its exact `u64` decimal token — above
+//! `f64`'s 2^53 exact-integer range too, since `Json::Num` keeps raw number
+//! text — and parse ∘ print is the identity on any `Json` tree, in both the
+//! compact and the laid-out form. Plus the parser's own bounds: linear time,
+//! bounded nesting, every escape.
 
 use proptest::prelude::*;
 use tsp_telemetry::hist::Histogram;
@@ -10,32 +12,28 @@ use tsp_telemetry::json::Json;
 use tsp_telemetry::Telemetry;
 
 /// Counter ceiling leaving headroom so merging several sets cannot
-/// overflow; still far beyond `f64`'s 2^53 exact-integer range, which is
-/// what the round trip must survive.
+/// overflow; still far beyond `f64`'s 2^53 exact-integer range.
 const CAP: u64 = u64::MAX / 8;
 
-/// A fixed-size array of counters below [`CAP`].
-fn capped<const N: usize>() -> impl Strategy<Value = [u64; N]> {
-    any::<[u64; N]>().prop_map(|a| a.map(|v| v % CAP))
+/// A fixed-size array of counters below `cap`.
+fn counters<const N: usize>(cap: u64) -> impl Strategy<Value = [u64; N]> {
+    any::<[u64; N]>().prop_map(move |a| a.map(|v| v % cap))
 }
 
-fn arb_telemetry() -> impl Strategy<Value = Telemetry> {
+/// Any counter set with every counter below `cap`.
+fn arb_telemetry(cap: u64) -> impl Strategy<Value = Telemetry> {
     (
-        (capped::<4>(), capped::<4>(), capped::<16>()),
-        (capped::<2>(), 0..CAP, 0..CAP, capped::<2>(), capped::<2>()),
-        (0..CAP, 0..CAP, 0..CAP, 0..CAP, 0..CAP, 0..CAP),
+        (counters::<4>(cap), counters::<4>(cap), counters::<16>(cap)),
+        (counters::<2>(cap), counters::<2>(cap), counters::<2>(cap)),
+        (counters::<4>(cap), counters::<4>(cap)),
     )
         .prop_map(
             |(
                 (mxm_plane_busy, mxm_macc_waves, vxm_alu_issue),
-                (sram_reads, mem_reads_pristine, mem_reads_verified, sram_writes, sxm_ops),
+                (sram_reads, sram_writes, sxm_ops),
                 (
-                    c2c_sends,
-                    c2c_receives,
-                    ifetches,
-                    stream_high_water,
-                    icu_queue_high_water,
-                    dropped_events,
+                    [mem_reads_pristine, mem_reads_verified, c2c_sends, c2c_receives],
+                    [ifetches, stream_high_water, icu_queue_high_water, dropped_events],
                 ),
             )| Telemetry {
                 mxm_plane_busy,
@@ -56,73 +54,191 @@ fn arb_telemetry() -> impl Strategy<Value = Telemetry> {
         )
 }
 
-fn roundtrip(t: &Telemetry) -> Telemetry {
-    let text = t.to_json(0);
-    let doc = Json::parse(&text).expect("to_json emits parseable JSON");
-    Telemetry::from_json(&doc).expect("every field present")
+/// Every counter of `t` under its key, in the order `to_json` prints them.
+fn expected_counters(t: &Telemetry) -> Vec<(&'static str, Vec<u64>)> {
+    vec![
+        ("mxm_plane_busy", t.mxm_plane_busy.to_vec()),
+        ("mxm_macc_waves", t.mxm_macc_waves.to_vec()),
+        ("vxm_alu_issue", t.vxm_alu_issue.to_vec()),
+        ("sram_reads", t.sram_reads.to_vec()),
+        ("mem_reads_pristine", vec![t.mem_reads_pristine]),
+        ("mem_reads_verified", vec![t.mem_reads_verified]),
+        ("sram_writes", t.sram_writes.to_vec()),
+        ("sxm_ops", t.sxm_ops.to_vec()),
+        ("c2c_sends", vec![t.c2c_sends]),
+        ("c2c_receives", vec![t.c2c_receives]),
+        ("ifetches", vec![t.ifetches]),
+        ("stream_high_water", vec![t.stream_high_water]),
+        ("icu_queue_high_water", vec![t.icu_queue_high_water]),
+        ("dropped_events", vec![t.dropped_events]),
+    ]
+}
+
+/// The number tokens of `v`: itself, or an array's elements.
+fn tokens(v: &Json) -> Vec<&str> {
+    match v {
+        Json::Arr(items) => items.iter().flat_map(tokens).collect(),
+        Json::Num(token) => vec![token],
+        other => panic!("not a number: {other}"),
+    }
+}
+
+/// `t.to_json(indent)` parsed, after checking that printing the parsed
+/// value again gives the same text and that every counter is its exact
+/// decimal under its key, in order.
+fn printed(t: &Telemetry, indent: usize) -> Json {
+    let text = t.to_json(indent);
+    let doc = Json::parse(&text).expect("to_json prints parseable JSON");
+    assert_eq!(doc.pretty(indent), text, "print ∘ parse is the identity");
+    let fields = doc.as_object().expect("an object");
+    let expected = expected_counters(t);
+    assert_eq!(fields.len(), expected.len(), "one key per counter");
+    for ((key, value), (want_key, want)) in fields.iter().zip(&expected) {
+        assert_eq!(key, want_key);
+        let want: Vec<String> = want.iter().map(u64::to_string).collect();
+        assert_eq!(tokens(value), want, "{key}");
+    }
+    doc
+}
+
+/// A splitmix64 stream: the random `Json` trees below grow from one seed.
+struct Gen(u64);
+
+impl Gen {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+
+    /// Up to seven characters drawn from every escape JSON has, control
+    /// characters, and one- to four-byte UTF-8.
+    fn string(&mut self) -> String {
+        const CHARS: [char; 20] = [
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\u{8}', '\u{c}', '\n', '\r', '\t', '\u{0}',
+            '\u{1f}', '\u{7f}', 'é', '€', '日', '🦀', '\u{2028}',
+        ];
+        let len = self.below(8);
+        (0..len).map(|_| CHARS[self.below(20) as usize]).collect()
+    }
+
+    fn number(&mut self) -> Json {
+        let raw = self.below(u64::MAX);
+        match self.below(4) {
+            0 => Json::from(raw),
+            1 => Json::Num((raw as i64).to_string()),
+            2 => Json::fixed(raw as f64 / 1e9, self.below(8) as usize),
+            _ => Json::Num(format!(
+                "-{}.{}e{}",
+                raw % 1000,
+                raw % 7,
+                (raw % 41) as i64 - 20
+            )),
+        }
+    }
+
+    /// A value nested at most `depth` containers deep.
+    fn value(&mut self, depth: u32) -> Json {
+        match self.below(if depth == 0 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(self.below(2) == 1),
+            2 => self.number(),
+            3 => Json::Str(self.string()),
+            4 => Json::Arr((0..self.below(5)).map(|_| self.value(depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..self.below(5))
+                    .map(|_| (self.string(), self.value(depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
 }
 
 proptest! {
-    /// Any counter set round-trips bit-exactly, and serialization is a
-    /// fixed point (same bytes after a parse → serialize cycle).
+    /// Any counter set prints a document that parses back to the value it
+    /// printed, every counter its exact `u64` decimal — including the full
+    /// range above 2^53.
     #[test]
-    fn telemetry_round_trips_bit_exactly(t in arb_telemetry()) {
-        let back = roundtrip(&t);
-        prop_assert_eq!(&back, &t);
-        prop_assert_eq!(back.to_json(0), t.to_json(0));
+    fn telemetry_round_trips_bit_exactly(t in arb_telemetry(u64::MAX)) {
+        printed(&t, 0);
+        printed(&t, 6);
     }
 
-    /// The merged-fabric case: counters folded across chips (counts sum,
-    /// high-water marks max) round-trip exactly, and the round trip
-    /// commutes with the merge.
+    /// The merged-fabric case: counters folded across chips print as the
+    /// exact sums (counts) and maxima (high-water marks) of the chips'
+    /// printed tokens.
     #[test]
-    fn merged_fabric_telemetry_round_trips(a in arb_telemetry(), b in arb_telemetry()) {
+    fn merged_fabric_telemetry_round_trips(a in arb_telemetry(CAP), b in arb_telemetry(CAP)) {
         let mut fabric = a.clone();
         fabric.merge(&b);
-        prop_assert_eq!(roundtrip(&fabric), fabric.clone());
-
-        let mut via_roundtrip = roundtrip(&a);
-        via_roundtrip.merge(&roundtrip(&b));
-        prop_assert_eq!(via_roundtrip, fabric);
+        let docs = [printed(&a, 0), printed(&b, 0), printed(&fabric, 0)];
+        for (key, _) in expected_counters(&fabric) {
+            let [a, b, fabric] = docs.each_ref().map(|d| {
+                let values = tokens(d.get(key).expect("key present"));
+                values.iter().map(|v| v.parse::<u64>().expect("u64 token")).collect::<Vec<_>>()
+            });
+            let high_water = key.ends_with("_high_water");
+            let folded: Vec<u64> = a.iter().zip(&b).map(|(x, y)| if high_water { *x.max(y) } else { x + y }).collect();
+            prop_assert_eq!(fabric, folded, "{}", key);
+        }
     }
 
-    /// Histograms round-trip exactly too: counts, sum, min/max and every
-    /// quantile agree after parse.
+    /// Any histogram prints a document that parses back to the same value:
+    /// exact count, sum, min and max tokens and one `[index, count]` pair
+    /// per non-empty bucket, whose counts sum to the count.
     #[test]
     fn histogram_round_trips_bit_exactly(values in proptest::collection::vec(any::<u64>(), 0..64)) {
         let mut h = Histogram::new();
         for v in &values {
             h.record(*v);
         }
-        let doc = Json::parse(&h.to_json(0)).expect("parseable");
-        let back = Histogram::from_json(&doc).expect("complete");
-        prop_assert_eq!(&back, &h);
-        for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
-            prop_assert_eq!(back.quantile(q), h.quantile(q));
+        let doc = h.to_json();
+        prop_assert_eq!(Json::parse(&doc.pretty(0)), Ok(doc.clone()));
+        prop_assert_eq!(Json::parse(&doc.to_string()), Ok(doc.clone()));
+        for (key, want) in [("count", h.count()), ("sum", h.sum()), ("min", h.min()), ("max", h.max())] {
+            prop_assert_eq!(tokens(doc.get(key).expect("key")), vec![want.to_string()]);
         }
+        let buckets = doc.get("buckets").and_then(Json::as_array).expect("buckets");
+        let counts = buckets.iter().map(|pair| tokens(pair)[1].parse::<u64>().expect("count"));
+        prop_assert_eq!(counts.sum::<u64>(), h.count());
+    }
+
+    /// parse ∘ print is the identity on any `Json` tree — every escape,
+    /// control characters, multi-byte UTF-8, raw number tokens, empty and
+    /// nested containers — compact and laid out at any indent.
+    #[test]
+    fn json_trees_round_trip(seed in any::<u64>(), indent in 0..9usize) {
+        let tree = Gen(seed).value(4);
+        prop_assert_eq!(Json::parse(&tree.to_string()), Ok(tree.clone()));
+        prop_assert_eq!(Json::parse(&tree.pretty(indent)), Ok(tree.clone()));
     }
 }
 
 /// The empty-counter case (a run with `counters: false`, or a fresh chip)
-/// round-trips and serializes indent-stably.
+/// prints every counter as `0` and parses back, at any indent.
 #[test]
 fn empty_counters_round_trip() {
     let empty = Telemetry::new();
-    assert_eq!(roundtrip(&empty), empty);
-    let indented = empty.to_json(4);
-    let doc = Json::parse(&indented).expect("indented form parses");
-    assert_eq!(Telemetry::from_json(&doc), Some(empty));
+    for indent in [0, 4] {
+        let doc = printed(&empty, indent);
+        assert!(doc
+            .as_object()
+            .unwrap()
+            .iter()
+            .all(|(_, v)| tokens(v).iter().all(|t| *t == "0")));
+    }
 }
 
-/// An empty histogram round-trips (min is a sentinel when nothing was
-/// recorded; the round trip must preserve "empty", not materialize it).
+/// An empty histogram prints `min` as 0 (not its internal sentinel) and no
+/// buckets, and parses back to the same value.
 #[test]
 fn empty_histogram_round_trips() {
-    let h = Histogram::new();
-    let doc = Json::parse(&h.to_json(0)).expect("parseable");
-    let back = Histogram::from_json(&doc).expect("complete");
-    assert!(back.is_empty());
-    assert_eq!(back, h);
+    let doc = Histogram::new().to_json();
+    assert_eq!(Json::parse(&doc.pretty(2)), Ok(doc.clone()));
+    assert_eq!(doc.get("min").and_then(Json::as_u64), Some(0));
+    assert_eq!(doc.get("buckets"), Some(&Json::Arr(vec![])));
 }
 
 /// Parsing is linear in the document: a multi-megabyte document of short
