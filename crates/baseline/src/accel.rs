@@ -1,5 +1,5 @@
 //! Analytic models of the accelerators the paper compares against (§I, §V),
-//! parameterised from the figures the paper cites [44]. Their batch-latency
+//! parameterised from the figures the paper cites \[44\]. Their batch-latency
 //! behavior is the essential contrast: batch-pipelined designs amortize
 //! weight traffic over large batches and suffer at batch 1, while the TSP is
 //! engineered for batch-1 latency.

@@ -10,7 +10,7 @@
 //!   varies run to run: the "reactive element" the TSP deliberately removed,
 //!   used as the contrast in the determinism experiment (E8);
 //! * [`accel`] — analytic accelerator models (TPUv3-class, Goya-class,
-//!   V100-class) parameterised from the numbers the paper cites [44] — the
+//!   V100-class) parameterised from the numbers the paper cites \[44\] — the
 //!   paper, too, compares against reported figures rather than testbed
 //!   reruns (DESIGN.md §2).
 

@@ -3,6 +3,6 @@
 //! capture loop (a bin per `results/*.txt`) looks it up by.
 
 fn main() {
-    let (model, _) = tsp_bench::workloads::resnet50_model();
+    let (model, _) = tsp_bench::workloads::resnet_model(50);
     print!("{}", tsp_bench::stalls::render(&model));
 }

@@ -3,11 +3,12 @@
 //!
 //! ```text
 //! cargo run --release -p tsp-bench --bin tsp-prof -- [workload] [--out trace.json] [--top N]
-//! cargo run --release -p tsp-bench --bin tsp-prof -- resnet50 --stalls
+//! cargo run --release -p tsp-bench --bin tsp-prof -- resnet50|resnet101|resnet152 --stalls
 //! ```
 //!
-//! `workload` is `vector-add` (default), `roofline` or `resnet50` — the
-//! shared reference workloads of [`tsp_bench::workloads`]. The run emits:
+//! `workload` is `vector-add` (default), `roofline`, `resnet50`, `resnet101`
+//! or `resnet152` — the shared reference workloads of
+//! [`tsp_bench::workloads`]. The run emits:
 //!
 //! * a Chrome Trace Event Format file (`--out`, default `trace.json`) — open
 //!   it at <https://ui.perfetto.dev> for the chip-wide timeline, one track
@@ -16,7 +17,7 @@
 //!   table against the paper's roofline capacities, and an idle-gap
 //!   analysis of the busiest tracks.
 //!
-//! `resnet50 --stalls` simulates nothing: it prints the MXM feed census of
+//! `--stalls` on a ResNet simulates nothing: it prints the MXM feed census of
 //! the compiled program ([`tsp_bench::stalls`] — per layer and plane: feed
 //! rows, in-chain stall, hand-over, when the border was cleared) and exits.
 //!
@@ -24,7 +25,7 @@
 //! before the tool exits 0 — CI uses this as its trace smoke gate.
 
 use tsp::prelude::*;
-use tsp_bench::workloads::{resnet50_model, roofline_program, vector_add_program};
+use tsp_bench::workloads::{resnet_model, roofline_program, vector_add_program};
 use tsp_telemetry::perfetto;
 use tsp_telemetry::profile::{
     idle_gaps, render_idle_gaps, render_top_units, render_utilization, UnitStat, UtilRow,
@@ -34,8 +35,8 @@ use tsp_telemetry::profile::{
 const OPS_PER_WAVE: f64 = 2.0 * 320.0 * 320.0;
 
 fn usage() -> ! {
-    eprintln!("usage: tsp-prof [vector-add|roofline|resnet50] [--out trace.json] [--top N]");
-    eprintln!("       tsp-prof resnet50 --stalls");
+    eprintln!("usage: tsp-prof [vector-add|roofline|resnet50|resnet101|resnet152] [--out trace.json] [--top N]");
+    eprintln!("       tsp-prof resnet50|resnet101|resnet152 --stalls");
     std::process::exit(2);
 }
 
@@ -55,15 +56,16 @@ fn main() {
                     .unwrap_or_else(|| usage());
             }
             "--stalls" => stalls = true,
-            "vector-add" | "roofline" | "resnet50" => workload = a,
+            "vector-add" | "roofline" | "resnet50" | "resnet101" | "resnet152" => workload = a,
             _ => usage(),
         }
     }
+    let depth = workload
+        .strip_prefix("resnet")
+        .map(|d| d.parse().expect("a depth"));
     if stalls {
-        if workload != "resnet50" {
-            usage();
-        }
-        print!("{}", tsp_bench::stalls::render(&resnet50_model().0));
+        let Some(depth) = depth else { usage() };
+        print!("{}", tsp_bench::stalls::render(&resnet_model(depth).0));
         return;
     }
 
@@ -79,11 +81,11 @@ fn main() {
         ChipConfig::asic()
     };
     let mut chip = Chip::new(cfg.clone());
-    let report = match workload.as_str() {
-        "vector-add" => chip.run(&vector_add_program(), &options),
-        "roofline" => chip.run(&roofline_program(), &options),
-        "resnet50" => {
-            let (model, image) = resnet50_model();
+    let report = match (workload.as_str(), depth) {
+        ("vector-add", _) => chip.run(&vector_add_program(), &options),
+        ("roofline", _) => chip.run(&roofline_program(), &options),
+        (_, Some(depth)) => {
+            let (model, image) = resnet_model(depth);
             model.load_constants(&mut chip);
             model.write_input(&mut chip, &image);
             // Layer-boundary marks from the compiler's layer spans: the run

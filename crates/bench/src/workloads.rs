@@ -70,12 +70,13 @@ pub fn roofline_program() -> Program {
     sched.into_program().unwrap()
 }
 
-/// ResNet-50 batch-1 at 224×224 — the end-to-end functional worst case —
-/// compiled (through the compile cache) with one quantized input image.
+/// ResNet-`depth` (50, 101 or 152) batch-1 at 224×224 — ResNet-50 is the
+/// end-to-end functional worst case — compiled (through the compile cache)
+/// with one quantized input image.
 #[must_use]
-pub fn resnet50_model() -> (Arc<CompiledModel>, Vec<i8>) {
+pub fn resnet_model(depth: u32) -> (Arc<CompiledModel>, Vec<i8>) {
     let data = synthetic(3, 224, 224, 3, 2, 1);
-    let (g, params) = resnet(50, 224, 1000, &Widths::standard(), 7);
+    let (g, params) = resnet(depth, 224, 1000, &Widths::standard(), 7);
     let q = quantize(&g, &params, &data.images[..1]);
     let model = compile_cached(&q, &CompileOptions::default());
     let image = q.quantize_image(&data.images[0]);

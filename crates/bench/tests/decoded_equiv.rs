@@ -26,7 +26,7 @@ fn resnet_under_test() -> (Arc<CompiledModel>, Vec<i8>) {
         let image = q.quantize_image(&data.images[0]);
         (compile_cached(&q, &CompileOptions::default()), image)
     } else {
-        tsp_bench::workloads::resnet50_model()
+        tsp_bench::workloads::resnet_model(50)
     }
 }
 

@@ -431,7 +431,7 @@ pub struct RowSplit {
 impl RowSplit {
     /// Splits for at most `planes` concurrent chains. The chunk count is a
     /// function of the shape alone: as many as `planes`, but no chunk under
-    /// [`MIN_CHUNK_ROWS`] pixels on average, none without pixels (a block of
+    /// `MIN_CHUNK_ROWS` pixels on average, none without pixels (a block of
     /// nothing but border), and no block over one SRAM bank. Where `out`
     /// wants [`MapLayout::whole_rows`] a block holds whole padded rows, so
     /// the blocks may be uneven: 58 padded rows go 15/15/15/13.

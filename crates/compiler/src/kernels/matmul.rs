@@ -214,7 +214,7 @@ pub type WeightBlock = (usize, Vec<Vector>, u16);
 /// Of a kernel with two or more M-splits, each M-split's blocks go together
 /// to the hemisphere of the plane its chains run on (`plane`, which reads
 /// [`plane_of_chain`]), stacked on sixteen of its inner Low-bank slices
-/// ([`crate::alloc::MemAllocator::alloc_low_stacked`]): every read of the set
+/// (`MemAllocator::alloc_low_stacked`): every read of the set
 /// then leads its arrival by as much, where a block across the chip is read
 /// some 70 cycles ahead of one next to the MXM, and a slice's queue, booked
 /// as one busy horizon, makes whichever of two such reads is reserved second

@@ -33,7 +33,7 @@
 //!
 //! ## Running a quantized network
 //!
-//! See [`tsp_nn::compile`] and the `resnet50_inference` example: build a
+//! See [`tsp_nn::compile`](mod@tsp_nn::compile) and the `resnet50_inference` example: build a
 //! graph, quantize it (`tsp_nn::quant`), `compile` it, `load_constants` /
 //! `write_input`, `Chip::run`, `read_logits` — bit-exact against the host
 //! int8 reference.

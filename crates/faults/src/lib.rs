@@ -5,7 +5,7 @@
 //! plesiochronous C2C links that must deskew and tolerate marginal signaling
 //! (§II item 6). This crate provides the *fault model* side of that story: a
 //! seeded, fully deterministic plan of bit-level upsets at named sites, which
-//! the simulator ([`tsp-sim`]'s `RunOptions`) and the multi-chip fabric
+//! the simulator (`tsp-sim`'s `RunOptions`) and the multi-chip fabric
 //! (`tsp-c2c`) replay cycle-exactly.
 //!
 //! Two plan kinds, matching the two clock domains:

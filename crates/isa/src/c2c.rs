@@ -4,7 +4,7 @@
 
 use core::fmt;
 
-use tsp_arch::{StreamId, TimeModel};
+use tsp_arch::StreamId;
 
 /// Number of C2C links on the first-generation part.
 pub const NUM_LINKS: u8 = 16;
@@ -71,43 +71,11 @@ pub enum C2cOp {
 }
 
 impl C2cOp {
-    /// Temporal metadata. A 320-byte vector takes ~21 core cycles of wire
-    /// time at 4×30 Gb/s against a 1 GHz core clock (320 B × 8 / 120 Gb/s ≈
-    /// 21.3 ns); deskew is a long calibration.
-    #[must_use]
-    pub fn time_model(self) -> TimeModel {
-        match self {
-            C2cOp::Deskew { .. } => TimeModel::new(64, 0),
-            C2cOp::Send { .. } => TimeModel::new(2, 0),
-            C2cOp::Receive { .. } => TimeModel::new(2, 0),
-        }
-    }
-
-    /// Table I mnemonic.
-    #[must_use]
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            C2cOp::Deskew { .. } => "Deskew",
-            C2cOp::Send { .. } => "Send",
-            C2cOp::Receive { .. } => "Receive",
-        }
-    }
-
     /// The link the op addresses.
     #[must_use]
     pub fn link(self) -> LinkId {
         match self {
             C2cOp::Deskew { link } | C2cOp::Send { link, .. } | C2cOp::Receive { link, .. } => link,
-        }
-    }
-}
-
-impl fmt::Display for C2cOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            C2cOp::Deskew { link } => write!(f, "Deskew {link}"),
-            C2cOp::Send { link, stream } => write!(f, "Send {link},{stream}"),
-            C2cOp::Receive { link, stream } => write!(f, "Receive {link},{stream}"),
         }
     }
 }

@@ -24,6 +24,7 @@
 
 use crate::dtype::DataType;
 use crate::icu::IcuOp;
+use crate::icu_id::IcuId;
 use crate::instruction::Instruction;
 use crate::mem::MemOp;
 use crate::mxm::{MxmOp, Plane};
@@ -32,27 +33,8 @@ use crate::vxm::VxmOp;
 use crate::C2cOp;
 use tsp_arch::StreamId;
 
-/// Which functional area's queue an instruction list belongs to. The decoder
-/// needs this (and nothing else about the simulator) to resolve routing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueClass {
-    /// A MEM-slice queue.
-    Mem,
-    /// A VXM ALU queue.
-    Vxm,
-    /// An MXM port queue of the given plane.
-    Mxm(Plane),
-    /// An SXM sub-unit queue.
-    Sxm,
-    /// A C2C queue.
-    C2c,
-    /// A host-interface queue (no stream position: only pure-ICU
-    /// instructions can execute here).
-    Host,
-}
-
-/// Which [`SimError`](../../tsp_sim/error/enum.SimError.html) variant an
-/// [`InvalidOp`] raises at dispatch.
+/// Which of the simulator's errors (`tsp_sim::SimError`) an [`InvalidOp`]
+/// raises at dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvalidKind {
     /// Instruction routed to a queue whose slice cannot execute it.
@@ -178,33 +160,12 @@ fn invalid(detail: String) -> DecodedOp {
     }))
 }
 
-/// Whether `class` can execute `instr` (the static half of the simulator's
-/// routing validation; ICU ops route everywhere).
-fn routes(class: QueueClass, instr: &Instruction) -> bool {
-    match instr {
-        Instruction::Icu(_) => true,
-        Instruction::Mem(_) => class == QueueClass::Mem,
-        Instruction::Vxm(_) => class == QueueClass::Vxm,
-        Instruction::Mxm(op) => class == QueueClass::Mxm(op.plane()),
-        Instruction::Sxm(_) => class == QueueClass::Sxm,
-        Instruction::C2c(_) => class == QueueClass::C2c,
-    }
-}
-
 /// Lowers one *issueable* instruction (anything the interpreter routes
 /// through its single-cycle `issue` path) into a span of `n` iterations.
 /// `off` is the MEM word offset of iteration 0.
-fn decode_issue(
-    class: QueueClass,
-    instr: &Instruction,
-    n: u16,
-    stride: u16,
-    off: u16,
-) -> DecodedOp {
-    // Routing first, then the host position check: both raise `WrongSlice`
-    // with the rendered instruction, so the order is unobservable — but a
-    // host queue can execute nothing issueable either way.
-    if !routes(class, instr) || class == QueueClass::Host {
+fn decode_issue(icu: IcuId, instr: &Instruction, n: u16, stride: u16, off: u16) -> DecodedOp {
+    // A host queue has no stream position: it can issue nothing.
+    if !instr.runs_on(icu) || icu.position().is_none() {
         return wrong_slice(instr);
     }
     let unit = match instr {
@@ -232,7 +193,7 @@ fn decode_issue(
 }
 
 /// Lowers `Repeat n,d` of the preceding instruction `prev`.
-fn decode_repeat(class: QueueClass, prev: Option<&Instruction>, n: u16, d: u16) -> DecodedOp {
+fn decode_repeat(icu: IcuId, prev: Option<&Instruction>, n: u16, d: u16) -> DecodedOp {
     let Some(prev) = prev else {
         return invalid("Repeat with no previous instruction".into());
     };
@@ -246,18 +207,20 @@ fn decode_repeat(class: QueueClass, prev: Option<&Instruction>, n: u16, d: u16) 
         Instruction::Mem(MemOp::Read { .. } | MemOp::Write { .. }) => 1,
         _ => 0,
     };
-    decode_issue(class, prev, n, stride, off)
+    decode_issue(icu, prev, n, stride, off)
 }
 
-/// Lowers one instruction given its predecessor in text order (`prev` feeds
-/// `Repeat`; pass the previous call's instruction, or the queue tail when
-/// decoding an `Ifetch` extension).
+/// Lowers one instruction of `icu`'s queue given its predecessor in text
+/// order (`prev` feeds `Repeat`; pass the previous call's instruction, or the
+/// queue tail when decoding an `Ifetch` extension).
 #[must_use]
-pub fn decode_step(
-    class: QueueClass,
-    prev: Option<&Instruction>,
-    instr: &Instruction,
-) -> DecodedOp {
+pub fn decode_step(icu: IcuId, prev: Option<&Instruction>, instr: &Instruction) -> DecodedOp {
+    if let (Instruction::Mxm(op), Some(rows)) = (instr, instr.burst_rows()) {
+        if !instr.runs_on(icu) {
+            return wrong_slice(instr);
+        }
+        return DecodedOp::MxmBurst { op: *op, rows };
+    }
     match instr {
         Instruction::Icu(IcuOp::Nop { count }) => DecodedOp::Nop {
             advance: (*count).max(1),
@@ -267,54 +230,26 @@ pub fn decode_step(
         Instruction::Icu(IcuOp::Config { superlanes }) => DecodedOp::Config {
             superlanes: *superlanes,
         },
-        Instruction::Icu(IcuOp::Ifetch { stream }) => {
-            if class == QueueClass::Host {
-                // A host queue has no stream position to fetch through.
-                DecodedOp::Invalid(Box::new(InvalidOp {
-                    kind: InvalidKind::WrongSlice,
-                    detail: "Ifetch".into(),
-                }))
-            } else {
-                DecodedOp::Ifetch { stream: *stream }
-            }
+        // A host queue has no stream position to fetch through.
+        Instruction::Icu(IcuOp::Ifetch { .. }) if icu.position().is_none() => {
+            DecodedOp::Invalid(Box::new(InvalidOp {
+                kind: InvalidKind::WrongSlice,
+                detail: "Ifetch".into(),
+            }))
         }
-        Instruction::Icu(IcuOp::Repeat { n, d }) => decode_repeat(class, prev, *n, *d),
-        Instruction::Mxm(
-            op @ (MxmOp::LoadWeights { .. }
-            | MxmOp::ActivationBuffer { .. }
-            | MxmOp::Accumulate { .. }),
-        ) => {
-            if !routes(class, instr) {
-                return wrong_slice(instr);
-            }
-            if let MxmOp::Accumulate { dst, .. } = op {
-                if dst.width != 4 {
-                    return invalid(format!(
-                        "ACC destination must be a quad-stream group, got {dst}"
-                    ));
-                }
-            }
-            let rows = match op {
-                MxmOp::LoadWeights { rows, .. } => u16::from(*rows),
-                MxmOp::ActivationBuffer { rows, .. } | MxmOp::Accumulate { rows, .. } => *rows,
-                MxmOp::InstallWeights { .. } => unreachable!("matched burst ops only"),
-            };
-            DecodedOp::MxmBurst {
-                op: *op,
-                rows: rows.max(1),
-            }
-        }
-        issueable => decode_issue(class, issueable, 1, 1, 0),
+        Instruction::Icu(IcuOp::Ifetch { stream }) => DecodedOp::Ifetch { stream: *stream },
+        Instruction::Icu(IcuOp::Repeat { n, d }) => decode_repeat(icu, prev, *n, *d),
+        issueable => decode_issue(icu, issueable, 1, 1, 0),
     }
 }
 
-/// Decodes a whole instruction queue.
+/// Decodes `icu`'s whole instruction queue.
 #[must_use]
-pub fn decode_queue(class: QueueClass, instructions: &[Instruction]) -> DecodedQueue {
+pub fn decode_queue(icu: IcuId, instructions: &[Instruction]) -> DecodedQueue {
     let mut ops = Vec::with_capacity(instructions.len());
     let mut prev: Option<&Instruction> = None;
     for instr in instructions {
-        ops.push(decode_step(class, prev, instr));
+        ops.push(decode_step(icu, prev, instr));
         prev = Some(instr);
     }
     DecodedQueue {
@@ -327,6 +262,13 @@ pub fn decode_queue(class: QueueClass, instructions: &[Instruction]) -> DecodedQ
 mod tests {
     use super::*;
     use crate::mem::MemAddr;
+    use crate::vxm::AluIndex;
+    use tsp_arch::Hemisphere;
+
+    const MEM: IcuId = IcuId::Mem {
+        hemisphere: Hemisphere::East,
+        index: 0,
+    };
 
     fn read(addr: u16) -> Instruction {
         Instruction::Mem(MemOp::Read {
@@ -342,7 +284,7 @@ mod tests {
             Instruction::Icu(IcuOp::Repeat { n: 7, d: 2 }),
             Instruction::Icu(IcuOp::Nop { count: 0 }),
         ];
-        let q = decode_queue(QueueClass::Mem, &instrs);
+        let q = decode_queue(MEM, &instrs);
         assert_eq!(q.ops.len(), 3);
         assert_eq!(
             q.ops[1],
@@ -366,7 +308,10 @@ mod tests {
 
     #[test]
     fn statically_wrong_routing_becomes_invalid() {
-        let q = decode_queue(QueueClass::Vxm, &[read(4)]);
+        let vxm = IcuId::Vxm {
+            alu: AluIndex::new(0),
+        };
+        let q = decode_queue(vxm, &[read(4)]);
         let DecodedOp::Invalid(inv) = &q.ops[0] else {
             panic!("expected Invalid, got {:?}", q.ops[0]);
         };
@@ -380,7 +325,7 @@ mod tests {
             Instruction::Icu(IcuOp::Nop { count: 1 }),
             Instruction::Icu(IcuOp::Repeat { n: 2, d: 1 }),
         ];
-        let q = decode_queue(QueueClass::Mem, &instrs);
+        let q = decode_queue(MEM, &instrs);
         let DecodedOp::Invalid(inv) = &q.ops[1] else {
             panic!("expected Invalid");
         };
@@ -390,15 +335,12 @@ mod tests {
 
     #[test]
     fn repeat_first_is_invalid_and_repeat_zero_is_empty() {
-        let q = decode_queue(
-            QueueClass::Mem,
-            &[Instruction::Icu(IcuOp::Repeat { n: 3, d: 1 })],
-        );
+        let q = decode_queue(MEM, &[Instruction::Icu(IcuOp::Repeat { n: 3, d: 1 })]);
         assert!(matches!(&q.ops[0], DecodedOp::Invalid(i)
             if i.kind == InvalidKind::InvalidInstruction
             && i.detail == "Repeat with no previous instruction"));
         let q = decode_queue(
-            QueueClass::Mem,
+            MEM,
             &[read(0), Instruction::Icu(IcuOp::Repeat { n: 0, d: 1 })],
         );
         assert_eq!(q.ops[1], DecodedOp::RepeatEmpty);
@@ -407,7 +349,7 @@ mod tests {
     #[test]
     fn host_queue_accepts_only_pure_icu_ops() {
         let q = decode_queue(
-            QueueClass::Host,
+            IcuId::Host { port: 0 },
             &[
                 Instruction::Icu(IcuOp::Sync),
                 Instruction::Icu(IcuOp::Notify),
@@ -433,7 +375,11 @@ mod tests {
             rows: 0,
             mode: crate::mxm::AccumulateMode::Overwrite,
         });
-        let q = decode_queue(QueueClass::Mxm(Plane::new(0)), &[acc]);
+        let port = IcuId::Mxm {
+            plane: Plane::new(0),
+            port: 3,
+        };
+        let q = decode_queue(port, &[acc]);
         assert!(matches!(q.ops[0], DecodedOp::MxmBurst { rows: 1, .. }));
     }
 }

@@ -6,8 +6,11 @@
 //! a one-byte opcode followed by little-endian operand fields; large operands
 //! (the permute map) are carried inline.
 //!
-//! [`Instruction::encode`] and [`Instruction::decode`] round-trip exactly;
-//! this is property-tested over the whole ISA.
+//! Each instruction's opcode and field order are a row of the instruction
+//! table ([`crate::instruction`]), which generates [`Instruction::encode`]
+//! and [`Instruction::decode`]; this module is each field type's wire format
+//! and the sequence codecs. The two round-trip exactly, tested over a sample
+//! of every row.
 
 use core::fmt;
 
@@ -19,7 +22,7 @@ use crate::mem::MemAddr;
 use crate::mxm::{AccumulateMode, Plane};
 use crate::sxm::{DistributeMap, PermuteMap};
 use crate::vxm::{AluIndex, BinaryAluOp, UnaryAluOp};
-use crate::{C2cOp, IcuOp, Instruction, MemOp, MxmOp, SxmOp, VxmOp};
+use crate::Instruction;
 
 /// Padding byte used to fill the fixed 640-byte `Ifetch` window past the last
 /// real instruction; the fetch decoder stops at the first pad byte.
@@ -70,64 +73,14 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// Opcode space, grouped by functional area nibble.
-const OP_NOP: u8 = 0x00;
-const OP_IFETCH: u8 = 0x01;
-const OP_SYNC: u8 = 0x02;
-const OP_NOTIFY: u8 = 0x03;
-const OP_CONFIG: u8 = 0x04;
-const OP_REPEAT: u8 = 0x05;
-const OP_READ: u8 = 0x10;
-const OP_WRITE: u8 = 0x11;
-const OP_GATHER: u8 = 0x12;
-const OP_SCATTER: u8 = 0x13;
-const OP_VXM_UNARY: u8 = 0x20;
-const OP_VXM_BINARY: u8 = 0x21;
-const OP_VXM_CONVERT: u8 = 0x22;
-const OP_LW: u8 = 0x30;
-const OP_IW: u8 = 0x31;
-const OP_ABC: u8 = 0x32;
-const OP_ACC: u8 = 0x33;
-const OP_SHIFT_UP: u8 = 0x40;
-const OP_SHIFT_DOWN: u8 = 0x41;
-const OP_SELECT: u8 = 0x42;
-const OP_PERMUTE: u8 = 0x43;
-const OP_DISTRIBUTE: u8 = 0x44;
-const OP_ROTATE: u8 = 0x45;
-const OP_TRANSPOSE: u8 = 0x46;
-const OP_DESKEW: u8 = 0x50;
-const OP_SEND: u8 = 0x51;
-const OP_RECEIVE: u8 = 0x52;
-
 /// One operand field's wire format: how it is written, and how it is read
-/// back — with the range check decoding owes it, so an instruction's arm in
-/// [`Instruction::encode`] and in [`Instruction::decode`] is its opcode and
-/// its fields in wire order, nothing more.
-trait Field: Sized {
+/// back — with the range check decoding owes it, so an instruction's row in
+/// the table ([`crate::instruction`]) gives its opcode and its fields in wire
+/// order, nothing more.
+pub(crate) trait Field: Sized {
     fn put(&self, text: &mut Vec<u8>);
     /// Takes the field off the head of `text`.
     fn get(text: &mut &[u8]) -> Result<Self, DecodeError>;
-}
-
-/// Reads the next field, of whatever type the place it lands in has.
-fn get<F: Field>(text: &mut &[u8]) -> Result<F, DecodeError> {
-    F::get(text)
-}
-
-/// Instruction text under construction: an opcode, then fields.
-struct Text(Vec<u8>);
-
-impl Text {
-    fn op(opcode: u8) -> Text {
-        let mut text = Vec::with_capacity(8);
-        text.push(opcode);
-        Text(text)
-    }
-
-    fn put(mut self, field: &impl Field) -> Text {
-        field.put(&mut self.0);
-        self
-    }
 }
 
 impl Field for u8 {
@@ -315,8 +268,8 @@ impl Field for BinaryAluOp {
     }
 }
 
-/// `Config`'s operand: how many superlanes stay powered, 1 to 20.
-struct Superlanes(u8);
+/// `Config`'s operand on the wire: how many superlanes stay powered, 1 to 20.
+pub(crate) struct Superlanes(pub(crate) u8);
 
 impl Field for Superlanes {
     fn put(&self, text: &mut Vec<u8>) {
@@ -368,250 +321,6 @@ impl Field for DistributeMap {
     }
 }
 
-impl Instruction {
-    /// Serializes the instruction to its binary form.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let Text(text) = match self {
-            Instruction::Icu(op) => match op {
-                IcuOp::Nop { count } => Text::op(OP_NOP).put(count),
-                IcuOp::Ifetch { stream } => Text::op(OP_IFETCH).put(stream),
-                IcuOp::Sync => Text::op(OP_SYNC),
-                IcuOp::Notify => Text::op(OP_NOTIFY),
-                IcuOp::Config { superlanes } => Text::op(OP_CONFIG).put(&Superlanes(*superlanes)),
-                IcuOp::Repeat { n, d } => Text::op(OP_REPEAT).put(n).put(d),
-            },
-            Instruction::Mem(op) => match op {
-                MemOp::Read { addr, stream } => Text::op(OP_READ).put(addr).put(stream),
-                MemOp::Write { addr, stream } => Text::op(OP_WRITE).put(addr).put(stream),
-                MemOp::Gather { stream, map } => Text::op(OP_GATHER).put(stream).put(map),
-                MemOp::Scatter { stream, map } => Text::op(OP_SCATTER).put(stream).put(map),
-            },
-            Instruction::Vxm(op) => match op {
-                VxmOp::Unary {
-                    op,
-                    dtype,
-                    src,
-                    dst,
-                    alu,
-                } => Text::op(OP_VXM_UNARY)
-                    .put(op)
-                    .put(dtype)
-                    .put(src)
-                    .put(dst)
-                    .put(alu),
-                VxmOp::Binary {
-                    op,
-                    dtype,
-                    a,
-                    b,
-                    dst,
-                    alu,
-                } => Text::op(OP_VXM_BINARY)
-                    .put(op)
-                    .put(dtype)
-                    .put(a)
-                    .put(b)
-                    .put(dst)
-                    .put(alu),
-                VxmOp::Convert {
-                    from,
-                    to,
-                    src,
-                    dst,
-                    shift,
-                    alu,
-                } => Text::op(OP_VXM_CONVERT)
-                    .put(from)
-                    .put(to)
-                    .put(src)
-                    .put(dst)
-                    .put(shift)
-                    .put(alu),
-            },
-            Instruction::Mxm(op) => match op {
-                MxmOp::LoadWeights {
-                    plane,
-                    streams,
-                    rows,
-                } => Text::op(OP_LW).put(plane).put(streams).put(rows),
-                MxmOp::InstallWeights { plane, dtype } => Text::op(OP_IW).put(plane).put(dtype),
-                MxmOp::ActivationBuffer {
-                    plane,
-                    stream,
-                    rows,
-                } => Text::op(OP_ABC).put(plane).put(stream).put(rows),
-                MxmOp::Accumulate {
-                    plane,
-                    dst,
-                    rows,
-                    mode,
-                } => Text::op(OP_ACC).put(plane).put(dst).put(rows).put(mode),
-            },
-            Instruction::Sxm(op) => match op {
-                SxmOp::ShiftUp { n, src, dst } => Text::op(OP_SHIFT_UP).put(n).put(src).put(dst),
-                SxmOp::ShiftDown { n, src, dst } => {
-                    Text::op(OP_SHIFT_DOWN).put(n).put(src).put(dst)
-                }
-                SxmOp::Select {
-                    north,
-                    south,
-                    boundary,
-                    dst,
-                } => Text::op(OP_SELECT)
-                    .put(north)
-                    .put(south)
-                    .put(boundary)
-                    .put(dst),
-                SxmOp::Permute { map, src, dst } => Text::op(OP_PERMUTE).put(src).put(dst).put(map),
-                SxmOp::Distribute { map, src, dst } => {
-                    Text::op(OP_DISTRIBUTE).put(src).put(dst).put(map)
-                }
-                SxmOp::Rotate { n, src, dst } => Text::op(OP_ROTATE).put(n).put(src).put(dst),
-                SxmOp::Transpose { src, dst } => Text::op(OP_TRANSPOSE).put(src).put(dst),
-            },
-            Instruction::C2c(op) => match op {
-                C2cOp::Deskew { link } => Text::op(OP_DESKEW).put(link),
-                C2cOp::Send { link, stream } => Text::op(OP_SEND).put(link).put(stream),
-                C2cOp::Receive { link, stream } => Text::op(OP_RECEIVE).put(link).put(stream),
-            },
-        };
-        text
-    }
-
-    /// Decodes one instruction from the head of `bytes`, returning it and the
-    /// number of bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on truncated text, unknown opcodes or
-    /// out-of-range operands.
-    pub fn decode(bytes: &[u8]) -> Result<(Instruction, usize), DecodeError> {
-        let mut text = bytes;
-        let t = &mut text;
-        // Fields are read in the order written here: wire order.
-        let insn = match u8::get(t)? {
-            OP_NOP => Instruction::Icu(IcuOp::Nop { count: get(t)? }),
-            OP_IFETCH => Instruction::Icu(IcuOp::Ifetch { stream: get(t)? }),
-            OP_SYNC => Instruction::Icu(IcuOp::Sync),
-            OP_NOTIFY => Instruction::Icu(IcuOp::Notify),
-            OP_CONFIG => {
-                let Superlanes(superlanes) = get(t)?;
-                Instruction::Icu(IcuOp::Config { superlanes })
-            }
-            OP_REPEAT => Instruction::Icu(IcuOp::Repeat {
-                n: get(t)?,
-                d: get(t)?,
-            }),
-            OP_READ => Instruction::Mem(MemOp::Read {
-                addr: get(t)?,
-                stream: get(t)?,
-            }),
-            OP_WRITE => Instruction::Mem(MemOp::Write {
-                addr: get(t)?,
-                stream: get(t)?,
-            }),
-            OP_GATHER => Instruction::Mem(MemOp::Gather {
-                stream: get(t)?,
-                map: get(t)?,
-            }),
-            OP_SCATTER => Instruction::Mem(MemOp::Scatter {
-                stream: get(t)?,
-                map: get(t)?,
-            }),
-            OP_VXM_UNARY => Instruction::Vxm(VxmOp::Unary {
-                op: get(t)?,
-                dtype: get(t)?,
-                src: get(t)?,
-                dst: get(t)?,
-                alu: get(t)?,
-            }),
-            OP_VXM_BINARY => Instruction::Vxm(VxmOp::Binary {
-                op: get(t)?,
-                dtype: get(t)?,
-                a: get(t)?,
-                b: get(t)?,
-                dst: get(t)?,
-                alu: get(t)?,
-            }),
-            OP_VXM_CONVERT => Instruction::Vxm(VxmOp::Convert {
-                from: get(t)?,
-                to: get(t)?,
-                src: get(t)?,
-                dst: get(t)?,
-                shift: get(t)?,
-                alu: get(t)?,
-            }),
-            OP_LW => Instruction::Mxm(MxmOp::LoadWeights {
-                plane: get(t)?,
-                streams: get(t)?,
-                rows: get(t)?,
-            }),
-            OP_IW => Instruction::Mxm(MxmOp::InstallWeights {
-                plane: get(t)?,
-                dtype: get(t)?,
-            }),
-            OP_ABC => Instruction::Mxm(MxmOp::ActivationBuffer {
-                plane: get(t)?,
-                stream: get(t)?,
-                rows: get(t)?,
-            }),
-            OP_ACC => Instruction::Mxm(MxmOp::Accumulate {
-                plane: get(t)?,
-                dst: get(t)?,
-                rows: get(t)?,
-                mode: get(t)?,
-            }),
-            OP_SHIFT_UP => Instruction::Sxm(SxmOp::ShiftUp {
-                n: get(t)?,
-                src: get(t)?,
-                dst: get(t)?,
-            }),
-            OP_SHIFT_DOWN => Instruction::Sxm(SxmOp::ShiftDown {
-                n: get(t)?,
-                src: get(t)?,
-                dst: get(t)?,
-            }),
-            OP_SELECT => Instruction::Sxm(SxmOp::Select {
-                north: get(t)?,
-                south: get(t)?,
-                boundary: get(t)?,
-                dst: get(t)?,
-            }),
-            OP_PERMUTE => Instruction::Sxm(SxmOp::Permute {
-                src: get(t)?,
-                dst: get(t)?,
-                map: get(t)?,
-            }),
-            OP_DISTRIBUTE => Instruction::Sxm(SxmOp::Distribute {
-                src: get(t)?,
-                dst: get(t)?,
-                map: get(t)?,
-            }),
-            OP_ROTATE => Instruction::Sxm(SxmOp::Rotate {
-                n: get(t)?,
-                src: get(t)?,
-                dst: get(t)?,
-            }),
-            OP_TRANSPOSE => Instruction::Sxm(SxmOp::Transpose {
-                src: get(t)?,
-                dst: get(t)?,
-            }),
-            OP_DESKEW => Instruction::C2c(C2cOp::Deskew { link: get(t)? }),
-            OP_SEND => Instruction::C2c(C2cOp::Send {
-                link: get(t)?,
-                stream: get(t)?,
-            }),
-            OP_RECEIVE => Instruction::C2c(C2cOp::Receive {
-                link: get(t)?,
-                stream: get(t)?,
-            }),
-            other => return Err(DecodeError::BadOpcode(other)),
-        };
-        Ok((insn, bytes.len() - text.len()))
-    }
-}
-
 /// Encodes a whole program-order sequence into a flat byte image (the form
 /// stored in "instruction dispatch" MEM slices and pulled by `Ifetch`).
 #[must_use]
@@ -636,147 +345,9 @@ pub fn decode_sequence(bytes: &[u8]) -> Result<Vec<Instruction>, DecodeError> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::{C2cOp, IcuOp, MemOp, MxmOp, SxmOp, VxmOp};
 
-    /// One instruction of every format but `ShiftDown` (`ShiftUp`'s twin).
-    pub(crate) fn samples() -> Vec<Instruction> {
-        use tsp_arch::Direction;
-        vec![
-            IcuOp::Nop { count: 1234 }.into(),
-            IcuOp::Ifetch {
-                stream: StreamId::west(9),
-            }
-            .into(),
-            IcuOp::Sync.into(),
-            IcuOp::Notify.into(),
-            IcuOp::Config { superlanes: 10 }.into(),
-            IcuOp::Repeat { n: 64, d: 3 }.into(),
-            MemOp::Read {
-                addr: MemAddr::new(8191),
-                stream: StreamId::east(31),
-            }
-            .into(),
-            MemOp::Write {
-                addr: MemAddr::new(4096),
-                stream: StreamId::west(0),
-            }
-            .into(),
-            MemOp::Gather {
-                stream: StreamId::east(2),
-                map: StreamId::east(3),
-            }
-            .into(),
-            MemOp::Scatter {
-                stream: StreamId::west(4),
-                map: StreamId::west(5),
-            }
-            .into(),
-            VxmOp::Binary {
-                op: BinaryAluOp::MulSat,
-                dtype: DataType::Int8,
-                a: StreamGroup::new(StreamId::east(0), 1),
-                b: StreamGroup::new(StreamId::east(1), 1),
-                dst: StreamGroup::new(StreamId::west(2), 1),
-                alu: AluIndex::new(7),
-            }
-            .into(),
-            VxmOp::Unary {
-                op: UnaryAluOp::Rsqrt,
-                dtype: DataType::Fp32,
-                src: StreamGroup::sg4(0, Direction::East),
-                dst: StreamGroup::sg4(1, Direction::East),
-                alu: AluIndex::new(15),
-            }
-            .into(),
-            VxmOp::Convert {
-                from: DataType::Int32,
-                to: DataType::Int8,
-                src: StreamGroup::sg4(2, Direction::West),
-                dst: StreamGroup::new(StreamId::west(1), 1),
-                shift: -5,
-                alu: AluIndex::new(3),
-            }
-            .into(),
-            MxmOp::LoadWeights {
-                plane: Plane::new(1),
-                streams: StreamGroup::new(StreamId::east(16), 16),
-                rows: 20,
-            }
-            .into(),
-            MxmOp::InstallWeights {
-                plane: Plane::new(3),
-                dtype: DataType::Fp16,
-            }
-            .into(),
-            MxmOp::ActivationBuffer {
-                plane: Plane::new(0),
-                stream: StreamId::west(12),
-                rows: 320,
-            }
-            .into(),
-            MxmOp::Accumulate {
-                plane: Plane::new(2),
-                dst: StreamGroup::sg4(3, Direction::East),
-                rows: 320,
-                mode: AccumulateMode::Accumulate,
-            }
-            .into(),
-            SxmOp::ShiftUp {
-                n: 16,
-                src: StreamId::east(1),
-                dst: StreamId::east(2),
-            }
-            .into(),
-            SxmOp::Select {
-                north: StreamId::east(1),
-                south: StreamId::east(2),
-                boundary: 160,
-                dst: StreamId::east(3),
-            }
-            .into(),
-            SxmOp::Permute {
-                map: PermuteMap::rotation(17),
-                src: StreamId::west(7),
-                dst: StreamId::west(8),
-            }
-            .into(),
-            SxmOp::Distribute {
-                map: {
-                    let mut m = [None; 16];
-                    m[0] = Some(3);
-                    m[15] = Some(0);
-                    m
-                },
-                src: StreamId::east(9),
-                dst: StreamId::east(10),
-            }
-            .into(),
-            SxmOp::Rotate {
-                n: 3,
-                src: StreamRange::new(StreamId::east(0), 3),
-                dst: StreamRange::new(StreamId::east(3), 9),
-            }
-            .into(),
-            SxmOp::Transpose {
-                src: StreamRange::new(StreamId::east(0), 16),
-                dst: StreamRange::new(StreamId::east(16), 16),
-            }
-            .into(),
-            C2cOp::Deskew {
-                link: LinkId::new(15),
-            }
-            .into(),
-            C2cOp::Send {
-                link: LinkId::new(0),
-                stream: StreamId::east(31),
-            }
-            .into(),
-            C2cOp::Receive {
-                link: LinkId::new(7),
-                stream: StreamId::west(30),
-            }
-            .into(),
-        ]
-    }
+    include!("encode/samples.rs");
 
     /// The wire format, pinned: FNV-1a over the encoded samples (the ResNets
     /// `program_fingerprint` hashes never emit an SXM or C2C instruction).
@@ -788,9 +359,21 @@ pub(crate) mod tests {
         });
         assert_eq!(
             (image.len(), hash),
-            (767, 0xc875_10a0_7a03_14b8),
+            (772, 0x8446_e1e6_e329_784e),
             "{hash:#018x}"
         );
+    }
+
+    /// Every row of the instruction table has a sample: each byte the
+    /// decoder takes for an opcode leads some sample's text.
+    #[test]
+    fn every_opcode_has_a_sample() {
+        let led: Vec<u8> = samples().iter().map(|i| i.encode()[0]).collect();
+        for byte in 0..=u8::MAX {
+            if Instruction::decode(&[byte]) != Err(DecodeError::BadOpcode(byte)) {
+                assert!(led.contains(&byte), "no sample of opcode {byte:#04x}");
+            }
+        }
     }
 
     #[test]
@@ -835,10 +418,17 @@ pub(crate) mod tests {
         assert_eq!(Instruction::decode(&[]), Err(DecodeError::Truncated));
     }
 
+    /// The text of the first sample of `mnemonic`.
+    fn text_of(mnemonic: &str) -> Vec<u8> {
+        let sample = samples().into_iter().find(|i| i.mnemonic() == mnemonic);
+        sample.expect("a sample").encode()
+    }
+
     #[test]
     fn bad_stream_id_rejected() {
         // Read with stream id 33.
-        let bytes = [OP_READ, 0x00, 0x00, 33u8];
+        let mut bytes = text_of("Read");
+        bytes[3] = 33;
         assert!(matches!(
             Instruction::decode(&bytes),
             Err(DecodeError::BadOperand(_))
@@ -848,7 +438,8 @@ pub(crate) mod tests {
     /// `Transpose` from base 31 over 255 streams: 286 in all, 30 in a byte.
     #[test]
     fn stream_range_past_stream_31_is_rejected() {
-        let bytes = [OP_TRANSPOSE, 31, 255, 0x80, 16];
+        let mut bytes = text_of("Transpose");
+        bytes[1..3].copy_from_slice(&[31, 255]);
         let bad = Err(DecodeError::BadOperand("stream range"));
         assert_eq!(Instruction::decode(&bytes), bad);
     }

@@ -2,9 +2,7 @@
 //! slice (paper §III-A): explicit fetch, delay, repeat, synchronization and
 //! power configuration.
 
-use core::fmt;
-
-use tsp_arch::{StreamId, TimeModel};
+use tsp_arch::StreamId;
 
 /// ICU instructions (paper Table I, "ICU" rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,60 +42,6 @@ pub enum IcuOp {
         /// Inter-iteration gap in cycles.
         d: u16,
     },
-}
-
-impl IcuOp {
-    /// Temporal metadata exposed to the compiler.
-    #[must_use]
-    pub fn time_model(self) -> TimeModel {
-        match self {
-            // A NOP occupies the queue for `count` cycles; it produces nothing.
-            IcuOp::Nop { .. } => TimeModel::new(0, 0),
-            // Fetch latency before the queue is refilled.
-            IcuOp::Ifetch { .. } => TimeModel::new(4, 0),
-            IcuOp::Sync | IcuOp::Notify => TimeModel::new(1, 0),
-            IcuOp::Config { .. } => TimeModel::new(2, 0),
-            IcuOp::Repeat { .. } => TimeModel::new(0, 0),
-        }
-    }
-
-    /// Number of dispatch-queue cycles this instruction occupies. A `Repeat`
-    /// folds its iterations into issue, occupying the queue for the whole
-    /// repeated burst (`n` iterations at a period of `max(d, 1)` cycles).
-    #[must_use]
-    pub fn queue_cycles(self) -> u64 {
-        match self {
-            IcuOp::Nop { count } => u64::from(count.max(1)),
-            IcuOp::Repeat { n, d } => u64::from(n) * u64::from(d.max(1)),
-            _ => 1,
-        }
-    }
-
-    /// Table I mnemonic.
-    #[must_use]
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            IcuOp::Nop { .. } => "NOP",
-            IcuOp::Ifetch { .. } => "Ifetch",
-            IcuOp::Sync => "Sync",
-            IcuOp::Notify => "Notify",
-            IcuOp::Config { .. } => "Config",
-            IcuOp::Repeat { .. } => "Repeat",
-        }
-    }
-}
-
-impl fmt::Display for IcuOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IcuOp::Nop { count } => write!(f, "NOP({count})"),
-            IcuOp::Ifetch { stream } => write!(f, "Ifetch {stream}"),
-            IcuOp::Sync => write!(f, "Sync"),
-            IcuOp::Notify => write!(f, "Notify"),
-            IcuOp::Config { superlanes } => write!(f, "Config superlanes={superlanes}"),
-            IcuOp::Repeat { n, d } => write!(f, "Repeat {n},{d}"),
-        }
-    }
 }
 
 #[cfg(test)]

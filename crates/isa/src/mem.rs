@@ -3,9 +3,7 @@
 
 use core::fmt;
 
-use tsp_arch::{StreamId, TimeModel};
-
-use crate::delays::{after, D_GATHER, D_READ};
+use tsp_arch::StreamId;
 
 /// Bit of the word address that selects the SRAM bank.
 ///
@@ -109,45 +107,12 @@ pub enum MemOp {
 }
 
 impl MemOp {
-    /// Temporal metadata exposed to the compiler (DESIGN.md §2 lists the
-    /// modeled `d_func` values; the ASIC's are unpublished).
-    #[must_use]
-    pub fn time_model(self) -> TimeModel {
-        match self {
-            MemOp::Read { .. } => after(D_READ),
-            MemOp::Write { .. } => TimeModel::new(1, 0),
-            MemOp::Gather { .. } | MemOp::Scatter { .. } => after(D_GATHER),
-        }
-    }
-
-    /// Table I mnemonic.
-    #[must_use]
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            MemOp::Read { .. } => "Read",
-            MemOp::Write { .. } => "Write",
-            MemOp::Gather { .. } => "Gather",
-            MemOp::Scatter { .. } => "Scatter",
-        }
-    }
-
     /// The bank this operation touches directly, if it is direct-addressed.
     #[must_use]
     pub fn bank(self) -> Option<u8> {
         match self {
             MemOp::Read { addr, .. } | MemOp::Write { addr, .. } => Some(addr.bank()),
             _ => None,
-        }
-    }
-}
-
-impl fmt::Display for MemOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MemOp::Read { addr, stream } => write!(f, "Read {addr},{stream}"),
-            MemOp::Write { addr, stream } => write!(f, "Write {addr},{stream}"),
-            MemOp::Gather { stream, map } => write!(f, "Gather {stream},{map}"),
-            MemOp::Scatter { stream, map } => write!(f, "Scatter {stream},{map}"),
         }
     }
 }

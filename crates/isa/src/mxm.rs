@@ -21,9 +21,8 @@
 
 use core::fmt;
 
-use tsp_arch::{Hemisphere, StreamGroup, StreamId, TimeModel};
+use tsp_arch::{Hemisphere, StreamGroup, StreamId};
 
-use crate::delays::{after, D_IW};
 use crate::dtype::DataType;
 
 /// Cycles between an activation vector entering the array (`ABC`) and its
@@ -94,6 +93,16 @@ impl AccumulateMode {
     pub const ALL: [AccumulateMode; 2] = [AccumulateMode::Overwrite, AccumulateMode::Accumulate];
 }
 
+/// `ovr` or `acc`, as `ACC`'s assembly text ends.
+impl fmt::Display for AccumulateMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            AccumulateMode::Overwrite => "ovr",
+            AccumulateMode::Accumulate => "acc",
+        })
+    }
+}
+
 /// MXM instructions (paper Table I, "MXM" rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MxmOp {
@@ -141,31 +150,6 @@ pub enum MxmOp {
 }
 
 impl MxmOp {
-    /// Temporal metadata. The array's vertical chain of 20 supercells gives
-    /// the MXM the longest functional delay on chip.
-    #[must_use]
-    pub fn time_model(self) -> TimeModel {
-        match self {
-            MxmOp::LoadWeights { .. } => TimeModel::new(2, 0),
-            MxmOp::InstallWeights { .. } => after(D_IW),
-            MxmOp::ActivationBuffer { .. } => TimeModel::new(1, 0),
-            // Results the array has finished (see [`MXM_ARRAY_DELAY`]) are
-            // staged in the accumulator; readout onto streams costs 1 cycle.
-            MxmOp::Accumulate { .. } => TimeModel::new(1, 0),
-        }
-    }
-
-    /// Table I mnemonic.
-    #[must_use]
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            MxmOp::LoadWeights { .. } => "LW",
-            MxmOp::InstallWeights { .. } => "IW",
-            MxmOp::ActivationBuffer { .. } => "ABC",
-            MxmOp::Accumulate { .. } => "ACC",
-        }
-    }
-
     /// The plane this op addresses.
     #[must_use]
     pub fn plane(self) -> Plane {
@@ -174,36 +158,6 @@ impl MxmOp {
             | MxmOp::InstallWeights { plane, .. }
             | MxmOp::ActivationBuffer { plane, .. }
             | MxmOp::Accumulate { plane, .. } => plane,
-        }
-    }
-}
-
-impl fmt::Display for MxmOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MxmOp::LoadWeights {
-                plane,
-                streams,
-                rows,
-            } => write!(f, "LW {plane},{streams},rows={rows}"),
-            MxmOp::InstallWeights { plane, dtype } => write!(f, "IW {plane} ({dtype})"),
-            MxmOp::ActivationBuffer {
-                plane,
-                stream,
-                rows,
-            } => write!(f, "ABC {plane},{stream},rows={rows}"),
-            MxmOp::Accumulate {
-                plane,
-                dst,
-                rows,
-                mode,
-            } => {
-                let m = match mode {
-                    AccumulateMode::Overwrite => "ovr",
-                    AccumulateMode::Accumulate => "acc",
-                };
-                write!(f, "ACC {plane},{dst},rows={rows},{m}")
-            }
         }
     }
 }

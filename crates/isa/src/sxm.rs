@@ -13,7 +13,7 @@
 use core::fmt;
 use std::sync::Arc;
 
-use tsp_arch::{StreamId, StreamRange, TimeModel, LANES, LANES_PER_SUPERLANE};
+use tsp_arch::{StreamId, StreamRange, LANES, LANES_PER_SUPERLANE};
 
 /// A programmed bijection over the 320 lanes, shared immutably (it is large
 /// enough that instruction values should stay cheap to clone).
@@ -164,34 +164,6 @@ pub enum SxmOp {
 }
 
 impl SxmOp {
-    /// Temporal metadata (modeled; see DESIGN.md §2).
-    #[must_use]
-    pub fn time_model(&self) -> TimeModel {
-        match self {
-            SxmOp::ShiftUp { .. } | SxmOp::ShiftDown { .. } | SxmOp::Select { .. } => {
-                TimeModel::new(3, 0)
-            }
-            SxmOp::Permute { .. } | SxmOp::Distribute { .. } | SxmOp::Rotate { .. } => {
-                TimeModel::new(4, 0)
-            }
-            SxmOp::Transpose { .. } => TimeModel::new(5, 0),
-        }
-    }
-
-    /// Table I mnemonic.
-    #[must_use]
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            SxmOp::ShiftUp { .. } => "ShiftUp",
-            SxmOp::ShiftDown { .. } => "ShiftDown",
-            SxmOp::Select { .. } => "Select",
-            SxmOp::Permute { .. } => "Permute",
-            SxmOp::Distribute { .. } => "Distribute",
-            SxmOp::Rotate { .. } => "Rotate",
-            SxmOp::Transpose { .. } => "Transpose",
-        }
-    }
-
     /// Validates the stream-shape invariants (rotate fan-out, transpose width).
     ///
     /// # Errors
@@ -236,25 +208,6 @@ impl SxmOp {
                 Ok(())
             }
             _ => Ok(()),
-        }
-    }
-}
-
-impl fmt::Display for SxmOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SxmOp::ShiftUp { n, src, dst } => write!(f, "ShiftUp {n},{src},{dst}"),
-            SxmOp::ShiftDown { n, src, dst } => write!(f, "ShiftDown {n},{src},{dst}"),
-            SxmOp::Select {
-                north,
-                south,
-                boundary,
-                dst,
-            } => write!(f, "Select {north},{south},@{boundary},{dst}"),
-            SxmOp::Permute { src, dst, .. } => write!(f, "Permute map,{src},{dst}"),
-            SxmOp::Distribute { src, dst, .. } => write!(f, "Distribute map,{src},{dst}"),
-            SxmOp::Rotate { n, src, dst } => write!(f, "Rotate {n}x{n},{src},{dst}"),
-            SxmOp::Transpose { src, dst } => write!(f, "Transpose sg16,{src},{dst}"),
         }
     }
 }

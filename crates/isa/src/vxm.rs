@@ -9,9 +9,8 @@
 
 use core::fmt;
 
-use tsp_arch::{StreamGroup, TimeModel};
+use tsp_arch::StreamGroup;
 
-use crate::delays::{after, D_VXM};
 use crate::dtype::DataType;
 
 /// Identifies one of the 16 vector ALUs in each lane's 4×4 mesh.
@@ -90,6 +89,12 @@ impl UnaryAluOp {
     }
 }
 
+impl fmt::Display for UnaryAluOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.mnemonic())
+    }
+}
+
 /// Point-wise operations with two operands. Addition and multiplication come
 /// in saturating and modulo variants (paper §III-C: differing semantics for
 /// arithmetic exceptions, since ALUs are stateless).
@@ -139,6 +144,12 @@ impl BinaryAluOp {
             BinaryAluOp::Max => "max",
             BinaryAluOp::Min => "min",
         }
+    }
+}
+
+impl fmt::Display for BinaryAluOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.mnemonic())
     }
 }
 
@@ -196,29 +207,6 @@ pub enum VxmOp {
 }
 
 impl VxmOp {
-    /// Temporal metadata: every VXM ALU hop costs 4 cycles in our model
-    /// (transcendentals cost more), with operands needed at dispatch.
-    #[must_use]
-    pub fn time_model(self) -> TimeModel {
-        match self {
-            VxmOp::Unary {
-                op: UnaryAluOp::Tanh | UnaryAluOp::Exp | UnaryAluOp::Rsqrt,
-                ..
-            } => TimeModel::new(8, 0),
-            VxmOp::Unary { .. } | VxmOp::Binary { .. } | VxmOp::Convert { .. } => after(D_VXM),
-        }
-    }
-
-    /// Table I mnemonic.
-    #[must_use]
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            VxmOp::Unary { op, .. } => op.mnemonic(),
-            VxmOp::Binary { op, .. } => op.mnemonic(),
-            VxmOp::Convert { .. } => "convert",
-        }
-    }
-
     /// The ALU this op occupies.
     #[must_use]
     pub fn alu(self) -> AluIndex {
@@ -236,36 +224,6 @@ impl VxmOp {
             VxmOp::Unary { dst, .. } | VxmOp::Binary { dst, .. } | VxmOp::Convert { dst, .. } => {
                 dst
             }
-        }
-    }
-}
-
-impl fmt::Display for VxmOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VxmOp::Unary {
-                op,
-                dtype,
-                src,
-                dst,
-                alu,
-            } => write!(f, "{} {src},{dst} ({dtype},{alu})", op.mnemonic()),
-            VxmOp::Binary {
-                op,
-                dtype,
-                a,
-                b,
-                dst,
-                alu,
-            } => write!(f, "{} {a},{b},{dst} ({dtype},{alu})", op.mnemonic()),
-            VxmOp::Convert {
-                from,
-                to,
-                src,
-                dst,
-                shift,
-                alu,
-            } => write!(f, "convert {src},{dst} ({from}->{to},shift={shift},{alu})"),
         }
     }
 }

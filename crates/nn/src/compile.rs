@@ -381,7 +381,7 @@ fn need(
 /// from the graph's shapes alone (the module docs say what is decided).
 ///
 /// **Needs flow up**, in one reverse sweep: a node's layout is final before
-/// its inputs are visited, so each folds what it [`need`]s into them — the
+/// its inputs are visited, so each folds what it `need`s into them — the
 /// widest border, the most replicas, and lane copies only if *every* reader
 /// packs (then the most any asks for; only a conv can write them, and always
 /// with a border). A node nothing reads, unless it is the output, asks for

@@ -1,6 +1,6 @@
 //! The layer graph: a topologically ordered DAG of tensor ops with fp32
 //! parameters, the front-end representation the quantizer and compiler
-//! consume. The TSP's graph-lowering compiler "transform[s] higher rank
+//! consume. The TSP's graph-lowering compiler "transform\[s\] higher rank
 //! tensors into rank-2 tensors over hardware-supported data types"
 //! (paper §II-A); this module is where those higher-rank tensors live.
 

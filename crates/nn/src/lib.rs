@@ -7,10 +7,10 @@
 //! * [`quant`] — post-training **layer-wise symmetric int8 quantization**
 //!   (paper §IV-D), with power-of-two requantization scales calibrated on
 //!   sample data so the on-chip `int32 → int8` conversion is a shift;
-//! * [`reference`] — host-side executors: fp32 (for accuracy numbers) and
+//! * [`reference`](mod@reference) — host-side executors: fp32 (for accuracy numbers) and
 //!   bit-exact int8 (mirrors the kernels' arithmetic, used to verify the
 //!   simulator end-to-end);
-//! * [`compile`] — lowers a quantized graph onto the TSP through
+//! * [`compile`](mod@compile) — lowers a quantized graph onto the TSP through
 //!   `tsp-compiler`'s kernels, producing a [`compile::CompiledModel`];
 //! * [`resilient`] — host-level graceful degradation: bounded
 //!   retry-from-weights on transient chip faults (uncorrectable ECC, link

@@ -42,7 +42,8 @@ pub enum ServeOutcome {
         logits: Vec<i8>,
         /// Pool member that served it.
         chip: usize,
-        /// Index into [`ServeResult::batches`] of the carrying batch.
+        /// Index into [`ServeResult::batches`](crate::ServeResult::batches) of the
+        /// carrying batch.
         batch: usize,
         /// Cycle the carrying batch started.
         dispatched: u64,
@@ -65,7 +66,8 @@ pub enum ServeOutcome {
     Failed {
         /// Pool member that burned the attempts.
         chip: usize,
-        /// Index into [`ServeResult::batches`] of the carrying batch.
+        /// Index into [`ServeResult::batches`](crate::ServeResult::batches) of the
+        /// carrying batch.
         batch: usize,
         /// Cycle the carrying batch started.
         dispatched: u64,

@@ -3,11 +3,11 @@
 //! read off the op instead of re-derived from instruction text.
 
 use tsp_arch::{Cycle, Position, SUPERLANES};
-use tsp_isa::decoded::{decode_step, DecodedOp, InvalidKind, QueueClass, SpanOp};
+use tsp_isa::decoded::{decode_step, DecodedOp, InvalidKind, SpanOp};
 use tsp_isa::{Instruction, MemAddr, MemOp};
 
 use super::{resume_after_barrier, Chip, Cursor, RunCtx, RunOptions, RunReport, Step};
-use crate::decoded::{class_of, DecodedProgram};
+use crate::decoded::DecodedProgram;
 use crate::error::SimError;
 use crate::icu_id::IcuId;
 use crate::trace::ActivityKind;
@@ -20,7 +20,6 @@ use crate::trace::ActivityKind;
 struct DecodedQueueState<'p> {
     icu: IcuId,
     position: Option<Position>,
-    class: QueueClass,
     base: &'p [DecodedOp],
     /// Ops decoded at runtime from `Ifetch`ed instruction text.
     overlay: Vec<DecodedOp>,
@@ -94,7 +93,6 @@ impl Chip {
             .map(|(icu, dq)| DecodedQueueState {
                 icu: *icu,
                 position: icu.position(),
-                class: class_of(*icu),
                 base: &dq.ops,
                 overlay: Vec::new(),
                 tail: dq.tail.clone(),
@@ -152,7 +150,7 @@ impl Chip {
                 // Fetched text is decoded at once, the queue's `tail`
                 // threaded through as the `Repeat` predecessor.
                 for instr in self.fetch_block(q.icu, q.position, *stream, t, ctx)? {
-                    let op = decode_step(q.class, q.tail.as_ref(), &instr);
+                    let op = decode_step(q.icu, q.tail.as_ref(), &instr);
                     q.overlay.push(op);
                     q.tail = Some(instr);
                 }

@@ -131,6 +131,24 @@ impl Chip {
             return Ok(Step::Done);
         };
 
+        if let (Instruction::Mxm(op), Some(rows)) = (&instr, instr.burst_rows()) {
+            ctx.instructions += 1;
+            if !instr.runs_on(q.icu) {
+                return Err(wrong_slice(q.icu, &instr, t));
+            }
+            self.mxm_row(q.icu, op, 0, t, ctx)?;
+            if rows == 1 {
+                q.pc += 1;
+            } else {
+                q.burst = Some(Burst::Mxm {
+                    op: *op,
+                    row: 1,
+                    rows,
+                });
+            }
+            return Ok(Step::NextAt(t + 1));
+        }
+
         match &instr {
             Instruction::Icu(IcuOp::Nop { count }) => {
                 ctx.nops += 1;
@@ -192,30 +210,6 @@ impl Chip {
                 q.pc += 1;
                 Ok(Step::NextAt(t + 2))
             }
-            Instruction::Mxm(
-                op @ (MxmOp::LoadWeights { .. }
-                | MxmOp::ActivationBuffer { .. }
-                | MxmOp::Accumulate { .. }),
-            ) => {
-                ctx.instructions += 1;
-                validate_routing(q.icu, &instr, t)?;
-                let rows = match op {
-                    MxmOp::LoadWeights { rows, .. } => u16::from(*rows),
-                    MxmOp::ActivationBuffer { rows, .. } | MxmOp::Accumulate { rows, .. } => *rows,
-                    MxmOp::InstallWeights { .. } => unreachable!("IW handled by issue()"),
-                };
-                self.mxm_row(q.icu, op, 0, t, ctx)?;
-                if rows <= 1 {
-                    q.pc += 1;
-                } else {
-                    q.burst = Some(Burst::Mxm {
-                        op: *op,
-                        row: 1,
-                        rows,
-                    });
-                }
-                Ok(Step::NextAt(t + 1))
-            }
             _ => {
                 ctx.instructions += 1;
                 self.issue(q, &instr, t, ctx)?;
@@ -233,12 +227,10 @@ impl Chip {
         t: Cycle,
         ctx: &mut RunCtx,
     ) -> Result<(), SimError> {
-        validate_routing(q.icu, instr, t)?;
-        let pos = q.position.ok_or_else(|| SimError::WrongSlice {
-            icu: q.icu,
-            instruction: instr.to_string(),
-            cycle: t,
-        })?;
+        // A host queue has no stream position: it can issue nothing.
+        let (Some(pos), true) = (q.position, instr.runs_on(q.icu)) else {
+            return Err(wrong_slice(q.icu, instr, t));
+        };
         let d_func = Cycle::from(instr.time_model().d_func);
         match instr {
             Instruction::Mem(op) => self.mem_op(q.icu, op, pos, t, d_func, ctx)?,
@@ -251,13 +243,7 @@ impl Chip {
                 ctx.note_span(t, dur, q.icu, ActivityKind::MxmInstall, self.active_lanes());
                 ctx.last_effect = ctx.last_effect.max(t + d_func);
             }
-            Instruction::Mxm(_) | Instruction::Icu(_) => {
-                return Err(SimError::WrongSlice {
-                    icu: q.icu,
-                    instruction: instr.to_string(),
-                    cycle: t,
-                })
-            }
+            Instruction::Mxm(_) | Instruction::Icu(_) => return Err(wrong_slice(q.icu, instr, t)),
         }
         Ok(())
     }
@@ -309,25 +295,11 @@ fn repeat_iteration(
     })
 }
 
-/// Checks an instruction landed on a queue whose slice can execute it.
-fn validate_routing(icu: IcuId, instr: &Instruction, cycle: Cycle) -> Result<(), SimError> {
-    let ok = match instr {
-        Instruction::Icu(_) => true,
-        Instruction::Mem(_) => matches!(icu, IcuId::Mem { .. }),
-        Instruction::Vxm(_) => matches!(icu, IcuId::Vxm { .. }),
-        Instruction::Mxm(op) => {
-            matches!(icu, IcuId::Mxm { plane, .. } if plane == op.plane())
-        }
-        Instruction::Sxm(_) => matches!(icu, IcuId::Sxm { .. }),
-        Instruction::C2c(_) => matches!(icu, IcuId::C2c { .. }),
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(SimError::WrongSlice {
-            icu,
-            instruction: instr.to_string(),
-            cycle,
-        })
+/// The error of an instruction dispatched on a queue that cannot issue it.
+fn wrong_slice(icu: IcuId, instr: &Instruction, cycle: Cycle) -> SimError {
+    SimError::WrongSlice {
+        icu,
+        instruction: instr.to_string(),
+        cycle,
     }
 }

@@ -26,7 +26,7 @@ impl Chip {
         ctx: &mut RunCtx,
     ) -> Result<(), SimError> {
         let IcuId::Mem { hemisphere, index } = icu else {
-            unreachable!("validated by validate_routing")
+            unreachable!("routed by Instruction::runs_on")
         };
         match op {
             MemOp::Read { addr, stream } => {

@@ -14,12 +14,13 @@
 //! hardware–software contract.
 //!
 //! Each thing is said once. **One event loop**, `run_queues`, drives either
-//! kind of queue `Cursor`: [`interp`] re-derives `Repeat` folding, burst
-//! rows, routing and `d_func` from the instruction text on every dispatch and
-//! is the reference; [`decoded`] reads them off the spans
-//! [`tsp_isa::decoded`] resolved once. The two share the loop, the `Ifetch`
+//! kind of queue `Cursor`: `interp` re-derives `Repeat` folding and burst
+//! rows from the instruction text on every dispatch and is the reference;
+//! `decoded` reads them off the spans [`tsp_isa::decoded`] resolved once.
+//! Both ask [`Instruction::runs_on`](tsp_isa::Instruction::runs_on) whether
+//! the queue can execute an instruction. The two share the loop, the `Ifetch`
 //! read and the functional-unit bodies, nothing else. **One body per
-//! instruction** ([`mem`], [`vxm`], [`sxm`], [`mxm`], [`c2c`]): a timing-only
+//! instruction** (`mem`, `vxm`, `sxm`, `mxm`, `c2c`): a timing-only
 //! run ([`RunOptions::functional`] off) is the same body with operands
 //! fetched unverified (`operand`) and the shared zero word for a result
 //! (`emit`); only `LW`'s buffer fill, `ABC`'s zero feed, `ACC`'s readout and

@@ -1,13 +1,14 @@
 //! Whole-program decoded-instruction cache ([`DecodedProgram`]).
 //!
-//! Lowers every ICU queue of a [`Program`] into the dense [`DecodedOp`]
-//! representation of [`tsp_isa::decoded`] exactly once, so the dispatch hot
-//! loop ([`crate::Chip::run_decoded`]) walks flat op spans instead of
-//! re-decoding instruction text on every dispatch. Decoding is pure — it
+//! Lowers every ICU queue of a [`Program`] into the dense
+//! [`DecodedOp`](tsp_isa::DecodedOp) representation of [`tsp_isa::decoded`]
+//! exactly once, so the dispatch hot loop ([`crate::Chip::run_decoded`])
+//! walks flat op spans instead of re-decoding instruction text on every
+//! dispatch. Decoding is pure — it
 //! reads only the program — so a `DecodedProgram` can be memoized alongside a
 //! compiled model and shared across runs, chips and threads.
 
-use tsp_isa::decoded::{decode_queue, DecodedQueue, QueueClass};
+use tsp_isa::decoded::{decode_queue, DecodedQueue};
 
 use crate::icu_id::IcuId;
 use crate::program::Program;
@@ -19,19 +20,6 @@ pub struct DecodedProgram {
     pub(crate) queues: Vec<(IcuId, DecodedQueue)>,
 }
 
-/// The [`QueueClass`] an ICU's queue decodes under.
-#[must_use]
-pub fn class_of(icu: IcuId) -> QueueClass {
-    match icu {
-        IcuId::Mem { .. } => QueueClass::Mem,
-        IcuId::Vxm { .. } => QueueClass::Vxm,
-        IcuId::Mxm { plane, .. } => QueueClass::Mxm(plane),
-        IcuId::Sxm { .. } => QueueClass::Sxm,
-        IcuId::C2c { .. } => QueueClass::C2c,
-        IcuId::Host { .. } => QueueClass::Host,
-    }
-}
-
 impl DecodedProgram {
     /// Decodes every queue of `program`. Statically invalid instructions
     /// never fail the decode: they become [`tsp_isa::DecodedOp::Invalid`]
@@ -41,7 +29,7 @@ impl DecodedProgram {
         DecodedProgram {
             queues: program
                 .queues()
-                .map(|(icu, instrs)| (icu, decode_queue(class_of(icu), instrs)))
+                .map(|(icu, instrs)| (icu, decode_queue(icu, instrs)))
                 .collect(),
         }
     }

@@ -30,7 +30,6 @@ pub mod chip;
 pub mod decoded;
 pub mod error;
 pub mod fp16;
-pub mod icu_id;
 pub mod mxm_unit;
 pub mod program;
 pub mod stagger;
@@ -43,10 +42,10 @@ pub mod vxm_unit;
 pub use chip::{Chip, RunReport};
 pub use decoded::DecodedProgram;
 pub use error::SimError;
-pub use icu_id::IcuId;
 pub use program::{Program, QueueBuilder};
 pub use stream_file::{StreamFile, StreamWord};
 pub use telemetry::{perfetto_json, perfetto_json_with_layers, timeline, IcuTimeline, Span};
 pub use trace::{Activity, ActivityKind, Trace};
 pub use tsp_faults as faults;
+pub use tsp_isa::icu_id::{self, IcuId};
 pub use tsp_telemetry::{LayerMark, LayerSlice, Telemetry};

@@ -36,7 +36,7 @@
 //!   MAC — and, as of the pre-decode PR, from joining the same wave-batched
 //!   flush as the int8 path.
 //!
-//! The pre-optimization scalar loops are retained verbatim in [`reference`]
+//! The pre-optimization scalar loops are retained verbatim in [`reference`](mod@reference)
 //! as the oracle the kernel-equivalence property tests compare against.
 
 use tsp_arch::{Vector, LANES, LANES_PER_SUPERLANE};

@@ -18,11 +18,11 @@
 //! The representation makes idle stream flow free: no per-cycle copying, yet
 //! reads/writes at any `(position, cycle)` are cycle-exact.
 //!
-//! Storage is a flat array of [`SLOTS`] slots per stream, indexed by the
-//! diagonal modulo [`SLOTS`]. Because only a bounded window of diagonals is
+//! Storage is a flat array of `SLOTS` slots per stream, indexed by the
+//! diagonal modulo `SLOTS`. Because only a bounded window of diagonals is
 //! ever referenced at once (the [`NUM_POSITIONS`] on-chip positions plus the
 //! largest write look-ahead `d_func`), two diagonals that alias the same slot
-//! are always ≥ [`SLOTS`] cycles apart — the older one has flowed off the
+//! are always ≥ `SLOTS` cycles apart — the older one has flowed off the
 //! chip edge, so a write simply reclaims the slot in place. Expiry is thus
 //! incremental; no periodic garbage sweep is required (a [`StreamFile::sweep`]
 //! is still provided for statistics).
@@ -55,7 +55,7 @@ fn stream_key(s: StreamId) -> usize {
 /// diagonals are ≥ 256 cycles apart, hence never simultaneously live.
 const SLOTS: usize = 256;
 
-/// Total stream-register slots chip-wide (64 streams × [`SLOTS`] diagonals)
+/// Total stream-register slots chip-wide (64 streams × `SLOTS` diagonals)
 /// — the capacity the occupancy high-water mark
 /// ([`tsp_telemetry::Telemetry::stream_high_water`]) is measured against.
 pub const STREAM_CAPACITY: usize = 64 * SLOTS;

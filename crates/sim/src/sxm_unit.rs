@@ -11,7 +11,7 @@
 //! copies over the `[u8; 320]` planes — contiguous `copy_from_slice` runs for
 //! shifts/select/rotate, and 16-lane superlane words (`[u8; 16]` on the wire)
 //! for distribute/transpose — instead of one closure call per lane. The
-//! original per-lane implementations are retained in [`reference`] as the
+//! original per-lane implementations are retained in [`reference`](mod@reference) as the
 //! oracle for the kernel-equivalence property tests.
 
 use tsp_arch::{Vector, LANES, LANES_PER_SUPERLANE, SUPERLANES};

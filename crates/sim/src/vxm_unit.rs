@@ -15,7 +15,7 @@
 //! `i32`/`i64` (wide enough that the raw result never overflows, so
 //! saturating and modulo variants are exact); float kernels keep the
 //! original `f64`-internal arithmetic so every rounding step is unchanged.
-//! The original tagged-lane implementation is retained in [`reference`] as
+//! The original tagged-lane implementation is retained in [`reference`](mod@reference) as
 //! the oracle the kernel-equivalence property tests compare against.
 
 use std::borrow::Borrow;

@@ -289,6 +289,47 @@ fn over_deep_nesting_is_an_error() {
     assert!(Json::parse(&wide).is_ok());
 }
 
+/// Hostile text never panics the parser, in either profile: every
+/// truncation and every single-byte mutation of a printed counter set and
+/// histogram, and 20,000 seeded texts of JSON's own punctuation mixed with
+/// random bytes, come back `Ok` or `Err`.
+#[test]
+fn no_text_panics_the_parser() {
+    let parse = |bytes: &[u8]| Json::parse(&String::from_utf8_lossy(bytes)).is_ok();
+    let counters = Telemetry {
+        mxm_macc_waves: [0, 7, 1 << 40, u64::MAX],
+        ..Telemetry::new()
+    };
+    let mut histogram = Histogram::new();
+    for v in [0, 3, 1 << 20, u64::MAX] {
+        histogram.record(v);
+    }
+    let histogram = histogram.to_json();
+    for doc in [counters.to_json(0), histogram.to_string()] {
+        let doc = doc.as_bytes();
+        assert!(parse(doc), "the printed document parses");
+        for at in 0..doc.len() {
+            parse(&doc[..at]);
+            let mut mutated = doc.to_vec();
+            for byte in 0..=u8::MAX {
+                mutated[at] = byte;
+                parse(&mutated);
+            }
+        }
+    }
+    const PUNCTUATION: &[u8] = b"{}[]:,\"\\/ 0123456789.-+eEutrfalsn";
+    let mut gen = Gen(0x4a53_4f4e_f022);
+    for _ in 0..20_000 {
+        let text: Vec<u8> = (0..gen.below(48))
+            .map(|_| match gen.below(8) {
+                0 => gen.below(256) as u8,
+                _ => PUNCTUATION[gen.below(PUNCTUATION.len() as u64) as usize],
+            })
+            .collect();
+        parse(&text);
+    }
+}
+
 /// Multi-byte UTF-8 and every escape survive parse → serialize → parse.
 #[test]
 fn unicode_and_every_escape_round_trip() {
