@@ -4,6 +4,7 @@
 //! ```text
 //! cargo run --release -p tsp-bench --bin tsp-prof -- [workload] [--out trace.json] [--top N]
 //! cargo run --release -p tsp-bench --bin tsp-prof -- resnet50|resnet101|resnet152 --stalls
+//! cargo run --release -p tsp-bench --bin tsp-prof -- serve [--out serve_trace.json]
 //! ```
 //!
 //! `workload` is `vector-add` (default), `roofline`, `resnet50`, `resnet101`
@@ -21,11 +22,21 @@
 //! the compiled program ([`tsp_bench::stalls`] — per layer and plane: feed
 //! rows, in-chain stall, hand-over, when the border was cleared) and exits.
 //!
-//! The emitted trace is structurally validated ([`perfetto::validate`])
-//! before the tool exits 0 — CI uses this as its trace smoke gate.
+//! `serve` shows one served run instead of one chip: `tsp-serve` with request
+//! spans on, over a pool of four chips running
+//! [`small_cnn_batch`], chip 0 struck
+//! by a persistent fault on every dispatch. It prints the outcome counts,
+//! the p50/p99 latency and the flight recorder's non-success requests, and
+//! writes the request trace (`--out`, default `serve_trace.json`).
+//!
+//! Every trace is written only once it validates structurally
+//! ([`perfetto::validate`]), and the tool exits 1 if it does not — CI uses
+//! this as its trace smoke gate.
 
 use tsp::prelude::*;
-use tsp_bench::workloads::{resnet_model, roofline_program, vector_add_program};
+use tsp_bench::workloads::{resnet_model, roofline_program, small_cnn_batch, vector_add_program};
+use tsp_serve::{open_loop, render_flight, serve, serve_trace_json, LoadSpec, ServeConfig};
+use tsp_sim::faults::ChaosSpec;
 use tsp_telemetry::perfetto;
 use tsp_telemetry::profile::{
     idle_gaps, render_idle_gaps, render_top_units, render_utilization, UnitStat, UtilRow,
@@ -37,18 +48,118 @@ const OPS_PER_WAVE: f64 = 2.0 * 320.0 * 320.0;
 fn usage() -> ! {
     eprintln!("usage: tsp-prof [vector-add|roofline|resnet50|resnet101|resnet152] [--out trace.json] [--top N]");
     eprintln!("       tsp-prof resnet50|resnet101|resnet152 --stalls");
+    eprintln!("       tsp-prof serve [--out serve_trace.json]");
     std::process::exit(2);
+}
+
+/// Prints `message` and exits 1.
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1);
+}
+
+/// `tsp-prof serve`: 48 open-loop requests at half the pool's capacity, with
+/// a deadline of eight batches, through four chips of which chip 0 draws a
+/// persistent fault on every dispatch (so the breaker quarantines it).
+fn profile_serve(out_path: &str) {
+    const POOL: usize = 4;
+    let (model, inputs) = small_cnn_batch();
+    // The schedule fixes a run's cycles whatever the data: one fault-free
+    // run times every request's service.
+    let mut chip = Chip::new(ChipConfig::asic());
+    model.model.load_constants(&mut chip);
+    model.model.write_input(&mut chip, &inputs[0]);
+    let service = chip
+        .run(&model.model.program, &RunOptions::default())
+        .unwrap_or_else(|e| fail(&format!("calibration run failed: {e:?}")))
+        .cycles;
+    let emplace = model.emplace_cycles();
+    let batch_cycles = emplace + model.max_batch as u64 * service;
+    let spec = LoadSpec {
+        seed: 0x5EED_0011,
+        requests: 48,
+        mean_interarrival: 2.0 * batch_cycles as f64 / (POOL * model.max_batch) as f64,
+        deadline: 8 * batch_cycles,
+        inputs: inputs.len(),
+    };
+    let config = ServeConfig {
+        pool: POOL,
+        queue_depth: 32,
+        spans: true,
+        chaos: Some(ChaosSpec {
+            chips: vec![0],
+            strike_per_mille: 1000,
+            persistent_per_mille: 1000,
+            targeted_double: true,
+            ..ChaosSpec::off(0xCAFF)
+        }),
+        ..ServeConfig::default()
+    };
+    let requests = open_loop(&spec);
+    let result = serve(&model, &config, &inputs, &requests)
+        .unwrap_or_else(|e| fail(&format!("serve failed: {e}")));
+
+    println!("# tsp-prof: serve");
+    println!(
+        "pool {POOL} × batch {}, emplace {emplace}, service {service} cycles; {} requests, \
+         mean gap {:.1} cycles, deadline {}; chip 0 struck persistently",
+        model.max_batch, spec.requests, spec.mean_interarrival, spec.deadline
+    );
+    println!(
+        "good {}  shed {}  failed {}  missed {}  quarantined {}",
+        result.good(),
+        result.shed_queue_full() + result.shed_expired(),
+        result.failed(),
+        result.deadline_missed(),
+        (result.chips.iter())
+            .filter(|c| c.quarantined_at.is_some())
+            .count(),
+    );
+    // Nearest rank: the ⌈q·n⌉-th smallest latency of the completed requests.
+    let latencies = result.latencies();
+    let rank = |q: f64| {
+        let at = ((q * latencies.len() as f64).ceil() as usize).max(1);
+        latencies
+            .get(at - 1)
+            .map_or("-".to_string(), u64::to_string)
+    };
+    println!(
+        "latency p50 {}  p99 {} cycles, arrival to completion",
+        rank(0.5),
+        rank(0.99)
+    );
+    print!("{}", render_flight(&result.flight));
+    write_trace(out_path, &serve_trace_json(&result));
+}
+
+/// Writes `text` to `out_path` once it validates as a Perfetto trace, and
+/// says so; exits 1 if it does not validate or cannot be written.
+fn write_trace(out_path: &str, text: &str) -> perfetto::TraceStats {
+    let stats = perfetto::validate(text)
+        .unwrap_or_else(|e| fail(&format!("emitted trace failed validation: {e}")));
+    if let Err(e) = std::fs::write(out_path, text) {
+        fail(&format!("cannot write {out_path}: {e}"));
+    }
+    println!(
+        "wrote {out_path}: {} span events on {} tracks in {} processes, timeline end {} cycles",
+        stats.span_events,
+        stats.tracks.len(),
+        stats.processes.len(),
+        stats.max_ts
+    );
+    println!("open it at https://ui.perfetto.dev");
+    stats
 }
 
 fn main() {
     let mut workload = String::from("vector-add");
-    let mut out_path = String::from("trace.json");
+    let mut out_path = None;
     let mut top = 8usize;
     let mut stalls = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--out" => out_path = args.next().unwrap_or_else(|| usage()),
+            "--out" => out_path = Some(args.next().unwrap_or_else(|| usage())),
             "--top" => {
                 top = args
                     .next()
@@ -56,7 +167,9 @@ fn main() {
                     .unwrap_or_else(|| usage());
             }
             "--stalls" => stalls = true,
-            "vector-add" | "roofline" | "resnet50" | "resnet101" | "resnet152" => workload = a,
+            "vector-add" | "roofline" | "resnet50" | "resnet101" | "resnet152" | "serve" => {
+                workload = a;
+            }
             _ => usage(),
         }
     }
@@ -68,6 +181,11 @@ fn main() {
         print!("{}", tsp_bench::stalls::render(&resnet_model(depth).0));
         return;
     }
+    if workload == "serve" {
+        profile_serve(out_path.as_deref().unwrap_or("serve_trace.json"));
+        return;
+    }
+    let out_path = out_path.unwrap_or_else(|| "trace.json".to_string());
 
     let options = RunOptions {
         trace: true,
@@ -98,10 +216,7 @@ fn main() {
         }
         _ => usage(),
     }
-    .unwrap_or_else(|e| {
-        eprintln!("error: simulation failed: {e:?}");
-        std::process::exit(1);
-    });
+    .unwrap_or_else(|e| fail(&format!("simulation failed: {e:?}")));
 
     let t = &report.telemetry;
     let cycles = report.cycles;
@@ -242,30 +357,9 @@ fn main() {
     // Emit and smoke-validate the Perfetto trace (layer track included
     // when the workload carries layer marks).
     let text = tsp_sim::perfetto_json_with_layers(&report.trace, &report.layers);
-    if let Err(e) = std::fs::write(&out_path, &text) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    match perfetto::validate(&text) {
-        Ok(s) => {
-            assert!(
-                s.tracks
-                    .iter()
-                    .all(|n| n.starts_with("icu.") || n == "layers"),
-                "unexpected track in trace"
-            );
-            println!(
-                "wrote {out_path}: {} span events on {} tracks in {} processes, timeline end {} cycles",
-                s.span_events,
-                s.tracks.len(),
-                s.processes.len(),
-                s.max_ts
-            );
-            println!("open it at https://ui.perfetto.dev");
-        }
-        Err(e) => {
-            eprintln!("error: emitted trace failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
+    let stats = write_trace(&out_path, &text);
+    assert!(
+        (stats.tracks.iter()).all(|n| n.starts_with("icu.") || n == "layers"),
+        "unexpected track in trace"
+    );
 }

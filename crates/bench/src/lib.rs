@@ -2,11 +2,12 @@
 //!
 //! One binary per paper table/figure (see DESIGN.md §3 for the experiment
 //! index), plus ablation studies. Binaries print the same rows/series the
-//! paper reports, ready for EXPERIMENTS.md; `serve_bench` and
-//! `fault_campaign` also write a JSON artifact (`BENCH_SERVE.json`,
-//! `BENCH_FAULTS.json`) built as a [`tsp_telemetry::json::Json`] value.
-//! Host speed is not measured here: the standalone `benchmark/` crate is the
-//! one harness that times the simulator.
+//! paper reports, ready for EXPERIMENTS.md; `fault_campaign` also writes a
+//! JSON artifact (`BENCH_FAULTS.json`) built as a
+//! [`tsp_telemetry::json::Json`] value. Host speed and serving are not
+//! measured here: the standalone `benchmark/` crate is the one harness that
+//! times the simulator and gates the serving layer, and `tsp-prof serve`
+//! shows one served run.
 //!
 //! The harness itself contributes [`fan_out`]: experiment points are
 //! independent simulations of a deterministic machine, so the bins run them
@@ -17,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod serve_report;
 pub mod stalls;
 pub mod workloads;
 

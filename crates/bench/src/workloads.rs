@@ -7,10 +7,12 @@ use tsp_compiler::kernels::binary_ew;
 use tsp_compiler::kernels::matmul::{schedule_plane_chain, Pass};
 use tsp_compiler::Scheduler;
 use tsp_isa::{BinaryAluOp, Plane};
+use tsp_nn::batch::{compile_batch_cached, BatchModel};
 use tsp_nn::compile::{compile_cached, CompileOptions, CompiledModel};
 use tsp_nn::data::synthetic;
 use tsp_nn::quant::quantize;
 use tsp_nn::resnet::{resnet, Widths};
+use tsp_nn::train::small_cnn;
 use tsp_sim::Program;
 
 use std::sync::Arc;
@@ -81,4 +83,19 @@ pub fn resnet_model(depth: u32) -> (Arc<CompiledModel>, Vec<i8>) {
     let model = compile_cached(&q, &CompileOptions::default());
     let image = q.quantize_image(&data.images[0]);
     (model, image)
+}
+
+/// The served model: `small_cnn` on 12×12×2 images, compiled for batches of
+/// up to 4, with the 8 quantized inputs its requests index into.
+#[must_use]
+pub fn small_cnn_batch() -> (BatchModel, Vec<Vec<i8>>) {
+    let data = synthetic(11, 12, 12, 2, 4, 6);
+    let (g, params) = small_cnn(12, 16, 4, 5);
+    let q = quantize(&g, &params, &data.images[..2]);
+    let model = compile_batch_cached(&q, &CompileOptions::default(), 4);
+    let images = data.images[..8]
+        .iter()
+        .map(|i| q.quantize_image(i))
+        .collect();
+    (model, images)
 }

@@ -92,8 +92,8 @@ fn ew_chain(
     };
     let write_delay = if post_relu { 2 * D_VXM } else { D_VXM };
 
-    let (alu, ready) = s.pick_alu(t0);
-    t0 = ready;
+    // An ALU for the op and, one stage later, another for the ReLU.
+    t0 = s.alu_chain_free(t0, 1 + usize::from(post_relu));
     for input in inputs {
         let dir = Direction::inward_from(tensor_hemisphere(input));
         t0 = s.earliest_read_arrival(input, &rows, dir, vxm, t0);
@@ -146,6 +146,8 @@ fn ew_chain(
         s.read_rows(input, &rows, group.base, vxm, t0);
     }
     // The repeated ALU op.
+    let (alu, ready) = s.pick_alu(t0);
+    debug_assert_eq!(ready, t0, "priced by alu_chain_free");
     let op = make_op(&groups, dst_group, alu);
     s.place_burst(IcuId::Vxm { alu }, t0, u64::from(n), op);
     s.occupy_stream(dst_group.base, vxm, t0 + D_VXM + u64::from(n));
@@ -153,7 +155,8 @@ fn ew_chain(
     // Optional chained ReLU: consumes the result stream at its birth
     // position (the VXM) on a second ALU — no memory round trip (§II-E).
     let final_group = if let Some(rg) = relu_group {
-        let (relu_alu, _) = s.pick_alu(t0 + D_VXM);
+        let (relu_alu, ready) = s.pick_alu(t0 + D_VXM);
+        debug_assert_eq!(ready, t0 + D_VXM, "priced by alu_chain_free");
         let relu = VxmOp::Unary {
             op: UnaryAluOp::Relu,
             dtype: DataType::Int8,
@@ -302,6 +305,7 @@ pub fn binary_ew_fused(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::testing::hold_all_alus_but_the_first;
     use tsp_arch::{ChipConfig, Vector};
     use tsp_sim::chip::RunOptions;
     use tsp_sim::Chip;
@@ -396,6 +400,50 @@ mod tests {
                 Vector::splat(110 + 2 * r as u8),
                 "row {r}"
             );
+        }
+    }
+
+    /// A fused `add + relu` with one ALU free and the other fifteen held: the
+    /// ReLU waits for an ALU of its own instead of double-booking the add's.
+    #[test]
+    fn chained_relu_waits_for_an_alu_of_its_own() {
+        let mut s = Scheduler::new();
+        hold_all_alus_but_the_first(&mut s);
+        let mut alloc = |h| {
+            s.alloc
+                .alloc_in(Some(h), 6, 320, BankPolicy::Low, 4096)
+                .unwrap()
+        };
+        let (a, b) = (alloc(Hemisphere::East), alloc(Hemisphere::West));
+        let (dst, done) = binary_ew_fused(
+            &mut s,
+            BinaryAluOp::AddSat,
+            &a,
+            &b,
+            Hemisphere::East,
+            BankPolicy::High,
+            0,
+            1,
+            true,
+        );
+        let program = s.into_program().expect("no queue double-booked");
+        assert!(done >= 5_000, "the ReLU waited for a held ALU: done {done}");
+        let mut chip = Chip::new(ChipConfig::asic());
+        fill(&mut chip, &a, |r, l| (r as u8 * 40).wrapping_add(l as u8));
+        fill(&mut chip, &b, |_, l| (l as i16 - 160) as i8 as u8);
+        chip.run(&program, &RunOptions::default())
+            .expect("clean run");
+        for r in 0..6 {
+            let got = chip.memory.read_unchecked(dst[0].row(r));
+            for l in 0..320 {
+                let x = (r as u8 * 40).wrapping_add(l as u8) as i8;
+                let y = (l as i16 - 160) as i8;
+                assert_eq!(
+                    got.lane(l) as i8,
+                    x.saturating_add(y).max(0),
+                    "row {r} lane {l}"
+                );
+            }
         }
     }
 

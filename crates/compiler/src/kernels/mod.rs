@@ -24,7 +24,8 @@ pub use pool::{global_avg_pool, max_pool, packed_pixels, pixels_per_row, MaxPool
 #[cfg(test)]
 pub(crate) mod testing {
     use tsp_arch::{Hemisphere, Vector, MEM_SLICES_PER_HEMISPHERE};
-    use tsp_sim::Chip;
+    use tsp_isa::{AluIndex, IcuOp};
+    use tsp_sim::{Chip, IcuId};
 
     use crate::alloc::BankPolicy;
     use crate::{Scheduler, TensorHandle};
@@ -63,6 +64,14 @@ pub(crate) mod testing {
                 }
                 s.alloc.free(t);
             }
+        }
+    }
+
+    /// Holds VXM ALUs 1–15 until cycle 5,000 with a `NOP` on each queue:
+    /// until then ALU 0 is the only one a kernel can issue on.
+    pub(crate) fn hold_all_alus_but_the_first(s: &mut Scheduler) {
+        for alu in (1..AluIndex::COUNT).map(AluIndex::new) {
+            s.place(IcuId::Vxm { alu }, 0, IcuOp::Nop { count: 5_000 });
         }
     }
 }

@@ -275,9 +275,10 @@ pub fn max_pool(
                     maps => ActFeed::Gather(maps),
                 })
                 .collect();
-            // Common earliest start, honoring staggered arrivals: every
-            // operand stream and every max-result stream free, every read
-            // port free.
+            // Common earliest start, honoring staggered arrivals: an ALU for
+            // every max, every operand stream and every max-result stream
+            // free, every read port free.
+            t0 = s.alu_chain_free(t0, plan.len() - 1);
             let out_dir = Direction::outward_from(params.out_hemisphere);
             let stagger = |i: usize| (i as u64).saturating_sub(1) * D_VXM;
             let mut ids: Vec<StreamId> = Vec::new();
@@ -335,7 +336,8 @@ pub fn max_pool(
             for (i, (id, mid)) in ids[1..].iter().zip(&mids).enumerate() {
                 let t_op = t0 + stagger(i + 1);
                 debug_assert_eq!(t_op, t_cur.max(t_op));
-                let (alu, _) = s.pick_alu(t_op);
+                let (alu, ready) = s.pick_alu(t_op);
+                debug_assert_eq!(ready, t_op, "priced by alu_chain_free");
                 let mid = StreamGroup::new(*mid, 1);
                 let max = VxmOp::Binary {
                     op: BinaryAluOp::Max,
@@ -516,7 +518,7 @@ pub fn global_avg_pool(
 mod tests {
     use super::*;
     use crate::kernels::conv::alloc_feature_map;
-    use crate::kernels::testing::dirty_sram;
+    use crate::kernels::testing::{dirty_sram, hold_all_alus_but_the_first};
     use tsp_arch::ChipConfig;
     use tsp_sim::chip::RunOptions;
     use tsp_sim::Chip;
@@ -529,10 +531,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn max_pool_3x3_stride2_matches_reference() {
+    /// A 3×3/2 pool (pad 1) of an `h×w×c` map held in nine replicas, on a
+    /// scheduler `prepare` had first, against the scalar reference.
+    fn pool_3x3_stride2_on(h: u32, w: u32, c: u32, prepare: impl FnOnce(&mut Scheduler)) {
         let mut s = Scheduler::new();
-        let (h, w, c) = (7u32, 7u32, 5u32);
+        prepare(&mut s);
         let input = alloc_feature_map(&mut s, h, w, c, 1, Hemisphere::East, 9);
         let params = MaxPoolParams {
             kernel: 3,
@@ -586,6 +589,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn max_pool_3x3_stride2_matches_reference() {
+        pool_3x3_stride2_on(7, 7, 5, |_| {});
+    }
+
+    /// The eight chained maxes of a 3×3/2 pool with one ALU free and the
+    /// other fifteen held: the chain waits for an ALU per max instead of
+    /// stacking them on the free one.
+    #[test]
+    fn max_tree_waits_for_an_alu_per_max() {
+        pool_3x3_stride2_on(12, 12, 32, hold_all_alus_but_the_first);
     }
 
     /// A padded pool output on recycled SRAM gets its border cleared.

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use tsp_arch::{Direction, Hemisphere, Position, Slice, StreamId, Vector, SUPERLANES};
-use tsp_isa::{AluIndex, IcuOp, Instruction, MemAddr, MemOp, Plane, D_GATHER, D_READ};
+use tsp_isa::{AluIndex, IcuOp, Instruction, MemAddr, MemOp, Plane, D_GATHER, D_READ, D_VXM};
 use tsp_mem::GlobalAddress;
 use tsp_sim::{IcuId, Program};
 
@@ -802,6 +802,32 @@ impl Scheduler {
             .min_by_key(|&(free, alu)| (free, alu.0))
             .expect("16 ALUs exist");
         (alu, free.max(at))
+    }
+
+    /// The first cycle `t ≥ at` from which a chain of `stages` VXM ops —
+    /// stage `j` issued at `t + j·D_VXM`, each consuming its predecessor's
+    /// result where it is born — finds an ALU for every stage, none shared:
+    /// the `j`-th freest ALU must be free by stage `j`. Placing the stages
+    /// in order, each on [`Scheduler::pick_alu`] at its cycle, then issues
+    /// every one on a free queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain has more stages than the VXM has ALUs.
+    #[must_use]
+    pub fn alu_chain_free(&self, at: u64, stages: usize) -> u64 {
+        assert!(
+            stages <= usize::from(AluIndex::COUNT),
+            "{stages} stages, 16 ALUs"
+        );
+        let mut free: Vec<u64> = (0..AluIndex::COUNT)
+            .map(AluIndex::new)
+            .map(|alu| self.pool.free_at(Resource::Queue(IcuId::Vxm { alu })))
+            .collect();
+        free.sort_unstable();
+        (free.iter().take(stages).zip(0u64..))
+            .map(|(&free, j)| free.saturating_sub(j * D_VXM))
+            .fold(at, u64::max)
     }
 
     /// The first cycle `plane`'s weight buffer takes another `LW` (its last

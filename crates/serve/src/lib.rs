@@ -22,7 +22,8 @@
 //!   drains work to the healthy rest (throughput degrades by roughly the
 //!   struck chip's share); every successful response's logits are
 //!   bit-identical to a fault-free serial oracle, enforced end to end by
-//!   the `serve_bench` zero-SDC gate.
+//!   the zero-SDC check of the benchmark's `serve_steady` / `serve_chaos`
+//!   workloads.
 //!
 //! **Determinism.** There is no wall clock anywhere in the serving model.
 //! Time is a virtual cycle counter: arrivals carry cycles, service times are

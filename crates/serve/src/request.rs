@@ -8,10 +8,20 @@ pub struct Request {
     /// Arrival cycle on the virtual clock.
     pub arrival: u64,
     /// Deadline budget in cycles: the request must complete by
-    /// `arrival + deadline` to count toward goodput.
+    /// [`Request::due`] to count toward goodput.
     pub deadline: u64,
     /// Index into the server's shared input set (which image to run).
     pub input: usize,
+}
+
+impl Request {
+    /// The last cycle the request may complete in and still count toward
+    /// goodput: `arrival + deadline`, saturating — a `u64::MAX` deadline is
+    /// "no deadline", not one that wraps into the past.
+    #[must_use]
+    pub fn due(&self) -> u64 {
+        self.arrival.saturating_add(self.deadline)
+    }
 }
 
 /// Why a request was shed without touching a chip.
@@ -26,7 +36,7 @@ pub enum Rejected {
     /// would only waste a chip on an answer nobody is waiting for.
     Expired {
         /// The scheduling instant at which the expiry was observed
-        /// (strictly past `arrival + deadline`).
+        /// (strictly past [`Request::due`]).
         at: u64,
     },
 }
@@ -49,7 +59,7 @@ pub enum ServeOutcome {
         dispatched: u64,
         /// Completion cycle (dispatch + emplace share + service).
         completed: u64,
-        /// `completed ≤ arrival + deadline`.
+        /// `completed ≤` [`Request::due`].
         deadline_met: bool,
         /// Chip runs performed (1 = first try).
         attempts: u32,

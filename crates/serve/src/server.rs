@@ -52,17 +52,17 @@ use crate::request::{Rejected, Request, Response, ServeOutcome};
 pub struct ServeConfig {
     /// Chip configuration every pool member runs.
     pub chip: ChipConfig,
-    /// Pool size (chips), ≥ 1.
+    /// Pool size (chips), 1 to [`ServeConfig::MAX_POOL`].
     pub pool: usize,
     /// Admission-queue bound, ≥ 1: arrivals past it shed
     /// [`Rejected::QueueFull`].
     pub queue_depth: usize,
     /// Per-request retry budget handed to `run_resilient` (first attempt
-    /// included), ≥ 1.
+    /// included), 1 to [`ServeConfig::MAX_ATTEMPTS`].
     pub max_attempts: u32,
     /// Base of the capped exponential backoff: retry `k` (zero-based)
-    /// charges `min(backoff_base << k, backoff_cap)` virtual cycles before
-    /// its re-emplace.
+    /// charges [`ServeConfig::backoff`]`(k)` virtual cycles before its
+    /// re-emplace.
     pub backoff_base: u64,
     /// Cap of the exponential backoff, in cycles.
     pub backoff_cap: u64,
@@ -107,12 +107,26 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Backoff charged before retry `k` (zero-based): capped exponential.
+    /// Most chips a pool may hold: the loop visits every member at each
+    /// scheduling instant.
+    pub const MAX_POOL: usize = 1024;
+    /// Most attempts a request may be given: a persistent fault burns every
+    /// one of them on the simulator.
+    pub const MAX_ATTEMPTS: u32 = 64;
+
+    /// Backoff charged before retry `k` (zero-based): capped exponential,
+    /// `min(backoff_base · 2^k, backoff_cap)` without overflow.
     #[must_use]
     pub fn backoff(&self, retry: u32) -> u64 {
-        self.backoff_base
-            .checked_shl(retry)
+        1u64.checked_shl(retry)
+            .and_then(|scale| self.backoff_base.checked_mul(scale))
             .map_or(self.backoff_cap, |b| b.min(self.backoff_cap))
+    }
+
+    /// Total backoff charged before the first `retries` retries, saturating.
+    #[must_use]
+    pub fn backoff_total(&self, retries: u32) -> u64 {
+        (0..retries).fold(0, |sum, k| sum.saturating_add(self.backoff(k)))
     }
 }
 
@@ -120,7 +134,8 @@ impl ServeConfig {
 /// [`ServeOutcome`]s, not errors).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// `pool`, `queue_depth` or `max_attempts` was zero.
+    /// `pool`, `queue_depth`, `max_attempts` or the model's `max_batch` was
+    /// zero, or `pool` / `max_attempts` was past its limit.
     BadConfig(&'static str),
     /// Requests must arrive sorted by `(arrival, id)` with unique ids; the
     /// payload is the index of the first offender.
@@ -179,14 +194,13 @@ pub struct ServedRequest {
 }
 
 impl ServedRequest {
-    /// This row's service cycles: failed attempts + backoff + re-emplaces
-    /// + the completing run.
+    /// This row's service cycles — its failed attempts, backoff, re-emplaces
+    /// and completing run — saturating at `u64::MAX`, as every cycle of the
+    /// virtual clock does.
     #[must_use]
     pub fn service(&self) -> u64 {
-        self.failed_attempt_cycles.iter().sum::<u64>()
-            + self.backoff
-            + self.reemplace
-            + self.final_cycles.unwrap_or(0)
+        let parts = [self.backoff, self.reemplace, self.final_cycles.unwrap_or(0)];
+        (self.failed_attempt_cycles.iter().chain(&parts)).fold(0, |sum, &c| sum.saturating_add(c))
     }
 }
 
@@ -376,9 +390,7 @@ fn shed_trace(r: &Request, why: &Rejected, at: u64) -> RequestTrace {
         Rejected::QueueFull { queue_depth } => {
             SpanNode::new("shed:queue-full", at).with_arg("queue_depth", *queue_depth as u64)
         }
-        Rejected::Expired { .. } => {
-            SpanNode::new("shed:expired", at).with_arg("deadline", r.arrival + r.deadline)
-        }
+        Rejected::Expired { .. } => SpanNode::new("shed:expired", at).with_arg("deadline", r.due()),
     });
     RequestTrace {
         id: r.id,
@@ -418,49 +430,37 @@ fn dispatched_trace(
     let mut batch = SpanNode::span("batch", a.dispatched, row.completed)
         .with_arg("chip", a.chip as u64)
         .with_arg("batch", a.batch_index as u64);
-    batch.push(SpanNode::span(
-        "emplace",
-        a.dispatched,
-        a.dispatched + emplace,
-    ));
-    if row_start > a.dispatched + emplace {
+    let emplaced = a.dispatched.saturating_add(emplace);
+    batch.push(SpanNode::span("emplace", a.dispatched, emplaced));
+    if row_start > emplaced {
         // Earlier rows of the batch ran first; this request waited its turn.
-        batch.push(SpanNode::span(
-            "wait:earlier-rows",
-            a.dispatched + emplace,
-            row_start,
-        ));
+        batch.push(SpanNode::span("wait:earlier-rows", emplaced, row_start));
     }
     let transitions = row.attempts.saturating_sub(1);
     let mut at = row_start;
+    // The row's phases, back to back on the (saturating) virtual clock.
+    let mut phase = |name: String, cycles: u64| {
+        let start = at;
+        at = at.saturating_add(cycles);
+        SpanNode::span(name, start, at)
+    };
     for (i, &burned) in row.failed_attempt_cycles.iter().enumerate() {
-        let mut attempt = SpanNode::span(format!("attempt {}", i + 1), at, at + burned);
+        let mut attempt = phase(format!("attempt {}", i + 1), burned);
         if let Some(cause) = causes.get(i) {
             attempt = attempt
                 .with_text("cause", cause.kind.name())
                 .with_arg("fault_cycle", cause.cycle);
         }
         batch.push(attempt);
-        at += burned;
         if (i as u32) < transitions {
-            let backoff = config.backoff(i as u32);
-            batch.push(SpanNode::span("backoff", at, at + backoff));
-            at += backoff;
-            batch.push(SpanNode::span("re-emplace", at, at + emplace));
-            at += emplace;
+            batch.push(phase("backoff".into(), config.backoff(i as u32)));
+            batch.push(phase("re-emplace".into(), emplace));
         }
     }
-    match row.final_cycles {
-        Some(final_cycles) => {
-            batch.push(SpanNode::span(
-                format!("attempt {}", row.attempts),
-                at,
-                at + final_cycles,
-            ));
-            at += final_cycles;
-        }
-        None => batch.push(SpanNode::new("failed", at)),
-    }
+    batch.push(match row.final_cycles {
+        Some(cycles) => phase(format!("attempt {}", row.attempts), cycles),
+        None => SpanNode::new("failed", at),
+    });
     debug_assert_eq!(at, row.completed, "span timeline must match accounting");
     root.push(batch);
     RequestTrace {
@@ -488,14 +488,19 @@ pub fn serve(
     inputs: &[Vec<i8>],
     requests: &[Request],
 ) -> Result<ServeResult, ServeError> {
-    if config.pool == 0 {
-        return Err(ServeError::BadConfig("pool must hold at least one chip"));
+    if !(1..=ServeConfig::MAX_POOL).contains(&config.pool) {
+        return Err(ServeError::BadConfig("pool must hold 1 to MAX_POOL chips"));
     }
     if config.queue_depth == 0 {
         return Err(ServeError::BadConfig("queue_depth must be at least 1"));
     }
-    if config.max_attempts == 0 {
-        return Err(ServeError::BadConfig("max_attempts must be at least 1"));
+    if !(1..=ServeConfig::MAX_ATTEMPTS).contains(&config.max_attempts) {
+        return Err(ServeError::BadConfig(
+            "max_attempts must be 1 to MAX_ATTEMPTS",
+        ));
+    }
+    if model.max_batch == 0 {
+        return Err(ServeError::BadConfig("max_batch must be at least 1"));
     }
     for (i, pair) in requests.windows(2).enumerate() {
         if (pair[1].arrival, pair[1].id) <= (pair[0].arrival, pair[0].id) {
@@ -567,7 +572,7 @@ pub fn serve(
             let mut kept = VecDeque::with_capacity(queue.len());
             let mut out = Vec::new();
             for r in queue.drain(..) {
-                if r.arrival + r.deadline < now {
+                if r.due() < now {
                     out.push(r);
                 } else {
                     kept.push_back(r);
@@ -740,20 +745,26 @@ fn account(
     batches: &mut Vec<BatchRecord>,
     tracer: &mut Tracer,
 ) {
-    let mut cursor = a.dispatched + emplace;
+    let mut cursor = a.dispatched.saturating_add(emplace);
     let mut served = Vec::with_capacity(a.requests.len());
     for (request, result) in a.requests.iter().zip(reports) {
         let row = match result {
             Ok(report) => {
-                let failed_attempt_cycles: Vec<u64> =
-                    report.retry_causes.iter().map(|c| c.cycle).collect();
                 let transitions = report.attempts.saturating_sub(1);
-                let backoff: u64 = (0..transitions).map(|k| config.backoff(k)).sum();
-                let reemplace = u64::from(transitions) * emplace;
-                let final_cycles = match &report.outcome {
-                    RunOutcome::Completed { cycles, .. } => Some(*cycles),
-                    RunOutcome::Exhausted { .. } => None,
+                let mut row = ServedRequest {
+                    id: request.id,
+                    attempts: report.attempts,
+                    failed_attempt_cycles: report.retry_causes.iter().map(|c| c.cycle).collect(),
+                    final_cycles: match &report.outcome {
+                        RunOutcome::Completed { cycles, .. } => Some(*cycles),
+                        RunOutcome::Exhausted { .. } => None,
+                    },
+                    backoff: config.backoff_total(transitions),
+                    reemplace: u64::from(transitions) * emplace,
+                    completed: 0,
                 };
+                row.completed = cursor.saturating_add(row.service());
+                let completed_at = row.completed;
                 let (mut link, mut sram) = (0u64, 0u64);
                 for cause in &report.retry_causes {
                     if cause.kind.is_link() {
@@ -765,20 +776,6 @@ fn account(
                 }
                 chip.stats.retries_link += link;
                 chip.stats.retries_sram += sram;
-                let service = failed_attempt_cycles.iter().sum::<u64>()
-                    + backoff
-                    + reemplace
-                    + final_cycles.unwrap_or(0);
-                let completed_at = cursor + service;
-                let row = ServedRequest {
-                    id: request.id,
-                    attempts: report.attempts,
-                    failed_attempt_cycles,
-                    final_cycles,
-                    backoff,
-                    reemplace,
-                    completed: completed_at,
-                };
                 match &report.outcome {
                     RunOutcome::Completed { logits, .. } => {
                         if report.retried == 0 {
@@ -786,7 +783,7 @@ fn account(
                         }
                         chip.stats.completed += 1;
                         chip.stats.telemetry.merge(&report.telemetry);
-                        let deadline_met = completed_at <= request.arrival + request.deadline;
+                        let deadline_met = completed_at <= request.due();
                         responses.push(Response {
                             id: request.id,
                             input: request.input,

@@ -86,7 +86,7 @@ pub fn serve_trace_json(result: &ServeResult) -> String {
 }
 
 /// Renders the flight recorder as an indented plain-text dump — the
-/// "what just went wrong" view printed by `serve_bench`.
+/// "what just went wrong" view printed by `tsp-prof serve`.
 #[must_use]
 pub fn render_flight(flight: &FlightRecorder) -> String {
     let mut out = format!(

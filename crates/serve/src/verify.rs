@@ -7,8 +7,8 @@
 //! emplace cost and the [`ServeConfig`], and independently re-derives every
 //! completion cycle, backoff charge, deadline verdict and per-chip busy
 //! interval from the batch records. Any mismatch is a *violation* — the
-//! condition the `serve_bench` CI gate fails on ("zero deadline-accounting
-//! violations" in the acceptance criteria).
+//! condition the benchmark's `serve_steady` / `serve_chaos` workloads fail
+//! on ("zero deadline-accounting violations").
 
 use std::collections::HashMap;
 
@@ -33,7 +33,7 @@ use crate::server::{ServeConfig, ServeResult};
 ///    ≥ previous finish);
 /// 4. every completed/failed response points at a batch row that agrees on
 ///    chip, dispatch and completion cycles, and `deadline_met` is exactly
-///    `completed ≤ arrival + deadline`;
+///    `completed ≤` [`Request::due`];
 /// 5. expiry sheds happened strictly after the deadline, and the horizon
 ///    is the latest batch finish.
 ///
@@ -88,10 +88,10 @@ pub fn verify_accounting(
                 batch.emplace
             ));
         }
-        let mut cursor = batch.dispatched + batch.emplace;
+        let mut cursor = batch.dispatched.saturating_add(batch.emplace);
         for row in &batch.served {
             let transitions = row.attempts.saturating_sub(1);
-            let backoff: u64 = (0..transitions).map(|k| config.backoff(k)).sum();
+            let backoff = config.backoff_total(transitions);
             if row.backoff != backoff {
                 v(format!(
                     "batch {bi} request {}: backoff {} != derived {backoff}",
@@ -119,7 +119,7 @@ pub fn verify_accounting(
                     row.attempts
                 ));
             }
-            cursor += row.service();
+            cursor = cursor.saturating_add(row.service());
             if row.completed != cursor {
                 v(format!(
                     "batch {bi} request {}: completed {} != derived {cursor}",
@@ -171,8 +171,12 @@ pub fn verify_accounting(
         }
     }
 
-    // 4. Responses agree with their batch rows.
+    // 4. Responses agree with their batch rows. (A response matching no
+    //    request is already a violation of 1.)
     for response in &result.responses {
+        let Some(request) = by_id.get(&response.id) else {
+            continue;
+        };
         let (batch_index, chip, dispatched, completed, deadline_met) = match &response.outcome {
             ServeOutcome::Completed {
                 batch,
@@ -190,11 +194,11 @@ pub fn verify_accounting(
                 ..
             } => (*batch, *chip, *dispatched, *completed, None),
             ServeOutcome::Shed(Rejected::Expired { at }) => {
-                if *at <= response.arrival + response.deadline {
+                if *at <= request.due() {
                     v(format!(
                         "response {}: expired at {at}, within deadline {}",
                         response.id,
-                        response.arrival + response.deadline
+                        request.due()
                     ));
                 }
                 continue;
@@ -237,12 +241,12 @@ pub fn verify_accounting(
             }
         }
         if let Some(met) = deadline_met {
-            let derived = completed <= response.arrival + response.deadline;
+            let derived = completed <= request.due();
             if met != derived {
                 v(format!(
                     "response {}: deadline_met {met} but completed {completed} vs bound {}",
                     response.id,
-                    response.arrival + response.deadline
+                    request.due()
                 ));
             }
         }

@@ -2,9 +2,12 @@
 //! deadlines are enforced on the virtual clock, chaos-injected faults
 //! degrade throughput without ever degrading answers (logits bit-identical
 //! to a fault-free serial oracle), the circuit breaker quarantines a chip
-//! drawing persistent faults, and the whole accounting re-derives cleanly.
+//! drawing persistent faults, and the whole accounting re-derives cleanly —
+//! for hand-picked cases and for seeded random configurations alike.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use tsp_arch::ChipConfig;
 use tsp_nn::batch::{compile_batch_cached, BatchModel};
@@ -14,10 +17,11 @@ use tsp_nn::quant::quantize;
 use tsp_nn::resilient::{run_resilient, ResilientOptions, RunOutcome};
 use tsp_nn::train::small_cnn;
 use tsp_serve::{
-    serve, verify_accounting, HealthConfig, Rejected, Request, ServeConfig, ServeError,
-    ServeOutcome,
+    open_loop, serve, serve_trace_json, verify_accounting, HealthConfig, LoadSpec, Rejected,
+    Request, ServeConfig, ServeError, ServeOutcome,
 };
 use tsp_sim::faults::ChaosSpec;
+use tsp_telemetry::perfetto;
 
 /// The shared workload: a small CNN with a handful of quantized inputs.
 fn workload(max_batch: usize) -> (BatchModel, Vec<Vec<i8>>) {
@@ -371,12 +375,202 @@ fn structural_errors_are_rejected_up_front() {
             input: inputs.len()
         }
     );
-    let empty_pool = ServeConfig {
-        pool: 0,
+    // Out-of-range bounds: no chips, more chips than can be allocated, a
+    // budget a persistent fault would burn 2^32 simulations of, and an empty
+    // batch, which dispatches nothing forever to a request without deadline.
+    let requests = requests_at(&[(0, 0)], u64::MAX);
+    for (pool, max_attempts, max_batch) in
+        [(0, 3, 2), (usize::MAX, 3, 2), (2, u32::MAX, 2), (2, 3, 0)]
+    {
+        let bad = ServeConfig {
+            pool,
+            max_attempts,
+            ..ServeConfig::default()
+        };
+        let model = BatchModel {
+            max_batch,
+            ..model.clone()
+        };
+        let outcome = serve(&model, &bad, &inputs, &requests);
+        assert!(
+            matches!(outcome, Err(ServeError::BadConfig(_))),
+            "{pool} {max_attempts} {max_batch}"
+        );
+    }
+}
+
+/// A backoff of `u64::MAX` cycles on a request whose every attempt fails:
+/// the virtual clock saturates — in the accounting, its re-derivation, the
+/// span timeline and the exported trace — instead of overflowing.
+#[test]
+fn a_saturated_clock_is_accounted_and_traced() {
+    let (model, inputs) = workload(1);
+    let requests = requests_at(&[(0, 0)], u64::MAX);
+    let config = ServeConfig {
+        pool: 1,
+        max_attempts: 2,
+        backoff_base: u64::MAX,
+        backoff_cap: u64::MAX,
+        spans: true,
+        chaos: Some(ChaosSpec {
+            chips: vec![0],
+            strike_per_mille: 1000,
+            persistent_per_mille: 1000,
+            targeted_double: true,
+            ..ChaosSpec::off(7)
+        }),
         ..ServeConfig::default()
     };
-    assert!(matches!(
-        serve(&model, &empty_pool, &inputs, &[]).unwrap_err(),
-        ServeError::BadConfig(_)
-    ));
+    let result = serve(&model, &config, &inputs, &requests).expect("serves");
+    let ServeOutcome::Failed {
+        completed,
+        attempts,
+        ..
+    } = result.responses[0].outcome
+    else {
+        panic!("every attempt fails: {:?}", result.responses[0])
+    };
+    assert_eq!(
+        (completed, attempts, result.horizon),
+        (u64::MAX, 2, u64::MAX)
+    );
+    verify_accounting(&requests, &result, &model, &config).expect("accounting re-derives");
+    let stats = perfetto::validate(&serve_trace_json(&result)).expect("trace validates");
+    assert_eq!(stats.max_ts, u64::MAX);
+    // Doubling a base past half the range reaches the cap, not a wrap.
+    let doubled = ServeConfig {
+        backoff_base: 1 << 63,
+        ..config
+    };
+    assert_eq!(doubled.backoff(1), u64::MAX);
+}
+
+/// A request with no deadline (`u64::MAX` cycles) is served and meets it:
+/// its due cycle saturates instead of wrapping into the past, where a
+/// release build would shed it as `Expired` on arrival.
+#[test]
+fn a_request_without_a_deadline_is_served_in_time() {
+    let (model, inputs) = workload(1);
+    let requests = requests_at(&[(1, 0)], u64::MAX);
+    let config = ServeConfig {
+        pool: 1,
+        ..ServeConfig::default()
+    };
+    let result = serve(&model, &config, &inputs, &requests).expect("serves");
+    assert!(result.responses[0].good(), "{:?}", result.responses[0]);
+    verify_accounting(&requests, &result, &model, &config).expect("accounting re-derives");
+}
+
+/// A splitmix64 stream: the random serving cases grow from one seed.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn coin(&mut self) -> bool {
+        self.next() & 1 == 1
+    }
+
+    fn pick<T: Copy>(&mut self, menu: &[T]) -> T {
+        menu[(self.next() % menu.len() as u64) as usize]
+    }
+}
+
+/// Seeded random pools, queue bounds, retry budgets, batch bounds,
+/// backoffs, chaos windows, chaos specs, deadlines and tracing settings —
+/// drawn from menus holding 0, 1 and each type's maximum — over short
+/// open-loop traces. Every fourth case breaks one bound, each in turn, and
+/// `serve` must refuse it with a `BadConfig`. It serves every other case
+/// without panicking: completed logits are the oracle's, the accounting
+/// re-derives, and with spans on every request has a trace and the exported
+/// document validates.
+#[test]
+fn random_configurations_serve_or_are_refused() {
+    let (shared, inputs) = workload(4);
+    let golden = oracle(&shared, &inputs);
+    let breaks: [fn(&mut ServeConfig, &mut BatchModel); 6] = [
+        |c, _| c.pool = 0,
+        |c, _| c.pool = usize::MAX,
+        |c, _| c.queue_depth = 0,
+        |c, _| c.max_attempts = 0,
+        |c, _| c.max_attempts = u32::MAX,
+        |_, m| m.max_batch = 0,
+    ];
+    let mut draw = Draw(13);
+    let mut unbounded = 0;
+    for case in 0..24 {
+        let pool = draw.pick(&[1, 1, 2, 3, 4]);
+        // Struck chips: any of the pool's, and one past its end.
+        let chaos = (!draw.next().is_multiple_of(3)).then(|| ChaosSpec {
+            chips: (0..=pool).filter(|_| draw.coin()).collect(),
+            strike_per_mille: draw.pick(&[0, 1, 500, 1000, u32::MAX]),
+            persistent_per_mille: draw.pick(&[0, 1, 500, 1000, u32::MAX]),
+            targeted_double: draw.pick(&[true, true, false]),
+            ..ChaosSpec::off(draw.next())
+        });
+        let mut config = ServeConfig {
+            pool,
+            queue_depth: draw.pick(&[1, 2, 8, 64, usize::MAX]),
+            max_attempts: draw.pick(&[1, 2, 3, 4]),
+            backoff_base: draw.pick(&[0, 1, 256, u64::MAX]),
+            backoff_cap: draw.pick(&[0, 1, 2048, u64::MAX]),
+            chaos_window: draw.pick(&[0, 1, 2048, u64::MAX]),
+            chaos,
+            spans: draw.coin(),
+            flight_capacity: draw.pick(&[0, 1, 64, usize::MAX]),
+            ..ServeConfig::default()
+        };
+        let mut model = BatchModel {
+            model: Arc::clone(&shared.model),
+            max_batch: draw.pick(&[1, 2, 4, usize::MAX]),
+        };
+        if case % 4 == 0 {
+            breaks[case / 4](&mut config, &mut model);
+        }
+        let mut requests = open_loop(&LoadSpec {
+            seed: draw.next(),
+            requests: (draw.next() % 13) as usize,
+            mean_interarrival: draw.pick(&[1.0, 250.0, 2500.0]),
+            deadline: 0,
+            inputs: inputs.len(),
+        });
+        for r in &mut requests {
+            r.deadline = draw.pick(&[0, 1, 3_000, 30_000, 300_000, u64::MAX]);
+        }
+
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            serve(&model, &config, &inputs, &requests)
+        }))
+        .unwrap_or_else(|_| panic!("case {case} panicked: {config:?}, {requests:?}"));
+        match (outcome, case % 4 == 0) {
+            (Err(ServeError::BadConfig(_)), true) => {}
+            (Ok(result), false) => {
+                for r in &result.responses {
+                    if let ServeOutcome::Completed { logits, .. } = &r.outcome {
+                        assert_eq!(logits, &golden[&r.input], "case {case}: request {}", r.id);
+                    }
+                }
+                if let Err(violations) = verify_accounting(&requests, &result, &model, &config) {
+                    panic!("case {case}: {violations:?}");
+                }
+                if config.spans {
+                    assert_eq!(result.traces.len(), result.responses.len(), "case {case}");
+                    let trace = serve_trace_json(&result);
+                    perfetto::validate(&trace).unwrap_or_else(|e| panic!("case {case}: {e}"));
+                }
+                unbounded += requests.iter().filter(|r| r.deadline == u64::MAX).count();
+            }
+            (outcome, refused) => panic!(
+                "case {case}: {:?} (refused: {refused}) for {config:?}",
+                outcome.map(|r| r.responses.len())
+            ),
+        }
+    }
+    assert!(unbounded > 0, "no served request without a deadline");
 }

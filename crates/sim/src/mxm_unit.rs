@@ -437,19 +437,12 @@ impl MxmPlane {
     }
 }
 
-/// Dot product of two equal-length `i16` rows (a whole number of superlanes),
-/// accumulated in `i32` over fixed 16-lane chunks — the autovectorization
-/// unit (`i16×i16 → i32` multiply-add; 16 lanes is one superlane word,
-/// `[u8; 16]` on the wire). The per-superlane accumulator vector keeps one
-/// `i32` per lane position so the whole loop body is straight-line SIMD; the
-/// final horizontal sum is a reassociation of exact integer adds and so
-/// bit-identical to any ordering.
-#[inline]
 /// One `(support rows) x (acts)` blocked pass with the column count fixed at
 /// monomorphization time: `NC` 16-lane chunks per row. The constant trip
 /// count lets LLVM fully unroll the dot-product loop into straight-line
-/// `pmaddwd` code — about 3x the throughput of the runtime-width loop, which
+/// `pmaddwd` code — about 3x the throughput of a runtime-width loop, which
 /// pays loop control and a branchy epilogue per short dot.
+#[inline]
 fn block_pass<const NC: usize>(support: &[u16], w16: &[i16], acts: &[i16], outs: &mut [Vec<i32>]) {
     let cols = NC * LANES_PER_SUPERLANE;
     for (si, &row) in support.iter().enumerate() {
@@ -460,8 +453,9 @@ fn block_pass<const NC: usize>(support: &[u16], w16: &[i16], acts: &[i16], outs:
     }
 }
 
-/// Dispatches [`block_pass`] on the runtime column count (always a whole
-/// number of superlanes, at most 320 columns = 20 chunks).
+/// Dispatches [`block_pass`] on the runtime column count: a whole number of
+/// superlanes from 16 to 320 columns (1 to 20 chunks) — the cache rounds its
+/// column ceiling up to a superlane, and the caller skips an all-zero array.
 fn block_pass_dispatch(
     support: &[u16],
     w16: &[i16],
@@ -490,18 +484,16 @@ fn block_pass_dispatch(
         18 => block_pass::<18>(support, w16, acts, outs),
         19 => block_pass::<19>(support, w16, acts, outs),
         20 => block_pass::<20>(support, w16, acts, outs),
-        _ => {
-            for (si, &row) in support.iter().enumerate() {
-                let wrow = &w16[si * cols..(si + 1) * cols];
-                for (act, out) in acts.chunks_exact(cols).zip(outs.iter_mut()) {
-                    out[row as usize] = dot_i16_chunks(wrow, act);
-                }
-            }
-        }
+        _ => unreachable!("{cols} columns: not 1 to 20 whole superlanes"),
     }
 }
 
-/// [`dot_i16_chunks`] with the chunk count known at compile time.
+/// Dot product of two `NC`-superlane `i16` rows, accumulated in `i32` over
+/// fixed 16-lane chunks — the autovectorization unit (`i16×i16 → i32`
+/// multiply-add; 16 lanes is one superlane word, `[u8; 16]` on the wire).
+/// The per-superlane accumulator vector keeps one `i32` per lane position so
+/// the whole loop body is straight-line SIMD; the final horizontal sum is a
+/// reassociation of exact integer adds and so bit-identical to any ordering.
 fn dot_i16_c<const NC: usize>(w: &[i16], x: &[i16]) -> i32 {
     const L: usize = LANES_PER_SUPERLANE;
     let mut acc = [0i32; L];
@@ -509,21 +501,6 @@ fn dot_i16_c<const NC: usize>(w: &[i16], x: &[i16]) -> i32 {
         let wc = &w[c * L..(c + 1) * L];
         let xc = &x[c * L..(c + 1) * L];
         for j in 0..L {
-            acc[j] += i32::from(wc[j]) * i32::from(xc[j]);
-        }
-    }
-    acc.iter().sum()
-}
-
-fn dot_i16_chunks(w: &[i16], x: &[i16]) -> i32 {
-    debug_assert_eq!(x.len(), w.len());
-    debug_assert_eq!(w.len() % LANES_PER_SUPERLANE, 0);
-    let mut acc = [0i32; LANES_PER_SUPERLANE];
-    for (wc, xc) in w
-        .chunks_exact(LANES_PER_SUPERLANE)
-        .zip(x.chunks_exact(LANES_PER_SUPERLANE))
-    {
-        for j in 0..LANES_PER_SUPERLANE {
             acc[j] += i32::from(wc[j]) * i32::from(xc[j]);
         }
     }

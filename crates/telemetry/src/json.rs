@@ -1,7 +1,7 @@
 //! A minimal JSON value, its parser and its printer.
 //!
 //! The offline build environment has no serde, so the workspace's reports
-//! (`BENCH_SERVE.json`, `BENCH_FAULTS.json`, [`crate::Telemetry::to_json`])
+//! (`BENCH_FAULTS.json`, [`crate::Telemetry::to_json`])
 //! are built as a [`Json`] value and printed by the one printer here —
 //! compact through [`Display`](fmt::Display), laid out for a reader through
 //! [`Json::pretty`]. The parser reads documents back: trace validation

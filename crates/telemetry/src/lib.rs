@@ -18,8 +18,6 @@
 //!   traces are validated by parsing them back.
 //! * [`span`] — virtual-cycle-clock span trees (request/layer tracing, no
 //!   wall time anywhere) that render onto Perfetto tracks.
-//! * [`hist`] — an HDR-style log-bucketed [`hist::Histogram`] for latency
-//!   distributions with deterministic, mergeable quantiles.
 //!
 //! Per-layer attribution rides the same counters: the compiler emits
 //! [`LayerMark`] boundaries, the simulator snapshots [`Telemetry`] at each
@@ -34,7 +32,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod hist;
 pub mod json;
 pub mod perfetto;
 pub mod profile;

@@ -113,7 +113,8 @@ pub struct TraceStats {
     pub tracks: Vec<String>,
     /// Declared process names, in declaration order.
     pub processes: Vec<String>,
-    /// Largest `ts + dur` over all spans (the timeline's end, in cycles).
+    /// Largest `ts + dur` over all spans (the timeline's end, in cycles),
+    /// saturating at `u64::MAX`.
     pub max_ts: u64,
 }
 
@@ -199,7 +200,7 @@ pub fn validate(text: &str) -> Result<TraceStats, String> {
                     None => last_ts.push(((pid, tid), ts)),
                 }
                 stats.span_events += 1;
-                stats.max_ts = stats.max_ts.max(ts + dur);
+                stats.max_ts = stats.max_ts.max(ts.saturating_add(dur));
             }
             other => return Err(format!("event {i}: unknown phase '{other}'")),
         }

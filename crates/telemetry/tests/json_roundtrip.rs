@@ -1,14 +1,14 @@
 //! Properties of the one JSON printer (`tsp_telemetry::json`): every
-//! telemetry counter set and latency histogram it prints parses back to the
-//! same `Json` value, each counter as its exact `u64` decimal token — above
-//! `f64`'s 2^53 exact-integer range too, since `Json::Num` keeps raw number
-//! text — and parse ∘ print is the identity on any `Json` tree, in both the
-//! compact and the laid-out form. Plus the parser's own bounds: linear time,
-//! bounded nesting, every escape.
+//! telemetry counter set it prints parses back to the same `Json` value,
+//! each counter as its exact `u64` decimal token — above `f64`'s 2^53
+//! exact-integer range too, since `Json::Num` keeps raw number text — and
+//! parse ∘ print is the identity on any `Json` tree, in both the compact and
+//! the laid-out form. Plus the parser's own bounds: linear time, bounded
+//! nesting, every escape.
 
 use proptest::prelude::*;
-use tsp_telemetry::hist::Histogram;
 use tsp_telemetry::json::Json;
+use tsp_telemetry::perfetto::TraceBuilder;
 use tsp_telemetry::Telemetry;
 
 /// Counter ceiling leaving headroom so merging several sets cannot
@@ -185,26 +185,6 @@ proptest! {
         }
     }
 
-    /// Any histogram prints a document that parses back to the same value:
-    /// exact count, sum, min and max tokens and one `[index, count]` pair
-    /// per non-empty bucket, whose counts sum to the count.
-    #[test]
-    fn histogram_round_trips_bit_exactly(values in proptest::collection::vec(any::<u64>(), 0..64)) {
-        let mut h = Histogram::new();
-        for v in &values {
-            h.record(*v);
-        }
-        let doc = h.to_json();
-        prop_assert_eq!(Json::parse(&doc.pretty(0)), Ok(doc.clone()));
-        prop_assert_eq!(Json::parse(&doc.to_string()), Ok(doc.clone()));
-        for (key, want) in [("count", h.count()), ("sum", h.sum()), ("min", h.min()), ("max", h.max())] {
-            prop_assert_eq!(tokens(doc.get(key).expect("key")), vec![want.to_string()]);
-        }
-        let buckets = doc.get("buckets").and_then(Json::as_array).expect("buckets");
-        let counts = buckets.iter().map(|pair| tokens(pair)[1].parse::<u64>().expect("count"));
-        prop_assert_eq!(counts.sum::<u64>(), h.count());
-    }
-
     /// parse ∘ print is the identity on any `Json` tree — every escape,
     /// control characters, multi-byte UTF-8, raw number tokens, empty and
     /// nested containers — compact and laid out at any indent.
@@ -229,16 +209,6 @@ fn empty_counters_round_trip() {
             .iter()
             .all(|(_, v)| tokens(v).iter().all(|t| *t == "0")));
     }
-}
-
-/// An empty histogram prints `min` as 0 (not its internal sentinel) and no
-/// buckets, and parses back to the same value.
-#[test]
-fn empty_histogram_round_trips() {
-    let doc = Histogram::new().to_json();
-    assert_eq!(Json::parse(&doc.pretty(2)), Ok(doc.clone()));
-    assert_eq!(doc.get("min").and_then(Json::as_u64), Some(0));
-    assert_eq!(doc.get("buckets"), Some(&Json::Arr(vec![])));
 }
 
 /// Parsing is linear in the document: a multi-megabyte document of short
@@ -291,8 +261,8 @@ fn over_deep_nesting_is_an_error() {
 
 /// Hostile text never panics the parser, in either profile: every
 /// truncation and every single-byte mutation of a printed counter set and
-/// histogram, and 20,000 seeded texts of JSON's own punctuation mixed with
-/// random bytes, come back `Ok` or `Err`.
+/// of a Perfetto trace, and 20,000 seeded texts of JSON's own punctuation
+/// mixed with random bytes, come back `Ok` or `Err`.
 #[test]
 fn no_text_panics_the_parser() {
     let parse = |bytes: &[u8]| Json::parse(&String::from_utf8_lossy(bytes)).is_ok();
@@ -300,12 +270,19 @@ fn no_text_panics_the_parser() {
         mxm_macc_waves: [0, 7, 1 << 40, u64::MAX],
         ..Telemetry::new()
     };
-    let mut histogram = Histogram::new();
-    for v in [0, 3, 1 << 20, u64::MAX] {
-        histogram.record(v);
-    }
-    let histogram = histogram.to_json();
-    for doc in [counters.to_json(0), histogram.to_string()] {
+    let mut trace = TraceBuilder::new();
+    trace.process(20, "requests");
+    trace.thread(20, 1, "request \"7\"");
+    trace.span_with_text(
+        20,
+        1,
+        "attempt 1",
+        1 << 40,
+        u64::MAX >> 1,
+        &[("fault_cycle", u64::MAX)],
+        &[("cause", "ecc\n")],
+    );
+    for doc in [counters.to_json(0), trace.finish()] {
         let doc = doc.as_bytes();
         assert!(parse(doc), "the printed document parses");
         for at in 0..doc.len() {
