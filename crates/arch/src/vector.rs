@@ -7,8 +7,8 @@
 //! Each element of a stream is one byte; wider data types are constructed from
 //! several streams (paper §I-B): `int16` from a stream pair, `int32`/`fp32`
 //! from an aligned quad-stream group. This module therefore keeps [`Vector`]
-//! byte-granular and provides helpers to split/join multi-byte element types
-//! across multiple vectors.
+//! byte-granular; the simulator's lane codec (`tsp_sim::lane`) is the one
+//! place that lays a multi-byte element across the vectors of a group.
 
 use core::fmt;
 
@@ -173,70 +173,6 @@ impl From<[u8; LANES]> for Vector {
     }
 }
 
-/// Splits a slice of `i32` values (one per lane) into the four byte-plane
-/// vectors of an aligned quad-stream group, little-endian: vector `k` carries
-/// byte `k` of each element (paper §I-B: "int32 is aligned on a quad-stream").
-///
-/// Lanes beyond `values.len()` are zero.
-///
-/// # Panics
-///
-/// Panics if `values.len() > 320`.
-#[must_use]
-pub fn split_i32(values: &[i32]) -> [Vector; 4] {
-    assert!(values.len() <= LANES, "too many i32 lanes");
-    let mut out = [Vector::ZERO, Vector::ZERO, Vector::ZERO, Vector::ZERO];
-    for (lane, &v) in values.iter().enumerate() {
-        let le = v.to_le_bytes();
-        for (k, vec) in out.iter_mut().enumerate() {
-            vec.set_lane(lane, le[k]);
-        }
-    }
-    out
-}
-
-/// Reassembles per-lane `i32` values from the four byte-plane vectors of a
-/// quad-stream group (inverse of [`split_i32`]).
-#[must_use]
-pub fn join_i32(planes: &[Vector; 4]) -> Vec<i32> {
-    (0..LANES)
-        .map(|lane| {
-            i32::from_le_bytes([
-                planes[0].lane(lane),
-                planes[1].lane(lane),
-                planes[2].lane(lane),
-                planes[3].lane(lane),
-            ])
-        })
-        .collect()
-}
-
-/// Splits per-lane `i16`/`fp16` values into the two byte-plane vectors of an
-/// aligned stream pair, little-endian.
-///
-/// # Panics
-///
-/// Panics if `values.len() > 320`.
-#[must_use]
-pub fn split_u16(values: &[u16]) -> [Vector; 2] {
-    assert!(values.len() <= LANES, "too many u16 lanes");
-    let mut out = [Vector::ZERO, Vector::ZERO];
-    for (lane, &v) in values.iter().enumerate() {
-        let le = v.to_le_bytes();
-        out[0].set_lane(lane, le[0]);
-        out[1].set_lane(lane, le[1]);
-    }
-    out
-}
-
-/// Reassembles per-lane `u16` values from a stream pair (inverse of [`split_u16`]).
-#[must_use]
-pub fn join_u16(planes: &[Vector; 2]) -> Vec<u16> {
-    (0..LANES)
-        .map(|lane| u16::from_le_bytes([planes[0].lane(lane), planes[1].lane(lane)]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,20 +199,6 @@ mod tests {
         let v = Vector::from_fn(|i| (i / LANES_PER_SUPERLANE) as u8);
         assert!(v.superlane(0).iter().all(|&b| b == 0));
         assert!(v.superlane(19).iter().all(|&b| b == 19));
-    }
-
-    #[test]
-    fn i32_split_join_roundtrip() {
-        let values: Vec<i32> = (0..320).map(|i| i * 1_000_003 - 7).collect();
-        let planes = split_i32(&values);
-        assert_eq!(join_i32(&planes), values);
-    }
-
-    #[test]
-    fn u16_split_join_roundtrip() {
-        let values: Vec<u16> = (0..320).map(|i| (i * 257) as u16).collect();
-        let planes = split_u16(&values);
-        assert_eq!(join_u16(&planes), values);
     }
 
     #[test]

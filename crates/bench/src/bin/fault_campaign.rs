@@ -6,36 +6,17 @@
 //! outcome against the fault-free golden logits. The machine's claim: every
 //! trial lands in masked / corrected / detected-recovered — **never** SDC.
 //!
-//! Usage: `cargo run -p tsp-bench --bin fault_campaign [-- out.json] [--smoke]`
+//! Usage: `cargo run --release -p tsp-bench --bin fault_campaign`
 //!
-//! Any SDC exits non-zero. `--smoke` runs the small CI configuration and
-//! also exits non-zero on an unrecovered trial; the default is the full
-//! sweep for EXPERIMENTS.md.
-//! Results land in `BENCH_FAULTS.json` (schema `tsp-faults-v3`); the report
-//! is bit-identical for a given seed, serial or parallel.
+//! The output is deterministic for the campaign's seed, serial or parallel,
+//! and committed as `results/fault_campaign.txt`. Any SDC exits non-zero.
 
-use tsp_bench::campaign::{run_campaign, CampaignConfig, TrialClass};
+use tsp_bench::campaign::{run_campaign, CampaignConfig};
 
 fn main() {
-    let mut out_path = String::from("BENCH_FAULTS.json");
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            out_path = arg;
-        }
-    }
-    let config = if smoke {
-        CampaignConfig::smoke()
-    } else {
-        CampaignConfig::full()
-    };
+    let config = CampaignConfig::full();
 
-    println!(
-        "# E16: fault-injection campaign ({} mode)",
-        if smoke { "smoke" } else { "full" }
-    );
+    println!("# E16: fault-injection campaign");
     println!(
         "# seed {:#x}, rates {:?}, {} trials/point",
         config.seed, config.rates, config.trials_per_point
@@ -71,19 +52,7 @@ fn main() {
     }
     println!();
 
-    if let Err(e) = std::fs::write(&out_path, report.to_json().pretty(0) + "\n") {
-        eprintln!("error: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-
     let sdc = report.sdc_count();
-    let unrecovered = report
-        .trials
-        .iter()
-        .filter(|t| t.class == TrialClass::DetectedUnrecovered)
-        .count();
-    println!();
     if sdc == 0 {
         println!(
             "PASS: zero silent data corruptions across {} trials",
@@ -91,9 +60,6 @@ fn main() {
         );
     } else {
         println!("FAIL: {sdc} silent data corruption(s)");
-    }
-    if sdc > 0 || (smoke && unrecovered > 0) {
-        eprintln!("gate: sdc={sdc}, unrecovered={unrecovered}");
         std::process::exit(1);
     }
 }

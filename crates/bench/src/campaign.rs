@@ -19,7 +19,8 @@
 //! Trials are independent simulations of a deterministic machine, so the
 //! campaign is reproducible bit-for-bit from its seed, serially or fanned
 //! out over host threads ([`fan_out`]) — asserted by
-//! `tests/campaign_determinism.rs`.
+//! `tests/campaign_determinism.rs`. The `fault_campaign` bin prints the full
+//! sweep, committed as `results/fault_campaign.txt`.
 
 use std::sync::Arc;
 
@@ -33,17 +34,9 @@ use tsp_nn::resilient::{run_resilient, ResilientOptions};
 use tsp_nn::train::small_cnn;
 use tsp_sim::faults::{FaultPlan, LinkFaultPlan, LinkPlanSpec, PlanSpec};
 use tsp_sim::{Chip, IcuId, Program, SimError};
-use tsp_telemetry::json::Json;
 
 use crate::fan_out;
 use tsp_c2c::{Fabric, Wire};
-
-/// Schema tag of `BENCH_FAULTS.json` ([`CampaignReport::to_json`]): a
-/// per-(site, rate) `summary` with one count per [`TrialClass`], then every
-/// trial with its seed, class, reliability counters, `egress_words` (C2C
-/// link traffic of the completing attempt) and its MEM reads on and off the
-/// pristine fast path.
-pub const SCHEMA: &str = "tsp-faults-v3";
 
 /// The fault sites a campaign sweeps.
 pub const SITES: [&str; 4] = ["sram-data", "sram-check", "stream", "link"];
@@ -61,29 +54,6 @@ pub enum TrialClass {
     DetectedUnrecovered,
     /// Silent data corruption — completed with wrong results.
     Sdc,
-}
-
-impl TrialClass {
-    /// Every class, in [`PointSummary::classes`] order.
-    pub const ALL: [TrialClass; 5] = [
-        TrialClass::Masked,
-        TrialClass::Corrected,
-        TrialClass::DetectedRecovered,
-        TrialClass::DetectedUnrecovered,
-        TrialClass::Sdc,
-    ];
-
-    /// Stable identifier used in reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TrialClass::Masked => "masked",
-            TrialClass::Corrected => "corrected",
-            TrialClass::DetectedRecovered => "detected_recovered",
-            TrialClass::DetectedUnrecovered => "detected_unrecovered",
-            TrialClass::Sdc => "sdc",
-        }
-    }
 }
 
 /// One classified trial.
@@ -121,36 +91,6 @@ pub struct Trial {
     pub mem_verified: u64,
 }
 
-impl Trial {
-    /// Fraction of this trial's MEM reads that stayed on the pristine fast
-    /// path — how much of the lazy-ECC speedup survives under this fault
-    /// load. `None` when the trial observed no MEM reads (link trials).
-    #[must_use]
-    pub fn fast_path_retention(&self) -> Option<f64> {
-        let total = self.mem_pristine + self.mem_verified;
-        (total > 0).then(|| self.mem_pristine as f64 / total as f64)
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("site", self.site.into()),
-            ("rate", self.rate.into()),
-            ("index", self.index.into()),
-            ("seed", self.seed.into()),
-            ("class", self.class.name().into()),
-            ("attempts", self.attempts.into()),
-            ("corrected", self.corrected.into()),
-            ("detected", self.detected.into()),
-            ("applied", self.faults_applied.into()),
-            ("vacant", self.faults_vacant.into()),
-            ("wasted_cycles", self.wasted_cycles.into()),
-            ("egress_words", self.egress_words.into()),
-            ("mem_pristine", self.mem_pristine.into()),
-            ("mem_verified", self.mem_verified.into()),
-        ])
-    }
-}
-
 /// Aggregate of one (site, rate) sweep point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PointSummary {
@@ -160,27 +100,13 @@ pub struct PointSummary {
     pub rate: u32,
     /// Trials run.
     pub trials: u32,
-    /// Count per class, indexed like [`TrialClass::ALL`].
+    /// Count per class, in [`TrialClass`] declaration order.
     pub classes: [u32; 5],
-}
-
-impl PointSummary {
-    fn to_json(&self) -> Json {
-        let point = [
-            ("site", self.site.into()),
-            ("rate", self.rate.into()),
-            ("trials", self.trials.into()),
-        ];
-        let classes = (TrialClass::ALL.iter().zip(self.classes)).map(|(c, n)| (c.name(), n.into()));
-        Json::obj(point.into_iter().chain(classes))
-    }
 }
 
 /// A finished campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignReport {
-    /// Campaign master seed.
-    pub seed: u64,
     /// Every classified trial, in sweep order.
     pub trials: Vec<Trial>,
 }
@@ -199,7 +125,7 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// The CI smoke configuration: small but covering every site.
+    /// A small configuration that still covers every site.
     #[must_use]
     pub fn smoke() -> CampaignConfig {
         CampaignConfig {
@@ -481,10 +407,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
     } else {
         points.into_iter().map(runner).collect()
     };
-    CampaignReport {
-        seed: config.seed,
-        trials,
-    }
+    CampaignReport { trials }
 }
 
 impl CampaignReport {
@@ -533,25 +456,5 @@ impl CampaignReport {
             .iter()
             .filter(|t| t.class == TrialClass::Sdc)
             .count() as u64
-    }
-
-    /// The report under [`SCHEMA`]: the per-point summaries, then every
-    /// trial. Deterministic: contains no wall-clock or host-dependent values.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let retention = self.fast_path_retention();
-        Json::obj([
-            ("schema", SCHEMA.into()),
-            ("seed", self.seed.into()),
-            (
-                "fast_path_retention",
-                retention.map_or(Json::Null, |r| Json::fixed(r, 6)),
-            ),
-            (
-                "summary",
-                self.summaries().iter().map(PointSummary::to_json).collect(),
-            ),
-            ("trials", self.trials.iter().map(Trial::to_json).collect()),
-        ])
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! One binary per paper table/figure (see DESIGN.md §3 for the experiment
 //! index), plus ablation studies. Binaries print the same rows/series the
-//! paper reports, ready for EXPERIMENTS.md; `fault_campaign` also writes a
-//! JSON artifact (`BENCH_FAULTS.json`) built as a
-//! [`tsp_telemetry::json::Json`] value. Host speed and serving are not
-//! measured here: the standalone `benchmark/` crate is the one harness that
+//! paper reports, ready for EXPERIMENTS.md, and each one's output is
+//! committed under `results/` (the fault sweep as
+//! `results/fault_campaign.txt`). Host speed and serving are not measured
+//! here: the standalone `benchmark/` crate is the one harness that
 //! times the simulator and gates the serving layer, and `tsp-prof serve`
 //! shows one served run.
 //!

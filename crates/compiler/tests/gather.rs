@@ -11,6 +11,7 @@ use tsp_arch::{ChipConfig, Direction, Hemisphere, Slice, Vector, SUPERLANES};
 use tsp_compiler::alloc::BankPolicy;
 use tsp_compiler::sched::LaneMap;
 use tsp_compiler::{Scheduler, TensorHandle};
+use tsp_isa::mem::map_addresses;
 use tsp_isa::{MemAddr, MemOp};
 use tsp_sim::chip::RunOptions;
 use tsp_sim::{Chip, IcuId};
@@ -282,11 +283,8 @@ fn stepped_gather_and_scatter_bursts_hold_their_slice_queue_exactly() {
         let (hemisphere, index, base) = tensor.layout.blocks[0];
         for (map, rows) in s.constants() {
             assert_eq!(map.cols, 2 * SUPERLANES as u16, "only maps so far");
-            for lanes in rows.iter().map(|v| v.as_bytes()) {
-                for sl in 0..SUPERLANES {
-                    let addr = u16::from_le_bytes([lanes[2 * sl], lanes[2 * sl + 1]]);
-                    assert_eq!(MemAddr::new(addr).bank(), MemAddr::new(base).bank());
-                }
+            for addr in rows.iter().flat_map(map_addresses) {
+                assert_eq!(addr.bank(), MemAddr::new(base).bank());
             }
         }
         let before = s.mem_free(hemisphere, index);

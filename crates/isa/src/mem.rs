@@ -3,7 +3,7 @@
 
 use core::fmt;
 
-use tsp_arch::StreamId;
+use tsp_arch::{StreamId, Vector, SUPERLANES};
 
 /// Bit of the word address that selects the SRAM bank.
 ///
@@ -56,6 +56,30 @@ impl MemAddr {
     pub fn opposite_bank(self) -> MemAddr {
         MemAddr(self.0 ^ (1 << BANK_BIT))
     }
+}
+
+/// The map vector a `Gather` or `Scatter` reads: superlane `s`'s word
+/// address as one little-endian `u16` in lanes `2s` and `2s + 1`, every
+/// other lane zero.
+#[must_use]
+pub fn map_vector(addrs: [MemAddr; SUPERLANES]) -> Vector {
+    let mut map = Vector::ZERO;
+    for (s, addr) in addrs.iter().enumerate() {
+        let [lo, hi] = addr.word().to_le_bytes();
+        map.set_lane(2 * s, lo);
+        map.set_lane(2 * s + 1, hi);
+    }
+    map
+}
+
+/// The per-superlane word addresses a map vector carries (the inverse of
+/// [`map_vector`]), each masked to the 13-bit address space.
+#[must_use]
+pub fn map_addresses(map: &Vector) -> [MemAddr; SUPERLANES] {
+    std::array::from_fn(|s| {
+        let word = u16::from_le_bytes([map.lane(2 * s), map.lane(2 * s + 1)]);
+        MemAddr::new(word & (WORDS_PER_SLICE - 1))
+    })
 }
 
 impl fmt::Display for MemAddr {
@@ -159,6 +183,18 @@ mod tests {
         };
         assert_eq!(read.bank(), write_same.bank()); // conflict
         assert_ne!(read.bank(), write_other.bank()); // dual-port OK
+    }
+
+    #[test]
+    fn map_vectors_round_trip_and_mask_to_13_bits() {
+        let addrs = std::array::from_fn(|s| MemAddr::new(8191 - 300 * s as u16));
+        let map = map_vector(addrs);
+        assert_eq!(map_addresses(&map), addrs);
+        assert_eq!(map.lane(0), 0xFF);
+        assert_eq!(map.lane(1), 0x1F);
+        assert!(map.as_bytes()[2 * SUPERLANES..].iter().all(|&b| b == 0));
+        let high_bits = Vector::splat(0xFF);
+        assert_eq!(map_addresses(&high_bits), [MemAddr::new(8191); SUPERLANES]);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 
 use std::sync::Arc;
 
-use tsp_arch::{Cycle, Position, Vector, SUPERLANES};
+use tsp_arch::{Cycle, Position, Vector};
 use tsp_faults::{FaultEvent, FaultKind};
+use tsp_isa::mem::map_addresses;
 use tsp_isa::{MemAddr, MemOp};
 use tsp_mem::bandwidth::Traffic;
 use tsp_mem::ecc;
@@ -228,15 +229,6 @@ impl Chip {
         }
         out
     }
-}
-
-/// The per-superlane word addresses a `Gather`/`Scatter` map vector carries
-/// (one little-endian `u16` per superlane, masked to the 13-bit space).
-fn map_addresses(map: &Vector) -> [MemAddr; SUPERLANES] {
-    std::array::from_fn(|s| {
-        let a = u16::from_le_bytes([map.lane(2 * s), map.lane(2 * s + 1)]) & 0x1FFF;
-        MemAddr::new(a)
-    })
 }
 
 /// The SRAM banks a set of word addresses touches, as a bit mask.

@@ -1,12 +1,13 @@
 //! MXM instruction bodies: one row of an `LW`/`ABC`/`ACC` burst.
 
-use tsp_arch::{vector, Cycle, StreamId};
+use tsp_arch::{Cycle, StreamId, Vector};
 use tsp_isa::{AccumulateMode, DataType, MxmOp};
 use tsp_mem::bandwidth::Traffic;
 
 use super::{vectors, Chip, RunCtx};
 use crate::error::SimError;
 use crate::icu_id::IcuId;
+use crate::lane::Lane;
 use crate::mxm_unit::MxmResult;
 use crate::trace::ActivityKind;
 
@@ -84,51 +85,38 @@ impl Chip {
                     self.emit_zero(dst.streams(), pos, t + 1, ctx);
                     return Ok(());
                 }
-                let fp32_planes = {
-                    let Chip {
-                        planes, streams, ..
-                    } = &mut *self;
-                    let result = planes[plane.index() as usize]
-                        .accumulate(t, row as usize, add)
-                        .ok_or(SimError::AccumulatorEmpty {
-                            plane: plane.index(),
-                            cycle: t,
-                        })?;
-                    match result {
-                        // The hot path: each of the four byte planes is
-                        // extracted straight into a pooled stream word —
-                        // no intermediate `split_i32` materialization.
-                        MxmResult::Int32(vals) => {
-                            for i in 0..4u32 {
-                                let s = StreamId::new(dst.base.id + i as u8, dst.base.direction);
-                                ctx.bandwidth.record(Traffic::Stream, 320);
-                                ctx.last_effect = ctx.last_effect.max(t + 1);
-                                streams.write_with(s, pos, t + 1, |data| {
-                                    let bytes = data.as_bytes_mut();
-                                    for (b, &v) in bytes.iter_mut().zip(vals.iter()) {
-                                        *b = (v >> (8 * i)) as u8;
-                                    }
-                                    bytes[vals.len()..].fill(0);
-                                });
-                                ctx.stream_level(streams.live_count());
-                            }
-                            None
-                        }
-                        MxmResult::Fp32(vals) => {
-                            let bits: Vec<i32> = vals.iter().map(|f| f.to_bits() as i32).collect();
-                            Some(vector::split_i32(&bits))
-                        }
-                    }
-                };
-                if let Some(planes_out) = fp32_planes {
-                    for (i, vec) in planes_out.into_iter().enumerate() {
-                        let s = StreamId::new(dst.base.id + i as u8, dst.base.direction);
-                        self.produce(s, pos, t + 1, vec, None, ctx);
-                    }
+                let Chip {
+                    planes, streams, ..
+                } = &mut *self;
+                let result = planes[plane.index() as usize]
+                    .accumulate(t, row as usize, add)
+                    .ok_or(SimError::AccumulatorEmpty {
+                        plane: plane.index(),
+                        cycle: t,
+                    })?;
+                // Each byte plane of the quad is extracted straight into a
+                // pooled stream word — no intermediate vectors.
+                for (k, s) in dst.streams().enumerate() {
+                    ctx.bandwidth.record(Traffic::Stream, 320);
+                    ctx.last_effect = ctx.last_effect.max(t + 1);
+                    streams.write_with(s, pos, t + 1, |data| match result {
+                        MxmResult::Int32(vals) => plane_of(vals, k, data),
+                        MxmResult::Fp32(vals) => plane_of(vals, k, data),
+                    });
+                    ctx.stream_level(streams.live_count());
                 }
             }
             MxmOp::InstallWeights { .. } => unreachable!("IW is not a burst"),
         }
         Ok(())
     }
+}
+
+/// Writes byte plane `k` of `vals` into `data`, zero past the last lane.
+fn plane_of<T: Lane>(vals: &[T], k: usize, data: &mut Vector) {
+    let bytes = data.as_bytes_mut();
+    for (b, v) in bytes.iter_mut().zip(vals) {
+        *b = v.byte(k);
+    }
+    bytes[vals.len()..].fill(0);
 }

@@ -30,6 +30,7 @@ pub mod chip;
 pub mod decoded;
 pub mod error;
 pub mod fp16;
+pub mod lane;
 pub mod mxm_unit;
 pub mod program;
 pub mod stagger;

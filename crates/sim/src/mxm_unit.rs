@@ -34,15 +34,16 @@
 //!   bit-exact) and gets its speed from caching the planes' decoded `f32`
 //!   weight matrix per install generation instead of decoding two bytes per
 //!   MAC — and, as of the pre-decode PR, from joining the same wave-batched
-//!   flush as the int8 path.
+//!   flush as the int8 path. Both planes of a tandem pair decode through
+//!   [`crate::lane`], like every other multi-byte lane.
 //!
-//! The pre-optimization scalar loops are retained verbatim in [`reference`](mod@reference)
-//! as the oracle the kernel-equivalence property tests compare against.
+//! The scalar oracles these kernels are checked against live in
+//! `tests/reference/`, and share nothing with them.
 
 use tsp_arch::{Vector, LANES, LANES_PER_SUPERLANE};
 use tsp_isa::DataType;
 
-use crate::fp16;
+use crate::lane::{Lane, F16};
 
 /// Result vector produced by one activation pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -357,9 +358,9 @@ impl MxmPlane {
             self.flush_fp16_wave();
             let mut weights = vec![0f32; LANES * LANES];
             for (row, dst) in weights.chunks_exact_mut(LANES).enumerate() {
-                let (lo_row, hi_row) = (&self.installed[row], &high.installed[row]);
+                let pair = [&self.installed[row], &high.installed[row]];
                 for (l, w) in dst.iter_mut().enumerate() {
-                    *w = fp16::f16_to_f32(u16::from_le_bytes([lo_row[l], hi_row[l]]));
+                    *w = F16::load(&pair, l).to_f32();
                 }
             }
             self.fp16_cache = Some(Fp16WeightCache {
@@ -371,8 +372,9 @@ impl MxmPlane {
         self.wave_fp16.push(cycle);
         let base = self.wave_fp16_acts.len();
         self.wave_fp16_acts.resize(base + LANES, 0.0);
+        let pair = [act_lo.as_bytes(), act_hi.as_bytes()];
         for (l, a) in self.wave_fp16_acts[base..].iter_mut().enumerate() {
-            *a = fp16::f16_to_f32(u16::from_le_bytes([act_lo.lane(l), act_hi.lane(l)]));
+            *a = F16::load(&pair, l).to_f32();
         }
     }
 
@@ -529,68 +531,10 @@ impl Default for MxmPlane {
     }
 }
 
-/// The pre-optimization scalar data path, retained as the oracle for the
-/// kernel-equivalence property tests and micro-benchmarks (hence `pub`, not
-/// `#[cfg(test)]`: integration tests and Criterion benches link the library
-/// from outside the crate).
-#[doc(hidden)]
-pub mod reference {
-    use super::*;
-
-    /// One int8 activation pass, element by element — the original
-    /// `feed_activation_i8` inner loop.
-    #[must_use]
-    pub fn matmul_i8(installed: &[[u8; LANES]], activation: &Vector) -> Vec<i32> {
-        let a = *activation.as_bytes();
-        installed
-            .iter()
-            .map(|wrow| {
-                let mut sum = 0i32;
-                for (w, x) in wrow.iter().zip(a.iter()) {
-                    sum += i32::from(*w as i8) * i32::from(*x as i8);
-                }
-                sum
-            })
-            .collect()
-    }
-
-    /// One fp16 tandem activation pass — the original
-    /// `feed_activation_fp16` inner loop: per-MAC weight decode, strict
-    /// lane-order `f64` accumulation, one rounding at readout.
-    #[must_use]
-    pub fn matmul_fp16(
-        lo: &[[u8; LANES]],
-        hi: &[[u8; LANES]],
-        act_lo: &Vector,
-        act_hi: &Vector,
-    ) -> Vec<f32> {
-        let acts: Vec<f32> = (0..LANES)
-            .map(|l| fp16::f16_to_f32(u16::from_le_bytes([act_lo.lane(l), act_hi.lane(l)])))
-            .collect();
-        (0..LANES)
-            .map(|row| {
-                let mut sum = 0f64;
-                let weights = lo[row].iter().zip(&hi[row]);
-                for ((&l, &h), &a) in weights.zip(&acts) {
-                    let w = fp16::f16_to_f32(u16::from_le_bytes([l, h]));
-                    sum += f64::from(w) * f64::from(a);
-                }
-                round_fp16_readout(sum)
-            })
-            .collect()
-    }
-
-    /// The installed weight matrix of a plane (row-major), for driving the
-    /// oracle against live plane state.
-    #[must_use]
-    pub fn installed_rows(plane: &MxmPlane) -> Vec<[u8; LANES]> {
-        plane.installed.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{fp16, lane};
 
     fn identity_weights(plane: &mut MxmPlane) {
         for g in 0..20u8 {
@@ -744,30 +688,33 @@ mod tests {
         }
     }
 
+    /// The byte-plane pair of an fp16 vector holding `v` in lane 0.
+    fn fp16_lane0(v: f32) -> (Vector, Vector) {
+        let bits = fp16::f32_to_f16(v);
+        let mut pair = lane::group(|l| F16(if l == 0 { bits } else { 0 }));
+        let hi = pair.pop().expect("fp16 spans two planes");
+        (pair.pop().expect("fp16 spans two planes"), hi)
+    }
+
+    /// One `LW` row group: `first`, then 15 zero rows.
+    fn row_group(first: Vector) -> Vec<Vector> {
+        let mut rows = vec![first];
+        rows.extend((1..16).map(|_| Vector::ZERO));
+        rows
+    }
+
     #[test]
     fn fp16_tandem_matmul() {
         let mut lo = MxmPlane::new();
         let mut hi = MxmPlane::new();
-        // Weight (0,0) = 1.5 in fp16: bits 0x3E00 → lo byte 0x00, hi byte 0x3E.
-        let bits = fp16::f32_to_f16(1.5);
-        let mut row_lo = Vector::ZERO;
-        let mut row_hi = Vector::ZERO;
-        row_lo.set_lane(0, (bits & 0xFF) as u8);
-        row_hi.set_lane(0, (bits >> 8) as u8);
-        let mut rows_lo = vec![row_lo];
-        rows_lo.extend((1..16).map(|_| Vector::ZERO));
-        let mut rows_hi = vec![row_hi];
-        rows_hi.extend((1..16).map(|_| Vector::ZERO));
-        lo.load_weight_rows(0, &rows_lo);
-        hi.load_weight_rows(0, &rows_hi);
+        // Weight (0,0) = 1.5, split over the two planes.
+        let (row_lo, row_hi) = fp16_lane0(1.5);
+        lo.load_weight_rows(0, &row_group(row_lo));
+        hi.load_weight_rows(0, &row_group(row_hi));
         lo.install(DataType::Fp16);
         hi.install(DataType::Fp16);
         // Activation lane 0 = 2.0.
-        let abits = fp16::f32_to_f16(2.0);
-        let mut act_lo = Vector::ZERO;
-        let mut act_hi = Vector::ZERO;
-        act_lo.set_lane(0, (abits & 0xFF) as u8);
-        act_hi.set_lane(0, (abits >> 8) as u8);
+        let (act_lo, act_hi) = fp16_lane0(2.0);
         lo.feed_activation_fp16(0, &hi, &act_lo, &act_hi);
         let Some(MxmResult::Fp32(out)) = lo.accumulate(1000, 0, false) else {
             panic!()
@@ -781,36 +728,20 @@ mod tests {
     fn fp16_cache_tracks_both_install_generations() {
         let mut lo = MxmPlane::new();
         let mut hi = MxmPlane::new();
-        let bits = fp16::f32_to_f16(1.0);
-        let mut row_lo = Vector::ZERO;
-        let mut row_hi = Vector::ZERO;
-        row_lo.set_lane(0, (bits & 0xFF) as u8);
-        row_hi.set_lane(0, (bits >> 8) as u8);
-        let pad = |first: Vector| {
-            let mut rows = vec![first];
-            rows.extend((1..16).map(|_| Vector::ZERO));
-            rows
-        };
-        lo.load_weight_rows(0, &pad(row_lo));
-        hi.load_weight_rows(0, &pad(row_hi));
+        let (row_lo, row_hi) = fp16_lane0(1.0);
+        lo.load_weight_rows(0, &row_group(row_lo));
+        hi.load_weight_rows(0, &row_group(row_hi));
         lo.install(DataType::Fp16);
         hi.install(DataType::Fp16);
-        let abits = fp16::f32_to_f16(2.0);
-        let mut act_lo = Vector::ZERO;
-        let mut act_hi = Vector::ZERO;
-        act_lo.set_lane(0, (abits & 0xFF) as u8);
-        act_hi.set_lane(0, (abits >> 8) as u8);
+        let (act_lo, act_hi) = fp16_lane0(2.0);
         lo.feed_activation_fp16(0, &hi, &act_lo, &act_hi);
         let Some(MxmResult::Fp32(first)) = lo.accumulate(1000, 0, false) else {
             panic!()
         };
         assert_eq!(first[0], 2.0);
-        // Reinstall only the HIGH plane with weight 2.0's high byte: the
-        // cached decode must not be reused.
-        let bits2 = fp16::f32_to_f16(2.0);
-        let mut row_hi2 = Vector::ZERO;
-        row_hi2.set_lane(0, (bits2 >> 8) as u8);
-        hi.load_weight_rows(0, &pad(row_hi2));
+        // Reinstall only the HIGH plane with weight 2.0's high byte (1.0 and
+        // 2.0 share the low byte): the cached decode must not be reused.
+        hi.load_weight_rows(0, &row_group(fp16_lane0(2.0).1));
         hi.install(DataType::Fp16);
         lo.feed_activation_fp16(0, &hi, &act_lo, &act_hi);
         let Some(MxmResult::Fp32(second)) = lo.accumulate(2000, 0, false) else {

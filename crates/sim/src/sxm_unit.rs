@@ -11,8 +11,8 @@
 //! copies over the `[u8; 320]` planes — contiguous `copy_from_slice` runs for
 //! shifts/select/rotate, and 16-lane superlane words (`[u8; 16]` on the wire)
 //! for distribute/transpose — instead of one closure call per lane. The
-//! original per-lane implementations are retained in [`reference`](mod@reference) as the
-//! oracle for the kernel-equivalence property tests.
+//! per-lane oracles these kernels are checked against live in
+//! `tests/reference/`, and share nothing with them.
 
 use tsp_arch::{Vector, LANES, LANES_PER_SUPERLANE, SUPERLANES};
 use tsp_isa::sxm::DistributeMap;
@@ -115,88 +115,6 @@ pub fn transpose(inputs: &[Vector]) -> Vec<Vector> {
     out
 }
 
-/// The pre-optimization per-lane transforms, retained as the oracle for the
-/// kernel-equivalence property tests (hence `pub`, not `#[cfg(test)]`: the
-/// integration test suites link the library from outside the crate).
-#[doc(hidden)]
-pub mod reference {
-    use super::*;
-
-    /// Scalar oracle for [`super::shift_up`].
-    #[must_use]
-    pub fn shift_up(input: &Vector, n: u16) -> Vector {
-        let n = n as usize;
-        Vector::from_fn(|l| if l + n < LANES { input.lane(l + n) } else { 0 })
-    }
-
-    /// Scalar oracle for [`super::shift_down`].
-    #[must_use]
-    pub fn shift_down(input: &Vector, n: u16) -> Vector {
-        let n = n as usize;
-        Vector::from_fn(|l| if l >= n { input.lane(l - n) } else { 0 })
-    }
-
-    /// Scalar oracle for [`super::select`].
-    #[must_use]
-    pub fn select(north: &Vector, south: &Vector, boundary: u16) -> Vector {
-        let b = boundary as usize;
-        Vector::from_fn(|l| if l < b { north.lane(l) } else { south.lane(l) })
-    }
-
-    /// Scalar oracle for [`super::permute`].
-    #[must_use]
-    pub fn permute(input: &Vector, map: &PermuteMap) -> Vector {
-        Vector::from_fn(|i| input.lane(map.source(i)))
-    }
-
-    /// Scalar oracle for [`super::distribute`].
-    #[must_use]
-    pub fn distribute(input: &Vector, map: &DistributeMap) -> Vector {
-        let mut out = Vector::ZERO;
-        for s in 0..SUPERLANES {
-            let base = s * LANES_PER_SUPERLANE;
-            for (l, m) in map.iter().enumerate() {
-                if let Some(src) = m {
-                    out.set_lane(base + l, input.lane(base + *src as usize));
-                }
-            }
-        }
-        out
-    }
-
-    /// Scalar oracle for [`super::rotate`].
-    #[must_use]
-    pub fn rotate(inputs: &[Vector], n: u8) -> Vec<Vector> {
-        let n = n as usize;
-        assert_eq!(inputs.len(), n, "rotate needs n input rows");
-        let mut out = Vec::with_capacity(n * n);
-        for row in inputs {
-            for j in 0..n {
-                out.push(Vector::from_fn(|l| row.lane((l + j) % LANES)));
-            }
-        }
-        out
-    }
-
-    /// Scalar oracle for [`super::transpose`].
-    #[must_use]
-    pub fn transpose(inputs: &[Vector]) -> Vec<Vector> {
-        assert_eq!(inputs.len(), 16, "transpose is 16 streams wide");
-        (0..16)
-            .map(|i| {
-                let mut out = Vector::ZERO;
-                for s in 0..SUPERLANES {
-                    let base = s * LANES_PER_SUPERLANE;
-                    for (j, input) in inputs.iter().enumerate() {
-                        out.set_lane(base + j, input.lane(base + i));
-                    }
-                }
-                out
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,14 +152,8 @@ mod tests {
     #[test]
     fn oversized_shift_zero_fills_like_reference() {
         let whole = LANES as u16;
-        assert_eq!(
-            shift_up(&ramp(), whole),
-            reference::shift_up(&ramp(), whole)
-        );
-        assert_eq!(
-            shift_down(&ramp(), whole + 7),
-            reference::shift_down(&ramp(), whole + 7)
-        );
+        assert_eq!(shift_up(&ramp(), whole), Vector::ZERO);
+        assert_eq!(shift_down(&ramp(), whole + 7), Vector::ZERO);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! and pin down the timing contract the compiler relies on (Eq. 4).
 
 use tsp_arch::{ChipConfig, Hemisphere, Slice, StreamGroup, StreamId, Vector};
+use tsp_isa::mem::map_vector;
 use tsp_isa::{AluIndex, BinaryAluOp, DataType, IcuOp, MemAddr, MemOp, SxmOp, VxmOp};
 use tsp_mem::GlobalAddress;
 use tsp_sim::chip::RunOptions;
@@ -229,12 +230,7 @@ fn gather_fixture_with(map_read: bool) -> (Chip, Program) {
         chip.memory
             .write(ga(Hemisphere::West, 3, 100 + w), Vector::splat(w as u8 + 1));
     }
-    let mut map = Vector::ZERO;
-    for s in 0..20usize {
-        let a = (100 + (s % 8) as u16).to_le_bytes();
-        map.set_lane(2 * s, a[0]);
-        map.set_lane(2 * s + 1, a[1]);
-    }
+    let map = map_vector(std::array::from_fn(|s| MemAddr::new(100 + (s % 8) as u16)));
     chip.memory.write(ga(Hemisphere::West, 5, 0), map);
 
     let mut p = Program::new();
@@ -577,6 +573,14 @@ struct Feeder {
 }
 
 impl Feeder {
+    fn new() -> Feeder {
+        Feeder {
+            chip: Chip::new(ChipConfig::asic()),
+            program: Program::new(),
+            words: [[0; 44]; 2],
+        }
+    }
+
     /// The stream `id` flowing from `from` toward `to`.
     fn toward(id: u8, from: u8, to: u8) -> StreamId {
         if from < to {
@@ -640,11 +644,7 @@ fn every_unit_program() -> (Chip, Program) {
     use tsp_isa::{AccumulateMode, C2cOp, LinkId, MxmOp, PermuteMap, Plane};
     const E: Hemisphere = Hemisphere::East;
     const W: Hemisphere = Hemisphere::West;
-    let mut f = Feeder {
-        chip: Chip::new(ChipConfig::asic()),
-        program: Program::new(),
-        words: [[0; 44]; 2],
-    };
+    let mut f = Feeder::new();
 
     // SXM East (position 91): one op per sub-unit, operands from MEM_E.
     let sxm = Slice::Sxm(E).position().0;
@@ -754,7 +754,7 @@ fn every_unit_program() -> (Chip, Program) {
 
     // MEM: a gather and a scatter through stream-carried maps whose
     // superlane `s` addresses word `100 + s % 8`.
-    let map = Vector::from_fn(|lane| (100 + (lane / 2 % 8) as u16).to_le_bytes()[lane % 2]);
+    let map = map_vector(std::array::from_fn(|s| MemAddr::new(100 + (s % 8) as u16)));
     for w in 0..8u16 {
         let fill = Vector::splat(w as u8 + 1);
         f.chip.memory.write(ga(W, 3, 100 + w), fill);
@@ -928,5 +928,60 @@ fn timing_only_matches_functional_op_by_op() {
             assert!(!got.is_zero(), "sink MEM_E{slice} holds a result");
         }
         assert_eq!(functional.telemetry.mxm_macc_waves, [1, 0, 2, 0]);
+    }
+}
+
+/// An operand group whose width does not match its dtype is an
+/// `InvalidInstruction` on both dispatch paths, not a panic:
+/// `add s0,s4 -> s12 (int32)` on 1-wide groups, and an int32 convert
+/// reading a pair.
+#[test]
+fn vxm_group_width_mismatch_is_an_invalid_instruction() {
+    const E: Hemisphere = Hemisphere::East;
+    let vxm = Slice::Vxm.position().0;
+    for decoded in [true, false] {
+        let mut f = Feeder::new();
+        let a = f.feed(E, 0, 0, vxm, 200);
+        let b = f.feed(E, 4, 4, vxm, 200);
+        let add = VxmOp::Binary {
+            op: BinaryAluOp::AddSat,
+            dtype: DataType::Int32,
+            a: sg1(a),
+            b: sg1(b),
+            dst: sg1(StreamId::east(12)),
+            alu: AluIndex::new(0),
+        };
+        f.program.builder(vxm_icu(0)).push_at(200, add);
+        f.feed(E, 8, 8, vxm, 300);
+        f.feed(E, 9, 9, vxm, 300);
+        let convert = VxmOp::Convert {
+            from: DataType::Int32,
+            to: DataType::Int8,
+            src: StreamGroup::new(StreamId::west(8), 2),
+            dst: sg1(StreamId::east(13)),
+            shift: 100,
+            alu: AluIndex::new(1),
+        };
+        f.program.builder(vxm_icu(1)).push_at(300, convert);
+        let options = RunOptions {
+            decoded,
+            ..RunOptions::default()
+        };
+        let err = f.chip.run(&f.program, &options).unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidInstruction { cycle: 200, reason, .. }
+                if reason.contains("int32")),
+            "decoded {decoded}: {err}"
+        );
+        // Without the add, the convert's pair faults the same way.
+        let mut f = Feeder::new();
+        f.feed(E, 8, 8, vxm, 300);
+        f.feed(E, 9, 9, vxm, 300);
+        f.program.builder(vxm_icu(1)).push_at(300, convert);
+        let err = f.chip.run(&f.program, &options).unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidInstruction { cycle: 300, .. }),
+            "decoded {decoded}: {err}"
+        );
     }
 }

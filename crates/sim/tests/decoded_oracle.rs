@@ -7,7 +7,7 @@
 //! the same point on both paths).
 
 use proptest::prelude::*;
-use tsp_arch::{ChipConfig, Hemisphere, StreamGroup, StreamId, Vector};
+use tsp_arch::{ChipConfig, Hemisphere, Slice, StreamGroup, StreamId, Vector};
 use tsp_isa::{AluIndex, BinaryAluOp, DataType, IcuOp, MemAddr, MemOp, UnaryAluOp, VxmOp};
 use tsp_mem::GlobalAddress;
 use tsp_sim::chip::{RunOptions, RunReport};
@@ -241,14 +241,43 @@ fn mistimed_consumer_same_error() {
 
 /// One pseudo-random instruction drawn from a small pool. The schedule is
 /// *not* guaranteed valid — that is the point: valid programs must produce
-/// identical reports, invalid ones identical errors.
+/// identical reports, invalid ones identical errors. A `Vxm` pick is one
+/// [`vxm_op`]; each of its operand streams is read from a slice of its own
+/// so that it reaches the ALU as it dispatches.
 #[derive(Debug, Clone)]
 enum Pick {
     Nop { count: u16 },
     Read { slice: u8, word: u16, stream: u8 },
     Write { slice: u8, word: u16, stream: u8 },
-    Unary { op: UnaryAluOp, src: u8, dst: u8 },
+    Vxm(VxmOp),
 }
+
+const DTYPES: [DataType; 5] = [
+    DataType::Int8,
+    DataType::Int16,
+    DataType::Int32,
+    DataType::Fp16,
+    DataType::Fp32,
+];
+const UNARY: [UnaryAluOp; 7] = [
+    UnaryAluOp::Mask,
+    UnaryAluOp::Negate,
+    UnaryAluOp::Abs,
+    UnaryAluOp::Relu,
+    UnaryAluOp::Tanh,
+    UnaryAluOp::Exp,
+    UnaryAluOp::Rsqrt,
+];
+const BINARY: [BinaryAluOp; 8] = [
+    BinaryAluOp::AddSat,
+    BinaryAluOp::AddMod,
+    BinaryAluOp::SubSat,
+    BinaryAluOp::SubMod,
+    BinaryAluOp::MulSat,
+    BinaryAluOp::MulMod,
+    BinaryAluOp::Max,
+    BinaryAluOp::Min,
+];
 
 fn arb_pick() -> impl Strategy<Value = Pick> {
     prop_oneof![
@@ -263,16 +292,65 @@ fn arb_pick() -> impl Strategy<Value = Pick> {
             word,
             stream
         }),
-        (any::<bool>(), 0u8..4, 0u8..4).prop_map(|(relu, src, dst)| Pick::Unary {
-            op: if relu {
-                UnaryAluOp::Relu
-            } else {
-                UnaryAluOp::Mask
-            },
-            src,
-            dst,
-        }),
+        arb_vxm(),
+        arb_vxm(),
     ]
+}
+
+/// [`Pick::Vxm`], which [`arb_pick`] draws twice as often as the others.
+fn arb_vxm() -> impl Strategy<Value = Pick> {
+    (
+        0u8..3,
+        any::<u8>(),
+        (0u8..5, 0u8..5),
+        any::<i8>(),
+        any::<[u8; 3]>(),
+    )
+        .prop_map(|(kind, op, dtypes, shift, widths)| {
+            Pick::Vxm(vxm_op(kind, op, dtypes, shift, widths))
+        })
+}
+
+/// A `VxmOp` of any kind (`kind % 3`) at any dtype and any shift: operand
+/// `a` on west streams from 0, `b` from 4, the result on east streams from
+/// 0. Each group is as wide as its dtype half the time, else 1, 2 or 4
+/// streams whatever the dtype.
+fn vxm_op(kind: u8, op: u8, (from, to): (u8, u8), shift: i8, widths: [u8; 3]) -> VxmOp {
+    let (dtype, to) = (DTYPES[usize::from(from)], DTYPES[usize::from(to)]);
+    let out = if kind == 2 { to } else { dtype };
+    let width = |w: u8, dtype: DataType| {
+        let natural = dtype.stream_width();
+        [natural, natural, 1, 2, 4, natural][usize::from(w % 6)]
+    };
+    let a = StreamGroup::new(StreamId::west(0), width(widths[0], dtype));
+    let b = StreamGroup::new(StreamId::west(4), width(widths[1], dtype));
+    let dst = StreamGroup::new(StreamId::east(0), width(widths[2], out));
+    let alu = AluIndex::new(0);
+    match kind {
+        0 => VxmOp::Unary {
+            op: UNARY[usize::from(op) % UNARY.len()],
+            dtype,
+            src: a,
+            dst,
+            alu,
+        },
+        1 => VxmOp::Binary {
+            op: BINARY[usize::from(op) % BINARY.len()],
+            dtype,
+            a,
+            b,
+            dst,
+            alu,
+        },
+        _ => VxmOp::Convert {
+            from: dtype,
+            to,
+            src: a,
+            dst,
+            shift,
+            alu,
+        },
+    }
 }
 
 /// Builds a program from random picks, spread over random dispatch cycles
@@ -282,22 +360,22 @@ fn arb_pick() -> impl Strategy<Value = Pick> {
 fn build_random_program(picks: &[(Pick, u8, u64)]) -> Program {
     let mut p = Program::new();
     for (pick, queue_sel, at) in picks {
-        match pick {
+        match *pick {
             Pick::Nop { count } => {
                 let mut b = p.builder(mem_icu(Hemisphere::East, 4 + queue_sel % 4));
-                b.push_at((*at).max(b.time()), IcuOp::Nop { count: *count });
+                b.push_at((*at).max(b.time()), IcuOp::Nop { count });
             }
             Pick::Read {
                 slice,
                 word,
                 stream,
             } => {
-                let mut b = p.builder(mem_icu(Hemisphere::East, *slice));
+                let mut b = p.builder(mem_icu(Hemisphere::East, slice));
                 b.push_at(
                     (*at).max(b.time()),
                     MemOp::Read {
-                        addr: MemAddr::new(*word),
-                        stream: StreamId::west(*stream),
+                        addr: MemAddr::new(word),
+                        stream: StreamId::west(stream),
                     },
                 );
             }
@@ -306,33 +384,54 @@ fn build_random_program(picks: &[(Pick, u8, u64)]) -> Program {
                 word,
                 stream,
             } => {
-                let mut b = p.builder(mem_icu(Hemisphere::East, *slice));
+                let mut b = p.builder(mem_icu(Hemisphere::East, slice));
                 b.push_at(
                     (*at).max(b.time()),
                     MemOp::Write {
-                        addr: MemAddr::new(*word),
-                        stream: StreamId::west(*stream),
+                        addr: MemAddr::new(word),
+                        stream: StreamId::west(stream),
                     },
                 );
             }
-            Pick::Unary { op, src, dst } => {
+            Pick::Vxm(op) => {
                 let mut b = p.builder(IcuId::Vxm {
                     alu: AluIndex::new(0),
                 });
-                b.push_at(
-                    (*at).max(b.time()),
-                    VxmOp::Unary {
-                        op: *op,
-                        dtype: DataType::Int8,
-                        src: sg1(StreamId::west(*src)),
-                        dst: sg1(StreamId::east(*dst)),
-                        alu: AluIndex::new(0),
-                    },
-                );
+                let t = (*at + 32).max(b.time());
+                b.push_at(t, op);
+                let operands = match op {
+                    VxmOp::Binary { a, b, .. } => vec![a, b],
+                    VxmOp::Unary { src, .. } | VxmOp::Convert { src, .. } => vec![src],
+                };
+                let vxm = Slice::Vxm.position().0;
+                for stream in operands.into_iter().flat_map(StreamGroup::streams) {
+                    // Stream `i` is read from slice E8+i: a 5-cycle read,
+                    // then one hop a slice to the VXM.
+                    let slice = 8 + stream.id;
+                    let hops = Slice::mem(Hemisphere::East, slice).position().0 - vxm;
+                    let mut b = p.builder(mem_icu(Hemisphere::East, slice));
+                    b.push_at(
+                        (t - 5 - u64::from(hops)).max(b.time()),
+                        MemOp::Read {
+                            addr: MemAddr::new(u16::from(*queue_sel % 4)),
+                            stream,
+                        },
+                    );
+                }
             }
         }
     }
     p
+}
+
+/// Seeds words 0–3 of MEM_E4 to MEM_E15 (the picks' read slices).
+fn seed_slices(chip: &mut Chip, fill: impl Fn(u8, u16) -> Vector) {
+    for slice in 4..16u8 {
+        for word in 0..4u16 {
+            chip.memory
+                .write(ga(Hemisphere::East, slice, word), fill(slice, word));
+        }
+    }
 }
 
 proptest! {
@@ -352,14 +451,9 @@ proptest! {
             ..RunOptions::default()
         };
         let _ = run_both(&p, &options, |chip| {
-            for slice in 4..8u8 {
-                for word in 0..4u16 {
-                    chip.memory.write(
-                        ga(Hemisphere::East, slice, word),
-                        Vector::from_fn(|i| (i as u8).wrapping_mul(tag).wrapping_add(slice)),
-                    );
-                }
-            }
+            seed_slices(chip, |slice, _| {
+                Vector::from_fn(|i| (i as u8).wrapping_mul(tag).wrapping_add(slice))
+            });
         });
     }
 
@@ -387,14 +481,7 @@ proptest! {
             ..RunOptions::default()
         };
         let _ = run_both(&p, &options, |chip| {
-            for slice in 4..8u8 {
-                for word in 0..4u16 {
-                    chip.memory.write(
-                        ga(Hemisphere::East, slice, word),
-                        Vector::splat(slice ^ word as u8),
-                    );
-                }
-            }
+            seed_slices(chip, |slice, word| Vector::splat(slice ^ word as u8));
         });
     }
 }

@@ -1,13 +1,16 @@
 //! Kernel-equivalence suite (DESIGN.md §9): the chunked/batched data-path
-//! kernels must be **bit-identical** to the retained scalar reference
-//! implementations across random weights, activations, and operands —
-//! including the int8 saturating/modulo edges and the fp16 tandem path's
-//! single-rounding-at-readout contract.
+//! kernels must be **bit-identical** to the scalar oracles in `reference/`
+//! across random weights, activations, operands and shifts — including the
+//! int8 saturating/modulo edges, conversions at every `i8` shift and the
+//! fp16 tandem path's single-rounding-at-readout contract. The oracles
+//! import nothing from the kernels they check.
+
+mod reference;
 
 use proptest::prelude::*;
 use tsp_arch::{Vector, LANES};
 use tsp_isa::{BinaryAluOp, DataType, PermuteMap, UnaryAluOp};
-use tsp_sim::mxm_unit::{self, MxmPlane, MxmResult};
+use tsp_sim::mxm_unit::{MxmPlane, MxmResult};
 use tsp_sim::{fp16, sxm_unit, vxm_unit};
 
 const BINARY_OPS: [BinaryAluOp; 8] = [
@@ -58,19 +61,21 @@ fn rand_planes(state: &mut u64, dtype: DataType) -> Vec<Vector> {
         .collect()
 }
 
-/// Loads a full random weight matrix and installs it; returns the installed
-/// rows for driving the scalar oracle.
+/// Loads a full random weight matrix and installs it; returns the rows it
+/// loaded, for driving the scalar oracle.
 fn install_random_weights(
     plane: &mut MxmPlane,
     state: &mut u64,
     dtype: DataType,
 ) -> Vec<[u8; LANES]> {
+    let mut installed = Vec::with_capacity(LANES);
     for g in 0..20u8 {
         let rows: Vec<Vector> = (0..16).map(|_| rand_vector(state)).collect();
         plane.load_weight_rows(g, &rows);
+        installed.extend(rows.iter().map(|row| *row.as_bytes()));
     }
     plane.install(dtype);
-    mxm_unit::reference::installed_rows(plane)
+    installed
 }
 
 proptest! {
@@ -89,7 +94,7 @@ proptest! {
             let Some(MxmResult::Int32(got)) = plane.accumulate(1000 + i as u64, 0, false) else {
                 return Err(TestCaseError::Fail(format!("feed {i} produced no int32 result")));
             };
-            prop_assert_eq!(got, &mxm_unit::reference::matmul_i8(&installed, a), "feed {}", i);
+            prop_assert_eq!(got, &reference::mxm::matmul_i8(&installed, a), "feed {}", i);
         }
     }
 
@@ -110,11 +115,11 @@ proptest! {
         let Some(MxmResult::Int32(r0)) = plane.accumulate(1000, 0, false) else {
             return Err(TestCaseError::Fail("no result for feed 0".into()));
         };
-        prop_assert_eq!(r0, &mxm_unit::reference::matmul_i8(&first, &a0));
+        prop_assert_eq!(r0, &reference::mxm::matmul_i8(&first, &a0));
         let Some(MxmResult::Int32(r1)) = plane.accumulate(1001, 0, false) else {
             return Err(TestCaseError::Fail("no result for feed 1".into()));
         };
-        prop_assert_eq!(r1, &mxm_unit::reference::matmul_i8(&second, &a1));
+        prop_assert_eq!(r1, &reference::mxm::matmul_i8(&second, &a1));
     }
 
     /// The fp16 tandem path with its per-install weight-decode cache is
@@ -132,7 +137,7 @@ proptest! {
         // Two feeds: the second exercises the warmed weight cache.
         lo.feed_activation_fp16(0, &hi, &act_lo, &act_hi);
         lo.feed_activation_fp16(1, &hi, &act_lo, &act_hi);
-        let want: Vec<u32> = mxm_unit::reference::matmul_fp16(&lo_rows, &hi_rows, &act_lo, &act_hi)
+        let want: Vec<u32> = reference::mxm::matmul_fp16(&lo_rows, &hi_rows, &act_lo, &act_hi)
             .into_iter()
             .map(f32::to_bits)
             .collect();
@@ -156,7 +161,7 @@ proptest! {
             for op in BINARY_OPS {
                 prop_assert_eq!(
                     vxm_unit::apply_binary(op, dtype, &a, &b).unwrap(),
-                    vxm_unit::reference::apply_binary(op, dtype, &a, &b).unwrap(),
+                    reference::vxm::apply_binary(op, dtype, &a, &b).unwrap(),
                     "{:?} {}", op, dtype
                 );
             }
@@ -172,25 +177,26 @@ proptest! {
             let x = rand_planes(&mut s, dtype);
             for op in UNARY_OPS {
                 prop_assert_eq!(
-                    vxm_unit::apply_unary(op, dtype, &x),
-                    vxm_unit::reference::apply_unary(op, dtype, &x),
+                    vxm_unit::apply_unary(op, dtype, &x).ok(),
+                    reference::vxm::apply_unary(op, dtype, &x).ok(),
                     "{:?} {}", op, dtype
                 );
             }
         }
     }
 
-    /// Every (from × to) conversion with a random power-of-two scale equals
-    /// the oracle (requantization rounding and saturation included).
+    /// Every (from × to) conversion with a power-of-two scale at any `i8`
+    /// shift equals the oracle (requantization rounding and saturation
+    /// included).
     #[test]
-    fn vxm_convert_matches_scalar_reference(seed in any::<u64>(), shift in -8i8..16) {
+    fn vxm_convert_matches_scalar_reference(seed in any::<u64>(), shift in any::<i8>()) {
         let mut s = seed | 1;
         for from in DTYPES {
             let x = rand_planes(&mut s, from);
             for to in DTYPES {
                 prop_assert_eq!(
                     vxm_unit::apply_convert(from, to, shift, &x).unwrap(),
-                    vxm_unit::reference::apply_convert(from, to, shift, &x).unwrap(),
+                    reference::vxm::apply_convert(from, to, shift, &x).unwrap(),
                     "{} -> {} shift {}", from, to, shift
                 );
             }
@@ -210,16 +216,16 @@ proptest! {
         let mut s = seed | 1;
         let v = rand_vector(&mut s);
         let w = rand_vector(&mut s);
-        prop_assert_eq!(sxm_unit::shift_up(&v, n), sxm_unit::reference::shift_up(&v, n));
-        prop_assert_eq!(sxm_unit::shift_down(&v, n), sxm_unit::reference::shift_down(&v, n));
+        prop_assert_eq!(sxm_unit::shift_up(&v, n), reference::sxm::shift_up(&v, n));
+        prop_assert_eq!(sxm_unit::shift_down(&v, n), reference::sxm::shift_down(&v, n));
         prop_assert_eq!(
             sxm_unit::select(&v, &w, boundary),
-            sxm_unit::reference::select(&v, &w, boundary)
+            reference::sxm::select(&v, &w, boundary)
         );
         let map = PermuteMap::rotation(rot);
         prop_assert_eq!(
             sxm_unit::permute(&v, &map),
-            sxm_unit::reference::permute(&v, &map)
+            reference::sxm::permute(&v, &map)
         );
         let mut dist = [None; 16];
         for d in &mut dist {
@@ -228,17 +234,17 @@ proptest! {
         }
         prop_assert_eq!(
             sxm_unit::distribute(&v, &dist),
-            sxm_unit::reference::distribute(&v, &dist)
+            reference::sxm::distribute(&v, &dist)
         );
         let rows: Vec<Vector> = (0..fan).map(|_| rand_vector(&mut s)).collect();
         prop_assert_eq!(
             sxm_unit::rotate(&rows, fan),
-            sxm_unit::reference::rotate(&rows, fan)
+            reference::sxm::rotate(&rows, fan)
         );
         let streams: Vec<Vector> = (0..16).map(|_| rand_vector(&mut s)).collect();
         prop_assert_eq!(
             sxm_unit::transpose(&streams),
-            sxm_unit::reference::transpose(&streams)
+            reference::sxm::transpose(&streams)
         );
     }
 }
@@ -257,7 +263,7 @@ fn vxm_int8_edges_exhaustive() {
         let vb = vec![b_sweep.clone()];
         for op in BINARY_OPS {
             let got = vxm_unit::apply_binary(op, DataType::Int8, &va, &vb).unwrap();
-            let want = vxm_unit::reference::apply_binary(op, DataType::Int8, &va, &vb).unwrap();
+            let want = reference::vxm::apply_binary(op, DataType::Int8, &va, &vb).unwrap();
             assert_eq!(got, want, "{op:?} a={a}");
             for l in 0..LANES {
                 let b = b_sweep.lane(l) as i8;
@@ -319,4 +325,97 @@ fn mxm_fp16_single_rounding_at_readout() {
     let single_rounded = (1.0 + 2f64.powi(-23)) as f32;
     assert_eq!(out[0].to_bits(), single_rounded.to_bits());
     assert_ne!(out[0].to_bits(), 1f32.to_bits(), "double rounding detected");
+}
+
+/// `v·2^-shift`, rounded half away from zero and clamped to `[min, max]`,
+/// computed with `u128` magnitudes: a divide for a right shift, a checked
+/// multiply for a left one.
+fn exact_shift(v: i128, shift: i8, (min, max): (i128, i128)) -> i128 {
+    let k = u32::from(shift.unsigned_abs());
+    let m = v.unsigned_abs();
+    let magnitude = if shift >= 0 {
+        let d = 1u128 << k;
+        (m + d / 2) / d
+    } else if m == 0 {
+        0
+    } else {
+        1u128
+            .checked_shl(k)
+            .and_then(|p| m.checked_mul(p))
+            .unwrap_or(u128::MAX)
+    };
+    let magnitude = i128::try_from(magnitude).unwrap_or(i128::MAX);
+    (if v < 0 { -magnitude } else { magnitude }).clamp(min, max)
+}
+
+/// Integer → integer conversions at shifts far outside a requantizer's,
+/// for every source/target pair, against `u128` arithmetic: the exact
+/// rounded and saturated `v·2^-shift` (a shift of 64 takes 1 to 0; −63
+/// takes 1,000 to the target's maximum).
+#[test]
+fn vxm_convert_extreme_shifts_match_i128_arithmetic() {
+    const SHIFTS: [i8; 12] = [-128, -64, -63, -40, -33, 32, 33, 63, 64, 127, 1, -1];
+    let ints = [
+        (DataType::Int8, i128::from(i8::MIN), i128::from(i8::MAX)),
+        (DataType::Int16, i128::from(i16::MIN), i128::from(i16::MAX)),
+        (DataType::Int32, i128::from(i32::MIN), i128::from(i32::MAX)),
+    ];
+    for (from, min, max) in ints {
+        let values = [0, 1, -1, 2, -2, 3, 1000, -1000, min, max, min + 1, max - 1]
+            .map(|v: i128| v.clamp(min, max));
+        let width = usize::from(from.stream_width());
+        // Lane `l` holds `values[l % 12]`, little-endian across the planes.
+        let x: Vec<Vector> = (0..width)
+            .map(|k| Vector::from_fn(|l| (values[l % values.len()] >> (8 * k)) as u8))
+            .collect();
+        for (to, to_min, to_max) in ints {
+            let out_width = usize::from(to.stream_width());
+            for shift in SHIFTS {
+                let got = vxm_unit::apply_convert(from, to, shift, &x).unwrap();
+                for (l, &v) in values.iter().enumerate() {
+                    let lane: i128 = (0..out_width)
+                        .map(|k| i128::from(got[k].lane(l)) << (8 * k))
+                        .sum();
+                    let bits = 8 * out_width as u32;
+                    let lane = (lane << (128 - bits)) >> (128 - bits); // sign-extend
+                    let want = exact_shift(v, shift, (to_min, to_max));
+                    assert_eq!(lane, want, "{from} -> {to}, {v} shift {shift}");
+                }
+            }
+        }
+    }
+}
+
+/// The lane codec lays an `int32` lane across a quad as the oracle's
+/// byte-by-byte reading expects (plane `k` holds byte `k`), and loads back
+/// what it stored.
+#[test]
+fn lane_codec_round_trips_i32_quads() {
+    use tsp_sim::lane::{self, Lane};
+    let ints: Vec<i32> = (0..LANES as i32).map(|i| i * 1_000_003 - 7).collect();
+    let quad = lane::group(|l| ints[l]);
+    assert_eq!(quad.len(), 4);
+    for (l, &v) in ints.iter().enumerate() {
+        assert_eq!(i32::load(&lane::planes(&quad), l), v);
+        for (k, plane) in quad.iter().enumerate() {
+            assert_eq!(plane.lane(l), (v >> (8 * k)) as u8, "lane {l} plane {k}");
+        }
+    }
+}
+
+/// The lane codec lays an fp16 lane across a pair, low byte first, and loads
+/// back what it stored.
+#[test]
+fn lane_codec_round_trips_fp16_pairs() {
+    use tsp_sim::lane::{self, Lane, F16};
+    let halves: Vec<u16> = (0..LANES).map(|i| (i * 257) as u16).collect();
+    let pair = lane::group(|l| F16(halves[l]));
+    assert_eq!(pair.len(), 2);
+    for (l, &v) in halves.iter().enumerate() {
+        assert_eq!(F16::load(&lane::planes(&pair), l), F16(v));
+        assert_eq!(
+            [pair[0].lane(l), pair[1].lane(l)],
+            [v as u8, (v >> 8) as u8]
+        );
+    }
 }

@@ -81,11 +81,7 @@ proptest! {
     /// in-range multiples of the scale.
     #[test]
     fn requantize_monotone(x in -100_000i32..100_000, shift in 1i8..12) {
-        use tsp_arch::vector::split_i32;
-        let mk = |v: i32| {
-            let vals = vec![v; 320];
-            split_i32(&vals).to_vec()
-        };
+        let mk = |v: i32| tsp_sim::lane::group(|_| v);
         let q = |v: i32| {
             let out = vxm_unit::apply_convert(DataType::Int32, DataType::Int8, shift, &mk(v)).unwrap();
             out[0].lane(0) as i8

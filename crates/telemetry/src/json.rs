@@ -1,14 +1,14 @@
 //! A minimal JSON value, its parser and its printer.
 //!
-//! The offline build environment has no serde, so the workspace's reports
-//! (`BENCH_FAULTS.json`, [`crate::Telemetry::to_json`])
-//! are built as a [`Json`] value and printed by the one printer here —
-//! compact through [`Display`](fmt::Display), laid out for a reader through
+//! The offline build environment has no serde, so the workspace's one JSON
+//! report, [`crate::Telemetry::to_json`], is built as a [`Json`] value and
+//! printed by the one printer here — compact through
+//! [`Display`](fmt::Display), laid out for a reader through
 //! [`Json::pretty`]. The parser reads documents back: trace validation
 //! ([`crate::perfetto::validate`]) and tests. Numbers keep their **raw
-//! token** ([`Json::Num`] holds the text) so 64-bit integers (e.g. campaign
-//! trial seeds) and fixed-decimal values print exactly as built and survive
-//! parse → print bit-exactly instead of being squeezed through an `f64`.
+//! token** ([`Json::Num`] holds the text) so 64-bit counters and decimal
+//! values print exactly as built and survive parse → print bit-exactly
+//! instead of being squeezed through an `f64`.
 //! (The Perfetto exporter writes its trace bytes itself; they are a pinned
 //! contract.)
 
@@ -141,17 +141,6 @@ impl Json {
     #[must_use]
     pub fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
         Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-    }
-
-    /// `v` with exactly `decimals` digits after the point; `null` if `v` is
-    /// not finite (JSON has no NaN or infinity).
-    #[must_use]
-    pub fn fixed(v: f64, decimals: usize) -> Json {
-        if v.is_finite() {
-            Json::Num(format!("{v:.decimals$}"))
-        } else {
-            Json::Null
-        }
     }
 
     /// The document laid out for a reader, its closing bracket at column

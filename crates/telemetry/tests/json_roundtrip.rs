@@ -129,7 +129,7 @@ impl Gen {
         match self.below(4) {
             0 => Json::from(raw),
             1 => Json::Num((raw as i64).to_string()),
-            2 => Json::fixed(raw as f64 / 1e9, self.below(8) as usize),
+            2 => Json::Num(format!("{}.{:03}", raw >> 40, raw % 1000)),
             _ => Json::Num(format!(
                 "-{}.{}e{}",
                 raw % 1000,
