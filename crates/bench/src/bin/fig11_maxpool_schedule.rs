@@ -61,8 +61,8 @@ fn main() {
 
     let mut chip = Chip::new(ChipConfig::asic());
     for (handle, rows) in &constants {
-        for (r, v) in rows.iter().enumerate() {
-            chip.memory.write(handle.row(r as u32), v.clone());
+        for (r, v) in rows {
+            chip.memory.write(handle.row(*r), v.clone());
         }
     }
     let report = chip

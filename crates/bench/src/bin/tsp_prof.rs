@@ -23,20 +23,20 @@
 //! rows, in-chain stall, hand-over, when the border was cleared) and exits.
 //!
 //! `serve` shows one served run instead of one chip: `tsp-serve` with request
-//! spans on, over a pool of four chips running
-//! [`small_cnn_batch`], chip 0 struck
-//! by a persistent fault on every dispatch. It prints the outcome counts,
-//! the p50/p99 latency and the flight recorder's non-success requests, and
-//! writes the request trace (`--out`, default `serve_trace.json`).
+//! spans on, over a pool of four chips running `small_cnn`, chip 0 struck
+//! by a persistent fault on every dispatch. It prints the report of
+//! [`tsp_bench::serve_profile`] — the per-dispatch emplace and service, the
+//! outcome counts, the p50/p99 latency and the flight recorder's non-success
+//! requests, what `results/serve_profile.txt` pins — and writes the request
+//! trace (`--out`, default `serve_trace.json`).
 //!
 //! Every trace is written only once it validates structurally
 //! ([`perfetto::validate`]), and the tool exits 1 if it does not — CI uses
 //! this as its trace smoke gate.
 
 use tsp::prelude::*;
-use tsp_bench::workloads::{resnet_model, roofline_program, small_cnn_batch, vector_add_program};
-use tsp_serve::{open_loop, render_flight, serve, serve_trace_json, LoadSpec, ServeConfig};
-use tsp_sim::faults::ChaosSpec;
+use tsp_bench::workloads::{resnet_model, roofline_program, vector_add_program};
+use tsp_serve::serve_trace_json;
 use tsp_telemetry::perfetto;
 use tsp_telemetry::profile::{
     idle_gaps, render_idle_gaps, render_top_units, render_utilization, UnitStat, UtilRow,
@@ -58,77 +58,11 @@ fn fail(message: &str) -> ! {
     std::process::exit(1);
 }
 
-/// `tsp-prof serve`: 48 open-loop requests at half the pool's capacity, with
-/// a deadline of eight batches, through four chips of which chip 0 draws a
-/// persistent fault on every dispatch (so the breaker quarantines it).
+/// `tsp-prof serve`: [`tsp_bench::serve_profile`]'s report, then the request
+/// trace.
 fn profile_serve(out_path: &str) {
-    const POOL: usize = 4;
-    let (model, inputs) = small_cnn_batch();
-    // The schedule fixes a run's cycles whatever the data: one fault-free
-    // run times every request's service.
-    let mut chip = Chip::new(ChipConfig::asic());
-    model.model.load_constants(&mut chip);
-    model.model.write_input(&mut chip, &inputs[0]);
-    let service = chip
-        .run(&model.model.program, &RunOptions::default())
-        .unwrap_or_else(|e| fail(&format!("calibration run failed: {e:?}")))
-        .cycles;
-    let emplace = model.emplace_cycles();
-    let batch_cycles = emplace + model.max_batch as u64 * service;
-    let spec = LoadSpec {
-        seed: 0x5EED_0011,
-        requests: 48,
-        mean_interarrival: 2.0 * batch_cycles as f64 / (POOL * model.max_batch) as f64,
-        deadline: 8 * batch_cycles,
-        inputs: inputs.len(),
-    };
-    let config = ServeConfig {
-        pool: POOL,
-        queue_depth: 32,
-        spans: true,
-        chaos: Some(ChaosSpec {
-            chips: vec![0],
-            strike_per_mille: 1000,
-            persistent_per_mille: 1000,
-            targeted_double: true,
-            ..ChaosSpec::off(0xCAFF)
-        }),
-        ..ServeConfig::default()
-    };
-    let requests = open_loop(&spec);
-    let result = serve(&model, &config, &inputs, &requests)
-        .unwrap_or_else(|e| fail(&format!("serve failed: {e}")));
-
-    println!("# tsp-prof: serve");
-    println!(
-        "pool {POOL} × batch {}, emplace {emplace}, service {service} cycles; {} requests, \
-         mean gap {:.1} cycles, deadline {}; chip 0 struck persistently",
-        model.max_batch, spec.requests, spec.mean_interarrival, spec.deadline
-    );
-    println!(
-        "good {}  shed {}  failed {}  missed {}  quarantined {}",
-        result.good(),
-        result.shed_queue_full() + result.shed_expired(),
-        result.failed(),
-        result.deadline_missed(),
-        (result.chips.iter())
-            .filter(|c| c.quarantined_at.is_some())
-            .count(),
-    );
-    // Nearest rank: the ⌈q·n⌉-th smallest latency of the completed requests.
-    let latencies = result.latencies();
-    let rank = |q: f64| {
-        let at = ((q * latencies.len() as f64).ceil() as usize).max(1);
-        latencies
-            .get(at - 1)
-            .map_or("-".to_string(), u64::to_string)
-    };
-    println!(
-        "latency p50 {}  p99 {} cycles, arrival to completion",
-        rank(0.5),
-        rank(0.99)
-    );
-    print!("{}", render_flight(&result.flight));
+    let (report, result) = tsp_bench::serve_profile::render();
+    print!("{report}");
     write_trace(out_path, &serve_trace_json(&result));
 }
 

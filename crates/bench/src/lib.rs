@@ -7,7 +7,8 @@
 //! `results/fault_campaign.txt`). Host speed and serving are not measured
 //! here: the standalone `benchmark/` crate is the one harness that
 //! times the simulator and gates the serving layer, and `tsp-prof serve`
-//! shows one served run.
+//! shows one served run ([`serve_profile`], pinned as
+//! `results/serve_profile.txt`).
 //!
 //! The harness itself contributes [`fan_out`]: experiment points are
 //! independent simulations of a deterministic machine, so the bins run them
@@ -18,6 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod serve_profile;
 pub mod stalls;
 pub mod workloads;
 

@@ -110,7 +110,7 @@ struct Clear {
 /// Per-layer [`Clear`]s, keyed by the index of the layer that wrote the data.
 fn clears(model: &CompiledModel, layer_of: impl Fn(u64) -> usize) -> BTreeMap<usize, Clear> {
     let constant: HashSet<(Hemisphere, u8, u16)> = (model.constants.iter())
-        .flat_map(|(t, rows)| (0..rows.len() as u32).map(move |r| t.row(r)))
+        .flat_map(|(t, _)| (0..t.rows).map(move |r| t.row(r)))
         .map(|a| (a.hemisphere, a.slice, a.word.word()))
         .collect();
     let program = &model.program;

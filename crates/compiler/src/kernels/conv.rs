@@ -1502,8 +1502,8 @@ mod tests {
         let constants = s.take_constants();
         let program = s.into_program().expect("valid schedule");
         for (handle, rows) in &constants {
-            for (r, v) in rows.iter().enumerate() {
-                chip.memory.write(handle.row(r as u32), v.clone());
+            for (r, v) in rows {
+                chip.memory.write(handle.row(*r), v.clone());
             }
         }
         fill_input(&mut chip, &host, &host_data);
@@ -1697,7 +1697,14 @@ mod tests {
                 .alloc_in(Some(Hemisphere::East), 8, 16, BankPolicy::High, 4096)
                 .unwrap();
             let identity = |m: u32, row: &mut Vector| row.set_lane(m as usize, 1);
-            let w = s.add_constant(lw_rows(identity, 16), 16, BankPolicy::Low, 20);
+            let w = s.add_constant_in(
+                None,
+                &[],
+                (320, 16),
+                lw_rows(identity, 16),
+                BankPolicy::Low,
+                20,
+            );
             let rows: Vec<u32> = (0..8).collect();
             let pass = Pass {
                 weights: &w,
@@ -1726,8 +1733,8 @@ mod tests {
             let constants = s.take_constants();
             let program = s.into_program().expect("valid schedule");
             for (handle, rows) in &constants {
-                for (r, v) in rows.iter().enumerate() {
-                    chip.memory.write(handle.row(r as u32), v.clone());
+                for (r, v) in rows {
+                    chip.memory.write(handle.row(*r), v.clone());
                 }
             }
             for r in 0..8 {

@@ -38,7 +38,7 @@ use tsp_sim::IcuId;
 
 use crate::alloc::BankPolicy;
 use crate::kernels::elementwise::tensor_hemisphere;
-use crate::sched::{LaneMap, OutOfPorts, Scheduler};
+use crate::sched::{ConstantRows, LaneMap, OutOfPorts, Scheduler};
 use crate::tensor::TensorHandle;
 
 /// The weights of one matmul, pre-split and serialized for the MXM.
@@ -96,17 +96,21 @@ pub struct Int32Stream {
 
 /// LW-order serialization of one weight block: `fill(m, row)` writes the
 /// weights of array row (output lane) `m < mrows` into `row`, lane = input
-/// lane; the rest of the 320×320 block is zero.
-pub fn lw_rows(fill: impl Fn(u32, &mut Vector), mrows: u32) -> Vec<Vector> {
-    let mut rows = Vec::with_capacity(320);
+/// lane. Array row `m` is block row `20·(m mod 16) + ⌊m/16⌋`; only the
+/// `mrows` rows `fill` writes are returned, the rest of the 320×320 block
+/// reads zero unwritten ([`ConstantRows`]).
+///
+/// # Panics
+///
+/// Panics if `mrows` exceeds the array's 320 rows.
+pub fn lw_rows(fill: impl Fn(u32, &mut Vector), mrows: u32) -> ConstantRows {
+    assert!(mrows <= 320, "a weight block has 320 array rows");
+    let mut rows = Vec::with_capacity(mrows as usize);
     for j in 0..16u32 {
-        for r in 0..20u32 {
-            let m = 16 * r + j;
+        for m in (j..mrows).step_by(16) {
             let mut v = Vector::ZERO;
-            if m < mrows {
-                fill(m, &mut v);
-            }
-            rows.push(v);
+            fill(m, &mut v);
+            rows.push((20 * j + m / 16, v));
         }
     }
     rows
@@ -203,8 +207,9 @@ pub fn plane_of_chain(chain: usize) -> Plane {
 }
 
 /// One 320-row LW-order weight block on its way into SRAM: the M-split whose
-/// chains install it, its rows, its meaningful lanes.
-pub type WeightBlock = (usize, Vec<Vector>, u16);
+/// chains install it, the rows of it that hold data ([`lw_rows`]), its
+/// meaningful lanes.
+pub type WeightBlock = (usize, ConstantRows, u16);
 
 /// Emplaces a kernel's weight blocks, returning their handles in the order
 /// given; all keep off the slices in `avoid` where they can (what the kernel
@@ -256,7 +261,7 @@ pub fn emplace_weight_blocks(
                 s.add_constant_at(handle.clone(), rows);
                 handle
             }
-            None => s.add_constant_in(None, avoid, rows, cols, BankPolicy::Low, 20),
+            None => s.add_constant_in(None, avoid, (320, cols), rows, BankPolicy::Low, 20),
         })
         .collect()
 }

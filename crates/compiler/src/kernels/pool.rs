@@ -525,8 +525,8 @@ mod tests {
 
     fn load_constants(chip: &mut Chip, s: &mut Scheduler) {
         for (handle, rows) in s.take_constants() {
-            for (r, v) in rows.iter().enumerate() {
-                chip.memory.write(handle.row(r as u32), v.clone());
+            for (r, v) in rows {
+                chip.memory.write(handle.row(r), v);
             }
         }
     }

@@ -40,5 +40,5 @@ pub mod viz;
 
 pub use alloc::MemAllocator;
 pub use resource::{Resource, ResourcePool};
-pub use sched::Scheduler;
+pub use sched::{ConstantRows, Scheduler};
 pub use tensor::{Layout, TensorHandle};

@@ -138,6 +138,12 @@ impl std::fmt::Display for OutOfPorts {
 
 impl std::error::Error for OutOfPorts {}
 
+/// The rows of a constant the host ships, each with its index in the
+/// constant's handle, ascending. A row the list leaves out is never written
+/// and reads zero on a fresh chip (the contract [`Scheduler::zero_stale`]
+/// states), so only rows that hold data need be listed.
+pub type ConstantRows = Vec<(u32, Vector)>;
+
 /// State captured by [`Scheduler::snapshot`].
 #[derive(Debug, Clone)]
 pub struct SchedulerSnapshot {
@@ -160,7 +166,7 @@ pub struct Scheduler {
     /// The memory allocator.
     pub alloc: MemAllocator,
     placements: BTreeMap<IcuId, Vec<(u64, Instruction)>>,
-    constants: Vec<(TensorHandle, Vec<tsp_arch::Vector>)>,
+    constants: Vec<(TensorHandle, ConstantRows)>,
     /// Per hemisphere, one never-written row (see [`Scheduler::zero_stale`]).
     zero_rows: [Option<TensorHandle>; 2],
     completion: u64,
@@ -186,9 +192,9 @@ impl Scheduler {
         self.completion = self.completion.max(cycle);
     }
 
-    /// Allocates a tensor and registers its contents for host-DMA emplacement
-    /// before execution (compile-time constants: weights, gather maps,
-    /// identity matrices). The rows are zero-padded/truncated to the handle.
+    /// Allocates a tensor of `rows.len()` rows and registers every one of
+    /// them for host-DMA emplacement before execution (compile-time
+    /// constants: weights, gather maps, identity matrices).
     ///
     /// # Panics
     ///
@@ -200,18 +206,22 @@ impl Scheduler {
         policy: crate::alloc::BankPolicy,
         max_block: u32,
     ) -> TensorHandle {
-        self.add_constant_in(None, &[], rows, cols, policy, max_block)
+        let shape = (rows.len() as u32, cols);
+        let rows = (0u32..).zip(rows).collect();
+        self.add_constant_in(None, &[], shape, rows, policy, max_block)
     }
 
-    /// [`Scheduler::add_constant`] constrained to a hemisphere and keeping off
-    /// the slices in `avoid` — other tensors streamed at the same time, whose
-    /// queues the constant's reads would wait behind. A model whose constants
-    /// outgrow their bank (ResNet-152 fills 97 % of the Low one) borrows from
-    /// the activations': a constant is never freed, so it is as safe there,
-    /// only no longer apart — and better there than on a slice to avoid: a
-    /// weight block on the slices of its conv's shortcut keeps the shortcut's
-    /// rows from meeting the chain on time, however late the chain is retried.
-    /// Only when neither bank has room off them are those slices taken.
+    /// Allocates a `(rows, cols)` tensor and registers the rows of it that
+    /// hold data (the rest read zero — see [`ConstantRows`]), constrained to
+    /// a hemisphere and keeping off the slices in `avoid` — other tensors
+    /// streamed at the same time, whose queues the constant's reads would
+    /// wait behind. A model whose constants outgrow their bank (ResNet-152
+    /// fills 97 % of the Low one) borrows from the activations': a constant
+    /// is never freed, so it is as safe there, only no longer apart — and
+    /// better there than on a slice to avoid: a weight block on the slices of
+    /// its conv's shortcut keeps the shortcut's rows from meeting the chain on
+    /// time, however late the chain is retried. Only when neither bank has
+    /// room off them are those slices taken.
     ///
     /// # Panics
     ///
@@ -220,12 +230,11 @@ impl Scheduler {
         &mut self,
         hemisphere: Option<Hemisphere>,
         avoid: &[(Hemisphere, u8)],
-        rows: Vec<Vector>,
-        cols: u16,
+        (n, cols): (u32, u16),
+        rows: ConstantRows,
         policy: crate::alloc::BankPolicy,
         max_block: u32,
     ) -> TensorHandle {
-        let n = rows.len() as u32;
         let high = crate::alloc::BankPolicy::High;
         let handle = [(policy, avoid), (high, avoid), (policy, &[]), (high, &[])]
             .into_iter()
@@ -239,9 +248,13 @@ impl Scheduler {
         handle
     }
 
-    /// Registers the contents of a tensor the caller allocated itself (see
-    /// [`Scheduler::add_constant`]).
-    pub(crate) fn add_constant_at(&mut self, handle: TensorHandle, rows: Vec<Vector>) {
+    /// Registers the rows of a tensor the caller allocated itself that hold
+    /// data (see [`Scheduler::add_constant_in`]).
+    pub(crate) fn add_constant_at(&mut self, handle: TensorHandle, rows: ConstantRows) {
+        debug_assert!(
+            rows.is_sorted_by(|a, b| a.0 < b.0) && rows.last().is_none_or(|r| r.0 < handle.rows),
+            "constant rows ascend within the handle"
+        );
         self.constants.push((handle, rows));
     }
 
@@ -291,14 +304,14 @@ impl Scheduler {
         let mut maps = Vec::new();
         for block in blocks {
             let members = (0..keys.len() as u32).filter(|&i| block_of(i) == block);
-            let (piece, rows): (Vec<u32>, Vec<Vector>) = members
-                .map(|i| {
+            let (piece, rows): (Vec<u32>, ConstantRows) = (members.zip(0u32..))
+                .map(|(i, r)| {
                     let addrs = std::array::from_fn(|sl| {
                         let row = row_of(i, sl as u32 * 16 / group_lanes);
                         assert_eq!(row / rpb, block, "a map row addresses one slice");
                         tensor.row(row).word
                     });
-                    (keys[i as usize], map_vector(addrs))
+                    (keys[i as usize], (r, map_vector(addrs)))
                 })
                 .unzip();
             let policy = crate::alloc::BankPolicy::Low;
@@ -311,10 +324,10 @@ impl Scheduler {
             let n = rows.len() as u32;
             let map = match (self.alloc).alloc_avoiding(source, n, cols, policy, 4096, &crowded) {
                 Ok(map) => {
-                    self.constants.push((map.clone(), rows));
+                    self.add_constant_at(map.clone(), rows);
                     map
                 }
-                Err(_) => self.add_constant_in(source, avoid, rows, cols, policy, 4096),
+                Err(_) => self.add_constant_in(source, avoid, (n, cols), rows, policy, 4096),
             };
             avoid.extend(map.layout.slices());
             let first = tensor.row(block * rpb);
@@ -327,15 +340,15 @@ impl Scheduler {
         maps
     }
 
-    /// The constants registered so far (host DMA writes these into chip
+    /// The constants registered so far (host DMA writes their rows into chip
     /// memory before the program starts).
     #[must_use]
-    pub fn constants(&self) -> &[(TensorHandle, Vec<tsp_arch::Vector>)] {
+    pub fn constants(&self) -> &[(TensorHandle, ConstantRows)] {
         &self.constants
     }
 
     /// Removes and returns the registered constants.
-    pub fn take_constants(&mut self) -> Vec<(TensorHandle, Vec<tsp_arch::Vector>)> {
+    pub fn take_constants(&mut self) -> Vec<(TensorHandle, ConstantRows)> {
         std::mem::take(&mut self.constants)
     }
 
@@ -664,7 +677,11 @@ impl Scheduler {
     /// (upstream of every destination) that nothing ever writes: SRAM starts
     /// out zero, and the Low bank holds only host-emplaced constants, which
     /// are never freed, so a fresh Low-bank row is zero without costing the
-    /// host an emplace.
+    /// host an emplace. The same contract — a fresh chip's SRAM reads zero,
+    /// and no constant's rows are ever handed to another tensor — is why a
+    /// constant ships only the rows that hold data ([`ConstantRows`]): an
+    /// unwritten word reads, forwards, counts and takes a fault exactly as a
+    /// written zero word does.
     pub fn zero_stale(
         &mut self,
         jobs: &[(&TensorHandle, &[(u32, u32)])],

@@ -123,8 +123,8 @@ proptest! {
         let program = s.into_program().expect("valid schedule");
         let mut chip = Chip::new(ChipConfig::asic());
         for (handle, vectors) in &constants {
-            for (r, v) in vectors.iter().enumerate() {
-                chip.memory.write(handle.row(r as u32), v.clone());
+            for (r, v) in vectors {
+                chip.memory.write(handle.row(*r), v.clone());
             }
         }
         let mut state = seed;
@@ -191,8 +191,8 @@ proptest! {
         let program = s.into_program().expect("valid schedule");
         let mut chip = Chip::new(ChipConfig::asic());
         for (handle, vectors) in &constants {
-            for (r, v) in vectors.iter().enumerate() {
-                chip.memory.write(handle.row(r as u32), v.clone());
+            for (r, v) in vectors {
+                chip.memory.write(handle.row(*r), v.clone());
             }
         }
         let mut state = seed;
@@ -283,7 +283,7 @@ fn stepped_gather_and_scatter_bursts_hold_their_slice_queue_exactly() {
         let (hemisphere, index, base) = tensor.layout.blocks[0];
         for (map, rows) in s.constants() {
             assert_eq!(map.cols, 2 * SUPERLANES as u16, "only maps so far");
-            for addr in rows.iter().flat_map(map_addresses) {
+            for addr in rows.iter().flat_map(|(_, row)| map_addresses(row)) {
                 assert_eq!(addr.bank(), MemAddr::new(base).bank());
             }
         }

@@ -12,7 +12,7 @@
 //!   worker shares one immutable [`CompiledModel`] (and its memoized decoded
 //!   program) without recompiling;
 //! * [`BatchModel::emplace_cycles`] is the deterministic model-emplace cost
-//!   (one constants row per cycle — the DMA bound), charged **once per
+//!   (one shipped constants row per cycle — the DMA bound), charged **once per
 //!   batch** in the serving layer's virtual-time accounting, and once more
 //!   per retry (a retry-from-weights must re-emplace);
 //! * [`BatchModel::run_batch`] executes up to `max_batch` requests through
@@ -60,7 +60,9 @@ pub fn compile_batch_cached(
 impl BatchModel {
     /// Simulated cycles to emplace the model's constants (weights, identity
     /// matrices): one 320-byte row per cycle, the PCIe-DMA bound of the
-    /// paper's host runtime. Deterministic — a pure function of the compile.
+    /// paper's host runtime, for the rows that hold data — the rows
+    /// [`CompiledModel::load_constants`] writes. Deterministic — a pure
+    /// function of the compile.
     #[must_use]
     pub fn emplace_cycles(&self) -> u64 {
         self.model

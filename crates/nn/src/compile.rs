@@ -57,7 +57,7 @@ use tsp_compiler::kernels::{
     max_pool, packed_pixels, packed_taps, pixels_per_row, plane_of_chain, taps_per_pass, ActFeed,
     ChunkPass, Conv2dParams, FeatureMap, MapLayout, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
 };
-use tsp_compiler::{Scheduler, TensorHandle};
+use tsp_compiler::{ConstantRows, Scheduler, TensorHandle};
 use tsp_isa::BinaryAluOp;
 use tsp_sim::{Chip, Program};
 
@@ -134,8 +134,9 @@ pub enum Probe {
 pub struct CompiledModel {
     /// The per-ICU instruction queues.
     pub program: Program,
-    /// Host-DMA constants (weights, identity matrices, …).
-    pub constants: Vec<(TensorHandle, Vec<Vector>)>,
+    /// Host-DMA constants (weights, identity matrices, …): each one's whole
+    /// allocation and the rows of it that hold data, the only rows shipped.
+    pub constants: Vec<(TensorHandle, ConstantRows)>,
     /// Where the host writes the input.
     pub input: InputKind,
     /// The logits tensors (feature parts of the final flat value).
@@ -184,11 +185,12 @@ impl CompiledModel {
             .collect()
     }
 
-    /// Writes the constants into chip memory (the PCIe DMA model-emplace).
+    /// Writes the constants' shipped rows into a fresh chip's memory (the
+    /// PCIe DMA model-emplace); the rest of each allocation reads zero there.
     pub fn load_constants(&self, chip: &mut Chip) {
         for (handle, rows) in &self.constants {
-            for (r, v) in rows.iter().enumerate() {
-                chip.memory.write(handle.row(r as u32), v.clone());
+            for (r, v) in rows {
+                chip.memory.write(handle.row(*r), v.clone());
             }
         }
     }

@@ -78,10 +78,13 @@ pub fn small_cnn(input_hw: u32, features: u32, classes: u32, seed: u64) -> (Grap
         vec![gap],
         "fc",
     );
+    // An untrained head is random too (a 1×1 "conv" over the GAP features),
+    // so an untrained model's logits still depend on every feature map.
+    let head = conv_w(classes, features, 1, &mut rng);
     params.dense.insert(
         fc,
         DenseW {
-            w: vec![0.0; (classes * features) as usize],
+            w: head.w,
             out: classes,
             inp: features,
         },

@@ -68,7 +68,8 @@ pub fn synthetic_quant(graph: &Graph) -> QuantGraph {
 
 /// FNV-1a (stable across toolchains, unlike `DefaultHasher`) over everything
 /// a chip is handed: every ICU queue's encoded bytes, every constant's
-/// placement and rows, and where the input goes and the logits come from.
+/// placement and shipped rows (index and bytes), and where the input goes and
+/// the logits come from.
 pub fn fingerprint(model: &CompiledModel) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
@@ -82,7 +83,8 @@ pub fn fingerprint(model: &CompiledModel) -> u64 {
     }
     for (handle, rows) in &model.constants {
         eat(format!("{handle:?}").as_bytes());
-        for row in rows {
+        for (r, row) in rows {
+            eat(&r.to_le_bytes());
             eat(row.as_bytes());
         }
     }

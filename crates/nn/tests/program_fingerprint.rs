@@ -15,11 +15,11 @@ use tsp_nn::train::small_cnn;
 
 /// `(model, cycles, fingerprint)`.
 const GOLDENS: [(&str, u64, u64); 5] = [
-    ("resnet50", 42_381, 17_268_365_821_621_559_681),
-    ("resnet101", 65_506, 230_309_256_242_790_818),
-    ("resnet152", 101_640, 9_564_671_397_223_458_902),
-    ("resnet_tiny", 2_050, 5_731_607_719_182_165_314),
-    ("small_cnn", 1_200, 8_247_276_815_083_673_461),
+    ("resnet50", 42_381, 5_205_861_184_516_835_826),
+    ("resnet101", 65_506, 1_640_226_068_994_973_281),
+    ("resnet152", 101_640, 2_036_522_371_406_926_613),
+    ("resnet_tiny", 2_050, 11_443_601_316_057_677_279),
+    ("small_cnn", 1_200, 5_582_881_341_638_099_433),
 ];
 
 fn graph(model: &str) -> Graph {

@@ -51,8 +51,8 @@ fn copy_matmul_relu_pipeline() {
     let program = sched.into_program().expect("consistent schedule");
     let mut chip = Chip::new(ChipConfig::asic());
     for (h, rows) in &constants {
-        for (r, v) in rows.iter().enumerate() {
-            chip.memory.write(h.row(r as u32), v.clone());
+        for (r, v) in rows {
+            chip.memory.write(h.row(*r), v.clone());
         }
     }
     for r in 0..n {
