@@ -30,10 +30,10 @@ use tsp_mem::GlobalAddress;
 use tsp_nn::compile::{compile_cached, CompileOptions, CompiledModel};
 use tsp_nn::data::synthetic;
 use tsp_nn::quant::quantize;
-use tsp_nn::resilient::{run_resilient, ResilientOptions};
+use tsp_nn::resilient::{run_resilient, transient, ResilientOptions};
 use tsp_nn::train::small_cnn;
-use tsp_sim::faults::{FaultPlan, LinkFaultPlan, LinkPlanSpec, PlanSpec};
-use tsp_sim::{Chip, IcuId, Program, SimError};
+use tsp_sim::faults::{ChaosStrike, FaultPlan, LinkFaultPlan, LinkPlanSpec, PlanSpec};
+use tsp_sim::{Chip, IcuId, Program};
 
 use crate::fan_out;
 use tsp_c2c::{Fabric, Wire};
@@ -194,7 +194,7 @@ fn chip_trial(
     seed: u64,
 ) -> Trial {
     let options = ResilientOptions {
-        attempt_faults: vec![chip_plan(site, rate, seed, model.cycles)],
+        strike: ChaosStrike::Transient(chip_plan(site, rate, seed, model.cycles)),
         ..ResilientOptions::default()
     };
     let report = run_resilient(model, &ChipConfig::asic(), image, &options)
@@ -202,7 +202,7 @@ fn chip_trial(
     let class = match report.logits() {
         None => TrialClass::DetectedUnrecovered,
         Some(logits) if logits != golden => TrialClass::Sdc,
-        Some(_) if report.retried > 0 => TrialClass::DetectedRecovered,
+        Some(_) if report.attempts > 1 => TrialClass::DetectedRecovered,
         Some(_) if report.corrected > 0 => TrialClass::Corrected,
         Some(_) => TrialClass::Masked,
     };
@@ -354,15 +354,12 @@ fn link_trial(rate: u32, index: u32, seed: u64) -> Trial {
                 };
                 return trial;
             }
-            Err(error @ (SimError::LinkRetryExhausted { .. } | SimError::LinkEmpty { .. })) => {
+            Err(error) => {
+                let (_, cycle) = transient(&error)
+                    .unwrap_or_else(|| panic!("link campaign hit a non-transient error: {error}"));
                 trial.detected += 1;
-                trial.wasted_cycles += match error {
-                    SimError::LinkRetryExhausted { cycle, .. }
-                    | SimError::LinkEmpty { cycle, .. } => cycle,
-                    _ => 0,
-                };
+                trial.wasted_cycles += cycle;
             }
-            Err(error) => panic!("link campaign hit a non-transient error: {error}"),
         }
     }
     trial // both attempts died: detected-unrecovered

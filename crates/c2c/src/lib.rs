@@ -13,13 +13,15 @@
 //! compiler-visible contract is unchanged: a `Receive` must be scheduled no
 //! earlier than the vector's deterministic arrival.
 //!
-//! The cascade parallelizes across the host: chips of the same Kahn level of
-//! the wire graph have no data dependencies on each other, so [`Fabric::run`]
-//! executes each level on [`tsp_host::fan_out`]'s scoped thread pool and then
-//! merges egress into link counters and ingress queues serially, in
-//! chip-index order. Every per-wire word sequence — and therefore every
-//! simulated value and cycle — is identical to the fully serial cascade,
-//! which [`Fabric::run_serial_with_faults`] retains as the reference path.
+//! The cascade is serial: [`Fabric::run_with_faults`] runs one chip at a
+//! time in that order (Kahn's algorithm, ties broken by chip index) and
+//! moves each chip's egress onto its wires before the next chip runs, so
+//! every per-wire word sequence — and therefore every simulated value and
+//! cycle — is a function of the programs and the fault plan alone. Chips of
+//! one Kahn level could run concurrently, but every fabric built outside
+//! the tests is a two-chip chain with one chip per level, so a parallel
+//! path would have nothing to overlap and only a second cascade to keep
+//! identical to this one.
 //!
 //! ## Link-level resilience
 //!
@@ -234,37 +236,6 @@ impl Fabric {
         order
     }
 
-    /// Kahn levels of the wire graph: level `d` holds every chip whose
-    /// longest wire chain from a source has `d` hops. Chips within a level
-    /// are mutually independent (any wire between them would put its receiver
-    /// a level deeper), so a level can run in parallel; levels are returned
-    /// outermost-first with each level sorted by chip index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wire graph is cyclic.
-    fn chip_levels(&self) -> Vec<Vec<usize>> {
-        let order = self.chip_order();
-        let mut depth = vec![0usize; self.chips.len()];
-        for &i in &order {
-            for w in self.wires.iter().filter(|w| w.from_chip == i) {
-                depth[w.to_chip] = depth[w.to_chip].max(depth[i] + 1);
-            }
-        }
-        let mut levels: Vec<Vec<usize>> = Vec::new();
-        for &i in &order {
-            let d = depth[i];
-            if levels.len() <= d {
-                levels.resize_with(d + 1, Vec::new);
-            }
-            levels[d].push(i);
-        }
-        for level in &mut levels {
-            level.sort_unstable();
-        }
-        levels
-    }
-
     /// Runs one program per chip (index-aligned) over fault-free wires,
     /// cascading egress vectors in topological order.
     ///
@@ -292,7 +263,8 @@ impl Fabric {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`SimError`] from any chip, or
+    /// Stops at, and propagates, the first [`SimError`] from any chip (every
+    /// chip stays in the fabric, inspectable as the error left it), or
     /// [`SimError::LinkRetryExhausted`] when one word fails more than
     /// [`MAX_LINK_RETRIES`] repair attempts.
     ///
@@ -300,103 +272,6 @@ impl Fabric {
     ///
     /// Panics if the wire graph is cyclic.
     pub fn run_with_faults(
-        &mut self,
-        programs: &[Program],
-        options: &RunOptions,
-        link_faults: &LinkFaultPlan,
-    ) -> Result<FabricReport, SimError> {
-        assert_eq!(programs.len(), self.chips.len(), "one program per chip");
-        let levels = self.chip_levels();
-        let mut links: Vec<LinkStats> = (0..self.wires.len())
-            .map(|wire| LinkStats {
-                wire,
-                ..LinkStats::default()
-            })
-            .collect();
-        let mut reports: Vec<Option<RunReport>> = (0..self.chips.len()).map(|_| None).collect();
-        // Pending deliveries per receiving chip.
-        let mut inbox: Inbox = BTreeMap::new();
-        // Chips leave their slots to move into workers and always return,
-        // error or not, so the fabric stays inspectable after a failed run.
-        let mut slots: Vec<Option<Chip>> = self.chips.drain(..).map(Some).collect();
-        let mut failure: Option<SimError> = None;
-
-        for level in &levels {
-            for &i in level {
-                if let Some(deliveries) = inbox.remove(&i) {
-                    let chip = slots[i].as_mut().expect("chip waiting in its slot");
-                    for (link, arrival, word) in deliveries {
-                        chip.inject_ingress(link, arrival, word);
-                    }
-                }
-            }
-            let inputs: Vec<(usize, Chip)> = level
-                .iter()
-                .map(|&i| (i, slots[i].take().expect("chip waiting in its slot")))
-                .collect();
-            let outcomes = tsp_host::fan_out(inputs, |(i, mut chip)| {
-                let result = chip.run(&programs[i], options);
-                (i, chip, result)
-            });
-            // Merge serially in chip-index order (levels are index-sorted),
-            // so link counters and per-wire word sequences are deterministic.
-            for (i, chip, result) in outcomes {
-                slots[i] = Some(chip);
-                if failure.is_some() {
-                    continue;
-                }
-                match result {
-                    Ok(report) => {
-                        if let Err(e) = route_egress(
-                            &self.wires,
-                            i,
-                            &report,
-                            link_faults,
-                            &mut links,
-                            &mut inbox,
-                        ) {
-                            failure = Some(e);
-                        }
-                        reports[i] = Some(report);
-                    }
-                    Err(e) => failure = Some(e),
-                }
-            }
-            if failure.is_some() {
-                break;
-            }
-        }
-        self.chips = slots
-            .into_iter()
-            .map(|s| s.expect("every chip returned to its slot"))
-            .collect();
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        Ok(FabricReport {
-            reports: reports
-                .into_iter()
-                .map(|r| r.expect("every chip ran exactly once"))
-                .collect(),
-            links,
-        })
-    }
-
-    /// The fully serial cascade, retained as the reference implementation
-    /// the level-parallel [`Fabric::run_with_faults`] is verified against:
-    /// both paths must produce bit-identical reports, link counters, and
-    /// chip state on any fault-free or repairable run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SimError`] from any chip, or
-    /// [`SimError::LinkRetryExhausted`] when one word fails more than
-    /// [`MAX_LINK_RETRIES`] repair attempts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wire graph is cyclic.
-    pub fn run_serial_with_faults(
         &mut self,
         programs: &[Program],
         options: &RunOptions,
@@ -439,9 +314,7 @@ type Inbox = BTreeMap<usize, Vec<(LinkId, Cycle, Arc<StreamWord>)>>;
 
 /// Moves one chip's egress onto its outgoing wires: counts each word on its
 /// wire's [`LinkStats`], plays transmission faults, and queues the delivery
-/// on the receiving chip's inbox at its deterministic arrival cycle. Shared
-/// by the serial cascade and the level-parallel merge — called in the same
-/// per-chip order by both, so the per-wire word sequences are identical.
+/// on the receiving chip's inbox at its deterministic arrival cycle.
 fn route_egress(
     wires: &[Wire],
     chip: usize,
@@ -817,9 +690,14 @@ mod tests {
         }
     }
 
-    /// A three-chip fan-in: chips 0 and 1 (one Kahn level, run in parallel)
-    /// each send a distinct payload to chip 2 on separate links; chip 2
-    /// receives both and writes them to memory.
+    /// The payload fan-in sender `sender` sends.
+    fn fan_in_payload(sender: u8) -> Vector {
+        Vector::from_fn(|i| (i as u8).wrapping_mul(3 + sender))
+    }
+
+    /// A three-chip fan-in: chips 0 and 1 (one Kahn level) each send
+    /// [`fan_in_payload`] to chip 2 on separate links (wires 0 and 1); chip 2
+    /// receives both and writes them to MEM_E20[9] and MEM_E20[10].
     fn fan_in_setup() -> (Fabric, Vec<Program>) {
         let mut fabric = Fabric::new();
         for _ in 0..3 {
@@ -839,10 +717,10 @@ mod tests {
         let mem20 = Slice::mem(Hemisphere::East, 20).position();
         let mut programs = Vec::new();
         for sender in 0..2u8 {
-            fabric.chip_mut(usize::from(sender)).memory.write(
-                ga(Hemisphere::East, 10, 0),
-                Vector::from_fn(|i| (i as u8).wrapping_mul(3 + sender)),
-            );
+            fabric
+                .chip_mut(usize::from(sender))
+                .memory
+                .write(ga(Hemisphere::East, 10, 0), fan_in_payload(sender));
             let mut ps = Program::new();
             ps.builder(IcuId::Mem {
                 hemisphere: Hemisphere::East,
@@ -888,55 +766,58 @@ mod tests {
         (fabric, programs)
     }
 
-    /// The level-parallel cascade and the retained serial reference produce
-    /// bit-identical reports, link counters, and chip memory — with and
-    /// without injected link faults.
+    /// Two senders in one Kahn level feed one receiver: each word is counted
+    /// on its own wire and lands in chip 2 bit-exact — also when the second
+    /// wire's word is corrupted once and retransmitted.
     #[test]
-    fn parallel_run_is_bit_identical_to_serial() {
-        let plans = [
-            LinkFaultPlan::empty(),
-            LinkFaultPlan::from_events(
-                0,
-                vec![LinkFaultEvent {
-                    wire: 1,
-                    nth_word: 0,
-                    kind: LinkFaultKind::Corrupt { lane: 40, bit: 2 },
-                }],
-            ),
-        ];
-        for plan in &plans {
-            let (mut par, programs) = fan_in_setup();
-            let (mut ser, _) = fan_in_setup();
-            let pr = par
-                .run_with_faults(&programs, &RunOptions::default(), plan)
-                .expect("parallel run");
-            let sr = ser
-                .run_serial_with_faults(&programs, &RunOptions::default(), plan)
-                .expect("serial run");
-            assert_eq!(pr.links, sr.links);
-            assert_eq!(
-                format!("{:?}", pr.reports),
-                format!("{:?}", sr.reports),
-                "per-chip reports diverged"
-            );
-            for addr in [9, 10] {
+    fn fan_in_delivers_both_senders_words() {
+        let corrupt = LinkFaultPlan::from_events(
+            0,
+            vec![LinkFaultEvent {
+                wire: 1,
+                nth_word: 0,
+                kind: LinkFaultKind::Corrupt { lane: 40, bit: 2 },
+            }],
+        );
+        let clean_wire = |wire| LinkStats {
+            wire,
+            words: 1,
+            ..LinkStats::default()
+        };
+        let repaired = LinkStats {
+            corrupted: 1,
+            retried: 1,
+            added_latency: 2 * 21 + DESKEW_RESYNC_CYCLES,
+            ..clean_wire(1)
+        };
+        for (plan, wire1) in [(LinkFaultPlan::empty(), clean_wire(1)), (corrupt, repaired)] {
+            let (mut fabric, programs) = fan_in_setup();
+            let report = fabric
+                .run_with_faults(&programs, &RunOptions::default(), &plan)
+                .expect("fan-in runs");
+            assert_eq!(report.links, [clean_wire(0), wire1]);
+            let egress: Vec<usize> = report.reports.iter().map(|r| r.egress.len()).collect();
+            assert_eq!(egress, [1, 1, 0], "one word from each sender");
+            let t = report.merged_telemetry();
+            assert_eq!((t.c2c_sends, t.c2c_receives), (2, 2));
+            for (sender, addr) in [(0u8, 9u16), (1, 10)] {
                 assert_eq!(
-                    par.chip(2)
+                    fabric
+                        .chip(2)
                         .memory
                         .read_unchecked(ga(Hemisphere::East, 20, addr)),
-                    ser.chip(2)
-                        .memory
-                        .read_unchecked(ga(Hemisphere::East, 20, addr)),
-                    "chip 2 memory diverged at word {addr}"
+                    fan_in_payload(sender),
+                    "chip 2 word {addr} holds sender {sender}'s payload"
                 );
             }
         }
     }
 
-    /// After a failed parallel run every chip is back in the fabric, still
-    /// inspectable.
+    /// A run that dies on `LinkRetryExhausted` leaves every chip in the
+    /// fabric, still inspectable: the sender holds its payload, and the
+    /// receiver, which never ran, still reads zero where the word was due.
     #[test]
-    fn failed_parallel_run_restores_chips() {
+    fn failed_run_leaves_chips_inspectable() {
         let payload = Vector::splat(1);
         let (mut fabric, programs) = send_receive_setup(0, 1, &payload);
         let events = (0..=MAX_LINK_RETRIES)
@@ -951,15 +832,20 @@ mod tests {
             .run_with_faults(&programs, &RunOptions::default(), &plan)
             .unwrap_err();
         assert!(matches!(err, SimError::LinkRetryExhausted { .. }));
-        // Both chips are still present and readable.
-        let _ = fabric
-            .chip(0)
-            .memory
-            .read_unchecked(ga(Hemisphere::East, 10, 0));
-        let _ = fabric
-            .chip(1)
-            .memory
-            .read_unchecked(ga(Hemisphere::East, 20, 9));
+        assert_eq!(
+            fabric
+                .chip(0)
+                .memory
+                .read_unchecked(ga(Hemisphere::East, 10, 0)),
+            payload
+        );
+        assert_eq!(
+            fabric
+                .chip(1)
+                .memory
+                .read_unchecked(ga(Hemisphere::East, 20, 9)),
+            Vector::splat(0)
+        );
     }
 
     #[test]

@@ -347,10 +347,13 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 33)
 }
 
-/// What a chaos draw decided for one dispatch.
+/// A chip strike and which attempts of a retried run it hits: what a chaos
+/// draw decides for one dispatch, and the contract `tsp-nn`'s
+/// `run_resilient` executes (its `ResilientOptions::strike`), so a strike
+/// is stated once, here, from the draw to the simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChaosStrike {
-    /// This dispatch runs clean.
+    /// Every attempt runs clean.
     None,
     /// A transient upset: the plan strikes the first attempt only; a
     /// retry-from-weights outruns it.

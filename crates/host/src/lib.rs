@@ -1,10 +1,10 @@
 //! # tsp-host — host-side parallel execution primitives
 //!
 //! The workspace's one concurrency toolkit, shared by the experiment harness
-//! (`tsp-bench`, which fans independent experiment points over host threads),
-//! the multi-chip fabric (`tsp-c2c`, which runs every chip of a Kahn
-//! level concurrently) and the serving layer (`tsp-serve`, which dispatches
-//! request batches across a chip pool). It is dependency-free and
+//! (`tsp-bench`, which fans independent experiment points over host threads)
+//! and the serving layer (`tsp-serve`, which dispatches request batches
+//! across a chip pool). The multi-chip fabric (`tsp-c2c`) does not use it:
+//! its cascade runs one chip at a time. It is dependency-free and
 //! deliberately small: plain [`std::thread::scope`] plus an atomic work
 //! counter — no channels, no work-stealing, no runtime.
 //!

@@ -15,19 +15,18 @@
 //!   (one shipped constants row per cycle — the DMA bound), charged **once per
 //!   batch** in the serving layer's virtual-time accounting, and once more
 //!   per retry (a retry-from-weights must re-emplace);
-//! * [`BatchModel::run_batch`] executes up to `max_batch` requests through
-//!   [`run_resilient`], each on pristine chip state, so a batch member's
-//!   fault can never corrupt its neighbours — logits stay bit-identical to
-//!   a serial fault-free oracle whenever a request succeeds.
+//! * `tsp-serve` runs a batch's requests back to back, each through
+//!   [`run_resilient`](crate::resilient::run_resilient) on pristine chip
+//!   state, so a batch member's fault can never corrupt its neighbours —
+//!   logits stay bit-identical to a serial fault-free oracle whenever a
+//!   request succeeds.
 
 use std::sync::Arc;
 
-use tsp_arch::{ChipConfig, Hemisphere};
+use tsp_arch::Hemisphere;
 
 use crate::compile::{compile_cached, CompileOptions, CompiledModel, InputKind};
 use crate::quant::QuantGraph;
-use crate::resilient::{run_resilient, ResilienceReport, ResilientOptions};
-use tsp_sim::SimError;
 
 /// A compiled model plus its serving batch bound.
 #[derive(Debug, Clone)]
@@ -84,35 +83,6 @@ impl BatchModel {
         };
         target.layout.blocks[0]
     }
-
-    /// Runs up to `max_batch` requests back to back through the resilient
-    /// host layer, one [`ResilienceReport`] (or non-transient error) per
-    /// request, in input order.
-    ///
-    /// Each request's attempts run on pristine chip state (`run_resilient`
-    /// rebuilds the chip per attempt), so faults injected into one request
-    /// cannot leak into another — the bit-identity guarantee is per request,
-    /// not per batch. `per_request[i]` carries request `i`'s retry budget
-    /// and fault plans (the serving layer's chaos hook).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch exceeds `max_batch` or the options slice does not
-    /// match the inputs.
-    pub fn run_batch(
-        &self,
-        config: &ChipConfig,
-        inputs: &[&[i8]],
-        per_request: &[ResilientOptions],
-    ) -> Vec<Result<ResilienceReport, SimError>> {
-        assert!(inputs.len() <= self.max_batch, "batch exceeds max_batch");
-        assert_eq!(inputs.len(), per_request.len(), "one options per request");
-        inputs
-            .iter()
-            .zip(per_request)
-            .map(|(image, options)| run_resilient(&self.model, config, image, options))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -122,38 +92,12 @@ mod tests {
     use crate::quant::quantize;
     use crate::train::small_cnn;
 
-    fn workload() -> (BatchModel, Vec<Vec<i8>>) {
+    #[test]
+    fn emplace_cost_and_input_site_are_deterministic() {
         let data = synthetic(11, 12, 12, 2, 4, 6);
         let (g, params) = small_cnn(12, 16, 4, 5);
         let q = quantize(&g, &params, &data.images[..2]);
-        let model = compile_batch_cached(&q, &CompileOptions::default(), 4);
-        let images = data.images.iter().map(|i| q.quantize_image(i)).collect();
-        (model, images)
-    }
-
-    #[test]
-    fn batch_results_match_serial_oracle() {
-        let (batch, images) = workload();
-        let inputs: Vec<&[i8]> = images.iter().take(3).map(Vec::as_slice).collect();
-        let options = vec![ResilientOptions::default(); inputs.len()];
-        let results = batch.run_batch(&ChipConfig::asic(), &inputs, &options);
-        for (input, result) in inputs.iter().zip(&results) {
-            let report = result.as_ref().expect("fault-free batch");
-            let oracle = run_resilient(
-                &batch.model,
-                &ChipConfig::asic(),
-                input,
-                &ResilientOptions::default(),
-            )
-            .expect("oracle run");
-            assert_eq!(report.logits(), oracle.logits(), "bit-identical logits");
-            assert_eq!(report.attempts, 1);
-        }
-    }
-
-    #[test]
-    fn emplace_cost_and_input_site_are_deterministic() {
-        let (batch, _) = workload();
+        let batch = compile_batch_cached(&q, &CompileOptions::default(), 4);
         assert!(batch.emplace_cycles() > 0, "constants exist");
         assert_eq!(batch.emplace_cycles(), batch.emplace_cycles());
         assert_eq!(batch.input_site(), batch.input_site());

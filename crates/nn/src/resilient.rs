@@ -8,15 +8,13 @@
 //! up to a bounded number of attempts, and reports what happened in a
 //! [`ResilienceReport`] instead of propagating a panic-shaped error.
 //!
-//! Only *transient* faults are retried (see [`is_transient`]): scheduling
+//! Only *transient* faults are retried (see [`transient`]): scheduling
 //! and decode errors are compiler bugs that will recur deterministically,
 //! so they propagate immediately as `Err`.
 
-use std::time::{Duration, Instant};
-
 use tsp_arch::ChipConfig;
 use tsp_sim::chip::RunOptions;
-use tsp_sim::faults::FaultPlan;
+use tsp_sim::faults::{ChaosStrike, FaultPlan};
 use tsp_sim::{Chip, SimError, Telemetry};
 
 use crate::compile::CompiledModel;
@@ -29,21 +27,15 @@ pub const DEFAULT_MAX_ATTEMPTS: u32 = 3;
 pub struct ResilientOptions {
     /// Total run budget (first attempt included), ≥ 1.
     pub max_attempts: u32,
-    /// Fault plan injected into attempt `i` (`attempt_faults[i]`). Attempts
-    /// past the end run fault-free — transient upsets do not recur on retry,
-    /// so a campaign puts its plan at index 0 only — unless [`sticky`] is
-    /// set, in which case the *last* plan recurs on every further attempt.
-    ///
-    /// [`sticky`]: ResilientOptions::sticky
-    pub attempt_faults: Vec<FaultPlan>,
-    /// Model a *permanent* fault (a stuck SRAM cell, a dead link lane):
-    /// attempts past the end of `attempt_faults` replay its last plan
-    /// instead of running fault-free. Retry-from-weights cannot outrun such
-    /// a fault, so the run deterministically exhausts its budget — the case
-    /// the serving layer's circuit breaker exists for.
-    pub sticky: bool,
+    /// The chip strike, in the form a chaos draw states it:
+    /// [`ChaosStrike::Transient`] injects its plan into the first attempt
+    /// only (a retry-from-weights outruns it), [`ChaosStrike::Persistent`]
+    /// into every attempt (a stuck cell survives the rebuild, so the run
+    /// deterministically exhausts its budget — the case the serving layer's
+    /// circuit breaker exists for), and [`ChaosStrike::None`] into none.
+    pub strike: ChaosStrike,
     /// Base run options (trace / cycle limit / functional). The `faults`
-    /// field is overridden per attempt from `attempt_faults`.
+    /// field is overridden per attempt from `strike`.
     pub base: RunOptions,
 }
 
@@ -51,8 +43,7 @@ impl Default for ResilientOptions {
     fn default() -> ResilientOptions {
         ResilientOptions {
             max_attempts: DEFAULT_MAX_ATTEMPTS,
-            attempt_faults: Vec::new(),
-            sticky: false,
+            strike: ChaosStrike::None,
             base: RunOptions::default(),
         }
     }
@@ -112,19 +103,26 @@ impl TransientKind {
     }
 }
 
-/// The [`TransientKind`] of an error, if it is transient at all.
+/// The site class and strike cycle of `error`, or `None` if it is not a
+/// *transient* fault worth retrying from weights.
+///
+/// Uncorrectable ECC detections and link failures are particle-strike
+/// shaped: the damaged state is rebuilt by the reload. Everything else
+/// (scheduling violations, decode faults, cycle-limit overruns) is
+/// deterministic and would recur identically.
 #[must_use]
-pub fn transient_kind(error: &SimError) -> Option<TransientKind> {
-    match error {
-        SimError::Ecc { .. } => Some(TransientKind::Ecc),
-        SimError::LinkEmpty { .. } => Some(TransientKind::LinkEmpty),
-        SimError::LinkRetryExhausted { .. } => Some(TransientKind::LinkRetryExhausted),
+pub fn transient(error: &SimError) -> Option<(TransientKind, u64)> {
+    match *error {
+        SimError::Ecc { cycle, .. } => Some((TransientKind::Ecc, cycle)),
+        SimError::LinkEmpty { cycle, .. } => Some((TransientKind::LinkEmpty, cycle)),
+        SimError::LinkRetryExhausted { cycle, .. } => {
+            Some((TransientKind::LinkRetryExhausted, cycle))
+        }
         _ => None,
     }
 }
 
-/// Why one attempt of a resilient run died — the structured form of
-/// [`ResilienceReport::transient_errors`], one entry per retry-triggering
+/// Why one attempt of a resilient run died: one entry per retry-triggering
 /// failure, in attempt order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryCause {
@@ -136,13 +134,14 @@ pub struct RetryCause {
     pub kind: TransientKind,
 }
 
-/// What the host observed across all attempts of one inference.
+/// What the host observed across all attempts of one inference. Every field
+/// is simulated, so the report is a pure function of the model, input and
+/// options.
 #[derive(Debug, Clone)]
 pub struct ResilienceReport {
-    /// Runs performed (1 if the first attempt completed).
+    /// Runs performed (1 if the first attempt completed; the retries are
+    /// `attempts − 1`).
     pub attempts: u32,
-    /// Retries performed (`attempts − 1`).
-    pub retried: u32,
     /// Corrected single-bit ECC events, summed over all attempts.
     pub corrected: u64,
     /// Detected-uncorrectable events (ECC double-bit detections plus link
@@ -163,16 +162,10 @@ pub struct ResilienceReport {
     /// Utilization counters of the completing attempt (zeroed when every
     /// attempt failed, or when `base.counters` is off).
     pub telemetry: Telemetry,
-    /// Host wall-clock spent on failed attempts and the reload between
-    /// retries — the recovery overhead a service would observe. Wall time is
-    /// host-dependent; deterministic campaign reports must not include it.
-    pub recovery_wall: Duration,
-    /// Display strings of each transient error, in attempt order.
-    pub transient_errors: Vec<String>,
-    /// Structured cause of each retry-triggering failure, in attempt order
-    /// (same length as `transient_errors`): the site class and strike cycle,
-    /// so a circuit breaker can tell link weather from SRAM rot without
-    /// parsing display strings.
+    /// Structured cause of each retry-triggering failure, in attempt order:
+    /// the site class and strike cycle, so a circuit breaker can tell link
+    /// weather from SRAM rot (the error text is `RunOutcome::Exhausted`'s
+    /// `last_error`).
     pub retry_causes: Vec<RetryCause>,
     /// Final outcome.
     pub outcome: RunOutcome,
@@ -195,39 +188,15 @@ impl ResilienceReport {
     }
 }
 
-/// Is this error a *transient* fault worth retrying from weights?
-///
-/// Uncorrectable ECC detections and link failures are particle-strike
-/// shaped: the damaged state is rebuilt by the reload. Everything else
-/// (scheduling violations, decode faults, cycle-limit overruns) is
-/// deterministic and would recur identically.
-#[must_use]
-pub fn is_transient(error: &SimError) -> bool {
-    matches!(
-        error,
-        SimError::Ecc { .. } | SimError::LinkEmpty { .. } | SimError::LinkRetryExhausted { .. }
-    )
-}
-
-/// The simulated cycle at which a transient error struck.
-fn error_cycle(error: &SimError) -> u64 {
-    match error {
-        SimError::Ecc { cycle, .. }
-        | SimError::LinkEmpty { cycle, .. }
-        | SimError::LinkRetryExhausted { cycle, .. } => *cycle,
-        _ => 0,
-    }
-}
-
 /// Runs one inference with bounded retry-from-weights recovery.
 ///
 /// Each attempt rebuilds the chip from scratch — `Chip::new`, constants
 /// reload (the PCIe model-emplace), input rewrite — so a retry observes no
-/// state damaged by the previous attempt. Attempt `i` is injected with
-/// `options.attempt_faults[i]` (fault-free past the end, unless
-/// [`ResilientOptions::sticky`] makes the last plan permanent).
+/// state damaged by the previous attempt. Attempt `i` is injected with the
+/// plan of [`ResilientOptions::strike`] when the strike is persistent or
+/// `i` is the first attempt, and runs fault-free otherwise.
 ///
-/// Returns `Err` only for non-transient errors (see [`is_transient`]);
+/// Returns `Err` only for non-transient errors (see [`transient`]);
 /// transient exhaustion is reported as [`RunOutcome::Exhausted`].
 ///
 /// # Panics
@@ -242,7 +211,6 @@ pub fn run_resilient(
     assert!(options.max_attempts >= 1, "need at least one attempt");
     let mut report = ResilienceReport {
         attempts: 0,
-        retried: 0,
         corrected: 0,
         detected: 0,
         faults_applied: 0,
@@ -250,29 +218,19 @@ pub fn run_resilient(
         wasted_cycles: 0,
         egress_words: 0,
         telemetry: Telemetry::new(),
-        recovery_wall: Duration::ZERO,
-        transient_errors: Vec::new(),
         retry_causes: Vec::new(),
         outcome: RunOutcome::Exhausted {
             last_error: SimError::CycleLimit { limit: 0 }, // replaced below
         },
     };
     for attempt in 0..options.max_attempts {
-        let start = Instant::now();
         let mut chip = Chip::new(config.clone());
         model.load_constants(&mut chip);
         model.write_input(&mut chip, image_q);
-        let faults = options
-            .attempt_faults
-            .get(attempt as usize)
-            .or_else(|| {
-                options
-                    .sticky
-                    .then(|| options.attempt_faults.last())
-                    .flatten()
-            })
-            .cloned()
-            .unwrap_or_else(FaultPlan::empty);
+        let faults = match (&options.strike, attempt) {
+            (ChaosStrike::Transient(plan), 0) | (ChaosStrike::Persistent(plan), _) => plan.clone(),
+            _ => FaultPlan::empty(),
+        };
         let run_options = RunOptions {
             faults,
             ..options.base.clone()
@@ -283,9 +241,8 @@ pub fn run_resilient(
         } else {
             chip.run_interpreted(&model.program, &run_options)
         };
-        match outcome {
+        let error = match outcome {
             Ok(run) => {
-                report.retried = report.attempts - 1;
                 report.corrected += run.ecc_corrected;
                 report.faults_applied += run.faults_applied;
                 report.faults_vacant += run.faults_vacant;
@@ -297,25 +254,23 @@ pub fn run_resilient(
                 };
                 return Ok(report);
             }
-            Err(error) if is_transient(&error) => {
-                report.corrected += chip.memory.errors.corrected();
-                report.detected += match &error {
-                    SimError::Ecc { .. } => chip.memory.errors.uncorrectable(),
-                    _ => 1, // link failures are not in the memory CSR
-                };
-                report.wasted_cycles += error_cycle(&error);
-                report.recovery_wall += start.elapsed();
-                report.transient_errors.push(error.to_string());
-                report.retry_causes.push(RetryCause {
-                    attempt,
-                    cycle: error_cycle(&error),
-                    kind: transient_kind(&error).expect("is_transient guarded above"),
-                });
-                report.outcome = RunOutcome::Exhausted { last_error: error };
-            }
-            Err(error) => return Err(error),
-        }
+            Err(error) => error,
+        };
+        let Some((kind, cycle)) = transient(&error) else {
+            return Err(error);
+        };
+        report.corrected += chip.memory.errors.corrected();
+        report.detected += match kind {
+            TransientKind::Ecc => chip.memory.errors.uncorrectable(),
+            _ => 1, // link failures are not in the memory CSR
+        };
+        report.wasted_cycles += cycle;
+        report.retry_causes.push(RetryCause {
+            attempt,
+            cycle,
+            kind,
+        });
+        report.outcome = RunOutcome::Exhausted { last_error: error };
     }
-    report.retried = report.attempts - 1;
     Ok(report)
 }

@@ -1,16 +1,20 @@
 //! Host-level graceful degradation: uncorrectable faults trigger bounded
 //! retry-from-weights with a populated `ResilienceReport`, recovered logits
 //! are bit-identical to the fault-free run, and non-transient errors still
-//! propagate (retrying a compiler bug would loop forever).
+//! propagate (retrying a compiler bug would loop forever). Strikes are
+//! stated as a `ChaosStrike`: a transient one hits attempt 1 only, a
+//! persistent one every attempt.
 
 use tsp_arch::ChipConfig;
 use tsp_nn::compile::{compile, CompileOptions, CompiledModel, InputKind};
 use tsp_nn::data::synthetic;
 use tsp_nn::quant::quantize;
-use tsp_nn::resilient::{is_transient, run_resilient, ResilientOptions, RunOutcome, TransientKind};
+use tsp_nn::resilient::{
+    run_resilient, transient, ResilienceReport, ResilientOptions, RunOutcome, TransientKind,
+};
 use tsp_nn::train::small_cnn;
 use tsp_sim::chip::RunOptions;
-use tsp_sim::faults::{FaultEvent, FaultKind, FaultPlan};
+use tsp_sim::faults::{ChaosStrike, FaultEvent, FaultKind, FaultPlan};
 use tsp_sim::SimError;
 
 fn model_and_image() -> (CompiledModel, Vec<i8>) {
@@ -44,52 +48,48 @@ fn uncorrectable_input_fault(model: &CompiledModel) -> FaultPlan {
     FaultPlan::from_events(0, vec![flip(0, 1), flip(3, 6)])
 }
 
+/// `run_resilient` of the shared model under `strike` with `max_attempts`.
+fn run_struck(
+    model: &CompiledModel,
+    image: &[i8],
+    strike: ChaosStrike,
+    max_attempts: u32,
+) -> ResilienceReport {
+    let options = ResilientOptions {
+        max_attempts,
+        strike,
+        ..ResilientOptions::default()
+    };
+    run_resilient(model, &ChipConfig::asic(), image, &options)
+        .expect("transient faults must not surface as Err")
+}
+
 #[test]
 fn fault_free_inference_completes_first_try() {
     let (model, image) = model_and_image();
-    let report = run_resilient(
-        &model,
-        &ChipConfig::asic(),
-        &image,
-        &ResilientOptions::default(),
-    )
-    .expect("fault-free run");
+    let report = run_struck(&model, &image, ChaosStrike::None, 3);
     assert!(report.completed());
     assert_eq!(report.attempts, 1);
-    assert_eq!(report.retried, 0);
     assert_eq!(report.detected, 0);
-    assert!(report.transient_errors.is_empty());
+    assert!(report.retry_causes.is_empty());
     assert!(report.logits().is_some());
 }
 
 #[test]
 fn uncorrectable_fault_triggers_retry_from_weights() {
     let (model, image) = model_and_image();
-    let golden = run_resilient(
-        &model,
-        &ChipConfig::asic(),
-        &image,
-        &ResilientOptions::default(),
-    )
-    .expect("golden run");
-
-    let options = ResilientOptions {
-        attempt_faults: vec![uncorrectable_input_fault(&model)],
-        ..ResilientOptions::default()
-    };
-    let report = run_resilient(&model, &ChipConfig::asic(), &image, &options)
-        .expect("transient faults must not surface as Err");
+    let golden = run_struck(&model, &image, ChaosStrike::None, 3);
+    let plan = uncorrectable_input_fault(&model);
+    let report = run_struck(&model, &image, ChaosStrike::Transient(plan), 3);
     assert!(report.completed(), "retry must recover: {report:?}");
     assert_eq!(report.attempts, 2);
-    assert_eq!(report.retried, 1);
     assert!(report.detected >= 1, "the double-bit detection is counted");
-    assert_eq!(report.transient_errors.len(), 1);
-    assert!(
-        report.transient_errors[0].contains("cycle"),
-        "diagnosable: {}",
-        report.transient_errors[0]
-    );
+    assert_eq!(report.retry_causes.len(), 1);
     assert!(report.wasted_cycles > 0, "the dead attempt burned cycles");
+    assert_eq!(
+        report.retry_causes[0].cycle, report.wasted_cycles,
+        "the cause names the cycle the attempt died at"
+    );
     assert_eq!(
         report.logits(),
         golden.logits(),
@@ -97,25 +97,45 @@ fn uncorrectable_fault_triggers_retry_from_weights() {
     );
 }
 
+/// The mapping itself: a transient strike fails attempt 1 only and the run
+/// completes on attempt 2 with the fault-free logits; the same plan as a
+/// persistent strike fails every attempt of the budget.
+#[test]
+fn strike_kind_decides_which_attempts_are_struck() {
+    let (model, image) = model_and_image();
+    let golden = run_struck(&model, &image, ChaosStrike::None, 3);
+    let plan = uncorrectable_input_fault(&model);
+
+    let once = run_struck(&model, &image, ChaosStrike::Transient(plan.clone()), 3);
+    let attempts: Vec<u32> = once.retry_causes.iter().map(|c| c.attempt).collect();
+    assert_eq!(attempts, [0], "only attempt 1 is struck");
+    assert_eq!(once.attempts, 2);
+    assert_eq!(once.logits(), golden.logits(), "bit-identical on attempt 2");
+
+    let always = run_struck(&model, &image, ChaosStrike::Persistent(plan), 3);
+    let attempts: Vec<u32> = always.retry_causes.iter().map(|c| c.attempt).collect();
+    assert_eq!(attempts, [0, 1, 2], "every attempt is struck");
+    assert_eq!(always.attempts, 3);
+    assert!(always.logits().is_none());
+    assert_eq!(
+        always.wasted_cycles,
+        3 * once.wasted_cycles,
+        "each attempt dies where the transient one did"
+    );
+}
+
 #[test]
 fn retry_budget_exhaustion_is_reported_not_panicked() {
     let (model, image) = model_and_image();
     let plan = uncorrectable_input_fault(&model);
-    let options = ResilientOptions {
-        max_attempts: 3,
-        attempt_faults: vec![plan.clone(), plan.clone(), plan],
-        ..ResilientOptions::default()
-    };
-    let report = run_resilient(&model, &ChipConfig::asic(), &image, &options)
-        .expect("exhaustion is a report, not an Err");
+    let report = run_struck(&model, &image, ChaosStrike::Persistent(plan), 3);
     assert!(!report.completed());
     assert_eq!(report.attempts, 3);
-    assert_eq!(report.retried, 2);
-    assert_eq!(report.transient_errors.len(), 3);
+    assert_eq!(report.retry_causes.len(), 3);
     assert!(report.logits().is_none());
     match &report.outcome {
         RunOutcome::Exhausted { last_error } => {
-            assert!(is_transient(last_error), "{last_error}");
+            assert!(transient(last_error).is_some(), "{last_error}");
         }
         RunOutcome::Completed { .. } => panic!("must not complete"),
     }
@@ -123,22 +143,15 @@ fn retry_budget_exhaustion_is_reported_not_panicked() {
 
 #[test]
 fn permanent_fault_exhausts_its_bound_with_structured_causes() {
-    // A *permanent* strike (sticky: the plan recurs on every attempt) must
-    // make `run_resilient` give up after exactly `max_attempts` runs — no
-    // loop, no panic — and say why in `retry_causes`, one entry per dead
-    // attempt, so a circuit breaker can act on the site class.
+    // A *permanent* strike (the plan recurs on every attempt) must make
+    // `run_resilient` give up after exactly `max_attempts` runs — no loop,
+    // no panic — and say why in `retry_causes`, one entry per dead attempt,
+    // so a circuit breaker can act on the site class.
     let (model, image) = model_and_image();
-    let options = ResilientOptions {
-        max_attempts: 4,
-        attempt_faults: vec![uncorrectable_input_fault(&model)],
-        sticky: true,
-        ..ResilientOptions::default()
-    };
-    let report = run_resilient(&model, &ChipConfig::asic(), &image, &options)
-        .expect("give-up is a structured report, not an Err");
+    let plan = uncorrectable_input_fault(&model);
+    let report = run_struck(&model, &image, ChaosStrike::Persistent(plan), 4);
     assert!(!report.completed());
     assert_eq!(report.attempts, 4, "attempts == bound");
-    assert_eq!(report.retried, 3);
     assert_eq!(
         report.retry_causes.len(),
         4,
@@ -152,8 +165,13 @@ fn permanent_fault_exhausts_its_bound_with_structured_causes() {
     }
     assert!(report.logits().is_none());
     match &report.outcome {
-        RunOutcome::Exhausted { last_error } => assert!(is_transient(last_error)),
-        RunOutcome::Completed { .. } => panic!("sticky fault must never complete"),
+        RunOutcome::Exhausted { last_error } => {
+            assert_eq!(
+                transient(last_error).map(|(kind, _)| kind),
+                Some(TransientKind::Ecc)
+            );
+        }
+        RunOutcome::Completed { .. } => panic!("a persistent fault must never complete"),
     }
 }
 
@@ -170,5 +188,5 @@ fn non_transient_errors_propagate() {
     let err = run_resilient(&model, &ChipConfig::asic(), &image, &options)
         .expect_err("deterministic errors must not be retried");
     assert!(matches!(err, SimError::CycleLimit { .. }), "{err}");
-    assert!(!is_transient(&err));
+    assert!(transient(&err).is_none());
 }

@@ -19,32 +19,31 @@
 
 use tsp_nn::resilient::TransientKind;
 
-/// Scoring thresholds for the per-chip circuit breaker.
+/// Score added per link-shaped retry (transient signaling weather).
+const LINK_PENALTY: u32 = 1;
+/// Score added per SRAM-shaped retry (uncorrectable ECC detection).
+const SRAM_PENALTY: u32 = 3;
+/// Score added per request that exhausted its retry budget or died on a
+/// non-transient error — the permanent-fault signature.
+const EXHAUST_PENALTY: u32 = 8;
+/// Score subtracted per request that completed without retries.
+const SUCCESS_REWARD: u32 = 1;
+
+/// The per-chip circuit breaker's threshold. The penalties and the reward
+/// it is weighed against are fixed: one link retry 1, one SRAM retry 3, one
+/// exhausted request 8, one clean request −1.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthConfig {
     /// Quarantine the chip once its score reaches this value.
     pub trip_score: u32,
-    /// Score added per link-shaped retry (transient signaling weather).
-    pub link_penalty: u32,
-    /// Score added per SRAM-shaped retry (uncorrectable ECC detection).
-    pub sram_penalty: u32,
-    /// Score added per request that exhausted its retry budget or died on
-    /// a non-transient error — the permanent-fault signature.
-    pub exhaust_penalty: u32,
-    /// Score subtracted per request that completed without retries.
-    pub success_reward: u32,
 }
 
 impl Default for HealthConfig {
     fn default() -> HealthConfig {
+        // One exhausted request trips the breaker outright; short of that it
+        // takes a run of SRAM detections outpacing successes.
         HealthConfig {
-            // One exhausted request trips the breaker outright; short of
-            // that it takes a run of SRAM detections outpacing successes.
-            trip_score: 8,
-            link_penalty: 1,
-            sram_penalty: 3,
-            exhaust_penalty: 8,
-            success_reward: 1,
+            trip_score: EXHAUST_PENALTY,
         }
     }
 }
@@ -92,23 +91,22 @@ impl ChipHealth {
 
     /// A request completed on this chip without a single retry.
     pub fn record_success(&mut self) {
-        self.score = self.score.saturating_sub(self.config.success_reward);
+        self.score = self.score.saturating_sub(SUCCESS_REWARD);
     }
 
     /// One retry-triggering transient failure of the given site class.
     pub fn record_retry(&mut self, kind: TransientKind) {
-        let penalty = if kind.is_link() {
-            self.config.link_penalty
+        self.charge(if kind.is_link() {
+            LINK_PENALTY
         } else {
-            self.config.sram_penalty
-        };
-        self.charge(penalty);
+            SRAM_PENALTY
+        });
     }
 
     /// A request exhausted its retry budget (or died on a non-transient
     /// error) on this chip.
     pub fn record_exhausted(&mut self) {
-        self.charge(self.config.exhaust_penalty);
+        self.charge(EXHAUST_PENALTY);
     }
 }
 

@@ -54,8 +54,11 @@ pub fn open_loop(spec: &LoadSpec) -> Vec<Request> {
             // (0, 1]. Quantized to at least 0 cycles — simultaneous
             // arrivals are legal (ids break the tie).
             let u: f64 = rng.gen_range(0.0..1.0);
+            // A gap past `u64::MAX` cycles (a huge or infinite mean)
+            // saturates, and so does the clock: late arrivals pile up at
+            // `u64::MAX`, ordered by id.
             let gap = (-(1.0 - u).ln() * spec.mean_interarrival).round() as u64;
-            now += gap;
+            now = now.saturating_add(gap);
             Request {
                 id,
                 arrival: now,

@@ -20,15 +20,15 @@
 //!    re-derivable from the [`BatchRecord`] alone, which is what
 //!    [`crate::verify::verify_accounting`] checks.
 //!
-//! Failure handling is layered: transient faults retry inside
-//! [`run_resilient`]; a request that exhausts its budget is a structured
-//! [`ServeOutcome::Failed`], never a wrong answer; and every verdict feeds
-//! the per-chip circuit breaker ([`crate::health`]), which quarantines a
-//! chip that keeps drawing faults and drains its work to the healthy rest.
+//! Failure handling is layered: each request of a batch runs through
+//! [`run_resilient`], where transient faults retry; a request that exhausts
+//! its budget is a structured [`ServeOutcome::Failed`], never a wrong
+//! answer; and every verdict feeds the per-chip circuit breaker
+//! ([`crate::health`]), which quarantines a chip that keeps drawing faults
+//! and drains its work to the healthy rest.
 //! Chaos mode ([`ChaosSpec`]) injects seeded fault plans into live
-//! dispatches so all of the above runs under test, not in theory.
-//!
-//! [`run_resilient`]: tsp_nn::resilient::run_resilient
+//! dispatches so all of the above runs under test, not in theory: each
+//! dispatch's [`ChaosStrike`] is handed to `run_resilient` as drawn.
 
 use std::collections::VecDeque;
 
@@ -36,7 +36,7 @@ use tsp_arch::ChipConfig;
 use tsp_host::{try_fan_out, WorkerPanic};
 use tsp_nn::batch::BatchModel;
 use tsp_nn::resilient::{
-    ResilienceReport, ResilientOptions, RetryCause, RunOutcome, DEFAULT_MAX_ATTEMPTS,
+    run_resilient, ResilienceReport, ResilientOptions, RetryCause, RunOutcome, DEFAULT_MAX_ATTEMPTS,
 };
 use tsp_sim::chip::RunOptions;
 use tsp_sim::{SimError, Telemetry};
@@ -631,7 +631,7 @@ pub fn serve(
                 for (a, reports) in outcomes {
                     account(
                         &a,
-                        reports,
+                        &reports,
                         emplace,
                         config,
                         &mut chips[a.chip],
@@ -688,13 +688,15 @@ fn shed(r: &Request, why: Rejected) -> Response {
     }
 }
 
-/// Executes one assignment's batch on the simulator (worker-thread side).
+/// Executes one assignment's batch on the simulator (worker-thread side):
+/// its requests back to back, each through [`run_resilient`] on pristine
+/// chip state, in batch order.
 ///
-/// The chaos draw maps onto `run_resilient` fault plans: a *transient*
-/// strike hits the first attempt of the batch's head request only (a retry
-/// outruns it); a *persistent* strike recurs on every attempt of **every**
-/// request in the batch (a stuck cell survives the per-attempt chip
-/// rebuild), so the budget deterministically exhausts.
+/// The chaos draw passes straight through as the request's
+/// [`ResilientOptions::strike`]: a *transient* strike hits the batch's head
+/// request only; a *persistent* one hits **every** request of the batch (a
+/// stuck cell survives the per-attempt chip rebuild), so each budget
+/// deterministically exhausts.
 fn run_assignment(
     model: &BatchModel,
     config: &ServeConfig,
@@ -702,42 +704,35 @@ fn run_assignment(
     a: &Assignment,
     base: &RunOptions,
 ) -> Vec<Result<ResilienceReport, SimError>> {
-    let images: Vec<&[i8]> = a
-        .requests
+    a.requests
         .iter()
-        .map(|r| inputs[r.input].as_slice())
-        .collect();
-    let clean = ResilientOptions {
-        max_attempts: config.max_attempts,
-        attempt_faults: Vec::new(),
-        sticky: false,
-        base: base.clone(),
-    };
-    let per_request: Vec<ResilientOptions> = match &a.strike {
-        ChaosStrike::None => vec![clean; images.len()],
-        ChaosStrike::Transient(plan) => {
-            let mut options = vec![clean; images.len()];
-            options[0].attempt_faults = vec![plan.clone()];
-            options
-        }
-        ChaosStrike::Persistent(plan) => {
-            let struck = ResilientOptions {
-                attempt_faults: vec![plan.clone()],
-                sticky: true,
-                ..clean
+        .enumerate()
+        .map(|(i, request)| {
+            let strike = match &a.strike {
+                ChaosStrike::Transient(_) if i > 0 => ChaosStrike::None,
+                strike => strike.clone(),
             };
-            vec![struck; images.len()]
-        }
-    };
-    model.run_batch(&config.chip, &images, &per_request)
+            let options = ResilientOptions {
+                max_attempts: config.max_attempts,
+                strike,
+                base: base.clone(),
+            };
+            run_resilient(&model.model, &config.chip, &inputs[request.input], &options)
+        })
+        .collect()
 }
 
 /// Folds one finished assignment into the serving state (main-loop side,
 /// in wave order).
+///
+/// Every request takes one path: its [`ServedRequest`] row, health and
+/// counters, [`Response`] and span tree. A non-transient error (the
+/// simulator aborted deterministically — a compiler bug, not chip weather)
+/// is one failed attempt that burned no modeled chip time.
 #[allow(clippy::too_many_arguments)]
 fn account(
     a: &Assignment,
-    reports: Vec<Result<ResilienceReport, SimError>>,
+    reports: &[Result<ResilienceReport, SimError>],
     emplace: u64,
     config: &ServeConfig,
     chip: &mut ChipState,
@@ -748,157 +743,102 @@ fn account(
     let mut cursor = a.dispatched.saturating_add(emplace);
     let mut served = Vec::with_capacity(a.requests.len());
     for (request, result) in a.requests.iter().zip(reports) {
-        let row = match result {
-            Ok(report) => {
-                let transitions = report.attempts.saturating_sub(1);
-                let mut row = ServedRequest {
-                    id: request.id,
-                    attempts: report.attempts,
-                    failed_attempt_cycles: report.retry_causes.iter().map(|c| c.cycle).collect(),
-                    final_cycles: match &report.outcome {
-                        RunOutcome::Completed { cycles, .. } => Some(*cycles),
-                        RunOutcome::Exhausted { .. } => None,
-                    },
-                    backoff: config.backoff_total(transitions),
-                    reemplace: u64::from(transitions) * emplace,
-                    completed: 0,
-                };
-                row.completed = cursor.saturating_add(row.service());
-                let completed_at = row.completed;
-                let (mut link, mut sram) = (0u64, 0u64);
-                for cause in &report.retry_causes {
-                    if cause.kind.is_link() {
-                        link += 1;
-                    } else {
-                        sram += 1;
-                    }
-                    chip.health.record_retry(cause.kind);
-                }
-                chip.stats.retries_link += link;
-                chip.stats.retries_sram += sram;
+        let (attempts, causes, ending) = match result {
+            Ok(report) => (
+                report.attempts,
+                report.retry_causes.as_slice(),
                 match &report.outcome {
-                    RunOutcome::Completed { logits, .. } => {
-                        if report.retried == 0 {
-                            chip.health.record_success();
-                        }
-                        chip.stats.completed += 1;
-                        chip.stats.telemetry.merge(&report.telemetry);
-                        let deadline_met = completed_at <= request.due();
-                        responses.push(Response {
-                            id: request.id,
-                            input: request.input,
-                            arrival: request.arrival,
-                            deadline: request.deadline,
-                            outcome: ServeOutcome::Completed {
-                                logits: logits.clone(),
-                                chip: a.chip,
-                                batch: a.batch_index,
-                                dispatched: a.dispatched,
-                                completed: completed_at,
-                                deadline_met,
-                                attempts: report.attempts,
-                                retried_link: link as u32,
-                                retried_sram: sram as u32,
-                            },
-                        });
-                        if tracer.enabled {
-                            let outcome = if deadline_met {
-                                TraceOutcome::Complete
-                            } else {
-                                TraceOutcome::DeadlineMiss
-                            };
-                            tracer.record(dispatched_trace(
-                                request,
-                                a,
-                                emplace,
-                                cursor,
-                                &row,
-                                &report.retry_causes,
-                                config,
-                                outcome,
-                                None,
-                            ));
-                        }
+                    RunOutcome::Completed { logits, cycles } => {
+                        Ok((logits, *cycles, &report.telemetry))
                     }
-                    RunOutcome::Exhausted { last_error } => {
-                        chip.health.record_exhausted();
-                        chip.stats.failed += 1;
-                        responses.push(Response {
-                            id: request.id,
-                            input: request.input,
-                            arrival: request.arrival,
-                            deadline: request.deadline,
-                            outcome: ServeOutcome::Failed {
-                                chip: a.chip,
-                                batch: a.batch_index,
-                                dispatched: a.dispatched,
-                                completed: completed_at,
-                                attempts: report.attempts,
-                                error: last_error.to_string(),
-                            },
-                        });
-                        if tracer.enabled {
-                            tracer.record(dispatched_trace(
-                                request,
-                                a,
-                                emplace,
-                                cursor,
-                                &row,
-                                &report.retry_causes,
-                                config,
-                                TraceOutcome::Failed,
-                                Some(&last_error.to_string()),
-                            ));
-                        }
-                    }
+                    RunOutcome::Exhausted { last_error } => Err(last_error),
+                },
+            ),
+            Err(error) => (1, &[][..], Err(error)),
+        };
+        let transitions = attempts.saturating_sub(1);
+        let mut row = ServedRequest {
+            id: request.id,
+            attempts,
+            failed_attempt_cycles: causes.iter().map(|c| c.cycle).collect(),
+            final_cycles: ending.as_ref().ok().map(|&(_, cycles, _)| cycles),
+            backoff: config.backoff_total(transitions),
+            reemplace: u64::from(transitions) * emplace,
+            completed: 0,
+        };
+        row.completed = cursor.saturating_add(row.service());
+        let (mut link, mut sram) = (0u64, 0u64);
+        for cause in causes {
+            if cause.kind.is_link() {
+                link += 1;
+            } else {
+                sram += 1;
+            }
+            chip.health.record_retry(cause.kind);
+        }
+        chip.stats.retries_link += link;
+        chip.stats.retries_sram += sram;
+        let (outcome, traced, error) = match ending {
+            Ok((logits, _, telemetry)) => {
+                if attempts == 1 {
+                    chip.health.record_success();
                 }
-                row
+                chip.stats.completed += 1;
+                chip.stats.telemetry.merge(telemetry);
+                let deadline_met = row.completed <= request.due();
+                let outcome = ServeOutcome::Completed {
+                    logits: logits.clone(),
+                    chip: a.chip,
+                    batch: a.batch_index,
+                    dispatched: a.dispatched,
+                    completed: row.completed,
+                    deadline_met,
+                    attempts,
+                    retried_link: link as u32,
+                    retried_sram: sram as u32,
+                };
+                let traced = if deadline_met {
+                    TraceOutcome::Complete
+                } else {
+                    TraceOutcome::DeadlineMiss
+                };
+                (outcome, traced, None)
             }
             Err(error) => {
-                // Non-transient: the simulator aborted deterministically
-                // (a compiler bug, not chip weather). No chip time is
-                // modeled; the request fails in place.
                 chip.health.record_exhausted();
                 chip.stats.failed += 1;
-                responses.push(Response {
-                    id: request.id,
-                    input: request.input,
-                    arrival: request.arrival,
-                    deadline: request.deadline,
-                    outcome: ServeOutcome::Failed {
-                        chip: a.chip,
-                        batch: a.batch_index,
-                        dispatched: a.dispatched,
-                        completed: cursor,
-                        attempts: 1,
-                        error: error.to_string(),
-                    },
-                });
-                let row = ServedRequest {
-                    id: request.id,
-                    attempts: 1,
-                    failed_attempt_cycles: Vec::new(),
-                    final_cycles: None,
-                    backoff: 0,
-                    reemplace: 0,
-                    completed: cursor,
+                let error = error.to_string();
+                let outcome = ServeOutcome::Failed {
+                    chip: a.chip,
+                    batch: a.batch_index,
+                    dispatched: a.dispatched,
+                    completed: row.completed,
+                    attempts,
+                    error: error.clone(),
                 };
-                if tracer.enabled {
-                    tracer.record(dispatched_trace(
-                        request,
-                        a,
-                        emplace,
-                        cursor,
-                        &row,
-                        &[],
-                        config,
-                        TraceOutcome::Failed,
-                        Some(&error.to_string()),
-                    ));
-                }
-                row
+                (outcome, TraceOutcome::Failed, Some(error))
             }
         };
+        responses.push(Response {
+            id: request.id,
+            input: request.input,
+            arrival: request.arrival,
+            deadline: request.deadline,
+            outcome,
+        });
+        if tracer.enabled {
+            tracer.record(dispatched_trace(
+                request,
+                a,
+                emplace,
+                cursor,
+                &row,
+                causes,
+                config,
+                traced,
+                error.as_deref(),
+            ));
+        }
         cursor = row.completed;
         served.push(row);
     }

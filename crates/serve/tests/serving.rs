@@ -195,7 +195,6 @@ fn chaos_transient_strikes_retry_to_bit_identical_logits() {
         // draws a strike, and we want them all served anyway.
         health: HealthConfig {
             trip_score: 1_000_000,
-            ..HealthConfig::default()
         },
         ..ServeConfig::default()
     };
@@ -459,6 +458,35 @@ fn a_request_without_a_deadline_is_served_in_time() {
     let result = serve(&model, &config, &inputs, &requests).expect("serves");
     assert!(result.responses[0].good(), "{:?}", result.responses[0]);
     verify_accounting(&requests, &result, &model, &config).expect("accounting re-derives");
+}
+
+/// A mean gap too large for the cycle clock (huge or infinite) saturates
+/// the arrival clock instead of wrapping it: the trace stays sorted by
+/// `(arrival, id)` with the late arrivals at `u64::MAX`, and `serve` accepts
+/// it and accounts it.
+#[test]
+fn a_huge_mean_gap_saturates_the_arrival_clock() {
+    let (model, inputs) = workload(4);
+    let config = ServeConfig {
+        pool: 1,
+        ..ServeConfig::default()
+    };
+    for mean_interarrival in [1e30, f64::INFINITY] {
+        let requests = open_loop(&LoadSpec {
+            seed: 1,
+            requests: 3,
+            mean_interarrival,
+            deadline: 10,
+            inputs: 1,
+        });
+        for pair in requests.windows(2) {
+            assert!((pair[0].arrival, pair[0].id) < (pair[1].arrival, pair[1].id));
+        }
+        assert_eq!(requests.last().map(|r| r.arrival), Some(u64::MAX));
+        let result = serve(&model, &config, &inputs, &requests).expect("serves");
+        assert_eq!(result.responses.len(), requests.len());
+        verify_accounting(&requests, &result, &model, &config).expect("accounting re-derives");
+    }
 }
 
 /// A splitmix64 stream: the random serving cases grow from one seed.

@@ -7,7 +7,7 @@
 use tsp::isa::MemAddr;
 use tsp::mem::GlobalAddress;
 use tsp::prelude::*;
-use tsp::sim::faults::{FaultEvent, FaultKind, FaultPlan};
+use tsp::sim::faults::{ChaosStrike, FaultEvent, FaultKind, FaultPlan};
 
 /// Compiles a 64-row copy (East → West), injects `single` single-bit faults
 /// (and optionally one double-bit fault) into the source storage, runs, and
@@ -204,7 +204,7 @@ fn single_bit_fault_under_a_gathered_word_is_corrected() {
         &config,
         &image,
         &ResilientOptions {
-            attempt_faults: vec![plan],
+            strike: ChaosStrike::Transient(plan),
             ..ResilientOptions::default()
         },
     )
@@ -233,7 +233,7 @@ fn double_bit_fault_under_a_gathered_word_is_detected_and_retried() {
         &config,
         &image,
         &ResilientOptions {
-            attempt_faults: vec![plan],
+            strike: ChaosStrike::Transient(plan),
             ..ResilientOptions::default()
         },
     )
@@ -349,7 +349,7 @@ fn single_bit_fault_under_an_untouched_superlane_of_a_scattered_word_is_correcte
         &config,
         &image,
         &ResilientOptions {
-            attempt_faults: vec![plan],
+            strike: ChaosStrike::Transient(plan),
             ..ResilientOptions::default()
         },
     )
