@@ -197,7 +197,7 @@ fn chip_trial(
         strike: ChaosStrike::Transient(chip_plan(site, rate, seed, model.cycles)),
         ..ResilientOptions::default()
     };
-    let report = run_resilient(model, &ChipConfig::asic(), image, &options)
+    let report = run_resilient(model, &ChipConfig::asic(), image, &options, &mut None)
         .expect("campaign faults are transient by construction");
     let class = match report.logits() {
         None => TrialClass::DetectedUnrecovered,
@@ -375,6 +375,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
         &ChipConfig::asic(),
         &image,
         &ResilientOptions::default(),
+        &mut None,
     )
     .expect("golden run")
     .logits()

@@ -3,11 +3,12 @@
 //! a pool of four chips running [`small_cnn_batch`], chip 0 struck by a
 //! persistent fault on every dispatch (so the breaker quarantines it).
 //!
-//! Every number in the report is simulated — the per-dispatch emplace, the
-//! service time, the good / shed / failed / missed / quarantined counts, the
-//! p50 / p99 latency and the flight recorder's non-success requests — so the
-//! report is byte-identical run to run, and a change that moves serving shows
-//! in the capture's diff.
+//! Every number in the report is simulated — the model's emplace and restore,
+//! the service time, how many of each chip's batches emplaced (the model
+//! stays resident after the first), the good / shed / failed / missed /
+//! quarantined counts, the p50 / p99 latency and the flight recorder's
+//! non-success requests — so the report is byte-identical run to run, and a
+//! change that moves serving shows in the capture's diff.
 
 use std::fmt::Write as _;
 
@@ -68,9 +69,26 @@ pub fn render() -> (String, ServeResult) {
     let mut out = String::from("# tsp-prof: serve\n");
     let _ = writeln!(
         out,
-        "pool {POOL} × batch {}, emplace {emplace}, service {service} cycles; {} requests, \
-         mean gap {:.1} cycles, deadline {}; chip 0 struck persistently",
-        model.max_batch, spec.requests, spec.mean_interarrival, spec.deadline
+        "pool {POOL} × batch {}, emplace {emplace}, restore {}, service {service} cycles; \
+         {} requests, mean gap {:.1} cycles, deadline {}; chip 0 struck persistently",
+        model.max_batch,
+        model.restore_cycles(),
+        spec.requests,
+        spec.mean_interarrival,
+        spec.deadline
+    );
+    let per_chip: Vec<String> = (0..POOL)
+        .map(|chip| {
+            let batches = result.batches.iter().filter(|b| b.chip == chip);
+            let (emplaced, all) =
+                batches.fold((0, 0), |(e, n), b| (e + usize::from(b.emplace > 0), n + 1));
+            format!("{emplaced}/{all}")
+        })
+        .collect();
+    let _ = writeln!(
+        out,
+        "emplaces per chip (of its batches): {}",
+        per_chip.join(" ")
     );
     let _ = writeln!(
         out,

@@ -24,7 +24,9 @@
 //! Low-bank word no constant covers (SRAM starts out zero and that bank holds
 //! nothing else), and a `Write` consuming one of them is a border write; the
 //! output's blocks are the model's own record ([`CompiledModel::probes`]).
-//! `-`: nothing to clear (no border, or fresh SRAM). `before`: the last border
+//! `-`: nothing cleared in the program — no border, or a border on SRAM that
+//! is fresh at entry (zero on a new chip, and restored by the host before a
+//! rerun: `CompiledModel::restore`). `before`: the last border
 //! write ended no later than the last data write. `after +n`: the fallback —
 //! it ended `n` cycles later.
 

@@ -15,7 +15,8 @@
 //! old contents, though: SRAM starts out zero, and kernels that rely on rows
 //! they never write being zero (a feature map's padding border) must clear
 //! them where [`MemAllocator::is_dirty`] says so
-//! (`Scheduler::zero_stale` does both).
+//! (`Scheduler::zero_stale` does both, and records the rows it leaves to
+//! fresh SRAM for a rerun's restore — see `crate::rerun`).
 
 use tsp_arch::{Hemisphere, MEM_SLICES_PER_HEMISPHERE};
 

@@ -9,6 +9,8 @@
 //!   partitioned global address space (block-contiguous layouts, on-demand
 //!   replication for multi-stream consumers);
 //! * [`alloc`] — the slice/bank-aware memory allocator (paper §IV-A);
+//! * [`rerun`] — the re-run contract: the rows a program needs fresh, the
+//!   rows it writes, and what the host restores before running it again;
 //! * [`resource`] — the books: when each instruction queue, stream register
 //!   and MXM plane is next free;
 //! * [`sched`] — the schedule builder, which keeps the only set of those books
@@ -33,12 +35,14 @@
 
 pub mod alloc;
 pub mod kernels;
+pub mod rerun;
 pub mod resource;
 pub mod sched;
 pub mod tensor;
 pub mod viz;
 
 pub use alloc::MemAllocator;
+pub use rerun::{RestoreSet, RowRuns};
 pub use resource::{Resource, ResourcePool};
 pub use sched::{ConstantRows, Scheduler};
 pub use tensor::{Layout, TensorHandle};

@@ -18,6 +18,7 @@ use tsp_mem::GlobalAddress;
 use tsp_sim::{IcuId, Program};
 
 use crate::alloc::{MemAllocator, LOW_INNER_SLICES};
+use crate::rerun::RowRuns;
 use crate::resource::{Resource, ResourcePool};
 use crate::tensor::TensorHandle;
 
@@ -91,6 +92,9 @@ pub struct LaneMap {
     /// The slice holding the one block of the data tensor every map row
     /// addresses.
     pub slice: (Hemisphere, u8),
+    /// Per map row, the word of that slice each superlane addresses: where a
+    /// `Scatter` through the row lands.
+    words: Vec<[MemAddr; SUPERLANES]>,
 }
 
 /// One `Gather` or `Scatter` burst: consecutive entries of a key list that
@@ -141,7 +145,10 @@ impl std::error::Error for OutOfPorts {}
 /// The rows of a constant the host ships, each with its index in the
 /// constant's handle, ascending. A row the list leaves out is never written
 /// and reads zero on a fresh chip (the contract [`Scheduler::zero_stale`]
-/// states), so only rows that hold data need be listed.
+/// states), so only rows that hold data need be listed. A rerun on a chip
+/// the program has already run on finds them as the emplace left them unless
+/// a write landed there, which the [`RestoreSet`](crate::RestoreSet) puts
+/// back.
 pub type ConstantRows = Vec<(u32, Vector)>;
 
 /// State captured by [`Scheduler::snapshot`].
@@ -152,6 +159,8 @@ pub struct SchedulerSnapshot {
     alloc: MemAllocator,
     zero_rows: [Option<TensorHandle>; 2],
     constants_len: usize,
+    fresh_len: usize,
+    written_len: usize,
     completion: u64,
 }
 
@@ -169,6 +178,12 @@ pub struct Scheduler {
     constants: Vec<(TensorHandle, ConstantRows)>,
     /// Per hemisphere, one never-written row (see [`Scheduler::zero_stale`]).
     zero_rows: [Option<TensorHandle>; 2],
+    /// Row runs the program reads as a fresh chip left them (see
+    /// [`Scheduler::fresh_rows`]), as recorded, unsorted.
+    fresh: Vec<(GlobalAddress, u32)>,
+    /// Row runs data writes land on (see [`Scheduler::written_rows`]), as
+    /// recorded, unsorted.
+    written: Vec<(GlobalAddress, u32)>,
     completion: u64,
     rollbacks: u64,
 }
@@ -304,6 +319,7 @@ impl Scheduler {
         let mut maps = Vec::new();
         for block in blocks {
             let members = (0..keys.len() as u32).filter(|&i| block_of(i) == block);
+            let mut words = Vec::new();
             let (piece, rows): (Vec<u32>, ConstantRows) = (members.zip(0u32..))
                 .map(|(i, r)| {
                     let addrs = std::array::from_fn(|sl| {
@@ -311,6 +327,7 @@ impl Scheduler {
                         assert_eq!(row / rpb, block, "a map row addresses one slice");
                         tensor.row(row).word
                     });
+                    words.push(addrs);
                     (keys[i as usize], (r, map_vector(addrs)))
                 })
                 .unzip();
@@ -335,6 +352,7 @@ impl Scheduler {
                 tensor: map,
                 keys: piece,
                 slice: (first.hemisphere, first.slice),
+                words,
             });
         }
         maps
@@ -350,6 +368,25 @@ impl Scheduler {
     /// Removes and returns the registered constants.
     pub fn take_constants(&mut self) -> Vec<(TensorHandle, ConstantRows)> {
         std::mem::take(&mut self.constants)
+    }
+
+    /// The rows the program reads without anything — the program, the
+    /// emplace or the input — writing them first (set E of the re-run
+    /// contract, [`crate::rerun`]): the padding borders
+    /// [`Scheduler::zero_stale`] leaves to fresh SRAM, and the rows it
+    /// streams its zeros from.
+    #[must_use]
+    pub fn fresh_rows(&self) -> RowRuns {
+        RowRuns::from_runs(self.fresh.iter().copied())
+    }
+
+    /// The rows the program's data `Write`s and `Scatter`s land on (set W of
+    /// the re-run contract, [`crate::rerun`]). The zeros
+    /// [`Scheduler::zero_stale`] writes leave a row as a fresh chip has it,
+    /// so they are not counted.
+    #[must_use]
+    pub fn written_rows(&self) -> RowRuns {
+        RowRuns::from_runs(self.written.iter().copied())
     }
 
     /// Places one instruction at an absolute dispatch cycle, booking its
@@ -462,6 +499,24 @@ impl Scheduler {
     /// Panics if a destination slice is not downstream of `producer` for the
     /// stream's direction.
     pub fn write_rows(
+        &mut self,
+        tensor: &TensorHandle,
+        first_row: u32,
+        count: u32,
+        stream: StreamId,
+        producer: Position,
+        t0: u64,
+    ) {
+        for (h, s, base, _, run) in tensor.layout.runs(first_row, count) {
+            let first = GlobalAddress::new(h, s, MemAddr::new(base));
+            self.written.push((first, run));
+        }
+        self.commit_rows(tensor, first_row, count, stream, producer, t0);
+    }
+
+    /// [`Scheduler::write_rows`] without counting the rows as written: the
+    /// zeros [`Scheduler::zero_stale`] commits.
+    fn commit_rows(
         &mut self,
         tensor: &TensorHandle,
         first_row: u32,
@@ -633,6 +688,13 @@ impl Scheduler {
     ) {
         self.occupy_stream(stream, producer, t0 + rows.len() as u64);
         for run in Scheduler::lane_runs(maps, rows) {
+            let (h, s) = run.map.slice;
+            for &map_row in &run.map_rows {
+                let words = &run.map.words[map_row as usize];
+                // A lane group's superlanes address one word.
+                let firsts = (0..SUPERLANES).filter(|&sl| sl == 0 || words[sl] != words[sl - 1]);
+                (self.written).extend(firsts.map(|sl| (GlobalAddress::new(h, s, words[sl]), 1)));
+            }
             let lag = flight(stream.direction, producer, run.position());
             let dispatch = t0 + run.start as u64 + lag;
             self.place_lane_run(&run, dispatch, |map| MemOp::Scatter { stream, map });
@@ -682,28 +744,45 @@ impl Scheduler {
     /// constant ships only the rows that hold data ([`ConstantRows`]): an
     /// unwritten word reads, forwards, counts and takes a fault exactly as a
     /// written zero word does.
+    ///
+    /// A chip the program has already run on breaks that contract wherever
+    /// the last run wrote, so the rows left to fresh SRAM — the skipped jobs'
+    /// runs and the zero rows — are recorded ([`Scheduler::fresh_rows`]),
+    /// and the host zeroes those a run writes before running the program
+    /// again (the re-run contract of [`crate::rerun`]).
     pub fn zero_stale(
         &mut self,
         jobs: &[(&TensorHandle, &[(u32, u32)])],
         end_by: Option<u64>,
     ) -> Option<u64> {
-        let jobs: Vec<_> = jobs
-            .iter()
-            .filter(|(tensor, runs)| !runs.is_empty() && self.alloc.is_dirty(tensor))
-            .collect();
+        let (jobs, fresh): (Vec<_>, Vec<_>) = (jobs.iter())
+            .filter(|(_, runs)| !runs.is_empty())
+            .partition(|(tensor, _)| self.alloc.is_dirty(tensor));
+        for (tensor, runs) in fresh {
+            for &(first_row, count) in runs.iter() {
+                let blocks = tensor.layout.runs(first_row, count).into_iter();
+                (self.fresh).extend(
+                    blocks.map(|(h, s, base, _, n)| {
+                        (GlobalAddress::new(h, s, MemAddr::new(base)), n)
+                    }),
+                );
+            }
+        }
         let Some((first, _)) = jobs.first() else {
             return Some(0);
         };
         let (hemisphere, _) = first.layout.slices().next().expect("tensor has a block");
         let direction = Direction::outward_from(hemisphere);
         let vxm = Slice::Vxm.position();
-        let alloc = &mut self.alloc;
+        let (alloc, fresh) = (&mut self.alloc, &mut self.fresh);
         let zero = self.zero_rows[hemisphere.index()]
             .get_or_insert_with(|| {
                 let source = Some(hemisphere.opposite());
-                alloc
+                let zero = alloc
                     .alloc_in(source, 1, 320, crate::alloc::BankPolicy::Low, 1)
-                    .expect("SRAM exhausted for a zero row")
+                    .expect("SRAM exhausted for a zero row");
+                fresh.push((zero.row(0), 1));
+                zero
             })
             .clone();
         let len = jobs
@@ -729,8 +808,8 @@ impl Scheduler {
         self.read_rows(&zero, &rows, streams[0], vxm, t0);
         for (tensor, runs) in jobs {
             let mut offset = 0u64;
-            for &(first_row, count) in *runs {
-                self.write_rows(tensor, first_row, count, streams[0], vxm, t0 + offset);
+            for &(first_row, count) in runs.iter() {
+                self.commit_rows(tensor, first_row, count, streams[0], vxm, t0 + offset);
                 offset += u64::from(count);
             }
         }
@@ -1003,6 +1082,8 @@ impl Scheduler {
             alloc: self.alloc.clone(),
             zero_rows: self.zero_rows.clone(),
             constants_len: self.constants.len(),
+            fresh_len: self.fresh.len(),
+            written_len: self.written.len(),
             completion: self.completion,
         }
     }
@@ -1060,6 +1141,8 @@ impl Scheduler {
         self.alloc = snap.alloc.clone();
         self.zero_rows.clone_from(&snap.zero_rows);
         self.constants.truncate(snap.constants_len);
+        self.fresh.truncate(snap.fresh_len);
+        self.written.truncate(snap.written_len);
         self.completion = snap.completion;
     }
 

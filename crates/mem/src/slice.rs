@@ -153,7 +153,8 @@ impl std::error::Error for AccessError {}
 
 /// One MEM slice: 2 banks × 4,096 words of 320-byte vectors.
 ///
-/// Storage is allocated lazily per bank half to keep an idle full-chip model
+/// Storage is allocated lazily, each bank's word table growing only to the
+/// highest word written, to keep an idle or lightly used full-chip model
 /// cheap (88 slices × 8,192 words × 360 B ≈ 250 MB if fully touched).
 #[derive(Debug, Clone)]
 pub struct MemSlice {
@@ -177,8 +178,8 @@ impl MemSlice {
         let bank = addr.bank() as usize;
         let index = (addr.word() as usize) % WORDS_PER_BANK;
         let v = &mut self.banks[bank];
-        if v.is_empty() {
-            v.resize(WORDS_PER_BANK, None);
+        if v.len() <= index {
+            v.resize(index + 1, None);
         }
         &mut v[index]
     }
@@ -408,6 +409,17 @@ impl Memory {
     #[must_use]
     pub fn slice_mut(&mut self, hemisphere: Hemisphere, index: u8) -> &mut MemSlice {
         &mut self.slices[hemisphere.index()][index as usize]
+    }
+
+    /// Forgets everything but the stored words — the ports each slice used
+    /// in its last cycle and the CSR error log — so that a program run again
+    /// on this memory inherits nothing of its last run but what it left in
+    /// SRAM.
+    pub fn rewind(&mut self) {
+        for slice in self.slices.iter_mut().flatten() {
+            slice.last_access = None;
+        }
+        self.errors = ErrorLog::new();
     }
 
     /// Writes a vector (producer-side ECC) at a global address.

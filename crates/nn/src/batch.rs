@@ -3,8 +3,8 @@
 //! The paper's host "emplaces the model and bootstraps execution" (§II): the
 //! expensive step of an inference is streaming the weights over PCIe, not the
 //! deterministic on-chip run. A serving layer therefore batches compatible
-//! requests (same model, same compile options) and amortizes the emplace —
-//! the weights stay resident while the batch's inputs run back to back.
+//! requests (same model, same compile options) and keeps the model resident
+//! on each chip — the weights stay in SRAM from one batch to the next.
 //!
 //! [`BatchModel`] packages that contract for `tsp-serve`:
 //!
@@ -12,14 +12,19 @@
 //!   worker shares one immutable [`CompiledModel`] (and its memoized decoded
 //!   program) without recompiling;
 //! * [`BatchModel::emplace_cycles`] is the deterministic model-emplace cost
-//!   (one shipped constants row per cycle — the DMA bound), charged **once per
-//!   batch** in the serving layer's virtual-time accounting, and once more
-//!   per retry (a retry-from-weights must re-emplace);
-//! * `tsp-serve` runs a batch's requests back to back, each through
-//!   [`run_resilient`](crate::resilient::run_resilient) on pristine chip
-//!   state, so a batch member's fault can never corrupt its neighbours —
-//!   logits stay bit-identical to a serial fault-free oracle whenever a
-//!   request succeeds.
+//!   (one shipped constants row per cycle — the DMA bound), charged when a
+//!   chip first receives the model, again after a batch that was struck or
+//!   failed (its chip is dropped), and once more per retry (a
+//!   retry-from-weights emplaces onto a new chip);
+//! * [`BatchModel::restore_cycles`] is what every other run costs on top of
+//!   its own cycles: [`CompiledModel::restore`] puts back the rows the last
+//!   run disturbed, so that a rerun is bit-identical to a fresh chip's run;
+//! * `tsp-serve` runs a batch's requests back to back on the chip's
+//!   [`ResidentChip`](crate::resilient::ResidentChip), each through
+//!   [`run_resilient`](crate::resilient::run_resilient), which keeps a chip
+//!   only after an unstruck, completing attempt — so a batch member's fault
+//!   can never corrupt its neighbours, and logits stay bit-identical to a
+//!   serial fault-free oracle whenever a request succeeds.
 
 use std::sync::Arc;
 
@@ -69,6 +74,13 @@ impl BatchModel {
             .iter()
             .map(|(_, rows)| rows.len() as u64)
             .sum()
+    }
+
+    /// Simulated cycles to ready a chip the model already ran on for its next
+    /// run ([`CompiledModel::restore_cycles`]), at the emplace's DMA rate.
+    #[must_use]
+    pub fn restore_cycles(&self) -> u64 {
+        self.model.restore_cycles()
     }
 
     /// The SRAM site of the first word of the model's input storage — where

@@ -57,9 +57,9 @@ use tsp_compiler::kernels::{
     max_pool, packed_pixels, packed_taps, pixels_per_row, plane_of_chain, taps_per_pass, ActFeed,
     ChunkPass, Conv2dParams, FeatureMap, MapLayout, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
 };
-use tsp_compiler::{ConstantRows, Scheduler, TensorHandle};
+use tsp_compiler::{ConstantRows, RestoreSet, RowRuns, Scheduler, TensorHandle};
 use tsp_isa::BinaryAluOp;
-use tsp_sim::{Chip, Program};
+use tsp_sim::{Chip, Memory, Program};
 
 use crate::graph::{Graph, Node, Op, Shape};
 use crate::quant::{QConv, QDense, QuantGraph};
@@ -151,6 +151,16 @@ pub struct CompiledModel {
     /// Per-node activation locations (same order as the graph's nodes).
     /// Only the last node's is still intact after a run — see [`Probe`].
     pub probes: Vec<Probe>,
+    /// The rows the program reads as a fresh chip left them (set E of the
+    /// re-run contract, `tsp_compiler::rerun`).
+    pub fresh: RowRuns,
+    /// The rows the program's data writes land on (set W).
+    pub written: RowRuns,
+    /// What [`CompiledModel::restore`] writes before a rerun (set R).
+    pub restore_set: RestoreSet,
+    /// Tells this compile's constants from every other's: what a resident
+    /// chip is tagged with (see [`CompiledModel::id`]).
+    id: u64,
     /// Lazily decoded op cache for the program (see [`CompiledModel::decoded`]).
     decoded: std::sync::OnceLock<Arc<tsp_sim::DecodedProgram>>,
 }
@@ -193,6 +203,43 @@ impl CompiledModel {
                 chip.memory.write(handle.row(*r), v.clone());
             }
         }
+    }
+
+    /// Readies a chip this model has already run on for the next run: the
+    /// chip is rewound to power-on state in all but SRAM (`Chip::rewind`) and
+    /// the rows of [`CompiledModel::restore_set`] are written back, so that
+    /// `restore` then `write_input` gives the same cycles, telemetry and
+    /// logits as a fresh chip, `load_constants` and `write_input` — at
+    /// [`CompiledModel::restore_cycles`] instead of the whole emplace.
+    pub fn restore(&self, chip: &mut Chip) {
+        chip.rewind();
+        self.write_restore_set(&mut chip.memory);
+    }
+
+    /// Writes the rows of [`CompiledModel::restore_set`]: the SRAM half of
+    /// [`CompiledModel::restore`].
+    pub(crate) fn write_restore_set(&self, memory: &mut Memory) {
+        for addr in self.restore_set.zero.addresses() {
+            memory.write(addr, Vector::ZERO);
+        }
+        for (addr, v) in &self.restore_set.shipped {
+            memory.write(*addr, v.clone());
+        }
+    }
+
+    /// Simulated cycles [`CompiledModel::restore`] costs: one row per cycle,
+    /// the emplace's DMA rate.
+    #[must_use]
+    pub fn restore_cycles(&self) -> u64 {
+        self.restore_set.rows()
+    }
+
+    /// This compile's identity: equal only for the same `CompiledModel` (the
+    /// one [`compile_cached`] shares), so a chip tagged with it holds exactly
+    /// these constants.
+    #[must_use]
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Writes a quantized `[y][x][c]` image into the input location(s).
@@ -732,6 +779,8 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
     let cycles = s.completion() + u64::from(tsp_arch::timing::SLICE_TILES);
     let rollbacks = s.rollbacks();
     let constants = s.take_constants();
+    let (fresh, written) = (s.fresh_rows(), s.written_rows());
+    let restore_set = RestoreSet::new(&fresh, &written, &constants);
     if let Some(e) = s.check() {
         eprintln!("SCHEDULE ERROR: {e}");
         eprintln!("insertion-order dump of {}:", e.icu);
@@ -752,9 +801,16 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
         layer_spans: spans,
         rollbacks,
         probes: lowered,
+        fresh,
+        written,
+        restore_set,
+        id: NEXT_MODEL_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         decoded: std::sync::OnceLock::new(),
     }
 }
+
+/// The next [`CompiledModel::id`].
+static NEXT_MODEL_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Process-global cache of compiled models, keyed by a fingerprint of the
 /// quantized graph and the compile options.

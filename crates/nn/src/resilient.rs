@@ -8,6 +8,10 @@
 //! up to a bounded number of attempts, and reports what happened in a
 //! [`ResilienceReport`] instead of propagating a panic-shaped error.
 //!
+//! A run that completes cleanly leaves its chip resident ([`ResidentChip`]):
+//! the next run of the same model restores the rows the last one disturbed
+//! instead of emplacing the model again.
+//!
 //! Only *transient* faults are retried (see [`transient`]): scheduling
 //! and decode errors are compiler bugs that will recur deterministically,
 //! so they propagate immediately as `Err`.
@@ -15,7 +19,7 @@
 use tsp_arch::ChipConfig;
 use tsp_sim::chip::RunOptions;
 use tsp_sim::faults::{ChaosStrike, FaultPlan};
-use tsp_sim::{Chip, SimError, Telemetry};
+use tsp_sim::{Chip, Memory, SimError, Telemetry};
 
 use crate::compile::CompiledModel;
 
@@ -188,13 +192,51 @@ impl ResilienceReport {
     }
 }
 
+/// A chip that keeps a model's constants between runs — terminus's `ICache`
+/// tag check at model grain: the chip is tagged with the model whose
+/// constants it holds ([`CompiledModel::id`]) and with whether a run has used
+/// it since they were emplaced. Between runs only its SRAM is kept; the rest
+/// of a chip is power-on state, built anew for the next run
+/// ([`Chip::with_memory`]).
+#[derive(Debug)]
+pub struct ResidentChip {
+    memory: Memory,
+    config: ChipConfig,
+    model: u64,
+    ran: bool,
+}
+
+impl ResidentChip {
+    /// The rows the next run of `model` on `resident` restores before its
+    /// input is written: 0 on a chip freshly emplaced with the model,
+    /// [`CompiledModel::restore_cycles`] on one the model already ran on, and
+    /// `None` when there is no chip, or it holds other constants or another
+    /// configuration, so that the run emplaces onto a new chip.
+    #[must_use]
+    pub fn restore_rows(
+        resident: Option<&ResidentChip>,
+        model: &CompiledModel,
+        config: &ChipConfig,
+    ) -> Option<u64> {
+        let held = resident.filter(|r| r.model == model.id() && r.config == *config)?;
+        Some(if held.ran { model.restore_cycles() } else { 0 })
+    }
+}
+
 /// Runs one inference with bounded retry-from-weights recovery.
 ///
-/// Each attempt rebuilds the chip from scratch — `Chip::new`, constants
-/// reload (the PCIe model-emplace), input rewrite — so a retry observes no
-/// state damaged by the previous attempt. Attempt `i` is injected with the
-/// plan of [`ResilientOptions::strike`] when the strike is persistent or
-/// `i` is the first attempt, and runs fault-free otherwise.
+/// The first attempt runs on `resident` when it holds this model's constants
+/// ([`ResidentChip::restore_rows`]), after [`CompiledModel::restore`] if the
+/// model has run there; otherwise, and for every retry, on a new chip with
+/// the constants emplaced (the PCIe model-emplace), so a retry observes no
+/// state damaged by the attempt before it. A chip is dropped before the next
+/// is built: one is alive at a time. Attempt `i` is injected with the plan of
+/// [`ResilientOptions::strike`] when the strike is persistent or `i` is the
+/// first attempt, and runs fault-free otherwise.
+///
+/// An attempt that completes unstruck leaves its chip in `resident` for the
+/// next run; any other ending leaves `resident` empty, so that a latent
+/// strike never reaches the next request.
 ///
 /// Returns `Err` only for non-transient errors (see [`transient`]);
 /// transient exhaustion is reported as [`RunOutcome::Exhausted`].
@@ -207,6 +249,7 @@ pub fn run_resilient(
     config: &ChipConfig,
     image_q: &[i8],
     options: &ResilientOptions,
+    resident: &mut Option<ResidentChip>,
 ) -> Result<ResilienceReport, SimError> {
     assert!(options.max_attempts >= 1, "need at least one attempt");
     let mut report = ResilienceReport {
@@ -224,15 +267,31 @@ pub fn run_resilient(
         },
     };
     for attempt in 0..options.max_attempts {
-        let mut chip = Chip::new(config.clone());
-        model.load_constants(&mut chip);
+        let reuse = ResidentChip::restore_rows(resident.as_ref(), model, config);
+        let held = resident.take().filter(|_| attempt == 0 && reuse.is_some());
+        let mut chip = match held {
+            // `restore`, with the rewind done by building the chip anew.
+            Some(ResidentChip {
+                mut memory, ran, ..
+            }) => {
+                if ran {
+                    model.write_restore_set(&mut memory);
+                }
+                Chip::with_memory(config.clone(), memory)
+            }
+            None => {
+                let mut chip = Chip::new(config.clone());
+                model.load_constants(&mut chip);
+                chip
+            }
+        };
         model.write_input(&mut chip, image_q);
-        let faults = match (&options.strike, attempt) {
-            (ChaosStrike::Transient(plan), 0) | (ChaosStrike::Persistent(plan), _) => plan.clone(),
-            _ => FaultPlan::empty(),
+        let struck = match (&options.strike, attempt) {
+            (ChaosStrike::Transient(plan), 0) | (ChaosStrike::Persistent(plan), _) => Some(plan),
+            _ => None,
         };
         let run_options = RunOptions {
-            faults,
+            faults: struck.cloned().unwrap_or_else(FaultPlan::empty),
             ..options.base.clone()
         };
         report.attempts += 1;
@@ -252,6 +311,14 @@ pub fn run_resilient(
                     logits: model.read_logits(&chip),
                     cycles: run.cycles,
                 };
+                if struck.is_none() {
+                    *resident = Some(ResidentChip {
+                        memory: chip.memory,
+                        config: chip.config,
+                        model: model.id(),
+                        ran: true,
+                    });
+                }
                 return Ok(report);
             }
             Err(error) => error,

@@ -3,14 +3,16 @@
 //! are bit-identical to the fault-free run, and non-transient errors still
 //! propagate (retrying a compiler bug would loop forever). Strikes are
 //! stated as a `ChaosStrike`: a transient one hits attempt 1 only, a
-//! persistent one every attempt.
+//! persistent one every attempt. A clean run leaves its chip resident for the
+//! next run of the same model; a struck one leaves none.
 
 use tsp_arch::ChipConfig;
 use tsp_nn::compile::{compile, CompileOptions, CompiledModel, InputKind};
 use tsp_nn::data::synthetic;
 use tsp_nn::quant::quantize;
 use tsp_nn::resilient::{
-    run_resilient, transient, ResilienceReport, ResilientOptions, RunOutcome, TransientKind,
+    run_resilient, transient, ResidentChip, ResilienceReport, ResilientOptions, RunOutcome,
+    TransientKind,
 };
 use tsp_nn::train::small_cnn;
 use tsp_sim::chip::RunOptions;
@@ -60,7 +62,7 @@ fn run_struck(
         strike,
         ..ResilientOptions::default()
     };
-    run_resilient(model, &ChipConfig::asic(), image, &options)
+    run_resilient(model, &ChipConfig::asic(), image, &options, &mut None)
         .expect("transient faults must not surface as Err")
 }
 
@@ -185,8 +187,76 @@ fn non_transient_errors_propagate() {
         },
         ..ResilientOptions::default()
     };
-    let err = run_resilient(&model, &ChipConfig::asic(), &image, &options)
+    let err = run_resilient(&model, &ChipConfig::asic(), &image, &options, &mut None)
         .expect_err("deterministic errors must not be retried");
     assert!(matches!(err, SimError::CycleLimit { .. }), "{err}");
     assert!(transient(&err).is_none());
+}
+
+#[test]
+fn a_clean_run_leaves_its_chip_resident_and_a_struck_one_does_not() {
+    let (model, image) = model_and_image();
+    let config = ChipConfig::asic();
+    let golden = run_struck(&model, &image, ChaosStrike::None, 1);
+    let mut resident = None;
+    let run = |strike, resident: &mut Option<ResidentChip>| {
+        let options = ResilientOptions {
+            strike,
+            ..ResilientOptions::default()
+        };
+        run_resilient(&model, &config, &image, &options, resident).expect("transient only")
+    };
+    assert_eq!(
+        ResidentChip::restore_rows(resident.as_ref(), &model, &config),
+        None
+    );
+    run(ChaosStrike::None, &mut resident);
+    let rows = ResidentChip::restore_rows(resident.as_ref(), &model, &config);
+    assert_eq!(rows, Some(model.restore_cycles()), "the chip stays, tagged");
+    // The rerun restores and matches the fresh chip's run bit for bit.
+    let again = run(ChaosStrike::None, &mut resident);
+    assert_eq!(again.logits(), golden.logits());
+    assert_eq!(again.telemetry, golden.telemetry);
+    assert!(resident.is_some());
+
+    // Another compile's constants are not these, even of the same graph.
+    let (other, _) = model_and_image();
+    assert_eq!(
+        ResidentChip::restore_rows(resident.as_ref(), &other, &config),
+        None
+    );
+    let mut slow = config.clone();
+    slow.clock_hz /= 2.0;
+    assert_eq!(
+        ResidentChip::restore_rows(resident.as_ref(), &model, &slow),
+        None
+    );
+
+    // A struck attempt that completes may leave latent damage: no chip stays.
+    let mut late = uncorrectable_input_fault(&model).events().to_vec();
+    late.iter_mut().for_each(|e| e.cycle = 10 * model.cycles);
+    let vacant = ChaosStrike::Transient(FaultPlan::from_events(0, late));
+    let struck = run(vacant, &mut resident);
+    assert_eq!(
+        (struck.attempts, struck.faults_vacant),
+        (1, 2),
+        "struck, unharmed"
+    );
+    assert!(resident.is_none(), "a struck attempt hands back no chip");
+    // A retry emplaces onto a new chip, runs clean, and that chip stays.
+    let retried = run(
+        ChaosStrike::Transient(uncorrectable_input_fault(&model)),
+        &mut resident,
+    );
+    assert_eq!(retried.attempts, 2);
+    assert_eq!(
+        ResidentChip::restore_rows(resident.as_ref(), &model, &config),
+        Some(model.restore_cycles())
+    );
+    let persistent = ChaosStrike::Persistent(uncorrectable_input_fault(&model));
+    assert!(!run(persistent, &mut resident).completed());
+    assert!(
+        resident.is_none(),
+        "an exhausted request hands back no chip"
+    );
 }

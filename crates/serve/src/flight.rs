@@ -2,7 +2,7 @@
 //!
 //! When [`ServeConfig::spans`](crate::ServeConfig) is on, the serving loop
 //! threads a [`SpanNode`] tree through every request's lifecycle —
-//! `admit → queue → batch (emplace → attempt/backoff/re-emplace…) →
+//! `admit → queue → batch (emplace → restore → attempt/backoff/re-emplace…) →
 //! complete / shed / miss` — built from the same virtual-cycle accounting
 //! the batch records already carry, so the trees are byte-identical across
 //! host threading and add **zero** cycles to any simulated result (the

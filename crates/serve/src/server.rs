@@ -14,11 +14,15 @@
 //!    healthy chip (all of a wave's batches run concurrently on host
 //!    threads via [`tsp_host::try_fan_out`]; results are merged in chip
 //!    order, so the outcome is independent of host threading);
-//! 4. **accounts** each batch on the virtual clock: one model emplace per
-//!    batch, each request's attempts back to back, capped exponential
-//!    backoff plus a re-emplace per retry — every completion cycle is
-//!    re-derivable from the [`BatchRecord`] alone, which is what
-//!    [`crate::verify::verify_accounting`] checks.
+//! 4. **accounts** each batch on the virtual clock. Each pool member keeps
+//!    the model resident on one chip ([`ResidentChip`]): a batch is charged
+//!    the model emplace only when its chip holds none (the chip's first
+//!    batch, or the one after a struck or failed batch, whose chip is
+//!    dropped), and every run on a chip the model already ran on is charged
+//!    the model's restore. Each request's attempts run back to back, with
+//!    capped exponential backoff plus a re-emplace per retry — every
+//!    completion cycle is re-derivable from the batch sequence alone, which
+//!    is what [`crate::verify::verify_accounting`] checks.
 //!
 //! Failure handling is layered: each request of a batch runs through
 //! [`run_resilient`], where transient faults retry; a request that exhausts
@@ -36,7 +40,8 @@ use tsp_arch::ChipConfig;
 use tsp_host::{try_fan_out, WorkerPanic};
 use tsp_nn::batch::BatchModel;
 use tsp_nn::resilient::{
-    run_resilient, ResilienceReport, ResilientOptions, RetryCause, RunOutcome, DEFAULT_MAX_ATTEMPTS,
+    run_resilient, ResidentChip, ResilienceReport, ResilientOptions, RetryCause, RunOutcome,
+    DEFAULT_MAX_ATTEMPTS,
 };
 use tsp_sim::chip::RunOptions;
 use tsp_sim::{SimError, Telemetry};
@@ -184,6 +189,11 @@ pub struct ServedRequest {
     /// The completing attempt's run cycles (`None` if no attempt
     /// completed).
     pub final_cycles: Option<u64>,
+    /// Cycles charged before the first attempt to ready the chip: the
+    /// model's restore on a chip it already ran on, the whole emplace when
+    /// the row before left no chip (it failed, or its last attempt was
+    /// struck), and 0 on the chip emplaced for this batch.
+    pub restore: u64,
     /// Total backoff cycles charged between attempts.
     pub backoff: u64,
     /// Total re-emplace cycles charged (one model emplace per retry).
@@ -194,12 +204,17 @@ pub struct ServedRequest {
 }
 
 impl ServedRequest {
-    /// This row's service cycles — its failed attempts, backoff, re-emplaces
-    /// and completing run — saturating at `u64::MAX`, as every cycle of the
-    /// virtual clock does.
+    /// This row's service cycles — its restore, failed attempts, backoff,
+    /// re-emplaces and completing run — saturating at `u64::MAX`, as every
+    /// cycle of the virtual clock does.
     #[must_use]
     pub fn service(&self) -> u64 {
-        let parts = [self.backoff, self.reemplace, self.final_cycles.unwrap_or(0)];
+        let parts = [
+            self.restore,
+            self.backoff,
+            self.reemplace,
+            self.final_cycles.unwrap_or(0),
+        ];
         (self.failed_attempt_cycles.iter().chain(&parts)).fold(0, |sum, &c| sum.saturating_add(c))
     }
 }
@@ -213,7 +228,8 @@ pub struct BatchRecord {
     pub ordinal: u64,
     /// Cycle the batch left the queue.
     pub dispatched: u64,
-    /// Model-emplace cycles charged once up front.
+    /// Model-emplace cycles charged once up front: the model's emplace when
+    /// the chip held no resident copy of it, 0 when it did.
     pub emplace: u64,
     /// What the chaos draw decided: `"none"`, `"transient"` or
     /// `"persistent"`.
@@ -338,6 +354,8 @@ struct ChipState {
     dispatches: u64,
     health: ChipHealth,
     stats: ChipStats,
+    /// The chip holding the model between batches, if any.
+    resident: Option<ResidentChip>,
 }
 
 /// A wave slot: one batch bound for one chip, chaos already drawn.
@@ -348,7 +366,15 @@ struct Assignment {
     dispatched: u64,
     requests: Vec<Request>,
     strike: ChaosStrike,
+    /// The pool member's resident chip, lent to the batch and handed back
+    /// unless the batch was struck or failed.
+    resident: Option<ResidentChip>,
 }
+
+/// One request's run on the worker: the rows restored on the resident chip
+/// before it (`None`: the model was emplaced onto a new chip), and what
+/// `run_resilient` returned.
+type RowRun = (Option<u64>, Result<ResilienceReport, SimError>);
 
 /// Span-tree collection state: inert (no allocation, no work) unless
 /// [`ServeConfig::spans`] is on.
@@ -401,15 +427,17 @@ fn shed_trace(r: &Request, why: &Rejected, at: u64) -> RequestTrace {
 
 /// Lifecycle tree of a dispatched request, reconstructed from the same
 /// accounting that produced its [`ServedRequest`] row: `request → queue →
-/// batch (emplace → wait → attempt/backoff/re-emplace… → final attempt)`.
+/// batch (emplace → wait → restore → attempt/backoff/re-emplace… → final
+/// attempt)`, the emplace only on a batch that was charged one, the restore
+/// only where it is nonzero (named `emplace` on a row whose chip was lost).
 /// Every fault/retry cause lands as span args on the attempt it killed.
 #[allow(clippy::too_many_arguments)]
 fn dispatched_trace(
     request: &Request,
     a: &Assignment,
-    emplace: u64,
+    (batch_emplace, emplace): (u64, u64),
     row_start: u64,
-    row: &ServedRequest,
+    (row, restored): (&ServedRequest, Option<u64>),
     causes: &[RetryCause],
     config: &ServeConfig,
     outcome: TraceOutcome,
@@ -430,8 +458,10 @@ fn dispatched_trace(
     let mut batch = SpanNode::span("batch", a.dispatched, row.completed)
         .with_arg("chip", a.chip as u64)
         .with_arg("batch", a.batch_index as u64);
-    let emplaced = a.dispatched.saturating_add(emplace);
-    batch.push(SpanNode::span("emplace", a.dispatched, emplaced));
+    let emplaced = a.dispatched.saturating_add(batch_emplace);
+    if batch_emplace > 0 {
+        batch.push(SpanNode::span("emplace", a.dispatched, emplaced));
+    }
     if row_start > emplaced {
         // Earlier rows of the batch ran first; this request waited its turn.
         batch.push(SpanNode::span("wait:earlier-rows", emplaced, row_start));
@@ -444,6 +474,14 @@ fn dispatched_trace(
         at = at.saturating_add(cycles);
         SpanNode::span(name, start, at)
     };
+    if row.restore > 0 {
+        let name = if restored.is_some() {
+            "restore"
+        } else {
+            "emplace"
+        };
+        batch.push(phase(name.into(), row.restore));
+    }
     for (i, &burned) in row.failed_attempt_cycles.iter().enumerate() {
         let mut attempt = phase(format!("attempt {}", i + 1), burned);
         if let Some(cause) = causes.get(i) {
@@ -540,6 +578,7 @@ pub fn serve(
                 quarantined_at: None,
                 telemetry: Telemetry::new(),
             },
+            resident: None,
         })
         .collect();
     let mut queue: VecDeque<Request> = VecDeque::new();
@@ -617,18 +656,20 @@ pub fn serve(
                     dispatched: now,
                     requests: batch_requests,
                     strike,
+                    resident: chip.resident.take(),
                 });
             }
             if !wave.is_empty() {
                 // All of the wave's batches run concurrently; results come
                 // back in wave (chip) order, so accounting is
                 // threading-independent.
-                let outcomes = try_fan_out(wave, |a| {
-                    let reports = run_assignment(model, config, inputs, &a, &base);
+                let outcomes = try_fan_out(wave, |mut a| {
+                    let reports = run_assignment(model, config, inputs, &mut a, &base);
                     (a, reports)
                 })
                 .map_err(ServeError::WorkerPanic)?;
-                for (a, reports) in outcomes {
+                for (mut a, reports) in outcomes {
+                    chips[a.chip].resident = a.resident.take();
                     account(
                         &a,
                         &reports,
@@ -689,37 +730,44 @@ fn shed(r: &Request, why: Rejected) -> Response {
 }
 
 /// Executes one assignment's batch on the simulator (worker-thread side):
-/// its requests back to back, each through [`run_resilient`] on pristine
-/// chip state, in batch order.
+/// its requests back to back, each through [`run_resilient`] on the chip the
+/// request before left resident, in batch order.
 ///
 /// The chaos draw passes straight through as the request's
 /// [`ResilientOptions::strike`]: a *transient* strike hits the batch's head
 /// request only; a *persistent* one hits **every** request of the batch (a
 /// stuck cell survives the per-attempt chip rebuild), so each budget
-/// deterministically exhausts.
+/// deterministically exhausts. A batch that was struck, or whose requests
+/// did not all complete first time, drops its chip: the pool member's next
+/// batch emplaces onto a new one.
 fn run_assignment(
     model: &BatchModel,
     config: &ServeConfig,
     inputs: &[Vec<i8>],
-    a: &Assignment,
+    a: &mut Assignment,
     base: &RunOptions,
-) -> Vec<Result<ResilienceReport, SimError>> {
-    a.requests
-        .iter()
-        .enumerate()
-        .map(|(i, request)| {
-            let strike = match &a.strike {
-                ChaosStrike::Transient(_) if i > 0 => ChaosStrike::None,
-                strike => strike.clone(),
-            };
-            let options = ResilientOptions {
-                max_attempts: config.max_attempts,
-                strike,
-                base: base.clone(),
-            };
-            run_resilient(&model.model, &config.chip, &inputs[request.input], &options)
-        })
-        .collect()
+) -> Vec<RowRun> {
+    let mut runs = Vec::with_capacity(a.requests.len());
+    for (i, request) in a.requests.iter().enumerate() {
+        let strike = match &a.strike {
+            ChaosStrike::Transient(_) if i > 0 => ChaosStrike::None,
+            strike => strike.clone(),
+        };
+        let options = ResilientOptions {
+            max_attempts: config.max_attempts,
+            strike,
+            base: base.clone(),
+        };
+        let restored = ResidentChip::restore_rows(a.resident.as_ref(), &model.model, &config.chip);
+        let image = &inputs[request.input];
+        let result = run_resilient(&model.model, &config.chip, image, &options, &mut a.resident);
+        runs.push((restored, result));
+    }
+    let first_time = |(_, result): &RowRun| matches!(result, Ok(report) if report.attempts == 1 && report.completed());
+    if !matches!(a.strike, ChaosStrike::None) || !runs.iter().all(first_time) {
+        a.resident = None;
+    }
+    runs
 }
 
 /// Folds one finished assignment into the serving state (main-loop side,
@@ -732,7 +780,7 @@ fn run_assignment(
 #[allow(clippy::too_many_arguments)]
 fn account(
     a: &Assignment,
-    reports: &[Result<ResilienceReport, SimError>],
+    reports: &[RowRun],
     emplace: u64,
     config: &ServeConfig,
     chip: &mut ChipState,
@@ -740,9 +788,15 @@ fn account(
     batches: &mut Vec<BatchRecord>,
     tracer: &mut Tracer,
 ) {
-    let mut cursor = a.dispatched.saturating_add(emplace);
+    // The batch pays the emplace up front when its head request found no
+    // resident chip; a later request that found none pays it as its restore.
+    let batch_emplace = match reports.first() {
+        Some((None, _)) => emplace,
+        _ => 0,
+    };
+    let mut cursor = a.dispatched.saturating_add(batch_emplace);
     let mut served = Vec::with_capacity(a.requests.len());
-    for (request, result) in a.requests.iter().zip(reports) {
+    for (i, (request, (restored, result))) in a.requests.iter().zip(reports).enumerate() {
         let (attempts, causes, ending) = match result {
             Ok(report) => (
                 report.attempts,
@@ -762,6 +816,11 @@ fn account(
             attempts,
             failed_attempt_cycles: causes.iter().map(|c| c.cycle).collect(),
             final_cycles: ending.as_ref().ok().map(|&(_, cycles, _)| cycles),
+            restore: match restored {
+                Some(rows) => *rows,
+                None if i == 0 => 0,
+                None => emplace,
+            },
             backoff: config.backoff_total(transitions),
             reemplace: u64::from(transitions) * emplace,
             completed: 0,
@@ -830,9 +889,9 @@ fn account(
             tracer.record(dispatched_trace(
                 request,
                 a,
-                emplace,
+                (batch_emplace, emplace),
                 cursor,
-                &row,
+                (&row, *restored),
                 causes,
                 config,
                 traced,
@@ -854,7 +913,7 @@ fn account(
         chip: a.chip,
         ordinal: a.ordinal,
         dispatched: a.dispatched,
-        emplace,
+        emplace: batch_emplace,
         chaos: match a.strike {
             ChaosStrike::None => "none",
             ChaosStrike::Transient(_) => "transient",

@@ -4,9 +4,10 @@
 //! The serving loop claims its virtual-time accounting is deterministic and
 //! self-consistent. [`verify_accounting`] checks that claim the hard way:
 //! it takes only the original requests, the [`ServeResult`], the model's
-//! emplace cost and the [`ServeConfig`], and independently re-derives every
-//! completion cycle, backoff charge, deadline verdict and per-chip busy
-//! interval from the batch records. Any mismatch is a *violation* — the
+//! emplace and restore costs and the [`ServeConfig`], and independently
+//! re-derives every emplace and restore charge, completion cycle, backoff
+//! charge, deadline verdict and per-chip busy interval from the batch
+//! records. Any mismatch is a *violation* — the
 //! condition the benchmark's `serve_steady` / `serve_chaos` workloads fail
 //! on ("zero deadline-accounting violations").
 
@@ -24,10 +25,17 @@ use crate::server::{ServeConfig, ServeResult};
 ///
 /// 1. exactly one response per request, sorted by id, echoing the
 ///    request's arrival/deadline/input;
-/// 2. every batch's emplace equals the model's, every row's backoff and
-///    re-emplace match the config's capped-exponential formula, every
-///    row's completion cycle equals the dispatch + emplace + prefix of
-///    services, and the batch's finish cycle closes the sum;
+/// 2. residency, re-derived from each chip's batch sequence alone: a chip's
+///    first batch, and a batch after a struck or failed one (one drawn by
+///    chaos, or with a row that did not complete first time), is charged
+///    the model's emplace, every other batch 0; a row is charged no restore
+///    on the chip its batch just emplaced, the model's restore on a chip
+///    the model already ran on, and the whole emplace when the row before
+///    left no chip (it did not complete, or its last attempt was struck);
+///    every row's backoff and re-emplace match the config's
+///    capped-exponential formula, every row's completion cycle equals the
+///    dispatch + emplace + prefix of services, and the batch's finish cycle
+///    closes the sum;
 /// 3. batches never time-travel (dispatch ≥ every member's arrival) and
 ///    never overlap on a chip (per-chip ordinals contiguous, next dispatch
 ///    ≥ previous finish);
@@ -79,17 +87,38 @@ pub fn verify_accounting(
         }
     }
 
-    // 2. Batch-internal accounting.
-    let emplace = model.emplace_cycles();
+    // 2. Residency and batch-internal accounting.
+    let (emplace, restore) = (model.emplace_cycles(), model.restore_cycles());
+    // Per chip: whether the model stays resident after its last batch.
+    let mut resident = vec![false; result.chips.len()];
     for (bi, batch) in result.batches.iter().enumerate() {
-        if batch.emplace != emplace {
+        let warm = resident.get(batch.chip).copied().unwrap_or(false);
+        let charged = if warm { 0 } else { emplace };
+        if batch.emplace != charged {
             v(format!(
-                "batch {bi}: emplace {} != model's {emplace}",
-                batch.emplace
+                "batch {bi}: emplace {} != derived {charged} on a {} chip",
+                batch.emplace,
+                if warm { "warm" } else { "cold" }
             ));
         }
+        // What the next row's chip needs first: `Some(rows)` restored on the
+        // resident chip, `None` an emplace onto a new one.
+        let mut next = Some(if warm { restore } else { 0 });
         let mut cursor = batch.dispatched.saturating_add(batch.emplace);
-        for row in &batch.served {
+        for (ri, row) in batch.served.iter().enumerate() {
+            let derived = next.unwrap_or(emplace);
+            if row.restore != derived {
+                v(format!(
+                    "batch {bi} request {}: restore {} != derived {derived}",
+                    row.id, row.restore
+                ));
+            }
+            let last_struck = match batch.chaos {
+                "persistent" => true,
+                "transient" => ri == 0 && row.attempts == 1,
+                _ => false,
+            };
+            next = (row.final_cycles.is_some() && !last_struck).then_some(restore);
             let transitions = row.attempts.saturating_sub(1);
             let backoff = config.backoff_total(transitions);
             if row.backoff != backoff {
@@ -143,6 +172,10 @@ pub fn verify_accounting(
                 "batch {bi}: finished {} != derived {cursor}",
                 batch.finished
             ));
+        }
+        let first_time = (batch.served.iter()).all(|r| r.attempts == 1 && r.final_cycles.is_some());
+        if let Some(slot) = resident.get_mut(batch.chip) {
+            *slot = batch.chaos == "none" && first_time;
         }
     }
 

@@ -2,8 +2,9 @@
 //! deadlines are enforced on the virtual clock, chaos-injected faults
 //! degrade throughput without ever degrading answers (logits bit-identical
 //! to a fault-free serial oracle), the circuit breaker quarantines a chip
-//! drawing persistent faults, and the whole accounting re-derives cleanly —
-//! for hand-picked cases and for seeded random configurations alike.
+//! drawing persistent faults, a pool member keeps the model resident from
+//! batch to batch, and the whole accounting re-derives cleanly — for
+//! hand-picked cases and for seeded random configurations alike.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -15,6 +16,7 @@ use tsp_nn::compile::CompileOptions;
 use tsp_nn::data::synthetic;
 use tsp_nn::quant::quantize;
 use tsp_nn::resilient::{run_resilient, ResilientOptions, RunOutcome};
+use tsp_nn::resnet::resnet_tiny;
 use tsp_nn::train::small_cnn;
 use tsp_serve::{
     open_loop, serve, serve_trace_json, verify_accounting, HealthConfig, LoadSpec, Rejected,
@@ -44,6 +46,7 @@ fn oracle(model: &BatchModel, inputs: &[Vec<i8>]) -> HashMap<usize, Vec<i8>> {
                 &ChipConfig::asic(),
                 image,
                 &ResilientOptions::default(),
+                &mut None,
             )
             .expect("oracle run");
             (i, report.logits().expect("oracle completes").to_vec())
@@ -58,6 +61,7 @@ fn service_cycles(model: &BatchModel, image: &[i8]) -> u64 {
         &ChipConfig::asic(),
         image,
         &ResilientOptions::default(),
+        &mut None,
     )
     .expect("calibration run");
     match report.outcome {
@@ -112,6 +116,48 @@ fn fault_free_serving_is_bit_identical_to_the_oracle_and_verifies() {
     }
     assert!(result.chips.iter().all(|c| c.requests > 0), "pool balanced");
     assert!(result.chips.iter().all(|c| c.quarantined_at.is_none()));
+    // The model is emplaced once per chip and stays resident after that.
+    for chip in 0..config.pool {
+        let emplaces: Vec<u64> = (result.batches.iter())
+            .filter(|b| b.chip == chip)
+            .map(|b| b.emplace)
+            .collect();
+        assert!(emplaces.len() > 1, "chip {chip} ran several batches");
+        assert_eq!(emplaces[0], e, "chip {chip}'s first batch emplaces");
+        assert!(emplaces[1..].iter().all(|&c| c == 0), "{emplaces:?}");
+    }
+    verify_accounting(&requests, &result, &model, &config).expect("accounting re-derives");
+}
+
+/// A model whose reruns must restore rows (`resnet_tiny`) served on one chip
+/// in two batches: the first batch emplaces, every later run is charged the
+/// restore, and every answer is a fresh chip's.
+#[test]
+fn a_resident_model_pays_its_restore_on_every_rerun() {
+    let data = synthetic(21, 32, 32, 3, 2, 2);
+    let (g, params) = resnet_tiny(10, 3);
+    let q = quantize(&g, &params, &data.images[..2]);
+    let model = compile_batch_cached(&q, &CompileOptions::default(), 2);
+    let inputs: Vec<Vec<i8>> = data.images.iter().map(|i| q.quantize_image(i)).collect();
+    let golden = oracle(&model, &inputs);
+    let (e, r) = (model.emplace_cycles(), model.restore_cycles());
+    assert!(r > 0 && r < e, "restore {r} vs emplace {e}");
+    let requests = requests_at(&[(0, 0), (0, 1), (0, 1), (0, 0)], u64::MAX);
+    let config = ServeConfig {
+        pool: 1,
+        ..ServeConfig::default()
+    };
+    let result = serve(&model, &config, &inputs, &requests).expect("serves");
+    let charges: Vec<(u64, Vec<u64>)> = (result.batches.iter())
+        .map(|b| (b.emplace, b.served.iter().map(|row| row.restore).collect()))
+        .collect();
+    assert_eq!(charges, [(e, vec![0, r]), (0, vec![r, r])]);
+    for response in &result.responses {
+        let ServeOutcome::Completed { logits, .. } = &response.outcome else {
+            panic!("fault-free must complete: {response:?}")
+        };
+        assert_eq!(logits, &golden[&response.input], "a fresh chip's logits");
+    }
     verify_accounting(&requests, &result, &model, &config).expect("accounting re-derives");
 }
 
@@ -324,6 +370,30 @@ fn verify_accounting_detects_tampering() {
     assert!(
         verify_accounting(&requests, &forged, &model, &config).is_err(),
         "forged completion cycle must be caught"
+    );
+
+    // Residency: a chip's first batch must pay the emplace, and a batch on a
+    // chip that kept the model must not.
+    let mut forged = result.clone();
+    forged.batches[0].emplace = 0;
+    let violations = verify_accounting(&requests, &forged, &model, &config)
+        .expect_err("a cold batch without its emplace must be caught");
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.contains("emplace 0 != derived")),
+        "{violations:?}"
+    );
+    let warm = (result.batches.iter())
+        .position(|b| b.emplace == 0)
+        .expect("a chip ran a second batch");
+    let mut forged = result.clone();
+    forged.batches[warm].emplace = model.emplace_cycles();
+    let violations = verify_accounting(&requests, &forged, &model, &config)
+        .expect_err("a warm batch charged an emplace must be caught");
+    assert!(
+        violations.iter().any(|v| v.contains("on a warm chip")),
+        "{violations:?}"
     );
 
     let mut forged = result;

@@ -198,6 +198,28 @@ impl Chip {
         }
     }
 
+    /// A chip at power-on in everything but SRAM, which holds `memory`'s
+    /// words: stream registers, MXM planes and link queues are new, and the
+    /// memory's port books and ECC log are rewound (`Memory::rewind`), so
+    /// that a program run on it sees only what was left in SRAM.
+    #[must_use]
+    pub fn with_memory(config: ChipConfig, mut memory: Memory) -> Chip {
+        memory.rewind();
+        Chip {
+            memory,
+            ..Chip::new(config)
+        }
+    }
+
+    /// Returns the chip to its power-on state in everything but its SRAM
+    /// words ([`Chip::with_memory`]): what a program run again on it must
+    /// not inherit from its last run (the re-run contract
+    /// `tsp_compiler::rerun` states).
+    pub fn rewind(&mut self) {
+        let memory = std::mem::take(&mut self.memory);
+        *self = Chip::with_memory(self.config.clone(), memory);
+    }
+
     /// Direct access to an MXM plane (tests and tooling).
     #[must_use]
     pub fn plane(&self, index: usize) -> &MxmPlane {

@@ -49,4 +49,5 @@ pub use telemetry::{perfetto_json, perfetto_json_with_layers, timeline, IcuTimel
 pub use trace::{Activity, ActivityKind, Trace};
 pub use tsp_faults as faults;
 pub use tsp_isa::icu_id::{self, IcuId};
+pub use tsp_mem::Memory;
 pub use tsp_telemetry::{LayerMark, LayerSlice, Telemetry};

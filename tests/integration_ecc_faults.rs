@@ -198,7 +198,14 @@ fn single_bit_fault_under_a_gathered_word_is_corrected() {
     // Lane 70: superlane 4, i.e. the second lane copy of channel 6.
     let (model, image, plan) = packed_conv_with_struck_activation(&[(70, 5)]);
     let config = ChipConfig::asic();
-    let clean = run_resilient(&model, &config, &image, &ResilientOptions::default()).unwrap();
+    let clean = run_resilient(
+        &model,
+        &config,
+        &image,
+        &ResilientOptions::default(),
+        &mut None,
+    )
+    .unwrap();
     let struck = run_resilient(
         &model,
         &config,
@@ -207,6 +214,7 @@ fn single_bit_fault_under_a_gathered_word_is_corrected() {
             strike: ChaosStrike::Transient(plan),
             ..ResilientOptions::default()
         },
+        &mut None,
     )
     .unwrap();
     assert_eq!((struck.attempts, struck.faults_applied), (1, 1));
@@ -227,7 +235,14 @@ fn double_bit_fault_under_a_gathered_word_is_detected_and_retried() {
     use tsp::nn::{run_resilient, ResilientOptions};
     let (model, image, plan) = packed_conv_with_struck_activation(&[(70, 5), (71, 0)]);
     let config = ChipConfig::asic();
-    let clean = run_resilient(&model, &config, &image, &ResilientOptions::default()).unwrap();
+    let clean = run_resilient(
+        &model,
+        &config,
+        &image,
+        &ResilientOptions::default(),
+        &mut None,
+    )
+    .unwrap();
     let struck = run_resilient(
         &model,
         &config,
@@ -236,6 +251,7 @@ fn double_bit_fault_under_a_gathered_word_is_detected_and_retried() {
             strike: ChaosStrike::Transient(plan),
             ..ResilientOptions::default()
         },
+        &mut None,
     )
     .unwrap();
     assert_eq!((struck.attempts, struck.detected), (2, 1));
@@ -343,7 +359,14 @@ fn single_bit_fault_under_an_untouched_superlane_of_a_scattered_word_is_correcte
 
     let image = q.quantize_image(&data.images[0]);
     let config = ChipConfig::asic();
-    let clean = run_resilient(&model, &config, &image, &ResilientOptions::default()).unwrap();
+    let clean = run_resilient(
+        &model,
+        &config,
+        &image,
+        &ResilientOptions::default(),
+        &mut None,
+    )
+    .unwrap();
     let struck = run_resilient(
         &model,
         &config,
@@ -352,6 +375,7 @@ fn single_bit_fault_under_an_untouched_superlane_of_a_scattered_word_is_correcte
             strike: ChaosStrike::Transient(plan),
             ..ResilientOptions::default()
         },
+        &mut None,
     )
     .unwrap();
     assert_eq!((struck.attempts, struck.faults_applied), (1, 1));
