@@ -25,8 +25,8 @@
 //! `serve` shows one served run instead of one chip: `tsp-serve` with request
 //! spans on, over a pool of four chips running `small_cnn`, chip 0 struck
 //! by a persistent fault on every dispatch. It prints the report of
-//! [`tsp_bench::serve_profile`] — the per-dispatch emplace and service, the
-//! outcome counts, the p50/p99 latency and the flight recorder's non-success
+//! [`tsp_bench::serve_profile`] — the model's emplace and restore, the
+//! service, how many of each chip's batches emplaced, the outcome counts, the p50/p99 latency and the flight recorder's non-success
 //! requests, what `results/serve_profile.txt` pins — and writes the request
 //! trace (`--out`, default `serve_trace.json`).
 //!

@@ -4,8 +4,9 @@
 //! persistent fault on every dispatch (so the breaker quarantines it).
 //!
 //! Every number in the report is simulated — the model's emplace and restore,
-//! the service time, how many of each chip's batches emplaced (the model
-//! stays resident after the first), the good / shed / failed / missed /
+//! the service time, how many of each chip's batches emplaced (their head
+//! request was charged the emplace; the model stays resident after the
+//! first), the good / shed / failed / missed /
 //! quarantined counts, the p50 / p99 latency and the flight recorder's
 //! non-success requests — so the report is byte-identical run to run, and a
 //! change that moves serving shows in the capture's diff.
@@ -13,7 +14,7 @@
 use std::fmt::Write as _;
 
 use tsp_arch::ChipConfig;
-use tsp_serve::{open_loop, render_flight, serve, LoadSpec, ServeConfig, ServeResult};
+use tsp_serve::{open_loop, render_flight, serve, BatchRecord, LoadSpec, ServeConfig, ServeResult};
 use tsp_sim::chip::RunOptions;
 use tsp_sim::faults::ChaosSpec;
 use tsp_sim::Chip;
@@ -42,7 +43,7 @@ pub fn render() -> (String, ServeResult) {
         .run(&model.model.program, &RunOptions::default())
         .expect("the fault-free calibration run")
         .cycles;
-    let emplace = model.emplace_cycles();
+    let emplace = model.model.emplace_cycles();
     let batch_cycles = emplace + model.max_batch as u64 * service;
     let spec = LoadSpec {
         seed: 0x5EED_0011,
@@ -72,7 +73,7 @@ pub fn render() -> (String, ServeResult) {
         "pool {POOL} × batch {}, emplace {emplace}, restore {}, service {service} cycles; \
          {} requests, mean gap {:.1} cycles, deadline {}; chip 0 struck persistently",
         model.max_batch,
-        model.restore_cycles(),
+        model.model.restore_cycles(),
         spec.requests,
         spec.mean_interarrival,
         spec.deadline
@@ -80,8 +81,9 @@ pub fn render() -> (String, ServeResult) {
     let per_chip: Vec<String> = (0..POOL)
         .map(|chip| {
             let batches = result.batches.iter().filter(|b| b.chip == chip);
+            let cold = |b: &BatchRecord| b.served.first().is_some_and(|r| r.ready == emplace);
             let (emplaced, all) =
-                batches.fold((0, 0), |(e, n), b| (e + usize::from(b.emplace > 0), n + 1));
+                batches.fold((0, 0), |(e, n), b| (e + usize::from(cold(b)), n + 1));
             format!("{emplaced}/{all}")
         })
         .collect();

@@ -11,14 +11,14 @@
 //! * the underlying program comes from [`compile_cached`], so every pool
 //!   worker shares one immutable [`CompiledModel`] (and its memoized decoded
 //!   program) without recompiling;
-//! * [`BatchModel::emplace_cycles`] is the deterministic model-emplace cost
-//!   (one shipped constants row per cycle — the DMA bound), charged when a
-//!   chip first receives the model, again after a batch that was struck or
-//!   failed (its chip is dropped), and once more per retry (a
+//! * each request is charged, before its first attempt, the cycles that
+//!   readied its chip: [`CompiledModel::restore_cycles`] on the chip the
+//!   model stayed resident on ([`CompiledModel::restore`] puts back the rows
+//!   the last run disturbed, so that a rerun is bit-identical to a fresh
+//!   chip's run), [`CompiledModel::emplace_cycles`] on a new chip — a pool
+//!   member's first request, and the first after a request or batch that
+//!   dropped its chip. Each retry is charged one more emplace (a
 //!   retry-from-weights emplaces onto a new chip);
-//! * [`BatchModel::restore_cycles`] is what every other run costs on top of
-//!   its own cycles: [`CompiledModel::restore`] puts back the rows the last
-//!   run disturbed, so that a rerun is bit-identical to a fresh chip's run;
 //! * `tsp-serve` runs a batch's requests back to back on the chip's
 //!   [`ResidentChip`](crate::resilient::ResidentChip), each through
 //!   [`run_resilient`](crate::resilient::run_resilient), which keeps a chip
@@ -62,27 +62,6 @@ pub fn compile_batch_cached(
 }
 
 impl BatchModel {
-    /// Simulated cycles to emplace the model's constants (weights, identity
-    /// matrices): one 320-byte row per cycle, the PCIe-DMA bound of the
-    /// paper's host runtime, for the rows that hold data — the rows
-    /// [`CompiledModel::load_constants`] writes. Deterministic — a pure
-    /// function of the compile.
-    #[must_use]
-    pub fn emplace_cycles(&self) -> u64 {
-        self.model
-            .constants
-            .iter()
-            .map(|(_, rows)| rows.len() as u64)
-            .sum()
-    }
-
-    /// Simulated cycles to ready a chip the model already ran on for its next
-    /// run ([`CompiledModel::restore_cycles`]), at the emplace's DMA rate.
-    #[must_use]
-    pub fn restore_cycles(&self) -> u64 {
-        self.model.restore_cycles()
-    }
-
     /// The SRAM site of the first word of the model's input storage — where
     /// a chaos campaign aims a *guaranteed-consumed* strike (the schedule
     /// always streams the input, so a double-bit flip here is always an
@@ -110,8 +89,8 @@ mod tests {
         let (g, params) = small_cnn(12, 16, 4, 5);
         let q = quantize(&g, &params, &data.images[..2]);
         let batch = compile_batch_cached(&q, &CompileOptions::default(), 4);
-        assert!(batch.emplace_cycles() > 0, "constants exist");
-        assert_eq!(batch.emplace_cycles(), batch.emplace_cycles());
+        assert!(batch.model.emplace_cycles() > 0, "constants exist");
+        assert_eq!(batch.model.emplace_cycles(), batch.model.emplace_cycles());
         assert_eq!(batch.input_site(), batch.input_site());
     }
 }

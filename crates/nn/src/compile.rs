@@ -50,7 +50,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use tsp_arch::{Hemisphere, Vector};
+use tsp_arch::{ChipConfig, Hemisphere, Vector};
 use tsp_compiler::alloc::BankPolicy;
 use tsp_compiler::kernels::{
     conv2d_add, conv_passes, emplace_conv, emplace_weight_blocks, global_avg_pool, lw_rows, matmul,
@@ -205,26 +205,33 @@ impl CompiledModel {
         }
     }
 
-    /// Readies a chip this model has already run on for the next run: the
-    /// chip is rewound to power-on state in all but SRAM (`Chip::rewind`) and
-    /// the rows of [`CompiledModel::restore_set`] are written back, so that
+    /// Simulated cycles [`CompiledModel::load_constants`] costs: one 320-byte
+    /// row per cycle, the PCIe-DMA bound of the paper's host runtime, for the
+    /// rows that hold data. A pure function of the compile.
+    #[must_use]
+    pub fn emplace_cycles(&self) -> u64 {
+        (self.constants.iter())
+            .map(|(_, rows)| rows.len() as u64)
+            .sum()
+    }
+
+    /// Readies a chip this model has already run on, kept as its `config` and
+    /// SRAM `memory`, for the next run: a chip at power-on in all but SRAM
+    /// ([`Chip::with_memory`]) with the rows of
+    /// [`CompiledModel::restore_set`] written back, so that
     /// `restore` then `write_input` gives the same cycles, telemetry and
     /// logits as a fresh chip, `load_constants` and `write_input` — at
     /// [`CompiledModel::restore_cycles`] instead of the whole emplace.
-    pub fn restore(&self, chip: &mut Chip) {
-        chip.rewind();
-        self.write_restore_set(&mut chip.memory);
-    }
-
-    /// Writes the rows of [`CompiledModel::restore_set`]: the SRAM half of
-    /// [`CompiledModel::restore`].
-    pub(crate) fn write_restore_set(&self, memory: &mut Memory) {
+    #[must_use]
+    pub fn restore(&self, config: ChipConfig, memory: Memory) -> Chip {
+        let mut chip = Chip::with_memory(config, memory);
         for addr in self.restore_set.zero.addresses() {
-            memory.write(addr, Vector::ZERO);
+            chip.memory.write(addr, Vector::ZERO);
         }
         for (addr, v) in &self.restore_set.shipped {
-            memory.write(*addr, v.clone());
+            chip.memory.write(*addr, v.clone());
         }
+        chip
     }
 
     /// Simulated cycles [`CompiledModel::restore`] costs: one row per cycle,

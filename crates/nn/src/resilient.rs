@@ -194,43 +194,38 @@ impl ResilienceReport {
 
 /// A chip that keeps a model's constants between runs — terminus's `ICache`
 /// tag check at model grain: the chip is tagged with the model whose
-/// constants it holds ([`CompiledModel::id`]) and with whether a run has used
-/// it since they were emplaced. Between runs only its SRAM is kept; the rest
-/// of a chip is power-on state, built anew for the next run
-/// ([`Chip::with_memory`]).
+/// constants it holds ([`CompiledModel::id`]) and the configuration it runs.
+/// Between runs only its SRAM is kept; the rest of a chip is power-on state,
+/// built anew for the next run ([`CompiledModel::restore`]).
 #[derive(Debug)]
 pub struct ResidentChip {
     memory: Memory,
     config: ChipConfig,
     model: u64,
-    ran: bool,
 }
 
 impl ResidentChip {
-    /// The rows the next run of `model` on `resident` restores before its
-    /// input is written: 0 on a chip freshly emplaced with the model,
-    /// [`CompiledModel::restore_cycles`] on one the model already ran on, and
-    /// `None` when there is no chip, or it holds other constants or another
-    /// configuration, so that the run emplaces onto a new chip.
+    /// Whether the next run of `model` on `config` reuses `resident`: there
+    /// is a chip and its tag is this model and this configuration. Otherwise
+    /// the run emplaces onto a new chip.
     #[must_use]
-    pub fn restore_rows(
+    pub fn holds(
         resident: Option<&ResidentChip>,
         model: &CompiledModel,
         config: &ChipConfig,
-    ) -> Option<u64> {
-        let held = resident.filter(|r| r.model == model.id() && r.config == *config)?;
-        Some(if held.ran { model.restore_cycles() } else { 0 })
+    ) -> bool {
+        resident.is_some_and(|r| r.model == model.id() && r.config == *config)
     }
 }
 
 /// Runs one inference with bounded retry-from-weights recovery.
 ///
 /// The first attempt runs on `resident` when it holds this model's constants
-/// ([`ResidentChip::restore_rows`]), after [`CompiledModel::restore`] if the
-/// model has run there; otherwise, and for every retry, on a new chip with
-/// the constants emplaced (the PCIe model-emplace), so a retry observes no
-/// state damaged by the attempt before it. A chip is dropped before the next
-/// is built: one is alive at a time. Attempt `i` is injected with the plan of
+/// ([`ResidentChip::holds`]), after [`CompiledModel::restore`]; otherwise,
+/// and for every retry, on a new chip with the constants emplaced (the PCIe
+/// model-emplace), so a retry observes no state damaged by the attempt
+/// before it. A chip is dropped before the next is built: one is alive at a
+/// time. Attempt `i` is injected with the plan of
 /// [`ResilientOptions::strike`] when the strike is persistent or `i` is the
 /// first attempt, and runs fault-free otherwise.
 ///
@@ -267,18 +262,9 @@ pub fn run_resilient(
         },
     };
     for attempt in 0..options.max_attempts {
-        let reuse = ResidentChip::restore_rows(resident.as_ref(), model, config);
-        let held = resident.take().filter(|_| attempt == 0 && reuse.is_some());
-        let mut chip = match held {
-            // `restore`, with the rewind done by building the chip anew.
-            Some(ResidentChip {
-                mut memory, ran, ..
-            }) => {
-                if ran {
-                    model.write_restore_set(&mut memory);
-                }
-                Chip::with_memory(config.clone(), memory)
-            }
+        let reuse = attempt == 0 && ResidentChip::holds(resident.as_ref(), model, config);
+        let mut chip = match resident.take().filter(|_| reuse) {
+            Some(ResidentChip { memory, config, .. }) => model.restore(config, memory),
             None => {
                 let mut chip = Chip::new(config.clone());
                 model.load_constants(&mut chip);
@@ -316,7 +302,6 @@ pub fn run_resilient(
                         memory: chip.memory,
                         config: chip.config,
                         model: model.id(),
-                        ran: true,
                     });
                 }
                 return Ok(report);

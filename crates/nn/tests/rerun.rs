@@ -12,7 +12,7 @@ use tsp_nn::quant::{quantize, QuantGraph};
 use tsp_nn::resnet::{resnet, resnet_tiny, Widths};
 use tsp_nn::train::small_cnn;
 use tsp_sim::chip::{RunOptions, RunReport};
-use tsp_sim::Chip;
+use tsp_sim::{Chip, Memory};
 
 /// `small_cnn` as `tsp-serve` runs it, and a few quantized inputs.
 fn small() -> (QuantGraph, Vec<Vec<i8>>) {
@@ -59,23 +59,24 @@ fn fresh(model: &CompiledModel, image: &[i8]) -> Run {
     run_on(model, &mut chip, image)
 }
 
-/// `images` back to back on one chip emplaced once, `prepare` readying the
-/// chip before every run but the first.
+/// `images` back to back on one chip emplaced once, `prepare` building the
+/// next run's chip from the last one's configuration and SRAM before every
+/// run but the first.
 fn back_to_back(
     model: &CompiledModel,
     images: &[&[i8]],
-    prepare: impl Fn(&CompiledModel, &mut Chip),
+    prepare: impl Fn(&CompiledModel, ChipConfig, Memory) -> Chip,
 ) -> Vec<Run> {
     let mut chip = Chip::new(ChipConfig::asic());
     model.load_constants(&mut chip);
-    (images.iter().enumerate())
-        .map(|(i, image)| {
-            if i > 0 {
-                prepare(model, &mut chip);
-            }
-            run_on(model, &mut chip, image)
-        })
-        .collect()
+    let mut runs = Vec::with_capacity(images.len());
+    for (i, image) in images.iter().enumerate() {
+        if i > 0 {
+            chip = prepare(model, chip.config, chip.memory);
+        }
+        runs.push(run_on(model, &mut chip, image));
+    }
+    runs
 }
 
 fn assert_same(got: &Run, want: &Run, what: &str) {
@@ -125,15 +126,17 @@ fn resnet50_at_32_reruns_bit_identically() {
     contract_holds(&q, &images);
 }
 
-/// Teeth: without the restore set's rows — the chip rewound, nothing
-/// rewritten — a rerun reads the last run's activations where it expects
-/// zero, and the logits move.
+/// Teeth: without the restore set's rows — a chip at power-on in all but
+/// SRAM, nothing rewritten — a rerun reads the last run's activations where
+/// it expects zero, and the logits move.
 #[test]
 fn resnet_tiny_without_restore_differs() {
     let (q, images) = tiny();
     let model = compile(&q, &CompileOptions::default());
     let order: Vec<&[i8]> = [0, 1, 0].iter().map(|&i| images[i].as_slice()).collect();
-    let stale = back_to_back(&model, &order, |_, chip| chip.rewind());
+    let stale = back_to_back(&model, &order, |_, config, memory| {
+        Chip::with_memory(config, memory)
+    });
     let moved = (stale.iter().zip(&order))
         .skip(1)
         .filter(|((_, logits), image)| *logits != fresh(&model, image).1)
@@ -155,7 +158,7 @@ fn fresh_rows_are_all_a_program_needs_zeroed() {
     let mut chip = Chip::new(ChipConfig::asic());
     tiny.load_constants(&mut chip);
     run_on(&tiny, &mut chip, &tiny_images[0]);
-    chip.rewind();
+    let mut chip = Chip::with_memory(chip.config, chip.memory);
     for (handle, rows) in &small.constants {
         for r in 0..handle.rows {
             chip.memory.write(handle.row(r), Vector::ZERO);

@@ -206,13 +206,10 @@ fn a_clean_run_leaves_its_chip_resident_and_a_struck_one_does_not() {
         };
         run_resilient(&model, &config, &image, &options, resident).expect("transient only")
     };
-    assert_eq!(
-        ResidentChip::restore_rows(resident.as_ref(), &model, &config),
-        None
-    );
+    assert!(!ResidentChip::holds(resident.as_ref(), &model, &config));
     run(ChaosStrike::None, &mut resident);
-    let rows = ResidentChip::restore_rows(resident.as_ref(), &model, &config);
-    assert_eq!(rows, Some(model.restore_cycles()), "the chip stays, tagged");
+    let held = ResidentChip::holds(resident.as_ref(), &model, &config);
+    assert!(held, "the chip stays, tagged");
     // The rerun restores and matches the fresh chip's run bit for bit.
     let again = run(ChaosStrike::None, &mut resident);
     assert_eq!(again.logits(), golden.logits());
@@ -221,16 +218,10 @@ fn a_clean_run_leaves_its_chip_resident_and_a_struck_one_does_not() {
 
     // Another compile's constants are not these, even of the same graph.
     let (other, _) = model_and_image();
-    assert_eq!(
-        ResidentChip::restore_rows(resident.as_ref(), &other, &config),
-        None
-    );
+    assert!(!ResidentChip::holds(resident.as_ref(), &other, &config));
     let mut slow = config.clone();
     slow.clock_hz /= 2.0;
-    assert_eq!(
-        ResidentChip::restore_rows(resident.as_ref(), &model, &slow),
-        None
-    );
+    assert!(!ResidentChip::holds(resident.as_ref(), &model, &slow));
 
     // A struck attempt that completes may leave latent damage: no chip stays.
     let mut late = uncorrectable_input_fault(&model).events().to_vec();
@@ -249,10 +240,7 @@ fn a_clean_run_leaves_its_chip_resident_and_a_struck_one_does_not() {
         &mut resident,
     );
     assert_eq!(retried.attempts, 2);
-    assert_eq!(
-        ResidentChip::restore_rows(resident.as_ref(), &model, &config),
-        Some(model.restore_cycles())
-    );
+    assert!(ResidentChip::holds(resident.as_ref(), &model, &config));
     let persistent = ChaosStrike::Persistent(uncorrectable_input_fault(&model));
     assert!(!run(persistent, &mut resident).completed());
     assert!(

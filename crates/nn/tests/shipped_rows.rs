@@ -236,7 +236,7 @@ fn small_cnn_ships_212_rows_and_they_change_no_observable() {
     let mut want = vec![4, 12, 12, 12, 12];
     want.extend([16; 10]);
     assert_eq!(shipped, want);
-    assert_eq!(batch.emplace_cycles(), 212);
+    assert_eq!(batch.model.emplace_cycles(), 212);
     assert_unshipped_rows_read_zero(model);
     assert!(
         check(model, &image, true, 0x5171, 97) > 0,

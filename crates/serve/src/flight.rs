@@ -2,7 +2,7 @@
 //!
 //! When [`ServeConfig::spans`](crate::ServeConfig) is on, the serving loop
 //! threads a [`SpanNode`] tree through every request's lifecycle —
-//! `admit → queue → batch (emplace → restore → attempt/backoff/re-emplace…) →
+//! `admit → queue → batch (wait → emplace or restore → attempt/backoff/re-emplace…) →
 //! complete / shed / miss` — built from the same virtual-cycle accounting
 //! the batch records already carry, so the trees are byte-identical across
 //! host threading and add **zero** cycles to any simulated result (the
@@ -64,6 +64,9 @@ pub struct RequestTrace {
     /// The lifecycle span tree, rooted at `request <id>`.
     pub root: SpanNode,
 }
+
+/// How many non-success traces the serving loop's flight recorder keeps.
+pub const FLIGHT_CAPACITY: usize = 64;
 
 /// A bounded ring buffer of non-success [`RequestTrace`]s, oldest evicted
 /// first. Capacity 0 disables retention (everything counts as dropped).

@@ -14,15 +14,15 @@
 //!    healthy chip (all of a wave's batches run concurrently on host
 //!    threads via [`tsp_host::try_fan_out`]; results are merged in chip
 //!    order, so the outcome is independent of host threading);
-//! 4. **accounts** each batch on the virtual clock. Each pool member keeps
-//!    the model resident on one chip ([`ResidentChip`]): a batch is charged
-//!    the model emplace only when its chip holds none (the chip's first
-//!    batch, or the one after a struck or failed batch, whose chip is
-//!    dropped), and every run on a chip the model already ran on is charged
-//!    the model's restore. Each request's attempts run back to back, with
-//!    capped exponential backoff plus a re-emplace per retry — every
-//!    completion cycle is re-derivable from the batch sequence alone, which
-//!    is what [`crate::verify::verify_accounting`] checks.
+//! 4. **accounts** each batch on the virtual clock, its requests back to
+//!    back. Each pool member keeps the model resident on one chip
+//!    ([`ResidentChip`]), and each request is charged what readied its chip
+//!    ([`ServedRequest::ready`]): the model's restore on the resident chip,
+//!    its emplace on a new one — the member's first request, and the first
+//!    after a request or batch that dropped the chip. Each retry adds a
+//!    [`backoff`] and a re-emplace. Every completion cycle is re-derivable
+//!    from the batch sequence alone, which is what
+//!    [`crate::verify::verify_accounting`] checks.
 //!
 //! Failure handling is layered: each request of a batch runs through
 //! [`run_resilient`], where transient faults retry; a request that exhausts
@@ -41,36 +41,28 @@ use tsp_host::{try_fan_out, WorkerPanic};
 use tsp_nn::batch::BatchModel;
 use tsp_nn::resilient::{
     run_resilient, ResidentChip, ResilienceReport, ResilientOptions, RetryCause, RunOutcome,
-    DEFAULT_MAX_ATTEMPTS,
 };
-use tsp_sim::chip::RunOptions;
+use tsp_nn::CompiledModel;
 use tsp_sim::{SimError, Telemetry};
 
 use tsp_faults::{ChaosPlanner, ChaosSpec, ChaosStrike};
 
-use crate::flight::{FlightRecorder, RequestTrace, SpanNode, TraceOutcome};
+use crate::flight::{FlightRecorder, RequestTrace, SpanNode, TraceOutcome, FLIGHT_CAPACITY};
 use crate::health::{ChipHealth, HealthConfig};
 use crate::request::{Rejected, Request, Response, ServeOutcome};
 
-/// Configuration of one serving run.
+/// Configuration of one serving run. What it does not set is fixed: every
+/// pool member is a [`ChipConfig::asic`] chip, a request gets
+/// [`DEFAULT_MAX_ATTEMPTS`](tsp_nn::resilient::DEFAULT_MAX_ATTEMPTS) runs with
+/// a [`backoff`] before each retry, utilization counters are always on, and
+/// the flight recorder keeps [`FLIGHT_CAPACITY`] traces.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Chip configuration every pool member runs.
-    pub chip: ChipConfig,
     /// Pool size (chips), 1 to [`ServeConfig::MAX_POOL`].
     pub pool: usize,
     /// Admission-queue bound, ≥ 1: arrivals past it shed
     /// [`Rejected::QueueFull`].
     pub queue_depth: usize,
-    /// Per-request retry budget handed to `run_resilient` (first attempt
-    /// included), 1 to [`ServeConfig::MAX_ATTEMPTS`].
-    pub max_attempts: u32,
-    /// Base of the capped exponential backoff: retry `k` (zero-based)
-    /// charges [`ServeConfig::backoff`]`(k)` virtual cycles before its
-    /// re-emplace.
-    pub backoff_base: u64,
-    /// Cap of the exponential backoff, in cycles.
-    pub backoff_cap: u64,
     /// Chaos strikes land in the first `chaos_window` cycles of an attempt
     /// (the targeted double-bit strike lands at cycle 0, which the schedule
     /// always consumes). Irrelevant when `chaos` is `None`.
@@ -79,34 +71,23 @@ pub struct ServeConfig {
     pub health: HealthConfig,
     /// Seeded chaos mode: `Some` injects fault plans into live dispatches.
     pub chaos: Option<ChaosSpec>,
-    /// Collect utilization counters into [`ChipStats::telemetry`].
-    pub counters: bool,
     /// Build a lifecycle span tree per request ([`ServeResult::traces`]) and
     /// feed the flight recorder. Spans are assembled from the accounting the
     /// loop already does on the virtual clock, so turning them on changes
     /// **no** simulated cycle or outcome (pinned by the tracing tests) and
     /// they stay byte-identical across host threading.
     pub spans: bool,
-    /// Flight-recorder retention bound: how many non-success request traces
-    /// to keep, oldest evicted first. Irrelevant when `spans` is off.
-    pub flight_capacity: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            chip: ChipConfig::asic(),
             pool: 4,
             queue_depth: 64,
-            max_attempts: DEFAULT_MAX_ATTEMPTS,
-            backoff_base: 256,
-            backoff_cap: 2048,
             chaos_window: 2048,
             health: HealthConfig::default(),
             chaos: None,
-            counters: true,
             spans: false,
-            flight_capacity: 64,
         }
     }
 }
@@ -115,32 +96,26 @@ impl ServeConfig {
     /// Most chips a pool may hold: the loop visits every member at each
     /// scheduling instant.
     pub const MAX_POOL: usize = 1024;
-    /// Most attempts a request may be given: a persistent fault burns every
-    /// one of them on the simulator.
-    pub const MAX_ATTEMPTS: u32 = 64;
+}
 
-    /// Backoff charged before retry `k` (zero-based): capped exponential,
-    /// `min(backoff_base · 2^k, backoff_cap)` without overflow.
-    #[must_use]
-    pub fn backoff(&self, retry: u32) -> u64 {
-        1u64.checked_shl(retry)
-            .and_then(|scale| self.backoff_base.checked_mul(scale))
-            .map_or(self.backoff_cap, |b| b.min(self.backoff_cap))
-    }
+/// Backoff charged before retry `k` (zero-based): capped exponential,
+/// `min(256 << k, 2048)` cycles.
+#[must_use]
+pub fn backoff(retry: u32) -> u64 {
+    256 << retry.min(3)
+}
 
-    /// Total backoff charged before the first `retries` retries, saturating.
-    #[must_use]
-    pub fn backoff_total(&self, retries: u32) -> u64 {
-        (0..retries).fold(0, |sum, k| sum.saturating_add(self.backoff(k)))
-    }
+/// Total backoff charged before the first `retries` retries.
+pub(crate) fn backoff_total(retries: u32) -> u64 {
+    (0..retries).map(backoff).sum()
 }
 
 /// Why [`serve`] could not run at all (request-level failures are
 /// [`ServeOutcome`]s, not errors).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// `pool`, `queue_depth`, `max_attempts` or the model's `max_batch` was
-    /// zero, or `pool` / `max_attempts` was past its limit.
+    /// `pool`, `queue_depth` or the model's `max_batch` was zero, or `pool`
+    /// was past its limit.
     BadConfig(&'static str),
     /// Requests must arrive sorted by `(arrival, id)` with unique ids; the
     /// payload is the index of the first offender.
@@ -189,28 +164,28 @@ pub struct ServedRequest {
     /// The completing attempt's run cycles (`None` if no attempt
     /// completed).
     pub final_cycles: Option<u64>,
-    /// Cycles charged before the first attempt to ready the chip: the
-    /// model's restore on a chip it already ran on, the whole emplace when
-    /// the row before left no chip (it failed, or its last attempt was
-    /// struck), and 0 on the chip emplaced for this batch.
-    pub restore: u64,
+    /// Cycles that readied the chip for the first attempt: the model's
+    /// restore on the chip it stayed resident on, its emplace on a new chip
+    /// (the pool member's first request, and the first after a request or
+    /// batch that dropped the chip).
+    pub ready: u64,
     /// Total backoff cycles charged between attempts.
     pub backoff: u64,
     /// Total re-emplace cycles charged (one model emplace per retry).
     pub reemplace: u64,
-    /// Completion cycle: the batch's `dispatched + emplace`, plus every
-    /// earlier row's service, plus this row's service.
+    /// Completion cycle: the batch's `dispatched`, plus every earlier row's
+    /// service, plus this row's service.
     pub completed: u64,
 }
 
 impl ServedRequest {
-    /// This row's service cycles — its restore, failed attempts, backoff,
+    /// This row's service cycles — its readying, failed attempts, backoff,
     /// re-emplaces and completing run — saturating at `u64::MAX`, as every
     /// cycle of the virtual clock does.
     #[must_use]
     pub fn service(&self) -> u64 {
         let parts = [
-            self.restore,
+            self.ready,
             self.backoff,
             self.reemplace,
             self.final_cycles.unwrap_or(0),
@@ -228,16 +203,12 @@ pub struct BatchRecord {
     pub ordinal: u64,
     /// Cycle the batch left the queue.
     pub dispatched: u64,
-    /// Model-emplace cycles charged once up front: the model's emplace when
-    /// the chip held no resident copy of it, 0 when it did.
-    pub emplace: u64,
     /// What the chaos draw decided: `"none"`, `"transient"` or
     /// `"persistent"`.
     pub chaos: &'static str,
     /// Member rows, in dispatch order.
     pub served: Vec<ServedRequest>,
-    /// Cycle the chip came free again:
-    /// `dispatched + emplace + Σ served.service()`.
+    /// Cycle the chip came free again: `dispatched + Σ served.service()`.
     pub finished: u64,
 }
 
@@ -260,8 +231,7 @@ pub struct ChipStats {
     pub retries_sram: u64,
     /// Cycle the circuit breaker quarantined the chip, if it did.
     pub quarantined_at: Option<u64>,
-    /// Utilization counters merged over the chip's completing attempts
-    /// (zeroed when [`ServeConfig::counters`] is off).
+    /// Utilization counters merged over the chip's completing attempts.
     pub telemetry: Telemetry,
 }
 
@@ -371,10 +341,10 @@ struct Assignment {
     resident: Option<ResidentChip>,
 }
 
-/// One request's run on the worker: the rows restored on the resident chip
-/// before it (`None`: the model was emplaced onto a new chip), and what
-/// `run_resilient` returned.
-type RowRun = (Option<u64>, Result<ResilienceReport, SimError>);
+/// One request's run on the worker: whether its first attempt ran on the
+/// resident chip ([`ResidentChip::holds`]), and what `run_resilient`
+/// returned.
+type RowRun = (bool, Result<ResilienceReport, SimError>);
 
 /// Span-tree collection state: inert (no allocation, no work) unless
 /// [`ServeConfig::spans`] is on.
@@ -389,7 +359,7 @@ impl Tracer {
         Tracer {
             enabled: config.spans,
             traces: Vec::new(),
-            flight: FlightRecorder::new(config.flight_capacity),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
         }
     }
 
@@ -427,19 +397,19 @@ fn shed_trace(r: &Request, why: &Rejected, at: u64) -> RequestTrace {
 
 /// Lifecycle tree of a dispatched request, reconstructed from the same
 /// accounting that produced its [`ServedRequest`] row: `request → queue →
-/// batch (emplace → wait → restore → attempt/backoff/re-emplace… → final
-/// attempt)`, the emplace only on a batch that was charged one, the restore
-/// only where it is nonzero (named `emplace` on a row whose chip was lost).
-/// Every fault/retry cause lands as span args on the attempt it killed.
+/// batch (wait → emplace or restore → attempt/backoff/re-emplace… → final
+/// attempt)`, the wait only behind earlier rows of the batch and the
+/// readying only where it is nonzero — named `restore` on the resident chip
+/// (`warm`), `emplace` on a new one. Every fault/retry cause lands as span
+/// args on the attempt it killed.
 #[allow(clippy::too_many_arguments)]
 fn dispatched_trace(
     request: &Request,
     a: &Assignment,
-    (batch_emplace, emplace): (u64, u64),
     row_start: u64,
-    (row, restored): (&ServedRequest, Option<u64>),
+    (row, warm): (&ServedRequest, bool),
     causes: &[RetryCause],
-    config: &ServeConfig,
+    emplace: u64,
     outcome: TraceOutcome,
     error: Option<&str>,
 ) -> RequestTrace {
@@ -458,13 +428,9 @@ fn dispatched_trace(
     let mut batch = SpanNode::span("batch", a.dispatched, row.completed)
         .with_arg("chip", a.chip as u64)
         .with_arg("batch", a.batch_index as u64);
-    let emplaced = a.dispatched.saturating_add(batch_emplace);
-    if batch_emplace > 0 {
-        batch.push(SpanNode::span("emplace", a.dispatched, emplaced));
-    }
-    if row_start > emplaced {
+    if row_start > a.dispatched {
         // Earlier rows of the batch ran first; this request waited its turn.
-        batch.push(SpanNode::span("wait:earlier-rows", emplaced, row_start));
+        batch.push(SpanNode::span("wait:earlier-rows", a.dispatched, row_start));
     }
     let transitions = row.attempts.saturating_sub(1);
     let mut at = row_start;
@@ -474,13 +440,9 @@ fn dispatched_trace(
         at = at.saturating_add(cycles);
         SpanNode::span(name, start, at)
     };
-    if row.restore > 0 {
-        let name = if restored.is_some() {
-            "restore"
-        } else {
-            "emplace"
-        };
-        batch.push(phase(name.into(), row.restore));
+    if row.ready > 0 {
+        let name = if warm { "restore" } else { "emplace" };
+        batch.push(phase(name.into(), row.ready));
     }
     for (i, &burned) in row.failed_attempt_cycles.iter().enumerate() {
         let mut attempt = phase(format!("attempt {}", i + 1), burned);
@@ -491,7 +453,7 @@ fn dispatched_trace(
         }
         batch.push(attempt);
         if (i as u32) < transitions {
-            batch.push(phase("backoff".into(), config.backoff(i as u32)));
+            batch.push(phase("backoff".into(), backoff(i as u32)));
             batch.push(phase("re-emplace".into(), emplace));
         }
     }
@@ -532,11 +494,6 @@ pub fn serve(
     if config.queue_depth == 0 {
         return Err(ServeError::BadConfig("queue_depth must be at least 1"));
     }
-    if !(1..=ServeConfig::MAX_ATTEMPTS).contains(&config.max_attempts) {
-        return Err(ServeError::BadConfig(
-            "max_attempts must be 1 to MAX_ATTEMPTS",
-        ));
-    }
     if model.max_batch == 0 {
         return Err(ServeError::BadConfig("max_batch must be at least 1"));
     }
@@ -555,12 +512,8 @@ pub fn serve(
     }
 
     let planner = config.chaos.clone().map(ChaosPlanner::new);
-    let emplace = model.emplace_cycles();
     let target = model.input_site();
-    let base = RunOptions {
-        counters: config.counters,
-        ..RunOptions::default()
-    };
+    let asic = ChipConfig::asic();
 
     let mut chips: Vec<ChipState> = (0..config.pool)
         .map(|_| ChipState {
@@ -664,7 +617,7 @@ pub fn serve(
                 // back in wave (chip) order, so accounting is
                 // threading-independent.
                 let outcomes = try_fan_out(wave, |mut a| {
-                    let reports = run_assignment(model, config, inputs, &mut a, &base);
+                    let reports = run_assignment(model, &asic, inputs, &mut a);
                     (a, reports)
                 })
                 .map_err(ServeError::WorkerPanic)?;
@@ -673,8 +626,7 @@ pub fn serve(
                     account(
                         &a,
                         &reports,
-                        emplace,
-                        config,
+                        &model.model,
                         &mut chips[a.chip],
                         &mut responses,
                         &mut batches,
@@ -742,10 +694,9 @@ fn shed(r: &Request, why: Rejected) -> Response {
 /// batch emplaces onto a new one.
 fn run_assignment(
     model: &BatchModel,
-    config: &ServeConfig,
+    chip: &ChipConfig,
     inputs: &[Vec<i8>],
     a: &mut Assignment,
-    base: &RunOptions,
 ) -> Vec<RowRun> {
     let mut runs = Vec::with_capacity(a.requests.len());
     for (i, request) in a.requests.iter().enumerate() {
@@ -754,14 +705,13 @@ fn run_assignment(
             strike => strike.clone(),
         };
         let options = ResilientOptions {
-            max_attempts: config.max_attempts,
             strike,
-            base: base.clone(),
+            ..ResilientOptions::default()
         };
-        let restored = ResidentChip::restore_rows(a.resident.as_ref(), &model.model, &config.chip);
+        let warm = ResidentChip::holds(a.resident.as_ref(), &model.model, chip);
         let image = &inputs[request.input];
-        let result = run_resilient(&model.model, &config.chip, image, &options, &mut a.resident);
-        runs.push((restored, result));
+        let result = run_resilient(&model.model, chip, image, &options, &mut a.resident);
+        runs.push((warm, result));
     }
     let first_time = |(_, result): &RowRun| matches!(result, Ok(report) if report.attempts == 1 && report.completed());
     if !matches!(a.strike, ChaosStrike::None) || !runs.iter().all(first_time) {
@@ -777,26 +727,19 @@ fn run_assignment(
 /// counters, [`Response`] and span tree. A non-transient error (the
 /// simulator aborted deterministically — a compiler bug, not chip weather)
 /// is one failed attempt that burned no modeled chip time.
-#[allow(clippy::too_many_arguments)]
 fn account(
     a: &Assignment,
     reports: &[RowRun],
-    emplace: u64,
-    config: &ServeConfig,
+    model: &CompiledModel,
     chip: &mut ChipState,
     responses: &mut Vec<Response>,
     batches: &mut Vec<BatchRecord>,
     tracer: &mut Tracer,
 ) {
-    // The batch pays the emplace up front when its head request found no
-    // resident chip; a later request that found none pays it as its restore.
-    let batch_emplace = match reports.first() {
-        Some((None, _)) => emplace,
-        _ => 0,
-    };
-    let mut cursor = a.dispatched.saturating_add(batch_emplace);
+    let (emplace, restore) = (model.emplace_cycles(), model.restore_cycles());
+    let mut cursor = a.dispatched;
     let mut served = Vec::with_capacity(a.requests.len());
-    for (i, (request, (restored, result))) in a.requests.iter().zip(reports).enumerate() {
+    for (request, (warm, result)) in a.requests.iter().zip(reports) {
         let (attempts, causes, ending) = match result {
             Ok(report) => (
                 report.attempts,
@@ -816,12 +759,8 @@ fn account(
             attempts,
             failed_attempt_cycles: causes.iter().map(|c| c.cycle).collect(),
             final_cycles: ending.as_ref().ok().map(|&(_, cycles, _)| cycles),
-            restore: match restored {
-                Some(rows) => *rows,
-                None if i == 0 => 0,
-                None => emplace,
-            },
-            backoff: config.backoff_total(transitions),
+            ready: if *warm { restore } else { emplace },
+            backoff: backoff_total(transitions),
             reemplace: u64::from(transitions) * emplace,
             completed: 0,
         };
@@ -889,11 +828,10 @@ fn account(
             tracer.record(dispatched_trace(
                 request,
                 a,
-                (batch_emplace, emplace),
                 cursor,
-                (&row, *restored),
+                (&row, *warm),
                 causes,
-                config,
+                emplace,
                 traced,
                 error.as_deref(),
             ));
@@ -913,7 +851,6 @@ fn account(
         chip: a.chip,
         ordinal: a.ordinal,
         dispatched: a.dispatched,
-        emplace: batch_emplace,
         chaos: match a.strike {
             ChaosStrike::None => "none",
             ChaosStrike::Transient(_) => "transient",

@@ -66,10 +66,7 @@ pub fn serve_trace_json(result: &ServeResult) -> String {
                 &format!("batch {}", batch.ordinal),
                 batch.dispatched,
                 batch.finished - batch.dispatched,
-                &[
-                    ("requests", batch.served.len() as u64),
-                    ("emplace", batch.emplace),
-                ],
+                &[("requests", batch.served.len() as u64)],
                 &[("chaos", batch.chaos)],
             );
         }

@@ -5,9 +5,8 @@
 //! self-consistent. [`verify_accounting`] checks that claim the hard way:
 //! it takes only the original requests, the [`ServeResult`], the model's
 //! emplace and restore costs and the [`ServeConfig`], and independently
-//! re-derives every emplace and restore charge, completion cycle, backoff
-//! charge, deadline verdict and per-chip busy interval from the batch
-//! records. Any mismatch is a *violation* — the
+//! re-derives every readiness charge, completion cycle, backoff charge,
+//! deadline verdict and per-chip busy interval from the batch records. Any mismatch is a *violation* — the
 //! condition the benchmark's `serve_steady` / `serve_chaos` workloads fail
 //! on ("zero deadline-accounting violations").
 
@@ -16,7 +15,7 @@ use std::collections::HashMap;
 use tsp_nn::batch::BatchModel;
 
 use crate::request::{Rejected, Request, ServeOutcome};
-use crate::server::{ServeConfig, ServeResult};
+use crate::server::{backoff_total, ServeConfig, ServeResult};
 
 /// Re-derives the result's accounting and returns every violation found
 /// (empty error never happens: `Ok(())` means fully consistent).
@@ -25,17 +24,15 @@ use crate::server::{ServeConfig, ServeResult};
 ///
 /// 1. exactly one response per request, sorted by id, echoing the
 ///    request's arrival/deadline/input;
-/// 2. residency, re-derived from each chip's batch sequence alone: a chip's
-///    first batch, and a batch after a struck or failed one (one drawn by
-///    chaos, or with a row that did not complete first time), is charged
-///    the model's emplace, every other batch 0; a row is charged no restore
-///    on the chip its batch just emplaced, the model's restore on a chip
-///    the model already ran on, and the whole emplace when the row before
-///    left no chip (it did not complete, or its last attempt was struck);
-///    every row's backoff and re-emplace match the config's
-///    capped-exponential formula, every row's completion cycle equals the
-///    dispatch + emplace + prefix of services, and the batch's finish cycle
-///    closes the sum;
+/// 2. residency, re-derived row by row from each chip's batch sequence
+///    alone: a row's `ready` is the model's restore when its chip is
+///    resident and the model's emplace when not. The chip is resident
+///    after a row that completed with its last attempt unstruck; at the
+///    start of a batch, when the pool member's previous batch drew no chaos
+///    and every row of it completed first time. Every row's
+///    backoff and re-emplace match the capped-exponential retry charges,
+///    every row's completion cycle equals the dispatch plus the prefix of
+///    services, and the batch's finish cycle closes the sum;
 /// 3. batches never time-travel (dispatch ≥ every member's arrival) and
 ///    never overlap on a chip (per-chip ordinals contiguous, next dispatch
 ///    ≥ previous finish);
@@ -88,29 +85,20 @@ pub fn verify_accounting(
     }
 
     // 2. Residency and batch-internal accounting.
-    let (emplace, restore) = (model.emplace_cycles(), model.restore_cycles());
+    let (emplace, restore) = (model.model.emplace_cycles(), model.model.restore_cycles());
     // Per chip: whether the model stays resident after its last batch.
     let mut resident = vec![false; result.chips.len()];
     for (bi, batch) in result.batches.iter().enumerate() {
-        let warm = resident.get(batch.chip).copied().unwrap_or(false);
-        let charged = if warm { 0 } else { emplace };
-        if batch.emplace != charged {
-            v(format!(
-                "batch {bi}: emplace {} != derived {charged} on a {} chip",
-                batch.emplace,
-                if warm { "warm" } else { "cold" }
-            ));
-        }
-        // What the next row's chip needs first: `Some(rows)` restored on the
-        // resident chip, `None` an emplace onto a new one.
-        let mut next = Some(if warm { restore } else { 0 });
-        let mut cursor = batch.dispatched.saturating_add(batch.emplace);
+        let mut warm = resident.get(batch.chip).copied().unwrap_or(false);
+        let mut cursor = batch.dispatched;
         for (ri, row) in batch.served.iter().enumerate() {
-            let derived = next.unwrap_or(emplace);
-            if row.restore != derived {
+            let derived = if warm { restore } else { emplace };
+            if row.ready != derived {
                 v(format!(
-                    "batch {bi} request {}: restore {} != derived {derived}",
-                    row.id, row.restore
+                    "batch {bi} request {}: ready {} != derived {derived} on a {} chip",
+                    row.id,
+                    row.ready,
+                    if warm { "warm" } else { "cold" }
                 ));
             }
             let last_struck = match batch.chaos {
@@ -118,9 +106,9 @@ pub fn verify_accounting(
                 "transient" => ri == 0 && row.attempts == 1,
                 _ => false,
             };
-            next = (row.final_cycles.is_some() && !last_struck).then_some(restore);
+            warm = row.final_cycles.is_some() && !last_struck;
             let transitions = row.attempts.saturating_sub(1);
-            let backoff = config.backoff_total(transitions);
+            let backoff = backoff_total(transitions);
             if row.backoff != backoff {
                 v(format!(
                     "batch {bi} request {}: backoff {} != derived {backoff}",

@@ -15,9 +15,10 @@ use tsp_nn::batch::{compile_batch_cached, BatchModel};
 use tsp_nn::compile::CompileOptions;
 use tsp_nn::data::synthetic;
 use tsp_nn::quant::quantize;
-use tsp_nn::resilient::{run_resilient, ResilientOptions, RunOutcome};
+use tsp_nn::resilient::{run_resilient, ResilientOptions, RunOutcome, DEFAULT_MAX_ATTEMPTS};
 use tsp_nn::resnet::resnet_tiny;
 use tsp_nn::train::small_cnn;
+use tsp_serve::server::backoff;
 use tsp_serve::{
     open_loop, serve, serve_trace_json, verify_accounting, HealthConfig, LoadSpec, Rejected,
     Request, ServeConfig, ServeError, ServeOutcome,
@@ -88,7 +89,7 @@ fn fault_free_serving_is_bit_identical_to_the_oracle_and_verifies() {
     let (model, inputs) = workload(3);
     let golden = oracle(&model, &inputs);
     let s = service_cycles(&model, &inputs[0]);
-    let e = model.emplace_cycles();
+    let (e, r) = (model.model.emplace_cycles(), model.model.restore_cycles());
     // 9 requests over 2 chips, arriving fast enough to queue and batch.
     let arrivals: Vec<(u64, usize)> = (0..9).map(|i| (i * s / 4, (i % 3) as usize)).collect();
     let requests = requests_at(&arrivals, 40 * (e + 3 * s));
@@ -116,22 +117,23 @@ fn fault_free_serving_is_bit_identical_to_the_oracle_and_verifies() {
     }
     assert!(result.chips.iter().all(|c| c.requests > 0), "pool balanced");
     assert!(result.chips.iter().all(|c| c.quarantined_at.is_none()));
-    // The model is emplaced once per chip and stays resident after that.
+    // The model is emplaced once per chip, by its first request, and stays
+    // resident after that: every other request is charged the restore.
     for chip in 0..config.pool {
-        let emplaces: Vec<u64> = (result.batches.iter())
-            .filter(|b| b.chip == chip)
-            .map(|b| b.emplace)
+        let batches = (result.batches.iter()).filter(|b| b.chip == chip);
+        let ready: Vec<u64> = batches
+            .flat_map(|b| b.served.iter().map(|row| row.ready))
             .collect();
-        assert!(emplaces.len() > 1, "chip {chip} ran several batches");
-        assert_eq!(emplaces[0], e, "chip {chip}'s first batch emplaces");
-        assert!(emplaces[1..].iter().all(|&c| c == 0), "{emplaces:?}");
+        assert!(ready.len() > 1, "chip {chip} ran several requests");
+        assert_eq!(ready[0], e, "chip {chip}'s first head row emplaces");
+        assert!(ready[1..].iter().all(|&c| c == r), "{ready:?}");
     }
     verify_accounting(&requests, &result, &model, &config).expect("accounting re-derives");
 }
 
 /// A model whose reruns must restore rows (`resnet_tiny`) served on one chip
-/// in two batches: the first batch emplaces, every later run is charged the
-/// restore, and every answer is a fresh chip's.
+/// in two batches: the first request is charged the emplace, every later run
+/// the restore, and every answer is a fresh chip's.
 #[test]
 fn a_resident_model_pays_its_restore_on_every_rerun() {
     let data = synthetic(21, 32, 32, 3, 2, 2);
@@ -140,7 +142,7 @@ fn a_resident_model_pays_its_restore_on_every_rerun() {
     let model = compile_batch_cached(&q, &CompileOptions::default(), 2);
     let inputs: Vec<Vec<i8>> = data.images.iter().map(|i| q.quantize_image(i)).collect();
     let golden = oracle(&model, &inputs);
-    let (e, r) = (model.emplace_cycles(), model.restore_cycles());
+    let (e, r) = (model.model.emplace_cycles(), model.model.restore_cycles());
     assert!(r > 0 && r < e, "restore {r} vs emplace {e}");
     let requests = requests_at(&[(0, 0), (0, 1), (0, 1), (0, 0)], u64::MAX);
     let config = ServeConfig {
@@ -148,10 +150,10 @@ fn a_resident_model_pays_its_restore_on_every_rerun() {
         ..ServeConfig::default()
     };
     let result = serve(&model, &config, &inputs, &requests).expect("serves");
-    let charges: Vec<(u64, Vec<u64>)> = (result.batches.iter())
-        .map(|b| (b.emplace, b.served.iter().map(|row| row.restore).collect()))
+    let ready: Vec<Vec<u64>> = (result.batches.iter())
+        .map(|b| b.served.iter().map(|row| row.ready).collect())
         .collect();
-    assert_eq!(charges, [(e, vec![0, r]), (0, vec![r, r])]);
+    assert_eq!(ready, [[e, r], [r, r]]);
     for response in &result.responses {
         let ServeOutcome::Completed { logits, .. } = &response.outcome else {
             panic!("fault-free must complete: {response:?}")
@@ -188,7 +190,7 @@ fn admission_queue_sheds_queue_full_structurally() {
 fn deadlines_expire_in_queue_and_misses_are_accounted() {
     let (model, inputs) = workload(1);
     let s = service_cycles(&model, &inputs[0]);
-    let e = model.emplace_cycles();
+    let e = model.model.emplace_cycles();
     // Impossible deadline: even the unqueued head request (emplace + one
     // service) must blow it; the ones queued behind expire before dispatch.
     let requests = requests_at(&[(0, 0), (1, 0), (2, 0)], 2);
@@ -258,7 +260,7 @@ fn chaos_transient_strikes_retry_to_bit_identical_logits() {
             panic!("must complete: {response:?}")
         };
         retried += retried_sram;
-        assert!(*attempts <= config.max_attempts);
+        assert!(*attempts <= DEFAULT_MAX_ATTEMPTS);
         assert_eq!(
             logits, &golden[&response.input],
             "recovered logits bit-identical to the fault-free oracle"
@@ -293,7 +295,6 @@ fn persistent_faults_quarantine_the_chip_and_drain_to_healthy_ones() {
     );
     let config = ServeConfig {
         pool: 3,
-        max_attempts: 2,
         chaos: Some(ChaosSpec {
             chips: vec![0],
             strike_per_mille: 1000,
@@ -331,7 +332,7 @@ fn persistent_faults_quarantine_the_chip_and_drain_to_healthy_ones() {
                 ..
             } => {
                 assert_eq!(*chip, 0);
-                assert_eq!(*attempts, 2, "budget exhausted at its bound");
+                assert_eq!(*attempts, DEFAULT_MAX_ATTEMPTS, "budget exhausted");
                 assert!(!error.is_empty());
             }
             ServeOutcome::Shed(_) => panic!("nothing sheds here: {response:?}"),
@@ -372,27 +373,30 @@ fn verify_accounting_detects_tampering() {
         "forged completion cycle must be caught"
     );
 
-    // Residency: a chip's first batch must pay the emplace, and a batch on a
-    // chip that kept the model must not.
+    // Residency: a chip's first request must pay the emplace, and a request
+    // on a chip that kept the model must pay the restore instead.
+    let e = model.model.emplace_cycles();
     let mut forged = result.clone();
-    forged.batches[0].emplace = 0;
+    forged.batches[0].served[0].ready = 0;
     let violations = verify_accounting(&requests, &forged, &model, &config)
-        .expect_err("a cold batch without its emplace must be caught");
+        .expect_err("a cold head row without its emplace must be caught");
     assert!(
         violations
             .iter()
-            .any(|v| v.contains("emplace 0 != derived")),
+            .any(|v| v.contains(&format!("ready 0 != derived {e} on a cold chip"))),
         "{violations:?}"
     );
     let warm = (result.batches.iter())
-        .position(|b| b.emplace == 0)
+        .position(|b| b.served[0].ready != e)
         .expect("a chip ran a second batch");
     let mut forged = result.clone();
-    forged.batches[warm].emplace = model.emplace_cycles();
+    forged.batches[warm].served[0].ready = e;
     let violations = verify_accounting(&requests, &forged, &model, &config)
-        .expect_err("a warm batch charged an emplace must be caught");
+        .expect_err("a warm row charged an emplace must be caught");
     assert!(
-        violations.iter().any(|v| v.contains("on a warm chip")),
+        violations
+            .iter()
+            .any(|v| v.contains(&format!("ready {e} != derived")) && v.contains("on a warm chip")),
         "{violations:?}"
     );
 
@@ -444,16 +448,13 @@ fn structural_errors_are_rejected_up_front() {
             input: inputs.len()
         }
     );
-    // Out-of-range bounds: no chips, more chips than can be allocated, a
-    // budget a persistent fault would burn 2^32 simulations of, and an empty
-    // batch, which dispatches nothing forever to a request without deadline.
+    // Out-of-range bounds: no chips, more chips than can be allocated, and
+    // an empty batch, which dispatches nothing forever to a request without
+    // deadline.
     let requests = requests_at(&[(0, 0)], u64::MAX);
-    for (pool, max_attempts, max_batch) in
-        [(0, 3, 2), (usize::MAX, 3, 2), (2, u32::MAX, 2), (2, 3, 0)]
-    {
+    for (pool, max_batch) in [(0, 2), (usize::MAX, 2), (2, 0)] {
         let bad = ServeConfig {
             pool,
-            max_attempts,
             ..ServeConfig::default()
         };
         let model = BatchModel {
@@ -463,23 +464,20 @@ fn structural_errors_are_rejected_up_front() {
         let outcome = serve(&model, &bad, &inputs, &requests);
         assert!(
             matches!(outcome, Err(ServeError::BadConfig(_))),
-            "{pool} {max_attempts} {max_batch}"
+            "{pool} {max_batch}"
         );
     }
 }
 
-/// A backoff of `u64::MAX` cycles on a request whose every attempt fails:
+/// A request arriving just short of `u64::MAX` whose every attempt fails:
 /// the virtual clock saturates — in the accounting, its re-derivation, the
 /// span timeline and the exported trace — instead of overflowing.
 #[test]
 fn a_saturated_clock_is_accounted_and_traced() {
     let (model, inputs) = workload(1);
-    let requests = requests_at(&[(0, 0)], u64::MAX);
+    let requests = requests_at(&[(u64::MAX - 1_000, 0)], u64::MAX);
     let config = ServeConfig {
         pool: 1,
-        max_attempts: 2,
-        backoff_base: u64::MAX,
-        backoff_cap: u64::MAX,
         spans: true,
         chaos: Some(ChaosSpec {
             chips: vec![0],
@@ -501,17 +499,13 @@ fn a_saturated_clock_is_accounted_and_traced() {
     };
     assert_eq!(
         (completed, attempts, result.horizon),
-        (u64::MAX, 2, u64::MAX)
+        (u64::MAX, DEFAULT_MAX_ATTEMPTS, u64::MAX)
     );
     verify_accounting(&requests, &result, &model, &config).expect("accounting re-derives");
     let stats = perfetto::validate(&serve_trace_json(&result)).expect("trace validates");
     assert_eq!(stats.max_ts, u64::MAX);
-    // Doubling a base past half the range reaches the cap, not a wrap.
-    let doubled = ServeConfig {
-        backoff_base: 1 << 63,
-        ..config
-    };
-    assert_eq!(doubled.backoff(1), u64::MAX);
+    // A retry index past the range reaches the cap, not a wrap.
+    assert_eq!(backoff(u32::MAX), 2048);
 }
 
 /// A request with no deadline (`u64::MAX` cycles) is served and meets it:
@@ -580,8 +574,8 @@ impl Draw {
     }
 }
 
-/// Seeded random pools, queue bounds, retry budgets, batch bounds,
-/// backoffs, chaos windows, chaos specs, deadlines and tracing settings —
+/// Seeded random pools, queue bounds, batch bounds, chaos windows, chaos
+/// specs, deadlines and tracing settings —
 /// drawn from menus holding 0, 1 and each type's maximum — over short
 /// open-loop traces. Every fourth case breaks one bound, each in turn, and
 /// `serve` must refuse it with a `BadConfig`. It serves every other case
@@ -592,12 +586,10 @@ impl Draw {
 fn random_configurations_serve_or_are_refused() {
     let (shared, inputs) = workload(4);
     let golden = oracle(&shared, &inputs);
-    let breaks: [fn(&mut ServeConfig, &mut BatchModel); 6] = [
+    let breaks: [fn(&mut ServeConfig, &mut BatchModel); 4] = [
         |c, _| c.pool = 0,
         |c, _| c.pool = usize::MAX,
         |c, _| c.queue_depth = 0,
-        |c, _| c.max_attempts = 0,
-        |c, _| c.max_attempts = u32::MAX,
         |_, m| m.max_batch = 0,
     ];
     let mut draw = Draw(13);
@@ -615,13 +607,9 @@ fn random_configurations_serve_or_are_refused() {
         let mut config = ServeConfig {
             pool,
             queue_depth: draw.pick(&[1, 2, 8, 64, usize::MAX]),
-            max_attempts: draw.pick(&[1, 2, 3, 4]),
-            backoff_base: draw.pick(&[0, 1, 256, u64::MAX]),
-            backoff_cap: draw.pick(&[0, 1, 2048, u64::MAX]),
             chaos_window: draw.pick(&[0, 1, 2048, u64::MAX]),
             chaos,
             spans: draw.coin(),
-            flight_capacity: draw.pick(&[0, 1, 64, usize::MAX]),
             ..ServeConfig::default()
         };
         let mut model = BatchModel {
@@ -629,7 +617,7 @@ fn random_configurations_serve_or_are_refused() {
             max_batch: draw.pick(&[1, 2, 4, usize::MAX]),
         };
         if case % 4 == 0 {
-            breaks[case / 4](&mut config, &mut model);
+            breaks[case / 4 % breaks.len()](&mut config, &mut model);
         }
         let mut requests = open_loop(&LoadSpec {
             seed: draw.next(),

@@ -33,7 +33,6 @@ fn chaos_config(spans: bool) -> ServeConfig {
         pool: 2,
         queue_depth: 4,
         spans,
-        flight_capacity: 8,
         chaos: Some(ChaosSpec {
             chips: vec![0],
             strike_per_mille: 1000,
