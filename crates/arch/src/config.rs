@@ -41,20 +41,15 @@ pub struct ChipConfig {
     /// Number of powered superlanes, `1..=20`. Scalable-vector mode (paper
     /// §II-F) powers down unused rows for energy proportionality.
     pub superlanes_enabled: usize,
-    /// Whether producers generate and consumers check SECDED ECC on every
-    /// stream word (paper §II-D). Disabling trades fidelity for simulation
-    /// speed; results are unaffected in the absence of injected faults.
-    pub ecc_enabled: bool,
 }
 
 impl ChipConfig {
-    /// The as-built first-generation part: 900 MHz, all 20 superlanes, ECC on.
+    /// The as-built first-generation part: 900 MHz, all 20 superlanes.
     #[must_use]
     pub fn asic() -> ChipConfig {
         ChipConfig {
             clock_hz: 900.0e6,
             superlanes_enabled: SUPERLANES,
-            ecc_enabled: true,
         }
     }
 

@@ -10,7 +10,7 @@ use tsp_isa::{BinaryAluOp, Plane};
 use tsp_nn::batch::{compile_batch_cached, BatchModel};
 use tsp_nn::compile::{compile_cached, CompileOptions, CompiledModel};
 use tsp_nn::data::synthetic;
-use tsp_nn::quant::quantize;
+use tsp_nn::quant::{quantize, QuantGraph};
 use tsp_nn::resnet::{resnet, Widths};
 use tsp_nn::train::small_cnn;
 use tsp_sim::Program;
@@ -72,17 +72,24 @@ pub fn roofline_program() -> Program {
     sched.into_program().unwrap()
 }
 
-/// ResNet-`depth` (50, 101 or 152) batch-1 at 224×224 — ResNet-50 is the
-/// end-to-end functional worst case — compiled (through the compile cache)
-/// with one quantized input image.
+/// ResNet-`depth` (50, 101 or 152) batch-1 at 224×224, quantized, with one
+/// quantized input image — the image its calibration ran on.
 #[must_use]
-pub fn resnet_model(depth: u32) -> (Arc<CompiledModel>, Vec<i8>) {
+pub fn resnet_quant(depth: u32) -> (QuantGraph, Vec<i8>) {
     let data = synthetic(3, 224, 224, 3, 2, 1);
     let (g, params) = resnet(depth, 224, 1000, &Widths::standard(), 7);
     let q = quantize(&g, &params, &data.images[..1]);
-    let model = compile_cached(&q, &CompileOptions::default());
     let image = q.quantize_image(&data.images[0]);
-    (model, image)
+    (q, image)
+}
+
+/// ResNet-`depth` (50, 101 or 152) batch-1 at 224×224 — ResNet-50 is the
+/// end-to-end functional worst case — compiled (through the compile cache)
+/// with one quantized input image ([`resnet_quant`]).
+#[must_use]
+pub fn resnet_model(depth: u32) -> (Arc<CompiledModel>, Vec<i8>) {
+    let (q, image) = resnet_quant(depth);
+    (compile_cached(&q, &CompileOptions::default()), image)
 }
 
 /// The served model: `small_cnn` on 12×12×2 images, compiled for batches of

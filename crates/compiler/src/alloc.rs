@@ -77,6 +77,21 @@ impl FreeList {
         Some(start)
     }
 
+    /// Like [`FreeList::take`], but only words never handed back (at or
+    /// above `dirty_below`), from the top of the bank down.
+    fn take_fresh(&mut self, len: u16) -> Option<u16> {
+        let floor = self.dirty_below;
+        let idx = (self.intervals.iter())
+            .rposition(|&(start, avail)| avail >= len && start + avail - len >= floor)?;
+        let (start, avail) = self.intervals[idx];
+        if avail == len {
+            self.intervals.remove(idx);
+        } else {
+            self.intervals[idx].1 = avail - len;
+        }
+        Some(start + avail - len)
+    }
+
     fn give(&mut self, start: u16, len: u16) {
         self.dirty_below = self.dirty_below.max(start + len);
         let pos = self
@@ -97,6 +112,18 @@ impl FreeList {
             self.intervals.remove(pos);
         }
     }
+}
+
+/// Which free words [`MemAllocator::alloc_avoiding_inner`] hands a block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Take {
+    /// First fit; a Low-bank block only on the inner slices.
+    Inner,
+    /// First fit on any slice.
+    Any,
+    /// Only words never handed back, from the top of the bank down
+    /// ([`FreeList::take_fresh`]).
+    Fresh,
 }
 
 /// Per-slice allocation state.
@@ -234,14 +261,49 @@ impl MemAllocator {
         max_block: u32,
         avoid: &[(Hemisphere, u8)],
     ) -> Result<TensorHandle, OutOfMemory> {
-        match self.alloc_avoiding_inner(hemisphere, rows, cols, policy, max_block, avoid, true) {
+        let mut alloc = |take| {
+            self.alloc_avoiding_inner(hemisphere, rows, cols, policy, max_block, avoid, take)
+        };
+        match alloc(Take::Inner) {
             Ok(t) => Ok(t),
             // The Low-bank slice-0..32 preference is best-effort: very large
             // models (ResNet-152's weights) spill into the outer slices.
-            Err(_) if policy == BankPolicy::Low => {
-                self.alloc_avoiding_inner(hemisphere, rows, cols, policy, max_block, avoid, false)
-            }
+            Err(_) if policy == BankPolicy::Low => alloc(Take::Any),
             Err(e) => Err(e),
+        }
+    }
+
+    /// Like [`MemAllocator::alloc_avoiding`], for a constant: the host
+    /// writes it before the run, so in the High bank it takes only words no
+    /// activation has been handed yet — at or above the bank's `dirty_below`,
+    /// from the top of the bank down — since a freed activation's words are
+    /// written again during the run, over the constant.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OutOfMemory`] when no eligible slice can hold a block.
+    pub(crate) fn alloc_constant(
+        &mut self,
+        hemisphere: Option<Hemisphere>,
+        rows: u32,
+        cols: u16,
+        policy: BankPolicy,
+        max_block: u32,
+        avoid: &[(Hemisphere, u8)],
+    ) -> Result<TensorHandle, OutOfMemory> {
+        match policy {
+            BankPolicy::Low => {
+                self.alloc_avoiding(hemisphere, rows, cols, policy, max_block, avoid)
+            }
+            BankPolicy::High => self.alloc_avoiding_inner(
+                hemisphere,
+                rows,
+                cols,
+                policy,
+                max_block,
+                avoid,
+                Take::Fresh,
+            ),
         }
     }
 
@@ -254,7 +316,7 @@ impl MemAllocator {
         policy: BankPolicy,
         max_block: u32,
         avoid: &[(Hemisphere, u8)],
-        restrict_low: bool,
+        take: Take,
     ) -> Result<TensorHandle, OutOfMemory> {
         assert!(rows > 0, "zero-row tensor");
         assert!((1..=320).contains(&cols), "cols {cols} out of range");
@@ -280,13 +342,20 @@ impl MemAllocator {
                 // their ports free for activation/spill streaming — otherwise
                 // weight-read bursts touch every port on the chip and
                 // stream-dictated writes can find no landing window.
-                if restrict_low && policy == BankPolicy::Low && s >= LOW_INNER_SLICES {
+                if take == Take::Inner && policy == BankPolicy::Low && s >= LOW_INNER_SLICES {
                     continue;
                 }
                 if avoid.contains(&(h, s)) || blocks.iter().any(|&(bh, bs, _)| (bh, bs) == (h, s)) {
                     continue;
                 }
-                if let Some(base) = self.list(h, s, policy).take(rows_per_block as u16) {
+                let list = self.list(h, s, policy);
+                let words = rows_per_block as u16;
+                let base = if take == Take::Fresh {
+                    list.take_fresh(words)
+                } else {
+                    list.take(words)
+                };
+                if let Some(base) = base {
                     blocks.push((h, s, base));
                     self.cursor = self.cursor + probe + 1;
                     placed = true;
@@ -575,6 +644,28 @@ mod tests {
         assert!(a.is_dirty(&beyond), "starts inside the freed region");
         let fresh = alloc_there(&mut a, 10);
         assert!(!a.is_dirty(&fresh), "past everything ever freed");
+    }
+
+    #[test]
+    fn a_high_bank_constant_takes_no_word_an_activation_had() {
+        let mut a = MemAllocator::new();
+        let slices = 2 * MEM_SLICES_PER_HEMISPHERE as usize;
+        let acts: Vec<TensorHandle> = (0..slices)
+            .map(|_| a.alloc(100, 320, BankPolicy::High, 4096).unwrap())
+            .collect();
+        acts.iter().for_each(|t| a.free(t));
+        let constant = a
+            .alloc_constant(None, 10, 320, BankPolicy::High, 4096, &[])
+            .unwrap();
+        assert_eq!(
+            constant.layout.blocks[0].2,
+            2 * BANK_WORDS - 10,
+            "top of the bank"
+        );
+        assert!(!a.is_dirty(&constant));
+        // An activation still reuses the freed words first.
+        let act = a.alloc(10, 320, BankPolicy::High, 4096).unwrap();
+        assert_eq!(act.layout.blocks[0].2, BANK_WORDS);
     }
 
     #[test]

@@ -231,12 +231,15 @@ impl Scheduler {
     /// a hemisphere and keeping off the slices in `avoid` — other tensors
     /// streamed at the same time, whose queues the constant's reads would
     /// wait behind. A model whose constants outgrow their bank (ResNet-152
-    /// fills 97 % of the Low one) borrows from the activations': a constant
-    /// is never freed, so it is as safe there, only no longer apart — and
-    /// better there than on a slice to avoid: a weight block on the slices of
-    /// its conv's shortcut keeps the shortcut's rows from meeting the chain on
-    /// time, however late the chain is retried. Only when neither bank has
-    /// room off them are those slices taken.
+    /// fills 97 % of the Low one) borrows from the activations', on words no
+    /// activation has had yet (`MemAllocator::alloc_constant`: a freed
+    /// activation's words are written again during the run, after the host
+    /// has emplaced the constant); a constant is never freed, so it is as
+    /// safe there, only no longer apart — and better there than on a slice
+    /// to avoid: a weight block on the slices of its conv's shortcut keeps
+    /// the shortcut's rows from meeting the chain on time, however late the
+    /// chain is retried. Only when neither bank has room off them are those
+    /// slices taken.
     ///
     /// # Panics
     ///
@@ -255,7 +258,7 @@ impl Scheduler {
             .into_iter()
             .find_map(|(bank, avoid)| {
                 (self.alloc)
-                    .alloc_avoiding(hemisphere, n, cols, bank, max_block, avoid)
+                    .alloc_constant(hemisphere, n, cols, bank, max_block, avoid)
                     .ok()
             })
             .expect("SRAM exhausted for constant");

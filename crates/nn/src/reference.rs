@@ -1,4 +1,4 @@
-//! Host-side reference executors.
+//! Host-side reference executors: one graph walk in two arithmetics.
 //!
 //! * [`run_fp32`] — floating-point forward pass, used for training-side
 //!   accuracy and quantization calibration.
@@ -7,13 +7,19 @@
 //!   requantization, int8 saturation, zero-padded pooling), so a compiled
 //!   model run on the simulator must reproduce this executor exactly; any
 //!   divergence is a compiler or simulator bug, not "numerics".
+//!
+//! Both are the one walker `run`: the op match, the tap walk, the
+//! output-channel blocking and the pools are written once, and each executor
+//! is an `Arith` — element and accumulator types, the multiply-accumulate,
+//! and the epilogue that turns a weighted layer's sum into an element.
+//! Neither checks the other: each keeps its own exact arithmetic.
 
-use crate::graph::{Graph, Op};
+use crate::graph::{Graph, Op, Params};
 use crate::quant::QuantGraph;
 
-/// A node value during fp32 execution: `Map` data is `[y][x][c]` row-major.
+/// A node value: `Map` data is `[y][x][c]` row-major.
 #[derive(Debug, Clone)]
-pub enum ValueF {
+pub enum Value<T> {
     /// Spatial map.
     Map {
         /// Height.
@@ -23,29 +29,17 @@ pub enum ValueF {
         /// Channels.
         c: u32,
         /// `[y][x][c]` data.
-        data: Vec<f32>,
+        data: Vec<T>,
     },
     /// Flat vector.
-    Flat(Vec<f32>),
+    Flat(Vec<T>),
 }
 
+/// A node value during fp32 execution.
+pub type ValueF = Value<f32>;
+
 /// A node value during int8 execution.
-#[derive(Debug, Clone)]
-pub enum ValueQ {
-    /// Spatial map, `[y][x][c]`.
-    Map {
-        /// Height.
-        h: u32,
-        /// Width.
-        w: u32,
-        /// Channels.
-        c: u32,
-        /// `[y][x][c]` data.
-        data: Vec<i8>,
-    },
-    /// Flat vector.
-    Flat(Vec<i8>),
-}
+pub type ValueQ = Value<i8>;
 
 /// `v × 2^-shift`, round-half-away-from-zero (identical to the VXM convert).
 #[must_use]
@@ -75,178 +69,8 @@ pub fn sat8(v: i64) -> i8 {
 ///
 /// Panics if the image does not match the input shape or params are missing.
 #[must_use]
-pub fn run_fp32(graph: &Graph, params: &crate::graph::Params, image: &[f32]) -> Vec<ValueF> {
-    let mut values: Vec<ValueF> = Vec::with_capacity(graph.nodes.len());
-    for (i, node) in graph.nodes.iter().enumerate() {
-        let v = match &node.op {
-            Op::Input { h, w, c } => {
-                assert_eq!(image.len(), (h * w * c) as usize, "image size");
-                ValueF::Map {
-                    h: *h,
-                    w: *w,
-                    c: *c,
-                    data: image.to_vec(),
-                }
-            }
-            Op::Conv(spec) => {
-                let ValueF::Map { h, w, c, data } = &values[node.inputs[0]] else {
-                    panic!("conv on flat")
-                };
-                let cw = &params.conv[&i];
-                let (oh, ow) = out_hw(*h, *w, spec.k, spec.stride, spec.pad);
-                let mut out = vec![0f32; (oh * ow * spec.c_out) as usize];
-                let wr = reorder_conv_blocked(&cw.w, spec.c_out, *c, spec.k);
-                let cu = *c as usize;
-                let c_out = spec.c_out as usize;
-                let row = (spec.k * spec.k) as usize * cu;
-                let nblk = c_out.div_ceil(CO_BLOCK);
-                let mut taps: Vec<(usize, usize)> = Vec::with_capacity((spec.k * spec.k) as usize);
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        taps.clear();
-                        for ky in 0..spec.k {
-                            for kx in 0..spec.k {
-                                let iy = (oy * spec.stride + ky) as i64 - i64::from(spec.pad);
-                                let ix = (ox * spec.stride + kx) as i64 - i64::from(spec.pad);
-                                if iy < 0 || ix < 0 || iy >= i64::from(*h) || ix >= i64::from(*w) {
-                                    continue;
-                                }
-                                taps.push((
-                                    ((iy as u32 * *w + ix as u32) * *c) as usize,
-                                    ((ky * spec.k + kx) * *c) as usize,
-                                ));
-                            }
-                        }
-                        let obase = ((oy * ow + ox) * spec.c_out) as usize;
-                        for blk in 0..nblk {
-                            let wb = &wr[blk * row * CO_BLOCK..(blk + 1) * row * CO_BLOCK];
-                            let mut acc = [0f32; CO_BLOCK];
-                            for &(ibase, wbase) in &taps {
-                                let xs = &data[ibase..ibase + cu];
-                                let ws = &wb[wbase * CO_BLOCK..(wbase + cu) * CO_BLOCK];
-                                for (j, &x) in xs.iter().enumerate() {
-                                    let wj = &ws[j * CO_BLOCK..j * CO_BLOCK + CO_BLOCK];
-                                    for b in 0..CO_BLOCK {
-                                        acc[b] += x * wj[b];
-                                    }
-                                }
-                            }
-                            let live = (c_out - blk * CO_BLOCK).min(CO_BLOCK);
-                            for (b, &a) in acc.iter().enumerate().take(live) {
-                                out[obase + blk * CO_BLOCK + b] =
-                                    if spec.relu { a.max(0.0) } else { a };
-                            }
-                        }
-                    }
-                }
-                ValueF::Map {
-                    h: oh,
-                    w: ow,
-                    c: spec.c_out,
-                    data: out,
-                }
-            }
-            Op::MaxPool { k, stride, pad } => {
-                let ValueF::Map { h, w, c, data } = &values[node.inputs[0]] else {
-                    panic!("pool on flat")
-                };
-                let (oh, ow) = out_hw(*h, *w, *k, *stride, *pad);
-                let mut out = vec![0f32; (oh * ow * c) as usize];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        for ch in 0..*c {
-                            // Zero-padded max (matches the kernel: the
-                            // materialized border is zero).
-                            let mut m = f32::MIN;
-                            for ky in 0..*k {
-                                for kx in 0..*k {
-                                    let iy = (oy * stride + ky) as i64 - i64::from(*pad);
-                                    let ix = (ox * stride + kx) as i64 - i64::from(*pad);
-                                    let v = if iy < 0
-                                        || ix < 0
-                                        || iy >= i64::from(*h)
-                                        || ix >= i64::from(*w)
-                                    {
-                                        0.0
-                                    } else {
-                                        data[((iy as u32 * *w + ix as u32) * *c + ch) as usize]
-                                    };
-                                    m = m.max(v);
-                                }
-                            }
-                            out[((oy * ow + ox) * c + ch) as usize] = m;
-                        }
-                    }
-                }
-                ValueF::Map {
-                    h: oh,
-                    w: ow,
-                    c: *c,
-                    data: out,
-                }
-            }
-            Op::GlobalAvgPool => {
-                let ValueF::Map { h, w, c, data } = &values[node.inputs[0]] else {
-                    panic!("gap on flat")
-                };
-                let n = (*h * *w) as f32;
-                let out: Vec<f32> = (0..*c)
-                    .map(|ch| {
-                        (0..*h * *w)
-                            .map(|p| data[(p * *c + ch) as usize])
-                            .sum::<f32>()
-                            / n
-                    })
-                    .collect();
-                ValueF::Flat(out)
-            }
-            Op::Dense { out: o, relu } => {
-                let x: &[f32] = match &values[node.inputs[0]] {
-                    ValueF::Flat(v) => v,
-                    ValueF::Map { .. } => panic!("dense on map"),
-                };
-                let dw = &params.dense[&i];
-                let inp = dw.inp as usize;
-                let out: Vec<f32> = (0..*o as usize)
-                    .map(|oi| {
-                        let row = &dw.w[oi * inp..(oi + 1) * inp];
-                        let mut acc = 0f32;
-                        for (&xv, &wv) in x.iter().zip(row) {
-                            acc += xv * wv;
-                        }
-                        if *relu {
-                            acc.max(0.0)
-                        } else {
-                            acc
-                        }
-                    })
-                    .collect();
-                ValueF::Flat(out)
-            }
-            Op::Add { relu } => match (&values[node.inputs[0]], &values[node.inputs[1]]) {
-                (ValueF::Map { h, w, c, data: a }, ValueF::Map { data: b, .. }) => ValueF::Map {
-                    h: *h,
-                    w: *w,
-                    c: *c,
-                    data: a
-                        .iter()
-                        .zip(b)
-                        .map(|(x, y)| {
-                            let s = x + y;
-                            if *relu {
-                                s.max(0.0)
-                            } else {
-                                s
-                            }
-                        })
-                        .collect(),
-                },
-                _ => panic!("add on flats"),
-            },
-        };
-        values.push(v);
-    }
-    values
+pub fn run_fp32(graph: &Graph, params: &Params, image: &[f32]) -> Vec<ValueF> {
+    run(graph, params, image)
 }
 
 /// Runs the bit-exact int8 forward pass on a pre-quantized `[y][x][c]` image.
@@ -256,28 +80,134 @@ pub fn run_fp32(graph: &Graph, params: &crate::graph::Params, image: &[f32]) -> 
 /// Panics on shape mismatches.
 #[must_use]
 pub fn run_int8(q: &QuantGraph, image: &[i8]) -> Vec<ValueQ> {
-    let graph = &q.graph;
-    let mut values: Vec<ValueQ> = Vec::with_capacity(graph.nodes.len());
+    run(&q.graph, q, image)
+}
+
+/// The element arithmetic of one reference executor.
+trait Arith {
+    /// An activation or weight; its default is zero.
+    type Elem: Copy + Default;
+    /// A dot product's running sum; its default is zero.
+    type Acc: Copy + Default;
+    /// What a weighted layer's epilogue needs besides the sum.
+    type Shift: Copy;
+    /// Below every element: the seed of a max pool.
+    const MIN: Self::Elem;
+    /// `acc + x·w`.
+    fn mac(acc: Self::Acc, x: Self::Elem, w: Self::Elem) -> Self::Acc;
+    /// The larger of two elements.
+    fn max(a: Self::Elem, b: Self::Elem) -> Self::Elem;
+    /// A residual add.
+    fn add(a: Self::Elem, b: Self::Elem) -> Self::Elem;
+    /// A weighted layer's sum as an element.
+    fn epilogue(acc: Self::Acc, shift: Self::Shift) -> Self::Elem;
+    /// Conv node `node`'s `[co][ci][ky][kx]` weights and epilogue shift.
+    fn conv(&self, node: usize) -> (&[Self::Elem], Self::Shift);
+    /// Dense node `node`'s `[out][in]` weights and epilogue shift.
+    fn dense(&self, node: usize) -> (&[Self::Elem], Self::Shift);
+    /// Global-average-pool node `node`'s output for one channel's `n` values.
+    fn gap(&self, node: usize, column: impl Iterator<Item = Self::Elem>, n: u32) -> Self::Elem;
+
+    /// The element, through a fused ReLU when `relu`.
+    fn relu(x: Self::Elem, relu: bool) -> Self::Elem {
+        if relu {
+            Self::max(x, Self::Elem::default())
+        } else {
+            x
+        }
+    }
+}
+
+/// fp32: plain float arithmetic, the sum as it is.
+impl Arith for Params {
+    type Elem = f32;
+    type Acc = f32;
+    type Shift = ();
+    const MIN: f32 = f32::MIN;
+    fn mac(acc: f32, x: f32, w: f32) -> f32 {
+        acc + x * w
+    }
+    fn max(a: f32, b: f32) -> f32 {
+        a.max(b)
+    }
+    fn add(a: f32, b: f32) -> f32 {
+        a + b
+    }
+    fn epilogue(acc: f32, (): ()) -> f32 {
+        acc
+    }
+    fn conv(&self, node: usize) -> (&[f32], ()) {
+        (&self.conv[&node].w, ())
+    }
+    fn dense(&self, node: usize) -> (&[f32], ()) {
+        (&self.dense[&node].w, ())
+    }
+    fn gap(&self, _: usize, column: impl Iterator<Item = f32>, n: u32) -> f32 {
+        column.sum::<f32>() / n as f32
+    }
+}
+
+/// int8: the TSP's — sums in the MXM's wrapping int32 accumulators,
+/// requantized by a per-layer shift and saturated; residual adds saturate.
+impl Arith for QuantGraph {
+    type Elem = i8;
+    type Acc = i32;
+    type Shift = i8;
+    const MIN: i8 = i8::MIN;
+    fn mac(acc: i32, x: i8, w: i8) -> i32 {
+        acc.wrapping_add(i32::from(x) * i32::from(w))
+    }
+    fn max(a: i8, b: i8) -> i8 {
+        a.max(b)
+    }
+    fn add(a: i8, b: i8) -> i8 {
+        a.saturating_add(b)
+    }
+    fn epilogue(acc: i32, shift: i8) -> i8 {
+        sat8(shift_round(acc.into(), shift))
+    }
+    fn conv(&self, node: usize) -> (&[i8], i8) {
+        let qc = &self.conv[&node];
+        (&qc.w, qc.shift)
+    }
+    fn dense(&self, node: usize) -> (&[i8], i8) {
+        let qd = &self.dense[&node];
+        (&qd.w, qd.shift)
+    }
+    fn gap(&self, node: usize, column: impl Iterator<Item = i8>, _: u32) -> i8 {
+        sat8(shift_round(
+            column.map(i64::from).sum(),
+            self.gap_shift[&node],
+        ))
+    }
+}
+
+/// The forward pass of `graph` in `arith`'s arithmetic; returns per-node
+/// values.
+fn run<A: Arith>(graph: &Graph, arith: &A, image: &[A::Elem]) -> Vec<Value<A::Elem>> {
+    let mut values: Vec<Value<A::Elem>> = Vec::with_capacity(graph.nodes.len());
     for (i, node) in graph.nodes.iter().enumerate() {
+        let map = |n: usize, what: &str| match &values[node.inputs[n]] {
+            Value::Map { h, w, c, data } => (*h, *w, *c, data.as_slice()),
+            Value::Flat(_) => panic!("{what} on flat"),
+        };
         let v = match &node.op {
-            Op::Input { h, w, c } => {
+            &Op::Input { h, w, c } => {
                 assert_eq!(image.len(), (h * w * c) as usize, "image size");
-                ValueQ::Map {
-                    h: *h,
-                    w: *w,
-                    c: *c,
+                Value::Map {
+                    h,
+                    w,
+                    c,
                     data: image.to_vec(),
                 }
             }
             Op::Conv(spec) => {
-                let ValueQ::Map { h, w, c, data } = &values[node.inputs[0]] else {
-                    panic!("conv on flat")
-                };
-                let qc = &q.conv[&i];
-                let (oh, ow) = out_hw(*h, *w, spec.k, spec.stride, spec.pad);
-                let mut out = vec![0i8; (oh * ow * spec.c_out) as usize];
-                let wr = reorder_conv_blocked(&qc.w, spec.c_out, *c, spec.k);
-                let cu = *c as usize;
+                let (h, w, c, data) = map(0, "conv");
+                let (weights, shift) = arith.conv(i);
+                let (oh, ow) = out_hw(h, w, spec.k, spec.stride, spec.pad);
+                let mut out = vec![A::Elem::default(); (oh * ow * spec.c_out) as usize];
+                let wr = reorder_conv_blocked(weights, spec.c_out, c, spec.k);
+                let cu = c as usize;
                 let c_out = spec.c_out as usize;
                 let row = (spec.k * spec.k) as usize * cu;
                 let nblk = c_out.div_ceil(CO_BLOCK);
@@ -287,144 +217,104 @@ pub fn run_int8(q: &QuantGraph, image: &[i8]) -> Vec<ValueQ> {
                         taps.clear();
                         for ky in 0..spec.k {
                             for kx in 0..spec.k {
-                                let iy = (oy * spec.stride + ky) as i64 - i64::from(spec.pad);
-                                let ix = (ox * spec.stride + kx) as i64 - i64::from(spec.pad);
-                                if iy < 0 || ix < 0 || iy >= i64::from(*h) || ix >= i64::from(*w) {
-                                    continue;
+                                if let Some(at) =
+                                    tap(h, w, spec.stride, spec.pad, (oy, ox), (ky, kx))
+                                {
+                                    taps.push((at * cu, ((ky * spec.k + kx) * c) as usize));
                                 }
-                                taps.push((
-                                    ((iy as u32 * *w + ix as u32) * *c) as usize,
-                                    ((ky * spec.k + kx) * *c) as usize,
-                                ));
                             }
                         }
                         let obase = ((oy * ow + ox) * spec.c_out) as usize;
                         for blk in 0..nblk {
                             let wb = &wr[blk * row * CO_BLOCK..(blk + 1) * row * CO_BLOCK];
-                            let mut acc = [0i64; CO_BLOCK];
+                            let mut acc = [A::Acc::default(); CO_BLOCK];
                             for &(ibase, wbase) in &taps {
                                 let xs = &data[ibase..ibase + cu];
                                 let ws = &wb[wbase * CO_BLOCK..(wbase + cu) * CO_BLOCK];
                                 for (j, &x) in xs.iter().enumerate() {
                                     let wj = &ws[j * CO_BLOCK..j * CO_BLOCK + CO_BLOCK];
                                     for b in 0..CO_BLOCK {
-                                        acc[b] += i64::from(x) * i64::from(wj[b]);
+                                        acc[b] = A::mac(acc[b], x, wj[b]);
                                     }
                                 }
                             }
                             let live = (c_out - blk * CO_BLOCK).min(CO_BLOCK);
                             for (b, &a) in acc.iter().enumerate().take(live) {
-                                let mut y = sat8(shift_round(a, qc.shift));
-                                if spec.relu {
-                                    y = y.max(0);
-                                }
-                                out[obase + blk * CO_BLOCK + b] = y;
+                                out[obase + blk * CO_BLOCK + b] =
+                                    A::relu(A::epilogue(a, shift), spec.relu);
                             }
                         }
                     }
                 }
-                ValueQ::Map {
+                Value::Map {
                     h: oh,
                     w: ow,
                     c: spec.c_out,
                     data: out,
                 }
             }
-            Op::MaxPool { k, stride, pad } => {
-                let ValueQ::Map { h, w, c, data } = &values[node.inputs[0]] else {
-                    panic!("pool on flat")
-                };
-                let (oh, ow) = out_hw(*h, *w, *k, *stride, *pad);
-                let mut out = vec![0i8; (oh * ow * c) as usize];
+            &Op::MaxPool { k, stride, pad } => {
+                let (h, w, c, data) = map(0, "pool");
+                let (oh, ow) = out_hw(h, w, k, stride, pad);
+                let mut out = Vec::with_capacity((oh * ow * c) as usize);
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        for ch in 0..*c {
-                            let mut m = i8::MIN;
-                            for ky in 0..*k {
-                                for kx in 0..*k {
-                                    let iy = (oy * stride + ky) as i64 - i64::from(*pad);
-                                    let ix = (ox * stride + kx) as i64 - i64::from(*pad);
-                                    let v = if iy < 0
-                                        || ix < 0
-                                        || iy >= i64::from(*h)
-                                        || ix >= i64::from(*w)
-                                    {
-                                        0
-                                    } else {
-                                        data[((iy as u32 * *w + ix as u32) * *c + ch) as usize]
-                                    };
-                                    m = m.max(v);
+                        for ch in 0..c as usize {
+                            // Zero-padded max (matches the kernel: the
+                            // materialized border is zero).
+                            let mut m = A::MIN;
+                            for ky in 0..k {
+                                for kx in 0..k {
+                                    let v = tap(h, w, stride, pad, (oy, ox), (ky, kx))
+                                        .map_or_else(A::Elem::default, |at| {
+                                            data[at * c as usize + ch]
+                                        });
+                                    m = A::max(m, v);
                                 }
                             }
-                            out[((oy * ow + ox) * c + ch) as usize] = m;
+                            out.push(m);
                         }
                     }
                 }
-                ValueQ::Map {
+                Value::Map {
                     h: oh,
                     w: ow,
-                    c: *c,
+                    c,
                     data: out,
                 }
             }
             Op::GlobalAvgPool => {
-                let ValueQ::Map { h, w, c, data } = &values[node.inputs[0]] else {
-                    panic!("gap on flat")
+                let (h, w, c, data) = map(0, "gap");
+                let column = |ch| (0..h * w).map(move |p| data[(p * c + ch) as usize]);
+                Value::Flat((0..c).map(|ch| arith.gap(i, column(ch), h * w)).collect())
+            }
+            &Op::Dense { out: o, relu } => {
+                let Value::Flat(x) = &values[node.inputs[0]] else {
+                    panic!("dense on map")
                 };
-                let shift = q.gap_shift[&i];
-                let out: Vec<i8> = (0..*c)
-                    .map(|ch| {
-                        let sum: i64 = (0..*h * *w)
-                            .map(|p| i64::from(data[(p * *c + ch) as usize]))
-                            .sum();
-                        sat8(shift_round(sum, shift))
+                let (weights, shift) = arith.dense(i);
+                // The first `o` rows: a trained head may hold more.
+                let out = (weights.chunks_exact(x.len()).take(o as usize))
+                    .map(|row| {
+                        let acc = (x.iter().zip(row))
+                            .fold(A::Acc::default(), |acc, (&xv, &wv)| A::mac(acc, xv, wv));
+                        A::relu(A::epilogue(acc, shift), relu)
                     })
                     .collect();
-                ValueQ::Flat(out)
+                Value::Flat(out)
             }
-            Op::Dense { out: o, relu } => {
-                let x: &[i8] = match &values[node.inputs[0]] {
-                    ValueQ::Flat(v) => v,
-                    ValueQ::Map { .. } => panic!("dense on map"),
-                };
-                let qd = &q.dense[&i];
-                let inp = qd.inp as usize;
-                let out: Vec<i8> = (0..*o as usize)
-                    .map(|oi| {
-                        let row = &qd.w[oi * inp..(oi + 1) * inp];
-                        let acc: i64 = x
-                            .iter()
-                            .zip(row)
-                            .map(|(&xv, &wv)| i64::from(xv) * i64::from(wv))
-                            .sum();
-                        let mut y = sat8(shift_round(acc, qd.shift));
-                        if *relu {
-                            y = y.max(0);
-                        }
-                        y
-                    })
-                    .collect();
-                ValueQ::Flat(out)
-            }
-            Op::Add { relu } => match (&values[node.inputs[0]], &values[node.inputs[1]]) {
-                (ValueQ::Map { h, w, c, data: a }, ValueQ::Map { data: b, .. }) => ValueQ::Map {
-                    h: *h,
-                    w: *w,
-                    c: *c,
-                    data: a
-                        .iter()
-                        .zip(b)
-                        .map(|(x, y)| {
-                            let mut s = x.saturating_add(*y);
-                            if *relu {
-                                s = s.max(0);
-                            }
-                            s
-                        })
+            &Op::Add { relu } => {
+                let (h, w, c, a) = map(0, "add");
+                let (_, _, _, b) = map(1, "add");
+                Value::Map {
+                    h,
+                    w,
+                    c,
+                    data: (a.iter().zip(b))
+                        .map(|(&x, &y)| A::relu(A::add(x, y), relu))
                         .collect(),
-                },
-                _ => panic!("add on flats"),
-            },
+                }
+            }
         };
         values.push(v);
     }
@@ -459,6 +349,21 @@ fn reorder_conv_blocked<T: Copy + Default>(w: &[T], c_out: u32, ci: u32, k: u32)
         }
     }
     out
+}
+
+/// The input pixel (`y·w + x`) that window tap `(ky, kx)` of output
+/// `(oy, ox)` reads, or `None` on the zero-padding border.
+fn tap(
+    h: u32,
+    w: u32,
+    stride: u32,
+    pad: u32,
+    (oy, ox): (u32, u32),
+    (ky, kx): (u32, u32),
+) -> Option<usize> {
+    let iy = (oy * stride + ky).checked_sub(pad).filter(|&y| y < h)?;
+    let ix = (ox * stride + kx).checked_sub(pad).filter(|&x| x < w)?;
+    Some((iy * w + ix) as usize)
 }
 
 fn out_hw(h: u32, w: u32, k: u32, stride: u32, pad: u32) -> (u32, u32) {

@@ -202,19 +202,19 @@ fn overwritten_shipped_rows(model: &CompiledModel) -> usize {
 }
 
 /// No program overwrites its own weights: compiled, not run, every data
-/// write of `small_cnn`, `resnet_tiny` and ResNet-50 / 101 at 224×224 lands
-/// off the rows the host ships. (ResNet-152's High-bank constants are
-/// overwritten today — its known miscompile — so it is left out; the restore
-/// set puts those rows back before a rerun.)
+/// write of `small_cnn`, `resnet_tiny` and ResNet-50 / 101 / 152 at 224×224
+/// lands off the rows the host ships — ResNet-152's included, whose
+/// constants overflow into the High bank, where activations live.
 #[test]
 fn no_data_write_lands_on_a_shipped_constant_row() {
     let standard =
         |depth| common::synthetic_quant(&resnet(depth, 224, 1000, &Widths::standard(), 7).0);
-    let models: [(&str, &dyn Fn() -> QuantGraph); 4] = [
+    let models: [(&str, &dyn Fn() -> QuantGraph); 5] = [
         ("small_cnn", &|| small().0),
         ("resnet_tiny", &|| tiny().0),
         ("resnet50", &|| standard(50)),
         ("resnet101", &|| standard(101)),
+        ("resnet152", &|| standard(152)),
     ];
     for (name, quant) in models {
         let model = compile(&quant(), &CompileOptions::default());

@@ -432,7 +432,7 @@ impl Chip {
                 cycle: t,
                 icu,
             })?;
-        if !check || !self.config.ecc_enabled || word.is_pristine() {
+        if !check || word.is_pristine() {
             return Ok(word);
         }
         let check_bits = word.check();
