@@ -4,9 +4,9 @@
 //! persistent fault on every dispatch (so the breaker quarantines it).
 //!
 //! Every number in the report is simulated — the model's emplace and restore,
-//! the service time, how many of each chip's batches emplaced (their head
-//! request was charged the emplace; the model stays resident after the
-//! first), the good / shed / failed / missed /
+//! the service time, each layer's span of a run, how many of each chip's
+//! batches emplaced (their head request was charged the emplace; the model
+//! stays resident after the first), the good / shed / failed / missed /
 //! quarantined counts, the p50 / p99 latency and the flight recorder's
 //! non-success requests — so the report is byte-identical run to run, and a
 //! change that moves serving shows in the capture's diff.
@@ -78,6 +78,13 @@ pub fn render() -> (String, ServeResult) {
         spec.mean_interarrival,
         spec.deadline
     );
+    // Where a run's cycles go: each layer's span on the compiled schedule
+    // (layers lowered inside another, like the im2col input, take none).
+    let spans: Vec<String> = (model.model.layer_spans.iter())
+        .filter(|span| span.end > span.start)
+        .map(|span| format!("{} {}..{}", span.name, span.start, span.end))
+        .collect();
+    let _ = writeln!(out, "layers: {}", spans.join("  "));
     let per_chip: Vec<String> = (0..POOL)
         .map(|chip| {
             let batches = result.batches.iter().filter(|b| b.chip == chip);

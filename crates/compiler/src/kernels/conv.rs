@@ -108,8 +108,10 @@ pub struct MapLayout {
     pub hemisphere: Hemisphere,
     /// Copies of the `c` channels every stored row holds side by side, copy
     /// `t` at lanes `t·group_lanes(c)..` (what a K-packed conv's or a
-    /// lane-packed pool's `Gather` needs). Only a conv writes more than one,
-    /// its weights tiled along M ([`ConvWeights::out_copies`]).
+    /// lane-packed pool's `Gather` needs). A conv writes more than one, its
+    /// weights tiled along M ([`ConvWeights::out_copies`]); a max pool that
+    /// cannot pack pixels by them passes its input's through
+    /// ([`crate::kernels::pool::pooled_lanes`]).
     pub lane_copies: u32,
     /// Lane groups the pixels of a row are dealt over: above 1, pixel `x`
     /// holds its `c` channels at lanes `(x mod lane_skew)·group_lanes(c)..`

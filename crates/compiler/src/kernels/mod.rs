@@ -18,7 +18,7 @@ pub use matmul::{
     emplace_weight_blocks, lw_rows, matmul, plane_of_chain, ActFeed, MatmulOpts, WeightSet,
 };
 pub use matmul::{schedule_plane_chain, schedule_requant_write, Int32Stream, Pass};
-pub use pool::{global_avg_pool, max_pool, packed_pixels, pixels_per_row, MaxPoolParams};
+pub use pool::{global_avg_pool, max_pool, pixels_per_row, pooled_lanes, MaxPoolParams};
 
 /// Helpers shared by the kernels' unit tests.
 #[cfg(test)]

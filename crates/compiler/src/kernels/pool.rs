@@ -8,7 +8,7 @@
 //!
 //! **Lane packing.** A `c`-channel pixel fills `c` of the 320 lanes every one
 //! of those `max` issues works on, so when the input is lane-replicated
-//! ([`MapLayout::lane_copies`]` = G`, written so by the conv producing it) a
+//! ([`MapLayout::lane_copies`]` = G`, written so by a conv upstream) a
 //! VXM row carries `G` horizontally adjacent *output* pixels instead of one:
 //! each tap stream is a MEM `Gather` putting the tap's input pixel of output
 //! `x_g` into lane group `g`, the `max` tree — lane-agnostic — is unchanged
@@ -19,8 +19,16 @@
 //! nothing by repeating its weights at every lane group. A row's last vector,
 //! when `G` does not divide the width, covers the last `G` pixels again —
 //! each in the lane group its `x mod G` names — so no lane ever holds
-//! anything but a pooled pixel. Which path a pool takes follows from its
-//! input alone; a host-written or unreplicated map is pooled a pixel per row.
+//! anything but a pooled pixel.
+//!
+//! **Copies pass through.** An output row narrower than the input's copies
+//! (`G > ow`) cannot take a pixel per copy, so it is pooled a pixel per row
+//! with plain `Read`s and `Write`s — and since `max` is lane-wise, a row of
+//! `G` copies of a pixel pools to `G` copies of the pooled pixel: the output
+//! keeps the input's [`MapLayout::lane_copies`], for the conv that reads it
+//! to pack its taps by. Which path a pool takes follows from its input alone
+//! ([`pooled_lanes`]); a host-written or unreplicated map is pooled a pixel
+//! per row into one copy.
 //!
 //! **Global average pool** rides the MXM: identity weights are installed and
 //! the N pixel rows streamed through while `ACC` *accumulates into a single
@@ -70,16 +78,18 @@ pub fn pixels_per_row(c: u32, ow: u32) -> u32 {
     (320 / group_lanes(c)).clamp(1, ow.max(1))
 }
 
-/// Output pixels a [`max_pool`] does put in one VXM row of an `ow`-pixel-wide
-/// output (`G`) given an input in `lane_copies` copies: a pixel per copy —
-/// or one, when the row has fewer pixels than that, since the spare copies
-/// would end up where the skewed output must be zero.
+/// The lanes a [`max_pool`] writes to an `ow`-pixel-wide output given an
+/// input in `lane_copies` copies, as `(lane_skew, lane_copies)`: a pixel per
+/// copy in one VXM row (`G`, skewed) — or, when the row has fewer pixels than
+/// that, one pixel a row that keeps the input's copies, since `max` is
+/// lane-wise and spare copies would end up where a skewed output must be
+/// zero. The one rule both the kernel and `tsp-nn`'s planner read.
 #[must_use]
-pub fn packed_pixels(lane_copies: u32, ow: u32) -> u32 {
+pub fn pooled_lanes(lane_copies: u32, ow: u32) -> (u32, u32) {
     if lane_copies <= ow {
-        lane_copies
+        (lane_copies, 1)
     } else {
-        1
+        (1, lane_copies)
     }
 }
 
@@ -145,9 +155,10 @@ impl Store {
 }
 
 /// Schedules a k×k max pool over a feature map. Returns the output map and
-/// completion cycle. A lane-replicated input is pooled [`packed_pixels`] per
-/// VXM row into a lane-skewed output (see the module docs), anything else
-/// one pixel per row.
+/// completion cycle. A lane-replicated input is pooled `G` pixels per VXM row
+/// into a lane-skewed output, or, in more copies than the output row has
+/// pixels, a pixel per row into as many copies ([`pooled_lanes`], see the
+/// module docs); anything else one pixel per row.
 ///
 /// # Panics
 ///
@@ -165,14 +176,16 @@ pub fn max_pool(
     let k = params.kernel;
     let oh = (input.h + 2 * params.pad - k) / params.stride + 1;
     let ow = (input.w + 2 * params.pad - k) / params.stride + 1;
-    let groups = packed_pixels(input.layout.lane_copies, ow);
+    let (groups, lane_copies) = pooled_lanes(input.layout.lane_copies, ow);
     let packing = LanePacking { ow, groups };
     let vectors = packing.vectors();
     let n = oh * vectors;
-    // Packed, the output is skewed (whole padded rows a block: a vector's
-    // pixels share a slice).
+    // Packed, the output is skewed; unpacked, it keeps the input's copies
+    // (either way whole padded rows a block: a vector's pixels, or a
+    // gather's taps, share a slice).
     let layout = MapLayout {
         lane_skew: groups,
+        lane_copies,
         ..MapLayout::plain(params.out_pad, params.out_hemisphere, params.out_replicas)
     };
     let out = FeatureMap::alloc(s, (oh, ow, input.c), layout);
@@ -651,9 +664,9 @@ mod tests {
     }
 
     /// One pool shape to check against the scalar reference: the input is
-    /// produced on chip by an identity 1×1 conv writing the lane copies the
-    /// pool packs by ([`pixels_per_row`]; one from 161 channels, which pools
-    /// a pixel per row).
+    /// produced on chip by an identity 1×1 conv writing `copies` lane copies
+    /// (by default those the pool packs by, [`pixels_per_row`]; one from 161
+    /// channels, which pools a pixel per row).
     #[derive(Clone, Copy)]
     struct Case {
         hw: (u32, u32),
@@ -665,6 +678,8 @@ mod tests {
         /// Replicas of the input: fewer than k² pools in rounds.
         in_replicas: u8,
         out_replicas: u8,
+        /// Lane copies of the input, if not the pixels the pool packs.
+        copies: Option<u32>,
     }
 
     impl Case {
@@ -678,13 +693,15 @@ mod tests {
                 out_pad: 0,
                 in_replicas: (kernel * kernel) as u8,
                 out_replicas: 1,
+                copies: None,
             }
         }
     }
 
     /// Compiles and runs `case` on a scheduler prepared by `prepare`, then
     /// checks **every lane** of every stored row of every output replica:
-    /// pixel `x` holds the window maximum at lane group `x mod G`, and every
+    /// pixel `x` holds the window maximum at lane group `x mod G` — or, when
+    /// the pool keeps the input's copies, at every copy's group — and every
     /// other lane — the other groups, the lanes past the channels, the border
     /// — reads zero.
     fn run_pool_case_on(case: Case, prepare: impl FnOnce(&mut Scheduler, &mut Chip)) {
@@ -702,13 +719,14 @@ mod tests {
         prepare(&mut s, &mut chip);
         let oh = (h + 2 * pad - k) / stride + 1;
         let ow = (w + 2 * pad - k) / stride + 1;
-        let groups = pixels_per_row(c, ow);
+        let copies = case.copies.unwrap_or(pixels_per_row(c, ow));
+        let (groups, kept) = pooled_lanes(copies, ow);
 
         let host = alloc_feature_map(&mut s, h, w, c, 0, Hemisphere::West, 4);
         let identity = emplace_conv(
             &mut s,
             (1, c, c),
-            (1, 1, groups),
+            (1, 1, copies),
             (1, 1, &[]),
             |co, ci, _, _| i8::from(co == ci),
         );
@@ -719,7 +737,7 @@ mod tests {
             ..Conv2dParams::default()
         };
         let (input, _) = conv2d(&mut s, &host, &identity, &producer);
-        assert_eq!(input.layout.lane_copies, groups);
+        assert_eq!(input.layout.lane_copies, copies);
         let params = MaxPoolParams {
             kernel: k,
             stride,
@@ -730,7 +748,8 @@ mod tests {
             not_before: 0,
         };
         let (out, _) = max_pool(&mut s, &input, &params);
-        assert_eq!((out.h, out.w, out.layout.lane_skew), (oh, ow, groups));
+        let lanes = (out.layout.lane_skew, out.layout.lane_copies);
+        assert_eq!((out.h, out.w, lanes), (oh, ow, (groups, kept)));
         load_constants(&mut chip, &mut s);
         let program = s.into_program().expect("valid schedule");
 
@@ -777,7 +796,14 @@ mod tests {
                         py.wrapping_sub(out.layout.pad),
                         px.wrapping_sub(out.layout.pad),
                     );
-                    let own = pixel && lane / gl == ox % groups && lane % gl < c;
+                    let group = lane / gl;
+                    let own = pixel
+                        && lane % gl < c
+                        && if kept > 1 {
+                            group < kept
+                        } else {
+                            group == ox % groups
+                        };
                     let want = if own { expect(oy, ox, lane % gl) } else { 0 };
                     assert_eq!(
                         got.lane(lane as usize) as i8,
@@ -853,6 +879,29 @@ mod tests {
             in_replicas: 4,
             ..Case::new((9, 13), 64, (3, 2, 1))
         });
+    }
+
+    /// Rows narrower than the input's copies: the pool pools a pixel per row
+    /// and keeps the copies — nine of 12 channels, five of 64 — with a border
+    /// and four replicas, in rounds, and on recycled SRAM.
+    #[test]
+    fn a_pool_narrower_than_its_input_copies_keeps_them() {
+        for (c, copies) in [(12, 9), (64, 5)] {
+            let case = Case {
+                copies: Some(copies),
+                ..Case::new((9, 9), c, (2, 2, 0))
+            };
+            run_pool_case(case);
+            run_pool_case(Case {
+                out_pad: 1,
+                out_replicas: 4,
+                in_replicas: 2,
+                ..case
+            });
+            run_pool_case_on(case, |s, chip| dirty_sram(s, chip, &Hemisphere::ALL, 256));
+        }
+        assert_eq!(pooled_lanes(9, 4), (1, 9));
+        assert_eq!(pooled_lanes(4, 4), (4, 1));
     }
 
     /// Producer and pool both on recycled SRAM pre-filled with `0x55`: a

@@ -20,16 +20,19 @@
 //!   with one `Gather`, which needs every row written `G` times side by side
 //!   — free for a conv (its weights tiled `G×` along M), and only if *every*
 //!   reader packs. A pool packs when only convs read it and the shorter chain
-//!   pays for the gather/scatter maps. A lane-replicated map always has a
+//!   pays for the gather/scatter maps. A pool asked for more copies than its
+//!   row has pixels keeps them instead — `max` is lane-wise — and asks its
+//!   input for as many. A lane-replicated map a conv reads always has a
 //!   border: a gather that would cross into the next block reads the block's
 //!   first row for zero.
 //!
 //! What a producer **wrote** flows down (one forward sweep):
 //!
-//! * **Lane skew** — a pool given `G` lane copies leaves pixel `x` at lane
-//!   group `x mod G`; the convs reading it tile their weights `G×` along K.
-//!   Such a pool writes opposite its input: its tap maps flow out through one
-//!   hemisphere, its maxima and scatter maps through the other.
+//! * **Lane skew** — a pool given `G ≤ ow` lane copies leaves pixel `x` at
+//!   lane group `x mod G`; the convs reading it tile their weights `G×` along
+//!   K. Such a pool writes opposite its input: its tap maps flow out through
+//!   one hemisphere, its maxima and scatter maps through the other. Given
+//!   more, it writes them as it got them.
 //! * **Residual fusion and sides** — an `Add` whose later operand is a conv
 //!   without ReLU that nothing else reads runs as that conv's requant tail
 //!   (paper §II-E chaining), each chain adding its own rows of the other
@@ -54,7 +57,7 @@ use tsp_arch::{ChipConfig, Hemisphere, Vector};
 use tsp_compiler::alloc::BankPolicy;
 use tsp_compiler::kernels::{
     conv2d_add, conv_passes, emplace_conv, emplace_weight_blocks, global_avg_pool, lw_rows, matmul,
-    max_pool, packed_pixels, packed_taps, pixels_per_row, plane_of_chain, taps_per_pass, ActFeed,
+    max_pool, packed_taps, pixels_per_row, plane_of_chain, pooled_lanes, taps_per_pass, ActFeed,
     ChunkPass, Conv2dParams, FeatureMap, MapLayout, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
 };
 use tsp_compiler::{ConstantRows, RestoreSet, RowRuns, Scheduler, TensorHandle};
@@ -377,10 +380,10 @@ fn emplace_dense(s: &mut Scheduler, q: &QDense, avoid: &[(Hemisphere, u8)]) -> W
 /// Fewest VXM cycles a lane-packed pool must save. Packing is not free: its
 /// `k² + replicas` map streams hold a score of slice queues to the end of the
 /// pool — a neighbouring conv waiting to prefetch weights from one of them
-/// starts that much later — a `Gather` and a `Scatter` are slower than a
-/// `Read` and a `Write`, and the maps' rows are paid at every emplace. On
-/// `small_cnn`'s 36-pixel pool (30 cycles to save) that came to `p1` −20,
-/// `c2` +17 and 48 more constant rows.
+/// starts that much later — and a `Gather` and a `Scatter` are slower than a
+/// `Read` and a `Write`. (The maps' rows cost an emplace, once per chip a
+/// model stays resident on.) Packing `small_cnn`'s 36-pixel `p1` (30 cycles
+/// to save) came to `p1` −20 and `c2` +17.
 const MIN_PACKED_SAVING: u32 = 64;
 
 /// What [`plan`] decided for one node.
@@ -399,8 +402,9 @@ pub struct NodePlan {
 
 /// What node `i` — its own output layout `out` final — needs of the map on
 /// each of its input edges: `(border, replicas, lane copies)`, the copies
-/// above 1 only where it would pack that many taps or pixels. `conv_readers`:
-/// whether `i` itself is read by convs and nothing else.
+/// above 1 only where it would pack that many taps or pixels, or pass them
+/// through. `conv_readers`: whether `i` itself is read by convs and nothing
+/// else.
 fn need(
     graph: &Graph,
     shapes: &[Shape],
@@ -418,14 +422,20 @@ fn need(
             };
             (spec.pad, 4, taps_per_pass(spec.k, c))
         }
-        // A replica per tap. The pool packs `G` pixels a VXM row when only
-        // convs — the one kind of reader a lane-skewed map has — read it and
-        // the shorter chain saves at least `MIN_PACKED_SAVING` cycles.
+        // A replica per tap. A pool keeping its readers' copies (more than
+        // its width: `pooled_lanes`) asks its input for them. Otherwise it
+        // packs `G` pixels a VXM row when only convs — the one kind of reader
+        // a lane-skewed map has — read it and the shorter chain saves at
+        // least `MIN_PACKED_SAVING` cycles.
         (Op::MaxPool { k, pad, .. }, Shape::Map { h, w, c }) => {
             let groups = pixels_per_row(c, w);
             let saving = h * w - h * w.div_ceil(groups);
             let packs = conv_readers && saving >= MIN_PACKED_SAVING;
-            (*pad, (k * k).min(9) as u8, if packs { groups } else { 1 })
+            let copies = match out.lane_copies {
+                1 if packs => groups,
+                copies => copies,
+            };
+            (*pad, (k * k).min(9) as u8, copies)
         }
         // An add's operands are cut exactly like its output.
         (Op::Add { .. }, _) => (out.pad, 1, 1),
@@ -439,18 +449,21 @@ fn need(
 /// **Needs flow up**, in one reverse sweep: a node's layout is final before
 /// its inputs are visited, so each folds what it `need`s into them — the
 /// widest border, the most replicas, and lane copies only if *every* reader
-/// packs (then the most any asks for; only a conv can write them, and always
-/// with a border). A node nothing reads, unless it is the output, asks for
+/// packs (then the most any asks for). A conv writes them, or a pool keeps
+/// its input's when they are more than its row has pixels — and asks its
+/// input for them. A node nothing reads, unless it is the output, asks for
 /// nothing.
 ///
 /// **Placement flows down**, in one forward sweep: a pool given lane copies
-/// writes a skewed map, in the hemisphere opposite its input's (pinned there);
+/// writes a skewed map, in the hemisphere opposite its input's (pinned
+/// there), or keeps the copies it cannot pack pixels by ([`pooled_lanes`]);
 /// an `Add` is computed by its later operand when that
 /// is a conv without ReLU and with no other reader, the other operand (the
 /// shortcut) is cut into the conv's own output blocks — conv-written itself,
 /// a conv or a fused add of the same shape — and is not the conv's own input,
 /// and that input can go to the hemisphere opposite the shortcut's; an add
-/// for which that cannot be arranged stays a kernel of its own.
+/// for which that cannot be arranged stays a kernel of its own. Last, a map
+/// with lane copies that a conv reads gets a border.
 #[must_use]
 pub fn plan(graph: &Graph, shapes: &[Shape]) -> Vec<NodePlan> {
     let nodes = &graph.nodes;
@@ -465,25 +478,23 @@ pub fn plan(graph: &Graph, shapes: &[Shape]) -> Vec<NodePlan> {
         })
         .collect();
     plans[last].layout.replicas = 1;
-    // Per node: its readers, and whether they are all convs.
+    // Per node: its readers, and how many of them are convs.
     let mut readers = vec![0usize; nodes.len()];
-    let mut conv_readers = vec![true; nodes.len()];
+    let mut conv_readers = vec![0usize; nodes.len()];
     for (i, node) in nodes.iter().enumerate().rev() {
         if plans[i].layout.replicas == 0 {
             continue;
         }
         let is_conv = matches!(node.op, Op::Conv(_));
-        if !is_conv {
-            plans[i].layout.lane_copies = 1;
-        }
-        // A gather across two padded rows takes the first row of a block for
-        // zero: a lane-replicated map always has a border.
-        if plans[i].layout.lane_copies > 1 {
-            plans[i].layout.pad = plans[i].layout.pad.max(1);
-        }
+        let l = &mut plans[i].layout;
+        l.lane_copies = match (&node.op, shapes[i]) {
+            (Op::Conv(_), _) => l.lane_copies,
+            (Op::MaxPool { .. }, Shape::Map { w, .. }) => pooled_lanes(l.lane_copies, w).1,
+            _ => 1,
+        };
         let out = plans[i].layout;
-        let (pad, replicas, copies) =
-            need(graph, shapes, i, &out, readers[i] > 0 && conv_readers[i]);
+        let only_convs = readers[i] > 0 && conv_readers[i] == readers[i];
+        let (pad, replicas, copies) = need(graph, shapes, i, &out, only_convs);
         for &inp in &node.inputs {
             let l = &mut plans[inp].layout;
             l.pad = l.pad.max(pad);
@@ -499,7 +510,7 @@ pub fn plan(graph: &Graph, shapes: &[Shape]) -> Vec<NodePlan> {
                 1
             };
             readers[inp] += 1;
-            conv_readers[inp] &= is_conv;
+            conv_readers[inp] += usize::from(is_conv);
         }
     }
 
@@ -529,8 +540,8 @@ pub fn plan(graph: &Graph, shapes: &[Shape]) -> Vec<NodePlan> {
         lowered += 1;
         match (&node.op, node.inputs.as_slice(), shapes[i]) {
             (Op::MaxPool { .. }, &[input], Shape::Map { w, .. }) => {
-                let skew = packed_pixels(plans[input].layout.lane_copies, w);
-                plans[i].layout.lane_skew = skew;
+                let (skew, copies) = pooled_lanes(plans[input].layout.lane_copies, w);
+                (plans[i].layout.lane_skew, plans[i].layout.lane_copies) = (skew, copies);
                 // A packed pool's tap maps flow outward through its input's
                 // hemisphere and its partial maxima, results and scatter
                 // maps outward through its output's: on one side they are
@@ -570,6 +581,15 @@ pub fn plan(graph: &Graph, shapes: &[Shape]) -> Vec<NodePlan> {
     for add in 1..nodes.len() {
         if let (Op::Add { .. }, Some(conv)) = (&nodes[add].op, plans[add].host) {
             plans[conv].layout = plans[add].layout;
+        }
+    }
+    // A conv's gather across two padded rows takes the first row of a block
+    // for zero: a lane-replicated map a conv reads has a border (a pool needs
+    // none: it pools whole rows, or pixels). Only now are a pool's copies
+    // known: its input's may exceed what its readers asked for.
+    for (plan, &convs) in plans.iter_mut().zip(&conv_readers) {
+        if plan.layout.lane_copies > 1 && convs > 0 {
+            plan.layout.pad = plan.layout.pad.max(1);
         }
     }
     plans

@@ -9,7 +9,7 @@ mod common;
 
 use common::{conv, linear, Net, STEM_POOL};
 use tsp_compiler::kernels::conv::group_lanes;
-use tsp_compiler::kernels::{packed_pixels, packed_taps, taps_per_pass, MapLayout};
+use tsp_compiler::kernels::{packed_taps, pooled_lanes, taps_per_pass, MapLayout};
 use tsp_isa::encode::encode_sequence;
 use tsp_nn::compile::{compile, plan, CompileOptions};
 use tsp_nn::graph::{ConvSpec, Graph, Op, Shape};
@@ -128,6 +128,24 @@ fn odd_graphs() -> Vec<(&'static str, Net, usize)> {
             (net, tail)
         });
     }
+    // The stem's other reader, a 5×5 conv, asks for 20 copies, more than
+    // the pool's 12 pixels a row: the pool keeps them, and its unpadded 3×3
+    // reader — which asked for nine, few enough to pack pixels by — packs
+    // nine taps, so the pooled map needs a border after all.
+    case("a pool given more copies than its row by another reader", {
+        let (mut net, stem) = stemmed(24, 16);
+        let wide = net.conv("wide", stem, conv(16, 5));
+        let pool = net.pool("pool", stem, (2, 2, 0));
+        let unpadded = ConvSpec {
+            pad: 0,
+            ..conv(16, 3)
+        };
+        let narrow = net.conv("narrow", pool, unpadded);
+        let gap = net.pool("down", wide, (2, 2, 0));
+        let down = net.pool("down2", gap, (3, 1, 0));
+        let tail = net.add("add", down, narrow);
+        (net, tail)
+    });
     // Panicked "im2col path supports c_out ≤ 320" while only the patch's
     // width decided who takes the im2col path.
     case(
@@ -199,17 +217,32 @@ fn every_producer_writes_what_its_consumers_read() {
             if !live(i) {
                 continue;
             }
-            // What each kind of kernel can write.
+            // What each kind of kernel can write: copies from a conv, or
+            // from a pool that keeps its input's — more than it has pixels
+            // a row, one pixel a row.
             let conv_written = matches!(node.op, Op::Conv(_));
-            assert!(out.lane_copies == 1 || conv_written, "{}: copies", at(i));
+            let pooled = matches!(node.op, Op::MaxPool { .. });
+            let kept = match shapes[i] {
+                Shape::Map { w, .. } => pooled && out.lane_skew == 1 && out.lane_copies > w,
+                Shape::Flat { .. } => false,
+            };
+            assert!(
+                out.lane_copies == 1 || conv_written || kept,
+                "{}: copies",
+                at(i)
+            );
             assert!(
                 out.lane_copies == 1 || out.lane_copies * group_lanes(channels(&shapes, i)) <= 320,
                 "{}: copies overflow the lanes",
                 at(i)
             );
-            // A gather may take a block's first row for zero.
-            assert!(out.lane_copies == 1 || out.pad >= 1, "{}: border", at(i));
-            let pooled = matches!(node.op, Op::MaxPool { .. });
+            // A conv's gather may take a block's first row for zero.
+            let conv_read = readers(i).any(|(_, n)| matches!(n.op, Op::Conv(_)));
+            assert!(
+                out.lane_copies == 1 || !conv_read || out.pad >= 1,
+                "{}: border",
+                at(i)
+            );
             assert!(out.lane_skew == 1 || pooled, "{}: skew", at(i));
 
             // What it reads, edge by edge.
@@ -249,7 +282,8 @@ fn every_producer_writes_what_its_consumers_read() {
                     }
                     // A pool packs by the copies it is given, and then
                     // writes opposite its input (its tap maps flow out one
-                    // way, its maxima and scatter maps the other).
+                    // way, its maxima and scatter maps the other) — or, given
+                    // more than its row has pixels, keeps them.
                     (Op::MaxPool { .. }, Shape::Map { w, .. }) => {
                         assert_eq!(edge.lane_skew, 1, "{}: skewed input", at(i));
                         assert!(
@@ -258,8 +292,8 @@ fn every_producer_writes_what_its_consumers_read() {
                             at(i)
                         );
                         assert_eq!(
-                            out.lane_skew,
-                            packed_pixels(edge.lane_copies, w),
+                            (out.lane_skew, out.lane_copies),
+                            pooled_lanes(edge.lane_copies, w),
                             "{}",
                             at(i)
                         );

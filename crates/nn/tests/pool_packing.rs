@@ -1,7 +1,9 @@
 //! Lane-packed max pools at graph level: which pools pack is a function of
 //! the graph's shapes alone — a conv-written input, conv consumers only, and
-//! a saving worth the maps — every other pool keeps the pixel-per-row path,
-//! and either way the logits are the host int8 reference's, bit for bit.
+//! a saving worth the maps — every other pool keeps the pixel-per-row path
+//! (passing through the copies its readers ask for when they are more than
+//! its row has pixels), and either way the logits are the host int8
+//! reference's, bit for bit.
 
 mod common;
 
@@ -99,8 +101,10 @@ fn a_pool_without_a_conv_consumer_does_not_pack() {
 }
 
 /// `small_cnn`'s 36-pixel pool has 30 cycles to save, under the 64 that
-/// packing must: it stays as it was (and with it the served model's cycles
-/// and constants).
+/// packing must, and its reader `c2` asks for nine copies, more than the six
+/// pixels of a row: it pools a pixel per row and keeps the stem's nine
+/// copies. The only maps are `c2`'s — one nine-tap gather pass, a map row
+/// per pixel — none the pool's.
 #[test]
 fn a_pool_too_small_to_pay_for_its_maps_does_not_pack() {
     let data = synthetic(11, 12, 12, 2, 4, 6);
@@ -109,8 +113,33 @@ fn a_pool_too_small_to_pay_for_its_maps_does_not_pack() {
     let qi = q.quantize_image(&data.images[0]);
     let (model, chip) = run(&q, &qi);
     assert_eq!(model.read_logits(&chip), final_flat_q(&run_int8(&q, &qi)));
-    assert_eq!(skew(&model, 2), 1);
-    assert_eq!(map_rows(&model), 0);
+    assert_eq!((skew(&model, 2), map(&model, 2).layout.lane_copies), (1, 9));
+    assert_eq!(map_rows(&model), 6 * 6, "c2's gather alone");
+}
+
+/// conv → 2×2/2 pool → 3×3 conv over 64 channels, whose passes take five
+/// taps. On 8×8 the pool's rows (4 pixels) are narrower than that: it keeps
+/// the stem's five copies and the consumer runs ⌈9/5⌉ = 2 passes. On 16×16
+/// (8 pixels a row) packing would save 48 cycles, under 64: nothing is
+/// replicated, nine single-tap passes. On 24×24 (12 pixels) the pool packs
+/// five pixels a row as before, and the consumer reads the skewed map a tap
+/// a pass. Every logit is the int8 reference's.
+#[test]
+fn a_pool_narrower_than_its_readers_taps_keeps_the_copies() {
+    for (hw, lanes, passes) in [(8, (1, 5), 2), (16, (1, 1), 9), (24, (5, 1), 9)] {
+        let mut net = Net::new(hw);
+        let stem = net.conv("stem", 0, conv(64, 3));
+        let pool = net.pool("pool", stem, (2, 2, 0));
+        let last = net.conv("c2", pool, conv(32, 3));
+        let model = net.check(last);
+        let out = map(&model, pool).layout;
+        assert_eq!((out.lane_skew, out.lane_copies), lanes, "{hw}×{hw}");
+        // The consumer's weight blocks, a pass each: the only 320-row
+        // constants a 64-channel tap wide or more (the stem's are 27 lanes,
+        // GAP's and the head's 32).
+        let blocks = (model.constants.iter()).filter(|(t, _)| t.rows == 320 && t.cols >= 64);
+        assert_eq!(blocks.count(), passes, "{hw}×{hw}");
+    }
 }
 
 /// The head of standard-width ResNet-50 on a 64×64 input, through the first

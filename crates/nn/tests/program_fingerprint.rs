@@ -19,7 +19,7 @@ const GOLDENS: [(&str, u64, u64); 5] = [
     ("resnet101", 65_506, 1_640_226_068_994_973_281),
     ("resnet152", 101_567, 17_045_075_984_506_239_665),
     ("resnet_tiny", 2_050, 11_443_601_316_057_677_279),
-    ("small_cnn", 1_200, 5_582_881_341_638_099_433),
+    ("small_cnn", 935, 14_649_848_554_114_647_928),
 ];
 
 fn graph(model: &str) -> Graph {

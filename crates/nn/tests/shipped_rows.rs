@@ -225,18 +225,18 @@ fn no_data_write_lands_on_a_shipped_constant_row() {
 }
 
 #[test]
-fn small_cnn_ships_212_rows_and_they_change_no_observable() {
+fn small_cnn_ships_632_rows_and_they_change_no_observable() {
     let (q, image) = small();
     let batch = compile_batch_cached(&q, &CompileOptions::default(), 4);
     let model = &batch.model;
-    // c1: four 12-row blocks; c2: nine 16-row blocks; GAP: a 16-row identity;
-    // fc: a 4-row head.
+    // c1: four 140-row blocks (its 12 channels tiled nine times along M, the
+    // last copy's 12 rows ending the block); c2: one 16-row block of all
+    // nine taps and its gather's 36 map rows; GAP: a 16-row identity; fc: a
+    // 4-row head.
     let mut shipped: Vec<usize> = model.constants.iter().map(|(_, r)| r.len()).collect();
     shipped.sort_unstable();
-    let mut want = vec![4, 12, 12, 12, 12];
-    want.extend([16; 10]);
-    assert_eq!(shipped, want);
-    assert_eq!(batch.model.emplace_cycles(), 212);
+    assert_eq!(shipped, [4, 16, 16, 36, 140, 140, 140, 140]);
+    assert_eq!(batch.model.emplace_cycles(), 632);
     assert_unshipped_rows_read_zero(model);
     assert!(
         check(model, &image, true, 0x5171, 97) > 0,

@@ -19,7 +19,7 @@
 //!    ([`ResidentChip`]), and each request is charged what readied its chip
 //!    ([`ServedRequest::ready`]): the model's restore on the resident chip,
 //!    its emplace on a new one — the member's first request, and the first
-//!    after a request or batch that dropped the chip. Each retry adds a
+//!    after a request that dropped the chip. Each retry adds a
 //!    [`backoff`] and a re-emplace. Every completion cycle is re-derivable
 //!    from the batch sequence alone, which is what
 //!    [`crate::verify::verify_accounting`] checks.
@@ -166,8 +166,9 @@ pub struct ServedRequest {
     pub final_cycles: Option<u64>,
     /// Cycles that readied the chip for the first attempt: the model's
     /// restore on the chip it stayed resident on, its emplace on a new chip
-    /// (the pool member's first request, and the first after a request or
-    /// batch that dropped the chip).
+    /// (the pool member's first request, and the first after a request that
+    /// dropped the chip: one whose last attempt was struck or did not
+    /// complete).
     pub ready: u64,
     /// Total backoff cycles charged between attempts.
     pub backoff: u64,
@@ -337,7 +338,7 @@ struct Assignment {
     requests: Vec<Request>,
     strike: ChaosStrike,
     /// The pool member's resident chip, lent to the batch and handed back
-    /// unless the batch was struck or failed.
+    /// as the batch's last request left it.
     resident: Option<ResidentChip>,
 }
 
@@ -689,9 +690,10 @@ fn shed(r: &Request, why: Rejected) -> Response {
 /// [`ResilientOptions::strike`]: a *transient* strike hits the batch's head
 /// request only; a *persistent* one hits **every** request of the batch (a
 /// stuck cell survives the per-attempt chip rebuild), so each budget
-/// deterministically exhausts. A batch that was struck, or whose requests
-/// did not all complete first time, drops its chip: the pool member's next
-/// batch emplaces onto a new one.
+/// deterministically exhausts. The chip stays resident exactly as
+/// `run_resilient` leaves it — after an unstruck, completing attempt — so a
+/// batch whose last request ended so hands its chip to the pool member's
+/// next batch, struck or retried before or not.
 fn run_assignment(
     model: &BatchModel,
     chip: &ChipConfig,
@@ -712,10 +714,6 @@ fn run_assignment(
         let image = &inputs[request.input];
         let result = run_resilient(&model.model, chip, image, &options, &mut a.resident);
         runs.push((warm, result));
-    }
-    let first_time = |(_, result): &RowRun| matches!(result, Ok(report) if report.attempts == 1 && report.completed());
-    if !matches!(a.strike, ChaosStrike::None) || !runs.iter().all(first_time) {
-        a.resident = None;
     }
     runs
 }

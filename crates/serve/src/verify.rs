@@ -27,9 +27,9 @@ use crate::server::{backoff_total, ServeConfig, ServeResult};
 /// 2. residency, re-derived row by row from each chip's batch sequence
 ///    alone: a row's `ready` is the model's restore when its chip is
 ///    resident and the model's emplace when not. The chip is resident
-///    after a row that completed with its last attempt unstruck; at the
-///    start of a batch, when the pool member's previous batch drew no chaos
-///    and every row of it completed first time. Every row's
+///    after a row that completed with its last attempt unstruck, and so at
+///    the start of a batch exactly when the pool member's previous batch's
+///    last row left it so, struck or retried before or not. Every row's
 ///    backoff and re-emplace match the capped-exponential retry charges,
 ///    every row's completion cycle equals the dispatch plus the prefix of
 ///    services, and the batch's finish cycle closes the sum;
@@ -161,9 +161,8 @@ pub fn verify_accounting(
                 batch.finished
             ));
         }
-        let first_time = (batch.served.iter()).all(|r| r.attempts == 1 && r.final_cycles.is_some());
         if let Some(slot) = resident.get_mut(batch.chip) {
-            *slot = batch.chaos == "none" && first_time;
+            *slot = warm;
         }
     }
 

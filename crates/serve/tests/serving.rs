@@ -3,7 +3,8 @@
 //! degrade throughput without ever degrading answers (logits bit-identical
 //! to a fault-free serial oracle), the circuit breaker quarantines a chip
 //! drawing persistent faults, a pool member keeps the model resident from
-//! batch to batch, and the whole accounting re-derives cleanly — for
+//! batch to batch — across a struck batch whose retries completed — and the
+//! whole accounting re-derives cleanly — for
 //! hand-picked cases and for seeded random configurations alike.
 
 use std::collections::HashMap;
@@ -270,6 +271,55 @@ fn chaos_transient_strikes_retry_to_bit_identical_logits() {
     assert!(result.chips[0].retries_sram > 0, "attributed to chip 0");
     assert_eq!(result.chips[1].retries_sram, 0, "chip 1 ran clean");
     verify_accounting(&requests, &result, &model, &config).expect("accounting re-derives");
+}
+
+/// One chip, every dispatch struck transiently: a struck batch whose head
+/// row's retry completed leaves its chip resident, so the next batch's head
+/// row is charged the restore, not the emplace — and `verify_accounting`
+/// re-derives that row, refusing it forged back to an emplace.
+#[test]
+fn a_retried_batch_that_completed_keeps_its_chip_resident() {
+    let (model, inputs) = workload(2);
+    let (e, r) = (model.model.emplace_cycles(), model.model.restore_cycles());
+    assert_ne!(e, r);
+    let requests = requests_at(&[(0, 0), (0, 1), (0, 2), (0, 0)], 100_000_000);
+    let config = ServeConfig {
+        pool: 1,
+        chaos: Some(ChaosSpec {
+            chips: vec![0],
+            strike_per_mille: 1000,
+            targeted_double: true,
+            ..ChaosSpec::off(0xC0FFEE)
+        }),
+        health: HealthConfig {
+            trip_score: 1_000_000,
+        },
+        ..ServeConfig::default()
+    };
+    let result = serve(&model, &config, &inputs, &requests).expect("serves");
+    assert_eq!(result.completed(), requests.len(), "transients all recover");
+    let [first, second] = result.batches.as_slice() else {
+        panic!("two batches of two: {:?}", result.batches)
+    };
+    assert_eq!((first.chaos, second.chaos), ("transient", "transient"));
+    let head = &first.served[0];
+    assert!(head.attempts > 1, "the strike forced a retry: {head:?}");
+    assert!(head.final_cycles.is_some(), "and the retry completed");
+    assert_eq!(head.ready, e, "the member's first request emplaces");
+    assert_eq!(first.served[1].ready, r, "the retry's chip stayed");
+    assert_eq!(second.served[0].ready, r, "and is handed to the next batch");
+    verify_accounting(&requests, &result, &model, &config).expect("accounting re-derives");
+
+    let mut forged = result;
+    forged.batches[1].served[0].ready = e;
+    let violations = verify_accounting(&requests, &forged, &model, &config)
+        .expect_err("the head row after a retried batch charged an emplace must be caught");
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.contains(&format!("ready {e} != derived {r} on a warm chip"))),
+        "{violations:?}"
+    );
 }
 
 #[test]
