@@ -3,36 +3,13 @@
 //! reuse is bound by weight (memory) traffic — the sloped region; high reuse
 //! saturates toward the 820 TeraOp/s MXM peak (one plane = 205 TeraOp/s).
 
-use tsp::compiler::kernels::matmul::{schedule_plane_chain, Pass};
 use tsp::prelude::*;
 use tsp_bench::fan_out;
-use tsp_isa::Plane;
+use tsp_bench::workloads::roofline_program;
 
 /// Cycles to install one plane's weights and stream `rows` activations.
 fn measure(rows: u32, planes: u8) -> u64 {
-    let mut sched = Scheduler::new();
-    let row_ids: Vec<u32> = (0..rows).collect();
-    for p in 0..planes {
-        let w = sched
-            .alloc
-            .alloc(320, 320, BankPolicy::Low, 20)
-            .expect("weights");
-        let x = sched
-            .alloc
-            .alloc(rows, 320, BankPolicy::High, 4096)
-            .expect("acts");
-        let _ = schedule_plane_chain(
-            &mut sched,
-            Plane::new(p),
-            &[Pass {
-                weights: &w,
-                acts: &x,
-                rows: &row_ids,
-            }],
-            0,
-        );
-    }
-    let program = sched.into_program().expect("schedule");
+    let program = roofline_program(rows, planes);
     let mut chip = Chip::new(ChipConfig::paper_1ghz());
     let report = chip
         .run(

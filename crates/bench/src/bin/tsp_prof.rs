@@ -135,7 +135,7 @@ fn main() {
     let mut chip = Chip::new(cfg.clone());
     let report = match (workload.as_str(), depth) {
         ("vector-add", _) => chip.run(&vector_add_program(), &options),
-        ("roofline", _) => chip.run(&roofline_program(), &options),
+        ("roofline", _) => chip.run(&roofline_program(4096, 4), &options),
         (_, Some(depth)) => {
             let (model, image) = resnet_model(depth);
             model.load_constants(&mut chip);

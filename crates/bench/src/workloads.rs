@@ -43,20 +43,21 @@ pub fn vector_add_program() -> Program {
     sched.into_program().unwrap()
 }
 
-/// Fig. 9's peak point: four planes each reusing one 320×320 weight set over
-/// 4096 activation rows (MXM-saturating; usually run timing-only).
+/// Fig. 9's roofline program: `planes` planes each reusing one 320×320
+/// weight set over `rows` activation rows. Its peak point, 4096 rows on all
+/// four planes, saturates the MXM (usually run timing-only).
 #[must_use]
-pub fn roofline_program() -> Program {
+pub fn roofline_program(rows: u32, planes: u8) -> Program {
     let mut sched = Scheduler::new();
-    let row_ids: Vec<u32> = (0..4096).collect();
-    for p in 0..4u8 {
+    let row_ids: Vec<u32> = (0..rows).collect();
+    for p in 0..planes {
         let w = sched
             .alloc
             .alloc(320, 320, BankPolicy::Low, 20)
             .expect("weights");
         let x = sched
             .alloc
-            .alloc(4096, 320, BankPolicy::High, 4096)
+            .alloc(rows, 320, BankPolicy::High, 4096)
             .expect("acts");
         let _ = schedule_plane_chain(
             &mut sched,

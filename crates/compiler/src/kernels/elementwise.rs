@@ -4,12 +4,18 @@
 //! read from MEM onto streams, intercepted at the VXM, and the results
 //! written to MEM on the far side — one row per cycle at steady state, no
 //! intermediate spills (paper §II-E).
+//!
+//! The op, and a chained ReLU, are the requant epilogue's VXM stages, and
+//! the results land through its writer, which allocates the outputs at
+//! write time (see [`mod@crate::kernels::matmul`]): a chain lands its rows the
+//! way a conv does, and is retried later the way a conv is when its ALUs,
+//! streams or write ports are busy.
 
 use tsp_arch::{Direction, Hemisphere, Slice, StreamGroup};
 use tsp_isa::{AluIndex, BinaryAluOp, DataType, UnaryAluOp, VxmOp, D_VXM};
-use tsp_sim::IcuId;
 
 use crate::alloc::BankPolicy;
+use crate::kernels::matmul::{vxm_stage, write_replicas, OutSpec};
 use crate::sched::Scheduler;
 use crate::tensor::TensorHandle;
 
@@ -30,10 +36,14 @@ pub fn tensor_hemisphere(t: &TensorHandle) -> Hemisphere {
 }
 
 /// Schedules a point-wise VXM chain over every row of the `inputs` (all the
-/// same row count), producing a fresh output tensor in `out_hemisphere`.
+/// same row count), producing `out_replicas` fresh output tensors in
+/// `out_hemisphere`. The op and its optional chained ReLU are VXM stages
+/// whose rows land the way a conv's do (`write_replicas`): an attempt that
+/// finds its ALUs, streams or write ports busy is rolled back and retried
+/// later ([`Scheduler::retry_later`]).
 ///
-/// `make_op` receives the chosen operand stream groups, the result group and
-/// the ALU, and returns the VXM instruction to repeat row by row.
+/// `make_op` receives the operand stream groups, the result group and the
+/// ALU, and returns the VXM instruction to repeat row by row.
 #[allow(clippy::too_many_arguments)]
 fn ew_chain(
     s: &mut Scheduler,
@@ -44,140 +54,66 @@ fn ew_chain(
     not_before: u64,
     out_replicas: u8,
     post_relu: bool,
-    make_op: impl FnOnce(&[StreamGroup], StreamGroup, AluIndex) -> VxmOp,
+    make_op: impl Fn(&[StreamGroup], StreamGroup, AluIndex) -> VxmOp,
 ) -> (Vec<TensorHandle>, u64) {
     let n = inputs[0].rows;
     assert!(inputs.iter().all(|t| t.rows == n), "row count mismatch");
     let rows: Vec<u32> = (0..n).collect();
     let vxm = Slice::Vxm.position();
-
-    // Choose operand streams (one per input, inward from its hemisphere),
-    // excluding ids already claimed in the same direction.
-    let mut t0 = not_before;
-    let mut groups = Vec::new();
-    let mut claimed_e: Vec<u8> = Vec::new();
-    let mut claimed_w: Vec<u8> = Vec::new();
-    let claim = |dir: Direction, id: u8, e: &mut Vec<u8>, w: &mut Vec<u8>| match dir {
-        Direction::East => e.push(id),
-        Direction::West => w.push(id),
-    };
-    for input in inputs {
-        let dir = Direction::inward_from(tensor_hemisphere(input));
-        let exclude = match dir {
-            Direction::East => claimed_e.clone(),
-            Direction::West => claimed_w.clone(),
-        };
-        let (streams, ready) = s.take_streams_excluding(dir, 1, t0, vxm, &exclude);
-        t0 = ready;
-        claim(dir, streams[0].id, &mut claimed_e, &mut claimed_w);
-        groups.push(StreamGroup::new(streams[0], 1));
-    }
-    // Result stream flows outward into the output hemisphere; a chained
-    // post-ReLU needs a second stream in the same direction.
     let out_dir = Direction::outward_from(out_hemisphere);
-    let mut exclude = match out_dir {
-        Direction::East => claimed_e.clone(),
-        Direction::West => claimed_w.clone(),
+    // The chain's own operand reads share no slice with its writes.
+    let out = OutSpec {
+        rows_total: n,
+        cols,
+        segments: vec![(0, n)],
+        border: Vec::new(),
+        hemisphere: out_hemisphere,
+        policy: out_policy,
+        replicas: out_replicas,
+        max_block: 4096,
+        avoid: inputs.iter().flat_map(|t| t.layout.slices()).collect(),
     };
-    let (out_streams, ready) = s.take_streams_excluding(out_dir, 1, t0 + D_VXM, vxm, &exclude);
-    t0 = ready - D_VXM;
-    let dst_group = StreamGroup::new(out_streams[0], 1);
-    exclude.push(dst_group.base.id);
-    let relu_group = if post_relu {
-        let (streams, ready) = s.take_streams_excluding(out_dir, 1, t0 + 2 * D_VXM, vxm, &exclude);
-        t0 = ready - 2 * D_VXM;
-        Some(StreamGroup::new(streams[0], 1))
-    } else {
-        None
-    };
-    let write_delay = if post_relu { 2 * D_VXM } else { D_VXM };
-
-    // An ALU for the op and, one stage later, another for the ReLU.
-    t0 = s.alu_chain_free(t0, 1 + usize::from(post_relu));
-    for input in inputs {
-        let dir = Direction::inward_from(tensor_hemisphere(input));
-        t0 = s.earliest_read_arrival(input, &rows, dir, vxm, t0);
-    }
-
-    // Allocate outputs before placing anything: if no slices have free
-    // write ports by t0 + D_VXM, push the whole chain later and retry.
-    // The kernel's *own* operand reads are scheduled after this allocation,
-    // so their slices must be excluded explicitly (the write lands only
-    // D_VXM + transit cycles behind the reads on any shared slice).
-    let input_slices: Vec<(Hemisphere, u8)> =
-        inputs.iter().flat_map(|t| t.layout.slices()).collect();
-    let mut dsts: Vec<TensorHandle> = Vec::new();
-    let mut avoid: Vec<(Hemisphere, u8)> = input_slices.clone();
-    'alloc: loop {
-        for _ in dsts.len()..usize::from(out_replicas.max(1)) {
-            match s.try_alloc_for_write(
-                Some(out_hemisphere),
-                n,
-                cols,
-                out_policy,
-                4096,
-                t0 + write_delay,
-                &avoid,
-            ) {
-                Some(t) => {
-                    avoid.extend(t.layout.slices());
-                    dsts.push(t);
-                }
-                None => {
-                    // Wait for the soonest eligible port and retry.
-                    t0 = s.port_quantile(out_hemisphere, 0.25).max(t0 + 1);
-                    for d in dsts.drain(..) {
-                        s.alloc.free(&d);
-                    }
-                    avoid = input_slices.clone();
-                    for input in inputs {
-                        let dir = Direction::inward_from(tensor_hemisphere(input));
-                        t0 = s.earliest_read_arrival(input, &rows, dir, vxm, t0);
-                    }
-                    continue 'alloc;
-                }
-            }
+    s.retry_later(out_hemisphere, not_before, 0.0, |s, floor| {
+        // One operand stream per input, inward from its hemisphere; a pick
+        // stays free however far later picks push `t0`, but its nominal hold
+        // may lapse before them, so later picks exclude it.
+        let mut t0 = floor;
+        let mut groups: Vec<StreamGroup> = Vec::new();
+        for input in inputs {
+            let dir = Direction::inward_from(tensor_hemisphere(input));
+            let exclude: Vec<u8> = (groups.iter())
+                .filter(|g| g.base.direction == dir)
+                .map(|g| g.base.id)
+                .collect();
+            let (streams, ready) = s.take_streams_excluding(dir, 1, t0, vxm, &exclude);
+            t0 = ready;
+            groups.push(StreamGroup::new(streams[0], 1));
         }
-        break;
-    }
-
-    // Stream operands in.
-    for (input, group) in inputs.iter().zip(&groups) {
-        s.read_rows(input, &rows, group.base, vxm, t0);
-    }
-    // The repeated ALU op.
-    let (alu, ready) = s.pick_alu(t0);
-    debug_assert_eq!(ready, t0, "priced by alu_chain_free");
-    let op = make_op(&groups, dst_group, alu);
-    s.place_burst(IcuId::Vxm { alu }, t0, u64::from(n), op);
-    s.occupy_stream(dst_group.base, vxm, t0 + D_VXM + u64::from(n));
-
-    // Optional chained ReLU: consumes the result stream at its birth
-    // position (the VXM) on a second ALU — no memory round trip (§II-E).
-    let final_group = if let Some(rg) = relu_group {
-        let (relu_alu, ready) = s.pick_alu(t0 + D_VXM);
-        debug_assert_eq!(ready, t0 + D_VXM, "priced by alu_chain_free");
-        let relu = VxmOp::Unary {
-            op: UnaryAluOp::Relu,
-            dtype: DataType::Int8,
-            src: dst_group,
-            dst: rg,
-            alu: relu_alu,
-        };
-        let icu = IcuId::Vxm { alu: relu_alu };
-        s.place_burst(icu, t0 + D_VXM, u64::from(n), relu);
-        rg
-    } else {
-        dst_group
-    };
-
-    // Results out: each replica taps the same flowing stream.
-    for dst in &dsts {
-        s.write_rows(dst, 0, n, final_group.base, vxm, t0 + write_delay);
-    }
-    let done = t0 + write_delay + u64::from(n);
-    s.note_completion(done);
-    (dsts, done)
+        t0 = s.alu_chain_free(t0, 1 + usize::from(post_relu));
+        for input in inputs {
+            let dir = Direction::inward_from(tensor_hemisphere(input));
+            t0 = s.earliest_read_arrival(input, &rows, dir, vxm, t0);
+        }
+        for (input, group) in inputs.iter().zip(&groups) {
+            s.read_rows(input, &rows, group.base, vxm, t0);
+        }
+        let n = u64::from(n);
+        let mut result = vxm_stage(s, t0, n, out_dir, &|dst, alu| make_op(&groups, dst, alu))?;
+        let mut t = t0 + D_VXM;
+        if post_relu {
+            let src = result;
+            result = vxm_stage(s, t, n, out_dir, &|dst, alu| VxmOp::Unary {
+                op: UnaryAluOp::Relu,
+                dtype: DataType::Int8,
+                src,
+                dst,
+                alu,
+            })?;
+            t += D_VXM;
+        }
+        write_replicas(s, result, t, n, &out)
+    })
+    .expect("even a fully-drained chip must have ports")
 }
 
 /// Copies a tensor into `out_hemisphere` (through a VXM `mask` pass-through —
@@ -443,6 +379,54 @@ mod tests {
                     x.saturating_add(y).max(0),
                     "row {r} lane {l}"
                 );
+            }
+        }
+    }
+
+    /// An add into East with every East slice but its operand's busy until
+    /// cycle 3,000: the chain is rolled back and pushed past the held ports
+    /// rather than writing into them, and lands its sums as soon as they
+    /// free.
+    #[test]
+    fn busy_output_ports_push_the_chain_later() {
+        let mut s = Scheduler::new();
+        let mut alloc = |h| {
+            s.alloc
+                .alloc_in(Some(h), 6, 320, BankPolicy::Low, 4096)
+                .unwrap()
+        };
+        let (a, b) = (alloc(Hemisphere::East), alloc(Hemisphere::West));
+        let operand: Vec<(Hemisphere, u8)> = a.layout.slices().collect();
+        for sl in 0..tsp_arch::MEM_SLICES_PER_HEMISPHERE {
+            if !operand.contains(&(Hemisphere::East, sl)) {
+                s.occupy_mem(Hemisphere::East, sl, 3_000);
+            }
+        }
+        let (dst, done) = binary_ew(
+            &mut s,
+            BinaryAluOp::AddSat,
+            &a,
+            &b,
+            Hemisphere::East,
+            BankPolicy::High,
+            0,
+        );
+        assert!((3_000..=3_010).contains(&done), "done at {done}");
+        assert_eq!(s.rollbacks(), 1, "one attempt found the ports held");
+        let program = s.into_program().expect("no queue double-booked");
+        let mut chip = Chip::new(ChipConfig::asic());
+        fill(&mut chip, &a, |r, l| {
+            (r as u8).wrapping_mul(3).wrapping_add(l as u8)
+        });
+        fill(&mut chip, &b, |r, _| 50 + r as u8);
+        chip.run(&program, &RunOptions::default())
+            .expect("clean run");
+        for r in 0..6 {
+            let got = chip.memory.read_unchecked(dst.row(r));
+            for l in 0..320 {
+                let x = (r as u8).wrapping_mul(3).wrapping_add(l as u8) as i8;
+                let y = (50 + r) as i8;
+                assert_eq!(got.lane(l) as i8, x.saturating_add(y), "row {r} lane {l}");
             }
         }
     }

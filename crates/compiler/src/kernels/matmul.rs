@@ -21,6 +21,16 @@
 //! per plane over its own share of the output rows (the paper's "four
 //! simultaneous conv2d" regime) — see [`crate::kernels::conv`].
 //!
+//! That epilogue is two halves, and they are the only way a VXM chain of
+//! this crate lands rows: `vxm_stage` issues one op on an ALU free at the
+//! cycle the chain dictates, onto a fresh outward stream the next stage
+//! consumes where it is born, and `write_replicas` allocates the output
+//! replicas once the write time is known, on slices whose ports are free
+//! by then, and writes them. The element-wise chains
+//! ([`crate::kernels::elementwise`]) and a max pool's carry use both; only a
+//! max pool's own output is allocated ahead (its scatter maps are keyed by
+//! its rows).
+//!
 //! ## Weight layout ("LW order")
 //!
 //! A weight handle has 320 rows: row `j·20 + r` is what stream `j` of the
@@ -320,20 +330,6 @@ impl PlaneChainBuilder {
         self.prev_iw_done
     }
 
-    /// Schedules the next pass: [`install`](PlaneChainBuilder::install) the
-    /// weights in `feed`, then [`feed`](PlaneChainBuilder::feed) `rows`
-    /// through them.
-    pub fn add_pass(
-        &mut self,
-        s: &mut Scheduler,
-        feed: WeightFeed,
-        acts: ActFeed<'_>,
-        rows: &[u32],
-    ) {
-        self.install(s, feed);
-        self.feed(s, acts, rows);
-    }
-
     /// Loads the weights in `feed` and installs them once the array has
     /// drained the previous feed.
     ///
@@ -482,7 +478,8 @@ pub fn schedule_plane_chain(
     let mut builder = PlaneChainBuilder::new(s, plane, n, not_before);
     for pass in passes {
         let feed = stream_weights(s, pass.weights, plane.hemisphere(), builder.lw_floor());
-        builder.add_pass(s, feed, ActFeed::Read(pass.acts), pass.rows);
+        builder.install(s, feed);
+        builder.feed(s, ActFeed::Read(pass.acts), pass.rows);
     }
     builder.finish()
 }
@@ -523,17 +520,15 @@ pub struct Shortcut<'a> {
 
 /// Requantizes an int32 row stream at the VXM to int8 (`2^-shift`,
 /// round-to-nearest, saturate), optionally adds a [`Shortcut`] (saturating)
-/// and applies ReLU, and writes the rows into freshly allocated replica
-/// tensors. Output tensors are allocated *after* the write time is known, on
-/// slices whose ports are free by then — so stream-dictated writes can never
-/// collide with earlier bursts — and their [`OutSpec::border`] is cleared in
-/// the window those free ports leave before the first row lands, or, when the
-/// window is too short, once the rows are in. Returns the replicas and the
-/// completion cycle.
+/// and applies ReLU, and writes the rows into replica tensors allocated once
+/// the write time is known, on slices whose ports are free by then, their
+/// [`OutSpec::border`] cleared (`write_replicas`). Returns the replicas and
+/// the completion cycle.
 ///
 /// # Errors
 ///
-/// Returns [`OutOfPorts`] when no slices with write ports free by the chain's
+/// Returns [`OutOfPorts`] when a stage finds no ALU or stream free at the
+/// cycle the chain dictates, no slices with write ports free by the chain's
 /// write time have room, or the shortcut's slices cannot deliver its rows in
 /// step with the chain — the caller should roll back (via
 /// [`Scheduler::snapshot`]) and retry the chain with a later floor.
@@ -550,22 +545,73 @@ pub fn schedule_requant_write(
     shortcut: Option<Shortcut<'_>>,
     out: &OutSpec,
 ) -> Result<(Vec<TensorHandle>, u64), OutOfPorts> {
-    let out_hem = out.hemisphere;
-    let (out_group, t_out) = requant_chain(s, source, n, requant_shift, relu, shortcut, out_hem)?;
-    let vxm = Slice::Vxm.position();
+    let (group, t_out) =
+        requant_chain(s, source, n, requant_shift, relu, shortcut, out.hemisphere)?;
+    write_replicas(s, group, t_out, n, out)
+}
 
-    // Allocate the replicas now that the write time is known, then fan out:
-    // extra Writes tap the same flowing stream.
+/// One VXM stage: `op(dst, alu)` issued for `n` rows from cycle `t` on an ALU
+/// free then, its results on a fresh stream flowing `out_dir`, readable at
+/// the VXM from `t + D_VXM` — where the next stage may consume them (no
+/// memory round trip, §II-E).
+///
+/// # Errors
+///
+/// Returns [`OutOfPorts`] when no ALU or no stream is free at those cycles.
+pub(crate) fn vxm_stage(
+    s: &mut Scheduler,
+    t: u64,
+    n: u64,
+    out_dir: Direction,
+    op: &dyn Fn(StreamGroup, AluIndex) -> VxmOp,
+) -> Result<StreamGroup, OutOfPorts> {
+    let vxm = Slice::Vxm.position();
+    let (alu, alu_ready) = s.pick_alu(t);
+    let (id, ready) = s.take_aligned_group(out_dir, 1, t + D_VXM, vxm);
+    if alu_ready > t || ready > t + D_VXM {
+        return Err(OutOfPorts { t_write: t });
+    }
+    let dst = StreamGroup::new(StreamId::new(id, out_dir), 1);
+    s.place_burst(IcuId::Vxm { alu }, t, n, op(dst, alu));
+    s.occupy_stream(dst.base, vxm, t + D_VXM + n);
+    Ok(dst)
+}
+
+/// Lands the `n` rows a VXM chain streams on `group`, the first readable at
+/// the VXM at `t_out`, in `out.replicas` fresh tensors: each is allocated
+/// now that the write time is known, on slices whose ports are free by then
+/// — so stream-dictated writes can never collide with earlier bursts — and
+/// every replica's `Write`s tap the same flowing stream. Each
+/// [`OutSpec::border`] is cleared in the window those free ports leave
+/// before the first row lands, or, when the window is too short, once the
+/// rows are in. Returns the replicas and the completion cycle.
+///
+/// # Errors
+///
+/// Returns [`OutOfPorts`] when no slices with write ports free by `t_out`
+/// have room; nothing is left allocated.
+///
+/// # Panics
+///
+/// Panics if the segments don't cover `n` rows.
+pub(crate) fn write_replicas(
+    s: &mut Scheduler,
+    group: StreamGroup,
+    t_out: u64,
+    n: u64,
+    out: &OutSpec,
+) -> Result<(Vec<TensorHandle>, u64), OutOfPorts> {
     assert_eq!(
         out.segments.iter().map(|&(_, c)| u64::from(c)).sum::<u64>(),
         n,
         "segments must cover N rows"
     );
+    let vxm = Slice::Vxm.position();
     let mut replicas: Vec<TensorHandle> = Vec::with_capacity(usize::from(out.replicas.max(1)));
     let mut avoid = out.avoid.clone();
     for _ in 0..out.replicas.max(1) {
         let Some(t) = s.try_alloc_for_write(
-            Some(out_hem),
+            Some(out.hemisphere),
             out.rows_total,
             out.cols,
             out.policy,
@@ -587,7 +633,7 @@ pub fn schedule_requant_write(
     for tensor in &replicas {
         let mut offset = 0u64;
         for &(first, count) in &out.segments {
-            s.write_rows(tensor, first, count, out_group.base, vxm, t_out + offset);
+            s.write_rows(tensor, first, count, group.base, vxm, t_out + offset);
             offset += u64::from(count);
         }
     }
@@ -598,9 +644,9 @@ pub fn schedule_requant_write(
 }
 
 /// The epilogue's VXM chain — convert, optional shortcut add, optional ReLU,
-/// each stage consuming its predecessor's stream where it is born (no memory
-/// round trip, §II-E): returns the final int8 output stream group and the
-/// cycle its first row is readable at the VXM.
+/// each a [`vxm_stage`] consuming its predecessor's stream where it is born:
+/// returns the final int8 output stream group and the cycle its first row is
+/// readable at the VXM.
 fn requant_chain(
     s: &mut Scheduler,
     source: Int32Stream,
@@ -612,22 +658,8 @@ fn requant_chain(
 ) -> Result<(StreamGroup, u64), OutOfPorts> {
     let vxm = Slice::Vxm.position();
     let out_dir = Direction::outward_from(out_hem);
-    // One stage: `op(dst, alu)` issued for the `n` rows from cycle `t`, its
-    // results on a fresh outward stream `D_VXM` later.
-    let stage = |s: &mut Scheduler, t: u64, op: &dyn Fn(StreamGroup, AluIndex) -> VxmOp| {
-        let (alu, alu_ready) = s.pick_alu(t);
-        let (id, ready) = s.take_aligned_group(out_dir, 1, t + D_VXM, vxm);
-        if alu_ready > t || ready > t + D_VXM {
-            return Err(OutOfPorts { t_write: t });
-        }
-        let dst = StreamGroup::new(StreamId::new(id, out_dir), 1);
-        s.place_burst(IcuId::Vxm { alu }, t, n, op(dst, alu));
-        s.occupy_stream(dst.base, vxm, t + D_VXM + n);
-        Ok(dst)
-    };
-
     let mut t = source.t_at_vxm;
-    let mut out = stage(s, t, &|dst, alu| VxmOp::Convert {
+    let mut out = vxm_stage(s, t, n, out_dir, &|dst, alu| VxmOp::Convert {
         from: DataType::Int32,
         to: DataType::Int8,
         src: source.group,
@@ -649,7 +681,7 @@ fn requant_chain(
         }
         s.read_rows(tensor, rows, streams[0], vxm, t);
         let (a, b) = (out, StreamGroup::new(streams[0], 1));
-        out = stage(s, t, &|dst, alu| VxmOp::Binary {
+        out = vxm_stage(s, t, n, out_dir, &|dst, alu| VxmOp::Binary {
             op: BinaryAluOp::AddSat,
             dtype: DataType::Int8,
             a,
@@ -661,7 +693,7 @@ fn requant_chain(
     }
     if relu {
         let src = out;
-        out = stage(s, t, &|dst, alu| VxmOp::Unary {
+        out = vxm_stage(s, t, n, out_dir, &|dst, alu| VxmOp::Unary {
             op: UnaryAluOp::Relu,
             dtype: DataType::Int8,
             src,
@@ -680,14 +712,10 @@ pub struct MatmulOpts {
     pub requant_shift: i8,
     /// Apply ReLU after requantization.
     pub relu: bool,
-    /// Bank for the output tensor.
-    pub out_policy: BankPolicy,
     /// Hemisphere for the output tensor.
     pub out_hemisphere: Hemisphere,
     /// Number of output replicas to materialize (for downstream concurrency).
     pub out_replicas: u8,
-    /// Schedule nothing before this cycle.
-    pub not_before: u64,
 }
 
 impl Default for MatmulOpts {
@@ -695,10 +723,8 @@ impl Default for MatmulOpts {
         MatmulOpts {
             requant_shift: 0,
             relu: false,
-            out_policy: BankPolicy::High,
             out_hemisphere: Hemisphere::West,
             out_replicas: 1,
-            not_before: 0,
         }
     }
 }
@@ -723,7 +749,7 @@ pub fn matmul(
     let rows: Vec<u32> = (0..n).collect();
     let mparts = w.mparts();
     let mut outputs = Vec::with_capacity(mparts);
-    let mut done = opts.not_before;
+    let mut done = 0;
 
     for mpart in 0..mparts {
         let plane = plane_of_chain(mpart);
@@ -745,13 +771,13 @@ pub fn matmul(
             segments: vec![(0, n)],
             border: Vec::new(),
             hemisphere: opts.out_hemisphere,
-            policy: opts.out_policy,
+            policy: BankPolicy::High,
             replicas: opts.out_replicas,
             max_block: 4096,
             avoid: Vec::new(),
         };
         let (reps, end) = s
-            .retry_later(opts.out_hemisphere, opts.not_before, 0.5, |s, floor| {
+            .retry_later(opts.out_hemisphere, 0, 0.5, |s, floor| {
                 let int32 = schedule_plane_chain(s, plane, &passes, floor);
                 schedule_requant_write(
                     s,

@@ -45,7 +45,7 @@ use crate::kernels::conv::{group_lanes, FeatureMap, MapLayout};
 use crate::kernels::elementwise::tensor_hemisphere;
 use crate::kernels::matmul::{
     emplace_weight_blocks, lw_rows, plane_of_chain, schedule_requant_write, stream_weights,
-    ActFeed, Int32Stream, PlaneChainBuilder,
+    write_replicas, ActFeed, Int32Stream, OutSpec, PlaneChainBuilder,
 };
 use crate::sched::{LaneMap, Scheduler};
 use crate::tensor::TensorHandle;
@@ -379,23 +379,24 @@ pub fn max_pool(
                     done = done.max(clear(s));
                 }
             } else {
-                // The carry lands downstream in the output hemisphere; the
-                // next round streams it back inward as an extra tree input.
-                // (Fresh allocation off everything the round streams: its
-                // slices carry no pending work beyond what t0 already
-                // accounted for via the global floor.)
-                let (hemisphere, cols) = (Some(params.out_hemisphere), input.parts[kp][0].cols);
-                let c = (s.alloc)
-                    .alloc_avoiding(hemisphere, n, cols, BankPolicy::High, 4096, &avoid)
-                    .expect("SRAM exhausted for pool carry");
-                let cf = s.mem_free_tensor(&c);
-                assert!(
-                    cf <= t_cur,
-                    "pool carry slices busy until {cf}, writes start at {t_cur}"
-                );
-                s.write_rows(&c, 0, n, current.base, vxm, t_cur);
-                done = done.max(t_cur + u64::from(n));
-                if let Some(old) = carry.replace(c) {
+                // The carry lands downstream in the output hemisphere, off
+                // everything the round streams; the next round streams it
+                // back inward as an extra tree input.
+                let spec = OutSpec {
+                    rows_total: n,
+                    cols: input.parts[kp][0].cols,
+                    segments: vec![(0, n)],
+                    border: Vec::new(),
+                    hemisphere: params.out_hemisphere,
+                    policy: BankPolicy::High,
+                    replicas: 1,
+                    max_block: 4096,
+                    avoid,
+                };
+                let (mut c, end) = write_replicas(s, current, t_cur, u64::from(n), &spec)
+                    .expect("the pool carry finds a free slice");
+                done = done.max(end);
+                if let Some(old) = carry.replace(c.remove(0)) {
                     s.alloc.free(&old);
                 }
             }
@@ -506,7 +507,7 @@ pub fn global_avg_pool(
             group: acc_group,
             t_at_vxm: t_last,
         };
-        let spec = crate::kernels::matmul::OutSpec {
+        let spec = OutSpec {
             rows_total: 1,
             cols,
             segments: vec![(0, 1)],

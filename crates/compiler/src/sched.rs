@@ -1125,9 +1125,11 @@ impl Scheduler {
         None
     }
 
-    /// How often [`Scheduler::restore`] has run: each is a kernel whose
-    /// operands or output found no free port or stream at the cycle its
-    /// chain dictated, retrying later — cycles lost to placement.
+    /// How often [`Scheduler::restore`] has run: each is a kernel — a conv
+    /// or matmul chain, or an element-wise chain — whose operands, VXM
+    /// stages or output found no free ALU, port or stream at the cycle its
+    /// chain dictated, retried later by [`Scheduler::retry_later`] —
+    /// cycles lost to placement.
     #[must_use]
     pub fn rollbacks(&self) -> u64 {
         self.rollbacks

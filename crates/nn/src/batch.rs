@@ -16,8 +16,8 @@
 //!   model stayed resident on ([`CompiledModel::restore`] puts back the rows
 //!   the last run disturbed, so that a rerun is bit-identical to a fresh
 //!   chip's run), [`CompiledModel::emplace_cycles`] on a new chip — a pool
-//!   member's first request, and the first after a request or batch that
-//!   dropped its chip. Each retry is charged one more emplace (a
+//!   member's first request, and the first after a request that dropped
+//!   its chip. Each retry is charged one more emplace (a
 //!   retry-from-weights emplaces onto a new chip);
 //! * `tsp-serve` runs a batch's requests back to back on the chip's
 //!   [`ResidentChip`](crate::resilient::ResidentChip), each through

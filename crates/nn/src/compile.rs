@@ -56,9 +56,9 @@ use std::sync::Arc;
 use tsp_arch::{ChipConfig, Hemisphere, Vector};
 use tsp_compiler::alloc::BankPolicy;
 use tsp_compiler::kernels::{
-    conv2d_add, conv_passes, emplace_conv, emplace_weight_blocks, global_avg_pool, lw_rows, matmul,
-    max_pool, packed_taps, pixels_per_row, plane_of_chain, pooled_lanes, taps_per_pass, ActFeed,
-    ChunkPass, Conv2dParams, FeatureMap, MapLayout, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
+    conv2d_add, conv_passes, emplace_conv, global_avg_pool, matmul, max_pool, packed_taps,
+    pixels_per_row, pooled_lanes, taps_per_pass, ActFeed, ChunkPass, Conv2dParams, FeatureMap,
+    MapLayout, MatmulOpts, MaxPoolParams, RowSplit, WeightSet,
 };
 use tsp_compiler::{ConstantRows, RestoreSet, RowRuns, Scheduler, TensorHandle};
 use tsp_isa::BinaryAluOp;
@@ -148,8 +148,9 @@ pub struct CompiledModel {
     pub cycles: u64,
     /// Per-layer schedule spans.
     pub layer_spans: Vec<LayerSpan>,
-    /// Kernels that found a port or stream taken at the cycle their chain
-    /// dictated and were rescheduled later (`Scheduler::rollbacks`).
+    /// Kernels — a conv's or matmul's chain, or an element-wise chain — that
+    /// found an ALU, stream or port taken at the cycle their chain dictated
+    /// and were rescheduled later (`Scheduler::rollbacks`).
     pub rollbacks: u64,
     /// Per-node activation locations (same order as the graph's nodes).
     /// Only the last node's is still intact after a run — see [`Probe`].
@@ -337,43 +338,21 @@ fn hemi(i: usize) -> Hemisphere {
     }
 }
 
-/// Emplaces dense weights (`w[out][in]`) as a [`WeightSet`], off the slices
-/// in `avoid` (the matmul's input), every M-split's blocks near the plane its
-/// chain runs on ([`emplace_weight_blocks`]).
+/// Emplaces dense weights (`w[out][in]`) as a [`WeightSet`]: a 1×1 conv's
+/// one pass ([`emplace_conv`]), off the slices in `avoid` (the matmul's
+/// input).
 fn emplace_dense(s: &mut Scheduler, q: &QDense, avoid: &[(Hemisphere, u8)]) -> WeightSet {
-    let (kparts, mparts) = (q.inp.div_ceil(320), q.out.div_ceil(320));
-    // In `parts[kpart][mpart]` order.
-    let mut blocks = Vec::new();
-    for kp in 0..kparts {
-        let k0 = kp * 320;
-        let kcols = (q.inp - k0).min(320);
-        for mp in 0..mparts {
-            let m0 = mp * 320;
-            let fill = |m: u32, row: &mut Vector| {
-                for lane in 0..kcols {
-                    let w = q.w[((m0 + m) * q.inp + k0 + lane) as usize];
-                    row.set_lane(lane as usize, w as u8);
-                }
-            };
-            let rows = lw_rows(fill, (q.out - m0).min(320));
-            blocks.push((mp as usize, rows, kcols as u16));
-        }
-    }
-    let chains = (plane_of_chain, mparts as usize);
-    let mut handles = emplace_weight_blocks(s, blocks, chains, avoid).into_iter();
-    let parts = (0..kparts)
-        .map(|_| {
-            handles
-                .by_ref()
-                .take(mparts as usize)
-                .map(|t| vec![t])
-                .collect()
-        })
-        .collect();
+    let mut weights = emplace_conv(
+        s,
+        (1, q.inp, q.out),
+        (1, 1, 1),
+        (1, 1, avoid),
+        |co, ci, _, _| q.w[(co * q.inp + ci) as usize],
+    );
     WeightSet {
         k: q.inp,
         m: q.out,
-        parts,
+        parts: weights.passes.swap_remove(0),
     }
 }
 

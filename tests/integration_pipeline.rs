@@ -18,7 +18,7 @@ fn copy_matmul_relu_pipeline() {
         .alloc
         .alloc_in(Some(Hemisphere::East), n, k, BankPolicy::Low, 4096)
         .unwrap();
-    let (x, t1) = copy(&mut sched, &src, Hemisphere::West, BankPolicy::High, 0);
+    let (x, _) = copy(&mut sched, &src, Hemisphere::West, BankPolicy::High, 0);
 
     // Weights: w[c][c] = 2 on the diagonal (LW order).
     let mut wrows = Vec::with_capacity(320);
@@ -42,7 +42,6 @@ fn copy_matmul_relu_pipeline() {
         requant_shift: 0,
         relu: true,
         out_hemisphere: Hemisphere::East,
-        not_before: t1,
         ..MatmulOpts::default()
     };
     let (outs, _) = matmul(&mut sched, &[vec![x]], &wset, &opts);
