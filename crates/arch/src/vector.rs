@@ -139,12 +139,6 @@ impl Vector {
         Vector::from_fn(|i| f(self.bytes[i] as i8, other.bytes[i] as i8) as u8)
     }
 
-    /// Interprets every lane as `i8` and applies `f` lane-wise.
-    #[must_use]
-    pub fn map_i8(&self, mut f: impl FnMut(i8) -> i8) -> Vector {
-        Vector::from_fn(|i| f(self.bytes[i] as i8) as u8)
-    }
-
     /// True if every lane is zero.
     #[must_use]
     pub fn is_zero(&self) -> bool {

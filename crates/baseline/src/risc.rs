@@ -94,21 +94,6 @@ impl RiscCore {
             cycles: iters * per_iter_cycles,
         }
     }
-
-    /// A generic streamed kernel of `n` elements with `ops_per_element`
-    /// arithmetic instructions between one load pair and one store.
-    #[must_use]
-    pub fn streamed_kernel(&self, n: u64, ops_per_element: u64) -> RiscRun {
-        let p = self.profile;
-        let iters = n.div_ceil(u64::from(p.simd_lanes));
-        let per_iter_insns = 3 + ops_per_element + u64::from(p.loop_overhead_instructions);
-        let per_iter_cycles = per_iter_insns.div_ceil(u64::from(p.issue_width)).max(1)
-            + u64::from(p.load_latency - 1);
-        RiscRun {
-            instructions: iters * per_iter_insns,
-            cycles: iters * per_iter_cycles,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -141,6 +141,16 @@ impl MapLayout {
     pub fn whole_rows(&self) -> bool {
         self.lane_copies > 1 || self.lane_skew > 1
     }
+
+    /// Rows per block of a map `pw` padded pixels wide: whole padded rows
+    /// when [`MapLayout::whole_rows`], else as many as a block takes.
+    pub(crate) fn max_block(&self, pw: u32) -> u32 {
+        if self.whole_rows() {
+            (4096 / pw).max(1) * pw
+        } else {
+            4096
+        }
+    }
 }
 
 /// A feature map: `h×w` pixels of `c` channels, stored row-major over a
@@ -192,11 +202,7 @@ impl FeatureMap {
     /// Panics if SRAM is exhausted.
     pub fn alloc(s: &mut Scheduler, (h, w, c): (u32, u32, u32), layout: MapLayout) -> FeatureMap {
         let (ph, pw) = (h + 2 * layout.pad, w + 2 * layout.pad);
-        let max_block = if layout.whole_rows() {
-            (4096 / pw).max(1) * pw
-        } else {
-            4096
-        };
+        let max_block = layout.max_block(pw);
         let mut avoid: Vec<(Hemisphere, u8)> = Vec::new();
         let mut tensor = |cols: u16| {
             let hemisphere = Some(layout.hemisphere);
@@ -384,8 +390,6 @@ pub struct Conv2dParams {
     pub out_hemisphere: Hemisphere,
     /// Replicas per output part.
     pub out_replicas: u8,
-    /// Schedule nothing before this cycle.
-    pub not_before: u64,
 }
 
 impl Default for Conv2dParams {
@@ -398,7 +402,6 @@ impl Default for Conv2dParams {
             out_pad: 0,
             out_hemisphere: Hemisphere::West,
             out_replicas: 1,
-            not_before: 0,
         }
     }
 }
@@ -580,14 +583,9 @@ pub fn conv_passes<'a>(
     }
     let replicas = usize::from(params.out_replicas.max(1));
     let rows_total = (oh + 2 * params.out_pad) * (ow + 2 * params.out_pad);
-    // No port floor at first: the writes come a whole chain after the start.
     let (blocks, done) = s
-        .retry_later(params.out_hemisphere, params.not_before, 0.0, |s, floor| {
-            let attempt = Conv2dParams {
-                not_before: floor,
-                ..params.clone()
-            };
-            schedule_chains(s, c_out, split, passes, pass, shortcut, &attempt)
+        .retry_later(params.out_hemisphere, 0, |s, floor| {
+            schedule_chains(s, c_out, split, passes, pass, shortcut, params, floor)
         })
         .unwrap_or_else(|| {
             panic!(
@@ -610,8 +608,9 @@ pub fn conv_passes<'a>(
 /// One M-split's output blocks, `[chunk][replica]`.
 type OutBlocks = Vec<Vec<TensorHandle>>;
 
-/// One attempt at [`conv_passes`], nothing of it before `params.not_before`:
-/// returns every M-split's output blocks and the completion cycle.
+/// One attempt at [`conv_passes`], nothing of it before `floor`: returns
+/// every M-split's output blocks and the completion cycle.
+#[allow(clippy::too_many_arguments)]
 fn schedule_chains<'a>(
     s: &mut Scheduler,
     c_out: u32,
@@ -620,8 +619,8 @@ fn schedule_chains<'a>(
     pass: &dyn Fn(usize, usize, usize) -> ChunkPass<'a>,
     shortcut: Option<&FeatureMap>,
     params: &Conv2dParams,
+    floor: u64,
 ) -> Result<(Vec<OutBlocks>, u64), OutOfPorts> {
-    let floor = params.not_before;
     let mparts = c_out.div_ceil(320) as usize;
     // Per M-split, blocks and replicas stay slice-disjoint: chains write, and
     // consumers later read, all of them concurrently — as do the first
@@ -1494,7 +1493,6 @@ mod tests {
             out_pad: case.out_pad,
             out_hemisphere,
             out_replicas: 2,
-            ..Conv2dParams::default()
         };
         let operand = shortcut.as_ref().map(|(map, ..)| map);
         let (out, _) = conv2d_add(&mut s, &input, &weights, operand, &params);

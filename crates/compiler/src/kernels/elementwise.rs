@@ -73,7 +73,7 @@ fn ew_chain(
         max_block: 4096,
         avoid: inputs.iter().flat_map(|t| t.layout.slices()).collect(),
     };
-    s.retry_later(out_hemisphere, not_before, 0.0, |s, floor| {
+    s.retry_later(out_hemisphere, not_before, |s, floor| {
         // One operand stream per input, inward from its hemisphere; a pick
         // stays free however far later picks push `t0`, but its nominal hold
         // may lapse before them, so later picks exclude it.

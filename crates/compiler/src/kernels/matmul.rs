@@ -27,9 +27,9 @@
 //! consumes where it is born, and `write_replicas` allocates the output
 //! replicas once the write time is known, on slices whose ports are free
 //! by then, and writes them. The element-wise chains
-//! ([`crate::kernels::elementwise`]) and a max pool's carry use both; only a
-//! max pool's own output is allocated ahead (its scatter maps are keyed by
-//! its rows).
+//! ([`crate::kernels::elementwise`]) and the max pool
+//! ([`crate::kernels::pool`]) use both; only a lane-packed pool's output is
+//! allocated ahead (its scatter maps are keyed by its rows).
 //!
 //! ## Weight layout ("LW order")
 //!
@@ -777,7 +777,7 @@ pub fn matmul(
             avoid: Vec::new(),
         };
         let (reps, end) = s
-            .retry_later(opts.out_hemisphere, 0, 0.5, |s, floor| {
+            .retry_later(opts.out_hemisphere, 0, |s, floor| {
                 let int32 = schedule_plane_chain(s, plane, &passes, floor);
                 schedule_requant_write(
                     s,

@@ -6,6 +6,15 @@
 //! state. If fewer replicas than offsets are available, the offsets are
 //! processed in rounds with the running partial as a carry input.
 //!
+//! A round lands its rows the way a conv's epilogue does (see
+//! [`mod@crate::kernels::matmul`]): each `max` is a VXM stage consuming its
+//! predecessor's result where it is born, the carry — and a pixel-per-row
+//! output — is allocated once its write time is known, on slices whose
+//! ports are free by then, and a round that finds its ALUs, streams or ports
+//! busy is rolled back and retried later ([`Scheduler::retry_later`]). Only a
+//! lane-packed output is allocated ahead: its scatter maps are keyed by its
+//! rows.
+//!
 //! **Lane packing.** A `c`-channel pixel fills `c` of the 320 lanes every one
 //! of those `max` issues works on, so when the input is lane-replicated
 //! ([`MapLayout::lane_copies`]` = G`, written so by a conv upstream) a
@@ -45,9 +54,9 @@ use crate::kernels::conv::{group_lanes, FeatureMap, MapLayout};
 use crate::kernels::elementwise::tensor_hemisphere;
 use crate::kernels::matmul::{
     emplace_weight_blocks, lw_rows, plane_of_chain, schedule_requant_write, stream_weights,
-    write_replicas, ActFeed, Int32Stream, OutSpec, PlaneChainBuilder,
+    vxm_stage, write_replicas, ActFeed, Int32Stream, OutSpec, PlaneChainBuilder,
 };
-use crate::sched::{LaneMap, Scheduler};
+use crate::sched::{LaneMap, OutOfPorts, Scheduler};
 use crate::tensor::TensorHandle;
 
 /// Parameters of a [`max_pool`].
@@ -120,50 +129,23 @@ impl LanePacking {
     }
 }
 
-/// How a pooled vector stream reaches an output replica.
-enum Store {
-    /// One pixel per vector: plain `Write`s over the interior segments.
-    Write(Vec<(u32, u32)>),
-    /// Lane-packed: a `Scatter` through the replica's maps, a key per vector.
-    Scatter(Vec<LaneMap>, Vec<u32>),
-}
-
-impl Store {
-    /// The earliest cycle ≥ `t` the first vector may be at the VXM.
-    fn earliest(&self, s: &Scheduler, dir: Direction, t: u64) -> u64 {
-        let vxm = Slice::Vxm.position();
-        match self {
-            Store::Write(_) => t,
-            Store::Scatter(maps, keys) => s.earliest_scatter_start(maps, keys, dir, vxm, t),
-        }
-    }
-
-    /// Commits the vectors on `stream`, the first at the VXM at `t`.
-    fn commit(&self, s: &mut Scheduler, rep: &TensorHandle, stream: StreamId, t: u64) {
-        let vxm = Slice::Vxm.position();
-        match self {
-            Store::Write(segments) => {
-                let mut offset = 0u64;
-                for &(first, count) in segments {
-                    s.write_rows(rep, first, count, stream, vxm, t + offset);
-                    offset += u64::from(count);
-                }
-            }
-            Store::Scatter(maps, keys) => s.scatter_rows(maps, keys, stream, vxm, t),
-        }
-    }
-}
-
 /// Schedules a k×k max pool over a feature map. Returns the output map and
 /// completion cycle. A lane-replicated input is pooled `G` pixels per VXM row
 /// into a lane-skewed output, or, in more copies than the output row has
 /// pixels, a pixel per row into as many copies ([`pooled_lanes`], see the
 /// module docs); anything else one pixel per row.
 ///
+/// Each round of taps is one attempt of [`Scheduler::retry_later`]: its
+/// operands streamed in, its `max`es VXM stages (`vxm_stage`) and its rows
+/// landed the way a conv's epilogue lands them — a carry, or a pixel-per-row
+/// output, allocated when it is written (`write_replicas`). A lane-packed
+/// output is allocated and cleared ahead, and scattered once the last
+/// round's start is priced for it.
+///
 /// # Panics
 ///
-/// Panics if the input's materialized border is smaller than `pad`, or if
-/// the input is itself lane-skewed.
+/// Panics if the input's materialized border is smaller than `pad`, if the
+/// input is itself lane-skewed, or if a round finds no ports after retries.
 pub fn max_pool(
     s: &mut Scheduler,
     input: &FeatureMap,
@@ -188,8 +170,13 @@ pub fn max_pool(
         lane_copies,
         ..MapLayout::plain(params.out_pad, params.out_hemisphere, params.out_replicas)
     };
-    let out = FeatureMap::alloc(s, (oh, ow, input.c), layout);
+    let dims = (oh, ow, input.c);
+    let mut out = match groups {
+        1 => FeatureMap::new(dims, layout, Vec::new()),
+        _ => FeatureMap::alloc(s, dims, layout),
+    };
     let vxm = Slice::Vxm.position();
+    let out_dir = Direction::outward_from(params.out_hemisphere);
     let mut done = params.not_before;
     let gl = group_lanes(input.c);
     // Everything the chain streams at once keeps to slices of its own: the
@@ -198,6 +185,9 @@ pub fn max_pool(
     let mut avoid: Vec<(Hemisphere, u8)> = out.slices().chain(input.slices()).collect();
     // Row `i` of a tap or of the output, as `(row, column)` of the vectors.
     let at = |i: u32| (i / vectors, i % vectors);
+    // How long after a round's first tap tap `i` reaches the VXM: with the
+    // partial max of the taps before it.
+    let stagger = |i: usize| (i as u64).saturating_sub(1) * D_VXM;
 
     let offsets: Vec<(u32, u32)> = (0..k)
         .flat_map(|dy| (0..k).map(move |dx| (dy, dx)))
@@ -205,200 +195,170 @@ pub fn max_pool(
 
     for kp in 0..input.kparts() {
         let replicas = &input.parts[kp];
-        // How each output replica is written, and what must read as zero
-        // without ever being written: the border — or, scattered, all of it
-        // (a `Scatter` leaves the superlanes it does not address as they
-        // were), cleared before the first vector lands.
-        let stores: Vec<Store> = (out.parts[kp].iter())
-            .map(|rep| match groups {
-                1 => Store::Write(out.interior_segments()),
-                _ => {
-                    let row_of = |i: u32, g: u32| {
-                        let (oy, v) = at(i);
-                        out.row_index(oy, packing.pixel(v, g))
-                    };
-                    let keys: Vec<u32> = (0..n).map(|i| row_of(i, 0)).collect();
-                    Store::Scatter(s.add_lane_maps(rep, gl, &keys, row_of, &mut avoid), keys)
-                }
-            })
-            .collect();
-        let stale = match groups {
-            1 => out.border_segments(),
-            _ => vec![(0, out.rows_total())],
-        };
-        let clear = |s: &mut Scheduler| {
-            let jobs: Vec<(&TensorHandle, &[(u32, u32)])> =
-                (out.parts[kp].iter().map(|t| (t, stale.as_slice()))).collect();
-            s.zero_stale(&jobs, None).expect("no deadline to miss")
-        };
+        // Packed, each output replica is scattered through maps keyed by its
+        // rows, and all of it is cleared before the first vector lands: a
+        // `Scatter` leaves the superlanes it does not address as they were.
+        let mut scatters: Vec<(Vec<LaneMap>, Vec<u32>)> = Vec::new();
         if groups > 1 {
-            done = done.max(clear(s));
-        }
-        // One stream per replica per round.
-        let lanes_per_round = replicas.len().max(1);
-        let mut carry: Option<TensorHandle> = None;
-        let mut off_at = 0usize;
-        while off_at < offsets.len() {
-            let batch: Vec<(u32, u32)> = offsets
-                .iter()
-                .copied()
-                .skip(off_at)
-                .take(lanes_per_round)
-                .collect();
-            off_at += batch.len();
-            let last_round = off_at >= offsets.len();
-
-            // Input streams: each offset from its own replica, staggered by
-            // the chain position so each max's operands meet in time.
-            let mut t0 = s.floor().max(params.not_before).max(done);
-            // Floor on destination availability (stream-dictated writes).
-            if last_round {
-                for rep in &out.parts[kp] {
-                    t0 = t0.max(s.mem_free_tensor(rep));
-                }
-            }
-            // Per tap: its replica, the rows (packed: map keys) it streams
-            // and, packed, the map that gathers the tap's pixel of every
-            // lane group's output pixel.
-            let mut plan: Vec<(&TensorHandle, Vec<u32>, Vec<LaneMap>)> = Vec::new();
-            // An earlier round's maps are no longer streamed; its carry is.
-            let mut avoid = avoid.clone();
-            avoid.extend(carry.iter().flat_map(|c| c.layout.slices()));
-            for (i, &(dy, dx)) in batch.iter().enumerate() {
-                let tensor = &replicas[i % replicas.len()];
-                let rows = input.offset_rows(oh, ow, params.stride, dy, dx, params.pad);
-                if groups == 1 {
-                    plan.push((tensor, rows, Vec::new()));
-                    continue;
-                }
+            for rep in &out.parts[kp] {
                 let row_of = |i: u32, g: u32| {
                     let (oy, v) = at(i);
-                    rows[(oy * ow + packing.pixel(v, g)) as usize]
+                    out.row_index(oy, packing.pixel(v, g))
                 };
                 let keys: Vec<u32> = (0..n).map(|i| row_of(i, 0)).collect();
-                let maps = s.add_lane_maps(tensor, gl, &keys, row_of, &mut avoid);
-                plan.push((tensor, keys, maps));
+                scatters.push((s.add_lane_maps(rep, gl, &keys, row_of, &mut avoid), keys));
             }
-            if let Some(c) = &carry {
-                plan.push((c, (0..n).collect(), Vec::new()));
-            }
-            let feeds: Vec<ActFeed<'_>> = (plan.iter())
-                .map(|(tensor, _, maps)| match maps.as_slice() {
-                    [] => ActFeed::Read(tensor),
-                    maps => ActFeed::Gather(maps),
-                })
-                .collect();
-            // Common earliest start, honoring staggered arrivals: an ALU for
-            // every max, every operand stream and every max-result stream
-            // free, every read port free.
-            t0 = s.alu_chain_free(t0, plan.len() - 1);
-            let out_dir = Direction::outward_from(params.out_hemisphere);
-            let stagger = |i: usize| (i as u64).saturating_sub(1) * D_VXM;
-            let mut ids: Vec<StreamId> = Vec::new();
-            let mut mids: Vec<StreamId> = Vec::new();
-            // A pick stays free however far later picks push `t0`, but its
-            // hold (below) may lapse before them: later picks exclude it.
-            let mut picked: Vec<StreamId> = Vec::new();
-            let mut pick = |s: &mut Scheduler, dir: Direction, at: u64| {
-                let same = picked.iter().filter(|p| p.direction == dir);
-                let exclude: Vec<u8> = same.map(|p| p.id).collect();
-                let (id, ready) = s.take_streams_excluding(dir, 1, at, vxm, &exclude);
-                picked.push(id[0]);
-                (id[0], ready)
+            let whole = [(0, out.rows_total())];
+            let jobs: Vec<(&TensorHandle, &[(u32, u32)])> =
+                (out.parts[kp].iter().map(|t| (t, whole.as_slice()))).collect();
+            done = done.max(s.zero_stale(&jobs, None).expect("no deadline to miss"));
+        }
+        // Where a round's rows land: in a carry, which the next round
+        // streams back inward as an extra tree input — or, in the last round
+        // of a pixel-per-row pool, in the output part, border and all, the
+        // way a conv's output lands. Both downstream in the output
+        // hemisphere, off everything the round streams.
+        let carry_spec = OutSpec {
+            rows_total: n,
+            cols: replicas[0].cols,
+            segments: vec![(0, n)],
+            border: Vec::new(),
+            hemisphere: params.out_hemisphere,
+            policy: BankPolicy::High,
+            replicas: 1,
+            max_block: 4096,
+            avoid: Vec::new(),
+        };
+        let out_spec = OutSpec {
+            rows_total: out.rows_total(),
+            segments: out.interior_segments(),
+            border: out.border_segments(),
+            replicas: params.out_replicas,
+            max_block: layout.max_block(out.pw()),
+            ..carry_spec.clone()
+        };
+        // One stream per replica per round.
+        let rounds: Vec<&[(u32, u32)]> = offsets.chunks(replicas.len().max(1)).collect();
+        let mut carry: Option<TensorHandle> = None;
+        for (round, batch) in rounds.iter().enumerate() {
+            let last_round = round + 1 == rounds.len();
+            let attempt = |s: &mut Scheduler, floor: u64| {
+                let mut t0 = s.floor().max(floor);
+                // Per tap: its replica, the rows (packed: map keys) it
+                // streams and, packed, the map that gathers the tap's pixel
+                // of every lane group's output pixel.
+                let mut plan: Vec<(&TensorHandle, Vec<u32>, Vec<LaneMap>)> = Vec::new();
+                // An earlier round's maps are no longer streamed; its carry is.
+                let mut avoid = avoid.clone();
+                avoid.extend(carry.iter().flat_map(|c| c.layout.slices()));
+                for (i, &(dy, dx)) in batch.iter().enumerate() {
+                    let tensor = &replicas[i % replicas.len()];
+                    let rows = input.offset_rows(oh, ow, params.stride, dy, dx, params.pad);
+                    if groups == 1 {
+                        plan.push((tensor, rows, Vec::new()));
+                        continue;
+                    }
+                    let row_of = |i: u32, g: u32| {
+                        let (oy, v) = at(i);
+                        rows[(oy * ow + packing.pixel(v, g)) as usize]
+                    };
+                    let keys: Vec<u32> = (0..n).map(|i| row_of(i, 0)).collect();
+                    let maps = s.add_lane_maps(tensor, gl, &keys, row_of, &mut avoid);
+                    plan.push((tensor, keys, maps));
+                }
+                if let Some(c) = &carry {
+                    plan.push((c, (0..n).collect(), Vec::new()));
+                }
+                let feeds: Vec<ActFeed<'_>> = (plan.iter())
+                    .map(|(tensor, _, maps)| match maps.as_slice() {
+                        [] => ActFeed::Read(tensor),
+                        maps => ActFeed::Gather(maps),
+                    })
+                    .collect();
+                // Common earliest start, honoring staggered arrivals: an ALU
+                // for every max, every operand stream free, every read port
+                // free. A pick stays free however far later picks push `t0`,
+                // but its hold may lapse before them: later picks exclude it,
+                // and each is held for its provisional burst until `t0` is
+                // final (a packed scatter must see the taps as taken).
+                t0 = s.alu_chain_free(t0, plan.len() - 1);
+                let mut ids: Vec<StreamId> = Vec::new();
+                for (i, ((tensor, rows, _), feed)) in plan.iter().zip(&feeds).enumerate() {
+                    let dir = Direction::inward_from(tensor_hemisphere(tensor));
+                    let exclude: Vec<u8> = (ids.iter())
+                        .filter(|p| p.direction == dir)
+                        .map(|p| p.id)
+                        .collect();
+                    let (id, ready) =
+                        s.take_streams_excluding(dir, 1, t0 + stagger(i), vxm, &exclude);
+                    let want = feed.earliest_arrival(s, rows, dir, vxm, ready);
+                    t0 = t0.max(want - stagger(i));
+                    s.occupy_stream(id[0], vxm, t0 + stagger(i) + u64::from(n));
+                    ids.push(id[0]);
+                }
+                // The last max's results leave the VXM this long after `t0`.
+                let t_out = stagger(plan.len() - 1) + if plan.len() > 1 { D_VXM } else { 0 };
+                if last_round {
+                    for (maps, keys) in &scatters {
+                        let start = s.earliest_scatter_start(maps, keys, out_dir, vxm, t0 + t_out);
+                        t0 = start - t_out;
+                    }
+                }
+                // `t0` is final: hold every pick for its real burst before
+                // any map stream is chosen.
+                for (i, id) in ids.iter().enumerate() {
+                    s.occupy_stream(*id, vxm, t0 + stagger(i) + u64::from(n));
+                }
+                for (i, (((_, rows, _), feed), id)) in plan.iter().zip(&feeds).zip(&ids).enumerate()
+                {
+                    feed.stream_rows(s, rows, *id, vxm, t0 + stagger(i));
+                }
+
+                // Chain of max ops: out_i = max(out_{i-1}, in_i).
+                let mut current = StreamGroup::new(ids[0], 1);
+                for (i, id) in ids.iter().enumerate().skip(1) {
+                    let (a, b) = (current, StreamGroup::new(*id, 1));
+                    let max = |dst, alu| VxmOp::Binary {
+                        op: BinaryAluOp::Max,
+                        dtype: DataType::Int8,
+                        a,
+                        b,
+                        dst,
+                        alu,
+                    };
+                    current = vxm_stage(s, t0 + stagger(i), u64::from(n), out_dir, &max)?;
+                }
+                let t_cur = t0 + t_out;
+
+                if !last_round || groups == 1 {
+                    let spec = if last_round { &out_spec } else { &carry_spec };
+                    let spec = OutSpec {
+                        avoid,
+                        ..spec.clone()
+                    };
+                    return write_replicas(s, current, t_cur, u64::from(n), &spec);
+                }
+                // The stages took their streams after the scatters were
+                // priced: one that took a map stream retries the round.
+                for (maps, keys) in &scatters {
+                    if s.earliest_scatter_start(maps, keys, out_dir, vxm, t_cur) != t_cur {
+                        return Err(OutOfPorts { t_write: t_cur });
+                    }
+                    s.scatter_rows(maps, keys, current.base, vxm, t_cur);
+                }
+                Ok((Vec::new(), t_cur + u64::from(n)))
             };
-            for (i, ((tensor, rows, _), feed)) in plan.iter().zip(&feeds).enumerate() {
-                let dir = Direction::inward_from(tensor_hemisphere(tensor));
-                let (id, ready) = pick(s, dir, t0 + stagger(i));
-                let want = feed.earliest_arrival(s, rows, dir, vxm, ready);
-                t0 = t0.max(want - stagger(i));
-                // Hold each pick for its (provisional) burst so the next pick,
-                // at a later stagger, cannot land on it; the real schedule
-                // below only extends these.
-                s.occupy_stream(id, vxm, t0 + stagger(i) + u64::from(n));
-                ids.push(id);
-                if i > 0 {
-                    let t_res = t0 + stagger(i) + D_VXM;
-                    let (mid, ready) = pick(s, out_dir, t_res);
-                    t0 += ready - t_res;
-                    s.occupy_stream(mid, vxm, ready + u64::from(n));
-                    mids.push(mid);
-                }
+            let (mut landed, end) = (s.retry_later(params.out_hemisphere, done, attempt))
+                .expect("a pool round finds ports after retries");
+            done = done.max(end);
+            if let Some(old) = carry.take() {
+                s.alloc.free(&old);
             }
-            // The last max's results leave the VXM this long after `t0`.
-            let t_out = stagger(plan.len() - 1) + if plan.len() > 1 { D_VXM } else { 0 };
-            if last_round {
-                for store in &stores {
-                    t0 = store.earliest(s, out_dir, t0 + t_out) - t_out;
-                }
-            }
-            // `t0` is final: hold every pick for its real burst before any
-            // map stream is chosen.
-            for (i, id) in ids.iter().enumerate() {
-                s.occupy_stream(*id, vxm, t0 + stagger(i) + u64::from(n));
-            }
-            for (i, mid) in mids.iter().enumerate() {
-                s.occupy_stream(*mid, vxm, t0 + stagger(i + 1) + D_VXM + u64::from(n));
-            }
-            for (i, (((_, rows, _), feed), id)) in plan.iter().zip(&feeds).zip(&ids).enumerate() {
-                feed.stream_rows(s, rows, *id, vxm, t0 + stagger(i));
-            }
-
-            // Chain of max ops: out_i = max(out_{i-1}, in_i).
-            let mut current = StreamGroup::new(ids[0], 1);
-            let mut t_cur = t0;
-            for (i, (id, mid)) in ids[1..].iter().zip(&mids).enumerate() {
-                let t_op = t0 + stagger(i + 1);
-                debug_assert_eq!(t_op, t_cur.max(t_op));
-                let (alu, ready) = s.pick_alu(t_op);
-                debug_assert_eq!(ready, t_op, "priced by alu_chain_free");
-                let mid = StreamGroup::new(*mid, 1);
-                let max = VxmOp::Binary {
-                    op: BinaryAluOp::Max,
-                    dtype: DataType::Int8,
-                    a: current,
-                    b: StreamGroup::new(*id, 1),
-                    dst: mid,
-                    alu,
-                };
-                s.place_burst(IcuId::Vxm { alu }, t_op, u64::from(n), max);
-                current = mid;
-                t_cur = t_op + D_VXM;
-            }
-            debug_assert_eq!(t_cur, t0 + t_out);
-
-            if last_round {
-                for (rep, store) in out.parts[kp].iter().zip(&stores) {
-                    store.commit(s, rep, current.base, t_cur);
-                }
-                done = done.max(t_cur + u64::from(n));
-                if let Some(old) = carry.take() {
-                    s.alloc.free(&old);
-                }
-                // On recycled SRAM the never-written border is stale.
-                if groups == 1 {
-                    done = done.max(clear(s));
-                }
-            } else {
-                // The carry lands downstream in the output hemisphere, off
-                // everything the round streams; the next round streams it
-                // back inward as an extra tree input.
-                let spec = OutSpec {
-                    rows_total: n,
-                    cols: input.parts[kp][0].cols,
-                    segments: vec![(0, n)],
-                    border: Vec::new(),
-                    hemisphere: params.out_hemisphere,
-                    policy: BankPolicy::High,
-                    replicas: 1,
-                    max_block: 4096,
-                    avoid,
-                };
-                let (mut c, end) = write_replicas(s, current, t_cur, u64::from(n), &spec)
-                    .expect("the pool carry finds a free slice");
-                done = done.max(end);
-                if let Some(old) = carry.replace(c.remove(0)) {
-                    s.alloc.free(&old);
-                }
+            if !last_round {
+                carry = landed.pop();
+            } else if groups == 1 {
+                avoid.extend(landed.iter().flat_map(|t| t.layout.slices()));
+                out.parts.push(landed);
             }
         }
     }
@@ -419,7 +379,6 @@ pub fn global_avg_pool(
     input: &FeatureMap,
     requant_shift: i8,
     out_hemisphere: Hemisphere,
-    not_before: u64,
 ) -> (Vec<TensorHandle>, u64) {
     assert_eq!(
         input.layout.lane_skew, 1,
@@ -428,7 +387,7 @@ pub fn global_avg_pool(
     let n = input.h * input.w;
     let vxm = Slice::Vxm.position();
     let mut outs = Vec::with_capacity(input.kparts());
-    let mut done = not_before;
+    let mut done = 0;
 
     // Identity weights for every part, in LW order, each near the plane its
     // chain runs on.
@@ -452,7 +411,7 @@ pub fn global_avg_pool(
 
         // Install identity the way every chain does; the feed below is GAP's
         // own (one `ABC`, but an `ACC` per row).
-        let mut chain = PlaneChainBuilder::new(s, plane, u64::from(n), not_before);
+        let mut chain = PlaneChainBuilder::new(s, plane, u64::from(n), 0);
         let feed = stream_weights(s, identity, plane.hemisphere(), chain.lw_floor());
         chain.install(s, feed);
         let installed = chain.lw_floor();
@@ -545,22 +504,30 @@ mod tests {
         }
     }
 
-    /// A 3×3/2 pool (pad 1) of an `h×w×c` map held in nine replicas, on a
-    /// scheduler `prepare` had first, against the scalar reference.
-    fn pool_3x3_stride2_on(h: u32, w: u32, c: u32, prepare: impl FnOnce(&mut Scheduler)) {
+    /// A `k×k/stride` pool (logical pad `pad`, materialized in the input) of
+    /// an `h×w×c` East map held in `in_replicas` replicas into West, on a
+    /// scheduler `prepare` had first, against the scalar reference. Returns
+    /// the output, the completion cycle and the rollbacks.
+    fn plain_pool_on(
+        (h, w, c): (u32, u32, u32),
+        (kernel, stride, pad): (u32, u32, u32),
+        in_replicas: u8,
+        prepare: impl FnOnce(&mut Scheduler),
+    ) -> (FeatureMap, u64, u64) {
         let mut s = Scheduler::new();
         prepare(&mut s);
-        let input = alloc_feature_map(&mut s, h, w, c, 1, Hemisphere::East, 9);
+        let input = alloc_feature_map(&mut s, h, w, c, pad, Hemisphere::East, in_replicas);
         let params = MaxPoolParams {
-            kernel: 3,
-            stride: 2,
-            pad: 1,
+            kernel,
+            stride,
+            pad,
             out_pad: 0,
             out_hemisphere: Hemisphere::West,
             out_replicas: 1,
             not_before: 0,
         };
-        let (out, _) = max_pool(&mut s, &input, &params);
+        let (out, done) = max_pool(&mut s, &input, &params);
+        let rollbacks = s.rollbacks();
         let program = s.into_program().unwrap();
 
         let mut chip = Chip::new(ChipConfig::asic());
@@ -586,16 +553,12 @@ mod tests {
                     .read_unchecked(out.parts[0][0].row(out.row_index(oy, ox)));
                 for ch in 0..c {
                     let mut expect = i8::MIN;
-                    for dy in 0..3i64 {
-                        for dx in 0..3i64 {
-                            let iy = i64::from(oy) * 2 + dy - 1;
-                            let ix = i64::from(ox) * 2 + dx - 1;
-                            let v = if iy < 0 || ix < 0 || iy >= i64::from(h) || ix >= i64::from(w)
-                            {
-                                0 // the materialized border is zero
-                            } else {
-                                val(iy as u32, ix as u32, ch)
-                            };
+                    for dy in 0..kernel {
+                        for dx in 0..kernel {
+                            let iy = (oy * stride + dy).wrapping_sub(pad);
+                            let ix = (ox * stride + dx).wrapping_sub(pad);
+                            // The materialized border is zero.
+                            let v = if iy < h && ix < w { val(iy, ix, ch) } else { 0 };
                             expect = expect.max(v);
                         }
                     }
@@ -603,11 +566,12 @@ mod tests {
                 }
             }
         }
+        (out, done, rollbacks)
     }
 
     #[test]
     fn max_pool_3x3_stride2_matches_reference() {
-        pool_3x3_stride2_on(7, 7, 5, |_| {});
+        plain_pool_on((7, 7, 5), (3, 2, 1), 9, |_| {});
     }
 
     /// The eight chained maxes of a 3×3/2 pool with one ALU free and the
@@ -615,7 +579,28 @@ mod tests {
     /// stacking them on the free one.
     #[test]
     fn max_tree_waits_for_an_alu_per_max() {
-        pool_3x3_stride2_on(12, 12, 32, hold_all_alus_but_the_first);
+        plain_pool_on((12, 12, 32), (3, 2, 1), 9, hold_all_alus_but_the_first);
+    }
+
+    /// A pixel-per-row pool's output is allocated when its rows are written,
+    /// on slices free by then: with West slices 0..40 busy until cycle 3,000
+    /// it lands past them at once instead of waiting for them.
+    #[test]
+    fn an_unpacked_pool_lands_off_slices_busy_at_its_write_time() {
+        let busy = |s: &mut Scheduler| {
+            for slice in 0..40 {
+                s.occupy_mem(Hemisphere::West, slice, 3_000);
+            }
+        };
+        let (out, done, rollbacks) = plain_pool_on((8, 8, 16), (2, 2, 0), 4, busy);
+        assert!(done < 3_000, "done at {done}");
+        assert_eq!(rollbacks, 0);
+        assert!(
+            out.slices()
+                .all(|(h, slice)| h == Hemisphere::West && slice >= 40),
+            "{:?}",
+            out.slices().collect::<Vec<_>>()
+        );
     }
 
     /// A padded pool output on recycled SRAM gets its border cleared.
@@ -966,7 +951,7 @@ mod tests {
         let mut s = Scheduler::new();
         let (h, w, c) = (3u32, 3u32, 6u32);
         let input = alloc_feature_map(&mut s, h, w, c, 0, Hemisphere::East, 1);
-        let (outs, _) = global_avg_pool(&mut s, &input, 0, Hemisphere::West, 0);
+        let (outs, _) = global_avg_pool(&mut s, &input, 0, Hemisphere::West);
         let mut chip = Chip::new(ChipConfig::asic());
         load_constants(&mut chip, &mut s);
         let program = s.into_program().unwrap();

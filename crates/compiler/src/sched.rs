@@ -858,31 +858,6 @@ impl Scheduler {
             .ok()
     }
 
-    /// The `frac`-quantile (0..=1) of MEM-port free times in a hemisphere —
-    /// a cheap floor that guarantees roughly `1−frac` of the slices have free
-    /// ports by a chain's eventual (stream-dictated) write time.
-    #[must_use]
-    pub fn port_quantile(&self, hemisphere: Hemisphere, frac: f64) -> u64 {
-        let mut frees: Vec<u64> = (0..tsp_arch::MEM_SLICES_PER_HEMISPHERE)
-            .map(|sl| self.mem_free(hemisphere, sl))
-            .collect();
-        frees.sort_unstable();
-        let idx = ((frees.len() - 1) as f64 * frac) as usize;
-        frees[idx]
-    }
-
-    /// The first cycle every slice holding `tensor` is free (used to floor a
-    /// producing chain so its stream-dictated writes find free ports).
-    #[must_use]
-    pub fn mem_free_tensor(&self, tensor: &TensorHandle) -> u64 {
-        tensor
-            .layout
-            .slices()
-            .map(|(h, s)| self.mem_free(h, s))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The first cycle a MEM slice's queue is free.
     #[must_use]
     pub fn mem_free(&self, h: Hemisphere, s: u8) -> u64 {
@@ -1093,32 +1068,37 @@ impl Scheduler {
 
     /// Runs `attempt` — a kernel whose stream-dictated writes may find no
     /// free port in `hemisphere` — with nothing of it before a floor, rolling
-    /// it back and retrying later when it fails: the floor is `not_before`
-    /// or the cycle by which a quantile of the hemisphere's ports are free
-    /// (`first_quantile` on the first try, then 0.9, then all of them), and
-    /// after a failure at least 256 cycles past the failing write time,
-    /// doubling per try (a tight stream pool needs the whole kernel pushed
-    /// past the congestion, not just past the ports). `None` after eight
-    /// tries.
+    /// it back and retrying later when it fails. The first try's floor is
+    /// `not_before`. A retry's is also the cycle by which 90 % of the
+    /// hemisphere's ports are free (all of them from the third try), and at
+    /// least 256 cycles past the failing write time, doubling per try (a
+    /// tight stream pool needs the whole kernel pushed past the congestion,
+    /// not just past the ports). `None` after eight tries.
     pub fn retry_later<T>(
         &mut self,
         hemisphere: Hemisphere,
         not_before: u64,
-        first_quantile: f64,
         mut attempt: impl FnMut(&mut Scheduler, u64) -> Result<T, OutOfPorts>,
     ) -> Option<T> {
-        let mut abs_floor = 0u64;
+        // The `frac`-quantile of the hemisphere's MEM-port free times.
+        let port_quantile = |s: &Scheduler, frac: f64| {
+            let mut frees: Vec<u64> = (0..tsp_arch::MEM_SLICES_PER_HEMISPHERE)
+                .map(|sl| s.mem_free(hemisphere, sl))
+                .collect();
+            frees.sort_unstable();
+            frees[((frees.len() - 1) as f64 * frac) as usize]
+        };
+        let mut floor = not_before;
         for try_idx in 0usize..8 {
-            let quantile = [first_quantile, 0.9, 1.0][try_idx.min(2)];
             let snap = self.snapshot();
-            let floor = not_before
-                .max(self.port_quantile(hemisphere, quantile))
-                .max(abs_floor);
             match attempt(self, floor) {
                 Ok(result) => return Some(result),
                 Err(e) => {
-                    abs_floor = abs_floor.max(e.t_write + (256u64 << try_idx.min(4)));
                     self.restore(&snap);
+                    let quantile = if try_idx == 0 { 0.9 } else { 1.0 };
+                    floor = floor
+                        .max(port_quantile(self, quantile))
+                        .max(e.t_write + (256u64 << try_idx.min(4)));
                 }
             }
         }
@@ -1126,10 +1106,10 @@ impl Scheduler {
     }
 
     /// How often [`Scheduler::restore`] has run: each is a kernel — a conv
-    /// or matmul chain, or an element-wise chain — whose operands, VXM
-    /// stages or output found no free ALU, port or stream at the cycle its
-    /// chain dictated, retried later by [`Scheduler::retry_later`] —
-    /// cycles lost to placement.
+    /// or matmul chain, an element-wise chain or a max pool round — whose
+    /// operands, VXM stages or output found no free ALU, port or stream at
+    /// the cycle its chain dictated, retried later by
+    /// [`Scheduler::retry_later`] — cycles lost to placement.
     #[must_use]
     pub fn rollbacks(&self) -> u64 {
         self.rollbacks

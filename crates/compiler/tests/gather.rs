@@ -67,7 +67,8 @@ fn stream_into_west(
         .alloc_in(Some(Hemisphere::West), n, 320, BankPolicy::High, 4096)
         .expect("an empty chip has room");
     let (stream, ready) = s.take_streams(Direction::West, 1, 0, vxm);
-    let ready = ready.max(s.mem_free_tensor(&dst));
+    let dst_free = dst.layout.slices().map(|(h, sl)| s.mem_free(h, sl)).max();
+    let ready = ready.max(dst_free.unwrap_or(0));
     if maps.is_empty() {
         let t0 = s.earliest_read_arrival(tensor, rows, Direction::West, vxm, ready);
         s.read_rows(tensor, rows, stream[0], vxm, t0);

@@ -640,7 +640,6 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
                     out_pad: out.pad,
                     out_hemisphere: out.hemisphere,
                     out_replicas: out.replicas,
-                    not_before: 0,
                 };
                 if plans[0].host == Some(i) {
                     let (fm, kind) = compile_im2col_conv(&mut s, qc, dims(0), &out, &params);
@@ -691,7 +690,7 @@ pub fn compile(q: &QuantGraph, options: &CompileOptions) -> CompiledModel {
             }
             (Op::GlobalAvgPool, _) => {
                 let input = map_of(&lowered, node.inputs[0], node);
-                Probe::Flat(global_avg_pool(&mut s, input, q.gap_shift[&i], out.hemisphere, 0).0)
+                Probe::Flat(global_avg_pool(&mut s, input, q.gap_shift[&i], out.hemisphere).0)
             }
             (Op::Dense { relu, .. }, _) => {
                 let Probe::Flat(parts) = &lowered[node.inputs[0]] else {

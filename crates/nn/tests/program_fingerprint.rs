@@ -15,11 +15,11 @@ use tsp_nn::train::small_cnn;
 
 /// `(model, cycles, fingerprint)`.
 const GOLDENS: [(&str, u64, u64); 5] = [
-    ("resnet50", 42_381, 5_205_861_184_516_835_826),
-    ("resnet101", 65_506, 1_640_226_068_994_973_281),
-    ("resnet152", 101_567, 17_045_075_984_506_239_665),
-    ("resnet_tiny", 2_050, 11_443_601_316_057_677_279),
-    ("small_cnn", 935, 14_649_848_554_114_647_928),
+    ("resnet50", 42_348, 9_248_724_415_948_289_637),
+    ("resnet101", 65_506, 7_387_842_053_531_010_584),
+    ("resnet152", 101_567, 12_996_353_994_133_767_170),
+    ("resnet_tiny", 2_050, 10_203_826_839_006_784_988),
+    ("small_cnn", 935, 14_912_471_283_363_107_177),
 ];
 
 fn graph(model: &str) -> Graph {

@@ -81,7 +81,7 @@ fn timing_model(depth: u32) -> tsp::nn::compile::CompiledModel {
 
 /// The cycle gate (ROADMAP: "gate CI on total ResNet-50 cycles never
 /// rising"): ResNet-50 batch-1 at 224×224 compiles to at most 44,100 cycles —
-/// the paper's 20.4 K IPS is the floor now (42,381 landed) — every residual
+/// the paper's 20.4 K IPS is the floor now (42,348 today) — every residual
 /// add runs inside its `_c` conv (a span of its own would be hundreds of
 /// cycles wide), the max pool is lane-packed (a pixel per VXM row takes it
 /// 3,139 cycles, five take 677), the stage-2 3×3 convs pack five taps a pass
