@@ -2,7 +2,9 @@
 //! host int8 reference. ResNet-50/101/152 at 224×224 are compiled, run
 //! functionally on the simulator, and their logits compared with
 //! `final_flat_q(run_int8(..))` — the gate that fails on a miscompile: the
-//! bin exits 1 if any logit differs.
+//! bin exits 1 if any logit differs, and names the first graph node whose
+//! activation differs (`first_divergence`, which compiles and runs every
+//! graph prefix — only done when a logit differs; `-` otherwise).
 //!
 //! Also printed: the compiled and simulated cycles, and how many constants
 //! the compiler placed in the High (activation) bank once the Low one was
@@ -12,7 +14,7 @@ use tsp_arch::config::{BANKS_PER_SLICE, WORDS_PER_SLICE};
 use tsp_arch::ChipConfig;
 use tsp_bench::fan_out;
 use tsp_bench::workloads::resnet_quant;
-use tsp_nn::compile::{compile_cached, CompileOptions};
+use tsp_nn::compile::{compile_cached, first_divergence, CompileOptions};
 use tsp_nn::reference::{final_flat_q, run_int8};
 use tsp_sim::chip::RunOptions;
 use tsp_sim::Chip;
@@ -24,7 +26,7 @@ fn main() {
     println!("# ResNet batch-1 at 224x224: simulated logits vs the host int8 reference");
     println!();
     println!(
-        "{:<12} {:>10} {:>10} {:>15} {:>16}",
+        "{:<12} {:>10} {:>10} {:>15} {:>16}  first diverging",
         "model", "compiled", "simulated", "high-bank const", "differing logits"
     );
     let rows = fan_out(vec![50u32, 101, 152], |depth| {
@@ -43,11 +45,24 @@ fn main() {
         let high = (model.constants.iter())
             .filter(|(handle, _)| handle.layout.blocks.iter().any(|b| b.2 >= HIGH_BANK))
             .count();
-        (depth, model.cycles, report.cycles, high, differing)
+        let diverging = (differing > 0)
+            .then(|| first_divergence(&q, &image))
+            .flatten()
+            .map_or("-".to_string(), |(node, n)| format!("{node} ({n} values)"));
+        (
+            depth,
+            model.cycles,
+            report.cycles,
+            high,
+            differing,
+            diverging,
+        )
     });
     let mut failed = false;
-    for (depth, compiled, simulated, high, differing) in rows {
-        println!("resnet{depth:<6} {compiled:>10} {simulated:>10} {high:>15} {differing:>16}");
+    for (depth, compiled, simulated, high, differing, diverging) in rows {
+        println!(
+            "resnet{depth:<6} {compiled:>10} {simulated:>10} {high:>15} {differing:>16}  {diverging}"
+        );
         failed |= differing > 0;
     }
     if failed {

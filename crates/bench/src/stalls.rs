@@ -8,7 +8,9 @@
 //! feed before it on the same plane:
 //!
 //! * before a chain's first feed it is **hand-over** — the plane waiting for
-//!   the chain's operands, i.e. for the layer before;
+//!   the chain's first operands: its **weights**, when the feed issues the
+//!   cycle its `IW` completes, else its activations — **operands** — i.e.
+//!   the layer before;
 //! * inside a chain it is **in-chain stall**, less the `IW` latency when an
 //!   install lies in the gap: weights, or a later activation stream, that did
 //!   not arrive under the previous feed.
@@ -17,7 +19,8 @@
 //! still writing — so a chain, with all its feeds, belongs to the layer whose
 //! span ([`CompiledModel::layer_marks`]) holds the end of its last read-out;
 //! a layer's figure is the maximum over the four planes, and the totals sum
-//! those.
+//! those. The hand-over's split into weights late and operands late is summed
+//! over the planes instead (the two add up to the four planes' hand-over).
 //!
 //! The **clear** column says when the padding border of a layer's output was
 //! zeroed relative to its data. The zeros of a clear are `Read` from a
@@ -47,6 +50,9 @@ struct Feed {
     gap: u64,
     /// Its `ACC` overwrites: the first feed of a chain.
     first: bool,
+    /// It issued the cycle the `IW` before it completed: its weights, not
+    /// its activations, were the last to arrive.
+    weights_late: bool,
 }
 
 fn feeds(program: &Program, plane: Plane) -> Vec<Feed> {
@@ -72,9 +78,7 @@ fn feeds(program: &Program, plane: Plane) -> Vec<Feed> {
     let mut out = Vec::new();
     for (at, rows) in abcs {
         let first = overwrites.contains(&(at + u64::from(MXM_ARRAY_DELAY)));
-        let install = (installs.iter())
-            .find(|&&(t, _)| t > prev_at && t <= at)
-            .map_or(0, |&(_, d)| d);
+        let install = (installs.iter()).find(|&&(t, _)| t > prev_at && t <= at);
         let idle = at - prev_end;
         out.push(Feed {
             at,
@@ -82,9 +86,10 @@ fn feeds(program: &Program, plane: Plane) -> Vec<Feed> {
             gap: if first {
                 idle
             } else {
-                idle.saturating_sub(install)
+                idle.saturating_sub(install.map_or(0, |&(_, d)| d))
             },
             first,
+            weights_late: install.is_some_and(|&(t, d)| t + d == at),
         });
         (prev_at, prev_end) = (at, at + rows);
     }
@@ -207,8 +212,9 @@ pub fn render(model: &CompiledModel) -> String {
         let i = marks.partition_point(|m| m.end <= t);
         i.min(marks.len() - 1)
     };
-    // `[layer][plane]`: feed rows, in-chain stall, hand-over.
-    let mut cells = vec![[[0u64; 3]; Plane::COUNT as usize]; marks.len()];
+    // `[layer][plane]`: feed rows, in-chain stall, hand-over, and the
+    // hand-over of the chains whose weights came last.
+    let mut cells = vec![[[0u64; 4]; Plane::COUNT as usize]; marks.len()];
     for plane in Plane::all() {
         let feeds = feeds(&model.program, plane);
         for chain in feeds.chunk_by(|_, next| !next.first) {
@@ -218,15 +224,18 @@ pub fn render(model: &CompiledModel) -> String {
             for feed in chain {
                 cell[0] += feed.rows;
                 cell[if feed.first { 2 } else { 1 }] += feed.gap;
+                if feed.first && feed.weights_late {
+                    cell[3] += feed.gap;
+                }
             }
         }
     }
     let clears = clears(model, layer_of);
 
-    let mut out = String::from("# MXM feed census: per layer and plane, cycles feeding rows, stalled inside a chain, waiting for a chain's first operands\n");
+    let mut out = String::from("# MXM feed census: per layer and plane, cycles feeding rows, stalled inside a chain, waiting for a chain's first operands (Σ p0..p3 of that wait: weights late, operands late)\n");
     let _ = writeln!(
         out,
-        "{:<12} {:>6} | {:>23} {:>5} | {:>19} {:>4} | {:>23} {:>5} | clear",
+        "{:<12} {:>6} | {:>23} {:>5} | {:>19} {:>4} | {:>23} {:>5} | {:>5} {:>5} | clear",
         "layer",
         "cycles",
         "feed rows p0..p3",
@@ -234,9 +243,12 @@ pub fn render(model: &CompiledModel) -> String {
         "in-chain p0..p3",
         "max",
         "hand-over p0..p3",
-        "max"
+        "max",
+        "wts",
+        "ops"
     );
     let mut totals = [0u64; 3];
+    let mut late = [0u64; 2];
     let mut late_layers = 0;
     let mut start = 0u64;
     for (i, mark) in marks.iter().enumerate() {
@@ -257,6 +269,10 @@ pub fn render(model: &CompiledModel) -> String {
         for (total, max) in totals.iter_mut().zip([rows.1, stall.1, wait.1]) {
             *total += max;
         }
+        let weights: u64 = cells[i].iter().map(|cell| cell[3]).sum();
+        let operands = cells[i].iter().map(|cell| cell[2]).sum::<u64>() - weights;
+        late[0] += weights;
+        late[1] += operands;
         let clear = match clear {
             None => "-".to_string(),
             Some(c) if c.border_end <= c.data_end => "before".to_string(),
@@ -267,8 +283,8 @@ pub fn render(model: &CompiledModel) -> String {
         };
         let _ = writeln!(
             out,
-            "{:<12} {:>6} | {} {:>5} | {} {:>4} | {} {:>5} | {}",
-            mark.name, span, rows.0, rows.1, stall.0, stall.1, wait.0, wait.1, clear
+            "{:<12} {:>6} | {} {:>5} | {} {:>4} | {} {:>5} | {weights:>5} {operands:>5} | {clear}",
+            mark.name, span, rows.0, rows.1, stall.0, stall.1, wait.0, wait.1
         );
     }
     let _ = writeln!(out);
@@ -276,6 +292,8 @@ pub fn render(model: &CompiledModel) -> String {
     let _ = writeln!(out, "feed rows      (Σ max) {:>7}", totals[0]);
     let _ = writeln!(out, "in-chain stall (Σ max) {:>7}", totals[1]);
     let _ = writeln!(out, "hand-over      (Σ max) {:>7}", totals[2]);
+    let _ = writeln!(out, "  weights late  (Σ p0..p3) {:>7}", late[0]);
+    let _ = writeln!(out, "  operands late (Σ p0..p3) {:>7}", late[1]);
     let _ = writeln!(
         out,
         "border clears          {:>7} layers, {late_layers} cleared after their data (fallback)",
@@ -317,5 +335,33 @@ mod tests {
         let seen: Vec<(u64, bool, u64)> = feeds.iter().map(|f| (f.rows, f.first, f.gap)).collect();
         assert_eq!(seen, [(8, true, feeds[0].at), (8, false, 12)]);
         assert!(super::feeds(&program, Plane::new(0)).is_empty());
+    }
+
+    /// A chain's first feed on an idle chip issues the cycle its `IW`
+    /// completes: its weights came last. With its activations' slice held
+    /// busy for a while, it waits for them instead.
+    #[test]
+    fn a_chain_start_is_weights_late_only_when_it_issues_at_its_install() {
+        for held in [0u64, 500] {
+            let mut s = Scheduler::new();
+            let acts = s.alloc.alloc(8, 320, BankPolicy::High, 4096).unwrap();
+            let weights = s.alloc.alloc(320, 320, BankPolicy::Low, 20).unwrap();
+            let (h, sl, _) = acts.layout.blocks[0];
+            s.occupy_mem(h, sl, held);
+            let rows: Vec<u32> = (0..8).collect();
+            let pass = Pass {
+                weights: &weights,
+                acts: &acts,
+                rows: &rows,
+            };
+            let plane = Plane::new(2);
+            let _ = schedule_plane_chain(&mut s, plane, &[pass], 0);
+            let program = s.into_program().expect("valid schedule");
+            let feeds = feeds(&program, plane);
+            assert_eq!(feeds.len(), 1);
+            assert!(feeds[0].first);
+            assert_eq!(feeds[0].weights_late, held == 0, "held until {held}");
+            assert!(feeds[0].at > held);
+        }
     }
 }

@@ -181,6 +181,14 @@ pub struct WeightFeed {
 
 /// Streams the 320-row LW-order block `weights` toward `hemisphere`'s MXM on
 /// 16 streams, arriving no earlier than `not_before`.
+///
+/// A registered constant ([`Scheduler::is_constant`]) — every model's
+/// weights — is written by no instruction, so its reads need no fence: they
+/// take the first window in which all sixteen runs fit idle cycles of their
+/// slices' queues and an aligned 16-stream group is idle for the 20 install
+/// rows, before those resources' horizons where they were idle long enough
+/// ([`Scheduler::earliest_constant_group_arrival`]). Any other block waits
+/// for the horizons.
 pub fn stream_weights(
     s: &mut Scheduler,
     weights: &TensorHandle,
@@ -189,13 +197,18 @@ pub fn stream_weights(
 ) -> WeightFeed {
     let mxm = Slice::Mxm(hemisphere).position();
     let to_mxm = Direction::outward_from(hemisphere);
-    let (wbase, ready) = s.take_aligned_group(to_mxm, 16, not_before, mxm);
     let weight_rows: Vec<Vec<u32>> = (0..16u32)
         .map(|j| (j * 20..(j + 1) * 20).collect())
         .collect();
-    let t_lw = weight_rows.iter().fold(ready, |t, rows| {
-        s.earliest_read_arrival(weights, rows, to_mxm, mxm, t)
-    });
+    let (wbase, t_lw) = if s.is_constant(weights) {
+        s.earliest_constant_group_arrival(weights, &weight_rows, to_mxm, mxm, not_before)
+    } else {
+        let (base, ready) = s.take_aligned_group(to_mxm, 16, not_before, mxm);
+        let t_lw = weight_rows.iter().fold(ready, |t, rows| {
+            s.earliest_read_arrival(weights, rows, to_mxm, mxm, t)
+        });
+        (base, t_lw)
+    };
     for (j, rows) in weight_rows.iter().enumerate() {
         let stream = StreamId::new(wbase + j as u8, to_mxm);
         s.read_rows(weights, rows, stream, mxm, t_lw);
@@ -231,9 +244,9 @@ pub type WeightBlock = (usize, ConstantRows, u16);
 /// [`plane_of_chain`]), stacked on sixteen of its inner Low-bank slices
 /// (`MemAllocator::alloc_low_stacked`): every read of the set
 /// then leads its arrival by as much, where a block across the chip is read
-/// some 70 cycles ahead of one next to the MXM, and a slice's queue, booked
-/// as one busy horizon, makes whichever of two such reads is reserved second
-/// wait for the first. A kernel whose `chains` all run at once gives every
+/// some 70 cycles ahead of one next to the MXM, and whichever of two such
+/// reads on one slice is reserved second must find an idle window around the
+/// first (or wait for it). A kernel whose `chains` all run at once gives every
 /// M-split a stack of its own; one that runs them in waves — a wave's output
 /// lands while the next wave's weights are read — keeps to one stack a
 /// hemisphere and leaves the other inner slices' ports to its output. A stack
@@ -279,9 +292,9 @@ pub fn emplace_weight_blocks(
 /// A resumable MXM plane chain: schedules one accumulate-pass at a time so
 /// several planes' chains can be **interleaved** by the caller — without
 /// interleaving, one chain's reads hold MEM-port and stream reservations that
-/// push the next chain's start past them (the resource pool tracks a single
-/// busy horizon per port and stream, not gaps, so work must be reserved in
-/// time order).
+/// push the next chain's start past them (activation reads and result
+/// streams wait for a port's or stream's horizon, not for a gap before it,
+/// so work must be reserved in time order).
 ///
 /// A pass is an [`install`](PlaneChainBuilder::install) and one or more
 /// [`feed`](PlaneChainBuilder::feed)s through the installed weights. `ACC`
@@ -359,7 +372,7 @@ impl PlaneChainBuilder {
             },
         );
         self.prev_iw_done = t_iw + D_IW;
-        s.hold_weight_buffer(plane, self.prev_iw_done);
+        s.hold_weight_buffer(plane, feed.t_lw, self.prev_iw_done);
     }
 
     /// Streams `rows` of `acts` through the installed weights into the
@@ -403,7 +416,7 @@ impl PlaneChainBuilder {
         // any stream of its own (a gather's map streams may flow `from_mxm`).
         let t_acc = t_abc + u64::from(MXM_ARRAY_DELAY);
         for stream in acc_group.streams() {
-            s.occupy_stream(stream, mxm, t_acc + 1 + m);
+            s.occupy_stream(stream, mxm, t_acc + 1, m);
         }
         acts.stream_rows(s, rows, acts_stream[0], mxm, t_abc);
         s.place(
@@ -416,7 +429,7 @@ impl PlaneChainBuilder {
             },
         );
         self.prev_abc_end = t_abc + m;
-        s.hold_array(plane, self.prev_abc_end);
+        s.hold_array(plane, t_abc, self.prev_abc_end);
 
         // ---- accumulate ----------------------------------------------------
         let mode = if self.feeds_done == 0 {
@@ -573,7 +586,7 @@ pub(crate) fn vxm_stage(
     }
     let dst = StreamGroup::new(StreamId::new(id, out_dir), 1);
     s.place_burst(IcuId::Vxm { alu }, t, n, op(dst, alu));
-    s.occupy_stream(dst.base, vxm, t + D_VXM + n);
+    s.occupy_stream(dst.base, vxm, t + D_VXM, n);
     Ok(dst)
 }
 

@@ -293,7 +293,7 @@ pub fn max_pool(
                         s.take_streams_excluding(dir, 1, t0 + stagger(i), vxm, &exclude);
                     let want = feed.earliest_arrival(s, rows, dir, vxm, ready);
                     t0 = t0.max(want - stagger(i));
-                    s.occupy_stream(id[0], vxm, t0 + stagger(i) + u64::from(n));
+                    s.occupy_stream(id[0], vxm, t0 + stagger(i), u64::from(n));
                     ids.push(id[0]);
                 }
                 // The last max's results leave the VXM this long after `t0`.
@@ -307,7 +307,7 @@ pub fn max_pool(
                 // `t0` is final: hold every pick for its real burst before
                 // any map stream is chosen.
                 for (i, id) in ids.iter().enumerate() {
-                    s.occupy_stream(*id, vxm, t0 + stagger(i) + u64::from(n));
+                    s.occupy_stream(*id, vxm, t0 + stagger(i), u64::from(n));
                 }
                 for (i, (((_, rows, _), feed), id)) in plan.iter().zip(&feeds).zip(&ids).enumerate()
                 {
@@ -455,9 +455,9 @@ pub fn global_avg_pool(
             );
         }
         for stream in acc_group.streams() {
-            s.occupy_stream(stream, mxm, t_acc + 1 + u64::from(n));
+            s.occupy_stream(stream, mxm, t_acc + 1, u64::from(n));
         }
-        s.hold_array(plane, t_abc + u64::from(n));
+        s.hold_array(plane, t_abc, t_abc + u64::from(n));
 
         // Only the final emission (row n−1) carries the full sum.
         let transit = u64::from(from_mxm.hops(mxm, vxm).expect("VXM inward"));

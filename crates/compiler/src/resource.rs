@@ -1,12 +1,16 @@
-//! The books: when every contended hardware unit is next free.
+//! The books: when every contended hardware unit is busy.
 //!
 //! The compiler, not the hardware, resolves contention (paper §II). Each
-//! schedulable unit is a [`Resource`]; the [`ResourcePool`] records when each
-//! becomes free — one busy horizon per unit, a representation nothing outside
-//! this file depends on. [`crate::sched::Scheduler`] keeps the only pool and
-//! is the only one to read or write it: placing an instruction books its
-//! queue, and kernels ask the scheduler's methods about the rest. Later
-//! kernels overlap with earlier ones wherever their resource sets are
+//! schedulable unit is a [`Resource`]; the [`ResourcePool`] books the cycles
+//! each is busy as sorted, disjoint intervals — a representation nothing
+//! outside this file depends on. Two questions are asked of the books: a
+//! book's *horizon*, the end of its latest interval
+//! ([`ResourcePool::free_at`]), and the first cycle from which several books
+//! each have an idle window of a given length at a given offset
+//! ([`ResourcePool::first_window`]). [`crate::sched::Scheduler`] keeps the
+//! only pool and is the only one to read or write it: placing an instruction
+//! books its queue, and kernels ask the scheduler's methods about the rest.
+//! Later kernels overlap with earlier ones wherever their resource sets are
 //! disjoint — the paper's §IV-C memory-overlap optimization — or run strictly
 //! layer by layer when the pool is fenced.
 
@@ -39,12 +43,122 @@ pub enum Resource {
     MxmArray(u8),
 }
 
-/// Tracks when each resource is next free.
+/// One resource's busy intervals `[start, end)`: sorted, disjoint, and
+/// merged where they touch — so the ends ascend too, and the last one is the
+/// horizon.
+#[derive(Debug, Clone, Default)]
+struct Book(Vec<(u64, u64)>);
+
+/// How to take one booking back.
+#[derive(Debug, Clone)]
+enum Undo {
+    /// It was pushed as the latest interval.
+    Pushed,
+    /// It extended the latest interval, which ended at this cycle before.
+    Extended(u64),
+    /// It was inserted at this index, touching no interval.
+    Inserted(usize),
+    /// It widened the one interval at this index, which was this before.
+    Widened(usize, (u64, u64)),
+    /// It merged these intervals, from this index on, into one.
+    Merged(usize, Vec<(u64, u64)>),
+}
+
+impl Book {
+    /// The end of the latest interval (0 when nothing is booked).
+    fn horizon(&self) -> u64 {
+        self.0.last().map_or(0, |&(_, end)| end)
+    }
+
+    /// Books `[start, end)`, merging it with every interval it overlaps or
+    /// touches; returns how to take it back.
+    fn book(&mut self, start: u64, end: u64) -> Undo {
+        debug_assert!(start <= end, "a booking ends after it starts");
+        let book = &mut self.0;
+        match book.last_mut() {
+            // Most bookings extend or follow the latest interval.
+            Some(last) if start >= last.0 && start <= last.1 => {
+                let before = last.1;
+                last.1 = before.max(end);
+                Undo::Extended(before)
+            }
+            Some(last) if start < last.0 => {
+                let first = book.partition_point(|&(_, e)| e < start);
+                let last = first + book[first..].partition_point(|&(s, _)| s <= end);
+                match last - first {
+                    0 => {
+                        book.insert(first, (start, end));
+                        Undo::Inserted(first)
+                    }
+                    1 => {
+                        let old = book[first];
+                        book[first] = (old.0.min(start), old.1.max(end));
+                        Undo::Widened(first, old)
+                    }
+                    _ => {
+                        let merged = (book[first].0.min(start), book[last - 1].1.max(end));
+                        let old = book.splice(first..last, [merged]).collect();
+                        Undo::Merged(first, old)
+                    }
+                }
+            }
+            _ => {
+                book.push((start, end));
+                Undo::Pushed
+            }
+        }
+    }
+
+    /// Takes back the latest booking not yet taken back, as `book` said.
+    fn take_back(&mut self, undo: Undo) {
+        let book = &mut self.0;
+        match undo {
+            Undo::Pushed => {
+                book.pop();
+            }
+            Undo::Extended(end) => book.last_mut().expect("an interval was extended").1 = end,
+            Undo::Inserted(at) => {
+                book.remove(at);
+            }
+            Undo::Widened(at, old) => book[at] = old,
+            Undo::Merged(at, old) => {
+                book.splice(at..=at, old);
+            }
+        }
+    }
+
+    /// The first `t ≥ at` with `[t, t + n)` clear of every interval.
+    fn first_window(&self, n: u64, at: u64) -> u64 {
+        let mut t = at;
+        let from = self.0.partition_point(|&(_, end)| end <= t);
+        for &(start, end) in &self.0[from..] {
+            if start >= t + n {
+                break;
+            }
+            t = end;
+        }
+        t
+    }
+}
+
+/// A point [`ResourcePool::rewind`] takes the books back to.
+#[derive(Debug)]
+pub struct Mark {
+    undone_to: usize,
+    floor: u64,
+}
+
+/// Books when each resource is busy.
 #[derive(Debug, Clone, Default)]
 pub struct ResourcePool {
-    free_at: BTreeMap<Resource, u64>,
+    books: BTreeMap<Resource, Book>,
     /// Highest fence applied; resources never touched still respect it.
     floor: u64,
+    /// Every booking since the oldest open [`Mark`], with how to take it
+    /// back; empty while none is open.
+    journal: Vec<(Resource, Undo)>,
+    /// Marks taken and not yet rewound to or released.
+    open: usize,
 }
 
 impl ResourcePool {
@@ -54,16 +168,77 @@ impl ResourcePool {
         ResourcePool::default()
     }
 
-    /// The first cycle at which `r` is free.
+    /// The first cycle after which `r` is booked no more: its horizon.
     #[must_use]
     pub fn free_at(&self, r: Resource) -> u64 {
-        self.free_at.get(&r).copied().unwrap_or(0).max(self.floor)
+        self.books.get(&r).map_or(0, Book::horizon).max(self.floor)
     }
 
-    /// Marks `r` busy until `until` (exclusive).
-    pub fn occupy(&mut self, r: Resource, until: u64) {
-        let slot = self.free_at.entry(r).or_insert(0);
-        *slot = (*slot).max(until);
+    /// The first cycle `t ≥ at` at which every claim `(r, offset, n)` finds
+    /// `r` idle for the `n` cycles from `t + offset`, past the fence (and
+    /// cycle 0): windows before the horizons where they are long enough.
+    #[must_use]
+    pub fn first_window(&self, claims: &[(Resource, i64, u64)], at: u64) -> u64 {
+        let books: Vec<_> = (claims.iter())
+            .map(|&(r, offset, n)| (self.books.get(&r), offset, n))
+            .collect();
+        let floor = self.floor as i64;
+        let mut t = (claims.iter()).fold(at as i64, |t, &(_, offset, _)| t.max(floor - offset));
+        // Each claim's window moves `t` for the others: go round them until
+        // every one has accepted the same `t`.
+        let mut accepted = 0;
+        for &(book, offset, n) in books.iter().cycle() {
+            if accepted == books.len() {
+                break;
+            }
+            let start = (t + offset) as u64;
+            match book.map_or(start, |book| book.first_window(n, start)) {
+                free if free == start => accepted += 1,
+                free => (t, accepted) = (free as i64 - offset, 1),
+            }
+        }
+        t as u64
+    }
+
+    /// Books `r` busy over `[start, until)`.
+    pub fn occupy(&mut self, r: Resource, start: u64, until: u64) {
+        let undo = self.books.entry(r).or_default().book(start, until);
+        if self.open > 0 {
+            self.journal.push((r, undo));
+        }
+    }
+
+    /// Opens a point to rewind the books to: every booking from now on is
+    /// journaled until this mark and every later one are rewound to or
+    /// released.
+    pub fn mark(&mut self) -> Mark {
+        self.open += 1;
+        Mark {
+            undone_to: self.journal.len(),
+            floor: self.floor,
+        }
+    }
+
+    /// Takes back every booking and fence since `mark`, and closes it.
+    pub fn rewind(&mut self, mark: Mark) {
+        for (r, undo) in self.journal.drain(mark.undone_to..).rev() {
+            let book = self.books.get_mut(&r).expect("a journaled book");
+            book.take_back(undo);
+        }
+        self.floor = mark.floor;
+        self.release(mark);
+    }
+
+    /// Closes `mark`, keeping what was booked since.
+    pub fn release(&mut self, mark: Mark) {
+        debug_assert!(
+            self.journal.len() >= mark.undone_to,
+            "marks close newest first"
+        );
+        self.open -= 1;
+        if self.open == 0 {
+            self.journal.clear();
+        }
     }
 
     /// Fences every resource to `cycle`: nothing schedules before it
@@ -151,17 +326,50 @@ mod tests {
     #[test]
     fn occupy_and_query() {
         let mut p = ResourcePool::new();
-        p.occupy(Resource::MxmWeights(3), 100);
-        p.occupy(Resource::MxmWeights(3), 50); // never moves backwards
+        p.occupy(Resource::MxmWeights(3), 60, 100);
+        p.occupy(Resource::MxmWeights(3), 20, 50); // the horizon never moves backwards
         assert_eq!(p.free_at(Resource::MxmWeights(3)), 100);
         assert_eq!(p.free_at(Resource::MxmWeights(2)), 0);
+    }
+
+    /// The book keeps the idle cycles between bookings: a window as long as
+    /// a gap fits in it, one a cycle longer goes past the horizon.
+    #[test]
+    fn a_window_takes_the_first_gap_long_enough() {
+        let mut p = ResourcePool::new();
+        let r = Resource::Queue(IcuId::Mem {
+            hemisphere: tsp_arch::Hemisphere::East,
+            index: 4,
+        });
+        let window = |p: &ResourcePool, n, at| p.first_window(&[(r, 0, n)], at);
+        p.occupy(r, 0, 10);
+        p.occupy(r, 30, 40);
+        p.occupy(r, 50, 60);
+        assert_eq!(p.free_at(r), 60);
+        assert_eq!(window(&p, 20, 0), 10);
+        assert_eq!(window(&p, 21, 0), 60);
+        assert_eq!(window(&p, 10, 12), 12);
+        assert_eq!(window(&p, 19, 12), 60);
+        assert_eq!(window(&p, 5, 35), 40);
+        // An offset claim: the window 25 cycles ahead of `t`, never before 0.
+        assert_eq!(p.first_window(&[(r, -25, 20)], 0), 35);
+        assert_eq!(p.first_window(&[(r, -25, 20)], 40), 85);
+        // Touching bookings merge: no zero-length gap is left between them.
+        p.occupy(r, 40, 50);
+        assert_eq!(window(&p, 1, 30), 60);
+        // A booking in a gap leaves the horizon where it was.
+        p.occupy(r, 10, 20);
+        assert_eq!(p.free_at(r), 60);
+        assert_eq!(window(&p, 10, 0), 20);
+        p.fence(70);
+        assert_eq!(window(&p, 10, 0), 70);
     }
 
     #[test]
     fn pick_streams_prefers_free_ones() {
         let mut p = ResourcePool::new();
         for id in 0..4 {
-            p.occupy(Resource::Stream(Direction::East, id), 1000);
+            p.occupy(Resource::Stream(Direction::East, id), 0, 1000);
         }
         let (streams, ready) = p.pick_streams_excluding(Direction::East, 2, 5, &[]);
         assert_eq!(ready, 5);
@@ -171,7 +379,7 @@ mod tests {
     #[test]
     fn fence_floors_everything() {
         let mut p = ResourcePool::new();
-        p.occupy(Resource::MxmArray(0), 10);
+        p.occupy(Resource::MxmArray(0), 0, 10);
         p.fence(100);
         assert_eq!(p.free_at(Resource::MxmArray(0)), 100);
         assert_eq!(p.free_at(Resource::MxmWeights(3)), 100);
@@ -183,10 +391,62 @@ mod tests {
     fn pick_aligned_group_respects_alignment() {
         let mut p = ResourcePool::new();
         // Make group base 0 busy; base 4 should win for width 4.
-        p.occupy(Resource::Stream(Direction::West, 2), 500);
+        p.occupy(Resource::Stream(Direction::West, 2), 0, 500);
         let (base, ready) = p.pick_aligned_group(Direction::West, 4, 0);
         assert_eq!(base % 4, 0);
         assert_ne!(base, 0);
         assert_eq!(ready, 0);
+    }
+
+    /// Rewinding to a mark takes back every booking since it — appended,
+    /// extending the latest interval, or merged into a gap — and the fence,
+    /// inner marks included; releasing one keeps its bookings.
+    #[test]
+    fn rewind_takes_back_what_was_booked_since_the_mark() {
+        let r = Resource::MxmArray(1);
+        let mut p = ResourcePool::new();
+        p.occupy(r, 10, 20);
+        p.occupy(r, 40, 50);
+        let books = |p: &ResourcePool| p.books[&r].0.clone();
+        let before = books(&p);
+        let outer = p.mark();
+        p.occupy(r, 45, 60); // extends
+        p.occupy(r, 70, 80); // appends
+        let inner = p.mark();
+        p.occupy(r, 20, 30); // merges into the gap
+        p.occupy(r, 0, 5); // inserts at the front
+        p.fence(100);
+        p.release(inner);
+        assert_eq!(books(&p), [(0, 5), (10, 30), (40, 60), (70, 80)]);
+        let inner = p.mark();
+        p.occupy(r, 5, 75); // merges all but the front one
+        p.rewind(inner);
+        assert_eq!(books(&p), [(0, 5), (10, 30), (40, 60), (70, 80)]);
+        assert_eq!(p.floor(), 100);
+        p.rewind(outer);
+        assert_eq!(books(&p), before);
+        assert_eq!(p.floor(), 0);
+        assert!(p.journal.is_empty() && p.open == 0);
+        // With no mark open nothing is journaled.
+        p.occupy(r, 90, 95);
+        assert!(p.journal.is_empty());
+    }
+
+    /// Claims on several books share one start: a window must be idle on
+    /// every one of them, wherever their gaps lie.
+    #[test]
+    fn claims_share_a_window() {
+        let mut p = ResourcePool::new();
+        let stream = |id| Resource::Stream(Direction::East, id);
+        let group = |n| [(stream(1), 0, n), (stream(2), 0, n), (stream(3), 0, n)];
+        p.occupy(stream(1), 0, 50);
+        p.occupy(stream(2), 60, 200);
+        assert_eq!(p.first_window(&group(10), 0), 50);
+        assert_eq!(p.first_window(&group(11), 0), 200);
+        // The third stream's gap ends too early: on to the next one.
+        p.occupy(stream(3), 55, 70);
+        p.occupy(stream(3), 205, 230);
+        assert_eq!(p.first_window(&group(10), 0), 230);
+        assert_eq!(p.first_window(&[], 7), 7);
     }
 }

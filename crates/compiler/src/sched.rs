@@ -11,7 +11,9 @@
 
 use std::collections::BTreeMap;
 
-use tsp_arch::{Direction, Hemisphere, Position, Slice, StreamId, Vector, SUPERLANES};
+use tsp_arch::{
+    Direction, Hemisphere, Position, Slice, StreamId, Vector, STREAMS_PER_DIRECTION, SUPERLANES,
+};
 use tsp_isa::mem::map_vector;
 use tsp_isa::{AluIndex, IcuOp, Instruction, MemAddr, MemOp, Plane, D_GATHER, D_READ, D_VXM};
 use tsp_mem::GlobalAddress;
@@ -19,7 +21,7 @@ use tsp_sim::{IcuId, Program};
 
 use crate::alloc::{MemAllocator, LOW_INNER_SLICES};
 use crate::rerun::RowRuns;
-use crate::resource::{Resource, ResourcePool};
+use crate::resource::{Mark, Resource, ResourcePool};
 use crate::tensor::TensorHandle;
 
 /// The instruction queue of one MEM slice.
@@ -152,10 +154,10 @@ impl std::error::Error for OutOfPorts {}
 pub type ConstantRows = Vec<(u32, Vector)>;
 
 /// State captured by [`Scheduler::snapshot`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SchedulerSnapshot {
     queue_lens: std::collections::BTreeMap<IcuId, usize>,
-    pool: ResourcePool,
+    pool: Mark,
     alloc: MemAllocator,
     zero_rows: [Option<TensorHandle>; 2],
     constants_len: usize,
@@ -167,7 +169,7 @@ pub struct SchedulerSnapshot {
 /// Builds a program by placing instructions at absolute cycles.
 #[derive(Debug, Default)]
 pub struct Scheduler {
-    /// When each queue, stream and MXM plane is next free: the only set of
+    /// When each queue, stream and MXM plane is busy: the only set of
     /// books, kept here — [`Scheduler::place`] books a queue, the `take_*` /
     /// `occupy_*` / `hold_*` methods the rest — and asked about only through
     /// this type's methods.
@@ -398,7 +400,7 @@ impl Scheduler {
         let instruction = instruction.into();
         let issued = cycle + instruction.queue_cycles();
         self.note_completion(issued + u64::from(instruction.time_model().d_func));
-        self.pool.occupy(Resource::Queue(icu), issued);
+        self.pool.occupy(Resource::Queue(icu), cycle, issued);
         self.placements
             .entry(icu)
             .or_default()
@@ -459,7 +461,7 @@ impl Scheduler {
     /// Contiguous row runs become `Read` + `Repeat` bursts (addresses
     /// auto-increment); arbitrary patterns fall back to per-row `Read`s, still
     /// one row per cycle. Placing them books the source slices' queues; the
-    /// stream is reserved here.
+    /// stream is reserved here, for the burst's own cycles.
     ///
     /// # Panics
     ///
@@ -489,7 +491,7 @@ impl Scheduler {
                 read,
             );
         }
-        self.occupy_stream(stream, consumer, t0 + rows.len() as u64);
+        self.occupy_stream(stream, consumer, t0, rows.len() as u64);
     }
 
     /// Commits `count` consecutive stream values into rows
@@ -538,7 +540,7 @@ impl Scheduler {
             };
             self.place_burst(mem_queue(h, s), dispatch, u64::from(run), write);
         }
-        self.occupy_stream(stream, producer, t0 + u64::from(count));
+        self.occupy_stream(stream, producer, t0, u64::from(count));
     }
 
     /// Splits the vectors `keys` names into [`LaneRun`]s over `maps`.
@@ -640,7 +642,7 @@ impl Scheduler {
         t0: u64,
     ) {
         // First, so that no map burst picks the gathered rows' own stream.
-        self.occupy_stream(stream, consumer, t0 + rows.len() as u64);
+        self.occupy_stream(stream, consumer, t0, rows.len() as u64);
         for run in Scheduler::lane_runs(maps, rows) {
             let lead = D_GATHER + flight(stream.direction, run.position(), consumer);
             let dispatch = (t0 + run.start as u64)
@@ -689,7 +691,7 @@ impl Scheduler {
         producer: Position,
         t0: u64,
     ) {
-        self.occupy_stream(stream, producer, t0 + rows.len() as u64);
+        self.occupy_stream(stream, producer, t0, rows.len() as u64);
         for run in Scheduler::lane_runs(maps, rows) {
             let (h, s) = run.map.slice;
             for &map_row in &run.map_rows {
@@ -796,14 +798,18 @@ impl Scheduler {
         let rows = vec![0u32; len as usize];
 
         // Nothing is reserved before the burst is known to make its deadline.
+        // The zeros are read like a constant's rows, in the first window of
+        // their slice's queue once the stream and every destination's port
+        // are free.
         let (streams, ready) = self.pick_streams(direction, 1, 0, vxm, &[]);
-        let mut t0 = self.earliest_read_arrival(&zero, &rows, direction, vxm, ready);
+        let mut t0 = ready;
         for (tensor, _) in &jobs {
             for (h, sl) in tensor.layout.slices() {
                 assert_eq!(h, hemisphere, "zero_stale jobs must share a hemisphere");
                 t0 = t0.max(self.mem_free(h, sl));
             }
         }
+        let t0 = self.earliest_constant_arrival(&zero, &rows, direction, vxm, t0);
         let done = t0 + u64::from(len);
         if end_by.is_some_and(|deadline| done > deadline) {
             return None;
@@ -820,11 +826,11 @@ impl Scheduler {
         Some(done)
     }
 
-    /// Holds a MEM slice's (single-issue) queue busy until `until` with
-    /// nothing placed on it: how a test stands in for another kernel's
-    /// traffic. Placing an instruction books its queue by itself.
+    /// Holds a MEM slice's (single-issue) queue busy from cycle 0 until
+    /// `until` with nothing placed on it: how a test stands in for another
+    /// kernel's traffic. Placing an instruction books its queue by itself.
     pub fn occupy_mem(&mut self, h: Hemisphere, s: u8, until: u64) {
-        self.pool.occupy(Resource::Queue(mem_queue(h, s)), until);
+        self.pool.occupy(Resource::Queue(mem_queue(h, s)), 0, until);
     }
 
     /// Allocates a tensor whose rows will be **written starting at cycle
@@ -858,7 +864,8 @@ impl Scheduler {
             .ok()
     }
 
-    /// The first cycle a MEM slice's queue is free.
+    /// The first cycle after which a MEM slice's queue has nothing booked:
+    /// its horizon.
     #[must_use]
     pub fn mem_free(&self, h: Hemisphere, s: u8) -> u64 {
         self.pool.free_at(Resource::Queue(mem_queue(h, s)))
@@ -913,16 +920,16 @@ impl Scheduler {
         )
     }
 
-    /// Holds `plane`'s weight buffer until `until`: the cycle the `IW`
-    /// emptying it into the array completes.
-    pub fn hold_weight_buffer(&mut self, plane: Plane, until: u64) {
-        self.pool.occupy(Resource::MxmWeights(plane.index()), until);
+    /// Holds `plane`'s weight buffer from `from`, its `LW`, until `until`:
+    /// the cycle the `IW` emptying it into the array completes.
+    pub fn hold_weight_buffer(&mut self, plane: Plane, from: u64, until: u64) {
+        (self.pool).occupy(Resource::MxmWeights(plane.index()), from, until);
     }
 
-    /// Holds `plane`'s array input until `until`: the end of the `ABC`
-    /// streaming through the installed weights.
-    pub fn hold_array(&mut self, plane: Plane, until: u64) {
-        self.pool.occupy(Resource::MxmArray(plane.index()), until);
+    /// Holds `plane`'s array input from `from`, its `ABC`, until `until`:
+    /// the end of the rows streaming through the installed weights.
+    pub fn hold_array(&mut self, plane: Plane, from: u64, until: u64) {
+        (self.pool).occupy(Resource::MxmArray(plane.index()), from, until);
     }
 
     /// Fences every resource to `cycle`: nothing more is scheduled before it
@@ -938,8 +945,8 @@ impl Scheduler {
     }
 
     /// The earliest cycle `t0` such that streaming `rows` of `tensor` toward
-    /// `consumer` needs no dispatch before any source queue is free (and none
-    /// before cycle 0), with `t0 ≥ not_before`.
+    /// `consumer` needs no dispatch before any source queue's horizon (and
+    /// none before cycle 0), with `t0 ≥ not_before`.
     #[must_use]
     pub fn earliest_read_arrival(
         &self,
@@ -959,12 +966,127 @@ impl Scheduler {
         })
     }
 
+    /// [`Scheduler::earliest_read_arrival`] for rows no instruction writes
+    /// during a run — of a registered constant ([`Scheduler::constants`]) or
+    /// a zero row ([`Scheduler::zero_stale`]): each burst may take the first
+    /// idle window of its slice's queue long enough for it, before the
+    /// queue's horizon as well as after. The horizon is the only read-after-
+    /// write and write-after-read fence the scheduler keeps; rows nothing
+    /// writes need none, so only the queue's own cycles bind.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `tensor` is neither a registered constant
+    /// nor a zero row.
+    #[must_use]
+    pub fn earliest_constant_arrival(
+        &self,
+        tensor: &TensorHandle,
+        rows: &[u32],
+        direction: Direction,
+        consumer: Position,
+        not_before: u64,
+    ) -> u64 {
+        debug_assert!(
+            self.never_written(tensor),
+            "only a constant's reads may take a gap"
+        );
+        let claims: Vec<_> = Scheduler::read_claims(tensor, rows, direction, consumer).collect();
+        self.pool.first_window(&claims, not_before)
+    }
+
+    /// [`Scheduler::earliest_constant_arrival`] for `lists` of a constant's
+    /// rows streamed side by side — row `i` of every list at `consumer` at
+    /// `t0 + i`, list `j` on stream `base + j` of an aligned group of
+    /// `lists.len()` streams in `direction` — with the group taking the first
+    /// window in which each stream is idle for its list (edge time, see
+    /// [`Scheduler::take_streams`]), before its horizon where one is long
+    /// enough: the group's base (the lowest among equals) and `t0`. Reserves
+    /// nothing: [`Scheduler::read_rows`] books each list's burst.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lists.len()` does not divide the streams of a direction, or
+    /// in debug builds if `tensor` is not a registered constant.
+    #[must_use]
+    pub fn earliest_constant_group_arrival(
+        &self,
+        tensor: &TensorHandle,
+        lists: &[Vec<u32>],
+        direction: Direction,
+        consumer: Position,
+        not_before: u64,
+    ) -> (u8, u64) {
+        debug_assert!(
+            self.never_written(tensor),
+            "only a constant's reads may take a gap"
+        );
+        let width = lists.len() as u8;
+        assert!(
+            width > 0 && STREAMS_PER_DIRECTION.is_multiple_of(width),
+            "{width} streams form no aligned group"
+        );
+        let mut claims: Vec<_> = (lists.iter())
+            .flat_map(|rows| Scheduler::read_claims(tensor, rows, direction, consumer))
+            .collect();
+        let queues = claims.len();
+        let lead = edge_hops(direction, consumer) as i64;
+        let mut best: Option<(u64, u8)> = None;
+        for base in (0..STREAMS_PER_DIRECTION).step_by(usize::from(width)) {
+            // No later group starts before `not_before`.
+            if best.is_some_and(|(t0, _)| t0 == not_before) {
+                break;
+            }
+            claims.truncate(queues);
+            claims.extend(
+                (lists.iter().zip(base..))
+                    .map(|(rows, id)| (Resource::Stream(direction, id), lead, rows.len() as u64)),
+            );
+            let t0 = self.pool.first_window(&claims, not_before);
+            if best.is_none_or(|(first, _)| t0 < first) {
+                best = Some((t0, base));
+            }
+        }
+        let (t0, base) = best.expect("at least one aligned group");
+        (base, t0)
+    }
+
+    /// What a read of `rows` of `tensor` toward `consumer` asks of its
+    /// source slices' queues, as claims relative to its first row's arrival
+    /// (see [`ResourcePool::first_window`]): a run's dispatch leads its
+    /// arrival by the run's read lead.
+    fn read_claims<'a>(
+        tensor: &'a TensorHandle,
+        rows: &'a [u32],
+        direction: Direction,
+        consumer: Position,
+    ) -> impl Iterator<Item = (Resource, i64, u64)> + 'a {
+        Scheduler::read_runs(tensor, rows).map(move |(start, addr, len)| {
+            let lead = Scheduler::read_lead(addr, direction, consumer);
+            let queue = Resource::Queue(mem_queue(addr.hemisphere, addr.slice));
+            (queue, start as i64 - lead as i64, len as u64)
+        })
+    }
+
+    /// Whether `tensor` is a registered constant ([`Scheduler::constants`]).
+    #[must_use]
+    pub fn is_constant(&self, tensor: &TensorHandle) -> bool {
+        // The constant streamed next is most often the latest registered.
+        self.constants.iter().rev().any(|(t, _)| t == tensor)
+    }
+
+    /// Whether `tensor` is a registered constant or one of the zero rows:
+    /// rows no instruction writes during a run.
+    fn never_written(&self, tensor: &TensorHandle) -> bool {
+        self.is_constant(tensor) || self.zero_rows.iter().flatten().any(|t| t == tensor)
+    }
+
     /// Picks `count` streams in `direction` for a burst whose first value is
     /// at `pos` at cycle `at` or later, and immediately reserves them (a
     /// nominal one-cycle hold so subsequent picks choose different streams;
-    /// `read_rows`/`write_rows`/[`Scheduler::occupy_stream`] extend the
-    /// reservation to the real interval). Returns the ids and the earliest
-    /// such cycle.
+    /// `read_rows`/`write_rows`/[`Scheduler::occupy_stream`] book the real
+    /// interval). Returns the ids and the earliest such cycle. A pick asks
+    /// each stream's horizon, never a gap before it.
     ///
     /// Stream reservations are exact: a value moves one hop per cycle, so it
     /// is identified by the cycle it leaves the chip (its *edge time*), and a
@@ -995,8 +1117,8 @@ impl Scheduler {
         let (streams, ready) = self.pick_streams(direction, count, at, pos, exclude);
         let lead = edge_hops(direction, pos);
         for s in &streams {
-            self.pool
-                .occupy(Resource::Stream(direction, s.id), ready + lead + 1);
+            let edge = ready + lead;
+            (self.pool).occupy(Resource::Stream(direction, s.id), edge, edge + 1);
         }
         (streams, ready)
     }
@@ -1032,31 +1154,32 @@ impl Scheduler {
         let at = at.max(self.pool.floor()) + lead;
         let (base, ready) = self.pool.pick_aligned_group(direction, width, at);
         for id in base..base + width {
-            self.pool.occupy(Resource::Stream(direction, id), ready + 1);
+            (self.pool).occupy(Resource::Stream(direction, id), ready, ready + 1);
         }
         (base, ready - lead)
     }
 
-    /// Reserves `stream` for a burst whose last value is at `pos` at cycle
-    /// `until − 1`.
-    pub fn occupy_stream(&mut self, stream: StreamId, pos: Position, until: u64) {
-        let lead = edge_hops(stream.direction, pos);
-        self.pool
-            .occupy(Resource::Stream(stream.direction, stream.id), until + lead);
+    /// Reserves `stream` for a burst of `n` values, the first at `pos` at
+    /// cycle `t0`.
+    pub fn occupy_stream(&mut self, stream: StreamId, pos: Position, t0: u64, n: u64) {
+        let edge = t0 + edge_hops(stream.direction, pos);
+        let r = Resource::Stream(stream.direction, stream.id);
+        self.pool.occupy(r, edge, edge + n);
     }
 
-    /// A lightweight checkpoint: per-queue placement lengths plus clones of
-    /// the (small) pool/allocator state. Lets kernels retry a whole chain
-    /// with a later floor when output ports cannot be found.
+    /// A lightweight checkpoint: per-queue placement lengths, a mark in the
+    /// pool's journal, and a clone of the allocator. Lets kernels retry a
+    /// whole chain with a later floor when output ports cannot be found;
+    /// [`Scheduler::restore`] or [`Scheduler::release`] closes it.
     #[must_use]
-    pub fn snapshot(&self) -> SchedulerSnapshot {
+    pub fn snapshot(&mut self) -> SchedulerSnapshot {
         SchedulerSnapshot {
             queue_lens: self
                 .placements
                 .iter()
                 .map(|(icu, v)| (*icu, v.len()))
                 .collect(),
-            pool: self.pool.clone(),
+            pool: self.pool.mark(),
             alloc: self.alloc.clone(),
             zero_rows: self.zero_rows.clone(),
             constants_len: self.constants.len(),
@@ -1092,9 +1215,12 @@ impl Scheduler {
         for try_idx in 0usize..8 {
             let snap = self.snapshot();
             match attempt(self, floor) {
-                Ok(result) => return Some(result),
+                Ok(result) => {
+                    self.release(snap);
+                    return Some(result);
+                }
                 Err(e) => {
-                    self.restore(&snap);
+                    self.restore(snap);
                     let quantile = if try_idx == 0 { 0.9 } else { 1.0 };
                     floor = floor
                         .max(port_quantile(self, quantile))
@@ -1115,16 +1241,22 @@ impl Scheduler {
         self.rollbacks
     }
 
-    /// Rolls back to a snapshot taken earlier in this compile.
-    pub fn restore(&mut self, snap: &SchedulerSnapshot) {
+    /// Keeps everything placed since `snap` and closes it.
+    pub fn release(&mut self, snap: SchedulerSnapshot) {
+        self.pool.release(snap.pool);
+    }
+
+    /// Rolls back to a snapshot taken earlier in this compile, and closes
+    /// it.
+    pub fn restore(&mut self, snap: SchedulerSnapshot) {
         self.rollbacks += 1;
         for (icu, v) in &mut self.placements {
             let keep = snap.queue_lens.get(icu).copied().unwrap_or(0);
             v.truncate(keep);
         }
-        self.pool = snap.pool.clone();
-        self.alloc = snap.alloc.clone();
-        self.zero_rows.clone_from(&snap.zero_rows);
+        self.pool.rewind(snap.pool);
+        self.alloc = snap.alloc;
+        self.zero_rows = snap.zero_rows;
         self.constants.truncate(snap.constants_len);
         self.fresh.truncate(snap.fresh_len);
         self.written.truncate(snap.written_len);
@@ -1296,16 +1428,85 @@ mod tests {
         assert!(t0 - lead >= 1000, "t0={t0} lead={lead}");
     }
 
-    /// Every `mnemonic` placed on a MEM queue since `before` — each queue's
-    /// free cycle — was taken, as `(dispatch, the queue's free cycle before)`:
-    /// none may dispatch on a busy queue.
-    fn dispatches(s: &Scheduler, before: &BTreeMap<IcuId, u64>, mnemonic: &str) -> Vec<(u64, u64)> {
+    /// A plain tensor and a registered constant on one East slice, that
+    /// slice's queue busy with another kernel's burst over `[500, 600)`.
+    fn constant_beside_plain() -> (Scheduler, TensorHandle, TensorHandle) {
+        let mut s = Scheduler::new();
+        let plain = (s.alloc)
+            .alloc_in(Some(Hemisphere::East), 4, 320, BankPolicy::Low, 4096)
+            .unwrap();
+        let (h, sl, _) = plain.layout.blocks[0];
+        let others: Vec<(Hemisphere, u8)> = [Hemisphere::West, Hemisphere::East]
+            .into_iter()
+            .flat_map(|h| (0..tsp_arch::MEM_SLICES_PER_HEMISPHERE).map(move |sl| (h, sl)))
+            .filter(|&slice| slice != (h, sl))
+            .collect();
+        let constant = (s.alloc)
+            .alloc_avoiding(Some(h), 4, 320, BankPolicy::Low, 4096, &others)
+            .unwrap();
+        s.add_constant_at(constant.clone(), Vec::new());
+        s.place(mem_queue(h, sl), 500, IcuOp::Nop { count: 100 });
+        (s, plain, constant)
+    }
+
+    /// A constant's read takes the idle window before a later booking on
+    /// its slice; a plain tensor's read on the same slice still waits for
+    /// the horizon. A horizon-only book would put both after cycle 600.
+    #[test]
+    fn a_constant_read_takes_the_gap_before_a_later_booking() {
+        let (mut s, plain, constant) = constant_beside_plain();
+        let (h, sl, _) = constant.layout.blocks[0];
+        assert_eq!(
+            (h, sl),
+            (plain.layout.blocks[0].0, plain.layout.blocks[0].1)
+        );
+        let vxm = Slice::Vxm.position();
+        let dir = Direction::inward_from(h);
+        let rows: Vec<u32> = (0..4).collect();
+        let lead = Scheduler::read_lead(constant.row(0), dir, vxm);
+        let t0 = s.earliest_constant_arrival(&constant, &rows, dir, vxm, 0);
+        assert_eq!(t0, lead, "dispatched at cycle 0, in the gap");
+        s.read_rows(&constant, &rows, StreamId::new(0, dir), vxm, t0);
+        // The gap read leaves the horizon where it was.
+        assert_eq!(s.mem_free(h, sl), 600);
+        let t1 = s.earliest_read_arrival(&plain, &rows, dir, vxm, 0);
+        assert_eq!(t1, 600 + lead, "a plain read waits for the horizon");
+        s.read_rows(&plain, &rows, StreamId::new(1, dir), vxm, t1);
+        // A window one cycle too short for the burst is passed over.
+        let t2 = s.earliest_constant_arrival(&constant, &rows, dir, vxm, 497 + lead);
+        assert_eq!(t2, 604 + lead);
+        assert!(s.check().is_none(), "{:?}", s.check());
+    }
+
+    /// The gap query refuses a tensor that is not a constant.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "only a constant's reads may take a gap")]
+    fn a_plain_tensor_takes_no_gap() {
+        let (s, plain, _) = constant_beside_plain();
+        let dir = Direction::inward_from(plain.layout.blocks[0].0);
+        let _ = s.earliest_constant_arrival(&plain, &[0], dir, Slice::Vxm.position(), 0);
+    }
+
+    /// Each queue's placement count: what [`dispatches`] counts from.
+    fn placed(s: &Scheduler, slices: &[(Hemisphere, u8)]) -> BTreeMap<IcuId, usize> {
+        (slices.iter())
+            .map(|&(h, sl)| (mem_queue(h, sl), s.dump_queue(mem_queue(h, sl)).len()))
+            .collect()
+    }
+
+    /// The `mnemonic`s placed on the queues of `before` since it was taken,
+    /// as `(queue, dispatch)`.
+    fn dispatches(
+        s: &Scheduler,
+        before: &BTreeMap<IcuId, usize>,
+        mnemonic: &str,
+    ) -> Vec<(IcuId, u64)> {
         let mut out = Vec::new();
-        for (&icu, &free) in before {
-            for (cycle, text) in s.dump_queue(icu) {
+        for (&icu, &placed) in before {
+            for (cycle, text) in s.dump_queue(icu).into_iter().skip(placed) {
                 if text.starts_with(mnemonic) {
-                    assert!(cycle >= free, "{text} @{cycle} on {icu}, held until {free}");
-                    out.push((cycle, free));
+                    out.push((icu, cycle));
                 }
             }
         }
@@ -1315,17 +1516,24 @@ mod tests {
     proptest! {
         /// An `earliest_*` prices exactly what its `*_rows` places, over
         /// block-chunked tensors in both hemispheres, arbitrary row lists and
-        /// queues pre-held: the bursts (a gather's or scatter's map reads
-        /// included) fit the queues as held, and not a cycle could be saved —
-        /// some burst is dispatched the cycle its queue frees (cycle 0 of an
-        /// idle one: the burst's own lead), or `t0` is `not_before`.
+        /// queues held by other traffic (from cycle 0, and in bursts with
+        /// idle windows between them): the bursts (a gather's or scatter's
+        /// map reads included) fit the queues as held, and not a cycle could
+        /// be saved. A horizon placement dispatches no burst before its
+        /// queue's horizon, and some burst the cycle its queue frees (cycle
+        /// 0 of an idle one: the burst's own lead), or `t0` is `not_before`.
+        /// A constant's read (kind 3) takes the earliest start at which its
+        /// bursts fit the idle cycles the other traffic leaves, before the
+        /// horizon where they fit there; a plain read of the same rows placed
+        /// after it still waits for the horizon.
         #[test]
         fn bursts_fit_the_queues_and_are_tight(
             east in any::<bool>(),
-            kind in 0usize..3,
+            kind in 0usize..4,
             shape in (1u32..40, 1u32..16),
             rows in proptest::collection::vec(0u32..1000, 1..48),
             holds in proptest::collection::vec((0usize..8, 0u64..400), 0..8),
+            bursts in proptest::collection::vec((0usize..8, 0u64..400, 1u64..60), 0..8),
             not_before in 0u64..300,
         ) {
             let mut s = Scheduler::new();
@@ -1333,24 +1541,40 @@ mod tests {
             let tensor = (s.alloc)
                 .alloc_in(Some(hemisphere), shape.0, 320, BankPolicy::High, shape.1)
                 .expect("an empty chip has room");
-            let mnemonic = ["Read", "Gather", "Scatter"][kind];
+            if kind == 3 {
+                s.add_constant_at(tensor.clone(), Vec::new());
+            }
+            let lane = kind == 1 || kind == 2;
+            let mnemonic = ["Read", "Gather", "Scatter", "Read"][kind];
             // A lane burst takes a map stream: few enough for all to be free.
-            let rows = &rows[..if kind == 0 { rows.len() } else { rows.len().min(12) }];
+            let rows = &rows[..if lane { rows.len().min(12) } else { rows.len() }];
             let rows: Vec<u32> = rows.iter().map(|r| r % tensor.rows).collect();
             let keys: Vec<u32> = (0..tensor.rows).collect();
             let mut slices: Vec<_> = tensor.layout.slices().collect();
-            let maps = match kind {
-                0 => Vec::new(),
-                _ => s.add_lane_maps(&tensor, 16, &keys, |i, _| i, &mut slices),
+            let maps = match lane {
+                false => Vec::new(),
+                true => s.add_lane_maps(&tensor, 16, &keys, |i, _| i, &mut slices),
             };
-            // `slices`: the tensor's, then its maps'.
+            // `slices`: the tensor's, then its maps'. Per queue, the cycles
+            // other traffic holds it.
+            let mut busy: BTreeMap<IcuId, Vec<(u64, u64)>> = BTreeMap::new();
             for &(which, until) in &holds {
                 let (h, sl) = slices[which % slices.len()];
                 s.occupy_mem(h, sl, until);
+                busy.entry(mem_queue(h, sl)).or_default().push((0, until));
             }
-            let before: BTreeMap<IcuId, u64> = (slices.iter())
-                .map(|&(h, sl)| (mem_queue(h, sl), s.mem_free(h, sl)))
-                .collect();
+            for &(which, at, n) in &bursts {
+                let (h, sl) = slices[which % slices.len()];
+                let queue = mem_queue(h, sl);
+                let at = s.pool.first_window(&[(Resource::Queue(queue), 0, n)], at);
+                s.place(queue, at, IcuOp::Nop { count: n as u16 });
+                busy.entry(queue).or_default().push((at, at + n));
+            }
+            let before = placed(&s, &slices);
+            let horizon = |s: &Scheduler| -> BTreeMap<IcuId, u64> {
+                (slices.iter()).map(|&(h, sl)| (mem_queue(h, sl), s.mem_free(h, sl))).collect()
+            };
+            let free = horizon(&s);
             let vxm = Slice::Vxm.position();
             let inward = StreamId::new(0, Direction::inward_from(hemisphere));
             let outward = StreamId::new(0, Direction::outward_from(hemisphere));
@@ -1365,20 +1589,58 @@ mod tests {
                     s.gather_rows(&maps, &rows, inward, vxm, t0);
                     t0
                 }
-                _ => {
+                2 => {
                     let t0 = s.earliest_scatter_start(&maps, &rows, outward.direction, vxm, not_before);
                     s.scatter_rows(&maps, &rows, outward, vxm, t0);
+                    t0
+                }
+                _ => {
+                    let t0 = s.earliest_constant_arrival(&tensor, &rows, inward.direction, vxm, not_before);
+                    s.read_rows(&tensor, &rows, inward, vxm, t0);
                     t0
                 }
             };
             prop_assert!(t0 >= not_before);
             prop_assert!(s.check().is_none(), "{:?}", s.check());
-            let mut placed = dispatches(&s, &before, "Read");
-            if kind != 0 {
-                placed.extend(dispatches(&s, &before, mnemonic));
+            let mut placed_now = dispatches(&s, &before, "Read");
+            if lane {
+                placed_now.extend(dispatches(&s, &before, mnemonic));
             }
-            let tight = placed.iter().any(|&(cycle, free)| cycle == free);
-            prop_assert!(t0 == not_before || tight, "t0={t0} placed={placed:?}");
+            if kind == 3 {
+                // The read fits the other traffic's idle cycles at `t0`, and
+                // at no earlier start: checked against the holds themselves.
+                let fits = |t: u64| {
+                    Scheduler::read_runs(&tensor, &rows).all(|(start, addr, len)| {
+                        let lead = Scheduler::read_lead(addr, inward.direction, vxm);
+                        let Some(d) = (t + start as u64).checked_sub(lead) else {
+                            return false;
+                        };
+                        let held = busy.get(&mem_queue(addr.hemisphere, addr.slice));
+                        (held.into_iter().flatten()).all(|&(a, b)| d + len as u64 <= a || d >= b)
+                    })
+                };
+                prop_assert!(fits(t0), "t0={t0} placed={placed_now:?}");
+                prop_assert!(
+                    (not_before..t0).all(|t| !fits(t)),
+                    "t0={t0}: an earlier start fits"
+                );
+            } else {
+                for (q, c) in &placed_now {
+                    prop_assert!(*c >= free[q], "{mnemonic} @{c} on {q}, held until {}", free[q]);
+                }
+                let tight = placed_now.iter().any(|(q, c)| *c == free[q]);
+                prop_assert!(t0 == not_before || tight, "t0={t0} placed={placed_now:?}");
+            }
+            if kind == 3 {
+                let (before, free) = (placed(&s, &slices), horizon(&s));
+                let plain = StreamId::new(1, inward.direction);
+                let t1 = s.earliest_read_arrival(&tensor, &rows, plain.direction, vxm, 0);
+                s.read_rows(&tensor, &rows, plain, vxm, t1);
+                for (q, c) in dispatches(&s, &before, "Read") {
+                    prop_assert!(c >= free[&q], "Read @{c} on {q}, held until {}", free[&q]);
+                }
+                prop_assert!(s.check().is_none(), "{:?}", s.check());
+            }
         }
     }
 }

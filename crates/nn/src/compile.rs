@@ -66,6 +66,7 @@ use tsp_sim::{Chip, Memory, Program};
 
 use crate::graph::{Graph, Node, Op, Shape};
 use crate::quant::{QConv, QDense, QuantGraph};
+use crate::reference::{run_int8, ValueQ};
 
 /// Compilation options.
 #[derive(Debug, Clone)]
@@ -119,8 +120,8 @@ pub struct LayerSpan {
 /// reference in over a thousand values that were in fact computed
 /// correctly). To inspect an intermediate layer, compile the graph *prefix*
 /// ending at it — the probed node is then the output and is never freed;
-/// `first_divergence` in `crates/nn/tests/end_to_end.rs` does exactly that,
-/// layer by layer, against the host int8 reference.
+/// [`first_divergence`] does exactly that, layer by layer, against the host
+/// int8 reference.
 #[derive(Debug, Clone)]
 pub enum Probe {
     /// A feature map, as its kernel built it: geometry, layout, tensors.
@@ -868,6 +869,66 @@ pub fn compile_cached(q: &QuantGraph, options: &CompileOptions) -> Arc<CompiledM
     // Compile outside the lock: a long compile must not block unrelated hits.
     let model = Arc::new(compile(q, options));
     Arc::clone(cache.lock().unwrap().entry(key).or_insert(model))
+}
+
+/// Localizes a simulator-vs-[`run_int8`] disagreement: compiles every graph
+/// *prefix* `nodes[..=i]` — so node `i` is the prefix's output, which
+/// [`compile`] never frees, and its [`Probe`] is safe to read — runs it on a
+/// fresh chip, and returns the first node whose activation differs from the
+/// reference, with the number of differing values. `None` when every node
+/// agrees. One compile and one functional run per node: seconds for a small
+/// graph, minutes for a ResNet at 224×224.
+///
+/// # Panics
+///
+/// Panics if a prefix does not run cleanly, or a probe's shape does not match
+/// the reference's.
+#[must_use]
+pub fn first_divergence(q: &QuantGraph, image: &[i8]) -> Option<(String, usize)> {
+    let reference = run_int8(q, image);
+    (1..q.graph.nodes.len()).find_map(|i| {
+        let prefix = QuantGraph {
+            graph: Graph {
+                nodes: q.graph.nodes[..=i].to_vec(),
+            },
+            ..q.clone()
+        };
+        let model = compile(&prefix, &CompileOptions::default());
+        let mut chip = Chip::new(ChipConfig::asic());
+        model.load_constants(&mut chip);
+        model.write_input(&mut chip, image);
+        chip.run(&model.program, &tsp_sim::chip::RunOptions::default())
+            .expect("prefix must run without scheduling faults");
+        let lane = |t: &TensorHandle, row: u32, lane: usize| {
+            chip.memory.read_unchecked(t.row(row)).lane(lane) as i8
+        };
+        let differing = match (&model.probes[i], &reference[i]) {
+            (Probe::Map(map), ValueQ::Map { c, data, .. }) => data
+                .iter()
+                .enumerate()
+                .filter(|&(j, &want)| {
+                    let (px, ch) = (j as u32 / c, j as u32 % c);
+                    let (y, x) = (px / map.w, px % map.w);
+                    // A lane-packed pool leaves pixel `x` at lane group
+                    // `x mod lane_skew` (whole superlanes per group).
+                    let first = x % map.layout.lane_skew * c.div_ceil(16) * 16;
+                    lane(
+                        &map.parts[(ch / 320) as usize][0],
+                        map.row_index(y, x),
+                        (first + ch % 320) as usize,
+                    ) != want
+                })
+                .count(),
+            (Probe::Flat(parts), ValueQ::Flat(data)) => data
+                .iter()
+                .enumerate()
+                .filter(|&(j, &want)| lane(&parts[j / 320], 0, j % 320) != want)
+                .count(),
+            (Probe::None, _) => 0,
+            (probe, _) => panic!("probe {probe:?} does not match the reference's shape"),
+        };
+        (differing > 0).then(|| (q.graph.nodes[i].name.clone(), differing))
+    })
 }
 
 /// Lowers the first conv as a dense matmul over host-im2col'ed patches: a 1×1

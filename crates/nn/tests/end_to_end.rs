@@ -5,11 +5,10 @@
 //! stream scheduler, every kernel, the ISA and the whole simulator at once.
 
 use tsp_arch::ChipConfig;
-use tsp_nn::compile::{compile, CompileOptions, Probe};
+use tsp_nn::compile::{compile, first_divergence, CompileOptions};
 use tsp_nn::data::synthetic;
-use tsp_nn::graph::Graph;
-use tsp_nn::quant::{quantize, QuantGraph};
-use tsp_nn::reference::{final_flat_q, run_int8, ValueQ};
+use tsp_nn::quant::quantize;
+use tsp_nn::reference::{final_flat_q, run_int8};
 use tsp_nn::resnet::{resnet, resnet_tiny, Widths};
 use tsp_nn::train::{small_cnn, train_head};
 use tsp_sim::chip::RunOptions;
@@ -99,58 +98,6 @@ fn compiled_model_is_run_to_run_deterministic() {
         "cycles: {cycles:?}"
     );
     assert!(logits.windows(2).all(|w| w[0] == w[1]));
-}
-
-/// Localizes a simulator-vs-[`run_int8`] disagreement: compiles every graph
-/// *prefix* `nodes[..=i]` — so node `i` is the prefix's output, which
-/// [`compile`] never frees, and its [`Probe`] is safe to read — runs it, and
-/// returns the first node whose activation differs from the reference, with
-/// the number of differing values. `None` when every node agrees.
-fn first_divergence(q: &QuantGraph, image: &[i8]) -> Option<(String, usize)> {
-    let reference = run_int8(q, image);
-    (1..q.graph.nodes.len()).find_map(|i| {
-        let prefix = QuantGraph {
-            graph: Graph {
-                nodes: q.graph.nodes[..=i].to_vec(),
-            },
-            ..q.clone()
-        };
-        let model = compile(&prefix, &CompileOptions::default());
-        let mut chip = Chip::new(ChipConfig::asic());
-        model.load_constants(&mut chip);
-        model.write_input(&mut chip, image);
-        chip.run(&model.program, &RunOptions::default())
-            .expect("prefix must run without scheduling faults");
-        let lane = |t: &tsp_compiler::TensorHandle, row: u32, lane: usize| {
-            chip.memory.read_unchecked(t.row(row)).lane(lane) as i8
-        };
-        let differing = match (&model.probes[i], &reference[i]) {
-            (Probe::Map(map), ValueQ::Map { c, data, .. }) => data
-                .iter()
-                .enumerate()
-                .filter(|&(j, &want)| {
-                    let (px, ch) = (j as u32 / c, j as u32 % c);
-                    let (y, x) = (px / map.w, px % map.w);
-                    // A lane-packed pool leaves pixel `x` at lane group
-                    // `x mod lane_skew` (whole superlanes per group).
-                    let first = x % map.layout.lane_skew * c.div_ceil(16) * 16;
-                    lane(
-                        &map.parts[(ch / 320) as usize][0],
-                        map.row_index(y, x),
-                        (first + ch % 320) as usize,
-                    ) != want
-                })
-                .count(),
-            (Probe::Flat(parts), ValueQ::Flat(data)) => data
-                .iter()
-                .enumerate()
-                .filter(|&(j, &want)| lane(&parts[j / 320], 0, j % 320) != want)
-                .count(),
-            (Probe::None, _) => 0,
-            (probe, _) => panic!("probe {probe:?} does not match the reference's shape"),
-        };
-        (differing > 0).then(|| (q.graph.nodes[i].name.clone(), differing))
-    })
 }
 
 /// Every prefix of the tiny ResNet agrees with the reference at its last

@@ -15,11 +15,11 @@ use tsp_nn::train::small_cnn;
 
 /// `(model, cycles, fingerprint)`.
 const GOLDENS: [(&str, u64, u64); 5] = [
-    ("resnet50", 42_348, 9_248_724_415_948_289_637),
-    ("resnet101", 65_506, 7_387_842_053_531_010_584),
-    ("resnet152", 101_567, 12_996_353_994_133_767_170),
-    ("resnet_tiny", 2_050, 10_203_826_839_006_784_988),
-    ("small_cnn", 935, 14_912_471_283_363_107_177),
+    ("resnet50", 40_823, 11_720_150_483_336_974_195),
+    ("resnet101", 63_846, 1_597_470_721_559_621_306),
+    ("resnet152", 93_094, 3_920_573_966_781_154_796),
+    ("resnet_tiny", 1_933, 11_442_879_220_787_075_711),
+    ("small_cnn", 935, 3_136_527_000_807_750_169),
 ];
 
 fn graph(model: &str) -> Graph {

@@ -80,8 +80,9 @@ fn timing_model(depth: u32) -> tsp::nn::compile::CompiledModel {
 }
 
 /// The cycle gate (ROADMAP: "gate CI on total ResNet-50 cycles never
-/// rising"): ResNet-50 batch-1 at 224×224 compiles to at most 44,100 cycles —
-/// the paper's 20.4 K IPS is the floor now (42,348 today) — every residual
+/// rising"): ResNet-50 batch-1 at 224×224 compiles to at most 41,450 cycles —
+/// 1.5 % above the 40,823 landed once weight reads took idle windows, past
+/// the paper's 20.4 K IPS (44,100 cycles) — every residual
 /// add runs inside its `_c` conv (a span of its own would be hundreds of
 /// cycles wide), the max pool is lane-packed (a pixel per VXM row takes it
 /// 3,139 cycles, five take 677), the stage-2 3×3 convs pack five taps a pass
@@ -97,7 +98,7 @@ fn timing_model(depth: u32) -> tsp::nn::compile::CompiledModel {
 fn resnet50_cycle_gate() {
     let model = timing_model(50);
     assert!(
-        model.cycles <= 44_100,
+        model.cycles <= 41_450,
         "ResNet-50 rose to {} cycles",
         model.cycles
     );
@@ -159,14 +160,15 @@ fn resnet50_cycle_gate() {
 }
 
 /// The deeper nets carry the same stage 2 and more bottlenecks of the same
-/// kinds in stages 3–4: ResNet-101 compiles to at most 68,400 cycles (65,506
-/// landed; 70,011 before padding borders were cleared ahead of their data
-/// and M-split weights moved next to their planes) and ResNet-152 to at most
-/// 105,700 (101,640; 107,133), neither with a rescheduled kernel. Compile
-/// only.
+/// kinds in stages 3–4: ResNet-101 compiles to at most 64,800 cycles (63,846
+/// landed once weight reads took idle windows; 65,506 before, 70,011 before
+/// padding borders were cleared ahead of their data and M-split weights moved
+/// next to their planes) and ResNet-152 to at most 94,500 (93,094; 101,567;
+/// 107,133), neither with a rescheduled kernel: each gate 1.5 % above its
+/// landed count. Compile only.
 #[test]
 fn deeper_resnets_cycle_gate() {
-    for (depth, cycles) in [(101, 68_400), (152, 105_700)] {
+    for (depth, cycles) in [(101, 64_800), (152, 94_500)] {
         let model = timing_model(depth);
         assert!(
             model.cycles <= cycles,
