@@ -7,23 +7,21 @@
 //! stream all 64 weight streams at once and measure first-dispatch →
 //! install-complete.
 
+use tsp::compiler::kernels::matmul::PlaneChainBuilder;
 use tsp::compiler::tensor::{Layout, TensorHandle};
 use tsp::prelude::*;
-use tsp_isa::{DataType, MxmOp, Plane};
+use tsp_isa::{Instruction, MxmOp, Plane, D_IW};
 use tsp_sim::IcuId;
 
 fn main() {
     let mut sched = Scheduler::new();
-    let mut install_done = 0u64;
-    for plane_idx in 0..4u8 {
-        let plane = Plane::new(plane_idx);
+    let planes = || (0..4u8).map(Plane::new);
+    for plane in planes() {
         let hemisphere = plane.hemisphere();
-        let dir = Direction::outward_from(hemisphere);
-        let mxm = tsp::arch::Slice::Mxm(hemisphere).position();
         // Each plane owns 16 slices (a slice has one read port): the first
         // plane of a hemisphere takes the 16 nearest the MXM, the second the
         // next 16 inward.
-        let range = if plane_idx % 2 == 0 {
+        let range = if plane.index() % 2 == 0 {
             28..44u8
         } else {
             12..28u8
@@ -37,43 +35,16 @@ fn main() {
                 rows_per_block: 20,
             },
         };
-        let mut t_lw = 0u64;
-        let rows_per_stream: Vec<Vec<u32>> = (0..16u32)
-            .map(|j| (j * 20..(j + 1) * 20).collect())
-            .collect();
-        for rows in &rows_per_stream {
-            t_lw = sched.earliest_read_arrival(&weights, rows, dir, mxm, t_lw);
-        }
-        let base = if plane_idx % 2 == 0 { 0 } else { 16 };
-        for (j, rows) in rows_per_stream.iter().enumerate() {
-            sched.read_rows(
-                &weights,
-                rows,
-                StreamId::new(base + j as u8, dir),
-                mxm,
-                t_lw,
-            );
-        }
-        sched.place(
-            IcuId::Mxm { plane, port: 0 },
-            t_lw,
-            MxmOp::LoadWeights {
-                plane,
-                streams: StreamGroup::new(StreamId::new(base, dir), 16),
-                rows: 20,
-            },
-        );
-        sched.place(
-            IcuId::Mxm { plane, port: 3 },
-            t_lw + 20,
-            MxmOp::InstallWeights {
-                plane,
-                dtype: DataType::Int8,
-            },
-        );
-        install_done = install_done.max(t_lw + 20 + 4);
+        let mut chain = PlaneChainBuilder::new(&sched, plane, 1, 0);
+        PlaneChainBuilder::install(&mut sched, &weights, std::slice::from_mut(&mut chain));
     }
     let program = sched.into_program().expect("schedule");
+    let install_done = (planes())
+        .flat_map(|plane| program.dispatches(IcuId::Mxm { plane, port: 3 }))
+        .filter(|(_, i)| matches!(i, Instruction::Mxm(MxmOp::InstallWeights { .. })))
+        .map(|(t, _)| t + D_IW)
+        .max()
+        .expect("every plane installs");
     let mut chip = Chip::new(ChipConfig::paper_1ghz());
     chip.run(&program, &RunOptions::default())
         .expect("clean run");
@@ -90,6 +61,7 @@ fn main() {
     // (DESIGN.md §2).
     assert!(install_done < 70, "weight load took {install_done} cycles");
     println!(
-        "PASS: one parallel 64-stream burst; {install_done} cycles under our          1-hop-per-slice transit model (the ASIC's shorter SR path gives < 40)"
+        "PASS: one parallel 64-stream burst; {install_done} cycles under our \
+         1-hop-per-slice transit model (the ASIC's shorter SR path gives < 40)"
     );
 }

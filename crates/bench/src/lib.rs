@@ -24,6 +24,6 @@ pub mod stalls;
 pub mod workloads;
 
 // The harness's one concurrency primitive now lives in `tsp-host` (shared
-// with the multi-chip fabric in `tsp-c2c`); re-exported so every bench bin
+// with the serving layer in `tsp-serve`); re-exported so every bench bin
 // keeps its `tsp_bench::fan_out` import.
 pub use tsp_host::fan_out;

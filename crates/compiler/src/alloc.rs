@@ -440,24 +440,6 @@ impl MemAllocator {
         Some(tensors)
     }
 
-    /// Allocates a tensor that must fit entirely in one slice (gather
-    /// sources: the map addresses are slice-local).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OutOfMemory`] if `rows` exceeds any slice's free space.
-    pub fn alloc_single_slice(
-        &mut self,
-        rows: u32,
-        cols: u16,
-        policy: BankPolicy,
-    ) -> Result<TensorHandle, OutOfMemory> {
-        if rows > u32::from(BANK_WORDS) {
-            return Err(OutOfMemory { rows });
-        }
-        self.alloc(rows, cols, policy, rows)
-    }
-
     /// Returns a tensor's words to the free lists. The caller is responsible
     /// for *temporal* safety (see the module docs); standard practice is to
     /// free a tensor only after its last reader's schedule is placed.
@@ -549,13 +531,6 @@ mod tests {
         assert_eq!(t.layout.rows_per_block, 4096);
         let _ = t.row(0);
         let _ = t.row(9_999);
-    }
-
-    #[test]
-    fn single_slice_refuses_oversize() {
-        let mut a = MemAllocator::new();
-        assert!(a.alloc_single_slice(5000, 320, BankPolicy::Low).is_err());
-        assert!(a.alloc_single_slice(4096, 320, BankPolicy::Low).is_ok());
     }
 
     #[test]

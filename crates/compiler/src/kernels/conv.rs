@@ -67,8 +67,8 @@ use tsp_isa::Plane;
 
 use crate::alloc::BankPolicy;
 use crate::kernels::matmul::{
-    emplace_weight_blocks, lw_rows, plane_of_chain, schedule_requant_write, stream_weights,
-    ActFeed, DstSegments, OutSpec, PlaneChainBuilder, Shortcut,
+    emplace_weight_blocks, lw_rows, plane_of_chain, schedule_requant_write, ActFeed, DstSegments,
+    OutSpec, PlaneChainBuilder, Shortcut,
 };
 use crate::sched::{LaneMap, OutOfPorts, Scheduler};
 use crate::tensor::TensorHandle;
@@ -668,12 +668,7 @@ fn schedule_chains<'a>(
                 let pair =
                     i % 2 == 0 && i + 1 < builders.len() && jobs[i + 1].weights == jobs[i].weights;
                 let j = if pair { i + 2 } else { i + 1 };
-                let hemisphere = builders[i].plane().hemisphere();
-                let lw_floor = builders[i..j].iter().map(|b| b.lw_floor()).max();
-                let feed = stream_weights(s, jobs[i].weights, hemisphere, lw_floor.unwrap_or(0));
-                for builder in &mut builders[i..j] {
-                    builder.install(s, feed);
-                }
+                PlaneChainBuilder::install(s, jobs[i].weights, &mut builders[i..j]);
                 // Feed by feed, so the planes' bursts are reserved in time order.
                 let feeds = jobs[i..j].iter().map(|job| job.feeds.len()).max();
                 for f in 0..feeds.unwrap_or(0) {

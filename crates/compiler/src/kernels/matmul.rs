@@ -10,16 +10,23 @@
 //! paper's `Read → Conv2D → Requantize → ReLU → Write` pattern with no
 //! intermediate spills.
 //!
-//! The building blocks are deliberately composable: [`stream_weights`] puts
-//! one weight block in flight toward an MXM (both planes of that hemisphere
-//! may load from it); a [`PlaneChainBuilder`] runs a sequence of
-//! accumulate-passes on one plane and hands back the int32 result stream;
-//! [`schedule_requant_write`] requantizes such a stream at the VXM — adding a
-//! residual [`Shortcut`] on the way if given one — and fans the int8 rows out
-//! to any number of replica tensors (replicas are free: extra `Write`s tap
-//! the same stream as it flows past). Conv runs one chain
-//! per plane over its own share of the output rows (the paper's "four
+//! The building blocks are deliberately composable: a [`PlaneChainBuilder`]
+//! runs a sequence of accumulate-passes on one plane and hands back the
+//! int32 result stream; [`schedule_requant_write`] requantizes such a stream
+//! at the VXM — adding a residual [`Shortcut`] on the way if given one — and
+//! fans the int8 rows out to any number of replica tensors (replicas are
+//! free: extra `Write`s tap the same stream as it flows past). Conv runs one
+//! chain per plane over its own share of the output rows (the paper's "four
 //! simultaneous conv2d" regime) — see [`crate::kernels::conv`].
+//!
+//! The builder is the one MXM prologue: no other code of this crate places
+//! an `LW`, `IW`, `ABC` or `ACC`. [`PlaneChainBuilder::install`] streams a
+//! weight block to one plane, or to the two planes of a hemisphere that load
+//! it from one burst, at the first window its slices and an aligned group
+//! of 16 streams leave; [`PlaneChainBuilder::feed`] streams activation rows
+//! through it onto a free result quad, and [`PlaneChainBuilder::sum`] does
+//! the same into one accumulator, read out after every row — the global
+//! pool ([`crate::kernels::pool::global_avg_pool`]) is such a chain.
 //!
 //! That epilogue is two halves, and they are the only way a VXM chain of
 //! this crate lands rows: `vxm_stage` issues one op on an ALU free at the
@@ -169,54 +176,30 @@ impl ActFeed<'_> {
     }
 }
 
-/// A weight block in flight toward one hemisphere's MXM. Stream reads are
-/// non-destructive, so both planes of that hemisphere may `LW` from it.
-#[derive(Debug, Clone, Copy)]
-pub struct WeightFeed {
-    /// The `SG16` group carrying the 20 install rows.
-    pub group: StreamGroup,
-    /// Cycle install row 0 is present at the MXM; row `r` follows at `+r`.
-    pub t_lw: u64,
-}
-
 /// Streams the 320-row LW-order block `weights` toward `hemisphere`'s MXM on
-/// 16 streams, arriving no earlier than `not_before`.
-///
-/// A registered constant ([`Scheduler::is_constant`]) — every model's
-/// weights — is written by no instruction, so its reads need no fence: they
-/// take the first window in which all sixteen runs fit idle cycles of their
-/// slices' queues and an aligned 16-stream group is idle for the 20 install
-/// rows, before those resources' horizons where they were idle long enough
-/// ([`Scheduler::earliest_constant_group_arrival`]). Any other block waits
-/// for the horizons.
-pub fn stream_weights(
+/// an aligned group of 16 streams, arriving no earlier than `not_before`:
+/// the group and the cycle install row 0 is present at the MXM (row `r`
+/// follows at `+r`). The block's runs and the group's streams take the first
+/// window [`Scheduler::earliest_group_arrival`] finds — before their
+/// horizons where they are idle long enough, except the runs of a block
+/// something writes during the run.
+fn stream_weights(
     s: &mut Scheduler,
     weights: &TensorHandle,
     hemisphere: Hemisphere,
     not_before: u64,
-) -> WeightFeed {
+) -> (StreamGroup, u64) {
     let mxm = Slice::Mxm(hemisphere).position();
     let to_mxm = Direction::outward_from(hemisphere);
     let weight_rows: Vec<Vec<u32>> = (0..16u32)
         .map(|j| (j * 20..(j + 1) * 20).collect())
         .collect();
-    let (wbase, t_lw) = if s.is_constant(weights) {
-        s.earliest_constant_group_arrival(weights, &weight_rows, to_mxm, mxm, not_before)
-    } else {
-        let (base, ready) = s.take_aligned_group(to_mxm, 16, not_before, mxm);
-        let t_lw = weight_rows.iter().fold(ready, |t, rows| {
-            s.earliest_read_arrival(weights, rows, to_mxm, mxm, t)
-        });
-        (base, t_lw)
-    };
+    let (wbase, t_lw) = s.earliest_group_arrival(weights, &weight_rows, to_mxm, mxm, not_before);
     for (j, rows) in weight_rows.iter().enumerate() {
         let stream = StreamId::new(wbase + j as u8, to_mxm);
         s.read_rows(weights, rows, stream, mxm, t_lw);
     }
-    WeightFeed {
-        group: StreamGroup::new(StreamId::new(wbase, to_mxm), 16),
-        t_lw,
-    }
+    (StreamGroup::new(StreamId::new(wbase, to_mxm), 16), t_lw)
 }
 
 /// The plane a kernel's `chain`-th plane chain runs on: chains fill the four
@@ -297,10 +280,11 @@ pub fn emplace_weight_blocks(
 /// so work must be reserved in time order).
 ///
 /// A pass is an [`install`](PlaneChainBuilder::install) and one or more
-/// [`feed`](PlaneChainBuilder::feed)s through the installed weights. `ACC`
-/// addresses accumulator ordinals from 0, so a feed of `m < n` rows adds to
-/// the chain's **first** `m` rows only: the way a row whose operands one
-/// stream cannot deliver at once gets a second helping.
+/// [`feed`](PlaneChainBuilder::feed)s (or a [`sum`](PlaneChainBuilder::sum))
+/// through the installed weights. `ACC` addresses accumulator ordinals from
+/// 0, so a feed of `m < n` rows adds to the chain's **first** `m` rows only:
+/// the way a row whose operands one stream cannot deliver at once gets a
+/// second helping.
 #[derive(Debug)]
 pub struct PlaneChainBuilder {
     plane: Plane,
@@ -330,49 +314,47 @@ impl PlaneChainBuilder {
         }
     }
 
-    /// The plane this chain runs on.
-    #[must_use]
-    pub fn plane(&self) -> Plane {
-        self.plane
-    }
-
-    /// The earliest cycle this chain's next [`WeightFeed`] may arrive (its
-    /// weight buffer is busy until the previous install completes).
-    #[must_use]
-    pub fn lw_floor(&self) -> u64 {
-        self.prev_iw_done
-    }
-
-    /// Loads the weights in `feed` and installs them once the array has
-    /// drained the previous feed.
+    /// Streams the LW-order block `weights` into the weight buffers of
+    /// `chains` — one chain's plane, or the two planes of a hemisphere that
+    /// load it from one burst (stream reads are non-destructive) — once
+    /// every buffer's previous install is through, and installs it on each
+    /// plane once that plane's array has drained its previous feed.
     ///
     /// # Panics
     ///
-    /// Panics if `feed` arrives before [`PlaneChainBuilder::lw_floor`].
-    pub fn install(&mut self, s: &mut Scheduler, feed: WeightFeed) {
-        let plane = self.plane;
-        assert!(feed.t_lw >= self.prev_iw_done, "weights arrive too early");
-        s.place(
-            IcuId::Mxm { plane, port: 0 },
-            feed.t_lw,
-            MxmOp::LoadWeights {
-                plane,
-                streams: feed.group,
-                rows: LW_ROWS as u8,
-            },
+    /// Panics unless `chains` are one or two chains in one hemisphere.
+    pub fn install(s: &mut Scheduler, weights: &TensorHandle, chains: &mut [PlaneChainBuilder]) {
+        let hemisphere = chains[0].plane.hemisphere();
+        assert!(
+            chains.len() <= 2 && chains.iter().all(|c| c.plane.hemisphere() == hemisphere),
+            "one burst feeds one or two planes of one hemisphere"
         );
-        // IW waits for the buffer to fill and the array to drain pass p−1.
-        let t_iw = (feed.t_lw + LW_ROWS).max(self.prev_abc_end);
-        s.place(
-            IcuId::Mxm { plane, port: 3 },
-            t_iw,
-            MxmOp::InstallWeights {
-                plane,
-                dtype: DataType::Int8,
-            },
-        );
-        self.prev_iw_done = t_iw + D_IW;
-        s.hold_weight_buffer(plane, feed.t_lw, self.prev_iw_done);
+        let floor = chains.iter().fold(0, |t, c| t.max(c.prev_iw_done));
+        let (streams, t_lw) = stream_weights(s, weights, hemisphere, floor);
+        for chain in chains {
+            let plane = chain.plane;
+            s.place(
+                IcuId::Mxm { plane, port: 0 },
+                t_lw,
+                MxmOp::LoadWeights {
+                    plane,
+                    streams,
+                    rows: LW_ROWS as u8,
+                },
+            );
+            // IW waits for the buffer to fill and the array to drain pass p−1.
+            let t_iw = (t_lw + LW_ROWS).max(chain.prev_abc_end);
+            s.place(
+                IcuId::Mxm { plane, port: 3 },
+                t_iw,
+                MxmOp::InstallWeights {
+                    plane,
+                    dtype: DataType::Int8,
+                },
+            );
+            chain.prev_iw_done = t_iw + D_IW;
+            s.hold_weight_buffer(plane, t_lw, chain.prev_iw_done);
+        }
     }
 
     /// Streams `rows` of `acts` through the installed weights into the
@@ -384,11 +366,34 @@ impl PlaneChainBuilder {
     /// Panics if there are more rows than the chain's `n`, or fewer in the
     /// chain's first feed: that one overwrites every accumulator.
     pub fn feed(&mut self, s: &mut Scheduler, acts: ActFeed<'_>, rows: &[u32]) {
+        self.pass(s, acts, rows, false);
+    }
+
+    /// Streams `rows` of `acts` through the installed weights into a
+    /// one-row chain's accumulator, reading it out after every row: the last
+    /// read-out carries the sum of every row's products (a global pool's
+    /// channel sums, through identity weights).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain has more than one row.
+    pub fn sum(&mut self, s: &mut Scheduler, acts: ActFeed<'_>, rows: &[u32]) {
+        self.pass(s, acts, rows, true);
+    }
+
+    /// One `ABC` of `rows`, then their read-out: a feed's one `ACC` of every
+    /// row, or a sum's 1-row `ACC` per row into accumulator 0.
+    fn pass(&mut self, s: &mut Scheduler, acts: ActFeed<'_>, rows: &[u32], sum: bool) {
         let plane = self.plane;
         let m = rows.len() as u64;
-        assert!(m <= self.n, "a feed of {m} rows in a chain of {}", self.n);
+        let (acc_rows, read_outs) = if sum { (1, m) } else { (m, 1) };
         assert!(
-            m == self.n || self.feeds_done > 0,
+            acc_rows <= self.n,
+            "a feed of {acc_rows} rows in a chain of {}",
+            self.n
+        );
+        assert!(
+            acc_rows == self.n || self.feeds_done > 0,
             "the first feed overwrites every row"
         );
         let mxm = Slice::Mxm(plane.hemisphere()).position();
@@ -432,31 +437,34 @@ impl PlaneChainBuilder {
         s.hold_array(plane, t_abc, self.prev_abc_end);
 
         // ---- accumulate ----------------------------------------------------
-        let mode = if self.feeds_done == 0 {
-            AccumulateMode::Overwrite
-        } else {
-            AccumulateMode::Accumulate
-        };
-        s.place(
-            IcuId::Mxm { plane, port: 2 },
-            t_acc,
-            MxmOp::Accumulate {
-                plane,
-                dst: acc_group,
-                rows: m as u16,
-                mode,
-            },
-        );
+        for i in 0..read_outs {
+            let mode = if self.feeds_done == 0 && i == 0 {
+                AccumulateMode::Overwrite
+            } else {
+                AccumulateMode::Accumulate
+            };
+            s.place(
+                IcuId::Mxm { plane, port: 2 },
+                t_acc + i,
+                MxmOp::Accumulate {
+                    plane,
+                    dst: acc_group,
+                    rows: acc_rows as u16,
+                    mode,
+                },
+            );
+        }
         self.feeds_done += 1;
 
         let vxm = Slice::Vxm.position();
         let transit = u64::from(from_mxm.hops(mxm, vxm).expect("VXM inward of MXM"));
         let emission = Int32Stream {
             group: acc_group,
-            // Row r is emitted at t_acc + r + 1, arriving `transit` later.
-            t_at_vxm: t_acc + 1 + transit,
+            // The last read-out's row r is emitted at t_acc + (read_outs − 1)
+            // + r + 1, arriving `transit` later.
+            t_at_vxm: t_acc + read_outs + transit,
         };
-        self.result = Some((emission, m));
+        self.result = Some((emission, acc_rows));
     }
 
     /// Finishes the chain, returning the final int32 stream at the VXM: the
@@ -490,8 +498,7 @@ pub fn schedule_plane_chain(
     let n = passes[0].rows.len() as u64;
     let mut builder = PlaneChainBuilder::new(s, plane, n, not_before);
     for pass in passes {
-        let feed = stream_weights(s, pass.weights, plane.hemisphere(), builder.lw_floor());
-        builder.install(s, feed);
+        PlaneChainBuilder::install(s, pass.weights, std::slice::from_mut(&mut builder));
         builder.feed(s, ActFeed::Read(pass.acts), pass.rows);
     }
     builder.finish()
@@ -543,8 +550,8 @@ pub struct Shortcut<'a> {
 /// Returns [`OutOfPorts`] when a stage finds no ALU or stream free at the
 /// cycle the chain dictates, no slices with write ports free by the chain's
 /// write time have room, or the shortcut's slices cannot deliver its rows in
-/// step with the chain — the caller should roll back (via
-/// [`Scheduler::snapshot`]) and retry the chain with a later floor.
+/// step with the chain — the caller should roll back and retry the chain
+/// with a later floor ([`Scheduler::retry_later`]).
 ///
 /// # Panics
 ///
@@ -580,11 +587,11 @@ pub(crate) fn vxm_stage(
 ) -> Result<StreamGroup, OutOfPorts> {
     let vxm = Slice::Vxm.position();
     let (alu, alu_ready) = s.pick_alu(t);
-    let (id, ready) = s.take_aligned_group(out_dir, 1, t + D_VXM, vxm);
+    let (streams, ready) = s.take_streams(out_dir, 1, t + D_VXM, vxm);
     if alu_ready > t || ready > t + D_VXM {
         return Err(OutOfPorts { t_write: t });
     }
-    let dst = StreamGroup::new(StreamId::new(id, out_dir), 1);
+    let dst = StreamGroup::new(streams[0], 1);
     s.place_burst(IcuId::Vxm { alu }, t, n, op(dst, alu));
     s.occupy_stream(dst.base, vxm, t + D_VXM, n);
     Ok(dst)

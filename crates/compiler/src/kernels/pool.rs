@@ -39,22 +39,23 @@
 //! ([`pooled_lanes`]); a host-written or unreplicated map is pooled a pixel
 //! per row into one copy.
 //!
-//! **Global average pool** rides the MXM: identity weights are installed and
+//! **Global average pool** rides the MXM: each channel part is a one-row
+//! plane chain ([`PlaneChainBuilder::sum`]) — identity weights installed and
 //! the N pixel rows streamed through while `ACC` *accumulates into a single
-//! ordinal*, so the final readout is the channel-wise sum of all rows; the
-//! `1/N` factor is folded into the following layer's quantized weights
-//! (standard practice — see DESIGN.md §2).
+//! ordinal* — so the final readout is the channel-wise sum of all rows,
+//! requantized like a conv's and retried later like one when its ports are
+//! busy; the `1/N` factor is folded into the following layer's quantized
+//! weights (standard practice — see DESIGN.md §2).
 
 use tsp_arch::{Direction, Hemisphere, Slice, StreamGroup, StreamId, Vector};
-use tsp_isa::{AccumulateMode, BinaryAluOp, DataType, MxmOp, VxmOp, D_VXM, MXM_ARRAY_DELAY};
-use tsp_sim::IcuId;
+use tsp_isa::{BinaryAluOp, DataType, VxmOp, D_VXM};
 
 use crate::alloc::BankPolicy;
 use crate::kernels::conv::{group_lanes, FeatureMap, MapLayout};
 use crate::kernels::elementwise::tensor_hemisphere;
 use crate::kernels::matmul::{
-    emplace_weight_blocks, lw_rows, plane_of_chain, schedule_requant_write, stream_weights,
-    vxm_stage, write_replicas, ActFeed, Int32Stream, OutSpec, PlaneChainBuilder,
+    emplace_weight_blocks, lw_rows, plane_of_chain, schedule_requant_write, vxm_stage,
+    write_replicas, ActFeed, OutSpec, PlaneChainBuilder,
 };
 use crate::sched::{LaneMap, OutOfPorts, Scheduler};
 use crate::tensor::TensorHandle;
@@ -384,8 +385,6 @@ pub fn global_avg_pool(
         input.layout.lane_skew, 1,
         "only a conv reads a lane-skewed map"
     );
-    let n = input.h * input.w;
-    let vxm = Slice::Vxm.position();
     let mut outs = Vec::with_capacity(input.kparts());
     let mut done = 0;
 
@@ -401,74 +400,15 @@ pub fn global_avg_pool(
     let chains = (plane_of_chain, input.kparts());
     let identities = emplace_weight_blocks(s, blocks, chains, &[]);
 
+    // The interior rows, streamed through the identity into one accumulator.
+    let rows: Vec<u32> = (0..input.h)
+        .flat_map(|y| (0..input.w).map(move |x| input.row_index(y, x)))
+        .collect();
     for (kp, identity) in identities.iter().enumerate() {
         let part = &input.parts[kp][0];
-        let cols = part.cols;
-        let plane = plane_of_chain(kp);
-        let mxm = Slice::Mxm(plane.hemisphere()).position();
-        let to_mxm = Direction::outward_from(plane.hemisphere());
-        let from_mxm = to_mxm.opposite();
-
-        // Install identity the way every chain does; the feed below is GAP's
-        // own (one `ABC`, but an `ACC` per row).
-        let mut chain = PlaneChainBuilder::new(s, plane, u64::from(n), 0);
-        let feed = stream_weights(s, identity, plane.hemisphere(), chain.lw_floor());
-        chain.install(s, feed);
-        let installed = chain.lw_floor();
-
-        // Stream the interior rows through.
-        let rows: Vec<u32> = (0..input.h)
-            .flat_map(|y| (0..input.w).map(move |x| input.row_index(y, x)))
-            .collect();
-        let (acts, ready) = s.take_streams(to_mxm, 1, installed, mxm);
-        let t_abc = s.earliest_read_arrival(part, &rows, to_mxm, mxm, ready);
-        s.read_rows(part, &rows, acts[0], mxm, t_abc);
-        s.place(
-            IcuId::Mxm { plane, port: 1 },
-            t_abc,
-            MxmOp::ActivationBuffer {
-                plane,
-                stream: acts[0],
-                rows: n as u16,
-            },
-        );
-
-        // N single-row ACCs, all into ordinal 0: a running channel sum.
-        let t_acc = t_abc + u64::from(MXM_ARRAY_DELAY);
-        let (acc_base, _) = s.take_aligned_group(from_mxm, 4, t_acc + 1, mxm);
-        let acc_group = StreamGroup::new(StreamId::new(acc_base, from_mxm), 4);
-        for r in 0..n {
-            let mode = if r == 0 {
-                AccumulateMode::Overwrite
-            } else {
-                AccumulateMode::Accumulate
-            };
-            s.place(
-                IcuId::Mxm { plane, port: 2 },
-                t_acc + u64::from(r),
-                MxmOp::Accumulate {
-                    plane,
-                    dst: acc_group,
-                    rows: 1,
-                    mode,
-                },
-            );
-        }
-        for stream in acc_group.streams() {
-            s.occupy_stream(stream, mxm, t_acc + 1, u64::from(n));
-        }
-        s.hold_array(plane, t_abc, t_abc + u64::from(n));
-
-        // Only the final emission (row n−1) carries the full sum.
-        let transit = u64::from(from_mxm.hops(mxm, vxm).expect("VXM inward"));
-        let t_last = t_acc + u64::from(n - 1) + 1 + transit;
-        let source = Int32Stream {
-            group: acc_group,
-            t_at_vxm: t_last,
-        };
         let spec = OutSpec {
             rows_total: 1,
-            cols,
+            cols: part.cols,
             segments: vec![(0, 1)],
             border: Vec::new(),
             hemisphere: out_hemisphere,
@@ -477,9 +417,13 @@ pub fn global_avg_pool(
             max_block: 4096,
             avoid: Vec::new(),
         };
-        let (mut reps, end) =
-            schedule_requant_write(s, source, 1, requant_shift, false, None, &spec)
-                .expect("a single pooled row always finds a port");
+        let (mut reps, end) = (s.retry_later(out_hemisphere, 0, |s, floor| {
+            let mut chain = PlaneChainBuilder::new(s, plane_of_chain(kp), 1, floor);
+            PlaneChainBuilder::install(s, identity, std::slice::from_mut(&mut chain));
+            chain.sum(s, ActFeed::Read(part), &rows);
+            schedule_requant_write(s, chain.finish(), 1, requant_shift, false, None, &spec)
+        }))
+        .expect("a global pool finds ports after retries");
         done = done.max(end);
         outs.push(reps.remove(0));
     }
@@ -492,9 +436,10 @@ mod tests {
     use super::*;
     use crate::kernels::conv::alloc_feature_map;
     use crate::kernels::testing::{dirty_sram, hold_all_alus_but_the_first};
-    use tsp_arch::ChipConfig;
+    use tsp_arch::{ChipConfig, STREAMS_PER_DIRECTION};
+    use tsp_isa::{Instruction, MxmOp, Plane};
     use tsp_sim::chip::RunOptions;
-    use tsp_sim::Chip;
+    use tsp_sim::{Chip, IcuId, Program};
 
     fn load_constants(chip: &mut Chip, s: &mut Scheduler) {
         for (handle, rows) in s.take_constants() {
@@ -946,9 +891,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn global_pool_sums_channels() {
+    /// A global pool of a 3×3×6 East map into West, on a scheduler
+    /// `prepare` had first, against its channel sums; returns the program.
+    fn global_pool_on(prepare: impl FnOnce(&mut Scheduler)) -> Program {
         let mut s = Scheduler::new();
+        prepare(&mut s);
         let (h, w, c) = (3u32, 3u32, 6u32);
         let input = alloc_feature_map(&mut s, h, w, c, 0, Hemisphere::East, 1);
         let (outs, _) = global_avg_pool(&mut s, &input, 0, Hemisphere::West);
@@ -973,5 +920,29 @@ mod tests {
             let expect = (9 * (ch + 1)).min(127) as i8;
             assert_eq!(got.lane(ch as usize) as i8, expect, "ch {ch}");
         }
+        program
+    }
+
+    #[test]
+    fn global_pool_sums_channels() {
+        global_pool_on(|_| {});
+    }
+
+    /// The pool's read-out quad is picked as every feed's is: with every
+    /// stream it could flow on held, its sums wait for them.
+    #[test]
+    fn global_pool_reads_out_only_onto_free_streams() {
+        let plane = Plane::new(0);
+        let mxm = Slice::Mxm(plane.hemisphere()).position();
+        let from_mxm = Direction::inward_from(plane.hemisphere());
+        let program = global_pool_on(|s| {
+            for id in 0..STREAMS_PER_DIRECTION {
+                s.occupy_stream(StreamId::new(id, from_mxm), mxm, 0, 2_000);
+            }
+        });
+        let (first, _) = (program.dispatches(IcuId::Mxm { plane, port: 2 }))
+            .find(|(_, i)| matches!(i, Instruction::Mxm(MxmOp::Accumulate { .. })))
+            .expect("a read-out");
+        assert!(first >= 1_999, "first read-out dispatched at {first}");
     }
 }

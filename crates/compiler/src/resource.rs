@@ -141,10 +141,9 @@ impl Book {
     }
 }
 
-/// A point [`ResourcePool::rewind`] takes the books back to.
+/// The point [`ResourcePool::rewind`] takes the books back to.
 #[derive(Debug)]
 pub struct Mark {
-    undone_to: usize,
     floor: u64,
 }
 
@@ -154,11 +153,11 @@ pub struct ResourcePool {
     books: BTreeMap<Resource, Book>,
     /// Highest fence applied; resources never touched still respect it.
     floor: u64,
-    /// Every booking since the oldest open [`Mark`], with how to take it
-    /// back; empty while none is open.
+    /// Every booking since the open [`Mark`], with how to take it back;
+    /// empty while none is open.
     journal: Vec<(Resource, Undo)>,
-    /// Marks taken and not yet rewound to or released.
-    open: usize,
+    /// Whether a mark is taken and not yet rewound to or released.
+    open: bool,
 }
 
 impl ResourcePool {
@@ -203,25 +202,26 @@ impl ResourcePool {
     /// Books `r` busy over `[start, until)`.
     pub fn occupy(&mut self, r: Resource, start: u64, until: u64) {
         let undo = self.books.entry(r).or_default().book(start, until);
-        if self.open > 0 {
+        if self.open {
             self.journal.push((r, undo));
         }
     }
 
-    /// Opens a point to rewind the books to: every booking from now on is
-    /// journaled until this mark and every later one are rewound to or
-    /// released.
+    /// Opens the one point to rewind the books to: every booking from now
+    /// on is journaled until the mark is rewound to or released.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if a mark is already open: marks do not nest.
     pub fn mark(&mut self) -> Mark {
-        self.open += 1;
-        Mark {
-            undone_to: self.journal.len(),
-            floor: self.floor,
-        }
+        debug_assert!(!self.open, "one mark at a time");
+        self.open = true;
+        Mark { floor: self.floor }
     }
 
     /// Takes back every booking and fence since `mark`, and closes it.
     pub fn rewind(&mut self, mark: Mark) {
-        for (r, undo) in self.journal.drain(mark.undone_to..).rev() {
+        for (r, undo) in self.journal.drain(..).rev() {
             let book = self.books.get_mut(&r).expect("a journaled book");
             book.take_back(undo);
         }
@@ -230,15 +230,9 @@ impl ResourcePool {
     }
 
     /// Closes `mark`, keeping what was booked since.
-    pub fn release(&mut self, mark: Mark) {
-        debug_assert!(
-            self.journal.len() >= mark.undone_to,
-            "marks close newest first"
-        );
-        self.open -= 1;
-        if self.open == 0 {
-            self.journal.clear();
-        }
+    pub fn release(&mut self, _mark: Mark) {
+        self.open = false;
+        self.journal.clear();
     }
 
     /// Fences every resource to `cycle`: nothing schedules before it
@@ -399,8 +393,9 @@ mod tests {
     }
 
     /// Rewinding to a mark takes back every booking since it — appended,
-    /// extending the latest interval, or merged into a gap — and the fence,
-    /// inner marks included; releasing one keeps its bookings.
+    /// extending the latest interval, inserted before it, widening one gap's
+    /// neighbour or merged across several — and the fence; releasing one
+    /// keeps its bookings.
     #[test]
     fn rewind_takes_back_what_was_booked_since_the_mark() {
         let r = Resource::MxmArray(1);
@@ -409,25 +404,24 @@ mod tests {
         p.occupy(r, 40, 50);
         let books = |p: &ResourcePool| p.books[&r].0.clone();
         let before = books(&p);
-        let outer = p.mark();
+        let mark = p.mark();
         p.occupy(r, 45, 60); // extends
         p.occupy(r, 70, 80); // appends
-        let inner = p.mark();
-        p.occupy(r, 20, 30); // merges into the gap
+        p.occupy(r, 20, 25); // widens the interval before the gap
         p.occupy(r, 0, 5); // inserts at the front
+        p.occupy(r, 25, 75); // merges all but the front one
         p.fence(100);
-        p.release(inner);
-        assert_eq!(books(&p), [(0, 5), (10, 30), (40, 60), (70, 80)]);
-        let inner = p.mark();
-        p.occupy(r, 5, 75); // merges all but the front one
-        p.rewind(inner);
-        assert_eq!(books(&p), [(0, 5), (10, 30), (40, 60), (70, 80)]);
-        assert_eq!(p.floor(), 100);
-        p.rewind(outer);
+        assert_eq!(books(&p), [(0, 5), (10, 80)]);
+        p.rewind(mark);
         assert_eq!(books(&p), before);
         assert_eq!(p.floor(), 0);
-        assert!(p.journal.is_empty() && p.open == 0);
-        // With no mark open nothing is journaled.
+        assert!(p.journal.is_empty() && !p.open);
+        // Releasing keeps the bookings, and with no mark open nothing is
+        // journaled.
+        let mark = p.mark();
+        p.occupy(r, 60, 70);
+        p.release(mark);
+        assert_eq!(books(&p), [(10, 20), (40, 50), (60, 70)]);
         p.occupy(r, 90, 95);
         assert!(p.journal.is_empty());
     }

@@ -155,7 +155,7 @@ pub type ConstantRows = Vec<(u32, Vector)>;
 
 /// State captured by [`Scheduler::snapshot`].
 #[derive(Debug)]
-pub struct SchedulerSnapshot {
+struct SchedulerSnapshot {
     queue_lens: std::collections::BTreeMap<IcuId, usize>,
     pool: Mark,
     alloc: MemAllocator,
@@ -995,21 +995,23 @@ impl Scheduler {
         self.pool.first_window(&claims, not_before)
     }
 
-    /// [`Scheduler::earliest_constant_arrival`] for `lists` of a constant's
-    /// rows streamed side by side — row `i` of every list at `consumer` at
-    /// `t0 + i`, list `j` on stream `base + j` of an aligned group of
-    /// `lists.len()` streams in `direction` — with the group taking the first
-    /// window in which each stream is idle for its list (edge time, see
+    /// The first `t0 ≥ not_before` at which `lists` of `tensor`'s rows can
+    /// stream side by side — row `i` of every list at `consumer` at `t0 + i`,
+    /// list `j` on stream `base + j` of an aligned group of `lists.len()`
+    /// streams in `direction` — with the group taking the first window in
+    /// which each stream is idle for its list (edge time, see
     /// [`Scheduler::take_streams`]), before its horizon where one is long
-    /// enough: the group's base (the lowest among equals) and `t0`. Reserves
+    /// enough: the group's base (the lowest among equals) and `t0`. The
+    /// runs of a registered constant or zero row take windows the same way
+    /// ([`Scheduler::earliest_constant_arrival`]); any other tensor's are
+    /// held back to their queues' horizons, its only fence. Reserves
     /// nothing: [`Scheduler::read_rows`] books each list's burst.
     ///
     /// # Panics
     ///
-    /// Panics if `lists.len()` does not divide the streams of a direction, or
-    /// in debug builds if `tensor` is not a registered constant.
+    /// Panics if `lists.len()` does not divide the streams of a direction.
     #[must_use]
-    pub fn earliest_constant_group_arrival(
+    pub fn earliest_group_arrival(
         &self,
         tensor: &TensorHandle,
         lists: &[Vec<u32>],
@@ -1017,10 +1019,6 @@ impl Scheduler {
         consumer: Position,
         not_before: u64,
     ) -> (u8, u64) {
-        debug_assert!(
-            self.never_written(tensor),
-            "only a constant's reads may take a gap"
-        );
         let width = lists.len() as u8;
         assert!(
             width > 0 && STREAMS_PER_DIRECTION.is_multiple_of(width),
@@ -1030,6 +1028,13 @@ impl Scheduler {
             .flat_map(|rows| Scheduler::read_claims(tensor, rows, direction, consumer))
             .collect();
         let queues = claims.len();
+        let not_before = if self.never_written(tensor) {
+            not_before
+        } else {
+            (claims.iter()).fold(not_before, |t0, &(queue, offset, _)| {
+                t0.max((self.pool.free_at(queue) as i64 - offset).max(0) as u64)
+            })
+        };
         let lead = edge_hops(direction, consumer) as i64;
         let mut best: Option<(u64, u8)> = None;
         for base in (0..STREAMS_PER_DIRECTION).step_by(usize::from(width)) {
@@ -1068,17 +1073,12 @@ impl Scheduler {
         })
     }
 
-    /// Whether `tensor` is a registered constant ([`Scheduler::constants`]).
-    #[must_use]
-    pub fn is_constant(&self, tensor: &TensorHandle) -> bool {
+    /// Whether `tensor` is a registered constant ([`Scheduler::constants`])
+    /// or one of the zero rows: rows no instruction writes during a run.
+    fn never_written(&self, tensor: &TensorHandle) -> bool {
         // The constant streamed next is most often the latest registered.
         self.constants.iter().rev().any(|(t, _)| t == tensor)
-    }
-
-    /// Whether `tensor` is a registered constant or one of the zero rows:
-    /// rows no instruction writes during a run.
-    fn never_written(&self, tensor: &TensorHandle) -> bool {
-        self.is_constant(tensor) || self.zero_rows.iter().flatten().any(|t| t == tensor)
+            || self.zero_rows.iter().flatten().any(|t| t == tensor)
     }
 
     /// Picks `count` streams in `direction` for a burst whose first value is
@@ -1168,11 +1168,10 @@ impl Scheduler {
     }
 
     /// A lightweight checkpoint: per-queue placement lengths, a mark in the
-    /// pool's journal, and a clone of the allocator. Lets kernels retry a
-    /// whole chain with a later floor when output ports cannot be found;
+    /// pool's journal, and a clone of the allocator — what
+    /// [`Scheduler::retry_later`] rolls a failed attempt back to;
     /// [`Scheduler::restore`] or [`Scheduler::release`] closes it.
-    #[must_use]
-    pub fn snapshot(&mut self) -> SchedulerSnapshot {
+    fn snapshot(&mut self) -> SchedulerSnapshot {
         SchedulerSnapshot {
             queue_lens: self
                 .placements
@@ -1231,24 +1230,24 @@ impl Scheduler {
         None
     }
 
-    /// How often [`Scheduler::restore`] has run: each is a kernel — a conv
-    /// or matmul chain, an element-wise chain or a max pool round — whose
-    /// operands, VXM stages or output found no free ALU, port or stream at
-    /// the cycle its chain dictated, retried later by
-    /// [`Scheduler::retry_later`] — cycles lost to placement.
+    /// How often [`Scheduler::retry_later`] has rolled an attempt back: each
+    /// is a kernel — a conv or matmul chain, a global pool's channel part,
+    /// an element-wise chain or a max pool round — whose operands, VXM
+    /// stages or output found no free ALU, port or stream at the cycle its
+    /// chain dictated, retried later — cycles lost to placement.
     #[must_use]
     pub fn rollbacks(&self) -> u64 {
         self.rollbacks
     }
 
     /// Keeps everything placed since `snap` and closes it.
-    pub fn release(&mut self, snap: SchedulerSnapshot) {
+    fn release(&mut self, snap: SchedulerSnapshot) {
         self.pool.release(snap.pool);
     }
 
     /// Rolls back to a snapshot taken earlier in this compile, and closes
     /// it.
-    pub fn restore(&mut self, snap: SchedulerSnapshot) {
+    fn restore(&mut self, snap: SchedulerSnapshot) {
         self.rollbacks += 1;
         for (icu, v) in &mut self.placements {
             let keep = snap.queue_lens.get(icu).copied().unwrap_or(0);
@@ -1476,6 +1475,20 @@ mod tests {
         let t2 = s.earliest_constant_arrival(&constant, &rows, dir, vxm, 497 + lead);
         assert_eq!(t2, 604 + lead);
         assert!(s.check().is_none(), "{:?}", s.check());
+    }
+
+    /// The group query holds a plain tensor's runs back to their horizons
+    /// itself; a constant's take the gap.
+    #[test]
+    fn a_plain_group_waits_for_the_horizon() {
+        let (s, plain, constant) = constant_beside_plain();
+        let vxm = Slice::Vxm.position();
+        let dir = Direction::inward_from(plain.layout.blocks[0].0);
+        let lists = [(0..4).collect::<Vec<u32>>()];
+        let lead = Scheduler::read_lead(plain.row(0), dir, vxm);
+        let arrival = |t: &TensorHandle| s.earliest_group_arrival(t, &lists, dir, vxm, 0);
+        assert_eq!(arrival(&constant), (0, lead), "dispatched in the gap");
+        assert_eq!(arrival(&plain), (0, 600 + lead), "after the horizon");
     }
 
     /// The gap query refuses a tensor that is not a constant.

@@ -149,9 +149,10 @@ pub struct CompiledModel {
     pub cycles: u64,
     /// Per-layer schedule spans.
     pub layer_spans: Vec<LayerSpan>,
-    /// Kernels — a conv's or matmul's chain, or an element-wise chain — that
-    /// found an ALU, stream or port taken at the cycle their chain dictated
-    /// and were rescheduled later (`Scheduler::rollbacks`).
+    /// Kernels — a conv's or matmul's chain, a global pool's channel part,
+    /// an element-wise chain or a max pool round — that found an ALU, stream
+    /// or port taken at the cycle their chain dictated and were rescheduled
+    /// later (`Scheduler::rollbacks`).
     pub rollbacks: u64,
     /// Per-node activation locations (same order as the graph's nodes).
     /// Only the last node's is still intact after a run — see [`Probe`].

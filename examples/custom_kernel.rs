@@ -65,27 +65,14 @@ fn main() {
     let (outs, done) =
         schedule_requant_write(&mut sched, int32, u64::from(n), 2, true, None, &spec)
             .expect("ports available");
+    // Execute with the host-emplaced constants (the weights) and the input:
+    // in a full flow `CompiledModel` does this.
+    let constants = sched.take_constants();
     let program = sched.into_program().expect("consistent schedule");
-
-    // Execute with a host-emplaced constant and input.
     let mut chip = Chip::new(ChipConfig::asic());
-    // (constants registered via add_constant)
-    // The scheduler kept them; in a full flow CompiledModel does this.
-    // Here we re-create them:
-    // -- re-run the registration: easier to just rebuild the data:
-    let mut chip_sched = Scheduler::new(); // throwaway to regenerate rows
-    let _ = &mut chip_sched;
-    // Write weights directly:
-    for j in 0..16u32 {
-        for r in 0..20u32 {
-            let row = 16 * r + j;
-            let mut v = Vector::ZERO;
-            if row < m {
-                for lane in 0..k {
-                    v.set_lane(lane as usize, ((row + u32::from(lane)) % 5) as u8);
-                }
-            }
-            chip.memory.write(weights.row(j * 20 + r), v);
+    for (handle, rows) in constants {
+        for (r, v) in rows {
+            chip.memory.write(handle.row(r), v);
         }
     }
     for row in 0..n {
