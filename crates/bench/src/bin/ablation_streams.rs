@@ -54,7 +54,8 @@ fn main() {
     println!();
     println!("the MXM needs a 16-wide aligned group for LW plus activation and SG4");
     println!("result streams per concurrent plane. Every count here keeps one weight");
-    println!("group (ids 0-15), and a weight load takes any idle 20-cycle window of it,");
-    println!("so the four row-split plane chains still run together: fewer activation");
-    println!("and result streams cost this conv at most a fifth, not a serialization.");
+    println!("group (ids 0-15), and a weight load takes any idle window of it as long");
+    println!("as its block's rows (4 cycles for these 64 outputs), so the four row-split");
+    println!("plane chains still run together: fewer activation and result streams cost");
+    println!("this conv at most a fifth, not a serialization.");
 }

@@ -10,7 +10,7 @@
 use tsp::compiler::kernels::matmul::PlaneChainBuilder;
 use tsp::compiler::tensor::{Layout, TensorHandle};
 use tsp::prelude::*;
-use tsp_isa::{Instruction, MxmOp, Plane, D_IW};
+use tsp_isa::{Instruction, MemOp, MxmOp, Plane, D_IW};
 use tsp_sim::IcuId;
 
 fn main() {
@@ -45,13 +45,21 @@ fn main() {
         .map(|(t, _)| t + D_IW)
         .max()
         .expect("every plane installs");
+    // The weight streams' first `Read`, wherever it is queued.
+    let first_read = (program.queues())
+        .filter(|(icu, _)| matches!(icu, IcuId::Mem { .. }))
+        .flat_map(|(icu, _)| program.dispatches(icu))
+        .filter(|(_, i)| matches!(i, Instruction::Mem(MemOp::Read { .. })))
+        .map(|(t, _)| t)
+        .min()
+        .expect("the weights are read");
     let mut chip = Chip::new(ChipConfig::paper_1ghz());
     chip.run(&program, &RunOptions::default())
         .expect("clean run");
 
     println!("# E10: install 4 x 102,400 = 409,600 weights into all four MXM planes");
     println!("64 weight streams (16 per plane, both directions, both hemispheres)");
-    println!("first read dispatch: cycle 0");
+    println!("first read dispatch: cycle {first_read}");
     println!("last plane installed: cycle {install_done} (paper: 'less than 40 cycles')");
     // Our transit model charges one cycle per MEM slice crossed (93 stream-
     // register positions chip-wide); the inner plane's weights cross up to 33

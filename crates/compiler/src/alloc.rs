@@ -476,6 +476,17 @@ impl MemAllocator {
             .sum()
     }
 
+    /// Whether slice `s` of `h` has a free run of `words` in `policy`'s bank.
+    #[must_use]
+    pub(crate) fn holds_block(&self, h: Hemisphere, s: u8, words: u32, policy: BankPolicy) -> bool {
+        let st = &self.slices[h.index()][s as usize];
+        let list = match policy {
+            BankPolicy::Low => &st.low,
+            BankPolicy::High => &st.high,
+        };
+        u32::from(list.largest()) >= words
+    }
+
     /// The largest single block currently allocatable under a policy.
     #[must_use]
     pub fn largest_block(&self, policy: BankPolicy) -> u16 {

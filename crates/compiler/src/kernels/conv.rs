@@ -407,8 +407,8 @@ impl Default for Conv2dParams {
 }
 
 /// Fewest output rows worth a plane of their own: a pass cannot be shorter
-/// than its ≈24-cycle weight install (`LW` 20 + `IW` 4), so thinner chunks
-/// only multiply weight reads.
+/// than its weight install (up to 24 cycles: `LW` 20 for a block of 320
+/// output rows + `IW` 4), so thinner chunks only multiply weight reads.
 const MIN_CHUNK_ROWS: u32 = 24;
 
 /// The share of a conv's output one plane chain computes: the pixels falling
@@ -431,6 +431,12 @@ pub struct RowSplit {
     pub rows_per_block: u32,
     /// One non-empty chunk per block, in block order.
     pub chunks: Vec<RowChunk>,
+    /// Whether each block lands in two halves, the last on a slice of its
+    /// own where one is to spare ([`OutSpec::tail_apart`]): blocks of an
+    /// even row count of a borderless map of one pixel per row, whose every
+    /// reader streams its own chunk's rows and needs none of a neighbouring
+    /// chunk's tail.
+    pub tails_apart: bool,
 }
 
 impl RowSplit {
@@ -474,9 +480,11 @@ impl RowSplit {
                 }
             }
             if chunks.iter().all(|c| !c.pixels.is_empty()) {
+                let borderless = out_pad == 0 && !out.whole_rows();
                 return RowSplit {
                     rows_per_block,
                     chunks,
+                    tails_apart: borderless && rows_per_block.is_multiple_of(2),
                 };
             }
             assert!(
@@ -640,6 +648,7 @@ fn schedule_chains<'a>(
             replicas: params.out_replicas,
             max_block: split.rows_per_block,
             avoid: shortcut_slices.clone(),
+            tail_apart: None,
         })
         .collect();
     let mut blocks = vec![vec![Vec::new(); split.chunks.len()]; mparts];
@@ -683,6 +692,10 @@ fn schedule_chains<'a>(
         }
         for (builder, &(mpart, ci)) in builders.into_iter().zip(wave) {
             let (chunk, spec) = (&split.chunks[ci], &mut specs[mpart]);
+            // Its tails take no slice the chains after it need.
+            let later = (chains.len() - (mpart * chunks + ci) - 1) as u32;
+            spec.tail_apart =
+                (split.tails_apart).then_some(later * u32::from(spec.replicas.max(1)));
             spec.segments.clone_from(&chunk.segments);
             // The padding border is never written by the chain: on recycled
             // SRAM it still holds a previous tenant's data.
@@ -1315,9 +1328,9 @@ mod tests {
         program: tsp_sim::Program,
         /// The output of the conv under test.
         out: FeatureMap,
-        /// Its weights, and every slice of its input.
+        /// Its weights, and its input.
         weights: ConvWeights,
-        input_slices: Vec<(Hemisphere, u8)>,
+        input: FeatureMap,
     }
 
     impl Ran {
@@ -1534,7 +1547,7 @@ mod tests {
             program,
             out,
             weights,
-            input_slices: input.slices().collect(),
+            input,
         }
     }
 
@@ -1559,6 +1572,102 @@ mod tests {
     #[test]
     fn conv1x1_is_a_matmul() {
         run_conv_case(Case::new((5, 5), (10, 12), 1, 1));
+    }
+
+    /// The cycle of the last row of each `Write` burst of `icu` into words
+    /// `range` of its slice.
+    fn writes_into(
+        program: &tsp_sim::Program,
+        icu: tsp_sim::IcuId,
+        range: std::ops::Range<u16>,
+    ) -> Vec<u64> {
+        use tsp_isa::{IcuOp, Instruction, MemOp};
+        let mut ends: Vec<u64> = Vec::new();
+        let mut into = false;
+        for (at, instruction) in program.dispatches(icu) {
+            let last = at + instruction.queue_cycles() - 1;
+            match instruction {
+                Instruction::Mem(MemOp::Write { addr, .. }) => {
+                    into = range.contains(&addr.word());
+                    if into {
+                        ends.push(last);
+                    }
+                }
+                Instruction::Icu(IcuOp::Repeat { .. }) if into => ends.push(last),
+                _ => into = false,
+            }
+        }
+        ends
+    }
+
+    /// Two 1×1 convs chained over a borderless 28×28 map, cut into four
+    /// chunks: each block of the map lands in halves, the second on a slice
+    /// of its own, so the consumer's chain on a chunk starts streaming the
+    /// first half while the second still lands — its first `ABC` dispatches
+    /// before the producer's last `Write` into the chunk — every value the
+    /// reference's, and no kernel rescheduled.
+    #[test]
+    fn a_chunk_is_read_while_its_tail_lands() {
+        use tsp_isa::{Instruction, MxmOp};
+        let case = Case {
+            from: Some(16),
+            ..Case::new((28, 28), (16, 16), 1, 1)
+        };
+        let ran = run_conv_case_on(case, |_, _| {});
+        assert_eq!(ran.rollbacks, 0, "a kernel was rescheduled");
+        let map = &ran.input;
+        let split = RowSplit::new(28, 28, 4, &map.layout);
+        assert!(split.tails_apart && split.chunks.len() == 4);
+        let half = split.rows_per_block / 2;
+        for ci in 0..split.chunks.len() {
+            // The consumer's chain follows the producer's on the plane.
+            let plane = chain_plane(split.chunks.len(), 0, ci);
+            let abc_port = tsp_sim::IcuId::Mxm { plane, port: 1 };
+            let abcs = (ran.program.dispatches(abc_port))
+                .filter(|(_, i)| matches!(i, Instruction::Mxm(MxmOp::ActivationBuffer { .. })));
+            let (consumer_abc, _) = abcs.last().expect("the consumer feeds the plane");
+            let last_write = (map.parts[0].iter())
+                .flat_map(|replica| &replica.layout.blocks[2 * ci..2 * ci + 2])
+                .flat_map(|&(hemisphere, index, base)| {
+                    let icu = tsp_sim::IcuId::Mem { hemisphere, index };
+                    writes_into(&ran.program, icu, base..base + half as u16)
+                })
+                .max()
+                .expect("the producer writes the chunk");
+            assert!(
+                consumer_abc < last_write,
+                "chunk {ci}: the consumer starts at {consumer_abc}, the tail lands until {last_write}"
+            );
+        }
+        // At least one replica's tail is on a slice of its own.
+        let mut halves = (map.parts[0].iter()).flat_map(|r| r.layout.blocks.chunks(2));
+        assert!(halves.any(|pair| pair[0].1 != pair[1].1));
+    }
+
+    /// With exactly as many West slices left as the output's blocks need
+    /// whole — four chunks, two replicas — no second half finds a slice to
+    /// spare: every block lands whole, its halves one after the other on
+    /// its slice, the values the reference's, and no kernel rescheduled
+    /// (tails taking slices there would leave later chains none).
+    #[test]
+    fn tails_stay_with_their_heads_when_no_slice_is_spare() {
+        let case = Case::new((28, 28), (16, 16), 1, 1);
+        let ran = run_conv_case_on(case, |s, _| {
+            let keep: Vec<_> = (0..8).map(|sl| (Hemisphere::West, sl)).collect();
+            let filler = (s.alloc).alloc_avoiding(
+                Some(Hemisphere::West),
+                36 * 4096,
+                320,
+                BankPolicy::High,
+                4096,
+                &keep,
+            );
+            filler.expect("the other 36 slices' High banks");
+        });
+        assert_eq!(ran.rollbacks, 0, "a kernel was rescheduled");
+        let blocks = (ran.out.parts.iter().flatten()).flat_map(|t| t.layout.blocks.chunks(2));
+        assert_eq!(blocks.clone().count(), 8);
+        assert!(blocks.clone().all(|halves| halves[0].1 == halves[1].1));
     }
 
     /// kparts × mparts ∈ {1,2,7}², on 1×1-pixel and 2×2 tails (n = 1, 4).
@@ -1722,6 +1831,7 @@ mod tests {
                 replicas: 2,
                 max_block: 12,
                 avoid: Vec::new(),
+                tail_apart: None,
             };
             let (reps, _) = schedule_requant_write(&mut s, source, 8, 0, false, None, &spec)
                 .expect("ports free by the write");
@@ -2008,7 +2118,7 @@ mod tests {
             assert_eq!(slices.len(), 16, "M-split {m}: one stack");
             for &(h, sl) in slices {
                 assert_eq!(h, home, "M-split {m} feeds the {home:?} MXM");
-                assert!(sl < LOW_INNER_SLICES && !ran.input_slices.contains(&(h, sl)));
+                assert!(sl < LOW_INNER_SLICES && !ran.input.slices().any(|at| at == (h, sl)));
             }
         }
         // Every inner Low bank taken: nothing goes home.

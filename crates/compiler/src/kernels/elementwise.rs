@@ -72,6 +72,7 @@ fn ew_chain(
         replicas: out_replicas,
         max_block: 4096,
         avoid: inputs.iter().flat_map(|t| t.layout.slices()).collect(),
+        tail_apart: None,
     };
     s.retry_later(out_hemisphere, not_before, |s, floor| {
         // One operand stream per input, inward from its hemisphere; a pick

@@ -45,6 +45,18 @@
 //! (output channel), with lanes = input channels of the kpart. The host-side
 //! serializer (`tsp-nn`) performs this shuffle; each 20-row block then lands
 //! in its own slice so all 16 streams run concurrently at one row per cycle.
+//! A block of `M < 320` output rows holds data in only the first `⌈M/16⌉`
+//! rows of each, and its `LW` streams only those
+//! ([`Scheduler::lw_cycles`]).
+//!
+//! ## Output blocks
+//!
+//! A conv chain's output block is written head first, and read by the next
+//! layer head first. Where every reader streams only its own chunk's rows
+//! (a borderless map, one pixel a row) the block lands in halves, the second
+//! on a slice of its own where one is to spare ([`OutSpec::tail_apart`]):
+//! a read waits for its slice's horizon, so the reader starts on the head
+//! while the tail still lands.
 
 use tsp_arch::{Direction, Hemisphere, Position, Slice, StreamGroup, StreamId, Vector};
 use tsp_isa::{
@@ -176,23 +188,26 @@ impl ActFeed<'_> {
     }
 }
 
-/// Streams the 320-row LW-order block `weights` toward `hemisphere`'s MXM on
-/// an aligned group of 16 streams, arriving no earlier than `not_before`:
-/// the group and the cycle install row 0 is present at the MXM (row `r`
-/// follows at `+r`). The block's runs and the group's streams take the first
-/// window [`Scheduler::earliest_group_arrival`] finds — before their
-/// horizons where they are idle long enough, except the runs of a block
-/// something writes during the run.
+/// Streams the first `depth` row groups of the 320-row LW-order block
+/// `weights` toward `hemisphere`'s MXM on an aligned group of 16 streams,
+/// arriving no earlier than `not_before`: the group and the cycle install
+/// row 0 is present at the MXM (row `r` follows at `+r`). The block's runs
+/// and the group's streams take the first window
+/// [`Scheduler::earliest_group_arrival`] finds — before their horizons where
+/// they are idle long enough, except the runs of a block something writes
+/// during the run.
 fn stream_weights(
     s: &mut Scheduler,
     weights: &TensorHandle,
+    depth: u64,
     hemisphere: Hemisphere,
     not_before: u64,
 ) -> (StreamGroup, u64) {
     let mxm = Slice::Mxm(hemisphere).position();
     let to_mxm = Direction::outward_from(hemisphere);
+    let rows = LW_ROWS as u32;
     let weight_rows: Vec<Vec<u32>> = (0..16u32)
-        .map(|j| (j * 20..(j + 1) * 20).collect())
+        .map(|j| (j * rows..j * rows + depth as u32).collect())
         .collect();
     let (wbase, t_lw) = s.earliest_group_arrival(weights, &weight_rows, to_mxm, mxm, not_before);
     for (j, rows) in weight_rows.iter().enumerate() {
@@ -318,7 +333,9 @@ impl PlaneChainBuilder {
     /// `chains` — one chain's plane, or the two planes of a hemisphere that
     /// load it from one burst (stream reads are non-destructive) — once
     /// every buffer's previous install is through, and installs it on each
-    /// plane once that plane's array has drained its previous feed.
+    /// plane once that plane's array has drained its previous feed. The
+    /// `LW` streams only the row groups the block's shipped rows fill
+    /// ([`Scheduler::lw_cycles`]); the buffer rows it leaves read zero.
     ///
     /// # Panics
     ///
@@ -330,7 +347,8 @@ impl PlaneChainBuilder {
             "one burst feeds one or two planes of one hemisphere"
         );
         let floor = chains.iter().fold(0, |t, c| t.max(c.prev_iw_done));
-        let (streams, t_lw) = stream_weights(s, weights, hemisphere, floor);
+        let depth = s.lw_cycles(weights);
+        let (streams, t_lw) = stream_weights(s, weights, depth, hemisphere, floor);
         for chain in chains {
             let plane = chain.plane;
             s.place(
@@ -339,11 +357,11 @@ impl PlaneChainBuilder {
                 MxmOp::LoadWeights {
                     plane,
                     streams,
-                    rows: LW_ROWS as u8,
+                    rows: depth as u8,
                 },
             );
             // IW waits for the buffer to fill and the array to drain pass p−1.
-            let t_iw = (t_lw + LW_ROWS).max(chain.prev_abc_end);
+            let t_iw = (t_lw + depth).max(chain.prev_abc_end);
             s.place(
                 IcuId::Mxm { plane, port: 3 },
                 t_iw,
@@ -526,6 +544,14 @@ pub struct OutSpec {
     pub max_block: u32,
     /// Slices the replicas must not use (siblings streamed concurrently).
     pub avoid: Vec<(Hemisphere, u8)>,
+    /// `Some(reserve)`: each replica — one block of an even `rows_total`
+    /// rows — lands as two blocks of half as many, so that a reader can
+    /// stream the first half while the second still lands. Replica by
+    /// replica, a second half goes to a slice of its own, free by the write
+    /// time, as long as `reserve` more whole blocks still find such slices
+    /// (what the kernel's later outputs need); the others land after their
+    /// first halves.
+    pub tail_apart: Option<u32>,
 }
 
 /// A residual operand of the requant epilogue: row `rows[i]` of `tensor` is
@@ -601,7 +627,8 @@ pub(crate) fn vxm_stage(
 /// the VXM at `t_out`, in `out.replicas` fresh tensors: each is allocated
 /// now that the write time is known, on slices whose ports are free by then
 /// — so stream-dictated writes can never collide with earlier bursts — and
-/// every replica's `Write`s tap the same flowing stream. Each
+/// every replica's `Write`s tap the same flowing stream; with
+/// [`OutSpec::tail_apart`] each in two half blocks. Each
 /// [`OutSpec::border`] is cleared in the window those free ports leave
 /// before the first row lands, or, when the window is too short, once the
 /// rows are in. Returns the replicas and the completion cycle.
@@ -629,21 +656,42 @@ pub(crate) fn write_replicas(
     let vxm = Slice::Vxm.position();
     let mut replicas: Vec<TensorHandle> = Vec::with_capacity(usize::from(out.replicas.max(1)));
     let mut avoid = out.avoid.clone();
-    for _ in 0..out.replicas.max(1) {
-        let Some(t) = s.try_alloc_for_write(
-            Some(out.hemisphere),
-            out.rows_total,
-            out.cols,
-            out.policy,
-            out.max_block,
-            t_out,
-            &avoid,
-        ) else {
+    let (h, policy, cols) = (out.hemisphere, out.policy, out.cols);
+    let half = out.rows_total / 2;
+    assert!(
+        out.tail_apart.is_none() || (out.rows_total <= out.max_block && 2 * half == out.rows_total),
+        "a replica cut in halves is one block of an even row count"
+    );
+    let copies = u32::from(out.replicas.max(1));
+    for r in 0..copies {
+        let alloc = |s: &mut Scheduler, max_block| {
+            s.try_alloc_for_write(
+                Some(h),
+                out.rows_total,
+                cols,
+                policy,
+                max_block,
+                t_out,
+                &avoid,
+            )
+        };
+        // Its halves go to two slices while both leave as many as the whole
+        // blocks still to land need: this call's other replicas', and the
+        // kernel's later ones.
+        let apart = out.tail_apart.is_some_and(|later| {
+            let reserve = (copies - r - 1 + later) as usize;
+            s.write_slices(h, out.rows_total, policy, t_out, &avoid) >= reserve + 2
+        });
+        let halves = apart.then(|| alloc(s, half)).flatten();
+        let Some(mut t) = halves.or_else(|| alloc(s, out.max_block)) else {
             for t in &replicas {
                 s.alloc.free(t);
             }
             return Err(OutOfPorts { t_write: t_out });
         };
+        if out.tail_apart.is_some() && t.layout.rows_per_block > half {
+            t.layout = t.layout.halved();
+        }
         avoid.extend(t.layout.slices());
         replicas.push(t);
     }
@@ -795,6 +843,7 @@ pub fn matmul(
             replicas: opts.out_replicas,
             max_block: 4096,
             avoid: Vec::new(),
+            tail_apart: None,
         };
         let (reps, end) = s
             .retry_later(opts.out_hemisphere, 0, |s, floor| {
@@ -822,6 +871,7 @@ pub fn matmul(
 mod tests {
     use super::*;
     use tsp_arch::{ChipConfig, Vector};
+    use tsp_isa::Instruction;
     use tsp_sim::chip::RunOptions;
     use tsp_sim::Chip;
 
@@ -1076,6 +1126,99 @@ mod tests {
                 let got = chip.memory.read_unchecked(rep.row(r));
                 assert_eq!(got.lane(0) as i8, x_data[r as usize][0]);
                 assert_eq!(got.lane(1) as i8, x_data[r as usize][1]);
+            }
+        }
+    }
+
+    /// A registered block of 64 output rows streams only the 4 row groups
+    /// its rows fill: its `LW` takes 4 cycles and its `IW` follows it — on
+    /// a plane a full block of ones was installed in before, whose rows the
+    /// short load leaves behind as zeros: the product matches the
+    /// reference, and every lane past the 64th reads zero.
+    #[test]
+    fn a_64_output_block_installs_with_a_4_cycle_load() {
+        let mut s = Scheduler::new();
+        let mut chip = Chip::new(ChipConfig::asic());
+        let (n, k, m) = (6usize, 40usize, 64usize);
+        let x_data: Vec<Vec<i8>> = (0..n)
+            .map(|r| (0..k).map(|c| ((r * 5 + c * 3) % 9) as i8 - 4).collect())
+            .collect();
+        let w_data: Vec<Vec<i8>> = (0..m)
+            .map(|r| (0..k).map(|c| ((r * 3 + c) % 5) as i8 - 2).collect())
+            .collect();
+        let x = (s.alloc)
+            .alloc_in(
+                Some(Hemisphere::East),
+                n as u32,
+                k as u16,
+                BankPolicy::High,
+                4096,
+            )
+            .unwrap();
+        fill_acts(&mut chip, &x, &x_data);
+        // A full block of ones runs first on the same plane.
+        let ones = emplace_weights(&mut s, &mut chip, &vec![vec![1; k]; 320]);
+        let rows: Vec<u32> = (0..n as u32).collect();
+        let pass = Pass {
+            weights: &ones,
+            acts: &x,
+            rows: &rows,
+        };
+        let _ = schedule_plane_chain(&mut s, plane_of_chain(0), &[pass], 0);
+        let fill = |row: u32, v: &mut Vector| {
+            for (lane, &w) in w_data[row as usize].iter().enumerate() {
+                v.set_lane(lane, w as u8);
+            }
+        };
+        let block = (0, lw_rows(fill, m as u32), k as u16);
+        let wh = emplace_weight_blocks(&mut s, vec![block], (plane_of_chain, 1), &[]);
+        assert_eq!(s.lw_cycles(&wh[0]), 4);
+        let wset = WeightSet {
+            k: k as u32,
+            m: m as u32,
+            parts: vec![vec![wh]],
+        };
+        let opts = MatmulOpts {
+            requant_shift: 2,
+            ..MatmulOpts::default()
+        };
+        let (outs, _) = matmul(&mut s, &[vec![x]], &wset, &opts);
+        for (handle, rows) in s.take_constants() {
+            for (r, v) in rows {
+                chip.memory.write(handle.row(r), v);
+            }
+        }
+        let program = s.into_program().expect("valid schedule");
+        let (lw, iw) = (
+            IcuId::Mxm {
+                plane: plane_of_chain(0),
+                port: 0,
+            },
+            IcuId::Mxm {
+                plane: plane_of_chain(0),
+                port: 3,
+            },
+        );
+        let loads: Vec<(u64, u8)> = (program.dispatches(lw))
+            .filter_map(|(t, i)| match i {
+                Instruction::Mxm(MxmOp::LoadWeights { rows, .. }) => Some((t, *rows)),
+                _ => None,
+            })
+            .collect();
+        let installs: Vec<u64> = (program.dispatches(iw))
+            .filter(|(_, i)| matches!(i, Instruction::Mxm(MxmOp::InstallWeights { .. })))
+            .map(|(t, _)| t)
+            .collect();
+        assert_eq!(loads.iter().map(|l| l.1).collect::<Vec<_>>(), [20, 4]);
+        assert!(installs[1] >= loads[1].0 + 4);
+        chip.run(&program, &RunOptions::default())
+            .expect("clean run");
+        let expect = reference(&x_data, &w_data, 2, false);
+        for r in 0..n {
+            let got = chip.memory.read_unchecked(outs[0][0].row(r as u32));
+            for c in 0..320 {
+                let want = expect[r].get(c).copied().unwrap_or(0);
+                assert_eq!(got.lane(c) as i8, want, "y[{r}][{c}]");
             }
         }
     }

@@ -229,6 +229,7 @@ pub fn max_pool(
             replicas: 1,
             max_block: 4096,
             avoid: Vec::new(),
+            tail_apart: None,
         };
         let out_spec = OutSpec {
             rows_total: out.rows_total(),
@@ -416,6 +417,7 @@ pub fn global_avg_pool(
             replicas: 1,
             max_block: 4096,
             avoid: Vec::new(),
+            tail_apart: None,
         };
         let (mut reps, end) = (s.retry_later(out_hemisphere, 0, |s, floor| {
             let mut chain = PlaneChainBuilder::new(s, plane_of_chain(kp), 1, floor);

@@ -15,7 +15,9 @@ use tsp_arch::{
     Direction, Hemisphere, Position, Slice, StreamId, Vector, STREAMS_PER_DIRECTION, SUPERLANES,
 };
 use tsp_isa::mem::map_vector;
-use tsp_isa::{AluIndex, IcuOp, Instruction, MemAddr, MemOp, Plane, D_GATHER, D_READ, D_VXM};
+use tsp_isa::{
+    AluIndex, IcuOp, Instruction, MemAddr, MemOp, Plane, D_GATHER, D_READ, D_VXM, LW_ROWS,
+};
 use tsp_mem::GlobalAddress;
 use tsp_sim::{IcuId, Program};
 
@@ -178,6 +180,9 @@ pub struct Scheduler {
     pub alloc: MemAllocator,
     placements: BTreeMap<IcuId, Vec<(u64, Instruction)>>,
     constants: Vec<(TensorHandle, ConstantRows)>,
+    /// Per constant, the cycles an `LW` streaming it as a weight block takes
+    /// (see [`Scheduler::lw_cycles`]).
+    lw_cycles: Vec<u8>,
     /// Per hemisphere, one never-written row (see [`Scheduler::zero_stale`]).
     zero_rows: [Option<TensorHandle>; 2],
     /// Row runs the program reads as a fresh chip left them (see
@@ -275,7 +280,21 @@ impl Scheduler {
             rows.is_sorted_by(|a, b| a.0 < b.0) && rows.last().is_none_or(|r| r.0 < handle.rows),
             "constant rows ascend within the handle"
         );
+        // An LW-order block's row `20·j + r` rides stream `j` on cycle `r`:
+        // the deepest cycle any shipped row needs is the `LW`'s length.
+        let depth = rows.iter().map(|&(r, _)| r % LW_ROWS as u32 + 1).max();
+        self.lw_cycles.push(depth.unwrap_or(1) as u8);
         self.constants.push((handle, rows));
+    }
+
+    /// The cycles an `LW` of the weight block `weights` takes: as many as
+    /// the deepest row group its shipped rows fill (rows the list leaves out
+    /// read zero, and so do the buffer rows a short `LW` does not load), or
+    /// all [`LW_ROWS`] of a block nobody registered.
+    #[must_use]
+    pub fn lw_cycles(&self, weights: &TensorHandle) -> u64 {
+        let registered = self.constants.iter().rposition(|(t, _)| t == weights);
+        registered.map_or(LW_ROWS, |i| u64::from(self.lw_cycles[i]))
     }
 
     /// Registers [`LaneMap`]s over `tensor` with one row per entry of `keys`,
@@ -372,6 +391,7 @@ impl Scheduler {
 
     /// Removes and returns the registered constants.
     pub fn take_constants(&mut self) -> Vec<(TensorHandle, ConstantRows)> {
+        self.lw_cycles.clear();
         std::mem::take(&mut self.constants)
     }
 
@@ -864,6 +884,26 @@ impl Scheduler {
             .ok()
     }
 
+    /// How many slices of `hemisphere` off `avoid` a
+    /// [`Scheduler::try_alloc_for_write`] of a `rows`-row block written from
+    /// `t_write` could still take: their queues free by then, `rows` words
+    /// free in `policy`'s bank.
+    #[must_use]
+    pub(crate) fn write_slices(
+        &self,
+        hemisphere: Hemisphere,
+        rows: u32,
+        policy: crate::alloc::BankPolicy,
+        t_write: u64,
+        avoid: &[(Hemisphere, u8)],
+    ) -> usize {
+        (0..tsp_arch::MEM_SLICES_PER_HEMISPHERE)
+            .filter(|&sl| !avoid.contains(&(hemisphere, sl)))
+            .filter(|&sl| self.mem_free(hemisphere, sl) <= t_write)
+            .filter(|&sl| self.alloc.holds_block(hemisphere, sl, rows, policy))
+            .count()
+    }
+
     /// The first cycle after which a MEM slice's queue has nothing booked:
     /// its horizon.
     #[must_use]
@@ -1257,6 +1297,7 @@ impl Scheduler {
         self.alloc = snap.alloc;
         self.zero_rows = snap.zero_rows;
         self.constants.truncate(snap.constants_len);
+        self.lw_cycles.truncate(snap.constants_len);
         self.fresh.truncate(snap.fresh_len);
         self.written.truncate(snap.written_len);
         self.completion = snap.completion;

@@ -52,6 +52,24 @@ impl Layout {
         self.blocks.iter().map(|&(h, s, _)| (h, s))
     }
 
+    /// The same rows in blocks of half as many rows, each block's halves
+    /// on its slice one after the other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the blocks hold an odd number of rows.
+    #[must_use]
+    pub(crate) fn halved(&self) -> Layout {
+        let half = self.rows_per_block / 2;
+        assert_eq!(2 * half, self.rows_per_block, "an odd block has no halves");
+        Layout {
+            blocks: (self.blocks.iter())
+                .flat_map(|&(h, s, base)| [(h, s, base), (h, s, base + half as u16)])
+                .collect(),
+            rows_per_block: half,
+        }
+    }
+
     /// Splits a row range `[first, first+count)` into per-slice contiguous
     /// runs: `(hemisphere, slice, first word, first row index, rows)`.
     #[must_use]

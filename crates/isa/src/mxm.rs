@@ -107,14 +107,18 @@ impl fmt::Display for AccumulateMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MxmOp {
     /// `LW` — load weights from a 16-stream group into the plane's weight
-    /// buffer, `rows × 16` rows over `rows` cycles.
+    /// buffer, `rows × 16` rows over `rows` cycles. [`crate::LW_ROWS`] is
+    /// the most an `LW` streams: a block of `M < 320` output rows needs only
+    /// `⌈M/16⌉` cycles, and the buffer rows a shorter `LW` does not load read
+    /// zero at the next `IW` (none of a previous block's rows is installed
+    /// again).
     LoadWeights {
         /// Destination plane.
         plane: Plane,
         /// 16-wide stream group carrying weight rows.
         streams: StreamGroup,
-        /// Number of cycles (each delivering 16 rows);
-        /// [`crate::LW_ROWS`] fill the plane.
+        /// Number of cycles (each delivering 16 rows), at most
+        /// [`crate::LW_ROWS`], which fill the plane.
         rows: u8,
     },
     /// `IW` — install the staged weight buffer into the 320×320 array.

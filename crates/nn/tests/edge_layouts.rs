@@ -443,27 +443,27 @@ fn odd_graphs_match_the_int8_reference() {
 /// to move a schedule regenerates the table with `print_odd_graph_cycles`,
 /// the way `program_fingerprint` regenerates its goldens.
 const ODD_GRAPH_CYCLES: [(&str, u64); 15] = [
-    ("conv → 2×2 pool → conv", 1468),
-    ("conv → pool → pool → conv", 2376),
-    ("conv → pool → GAP", 1060),
-    ("a packed pool feeding a bottleneck with a fused add", 1651),
-    ("a 100-channel pool packs two pixels a row", 1457),
-    ("a 5×5 pool: 25 taps over 9 replicas, in rounds", 1317),
-    ("a 400-channel pool: two channel parts", 2136),
-    ("add(pool, conv)", 1401),
-    ("input → pool → conv", 1194),
-    ("a stride-2 3×3 conv on a packed pool", 1346),
-    ("a packed pool, then a K-packed conv, on one producer", 2701),
-    ("a K-packed conv, then a packed pool, on one producer", 3010),
+    ("conv → 2×2 pool → conv", 1444),
+    ("conv → pool → pool → conv", 2354),
+    ("conv → pool → GAP", 1044),
+    ("a packed pool feeding a bottleneck with a fused add", 1619),
+    ("a 100-channel pool packs two pixels a row", 1424),
+    ("a 5×5 pool: 25 taps over 9 replicas, in rounds", 1301),
+    ("a 400-channel pool: two channel parts", 2124),
+    ("add(pool, conv)", 1381),
+    ("input → pool → conv", 1188),
+    ("a stride-2 3×3 conv on a packed pool", 1331),
+    ("a packed pool, then a K-packed conv, on one producer", 2665),
+    ("a K-packed conv, then a packed pool, on one producer", 2904),
     (
         "a pool given more copies than its row by another reader",
-        1860,
+        1855,
     ),
     (
         "a first conv whose patch fits one pass but whose output does not",
-        1311,
+        1281,
     ),
-    ("a conv nothing reads", 2169),
+    ("a conv nothing reads", 2102),
 ];
 
 /// Every odd graph's name and compiled cycles, checked to have rolled back

@@ -15,11 +15,11 @@ use tsp_nn::train::small_cnn;
 
 /// `(model, cycles, fingerprint)`.
 const GOLDENS: [(&str, u64, u64); 5] = [
-    ("resnet50", 40_823, 11_720_150_483_336_974_195),
-    ("resnet101", 63_846, 1_597_470_721_559_621_306),
-    ("resnet152", 93_094, 3_920_573_966_781_154_796),
-    ("resnet_tiny", 1_933, 11_442_879_220_787_075_711),
-    ("small_cnn", 935, 3_136_527_000_807_750_169),
+    ("resnet50", 40_115, 13_258_246_099_980_599_523),
+    ("resnet101", 62_007, 132_944_342_652_137_883),
+    ("resnet152", 89_970, 13_431_346_147_964_732_546),
+    ("resnet_tiny", 1_865, 6_058_260_653_603_873_802),
+    ("small_cnn", 904, 1_505_701_110_951_361_693),
 ];
 
 fn graph(model: &str) -> Graph {

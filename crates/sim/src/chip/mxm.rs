@@ -23,11 +23,18 @@ impl Chip {
     ) -> Result<(), SimError> {
         let pos = icu.position().expect("MXM queues have positions");
         match op {
-            MxmOp::LoadWeights { plane, streams, .. } => {
+            MxmOp::LoadWeights {
+                plane,
+                streams,
+                rows: groups,
+            } => {
                 let rows = self.operands(icu, streams.streams(), pos, t, ctx)?;
                 if ctx.functional {
-                    self.planes[plane.index() as usize]
-                        .load_weight_rows(row as u8, &vectors(&rows));
+                    let plane = &mut self.planes[plane.index() as usize];
+                    if row == 0 {
+                        plane.begin_weight_load(*groups);
+                    }
+                    plane.load_weight_rows(row as u8, &vectors(&rows));
                 }
                 ctx.note(t, icu, ActivityKind::MxmLoadWeights, self.active_lanes());
                 ctx.last_effect = ctx.last_effect.max(t + 1);

@@ -167,6 +167,15 @@ impl MxmPlane {
         }
     }
 
+    /// The start of an `LW` of `groups` cycles: the buffer rows from
+    /// `16 × groups` on, which it does not load, read zero at the next `IW`
+    /// (a short `LW` stages a block of fewer than 320 output rows; none of
+    /// a previous block's rows is left behind).
+    pub(crate) fn begin_weight_load(&mut self, groups: u8) {
+        let from = (usize::from(groups) * 16).min(LANES);
+        self.buffer[from..].fill([0; LANES]);
+    }
+
     /// `IW`: install the staged buffer into the array. Queued feeds are
     /// flushed first — they streamed through the *previous* weights.
     pub fn install(&mut self, dtype: DataType) {

@@ -985,3 +985,83 @@ fn vxm_group_width_mismatch_is_an_invalid_instruction() {
         );
     }
 }
+
+/// An `LW` of fewer than 20 cycles loads only its row groups, and the
+/// buffer rows it skips read zero at the next `IW` (the ISA rule a weight
+/// block of `M < 320` output rows relies on): after a full load of all-ones
+/// weights, a 4-cycle load of a 64-row identity block leaves result lanes
+/// 64 and up at zero, on both dispatch paths, where the stale rows would
+/// have summed the activation.
+#[test]
+fn a_short_weight_load_installs_zeros_past_its_rows() {
+    use tsp_isa::{AccumulateMode, MxmOp, Plane, MXM_ARRAY_DELAY};
+    const E: Hemisphere = Hemisphere::East;
+    let mxm = Slice::Mxm(E).position().0;
+    let plane = Plane::new(2);
+    let port = |port: u8| IcuId::Mxm { plane, port };
+    let act = Vector::from_fn(|k| (k % 5 + 1) as u8);
+    for decoded in [true, false] {
+        let mut f = Feeder::new();
+        // Cycle `r` of a load carries array rows 16r..16r+16, row `16r + j`
+        // on stream `j` from MEM_Ej.
+        let load = |f: &mut Feeder, at: u64, cycles: u8, row: &dyn Fn(usize) -> Vector| {
+            for r in 0..cycles {
+                for j in 0..16u8 {
+                    let at = at + u64::from(r);
+                    f.feed_vector(E, j, j, mxm, at, row(16 * usize::from(r) + usize::from(j)));
+                }
+            }
+            let streams = StreamGroup::new(StreamId::east(0), 16);
+            let lw = MxmOp::LoadWeights {
+                plane,
+                streams,
+                rows: cycles,
+            };
+            f.program.builder(port(0)).push_at(at, lw);
+            let iw = MxmOp::InstallWeights {
+                plane,
+                dtype: DataType::Int8,
+            };
+            f.program
+                .builder(port(1))
+                .push_at(at + u64::from(cycles), iw);
+        };
+        load(&mut f, 100, 20, &|_| Vector::splat(1));
+        load(&mut f, 130, 4, &|m| Vector::from_fn(|k| u8::from(k == m)));
+        let stream = f.feed_vector(E, 16, 16, mxm, 140, act.clone());
+        let abc = MxmOp::ActivationBuffer {
+            plane,
+            stream,
+            rows: 1,
+        };
+        f.program.builder(port(2)).push_at(140, abc);
+        let t_acc = 140 + u64::from(MXM_ARRAY_DELAY);
+        let acc = MxmOp::Accumulate {
+            plane,
+            dst: StreamGroup::new(StreamId::west(0), 4),
+            rows: 1,
+            mode: AccumulateMode::Overwrite,
+        };
+        f.program.builder(port(3)).push_at(t_acc, acc);
+        for k in 0..4u8 {
+            f.sink(E, 20 + k, k, mxm, t_acc + 1);
+        }
+        let options = RunOptions {
+            decoded,
+            ..RunOptions::default()
+        };
+        f.chip.run(&f.program, &options).expect("valid schedule");
+        let planes: Vec<Vector> = (0..4u8)
+            .map(|k| f.chip.memory.read_unchecked(ga(E, 20 + k, 4000)))
+            .collect();
+        let lane = |m: usize| i32::from_le_bytes(std::array::from_fn(|k| planes[k].as_bytes()[m]));
+        for m in 0..320 {
+            let want = if m < 64 {
+                i32::from(act.as_bytes()[m])
+            } else {
+                0
+            };
+            assert_eq!(lane(m), want, "decoded {decoded}: result lane {m}");
+        }
+    }
+}

@@ -239,6 +239,120 @@ fn mistimed_consumer_same_error() {
     assert!(outcome.is_err(), "mistimed consumer must fault");
 }
 
+/// Plane 2 installs a full 20-cycle load of seeded weights, then a 4-cycle
+/// load of others (array rows 0..64), and streams one seeded activation
+/// through them; the int32 result's four byte planes land at word 0 of
+/// MEM_E20–E23. Returns the program and the words it reads, to seed.
+fn short_weight_load_program(seed: u64) -> (Program, Vec<(GlobalAddress, Vector)>) {
+    use tsp_isa::{AccumulateMode, MxmOp, Plane, MXM_ARRAY_DELAY};
+    const E: Hemisphere = Hemisphere::East;
+    let mxm = Slice::Mxm(E).position().0;
+    let mut state = seed;
+    let mut draw = move || {
+        // SplitMix64: a vector of small signed bytes per draw.
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        Vector::from_fn(|i| (z.rotate_left(i as u32 % 64) as i8 >> 4) as u8)
+    };
+    let (mut p, mut words) = (Program::new(), Vec::new());
+    // Row `r` of stream `j` (word `r` of MEM_Ej) reaches the MXM at `at`.
+    let mut feed = |p: &mut Program, slice: u8, word: u16, at: u64, v: Vector| {
+        let pos = Slice::mem(E, slice).position().0;
+        let stream = StreamId::east(slice);
+        let read = MemOp::Read {
+            addr: MemAddr::new(word),
+            stream,
+        };
+        p.builder(mem_icu(E, slice))
+            .push_at(at - 5 - u64::from(mxm - pos), read);
+        words.push((ga(E, slice, word), v));
+        stream
+    };
+    let port = |port: u8| IcuId::Mxm {
+        plane: Plane::new(2),
+        port,
+    };
+    let plane = Plane::new(2);
+    for (at, cycles, first) in [(100u64, 20u8, 0u16), (130, 4, 20)] {
+        for r in 0..cycles {
+            for j in 0..16 {
+                feed(&mut p, j, first + u16::from(r), at + u64::from(r), draw());
+            }
+        }
+        let streams = StreamGroup::new(StreamId::east(0), 16);
+        let lw = MxmOp::LoadWeights {
+            plane,
+            streams,
+            rows: cycles,
+        };
+        p.builder(port(0)).push_at(at, lw);
+        let iw = MxmOp::InstallWeights {
+            plane,
+            dtype: DataType::Int8,
+        };
+        p.builder(port(1)).push_at(at + u64::from(cycles), iw);
+    }
+    let stream = feed(&mut p, 16, 0, 140, draw());
+    let abc = MxmOp::ActivationBuffer {
+        plane,
+        stream,
+        rows: 1,
+    };
+    p.builder(port(2)).push_at(140, abc);
+    let t_acc = 140 + u64::from(MXM_ARRAY_DELAY);
+    let acc = MxmOp::Accumulate {
+        plane,
+        dst: StreamGroup::new(StreamId::west(0), 4),
+        rows: 1,
+        mode: AccumulateMode::Overwrite,
+    };
+    p.builder(port(3)).push_at(t_acc, acc);
+    for k in 0..4u8 {
+        let pos = Slice::mem(E, 20 + k).position().0;
+        let write = MemOp::Write {
+            addr: MemAddr::new(0),
+            stream: StreamId::west(k),
+        };
+        p.builder(mem_icu(E, 20 + k))
+            .push_at(t_acc + 1 + u64::from(mxm - pos), write);
+    }
+    (p, words)
+}
+
+/// Short weight loads (fewer than 20 cycles) run identically on both
+/// dispatch paths: the same results, and on both the buffer rows the short
+/// load skips install as zeros — result lanes 64 and up read zero.
+#[test]
+fn short_weight_load_equivalent() {
+    for seed in [3u64, 77, 0xC0FF_EE00] {
+        let (program, words) = short_weight_load_program(seed);
+        let options = RunOptions {
+            trace: true,
+            ..RunOptions::default()
+        };
+        let (chip_d, chip_i, report) = run_both(&program, &options, |chip| {
+            for (addr, v) in &words {
+                chip.memory.write(*addr, v.clone());
+            }
+        });
+        report.expect("valid schedule");
+        for k in 0..4u8 {
+            let at = ga(Hemisphere::East, 20 + k, 0);
+            let (d, i) = (
+                chip_d.memory.read_unchecked(at),
+                chip_i.memory.read_unchecked(at),
+            );
+            assert_eq!(d, i, "byte plane {k}, seed {seed}");
+            assert!(
+                d.as_bytes()[64..].iter().all(|&b| b == 0),
+                "seed {seed}: a lane past the short load's rows carries a product"
+            );
+        }
+    }
+}
+
 /// One pseudo-random instruction drawn from a small pool. The schedule is
 /// *not* guaranteed valid — that is the point: valid programs must produce
 /// identical reports, invalid ones identical errors. A `Vxm` pick is one

@@ -61,6 +61,7 @@ fn main() {
         replicas: 1,
         max_block: 4096,
         avoid: Vec::new(),
+        tail_apart: None,
     };
     let (outs, done) =
         schedule_requant_write(&mut sched, int32, u64::from(n), 2, true, None, &spec)
