@@ -306,7 +306,8 @@ pub fn render(model: &CompiledModel) -> String {
 mod tests {
     use super::*;
     use tsp_compiler::alloc::BankPolicy;
-    use tsp_compiler::kernels::{schedule_plane_chain, Pass};
+    use tsp_compiler::kernels::matmul::PlaneChainBuilder;
+    use tsp_compiler::kernels::ActFeed;
     use tsp_compiler::Scheduler;
 
     /// Two passes of eight rows on an idle chip: the second feed cannot start
@@ -321,15 +322,13 @@ mod tests {
             .map(|_| s.alloc.alloc(320, 320, BankPolicy::Low, 20).unwrap())
             .collect();
         let rows: Vec<u32> = (0..8).collect();
-        let passes: Vec<Pass<'_>> = (weights.iter())
-            .map(|weights| Pass {
-                weights,
-                acts: &acts,
-                rows: &rows,
-            })
-            .collect();
         let plane = Plane::new(1);
-        let _ = schedule_plane_chain(&mut s, plane, &passes, 0);
+        let mut chain = PlaneChainBuilder::new(&s, plane, 8, 0);
+        for weights in &weights {
+            PlaneChainBuilder::install(&mut s, weights, std::slice::from_mut(&mut chain));
+            chain.feed(&mut s, ActFeed::Read(&acts), &rows);
+        }
+        let _ = chain.finish();
         let program = s.into_program().expect("valid schedule");
         let feeds = feeds(&program, plane);
         let seen: Vec<(u64, bool, u64)> = feeds.iter().map(|f| (f.rows, f.first, f.gap)).collect();
@@ -349,13 +348,11 @@ mod tests {
             let (h, sl, _) = acts.layout.blocks[0];
             s.occupy_mem(h, sl, held);
             let rows: Vec<u32> = (0..8).collect();
-            let pass = Pass {
-                weights: &weights,
-                acts: &acts,
-                rows: &rows,
-            };
             let plane = Plane::new(2);
-            let _ = schedule_plane_chain(&mut s, plane, &[pass], 0);
+            let mut chain = PlaneChainBuilder::new(&s, plane, 8, 0);
+            PlaneChainBuilder::install(&mut s, &weights, std::slice::from_mut(&mut chain));
+            chain.feed(&mut s, ActFeed::Read(&acts), &rows);
+            let _ = chain.finish();
             let program = s.into_program().expect("valid schedule");
             let feeds = feeds(&program, plane);
             assert_eq!(feeds.len(), 1);

@@ -4,7 +4,8 @@
 
 use tsp_compiler::alloc::BankPolicy;
 use tsp_compiler::kernels::binary_ew;
-use tsp_compiler::kernels::matmul::{schedule_plane_chain, Pass};
+use tsp_compiler::kernels::matmul::PlaneChainBuilder;
+use tsp_compiler::kernels::ActFeed;
 use tsp_compiler::Scheduler;
 use tsp_isa::{BinaryAluOp, Plane};
 use tsp_nn::batch::{compile_batch_cached, BatchModel};
@@ -59,16 +60,10 @@ pub fn roofline_program(rows: u32, planes: u8) -> Program {
             .alloc
             .alloc(rows, 320, BankPolicy::High, 4096)
             .expect("acts");
-        let _ = schedule_plane_chain(
-            &mut sched,
-            Plane::new(p),
-            &[Pass {
-                weights: &w,
-                acts: &x,
-                rows: &row_ids,
-            }],
-            0,
-        );
+        let mut chain = PlaneChainBuilder::new(&sched, Plane::new(p), u64::from(rows), 0);
+        PlaneChainBuilder::install(&mut sched, &w, std::slice::from_mut(&mut chain));
+        chain.feed(&mut sched, ActFeed::Read(&x), &row_ids);
+        let _ = chain.finish();
     }
     sched.into_program().unwrap()
 }

@@ -1791,7 +1791,7 @@ mod tests {
     /// block are data.
     #[test]
     fn border_clear_past_its_deadline_runs_after_the_data() {
-        use crate::kernels::matmul::{schedule_plane_chain, Pass};
+        use crate::kernels::matmul::ActFeed;
         use tsp_isa::D_VXM;
         for held in [None, Some(0), Some(1)] {
             let mut s = Scheduler::new();
@@ -1810,28 +1810,21 @@ mod tests {
                 20,
             );
             let rows: Vec<u32> = (0..8).collect();
-            let pass = Pass {
-                weights: &w,
-                acts: &x,
-                rows: &rows,
-            };
-            let source = schedule_plane_chain(&mut s, Plane::new(0), &[pass], 0);
+            let mut chain = PlaneChainBuilder::new(&s, Plane::new(0), 8, 0);
+            PlaneChainBuilder::install(&mut s, &w, std::slice::from_mut(&mut chain));
+            chain.feed(&mut s, ActFeed::Read(&x), &rows);
+            let source = chain.finish();
             // Requantize only: the rows leave the VXM one stage later.
             let t_out = source.t_at_vxm + D_VXM;
             for sl in (0..tsp_arch::MEM_SLICES_PER_HEMISPHERE).filter(|_| held.is_some()) {
                 s.occupy_mem(Hemisphere::West, sl, t_out - held.unwrap_or(0));
             }
             let spec = OutSpec {
-                rows_total: 12,
-                cols: 16,
                 segments: vec![(2, 8)],
                 border: vec![(0, 2), (10, 2)],
-                hemisphere: Hemisphere::West,
-                policy: BankPolicy::High,
                 replicas: 2,
                 max_block: 12,
-                avoid: Vec::new(),
-                tail_apart: None,
+                ..OutSpec::rows(12, 16, Hemisphere::West)
             };
             let (reps, _) = schedule_requant_write(&mut s, source, 8, 0, false, None, &spec)
                 .expect("ports free by the write");

@@ -5,17 +5,20 @@
 //! written to MEM on the far side — one row per cycle at steady state, no
 //! intermediate spills (paper §II-E).
 //!
-//! The op, and a chained ReLU, are the requant epilogue's VXM stages, and
-//! the results land through its writer, which allocates the outputs at
-//! write time (see [`mod@crate::kernels::matmul`]): a chain lands its rows the
-//! way a conv does, and is retried later the way a conv is when its ALUs,
-//! streams or write ports are busy.
+//! The inputs reach the VXM through the one VXM prologue, the op and a
+//! chained ReLU are the requant epilogue's VXM stages, and the results land
+//! through its writer, which allocates the outputs at write time (see
+//! [`mod@crate::kernels::matmul`]): a chain streams its operands and lands
+//! its rows the way a max pool or a conv does, and is retried later the way
+//! a conv is when its ALUs, streams or write ports are busy.
 
-use tsp_arch::{Direction, Hemisphere, Slice, StreamGroup};
+use tsp_arch::{Direction, Hemisphere, StreamGroup};
 use tsp_isa::{AluIndex, BinaryAluOp, DataType, UnaryAluOp, VxmOp, D_VXM};
 
 use crate::alloc::BankPolicy;
-use crate::kernels::matmul::{vxm_stage, write_replicas, OutSpec};
+use crate::kernels::matmul::{
+    price_operands, stream_operands, vxm_stage, write_replicas, ActFeed, Operand, OutSpec,
+};
 use crate::sched::Scheduler;
 use crate::tensor::TensorHandle;
 
@@ -59,45 +62,27 @@ fn ew_chain(
     let n = inputs[0].rows;
     assert!(inputs.iter().all(|t| t.rows == n), "row count mismatch");
     let rows: Vec<u32> = (0..n).collect();
-    let vxm = Slice::Vxm.position();
     let out_dir = Direction::outward_from(out_hemisphere);
     // The chain's own operand reads share no slice with its writes.
     let out = OutSpec {
-        rows_total: n,
-        cols,
-        segments: vec![(0, n)],
-        border: Vec::new(),
-        hemisphere: out_hemisphere,
         policy: out_policy,
         replicas: out_replicas,
-        max_block: 4096,
         avoid: inputs.iter().flat_map(|t| t.layout.slices()).collect(),
-        tail_apart: None,
+        ..OutSpec::rows(n, cols, out_hemisphere)
     };
+    let operands: Vec<Operand<'_>> = (inputs.iter())
+        .map(|input| Operand {
+            feed: ActFeed::Read(input),
+            rows: &rows,
+            lag: 0,
+        })
+        .collect();
     s.retry_later(out_hemisphere, not_before, |s, floor| {
-        // One operand stream per input, inward from its hemisphere; a pick
-        // stays free however far later picks push `t0`, but its nominal hold
-        // may lapse before them, so later picks exclude it.
-        let mut t0 = floor;
-        let mut groups: Vec<StreamGroup> = Vec::new();
-        for input in inputs {
-            let dir = Direction::inward_from(tensor_hemisphere(input));
-            let exclude: Vec<u8> = (groups.iter())
-                .filter(|g| g.base.direction == dir)
-                .map(|g| g.base.id)
-                .collect();
-            let (streams, ready) = s.take_streams_excluding(dir, 1, t0, vxm, &exclude);
-            t0 = ready;
-            groups.push(StreamGroup::new(streams[0], 1));
-        }
-        t0 = s.alu_chain_free(t0, 1 + usize::from(post_relu));
-        for input in inputs {
-            let dir = Direction::inward_from(tensor_hemisphere(input));
-            t0 = s.earliest_read_arrival(input, &rows, dir, vxm, t0);
-        }
-        for (input, group) in inputs.iter().zip(&groups) {
-            s.read_rows(input, &rows, group.base, vxm, t0);
-        }
+        let (streams, t0) = price_operands(s, &operands, 1 + usize::from(post_relu), floor);
+        stream_operands(s, &operands, &streams, t0);
+        let groups: Vec<StreamGroup> = (streams.iter())
+            .map(|&stream| StreamGroup::new(stream, 1))
+            .collect();
         let n = u64::from(n);
         let mut result = vxm_stage(s, t0, n, out_dir, &|dst, alu| make_op(&groups, dst, alu))?;
         let mut t = t0 + D_VXM;
@@ -242,10 +227,12 @@ pub fn binary_ew_fused(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::testing::hold_all_alus_but_the_first;
+    use crate::kernels::testing::{hold_all_alus_but_the_first, west_weight_windows};
     use tsp_arch::{ChipConfig, Vector};
+    use tsp_isa::IcuOp;
     use tsp_sim::chip::RunOptions;
     use tsp_sim::Chip;
+    use tsp_sim::IcuId;
 
     fn fill(chip: &mut Chip, t: &TensorHandle, f: impl Fn(u32, usize) -> u8) {
         for r in 0..t.rows {
@@ -430,6 +417,40 @@ mod tests {
                 assert_eq!(got.lane(l) as i8, x.saturating_add(y), "row {r} lane {l}");
             }
         }
+    }
+
+    /// An add asked for at cycle 300 whose ALUs are all held until cycle
+    /// 1,000 books its operand streams only for their bursts, from cycle
+    /// 1,000: a weight group that needs the westward operand's stream before
+    /// then still gets it.
+    #[test]
+    fn operand_streams_are_booked_only_for_their_bursts() {
+        let mut s = Scheduler::new();
+        for alu in (0..AluIndex::COUNT).map(AluIndex::new) {
+            s.place(IcuId::Vxm { alu }, 0, IcuOp::Nop { count: 1_000 });
+        }
+        let mut alloc = |h| {
+            s.alloc
+                .alloc_in(Some(h), 6, 320, BankPolicy::Low, 4096)
+                .unwrap()
+        };
+        let (a, b) = (alloc(Hemisphere::East), alloc(Hemisphere::West));
+        let probe = west_weight_windows(&mut s, 600);
+        let before = probe(&s);
+        let (_, done) = binary_ew(
+            &mut s,
+            BinaryAluOp::AddSat,
+            &a,
+            &b,
+            Hemisphere::East,
+            BankPolicy::High,
+            300,
+        );
+        assert!(done > 1_000, "done at {done}");
+        let after = probe(&s);
+        let moved = (before.iter().zip(&after).enumerate()).find(|(_, (b, a))| b != a);
+        assert_eq!(moved, None, "no operand stream booked before its burst");
+        assert!(s.check().is_none());
     }
 
     #[test]

@@ -38,6 +38,16 @@
 //! ([`crate::kernels::pool`]) use both; only a lane-packed pool's output is
 //! allocated ahead (its scatter maps are keyed by its rows).
 //!
+//! The VXM prologue — the MEM operands a chain consumes — is two halves
+//! too, and the only way a VXM chain of this crate streams them: an operand
+//! is rows of a tensor, read or gathered, due at the VXM some cycles after
+//! the chain starts (`Operand`); `price_operands` finds the chain's ALUs,
+//! then a stream per operand and the start at which every one arrives, and
+//! books nothing; `stream_operands` books each operand's stream for its
+//! burst and sends the rows. An element-wise chain's inputs, a max pool
+//! round's taps and carry, and the requant chain's [`Shortcut`] are such
+//! operands.
+//!
 //! ## Weight layout ("LW order")
 //!
 //! A weight handle has 320 rows: row `j·20 + r` is what stream `j` of the
@@ -97,17 +107,6 @@ impl WeightSet {
     }
 }
 
-/// One MXM pass: install `weights`, stream activation rows `rows` of `acts`.
-#[derive(Debug, Clone)]
-pub struct Pass<'a> {
-    /// 320-row LW-order weight handle.
-    pub weights: &'a TensorHandle,
-    /// Activation tensor ([N, k_cols]).
-    pub acts: &'a TensorHandle,
-    /// Row indices streamed through the array, in order.
-    pub rows: &'a [u32],
-}
-
 /// Where output rows land: `(first_row, count)` segments of a destination
 /// tensor, totalling N rows (lets conv write into padded feature maps whose
 /// interior rows are not contiguous).
@@ -157,6 +156,14 @@ pub enum ActFeed<'a> {
 }
 
 impl ActFeed<'_> {
+    /// The hemisphere the rows are stored in.
+    pub(crate) fn hemisphere(self) -> Hemisphere {
+        match self {
+            ActFeed::Read(t) => tensor_hemisphere(t),
+            ActFeed::Gather(maps) => maps[0].slice.0,
+        }
+    }
+
     pub(crate) fn earliest_arrival(
         self,
         s: &Scheduler,
@@ -423,20 +430,20 @@ impl PlaneChainBuilder {
         // so t_abc must also wait until an output quad-stream group is free:
         // iterate to the fixed point (monotone, converges in a few steps).
         let start = self.prev_iw_done.max(self.prev_abc_end);
-        let (acts_stream, ready) = s.take_streams(to_mxm, 1, start, mxm);
+        let (acts_stream, ready) = s.pick_streams(to_mxm, 1, start, mxm, &[]);
         let mut t_abc = acts.earliest_arrival(s, rows, to_mxm, mxm, ready);
         let acc_group = loop {
             // Row 0 is emitted at the MXM one cycle after the ACC dispatch.
             let t_emit = t_abc + u64::from(MXM_ARRAY_DELAY) + 1;
-            let (base, group_ready) = s.take_aligned_group(from_mxm, 4, t_emit, mxm);
+            let (base, group_ready) = s.pick_aligned_group(from_mxm, 4, t_emit, mxm);
             if group_ready <= t_emit {
                 break StreamGroup::new(StreamId::new(base, from_mxm), 4);
             }
             let at = group_ready - u64::from(MXM_ARRAY_DELAY) - 1;
             t_abc = acts.earliest_arrival(s, rows, to_mxm, mxm, at);
         };
-        // Reserve the result group for real before the activation feed picks
-        // any stream of its own (a gather's map streams may flow `from_mxm`).
+        // Book the result group before the activation feed picks any stream
+        // of its own (a gather's map streams may flow `from_mxm`).
         let t_acc = t_abc + u64::from(MXM_ARRAY_DELAY);
         for stream in acc_group.streams() {
             s.occupy_stream(stream, mxm, t_acc + 1, m);
@@ -499,29 +506,6 @@ impl PlaneChainBuilder {
     }
 }
 
-/// Runs `passes` back-to-back on `plane`, accumulating into the plane's
-/// accumulators (pass 0 overwrites; later passes add). Returns the final
-/// int32 output stream positioned at the VXM.
-///
-/// # Panics
-///
-/// Panics on empty or inconsistent passes.
-pub fn schedule_plane_chain(
-    s: &mut Scheduler,
-    plane: Plane,
-    passes: &[Pass<'_>],
-    not_before: u64,
-) -> Int32Stream {
-    assert!(!passes.is_empty(), "no passes");
-    let n = passes[0].rows.len() as u64;
-    let mut builder = PlaneChainBuilder::new(s, plane, n, not_before);
-    for pass in passes {
-        PlaneChainBuilder::install(s, pass.weights, std::slice::from_mut(&mut builder));
-        builder.feed(s, ActFeed::Read(pass.acts), pass.rows);
-    }
-    builder.finish()
-}
-
 /// Where requantized output rows should be materialized.
 #[derive(Debug, Clone)]
 pub struct OutSpec {
@@ -552,6 +536,27 @@ pub struct OutSpec {
     /// (what the kernel's later outputs need); the others land after their
     /// first halves.
     pub tail_apart: Option<u32>,
+}
+
+impl OutSpec {
+    /// A plain output: one High-bank block of `n` rows of `cols` lanes in
+    /// `hemisphere`, written whole, with no border, in one replica, avoiding
+    /// nothing.
+    #[must_use]
+    pub fn rows(n: u32, cols: u16, hemisphere: Hemisphere) -> OutSpec {
+        OutSpec {
+            rows_total: n,
+            cols,
+            segments: vec![(0, n)],
+            border: Vec::new(),
+            hemisphere,
+            policy: BankPolicy::High,
+            replicas: 1,
+            max_block: 4096,
+            avoid: Vec::new(),
+            tail_apart: None,
+        }
+    }
 }
 
 /// A residual operand of the requant epilogue: row `rows[i]` of `tensor` is
@@ -596,6 +601,68 @@ pub fn schedule_requant_write(
     write_replicas(s, group, t_out, n, out)
 }
 
+/// One MEM operand of a VXM chain: `rows` of `feed`, streamed inward from
+/// their hemisphere to the VXM, row `i` there `lag + i` cycles after the
+/// chain's start.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Operand<'a> {
+    /// Where the rows come from.
+    pub(crate) feed: ActFeed<'a>,
+    /// The rows (a gather's: its map keys), in stream order.
+    pub(crate) rows: &'a [u32],
+    /// Cycles after the chain's start its first row is due at the VXM.
+    pub(crate) lag: u64,
+}
+
+/// The VXM prologue's price: the first start `t0 ≥ at` from which a chain
+/// of `stages` VXM ops finds an ALU per stage
+/// ([`Scheduler::alu_chain_free`]) and every operand arrives on time, each
+/// on a stream of its own — picked at the operand's cycle, off the streams
+/// earlier operands took in its direction, and its arrival priced from the
+/// cycle that stream is free. Returns a stream per operand and `t0`. Books
+/// nothing: a pick asks a stream's horizon, so it stays free however far
+/// later operands push `t0`.
+pub(crate) fn price_operands(
+    s: &Scheduler,
+    operands: &[Operand<'_>],
+    stages: usize,
+    at: u64,
+) -> (Vec<StreamId>, u64) {
+    let vxm = Slice::Vxm.position();
+    let mut t0 = s.alu_chain_free(at, stages);
+    let mut picked: Vec<StreamId> = Vec::with_capacity(operands.len());
+    for op in operands {
+        let dir = Direction::inward_from(op.feed.hemisphere());
+        let exclude: Vec<u8> = (picked.iter())
+            .filter(|p| p.direction == dir)
+            .map(|p| p.id)
+            .collect();
+        let (stream, ready) = s.pick_streams(dir, 1, t0 + op.lag, vxm, &exclude);
+        let arrival = op.feed.earliest_arrival(s, op.rows, dir, vxm, ready);
+        t0 = t0.max(arrival - op.lag);
+        picked.push(stream[0]);
+    }
+    (picked, t0)
+}
+
+/// Streams `operands` to the VXM for a chain starting at `t0`, on the
+/// `streams` [`price_operands`] picked: every stream is booked for its burst
+/// first, so that a gather's map picks see them all, then the rows go out.
+pub(crate) fn stream_operands(
+    s: &mut Scheduler,
+    operands: &[Operand<'_>],
+    streams: &[StreamId],
+    t0: u64,
+) {
+    let vxm = Slice::Vxm.position();
+    for (op, &stream) in operands.iter().zip(streams) {
+        s.occupy_stream(stream, vxm, t0 + op.lag, op.rows.len() as u64);
+    }
+    for (op, &stream) in operands.iter().zip(streams) {
+        op.feed.stream_rows(s, op.rows, stream, vxm, t0 + op.lag);
+    }
+}
+
 /// One VXM stage: `op(dst, alu)` issued for `n` rows from cycle `t` on an ALU
 /// free then, its results on a fresh stream flowing `out_dir`, readable at
 /// the VXM from `t + D_VXM` — where the next stage may consume them (no
@@ -613,7 +680,7 @@ pub(crate) fn vxm_stage(
 ) -> Result<StreamGroup, OutOfPorts> {
     let vxm = Slice::Vxm.position();
     let (alu, alu_ready) = s.pick_alu(t);
-    let (streams, ready) = s.take_streams(out_dir, 1, t + D_VXM, vxm);
+    let (streams, ready) = s.pick_streams(out_dir, 1, t + D_VXM, vxm, &[]);
     if alu_ready > t || ready > t + D_VXM {
         return Err(OutOfPorts { t_write: t });
     }
@@ -724,7 +791,6 @@ fn requant_chain(
     shortcut: Option<Shortcut<'_>>,
     out_hem: Hemisphere,
 ) -> Result<(StreamGroup, u64), OutOfPorts> {
-    let vxm = Slice::Vxm.position();
     let out_dir = Direction::outward_from(out_hem);
     let mut t = source.t_at_vxm;
     let mut out = vxm_stage(s, t, n, out_dir, &|dst, alu| VxmOp::Convert {
@@ -741,13 +807,16 @@ fn requant_chain(
         // The shortcut's rows meet the converted rows at the VXM: its slices
         // must be free exactly then, which is the caller's allocation to get
         // right (nothing else the chain streams may share them).
-        let inward = Direction::inward_from(tensor_hemisphere(tensor));
-        let (streams, ready) = s.take_streams(inward, 1, t, vxm);
-        let arrival = s.earliest_read_arrival(tensor, rows, inward, vxm, t);
-        if ready > t || arrival > t {
-            return Err(OutOfPorts { t_write: arrival });
+        let operand = [Operand {
+            feed: ActFeed::Read(tensor),
+            rows,
+            lag: 0,
+        }];
+        let (streams, t_in) = price_operands(s, &operand, 0, t);
+        if t_in > t {
+            return Err(OutOfPorts { t_write: t_in });
         }
-        s.read_rows(tensor, rows, streams[0], vxm, t);
+        stream_operands(s, &operand, &streams, t);
         let (a, b) = (out, StreamGroup::new(streams[0], 1));
         out = vxm_stage(s, t, n, out_dir, &|dst, alu| VxmOp::Binary {
             op: BinaryAluOp::AddSat,
@@ -822,35 +891,24 @@ pub fn matmul(
     for mpart in 0..mparts {
         let plane = plane_of_chain(mpart);
         let mcols = (w.m - mpart as u32 * 320).min(320) as u16;
-        let passes: Vec<Pass<'_>> = (0..w.kparts())
-            .map(|kpart| {
-                let reps = &x_parts[kpart];
-                let wreps = &w.parts[kpart][mpart];
-                Pass {
-                    weights: &wreps[mpart % wreps.len()],
-                    acts: &reps[mpart % reps.len()],
-                    rows: &rows,
-                }
-            })
-            .collect();
         let spec = OutSpec {
-            rows_total: n,
-            cols: mcols,
-            segments: vec![(0, n)],
-            border: Vec::new(),
-            hemisphere: opts.out_hemisphere,
-            policy: BankPolicy::High,
             replicas: opts.out_replicas,
-            max_block: 4096,
-            avoid: Vec::new(),
-            tail_apart: None,
+            ..OutSpec::rows(n, mcols, opts.out_hemisphere)
         };
         let (reps, end) = s
             .retry_later(opts.out_hemisphere, 0, |s, floor| {
-                let int32 = schedule_plane_chain(s, plane, &passes, floor);
+                let mut chain = PlaneChainBuilder::new(s, plane, u64::from(n), floor);
+                // Per K-split, the replicas of its weights and activations.
+                for (acts, weights) in x_parts.iter().zip(&w.parts) {
+                    let weights = &weights[mpart];
+                    let (weights, acts) =
+                        (&weights[mpart % weights.len()], &acts[mpart % acts.len()]);
+                    PlaneChainBuilder::install(s, weights, std::slice::from_mut(&mut chain));
+                    chain.feed(s, ActFeed::Read(acts), &rows);
+                }
                 schedule_requant_write(
                     s,
-                    int32,
+                    chain.finish(),
                     u64::from(n),
                     opts.requant_shift,
                     opts.relu,
@@ -1159,12 +1217,10 @@ mod tests {
         // A full block of ones runs first on the same plane.
         let ones = emplace_weights(&mut s, &mut chip, &vec![vec![1; k]; 320]);
         let rows: Vec<u32> = (0..n as u32).collect();
-        let pass = Pass {
-            weights: &ones,
-            acts: &x,
-            rows: &rows,
-        };
-        let _ = schedule_plane_chain(&mut s, plane_of_chain(0), &[pass], 0);
+        let mut chain = PlaneChainBuilder::new(&s, plane_of_chain(0), n as u64, 0);
+        PlaneChainBuilder::install(&mut s, &ones, std::slice::from_mut(&mut chain));
+        chain.feed(&mut s, ActFeed::Read(&x), &rows);
+        let _ = chain.finish();
         let fill = |row: u32, v: &mut Vector| {
             for (lane, &w) in w_data[row as usize].iter().enumerate() {
                 v.set_lane(lane, w as u8);

@@ -15,15 +15,15 @@ pub use conv::{
 };
 pub use elementwise::{binary_ew, copy, unary_ew};
 pub use matmul::{
-    emplace_weight_blocks, lw_rows, matmul, plane_of_chain, ActFeed, MatmulOpts, WeightSet,
+    emplace_weight_blocks, lw_rows, matmul, plane_of_chain, schedule_requant_write, ActFeed,
+    Int32Stream, MatmulOpts, WeightSet,
 };
-pub use matmul::{schedule_plane_chain, schedule_requant_write, Int32Stream, Pass};
 pub use pool::{global_avg_pool, max_pool, pixels_per_row, pooled_lanes, MaxPoolParams};
 
 /// Helpers shared by the kernels' unit tests.
 #[cfg(test)]
 pub(crate) mod testing {
-    use tsp_arch::{Hemisphere, Vector, MEM_SLICES_PER_HEMISPHERE};
+    use tsp_arch::{Direction, Hemisphere, Slice, StreamId, Vector, MEM_SLICES_PER_HEMISPHERE};
     use tsp_isa::{AluIndex, IcuOp};
     use tsp_sim::{Chip, IcuId};
 
@@ -72,6 +72,33 @@ pub(crate) mod testing {
     pub(crate) fn hold_all_alus_but_the_first(s: &mut Scheduler) {
         for alu in (1..AluIndex::COUNT).map(AluIndex::new) {
             s.place(IcuId::Vxm { alu }, 0, IcuOp::Nop { count: 5_000 });
+        }
+    }
+
+    /// Registers a full 320-row weight block and holds westward streams
+    /// 0–15 until edge time `until`, so that before then a group of 16
+    /// streaming the block to the West MXM can only take streams 16–31 —
+    /// the ids single operand streams are picked from first. Returns the
+    /// probe: per `not_before` below `until`, the group and arrival
+    /// [`Scheduler::earliest_group_arrival`] finds. A probe that reads the
+    /// same before and after a kernel shows that the kernel booked none of
+    /// those streams before `until`.
+    pub(crate) fn west_weight_windows(
+        s: &mut Scheduler,
+        until: u64,
+    ) -> impl Fn(&Scheduler) -> Vec<(u8, u64)> {
+        let weights = s.add_constant(vec![Vector::ZERO; 320], 320, BankPolicy::Low, 20);
+        let mxm = Slice::Mxm(Hemisphere::West).position();
+        for id in 0..16 {
+            s.occupy_stream(StreamId::new(id, Direction::West), mxm, 0, until);
+        }
+        let lists: Vec<Vec<u32>> = (0..16u32)
+            .map(|j| (20 * j..20 * j + 20).collect())
+            .collect();
+        move |s: &Scheduler| {
+            (0..until)
+                .map(|at| s.earliest_group_arrival(&weights, &lists, Direction::West, mxm, at))
+                .collect()
         }
     }
 }

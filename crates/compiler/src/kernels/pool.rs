@@ -6,14 +6,17 @@
 //! state. If fewer replicas than offsets are available, the offsets are
 //! processed in rounds with the running partial as a carry input.
 //!
-//! A round lands its rows the way a conv's epilogue does (see
-//! [`mod@crate::kernels::matmul`]): each `max` is a VXM stage consuming its
-//! predecessor's result where it is born, the carry — and a pixel-per-row
-//! output — is allocated once its write time is known, on slices whose
-//! ports are free by then, and a round that finds its ALUs, streams or ports
-//! busy is rolled back and retried later ([`Scheduler::retry_later`]). Only a
-//! lane-packed output is allocated ahead: its scatter maps are keyed by its
-//! rows.
+//! A round streams its operands and lands its rows the way every VXM chain
+//! does (see [`mod@crate::kernels::matmul`]): its taps and its carry are the
+//! VXM prologue's operands, tap `i` due with the partial max of the taps
+//! before it; each `max` is a VXM stage consuming its predecessor's result
+//! where it is born; the carry — and a pixel-per-row output — is allocated
+//! once its write time is known, on slices whose ports are free by then;
+//! and a round that finds its ALUs, streams or ports busy is rolled back and
+//! retried later ([`Scheduler::retry_later`]). Only a lane-packed output is
+//! allocated ahead: its scatter maps are keyed by its rows, and the round's
+//! start is priced for the scatter off the streams its taps picked, before
+//! any of them is booked.
 //!
 //! **Lane packing.** A `c`-channel pixel fills `c` of the 320 lanes every one
 //! of those `max` issues works on, so when the input is lane-replicated
@@ -47,15 +50,13 @@
 //! busy; the `1/N` factor is folded into the following layer's quantized
 //! weights (standard practice — see DESIGN.md §2).
 
-use tsp_arch::{Direction, Hemisphere, Slice, StreamGroup, StreamId, Vector};
+use tsp_arch::{Direction, Hemisphere, Slice, StreamGroup, Vector};
 use tsp_isa::{BinaryAluOp, DataType, VxmOp, D_VXM};
 
-use crate::alloc::BankPolicy;
 use crate::kernels::conv::{group_lanes, FeatureMap, MapLayout};
-use crate::kernels::elementwise::tensor_hemisphere;
 use crate::kernels::matmul::{
-    emplace_weight_blocks, lw_rows, plane_of_chain, schedule_requant_write, vxm_stage,
-    write_replicas, ActFeed, OutSpec, PlaneChainBuilder,
+    emplace_weight_blocks, lw_rows, plane_of_chain, price_operands, schedule_requant_write,
+    stream_operands, vxm_stage, write_replicas, ActFeed, Operand, OutSpec, PlaneChainBuilder,
 };
 use crate::sched::{LaneMap, OutOfPorts, Scheduler};
 use crate::tensor::TensorHandle;
@@ -219,18 +220,7 @@ pub fn max_pool(
         // of a pixel-per-row pool, in the output part, border and all, the
         // way a conv's output lands. Both downstream in the output
         // hemisphere, off everything the round streams.
-        let carry_spec = OutSpec {
-            rows_total: n,
-            cols: replicas[0].cols,
-            segments: vec![(0, n)],
-            border: Vec::new(),
-            hemisphere: params.out_hemisphere,
-            policy: BankPolicy::High,
-            replicas: 1,
-            max_block: 4096,
-            avoid: Vec::new(),
-            tail_apart: None,
-        };
+        let carry_spec = OutSpec::rows(n, replicas[0].cols, params.out_hemisphere);
         let out_spec = OutSpec {
             rows_total: out.rows_total(),
             segments: out.interior_segments(),
@@ -245,7 +235,6 @@ pub fn max_pool(
         for (round, batch) in rounds.iter().enumerate() {
             let last_round = round + 1 == rounds.len();
             let attempt = |s: &mut Scheduler, floor: u64| {
-                let mut t0 = s.floor().max(floor);
                 // Per tap: its replica, the rows (packed: map keys) it
                 // streams and, packed, the map that gathers the tap's pixel
                 // of every lane group's output pixel.
@@ -271,50 +260,29 @@ pub fn max_pool(
                 if let Some(c) = &carry {
                     plan.push((c, (0..n).collect(), Vec::new()));
                 }
-                let feeds: Vec<ActFeed<'_>> = (plan.iter())
-                    .map(|(tensor, _, maps)| match maps.as_slice() {
-                        [] => ActFeed::Read(tensor),
-                        maps => ActFeed::Gather(maps),
+                // Tap `i` reaches the VXM with the partial max of the taps
+                // before it; the carry is one more tree input.
+                let operands: Vec<Operand<'_>> = (plan.iter().enumerate())
+                    .map(|(i, (tensor, rows, maps))| Operand {
+                        feed: match maps.as_slice() {
+                            [] => ActFeed::Read(tensor),
+                            maps => ActFeed::Gather(maps),
+                        },
+                        rows,
+                        lag: stagger(i),
                     })
                     .collect();
-                // Common earliest start, honoring staggered arrivals: an ALU
-                // for every max, every operand stream free, every read port
-                // free. A pick stays free however far later picks push `t0`,
-                // but its hold may lapse before them: later picks exclude it,
-                // and each is held for its provisional burst until `t0` is
-                // final (a packed scatter must see the taps as taken).
-                t0 = s.alu_chain_free(t0, plan.len() - 1);
-                let mut ids: Vec<StreamId> = Vec::new();
-                for (i, ((tensor, rows, _), feed)) in plan.iter().zip(&feeds).enumerate() {
-                    let dir = Direction::inward_from(tensor_hemisphere(tensor));
-                    let exclude: Vec<u8> = (ids.iter())
-                        .filter(|p| p.direction == dir)
-                        .map(|p| p.id)
-                        .collect();
-                    let (id, ready) =
-                        s.take_streams_excluding(dir, 1, t0 + stagger(i), vxm, &exclude);
-                    let want = feed.earliest_arrival(s, rows, dir, vxm, ready);
-                    t0 = t0.max(want - stagger(i));
-                    s.occupy_stream(id[0], vxm, t0 + stagger(i), u64::from(n));
-                    ids.push(id[0]);
-                }
+                let (ids, mut t0) = price_operands(s, &operands, plan.len() - 1, floor);
                 // The last max's results leave the VXM this long after `t0`.
                 let t_out = stagger(plan.len() - 1) + if plan.len() > 1 { D_VXM } else { 0 };
                 if last_round {
                     for (maps, keys) in &scatters {
-                        let start = s.earliest_scatter_start(maps, keys, out_dir, vxm, t0 + t_out);
+                        let start =
+                            s.earliest_scatter_start(maps, keys, out_dir, vxm, t0 + t_out, &ids);
                         t0 = start - t_out;
                     }
                 }
-                // `t0` is final: hold every pick for its real burst before
-                // any map stream is chosen.
-                for (i, id) in ids.iter().enumerate() {
-                    s.occupy_stream(*id, vxm, t0 + stagger(i), u64::from(n));
-                }
-                for (i, (((_, rows, _), feed), id)) in plan.iter().zip(&feeds).zip(&ids).enumerate()
-                {
-                    feed.stream_rows(s, rows, *id, vxm, t0 + stagger(i));
-                }
+                stream_operands(s, &operands, &ids, t0);
 
                 // Chain of max ops: out_i = max(out_{i-1}, in_i).
                 let mut current = StreamGroup::new(ids[0], 1);
@@ -343,7 +311,7 @@ pub fn max_pool(
                 // The stages took their streams after the scatters were
                 // priced: one that took a map stream retries the round.
                 for (maps, keys) in &scatters {
-                    if s.earliest_scatter_start(maps, keys, out_dir, vxm, t_cur) != t_cur {
+                    if s.earliest_scatter_start(maps, keys, out_dir, vxm, t_cur, &[]) != t_cur {
                         return Err(OutOfPorts { t_write: t_cur });
                     }
                     s.scatter_rows(maps, keys, current.base, vxm, t_cur);
@@ -407,18 +375,7 @@ pub fn global_avg_pool(
         .collect();
     for (kp, identity) in identities.iter().enumerate() {
         let part = &input.parts[kp][0];
-        let spec = OutSpec {
-            rows_total: 1,
-            cols: part.cols,
-            segments: vec![(0, 1)],
-            border: Vec::new(),
-            hemisphere: out_hemisphere,
-            policy: BankPolicy::High,
-            replicas: 1,
-            max_block: 4096,
-            avoid: Vec::new(),
-            tail_apart: None,
-        };
+        let spec = OutSpec::rows(1, part.cols, out_hemisphere);
         let (mut reps, end) = (s.retry_later(out_hemisphere, 0, |s, floor| {
             let mut chain = PlaneChainBuilder::new(s, plane_of_chain(kp), 1, floor);
             PlaneChainBuilder::install(s, identity, std::slice::from_mut(&mut chain));
@@ -436,9 +393,10 @@ pub fn global_avg_pool(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::BankPolicy;
     use crate::kernels::conv::alloc_feature_map;
-    use crate::kernels::testing::{dirty_sram, hold_all_alus_but_the_first};
-    use tsp_arch::{ChipConfig, STREAMS_PER_DIRECTION};
+    use crate::kernels::testing::{dirty_sram, hold_all_alus_but_the_first, west_weight_windows};
+    use tsp_arch::{ChipConfig, StreamId, STREAMS_PER_DIRECTION};
     use tsp_isa::{Instruction, MxmOp, Plane};
     use tsp_sim::chip::RunOptions;
     use tsp_sim::{Chip, IcuId, Program};
@@ -850,6 +808,51 @@ mod tests {
             };
             run_pool_case_on(case, |s, chip| dirty_sram(s, chip, &Hemisphere::ALL, 256));
         }
+    }
+
+    /// A lane-packed 2×2/2 pool from East into West asked for at cycle 300,
+    /// the slices its output lands on busy until cycle 2,000: its taps are
+    /// priced early, the scatter holds the round back until those slices
+    /// free, and no tap stream stays booked at the earlier start — a weight
+    /// group that needs those streams before then still gets them.
+    #[test]
+    fn a_scatter_pushed_later_leaves_no_tap_stream_booked_early() {
+        let params = MaxPoolParams {
+            kernel: 2,
+            stride: 2,
+            pad: 0,
+            out_pad: 0,
+            out_hemisphere: Hemisphere::West,
+            out_replicas: 1,
+            not_before: 300,
+        };
+        let layout = MapLayout {
+            lane_copies: 5,
+            ..MapLayout::plain(0, Hemisphere::East, 4)
+        };
+        let setup = |s: &mut Scheduler| {
+            let input = FeatureMap::alloc(s, (10, 10, 64), layout);
+            (input, west_weight_windows(s, 600))
+        };
+        // Where the output lands: the same allocations on an idle chip.
+        let mut s = Scheduler::new();
+        let (input, _) = setup(&mut s);
+        let (out, _) = max_pool(&mut s, &input, &params);
+        assert_eq!(out.layout.lane_skew, 5, "packed");
+
+        let mut s = Scheduler::new();
+        let (input, probe) = setup(&mut s);
+        for (h, sl) in out.slices() {
+            s.occupy_mem(h, sl, 2_000);
+        }
+        let before = probe(&s);
+        let (out, done) = max_pool(&mut s, &input, &params);
+        assert_eq!(out.layout.lane_skew, 5, "packed");
+        assert!(done > 1_900, "done at {done}");
+        let after = probe(&s);
+        let moved = (before.iter().zip(&after).enumerate()).find(|(_, (b, a))| b != a);
+        assert_eq!(moved, None, "no tap stream booked before its burst");
+        assert!(s.check().is_none());
     }
 
     #[test]

@@ -27,11 +27,13 @@ pub enum Resource {
     /// (`Instruction::queue_cycles`). Only
     /// [`crate::sched::Scheduler::place`] books it.
     Queue(IcuId),
-    /// One logical stream (id + direction), chip-wide. Its free time is kept
-    /// in **edge time** — the cycle a value leaves the chip — which is
-    /// constant along a value's flight, so two bursts never share a stream
-    /// register iff their edge-time intervals are disjoint, wherever they
-    /// were produced (see [`crate::sched::Scheduler::take_streams`]).
+    /// One logical stream (id + direction), chip-wide. Its book is kept in
+    /// **edge time** — the cycle a value leaves the chip — which is constant
+    /// along a value's flight, so two bursts never share a stream register
+    /// iff their edge-time intervals are disjoint, wherever they were
+    /// produced (see [`crate::sched::Scheduler::pick_streams`]). Only a
+    /// burst books it, for the cycles its values are on the stream: picking
+    /// a stream books nothing.
     Stream(Direction, u8),
     /// One MXM plane's weight buffer: busy from an `LW` until the `IW` that
     /// empties it into the array has completed.

@@ -8,6 +8,12 @@
 //! dispatch time by inverting Eq. 4 (`dispatch = arrival − d_func − δ`). The
 //! same [`tsp_arch::TimeModel`] values drive the simulator, so a schedule
 //! that builds without error runs without error.
+//!
+//! Stream discipline: picking a stream ([`Scheduler::pick_streams`], or an
+//! aligned group of them) only asks the books; the burst that uses a stream
+//! books it, for the cycles its values are on the stream, and nothing else
+//! does. The books therefore hold what the placed instructions do and no
+//! more.
 
 use std::collections::BTreeMap;
 
@@ -43,7 +49,7 @@ fn flight(direction: Direction, from: Position, to: Position) -> u64 {
 
 /// Hops a `direction`-flowing value at `pos` still travels before it leaves
 /// the chip: adding them to a cycle gives the value's *edge time*, which is
-/// what stream reservations compare (see [`Scheduler::take_streams`]).
+/// what stream bookings compare (see [`Scheduler::pick_streams`]).
 #[must_use]
 pub fn edge_hops(direction: Direction, pos: Position) -> u64 {
     match direction {
@@ -172,7 +178,8 @@ struct SchedulerSnapshot {
 #[derive(Debug, Default)]
 pub struct Scheduler {
     /// When each queue, stream and MXM plane is busy: the only set of
-    /// books, kept here — [`Scheduler::place`] books a queue, the `take_*` /
+    /// books, kept here — [`Scheduler::place`] books a queue, the bursts
+    /// (`read_rows`, `write_rows`, `gather_rows`, `scatter_rows`) and the
     /// `occupy_*` / `hold_*` methods the rest — and asked about only through
     /// this type's methods.
     pool: ResourcePool,
@@ -589,7 +596,7 @@ impl Scheduler {
     /// meet the burst at the data slice.
     fn place_lane_run(&mut self, run: &LaneRun<'_>, dispatch: u64, op: impl Fn(StreamId) -> MemOp) {
         let (pos, map_dir) = (run.position(), run.map_direction());
-        let (map_stream, ready) = self.take_streams(map_dir, 1, dispatch, pos);
+        let (map_stream, ready) = self.pick_streams(map_dir, 1, dispatch, pos, &[]);
         assert!(ready <= dispatch, "no map stream free by cycle {dispatch}");
         self.read_rows(&run.map.tensor, &run.map_rows, map_stream[0], pos, dispatch);
         let n = run.map_rows.len() as u64;
@@ -603,16 +610,18 @@ impl Scheduler {
     /// time, together with the five that may be claimed from the same
     /// direction before the maps are placed (the vectors' own stream, an MXM
     /// result group) — a few cycles conservative, and only when streams are
-    /// scarce.
+    /// scarce — and none of the `picked` streams a caller will book before
+    /// the maps are placed.
     fn earliest_lane_runs(
         &self,
         runs: &[LaneRun<'_>],
         shift: impl Fn(&LaneRun<'_>) -> i64,
         not_before: u64,
+        picked: &[StreamId],
     ) -> u64 {
         let mut t0 = not_before;
         // Per run: its first map word leaves the chip at `t0 + ahead` (edge
-        // time, what stream reservations compare).
+        // time, what stream bookings compare).
         let mut ahead = Vec::with_capacity(runs.len());
         for run in runs {
             let (pos, map_dir) = (run.position(), run.map_direction());
@@ -633,9 +642,12 @@ impl Scheduler {
             .expect("at least one run");
         let count = runs.len() as u8 + 5;
         let at = first_edge.max(self.pool.floor());
-        let (_, ready) = self
-            .pool
-            .pick_streams_excluding(run.map_direction(), count, at, &[]);
+        let map_dir = run.map_direction();
+        let exclude: Vec<u8> = (picked.iter())
+            .filter(|p| p.direction == map_dir)
+            .map(|p| p.id)
+            .collect();
+        let (_, ready) = (self.pool).pick_streams_excluding(map_dir, count, at, &exclude);
         t0 + (ready - first_edge)
     }
 
@@ -687,7 +699,7 @@ impl Scheduler {
         let runs = Scheduler::lane_runs(maps, rows);
         let lead = |run: &LaneRun<'_>| D_GATHER + flight(direction, run.position(), consumer);
         let shift = |run: &LaneRun<'_>| -(lead(run) as i64);
-        self.earliest_lane_runs(&runs, shift, not_before)
+        self.earliest_lane_runs(&runs, shift, not_before, &[])
     }
 
     /// Like [`Scheduler::write_rows`], but stream value `i` — present at
@@ -728,7 +740,9 @@ impl Scheduler {
 
     /// The earliest `t0 ≥ not_before` for [`Scheduler::scatter_rows`]: every
     /// destination slice, every map slice and a map stream per burst free in
-    /// time.
+    /// time, none of them one of the streams in `picked` — those the caller
+    /// has picked ([`Scheduler::pick_streams`]) and will book before it
+    /// scatters.
     #[must_use]
     pub fn earliest_scatter_start(
         &self,
@@ -737,10 +751,11 @@ impl Scheduler {
         direction: Direction,
         producer: Position,
         not_before: u64,
+        picked: &[StreamId],
     ) -> u64 {
         let runs = Scheduler::lane_runs(maps, rows);
         let shift = |run: &LaneRun<'_>| flight(direction, producer, run.position()) as i64;
-        self.earliest_lane_runs(&runs, shift, not_before)
+        self.earliest_lane_runs(&runs, shift, not_before, picked)
     }
 
     /// Clears rows that kernels never write but rely on reading as zero (a
@@ -1040,7 +1055,7 @@ impl Scheduler {
     /// list `j` on stream `base + j` of an aligned group of `lists.len()`
     /// streams in `direction` — with the group taking the first window in
     /// which each stream is idle for its list (edge time, see
-    /// [`Scheduler::take_streams`]), before its horizon where one is long
+    /// [`Scheduler::pick_streams`]), before its horizon where one is long
     /// enough: the group's base (the lowest among equals) and `t0`. The
     /// runs of a registered constant or zero row take windows the same way
     /// ([`Scheduler::earliest_constant_arrival`]); any other tensor's are
@@ -1121,51 +1136,25 @@ impl Scheduler {
             || self.zero_rows.iter().flatten().any(|t| t == tensor)
     }
 
-    /// Picks `count` streams in `direction` for a burst whose first value is
-    /// at `pos` at cycle `at` or later, and immediately reserves them (a
-    /// nominal one-cycle hold so subsequent picks choose different streams;
-    /// `read_rows`/`write_rows`/[`Scheduler::occupy_stream`] book the real
-    /// interval). Returns the ids and the earliest such cycle. A pick asks
-    /// each stream's horizon, never a gap before it.
+    /// Picks `count` streams in `direction`, none of the ids in `exclude`,
+    /// for a burst whose first value is at `pos` at cycle `at` or later:
+    /// the ids and the earliest such cycle. A pick asks each stream's
+    /// horizon, never a gap before it, so a stream picked stays free however
+    /// much later its burst starts. It books nothing: only the burst that
+    /// uses a stream books it ([`Scheduler::occupy_stream`],
+    /// [`Scheduler::read_rows`], [`Scheduler::write_rows`],
+    /// [`Scheduler::gather_rows`], [`Scheduler::scatter_rows`]). A caller
+    /// that picks several streams in one direction before booking any
+    /// passes the earlier ids as `exclude`.
     ///
-    /// Stream reservations are exact: a value moves one hop per cycle, so it
-    /// is identified by the cycle it leaves the chip (its *edge time*), and a
-    /// stream is free for a burst iff the burst's first value leaves after
-    /// the last reserved one — no matter where either was produced. The
+    /// Stream bookings are exact: a value moves one hop per cycle, so it is
+    /// identified by the cycle it leaves the chip (its *edge time*), and a
+    /// stream is free for a burst iff the burst's values leave while no
+    /// booked one does — no matter where either was produced. The
     /// `(pos, cycle)` pairs here and in [`Scheduler::occupy_stream`] are
     /// converted to edge time with [`edge_hops`].
-    pub fn take_streams(
-        &mut self,
-        direction: Direction,
-        count: u8,
-        at: u64,
-        pos: Position,
-    ) -> (Vec<StreamId>, u64) {
-        self.take_streams_excluding(direction, count, at, pos, &[])
-    }
-
-    /// [`Scheduler::take_streams`] excluding ids the kernel already claimed
-    /// in the same direction for the same time window.
-    pub fn take_streams_excluding(
-        &mut self,
-        direction: Direction,
-        count: u8,
-        at: u64,
-        pos: Position,
-        exclude: &[u8],
-    ) -> (Vec<StreamId>, u64) {
-        let (streams, ready) = self.pick_streams(direction, count, at, pos, exclude);
-        let lead = edge_hops(direction, pos);
-        for s in &streams {
-            let edge = ready + lead;
-            (self.pool).occupy(Resource::Stream(direction, s.id), edge, edge + 1);
-        }
-        (streams, ready)
-    }
-
-    /// What [`Scheduler::take_streams_excluding`] would take, reserving
-    /// nothing.
-    fn pick_streams(
+    #[must_use]
+    pub fn pick_streams(
         &self,
         direction: Direction,
         count: u8,
@@ -1181,10 +1170,12 @@ impl Scheduler {
         (streams, ready - lead)
     }
 
-    /// Picks an aligned stream group and immediately reserves it (see
-    /// [`Scheduler::take_streams`]).
-    pub fn take_aligned_group(
-        &mut self,
+    /// Picks an aligned group of `width` streams for a burst whose first
+    /// value is at `pos` at cycle `at` or later: the group's base and the
+    /// earliest such cycle. Books nothing (see [`Scheduler::pick_streams`]).
+    #[must_use]
+    pub(crate) fn pick_aligned_group(
+        &self,
         direction: Direction,
         width: u8,
         at: u64,
@@ -1193,9 +1184,6 @@ impl Scheduler {
         let lead = edge_hops(direction, pos);
         let at = at.max(self.pool.floor()) + lead;
         let (base, ready) = self.pool.pick_aligned_group(direction, width, at);
-        for id in base..base + width {
-            (self.pool).occupy(Resource::Stream(direction, id), ready, ready + 1);
-        }
         (base, ready - lead)
     }
 
@@ -1644,7 +1632,7 @@ mod tests {
                     t0
                 }
                 2 => {
-                    let t0 = s.earliest_scatter_start(&maps, &rows, outward.direction, vxm, not_before);
+                    let t0 = s.earliest_scatter_start(&maps, &rows, outward.direction, vxm, not_before, &[]);
                     s.scatter_rows(&maps, &rows, outward, vxm, t0);
                     t0
                 }

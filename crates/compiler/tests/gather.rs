@@ -66,7 +66,7 @@ fn stream_into_west(
         .alloc
         .alloc_in(Some(Hemisphere::West), n, 320, BankPolicy::High, 4096)
         .expect("an empty chip has room");
-    let (stream, ready) = s.take_streams(Direction::West, 1, 0, vxm);
+    let (stream, ready) = s.pick_streams(Direction::West, 1, 0, vxm, &[]);
     let dst_free = dst.layout.slices().map(|(h, sl)| s.mem_free(h, sl)).max();
     let ready = ready.max(dst_free.unwrap_or(0));
     if maps.is_empty() {
@@ -182,9 +182,9 @@ proptest! {
             .expect("an empty chip has room");
         let vxm = Slice::Vxm.position();
         let all: Vec<u32> = (0..n).collect();
-        let (stream, ready) = s.take_streams(Direction::East, 1, 0, vxm);
+        let (stream, ready) = s.pick_streams(Direction::East, 1, 0, vxm, &[]);
         let t0 = s.earliest_read_arrival(&src, &all, Direction::East, vxm, ready);
-        let t0 = s.earliest_scatter_start(&maps, &keys, Direction::East, vxm, t0);
+        let t0 = s.earliest_scatter_start(&maps, &keys, Direction::East, vxm, t0, &stream);
         s.read_rows(&src, &all, stream[0], vxm, t0);
         s.scatter_rows(&maps, &keys, stream[0], vxm, t0);
 
@@ -248,11 +248,12 @@ fn a_gather_burst_holds_its_slice_queue_exactly_as_long_as_it_dispatches() {
         );
         // A westward stream the gather does not use, written on the data
         // slice itself at `end − write_offset`: into the gathered (High) bank.
-        let (stream, _) = s.take_streams(
+        let (stream, _) = s.pick_streams(
             Direction::West,
             1,
             end,
             Slice::mem(hemisphere, index).position(),
+            &[],
         );
         let icu = IcuId::Mem { hemisphere, index };
         let op = MemOp::Write {
@@ -290,14 +291,14 @@ fn stepped_gather_and_scatter_bursts_hold_their_slice_queue_exactly() {
         }
         let before = s.mem_free(hemisphere, index);
         if scatter {
-            let (stream, ready) = s.take_streams(Direction::East, 1, 0, vxm);
+            let (stream, ready) = s.pick_streams(Direction::East, 1, 0, vxm, &[]);
             let src = s
                 .alloc
                 .alloc_in(Some(Hemisphere::West), 6, 320, BankPolicy::High, 4096)
                 .expect("an empty chip has room");
             let all: Vec<u32> = (0..6).collect();
             let t0 = s.earliest_read_arrival(&src, &all, Direction::East, vxm, ready);
-            let t0 = s.earliest_scatter_start(&maps, &keys, Direction::East, vxm, t0);
+            let t0 = s.earliest_scatter_start(&maps, &keys, Direction::East, vxm, t0, &stream);
             s.read_rows(&src, &all, stream[0], vxm, t0);
             s.scatter_rows(&maps, &keys, stream[0], vxm, t0);
         } else {
@@ -309,7 +310,7 @@ fn stepped_gather_and_scatter_bursts_hold_their_slice_queue_exactly() {
         // `end − write_offset` — from the other (Low) bank, which would be
         // legal beside the burst were the queue not single-issue.
         let pos = Slice::mem(hemisphere, index).position();
-        let (stream, _) = s.take_streams(Direction::West, 1, end, pos);
+        let (stream, _) = s.pick_streams(Direction::West, 1, end, pos, &[]);
         let icu = IcuId::Mem { hemisphere, index };
         let op = MemOp::Read {
             addr: MemAddr::new(31),

@@ -6,7 +6,7 @@
 //! Run with: `cargo run -p tsp --example custom_kernel`
 
 use tsp::compiler::alloc::BankPolicy;
-use tsp::compiler::kernels::matmul::{schedule_plane_chain, schedule_requant_write, OutSpec, Pass};
+use tsp::compiler::kernels::matmul::{schedule_requant_write, ActFeed, OutSpec, PlaneChainBuilder};
 use tsp::isa::Plane;
 use tsp::prelude::*;
 
@@ -39,30 +39,13 @@ fn main() {
 
     // 1) Stream weights in, install, stream activations through (plane 2).
     let rows: Vec<u32> = (0..n).collect();
-    let int32 = schedule_plane_chain(
-        &mut sched,
-        Plane::new(2),
-        &[Pass {
-            weights: &weights,
-            acts: &x,
-            rows: &rows,
-        }],
-        0,
-    );
+    let mut chain = PlaneChainBuilder::new(&sched, Plane::new(2), u64::from(n), 0);
+    PlaneChainBuilder::install(&mut sched, &weights, std::slice::from_mut(&mut chain));
+    chain.feed(&mut sched, ActFeed::Read(&x), &rows);
+    let int32 = chain.finish();
     // 2) Chain the int32 results through the VXM: requantize (>>2) + ReLU,
     //    then write every row to memory — no intermediate spills.
-    let spec = OutSpec {
-        rows_total: n,
-        cols: m.min(320) as u16,
-        segments: vec![(0, n)],
-        border: Vec::new(),
-        hemisphere: Hemisphere::West,
-        policy: BankPolicy::High,
-        replicas: 1,
-        max_block: 4096,
-        avoid: Vec::new(),
-        tail_apart: None,
-    };
+    let spec = OutSpec::rows(n, m.min(320) as u16, Hemisphere::West);
     let (outs, done) =
         schedule_requant_write(&mut sched, int32, u64::from(n), 2, true, None, &spec)
             .expect("ports available");
