@@ -8,11 +8,22 @@
 //!   model run on the simulator must reproduce this executor exactly; any
 //!   divergence is a compiler or simulator bug, not "numerics".
 //!
-//! Both are the one walker `run`: the op match, the tap walk, the
-//! output-channel blocking and the pools are written once, and each executor
-//! is an `Arith` — element and accumulator types, the multiply-accumulate,
-//! and the epilogue that turns a weighted layer's sum into an element.
-//! Neither checks the other: each keeps its own exact arithmetic.
+//! Both are the one walker `run`: the op match, the convolution's tiles, the
+//! pools and the dense layer are written once, and each executor is an
+//! `Arith` — element and accumulator types, the multiply-accumulate, and the
+//! epilogue that turns a weighted layer's sum into an element. Neither
+//! checks the other: each keeps its own exact arithmetic.
+//!
+//! A convolution is output-stationary: a tile of `PX_TILE` output pixels
+//! of one row × `CO_BLOCK` output channels keeps its sums in registers
+//! while the taps of a zero-padded copy of the input map stream past, each
+//! sum in the textbook `(ky, kx, ci)` order. A padding tap adds `x·w = ±0.0`
+//! to a sum that starts at `+0.0` and so is never `−0.0`, which leaves it as
+//! it is while the weights are finite; integer sums are exact. So every
+//! output is bit-identical to the naive loop that skips the border (DESIGN.md
+//! §6, `tests/reference_oracle.rs`). The max pool reads the same padded map.
+
+use std::borrow::Cow;
 
 use crate::graph::{Graph, Op, Params};
 use crate::quant::QuantGraph;
@@ -127,8 +138,15 @@ impl Arith for Params {
     fn mac(acc: f32, x: f32, w: f32) -> f32 {
         acc + x * w
     }
+    /// `f32::max`, with `+0.0` above `−0.0` (IEEE 754-2019
+    /// `maximumNumber`): `f32::max` leaves the sign of a zero tie to
+    /// codegen, and a vectorized pool and a scalar loop were seen to differ.
     fn max(a: f32, b: f32) -> f32 {
-        a.max(b)
+        if a == b {
+            f32::from_bits(a.to_bits() & b.to_bits())
+        } else {
+            a.max(b)
+        }
     }
     fn add(a: f32, b: f32) -> f32 {
         a + b
@@ -205,50 +223,33 @@ fn run<A: Arith>(graph: &Graph, arith: &A, image: &[A::Elem]) -> Vec<Value<A::El
                 let (h, w, c, data) = map(0, "conv");
                 let (weights, shift) = arith.conv(i);
                 let (oh, ow) = out_hw(h, w, spec.k, spec.stride, spec.pad);
-                let mut out = vec![A::Elem::default(); (oh * ow * spec.c_out) as usize];
+                let x = padded(h, w, c, spec.pad, data);
                 let wr = reorder_conv_blocked(weights, spec.c_out, c, spec.k);
-                let cu = c as usize;
-                let c_out = spec.c_out as usize;
-                let row = (spec.k * spec.k) as usize * cu;
-                let nblk = c_out.div_ceil(CO_BLOCK);
-                let mut taps: Vec<(usize, usize)> = Vec::with_capacity((spec.k * spec.k) as usize);
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        taps.clear();
-                        for ky in 0..spec.k {
-                            for kx in 0..spec.k {
-                                if let Some(at) =
-                                    tap(h, w, spec.stride, spec.pad, (oy, ox), (ky, kx))
-                                {
-                                    taps.push((at * cu, ((ky * spec.k + kx) * c) as usize));
-                                }
-                            }
+                let conv = ConvTiles {
+                    k: spec.k as usize,
+                    stride: spec.stride as usize,
+                    c: c as usize,
+                    c_out: spec.c_out as usize,
+                    width: (w + 2 * spec.pad) as usize,
+                    x: &x,
+                    wr: &wr,
+                };
+                let ow = ow as usize;
+                let tiles = ow / PX_TILE * PX_TILE;
+                let mut out = vec![A::Elem::default(); oh as usize * ow * conv.c_out];
+                for (oy, row) in out.chunks_exact_mut(ow * conv.c_out).enumerate() {
+                    for blk in 0..conv.c_out.div_ceil(CO_BLOCK) {
+                        for ox in (0..tiles).step_by(PX_TILE) {
+                            conv.tile::<A, PX_TILE>(row, (oy, ox), blk, shift, spec.relu);
                         }
-                        let obase = ((oy * ow + ox) * spec.c_out) as usize;
-                        for blk in 0..nblk {
-                            let wb = &wr[blk * row * CO_BLOCK..(blk + 1) * row * CO_BLOCK];
-                            let mut acc = [A::Acc::default(); CO_BLOCK];
-                            for &(ibase, wbase) in &taps {
-                                let xs = &data[ibase..ibase + cu];
-                                let ws = &wb[wbase * CO_BLOCK..(wbase + cu) * CO_BLOCK];
-                                for (j, &x) in xs.iter().enumerate() {
-                                    let wj = &ws[j * CO_BLOCK..j * CO_BLOCK + CO_BLOCK];
-                                    for b in 0..CO_BLOCK {
-                                        acc[b] = A::mac(acc[b], x, wj[b]);
-                                    }
-                                }
-                            }
-                            let live = (c_out - blk * CO_BLOCK).min(CO_BLOCK);
-                            for (b, &a) in acc.iter().enumerate().take(live) {
-                                out[obase + blk * CO_BLOCK + b] =
-                                    A::relu(A::epilogue(a, shift), spec.relu);
-                            }
+                        for ox in tiles..ow {
+                            conv.tile::<A, 1>(row, (oy, ox), blk, shift, spec.relu);
                         }
                     }
                 }
                 Value::Map {
                     h: oh,
-                    w: ow,
+                    w: ow as u32,
                     c: spec.c_out,
                     data: out,
                 }
@@ -256,30 +257,28 @@ fn run<A: Arith>(graph: &Graph, arith: &A, image: &[A::Elem]) -> Vec<Value<A::El
             &Op::MaxPool { k, stride, pad } => {
                 let (h, w, c, data) = map(0, "pool");
                 let (oh, ow) = out_hw(h, w, k, stride, pad);
-                let mut out = Vec::with_capacity((oh * ow * c) as usize);
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        for ch in 0..c as usize {
-                            // Zero-padded max (matches the kernel: the
-                            // materialized border is zero).
-                            let mut m = A::MIN;
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    let v = tap(h, w, stride, pad, (oy, ox), (ky, kx))
-                                        .map_or_else(A::Elem::default, |at| {
-                                            data[at * c as usize + ch]
-                                        });
-                                    m = A::max(m, v);
-                                }
+                // Zero-padded max (matches the kernel: the materialized
+                // border is zero); each channel folds its taps in `(ky, kx)`
+                // order.
+                let x = padded(h, w, c, pad, data);
+                let (k, stride, c) = (k as usize, stride as usize, c as usize);
+                let width = w as usize + 2 * pad as usize;
+                let mut out = vec![A::MIN; (oh * ow) as usize * c];
+                for (o, m) in out.chunks_exact_mut(c).enumerate() {
+                    let (oy, ox) = (o / ow as usize * stride, o % ow as usize * stride);
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let at = ((oy + ky) * width + ox + kx) * c;
+                            for (m, &v) in m.iter_mut().zip(&x[at..at + c]) {
+                                *m = A::max(*m, v);
                             }
-                            out.push(m);
                         }
                     }
                 }
                 Value::Map {
                     h: oh,
                     w: ow,
-                    c,
+                    c: c as u32,
                     data: out,
                 }
             }
@@ -321,18 +320,84 @@ fn run<A: Arith>(graph: &Graph, arith: &A, image: &[A::Elem]) -> Vec<Value<A::El
     values
 }
 
-/// Output channels accumulated per pass of the reference convolutions.
+/// Output channels one convolution tile accumulates.
 ///
-/// Each channel keeps the textbook `(ky, kx, ci)` accumulation order — so the
-/// results are bit-identical to the naive triple loop (this matters for fp32
-/// calibration, where summation order changes the rounding) — but the eight
-/// independent accumulators hide the FP-add latency chain and let the
-/// per-element work vectorize.
-const CO_BLOCK: usize = 8;
+/// With [`PX_TILE`] it sizes the tile: 4 × 16 `f32` or `i32` sums fill
+/// eight AVX2 registers. On ResNet-50 at 224 × 224 (a 2-core Xeon,
+/// `x86-64-v3`) this tile took `run_fp32` from 0.55 s (one pixel × 8
+/// channels) to ≈ 0.30 s; 4 × 8 took ≈ 0.32 s, and 2, 6 or 8 pixels × 16
+/// took 1.4–1.7 s.
+const CO_BLOCK: usize = 16;
+
+/// Consecutive output pixels of one row one convolution tile accumulates;
+/// a row's last `ow mod PX_TILE` pixels are one-pixel tiles.
+const PX_TILE: usize = 4;
+
+/// One convolution's operands, convolved tile by tile.
+struct ConvTiles<'a, T> {
+    k: usize,
+    stride: usize,
+    /// Input channels.
+    c: usize,
+    c_out: usize,
+    /// The width of the padded input map.
+    width: usize,
+    /// The input map with its zero border, `[y][x][c]`.
+    x: &'a [T],
+    /// The weights in [`CO_BLOCK`]-wide blocks, [`reorder_conv_blocked`].
+    wr: &'a [T],
+}
+
+impl<T: Copy> ConvTiles<'_, T> {
+    /// Writes output channels `blk·CO_BLOCK..` of the `P` pixels from
+    /// `(oy, ox)` on into `row`, output row `oy`.
+    ///
+    /// The `P × CO_BLOCK` sums stay in registers while the taps stream
+    /// past, each summed in the textbook `(ky, kx, ci)` order.
+    fn tile<A: Arith<Elem = T>, const P: usize>(
+        &self,
+        row: &mut [T],
+        (oy, ox): (usize, usize),
+        blk: usize,
+        shift: A::Shift,
+        relu: bool,
+    ) {
+        let (k, c) = (self.k, self.c);
+        let taps = k * k * c * CO_BLOCK;
+        let wb = &self.wr[blk * taps..(blk + 1) * taps];
+        let mut acc = [[A::Acc::default(); CO_BLOCK]; P];
+        for ky in 0..k {
+            let iy = oy * self.stride + ky;
+            for kx in 0..k {
+                let ws = &wb[(ky * k + kx) * c * CO_BLOCK..][..c * CO_BLOCK];
+                let xs: [&[T]; P] = std::array::from_fn(|p| {
+                    let at = (iy * self.width + (ox + p) * self.stride + kx) * c;
+                    &self.x[at..at + c]
+                });
+                for (ci, wj) in ws.chunks_exact(CO_BLOCK).enumerate() {
+                    for (acc, xs) in acc.iter_mut().zip(&xs) {
+                        let x = xs[ci];
+                        for (a, &w) in acc.iter_mut().zip(wj) {
+                            *a = A::mac(*a, x, w);
+                        }
+                    }
+                }
+            }
+        }
+        let co = blk * CO_BLOCK;
+        let live = (self.c_out - co).min(CO_BLOCK);
+        for (p, acc) in acc.iter().enumerate() {
+            let at = (ox + p) * self.c_out + co;
+            for (o, &a) in row[at..at + live].iter_mut().zip(acc) {
+                *o = A::relu(A::epilogue(a, shift), relu);
+            }
+        }
+    }
+}
 
 /// Reorders conv weights from `[co][ci][ky][kx]` into [`CO_BLOCK`]-wide
 /// output-channel blocks laid out `[blk][ky][kx][ci][b]`, zero-padding the
-/// last block, so the inner conv loops read weights contiguously.
+/// last block, so a tile reads its weights contiguously.
 fn reorder_conv_blocked<T: Copy + Default>(w: &[T], c_out: u32, ci: u32, k: u32) -> Vec<T> {
     let (c_out, ci, k) = (c_out as usize, ci as usize, k as usize);
     let row = k * k * ci;
@@ -351,19 +416,20 @@ fn reorder_conv_blocked<T: Copy + Default>(w: &[T], c_out: u32, ci: u32, k: u32)
     out
 }
 
-/// The input pixel (`y·w + x`) that window tap `(ky, kx)` of output
-/// `(oy, ox)` reads, or `None` on the zero-padding border.
-fn tap(
-    h: u32,
-    w: u32,
-    stride: u32,
-    pad: u32,
-    (oy, ox): (u32, u32),
-    (ky, kx): (u32, u32),
-) -> Option<usize> {
-    let iy = (oy * stride + ky).checked_sub(pad).filter(|&y| y < h)?;
-    let ix = (ox * stride + kx).checked_sub(pad).filter(|&x| x < w)?;
-    Some((iy * w + ix) as usize)
+/// An `h × w × c` map inside a `pad`-wide border of zeros (the element's
+/// default), `[y][x][c]`; the map itself when `pad` is 0.
+fn padded<T: Copy + Default>(h: u32, w: u32, c: u32, pad: u32, data: &[T]) -> Cow<'_, [T]> {
+    if pad == 0 {
+        return Cow::Borrowed(data);
+    }
+    let (w, c, pad) = (w as usize, c as usize, pad as usize);
+    let width = w + 2 * pad;
+    let mut out = vec![T::default(); (h as usize + 2 * pad) * width * c];
+    for (y, src) in data.chunks_exact(w * c).enumerate() {
+        let at = ((y + pad) * width + pad) * c;
+        out[at..at + w * c].copy_from_slice(src);
+    }
+    Cow::Owned(out)
 }
 
 fn out_hw(h: u32, w: u32, k: u32, stride: u32, pad: u32) -> (u32, u32) {
