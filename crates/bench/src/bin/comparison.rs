@@ -5,18 +5,12 @@
 //! designs need large batches; the TSP peaks at batch 1.
 
 use tsp::baseline::{goya_class, tpu_v3_class, v100_class};
-use tsp::nn::compile::{compile, CompileOptions};
-use tsp::nn::data::synthetic;
-use tsp::nn::quant::quantize;
-use tsp::nn::resnet::{resnet, Widths};
+use tsp_bench::workloads::resnet_model;
 
 fn main() {
     // Our simulated TSP's ResNet-50 batch-1 number (compiler-predicted; the
     // prediction is simulator-verified in `resnet_throughput`).
-    let (g, params) = resnet(50, 224, 1000, &Widths::standard(), 7);
-    let data = synthetic(3, 224, 224, 3, 2, 1);
-    let q = quantize(&g, &params, &data.images[..1]);
-    let model = compile(&q, &CompileOptions::default());
+    let (model, _) = resnet_model(50);
     let tsp_us = model.cycles as f64 / 900e6 * 1e6;
     let tsp_ips = 1e6 / tsp_us;
 

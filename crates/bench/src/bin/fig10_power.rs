@@ -2,23 +2,16 @@
 //! four MXM planes run simultaneous conv2d passes, troughs on the
 //! element-wise/pooling layers.
 
-use tsp::nn::compile::{compile_cached, CompileOptions};
-use tsp::nn::data::synthetic;
-use tsp::nn::quant::quantize;
-use tsp::nn::resnet::{resnet, Widths};
 use tsp::prelude::*;
+use tsp_bench::workloads::resnet_model;
 use tsp_power::EnergyModel;
 
 fn main() {
     println!("# E4 (Fig. 10): ResNet-50 per-layer power (activity-based model)");
-    let (g, params) = resnet(50, 224, 1000, &Widths::standard(), 7);
-    let data = synthetic(3, 224, 224, 3, 2, 1);
-    let q = quantize(&g, &params, &data.images[..1]);
-    let model = compile_cached(&q, &CompileOptions::default());
+    let (model, qi) = resnet_model(50);
 
     let mut chip = Chip::new(ChipConfig::asic());
     model.load_constants(&mut chip);
-    let qi = q.quantize_image(&data.images[0]);
     model.write_input(&mut chip, &qi);
     let report = chip
         .run(

@@ -8,10 +8,7 @@
 
 use tsp_arch::ChipConfig;
 use tsp_bench::fan_out;
-use tsp_nn::compile::{compile_cached, CompileOptions};
-use tsp_nn::data::synthetic;
-use tsp_nn::quant::quantize;
-use tsp_nn::resnet::{resnet, Widths};
+use tsp_bench::workloads::resnet_model;
 use tsp_sim::chip::RunOptions;
 use tsp_sim::Chip;
 
@@ -24,13 +21,10 @@ fn main() {
         "model", "cycles", "us@900MHz", "IPS@900MHz", "IPS@1GHz"
     );
 
-    let data = synthetic(3, 224, 224, 3, 2, 1);
     // The three depths are independent: build, quantize, compile and (for
     // ResNet-50) simulate on parallel host threads, then print in order.
     let rows = fan_out(vec![50u32, 101, 152], |depth| {
-        let (g, params) = resnet(depth, 224, 1000, &Widths::standard(), 7);
-        let q = quantize(&g, &params, &data.images[..1]);
-        let model = compile_cached(&q, &CompileOptions::default());
+        let (model, qi) = resnet_model(depth);
 
         // Confirm the predicted cycle count on the simulator (timing mode)
         // for ResNet-50; deeper nets reuse the compiler's deterministic
@@ -38,7 +32,6 @@ fn main() {
         let cycles = if depth == 50 {
             let mut chip = Chip::new(ChipConfig::asic());
             model.load_constants(&mut chip);
-            let qi = q.quantize_image(&data.images[0]);
             model.write_input(&mut chip, &qi);
             let report = chip
                 .run(

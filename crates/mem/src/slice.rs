@@ -62,23 +62,16 @@ impl StoredVector {
         }
     }
 
-    /// Marks the word pristine again and hands out its data for in-place
-    /// rewriting: pool-recycling producers fill the 320 bytes directly
-    /// instead of building a `Vector` elsewhere and copying it in.
-    pub fn rewrite(&mut self) -> &mut Vector {
-        self.check = StoredCheck::Pristine;
-        &mut self.data
-    }
-
-    /// Reinitializes a word in place (recycling path: lets a pool reuse an
-    /// exclusively-owned allocation instead of allocating a fresh word).
-    /// `check` of `None` means pristine — producer-side ECC deferred.
-    pub fn reset(&mut self, data: Vector, check: Option<[u16; SUPERLANES]>) {
-        self.data = data;
+    /// Sets the word's check bits — `None` is pristine, producer-side ECC
+    /// deferred — and hands out its data for in-place rewriting: a pool
+    /// reusing an exclusively-owned word fills the 320 bytes directly
+    /// instead of allocating a fresh word.
+    pub fn rewrite(&mut self, check: Option<[u16; SUPERLANES]>) -> &mut Vector {
         self.check = match check {
             None => StoredCheck::Pristine,
             Some(c) => StoredCheck::Explicit(c),
         };
+        &mut self.data
     }
 
     /// Whether `check == encode(data)` holds by construction (consumer-side

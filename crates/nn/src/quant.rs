@@ -64,15 +64,30 @@ impl QuantGraph {
     /// Quantizes a `[y][x][c]` fp32 image to the model's input scale.
     #[must_use]
     pub fn quantize_image(&self, image: &[f32]) -> Vec<i8> {
-        image
-            .iter()
-            .map(|&x| (x / self.input_scale).round().clamp(-128.0, 127.0) as i8)
-            .collect()
+        image.iter().map(|&x| to_i8(x, self.input_scale)).collect()
     }
 }
 
 fn abs_max(v: &[f32]) -> f32 {
     v.iter().fold(1e-12f32, |m, &x| m.max(x.abs()))
+}
+
+/// `x` at `scale`, rounded and saturated to int8.
+fn to_i8(x: f32, scale: f32) -> i8 {
+    (x / scale).round().clamp(-128.0, 127.0) as i8
+}
+
+/// A conv's or dense layer's weights `w` at their own |max| scale `s_w`,
+/// fed by an input at scale `s_in`: the int8 weights, the right shift that
+/// brings the int32 sum's scale `s_in · s_w` nearest the output target
+/// `act_max / 127`, and the output scale that shift gives.
+fn quantize_layer(w: &[f32], s_in: f32, act_max: f32) -> (Vec<i8>, i8, f32) {
+    let s_w = abs_max(w) / 127.0;
+    let w_q = w.iter().map(|&x| to_i8(x, s_w)).collect();
+    let s_out_target = act_max / 127.0;
+    let shift = (s_out_target / (s_in * s_w)).log2().round() as i8;
+    let shift = shift.clamp(0, 31);
+    (w_q, shift, s_in * s_w * (2f32).powi(i32::from(shift)))
 }
 
 /// Quantizes a trained fp32 model using `calibration` images (`[y][x][c]`
@@ -111,20 +126,12 @@ pub fn quantize(graph: &Graph, params: &Params, calibration: &[Vec<f32>]) -> Qua
             Op::Input { .. } => {}
             Op::Conv(_) => {
                 let cw = &params.conv[&i];
-                let s_w = abs_max(&cw.w) / 127.0;
-                let w_q: Vec<i8> =
-                    cw.w.iter()
-                        .map(|&x| (x / s_w).round().clamp(-128.0, 127.0) as i8)
-                        .collect();
-                let s_in = scales[node.inputs[0]];
-                let s_out_target = act_max[i] / 127.0;
-                let shift = (s_out_target / (s_in * s_w)).log2().round() as i8;
-                let shift = shift.clamp(0, 31);
-                scales[i] = s_in * s_w * (2f32).powi(i32::from(shift));
+                let (w, shift, scale) = quantize_layer(&cw.w, scales[node.inputs[0]], act_max[i]);
+                scales[i] = scale;
                 conv.insert(
                     i,
                     QConv {
-                        w: w_q,
+                        w,
                         co: cw.co,
                         ci: cw.ci,
                         k: cw.k,
@@ -134,20 +141,12 @@ pub fn quantize(graph: &Graph, params: &Params, calibration: &[Vec<f32>]) -> Qua
             }
             Op::Dense { .. } => {
                 let dw = &params.dense[&i];
-                let s_w = abs_max(&dw.w) / 127.0;
-                let w_q: Vec<i8> =
-                    dw.w.iter()
-                        .map(|&x| (x / s_w).round().clamp(-128.0, 127.0) as i8)
-                        .collect();
-                let s_in = scales[node.inputs[0]];
-                let s_out_target = act_max[i] / 127.0;
-                let shift = (s_out_target / (s_in * s_w)).log2().round() as i8;
-                let shift = shift.clamp(0, 31);
-                scales[i] = s_in * s_w * (2f32).powi(i32::from(shift));
+                let (w, shift, scale) = quantize_layer(&dw.w, scales[node.inputs[0]], act_max[i]);
+                scales[i] = scale;
                 dense.insert(
                     i,
                     QDense {
-                        w: w_q,
+                        w,
                         out: dw.out,
                         inp: dw.inp,
                         shift,

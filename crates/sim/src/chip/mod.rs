@@ -515,7 +515,8 @@ impl Chip {
     ) {
         ctx.bandwidth.record(Traffic::Stream, 320);
         ctx.last_effect = ctx.last_effect.max(t_eff);
-        self.streams.write_owned(stream, pos, t_eff, data, check);
+        self.streams
+            .write_with(stream, pos, t_eff, check, |d| *d = data);
         ctx.stream_level(self.streams.live_count());
     }
 

@@ -106,7 +106,7 @@ impl Chip {
                 for (k, s) in dst.streams().enumerate() {
                     ctx.bandwidth.record(Traffic::Stream, 320);
                     ctx.last_effect = ctx.last_effect.max(t + 1);
-                    streams.write_with(s, pos, t + 1, |data| match result {
+                    streams.write_with(s, pos, t + 1, None, |data| match result {
                         MxmResult::Int32(vals) => plane_of(vals, k, data),
                         MxmResult::Fp32(vals) => plane_of(vals, k, data),
                     });

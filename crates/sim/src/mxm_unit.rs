@@ -28,14 +28,18 @@
 //!   autovectorize. A per-install-generation cache restricts the pass to
 //!   weight rows with any nonzero element and to the chip-wide nonzero
 //!   column ceiling: integer adds of zero are exact no-ops, so skipping them
-//!   is bit-invisible (ResNet tiles rarely fill the 320×320 array). The fp16
-//!   tandem path keeps its strict lane-order `f64` accumulation (float sums
-//!   do *not* reassociate; the single-rounding-at-readout contract is
-//!   bit-exact) and gets its speed from caching the planes' decoded `f32`
-//!   weight matrix per install generation instead of decoding two bytes per
-//!   MAC — and, as of the pre-decode PR, from joining the same wave-batched
-//!   flush as the int8 path. Both planes of a tandem pair decode through
-//!   [`crate::lane`], like every other multi-byte lane.
+//!   is bit-invisible (ResNet tiles rarely fill the 320×320 array).
+//!
+//! The fp16 tandem path has no such machinery — no compiled program runs
+//! it, only the tests do. A feed flushes the int8 wave and computes its 320
+//! dots at once through both planes' installed weights, each a strict
+//! lane-order `f64` accumulation rounded once (float sums do *not*
+//! reassociate). Both planes of a tandem pair decode through
+//! [`crate::lane`], like every other multi-byte lane.
+//!
+//! A result is a plain `Vec`, dropped by its last holder: a pool of
+//! retired buffers measured within noise beside the stream file's word
+//! pool (EXPERIMENTS.md "Host throughput").
 //!
 //! The scalar oracles these kernels are checked against live in
 //! `tests/reference/`, and share nothing with them.
@@ -52,16 +56,6 @@ pub enum MxmResult {
     Int32(Vec<i32>),
     /// 320 fp32 dot products.
     Fp32(Vec<f32>),
-}
-
-/// Decoded fp16 tandem weights, valid for one (lo, hi) install-generation
-/// pair.
-#[derive(Debug, Clone)]
-struct Fp16WeightCache {
-    lo_gen: u64,
-    hi_gen: u64,
-    /// Row-major 320×320 decoded weights.
-    weights: Vec<f32>,
 }
 
 /// Widened int8 weights restricted to their nonzero support, valid for one
@@ -97,24 +91,13 @@ pub struct MxmPlane {
     pending: std::collections::VecDeque<(u64, MxmResult)>,
     /// Queued int8 `ABC` feeds not yet computed: `(feed cycle, activation)`,
     /// oldest first. Every entry is newer than everything in `pending`
-    /// (flushes drain the whole wave), so `pending`'s front stays the oldest
-    /// result overall. At most one of `wave` / `wave_fp16` is non-empty at a
-    /// time: each feed path flushes the other first.
+    /// (flushes drain the whole wave, and every other feed flushes it
+    /// first), so `pending`'s front stays the oldest result overall.
     wave: Vec<(u64, [u8; LANES])>,
-    /// Queued fp16 tandem feed cycles not yet computed, oldest first.
-    wave_fp16: Vec<u64>,
-    /// Activations for `wave_fp16`, decoded to `f32` at feed time (flat,
-    /// `LANES` lanes per feed).
-    wave_fp16_acts: Vec<f32>,
     /// Standing accumulators indexed by `ACC` row ordinal.
     acc: Vec<MxmResult>,
-    /// Retired int32 result buffers, recycled by the feed paths so the
-    /// feed → accumulate cycle allocates nothing in steady state.
-    free: Vec<Vec<i32>>,
-    /// Bumped by every `IW`; tags the weight caches.
+    /// Bumped by every `IW`; tags the int8 weight cache.
     install_gen: u64,
-    /// Decoded fp16 tandem weights (held by the low plane of the pair).
-    fp16_cache: Option<Fp16WeightCache>,
     /// Widened int8 weights on their nonzero support.
     i8_cache: Option<I8WeightCache>,
     /// Scratch for the widened activation block, reused across flushes.
@@ -131,23 +114,11 @@ impl MxmPlane {
             dtype: DataType::Int8,
             pending: std::collections::VecDeque::new(),
             wave: Vec::new(),
-            wave_fp16: Vec::new(),
-            wave_fp16_acts: Vec::new(),
             acc: Vec::new(),
-            free: Vec::new(),
             install_gen: 0,
-            fp16_cache: None,
             i8_cache: None,
             scratch_acts: Vec::new(),
         }
-    }
-
-    /// A zeroed 320-element buffer, reusing a retired one when available.
-    fn take_buffer(&mut self) -> Vec<i32> {
-        let mut buf = self.free.pop().unwrap_or_default();
-        buf.clear();
-        buf.resize(LANES, 0);
-        buf
     }
 
     /// `LW` one cycle's worth: stores 16 weight rows starting at row
@@ -180,7 +151,6 @@ impl MxmPlane {
     /// flushed first — they streamed through the *previous* weights.
     pub fn install(&mut self, dtype: DataType) {
         self.flush_wave();
-        self.flush_fp16_wave();
         self.installed.clone_from(&self.buffer);
         self.dtype = dtype;
         self.install_gen += 1;
@@ -207,7 +177,6 @@ impl MxmPlane {
     /// that must preserve result order). Timestamps are recorded now, so
     /// nothing observable moves.
     pub fn feed_activation_i8(&mut self, cycle: u64, activation: &Vector) {
-        self.flush_fp16_wave(); // keep `pending` in feed order if dtypes mix
         self.wave.push((cycle, *activation.as_bytes()));
     }
 
@@ -215,11 +184,9 @@ impl MxmPlane {
     /// a real activation pass (used when functional simulation is disabled).
     pub fn feed_zero(&mut self, cycle: u64) {
         self.flush_wave(); // keep `pending` in feed order if modes ever mix
-        self.flush_fp16_wave();
-        let out = self.take_buffer();
         self.pending.push_back((
             cycle + u64::from(tsp_isa::mxm::MXM_ARRAY_DELAY),
-            MxmResult::Int32(out),
+            MxmResult::Int32(vec![0; LANES]),
         ));
     }
 
@@ -265,16 +232,7 @@ impl MxmPlane {
         self.refresh_i8_cache();
         let cache = self.i8_cache.take().expect("refreshed above");
         let k = self.wave.len();
-        let mut outs: Vec<Vec<i32>> = Vec::with_capacity(k);
-        for _ in 0..k {
-            let buf = {
-                let mut b = self.free.pop().unwrap_or_default();
-                b.clear();
-                b.resize(LANES, 0);
-                b
-            };
-            outs.push(buf);
-        }
+        let mut outs = vec![vec![0i32; LANES]; k];
         let cols = cache.cols;
         if cols > 0 {
             // Widen the activation block once: k rows × cols i16 lanes.
@@ -302,52 +260,16 @@ impl MxmPlane {
         }
     }
 
-    /// Flushes every queued fp16 tandem feed through the cached decoded
-    /// weight matrix as one blocked pass. Each dot product keeps the strict
-    /// lane-order `f64` accumulation and single rounding of feed-by-feed
-    /// execution — batching only reorders *which dot runs when*, never the
-    /// adds inside one — so results are bit-identical.
-    fn flush_fp16_wave(&mut self) {
-        if self.wave_fp16.is_empty() {
-            return;
-        }
-        let cache = self
-            .fp16_cache
-            .take()
-            .expect("fp16 feeds always populate the cache");
-        let k = self.wave_fp16.len();
-        let mut outs: Vec<Vec<f32>> = vec![vec![0f32; LANES]; k];
-        for (row, wrow) in cache.weights.chunks_exact(LANES).enumerate() {
-            for (acts, out) in self.wave_fp16_acts.chunks_exact(LANES).zip(&mut outs) {
-                let mut sum = 0f64;
-                for (&w, &a) in wrow.iter().zip(acts) {
-                    sum += f64::from(w) * f64::from(a);
-                }
-                out[row] = round_fp16_readout(sum);
-            }
-        }
-        self.fp16_cache = Some(cache);
-        self.wave_fp16_acts.clear();
-        for (cycle, out) in self.wave_fp16.drain(..).zip(outs) {
-            self.pending.push_back((
-                cycle + u64::from(tsp_isa::mxm::MXM_ARRAY_DELAY),
-                MxmResult::Fp32(out),
-            ));
-        }
-    }
-
     /// `ABC` for the fp16 path: this plane holds the low bytes and `high`
     /// the high bytes of fp16 weights (two byte-planes in tandem); the
     /// activation arrives as a pair of byte-plane vectors. Produces fp32
     /// dot products with a single rounding step (accumulation in f64,
     /// rounded once to f32 — the paper's "only a single rounding step").
     ///
-    /// Accumulation stays in strict lane order (float sums do not
-    /// reassociate); the speed comes from the per-install-generation cache of
-    /// the decoded `f32` weight matrix (one decode per install instead of two
-    /// per MAC) and from wave batching: the feed decodes its activations and
-    /// queues, and the dots run in the next blocked flush alongside the int8
-    /// path's.
+    /// Queued int8 feeds are flushed first, so read-outs stay in feed
+    /// order; the dots run now, through both planes' weights as installed
+    /// at this feed. Each sums its lanes in strict lane order from `+0.0`
+    /// (float sums do not reassociate).
     pub fn feed_activation_fp16(
         &mut self,
         cycle: u64,
@@ -355,36 +277,26 @@ impl MxmPlane {
         act_lo: &Vector,
         act_hi: &Vector,
     ) {
-        self.flush_wave(); // keep `pending` in feed order if dtypes mix
-        let stale = !matches!(
-            &self.fp16_cache,
-            Some(c) if c.lo_gen == self.install_gen && c.hi_gen == high.install_gen
-        );
-        if stale {
-            // Queued feeds pre-date whichever reinstall invalidated the
-            // cache (the *high* plane's — our own install flushes), so they
-            // must stream through the cached weights before replacement.
-            self.flush_fp16_wave();
-            let mut weights = vec![0f32; LANES * LANES];
-            for (row, dst) in weights.chunks_exact_mut(LANES).enumerate() {
-                let pair = [&self.installed[row], &high.installed[row]];
-                for (l, w) in dst.iter_mut().enumerate() {
-                    *w = F16::load(&pair, l).to_f32();
-                }
-            }
-            self.fp16_cache = Some(Fp16WeightCache {
-                lo_gen: self.install_gen,
-                hi_gen: high.install_gen,
-                weights,
-            });
-        }
-        self.wave_fp16.push(cycle);
-        let base = self.wave_fp16_acts.len();
-        self.wave_fp16_acts.resize(base + LANES, 0.0);
+        self.flush_wave();
         let pair = [act_lo.as_bytes(), act_hi.as_bytes()];
-        for (l, a) in self.wave_fp16_acts[base..].iter_mut().enumerate() {
-            *a = F16::load(&pair, l).to_f32();
-        }
+        let acts: [f32; LANES] = std::array::from_fn(|l| F16::load(&pair, l).to_f32());
+        let out = self
+            .installed
+            .iter()
+            .zip(&high.installed)
+            .map(|(lo, hi)| {
+                let pair = [lo, hi];
+                let mut sum = 0f64;
+                for (l, &a) in acts.iter().enumerate() {
+                    sum += f64::from(F16::load(&pair, l).to_f32()) * f64::from(a);
+                }
+                round_fp16_readout(sum)
+            })
+            .collect();
+        self.pending.push_back((
+            cycle + u64::from(tsp_isa::mxm::MXM_ARRAY_DELAY),
+            MxmResult::Fp32(out),
+        ));
     }
 
     /// `ACC` one cycle's worth: pop the oldest pending result; either
@@ -399,10 +311,7 @@ impl MxmPlane {
     /// reports as [`crate::SimError::AccumulatorEmpty`]).
     pub fn accumulate(&mut self, cycle: u64, ordinal: usize, add: bool) -> Option<&MxmResult> {
         if self.pending.is_empty() {
-            // At most one wave is non-empty (each feed path flushes the
-            // other), so the flush order here cannot reorder results.
             self.flush_wave();
-            self.flush_fp16_wave();
         }
         if self.pending.front().is_none_or(|(avail, _)| *avail > cycle) {
             return None;
@@ -413,30 +322,19 @@ impl MxmPlane {
                 .resize(ordinal + 1, MxmResult::Int32(vec![0; LANES]));
         }
         let slot = &mut self.acc[ordinal];
-        let retired = if add {
-            match (&mut *slot, &fresh) {
-                (MxmResult::Int32(acc), MxmResult::Int32(new)) => {
-                    for (a, n) in acc.iter_mut().zip(new) {
-                        *a = a.wrapping_add(*n);
-                    }
-                    fresh
-                }
-                (MxmResult::Fp32(acc), MxmResult::Fp32(new)) => {
-                    for (a, n) in acc.iter_mut().zip(new) {
-                        *a += *n;
-                    }
-                    fresh
-                }
-                _ => {
-                    // Type change mid-accumulation: treat as overwrite.
-                    std::mem::replace(slot, fresh)
+        match (add, &mut *slot, fresh) {
+            (true, MxmResult::Int32(acc), MxmResult::Int32(new)) => {
+                for (a, n) in acc.iter_mut().zip(new) {
+                    *a = a.wrapping_add(n);
                 }
             }
-        } else {
-            std::mem::replace(slot, fresh)
-        };
-        if let MxmResult::Int32(buf) = retired {
-            self.free.push(buf);
+            (true, MxmResult::Fp32(acc), MxmResult::Fp32(new)) => {
+                for (a, n) in acc.iter_mut().zip(new) {
+                    *a += n;
+                }
+            }
+            // An overwrite, or a type change mid-accumulation.
+            (_, _, fresh) => *slot = fresh,
         }
         Some(&self.acc[ordinal])
     }
@@ -444,7 +342,7 @@ impl MxmPlane {
     /// Number of results awaiting readout (computed plus still-queued feeds).
     #[must_use]
     pub fn pending_results(&self) -> usize {
-        self.pending.len() + self.wave.len() + self.wave_fp16.len()
+        self.pending.len() + self.wave.len()
     }
 }
 
@@ -732,9 +630,10 @@ mod tests {
         assert_eq!(out[1], 0.0);
     }
 
-    /// The fp16 weight cache is invalidated by either plane's reinstall.
+    /// A feed reads both planes' weights as installed at the feed: a
+    /// reinstall of the high plane alone shows in the next feed.
     #[test]
-    fn fp16_cache_tracks_both_install_generations() {
+    fn fp16_feed_reads_both_planes_as_installed_at_the_feed() {
         let mut lo = MxmPlane::new();
         let mut hi = MxmPlane::new();
         let (row_lo, row_hi) = fp16_lane0(1.0);
@@ -756,6 +655,65 @@ mod tests {
         let Some(MxmResult::Fp32(second)) = lo.accumulate(2000, 0, false) else {
             panic!()
         };
-        assert_eq!(second[0], 4.0, "stale fp16 weight cache");
+        assert_eq!(second[0], 4.0, "stale high-plane weights");
+    }
+
+    /// int8 and fp16 feeds interleaved on one plane read out in feed order,
+    /// each at its own availability cycle: an fp16 feed computes at once,
+    /// after the int8 feeds queued before it.
+    #[test]
+    fn mixed_int8_and_fp16_feeds_read_out_in_feed_order() {
+        let mut lo = MxmPlane::new();
+        let mut hi = MxmPlane::new();
+        // Weight (0,0) = 0x3C01: 1 as the low plane's int8, 1 + 2^-10 as
+        // the pair's fp16.
+        let w = 1.0 + 2f32.powi(-10);
+        let (row_lo, row_hi) = fp16_lane0(w);
+        assert_eq!(row_lo.lane(0), 1);
+        lo.load_weight_rows(0, &row_group(row_lo));
+        hi.load_weight_rows(0, &row_group(row_hi));
+        lo.install(DataType::Int8);
+        hi.install(DataType::Fp16);
+        let int8 = |v: u8| {
+            let mut act = Vector::ZERO;
+            act.set_lane(0, v);
+            act
+        };
+        lo.feed_activation_i8(100, &int8(5));
+        let (a_lo, a_hi) = fp16_lane0(2.0);
+        lo.feed_activation_fp16(101, &hi, &a_lo, &a_hi);
+        lo.feed_activation_i8(102, &int8(7));
+        let (a_lo, a_hi) = fp16_lane0(4.0);
+        lo.feed_activation_fp16(103, &hi, &a_lo, &a_hi);
+        lo.feed_activation_i8(104, &int8(9));
+        assert_eq!(lo.pending_results(), 5);
+        /// Lane 0 of a read-out, by type.
+        #[derive(Debug, PartialEq)]
+        enum Lane0 {
+            Int32(i32),
+            Fp32(f32),
+        }
+        let want = [
+            Lane0::Int32(5),
+            Lane0::Fp32(2.0 * w),
+            Lane0::Int32(7),
+            Lane0::Fp32(4.0 * w),
+            Lane0::Int32(9),
+        ];
+        for (i, want) in (0u64..).zip(want) {
+            let ready = 100 + i + u64::from(tsp_isa::mxm::MXM_ARRAY_DELAY);
+            assert!(
+                lo.accumulate(ready - 1, 0, false).is_none(),
+                "feed {i} available one cycle early"
+            );
+            let got = lo
+                .accumulate(ready, 0, false)
+                .unwrap_or_else(|| panic!("feed {i} missing at its availability cycle"));
+            let got = match got {
+                MxmResult::Int32(out) => Lane0::Int32(out[0]),
+                MxmResult::Fp32(out) => Lane0::Fp32(out[0]),
+            };
+            assert_eq!(got, want, "feed {i}");
+        }
     }
 }

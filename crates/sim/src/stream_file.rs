@@ -20,16 +20,21 @@
 //!
 //! Storage is a flat array of `SLOTS` slots per stream, indexed by the
 //! diagonal modulo `SLOTS`. Because only a bounded window of diagonals is
-//! ever referenced at once (the [`NUM_POSITIONS`] on-chip positions plus the
+//! ever referenced at once (the [`NUM_POSITIONS`](tsp_arch::NUM_POSITIONS) on-chip positions plus the
 //! largest write look-ahead `d_func`), two diagonals that alias the same slot
 //! are always ≥ `SLOTS` cycles apart — the older one has flowed off the
 //! chip edge, so a write simply reclaims the slot in place. Expiry is thus
-//! incremental; no periodic garbage sweep is required (a [`StreamFile::sweep`]
-//! is still provided for statistics).
+//! incremental; no periodic garbage sweep is required.
+//!
+//! Producers write through a pool of retired words: a word this file held
+//! last goes back to the pool when its slot is reclaimed or overwritten,
+//! and [`StreamFile::write_with`] fills one in place. Without it every
+//! produced word is a heap allocation, which measured ≈ 11 % slower on
+//! ResNet-50 functional inference (EXPERIMENTS.md "Host throughput").
 
 use std::sync::Arc;
 
-use tsp_arch::{Direction, Position, StreamId, Vector, NUM_POSITIONS, SUPERLANES};
+use tsp_arch::{Direction, Position, StreamId, Vector, SUPERLANES};
 
 /// A vector travelling on a stream, carrying its producer-generated ECC
 /// check bits alongside the data (paper §II-D).
@@ -50,7 +55,7 @@ fn stream_key(s: StreamId) -> usize {
 }
 
 /// Slots per stream. A power of two strictly larger than the widest window of
-/// diagonals referenced concurrently: the [`NUM_POSITIONS`] (= 93) on-chip
+/// diagonals referenced concurrently: the [`NUM_POSITIONS`](tsp_arch::NUM_POSITIONS) (= 93) on-chip
 /// positions plus the largest stream-writing `d_func` look-ahead. Aliasing
 /// diagonals are ≥ 256 cycles apart, hence never simultaneously live.
 const SLOTS: usize = 256;
@@ -67,7 +72,8 @@ pub const STREAM_CAPACITY: usize = 64 * SLOTS;
 /// flowing value) is stored inline in `first`, so the hot write/read paths
 /// touch only this slot entry and never chase a heap pointer; downstream
 /// interceptor writes overflow into `rest`, kept sorted in flow order after
-/// `first`.
+/// `first`. (One `Vec` for all writes measured 10 % slower on ResNet-50
+/// functional inference, EXPERIMENTS.md "Host throughput".)
 #[derive(Debug, Clone, Default)]
 struct Slot {
     diagonal: i64,
@@ -75,10 +81,19 @@ struct Slot {
     rest: Vec<(u8, Arc<StreamWord>)>,
 }
 
-/// Cap on the retired-word recycling pool (~1.5 MB of `StreamWord`s): large
-/// enough that steady-state producers never allocate, small enough that a
-/// burst of expiries does not pin memory forever.
+/// Cap on the retired-word pool (~1.5 MB of `StreamWord`s): large enough
+/// that steady-state producers never allocate, small enough that a burst
+/// of expiries does not pin memory forever.
 const WORD_POOL_CAP: usize = 4096;
+
+/// Offers a retired word to the pool. Only an exclusively-owned word is
+/// worth keeping: one still referenced elsewhere (stored in SRAM, held by
+/// a consumer) would fail the uniqueness check at reuse.
+fn retire(free: &mut Vec<Arc<StreamWord>>, word: Arc<StreamWord>) {
+    if free.len() < WORD_POOL_CAP && Arc::strong_count(&word) == 1 {
+        free.push(word);
+    }
+}
 
 /// The streaming register file for all 64 logical streams.
 #[derive(Debug, Clone)]
@@ -89,10 +104,8 @@ pub struct StreamFile {
     /// transition so occupancy telemetry is O(1) per sample instead of an
     /// O(`64 × SLOTS`) rescan.
     live: usize,
-    /// Retired words recycled by [`StreamFile::write_owned`] so steady-state
-    /// production allocates nothing. Entries still referenced elsewhere
-    /// (a consumer kept the `Arc`, or the chip was cloned) fail the
-    /// uniqueness check at reuse time and are simply dropped.
+    /// Retired words [`StreamFile::write_with`] reuses. Entries still
+    /// referenced elsewhere at reuse (the chip was cloned) are dropped.
     free: Vec<Arc<StreamWord>>,
 }
 
@@ -126,7 +139,10 @@ impl StreamFile {
 
     /// Writes `word` onto `stream` at `(position, cycle)`: visible to
     /// downstream consumers from the next hop onward (and at `position`
-    /// itself at exactly `cycle`).
+    /// itself at exactly `cycle`). A second write at the same position and
+    /// cycle replaces the first; a write elsewhere on the diagonal is one
+    /// more producer, seen from its own position to the next producer
+    /// downstream.
     pub fn write(
         &mut self,
         stream: StreamId,
@@ -139,10 +155,7 @@ impl StreamFile {
         let pos = position.0;
         if slot.diagonal != d {
             // The previous tenant aliases this slot from ≥ SLOTS cycles ago
-            // and has flowed off the chip: reclaim in place. Only
-            // exclusively-owned words are worth pooling — one still
-            // referenced elsewhere (stored in SRAM, held by an egress
-            // consumer) would just fail the uniqueness check at reuse.
+            // and has flowed off the chip: reclaim in place.
             debug_assert!(
                 slot.first.is_none()
                     || match stream.direction {
@@ -154,13 +167,9 @@ impl StreamFile {
             );
             if let Some((_, retired)) = slot.first.take() {
                 self.live -= 1;
-                if self.free.len() < WORD_POOL_CAP && Arc::strong_count(&retired) == 1 {
-                    self.free.push(retired);
-                }
+                retire(&mut self.free, retired);
                 for (_, retired) in slot.rest.drain(..) {
-                    if self.free.len() < WORD_POOL_CAP && Arc::strong_count(&retired) == 1 {
-                        self.free.push(retired);
-                    }
+                    retire(&mut self.free, retired);
                 }
             }
             slot.diagonal = d;
@@ -181,105 +190,46 @@ impl StreamFile {
         };
         let o = ordinal(pos);
         if o == ordinal(first.0) {
-            let retired = std::mem::replace(&mut first.1, word);
-            if self.free.len() < WORD_POOL_CAP && Arc::strong_count(&retired) == 1 {
-                self.free.push(retired);
-            }
+            retire(&mut self.free, std::mem::replace(&mut first.1, word));
         } else if o < ordinal(first.0) {
             // New most-upstream producer: demote the old head into `rest`.
             let old = std::mem::replace(first, (pos, word));
             slot.rest.insert(0, old);
         } else {
             match slot.rest.binary_search_by_key(&o, |(p, _)| ordinal(*p)) {
-                Ok(i) => {
-                    let retired = std::mem::replace(&mut slot.rest[i], (pos, word)).1;
-                    if self.free.len() < WORD_POOL_CAP && Arc::strong_count(&retired) == 1 {
-                        self.free.push(retired);
-                    }
-                }
+                Ok(i) => retire(&mut self.free, std::mem::replace(&mut slot.rest[i].1, word)),
                 Err(i) => slot.rest.insert(i, (pos, word)),
             }
         }
     }
 
-    /// [`StreamFile::write`] without the caller allocating: the word is
-    /// assembled in a recycled `Arc` from the retired-word pool when one is
-    /// exclusively ours, falling back to a fresh allocation. `check` of
-    /// `None` means pristine (producer-side ECC deferred);
-    /// `Some` carries explicit bits that may disagree with the data.
-    pub fn write_owned(
-        &mut self,
-        stream: StreamId,
-        position: Position,
-        cycle: u64,
-        data: Vector,
-        check: Option<[u16; SUPERLANES]>,
-    ) {
-        let word = loop {
-            let Some(mut arc) = self.free.pop() else {
-                break Arc::new(match check {
-                    None => StreamWord::protect(data),
-                    Some(c) => StreamWord::with_check(data, c),
-                });
-            };
-            if let Some(w) = Arc::get_mut(&mut arc) {
-                w.reset(data, check);
-                break arc;
-            }
-            // Still referenced outside the file: drop and try the next.
-        };
-        self.write(stream, position, cycle, word);
-    }
-
-    /// [`StreamFile::write_owned`] with the data produced *in place*: `fill`
-    /// writes the 320 bytes directly into the recycled word (or a fresh
-    /// zeroed one), so freshly computed results reach the stream without an
-    /// intermediate `Vector` copy. The word is pristine — producer-side ECC
-    /// deferred, like every fresh produce.
+    /// [`StreamFile::write`] of a word produced in place: `fill` writes the
+    /// 320 bytes straight into a retired word from the pool when one is
+    /// exclusively ours, else into a fresh zeroed one. `check` of `None`
+    /// means pristine (producer-side ECC deferred); `Some` carries explicit
+    /// bits that may disagree with the data.
     pub fn write_with(
         &mut self,
         stream: StreamId,
         position: Position,
         cycle: u64,
+        check: Option<[u16; SUPERLANES]>,
         fill: impl FnOnce(&mut Vector),
     ) {
-        let recycled = loop {
-            match self.free.pop() {
-                None => break None,
-                Some(mut arc) => {
-                    if Arc::get_mut(&mut arc).is_some() {
-                        break Some(arc);
-                    }
-                    // Still referenced outside the file: drop and retry.
-                }
-            }
-        };
-        let word = match recycled {
-            Some(mut arc) => {
-                fill(
-                    Arc::get_mut(&mut arc)
-                        .expect("checked unique above")
-                        .rewrite(),
-                );
-                arc
-            }
-            None => {
-                let mut w = StreamWord::protect(Vector::ZERO);
-                fill(&mut w.data);
-                Arc::new(w)
-            }
-        };
+        let mut word = std::iter::from_fn(|| self.free.pop())
+            .find(|w| Arc::strong_count(w) == 1)
+            .unwrap_or_else(|| Arc::new(StreamWord::protect(Vector::ZERO)));
+        let data = Arc::get_mut(&mut word)
+            .expect("a pooled or new word is unshared")
+            .rewrite(check);
+        fill(data);
         self.write(stream, position, cycle, word);
     }
 
-    /// Offers a retired word from outside the stream file (e.g. one
-    /// displaced from SRAM by an overwrite) to the recycling pool. Words
-    /// still shared elsewhere are dropped — only exclusively-owned
-    /// allocations are worth keeping.
+    /// Offers a word retired outside the stream file (one displaced from
+    /// SRAM by an overwrite) to the pool.
     pub fn recycle(&mut self, word: Arc<StreamWord>) {
-        if self.free.len() < WORD_POOL_CAP && Arc::strong_count(&word) == 1 {
-            self.free.push(word);
-        }
+        retire(&mut self.free, word);
     }
 
     /// Reads `stream` at `(position, cycle)`: the value most recently written
@@ -352,38 +302,6 @@ impl StreamFile {
         true
     }
 
-    /// Drops diagonals whose values have flowed off the chip edge before
-    /// `cycle` (statistics housekeeping; reclamation is otherwise incremental
-    /// and this has no architectural effect).
-    pub fn sweep(&mut self, cycle: u64) {
-        let t = cycle as i64;
-        let max = i64::from(NUM_POSITIONS - 1);
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.first.is_none() {
-                continue;
-            }
-            let live = if i < 32 * SLOTS {
-                // Eastward: p = d + t; exits once d + t > max.
-                slot.diagonal + t <= max
-            } else {
-                // Westward: p = d - t; exits at p < 0 ⇔ d < t.
-                slot.diagonal - t >= 0
-            };
-            if !live {
-                slot.first = None;
-                slot.rest.clear();
-                self.live -= 1;
-            }
-        }
-    }
-
-    /// Number of live diagonals across all streams: an O(n) rescan used by
-    /// tests to cross-check the maintained [`StreamFile::live_count`].
-    #[must_use]
-    pub fn live_values(&self) -> usize {
-        self.slots.iter().filter(|s| s.first.is_some()).count()
-    }
-
     /// Number of live diagonals, O(1) (maintained incrementally): sampled
     /// after every stream write for the occupancy high-water telemetry.
     #[must_use]
@@ -398,6 +316,12 @@ mod tests {
 
     fn word(tag: u8) -> Arc<StreamWord> {
         Arc::new(StreamWord::protect(Vector::splat(tag)))
+    }
+
+    /// Number of live diagonals by an O(n) rescan: the cross-check of the
+    /// maintained [`StreamFile::live_count`].
+    fn live_values(f: &StreamFile) -> usize {
+        f.slots.iter().filter(|s| s.first.is_some()).count()
     }
 
     #[test]
@@ -441,6 +365,86 @@ mod tests {
         assert_eq!(f.read(s, Position(30), 25).unwrap().data, Vector::splat(2));
     }
 
+    /// The position `k` hops downstream of where `s` enters the chip.
+    fn hop(s: StreamId, k: u8) -> Position {
+        match s.direction {
+            Direction::East => Position(k),
+            Direction::West => Position(tsp_arch::NUM_POSITIONS - 1 - k),
+        }
+    }
+
+    /// Writes `tag` `k` hops in, on the diagonal that enters at cycle 0.
+    fn put(f: &mut StreamFile, s: StreamId, k: u8, tag: u8) {
+        f.write(s, hop(s, k), u64::from(k), word(tag));
+    }
+
+    /// The tag a reader `k` hops in sees on that diagonal.
+    fn seen(f: &StreamFile, s: StreamId, k: u8) -> Option<u8> {
+        f.read(s, hop(s, k), u64::from(k)).map(|w| w.data.lane(0))
+    }
+
+    fn both_directions() -> [StreamId; 2] {
+        [StreamId::east(5), StreamId::west(5)]
+    }
+
+    #[test]
+    fn second_write_at_a_position_replaces_the_first_downstream() {
+        for s in both_directions() {
+            let mut f = StreamFile::new();
+            put(&mut f, s, 10, 1);
+            put(&mut f, s, 30, 2);
+            // Again at the head, then again at the interceptor.
+            put(&mut f, s, 10, 3);
+            put(&mut f, s, 30, 4);
+            assert_eq!(seen(&f, s, 9), None, "{s}");
+            assert_eq!(seen(&f, s, 10), Some(3), "{s}");
+            assert_eq!(seen(&f, s, 11), Some(3), "{s}");
+            assert_eq!(seen(&f, s, 29), Some(3), "{s}");
+            assert_eq!(seen(&f, s, 30), Some(4), "{s}");
+            assert_eq!(seen(&f, s, 31), Some(4), "{s}");
+            assert_eq!(f.live_count(), 1, "{s}");
+        }
+    }
+
+    #[test]
+    fn producer_upstream_of_the_head_is_shadowed_past_it() {
+        for s in both_directions() {
+            let mut f = StreamFile::new();
+            put(&mut f, s, 40, 1);
+            put(&mut f, s, 20, 2);
+            assert_eq!(seen(&f, s, 19), None, "{s}");
+            assert_eq!(seen(&f, s, 20), Some(2), "{s}");
+            assert_eq!(seen(&f, s, 21), Some(2), "{s}");
+            assert_eq!(seen(&f, s, 39), Some(2), "{s}");
+            assert_eq!(seen(&f, s, 40), Some(1), "{s}");
+            assert_eq!(seen(&f, s, 41), Some(1), "{s}");
+            assert_eq!(f.live_count(), 1, "{s}");
+        }
+    }
+
+    #[test]
+    fn interceptor_between_two_producers() {
+        for s in both_directions() {
+            let mut f = StreamFile::new();
+            put(&mut f, s, 10, 1);
+            put(&mut f, s, 50, 3);
+            put(&mut f, s, 30, 2);
+            for (k, want) in [
+                (9, None),
+                (10, Some(1)),
+                (11, Some(1)),
+                (29, Some(1)),
+                (30, Some(2)),
+                (31, Some(2)),
+                (49, Some(2)),
+                (50, Some(3)),
+                (51, Some(3)),
+            ] {
+                assert_eq!(seen(&f, s, k), want, "{s} at hop {k}");
+            }
+        }
+    }
+
     #[test]
     fn successive_cycles_are_independent_slots() {
         let mut f = StreamFile::new();
@@ -471,19 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_reclaims_expired_diagonals() {
-        let mut f = StreamFile::new();
-        f.write(StreamId::east(0), Position(90), 0, word(1)); // exits at cycle 3
-        f.write(StreamId::west(0), Position(2), 0, word(2)); // exits at cycle 3
-        f.write(StreamId::east(1), Position(0), 100, word(3)); // alive until cycle 192
-        assert_eq!(f.live_values(), 3);
-        assert_eq!(f.live_count(), 3);
-        f.sweep(50);
-        assert_eq!(f.live_values(), 1);
-        assert_eq!(f.live_count(), 1);
-    }
-
-    #[test]
     fn live_count_tracks_rescan_through_reclaim() {
         let mut f = StreamFile::new();
         let s = StreamId::east(0);
@@ -493,7 +484,7 @@ mod tests {
             f.write(s, Position(2), t, word((t % 251) as u8));
             // Overwrite on the same diagonal must not double-count.
             f.write(s, Position(3), t + 1, word(0));
-            assert_eq!(f.live_count(), f.live_values());
+            assert_eq!(f.live_count(), live_values(&f));
         }
     }
 

@@ -122,9 +122,10 @@ proptest! {
         prop_assert_eq!(r1, &reference::mxm::matmul_i8(&second, &a1));
     }
 
-    /// The fp16 tandem path with its per-install weight-decode cache is
-    /// bit-identical (compared as f32 bit patterns, so NaN payloads and
-    /// signed zeros count) to the per-MAC-decode scalar oracle.
+    /// The fp16 tandem path, decoding both planes' weights through the
+    /// lane codec at each feed, is bit-identical (compared as f32 bit
+    /// patterns, so NaN payloads and signed zeros count) to the scalar
+    /// oracle, which decodes the bytes itself.
     #[test]
     fn mxm_fp16_matches_scalar_reference(seed in any::<u64>()) {
         let mut s = seed | 1;
@@ -134,7 +135,7 @@ proptest! {
         let hi_rows = install_random_weights(&mut hi, &mut s, DataType::Fp16);
         let act_lo = rand_vector(&mut s);
         let act_hi = rand_vector(&mut s);
-        // Two feeds: the second exercises the warmed weight cache.
+        // Two feeds through the same installed pair.
         lo.feed_activation_fp16(0, &hi, &act_lo, &act_hi);
         lo.feed_activation_fp16(1, &hi, &act_lo, &act_hi);
         let want: Vec<u32> = reference::mxm::matmul_fp16(&lo_rows, &hi_rows, &act_lo, &act_hi)
