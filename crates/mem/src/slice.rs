@@ -29,11 +29,16 @@ enum StoredCheck {
     /// `check == encode(data)` holds by construction.
     Pristine,
     /// Explicit bits that may disagree with `data` (fault paths, words that
-    /// travelled with latent errors).
-    Explicit([u16; SUPERLANES]),
+    /// travelled with latent errors), out of line: fault-free runs never
+    /// hold one, and every word would otherwise carry its 40 bytes.
+    Explicit(Box<[u16; SUPERLANES]>),
 }
 
 /// A vector as stored in SRAM: data plus per-superlane ECC check bits.
+///
+/// 328 bytes: the 320 data bytes and one pointer-sized check-bit state,
+/// null while the word is pristine. Every SRAM word and stream word is one,
+/// so a field added here grows them all (`stored_word_is_328_bytes`).
 #[derive(Debug, Clone)]
 pub struct StoredVector {
     /// The 320 data bytes.
@@ -58,7 +63,7 @@ impl StoredVector {
     pub fn with_check(data: Vector, check: [u16; SUPERLANES]) -> StoredVector {
         StoredVector {
             data,
-            check: StoredCheck::Explicit(check),
+            check: StoredCheck::Explicit(Box::new(check)),
         }
     }
 
@@ -69,7 +74,7 @@ impl StoredVector {
     pub fn rewrite(&mut self, check: Option<[u16; SUPERLANES]>) -> &mut Vector {
         self.check = match check {
             None => StoredCheck::Pristine,
-            Some(c) => StoredCheck::Explicit(c),
+            Some(c) => StoredCheck::Explicit(Box::new(c)),
         };
         &mut self.data
     }
@@ -85,8 +90,8 @@ impl StoredVector {
     /// for pristine words.
     #[must_use]
     pub fn check(&self) -> [u16; SUPERLANES] {
-        match self.check {
-            StoredCheck::Explicit(c) => c,
+        match &self.check {
+            StoredCheck::Explicit(c) => **c,
             StoredCheck::Pristine => {
                 let mut check = [0u16; SUPERLANES];
                 for (s, c) in check.iter_mut().enumerate() {
@@ -148,7 +153,9 @@ impl std::error::Error for AccessError {}
 ///
 /// Storage is allocated lazily, each bank's word table growing only to the
 /// highest word written, to keep an idle or lightly used full-chip model
-/// cheap (88 slices × 8,192 words × 360 B ≈ 250 MB if fully touched).
+/// cheap: fully touched, 88 slices × 8,192 words would take ≈ 254 MB, each
+/// a 328-byte [`StoredVector`] behind an `Arc` (16 bytes of counts) in an
+/// 8-byte slot.
 #[derive(Debug, Clone)]
 pub struct MemSlice {
     banks: [Vec<Option<Arc<StoredVector>>>; 2],
@@ -606,6 +613,16 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 4, "linear addresses collide: {lins:?}");
+    }
+
+    /// A pristine word carries no check bits, and a new field cannot
+    /// quietly regrow every SRAM and stream word.
+    #[test]
+    fn stored_word_is_328_bytes() {
+        assert!(std::mem::size_of::<StoredVector>() <= 328);
+        let word = StoredVector::with_check(Vector::splat(7), [3; SUPERLANES]);
+        assert!(!word.is_pristine());
+        assert_eq!(word.check(), [3; SUPERLANES]);
     }
 
     #[test]

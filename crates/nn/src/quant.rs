@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use crate::graph::{Graph, Op, Params};
-use crate::reference::{run_fp32, ValueF};
+use crate::reference::{walk_fp32, ValueF};
 
 /// Quantized conv parameters.
 #[derive(Debug, Clone)]
@@ -93,26 +93,29 @@ fn quantize_layer(w: &[f32], s_in: f32, act_max: f32) -> (Vec<i8>, i8, f32) {
 /// Quantizes a trained fp32 model using `calibration` images (`[y][x][c]`
 /// fp32) to pick activation ranges.
 ///
+/// The calibration pass is [`walk_fp32`]: it folds each node's |max| into
+/// the node's range as the value is made, image by image, and keeps no value
+/// past its last reader.
+///
 /// # Panics
 ///
 /// Panics if `calibration` is empty or params are missing.
 #[must_use]
 pub fn quantize(graph: &Graph, params: &Params, calibration: &[Vec<f32>]) -> QuantGraph {
     assert!(!calibration.is_empty(), "need calibration data");
-
-    // Per-node activation |max| across the calibration set.
     let mut act_max = vec![1e-12f32; graph.nodes.len()];
     for image in calibration {
-        let values = run_fp32(graph, params, image);
-        for (i, v) in values.iter().enumerate() {
-            let m = match v {
-                ValueF::Map { data, .. } => abs_max(data),
-                ValueF::Flat(data) => abs_max(data),
-            };
-            act_max[i] = act_max[i].max(m);
-        }
+        walk_fp32(graph, params, image, |i, v| {
+            let (ValueF::Map { data, .. } | ValueF::Flat(data)) = v;
+            act_max[i] = act_max[i].max(abs_max(data));
+        });
     }
+    quantize_ranges(graph, params, &act_max)
+}
 
+/// Quantizes a trained fp32 model at per-node activation ranges `act_max`,
+/// each node's |max| over the calibration set.
+fn quantize_ranges(graph: &Graph, params: &Params, act_max: &[f32]) -> QuantGraph {
     let input_scale = act_max[0] / 127.0;
     let mut scales = vec![0f32; graph.nodes.len()];
     scales[0] = input_scale;
@@ -191,8 +194,10 @@ pub fn quantize(graph: &Graph, params: &Params, calibration: &[Vec<f32>]) -> Qua
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::synthetic;
     use crate::graph::{ConvSpec, ConvW, DenseW};
-    use crate::reference::{argmax_f, argmax_q, final_flat_q, run_int8};
+    use crate::reference::{argmax_f, argmax_q, final_flat_q, run_fp32, run_int8};
+    use crate::resnet::{resnet, resnet_tiny, Widths};
 
     /// Build a tiny conv→relu→gap→dense model with fixed weights and verify
     /// int8 predictions track fp32 on smooth inputs.
@@ -265,6 +270,60 @@ mod tests {
             }
         }
         assert!(agree >= 3, "only {agree}/4 predictions agree");
+    }
+
+    /// The model `quantize` builds through the value-dropping walk, bit for
+    /// bit the one built from `run_fp32`'s full value list — every weight
+    /// and shift, and every scale's bits — over two calibration images, so
+    /// the fold across images counts.
+    fn check_calibration(graph: &Graph, params: &Params, hw: u32) {
+        let images = synthetic(3, hw, hw, 3, 2, 1).images;
+        assert_eq!(images.len(), 2);
+        let mut act_max = vec![1e-12f32; graph.nodes.len()];
+        for image in &images {
+            for (m, v) in act_max.iter_mut().zip(run_fp32(graph, params, image)) {
+                let (ValueF::Map { data, .. } | ValueF::Flat(data)) = v;
+                *m = data.iter().fold(*m, |m, &x| m.max(x.abs()));
+            }
+        }
+        let (walked, full) = (
+            quantize(graph, params, &images),
+            quantize_ranges(graph, params, &act_max),
+        );
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(walked.input_scale.to_bits(), full.input_scale.to_bits());
+        assert_eq!(bits(&walked.scales), bits(&full.scales), "scales");
+        assert_eq!(walked.gap_shift, full.gap_shift, "GAP shifts");
+        let conv = |q: &QuantGraph| {
+            q.conv
+                .iter()
+                .map(|(&i, c)| (i, c.shift, c.w.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert!(conv(&walked) == conv(&full), "conv weights or shifts");
+        let dense = |q: &QuantGraph| {
+            q.dense
+                .iter()
+                .map(|(&i, d)| (i, d.shift, d.w.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert!(dense(&walked) == dense(&full), "dense weights or shifts");
+    }
+
+    #[test]
+    fn a_small_residual_graph_calibrates_alike() {
+        let (g, params) = resnet_tiny(10, 3);
+        check_calibration(&g, &params, 32);
+    }
+
+    /// ResNet-50 at 224 × 224 in optimized builds (`cargo test --release -p
+    /// tsp-nn --lib calibrates_alike`, about a second); at 32 × 32 in debug
+    /// builds, where the fp32 pass at 224 takes minutes.
+    #[test]
+    fn resnet50_calibrates_alike() {
+        let hw = if cfg!(debug_assertions) { 32 } else { 224 };
+        let (g, params) = resnet(50, hw, 1000, &Widths::standard(), 7);
+        check_calibration(&g, &params, hw);
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Host-side reference executors: one graph walk in two arithmetics.
 //!
 //! * [`run_fp32`] — floating-point forward pass, used for training-side
-//!   accuracy and quantization calibration.
+//!   accuracy.
+//! * [`walk_fp32`] — the same pass for quantization calibration: each value
+//!   is shown as it is made and dropped after its last reader, so only the
+//!   values a later node still reads are alive at once.
 //! * [`run_int8`] — **bit-exact mirror of the TSP kernels' arithmetic**
 //!   (int32 accumulation, power-of-two round-half-away-from-zero
 //!   requantization, int8 saturation, zero-padded pooling), so a compiled
 //!   model run on the simulator must reproduce this executor exactly; any
 //!   divergence is a compiler or simulator bug, not "numerics".
 //!
-//! Both are the one walker `run`: the op match, the convolution's tiles, the
-//! pools and the dense layer are written once, and each executor is an
-//! `Arith` — element and accumulator types, the multiply-accumulate, and the
-//! epilogue that turns a weighted layer's sum into an element. Neither
-//! checks the other: each keeps its own exact arithmetic.
+//! All three are the one walker `run`: the op match, the convolution's
+//! tiles, the pools and the dense layer are written once, and each executor
+//! is an `Arith` — element and accumulator types, the multiply-accumulate,
+//! and the epilogue that turns a weighted layer's sum into an element.
+//! Neither arithmetic checks the other: each keeps its own exact one.
 //!
 //! A convolution is output-stationary: a tile of `PX_TILE` output pixels
 //! of one row × `CO_BLOCK` output channels keeps its sums in registers
@@ -81,7 +84,25 @@ pub fn sat8(v: i64) -> i8 {
 /// Panics if the image does not match the input shape or params are missing.
 #[must_use]
 pub fn run_fp32(graph: &Graph, params: &Params, image: &[f32]) -> Vec<ValueF> {
-    run(graph, params, image)
+    every_value(run(graph, params, image, Keep::All, |_, _| {}))
+}
+
+/// Runs the fp32 forward pass on an `[y][x][c]` image, showing `seen` each
+/// node's index and value as it is made; a value is dropped once its last
+/// reader has run, so the pass keeps only what a later node still reads.
+///
+/// # Panics
+///
+/// Panics as [`run_fp32`] does.
+pub fn walk_fp32(
+    graph: &Graph,
+    params: &Params,
+    image: &[f32],
+    mut seen: impl FnMut(usize, &ValueF),
+) {
+    run(graph, params, image, Keep::Live, |i, values| {
+        seen(i, values[i].as_ref().expect("just made"));
+    });
 }
 
 /// Runs the bit-exact int8 forward pass on a pre-quantized `[y][x][c]` image.
@@ -91,7 +112,21 @@ pub fn run_fp32(graph: &Graph, params: &Params, image: &[f32]) -> Vec<ValueF> {
 /// Panics on shape mismatches.
 #[must_use]
 pub fn run_int8(q: &QuantGraph, image: &[i8]) -> Vec<ValueQ> {
-    run(&q.graph, q, image)
+    every_value(run(&q.graph, q, image, Keep::All, |_, _| {}))
+}
+
+/// Which values [`run`] keeps.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Keep {
+    /// Every node's, to return.
+    All,
+    /// Those a later node still reads.
+    Live,
+}
+
+/// A [`Keep::All`] walk's values.
+fn every_value<T>(values: Vec<Option<Value<T>>>) -> Vec<Value<T>> {
+    values.into_iter().map(|v| v.expect("kept")).collect()
 }
 
 /// The element arithmetic of one reference executor.
@@ -201,11 +236,33 @@ impl Arith for QuantGraph {
 }
 
 /// The forward pass of `graph` in `arith`'s arithmetic; returns per-node
-/// values.
-fn run<A: Arith>(graph: &Graph, arith: &A, image: &[A::Elem]) -> Vec<Value<A::Elem>> {
-    let mut values: Vec<Value<A::Elem>> = Vec::with_capacity(graph.nodes.len());
+/// values, those `keep` dropped as `None`.
+///
+/// After node `i` is made, `seen` is shown `i` and the values alive: node
+/// `i`'s own and, under [`Keep::Live`], only those a node after `i` still
+/// reads — an input is dropped by its last reader, before that reader's
+/// value is shown, and a value nothing reads right after it is shown.
+fn run<A: Arith>(
+    graph: &Graph,
+    arith: &A,
+    image: &[A::Elem],
+    keep: Keep,
+    mut seen: impl FnMut(usize, &[Option<Value<A::Elem>>]),
+) -> Vec<Option<Value<A::Elem>>> {
+    let mut last_reader = vec![None; graph.nodes.len()];
     for (i, node) in graph.nodes.iter().enumerate() {
-        let map = |n: usize, what: &str| match &values[node.inputs[n]] {
+        for &input in &node.inputs {
+            last_reader[input] = Some(i);
+        }
+    }
+    let mut values: Vec<Option<Value<A::Elem>>> = Vec::with_capacity(graph.nodes.len());
+    for (i, node) in graph.nodes.iter().enumerate() {
+        let input = |n: usize| {
+            values[node.inputs[n]]
+                .as_ref()
+                .expect("read after its last reader")
+        };
+        let map = |n: usize, what: &str| match input(n) {
             Value::Map { h, w, c, data } => (*h, *w, *c, data.as_slice()),
             Value::Flat(_) => panic!("{what} on flat"),
         };
@@ -288,7 +345,7 @@ fn run<A: Arith>(graph: &Graph, arith: &A, image: &[A::Elem]) -> Vec<Value<A::El
                 Value::Flat((0..c).map(|ch| arith.gap(i, column(ch), h * w)).collect())
             }
             &Op::Dense { out: o, relu } => {
-                let Value::Flat(x) = &values[node.inputs[0]] else {
+                let Value::Flat(x) = input(0) else {
                     panic!("dense on map")
                 };
                 let (weights, shift) = arith.dense(i);
@@ -315,7 +372,18 @@ fn run<A: Arith>(graph: &Graph, arith: &A, image: &[A::Elem]) -> Vec<Value<A::El
                 }
             }
         };
-        values.push(v);
+        if keep == Keep::Live {
+            for &input in &node.inputs {
+                if last_reader[input] == Some(i) {
+                    values[input] = None;
+                }
+            }
+        }
+        values.push(Some(v));
+        seen(i, &values);
+        if keep == Keep::Live && last_reader[i].is_none() {
+            values[i] = None;
+        }
     }
     values
 }
@@ -490,5 +558,72 @@ mod tests {
     fn argmax_helpers() {
         assert_eq!(argmax_f(&[0.1, 0.9, 0.5]), 1);
         assert_eq!(argmax_q(&[-5, 3, 3]), 1);
+    }
+
+    /// A keep-what-is-live walk over a residual fork: after each node, only
+    /// its own value and those a later node still reads are alive — the
+    /// fork's shortcut until its add — and nothing stays behind.
+    #[test]
+    fn a_live_walk_keeps_only_what_a_later_node_reads() {
+        use crate::graph::{ConvSpec, ConvW, DenseW};
+        let conv = |relu| {
+            Op::Conv(ConvSpec {
+                c_out: 2,
+                k: 3,
+                stride: 1,
+                pad: 1,
+                relu,
+            })
+        };
+        let mut g = Graph::with_input(4, 4, 2);
+        let fork = g.push(conv(true), vec![0], "fork");
+        let branch = g.push(conv(false), vec![fork], "branch");
+        let add = g.push(Op::Add { relu: true }, vec![branch, fork], "add");
+        let gap = g.push(Op::GlobalAvgPool, vec![add], "gap");
+        let fc = g.push(
+            Op::Dense {
+                out: 3,
+                relu: false,
+            },
+            vec![gap],
+            "fc",
+        );
+        let mut params = Params::default();
+        for node in [fork, branch] {
+            let w = (0..2 * 2 * 9).map(|i| (i % 5) as f32 / 4.0 - 0.5).collect();
+            params.conv.insert(
+                node,
+                ConvW {
+                    w,
+                    co: 2,
+                    ci: 2,
+                    k: 3,
+                },
+            );
+        }
+        let w = (0..3 * 2).map(|i| i as f32 / 6.0).collect();
+        params.dense.insert(fc, DenseW { w, out: 3, inp: 2 });
+        let image: Vec<f32> = (0..4 * 4 * 2).map(|i| (i % 7) as f32 / 7.0).collect();
+
+        let mut alive = Vec::new();
+        let left = run(&g, &params, &image, Keep::Live, |i, values| {
+            let live: Vec<usize> = (0..values.len()).filter(|&j| values[j].is_some()).collect();
+            let read_later = |j: usize| g.nodes[i + 1..].iter().any(|n| n.inputs.contains(&j));
+            let want: Vec<usize> = (0..=i).filter(|&j| j == i || read_later(j)).collect();
+            assert_eq!(live, want, "alive after node {i}");
+            alive.push(live);
+        });
+        assert_eq!(
+            alive,
+            [
+                vec![0],
+                vec![fork],
+                vec![fork, branch],
+                vec![add],
+                vec![gap],
+                vec![fc]
+            ]
+        );
+        assert!(left.iter().all(Option::is_none), "a value stayed behind");
     }
 }
