@@ -10,7 +10,6 @@ use super::{resume_after_barrier, Chip, Cursor, RunCtx, RunOptions, RunReport, S
 use crate::decoded::DecodedProgram;
 use crate::error::SimError;
 use crate::icu_id::IcuId;
-use crate::trace::ActivityKind;
 
 /// Per-queue cursor over a [`DecodedProgram`]: `pc` indexes decoded ops
 /// (`base`, then the runtime `Ifetch` `overlay`), `sub` the iteration within
@@ -189,10 +188,7 @@ impl Chip {
                     SpanOp::Sxm(op) => self.sxm_op(icu, op, pos, t, d_func, ctx)?,
                     SpanOp::C2c(op) => self.c2c_op(icu, op, pos, t, d_func, ctx)?,
                     SpanOp::MxmInstall { plane, dtype } => {
-                        self.planes[plane.index() as usize].install(*dtype);
-                        let dur = u16::try_from(d_func).unwrap_or(1);
-                        ctx.note_span(t, dur, icu, ActivityKind::MxmInstall, self.active_lanes());
-                        ctx.last_effect = ctx.last_effect.max(t + d_func);
+                        self.mxm_install(icu, *plane, *dtype, t, d_func, ctx);
                     }
                 }
                 q.advance(n);

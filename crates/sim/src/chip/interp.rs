@@ -14,7 +14,6 @@ use super::{resume_after_barrier, Chip, Cursor, RunCtx, RunOptions, RunReport, S
 use crate::error::SimError;
 use crate::icu_id::IcuId;
 use crate::program::Program;
-use crate::trace::ActivityKind;
 
 #[derive(Debug)]
 enum Burst {
@@ -238,10 +237,7 @@ impl Chip {
             Instruction::Sxm(op) => self.sxm_op(q.icu, op, pos, t, d_func, ctx)?,
             Instruction::C2c(op) => self.c2c_op(q.icu, op, pos, t, d_func, ctx)?,
             Instruction::Mxm(MxmOp::InstallWeights { plane, dtype }) => {
-                self.planes[plane.index() as usize].install(*dtype);
-                let dur = u16::try_from(d_func).unwrap_or(1);
-                ctx.note_span(t, dur, q.icu, ActivityKind::MxmInstall, self.active_lanes());
-                ctx.last_effect = ctx.last_effect.max(t + d_func);
+                self.mxm_install(q.icu, *plane, *dtype, t, d_func, ctx);
             }
             Instruction::Mxm(_) | Instruction::Icu(_) => return Err(wrong_slice(q.icu, instr, t)),
         }

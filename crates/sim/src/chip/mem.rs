@@ -53,7 +53,7 @@ impl Chip {
                 self.forward(*stream, pos, t + d_func, word, ctx);
             }
             MemOp::Write { addr, stream } => {
-                let word = self.operand(icu, *stream, pos, t, ctx)?;
+                let word = self.take(icu, *stream, pos, t, ctx)?;
                 let slice = self.memory.slice_mut(hemisphere, index);
                 slice
                     .access(t, *addr, true)
@@ -78,7 +78,7 @@ impl Chip {
             MemOp::Gather { stream, map } => {
                 // The map is consumed on every path (the stream contract is
                 // checked, and its addresses pick the banks the port charges).
-                let map = self.operand(icu, *map, pos, t, ctx)?;
+                let map = self.take(icu, *map, pos, t, ctx)?;
                 let addrs = map_addresses(&map.data);
                 self.memory
                     .slice_mut(hemisphere, index)
@@ -119,7 +119,7 @@ impl Chip {
             }
             MemOp::Scatter { stream, map } => {
                 let data = self.operand(icu, *stream, pos, t, ctx)?;
-                let map = self.operand(icu, *map, pos, t, ctx)?;
+                let map = self.take(icu, *map, pos, t, ctx)?;
                 let addrs = map_addresses(&map.data);
                 let slice = self.memory.slice_mut(hemisphere, index);
                 slice
@@ -129,33 +129,34 @@ impl Chip {
                 // the shared zero word without looking at memory): the port
                 // is charged above, the twenty read-modify-writes are not
                 // worth doing.
-                let addrs = if ctx.functional { &addrs[..] } else { &[] };
-                for (s, &addr) in addrs.iter().enumerate() {
-                    let stored = slice.peek(addr);
-                    let prior_check = if stored.is_pristine() {
-                        None
-                    } else {
-                        Some(stored.check())
-                    };
-                    let mut merged = stored.data;
-                    merged
-                        .superlane_mut(s)
-                        .copy_from_slice(data.data.superlane(s));
-                    let word = match prior_check {
-                        // Every other superlane's check already equals its
-                        // encode; re-protecting the merged word (lazily)
-                        // keeps the whole word pristine.
-                        None => StoredVector::protect(merged),
-                        // Preserve any latent error in the untouched
-                        // superlanes; re-encode only the overwritten one.
-                        Some(mut check) => {
-                            let mut raw = [0u8; 16];
-                            raw.copy_from_slice(merged.superlane(s));
-                            check[s] = ecc::encode(&raw);
-                            StoredVector::with_check(merged, check)
-                        }
-                    };
-                    slice.poke_stored(addr, word);
+                if let Some(data) = &data {
+                    for (s, &addr) in addrs.iter().enumerate() {
+                        let stored = slice.peek(addr);
+                        let prior_check = if stored.is_pristine() {
+                            None
+                        } else {
+                            Some(stored.check())
+                        };
+                        let mut merged = stored.data;
+                        merged
+                            .superlane_mut(s)
+                            .copy_from_slice(data.data.superlane(s));
+                        let word = match prior_check {
+                            // Every other superlane's check already equals its
+                            // encode; re-protecting the merged word (lazily)
+                            // keeps the whole word pristine.
+                            None => StoredVector::protect(merged),
+                            // Preserve any latent error in the untouched
+                            // superlanes; re-encode only the overwritten one.
+                            Some(mut check) => {
+                                let mut raw = [0u8; 16];
+                                raw.copy_from_slice(merged.superlane(s));
+                                check[s] = ecc::encode(&raw);
+                                StoredVector::with_check(merged, check)
+                            }
+                        };
+                        slice.poke_stored(addr, word);
+                    }
                 }
                 ctx.bandwidth.record(Traffic::SramWrite, 320);
                 ctx.note(t, icu, ActivityKind::MemScatter, self.active_lanes());

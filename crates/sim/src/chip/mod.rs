@@ -21,10 +21,13 @@
 //! the queue can execute an instruction. The two share the loop, the `Ifetch`
 //! read and the functional-unit bodies, nothing else. **One body per
 //! instruction** (`mem`, `vxm`, `sxm`, `mxm`, `c2c`): a timing-only
-//! run ([`RunOptions::functional`] off) is the same body with operands
-//! fetched unverified (`operand`) and the shared zero word for a result
-//! (`emit`); only `LW`'s buffer fill, `ABC`'s zero feed, `ACC`'s readout and
-//! `Gather`/`Scatter`'s SRAM access branch on it.
+//! run ([`RunOptions::functional`] off) is the same body moving no data
+//! nothing reads. An operand it would compute on is only checked for
+//! presence (`operand`), a word it keeps or reads is taken unverified
+//! (`take`: a `Write`'s data, a `Gather`/`Scatter` map), and a result is
+//! the shared zero word (`emit`). Only `LW`'s buffer fill, `IW`'s install,
+//! `ABC`'s feed (queued as the cycle its result is ready, with no vector),
+//! `ACC`'s readout and `Gather`/`Scatter`'s SRAM access branch on it.
 
 mod c2c;
 mod decoded;
@@ -68,11 +71,15 @@ pub struct RunOptions {
     pub counters: bool,
     /// Abort with [`SimError::CycleLimit`] past this cycle (runaway guard).
     pub cycle_limit: u64,
-    /// Compute real results. `false` skips the data path — MXM dot products,
-    /// VXM/SXM arithmetic, and ECC encode/check — producing zero words, for
-    /// timing-only sweeps. Cycle counts, instruction counts and traces are
-    /// unaffected because timing never depends on data (the determinism
-    /// thesis); reads are still validated against the schedule.
+    /// Compute real results. `false` skips every piece of data work nothing
+    /// reads, for timing-only sweeps: MXM weight installs and dot products
+    /// (an `ABC` queues only the cycle its result becomes readable), VXM/SXM
+    /// arithmetic, ECC checks, and the operand words themselves (a read
+    /// only checks that its stream holds a word there). Every result is the
+    /// shared zero word. Cycle counts, instruction counts, telemetry and
+    /// traces are unaffected because timing never depends on data (the
+    /// determinism thesis); reads are still validated against the schedule
+    /// and fail with the same errors at the same cycles.
     pub functional: bool,
     /// Deterministic fault-injection plan replayed during the run (see
     /// `tsp-faults`): each event strikes before the first dispatch at or
@@ -426,12 +433,7 @@ impl Chip {
         let word = self
             .streams
             .read(stream, pos, t)
-            .ok_or(SimError::EmptyStreamRead {
-                stream,
-                position: pos,
-                cycle: t,
-                icu,
-            })?;
+            .ok_or(empty(icu, stream, pos, t))?;
         if !check || word.is_pristine() {
             return Ok(word);
         }
@@ -464,10 +466,10 @@ impl Chip {
         Ok(Arc::new(StreamWord::protect(data)))
     }
 
-    /// Fetches one operand of a functional-unit body. Timing-only runs take
-    /// it unverified: the data is not computed on, and timing never depends
-    /// on it.
-    fn operand(
+    /// Takes a word a body keeps or reads on every kind of run (a `Write`'s
+    /// data, a `Gather`/`Scatter` map). Timing-only runs take it unverified:
+    /// timing never depends on it.
+    fn take(
         &mut self,
         icu: IcuId,
         stream: StreamId,
@@ -478,9 +480,28 @@ impl Chip {
         self.read_word(icu, stream, pos, t, ctx.functional)
     }
 
-    /// [`Chip::operand`] over a stream group. Every read happens on every
-    /// kind of run; a timing-only run keeps none of the words (nothing will
-    /// compute on them) and returns an empty list.
+    /// Fetches one operand a body computes on. A timing-only run computes on
+    /// nothing: it only checks that the stream holds a word there (failing
+    /// as a functional read does) and returns `None`.
+    fn operand(
+        &mut self,
+        icu: IcuId,
+        stream: StreamId,
+        pos: Position,
+        t: Cycle,
+        ctx: &RunCtx,
+    ) -> Result<Option<Arc<StreamWord>>, SimError> {
+        if ctx.functional {
+            self.read_word(icu, stream, pos, t, true).map(Some)
+        } else if self.streams.holds(stream, pos, t) {
+            Ok(None)
+        } else {
+            Err(empty(icu, stream, pos, t))
+        }
+    }
+
+    /// [`Chip::operand`] over a stream group, in order: a timing-only run
+    /// checks every stream and returns an empty list.
     fn operands(
         &mut self,
         icu: IcuId,
@@ -491,10 +512,7 @@ impl Chip {
     ) -> Result<Vec<Arc<StreamWord>>, SimError> {
         let mut words = Vec::new();
         for s in streams {
-            let word = self.operand(icu, s, pos, t, ctx)?;
-            if ctx.functional {
-                words.push(word);
-            }
+            words.extend(self.operand(icu, s, pos, t, ctx)?);
         }
         Ok(words)
     }
@@ -575,6 +593,25 @@ impl Chip {
 /// The data of fetched operands, for the unit kernels that take vectors.
 fn vectors(words: &[Arc<StreamWord>]) -> Vec<Vector> {
     words.iter().map(|w| w.data.clone()).collect()
+}
+
+/// The data of an operand a functional run fetched ([`Chip::operand`]).
+fn data(word: &Option<Arc<StreamWord>>) -> &Vector {
+    &word
+        .as_ref()
+        .expect("a functional run fetches its operands")
+        .data
+}
+
+/// A read of a stream slot that holds nothing: a scheduling-contract
+/// violation.
+fn empty(icu: IcuId, stream: StreamId, position: Position, cycle: Cycle) -> SimError {
+    SimError::EmptyStreamRead {
+        stream,
+        position,
+        cycle,
+        icu,
+    }
 }
 
 /// When a queue parked at `park_t` resumes after a notify at `notify_t`:

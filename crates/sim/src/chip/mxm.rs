@@ -1,10 +1,10 @@
 //! MXM instruction bodies: one row of an `LW`/`ABC`/`ACC` burst.
 
 use tsp_arch::{Cycle, StreamId, Vector};
-use tsp_isa::{AccumulateMode, DataType, MxmOp};
+use tsp_isa::{AccumulateMode, DataType, MxmOp, Plane};
 use tsp_mem::bandwidth::Traffic;
 
-use super::{vectors, Chip, RunCtx};
+use super::{data, vectors, Chip, RunCtx};
 use crate::error::SimError;
 use crate::icu_id::IcuId;
 use crate::lane::Lane;
@@ -58,14 +58,14 @@ impl Chip {
                 } else {
                     None
                 };
-                if !ctx.functional {
-                    // Queue a zero result with a real pass's availability.
-                    self.planes[idx].feed_zero(t);
-                } else if let Some(hi) = hi {
-                    let (a, b) = self.planes.split_at_mut(idx + 1);
-                    a[idx].feed_activation_fp16(t, &b[0], &act.data, &hi.data);
-                } else {
-                    self.planes[idx].feed_activation_i8(t, &act.data);
+                match (act, hi) {
+                    // Timing-only: queue when a real pass's result is ready.
+                    (None, _) => self.planes[idx].feed_ready(t),
+                    (Some(act), Some(hi)) => {
+                        let (a, b) = self.planes.split_at_mut(idx + 1);
+                        a[idx].feed_activation_fp16(t, &b[0], &act.data, data(&hi));
+                    }
+                    (Some(act), None) => self.planes[idx].feed_activation_i8(t, &act.data),
                 }
                 ctx.note(t, icu, ActivityKind::MxmMacc, self.active_lanes());
             }
@@ -83,12 +83,12 @@ impl Chip {
                 ctx.note(t, icu, ActivityKind::MxmAcc, self.active_lanes());
                 if !ctx.functional {
                     // Pop (and validate) the pending result, emit zero words.
-                    self.planes[plane.index() as usize]
-                        .accumulate(t, row as usize, add)
-                        .ok_or(SimError::AccumulatorEmpty {
+                    if !self.planes[plane.index() as usize].retire_ready(t) {
+                        return Err(SimError::AccumulatorEmpty {
                             plane: plane.index(),
                             cycle: t,
-                        })?;
+                        });
+                    }
                     self.emit_zero(dst.streams(), pos, t + 1, ctx);
                     return Ok(());
                 }
@@ -116,6 +116,28 @@ impl Chip {
             MxmOp::InstallWeights { .. } => unreachable!("IW is not a burst"),
         }
         Ok(())
+    }
+
+    /// `IW`: installs the weights `LW` staged. A timing-only run staged
+    /// none, and the plane takes only their element type.
+    pub(super) fn mxm_install(
+        &mut self,
+        icu: IcuId,
+        plane: Plane,
+        dtype: DataType,
+        t: Cycle,
+        d_func: Cycle,
+        ctx: &mut RunCtx,
+    ) {
+        let plane = &mut self.planes[plane.index() as usize];
+        if ctx.functional {
+            plane.install(dtype);
+        } else {
+            plane.install_type(dtype);
+        }
+        let dur = u16::try_from(d_func).unwrap_or(1);
+        ctx.note_span(t, dur, icu, ActivityKind::MxmInstall, self.active_lanes());
+        ctx.last_effect = ctx.last_effect.max(t + d_func);
     }
 }
 

@@ -4,7 +4,7 @@
 use tsp_arch::{Cycle, Position};
 use tsp_isa::SxmOp;
 
-use super::{vectors, Chip, RunCtx};
+use super::{data, vectors, Chip, RunCtx};
 use crate::error::SimError;
 use crate::icu_id::IcuId;
 use crate::sxm_unit;
@@ -35,7 +35,7 @@ impl Chip {
                 };
                 let x = self.operand(icu, *src, pos, t, ctx)?;
                 ctx.note(t, icu, ActivityKind::SxmShift, lanes);
-                self.emit([*dst], pos, t_eff, ctx, || Ok([shift(&x.data, *n)]))
+                self.emit([*dst], pos, t_eff, ctx, || Ok([shift(data(&x), *n)]))
             }
             SxmOp::Select {
                 north,
@@ -47,21 +47,21 @@ impl Chip {
                 let s = self.operand(icu, *south, pos, t, ctx)?;
                 ctx.note(t, icu, ActivityKind::SxmShift, lanes);
                 self.emit([*dst], pos, t_eff, ctx, || {
-                    Ok([sxm_unit::select(&n.data, &s.data, *boundary)])
+                    Ok([sxm_unit::select(data(&n), data(&s), *boundary)])
                 })
             }
             SxmOp::Permute { map, src, dst } => {
                 let x = self.operand(icu, *src, pos, t, ctx)?;
                 ctx.note(t, icu, ActivityKind::SxmPermute, lanes);
                 self.emit([*dst], pos, t_eff, ctx, || {
-                    Ok([sxm_unit::permute(&x.data, map)])
+                    Ok([sxm_unit::permute(data(&x), map)])
                 })
             }
             SxmOp::Distribute { map, src, dst } => {
                 let x = self.operand(icu, *src, pos, t, ctx)?;
                 ctx.note(t, icu, ActivityKind::SxmPermute, lanes);
                 self.emit([*dst], pos, t_eff, ctx, || {
-                    Ok([sxm_unit::distribute(&x.data, map)])
+                    Ok([sxm_unit::distribute(data(&x), map)])
                 })
             }
             SxmOp::Rotate { n, src, dst } => {

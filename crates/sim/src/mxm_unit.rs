@@ -39,7 +39,9 @@
 //!
 //! A result is a plain `Vec`, dropped by its last holder: a pool of
 //! retired buffers measured within noise beside the stream file's word
-//! pool (EXPERIMENTS.md "Host throughput").
+//! pool, and 320 `i32`s inline in the pending queue measured slower
+//! (EXPERIMENTS.md "Host throughput"). A timing-only feed queues no vector
+//! at all, only the cycle its result becomes readable.
 //!
 //! The scalar oracles these kernels are checked against live in
 //! `tests/reference/`, and share nothing with them.
@@ -87,8 +89,9 @@ pub struct MxmPlane {
     /// Element type of the installed weights.
     dtype: DataType,
     /// Results awaiting `ACC` readout, oldest first, tagged with the cycle
-    /// at which the array has finished computing them.
-    pending: std::collections::VecDeque<(u64, MxmResult)>,
+    /// at which the array has finished computing them. A timing-only feed
+    /// queues only that cycle, with no vector.
+    pending: std::collections::VecDeque<(u64, Option<MxmResult>)>,
     /// Queued int8 `ABC` feeds not yet computed: `(feed cycle, activation)`,
     /// oldest first. Every entry is newer than everything in `pending`
     /// (flushes drain the whole wave, and every other feed flushes it
@@ -156,6 +159,14 @@ impl MxmPlane {
         self.install_gen += 1;
     }
 
+    /// Timing-only `IW`: takes the element type (an fp16 `ABC` checks its
+    /// plane pair by it) and leaves the array as it is — a timing-only `LW`
+    /// stages nothing, and nothing will compute on the weights.
+    pub(crate) fn install_type(&mut self, dtype: DataType) {
+        self.flush_wave();
+        self.dtype = dtype;
+    }
+
     /// The installed weight at `(row, col)` as a raw byte.
     #[must_use]
     pub fn weight(&self, row: usize, col: usize) -> u8 {
@@ -173,21 +184,20 @@ impl MxmPlane {
     /// becomes readable [`tsp_isa::mxm::MXM_ARRAY_DELAY`] cycles after `cycle`.
     ///
     /// The arithmetic is deferred: the feed joins the current wave and is
-    /// computed in the next blocked flush (`ACC`, `IW`, or an fp16/zero feed
-    /// that must preserve result order). Timestamps are recorded now, so
-    /// nothing observable moves.
+    /// computed in the next blocked flush (`ACC`, `IW`, or an fp16 or
+    /// timing-only feed that must preserve result order). Timestamps are
+    /// recorded now, so nothing observable moves.
     pub fn feed_activation_i8(&mut self, cycle: u64, activation: &Vector) {
         self.wave.push((cycle, *activation.as_bytes()));
     }
 
-    /// Timing-only feed: queues a zero result with the same availability as
-    /// a real activation pass (used when functional simulation is disabled).
-    pub fn feed_zero(&mut self, cycle: u64) {
+    /// Timing-only feed: queues only the cycle a real activation pass's
+    /// result becomes readable — nothing is computed, allocated or kept, as
+    /// nothing will read it (used when functional simulation is disabled).
+    pub(crate) fn feed_ready(&mut self, cycle: u64) {
         self.flush_wave(); // keep `pending` in feed order if modes ever mix
-        self.pending.push_back((
-            cycle + u64::from(tsp_isa::mxm::MXM_ARRAY_DELAY),
-            MxmResult::Int32(vec![0; LANES]),
-        ));
+        self.pending
+            .push_back((cycle + u64::from(tsp_isa::mxm::MXM_ARRAY_DELAY), None));
     }
 
     /// Rebuilds the widened int8 weight cache for the current install
@@ -255,7 +265,7 @@ impl MxmPlane {
         for ((cycle, _), out) in self.wave.drain(..).zip(outs) {
             self.pending.push_back((
                 cycle + u64::from(tsp_isa::mxm::MXM_ARRAY_DELAY),
-                MxmResult::Int32(out),
+                Some(MxmResult::Int32(out)),
             ));
         }
     }
@@ -295,7 +305,7 @@ impl MxmPlane {
             .collect();
         self.pending.push_back((
             cycle + u64::from(tsp_isa::mxm::MXM_ARRAY_DELAY),
-            MxmResult::Fp32(out),
+            Some(MxmResult::Fp32(out)),
         ));
     }
 
@@ -308,15 +318,12 @@ impl MxmPlane {
     ///
     /// Returns `None` when no result is pending **or the oldest result is not
     /// yet available at `cycle`** (both are scheduling bugs the chip simulator
-    /// reports as [`crate::SimError::AccumulatorEmpty`]).
+    /// reports as [`crate::SimError::AccumulatorEmpty`]). A timing-only
+    /// feed's result reads as zeros.
     pub fn accumulate(&mut self, cycle: u64, ordinal: usize, add: bool) -> Option<&MxmResult> {
-        if self.pending.is_empty() {
-            self.flush_wave();
-        }
-        if self.pending.front().is_none_or(|(avail, _)| *avail > cycle) {
-            return None;
-        }
-        let (_, fresh) = self.pending.pop_front()?;
+        let fresh = self
+            .pop_ready(cycle)?
+            .unwrap_or_else(|| MxmResult::Int32(vec![0; LANES]));
         if self.acc.len() <= ordinal {
             self.acc
                 .resize(ordinal + 1, MxmResult::Int32(vec![0; LANES]));
@@ -337,6 +344,27 @@ impl MxmPlane {
             (_, _, fresh) => *slot = fresh,
         }
         Some(&self.acc[ordinal])
+    }
+
+    /// Timing-only `ACC` one cycle's worth: pops the oldest pending result
+    /// without reading it out. `false` exactly where
+    /// [`MxmPlane::accumulate`] returns `None`; the accumulators are left
+    /// as they are (nothing will read them).
+    pub(crate) fn retire_ready(&mut self, cycle: u64) -> bool {
+        self.pop_ready(cycle).is_some()
+    }
+
+    /// Pops the oldest pending result if it is readable at `cycle`, flushing
+    /// the queued wave first when the computed queue has run dry; the inner
+    /// `None` is a timing-only feed's.
+    fn pop_ready(&mut self, cycle: u64) -> Option<Option<MxmResult>> {
+        if self.pending.is_empty() {
+            self.flush_wave();
+        }
+        if self.pending.front().is_none_or(|(avail, _)| *avail > cycle) {
+            return None;
+        }
+        self.pending.pop_front().map(|(_, result)| result)
     }
 
     /// Number of results awaiting readout (computed plus still-queued feeds).
@@ -533,6 +561,35 @@ mod tests {
             panic!()
         };
         assert_eq!(total[0], 320 + 640);
+    }
+
+    /// Timing-only feeds queue only their ready cycle, in feed order with
+    /// real feeds on one plane: an `ACC` of either kind a cycle early finds
+    /// nothing, a functional readout of a timing-only feed reads zeros, and
+    /// a timing-only one pops a real result without reading it.
+    #[test]
+    fn timing_only_feeds_keep_feed_order() {
+        let delay = u64::from(tsp_isa::mxm::MXM_ARRAY_DELAY);
+        let mut p = MxmPlane::new();
+        identity_weights(&mut p);
+        p.feed_activation_i8(0, &Vector::splat(3));
+        p.feed_ready(1);
+        p.feed_activation_i8(2, &Vector::splat(5));
+        assert_eq!(p.pending_results(), 3);
+        let Some(MxmResult::Int32(first)) = p.accumulate(delay, 0, false) else {
+            panic!("expected int32")
+        };
+        assert!(first.iter().all(|&v| v == 3));
+        assert!(!p.retire_ready(delay), "the timing-only feed is early");
+        assert!(p.accumulate(delay, 0, false).is_none());
+        let Some(MxmResult::Int32(zeros)) = p.accumulate(delay + 1, 0, false) else {
+            panic!("expected int32")
+        };
+        assert!(zeros.iter().all(|&v| v == 0));
+        assert!(!p.retire_ready(delay + 1), "the last feed is early");
+        assert!(p.retire_ready(delay + 2));
+        assert_eq!(p.pending_results(), 0);
+        assert!(!p.retire_ready(u64::MAX));
     }
 
     #[test]

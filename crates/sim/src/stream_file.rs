@@ -242,6 +242,19 @@ impl StreamFile {
         position: Position,
         cycle: u64,
     ) -> Option<Arc<StreamWord>> {
+        self.peek(stream, position, cycle).map(Arc::clone)
+    }
+
+    /// Whether [`StreamFile::read`] would find a value: the check of a
+    /// consumer that computes on nothing (a timing-only run), without
+    /// taking a reference to the word.
+    #[must_use]
+    pub(crate) fn holds(&self, stream: StreamId, position: Position, cycle: u64) -> bool {
+        self.peek(stream, position, cycle).is_some()
+    }
+
+    /// The word [`StreamFile::read`] returns, borrowed.
+    fn peek(&self, stream: StreamId, position: Position, cycle: u64) -> Option<&Arc<StreamWord>> {
         let d = StreamFile::diagonal(stream, position, cycle);
         let slot = &self.slots[StreamFile::slot_index(stream, d)];
         if slot.diagonal != d {
@@ -264,7 +277,7 @@ impl StreamFile {
                 break;
             }
         }
-        Some(Arc::clone(best))
+        Some(best)
     }
 
     /// Flips one data bit of the value occupying `stream`'s register at

@@ -3,7 +3,7 @@
 //! These exercise the full dispatch → stream → functional-unit → memory path
 //! and pin down the timing contract the compiler relies on (Eq. 4).
 
-use tsp_arch::{ChipConfig, Hemisphere, Slice, StreamGroup, StreamId, Vector};
+use tsp_arch::{ChipConfig, Hemisphere, Position, Slice, StreamGroup, StreamId, Vector};
 use tsp_isa::mem::map_vector;
 use tsp_isa::{AluIndex, BinaryAluOp, DataType, IcuOp, MemAddr, MemOp, SxmOp, VxmOp};
 use tsp_mem::GlobalAddress;
@@ -929,6 +929,151 @@ fn timing_only_matches_functional_op_by_op() {
         }
         assert_eq!(functional.telemetry.mxm_macc_waves, [1, 0, 2, 0]);
     }
+}
+
+/// Runs the program `build` returns functional and timing-only, on both
+/// dispatch paths, and returns the one error all four runs fail with.
+fn fails_alike(build: impl Fn() -> Feeder) -> SimError {
+    let mut first: Option<SimError> = None;
+    for functional in [true, false] {
+        for decoded in [true, false] {
+            let mut f = build();
+            let options = RunOptions {
+                functional,
+                decoded,
+                ..RunOptions::default()
+            };
+            let err = f.chip.run(&f.program, &options).unwrap_err();
+            let want = first.get_or_insert_with(|| err.clone());
+            assert_eq!(&err, want, "functional {functional}, decoded {decoded}");
+        }
+    }
+    first.expect("four runs")
+}
+
+/// A broken schedule fails the same way, at the same cycle, whether the run
+/// computes or only keeps time: an `ACC` one cycle before its feed's result
+/// is ready, an `ABC`, a VXM op and an `LW` each reading a stream slot no
+/// producer filled (named by stream and position, the first missing operand
+/// in read order), and an fp16 `ABC` on an odd plane.
+#[test]
+fn timing_only_fails_as_functional_does() {
+    use tsp_isa::{AccumulateMode, MxmOp, Plane, MXM_ARRAY_DELAY};
+    const E: Hemisphere = Hemisphere::East;
+    const W: Hemisphere = Hemisphere::West;
+    let mxm_e = Slice::Mxm(E).position().0;
+    let plane = Plane::new(2);
+    let port = |plane: Plane, port: u8| IcuId::Mxm { plane, port };
+    let abc = |f: &mut Feeder, plane: Plane, stream: StreamId, at: u64| {
+        let abc = MxmOp::ActivationBuffer {
+            plane,
+            stream,
+            rows: 1,
+        };
+        f.program.builder(port(plane, 2)).push_at(at, abc);
+    };
+    let empty_read = |err: &SimError, want: StreamId, at: Position, when: u64, by: IcuId| {
+        assert!(
+            matches!(*err, SimError::EmptyStreamRead { stream, position, cycle, icu }
+                if stream == want && position == at && cycle == when && icu == by),
+            "{err}"
+        );
+    };
+
+    let err = fails_alike(|| {
+        let mut f = Feeder::new();
+        let stream = f.feed(E, 16, 16, mxm_e, 410);
+        abc(&mut f, plane, stream, 410);
+        let acc = MxmOp::Accumulate {
+            plane,
+            dst: StreamGroup::new(StreamId::west(0), 4),
+            rows: 1,
+            mode: AccumulateMode::Overwrite,
+        };
+        let early = 410 + u64::from(MXM_ARRAY_DELAY) - 1;
+        f.program.builder(port(plane, 3)).push_at(early, acc);
+        f
+    });
+    let early = 410 + u64::from(MXM_ARRAY_DELAY) - 1;
+    assert_eq!(
+        err,
+        SimError::AccumulatorEmpty {
+            plane: 2,
+            cycle: early
+        }
+    );
+
+    // The activation lands at 410; the `ABC` reads a cycle late.
+    let stream = Feeder::toward(16, Slice::mem(E, 16).position().0, mxm_e);
+    let err = fails_alike(|| {
+        let mut f = Feeder::new();
+        f.feed(E, 16, 16, mxm_e, 410);
+        abc(&mut f, plane, stream, 411);
+        f
+    });
+    empty_read(&err, stream, Position(mxm_e), 411, port(plane, 2));
+
+    // `b` of an add is never fed; `a` is.
+    let vxm = Slice::Vxm.position().0;
+    let b = Feeder::toward(5, Slice::mem(E, 5).position().0, vxm);
+    let err = fails_alike(|| {
+        let mut f = Feeder::new();
+        let a = f.feed(E, 4, 4, vxm, 200);
+        let add = VxmOp::Binary {
+            op: BinaryAluOp::AddSat,
+            dtype: DataType::Int8,
+            a: sg1(a),
+            b: sg1(b),
+            dst: sg1(StreamId::east(12)),
+            alu: AluIndex::new(2),
+        };
+        f.program.builder(vxm_icu(2)).push_at(200, add);
+        f
+    });
+    empty_read(&err, b, Position(vxm), 200, vxm_icu(2));
+
+    // An `LW` whose eighth weight row is never fed.
+    let err = fails_alike(|| {
+        let mut f = Feeder::new();
+        for i in (0..16).filter(|&i| i != 7) {
+            f.feed(E, i, i, mxm_e, 400);
+        }
+        let lw = MxmOp::LoadWeights {
+            plane,
+            streams: StreamGroup::new(StreamId::east(0), 16),
+            rows: 1,
+        };
+        f.program.builder(port(plane, 0)).push_at(400, lw);
+        f
+    });
+    empty_read(
+        &err,
+        StreamId::east(7),
+        Position(mxm_e),
+        400,
+        port(plane, 0),
+    );
+
+    // fp16 weights on plane 1: no tandem partner above it.
+    let odd = Plane::new(1);
+    let mxm_w = Slice::Mxm(W).position().0;
+    let err = fails_alike(|| {
+        let mut f = Feeder::new();
+        let iw = MxmOp::InstallWeights {
+            plane: odd,
+            dtype: DataType::Fp16,
+        };
+        f.program.builder(port(odd, 1)).push_at(505, iw);
+        let stream = f.feed(W, 0, 0, mxm_w, 510);
+        f.feed(W, 1, 1, mxm_w, 510);
+        abc(&mut f, odd, stream, 510);
+        f
+    });
+    assert!(
+        matches!(&err, SimError::InvalidInstruction { cycle: 510, icu, reason }
+            if *icu == port(odd, 2) && reason.contains("even plane")),
+        "{err}"
+    );
 }
 
 /// An operand group whose width does not match its dtype is an
